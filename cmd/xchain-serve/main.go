@@ -44,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -72,7 +71,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := newHTTPServer(*addr, srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "xchain-serve: listening on %s (max-runs=%d)\n", *addr, srv.opts.maxRuns)

@@ -336,12 +336,45 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody bounds a POST /runs body. A run request is a few hundred
+// bytes of JSON; the bound only exists so that a client cannot make the
+// server buffer an arbitrary amount before the decoder rejects it.
+const maxRequestBody = 1 << 20
+
+// Connection deadlines of the HTTP server: how long a client may take to
+// send its request headers, its whole request, and how long an idle
+// keep-alive connection is kept. Responses carry no write deadline — a
+// /debug/pprof/profile response legitimately takes its ?seconds to produce.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server xchain-serve listens with: handler h
+// behind the connection deadlines above, so a slow or stalled client cannot
+// hold a connection (and its goroutine) open indefinitely.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // handleStartRun validates the request, registers the run and launches it.
 func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

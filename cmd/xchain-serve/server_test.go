@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -253,6 +254,69 @@ func TestServeValidation(t *testing.T) {
 	}
 	if code := get(t, ts, "/runs/run-9999", nil); code != http.StatusNotFound {
 		t.Errorf("missing run returned %d, want 404", code)
+	}
+}
+
+// TestServeBodyLimit posts a body over maxRequestBody — valid JSON all the
+// way, so only the size can reject it: the answer is 413 with the typed JSON
+// error, and no run was registered.
+func TestServeBodyLimit(t *testing.T) {
+	ts := httptest.NewServer(newServer(false))
+	defer ts.Close()
+
+	body := `{"payments": 10, "mix": "` + strings.Repeat(" ", maxRequestBody) + `timelock=1"}`
+	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize POST = %d, want 413 (%s)", resp.StatusCode, raw)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("oversize POST body %q is not the typed JSON error (%v)", raw, err)
+	}
+	var list struct {
+		Runs []any `json:"runs"`
+	}
+	if code := get(t, ts, "/runs", &list); code != http.StatusOK || len(list.Runs) != 0 {
+		t.Fatalf("after the rejected POST, GET /runs = %d with %d runs, want 200 with none", code, len(list.Runs))
+	}
+}
+
+// TestServeConnectionDeadlines pins that the listening server bounds how
+// long a client may take over its headers, its request and an idle
+// connection, and shows the first bound at work: a client that sends half a
+// request line and stalls is disconnected instead of holding its goroutine.
+func TestServeConnectionDeadlines(t *testing.T) {
+	hs := newHTTPServer("127.0.0.1:0", newServer(false))
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout < hs.ReadHeaderTimeout || hs.IdleTimeout <= 0 {
+		t.Fatalf("deadlines not set: header %v, read %v, idle %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+
+	hs.ReadHeaderTimeout = 100 * time.Millisecond // the production value, shortened for the test
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close below
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /runs HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a TCP conn accepts deadlines
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("a client stalled in its headers was not disconnected: %v", err)
 	}
 }
 

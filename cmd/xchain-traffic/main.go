@@ -50,6 +50,9 @@
 //	-crypto-stats      print key-cache / verification-memo counters
 //	-max-verify-miss 0 fail if the verify-memo miss rate exceeds this fraction
 //	-progress 0s       print a live progress line to stderr at this interval
+//	-cpuprofile ""     write a CPU profile of the run to this file
+//	-memprofile ""     write an allocation profile to this file when the run
+//	                   ends (read both with `go tool pprof`)
 //	-v                 print one line per payment (the exemplars with -stream)
 package main
 
@@ -60,6 +63,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -76,7 +80,40 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// startProfiles starts a CPU profile into cpuPath and arranges an allocation
+// profile into memPath (either may be empty); the returned stop finishes
+// both. Profiling lives here in the CLI: internal/traffic reads no clock and
+// no runtime state.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var first error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			first = cpu.Close()
+		}
+		if memPath != "" {
+			mem, err := os.Create(memPath)
+			if err != nil {
+				return errors.Join(first, err)
+			}
+			runtime.GC() // fold the run's last allocations into the profile
+			first = errors.Join(first, pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
+		}
+		return first
+	}, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("xchain-traffic", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -117,6 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cryptoStats = fs.Bool("crypto-stats", false, "print key-cache and verification-memo counters after the run")
 		maxMiss     = fs.Float64("max-verify-miss", 0, "fail if the verification-memo miss rate exceeds this fraction (0 = no gate)")
 		progress    = fs.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 		verbose     = fs.Bool("v", false, "print one line per payment (the exemplars with -stream)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -124,6 +163,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	if *cpuProfile != "" || *memProfile != "" {
+		stop, err := startProfiles(*cpuProfile, *memProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "xchain-traffic: cannot start profile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(stderr, "xchain-traffic: cannot write profile: %v\n", err)
+				code = max(code, 1)
+			}
+		}()
 	}
 
 	s := xchainpay.NewScenario(*n, *seed)

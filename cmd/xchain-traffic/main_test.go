@@ -212,3 +212,33 @@ func TestRunCryptoStatsNames(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProfiles checks that -cpuprofile and -memprofile leave pprof files
+// behind without changing the run's output, and that an unwritable profile
+// path is a run failure, not a silent skip.
+func TestRunProfiles(t *testing.T) {
+	args := []string{"-n", "2", "-payments", "200", "-rate", "2000", "-stream", "-crypto", "hmac", "-workers", "1"}
+	var plain, errOut strings.Builder
+	if code := run(args, &plain, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var out strings.Builder
+	if code := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if out.String() != plain.String() {
+		t.Errorf("profiling changed the output:\n%s\nwithout:\n%s", out.String(), plain.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (%v)", path, err)
+		}
+	}
+
+	if code := run(append(args, "-memprofile", filepath.Join(dir, "no-such-dir", "mem.prof")), &out, &errOut); code != 1 {
+		t.Errorf("unwritable -memprofile exited %d, want 1", code)
+	}
+}

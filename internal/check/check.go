@@ -80,20 +80,62 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("%-4s %-3s", status, v.Property)
 }
 
-// Report is the full evaluation of one run.
+// Report is the full evaluation of one run: one verdict per evaluated
+// property, held by value so that evaluating a run allocates nothing (the
+// traffic engine evaluates every payment).
 type Report struct {
 	Protocol string
 	Options  Options
-	Verdicts map[core.Property]Verdict
+	// verdicts is indexed by the property's position in
+	// core.AllProperties; a zero Property marks one that was not evaluated.
+	verdicts [len(propertyOrder)]Verdict
 }
 
-// Verdict returns the verdict of one property.
-func (r Report) Verdict(p core.Property) Verdict { return r.Verdicts[p] }
+// propertyOrder is core.AllProperties' canonical order.
+var propertyOrder = [...]core.Property{
+	core.PropConsistency, core.PropTermination, core.PropEscrowSecurity,
+	core.PropCS1, core.PropCS2, core.PropCS3,
+	core.PropStrongLiveness, core.PropWeakLiveness, core.PropCertConsistency, core.PropConservation,
+}
+
+// safetyProperties is the SafetyOK set, in canonical order.
+var safetyProperties = [...]core.Property{
+	core.PropEscrowSecurity, core.PropCS1, core.PropCS2, core.PropCS3,
+	core.PropCertConsistency, core.PropConservation,
+}
+
+func (r *Report) put(v Verdict) {
+	for i, p := range propertyOrder {
+		if p == v.Property {
+			r.verdicts[i] = v
+			return
+		}
+	}
+	panic("check: verdict for unknown property " + string(v.Property))
+}
+
+// Lookup returns the verdict of one property and whether the property was
+// evaluated (CC and WL are only evaluated under Definition 2).
+func (r Report) Lookup(p core.Property) (Verdict, bool) {
+	for i := range r.verdicts {
+		if r.verdicts[i].Property == p && p != "" {
+			return r.verdicts[i], true
+		}
+	}
+	return Verdict{}, false
+}
+
+// Verdict returns the verdict of one property (the zero Verdict if it was
+// not evaluated).
+func (r Report) Verdict(p core.Property) Verdict {
+	v, _ := r.Lookup(p)
+	return v
+}
 
 // AllOK reports whether every property holds or is inapplicable.
 func (r Report) AllOK() bool {
-	for _, v := range r.Verdicts {
-		if !v.OK() {
+	for i := range r.verdicts {
+		if !r.verdicts[i].OK() {
 			return false
 		}
 	}
@@ -103,11 +145,8 @@ func (r Report) AllOK() bool {
 // SafetyOK reports whether the safety properties (ES, CS1-3, CC, CV) hold.
 // These must hold regardless of which participants are Byzantine.
 func (r Report) SafetyOK() bool {
-	for _, p := range []core.Property{
-		core.PropEscrowSecurity, core.PropCS1, core.PropCS2, core.PropCS3,
-		core.PropCertConsistency, core.PropConservation,
-	} {
-		if v, ok := r.Verdicts[p]; ok && !v.OK() {
+	for _, p := range safetyProperties {
+		if !r.Verdict(p).OK() {
 			return false
 		}
 	}
@@ -121,11 +160,8 @@ func (r Report) SafetyOK() bool {
 // damage under faults.
 func (r Report) SafetyFailures() []core.Property {
 	var out []core.Property
-	for _, p := range []core.Property{
-		core.PropEscrowSecurity, core.PropCS1, core.PropCS2, core.PropCS3,
-		core.PropCertConsistency, core.PropConservation,
-	} {
-		if v, ok := r.Verdicts[p]; ok && !v.OK() {
+	for _, p := range safetyProperties {
+		if !r.Verdict(p).OK() {
 			out = append(out, p)
 		}
 	}
@@ -136,9 +172,9 @@ func (r Report) SafetyFailures() []core.Property {
 // canonical order.
 func (r Report) Failures() []core.Property {
 	var out []core.Property
-	for _, p := range core.AllProperties() {
-		if v, ok := r.Verdicts[p]; ok && !v.OK() {
-			out = append(out, p)
+	for i := range r.verdicts {
+		if !r.verdicts[i].OK() {
+			out = append(out, r.verdicts[i].Property)
 		}
 	}
 	return out
@@ -148,52 +184,45 @@ func (r Report) Failures() []core.Property {
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "report(%s)\n", r.Protocol)
-	for _, p := range core.AllProperties() {
-		if v, ok := r.Verdicts[p]; ok {
-			b.WriteString("  " + v.String() + "\n")
+	for i := range r.verdicts {
+		if r.verdicts[i].Property != "" {
+			b.WriteString("  " + r.verdicts[i].String() + "\n")
 		}
 	}
 	return b.String()
 }
 
-// Evaluate computes all property verdicts for a run result.
+// Evaluate computes all property verdicts for a run result. A verdict's
+// Detail is only built for a property that fails, so evaluating a run whose
+// properties hold formats nothing.
 func Evaluate(res *core.RunResult, opts Options) Report {
-	r := Report{Protocol: res.Protocol, Options: opts, Verdicts: map[core.Property]Verdict{}}
-	put := func(v Verdict) { r.Verdicts[v.Property] = v }
-
-	put(checkConsistency(res))
-	put(checkTermination(res, opts))
-	put(checkEscrowSecurity(res))
-	put(checkCS1(res, opts))
-	put(checkCS2(res, opts))
-	put(checkCS3(res))
-	put(checkStrongLiveness(res))
+	r := Report{Protocol: res.Protocol, Options: opts}
+	r.put(checkConsistency(res))
+	r.put(checkTermination(res, opts))
+	r.put(checkEscrowSecurity(res))
+	r.put(checkCS1(res, opts))
+	r.put(checkCS2(res, opts))
+	r.put(checkCS3(res))
+	r.put(checkStrongLiveness(res))
 	if opts.Definition2 {
-		put(checkWeakLiveness(res, opts))
-		put(checkCertConsistency(res))
+		r.put(checkWeakLiveness(res, opts))
+		r.put(checkCertConsistency(res))
 	}
-	put(checkConservation(res))
+	r.put(checkConservation(res))
 	return r
 }
 
-// escrowsOf returns the escrows of customer c_i together with whether all of
-// them abide by the protocol in the scenario.
-func escrowsOf(res *core.RunResult, i int) (ids []string, allHonest bool) {
+// escrowsHonest reports whether the escrows of customer c_i all abide by the
+// protocol in the scenario.
+func escrowsHonest(res *core.RunResult, i int) bool {
 	topo := res.Scenario.Topology
-	allHonest = true
-	if up, ok := topo.UpstreamEscrow(i); ok {
-		ids = append(ids, up)
-		if res.Scenario.FaultOf(up).IsByzantine() {
-			allHonest = false
-		}
+	if up, ok := topo.UpstreamEscrow(i); ok && res.Scenario.FaultOf(up).IsByzantine() {
+		return false
 	}
-	if down, ok := topo.DownstreamEscrow(i); ok {
-		ids = append(ids, down)
-		if res.Scenario.FaultOf(down).IsByzantine() {
-			allHonest = false
-		}
+	if down, ok := topo.DownstreamEscrow(i); ok && res.Scenario.FaultOf(down).IsByzantine() {
+		return false
 	}
-	return ids, allHonest
+	return true
 }
 
 // checkConsistency is the operational reading of property C: the engine could
@@ -241,12 +270,9 @@ func checkConsistency(res *core.RunResult) Verdict {
 func checkTermination(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropTermination, Holds: true}
 	topo := res.Scenario.Topology
-	for i, id := range topo.Customers() {
-		if res.Scenario.FaultOf(id).IsByzantine() {
-			continue
-		}
-		_, escrowsHonest := escrowsOf(res, i)
-		if !escrowsHonest {
+	for i := 0; i <= topo.N; i++ {
+		id := core.CustomerID(i)
+		if res.Scenario.FaultOf(id).IsByzantine() || !escrowsHonest(res, i) {
 			continue
 		}
 		out := res.Outcome(id)
@@ -281,7 +307,11 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 // protocol does not lose money.
 func checkEscrowSecurity(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropEscrowSecurity, Holds: true}
-	for _, id := range res.HonestEscrows() {
+	for i := 0; i < res.Scenario.Topology.N; i++ {
+		id := core.EscrowID(i)
+		if res.Scenario.FaultOf(id).IsByzantine() {
+			continue
+		}
 		v.Applicable = true
 		out := res.Escrows[id]
 		if out.BalanceDelta < 0 {
@@ -375,7 +405,7 @@ func checkCS3(res *core.RunResult) Verdict {
 		if res.Scenario.FaultOf(id).IsByzantine() {
 			continue
 		}
-		if _, escrowsHonest := escrowsOf(res, i); !escrowsHonest {
+		if !escrowsHonest(res, i) {
 			continue
 		}
 		out := res.Outcome(id)
@@ -415,8 +445,8 @@ func checkWeakLiveness(res *core.RunResult, opts Options) Verdict {
 	if !res.AllHonest() {
 		return v
 	}
-	for _, id := range res.Scenario.Topology.Customers() {
-		p := res.Scenario.PatienceOf(id)
+	for i := 0; i <= res.Scenario.Topology.N; i++ {
+		p := res.Scenario.PatienceOf(core.CustomerID(i))
 		if p != 0 && p < opts.PatiencePrecondition {
 			return v // some customer was not patient enough: nothing owed
 		}
@@ -478,7 +508,11 @@ func NewSummary() *Summary {
 // Add folds one report into the summary.
 func (s *Summary) Add(r Report) {
 	s.Total++
-	for p, v := range r.Verdicts {
+	for _, p := range propertyOrder {
+		v, ok := r.Lookup(p)
+		if !ok {
+			continue
+		}
 		if v.Applicable {
 			s.Applicable[p]++
 		}

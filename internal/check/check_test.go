@@ -338,7 +338,7 @@ func TestCertConsistency(t *testing.T) {
 	}
 	// Definition 1 does not evaluate CC at all.
 	r = Evaluate(res, Def1Eventual())
-	if _, present := r.Verdicts[core.PropCertConsistency]; present {
+	if _, present := r.Lookup(core.PropCertConsistency); present {
 		t.Fatal("Definition-1 evaluation produced a CC verdict")
 	}
 }

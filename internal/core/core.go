@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/clock"
 	"repro/internal/ledger"
@@ -36,14 +37,47 @@ const (
 	RoleNotary    Role = "notary"
 )
 
+// idTableSize is how many IDs of each kind are interned; chains and
+// committees beyond it still work, through formatting.
+const idTableSize = 256
+
+// idTable is one kind's interned IDs: prefix0 .. prefix255.
+type idTable struct {
+	prefix string
+	ids    [idTableSize]string
+}
+
+func newIDTable(prefix string) *idTable {
+	t := &idTable{prefix: prefix}
+	for i := range t.ids {
+		t.ids[i] = prefix + strconv.Itoa(i)
+	}
+	return t
+}
+
+// id is a table lookup: protocol runs ask for the same few IDs millions of
+// times, and formatting them was a sixth of a payment's cost.
+func (t *idTable) id(i int) string {
+	if uint(i) < idTableSize {
+		return t.ids[i]
+	}
+	return t.prefix + strconv.Itoa(i)
+}
+
+var (
+	customerIDs = newIDTable("c")
+	escrowIDs   = newIDTable("e")
+	notaryIDs   = newIDTable("notary")
+)
+
 // CustomerID returns the canonical ID of customer c_i.
-func CustomerID(i int) string { return fmt.Sprintf("c%d", i) }
+func CustomerID(i int) string { return customerIDs.id(i) }
 
 // EscrowID returns the canonical ID of escrow e_i.
-func EscrowID(i int) string { return fmt.Sprintf("e%d", i) }
+func EscrowID(i int) string { return escrowIDs.id(i) }
 
 // NotaryID returns the canonical ID of notary j in the manager committee.
-func NotaryID(j int) string { return fmt.Sprintf("notary%d", j) }
+func NotaryID(j int) string { return notaryIDs.id(j) }
 
 // ManagerID is the logical identity of the transaction manager (single
 // trusted party or committee) in the weak-liveness protocol.
@@ -73,10 +107,18 @@ func (t Topology) Alice() string { return CustomerID(0) }
 func (t Topology) Bob() string { return CustomerID(t.N) }
 
 // Customers returns the IDs c0..c_n in order.
-func (t Topology) Customers() []string {
-	out := make([]string, 0, t.N+1)
+func (t Topology) Customers() []string { return t.appendCustomers(make([]string, 0, t.N+1)) }
+
+func (t Topology) appendCustomers(out []string) []string {
 	for i := 0; i <= t.N; i++ {
 		out = append(out, CustomerID(i))
+	}
+	return out
+}
+
+func (t Topology) appendEscrows(out []string) []string {
+	for i := 0; i < t.N; i++ {
+		out = append(out, EscrowID(i))
 	}
 	return out
 }
@@ -91,17 +133,11 @@ func (t Topology) Connectors() []string {
 }
 
 // Escrows returns the IDs e0..e_{n-1} in order.
-func (t Topology) Escrows() []string {
-	out := make([]string, 0, t.N)
-	for i := 0; i < t.N; i++ {
-		out = append(out, EscrowID(i))
-	}
-	return out
-}
+func (t Topology) Escrows() []string { return t.appendEscrows(make([]string, 0, t.N)) }
 
-// Participants returns all customers and escrows.
+// Participants returns all customers, then all escrows.
 func (t Topology) Participants() []string {
-	return append(t.Customers(), t.Escrows()...)
+	return t.appendEscrows(t.appendCustomers(make([]string, 0, 2*t.N+1)))
 }
 
 // RoleOf classifies an ID within this topology. IDs outside the topology
@@ -131,6 +167,17 @@ func (t Topology) RoleOf(id string) Role {
 	return ""
 }
 
+// customerRole classifies customer c_i by position.
+func (t Topology) customerRole(i int) Role {
+	switch i {
+	case 0:
+		return RoleAlice
+	case t.N:
+		return RoleBob
+	}
+	return RoleConnector
+}
+
 // UpstreamCustomer returns the customer upstream of escrow e_i with respect
 // to the flow of money, i.e. c_i.
 func (t Topology) UpstreamCustomer(i int) string { return CustomerID(i) }
@@ -140,8 +187,7 @@ func (t Topology) UpstreamCustomer(i int) string { return CustomerID(i) }
 func (t Topology) DownstreamCustomer(i int) string { return CustomerID(i + 1) }
 
 // UpstreamEscrow returns customer c_i's upstream escrow e_{i-1} and whether
-// it exists (Alice has none... actually Alice's only escrow e0 is
-// downstream; Bob's only escrow e_{n-1} is upstream).
+// it exists: Alice has none (her only escrow, e0, is downstream).
 func (t Topology) UpstreamEscrow(i int) (string, bool) {
 	if i <= 0 {
 		return "", false

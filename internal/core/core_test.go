@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +218,37 @@ func TestPropertyPaymentSpecConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIDsInterned pins the ID tables: the canonical spellings, on both
+// sides of the table's edge, and — the allocation gate — that asking for an
+// interned ID allocates nothing, so a protocol run can ask as often as it
+// likes.
+func TestIDsInterned(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, idTableSize - 1, idTableSize, idTableSize + 12345, -1} {
+		if got, want := CustomerID(i), fmt.Sprintf("c%d", i); got != want {
+			t.Errorf("CustomerID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := EscrowID(i), fmt.Sprintf("e%d", i); got != want {
+			t.Errorf("EscrowID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := NotaryID(i), fmt.Sprintf("notary%d", i); got != want {
+			t.Errorf("NotaryID(%d) = %q, want %q", i, got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 16; i++ {
+			sink = CustomerID(i)
+			sink = EscrowID(i)
+			sink = NotaryID(i)
+		}
+	}); n != 0 {
+		t.Fatalf("interned ID lookups allocate %v times, want 0", n)
+	}
+	_ = sink
+	if got := NewTopology(3).Participants(); strings.Join(got, " ") != "c0 c1 c2 c3 e0 e1 e2" {
+		t.Fatalf("Participants() = %v", got)
 	}
 }

@@ -1,0 +1,303 @@
+package core
+
+import (
+	"repro/internal/clock"
+	"repro/internal/ledger"
+	"repro/internal/netsim"
+	"repro/internal/sig"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// DefaultMaxEvents caps a run's event count as a runaway guard when the
+// scenario sets no MaxEvents of its own.
+const DefaultMaxEvents = 2_000_000
+
+// World is the simulated substrate one chain-protocol run executes on: the
+// engine, the trace, the network, one ledger per escrow with the customers'
+// endowments, a drifting clock per participant and — for protocols that
+// sign — the participants' keyring. It is the one place that is built; the
+// protocol packages only attach their processes to it.
+//
+// A world is a standing object. Reset(s) puts it in exactly the state a
+// newly built world has for scenario s — the same RNG stream, the same
+// clock draws in the same order, empty ledgers' logs, zeroed counters — so a
+// run on a reused world is indistinguishable from a run on a new one, and a
+// worker that simulates a million payments builds one world, not a million.
+// Reuse is an execution strategy: nothing a run computes may depend on what
+// its world ran before (TestWorldReuseEquivalence).
+//
+// Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
+// own, and so are the Trace and Book it points to and its outcome maps.
+// They are valid until that world's next Reset; a caller that wants to keep
+// a result runs it on a world of its own (which is what Run does).
+//
+// A world is confined to one goroutine, like the engine inside it.
+type World struct {
+	Eng   *sim.Engine
+	Trace *trace.Trace
+	Net   *netsim.Network
+	Book  *ledger.Book
+
+	scn Scenario
+	// ledgers[i] is escrow e_i's ledger; the slice only grows, so a shorter
+	// chain after a longer one reuses the first N.
+	ledgers []*ledger.Ledger
+	// parts and clocks run c_0..c_N, then e_0..e_{N-1}: the order clocks
+	// draw from the RNG in.
+	parts  []string
+	clocks []clock.Clock
+	// wealth[i] is customer c_i's total balance right after Reset.
+	wealth []int64
+
+	// kr is built on the first Keyring call and afterwards reset, not
+	// rebuilt, while the backend stays the same; krReady marks it as
+	// already holding the current scenario's keys.
+	kr       *sig.Keyring
+	krCrypto string
+	krReady  bool
+
+	res RunResult
+	// out is Collect's scratch: a customer's outcome is built here, where
+	// the protocol's callback can write to it without it escaping per call.
+	out CustomerOutcome
+}
+
+// NewWorld returns an empty world; Reset makes it usable.
+func NewWorld() *World {
+	eng := sim.NewEngine(0)
+	tr := trace.New()
+	return &World{
+		Eng:   eng,
+		Trace: tr,
+		Net:   netsim.New(eng, nil, tr),
+		Book:  ledger.NewBook(),
+		res: RunResult{
+			Customers: map[string]CustomerOutcome{},
+			Escrows:   map[string]EscrowOutcome{},
+		},
+	}
+}
+
+// Reset validates the scenario and restores the state a new world has for
+// it, invalidating everything handed out since the previous Reset.
+func (w *World) Reset(s Scenario) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	w.scn = s
+	w.krReady = false
+	topo := s.Topology
+
+	w.Eng.Reset(s.Seed)
+	w.Eng.SetMetrics(sim.MetricsFrom(s.Metrics))
+	w.Trace.Reset(s.MuteTrace)
+	w.Net.Reset(s.Network)
+	w.Net.SetMetrics(netsim.MetricsFrom(s.Metrics))
+
+	// Escrow e_i hosts accounts for itself and for its two customers c_i
+	// and c_{i+1}; the customers receive their initial endowment.
+	ledgerMetrics := ledger.MetricsFrom(s.Metrics, "protocol")
+	w.Book.Reset()
+	for i := 0; i < topo.N; i++ {
+		if i == len(w.ledgers) {
+			w.ledgers = append(w.ledgers, ledger.New(EscrowID(i)))
+		}
+		led := w.ledgers[i]
+		led.Reset()
+		led.SetMetrics(ledgerMetrics)
+		if err := led.CreateAccount(EscrowID(i)); err != nil {
+			return err
+		}
+		for _, cust := range [2]string{CustomerID(i), CustomerID(i + 1)} {
+			if err := led.CreateAccount(cust); err != nil {
+				return err
+			}
+			if err := led.Mint(0, cust, s.InitialBalance); err != nil {
+				return err
+			}
+		}
+		w.Book.Add(led)
+	}
+
+	w.parts = topo.appendEscrows(topo.appendCustomers(w.parts[:0]))
+	w.clocks = w.clocks[:0]
+	rng := w.Eng.Rand()
+	for range w.parts {
+		rho := clock.Drift(0)
+		var offset sim.Time
+		if s.Timing.Clock.MaxRho > 0 {
+			rho = clock.Drift((2*rng.Float64() - 1) * float64(s.Timing.Clock.MaxRho))
+		}
+		if s.Timing.Clock.MaxOffset > 0 {
+			offset = sim.Time(rng.Int63n(int64(2*s.Timing.Clock.MaxOffset+1))) - s.Timing.Clock.MaxOffset
+		}
+		w.clocks = append(w.clocks, *clock.New(w.Eng, rho, offset))
+	}
+
+	w.wealth = w.wealth[:0]
+	for i := 0; i <= topo.N; i++ {
+		w.wealth = append(w.wealth, w.customerWealth(i))
+	}
+	return nil
+}
+
+// customerWealth sums c_i's balances over the two ledgers she has accounts
+// on (e_{i-1} and e_i).
+func (w *World) customerWealth(i int) int64 {
+	var total int64
+	id := CustomerID(i)
+	if i > 0 {
+		total += w.ledgers[i-1].Balance(id)
+	}
+	if i < w.scn.Topology.N {
+		total += w.ledgers[i].Balance(id)
+	}
+	return total
+}
+
+// Participants returns c_0..c_N then e_0..e_{N-1}; callers must not modify
+// the slice.
+func (w *World) Participants() []string { return w.parts }
+
+// Ledger returns escrow e_i's ledger.
+func (w *World) Ledger(i int) *ledger.Ledger { return w.ledgers[i] }
+
+// CustomerClock returns customer c_i's local clock.
+func (w *World) CustomerClock(i int) *clock.Clock { return &w.clocks[i] }
+
+// EscrowClock returns escrow e_i's local clock.
+func (w *World) EscrowClock(i int) *clock.Clock { return &w.clocks[w.scn.Topology.N+1+i] }
+
+// Keyring returns the keyring holding the participants' keys under the
+// scenario's backend and key seed. Protocols without signatures never call
+// it and pay for no keys.
+func (w *World) Keyring() *sig.Keyring {
+	if !w.krReady {
+		seed := w.scn.DerivedKeySeed()
+		if w.kr == nil || w.krCrypto != w.scn.Crypto {
+			w.kr = sig.NewKeyringWith(w.scn.SigOptions(), seed, w.parts)
+			w.krCrypto = w.scn.Crypto
+		} else {
+			w.kr.Reset(seed, w.parts)
+		}
+		w.krReady = true
+	}
+	return w.kr
+}
+
+// MaxEvents returns the run's event cap.
+func (w *World) MaxEvents() uint64 {
+	if w.scn.MaxEvents > 0 {
+		return w.scn.MaxEvents
+	}
+	return DefaultMaxEvents
+}
+
+// ActionDelay draws how long participant id takes over one action: a
+// uniformly random fraction of the processing bound, plus id's Byzantine
+// action delay if it has one.
+func (w *World) ActionDelay(id string) sim.Time {
+	delay := w.scn.FaultOf(id).DelayActions
+	if maxP := w.scn.Timing.MaxProcessing; maxP > 0 {
+		delay += sim.Time(w.Eng.Rand().Int63n(int64(maxP + 1)))
+	}
+	return delay
+}
+
+// LockID returns the identifier of the payment's escrow lock on e_i.
+func (w *World) LockID(i int) string { return w.scn.Spec.PaymentID + "/" + EscrowID(i) }
+
+// EventName labels a scheduled event "id:what". Nothing reads event names
+// but a debugger, so a muted run gets the constant alone and builds no
+// string per event.
+func (w *World) EventName(id, what string) string {
+	if w.Trace.Recording() {
+		return id + ":" + what
+	}
+	return what
+}
+
+// ScheduleCrashes schedules every participant's crash fault, in participant
+// order (the engine's tie-break follows scheduling order). At the fault's
+// time crash is called with the participant's ID and what it is: customer
+// c_i or escrow e_i.
+func (w *World) ScheduleCrashes(crash func(id string, customer bool, i int)) {
+	if len(w.scn.Faults) == 0 {
+		return
+	}
+	customers := w.scn.Topology.N + 1
+	for k, id := range w.parts {
+		f := w.scn.FaultOf(id)
+		if !f.Crash {
+			continue
+		}
+		w.Eng.ScheduleAt(f.CrashAt, w.EventName(id, "crash"), func() {
+			if k < customers {
+				crash(id, true, k)
+			} else {
+				crash(id, false, k-customers)
+			}
+		})
+	}
+}
+
+// Collect runs the engine's accounting into the world's RunResult once the
+// run has ended. customer fills in what only the protocol knows about
+// customer c_i (termination, amounts, certificates); identity, role and
+// wealth are already set.
+func (w *World) Collect(protocol string, fired uint64, customer func(i int, out *CustomerOutcome)) *RunResult {
+	topo := w.scn.Topology
+	res := &w.res
+	customers, escrows := res.Customers, res.Escrows
+	clear(customers)
+	clear(escrows)
+	*res = RunResult{
+		Protocol:    protocol,
+		Scenario:    w.scn,
+		Trace:       w.Trace,
+		Book:        w.Book,
+		Customers:   customers,
+		Escrows:     escrows,
+		NetStats:    w.Net.Stats(),
+		EventsFired: fired,
+	}
+	allTerm := true
+	var lastTerm sim.Time
+	for i := 0; i <= topo.N; i++ {
+		id := CustomerID(i)
+		out := &w.out
+		*out = CustomerOutcome{
+			ID:           id,
+			Role:         topo.customerRole(i),
+			WealthBefore: w.wealth[i],
+			WealthAfter:  w.customerWealth(i),
+		}
+		customer(i, out)
+		if out.Terminated && out.TerminatedAt > lastTerm {
+			lastTerm = out.TerminatedAt
+		}
+		if !out.Terminated && !w.scn.FaultOf(id).IsByzantine() {
+			allTerm = false
+		}
+		customers[id] = *out
+	}
+	for i := 0; i < topo.N; i++ {
+		id, led := EscrowID(i), w.ledgers[i]
+		escrows[id] = EscrowOutcome{
+			ID:           id,
+			BalanceDelta: led.Balance(id),
+			PendingLocks: led.PendingCount(),
+			AuditErr:     led.Audit(),
+		}
+	}
+	bob := customers[topo.Bob()]
+	res.BobPaid = bob.Received > 0 || bob.NetWealthChange() > 0
+	res.AllTerminated = allTerm
+	if lastTerm > 0 {
+		res.Duration = lastTerm
+	} else {
+		res.Duration = w.Eng.Now()
+	}
+	return res
+}

@@ -29,13 +29,9 @@ package htlc
 import (
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/ledger"
-	"repro/internal/netsim"
 	"repro/internal/sig"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Protocol is the hashed-timelock baseline. It implements core.Protocol.
@@ -78,9 +74,6 @@ func (p *Protocol) ExpiryOf(i, n int, t core.Timing) sim.Time {
 	setup := sim.Time(n) * (2*t.MaxMsgDelay + 2*t.MaxProcessing)
 	return setup + p.baseExpiry(t) + sim.Time(n-1-i)*p.hopMargin(t)
 }
-
-// defaultMaxEvents caps a run's event count as a runaway guard.
-const defaultMaxEvents = 2_000_000
 
 // Messages.
 
@@ -147,76 +140,33 @@ func (m MsgRefunded) Describe() string { return "refunded" }
 
 // Run implements core.Protocol.
 func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
-	if err := s.Validate(); err != nil {
+	return p.RunIn(core.NewWorld(), s)
+}
+
+// RunIn executes the scenario in w, resetting it first: the same run Run
+// makes, on a standing world. The result is w's own and is valid until w's
+// next Reset (see core.World).
+func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
+	if err := w.Reset(s); err != nil {
 		return nil, fmt.Errorf("htlc: %w", err)
 	}
-	eng := sim.NewEngine(s.Seed)
-	eng.SetMetrics(sim.MetricsFrom(s.Metrics))
-	tr := trace.New()
-	if s.MuteTrace {
-		tr.Mute()
-	}
-	net := netsim.New(eng, s.Network, tr)
-	net.SetMetrics(netsim.MetricsFrom(s.Metrics))
-	ledgerMetrics := ledger.MetricsFrom(s.Metrics, "protocol")
-	topo := s.Topology
-
-	book := ledger.NewBook()
-	for i := 0; i < topo.N; i++ {
-		led := ledger.New(core.EscrowID(i))
-		led.SetMetrics(ledgerMetrics)
-		if err := led.CreateAccount(core.EscrowID(i)); err != nil {
-			return nil, err
-		}
-		for _, cust := range []string{topo.UpstreamCustomer(i), topo.DownstreamCustomer(i)} {
-			if err := led.CreateAccount(cust); err != nil {
-				return nil, err
-			}
-			if err := led.Mint(0, cust, s.InitialBalance); err != nil {
-				return nil, err
-			}
-		}
-		book.Add(led)
-	}
-
-	clocks := make(map[string]*clock.Clock, len(topo.Participants()))
-	rng := eng.Rand()
-	for _, id := range topo.Participants() {
-		rho := clock.Drift(0)
-		var offset sim.Time
-		if s.Timing.Clock.MaxRho > 0 {
-			rho = clock.Drift((2*rng.Float64() - 1) * float64(s.Timing.Clock.MaxRho))
-		}
-		if s.Timing.Clock.MaxOffset > 0 {
-			offset = sim.Time(rng.Int63n(int64(2*s.Timing.Clock.MaxOffset+1))) - s.Timing.Clock.MaxOffset
-		}
-		clocks[id] = clock.New(eng, rho, offset)
-	}
-
 	// Bob's invoice: the preimage is derived deterministically from the
 	// scenario so runs are reproducible.
 	preimage := []byte(fmt.Sprintf("preimage-%s-%d", s.Spec.PaymentID, s.Seed))
-	hashLock := sig.HashPreimage(preimage)
 
 	r := &runState{
-		proto:        p,
-		scn:          s,
-		eng:          eng,
-		net:          net,
-		tr:           tr,
-		book:         book,
-		clocks:       clocks,
-		preimage:     preimage,
-		hashLock:     hashLock,
-		wealthBefore: book.SnapshotWealth(),
+		proto:    p,
+		w:        w,
+		scn:      s,
+		eng:      w.Eng,
+		net:      w.Net,
+		tr:       w.Trace,
+		preimage: preimage,
+		hashLock: sig.HashPreimage(preimage),
 	}
 	r.build()
 	r.start()
 
-	maxEvents := s.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = defaultMaxEvents
-	}
-	_, fired := eng.Run(maxEvents)
+	_, fired := w.Eng.Run(w.MaxEvents())
 	return r.collect(fired), nil
 }

@@ -10,49 +10,47 @@ import (
 	"repro/internal/trace"
 )
 
-// runState holds one HTLC run.
+// runState holds one HTLC run and its world's handles; escrows[i] is e_i
+// and customers[i] is c_i.
 type runState struct {
-	proto  *Protocol
-	scn    core.Scenario
-	eng    *sim.Engine
-	net    *netsim.Network
-	tr     *trace.Trace
-	book   *ledger.Book
-	clocks map[string]*clock.Clock
+	proto *Protocol
+	w     *core.World
+	scn   core.Scenario
+	eng   *sim.Engine
+	net   *netsim.Network
+	tr    *trace.Trace
 
 	preimage []byte
 	hashLock []byte
 
-	escrows   map[string]*escrowProc
-	customers map[string]*customerProc
-
-	wealthBefore map[string]int64
+	escrows   []escrowProc
+	customers []customerProc
 }
 
 func (r *runState) build() {
 	topo := r.scn.Topology
-	r.escrows = map[string]*escrowProc{}
-	r.customers = map[string]*customerProc{}
-	for i := 0; i < topo.N; i++ {
-		esc := &escrowProc{
+	r.escrows = make([]escrowProc, topo.N)
+	r.customers = make([]customerProc, topo.N+1)
+	for i := range r.escrows {
+		r.escrows[i] = escrowProc{
 			run:   r,
 			i:     i,
 			id:    core.EscrowID(i),
 			up:    topo.UpstreamCustomer(i),
 			down:  topo.DownstreamCustomer(i),
-			clk:   r.clocks[core.EscrowID(i)],
-			led:   r.book.MustGet(core.EscrowID(i)),
+			clk:   r.w.EscrowClock(i),
+			led:   r.w.Ledger(i),
 			fault: r.scn.FaultOf(core.EscrowID(i)),
 		}
-		r.escrows[esc.id] = esc
-		r.net.Register(esc)
+		r.net.Register(&r.escrows[i])
 	}
-	for i := 0; i <= topo.N; i++ {
-		c := &customerProc{
+	for i := range r.customers {
+		c := &r.customers[i]
+		*c = customerProc{
 			run:   r,
 			i:     i,
 			id:    core.CustomerID(i),
-			clk:   r.clocks[core.CustomerID(i)],
+			clk:   r.w.CustomerClock(i),
 			fault: r.scn.FaultOf(core.CustomerID(i)),
 		}
 		if up, ok := topo.UpstreamEscrow(i); ok {
@@ -61,107 +59,35 @@ func (r *runState) build() {
 		if down, ok := topo.DownstreamEscrow(i); ok {
 			c.downEscrow = down
 		}
-		r.customers[c.id] = c
 		r.net.Register(c)
 	}
 }
 
 func (r *runState) start() {
-	topo := r.scn.Topology
-	for _, id := range topo.Customers() {
-		r.customers[id].start()
+	for i := range r.customers {
+		r.customers[i].start()
 	}
-	for _, id := range topo.Participants() {
-		f := r.scn.FaultOf(id)
-		if !f.Crash {
-			continue
+	r.w.ScheduleCrashes(func(_ string, customer bool, i int) {
+		if customer {
+			r.customers[i].crashed = true
+		} else {
+			r.escrows[i].crashed = true
 		}
-		id := id
-		r.eng.ScheduleAt(f.CrashAt, "crash:"+id, func() {
-			if esc, ok := r.escrows[id]; ok {
-				esc.crashed = true
-			}
-			if cust, ok := r.customers[id]; ok {
-				cust.crashed = true
-			}
-		})
-	}
-}
-
-func (r *runState) procDelay() sim.Time {
-	maxP := r.scn.Timing.MaxProcessing
-	if maxP <= 0 {
-		return 0
-	}
-	return sim.Time(r.eng.Rand().Int63n(int64(maxP + 1)))
-}
-
-func (r *runState) actionDelay(id string) sim.Time {
-	return r.procDelay() + r.scn.FaultOf(id).DelayActions
-}
-
-func (r *runState) lockID(i int) string {
-	return r.scn.Spec.PaymentID + "/" + core.EscrowID(i)
+	})
 }
 
 func (r *runState) collect(fired uint64) *core.RunResult {
-	topo := r.scn.Topology
-	res := &core.RunResult{
-		Protocol:    r.proto.Name(),
-		Scenario:    r.scn,
-		Trace:       r.tr,
-		Book:        r.book,
-		Customers:   map[string]core.CustomerOutcome{},
-		Escrows:     map[string]core.EscrowOutcome{},
-		NetStats:    r.net.Stats(),
-		EventsFired: fired,
-	}
-	wealthAfter := r.book.SnapshotWealth()
-	allTerm := true
-	var lastTerm sim.Time
-	for _, id := range topo.Customers() {
-		c := r.customers[id]
-		out := core.CustomerOutcome{
-			ID:           id,
-			Role:         topo.RoleOf(id),
-			Terminated:   c.term,
-			TerminatedAt: c.termAt,
-			WealthBefore: r.wealthBefore[id],
-			WealthAfter:  wealthAfter[id],
-			PaidOut:      c.paid,
-			Received:     c.credited,
-			// An HTLC chain produces no signed payment certificate: Alice's
-			// only evidence is the bare preimage, which HoldsChi deliberately
-			// does not count. Experiment E7 keys on this difference.
-			HoldsChi:  false,
-			IssuedChi: false,
-		}
-		if out.Terminated && out.TerminatedAt > lastTerm {
-			lastTerm = out.TerminatedAt
-		}
-		if !r.scn.FaultOf(id).IsByzantine() && !out.Terminated {
-			allTerm = false
-		}
-		res.Customers[id] = out
-	}
-	for _, id := range topo.Escrows() {
-		led := r.book.MustGet(id)
-		res.Escrows[id] = core.EscrowOutcome{
-			ID:           id,
-			BalanceDelta: led.Balance(id),
-			PendingLocks: len(led.PendingLocks()),
-			AuditErr:     led.Audit(),
-		}
-	}
-	bob := res.Customers[topo.Bob()]
-	res.BobPaid = bob.Received > 0 || bob.NetWealthChange() > 0
-	res.AllTerminated = allTerm
-	if lastTerm > 0 {
-		res.Duration = lastTerm
-	} else {
-		res.Duration = r.eng.Now()
-	}
-	return res
+	// An HTLC chain produces no signed payment certificate: Alice's only
+	// evidence is the bare preimage, which HoldsChi deliberately does not
+	// count, so HoldsChi and IssuedChi stay false. Experiment E7 keys on
+	// this difference.
+	return r.w.Collect(r.proto.Name(), fired, func(i int, out *core.CustomerOutcome) {
+		c := &r.customers[i]
+		out.Terminated = c.term
+		out.TerminatedAt = c.termAt
+		out.PaidOut = c.paid
+		out.Received = c.credited
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -182,6 +108,7 @@ type escrowProc struct {
 	fault core.FaultSpec
 
 	lockCreated bool
+	lockID      string // set when the lock is created
 	settled     bool
 	crashed     bool
 	expiry      sim.Time
@@ -215,22 +142,23 @@ func (p *escrowProc) onCreateLock(from string, m MsgCreateLock) {
 		return
 	}
 	cond := ledger.Condition{HashLock: m.HashLock, Expiry: m.Expiry}
-	if _, err := p.led.CreateLock(p.run.eng.Now(), p.run.lockID(p.i), p.up, p.down, want, cond); err != nil {
+	p.lockID = p.run.w.LockID(p.i)
+	if _, err := p.led.CreateLock(p.run.eng.Now(), p.lockID, p.up, p.down, want, cond); err != nil {
 		p.run.tr.AddValue(p.run.eng.Now(), trace.KindViolation, p.id, from, "lock-failed", want)
 		return
 	}
 	p.lockCreated = true
 	p.expiry = m.Expiry
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.run.lockID(p.i), want)
+	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 	if !p.fault.Silent {
-		p.run.eng.ScheduleIn(p.run.actionDelay(p.id), p.id+":notify-lock", func() {
+		p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "notify-lock"), func() {
 			if p.active() {
 				p.run.net.Send(p.id, p.down, MsgLockCreated{PaymentID: m.PaymentID, Amount: want, HashLock: m.HashLock})
 			}
 		})
 	}
 	// Arm the refund at the lock's expiry (escrow-local clock).
-	p.clk.ScheduleAtLocal(m.Expiry, p.id+":expiry", p.onExpiry)
+	p.clk.ScheduleAtLocal(m.Expiry, p.run.w.EventName(p.id, "expiry"), p.onExpiry)
 }
 
 func (p *escrowProc) onClaim(from string, m MsgClaim) {
@@ -246,16 +174,16 @@ func (p *escrowProc) onClaim(from string, m MsgClaim) {
 		return
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
-	if err := p.led.Release(p.run.eng.Now(), p.run.lockID(p.i), m.Preimage, p.clk.Now()); err != nil {
+	if err := p.led.Release(p.run.eng.Now(), p.lockID, m.Preimage, p.clk.Now()); err != nil {
 		p.run.tr.AddLazy(p.run.eng.Now(), trace.KindDetection, p.id, from, func() string { return "claim-rejected: " + err.Error() })
 		return
 	}
 	p.settled = true
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.run.lockID(p.i), amount)
+	p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
 	if p.fault.Silent {
 		return
 	}
-	p.run.eng.ScheduleIn(p.run.actionDelay(p.id), p.id+":settle", func() {
+	p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), func() {
 		if !p.active() {
 			return
 		}
@@ -277,12 +205,12 @@ func (p *escrowProc) onExpiry() {
 		return
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
-	if err := p.led.Refund(p.run.eng.Now(), p.run.lockID(p.i), p.clk.Now()); err != nil {
+	if err := p.led.Refund(p.run.eng.Now(), p.lockID, p.clk.Now()); err != nil {
 		// The claim may have raced the expiry; nothing to do.
 		return
 	}
 	p.settled = true
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.run.lockID(p.i), amount)
+	p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
 	if !p.fault.Silent {
 		p.run.net.Send(p.id, p.up, MsgRefunded{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount})
 	}
@@ -344,7 +272,7 @@ func (c *customerProc) createOutgoingLock() {
 	topo := c.run.scn.Topology
 	amount := c.run.scn.Spec.AmountVia(c.i)
 	expiry := c.run.proto.ExpiryOf(c.i, topo.N, c.run.scn.Timing)
-	c.run.eng.ScheduleIn(c.run.actionDelay(c.id), c.id+":lock", func() {
+	c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "lock"), func() {
 		if !c.active() {
 			return
 		}
@@ -395,7 +323,7 @@ func (c *customerProc) onLockCreated(from string, m MsgLockCreated) {
 			c.run.tr.Add(c.run.eng.Now(), trace.KindByzantine, c.id, "", "withhold-preimage")
 			return
 		}
-		c.run.eng.ScheduleIn(c.run.actionDelay(c.id), c.id+":claim", func() {
+		c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim"), func() {
 			if c.active() {
 				c.run.net.Send(c.id, c.upEscrow, MsgClaim{PaymentID: m.PaymentID, Preimage: c.run.preimage})
 			}
@@ -421,7 +349,7 @@ func (c *customerProc) onClaimed(from string, m MsgClaimed) {
 	if c.fault.Silent {
 		return
 	}
-	c.run.eng.ScheduleIn(c.run.actionDelay(c.id), c.id+":claim-up", func() {
+	c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim-up"), func() {
 		if c.active() {
 			c.run.net.Send(c.id, c.upEscrow, MsgClaim{PaymentID: m.PaymentID, Preimage: m.Preimage})
 		}

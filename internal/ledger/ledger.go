@@ -101,6 +101,7 @@ type Ledger struct {
 	name     string
 	accounts map[string]int64
 	locks    map[string]*Lock
+	free     []*Lock // records of locks dropped by Reset, for CreateLock to reuse
 	ops      []Op
 	opCount  int
 	minted   int64
@@ -126,6 +127,24 @@ func New(name string) *Ledger {
 		accounts: map[string]int64{},
 		locks:    map[string]*Lock{},
 	}
+}
+
+// Reset returns the ledger to the state New(name) builds — no accounts, no
+// locks, an empty log, zeroed totals, compaction off, muted metrics —
+// keeping its maps' and its log's storage. Locks and log entries handed out
+// before the Reset must no longer be used.
+func (l *Ledger) Reset() {
+	clear(l.accounts)
+	//lint:maporder the order only decides which record a later lock reuses, and CreateLock overwrites it whole
+	for _, lk := range l.locks {
+		l.free = append(l.free, lk)
+	}
+	clear(l.locks)
+	clear(l.byzOwners)
+	l.ops = l.ops[:0]
+	l.opCount, l.minted, l.settled, l.byzEscrowed = 0, 0, 0, 0
+	l.compact = false
+	l.m = Metrics{}
 }
 
 // Name returns the ledger's name.
@@ -232,7 +251,13 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, payer, l.accounts[payer], amount)
 	}
 	l.accounts[payer] -= amount
-	lk := &Lock{ID: id, Payer: payer, Payee: payee, Amount: amount, CreatedAt: at, Cond: cond, State: LockPending}
+	var lk *Lock
+	if n := len(l.free); n > 0 {
+		lk, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		lk = &Lock{}
+	}
+	*lk = Lock{ID: id, Payer: payer, Payee: payee, Amount: amount, CreatedAt: at, Cond: cond, State: LockPending}
 	l.locks[id] = lk
 	l.m.LocksCreated.Inc()
 	l.m.Available.Add(-float64(amount))
@@ -270,6 +295,17 @@ func (l *Ledger) PendingLocks() []*Lock {
 		}
 	}
 	return out
+}
+
+// PendingCount returns the number of locks still pending.
+func (l *Ledger) PendingCount() int {
+	n := 0
+	for _, lk := range l.locks {
+		if lk.State == LockPending {
+			n++
+		}
+	}
+	return n
 }
 
 // Release completes the escrowed transfer to the payee. If the lock carries
@@ -512,6 +548,9 @@ type Book struct {
 // NewBook creates an empty ledger collection.
 func NewBook() *Book { return &Book{ledgers: map[string]*Ledger{}} }
 
+// Reset forgets every registered ledger, keeping the book's storage.
+func (b *Book) Reset() { clear(b.ledgers) }
+
 // Add registers a ledger; it returns the ledger for chaining.
 func (b *Book) Add(l *Ledger) *Ledger {
 	b.ledgers[l.Name()] = l
@@ -553,8 +592,19 @@ func (b *Book) Wealth(owner string) int64 {
 	return total
 }
 
-// AuditAll audits every ledger and returns the first violation found.
+// AuditAll audits every ledger and returns the violation of the first
+// ledger, by name, that has one. Whether any ledger fails does not depend on
+// the order they are asked in, so the names are only sorted once one does.
 func (b *Book) AuditAll() error {
+	clean := true
+	for _, l := range b.ledgers {
+		if l.Audit() != nil {
+			clean = false
+		}
+	}
+	if clean {
+		return nil
+	}
 	for _, name := range b.Names() {
 		if err := b.ledgers[name].Audit(); err != nil {
 			return err

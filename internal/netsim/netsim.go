@@ -240,6 +240,22 @@ func New(eng *sim.Engine, model DelayModel, tr *trace.Trace) *Network {
 	return &Network{eng: eng, model: model, tr: tr, nodes: map[string]Node{}}
 }
 
+// Reset returns the network to the state New(eng, model, tr) builds on the
+// same engine and trace — no nodes, no rules, no tap, zeroed counters and
+// sequence numbers, muted metrics — keeping its maps' and pools' storage.
+// Messages still in flight belong to the engine's queue and go with the
+// engine's own Reset.
+func (n *Network) Reset(model DelayModel) {
+	n.model = model
+	clear(n.nodes)
+	n.ids = n.ids[:0]
+	n.rules = n.rules[:0]
+	n.seq = 0
+	n.stats = Stats{}
+	n.m = Metrics{}
+	n.Tap = nil
+}
+
 // Engine returns the underlying simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 

@@ -22,7 +22,7 @@ import (
 // oracle still applies but liveness and termination failures are the
 // expected, Theorem-2-shaped outcome.
 func Generate(seed int64) Spec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	shape := pickShape(rng)
 	sp := Spec{
 		Seed:       seed,

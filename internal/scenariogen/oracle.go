@@ -424,8 +424,8 @@ func settlementTrace(tr *trace.Trace) []string {
 func judgeDifferential(out *Outcome, results []*core.RunResult, reports []check.Report) {
 	proc, anta := reports[0], reports[1]
 	for _, p := range core.AllProperties() {
-		vp, okP := proc.Verdicts[p]
-		va, okA := anta.Verdicts[p]
+		vp, okP := proc.Lookup(p)
+		va, okA := anta.Lookup(p)
 		if okP != okA || vp.Applicable != va.Applicable || vp.Holds != va.Holds {
 			out.Violations = append(out.Violations, Violation{
 				Kind:     KindDifferential,

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"hash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,17 +30,26 @@ type Key struct {
 }
 
 // Backend abstracts the signature scheme behind the Keyring: deterministic
-// key derivation from (seed, id), detached signing and verification.
-// Implementations must be stateless and safe for concurrent use.
+// key derivation from (seed, id), and detached signing and verification
+// through a signer bound to one key. Implementations must be stateless and
+// safe for concurrent use; whatever state signing needs lives in the signer.
 type Backend interface {
 	// Name identifies the backend in options, CLIs and cache keys.
 	Name() string
 	// GenerateKey derives the deterministic key material for (seed, id).
 	GenerateKey(seed, id string) Key
-	// Sign produces a detached signature over payload.
-	Sign(k Key, payload []byte) Signature
-	// Verify checks sig over payload against the public half of k.
-	Verify(k Key, payload []byte, sig Signature) bool
+	// bind returns a signer for k. The signer belongs to the keyring that
+	// asked for it and is confined to that keyring's goroutine; k itself may
+	// be shared process-wide through the key cache and is never written.
+	bind(k Key) signer
+}
+
+// signer signs and verifies under one key.
+type signer interface {
+	// sign produces a detached signature over payload.
+	sign(payload []byte) Signature
+	// verify checks sig over payload against the public half of the key.
+	verify(payload []byte, sig Signature) bool
 }
 
 // Backend names.
@@ -66,12 +76,16 @@ func (ed25519Backend) GenerateKey(seed, id string) Key {
 	return Key{priv: priv, pub: pub}
 }
 
-func (ed25519Backend) Sign(k Key, payload []byte) Signature {
-	return Signature(ed25519.Sign(ed25519.PrivateKey(k.priv), payload))
+func (ed25519Backend) bind(k Key) signer { return ed25519Signer(k) }
+
+type ed25519Signer Key
+
+func (s ed25519Signer) sign(payload []byte) Signature {
+	return Signature(ed25519.Sign(ed25519.PrivateKey(s.priv), payload))
 }
 
-func (ed25519Backend) Verify(k Key, payload []byte, sig Signature) bool {
-	return ed25519.Verify(ed25519.PublicKey(k.pub), payload, sig)
+func (s ed25519Signer) verify(payload []byte, sig Signature) bool {
+	return ed25519.Verify(ed25519.PublicKey(s.pub), payload, sig)
 }
 
 // hmacBackend authenticates with HMAC-SHA256 under a per-participant key
@@ -88,16 +102,26 @@ func (hmacBackend) GenerateKey(seed, id string) Key {
 	return Key{priv: k, pub: k}
 }
 
-func (hmacBackend) Sign(k Key, payload []byte) Signature {
-	h := hmac.New(sha256.New, k.priv)
-	h.Write(payload)
-	return Signature(h.Sum(nil))
+func (hmacBackend) bind(k Key) signer { return &hmacSigner{mac: hmac.New(sha256.New, k.priv)} }
+
+// hmacSigner keeps one pre-keyed HMAC: Reset restores the keyed state, so an
+// operation costs the two SHA-256 finalisations and no key schedule, and
+// verification writes its MAC into the signer's own scratch.
+type hmacSigner struct {
+	mac hash.Hash
+	sum [sha256.Size]byte
 }
 
-func (hmacBackend) Verify(k Key, payload []byte, sig Signature) bool {
-	h := hmac.New(sha256.New, k.pub)
-	h.Write(payload)
-	return hmac.Equal(h.Sum(nil), sig)
+func (s *hmacSigner) sign(payload []byte) Signature {
+	s.mac.Reset()
+	s.mac.Write(payload)
+	return Signature(s.mac.Sum(make([]byte, 0, sha256.Size)))
+}
+
+func (s *hmacSigner) verify(payload []byte, sig Signature) bool {
+	s.mac.Reset()
+	s.mac.Write(payload)
+	return hmac.Equal(s.mac.Sum(s.sum[:0]), sig)
 }
 
 // backends is the registry of available backends.
@@ -166,6 +190,12 @@ var keyCache = struct {
 	m map[keyCacheKey]Key
 }{m: make(map[keyCacheKey]Key)}
 
+// keyCacheEpoch counts the times the cache was emptied. A keyring that kept
+// its keys across a Reset may count them as cache hits only while the epoch
+// it fetched them in is still current: after a clear, a new keyring would
+// miss, and so must a reused one.
+var keyCacheEpoch atomic.Uint64
+
 // Process-wide cache counters (atomic: keyrings run on many goroutines).
 var (
 	globalKeygenHits    atomic.Uint64
@@ -193,6 +223,7 @@ func cachedKey(b Backend, seed, id string) (Key, bool) {
 	keyCache.Lock()
 	if len(keyCache.m) >= keyCacheLimit {
 		keyCache.m = make(map[keyCacheKey]Key)
+		keyCacheEpoch.Add(1)
 	}
 	keyCache.m[ck] = k
 	keyCache.Unlock()
@@ -210,6 +241,7 @@ func KeyCacheLen() int {
 func ResetKeyCache() {
 	keyCache.Lock()
 	keyCache.m = make(map[keyCacheKey]Key)
+	keyCacheEpoch.Add(1)
 	keyCache.Unlock()
 }
 

@@ -2,7 +2,10 @@ package sig
 
 import (
 	"bytes"
+	"encoding/binary"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -242,26 +245,65 @@ func TestParticipantsCached(t *testing.T) {
 	}
 }
 
-// canonical must reject unknown field types loudly instead of silently
-// format-encoding them, and must pre-size exactly.
-func TestCanonicalTypedCases(t *testing.T) {
-	enc := canonical("kind", "s", int64(7), sim.Time(9), []byte{1, 2})
-	if len(enc) != 8+4+8+1+8+8+8+8+8+2 {
-		t.Fatalf("canonical length %d not exactly pre-sized", len(enc))
+// referencePayload is the canonical encoding spelled out field by field:
+// every field length-prefixed with eight big-endian bytes, integers and
+// times as eight big-endian bytes. The typed payload builders must produce
+// exactly these bytes, or every signature (and every memo key) would change.
+func referencePayload(fields ...any) []byte {
+	var out []byte
+	put := func(b []byte) {
+		out = binary.BigEndian.AppendUint64(out, uint64(len(b)))
+		out = append(out, b...)
 	}
-	if cap(enc) != len(enc) {
-		t.Fatalf("canonical over-allocated: len %d cap %d", len(enc), cap(enc))
+	for _, f := range fields {
+		switch v := f.(type) {
+		case string:
+			put([]byte(v))
+		case sim.Time:
+			put(binary.BigEndian.AppendUint64(nil, uint64(v)))
+		}
+	}
+	return out
+}
+
+// The typed payload builders encode exactly the canonical form, keep field
+// boundaries apart, and build in the keyring's scratch without allocating.
+func TestCanonicalTypedCases(t *testing.T) {
+	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "canon-seed", []string{"a"})
+	cases := []struct {
+		name  string
+		build func() []byte // the result aliases kr's scratch until the next build
+		want  []byte
+	}{
+		{"chi", func() []byte {
+			return kr.paymentCertPayload(PaymentCert{PaymentID: "p", Issuer: "bob", Payer: "alice", IssuedAt: 9})
+		}, referencePayload("chi", "p", "bob", "alice", sim.Time(9))},
+		{"guarantee", func() []byte {
+			return kr.guaranteePayload(Guarantee{PaymentID: "p", Escrow: "e0", Customer: "c0", D: 7, IssuedAt: -3})
+		}, referencePayload("guarantee", "p", "e0", "c0", sim.Time(7), sim.Time(-3))},
+		{"promise", func() []byte {
+			return kr.promisePayload(Promise{PaymentID: "p", Escrow: "e0", Customer: "c1", A: 5, Epsilon: 2, IssuedAt: 11})
+		}, referencePayload("promise", "p", "e0", "c1", sim.Time(5), sim.Time(2), sim.Time(11))},
+		{"decision", func() []byte {
+			return kr.decisionPayload(DecisionCert{PaymentID: "p", Decision: DecisionAbort, Manager: "manager", IssuedAt: 4})
+		}, referencePayload("decision", "p", "abort", "manager", sim.Time(4))},
+		{"receipt", func() []byte {
+			return kr.receiptPayload(Receipt{PaymentID: "p", Issuer: "bob", Subject: "funds-received", IssuedAt: 1})
+		}, referencePayload("receipt", "p", "bob", "funds-received", sim.Time(1))},
+	}
+	for _, c := range cases {
+		if got := c.build(); !bytes.Equal(got, c.want) {
+			t.Fatalf("%s payload = %x, want %x", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(20, func() { c.build() }); n != 0 {
+			t.Fatalf("%s payload allocates %v times once the scratch has grown, want 0", c.name, n)
+		}
 	}
 	// Distinct field splits must encode distinctly (length prefixes).
-	if bytes.Equal(canonical("k", "ab", "c"), canonical("k", "a", "bc")) {
+	ab := append([]byte(nil), kr.receiptPayload(Receipt{PaymentID: "ab", Issuer: "c"})...)
+	if bytes.Equal(ab, kr.receiptPayload(Receipt{PaymentID: "a", Issuer: "bc"})) {
 		t.Fatal("field boundaries collide")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("canonical accepted an unsupported field type")
-		}
-	}()
-	canonical("kind", 3.14)
 }
 
 // GlobalStats aggregates across keyrings; ResetGlobalStats zeroes it.
@@ -305,5 +347,115 @@ func TestVerifyMissRateNoVerifications(t *testing.T) {
 	}
 	if rate := (Stats{MemoMisses: 3}).VerifyMissRate(); rate != 1 {
 		t.Fatalf("VerifyMissRate() with only misses = %v, want 1", rate)
+	}
+}
+
+// TestHMACSignVerifyAllocs is the allocation gate on the pre-keyed HMAC
+// path: once a key's signer is bound, a verification allocates nothing and
+// a signature only its own 32 bytes. A per-operation hmac.New would show
+// here as a dozen allocations.
+func TestHMACSignVerifyAllocs(t *testing.T) {
+	kr := NewKeyringWith(Options{Backend: BackendHMAC, MemoCapacity: -1}, "alloc-seed", []string{"a"})
+	payload := []byte("the payload of one artefact, about as long as a canonical one")
+	s := kr.Sign("a", payload)
+	if !kr.Verify("a", payload, s) {
+		t.Fatal("signature does not verify")
+	}
+	if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload, s) }); n != 0 {
+		t.Errorf("hmac Verify allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { kr.Sign("a", payload) }); n > 1 {
+		t.Errorf("hmac Sign allocates %v times, want at most 1", n)
+	}
+
+	// With the memo on, a verification — miss or hit — still allocates
+	// nothing once the memo's map has grown.
+	memo := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", []string{"a"})
+	memo.Verify("a", payload, s)
+	if n := testing.AllocsPerRun(200, func() { memo.Verify("a", payload, s) }); n != 0 {
+		t.Errorf("memoized hmac Verify allocates %v times, want 0", n)
+	}
+}
+
+// TestKeyringResetEquivalence resets one keyring through changing
+// participant sets, seeds and a key-cache flush, and expects after every
+// Reset what a new keyring shows: the same signatures, exactly the
+// participants' keys, an empty memo, and the same Stats and process-wide
+// counter deltas.
+func TestKeyringResetEquivalence(t *testing.T) {
+	for _, backend := range []string{BackendHMAC, BackendEd25519} {
+		ResetKeyCache()
+		opts := Options{Backend: backend}
+		reused := NewKeyringWith(opts, "seed-a", []string{"c0", "c1", "e0"})
+		steps := []struct {
+			seed  string
+			parts []string
+			flush bool // empty the key cache first
+			extra string
+		}{
+			{seed: "seed-a", parts: []string{"c0", "c1", "e0"}},
+			{seed: "seed-a", parts: []string{"c0", "c1", "e0"}, extra: "manager"},
+			{seed: "seed-a", parts: []string{"c0", "c1", "c2", "e0", "e1"}},
+			{seed: "seed-a", parts: []string{"c0", "c1", "e0"}, extra: "manager"},
+			{seed: "seed-b", parts: []string{"c0", "c1", "e0"}},
+			{seed: "seed-b", parts: []string{"c0", "c1", "e0"}, flush: true},
+			{seed: "seed-b", parts: []string{"c0", "c1", "e0"}},
+		}
+		msg := []byte("m")
+		for i, st := range steps {
+			// use drives a keyring the way a run does: a late Add (the
+			// notary's key), a signature, a miss and a hit.
+			use := func(kr *Keyring) (Signature, Stats) {
+				if st.extra != "" && !kr.Has(st.extra) {
+					kr.Add(st.seed, st.extra)
+				}
+				s := kr.Sign("c1", msg)
+				kr.Verify("c1", msg, s)
+				kr.Verify("c1", msg, s)
+				return s, kr.Stats()
+			}
+			// Both keyrings must meet the key cache in the same state: empty
+			// on a flush step, otherwise already holding the step's keys.
+			if st.flush {
+				ResetKeyCache()
+			} else {
+				use(NewKeyringWith(opts, st.seed, st.parts))
+			}
+			g0 := GlobalStats()
+			fresh := NewKeyringWith(opts, st.seed, st.parts)
+			wantSig, wantStats := use(fresh)
+			g1 := GlobalStats()
+			if st.flush {
+				ResetKeyCache()
+			}
+			reused.Reset(st.seed, st.parts)
+			wantParts := append([]string(nil), st.parts...)
+			sort.Strings(wantParts)
+			if got := reused.Participants(); strings.Join(got, ",") != strings.Join(wantParts, ",") {
+				t.Fatalf("%s step %d: after Reset the keyring holds %v, want exactly %v", backend, i, got, wantParts)
+			}
+			gotSig, gotStats := use(reused)
+			g2 := GlobalStats()
+			if !bytes.Equal(gotSig, wantSig) {
+				t.Fatalf("%s step %d: the reset keyring signs differently", backend, i)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("%s step %d: Stats %+v on the reset keyring, %+v on a new one", backend, i, gotStats, wantStats)
+			}
+			if d1, d2 := statsDelta(g0, g1), statsDelta(g1, g2); d1 != d2 {
+				t.Fatalf("%s step %d: process-wide counters moved by %+v for the reset keyring, %+v for a new one", backend, i, d2, d1)
+			}
+		}
+	}
+	ResetKeyCache()
+}
+
+func statsDelta(a, b Stats) Stats {
+	return Stats{
+		KeygenHits:    b.KeygenHits - a.KeygenHits,
+		KeygenMisses:  b.KeygenMisses - a.KeygenMisses,
+		MemoHits:      b.MemoHits - a.MemoHits,
+		MemoMisses:    b.MemoMisses - a.MemoMisses,
+		MemoEvictions: b.MemoEvictions - a.MemoEvictions,
 	}
 }

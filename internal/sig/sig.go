@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -83,13 +84,23 @@ type memoKey struct {
 // Keyring maps participant IDs to key pairs under one signature backend.
 //
 // A keyring is confined to its protocol run's goroutine (like the run's
-// sim.Engine): Sign, Verify and Add mutate the memo and key maps without
-// locking. The process-wide key cache behind Add is concurrency-safe, so any
-// number of runs may build keyrings for the same (seed, id) concurrently.
+// sim.Engine): Sign, Verify, Add and Reset mutate the memo, the key map, the
+// bound signers and the payload scratch without locking. The process-wide
+// key cache behind Add is concurrency-safe, so any number of runs may build
+// keyrings for the same (seed, id) concurrently.
 type Keyring struct {
 	backend  Backend
 	useCache bool
-	keys     map[string]Key
+	// seed, mixed and epoch say where keys came from: the seed the keyring
+	// was built under, whether Add has since brought in a key of another
+	// seed, and the key-cache epoch the keys were fetched in. Reset keeps
+	// keys only for the same seed, unmixed, in the same epoch.
+	seed  string
+	mixed bool
+	epoch uint64
+	keys  map[string]Key
+	// signers holds the backend's per-key signing state, bound on first use.
+	signers map[string]signer
 	// parts caches the sorted participant list; nil means dirty
 	// (recomputed on demand, invalidated by Add).
 	parts []string
@@ -97,6 +108,9 @@ type Keyring struct {
 	memo    map[memoKey]bool
 	memoCap int
 	stats   Stats
+	// buf is the scratch the typed artefacts build their canonical payloads
+	// in; a payload is consumed by Sign or Verify before the next is built.
+	buf []byte
 }
 
 // NewKeyring creates deterministic ed25519 keys for the given participants
@@ -112,6 +126,7 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 		backend:  opts.backend(),
 		useCache: !opts.DisableKeyCache,
 		keys:     make(map[string]Key, len(participants)),
+		signers:  map[string]signer{},
 		memoCap:  opts.MemoCapacity,
 	}
 	if kr.memoCap == 0 {
@@ -120,12 +135,57 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	if kr.memoCap > 0 {
 		kr.memo = make(map[memoKey]bool)
 	}
+	kr.derive(seed, participants)
+	return kr
+}
+
+// derive fills an empty keyring with the participants' keys under seed, in
+// sorted order.
+func (kr *Keyring) derive(seed string, participants []string) {
+	kr.seed, kr.mixed, kr.epoch = seed, false, keyCacheEpoch.Load()
 	ids := append([]string(nil), participants...)
 	sort.Strings(ids)
 	for _, id := range ids {
 		kr.Add(seed, id)
 	}
-	return kr
+}
+
+// Reset makes the keyring what NewKeyringWith(same options, seed,
+// participants) returns — exactly these participants' keys, an empty
+// verification memo, Stats counting one key derivation per participant —
+// while keeping what a new keyring would only fetch again: keys already held
+// for the same seed count as the key-cache hits a new keyring would score
+// (unless the cache was emptied since, when a new keyring would miss and this
+// one derives again), and their bound signers stay bound.
+func (kr *Keyring) Reset(seed string, participants []string) {
+	kr.stats = Stats{}
+	clear(kr.memo)
+	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
+		clear(kr.keys)
+		clear(kr.signers)
+		kr.parts = nil
+		kr.derive(seed, participants)
+		return
+	}
+	kept := 0
+	for _, id := range participants {
+		if _, ok := kr.keys[id]; ok {
+			kept++
+		} else {
+			kr.Add(seed, id)
+		}
+	}
+	kr.stats.KeygenHits += uint64(kept)
+	globalKeygenHits.Add(uint64(kept))
+	if len(kr.keys) > len(participants) {
+		for id := range kr.keys {
+			if !slices.Contains(participants, id) {
+				delete(kr.keys, id)
+				delete(kr.signers, id)
+			}
+		}
+		kr.parts = nil
+	}
 }
 
 // Backend returns the name of the keyring's signature backend.
@@ -135,10 +195,16 @@ func (kr *Keyring) Backend() string { return kr.backend.Name() }
 // existing key resets the verification memo: outcomes memoized under the
 // old key must not answer for the new one.
 func (kr *Keyring) Add(seed, id string) {
-	if _, replaced := kr.keys[id]; replaced && len(kr.memo) > 0 {
-		kr.memo = make(map[memoKey]bool)
-		kr.stats.MemoEvictions++
-		globalMemoEvictions.Add(1)
+	if _, replaced := kr.keys[id]; replaced {
+		delete(kr.signers, id)
+		if len(kr.memo) > 0 {
+			kr.memo = make(map[memoKey]bool)
+			kr.stats.MemoEvictions++
+			globalMemoEvictions.Add(1)
+		}
+	}
+	if seed != kr.seed {
+		kr.mixed = true
 	}
 	if kr.useCache {
 		k, hit := cachedKey(kr.backend, seed, id)
@@ -171,28 +237,42 @@ func (kr *Keyring) Participants() []string {
 	return kr.parts
 }
 
+// signer returns id's bound signer, binding it on first use.
+func (kr *Keyring) signer(id string) (signer, bool) {
+	if s, ok := kr.signers[id]; ok {
+		return s, true
+	}
+	k, ok := kr.keys[id]
+	if !ok {
+		return nil, false
+	}
+	s := kr.backend.bind(k)
+	kr.signers[id] = s
+	return s, true
+}
+
 // Sign signs payload on behalf of id. Signing for an unknown participant
 // returns nil (which never verifies).
 func (kr *Keyring) Sign(id string, payload []byte) Signature {
-	k, ok := kr.keys[id]
+	s, ok := kr.signer(id)
 	if !ok {
 		return nil
 	}
-	return kr.backend.Sign(k, payload)
+	return s.sign(payload)
 }
 
 // Verify checks that signer produced sig over payload. Outcomes are
 // memoized per (signer, payload-hash, sig-hash): re-verifying the same
 // artefact at every hop of a chain costs one backend operation total.
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
-	k, ok := kr.keys[signer]
-	if !ok || len(sig) == 0 {
+	if _, ok := kr.keys[signer]; !ok || len(sig) == 0 {
 		return false
 	}
 	if kr.memo == nil {
 		kr.stats.MemoMisses++
 		globalMemoMisses.Add(1)
-		return kr.backend.Verify(k, payload, sig)
+		s, _ := kr.signer(signer)
+		return s.verify(payload, sig)
 	}
 	mk := memoKey{signer: signer, payload: sha256.Sum256(payload), sig: sha256.Sum256(sig)}
 	if v, hit := kr.memo[mk]; hit {
@@ -202,7 +282,8 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	}
 	kr.stats.MemoMisses++
 	globalMemoMisses.Add(1)
-	v := kr.backend.Verify(k, payload, sig)
+	s, _ := kr.signer(signer)
+	v := s.verify(payload, sig)
 	if len(kr.memo) >= kr.memoCap {
 		kr.memo = make(map[memoKey]bool)
 		kr.stats.MemoEvictions++
@@ -216,52 +297,21 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 // aggregates across keyrings).
 func (kr *Keyring) Stats() Stats { return kr.stats }
 
-// canonical builds a canonical byte encoding of a typed artefact. Fields are
-// length-prefixed so distinct field values can never collide. The output
-// buffer is sized exactly in a first pass (payload building runs per
-// artefact on the signing hot path), and only explicitly supported field
-// types encode: an unknown type panics rather than falling back to a
-// reflective formatting whose encoding could silently change.
-func canonical(kind string, fields ...any) []byte {
-	size := 8 + len(kind)
-	for _, f := range fields {
-		switch v := f.(type) {
-		case string:
-			size += 8 + len(v)
-		case []byte:
-			size += 8 + len(v)
-		case int64, sim.Time:
-			size += 8 + 8
-		default:
-			panic(fmt.Sprintf("sig: canonical: unsupported field type %T", f))
-		}
-	}
-	out := make([]byte, 0, size)
-	appendBytes := func(b []byte) {
-		var l [8]byte
-		binary.BigEndian.PutUint64(l[:], uint64(len(b)))
-		out = append(out, l[:]...)
-		out = append(out, b...)
-	}
-	appendUint64 := func(u uint64) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], u)
-		appendBytes(b[:])
-	}
-	appendBytes([]byte(kind))
-	for _, f := range fields {
-		switch v := f.(type) {
-		case string:
-			appendBytes([]byte(v))
-		case int64:
-			appendUint64(uint64(v))
-		case sim.Time:
-			appendUint64(uint64(v))
-		case []byte:
-			appendBytes(v)
-		}
-	}
-	return out
+// A typed artefact's canonical payload is its kind followed by its fields,
+// each length-prefixed so distinct field values can never collide: strings
+// and byte slices as their bytes, integers and times as eight big-endian
+// bytes. The payload functions below build it with typed appends into the
+// keyring's scratch (payload building runs per artefact on the signing hot
+// path); the result is valid until the keyring builds its next payload.
+
+func appendField(b []byte, f string) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(f)))
+	return append(b, f...)
+}
+
+func appendTime(b []byte, t sim.Time) []byte {
+	b = binary.BigEndian.AppendUint64(b, 8)
+	return binary.BigEndian.AppendUint64(b, uint64(t))
 }
 
 // PaymentCert is the certificate chi: a statement signed by Bob that Alice's
@@ -274,14 +324,19 @@ type PaymentCert struct {
 	Sig       Signature
 }
 
-func paymentCertPayload(c PaymentCert) []byte {
-	return canonical("chi", c.PaymentID, c.Issuer, c.Payer, c.IssuedAt)
+func (kr *Keyring) paymentCertPayload(c PaymentCert) []byte {
+	b := appendField(kr.buf[:0], "chi")
+	b = appendField(b, c.PaymentID)
+	b = appendField(b, c.Issuer)
+	b = appendField(b, c.Payer)
+	kr.buf = appendTime(b, c.IssuedAt)
+	return kr.buf
 }
 
 // NewPaymentCert builds and signs chi with issuer's key.
 func NewPaymentCert(kr *Keyring, paymentID, issuer, payer string, at sim.Time) PaymentCert {
 	c := PaymentCert{PaymentID: paymentID, Issuer: issuer, Payer: payer, IssuedAt: at}
-	c.Sig = kr.Sign(issuer, paymentCertPayload(c))
+	c.Sig = kr.Sign(issuer, kr.paymentCertPayload(c))
 	return c
 }
 
@@ -290,7 +345,7 @@ func (c PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 	if c.Issuer != expectedIssuer {
 		return false
 	}
-	return kr.Verify(c.Issuer, paymentCertPayload(c), c.Sig)
+	return kr.Verify(c.Issuer, kr.paymentCertPayload(c), c.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -310,20 +365,26 @@ type Guarantee struct {
 	Sig       Signature
 }
 
-func guaranteePayload(g Guarantee) []byte {
-	return canonical("guarantee", g.PaymentID, g.Escrow, g.Customer, g.D, g.IssuedAt)
+func (kr *Keyring) guaranteePayload(g Guarantee) []byte {
+	b := appendField(kr.buf[:0], "guarantee")
+	b = appendField(b, g.PaymentID)
+	b = appendField(b, g.Escrow)
+	b = appendField(b, g.Customer)
+	b = appendTime(b, g.D)
+	kr.buf = appendTime(b, g.IssuedAt)
+	return kr.buf
 }
 
 // NewGuarantee builds and signs G(d).
 func NewGuarantee(kr *Keyring, paymentID, escrow, customer string, d, at sim.Time) Guarantee {
 	g := Guarantee{PaymentID: paymentID, Escrow: escrow, Customer: customer, D: d, IssuedAt: at}
-	g.Sig = kr.Sign(escrow, guaranteePayload(g))
+	g.Sig = kr.Sign(escrow, kr.guaranteePayload(g))
 	return g
 }
 
 // Verify checks the guarantee's signature against its stated escrow.
 func (g Guarantee) Verify(kr *Keyring) bool {
-	return kr.Verify(g.Escrow, guaranteePayload(g), g.Sig)
+	return kr.Verify(g.Escrow, kr.guaranteePayload(g), g.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -344,20 +405,27 @@ type Promise struct {
 	Sig       Signature
 }
 
-func promisePayload(p Promise) []byte {
-	return canonical("promise", p.PaymentID, p.Escrow, p.Customer, p.A, p.Epsilon, p.IssuedAt)
+func (kr *Keyring) promisePayload(p Promise) []byte {
+	b := appendField(kr.buf[:0], "promise")
+	b = appendField(b, p.PaymentID)
+	b = appendField(b, p.Escrow)
+	b = appendField(b, p.Customer)
+	b = appendTime(b, p.A)
+	b = appendTime(b, p.Epsilon)
+	kr.buf = appendTime(b, p.IssuedAt)
+	return kr.buf
 }
 
 // NewPromise builds and signs P(a).
 func NewPromise(kr *Keyring, paymentID, escrow, customer string, a, epsilon, at sim.Time) Promise {
 	p := Promise{PaymentID: paymentID, Escrow: escrow, Customer: customer, A: a, Epsilon: epsilon, IssuedAt: at}
-	p.Sig = kr.Sign(escrow, promisePayload(p))
+	p.Sig = kr.Sign(escrow, kr.promisePayload(p))
 	return p
 }
 
 // Verify checks the promise's signature against its stated escrow.
 func (p Promise) Verify(kr *Keyring) bool {
-	return kr.Verify(p.Escrow, promisePayload(p), p.Sig)
+	return kr.Verify(p.Escrow, kr.promisePayload(p), p.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -392,15 +460,20 @@ type DecisionCert struct {
 	Quorum int
 }
 
-func decisionPayload(c DecisionCert) []byte {
-	return canonical("decision", c.PaymentID, string(c.Decision), c.Manager, c.IssuedAt)
+func (kr *Keyring) decisionPayload(c DecisionCert) []byte {
+	b := appendField(kr.buf[:0], "decision")
+	b = appendField(b, c.PaymentID)
+	b = appendField(b, string(c.Decision))
+	b = appendField(b, c.Manager)
+	kr.buf = appendTime(b, c.IssuedAt)
+	return kr.buf
 }
 
 // NewDecisionCert creates a certificate signed by a single manager.
 func NewDecisionCert(kr *Keyring, paymentID string, d Decision, manager string, at sim.Time) DecisionCert {
 	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: manager, IssuedAt: at, Quorum: 1}
 	c.Signers = []string{manager}
-	c.Sigs = []Signature{kr.Sign(manager, decisionPayload(c))}
+	c.Sigs = []Signature{kr.Sign(manager, kr.decisionPayload(c))}
 	return c
 }
 
@@ -408,7 +481,7 @@ func NewDecisionCert(kr *Keyring, paymentID string, d Decision, manager string, 
 // signer; quorum is the validity threshold (e.g. 2f+1 of 3f+1 notaries).
 func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committee string, at sim.Time, signers []string, quorum int) DecisionCert {
 	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: committee, IssuedAt: at, Quorum: quorum}
-	payload := decisionPayload(c)
+	payload := kr.decisionPayload(c)
 	for _, s := range signers {
 		c.Signers = append(c.Signers, s)
 		c.Sigs = append(c.Sigs, kr.Sign(s, payload))
@@ -422,15 +495,25 @@ func (c DecisionCert) Verify(kr *Keyring) bool {
 	if len(c.Signers) != len(c.Sigs) || c.Quorum <= 0 {
 		return false
 	}
-	payload := decisionPayload(c)
+	payload := kr.decisionPayload(c)
 	valid := 0
-	seen := map[string]bool{}
+	// verified[j] records whether entry j's signature verified; a signer
+	// counts once, so a later entry under an already-verified name is
+	// skipped. Committees are a handful of notaries: a linear scan over a
+	// stack buffer replaces a per-call map.
+	var buf [16]bool
+	verified := buf[:0]
 	for i, s := range c.Signers {
-		if seen[s] {
-			continue
+		dup := false
+		for j, ok := range verified {
+			if ok && c.Signers[j] == s {
+				dup = true
+				break
+			}
 		}
-		if kr.Verify(s, payload, c.Sigs[i]) {
-			seen[s] = true
+		ok := !dup && kr.Verify(s, payload, c.Sigs[i])
+		verified = append(verified, ok)
+		if ok {
 			valid++
 		}
 	}
@@ -453,20 +536,25 @@ type Receipt struct {
 	Sig       Signature
 }
 
-func receiptPayload(r Receipt) []byte {
-	return canonical("receipt", r.PaymentID, r.Issuer, r.Subject, r.IssuedAt)
+func (kr *Keyring) receiptPayload(r Receipt) []byte {
+	b := appendField(kr.buf[:0], "receipt")
+	b = appendField(b, r.PaymentID)
+	b = appendField(b, r.Issuer)
+	b = appendField(b, r.Subject)
+	kr.buf = appendTime(b, r.IssuedAt)
+	return kr.buf
 }
 
 // NewReceipt builds and signs a receipt.
 func NewReceipt(kr *Keyring, paymentID, issuer, subject string, at sim.Time) Receipt {
 	r := Receipt{PaymentID: paymentID, Issuer: issuer, Subject: subject, IssuedAt: at}
-	r.Sig = kr.Sign(issuer, receiptPayload(r))
+	r.Sig = kr.Sign(issuer, kr.receiptPayload(r))
 	return r
 }
 
 // Verify checks the receipt's signature.
 func (r Receipt) Verify(kr *Keyring) bool {
-	return kr.Verify(r.Issuer, receiptPayload(r), r.Sig)
+	return kr.Verify(r.Issuer, kr.receiptPayload(r), r.Sig)
 }
 
 // Describe implements a human-readable label.

@@ -122,7 +122,24 @@ type Engine struct {
 // NewEngine returns an engine with virtual time 0 and a deterministic RNG
 // derived from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: NewRand(seed)}
+}
+
+// Reset returns the engine to the state NewEngine(seed) builds — virtual
+// time 0, no pending events, zeroed counters, the RNG at the start of
+// seed's stream — in O(pending events), keeping the heap's and the free
+// list's capacity and the metrics hooks. Timers handed out before the Reset
+// are stale: their events are gone and Cancel on them is a no-op.
+func (e *Engine) Reset(seed int64) {
+	for i, ev := range e.heap {
+		e.recycle(ev)
+		e.heap[i] = nil
+	}
+	e.heap = e.heap[:0]
+	e.now, e.live, e.seq = 0, 0, 0
+	e.fired, e.scheduled = 0, 0
+	e.stopped = false
+	e.rng.Seed(seed)
 }
 
 // Now returns the current virtual time.

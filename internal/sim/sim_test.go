@@ -377,3 +377,114 @@ func TestRunBeforeZero(t *testing.T) {
 		t.Fatal("event at 0 never fired")
 	}
 }
+
+// script drives an engine through a fixed little workload — nested
+// scheduling, a cancellation, RNG draws — and returns everything observable.
+func script(eng *Engine) []int64 {
+	var log []int64
+	var tick func()
+	n := 0
+	tick = func() {
+		n++
+		log = append(log, int64(eng.Now()), eng.Rand().Int63n(1000))
+		if n < 20 {
+			eng.ScheduleIn(Time(1+eng.Rand().Intn(5)), "tick", tick)
+		}
+	}
+	eng.ScheduleAt(3, "tick", tick)
+	eng.ScheduleAt(7, "never", func() { log = append(log, -1) }).Cancel()
+	end, fired := eng.Run(0)
+	return append(log, int64(end), int64(fired), int64(eng.EventsScheduled()), int64(eng.EventsFired()))
+}
+
+// TestResetRestoresNewEngine runs the same script on a new engine and on one
+// that was reset mid-run — pending events, a live timer, a stopped flag, a
+// half-used RNG — and expects identical observations.
+func TestResetRestoresNewEngine(t *testing.T) {
+	for _, seed := range []int64{1, 42, -7} {
+		want := script(NewEngine(seed))
+
+		eng := NewEngine(seed + 1000)
+		reset := false
+		for i := 0; i < 50; i++ {
+			eng.ScheduleAt(Time(10*i), "leftover", func() {
+				if reset {
+					t.Error("an event from before Reset fired after it")
+				}
+			})
+		}
+		eng.ScheduleAt(15, "stop", eng.Stop)
+		eng.Run(0) // fires the events up to 15, then stops with 48 pending
+		eng.Rand().Int63()
+		eng.Reset(seed)
+		reset = true
+		if eng.Now() != 0 || eng.Pending() != 0 || !eng.Drained() || eng.Stopped() || eng.EventsFired() != 0 || eng.EventsScheduled() != 0 {
+			t.Fatalf("seed %d: Reset left now=%v pending=%d live=%d stopped=%v", seed, eng.Now(), eng.Pending(), eng.Live(), eng.Stopped())
+		}
+		got := script(eng)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: reset engine observed %d values, new engine %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: observation %d is %d on the reset engine, %d on a new one", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestStaleTimerAfterReset holds Timers across a Reset: their events are
+// gone, and their records are reused by the next run's events, which a stale
+// Cancel must not touch.
+func TestStaleTimerAfterReset(t *testing.T) {
+	eng := NewEngine(1)
+	var stale []Timer
+	for i := 0; i < 8; i++ {
+		stale = append(stale, eng.ScheduleAt(Time(10+i), "old", func() { t.Error("an event from before Reset fired") }))
+	}
+	canceled := stale[0]
+	canceled.Cancel()
+	eng.Reset(2)
+
+	fired := 0
+	for i := 0; i < 8; i++ { // reuses the eight recycled records
+		eng.ScheduleAt(Time(1+i), "new", func() { fired++ })
+	}
+	for _, tm := range stale {
+		tm.Cancel()
+		if tm.Canceled() {
+			t.Fatal("a timer from before Reset reports Canceled")
+		}
+	}
+	if eng.Live() != 8 {
+		t.Fatalf("stale Cancel changed the live count to %d, want 8", eng.Live())
+	}
+	eng.Run(0)
+	if fired != 8 {
+		t.Fatalf("%d of 8 events fired after stale Cancels", fired)
+	}
+}
+
+// TestResetAllocs is the allocation gate on the reuse path: once the heap
+// and free list have grown, Reset — with events still pending — allocates
+// nothing, and neither does reseeding.
+func TestResetAllocs(t *testing.T) {
+	eng := NewEngine(1)
+	fn := func() {}
+	fill := func() {
+		for i := 0; i < 32; i++ {
+			eng.ScheduleAt(Time(i), "pending", fn)
+		}
+	}
+	fill()
+	eng.Reset(2)
+	seed := int64(3)
+	if n := testing.AllocsPerRun(200, func() {
+		fill()
+		eng.Rand().Int63()
+		eng.Reset(seed)
+		seed++
+	}); n != 0 {
+		t.Fatalf("schedule + Reset allocates %v times per cycle, want 0", n)
+	}
+}

@@ -34,8 +34,6 @@ type antaCustomer struct {
 	started  sim.Time
 }
 
-func (a *antaCustomer) customerID() string { return a.id }
-
 func (a *antaCustomer) terminated() (bool, sim.Time) {
 	if a.auto.Done() {
 		return true, a.auto.DoneAt()
@@ -49,11 +47,11 @@ func (a *antaCustomer) issuedChi() bool     { return a.signed }
 func (a *antaCustomer) paidOut() int64      { return a.paid }
 func (a *antaCustomer) received() int64     { return a.credited }
 
-// antaEngine holds the automata of one run.
+// antaEngine holds the automata of one run; customers[i] adapts c_i.
 type antaEngine struct {
 	env       *env
 	net       *anta.Network
-	customers map[string]*antaCustomer
+	customers []*antaCustomer
 }
 
 // Automaton state names shared by the conformance tests (Fig. 2 shapes).
@@ -80,7 +78,7 @@ const (
 )
 
 func newAntaEngine(e *env) *antaEngine {
-	ae := &antaEngine{env: e, net: anta.NewNetwork(), customers: map[string]*antaCustomer{}}
+	ae := &antaEngine{env: e, net: anta.NewNetwork()}
 	topo := e.scn.Topology
 	for i := 0; i < topo.N; i++ {
 		ae.net.Add(ae.buildEscrow(i))
@@ -98,24 +96,15 @@ func (ae *antaEngine) start() {
 	// follows scheduling order, so two crashes at the same instant would
 	// otherwise fire in a different order from run to run (the same
 	// map-iteration bug PR 2 fixed in netsim.Broadcast).
-	for _, id := range ae.env.scn.Topology.Participants() {
-		f, ok := ae.env.scn.Faults[id]
-		if !ok || !f.Crash {
-			continue
-		}
+	ae.env.w.ScheduleCrashes(func(id string, _ bool, _ int) {
 		if a, ok := ae.net.Get(id); ok {
-			ae.env.eng.ScheduleAt(f.CrashAt, "crash:"+id, a.Crash)
+			a.Crash()
 		}
-	}
+	})
 }
 
-func (ae *antaEngine) sources() map[string]outcomeSource {
-	out := make(map[string]outcomeSource, len(ae.customers))
-	for id, c := range ae.customers {
-		out[id] = c
-	}
-	return out
-}
+// source adapts customer c_i's automaton to the env's outcome collection.
+func (ae *antaEngine) source(i int) outcomeSource { return ae.customers[i] }
 
 // buildEscrow constructs the automaton for escrow e_i of Fig. 2.
 func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
@@ -125,9 +114,9 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 	up := topo.UpstreamCustomer(i)
 	down := topo.DownstreamCustomer(i)
 	fault := e.scn.FaultOf(id)
-	led := e.book.MustGet(id)
+	led := e.w.Ledger(i)
 	amount := e.scn.Spec.AmountVia(i)
-	lockID := e.lockID(i)
+	lockID := e.w.LockID(i)
 	delay := e.scn.Timing.MaxProcessing / 2
 
 	var receivedCert sig.PaymentCert
@@ -240,7 +229,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 			{Name: StEscrowDone, Kind: anta.Final},
 		},
 	}
-	return anta.NewAutomaton(spec, e.clocks[id], e.net, e.tr)
+	return anta.NewAutomaton(spec, e.w.EscrowClock(i), e.net, e.tr)
 }
 
 // buildCustomer constructs the automaton for customer c_i: Alice for i=0,
@@ -399,8 +388,8 @@ func (ae *antaEngine) buildCustomer(i int) {
 			},
 		}
 	}
-	auto := anta.NewAutomaton(spec, e.clocks[id], e.net, e.tr)
+	auto := anta.NewAutomaton(spec, e.w.CustomerClock(i), e.net, e.tr)
 	adapter.auto = auto
 	ae.net.Add(auto)
-	ae.customers[id] = adapter
+	ae.customers = append(ae.customers, adapter)
 }

@@ -18,29 +18,28 @@ import (
 // anta_engine.go is the formalism-faithful rendering of the same protocol,
 // and TestEnginesAgree asserts their outcomes coincide.
 
-// procEngine wires the per-participant processes of one run together.
+// procEngine wires the per-participant processes of one run together;
+// escrows[i] is e_i and customers[i] is c_i.
 type procEngine struct {
 	env       *env
-	escrows   map[string]*escrowProc
-	customers map[string]*customerProc
+	escrows   []escrowProc
+	customers []customerProc
 }
 
 func newProcEngine(e *env) *procEngine {
+	topo := e.scn.Topology
 	pe := &procEngine{
 		env:       e,
-		escrows:   map[string]*escrowProc{},
-		customers: map[string]*customerProc{},
+		escrows:   make([]escrowProc, topo.N),
+		customers: make([]customerProc, topo.N+1),
 	}
-	topo := e.scn.Topology
-	for i := 0; i < topo.N; i++ {
-		esc := newEscrowProc(e, i)
-		pe.escrows[esc.id] = esc
-		e.net.Register(esc)
+	for i := range pe.escrows {
+		pe.escrows[i] = newEscrowProc(e, i)
+		e.net.Register(&pe.escrows[i])
 	}
-	for i := 0; i <= topo.N; i++ {
-		cust := newCustomerProc(e, i)
-		pe.customers[cust.id] = cust
-		e.net.Register(cust)
+	for i := range pe.customers {
+		pe.customers[i] = newCustomerProc(e, i)
+		e.net.Register(&pe.customers[i])
 	}
 	return pe
 }
@@ -49,40 +48,25 @@ func newProcEngine(e *env) *procEngine {
 // events from the fault specification. Participants are started in chain
 // order so that runs are deterministic in the scenario seed.
 func (pe *procEngine) start() {
-	topo := pe.env.scn.Topology
-	for _, id := range topo.Escrows() {
-		pe.escrows[id].start()
+	for i := range pe.escrows {
+		pe.escrows[i].start()
 	}
-	for _, id := range topo.Customers() {
-		pe.customers[id].start()
+	for i := range pe.customers {
+		pe.customers[i].start()
 	}
 	// Crash faults apply uniformly to escrows and customers.
-	for _, id := range topo.Participants() {
-		f := pe.env.scn.FaultOf(id)
-		if !f.Crash {
-			continue
+	pe.env.w.ScheduleCrashes(func(id string, customer bool, i int) {
+		if customer {
+			pe.customers[i].crashed = true
+		} else {
+			pe.escrows[i].crashed = true
 		}
-		id := id
-		pe.env.eng.ScheduleAt(f.CrashAt, "crash:"+id, func() {
-			if esc, ok := pe.escrows[id]; ok {
-				esc.crashed = true
-			}
-			if cust, ok := pe.customers[id]; ok {
-				cust.crashed = true
-			}
-			pe.env.tr.Add(pe.env.eng.Now(), trace.KindByzantine, id, "", "crash")
-		})
-	}
+		pe.env.tr.Add(pe.env.eng.Now(), trace.KindByzantine, id, "", "crash")
+	})
 }
 
-// sources adapts the customer processes to the env's outcome collection.
-func (pe *procEngine) sources() map[string]outcomeSource {
-	out := make(map[string]outcomeSource, len(pe.customers))
-	for id, c := range pe.customers {
-		out[id] = c
-	}
-	return out
-}
+// source adapts customer c_i's process to the env's outcome collection.
+func (pe *procEngine) source(i int) outcomeSource { return &pe.customers[i] }
 
 // ---------------------------------------------------------------------------
 // Escrow process (automaton e_i of Fig. 2)
@@ -103,7 +87,7 @@ type escrowProc struct {
 	fault core.FaultSpec
 
 	lockCreated bool
-	lockID      string
+	lockID      string   // set when the lock is created
 	promiseAt   sim.Time // local time u at which P(a_i) was issued
 	timeout     sim.Timer
 	settled     bool // the lock has been released or refunded (or stolen)
@@ -111,19 +95,18 @@ type escrowProc struct {
 	done        bool
 }
 
-func newEscrowProc(e *env, i int) *escrowProc {
+func newEscrowProc(e *env, i int) escrowProc {
 	topo := e.scn.Topology
 	id := core.EscrowID(i)
-	return &escrowProc{
-		env:    e,
-		i:      i,
-		id:     id,
-		up:     topo.UpstreamCustomer(i),
-		down:   topo.DownstreamCustomer(i),
-		clk:    e.clocks[id],
-		led:    e.book.MustGet(id),
-		fault:  e.scn.FaultOf(id),
-		lockID: e.lockID(i),
+	return escrowProc{
+		env:   e,
+		i:     i,
+		id:    id,
+		up:    topo.UpstreamCustomer(i),
+		down:  topo.DownstreamCustomer(i),
+		clk:   e.w.EscrowClock(i),
+		led:   e.w.Ledger(i),
+		fault: e.scn.FaultOf(id),
 	}
 }
 
@@ -138,7 +121,7 @@ func (p *escrowProc) start() {
 		return
 	}
 	d := p.env.params.D[p.i]
-	p.env.eng.ScheduleIn(p.env.actionDelay(p.id), p.id+":send-G", func() {
+	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-G"), func() {
 		if !p.active() || p.fault.Silent {
 			return
 		}
@@ -175,6 +158,7 @@ func (p *escrowProc) onMoney(from string, m MsgMoney) {
 		})
 		return
 	}
+	p.lockID = p.env.w.LockID(p.i)
 	lk, err := p.led.CreateLock(p.env.eng.Now(), p.lockID, p.up, p.down, want, ledger.Condition{})
 	if err != nil {
 		// A failed lock is the escrow's own inability to execute its role,
@@ -196,7 +180,7 @@ func (p *escrowProc) onMoney(from string, m MsgMoney) {
 	}
 	// Issue the promise P(a_i) to the downstream customer and start the
 	// timeout clock (u := now).
-	p.env.eng.ScheduleIn(p.env.actionDelay(p.id), p.id+":send-P", func() {
+	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-P"), func() {
 		if !p.active() {
 			return
 		}
@@ -206,7 +190,7 @@ func (p *escrowProc) onMoney(from string, m MsgMoney) {
 		p.env.tr.AddLazy(p.env.eng.Now(), trace.KindPromise, p.id, p.down, pr.Describe)
 		p.env.net.Send(p.id, p.down, MsgPromise{P: pr})
 		// Arm the timeout: now >= u + a_i triggers the refund branch.
-		p.timeout = p.clk.ScheduleAtLocal(p.promiseAt+a, p.id+":timeout", p.onTimeout)
+		p.timeout = p.clk.ScheduleAtLocal(p.promiseAt+a, p.env.w.EventName(p.id, "timeout"), p.onTimeout)
 	})
 }
 
@@ -238,7 +222,7 @@ func (p *escrowProc) onCert(from string, m MsgCert) {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleIn(p.env.actionDelay(p.id), p.id+":settle", func() {
+	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "settle"), func() {
 		if p.crashed {
 			return
 		}
@@ -273,7 +257,7 @@ func (p *escrowProc) onTimeout() {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleIn(p.env.actionDelay(p.id), p.id+":refund", func() {
+	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "refund"), func() {
 		if p.crashed {
 			return
 		}
@@ -321,13 +305,13 @@ type customerProc struct {
 	termAt  sim.Time
 }
 
-func newCustomerProc(e *env, i int) *customerProc {
+func newCustomerProc(e *env, i int) customerProc {
 	topo := e.scn.Topology
-	c := &customerProc{
+	c := customerProc{
 		env:   e,
 		i:     i,
 		id:    core.CustomerID(i),
-		clk:   e.clocks[core.CustomerID(i)],
+		clk:   e.w.CustomerClock(i),
 		fault: e.scn.FaultOf(core.CustomerID(i)),
 	}
 	if up, ok := topo.UpstreamEscrow(i); ok {
@@ -418,7 +402,7 @@ func (c *customerProc) maybeSendMoney() {
 	}
 	c.sentMoney = true
 	amount := c.env.scn.Spec.AmountVia(c.i)
-	c.env.eng.ScheduleIn(c.env.actionDelay(c.id), c.id+":send-$", func() {
+	c.env.eng.ScheduleIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-$"), func() {
 		if !c.active() {
 			return
 		}
@@ -436,7 +420,7 @@ func (c *customerProc) bobIssueChi() {
 	if c.fault.Silent || c.fault.WithholdCertificate {
 		return
 	}
-	c.env.eng.ScheduleIn(c.env.actionDelay(c.id), c.id+":send-chi", func() {
+	c.env.eng.ScheduleIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-chi"), func() {
 		if !c.active() {
 			return
 		}
@@ -509,7 +493,7 @@ func (c *customerProc) onCert(from string, m MsgCert) {
 		c.env.tr.Add(c.env.eng.Now(), trace.KindByzantine, c.id, "", "withhold-certificate")
 		return
 	}
-	c.env.eng.ScheduleIn(c.env.actionDelay(c.id), c.id+":fwd-chi", func() {
+	c.env.eng.ScheduleIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "fwd-chi"), func() {
 		if c.crashed {
 			return
 		}
@@ -532,7 +516,6 @@ func (c *customerProc) terminate(reason string) {
 
 // outcomeSource implementation.
 
-func (c *customerProc) customerID() string           { return c.id }
 func (c *customerProc) terminated() (bool, sim.Time) { return c.term, c.termAt }
 func (c *customerProc) startedAt() sim.Time          { return c.started }
 func (c *customerProc) holdsChi() bool               { return c.hasChi }

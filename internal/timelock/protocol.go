@@ -81,25 +81,30 @@ func (p *Protocol) ParamsFor(s core.Scenario) Params {
 // Run implements core.Protocol. The run is deterministic in
 // (scenario, scenario.Seed).
 func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
-	params := p.ParamsFor(s)
-	env, err := setupEnv(s, params)
+	return p.RunIn(core.NewWorld(), s)
+}
+
+// RunIn executes the scenario in w, resetting it first: the same run Run
+// makes, on a standing world. The result is w's own and is valid until w's
+// next Reset (see core.World).
+func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
+	env, err := newEnv(w, s, p.ParamsFor(s))
 	if err != nil {
 		return nil, fmt.Errorf("timelock: %w", err)
 	}
-	var sources map[string]outcomeSource
+	var source func(i int) outcomeSource
 	switch p.Engine {
 	case EngineANTA:
 		eng := newAntaEngine(env)
 		eng.start()
-		sources = eng.sources()
+		source = eng.source
 	default:
 		eng := newProcEngine(env)
 		eng.start()
-		sources = eng.sources()
+		source = eng.source
 	}
-	_, fired := env.eng.Run(env.maxEvents())
-	res := env.collect(p.Name(), sources, fired)
-	return res, nil
+	_, fired := env.eng.Run(w.MaxEvents())
+	return env.collect(p.Name(), source, fired), nil
 }
 
 // TerminationBound returns the a-priori real-time bound of Theorem 1 for the

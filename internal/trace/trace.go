@@ -83,6 +83,13 @@ type Trace struct {
 // New returns an empty trace.
 func New() *Trace { return &Trace{} }
 
+// Reset empties the trace, keeping its storage, and sets whether it
+// records: the state New (followed by Mute when muted) builds.
+func (t *Trace) Reset(muted bool) {
+	t.events = t.events[:0]
+	t.muted = muted
+}
+
 // Mute stops the trace from recording further events (used by large
 // benchmark sweeps where only the final outcome matters).
 func (t *Trace) Mute() { t.muted = true }

@@ -141,10 +141,19 @@ type subOutcome struct {
 	safety []string
 }
 
+// worldRunner is a protocol that can run in a world its caller owns and
+// reuses; the built-in chain protocols all can.
+type worldRunner interface {
+	RunIn(w *core.World, s core.Scenario) (*core.RunResult, error)
+}
+
 // simulateOne runs one payment's protocol simulation and evaluates the
 // theorem-shaped safety checkers on its result; a pure function of
-// (base scenario, compiled plan, payment, registry).
-func simulateOne(base core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
+// (base scenario, compiled plan, payment, registry). The run executes in w,
+// the calling worker's standing world, when the protocol can (a custom
+// registry entry that cannot gets a world of its own from Run); the result
+// is consumed here, before w's next Reset, and nothing of it escapes.
+func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
 	sub := subScenario(base, plan, p)
 	proto := registry[p.Protocol]
 	_, manager := proto.(*weaklive.Protocol)
@@ -154,7 +163,13 @@ func simulateOne(base core.Scenario, plan *compiledPlan, p *payment, registry ma
 		}
 	}
 	byz := len(sub.Faults) > 0
-	r, err := proto.Run(sub)
+	var r *core.RunResult
+	var err error
+	if wr, ok := proto.(worldRunner); ok {
+		r, err = wr.RunIn(w, sub)
+	} else {
+		r, err = proto.Run(sub)
+	}
 	if err != nil {
 		return subOutcome{err: err, byz: byz}
 	}
@@ -546,9 +561,10 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 	}()
 	for i := 0; i < workers; i++ {
 		go func() {
+			world := core.NewWorld()
 			for c := range work {
 				for j, p := range c.pays {
-					c.subs[j] = simulateOne(s, plan, p, registry)
+					c.subs[j] = simulateOne(world, s, plan, p, registry)
 					rm.Simulated.Inc()
 				}
 				rm.ChunksSimulated.Inc()
@@ -580,17 +596,19 @@ func (s *streamSource) next() (*payment, subOutcome, bool) {
 	return p, sub, true
 }
 
-// forEachIndex runs fn(idx) for every idx in [0, n) across a pool of
-// workers goroutines (serially when workers <= 1 or n is small). fn writes
-// into caller-owned, index-disjoint slots, so results are ordered by index
-// no matter which worker finished first.
-func forEachIndex(n, workers int, fn func(int)) {
+// forEachIndex runs fn(worker, idx) for every idx in [0, n) across a pool of
+// workers goroutines (serially when workers <= 1 or n is small); worker, in
+// [0, max(workers, 1)), names the goroutine making the call, so fn can keep
+// per-goroutine state in a slot of its own. fn writes into caller-owned,
+// index-disjoint slots, so results are ordered by index no matter which
+// worker finished first.
+func forEachIndex(n, workers int, fn func(worker, idx int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for idx := 0; idx < n; idx++ {
-			fn(idx)
+			fn(0, idx)
 		}
 		return
 	}
@@ -601,7 +619,7 @@ func forEachIndex(n, workers int, fn func(int)) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				fn(idx)
+				fn(i, idx)
 			}
 		}()
 	}
@@ -616,8 +634,12 @@ func forEachIndex(n, workers int, fn func(int)) {
 // pool. Result order is by payment index, independent of scheduling.
 func simulatePayments(base core.Scenario, plan *compiledPlan, payments []*payment, registry map[string]core.Protocol, workers int, rm RunMetrics) []subOutcome {
 	out := make([]subOutcome, len(payments))
-	forEachIndex(len(payments), workers, func(idx int) {
-		out[idx] = simulateOne(base, plan, payments[idx], registry)
+	worlds := make([]*core.World, max(workers, 1)) // one per pool goroutine, built on first use
+	forEachIndex(len(payments), workers, func(worker, idx int) {
+		if worlds[worker] == nil {
+			worlds[worker] = core.NewWorld()
+		}
+		out[idx] = simulateOne(worlds[worker], base, plan, payments[idx], registry)
 		rm.Simulated.Inc()
 	})
 	return out

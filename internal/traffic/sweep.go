@@ -44,7 +44,7 @@ func Sweep(points []Point, cfg Config) []Outcome {
 	perCell := cfg
 	perCell.Workers = 1
 	perCell.Shards = 1 // the pool parallelises across cells, not within them
-	forEachIndex(len(points), cfg.workers(), func(idx int) {
+	forEachIndex(len(points), cfg.workers(), func(_, idx int) {
 		cellCfg := perCell
 		if cfg.Metrics != nil {
 			label := points[idx].Label

@@ -61,6 +61,7 @@ type escrowProc struct {
 	fault core.FaultSpec
 
 	lockCreated bool
+	lockID      string // set when the lock is created
 	settled     bool
 	crashed     bool
 	// decided holds the first valid decision certificate seen, which may
@@ -69,17 +70,17 @@ type escrowProc struct {
 	decided *sig.DecisionCert
 }
 
-func newEscrowProc(r *runState, i int) *escrowProc {
+func newEscrowProc(r *runState, i int) escrowProc {
 	topo := r.scn.Topology
 	id := core.EscrowID(i)
-	return &escrowProc{
+	return escrowProc{
 		run:   r,
 		i:     i,
 		id:    id,
 		up:    topo.UpstreamCustomer(i),
 		down:  topo.DownstreamCustomer(i),
-		clk:   r.clocks[id],
-		led:   r.book.MustGet(id),
+		clk:   r.w.EscrowClock(i),
+		led:   r.w.Ledger(i),
 		fault: r.scn.FaultOf(id),
 	}
 }
@@ -119,12 +120,13 @@ func (p *escrowProc) onPay(from string, m MsgPay) {
 		p.run.tr.AddValue(p.run.eng.Now(), trace.KindDetection, p.id, from, "wrong-amount", m.Amount)
 		return
 	}
-	if _, err := p.led.CreateLock(p.run.eng.Now(), p.run.lockID(p.i), p.up, p.down, want, ledger.Condition{}); err != nil {
+	p.lockID = p.run.w.LockID(p.i)
+	if _, err := p.led.CreateLock(p.run.eng.Now(), p.lockID, p.up, p.down, want, ledger.Condition{}); err != nil {
 		p.run.tr.AddValue(p.run.eng.Now(), trace.KindViolation, p.id, from, "lock-failed", want)
 		return
 	}
 	p.lockCreated = true
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.run.lockID(p.i), want)
+	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 	if p.decided != nil {
 		// The manager decided before this payment arrived (an early abort):
 		// settle the freshly created lock right away so the customer is not
@@ -135,7 +137,7 @@ func (p *escrowProc) onPay(from string, m MsgPay) {
 	if p.fault.Silent {
 		return // never reports prepared: the manager will not commit
 	}
-	p.run.eng.ScheduleIn(p.run.actionDelay(p.id), p.id+":prepared", func() {
+	p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "prepared"), func() {
 		if !p.active() {
 			return
 		}
@@ -178,21 +180,21 @@ func (p *escrowProc) settle(cert sig.DecisionCert) {
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
 	decision := cert.Decision
-	p.run.eng.ScheduleIn(p.run.actionDelay(p.id), p.id+":settle", func() {
+	p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), func() {
 		if !p.active() {
 			return
 		}
 		switch decision {
 		case sig.DecisionCommit:
-			if err := p.led.Release(p.run.eng.Now(), p.run.lockID(p.i), nil, 0); err == nil {
-				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.run.lockID(p.i), amount)
+			if err := p.led.Release(p.run.eng.Now(), p.lockID, nil, 0); err == nil {
+				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
 				if !p.fault.Silent {
 					p.run.net.Send(p.id, p.down, MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount})
 				}
 			}
 		case sig.DecisionAbort:
-			if err := p.led.Refund(p.run.eng.Now(), p.run.lockID(p.i), p.clk.Now()); err == nil {
-				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.run.lockID(p.i), amount)
+			if err := p.led.Refund(p.run.eng.Now(), p.lockID, p.clk.Now()); err == nil {
+				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
 				if !p.fault.Silent {
 					p.run.net.Send(p.id, p.up, MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount, Refund: true})
 				}
@@ -234,13 +236,13 @@ type customerProc struct {
 	termAt  sim.Time
 }
 
-func newCustomerProc(r *runState, i int) *customerProc {
+func newCustomerProc(r *runState, i int) customerProc {
 	topo := r.scn.Topology
-	c := &customerProc{
+	c := customerProc{
 		run:   r,
 		i:     i,
 		id:    core.CustomerID(i),
-		clk:   r.clocks[core.CustomerID(i)],
+		clk:   r.w.CustomerClock(i),
 		fault: r.scn.FaultOf(core.CustomerID(i)),
 	}
 	if up, ok := topo.UpstreamEscrow(i); ok {
@@ -267,7 +269,7 @@ func (c *customerProc) start() {
 	// Pay the agreed value into the downstream escrow (Bob has none).
 	if !c.isBob() && !c.fault.RefuseToPay && !c.fault.Silent {
 		amount := c.run.scn.Spec.AmountVia(c.i)
-		c.run.eng.ScheduleIn(c.run.actionDelay(c.id), c.id+":pay", func() {
+		c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "pay"), func() {
 			if !c.active() || c.requestedAbort {
 				return
 			}
@@ -284,7 +286,7 @@ func (c *customerProc) start() {
 		patience = 1
 	}
 	if patience > 0 {
-		c.clk.ScheduleAfterLocal(patience, c.id+":patience", c.losePatience)
+		c.clk.ScheduleAfterLocal(patience, c.run.w.EventName(c.id, "patience"), c.losePatience)
 	}
 }
 

@@ -32,9 +32,7 @@ package weaklive
 import (
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/ledger"
 	"repro/internal/netsim"
 	"repro/internal/notary"
 	"repro/internal/sig"
@@ -96,71 +94,30 @@ func (p *Protocol) committeeSize() int {
 	return p.CommitteeSize
 }
 
-// defaultMaxEvents caps a run's event count as a runaway guard.
-const defaultMaxEvents = 2_000_000
-
 // Run implements core.Protocol.
 func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
-	if err := s.Validate(); err != nil {
+	return p.RunIn(core.NewWorld(), s)
+}
+
+// RunIn executes the scenario in w, resetting it first: the same run Run
+// makes, on a standing world. The result is w's own and is valid until w's
+// next Reset (see core.World).
+func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
+	if err := w.Reset(s); err != nil {
 		return nil, fmt.Errorf("weaklive: %w", err)
 	}
-	eng := sim.NewEngine(s.Seed)
-	eng.SetMetrics(sim.MetricsFrom(s.Metrics))
-	tr := trace.New()
-	if s.MuteTrace {
-		tr.Mute()
-	}
-	net := netsim.New(eng, s.Network, tr)
-	net.SetMetrics(netsim.MetricsFrom(s.Metrics))
-	ledgerMetrics := ledger.MetricsFrom(s.Metrics, "protocol")
-	topo := s.Topology
-
-	keySeed := s.DerivedKeySeed()
-	kr := sig.NewKeyringWith(s.SigOptions(), keySeed, topo.Participants())
-
-	book := ledger.NewBook()
-	for i := 0; i < topo.N; i++ {
-		led := ledger.New(core.EscrowID(i))
-		led.SetMetrics(ledgerMetrics)
-		if err := led.CreateAccount(core.EscrowID(i)); err != nil {
-			return nil, err
-		}
-		for _, cust := range []string{topo.UpstreamCustomer(i), topo.DownstreamCustomer(i)} {
-			if err := led.CreateAccount(cust); err != nil {
-				return nil, err
-			}
-			if err := led.Mint(0, cust, s.InitialBalance); err != nil {
-				return nil, err
-			}
-		}
-		book.Add(led)
-	}
-
-	clocks := make(map[string]*clock.Clock, len(topo.Participants()))
-	rng := eng.Rand()
-	for _, id := range topo.Participants() {
-		rho := clock.Drift(0)
-		var offset sim.Time
-		if s.Timing.Clock.MaxRho > 0 {
-			rho = clock.Drift((2*rng.Float64() - 1) * float64(s.Timing.Clock.MaxRho))
-		}
-		if s.Timing.Clock.MaxOffset > 0 {
-			offset = sim.Time(rng.Int63n(int64(2*s.Timing.Clock.MaxOffset+1))) - s.Timing.Clock.MaxOffset
-		}
-		clocks[id] = clock.New(eng, rho, offset)
-	}
-
+	kr := w.Keyring()
 	deps := notary.Deps{
-		Net:        net,
-		Eng:        eng,
+		Net:        w.Net,
+		Eng:        w.Eng,
 		Kr:         kr,
-		Tr:         tr,
+		Tr:         w.Trace,
 		PaymentID:  s.Spec.PaymentID,
-		NumEscrows: topo.N,
-		Recipients: topo.Participants(),
+		NumEscrows: s.Topology.N,
+		Recipients: w.Participants(),
 		Timing:     s.Timing,
-		FaultOf:    func(id string) core.FaultSpec { return s.FaultOf(id) },
-		KeySeed:    keySeed,
+		FaultOf:    s.FaultOf,
+		KeySeed:    s.DerivedKeySeed(),
 	}
 	var mgr notary.Manager
 	if p.Manager == ManagerCommittee {
@@ -169,160 +126,72 @@ func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
 		mgr = notary.NewTrusted(deps)
 	}
 
-	run := &runState{
-		scn:          s,
-		eng:          eng,
-		net:          net,
-		tr:           tr,
-		book:         book,
-		kr:           kr,
-		clocks:       clocks,
-		mgr:          mgr,
-		wealthBefore: book.SnapshotWealth(),
-	}
+	run := &runState{w: w, scn: s, eng: w.Eng, net: w.Net, tr: w.Trace, kr: kr, mgr: mgr}
 	run.build()
 	run.start()
 
-	maxEvents := s.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = defaultMaxEvents
-	}
-	_, fired := eng.Run(maxEvents)
+	_, fired := w.Eng.Run(w.MaxEvents())
 	return run.collect(p.Name(), fired), nil
 }
 
-// runState holds one run's participants and substrate handles.
+// runState holds one run's participants and its world's handles;
+// escrows[i] is e_i and customers[i] is c_i.
 type runState struct {
-	scn    core.Scenario
-	eng    *sim.Engine
-	net    *netsim.Network
-	tr     *trace.Trace
-	book   *ledger.Book
-	kr     *sig.Keyring
-	clocks map[string]*clock.Clock
-	mgr    notary.Manager
+	w   *core.World
+	scn core.Scenario
+	eng *sim.Engine
+	net *netsim.Network
+	tr  *trace.Trace
+	kr  *sig.Keyring
+	mgr notary.Manager
 
-	escrows   map[string]*escrowProc
-	customers map[string]*customerProc
-
-	wealthBefore map[string]int64
+	escrows   []escrowProc
+	customers []customerProc
 }
 
 func (r *runState) build() {
 	topo := r.scn.Topology
-	r.escrows = map[string]*escrowProc{}
-	r.customers = map[string]*customerProc{}
-	for i := 0; i < topo.N; i++ {
-		esc := newEscrowProc(r, i)
-		r.escrows[esc.id] = esc
-		r.net.Register(esc)
+	r.escrows = make([]escrowProc, topo.N)
+	r.customers = make([]customerProc, topo.N+1)
+	for i := range r.escrows {
+		r.escrows[i] = newEscrowProc(r, i)
+		r.net.Register(&r.escrows[i])
 	}
-	for i := 0; i <= topo.N; i++ {
-		cust := newCustomerProc(r, i)
-		r.customers[cust.id] = cust
-		r.net.Register(cust)
+	for i := range r.customers {
+		r.customers[i] = newCustomerProc(r, i)
+		r.net.Register(&r.customers[i])
 	}
 }
 
 func (r *runState) start() {
-	topo := r.scn.Topology
-	for _, id := range topo.Escrows() {
-		r.escrows[id].start()
+	for i := range r.escrows {
+		r.escrows[i].start()
 	}
-	for _, id := range topo.Customers() {
-		r.customers[id].start()
+	for i := range r.customers {
+		r.customers[i].start()
 	}
-	for _, id := range topo.Participants() {
-		f := r.scn.FaultOf(id)
-		if !f.Crash {
-			continue
+	r.w.ScheduleCrashes(func(id string, customer bool, i int) {
+		if customer {
+			r.customers[i].crashed = true
+		} else {
+			r.escrows[i].crashed = true
 		}
-		id := id
-		r.eng.ScheduleAt(f.CrashAt, "crash:"+id, func() {
-			if esc, ok := r.escrows[id]; ok {
-				esc.crashed = true
-			}
-			if cust, ok := r.customers[id]; ok {
-				cust.crashed = true
-			}
-			r.tr.Add(r.eng.Now(), trace.KindByzantine, id, "", "crash")
-		})
-	}
-}
-
-// procDelay draws an honest participant's processing delay for one action.
-func (r *runState) procDelay() sim.Time {
-	maxP := r.scn.Timing.MaxProcessing
-	if maxP <= 0 {
-		return 0
-	}
-	return sim.Time(r.eng.Rand().Int63n(int64(maxP + 1)))
-}
-
-func (r *runState) actionDelay(id string) sim.Time {
-	return r.procDelay() + r.scn.FaultOf(id).DelayActions
-}
-
-func (r *runState) lockID(i int) string {
-	return fmt.Sprintf("%s/%s", r.scn.Spec.PaymentID, core.EscrowID(i))
+		r.tr.Add(r.eng.Now(), trace.KindByzantine, id, "", "crash")
+	})
 }
 
 func (r *runState) collect(protocolName string, fired uint64) *core.RunResult {
-	topo := r.scn.Topology
-	res := &core.RunResult{
-		Protocol:    protocolName,
-		Scenario:    r.scn,
-		Trace:       r.tr,
-		Book:        r.book,
-		Customers:   map[string]core.CustomerOutcome{},
-		Escrows:     map[string]core.EscrowOutcome{},
-		NetStats:    r.net.Stats(),
-		EventsFired: fired,
-	}
-	wealthAfter := r.book.SnapshotWealth()
-	allTerm := true
-	var lastTerm sim.Time
-	for _, id := range topo.Customers() {
-		c := r.customers[id]
-		out := core.CustomerOutcome{
-			ID:              id,
-			Role:            topo.RoleOf(id),
-			Terminated:      c.term,
-			TerminatedAt:    c.termAt,
-			WealthBefore:    r.wealthBefore[id],
-			WealthAfter:     wealthAfter[id],
-			PaidOut:         c.paid,
-			Received:        c.credited,
-			HoldsCommitCert: c.hasCommit,
-			HoldsAbortCert:  c.hasAbort,
-			Aborted:         c.requestedAbort,
-		}
-		if out.Terminated && out.TerminatedAt > lastTerm {
-			lastTerm = out.TerminatedAt
-		}
-		if !r.scn.FaultOf(id).IsByzantine() && !out.Terminated {
-			allTerm = false
-		}
-		res.Customers[id] = out
-	}
-	for _, id := range topo.Escrows() {
-		led := r.book.MustGet(id)
-		res.Escrows[id] = core.EscrowOutcome{
-			ID:           id,
-			BalanceDelta: led.Balance(id),
-			PendingLocks: len(led.PendingLocks()),
-			AuditErr:     led.Audit(),
-		}
-	}
-	bob := res.Customers[topo.Bob()]
-	res.BobPaid = bob.Received > 0 || bob.NetWealthChange() > 0
-	res.AllTerminated = allTerm
+	res := r.w.Collect(protocolName, fired, func(i int, out *core.CustomerOutcome) {
+		c := &r.customers[i]
+		out.Terminated = c.term
+		out.TerminatedAt = c.termAt
+		out.PaidOut = c.paid
+		out.Received = c.credited
+		out.HoldsCommitCert = c.hasCommit
+		out.HoldsAbortCert = c.hasAbort
+		out.Aborted = c.requestedAbort
+	})
 	res.CommitIssued = r.mgr.CommitIssued()
 	res.AbortIssued = r.mgr.AbortIssued()
-	if lastTerm > 0 {
-		res.Duration = lastTerm
-	} else {
-		res.Duration = r.eng.Now()
-	}
 	return res
 }
