@@ -129,15 +129,14 @@ func BenchmarkProtocolWeakLivenessCommittee_n4(b *testing.B) {
 func BenchmarkProtocolHTLC_n4(b *testing.B) { benchProtocol(b, HTLCBaseline(), 4) }
 
 // Traffic-engine benchmarks: 1,000 concurrent payments multiplexed over an
-// 8-hop chain, serial versus worker-pool-plus-sharded-timeline execution.
-// Comparing the two ns/op figures measures the parallel runner's speedup
-// (bounded by the machine's core count); the results themselves are
-// identical by construction (see TestTrafficFacade and
-// TestShardedEquivalence in internal/traffic). Every variant reports its
-// gomaxprocs and shards so a flat comparison is attributable to the runner,
-// and the parallel variant skips outright on a single core rather than
-// silently reporting "no speedup" against a baseline it equals by
-// definition.
+// 8-hop chain, serial versus worker-pool execution. Comparing the two
+// ns/op figures measures the parallel runner's speedup (bounded by the
+// machine's core count); the results themselves are identical by
+// construction (see TestTrafficFacade and TestStreamingEquivalence in
+// internal/traffic). Every variant reports its gomaxprocs so a flat
+// comparison is attributable to the runner, and the parallel variant skips
+// outright on a single core rather than silently reporting "no speedup"
+// against a baseline it equals by definition.
 
 func benchTraffic(b *testing.B, cfg TrafficConfig) {
 	b.Helper()
@@ -158,13 +157,11 @@ func benchTraffic(b *testing.B, cfg TrafficConfig) {
 		}
 	}
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	b.ReportMetric(float64(cfg.EffectiveShards(s, w)), "shards")
 }
 
-// BenchmarkTraffic1kPayments runs the workload with one worker per CPU and
-// the auto-resolved shard count. Skips on a single core: there the
-// configuration degenerates to the serial baseline and the comparison
-// would report a meaningless 1.0x.
+// BenchmarkTraffic1kPayments runs the workload with one worker per CPU.
+// Skips on a single core: there the configuration degenerates to the serial
+// baseline and the comparison would report a meaningless 1.0x.
 func BenchmarkTraffic1kPayments(b *testing.B) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		b.Skip("GOMAXPROCS=1: parallel run equals the serial baseline; speedup needs a multi-core runner")
@@ -172,10 +169,10 @@ func BenchmarkTraffic1kPayments(b *testing.B) {
 	benchTraffic(b, TrafficConfig{})
 }
 
-// BenchmarkTraffic1kPaymentsSerial is the single-worker single-shard
-// baseline the parallel figure is compared against.
+// BenchmarkTraffic1kPaymentsSerial is the single-worker baseline the
+// parallel figure is compared against.
 func BenchmarkTraffic1kPaymentsSerial(b *testing.B) {
-	benchTraffic(b, TrafficConfig{Workers: 1, Shards: 1})
+	benchTraffic(b, TrafficConfig{Workers: 1})
 }
 
 // benchTrafficStream runs payments through the streaming pipeline
@@ -230,7 +227,6 @@ func benchTrafficStream(b *testing.B, payments int, rate float64, crypto string)
 	<-sampled
 	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	b.ReportMetric(float64(cfg.EffectiveShards(s, w)), "shards")
 }
 
 // BenchmarkTraffic100kPaymentsStream is the CI-sized streaming run

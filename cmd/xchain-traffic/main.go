@@ -143,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		faultOutage = fs.Duration("fault-outage", 0, "per-connector outage window; 0 = faulty for the rest of the run")
 		mgrOutage   = fs.Duration("manager-outage", 0, "weak-liveness manager outage window starting at -fault-from")
 		workers     = fs.Int("workers", 0, "worker-pool size (0 = one per CPU)")
-		shards      = fs.Int("shards", 0, "admission-timeline shards (0 = one per CPU, 1 = single timeline; results are identical at any count)")
 		stream      = fs.Bool("stream", false, "bounded-memory streaming pipeline (aggregates only)")
 		exemplars   = fs.Int("exemplars", 10, "payments kept as a reservoir sample with -stream")
 		ckptPath    = fs.String("checkpoint", "", "write a crash-safe checkpoint to this file (resume with -resume)")
@@ -236,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	cfg := xchainpay.TrafficConfig{Workers: *workers, Shards: *shards, Stream: *stream, Exemplars: *exemplars, Crypto: *crypto}
+	cfg := xchainpay.TrafficConfig{Workers: *workers, Stream: *stream, Exemplars: *exemplars, Crypto: *crypto}
 	if *ckptPath != "" || *ckptEvery > 0 || *resumePath != "" {
 		if *sweepSeeds > 1 {
 			fmt.Fprintf(stderr, "xchain-traffic: -checkpoint/-resume cannot be combined with -sweep-seeds\n")

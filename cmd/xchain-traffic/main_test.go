@@ -89,6 +89,12 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)
 	}
+	// There is one timeline and no flag to pick another: -shards fails like
+	// any unknown flag, with the usage on stderr.
+	errOut.Reset()
+	if code := run([]string{"-shards", "2"}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "Usage") {
+		t.Errorf("-shards should be an unknown flag (exit %d, stderr %q)", code, errOut.String())
+	}
 	if code := run([]string{"-mix", "timelock=abc"}, &out, &errOut); code != 2 {
 		t.Errorf("malformed mix accepted (exit %d)", code)
 	}

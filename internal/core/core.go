@@ -352,13 +352,6 @@ type Scenario struct {
 	// (the nil-registry differential test in internal/traffic enforces
 	// this), so — like Crypto — it can never be a protocol input.
 	Metrics *metrics.Registry
-	// Shards partitions bulk executions (the traffic engine) into that many
-	// per-chain simulation timelines with a deterministic merge; 0 means
-	// auto (one shard per available CPU), 1 forces the single-timeline
-	// path. Like Crypto and Metrics it is an execution-strategy knob, never
-	// a protocol input: results are byte-identical at any shard count (the
-	// sharded-equivalence tests in internal/traffic enforce this).
-	Shards int
 }
 
 // FaultOf returns the fault spec of a participant (zero value if honest).

@@ -471,43 +471,6 @@ func (l *Ledger) Audit() error {
 	return nil
 }
 
-// Absorb merges the state of o — a shard of the same logical escrow — into
-// l: balances sum (accounts are created as needed), minted / operation /
-// forgotten-lock totals sum, surviving locks are copied over, Byzantine
-// marks are united and the Byzantine-held totals sum. The sharded traffic
-// engine gives every timeline shard its own ledger per escrow and merges
-// them through Absorb once the shards drain; conservation (Audit) holds on
-// the merged ledger whenever it held on every shard.
-//
-// Metrics are deliberately untouched: shard ledgers of one escrow share one
-// set of gauge cells, whose atomic adds already carry the merged totals.
-// Both ledgers must run compacted — retained op logs have no deterministic
-// inter-shard order, so Absorb refuses to guess one.
-func (l *Ledger) Absorb(o *Ledger) {
-	if len(l.ops) > 0 || len(o.ops) > 0 {
-		panic("ledger: Absorb requires compacted ledgers (retained op logs cannot merge deterministically)")
-	}
-	for owner, bal := range o.accounts {
-		l.accounts[owner] += bal
-	}
-	for id, lk := range o.locks {
-		if _, dup := l.locks[id]; dup {
-			panic("ledger: Absorb lock id collision " + id)
-		}
-		l.locks[id] = lk
-	}
-	for owner := range o.byzOwners {
-		if l.byzOwners == nil {
-			l.byzOwners = map[string]bool{}
-		}
-		l.byzOwners[owner] = true
-	}
-	l.minted += o.minted
-	l.opCount += o.opCount
-	l.settled += o.settled
-	l.byzEscrowed += o.byzEscrowed
-}
-
 // Snapshot captures balances (available only) for later comparison, e.g. by
 // the customer-security checkers ("got her money back").
 func (l *Ledger) Snapshot() map[string]int64 {

@@ -100,7 +100,7 @@ func (e *ConfigMismatchError) EmbeddedConfig() string {
 // Result is a function of. Two runs with equal fingerprints compute
 // byte-identical Results, so a snapshot may only be resumed under a
 // configuration with the same fingerprint. Execution-strategy knobs
-// (Workers, Shards, Metrics, checkpoint cadence) are deliberately excluded:
+// (Workers, Metrics, checkpoint cadence) are deliberately excluded:
 // they never change the Result.
 type runFingerprint struct {
 	Escrows        int                       `json:"escrows"`

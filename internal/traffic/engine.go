@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/check"
@@ -24,16 +25,7 @@ type Config struct {
 	// means runtime.NumCPU(); 1 forces fully serial execution (useful as a
 	// speedup baseline in benchmarks).
 	Workers int
-	// Shards partitions the admission timeline itself: payments are assigned
-	// to shards by Index % Shards, each shard replays its subpopulation on
-	// its own sim engine and ledger set, and a deterministic merge
-	// reconstructs the single timeline's observation order (see sharded.go).
-	// Zero defers to Scenario.Shards (whose zero means GOMAXPROCS); negative
-	// or 1 forces the single-timeline path. Like Workers, this is an
-	// execution strategy, never a protocol input: the Result is
-	// byte-identical at every shard count (TestShardedEquivalence).
-	// Liquidity-bounded workloads (Workload.Liquidity > 0) couple payments
-	// through the global admission queue and always run single-timeline.
+	// Deprecated: ignored; there is one timeline.
 	Shards int
 	// Protocols overrides the protocol registry resolving Workload.Mix
 	// names. Nil uses DefaultProtocols.
@@ -70,8 +62,8 @@ type Config struct {
 	// CheckpointEvery, when > 0, writes a resumable snapshot to
 	// CheckpointPath after every CheckpointEvery-th admitted payment
 	// (atomically: temp file + rename, so a crash mid-write keeps the
-	// previous snapshot). Like Resume, InterruptAt and Control it forces the
-	// single-timeline path; none of them changes what the run computes.
+	// previous snapshot). Like Resume, InterruptAt and Control it never
+	// changes what the run computes.
 	CheckpointEvery int
 	// CheckpointPath is the snapshot file. Required when CheckpointEvery is
 	// set; also used for the final snapshot written when the run is
@@ -104,8 +96,8 @@ func (c Config) workers() int {
 func (c Config) keep() bool { return !c.Stream || c.KeepPayments }
 
 // checkpointing reports whether any checkpoint/resume/interrupt knob is in
-// use; such runs execute on the single-timeline path (shardCount forces 1),
-// since a snapshot describes one timeline.
+// use; only such runs fingerprint their configuration and track live flights
+// for capture.
 func (c Config) checkpointing() bool {
 	return c.CheckpointEvery > 0 || c.CheckpointPath != "" || c.Resume != nil ||
 		c.InterruptAt > 0 || c.Control != nil
@@ -361,31 +353,21 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 		}
 	}
 
-	S := cfg.shardCount(s, w)
 	var demand map[string]map[string]int64
-	var demandByShard []map[string]map[string]int64
 	var src paymentSource
 	if cfg.Stream {
 		if w.Liquidity <= 0 && resume == nil {
 			// Auto-sizing needs the whole population's worst-case demand; a
 			// dedicated generator pass computes it in O(topology) memory.
 			// Resumed runs restore the already-endowed book instead.
-			if S > 1 {
-				demandByShard = w.demandShards(s, S)
-			} else {
-				demand = w.demand(s)
-			}
+			demand = w.demand(s)
 		}
 		src = newStreamSource(s, w, plan, registry, cfg.workers(), rm, skip)
 	} else {
 		payments := w.generate(s)[skip:]
 		rm.Generated.Add(uint64(len(payments)))
 		if w.Liquidity <= 0 && resume == nil {
-			if S > 1 {
-				demandByShard = demandOfShards(payments, S)
-			} else {
-				demand = demandOf(payments)
-			}
+			demand = demandOf(payments)
 		}
 		subs := simulatePayments(s, plan, payments, registry, cfg.workers(), rm)
 		src = &sliceSource{pays: payments, subs: subs}
@@ -400,21 +382,17 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	if !cfg.keep() {
 		exemplars = cfg.Exemplars
 	}
-	if S > 1 {
-		executeShardedTimeline(res, s, w, plan, src, demandByShard, cfg.keep(), exemplars, s.Metrics, rm, S)
-	} else {
-		if resume != nil {
-			book, err := restoreBook(s, resume)
-			if err != nil {
-				return nil, err
-			}
-			res.Book = book
-		} else {
-			res.Book = newLiquidityBook(s, w, demand)
-		}
-		if err := executeTimeline(res, src, w, plan, cfg.keep(), exemplars, s.Metrics, rm, ck, resume); err != nil {
+	if resume != nil {
+		book, err := restoreBook(s, resume)
+		if err != nil {
 			return nil, err
 		}
+		res.Book = book
+	} else {
+		res.Book = newLiquidityBook(s, w, demand)
+	}
+	if err := executeTimeline(res, src, w, plan, cfg.keep(), exemplars, s.Metrics, rm, ck, resume); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -936,7 +914,7 @@ func (t *timeline) dropCause(f *flight) DropCause {
 // readable. Do not drop the attempt suffix.)
 func (t *timeline) admit(f *flight, now sim.Time) bool {
 	p := f.p
-	id := fmt.Sprintf("%s#%d", p.ID, f.attempts)
+	id := p.ID + "#" + strconv.Itoa(f.attempts)
 	f.attempts++
 	hops := p.hops()
 	ok := true

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -64,36 +65,46 @@ func TestFaultPlanDeterminism(t *testing.T) {
 }
 
 // TestFaultedStreamingEquivalence is the PR 3 equivalence oracle under
-// Byzantine faults: a faulted workload must stay byte-identical across
-// worker counts {1, 4, NumCPU} and across streaming versus materialised
-// execution. Runs under -race in CI's race job.
+// Byzantine faults: a faulted workload must stay byte-identical — aggregates,
+// per-payment records and final book wealth — across worker counts
+// {1, 4, NumCPU} and across streaming versus materialised execution, and a
+// repeated pooled streaming run must reproduce itself (goroutine scheduling
+// never leaks into a Result). Runs under -race in CI's race job.
 func TestFaultedStreamingEquivalence(t *testing.T) {
-	s := core.NewScenario(8, 99)
-	w := byzWorkload(400)
-
-	ref, err := RunWith(s, w, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.FaultedPayments == 0 {
-		t.Fatalf("fault plan never touched a payment:\n%s", ref)
-	}
-	if ref.SafetyViolations != 0 {
-		t.Fatalf("safety violated under faults:\n%s", ref)
-	}
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		for _, stream := range []bool{false, true} {
-			got, err := RunWith(s, w, Config{Workers: workers, Stream: stream, KeepPayments: true})
+	for _, in := range []struct {
+		name    string
+		s       core.Scenario
+		w       Workload
+		repeats int // extra runs at Workers 4, Stream
+	}{
+		{"queued", core.NewScenario(8, 99), byzWorkload(400), 0},
+		{"bursty", burstyScenario(), burstyWorkload(true), 5},
+	} {
+		ref, err := RunWith(in.s, in.w, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.FaultedPayments == 0 || ref.PeakByzantineHeld == 0 {
+			t.Fatalf("%s: fault plan shows no Byzantine activity:\n%s", in.name, ref)
+		}
+		if ref.SafetyViolations != 0 {
+			t.Fatalf("%s: safety violated under faults:\n%s", in.name, ref)
+		}
+		var cfgs []Config
+		for _, workers := range []int{1, 4, runtime.NumCPU()} {
+			for _, stream := range []bool{false, true} {
+				cfgs = append(cfgs, Config{Workers: workers, Stream: stream, KeepPayments: true})
+			}
+		}
+		for i := 0; i < in.repeats; i++ {
+			cfgs = append(cfgs, Config{Workers: 4, Stream: true, KeepPayments: true})
+		}
+		for _, cfg := range cfgs {
+			got, err := RunWith(in.s, in.w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gs, rs := got.String(), ref.String(); gs != rs {
-				t.Fatalf("workers=%d stream=%v diverged from reference:\n--- got ---\n%s--- ref ---\n%s",
-					workers, stream, gs, rs)
-			}
-			if !reflect.DeepEqual(got.Payments, ref.Payments) {
-				t.Fatalf("workers=%d stream=%v: per-payment records diverged", workers, stream)
-			}
+			requireSameResult(t, fmt.Sprintf("%s: workers=%d stream=%v", in.name, cfg.Workers, cfg.Stream), got, ref)
 		}
 	}
 }

@@ -43,7 +43,6 @@ func Sweep(points []Point, cfg Config) []Outcome {
 	out := make([]Outcome, len(points))
 	perCell := cfg
 	perCell.Workers = 1
-	perCell.Shards = 1 // the pool parallelises across cells, not within them
 	forEachIndex(len(points), cfg.workers(), func(_, idx int) {
 		cellCfg := perCell
 		if cfg.Metrics != nil {

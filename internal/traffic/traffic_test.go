@@ -1,11 +1,14 @@
 package traffic
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -16,6 +19,47 @@ var mixed = []ProtocolShare{
 	{Name: "timelock", Weight: 0.4},
 	{Name: "weaklive", Weight: 0.3},
 	{Name: "htlc", Weight: 0.3},
+}
+
+// burstyScenario and burstyWorkload are the equivalence suites' ordering
+// stress: 300 payments at 900/s on an 8-hop chain keep many arrivals, plan
+// marks and settlements on the same virtual instant, and the faulted variant
+// turns half the connectors Byzantine mid-run with recovery windows. The
+// input exercises the timeline's event order, not the signatures, so it runs
+// on the cheap hmac backend (TestCryptoBackendEquivalence covers backends).
+func burstyScenario() core.Scenario {
+	s := core.NewScenario(8, 42)
+	s.Crypto = "hmac"
+	return s
+}
+
+func burstyWorkload(faulted bool) Workload {
+	w := NewWorkload(300)
+	w.Arrival.Rate = 900
+	if faulted {
+		w.Faults = FaultPlan{
+			Fraction: 0.5,
+			From:     5 * sim.Millisecond,
+			Stagger:  30 * sim.Millisecond,
+			Outage:   150 * sim.Millisecond,
+		}
+	}
+	return w
+}
+
+// requireSameResult fails the test unless got is byte-identical to ref:
+// aggregates, per-payment records and final book wealth.
+func requireSameResult(t *testing.T, tag string, got, ref *Result) {
+	t.Helper()
+	if gs, rs := got.String(), ref.String(); gs != rs {
+		t.Fatalf("%s: diverged from reference:\n--- got ---\n%s--- ref ---\n%s", tag, gs, rs)
+	}
+	if !reflect.DeepEqual(got.Payments, ref.Payments) {
+		t.Fatalf("%s: per-payment records diverged", tag)
+	}
+	if gw, rw := got.Book.SnapshotWealth(), ref.Book.SnapshotWealth(); !reflect.DeepEqual(gw, rw) {
+		t.Fatalf("%s: book wealth diverged:\n got: %v\nwant: %v", tag, gw, rw)
+	}
 }
 
 // TestDeterminism1kPayments8Hops is the acceptance test of the subsystem:
@@ -415,29 +459,37 @@ func TestWorkloadValidation(t *testing.T) {
 // TestStreamingEquivalence is the determinism suite of the streaming
 // pipeline: for the same (Scenario, Workload), the materialised reference
 // path and the streaming pipeline — across worker counts {1, 4, NumCPU} —
-// must produce byte-identical Result.String() aggregates, and streaming
-// with KeepPayments must reproduce the per-payment records exactly.
+// must produce byte-identical Result.String() aggregates and final book
+// wealth, and streaming with KeepPayments must reproduce the per-payment
+// records exactly. The last row sets the deprecated, ignored Config.Shards
+// (at the default Workers 0): it changes nothing.
 func TestStreamingEquivalence(t *testing.T) {
-	s := core.NewScenario(5, 42)
-	w := NewWorkload(400)
-	w.Arrival.Rate = 500
-	w = w.WithMix(mixed...)
-
-	ref, err := RunWith(s, w, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		got, err := RunWith(s, w, Config{Workers: workers, Stream: true, KeepPayments: true})
+	mix := NewWorkload(400)
+	mix.Arrival.Rate = 500
+	mix = mix.WithMix(mixed...)
+	for _, in := range []struct {
+		name string
+		s    core.Scenario
+		w    Workload
+	}{
+		{"mixed", core.NewScenario(5, 42), mix},
+		{"bursty", burstyScenario(), burstyWorkload(false)},
+	} {
+		ref, err := RunWith(in.s, in.w, Config{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.String() != ref.String() {
-			t.Fatalf("streaming (workers=%d) differs from materialised:\n--- ref ---\n%s--- got ---\n%s",
-				workers, ref.String(), got.String())
-		}
-		if !reflect.DeepEqual(got.Payments, ref.Payments) {
-			t.Fatalf("per-payment records differ in streaming mode (workers=%d)", workers)
+		for i, cfg := range []Config{
+			{Workers: 1, Stream: true, KeepPayments: true},
+			{Workers: 4, Stream: true, KeepPayments: true},
+			{Workers: runtime.NumCPU(), Stream: true, KeepPayments: true},
+			{Stream: true, KeepPayments: true, Shards: -4},
+		} {
+			got, err := RunWith(in.s, in.w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%s: config %d (workers=%d stream=%v)", in.name, i, cfg.Workers, cfg.Stream), got, ref)
 		}
 	}
 }
@@ -515,6 +567,28 @@ func TestStreamingAggregatesOnly(t *testing.T) {
 	}
 	if got.PaymentTable() == "" {
 		t.Fatal("PaymentTable empty despite exemplars")
+	}
+
+	// The reservoir draws in settlement order, so on the bursty workload
+	// (many same-instant settlements) the whole aggregate-only Result and
+	// its exemplars must not depend on the worker count either.
+	bs, bw := burstyScenario(), burstyWorkload(false)
+	one, err := RunWith(bs, bw, Config{Workers: 1, Stream: true, Exemplars: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := RunWith(bs, bw, Config{Workers: 4, Stream: true, Exemplars: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Exemplars) != 16 {
+		t.Fatalf("bursty run retained %d exemplars, want 16", len(one.Exemplars))
+	}
+	if four.String() != one.String() {
+		t.Fatalf("bursty aggregates differ across worker counts:\n got: %s\nwant: %s", four, one)
+	}
+	if !reflect.DeepEqual(four.Exemplars, one.Exemplars) {
+		t.Fatalf("bursty exemplar reservoirs differ across worker counts:\n got: %v\nwant: %v", four.Exemplars, one.Exemplars)
 	}
 }
 
@@ -652,5 +726,89 @@ func TestCryptoBackendValidation(t *testing.T) {
 	}
 	if _, err := RunWith(s, w, Config{Crypto: "hmac"}); err != nil {
 		t.Fatalf("Config.Crypto should override the scenario's backend: %v", err)
+	}
+}
+
+// TestSweepMetricsIsolation is the regression test for the shared-registry
+// seam: Sweep used to copy the Config per cell but share the one
+// cfg.Metrics pointer across concurrently running cells, so live gauges
+// fought each other and counters blurred the cells together. Each cell must
+// get its own labelled registry whose counters match that cell's Result
+// exactly.
+func TestSweepMetricsIsolation(t *testing.T) {
+	w := NewWorkload(120)
+	w.Arrival.Rate = 600
+	points := []Point{
+		{Label: "a", Scenario: core.NewScenario(4, 1), Workload: w},
+		{Label: "b", Scenario: core.NewScenario(6, 2), Workload: w},
+	}
+	outcomes := Sweep(points, Config{Workers: 2, Metrics: metrics.NewRegistry()})
+	if outcomes[0].Metrics == nil || outcomes[1].Metrics == nil {
+		t.Fatal("sweep cells did not receive private registries")
+	}
+	if outcomes[0].Metrics == outcomes[1].Metrics {
+		t.Fatal("concurrent sweep cells share one registry")
+	}
+	for _, o := range outcomes {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		snap := o.Metrics.Snapshot()
+		counters := map[string]float64{}
+		cellLabelled := false
+		for _, fam := range snap {
+			for _, sample := range fam.Samples {
+				counters[fam.Name] += sample.Value
+				if strings.Contains(sample.Labels, `cell="`+o.Point.Label+`"`) {
+					cellLabelled = true
+				}
+			}
+		}
+		if !cellLabelled {
+			t.Fatalf("cell %q: no sample carries its cell label", o.Point.Label)
+		}
+		if got, want := counters[MetricPaymentsGenerated], float64(o.Result.Total); got != want {
+			t.Fatalf("cell %q: generated counter %v, want %v (cross-cell bleed?)", o.Point.Label, got, want)
+		}
+		if got, want := counters[MetricPaymentsSettled], float64(o.Result.Succeeded); got != want {
+			t.Fatalf("cell %q: settled counter %v, want %v (cross-cell bleed?)", o.Point.Label, got, want)
+		}
+	}
+}
+
+// TestQueueExpiryAttribution pins the queue-expiry drop path. The issue
+// suspected drainQueue of only attributing Queued/QueueWait on re-admission
+// so that expired-after-queueing payments would report Queued=false; the
+// audit found the expiry timer already sets Queued, QueueWait and DropCause
+// before finishing the payment (drainQueue handles re-admitted payments
+// only — a dropped payment never reaches it). This test keeps that
+// attribution from regressing: every dropped payment in a starved honest
+// run must carry its full queueing history.
+func TestQueueExpiryAttribution(t *testing.T) {
+	s := core.NewScenario(3, 11)
+	w := NewWorkload(200)
+	w.Arrival.Rate = 2000
+	w = w.WithLiquidity(300).WithQueue(500*sim.Millisecond, 0)
+
+	res, err := Run(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped == 0 {
+		t.Fatalf("starved workload dropped nothing:\n%s", res)
+	}
+	for _, p := range res.Payments {
+		if p.Status != StatusDropped {
+			continue
+		}
+		if !p.Queued {
+			t.Fatalf("expired payment %s not marked Queued: %+v", p.ID, p)
+		}
+		if p.QueueWait <= 0 || p.QueueWait != p.End-p.Arrival {
+			t.Fatalf("expired payment %s has inconsistent QueueWait: %+v", p.ID, p)
+		}
+		if p.DropCause != CauseCapacity {
+			t.Fatalf("honest expiry misattributed to %q: %+v", p.DropCause, p)
+		}
 	}
 }
