@@ -59,6 +59,9 @@ type runRequest struct {
 	FaultOutageMs   float64  `json:"fault_outage_ms"`
 	ManagerOutageMs float64  `json:"manager_outage_ms"`
 
+	// Stream selects aggregate-only retention (no per-payment records, flat
+	// memory, the larger payments ceiling); it does not change how the run
+	// executes.
 	Stream  bool   `json:"stream"`
 	Workers int    `json:"workers"`
 	Crypto  string `json:"crypto"`
@@ -87,6 +90,46 @@ func (q *runRequest) normalize() {
 	if q.Mix == "" {
 		q.Mix = "timelock=1"
 	}
+}
+
+// Size bounds of one request. A run that keeps every per-payment record
+// holds one PaymentResult (~250 B) per payment until it finishes, so its
+// ceiling is what a server running maxRuns of them can afford to hold; an
+// aggregate-only run ("stream") needs constant memory and is bounded by
+// patience instead (~25 µs of one core per hmac payment). Every escrow is a
+// ledger, a hop of every full-path payment and two keys.
+const (
+	maxKeepPayments   = 1_000_000
+	maxStreamPayments = 100_000_000
+	maxEscrows        = 64
+)
+
+// prepare is the one gate a request passes before it may run, fresh from a
+// POST or re-read from the state dir: defaults, size bounds, translation and
+// workload validation. Nothing is allocated in proportion to the request
+// until it has passed.
+func (q *runRequest) prepare() (core.Scenario, traffic.Workload, traffic.Config, error) {
+	q.normalize()
+	limit := maxKeepPayments
+	if q.Stream {
+		limit = maxStreamPayments
+	}
+	var err error
+	switch {
+	case q.Escrows < 1 || q.Escrows > maxEscrows:
+		err = fmt.Errorf("escrows %d outside 1..%d", q.Escrows, maxEscrows)
+	case q.Payments < 1 || q.Payments > limit:
+		err = fmt.Errorf("payments %d outside 1..%d (stream=%v; an aggregate-only run may have up to %d)",
+			q.Payments, limit, q.Stream, maxStreamPayments)
+	}
+	if err != nil {
+		return core.Scenario{}, traffic.Workload{}, traffic.Config{}, err
+	}
+	scn, wl, cfg, err := q.build()
+	if err == nil {
+		err = wl.Validate(scn.Topology)
+	}
+	return scn, wl, cfg, err
 }
 
 // build translates the request into the engine's inputs.
@@ -378,15 +421,11 @@ func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	req.normalize()
-	scn, wl, cfg, err := req.build()
+	// Validate before accepting: a rejected request should 400 now, before
+	// it is registered or persisted, not fail (or exhaust memory)
+	// asynchronously.
+	scn, wl, cfg, err := req.prepare()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Validate before accepting: a rejected workload should 400 now, not
-	// fail asynchronously.
-	if err := wl.Validate(scn.Topology); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -504,13 +543,16 @@ func (s *server) persistRequest(ru *run) error {
 // completion marker and its checkpoint retired; an interrupted run keeps
 // both files so a restarted server resumes it under the same ID.
 func (s *server) execute(ru *run, scn core.Scenario, wl traffic.Workload, cfg traffic.Config) {
-	defer func() {
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
+	defer s.release()
 	res, err := traffic.RunWith(scn, wl, cfg)
+	if cfg.Resume != nil && errors.Is(err, traffic.ErrBadSnapshot) {
+		// A checkpoint whose checksum holds but whose content this run could
+		// not have written is as unusable as a torn one; RunWith refused it
+		// before restoring anything, so redo the whole workload.
+		fmt.Fprintf(os.Stderr, "xchain-serve: %s: ignoring unusable checkpoint: %v\n", ru.ID, err)
+		cfg.Resume = nil
+		res, err = traffic.RunWith(scn, wl, cfg)
+	}
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
 	ru.finished = time.Now()
@@ -530,6 +572,24 @@ func (s *server) execute(ru *run, scn core.Scenario, wl traffic.Workload, cfg tr
 	if s.opts.stateDir != "" {
 		s.retire(ru)
 	}
+}
+
+// release gives back the execution slot register took.
+func (s *server) release() {
+	s.mu.Lock()
+	s.active--
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// fail finishes a registered run that never executes: recorded as failed,
+// retired on disk, its execution slot released.
+func (s *server) fail(ru *run, err error) {
+	defer s.release()
+	ru.mu.Lock()
+	defer ru.mu.Unlock()
+	ru.status, ru.errMsg, ru.finished = "failed", err.Error(), time.Now()
+	s.retire(ru)
 }
 
 // retire marks a run complete on disk (done or failed — both are final:
@@ -590,8 +650,10 @@ func summarize(res *traffic.Result) *runSummary {
 // recover re-adopts persisted runs from the state dir: every <id>.req.json
 // without a completion marker is re-registered under its original ID and
 // resumed from its checkpoint (or restarted from scratch when none was
-// written — determinism makes the redo byte-identical). Completed runs only
-// advance the ID counter so new runs never collide with retired ones.
+// written — determinism makes the redo byte-identical). A request that no
+// longer passes prepare (written by a build with looser bounds, or edited)
+// is retired as failed, never executed. Completed runs only advance the ID
+// counter so new runs never collide with retired ones.
 func (s *server) recover() error {
 	if s.opts.stateDir == "" {
 		return nil
@@ -627,14 +689,15 @@ func (s *server) recover() error {
 		if err := json.Unmarshal(raw, &req); err != nil {
 			return fmt.Errorf("recover %s: corrupt request: %v", id, err)
 		}
-		req.normalize()
-		scn, wl, cfg, err := req.build()
-		if err != nil {
-			return fmt.Errorf("recover %s: %v", id, err)
-		}
+		scn, wl, cfg, err := req.prepare()
 		s.mu.Lock()
 		ru := s.register(id, req)
 		s.mu.Unlock()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "xchain-serve: %s: retiring invalid persisted request: %v\n", id, err)
+			s.fail(ru, err)
+			continue
+		}
 		cfg = s.runConfig(ru, cfg)
 		// A corrupt or torn checkpoint is rejected by its checksum; the run
 		// then redoes the whole workload, which is safe (same Result).

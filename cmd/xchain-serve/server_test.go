@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/traffic"
 )
 
@@ -450,8 +452,7 @@ func TestServeCheckpointRecovery(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	req.normalize()
-	scn, wl, cfg, err := req.build()
+	scn, wl, cfg, err := req.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,6 +489,150 @@ func TestServeCheckpointRecovery(t *testing.T) {
 	srv3.mu.Unlock()
 	if adopted != 0 {
 		t.Errorf("third server adopted %d retired runs", adopted)
+	}
+}
+
+// TestServeRejectsOversizedRun is the regression test for a request that
+// killed the server: {"payments": 1099511627776} was accepted (202, and
+// persisted under -state-dir), then the run's per-payment table exhausted
+// memory — unrecoverably, and again on every restart. Sizes are bounded
+// before anything is registered or persisted, and a persisted request that
+// no longer passes is retired as failed rather than executed.
+func TestServeRejectsOversizedRun(t *testing.T) {
+	dir := t.TempDir()
+	opts := serverOptions{stateDir: dir, maxRuns: 2}
+	srv := newServerWith(opts)
+	if err := srv.recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"escrows":2,"payments":1099511627776,"crypto":"hmac"}`,
+		fmt.Sprintf(`{"payments":%d}`, maxKeepPayments+1),
+		fmt.Sprintf(`{"payments":%d,"stream":true}`, maxStreamPayments+1),
+		`{"payments":-5}`,
+		fmt.Sprintf(`{"escrows":%d,"payments":10}`, maxEscrows+1),
+		`{"escrows":-1,"payments":10}`,
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || v["error"] == "" {
+			t.Errorf("POST %s = %d %v (decode: %v), want 400 with a JSON error", body, resp.StatusCode, v, err)
+		}
+	}
+	var list struct {
+		Runs []map[string]any `json:"runs"`
+	}
+	if get(t, ts, "/runs", &list); len(list.Runs) != 0 {
+		t.Errorf("%d runs registered by rejected requests", len(list.Runs))
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Errorf("rejected requests left state behind: %v", files)
+	}
+	if code := get(t, ts, "/healthz", nil); code != http.StatusOK {
+		t.Errorf("/healthz = %d after the rejections", code)
+	}
+	// The larger ceiling is for aggregate-only runs (checked without running
+	// a million payments).
+	if _, _, _, err := (&runRequest{Payments: maxKeepPayments + 1, Stream: true}).prepare(); err != nil {
+		t.Errorf("aggregate-only request over the keep-mode ceiling rejected: %v", err)
+	}
+
+	// What an earlier build accepted and persisted is not run on restart.
+	planted := filepath.Join(dir, "run-0007.req.json")
+	if err := os.WriteFile(planted, []byte(`{"escrows":2,"payments":1099511627776,"crypto":"hmac"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := newServerWith(opts)
+	if err := srv2.recover(); err != nil {
+		t.Fatalf("recover over an oversized request: %v", err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	v := waitDone(t, ts2, "run-0007")
+	if v["status"] != "failed" || !strings.Contains(fmt.Sprint(v["error"]), "payments") {
+		t.Fatalf("oversized persisted request ended %v: %v", v["status"], v["error"])
+	}
+	if p := v["progress"].(map[string]any); p["generated"] != float64(0) {
+		t.Errorf("oversized persisted request ran: %v", p)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "run-0007.done.json")); err != nil {
+		t.Errorf("oversized persisted request not retired: %v", err)
+	}
+	srv2.mu.Lock()
+	active := srv2.active
+	srv2.mu.Unlock()
+	if active != 0 {
+		t.Errorf("retired request still holds %d execution slots", active)
+	}
+	id := post(t, ts2, `{"payments": 10, "crypto": "hmac"}`)
+	if id != "run-0008" {
+		t.Errorf("run after the retired request got ID %s, want run-0008", id)
+	}
+	waitDone(t, ts2, id)
+}
+
+// TestServeRecoversFromMalformedCheckpoint plants a checkpoint whose
+// envelope checksum holds but whose content the run could not have written
+// (a flight routed outside the chain — it used to panic the run goroutine,
+// and with it the process). Recovery must treat it like a torn file: redo
+// the run from scratch, to the same summary.
+func TestServeRecoversFromMalformedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"escrows": 3, "payments": 600, "rate": 3000, "stream": true, "crypto": "hmac"}`
+	var req runRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	scn, wl, cfg, err := req.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := traffic.RunWith(scn, wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "run-0001.ckpt")
+	icfg := cfg
+	icfg.InterruptAt, icfg.CheckpointPath = 300, ckpt
+	if _, err := traffic.RunWith(scn, wl, icfg); !errors.Is(err, traffic.ErrInterrupted) {
+		t.Fatalf("interrupted run returned %v", err)
+	}
+	sn, err := traffic.LoadSnapshot(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sn.Flights) == 0 {
+		t.Fatal("snapshot caught no payment in flight")
+	}
+	sn.Flights[0].Sender = 40
+	payload, err := json.Marshal(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Save(ckpt, traffic.SnapshotKind, sn.ConfigHash, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run-0001.req.json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newServerWith(serverOptions{stateDir: dir, ckptEvery: 250, maxRuns: 2})
+	if err := srv.recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	v := waitDone(t, ts, "run-0001")
+	if v["status"] != "done" || v["summary"] != ref.String() {
+		t.Fatalf("run over a malformed checkpoint ended %v (%v):\n%v\n-- want --\n%s", v["status"], v["error"], v["summary"], ref)
 	}
 }
 

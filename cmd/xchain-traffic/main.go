@@ -34,8 +34,10 @@
 //	-fault-outage 0s   per-connector outage window; 0 = faulty forever
 //	-manager-outage 0s weak-liveness manager outage window from -fault-from
 //	-workers 0         worker-pool size (0 = one per CPU; results identical)
-//	-stream            bounded-memory pipeline: peak memory independent of
-//	                   -payments (aggregates only; identical counts/rates)
+//	-stream            aggregate-only retention: per-payment records are
+//	                   dropped as they settle, so peak memory is independent
+//	                   of -payments (identical counts/rates, histogram
+//	                   percentiles; the run executes the same either way)
 //	-exemplars 10      payments kept as a reservoir sample with -stream
 //	-checkpoint ""     write a crash-safe checkpoint to this file (atomic
 //	                   write+rename; resume with -resume)
@@ -143,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		faultOutage = fs.Duration("fault-outage", 0, "per-connector outage window; 0 = faulty for the rest of the run")
 		mgrOutage   = fs.Duration("manager-outage", 0, "weak-liveness manager outage window starting at -fault-from")
 		workers     = fs.Int("workers", 0, "worker-pool size (0 = one per CPU)")
-		stream      = fs.Bool("stream", false, "bounded-memory streaming pipeline (aggregates only)")
+		stream      = fs.Bool("stream", false, "aggregate-only retention: drop per-payment records as they settle (flat memory, histogram percentiles)")
 		exemplars   = fs.Int("exemplars", 10, "payments kept as a reservoir sample with -stream")
 		ckptPath    = fs.String("checkpoint", "", "write a crash-safe checkpoint to this file (resume with -resume)")
 		ckptEvery   = fs.Int("checkpoint-every", 0, "write the checkpoint every N admitted payments (requires -checkpoint)")

@@ -54,11 +54,11 @@ func TestRunStreaming(t *testing.T) {
 	if got := strings.Count(out.String(), "arrive="); got != 4 {
 		t.Errorf("-v with -stream printed %d exemplar rows, want 4:\n%s", got, out.String())
 	}
-	// Aggregates match the materialised run exactly (percentiles excepted,
-	// which the histogram estimates; compare the outcome line only).
+	// Aggregates match the run that keeps every record exactly (percentiles
+	// excepted, which the histogram estimates; compare the outcome line only).
 	var matOut, matErr strings.Builder
 	if code := run([]string{"-n", "2", "-payments", "500", "-rate", "2000"}, &matOut, &matErr); code != 0 {
-		t.Fatalf("materialised run failed: %s", matErr.String())
+		t.Fatalf("run without -stream failed: %s", matErr.String())
 	}
 	outcome := func(s string) string {
 		for _, line := range strings.Split(s, "\n") {

@@ -156,16 +156,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment and returns the tables in order.
-func RunAll(cfg Config) []*Table {
-	exps := All()
-	out := make([]*Table, len(exps))
-	for i, e := range exps {
-		out[i] = e.Run(cfg)
-	}
-	return out
-}
-
 // runJob is one scenario execution request used by the parallel sweep
 // helper.
 type runJob struct {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -95,13 +94,5 @@ func (s Scenario) Muted() Scenario {
 // authentication primitive, so verdicts never depend on the choice.
 func (s Scenario) WithCrypto(backend string) Scenario {
 	s.Crypto = backend
-	return s
-}
-
-// WithMetrics returns a copy of the scenario that streams live counters into
-// r (nil detaches instrumentation). Observation only: the run's results are
-// identical either way.
-func (s Scenario) WithMetrics(r *metrics.Registry) Scenario {
-	s.Metrics = r
 	return s
 }

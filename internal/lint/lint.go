@@ -3,8 +3,8 @@
 // repository leans on.
 //
 //   - Determinism. A run is a pure function of its scenario and seed —
-//     byte-identical across worker counts, streaming/materialised modes and
-//     crypto backends. The equivalence suites check this dynamically, but
+//     byte-identical across worker counts, retention policies and crypto
+//     backends. The equivalence suites check this dynamically, but
 //     only for code paths that happen to fire; the wallclock, maprange and
 //     globalrand analyzers rule out the three mechanical ways Go code breaks
 //     the contract (reading the wall clock, iterating a map where order

@@ -215,8 +215,8 @@ func Run(sp Spec) *Outcome {
 // is the aggregate form of the theorems — zero safety-property failures for
 // honest parties at any load and any attacker fraction, every ledger audit
 // and the refund-cascade accounting clean, no lock left unsettled — plus the
-// engine's own determinism contract: a streaming multi-worker run must be
-// byte-identical to the serial materialised run.
+// engine's own determinism contract: a four-worker rerun must be
+// byte-identical to the one-worker run (scheduling never reaches a Result).
 func runTraffic(sp Spec, out *Outcome) {
 	s, err := sp.Scenario()
 	if err != nil {
@@ -228,54 +228,54 @@ func runTraffic(sp Spec, out *Outcome) {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
-	mat, err := traffic.RunWith(s, w, traffic.Config{Workers: 1})
+	res, err := traffic.RunWith(s, w, traffic.Config{Workers: 1})
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
 	out.Protocol = "traffic"
-	out.BobPaid = mat.Succeeded > 0
-	out.Duration = mat.Makespan
-	out.Events = mat.SubEventsFired + mat.TimelineEvents
-	out.TraceLen = mat.Total
-	out.TrafficFaulted = mat.FaultedPayments
-	out.TrafficFailed = mat.Failed + mat.Dropped + mat.Rejected + mat.Errored
+	out.BobPaid = res.Succeeded > 0
+	out.Duration = res.Makespan
+	out.Events = res.SubEventsFired + res.TimelineEvents
+	out.TraceLen = res.Total
+	out.TrafficFaulted = res.FaultedPayments
+	out.TrafficFailed = res.Failed + res.Dropped + res.Rejected + res.Errored
 
-	if mat.SafetyViolations > 0 {
-		detail := fmt.Sprintf("%d safety-property failures for honest parties", mat.SafetyViolations)
-		if len(mat.SafetySample) > 0 {
-			detail += ": " + mat.SafetySample[0]
+	if res.SafetyViolations > 0 {
+		detail := fmt.Sprintf("%d safety-property failures for honest parties", res.SafetyViolations)
+		if len(res.SafetySample) > 0 {
+			detail += ": " + res.SafetySample[0]
 		}
 		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: detail})
 	}
-	if mat.AuditErr != nil {
-		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: "ledger audit: " + mat.AuditErr.Error()})
+	if res.AuditErr != nil {
+		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: "ledger audit: " + res.AuditErr.Error()})
 	}
-	if mat.CascadeErr != nil {
-		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: "refund cascade: " + mat.CascadeErr.Error()})
+	if res.CascadeErr != nil {
+		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: "refund cascade: " + res.CascadeErr.Error()})
 	}
-	if mat.PendingLocks != 0 {
-		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: fmt.Sprintf("%d locks never settled", mat.PendingLocks)})
+	if res.PendingLocks != 0 {
+		out.Violations = append(out.Violations, Violation{Kind: KindTraffic, Detail: fmt.Sprintf("%d locks never settled", res.PendingLocks)})
 	}
-	if out.Class == ClassConforming && sp.Traffic.Liquidity == 0 && mat.Succeeded != mat.Total {
+	if out.Class == ClassConforming && sp.Traffic.Liquidity == 0 && res.Succeeded != res.Total {
 		out.Violations = append(out.Violations, Violation{
 			Kind:   KindTraffic,
-			Detail: fmt.Sprintf("honest traffic with auto-sized liquidity settled %d of %d payments", mat.Succeeded, mat.Total),
+			Detail: fmt.Sprintf("honest traffic with auto-sized liquidity settled %d of %d payments", res.Succeeded, res.Total),
 		})
 	}
-	str, err := traffic.RunWith(s, w, traffic.Config{Workers: 4, Stream: true, KeepPayments: true})
+	pooled, err := traffic.RunWith(s, w, traffic.Config{Workers: 4})
 	if err != nil {
-		out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "streaming rerun errored: " + err.Error()})
+		out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "4-worker rerun errored: " + err.Error()})
 		return
 	}
-	if mat.String() != str.String() {
+	if res.String() != pooled.String() {
 		out.Violations = append(out.Violations, Violation{
 			Kind:   KindDeterminism,
-			Detail: "streaming 4-worker run diverged from the serial materialised run",
+			Detail: "4-worker run diverged from the 1-worker run",
 		})
 	}
 	if at := sp.Traffic.CheckpointAt; at > 0 && at < w.Payments {
-		checkCheckpoint(s, w, mat.String(), at, out)
+		checkCheckpoint(s, w, res.String(), at, out)
 	}
 }
 

@@ -124,8 +124,8 @@ func (t TimingSpec) Timing() core.Timing {
 // TrafficSpec parametrises a FamTraffic scenario: the offered payment
 // population and the Byzantine fault plan it runs under. Like everything else
 // in a Spec it is fully serialisable; the traffic engine's determinism
-// contract (byte-identical results across worker counts and streaming versus
-// materialised execution) makes the whole run a pure function of the Spec.
+// contract (byte-identical results across worker counts and retention
+// policies) makes the whole run a pure function of the Spec.
 type TrafficSpec struct {
 	// Payments is the population size; Rate the Poisson arrival rate per
 	// simulated second.

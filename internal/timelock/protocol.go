@@ -106,11 +106,3 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 	_, fired := env.eng.Run(w.MaxEvents())
 	return env.collect(p.Name(), source, fired), nil
 }
-
-// TerminationBound returns the a-priori real-time bound of Theorem 1 for the
-// scenario: every customer who abides by the protocol and makes a payment or
-// issues a certificate terminates by this time, provided her escrows abide.
-func (p *Protocol) TerminationBound(s core.Scenario) core.RunResult {
-	// Convenience wrapper kept minimal; the bound itself lives in Params.
-	return core.RunResult{Duration: p.ParamsFor(s).Bound}
-}

@@ -42,6 +42,13 @@ const SnapshotKind = "traffic-run"
 // resume from.
 var ErrInterrupted = errors.New("traffic: run interrupted before completion")
 
+// ErrBadSnapshot is returned (wrapped) by RunWith when Config.Resume holds a
+// snapshot that carries this run's fingerprint but could not have been
+// written by it: a route outside the chain, a queue entry that is no queued
+// flight, a ledger the chain does not have. Nothing has been restored when
+// it is returned, so redoing the run from payment 0 is always safe.
+var ErrBadSnapshot = errors.New("traffic: malformed snapshot")
+
 // Control lets another goroutine ask a running traffic run to stop at its
 // next arrival boundary (writing a final checkpoint when configured). All
 // methods are safe on a nil receiver and across goroutines.
@@ -291,6 +298,83 @@ func LoadSnapshot(path string) (*RunSnapshot, error) {
 		return nil, fmt.Errorf("traffic: snapshot %s: envelope and payload disagree on the config hash", path)
 	}
 	return &sn, nil
+}
+
+// validate checks, before anything is restored, that sn is a state this run
+// (chain escrows, payments payments, this retention) could have captured, so
+// that restoring it and running on cannot index out of range, miss a ledger
+// or loop on a corrupt queue. Every failure wraps ErrBadSnapshot.
+func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
+	}
+	if sn.NextIndex < 0 || sn.NextIndex > payments {
+		return bad("resumes at payment %d of %d", sn.NextIndex, payments)
+	}
+	if len(sn.Ledgers) != chain {
+		return bad("holds %d ledgers, topology has %d escrows", len(sn.Ledgers), chain)
+	}
+	names := map[string]bool{}
+	for _, l := range sn.Ledgers {
+		names[l.Name] = true
+	}
+	for i := 0; i < chain; i++ {
+		if !names[core.EscrowID(i)] {
+			return bad("holds no ledger %s", core.EscrowID(i))
+		}
+	}
+	queued := map[int]bool{} // index -> waiting, not yet listed in Queue
+	last := -1
+	for i := range sn.Flights {
+		f := &sn.Flights[i]
+		if f.Index <= last || f.Index >= sn.NextIndex {
+			return bad("flight %d: index %d out of order or not below %d", i, f.Index, sn.NextIndex)
+		}
+		last = f.Index
+		if f.Sender < 0 || f.Sender >= f.Receiver || f.Receiver > chain {
+			return bad("flight %d: route c%d -> c%d outside the chain", f.Index, f.Sender, f.Receiver)
+		}
+		if len(f.Amounts) != f.Receiver-f.Sender {
+			return bad("flight %d: %d amounts for %d hops", f.Index, len(f.Amounts), f.Receiver-f.Sender)
+		}
+		if f.InQueue {
+			queued[f.Index] = true
+		}
+	}
+	for _, idx := range sn.Queue {
+		if !queued[idx] {
+			return bad("queue lists payment %d, which is not a queued flight (or is listed twice)", idx)
+		}
+		delete(queued, idx)
+	}
+	if len(queued) != 0 {
+		return bad("%d queued flights are missing from the queue order", len(queued))
+	}
+	if !keep && len(sn.Settled) != 0 {
+		return bad("holds %d per-payment records, the run keeps none", len(sn.Settled))
+	}
+	for _, sp := range sn.Settled {
+		if sp.Index < 0 || sp.Index >= sn.NextIndex {
+			return bad("settled record index %d not below %d", sp.Index, sn.NextIndex)
+		}
+	}
+	agg := &sn.Agg
+	if agg.LatCount < 0 || agg.ResSeen < 0 || agg.ResSeen > sn.NextIndex {
+		return bad("aggregator counts %d latencies and %d reservoir draws at payment %d", agg.LatCount, agg.ResSeen, sn.NextIndex)
+	}
+	if !keep && exemplars > 0 && len(agg.Reservoir) != min(agg.ResSeen, exemplars) {
+		return bad("reservoir holds %d of %d exemplars after %d draws", len(agg.Reservoir), exemplars, agg.ResSeen)
+	}
+	if h := agg.Hist; h != nil {
+		total := h.Underflow
+		for _, c := range h.Counts {
+			total += c
+		}
+		if keep || total != h.N || h.N != uint64(agg.LatCount) {
+			return bad("latency histogram of %d observations in buckets summing to %d, for %d latencies", h.N, total, agg.LatCount)
+		}
+	}
+	return nil
 }
 
 // checkpointer drives snapshot writes and interruption at arrival
@@ -544,8 +628,9 @@ func (fs *FlightState) toFlight() *flight {
 // restore rebuilds the timeline mid-run from a snapshot: partial counters,
 // live flights with their pending timers re-attached at their original heap
 // coordinates, the admission queue in order, the pending Byzantine marks,
-// and finally the engine clock. The book must already be restored.
-func (t *timeline) restore(sn *RunSnapshot, keep bool) error {
+// and finally the engine clock. The book must already be restored and sn
+// validated.
+func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 	if t.plan != nil {
 		for _, name := range t.book.Names() {
 			t.byzLedgers = append(t.byzLedgers, t.book.MustGet(name))
@@ -558,13 +643,11 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) error {
 
 	sn.Partial.apply(t.res)
 
-	queued := 0
 	for i := range sn.Flights {
 		fs := &sn.Flights[i]
 		f := fs.toFlight()
 		t.track[f.p.Index] = f
 		if fs.InQueue {
-			queued++
 			f.expiry = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "expire:"+f.p.ID, t.expireAction(f))
 		} else {
 			f.settle = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "settle:"+f.p.ID, t.settleAction(f))
@@ -572,15 +655,8 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) error {
 		}
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
-	if queued != len(sn.Queue) {
-		return fmt.Errorf("traffic: snapshot queue order lists %d payments, flights mark %d as queued", len(sn.Queue), queued)
-	}
 	for _, idx := range sn.Queue {
-		f, ok := t.track[idx]
-		if !ok {
-			return fmt.Errorf("traffic: snapshot queue references unknown payment index %d", idx)
-		}
-		t.enqueue(f)
+		t.enqueue(t.track[idx])
 	}
 	for _, mk := range sn.Marks {
 		mk := mk
@@ -590,9 +666,6 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) error {
 		t.markTimers = append(t.markTimers, markTimer{index: mk.Index, on: mk.On, tm: tm})
 	}
 	for _, sp := range sn.Settled {
-		if sp.Index < 0 || sp.Index >= len(t.res.Payments) {
-			return fmt.Errorf("traffic: snapshot settled record index %d out of range", sp.Index)
-		}
 		t.res.Payments[sp.Index] = sp.PR
 		if keep && sp.PR.Status == StatusOK {
 			t.agg.latSample.Add(sp.PR.Latency().Millis())
@@ -600,17 +673,12 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) error {
 	}
 	t.eng.RestoreClock(sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled)
 	t.observeByzHeld()
-	return nil
 }
 
-// restoreBook rebuilds the traffic liquidity book from a snapshot's ledger
-// captures, re-attaching the per-ledger liquidity gauges and syncing them to
-// the restored totals.
-func restoreBook(s core.Scenario, sn *RunSnapshot) (*ledger.Book, error) {
-	if len(sn.Ledgers) != s.Topology.N {
-		return nil, fmt.Errorf("traffic: snapshot holds %d ledgers, topology has %d escrows",
-			len(sn.Ledgers), s.Topology.N)
-	}
+// restoreBook rebuilds the traffic liquidity book from a validated
+// snapshot's ledger captures, re-attaching the per-ledger liquidity gauges
+// and syncing them to the restored totals.
+func restoreBook(s core.Scenario, sn *RunSnapshot) *ledger.Book {
 	book := ledger.NewBook()
 	lm := ledger.MetricsFrom(s.Metrics, "traffic")
 	for _, st := range sn.Ledgers {
@@ -618,5 +686,5 @@ func restoreBook(s core.Scenario, sn *RunSnapshot) (*ledger.Book, error) {
 		wireLiquidityGauges(s, lm, l)
 		book.Add(l)
 	}
-	return book, nil
+	return book
 }

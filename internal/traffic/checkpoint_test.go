@@ -67,8 +67,9 @@ func assertSameRun(t *testing.T, ref, got *Result) {
 // TestCheckpointEquivalence is the subsystem's oracle: a run interrupted at
 // an adversarially chosen payment count and resumed from its snapshot must
 // produce a Result byte-identical to the uninterrupted run — across worker
-// counts, streaming and materialised modes, honest and Byzantine plans,
-// liquidity-bounded queues and exemplar reservoirs. Interrupt points are
+// counts, honest and Byzantine plans, liquidity-bounded queues and exemplar
+// reservoirs (TestExecutionLattice's resume columns cover the retention
+// policies on every lattice input). Interrupt points are
 // chosen to land mid-chunk (517 is inside the second pipeline chunk), at the
 // very first boundary, and one payment before the end.
 func TestCheckpointEquivalence(t *testing.T) {
@@ -89,16 +90,6 @@ func TestCheckpointEquivalence(t *testing.T) {
 				assertSameRun(t, ref, got)
 			}
 		}
-	})
-
-	t.Run("honest-materialised", func(t *testing.T) {
-		cfg := Config{Workers: 2, Crypto: "hmac"}
-		ref, err := RunWith(s, base, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := resumeAfterInterrupt(t, s, base, cfg, 613)
-		assertSameRun(t, ref, got)
 	})
 
 	t.Run("queue-expiry", func(t *testing.T) {

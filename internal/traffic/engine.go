@@ -17,9 +17,9 @@ import (
 	"repro/internal/weaklive"
 )
 
-// Config tunes how a traffic run executes; it never changes what the run
-// computes (aggregate results are identical for every worker count and for
-// streaming versus materialised execution).
+// Config tunes how a traffic run is scheduled, what it retains and what
+// observes it; it never changes what the run computes or how it executes
+// (aggregates are identical for every worker count and retention policy).
 type Config struct {
 	// Workers bounds the goroutines simulating individual payments. Zero
 	// means runtime.NumCPU(); 1 forces fully serial execution (useful as a
@@ -27,23 +27,20 @@ type Config struct {
 	Workers int
 	// Deprecated: ignored; there is one timeline.
 	Shards int
-	// Protocols overrides the protocol registry resolving Workload.Mix
-	// names. Nil uses DefaultProtocols.
-	Protocols map[string]core.Protocol
-	// Stream selects the bounded-memory pipeline: generation, per-payment
-	// simulation and the admission timeline run chunk by chunk, so peak
-	// memory is independent of Workload.Payments (it scales with the worker
-	// count and the number of payments simultaneously in flight, not with
-	// the population size). Aggregates are identical to a materialised run.
+	// Stream selects aggregate-only retention: per-payment records are
+	// dropped as they settle, so peak memory is independent of
+	// Workload.Payments (it scales with the worker count and the number of
+	// payments simultaneously in flight) and the latency percentiles come
+	// from a log-bucketed histogram. It decides what is retained, never how
+	// the run executes.
 	Stream bool
-	// KeepPayments controls whether Result.Payments holds every per-payment
-	// record. Materialised runs (Stream=false) always keep them; streaming
-	// runs drop them by default — retaining streaming aggregates only — and
-	// keep them when this is set (useful to prove mode equivalence, at the
-	// cost of O(Payments) memory).
+	// KeepPayments overrides Stream's retention: Result.Payments holds every
+	// per-payment record (as it always does without Stream) and percentiles
+	// are exact order statistics, at the cost of one PaymentResult per
+	// payment.
 	KeepPayments bool
-	// Exemplars, in a streaming run that drops per-payment records, retains
-	// a deterministic reservoir sample of this many payments in
+	// Exemplars, in a run that drops per-payment records, retains a
+	// deterministic reservoir sample of this many payments in
 	// Result.Exemplars so the CLI can still show concrete payments.
 	Exemplars int
 	// Crypto names the signature backend every payment's protocol run uses
@@ -71,8 +68,8 @@ type Config struct {
 	CheckpointPath string
 	// Resume, when non-nil, resumes the run from the snapshot instead of
 	// starting at payment 0. The snapshot's configuration fingerprint must
-	// match this run's (scenario, workload, mode) exactly — RunWith returns
-	// a *ConfigMismatchError otherwise. The resumed run's Result is
+	// match this run's (scenario, workload, retention) exactly — RunWith
+	// returns a *ConfigMismatchError otherwise. The resumed run's Result is
 	// byte-identical to an uninterrupted run (TestCheckpointEquivalence).
 	Resume *RunSnapshot
 	// InterruptAt, when > 0, stops the run just before admitting payment
@@ -103,17 +100,34 @@ func (c Config) checkpointing() bool {
 		c.InterruptAt > 0 || c.Control != nil
 }
 
-// DefaultProtocols returns the built-in protocol registry for workload
-// mixes. Each instance is stateless across runs and safe to share between
-// worker goroutines (Run derives all per-run state from the scenario).
-func DefaultProtocols() map[string]core.Protocol {
-	return map[string]core.Protocol{
+// chainProtocol is what every built-in mix entry offers: besides Run, a run
+// in a world its caller owns and reuses (the worker's standing world).
+type chainProtocol interface {
+	core.Protocol
+	RunIn(w *core.World, s core.Scenario) (*core.RunResult, error)
+}
+
+// builtinProtocols is the registry resolving Workload.Mix names. Each
+// instance is stateless across runs and safe to share between worker
+// goroutines (a run derives all per-run state from the scenario).
+func builtinProtocols() map[string]chainProtocol {
+	return map[string]chainProtocol{
 		"timelock":           timelock.New(),
 		"timelock-naive":     timelock.NewNaive(),
 		"weaklive":           weaklive.New(),
 		"weaklive-committee": weaklive.NewCommittee(4),
 		"htlc":               htlc.New(),
 	}
+}
+
+// DefaultProtocols returns the built-in protocol registry for workload
+// mixes: the names a Workload.Mix may use and the protocol each runs.
+func DefaultProtocols() map[string]core.Protocol {
+	out := map[string]core.Protocol{}
+	for name, p := range builtinProtocols() {
+		out[name] = p
+	}
+	return out
 }
 
 // subOutcome is the precomputed result of one payment's own protocol run.
@@ -133,19 +147,12 @@ type subOutcome struct {
 	safety []string
 }
 
-// worldRunner is a protocol that can run in a world its caller owns and
-// reuses; the built-in chain protocols all can.
-type worldRunner interface {
-	RunIn(w *core.World, s core.Scenario) (*core.RunResult, error)
-}
-
 // simulateOne runs one payment's protocol simulation and evaluates the
 // theorem-shaped safety checkers on its result; a pure function of
-// (base scenario, compiled plan, payment, registry). The run executes in w,
-// the calling worker's standing world, when the protocol can (a custom
-// registry entry that cannot gets a world of its own from Run); the result
-// is consumed here, before w's next Reset, and nothing of it escapes.
-func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
+// (base scenario, compiled plan, payment). The run executes in w, the
+// calling worker's standing world; the result is consumed here, before w's
+// next Reset, and nothing of it escapes.
+func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payment, registry map[string]chainProtocol) subOutcome {
 	sub := subScenario(base, plan, p)
 	proto := registry[p.Protocol]
 	_, manager := proto.(*weaklive.Protocol)
@@ -155,13 +162,7 @@ func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payme
 		}
 	}
 	byz := len(sub.Faults) > 0
-	var r *core.RunResult
-	var err error
-	if wr, ok := proto.(worldRunner); ok {
-		r, err = wr.RunIn(w, sub)
-	} else {
-		r, err = proto.Run(sub)
-	}
+	r, err := proto.RunIn(w, sub)
 	if err != nil {
 		return subOutcome{err: err, byz: byz}
 	}
@@ -221,37 +222,36 @@ func safetyOwed(prop core.Property, proto core.Protocol, sub core.Scenario, byz 
 }
 
 // Run executes the workload against the scenario's chain with the default
-// configuration (one worker per CPU, materialised).
+// configuration (one worker per CPU, every per-payment record kept).
 func Run(s core.Scenario, w Workload) (*Result, error) {
 	return RunWith(s, w, Config{})
 }
 
 // RunWith executes the workload against the scenario's chain.
 //
-// The execution has three deterministic stages:
+// The execution has three deterministic stages, run as one bounded pipeline:
 //
 //  1. Generation: the payment population (arrivals, routes, sizes,
-//     protocols, private seeds) is derived from (Scenario.Seed, Workload).
+//     protocols, private seeds) is derived from (Scenario.Seed, Workload),
+//     in fixed-size chunks.
 //  2. Simulation: every payment's protocol run executes on the existing
-//     single-run sim engine. Each run is a pure function of its
-//     sub-scenario, so this stage fans out across the worker pool without
-//     affecting results.
-//  3. Admission timeline: a discrete-event simulation replays the arrivals
-//     against the shared escrow chain. Admission reserves each hop's amount
-//     as an escrow lock on the traffic ledger of that hop (payments with
-//     exhausted hops queue or fail), and settlement — at the virtual time
-//     the payment's own run finished — releases the locks downstream on
-//     success or refunds them on failure.
+//     single-run sim engine, in its worker's standing world. Each run is a
+//     pure function of its sub-scenario, so the worker pool simulates chunks
+//     as they appear without affecting results.
+//  3. Admission timeline: a discrete-event simulation consumes the
+//     sub-outcomes in arrival order with bounded lookahead, against the
+//     shared escrow chain. Admission reserves each hop's amount as an escrow
+//     lock on the traffic ledger of that hop (payments with exhausted hops
+//     queue or fail), and settlement — at the virtual time the payment's
+//     own run finished — releases the locks downstream on success or
+//     refunds them on failure; each payment's fate is aggregated the moment
+//     it settles.
 //
-// With Config.Stream the three stages run as a bounded pipeline: the
-// generator produces fixed-size chunks, the worker pool simulates chunks as
-// they appear, and the timeline consumes sub-outcomes in arrival order with
-// bounded lookahead, aggregating each payment's fate the moment it settles.
-// Without it, stages run to completion one after another (the reference
-// path). Both paths feed the identical timeline in the identical order, so
-// for the same inputs every aggregate — counts, rates, exact latency mean
-// and max, volume, ledger audits — is byte-identical across modes and
-// worker counts; only the latency percentiles differ when per-payment
+// Every run executes this way; Config.Stream and Config.KeepPayments only
+// decide whether the per-payment records are kept once aggregated. For the
+// same inputs every aggregate — counts, rates, exact latency mean and max,
+// volume, ledger audits — is byte-identical across worker counts and
+// retention policies; only the latency percentiles differ when per-payment
 // records are dropped (log-bucketed histogram estimates, ≤1% relative
 // error, see stats.Histogram).
 //
@@ -274,23 +274,13 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	if err := w.Validate(s.Topology); err != nil {
 		return nil, err
 	}
-	registry := cfg.Protocols
-	if registry == nil {
-		registry = DefaultProtocols()
-	}
-	// Every generated payment's protocol comes from the mix (or the default
-	// "timelock"), so validating the mix names validates the population
-	// without materialising it.
-	names := []string{"timelock"}
-	if len(w.Mix) > 0 {
-		names = names[:0]
-		for _, m := range w.Mix {
-			names = append(names, m.Name)
-		}
-	}
-	for _, name := range names {
-		if _, ok := registry[name]; !ok {
-			return nil, fmt.Errorf("traffic: workload mixes unknown protocol %q", name)
+	registry := builtinProtocols()
+	// Every generated payment's protocol comes from the mix (or is the
+	// built-in default "timelock"), so validating the mix names validates
+	// the population without generating it.
+	for _, m := range w.Mix {
+		if _, ok := registry[m.Name]; !ok {
+			return nil, fmt.Errorf("traffic: workload mixes unknown protocol %q", m.Name)
 		}
 	}
 
@@ -313,9 +303,6 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 		Workload:            w,
 		ByzantineConnectors: plan.connectors(),
 	}
-	if cfg.keep() {
-		res.Payments = make([]PaymentResult, w.Payments)
-	}
 
 	// Checkpoint/resume wiring: fingerprint the run, reject a foreign
 	// snapshot, and build the boundary driver.
@@ -324,6 +311,10 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("traffic: CheckpointEvery requires CheckpointPath")
+	}
+	exemplars := 0
+	if !cfg.keep() {
+		exemplars = cfg.Exemplars
 	}
 	var ck *checkpointer
 	resume := cfg.Resume
@@ -337,8 +328,8 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 			if resume.ConfigHash != hash {
 				return nil, &ConfigMismatchError{SnapshotHash: resume.ConfigHash, RunHash: hash, Config: resume.Config}
 			}
-			if resume.NextIndex < 0 || resume.NextIndex > w.Payments {
-				return nil, fmt.Errorf("traffic: snapshot resumes at payment %d of %d", resume.NextIndex, w.Payments)
+			if err := resume.validate(s.Topology.N, w.Payments, cfg.keep(), exemplars); err != nil {
+				return nil, err
 			}
 			skip = resume.NextIndex
 		}
@@ -353,44 +344,24 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 		}
 	}
 
-	var demand map[string]map[string]int64
-	var src paymentSource
-	if cfg.Stream {
-		if w.Liquidity <= 0 && resume == nil {
-			// Auto-sizing needs the whole population's worst-case demand; a
-			// dedicated generator pass computes it in O(topology) memory.
-			// Resumed runs restore the already-endowed book instead.
-			demand = w.demand(s)
-		}
-		src = newStreamSource(s, w, plan, registry, cfg.workers(), rm, skip)
-	} else {
-		payments := w.generate(s)[skip:]
-		rm.Generated.Add(uint64(len(payments)))
-		if w.Liquidity <= 0 && resume == nil {
-			demand = demandOf(payments)
-		}
-		subs := simulatePayments(s, plan, payments, registry, cfg.workers(), rm)
-		src = &sliceSource{pays: payments, subs: subs}
-	}
-	if ss, ok := src.(*streamSource); ok {
-		// An interrupted run leaves the pipeline mid-stream; closing it
-		// releases the producer and worker goroutines.
-		defer ss.close()
-	}
-
-	exemplars := 0
-	if !cfg.keep() {
-		exemplars = cfg.Exemplars
+	if cfg.keep() {
+		res.Payments = make([]PaymentResult, w.Payments)
 	}
 	if resume != nil {
-		book, err := restoreBook(s, resume)
-		if err != nil {
-			return nil, err
-		}
-		res.Book = book
+		res.Book = restoreBook(s, resume)
 	} else {
+		var demand map[string]map[string]int64
+		if w.Liquidity <= 0 {
+			// Auto-sizing needs the whole population's worst-case demand; a
+			// dedicated generator pass computes it in O(topology) memory.
+			demand = w.demand(s)
+		}
 		res.Book = newLiquidityBook(s, w, demand)
 	}
+	src := newStreamSource(s, w, plan, registry, cfg.workers(), rm, skip)
+	// An interrupted run leaves the pipeline mid-stream; closing it releases
+	// the producer and worker goroutines.
+	defer src.close()
 	if err := executeTimeline(res, src, w, plan, cfg.keep(), exemplars, s.Metrics, rm, ck, resume); err != nil {
 		return nil, err
 	}
@@ -427,9 +398,7 @@ func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledP
 	}
 	tl.eng.SetMetrics(em)
 	if snap != nil {
-		if err := tl.restore(snap, keep); err != nil {
-			return err
-		}
+		tl.restore(snap, keep)
 	} else {
 		tl.scheduleMarks()
 	}
@@ -447,25 +416,10 @@ func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledP
 }
 
 // paymentSource yields the payment population in arrival (= index) order,
-// each paired with its precomputed protocol sub-outcome.
+// each paired with its precomputed protocol sub-outcome: the pipeline in
+// every run, a slice in the tests' serial reference.
 type paymentSource interface {
 	next() (*payment, subOutcome, bool)
-}
-
-// sliceSource feeds a fully materialised population.
-type sliceSource struct {
-	pays []*payment
-	subs []subOutcome
-	i    int
-}
-
-func (s *sliceSource) next() (*payment, subOutcome, bool) {
-	if s.i >= len(s.pays) {
-		return nil, subOutcome{}, false
-	}
-	p, sub := s.pays[s.i], s.subs[s.i]
-	s.i++
-	return p, sub, true
 }
 
 // chunkSize is the number of payments a pipeline chunk carries. Large
@@ -481,13 +435,14 @@ type chunk struct {
 	done chan struct{}
 }
 
-// streamSource is the bounded three-stage pipeline. A producer goroutine
-// generates chunks serially (the RNG stream is inherently sequential) and
-// hands each to the worker pool and, in order, to the consumer; workers
-// simulate whole chunks; the consumer blocks until the next in-order chunk
-// is simulated. The ordered channel's capacity bounds how many chunks exist
-// at once, so memory is O(workers·chunkSize) plus whatever is in flight in
-// the timeline — independent of the population size.
+// streamSource is the bounded three-stage pipeline every run executes. A
+// producer goroutine generates chunks serially (the RNG stream is inherently
+// sequential) and hands each to the worker pool and, in order, to the
+// consumer; workers simulate whole chunks; the consumer blocks until the
+// next in-order chunk is simulated. The ordered channel's capacity bounds
+// how many chunks exist at once, so memory is O(workers·chunkSize) plus
+// whatever is in flight in the timeline — independent of the population
+// size.
 type streamSource struct {
 	ordered <-chan *chunk
 	cur     *chunk
@@ -500,7 +455,7 @@ type streamSource struct {
 	stopOnce sync.Once
 }
 
-func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]core.Protocol, workers int, rm RunMetrics, skip int) *streamSource {
+func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]chainProtocol, workers int, rm RunMetrics, skip int) *streamSource {
 	depth := workers + 2
 	ordered := make(chan *chunk, depth)
 	work := make(chan *chunk, depth)
@@ -539,8 +494,11 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 	}()
 	for i := 0; i < workers; i++ {
 		go func() {
-			world := core.NewWorld()
+			var world *core.World // built on the first chunk: short runs use few
 			for c := range work {
+				if world == nil {
+					world = core.NewWorld()
+				}
 				for j, p := range c.pays {
 					c.subs[j] = simulateOne(world, s, plan, p, registry)
 					rm.Simulated.Inc()
@@ -574,19 +532,17 @@ func (s *streamSource) next() (*payment, subOutcome, bool) {
 	return p, sub, true
 }
 
-// forEachIndex runs fn(worker, idx) for every idx in [0, n) across a pool of
-// workers goroutines (serially when workers <= 1 or n is small); worker, in
-// [0, max(workers, 1)), names the goroutine making the call, so fn can keep
-// per-goroutine state in a slot of its own. fn writes into caller-owned,
-// index-disjoint slots, so results are ordered by index no matter which
-// worker finished first.
-func forEachIndex(n, workers int, fn func(worker, idx int)) {
+// forEachIndex runs fn(idx) for every idx in [0, n) across a pool of workers
+// goroutines (serially when workers <= 1 or n is small). fn writes into
+// caller-owned, index-disjoint slots, so results are ordered by index no
+// matter which worker finished first.
+func forEachIndex(n, workers int, fn func(idx int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for idx := 0; idx < n; idx++ {
-			fn(0, idx)
+			fn(idx)
 		}
 		return
 	}
@@ -597,7 +553,7 @@ func forEachIndex(n, workers int, fn func(worker, idx int)) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				fn(i, idx)
+				fn(idx)
 			}
 		}()
 	}
@@ -606,21 +562,6 @@ func forEachIndex(n, workers int, fn func(worker, idx int)) {
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// simulatePayments runs every payment's protocol simulation across a worker
-// pool. Result order is by payment index, independent of scheduling.
-func simulatePayments(base core.Scenario, plan *compiledPlan, payments []*payment, registry map[string]core.Protocol, workers int, rm RunMetrics) []subOutcome {
-	out := make([]subOutcome, len(payments))
-	worlds := make([]*core.World, max(workers, 1)) // one per pool goroutine, built on first use
-	forEachIndex(len(payments), workers, func(worker, idx int) {
-		if worlds[worker] == nil {
-			worlds[worker] = core.NewWorld()
-		}
-		out[idx] = simulateOne(worlds[worker], base, plan, payments[idx], registry)
-		rm.Simulated.Inc()
-	})
-	return out
 }
 
 // newLiquidityBook builds the traffic-level escrow book: one ledger per
@@ -815,7 +756,7 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 		_, fired := t.eng.RunBefore(p.Arrival, 0)
 		t.fired += fired
 		t.arrive(p, sub)
-		t.fired++ // the arrival itself, an event in the materialised sense
+		t.fired++ // the arrival itself counts as an event
 		if ck != nil {
 			if err := ck.boundary(t, p.Index+1); err != nil {
 				return err

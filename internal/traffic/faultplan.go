@@ -24,8 +24,8 @@ import (
 // The schedule is a pure function of (Scenario.Seed, FaultPlan): which
 // connectors are corrupted, with which behaviour, over which window, all
 // derive from a dedicated splitmix64 stream, so faulted runs stay
-// byte-identical across worker counts and across streaming versus
-// materialised execution — the same determinism contract honest traffic has.
+// byte-identical across worker counts and retention policies — the same
+// determinism contract honest traffic has.
 //
 // The zero value is the honest plan: no connector is ever corrupted.
 type FaultPlan struct {

@@ -1,9 +1,7 @@
 package traffic
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -61,51 +59,6 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Payments, b.Payments) {
 		t.Fatal("per-payment records differ across invocations")
-	}
-}
-
-// TestFaultedStreamingEquivalence is the PR 3 equivalence oracle under
-// Byzantine faults: a faulted workload must stay byte-identical — aggregates,
-// per-payment records and final book wealth — across worker counts
-// {1, 4, NumCPU} and across streaming versus materialised execution, and a
-// repeated pooled streaming run must reproduce itself (goroutine scheduling
-// never leaks into a Result). Runs under -race in CI's race job.
-func TestFaultedStreamingEquivalence(t *testing.T) {
-	for _, in := range []struct {
-		name    string
-		s       core.Scenario
-		w       Workload
-		repeats int // extra runs at Workers 4, Stream
-	}{
-		{"queued", core.NewScenario(8, 99), byzWorkload(400), 0},
-		{"bursty", burstyScenario(), burstyWorkload(true), 5},
-	} {
-		ref, err := RunWith(in.s, in.w, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.FaultedPayments == 0 || ref.PeakByzantineHeld == 0 {
-			t.Fatalf("%s: fault plan shows no Byzantine activity:\n%s", in.name, ref)
-		}
-		if ref.SafetyViolations != 0 {
-			t.Fatalf("%s: safety violated under faults:\n%s", in.name, ref)
-		}
-		var cfgs []Config
-		for _, workers := range []int{1, 4, runtime.NumCPU()} {
-			for _, stream := range []bool{false, true} {
-				cfgs = append(cfgs, Config{Workers: workers, Stream: stream, KeepPayments: true})
-			}
-		}
-		for i := 0; i < in.repeats; i++ {
-			cfgs = append(cfgs, Config{Workers: 4, Stream: true, KeepPayments: true})
-		}
-		for _, cfg := range cfgs {
-			got, err := RunWith(in.s, in.w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, fmt.Sprintf("%s: workers=%d stream=%v", in.name, cfg.Workers, cfg.Stream), got, ref)
-		}
 	}
 }
 

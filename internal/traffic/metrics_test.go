@@ -13,7 +13,8 @@ import (
 // TestMetricsResultEquivalence is the observability layer's core contract:
 // attaching a live metrics registry to a traffic run never changes what the
 // run computes. The rendered Result must be byte-identical with and without
-// instrumentation, serial and parallel, materialised and streaming.
+// instrumentation, serial and parallel (TestExecutionLattice's metrics
+// columns repeat the check on every lattice input and with records dropped).
 func TestMetricsResultEquivalence(t *testing.T) {
 	s := core.NewScenario(4, 99)
 	w := Workload{
@@ -24,28 +25,26 @@ func TestMetricsResultEquivalence(t *testing.T) {
 		RandomSubPaths: true,
 		Mix:            []ProtocolShare{{Name: "timelock", Weight: 2}, {Name: "htlc", Weight: 1}},
 	}
-	for _, stream := range []bool{false, true} {
-		var baseline string
-		for _, workers := range []int{1, 4} {
-			for _, instrumented := range []bool{false, true} {
-				cfg := Config{Workers: workers, Stream: stream}
-				if instrumented {
-					cfg.Metrics = metrics.NewRegistry()
-				}
-				res, err := RunWith(s, w, cfg)
-				if err != nil {
-					t.Fatalf("stream=%v workers=%d metrics=%v: %v", stream, workers, instrumented, err)
-				}
-				got := res.String()
-				if baseline == "" {
-					baseline = got
-				} else if got != baseline {
-					t.Fatalf("stream=%v workers=%d metrics=%v diverged:\n--- got ---\n%s\n--- want ---\n%s",
-						stream, workers, instrumented, got, baseline)
-				}
-				if instrumented {
-					checkRunCounters(t, cfg.Metrics, res)
-				}
+	var baseline string
+	for _, workers := range []int{1, 4} {
+		for _, instrumented := range []bool{false, true} {
+			cfg := Config{Workers: workers}
+			if instrumented {
+				cfg.Metrics = metrics.NewRegistry()
+			}
+			res, err := RunWith(s, w, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d metrics=%v: %v", workers, instrumented, err)
+			}
+			got := res.String()
+			if baseline == "" {
+				baseline = got
+			} else if got != baseline {
+				t.Fatalf("workers=%d metrics=%v diverged:\n--- got ---\n%s\n--- want ---\n%s",
+					workers, instrumented, got, baseline)
+			}
+			if instrumented {
+				checkRunCounters(t, cfg.Metrics, res)
 			}
 		}
 	}

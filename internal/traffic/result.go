@@ -101,16 +101,16 @@ type Result struct {
 	// Workload echoes the workload that ran.
 	Workload Workload
 	// Total is the number of payments executed. It always equals
-	// Workload.Payments after a full run, including streaming runs that do
-	// not retain per-payment records.
+	// Workload.Payments after a full run, including aggregate-only runs
+	// that do not retain per-payment records.
 	Total int
 	// Payments holds one entry per generated payment, in arrival order. Nil
-	// in streaming runs without Config.KeepPayments — aggregates below are
-	// computed on the fly instead.
+	// in aggregate-only runs (Config.Stream without Config.KeepPayments) —
+	// the aggregates below are computed as payments settle either way.
 	Payments []PaymentResult
 	// Exemplars is a deterministic reservoir sample of payments retained by
-	// streaming runs that drop Payments (see Config.Exemplars), sorted by
-	// arrival order.
+	// runs that drop Payments (see Config.Exemplars), sorted by arrival
+	// order.
 	Exemplars []PaymentResult
 
 	// Outcome counts.
@@ -137,8 +137,8 @@ type Result struct {
 	// Latency percentiles over successful payments, in milliseconds. Mean
 	// and max are always exact; the percentiles are exact when per-payment
 	// records are retained and log-bucketed histogram estimates (≤1%
-	// relative error, see stats.Histogram) in streaming aggregate-only runs
-	// — reported by ApproxPercentiles.
+	// relative error, see stats.Histogram) in aggregate-only runs — reported
+	// by ApproxPercentiles.
 	LatencyMeanMs     float64
 	LatencyP50Ms      float64
 	LatencyP95Ms      float64
@@ -203,7 +203,7 @@ type aggregator struct {
 	// still comes from the exact fields below.
 	m RunMetrics
 	// latSample holds every latency when keep; latHist summarises them when
-	// not. Mean and max are tracked exactly in both modes.
+	// not. Mean and max are tracked exactly either way.
 	latSample *stats.Sample
 	latHist   *stats.Histogram
 	latSum    float64
@@ -381,8 +381,8 @@ func (r *Result) String() string {
 }
 
 // PaymentTable renders one line per retained payment, for -v CLI output.
-// Streaming runs that drop per-payment records render their exemplar
-// reservoir instead (see Config.Exemplars).
+// Runs that drop per-payment records render their exemplar reservoir
+// instead (see Config.Exemplars).
 func (r *Result) PaymentTable() string {
 	rows := r.Payments
 	if rows == nil {

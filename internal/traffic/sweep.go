@@ -35,15 +35,15 @@ type Outcome struct {
 // which worker finished first. Each point's own payment simulations run
 // serially inside its worker — the pool parallelises across cells, not
 // within them — so a sweep keeps exactly cfg.Workers cores busy and every
-// cell's Result is identical to a standalone serial run. Streaming and
-// retention settings (Stream, KeepPayments, Exemplars) carry over to every
-// cell unchanged; Config.Metrics is replaced per cell by a labelled private
-// registry returned in Outcome.Metrics (see Outcome).
+// cell's Result is identical to a standalone run. The retention settings
+// (Stream, KeepPayments, Exemplars) carry over to every cell unchanged;
+// Config.Metrics is replaced per cell by a labelled private registry
+// returned in Outcome.Metrics (see Outcome).
 func Sweep(points []Point, cfg Config) []Outcome {
 	out := make([]Outcome, len(points))
 	perCell := cfg
 	perCell.Workers = 1
-	forEachIndex(len(points), cfg.workers(), func(_, idx int) {
+	forEachIndex(len(points), cfg.workers(), func(idx int) {
 		cellCfg := perCell
 		if cfg.Metrics != nil {
 			label := points[idx].Label

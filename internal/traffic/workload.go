@@ -81,9 +81,8 @@ type AmountDist struct {
 }
 
 // ProtocolShare weights one protocol within a mixed workload. Name must be
-// resolvable by the executor's protocol registry (see Config.Protocols);
-// the built-in names are "timelock", "timelock-naive", "weaklive",
-// "weaklive-committee" and "htlc".
+// one of the built-in registry's (see DefaultProtocols): "timelock",
+// "timelock-naive", "weaklive", "weaklive-committee" or "htlc".
 type ProtocolShare struct {
 	Name   string
 	Weight float64
@@ -249,9 +248,10 @@ func paymentSeed(scenarioSeed int64, idx int) int64 {
 }
 
 // generator draws the workload's payment population one payment at a time.
-// All draws come from one rand.Rand seeded from Scenario.Seed, consumed in
-// exactly the order the original all-at-once generate used, so a chunked or
-// streamed traversal yields byte-identical payments to a materialised one.
+// All draws come from one rand.Rand seeded from Scenario.Seed and consumed in
+// a fixed order per payment, so the population is the same however it is
+// traversed: chunk by chunk (the pipeline), skipping a prefix (resume), or
+// routes and amounts only (the demand pre-pass).
 type generator struct {
 	w           Workload // defaults resolved
 	mix         []ProtocolShare
@@ -401,24 +401,10 @@ func (g *generator) next(p *payment) bool {
 	return true
 }
 
-// generate materialises the whole workload at once (the reference path; the
-// streaming executor consumes the same generator chunk by chunk instead).
-func (w Workload) generate(s core.Scenario) []*payment {
-	g := w.newGenerator(s)
-	out := make([]*payment, w.Payments)
-	for i := range out {
-		p := &payment{}
-		g.next(p)
-		out[i] = p
-	}
-	return out
-}
-
 // demand computes each escrow account's worst-case liquidity demand across
 // the whole population by replaying the generator without retaining
 // payments: O(topology) memory regardless of the payment count. Used to
-// auto-size endowments for streaming runs; demandOf is its materialised
-// twin. Both produce identical maps for identical (Scenario, Workload).
+// auto-size endowments when Workload.Liquidity is unset.
 func (w Workload) demand(s core.Scenario) map[string]map[string]int64 {
 	g := w.newGenerator(s)
 	g.withIDs = false
@@ -426,16 +412,6 @@ func (w Workload) demand(s core.Scenario) map[string]map[string]int64 {
 	var p payment
 	for g.next(&p) {
 		addDemand(out, &p)
-	}
-	return out
-}
-
-// demandOf computes the same worst-case demand map from an already
-// materialised population.
-func demandOf(payments []*payment) map[string]map[string]int64 {
-	out := map[string]map[string]int64{}
-	for _, p := range payments {
-		addDemand(out, p)
 	}
 	return out
 }

@@ -34,10 +34,10 @@
 //	tr, err := xchainpay.RunTraffic(s, w)      // deterministic in (s.Seed, w)
 //	fmt.Print(tr)                              // success rate, throughput, latency
 //
-// Million-payment workloads run through the streaming pipeline
-// (TrafficConfig.Stream), whose peak memory is independent of the payment
-// count. See internal/traffic, experiment E9, cmd/xchain-traffic and
-// examples/traffic.
+// Every traffic run executes as one bounded pipeline; million-payment
+// workloads set TrafficConfig.Stream (aggregate-only retention), which makes
+// peak memory independent of the payment count. See internal/traffic,
+// experiment E9, cmd/xchain-traffic and examples/traffic.
 //
 // The experiment harness regenerating every artefact of the paper is in
 // internal/bench and is exposed through cmd/xchain-bench and the root-level
@@ -93,9 +93,9 @@ type (
 	TrafficResult = traffic.Result
 	// TrafficPayment records one payment's fate in a traffic run.
 	TrafficPayment = traffic.PaymentResult
-	// TrafficConfig tunes traffic execution (worker-pool size, protocol
-	// registry, streaming versus materialised mode and per-payment record
-	// retention) without affecting aggregate results.
+	// TrafficConfig tunes a traffic run (worker-pool size, whether
+	// per-payment records are kept or only aggregates, crypto backend,
+	// metrics, checkpointing) without affecting aggregate results.
 	TrafficConfig = traffic.Config
 	// TrafficPoint is one cell of a traffic parameter sweep.
 	TrafficPoint = traffic.Point
@@ -297,12 +297,12 @@ func NewWorkload(n int) Workload { return traffic.NewWorkload(n) }
 // (Scenario.Seed, Workload) regardless of the worker count.
 func RunTraffic(s Scenario, w Workload) (*TrafficResult, error) { return traffic.Run(s, w) }
 
-// RunTrafficWith is RunTraffic with an explicit execution configuration.
-// With TrafficConfig.Stream the run executes as a bounded-memory pipeline
-// whose peak memory is independent of Workload.Payments: per-payment
-// records are dropped as they settle (unless KeepPayments) and latency
-// percentiles come from a constant-size histogram, while every count, rate
-// and ledger audit stays byte-identical to a materialised run.
+// RunTrafficWith is RunTraffic with an explicit configuration. The run
+// executes the same way whatever it says; TrafficConfig.Stream only decides
+// what is retained: per-payment records are dropped as they settle (unless
+// KeepPayments) and latency percentiles come from a constant-size histogram,
+// so peak memory is independent of Workload.Payments, while every count,
+// rate and ledger audit stays byte-identical to a run that keeps them.
 func RunTrafficWith(s Scenario, w Workload, cfg TrafficConfig) (*TrafficResult, error) {
 	return traffic.RunWith(s, w, cfg)
 }
