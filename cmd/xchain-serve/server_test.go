@@ -243,6 +243,7 @@ func TestServeValidation(t *testing.T) {
 		{"unknown protocol", `{"mix": "notaproto=1", "payments": 10}`},
 		{"bad arrival", `{"arrival": "always", "payments": 10}`},
 		{"bad faults", `{"faults": "c1"}`},
+		{"negative commission", `{"commission": -1, "payments": 10}`},
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -489,6 +490,42 @@ func TestServeCheckpointRecovery(t *testing.T) {
 	srv3.mu.Unlock()
 	if adopted != 0 {
 		t.Errorf("third server adopted %d retired runs", adopted)
+	}
+}
+
+// TestServeSurvivesUnwritableStateDir: a state dir that stops taking writes
+// after a run was accepted (read-only remount, disk full, removed) costs the
+// run its periodic checkpoints, not its result. The run is driven through
+// execute directly so that every periodic write fails deterministically; it
+// must end "done" — it used to end "failed", as if a deterministic result
+// would fail again — with the skipped writes counted under its run label.
+func TestServeSurvivesUnwritableStateDir(t *testing.T) {
+	srv := newServerWith(serverOptions{stateDir: filepath.Join(t.TempDir(), "gone"), ckptEvery: 100, maxRuns: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	req := runRequest{Escrows: 2, Payments: 450, Rate: 2000, Crypto: "hmac"}
+	scn, wl, cfg, err := req.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	ru := srv.register("run-0001", req)
+	srv.mu.Unlock()
+	srv.execute(ru, scn, wl, srv.runConfig(ru, cfg))
+
+	var v map[string]any
+	if code := get(t, ts, "/runs/run-0001", &v); code != http.StatusOK || v["status"] != "done" {
+		t.Fatalf("GET /runs/run-0001 = %d, status %v (%v), want done", code, v["status"], v["error"])
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if want := traffic.MetricCheckpointWriteErrors + `{run="run-0001"} 4`; !strings.Contains(string(raw), want) {
+		t.Errorf("/metrics lacks %q (payments 100..400)", want)
 	}
 }
 

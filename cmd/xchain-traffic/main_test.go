@@ -73,6 +73,32 @@ func TestRunStreaming(t *testing.T) {
 	}
 }
 
+// TestRunLiquidityBoundPinned is CI's liquidity-bound smoke as a test: the
+// summary of a run whose payments mostly queue on drained hops must equal,
+// byte for byte, the file generated before admission read balances and
+// settlements woke waiters by account (PR 14) — the admission order is
+// pinned across versions, not just across knobs.
+func TestRunLiquidityBoundPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("15 000 payments; the race job runs the same command as a smoke")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "liquidity-bound-smoke.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	code := run([]string{
+		"-n", "8", "-payments", "15000", "-rate", "4000", "-subpaths", "-liquidity", "100000",
+		"-queue", "1s", "-stream", "-crypto", "hmac", "-seed", "5",
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if out.String() != string(want) {
+		t.Errorf("summary drifted from testdata/liquidity-bound-smoke.txt:\n%s", out.String())
+	}
+}
+
 func TestRunSeedSweep(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{"-n", "2", "-payments", "20", "-sweep-seeds", "3"}, &out, &errOut)
@@ -106,6 +132,15 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-arrival", "brust"}, &out, &errOut); code != 1 {
 		t.Errorf("misspelled arrival kind should fail the run, not be coerced (exit %d)", code)
+	}
+	// A negative commission makes hop amounts non-positive; it used to run to
+	// completion with every payment booked as a liquidity rejection.
+	out.Reset()
+	errOut.Reset()
+	code := run([]string{"-n", "4", "-payments", "200", "-commission", "-60", "-crypto", "hmac"}, &out, &errOut)
+	if code != 1 || !strings.Contains(errOut.String(), "negative commission") || out.Len() != 0 {
+		t.Errorf("negative commission should fail before any payment runs (exit %d, stdout %q, stderr %q)",
+			code, out.String(), errOut.String())
 	}
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)

@@ -185,11 +185,14 @@ type FlightState struct {
 	Err      string   `json:"err,omitempty"`
 	Byz      bool     `json:"byz,omitempty"`
 
-	PR       PaymentResult `json:"pr"`
-	Attempts int           `json:"attempts"`
-	LockID   string        `json:"lockId,omitempty"`
-	InQueue  bool          `json:"inQueue,omitempty"`
-	Timer    EventState    `json:"timer"`
+	PR PaymentResult `json:"pr"`
+	// Attempts is the number of admission attempts made so far: frozen once
+	// admitted (LockID ends in Attempts-1), one more per settlement sat
+	// through while queued.
+	Attempts int        `json:"attempts"`
+	LockID   string     `json:"lockId,omitempty"`
+	InQueue  bool       `json:"inQueue,omitempty"`
+	Timer    EventState `json:"timer"`
 }
 
 // MarkState is one pending Byzantine-status transition of the fault plan.
@@ -302,8 +305,9 @@ func LoadSnapshot(path string) (*RunSnapshot, error) {
 
 // validate checks, before anything is restored, that sn is a state this run
 // (chain escrows, payments payments, this retention) could have captured, so
-// that restoring it and running on cannot index out of range, miss a ledger
-// or loop on a corrupt queue. Every failure wraps ErrBadSnapshot.
+// that restoring it and running on cannot index out of range, miss a ledger,
+// reserve a non-positive amount or leave a queued payment filed under no
+// account. Every failure wraps ErrBadSnapshot.
 func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
@@ -314,13 +318,21 @@ func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) e
 	if len(sn.Ledgers) != chain {
 		return bad("holds %d ledgers, topology has %d escrows", len(sn.Ledgers), chain)
 	}
-	names := map[string]bool{}
-	for _, l := range sn.Ledgers {
-		names[l.Name] = true
+	byName := map[string]*ledger.LedgerState{}
+	for i := range sn.Ledgers {
+		byName[sn.Ledgers[i].Name] = &sn.Ledgers[i]
 	}
-	for i := 0; i < chain; i++ {
-		if !names[core.EscrowID(i)] {
-			return bad("holds no ledger %s", core.EscrowID(i))
+	// payer[e] is c_e's balance on e_e: what admission reads on escrow e.
+	payer := make([]int64, chain)
+	for e := range payer {
+		l := byName[core.EscrowID(e)]
+		if l == nil {
+			return bad("holds no ledger %s", core.EscrowID(e))
+		}
+		for _, a := range l.Accounts {
+			if a.Owner == core.CustomerID(e) {
+				payer[e] = a.Balance
+			}
 		}
 	}
 	queued := map[int]bool{} // index -> waiting, not yet listed in Queue
@@ -337,15 +349,30 @@ func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) e
 		if len(f.Amounts) != f.Receiver-f.Sender {
 			return bad("flight %d: %d amounts for %d hops", f.Index, len(f.Amounts), f.Receiver-f.Sender)
 		}
+		fits := true
+		for k, amount := range f.Amounts {
+			if amount < 1 {
+				return bad("flight %d: hop %d carries amount %d", f.Index, k, amount)
+			}
+			fits = fits && payer[f.Sender+k] >= amount
+		}
 		if f.InQueue {
+			// The timeline files a waiter under the account that refuses it; a
+			// queued payment every hop can cover has none (the run would have
+			// admitted it at the settlement that freed the liquidity).
+			if fits {
+				return bad("flight %d waits in the queue though every hop of its route can cover it", f.Index)
+			}
 			queued[f.Index] = true
 		}
 	}
+	last = -1
 	for _, idx := range sn.Queue {
-		if !queued[idx] {
-			return bad("queue lists payment %d, which is not a queued flight (or is listed twice)", idx)
+		if !queued[idx] || idx <= last {
+			return bad("queue lists payment %d, which is not a queued flight, is listed twice or is out of arrival order", idx)
 		}
 		delete(queued, idx)
+		last = idx
 	}
 	if len(queued) != 0 {
 		return bad("%d queued flights are missing from the queue order", len(queued))
@@ -397,7 +424,7 @@ func (c *checkpointer) boundary(t *timeline, next int) error {
 	stop := (c.interruptAt > 0 && next >= c.interruptAt) || c.ctl.Interrupted()
 	write := stop || (c.every > 0 && next%c.every == 0 && next < c.total)
 	if write && c.path != "" {
-		if err := c.save(t, next); err != nil {
+		if err := c.save(t, next, stop); err != nil {
 			return err
 		}
 	}
@@ -407,8 +434,13 @@ func (c *checkpointer) boundary(t *timeline, next int) error {
 	return nil
 }
 
-// save captures the timeline and atomically writes the snapshot file.
-func (c *checkpointer) save(t *timeline, next int) error {
+// save captures the timeline and atomically writes the snapshot file. A
+// periodic snapshot that cannot be written (the directory is read-only, full
+// or gone) is counted and skipped: the previous snapshot is still on disk,
+// whole, and the run itself is unharmed, so failing it would turn a storage
+// fault into a lost computation. The final snapshot of an interrupted run is
+// the only copy of the work since the last one, so its write error surfaces.
+func (c *checkpointer) save(t *timeline, next int, final bool) error {
 	sn, err := t.capture(next)
 	if err != nil {
 		return err
@@ -419,7 +451,13 @@ func (c *checkpointer) save(t *timeline, next int) error {
 	if err != nil {
 		return fmt.Errorf("traffic: checkpoint: %w", err)
 	}
-	return checkpoint.Save(c.path, SnapshotKind, c.hash, payload)
+	if err := checkpoint.Save(c.path, SnapshotKind, c.hash, payload); err != nil {
+		if final {
+			return err
+		}
+		t.m.CheckpointWriteErrors.Inc()
+	}
+	return nil
 }
 
 // errString renders an error for serialisation ("" for nil).
@@ -493,6 +531,8 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 		tm := f.settle
 		if f.inQueue {
 			tm = f.expiry
+			fs.Attempts = t.passes - f.passBase
+			sn.Queue = append(sn.Queue, f.p.Index) // arrival order = index order
 		}
 		at, seq, ok := tm.Pending()
 		if !ok {
@@ -501,16 +541,13 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 		fs.Timer = EventState{At: at, Seq: seq}
 		sn.Flights = append(sn.Flights, fs)
 	}
-	for f := t.qhead; f != nil; f = f.next {
-		sn.Queue = append(sn.Queue, f.p.Index)
-	}
 	for _, mt := range t.markTimers {
 		if at, seq, ok := mt.tm.Pending(); ok {
 			sn.Marks = append(sn.Marks, MarkState{At: at, Seq: seq, Index: mt.index, On: mt.on})
 		}
 	}
-	for _, name := range t.book.Names() {
-		sn.Ledgers = append(sn.Ledgers, t.book.MustGet(name).State())
+	for _, name := range r.Book.Names() {
+		sn.Ledgers = append(sn.Ledgers, r.Book.MustGet(name).State())
 	}
 	if t.res.Payments != nil {
 		for i := 0; i < next; i++ {
@@ -627,15 +664,11 @@ func (fs *FlightState) toFlight() *flight {
 
 // restore rebuilds the timeline mid-run from a snapshot: partial counters,
 // live flights with their pending timers re-attached at their original heap
-// coordinates, the admission queue in order, the pending Byzantine marks,
-// and finally the engine clock. The book must already be restored and sn
+// coordinates, every queued flight filed under the account that refuses it in
+// the restored book, the pending Byzantine marks, and finally the engine
+// clock. The book must already be restored and sn
 // validated.
 func (t *timeline) restore(sn *RunSnapshot, keep bool) {
-	if t.plan != nil {
-		for _, name := range t.book.Names() {
-			t.byzLedgers = append(t.byzLedgers, t.book.MustGet(name))
-		}
-	}
 	t.fired = sn.TimelineFired
 	t.lockedNow = sn.LockedNow
 	t.byzConn = sn.ByzConn
@@ -656,7 +689,10 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
 	for _, idx := range sn.Queue {
-		t.enqueue(t.track[idx])
+		f := t.track[idx]
+		f.passBase = t.passes - f.attempts
+		f.refused = t.refusingHop(f.p) // validate found one in these balances
+		t.enqueue(f)
 	}
 	for _, mk := range sn.Marks {
 		mk := mk

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -67,8 +68,8 @@ func assertSameRun(t *testing.T, ref, got *Result) {
 // TestCheckpointEquivalence is the subsystem's oracle: a run interrupted at
 // an adversarially chosen payment count and resumed from its snapshot must
 // produce a Result byte-identical to the uninterrupted run — across worker
-// counts, honest and Byzantine plans, liquidity-bounded queues and exemplar
-// reservoirs (TestExecutionLattice's resume columns cover the retention
+// counts, honest and Byzantine plans, liquidity-bounded queues (shallow and
+// a hundred deep) and exemplar reservoirs (TestExecutionLattice's resume columns cover the retention
 // policies on every lattice input). Interrupt points are
 // chosen to land mid-chunk (517 is inside the second pipeline chunk), at the
 // very first boundary, and one payment before the end.
@@ -107,6 +108,50 @@ func TestCheckpointEquivalence(t *testing.T) {
 			t.Fatal("interrupt point never caught payments waiting in the queue")
 		}
 		assertSameRun(t, ref, got)
+	})
+
+	t.Run("liquidity-bound-deep-queue", func(t *testing.T) {
+		// Cut while well over a hundred payments wait, on a chain whose silent
+		// connectors keep refunding: the resumed run must file every waiter
+		// under the account that refuses it in the restored book, give the ones
+		// later admitted the attempt number the uninterrupted run gave them,
+		// and refuse the snapshot once a waiter's every hop is flush.
+		s := core.NewScenario(6, 11).
+			SetFault(core.CustomerID(2), core.FaultSpec{Silent: true}).
+			SetFault(core.CustomerID(4), core.FaultSpec{Silent: true})
+		w := NewWorkload(2000).WithLiquidity(3000).WithQueue(1500*sim.Millisecond, 0)
+		w.Arrival.Rate = 3000
+		w.RandomSubPaths = true
+		cfg := Config{Workers: 2, Stream: true, KeepPayments: true, Crypto: "hmac"}
+		ref, err := RunWith(s, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, sn := resumeAfterInterrupt(t, s, w, cfg, 900)
+		if len(sn.Queue) < 100 {
+			t.Fatalf("interrupt point caught %d payments waiting, want at least 100", len(sn.Queue))
+		}
+		readmitted := 0
+		for _, idx := range sn.Queue {
+			if st := ref.Payments[idx].Status; st == StatusOK || st == StatusProtocolFailed {
+				readmitted++
+			}
+		}
+		if readmitted == 0 {
+			t.Fatal("no payment waiting at the cut was admitted after it")
+		}
+		assertSameRun(t, ref, got)
+
+		for i := range sn.Ledgers {
+			for a := range sn.Ledgers[i].Accounts {
+				sn.Ledgers[i].Accounts[a].Balance = 1 << 40
+			}
+		}
+		rcfg := cfg
+		rcfg.Resume = sn
+		if res, err := RunWith(s, w, rcfg); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("resume with every waiter admissible returned (%v, %v), want ErrBadSnapshot", res, err)
+		}
 	})
 
 	t.Run("byzantine-mid-onset", func(t *testing.T) {
@@ -196,6 +241,81 @@ func TestCheckpointPeriodicWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRun(t, ref, got)
+}
+
+// TestCheckpointWriteFailureTolerated pins what a storage fault may cost a
+// run: a periodic snapshot that cannot be written is counted and skipped —
+// the run completes with the uninterrupted Result and the snapshot already on
+// disk still loads — while the final snapshot of an interrupted run, the
+// only copy of the work since, fails the run when it cannot be written.
+func TestCheckpointWriteFailureTolerated(t *testing.T) {
+	s := core.NewScenario(4, 21)
+	w := NewWorkload(900)
+	w.Arrival.Rate = 1500
+	cfg := Config{Workers: 2, Stream: true, KeepPayments: true, Crypto: "hmac"}
+	ref, err := RunWith(s, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, row := range []struct {
+		name string
+		// state returns the checkpoint path inside a state directory that
+		// refuses new files, and whether a snapshot was left there first.
+		state func(t *testing.T) (path string, seeded bool)
+	}{
+		{"read-only-dir", func(t *testing.T) (string, bool) {
+			dir := filepath.Join(t.TempDir(), "state")
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "run.ckpt")
+			icfg := cfg
+			icfg.InterruptAt, icfg.CheckpointPath = 100, path
+			if _, err := RunWith(s, w, icfg); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("seeding run returned %v", err)
+			}
+			if err := os.Chmod(dir, 0o555); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chmod(dir, 0o755) }) //nolint:errcheck // lets TempDir clean up
+			if probe, err := os.CreateTemp(dir, "probe"); err == nil {
+				probe.Close()
+				os.Remove(probe.Name()) //nolint:errcheck // best-effort
+				t.Skip("this user writes through directory permissions (root)")
+			}
+			return path, true
+		}},
+		{"dir-gone", func(t *testing.T) (string, bool) {
+			return filepath.Join(t.TempDir(), "gone", "run.ckpt"), false
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			path, seeded := row.state(t)
+			reg := metrics.NewRegistry()
+			pcfg := cfg
+			pcfg.Metrics, pcfg.CheckpointEvery, pcfg.CheckpointPath = reg, 250, path
+			got, err := RunWith(s, w, pcfg)
+			if err != nil {
+				t.Fatalf("run failed over unwritable periodic checkpoints: %v", err)
+			}
+			assertSameRun(t, ref, got)
+			if n := reg.Counter(MetricCheckpointWriteErrors, "").Value(); n != 3 {
+				t.Errorf("%s = %d, want 3 (payments 250, 500, 750)", MetricCheckpointWriteErrors, n)
+			}
+			if seeded {
+				if sn, err := LoadSnapshot(path); err != nil || sn.NextIndex != 100 {
+					t.Errorf("previous snapshot did not survive the failed writes: %+v, %v", sn, err)
+				}
+			}
+
+			icfg := cfg
+			icfg.InterruptAt, icfg.CheckpointPath = 300, path
+			if _, err := RunWith(s, w, icfg); err == nil || errors.Is(err, ErrInterrupted) {
+				t.Fatalf("interrupted run that could not write its final snapshot returned %v, want the write error", err)
+			}
+		})
+	}
 }
 
 // TestCheckpointConfigMismatch pins satellite 6's contract: resuming a

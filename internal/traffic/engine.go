@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -59,8 +60,11 @@ type Config struct {
 	// CheckpointEvery, when > 0, writes a resumable snapshot to
 	// CheckpointPath after every CheckpointEvery-th admitted payment
 	// (atomically: temp file + rename, so a crash mid-write keeps the
-	// previous snapshot). Like Resume, InterruptAt and Control it never
-	// changes what the run computes.
+	// previous snapshot). A periodic write that fails is counted in
+	// MetricCheckpointWriteErrors and skipped — the run carries on over the
+	// previous snapshot; only the final snapshot of an interrupted run fails
+	// the run when it cannot be written. Like Resume, InterruptAt and Control
+	// it never changes what the run computes.
 	CheckpointEvery int
 	// CheckpointPath is the snapshot file. Required when CheckpointEvery is
 	// set; also used for the final snapshot written when the run is
@@ -240,12 +244,14 @@ func Run(s core.Scenario, w Workload) (*Result, error) {
 //     as they appear without affecting results.
 //  3. Admission timeline: a discrete-event simulation consumes the
 //     sub-outcomes in arrival order with bounded lookahead, against the
-//     shared escrow chain. Admission reserves each hop's amount as an escrow
-//     lock on the traffic ledger of that hop (payments with exhausted hops
-//     queue or fail), and settlement — at the virtual time the payment's
-//     own run finished — releases the locks downstream on success or
-//     refunds them on failure; each payment's fate is aggregated the moment
-//     it settles.
+//     shared escrow chain. Admission first reads each hop's payer balance
+//     and, only when every hop fits, reserves each hop's amount as an escrow
+//     lock on the traffic ledger of that hop (a payment with an exhausted
+//     hop queues on that hop's account or fails, touching no ledger), and
+//     settlement — at the virtual time the payment's own run finished —
+//     releases the locks downstream on success or refunds them on failure,
+//     re-trying the waiters of exactly the accounts a refund credited; each
+//     payment's fate is aggregated the moment it settles.
 //
 // Every run executes this way; Config.Stream and Config.KeepPayments only
 // decide whether the per-payment records are kept once aggregated. For the
@@ -369,10 +375,20 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 }
 
 // executeTimeline drives the admission timeline over the payment source and
-// finalises every aggregate of res. The timeline's engine is the run's
+// finalises every aggregate of res.
+func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, ck *checkpointer, snap *RunSnapshot) error {
+	tl := newTimeline(res, w, plan, keep, exemplars, reg, rm, snap)
+	if ck != nil || snap != nil {
+		tl.track = make(map[int]*flight)
+	}
+	return tl.execute(src, ck, snap, keep)
+}
+
+// newTimeline builds the admission timeline of one run over res.Book, its
+// aggregator fresh or restored from snap. The timeline's engine is the run's
 // authoritative virtual clock, so it (and only it) carries the virtual-time
 // watermark gauge.
-func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, ck *checkpointer, snap *RunSnapshot) error {
+func newTimeline(res *Result, w Workload, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, snap *RunSnapshot) *timeline {
 	var agg *aggregator
 	if snap != nil {
 		agg = restoredAggregator(res, keep, exemplars, &snap.Agg)
@@ -381,37 +397,47 @@ func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledP
 	}
 	agg.m = rm
 	tl := &timeline{
-		eng:  sim.NewEngine(res.Seed),
-		res:  res,
-		agg:  agg,
-		w:    w,
-		plan: plan,
-		book: res.Book,
-		m:    rm,
+		eng:     sim.NewEngine(res.Seed),
+		res:     res,
+		agg:     agg,
+		w:       w,
+		plan:    plan,
+		m:       rm,
+		waiters: make([][]*flight, res.Chain),
 	}
-	if ck != nil || snap != nil {
-		tl.track = make(map[int]*flight)
+	for i := 0; i < res.Chain; i++ {
+		tl.ledgers = append(tl.ledgers, res.Book.MustGet(core.EscrowID(i)))
+	}
+	for i := 0; i <= res.Chain; i++ {
+		tl.customers = append(tl.customers, core.CustomerID(i))
 	}
 	em := sim.MetricsFrom(reg)
 	if reg != nil {
 		em.Watermark = reg.Gauge(sim.MetricVirtualTimeMs, "Virtual time of the traffic admission timeline in milliseconds.")
 	}
 	tl.eng.SetMetrics(em)
+	return tl
+}
+
+// execute runs the timeline to the end of src — from snap's state when
+// resuming — and finalises every aggregate of the run's Result.
+func (t *timeline) execute(src paymentSource, ck *checkpointer, snap *RunSnapshot, keep bool) error {
 	if snap != nil {
-		tl.restore(snap, keep)
+		t.restore(snap, keep)
 	} else {
-		tl.scheduleMarks()
+		t.scheduleMarks()
 	}
-	if err := tl.run(src, ck); err != nil {
+	if err := t.run(src, ck); err != nil {
 		return err
 	}
-	res.TimelineEvents = tl.fired
+	res := t.res
+	res.TimelineEvents = t.fired
 	// Refund-cascade accounting: every unit the timeline ever locked must
 	// have been released or refunded exactly once by the end of the run.
-	if res.CascadeErr == nil && tl.lockedNow != 0 {
-		res.CascadeErr = fmt.Errorf("traffic: %d units still locked after the last settlement", tl.lockedNow)
+	if res.CascadeErr == nil && t.lockedNow != 0 {
+		res.CascadeErr = fmt.Errorf("traffic: %d units still locked after the last settlement", t.lockedNow)
 	}
-	agg.finalize(res)
+	t.agg.finalize(res)
 	return nil
 }
 
@@ -616,24 +642,30 @@ func wireLiquidityGauges(s core.Scenario, lm ledger.Metrics, l *ledger.Ledger) {
 }
 
 // flight is the per-payment runtime state the timeline tracks between
-// arrival and settlement: the evolving PaymentResult, the admission-attempt
-// counter, the active lock ID, and — while waiting for liquidity — the
-// intrusive queue links and expiry timer. It is released to the garbage
-// collector as soon as the payment reaches a terminal status, so the
-// timeline's memory tracks the number of in-flight and queued payments, not
-// the population size.
+// arrival and settlement: the evolving PaymentResult, the active lock ID,
+// and — while waiting for liquidity — where it is filed among the waiters
+// and its expiry timer. It is released to the garbage collector as soon as
+// the payment reaches a terminal status, so the timeline's memory tracks the
+// number of in-flight and queued payments, not the population size.
 type flight struct {
-	p        *payment
-	sub      subOutcome
-	pr       PaymentResult
+	p   *payment
+	sub subOutcome
+	pr  PaymentResult
+
+	// attempts is the number of admission attempts the payment had made when
+	// it was admitted (so its lock ID ends in attempts-1). A queued flight's
+	// count runs with the timeline's pass counter instead: passes-passBase.
 	attempts int
+	passBase int
 	lockID   string
 
-	// Doubly-linked admission queue in arrival order: expiry unlinks in
-	// O(1) where a slice scan was O(queue) per drop.
-	prev, next *flight
-	inQueue    bool
-	expiry     sim.Timer
+	// While queued: refused is the escrow whose payer account could not cover
+	// the last attempt, slot the flight's position among that account's
+	// waiters (expiry removes it in O(1)).
+	inQueue bool
+	refused int
+	slot    int
+	expiry  sim.Timer
 	// settle is the pending settlement event while the payment is in
 	// flight; capture reads its heap coordinates.
 	settle sim.Timer
@@ -648,13 +680,25 @@ type timeline struct {
 	agg  *aggregator
 	w    Workload
 	plan *compiledPlan
-	book *ledger.Book
 	m    RunMetrics
 
-	qhead, qtail *flight
-	qlen         int
-	inFlight     int
-	fired        uint64
+	// ledgers[e] is escrow e_e's traffic ledger and customers[i] is c_i's ID,
+	// resolved once. Every lock on e_e is paid by c_e, so one balance per
+	// escrow — Balance(c_e) on e_e — decides admission there.
+	ledgers   []*ledger.Ledger
+	customers []string
+
+	// waiters[e] holds the queued flights whose last attempt was refused by
+	// c_e's balance on e_e, in no particular order; woken is the scratch list
+	// of one drain pass. passes counts settlements: a queued payment's
+	// attempt number is the number of passes it has sat through, which is
+	// what walking the whole queue on every settlement used to make it.
+	waiters  [][]*flight
+	woken    []*flight
+	passes   int
+	qlen     int
+	inFlight int
+	fired    uint64
 
 	// lockedNow is the refund-cascade accounting counter: units currently
 	// held in traffic-level locks, incremented at admission and decremented
@@ -663,10 +707,8 @@ type timeline struct {
 	// the conservation audit.
 	lockedNow int64
 	// byzConn counts connectors currently inside a fault window (drives the
-	// live gauge); byzLedgers caches the book's ledgers for the O(chain)
-	// Byzantine-liquidity sweep after each admission/settlement.
-	byzConn    int
-	byzLedgers []*ledger.Ledger
+	// live gauge).
+	byzConn int
 
 	// track maps payment index -> live flight; populated only when the run
 	// can checkpoint (capture needs every queued and in-flight payment).
@@ -674,6 +716,10 @@ type timeline struct {
 	// markTimers retains the pending Byzantine-mark events so capture can
 	// read their heap coordinates.
 	markTimers []markTimer
+
+	// afterPass, when set (tests only), runs at the end of every drain pass
+	// with the flight whose settlement started it.
+	afterPass func(settled *flight)
 }
 
 // markTimer pairs a scheduled Byzantine-status transition with its timer.
@@ -690,9 +736,6 @@ type markTimer struct {
 func (t *timeline) scheduleMarks() {
 	if t.plan == nil {
 		return
-	}
-	for _, name := range t.book.Names() {
-		t.byzLedgers = append(t.byzLedgers, t.book.MustGet(name))
 	}
 	for _, mk := range t.plan.marks() {
 		if mk.at <= 0 {
@@ -711,10 +754,10 @@ func (t *timeline) scheduleMarks() {
 // ledgers, so liquidity held in the connector's locks is observable as
 // Byzantine-held (lock-and-abandon griefing shows up directly).
 func (t *timeline) setByzantine(idx int, on bool) {
-	owner := core.CustomerID(idx)
+	owner := t.customers[idx]
 	for _, e := range []int{idx - 1, idx} {
 		if e >= 0 && e < t.res.Chain {
-			t.book.MustGet(core.EscrowID(e)).SetByzantine(owner, on)
+			t.ledgers[e].SetByzantine(owner, on)
 		}
 	}
 	if on {
@@ -733,7 +776,7 @@ func (t *timeline) observeByzHeld() {
 		return
 	}
 	var held int64
-	for _, l := range t.byzLedgers {
+	for _, l := range t.ledgers {
 		held += l.ByzantineEscrowed()
 	}
 	t.m.ByzHeld.Set(float64(held))
@@ -800,7 +843,7 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 			}
 		}
 	}
-	if t.admit(f, now) {
+	if t.admit(f, now, 0) {
 		t.start(f, now)
 		return
 	}
@@ -810,6 +853,7 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		t.finish(f)
 		return
 	}
+	f.passBase = t.passes - 1 // the arrival was attempt 0
 	f.expiry = t.eng.ScheduleIn(t.w.QueuePatience, "expire:"+p.ID, t.expireAction(f))
 	t.enqueue(f)
 }
@@ -820,7 +864,8 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 // event.
 func (t *timeline) expireAction(f *flight) func() {
 	return func() {
-		t.unlink(f)
+		t.unfile(f)
+		t.dequeue(f)
 		f.pr.Status = StatusDropped
 		f.pr.End = t.eng.Now()
 		f.pr.Queued = true
@@ -845,43 +890,47 @@ func (t *timeline) dropCause(f *flight) DropCause {
 	return CauseCapacity
 }
 
-// admit reserves every hop of f's payment, rolling back on the first
-// exhausted hop. It returns whether the payment is now in flight. Every
-// admission attempt uses a fresh "<id>#<attempt>" lock ID so each attempt's
-// locks are unambiguous in the ledgers. (Traffic books run compacted, which
-// forgets refunded locks, so a reused ID would no longer be rejected as a
-// duplicate — but a non-compacted book, as earlier versions used and tests
-// may construct, rejects it, and distinct IDs keep any retained history
-// readable. Do not drop the attempt suffix.)
-func (t *timeline) admit(f *flight, now sim.Time) bool {
-	p := f.p
-	id := p.ID + "#" + strconv.Itoa(f.attempts)
-	f.attempts++
-	hops := p.hops()
-	ok := true
-	var created int
-	for k := 0; k < hops; k++ {
-		l := t.book.MustGet(core.EscrowID(p.Sender + k))
-		_, err := l.CreateLock(now, id,
-			core.CustomerID(p.Sender+k), core.CustomerID(p.Sender+k+1),
-			p.amountVia(k), ledger.Condition{})
-		if err != nil {
-			ok = false
-			break
+// refusingHop returns the first escrow on p's route whose payer account
+// cannot cover its hop, or -1 when every hop fits. The hops of one route sit
+// on distinct escrows, so the per-hop reads are exact: admission would not
+// change a balance a later hop depends on.
+func (t *timeline) refusingHop(p *payment) int {
+	for k, amount := range p.Amounts {
+		e := p.Sender + k
+		if t.ledgers[e].Balance(t.customers[e]) < amount {
+			return e
 		}
-		created++
 	}
-	if !ok {
-		for k := created - 1; k >= 0; k-- {
-			l := t.book.MustGet(core.EscrowID(p.Sender + k))
-			l.Refund(now, id, now) //nolint:errcheck // lock pending by construction
-		}
+	return -1
+}
+
+// admit makes admission attempt number attempt for f at now: it reads every
+// hop's payer balance and only when all fit reserves them, under the lock ID
+// "<id>#<attempt>". A refused attempt is therefore a few balance reads — no
+// lock, no ledger operation, no allocation — and leaves the refusing escrow
+// in f.refused. attempt is 0 at arrival and, for a queued payment, the
+// number of settlements it has waited through, so an admitted payment's lock
+// ID does not depend on which of those settlements actually re-tried it.
+func (t *timeline) admit(f *flight, now sim.Time, attempt int) bool {
+	p := f.p
+	if e := t.refusingHop(p); e >= 0 {
+		f.refused = e
 		return false
 	}
-	f.lockID = id
-	for k := 0; k < hops; k++ {
-		t.lockedNow += p.amountVia(k)
+	id := p.ID + "#" + strconv.Itoa(attempt)
+	for k, amount := range p.Amounts {
+		e := p.Sender + k
+		_, err := t.ledgers[e].CreateLock(now, id, t.customers[e], t.customers[e+1], amount, ledger.Condition{})
+		if err != nil && t.res.CascadeErr == nil {
+			// Not reachable from a state this run produced: amounts are
+			// validated positive, the balance was just read and attempt IDs
+			// never repeat. Flag the run rather than half-undo the admission.
+			t.res.CascadeErr = fmt.Errorf("traffic: reserving %s on %s: %w", id, t.ledgers[e].Name(), err)
+		}
+		t.lockedNow += amount
 	}
+	f.lockID = id
+	f.attempts = attempt + 1
 	t.observeByzHeld()
 	return true
 }
@@ -900,9 +949,9 @@ func (t *timeline) start(f *flight, now sim.Time) {
 
 // settleAction builds the settlement callback of f: classify the outcome at
 // the virtual time the payment's own protocol run finished, release or
-// refund every hop's lock, and retry the queue. A named constructor (not an
-// inline closure) so resume can re-attach an identical callback to a
-// restored event.
+// refund every hop's lock, and wake the waiters a refund may have unblocked.
+// A named constructor (not an inline closure) so resume can re-attach an
+// identical callback to a restored event.
 func (t *timeline) settleAction(f *flight) func() {
 	return func() {
 		end := t.eng.Now()
@@ -915,14 +964,14 @@ func (t *timeline) settleAction(f *flight) func() {
 		default:
 			f.pr.Status = StatusProtocolFailed
 		}
-		for k := 0; k < f.p.hops(); k++ {
-			l := t.book.MustGet(core.EscrowID(f.p.Sender + k))
+		for k, amount := range f.p.Amounts {
+			l := t.ledgers[f.p.Sender+k]
 			if f.pr.Status == StatusOK {
 				l.Release(end, f.lockID, nil, end) //nolint:errcheck // unconditional lock
 			} else {
 				l.Refund(end, f.lockID, end) //nolint:errcheck // unconditional lock
 			}
-			t.lockedNow -= f.p.amountVia(k)
+			t.lockedNow -= amount
 		}
 		if t.lockedNow < 0 && t.res.CascadeErr == nil {
 			t.res.CascadeErr = fmt.Errorf("traffic: refund cascade over-released at %v (%d units)", end, t.lockedNow)
@@ -931,60 +980,78 @@ func (t *timeline) settleAction(f *flight) func() {
 		t.inFlight--
 		t.m.InFlight.Set(float64(t.inFlight))
 		t.finish(f)
-		t.drainQueue(end)
+		// A release credits the payee account c_{e+1} on e_e, which no
+		// admission ever debits: only a refund can unblock a waiter.
+		if f.pr.Status != StatusOK {
+			t.wake(f.p.Sender, f.p.Receiver, end)
+		}
+		t.passes++
+		if t.afterPass != nil {
+			t.afterPass(f)
+		}
 	}
 }
 
-// enqueue appends f to the admission queue.
+// enqueue files f, just refused, among the waiters of the account that
+// refused it.
 func (t *timeline) enqueue(f *flight) {
 	f.inQueue = true
-	f.prev = t.qtail
-	if t.qtail != nil {
-		t.qtail.next = f
-	} else {
-		t.qhead = f
-	}
-	t.qtail = f
 	t.qlen++
 	t.m.QueueDepth.Set(float64(t.qlen))
+	t.file(f)
 }
 
-// unlink removes f from the admission queue in O(1).
-func (t *timeline) unlink(f *flight) {
-	if !f.inQueue {
-		return
-	}
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else {
-		t.qhead = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		t.qtail = f.prev
-	}
-	f.prev, f.next = nil, nil
+// dequeue marks f, already unfiled, as no longer waiting.
+func (t *timeline) dequeue(f *flight) {
 	f.inQueue = false
 	t.qlen--
 	t.m.QueueDepth.Set(float64(t.qlen))
 }
 
-// drainQueue retries waiting payments in arrival order whenever settlement
-// frees liquidity; payments that still do not fit stay queued (no
-// head-of-line blocking for the ones behind them).
-func (t *timeline) drainQueue(now sim.Time) {
-	for f := t.qhead; f != nil; {
-		next := f.next
-		if t.admit(f, now) {
-			t.unlink(f)
-			f.expiry.Cancel()
-			f.pr.Queued = true
-			f.pr.QueueWait = now - f.p.Arrival
-			t.start(f, now)
-		}
-		f = next
+// file appends f to the waiters of f.refused.
+func (t *timeline) file(f *flight) {
+	f.slot = len(t.waiters[f.refused])
+	t.waiters[f.refused] = append(t.waiters[f.refused], f)
+}
+
+// unfile removes f from the waiters of f.refused in O(1): the last waiter
+// takes its slot.
+func (t *timeline) unfile(f *flight) {
+	ws := t.waiters[f.refused]
+	last := ws[len(ws)-1]
+	ws[f.slot], last.slot = last, f.slot
+	ws[len(ws)-1] = nil
+	t.waiters[f.refused] = ws[:len(ws)-1]
+}
+
+// wake re-tries, in arrival order, the payments waiting on the payer
+// accounts of escrows [lo, hi) — the accounts a refund just credited —
+// admitting those that now fit and re-filing the rest under the hop that
+// refuses them now (no head-of-line blocking for the ones behind them).
+// Waiters of every other account are left alone: their refusing balance has
+// only fallen since it refused them, so they would be refused again, and a
+// refused attempt changes nothing.
+func (t *timeline) wake(lo, hi int, now sim.Time) {
+	woken := t.woken[:0]
+	for e := lo; e < hi; e++ {
+		woken = append(woken, t.waiters[e]...)
+		clear(t.waiters[e])
+		t.waiters[e] = t.waiters[e][:0]
 	}
+	slices.SortFunc(woken, func(a, b *flight) int { return a.p.Index - b.p.Index })
+	for _, f := range woken {
+		if !t.admit(f, now, t.passes-f.passBase) {
+			t.file(f)
+			continue
+		}
+		t.dequeue(f)
+		f.expiry.Cancel()
+		f.pr.Queued = true
+		f.pr.QueueWait = now - f.p.Arrival
+		t.start(f, now)
+	}
+	clear(woken)
+	t.woken = woken[:0]
 }
 
 // finish hands a terminal payment record to the aggregator and, when

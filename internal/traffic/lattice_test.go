@@ -45,6 +45,17 @@ func population(s core.Scenario, w Workload) []*payment {
 func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 	t.Helper()
 	plan := w.Faults.compile(s)
+	src, res := simulatedRun(s, w, plan)
+	if err := executeTimeline(res, src, w, plan, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// simulatedRun draws the whole population, simulates it in index order on
+// one world and returns it as a slice source beside the empty Result (every
+// record kept, book endowed) a timeline over it fills in.
+func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan) (*sliceSource, *Result) {
 	src := &sliceSource{pays: population(s, w)}
 	demand := map[string]map[string]int64{}
 	world, registry := core.NewWorld(), builtinProtocols()
@@ -52,7 +63,7 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 		addDemand(demand, p)
 		src.subs = append(src.subs, simulateOne(world, s, plan, p, registry))
 	}
-	res := &Result{
+	return src, &Result{
 		Chain:               s.Topology.N,
 		Seed:                s.Seed,
 		Workload:            w,
@@ -60,10 +71,6 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 		Payments:            make([]PaymentResult, w.Payments),
 		Book:                newLiquidityBook(s, w, demand),
 	}
-	if err := executeTimeline(res, src, w, plan, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // requireSameAggregates is requireSameResult for a run that dropped its
@@ -158,6 +165,14 @@ func latticeInputs() []latticeInput {
 	sub.Arrival.Rate = 2000
 	sub.RandomSubPaths = true
 
+	// Refund-wake: two static silent connectors on a six-escrow chain with
+	// sub-path routes, so failed payments refund several accounts at once and
+	// the waiters they wake are re-filed under other hops or admitted.
+	wake := NewWorkload(600).WithLiquidity(1500).WithQueue(1500*sim.Millisecond, 0)
+	wake.Arrival.Rate = 3000
+	wake.RandomSubPaths = true
+	silent := core.FaultSpec{Silent: true}
+
 	byzantine := func(r *Result) bool {
 		return r.FaultedPayments > 0 && r.PeakByzantineHeld > 0 && r.SafetyViolations == 0
 	}
@@ -171,6 +186,9 @@ func latticeInputs() []latticeInput {
 			w: starved, cut: 57, exercises: queued},
 		{name: "subpaths-bounded", s: hmac(core.NewScenario(4, 7)), w: sub, cut: 150,
 			exercises: func(r *Result) bool { return r.QueuedCount > 0 }},
+		{name: "refund-wake", s: hmac(core.NewScenario(6, 11).SetFault(core.CustomerID(2), silent).SetFault(core.CustomerID(4), silent)),
+			w: wake, cut: 300,
+			exercises: func(r *Result) bool { return r.Failed > 0 && r.Dropped > 0 && admittedFromQueue(r) > 20 }},
 	}
 }
 

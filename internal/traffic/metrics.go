@@ -39,6 +39,11 @@ const (
 	MetricChunksGenerated = "xchain_traffic_chunks_generated_total"
 	MetricChunksSimulated = "xchain_traffic_chunks_simulated_total"
 	MetricChunksConsumed  = "xchain_traffic_chunks_consumed_total"
+	// MetricCheckpointWriteErrors counts periodic checkpoint writes that
+	// failed and were skipped (the previous snapshot stays on disk and the
+	// run carries on); non-zero means a crash now would lose more than one
+	// checkpoint interval.
+	MetricCheckpointWriteErrors = "xchain_traffic_checkpoint_write_errors_total"
 
 	// MetricByzantineConnectors is the live number of connectors currently
 	// inside a fault-plan window (plus statically Byzantine ones).
@@ -81,6 +86,8 @@ type RunMetrics struct {
 	ChunksSimulated *metrics.Counter
 	ChunksConsumed  *metrics.Counter
 
+	CheckpointWriteErrors *metrics.Counter
+
 	ByzConnectors    *metrics.Gauge
 	ByzPayments      *metrics.Counter
 	ByzExpired       *metrics.Counter
@@ -112,6 +119,8 @@ func NewRunMetrics(r *metrics.Registry) RunMetrics {
 		ChunksGenerated: r.Counter(MetricChunksGenerated, "Streaming pipeline chunks generated."),
 		ChunksSimulated: r.Counter(MetricChunksSimulated, "Streaming pipeline chunks simulated."),
 		ChunksConsumed:  r.Counter(MetricChunksConsumed, "Streaming pipeline chunks consumed by the timeline."),
+
+		CheckpointWriteErrors: r.Counter(MetricCheckpointWriteErrors, "Periodic checkpoint writes that failed and were skipped."),
 
 		ByzConnectors:    r.Gauge(MetricByzantineConnectors, "Connectors currently inside a Byzantine fault window."),
 		ByzPayments:      r.Counter(MetricByzantinePayments, "Payments whose path crossed a Byzantine participant."),

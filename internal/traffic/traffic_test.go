@@ -195,15 +195,16 @@ func TestQueueing(t *testing.T) {
 }
 
 // TestQueuedReadmissionAfterPartialRollback is the regression test for a
-// duplicate-lock bug: payment A partially reserves its hops, rolls back on
-// an exhausted later hop and queues; once the blocking payment refunds, A
-// must be re-admitted — which requires every admission attempt to use a
-// fresh lock ID, since A's rolled-back locks stay in the ledger history.
+// payment whose first hop fits and whose second does not: A must queue
+// without holding anything on the hop that fitted (an earlier version locked
+// it and rolled back, and re-admission then tripped over the rolled-back
+// lock's ID), wait on the exhausted hop's account, and be re-admitted by the
+// refund that credits exactly that account.
 func TestQueuedReadmissionAfterPartialRollback(t *testing.T) {
 	s := core.NewScenario(2, 1)
 	w := Workload{Payments: 2, Liquidity: 100, QueuePatience: 10 * sim.Minute}
 	// B (c1->c2) drains c1's e1 account at t=0 and refunds at t=2s;
-	// A (c0->c2) arrives at t=1ms, reserves e0, finds e1 exhausted, queues.
+	// A (c0->c2) arrives at t=1ms, fits e0, finds e1 exhausted, queues on e1.
 	pB := &payment{Index: 0, ID: "pB", Sender: 1, Receiver: 2, Amounts: []int64{100}, Arrival: 0}
 	pA := &payment{Index: 1, ID: "pA", Sender: 0, Receiver: 2, Amounts: []int64{100, 100}, Arrival: sim.Millisecond}
 	payments := []*payment{pB, pA}
@@ -423,6 +424,12 @@ func TestWorkloadValidation(t *testing.T) {
 	w.Arrival.Kind = "bogus"
 	if _, err := Run(s, w); err == nil {
 		t.Fatal("bogus arrival kind accepted")
+	}
+	// A negative commission drives upstream hop amounts to zero and below.
+	w = NewWorkload(5)
+	w.Commission = -1
+	if _, err := Run(s, w); err == nil {
+		t.Fatal("negative commission accepted")
 	}
 	// Zero total weight would silently resolve every payment to mix[0].
 	w = NewWorkload(5).WithMix(
@@ -661,14 +668,11 @@ func TestSweepMetricsIsolation(t *testing.T) {
 	}
 }
 
-// TestQueueExpiryAttribution pins the queue-expiry drop path. The issue
-// suspected drainQueue of only attributing Queued/QueueWait on re-admission
-// so that expired-after-queueing payments would report Queued=false; the
-// audit found the expiry timer already sets Queued, QueueWait and DropCause
-// before finishing the payment (drainQueue handles re-admitted payments
-// only — a dropped payment never reaches it). This test keeps that
-// attribution from regressing: every dropped payment in a starved honest
-// run must carry its full queueing history.
+// TestQueueExpiryAttribution pins the queue-expiry drop path: Queued,
+// QueueWait and DropCause are set by the expiry timer itself, not only where
+// a waiter is re-admitted (a dropped payment never gets there). Every
+// dropped payment in a starved honest run must carry its full queueing
+// history.
 func TestQueueExpiryAttribution(t *testing.T) {
 	s := core.NewScenario(3, 11)
 	w := NewWorkload(200)

@@ -180,6 +180,12 @@ func (w Workload) Validate(t core.Topology) error {
 	default:
 		return fmt.Errorf("traffic: unknown amount kind %q", w.Amounts.Kind)
 	}
+	if w.Commission < 0 {
+		// Hop k of an h-hop route carries base + (h-1-k)·Commission; only a
+		// non-negative commission keeps every hop amount >= 1, which the
+		// ledgers require and admission's balance probe relies on.
+		return fmt.Errorf("traffic: negative commission %d", w.Commission)
+	}
 	var totalWeight float64
 	for _, m := range w.Mix {
 		if m.Weight < 0 {
