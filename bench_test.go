@@ -8,9 +8,7 @@ package xchainpay
 // tables at the full configuration for EXPERIMENTS.md.
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -127,131 +125,6 @@ func BenchmarkProtocolWeakLivenessCommittee_n4(b *testing.B) {
 
 // BenchmarkProtocolHTLC_n4 measures one hashed-timelock payment.
 func BenchmarkProtocolHTLC_n4(b *testing.B) { benchProtocol(b, HTLCBaseline(), 4) }
-
-// Traffic-engine benchmarks: 1,000 concurrent payments multiplexed over an
-// 8-hop chain, serial versus worker-pool execution. Comparing the two
-// ns/op figures measures the parallel runner's speedup (bounded by the
-// machine's core count); the results themselves are identical by
-// construction (see TestTrafficFacade and TestStreamingEquivalence in
-// internal/traffic). Every variant reports its gomaxprocs so a flat
-// comparison is attributable to the runner, and the parallel variant skips
-// outright on a single core rather than silently reporting "no speedup"
-// against a baseline it equals by definition.
-
-func benchTraffic(b *testing.B, cfg TrafficConfig) {
-	b.Helper()
-	s := NewScenario(8, 42)
-	w := NewWorkload(1000)
-	w.Arrival.Rate = 500
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunTrafficWith(s, w, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Succeeded == 0 {
-			b.Fatal("no payment succeeded")
-		}
-		if res.AuditErr != nil {
-			b.Fatalf("ledger audit failed: %v", res.AuditErr)
-		}
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkTraffic1kPayments runs the workload with one worker per CPU.
-// Skips on a single core: there the configuration degenerates to the serial
-// baseline and the comparison would report a meaningless 1.0x.
-func BenchmarkTraffic1kPayments(b *testing.B) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		b.Skip("GOMAXPROCS=1: parallel run equals the serial baseline; speedup needs a multi-core runner")
-	}
-	benchTraffic(b, TrafficConfig{})
-}
-
-// BenchmarkTraffic1kPaymentsSerial is the single-worker baseline the
-// parallel figure is compared against.
-func BenchmarkTraffic1kPaymentsSerial(b *testing.B) {
-	benchTraffic(b, TrafficConfig{Workers: 1})
-}
-
-// benchTrafficStream runs payments through the streaming pipeline
-// (aggregates only) and reports the largest live heap sampled *during* the
-// run as peak-heap-MB — a transient O(Payments) buffer would show up here
-// even if it is garbage by the time the run returns. Peak RSS note: the
-// streaming pipeline holds no []PaymentResult and no ledger history, so
-// the peak is dominated by the bounded chunk window plus in-flight
-// payments — it does not grow with the payment count (compare
-// peak-heap-MB across the 100k and 1M variants; per-payment protocol
-// simulation dominates ns/op). Run with -benchtime=1x: one million
-// payments cost minutes of ed25519 work per iteration.
-func benchTrafficStream(b *testing.B, payments int, rate float64, crypto string) {
-	b.Helper()
-	s := NewScenario(2, 42)
-	w := NewWorkload(payments)
-	w.Arrival.Rate = rate
-	var peak uint64
-	stop := make(chan struct{})
-	sampled := make(chan struct{})
-	go func() {
-		defer close(sampled)
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
-			}
-		}
-	}()
-	cfg := TrafficConfig{Stream: true, Crypto: crypto}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunTrafficWith(s, w, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Total != payments || res.Succeeded == 0 {
-			b.Fatalf("streamed %d payments, %d ok", res.Total, res.Succeeded)
-		}
-		if res.AuditErr != nil {
-			b.Fatalf("ledger audit failed: %v", res.AuditErr)
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	<-sampled
-	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkTraffic100kPaymentsStream is the CI-sized streaming run
-// (default ed25519 backend).
-func BenchmarkTraffic100kPaymentsStream(b *testing.B) { benchTrafficStream(b, 100_000, 20_000, "") }
-
-// BenchmarkTraffic100kPaymentsStreamHMAC is the same run on the hmac
-// backend: identical aggregates, with the model-assumed crypto off the hot
-// path (compare ns/op against the ed25519 variant).
-func BenchmarkTraffic100kPaymentsStreamHMAC(b *testing.B) {
-	benchTrafficStream(b, 100_000, 20_000, CryptoHMAC)
-}
-
-// BenchmarkTraffic1MPayments pushes one million payments through the
-// streaming pipeline — the scale target of the ROADMAP north star. Memory
-// stays flat versus the 100k variant; only wall-clock grows (linearly, in
-// the per-payment protocol simulations).
-func BenchmarkTraffic1MPayments(b *testing.B) { benchTrafficStream(b, 1_000_000, 20_000, "") }
-
-// BenchmarkTraffic1MPaymentsHMAC is the million-payment run with
-// authentication on the hmac backend — the "as fast as the hardware
-// allows" configuration now that ed25519 no longer dominates the profile.
-func BenchmarkTraffic1MPaymentsHMAC(b *testing.B) {
-	benchTrafficStream(b, 1_000_000, 20_000, CryptoHMAC)
-}
 
 // Kernel micro-benchmarks: the raw cost of the simulation kernel's hot path
 // (event scheduling/firing and muted message delivery), independent of any

@@ -7,11 +7,9 @@
 //	xchain-bench -quick       # smaller sweep (seconds instead of minutes)
 //	xchain-bench -run E4,E9   # run a subset by ID
 //	xchain-bench -runs 10 -maxchain 6
-//	xchain-bench -quick -json BENCH_baseline.json   # machine-readable snapshot
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,30 +20,6 @@ import (
 
 	"repro/internal/bench"
 )
-
-// jsonReport is the machine-readable snapshot written by -json. Committed
-// snapshots (BENCH_baseline.json) track the perf trajectory across PRs:
-// table contents are deterministic in the configuration, while Seconds is
-// wall-clock and only comparable on similar hardware.
-type jsonReport struct {
-	Config      jsonConfig       `json:"config"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
-
-type jsonConfig struct {
-	Runs     int  `json:"runs"`
-	MaxChain int  `json:"max_chain"`
-	Quick    bool `json:"quick"`
-}
-
-type jsonExperiment struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-	Seconds float64    `json:"seconds"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -60,7 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxChain = fs.Int("maxchain", 0, "override the largest chain length swept")
 		workers  = fs.Int("workers", 0, "override the worker-pool size (default GOMAXPROCS)")
 		only     = fs.String("run", "", "comma-separated experiment IDs to run (default: all)")
-		jsonOut  = fs.String("json", "", "also write the tables as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -98,30 +71,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "configuration: runs=%d maxchain=%d\n\n", cfg.Runs, cfg.MaxChain)
-	report := jsonReport{Config: jsonConfig{Runs: cfg.Runs, MaxChain: cfg.MaxChain, Quick: *quick}}
 	for _, e := range experiments {
 		start := time.Now()
 		tab := e.Run(cfg)
 		elapsed := time.Since(start)
 		fmt.Fprint(stdout, tab.String())
 		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
-		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID: tab.ID, Title: tab.Title, Columns: tab.Columns, Rows: tab.Rows,
-			Notes: tab.Notes, Seconds: elapsed.Seconds(),
-		})
-	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "xchain-bench: marshal json: %v\n", err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(stderr, "xchain-bench: write %s: %v\n", *jsonOut, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
 	}
 	return 0
 }

@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/scenariogen"
 	"repro/internal/sig"
 )
@@ -113,36 +112,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nfirst Theorem-2 counterexample: seed=%d %s\n  violated: %v\n",
 			o.Spec.Seed, o.Spec.Describe(), o.ExpectedFailures)
 		if *shrink && st.Clean() {
-			prop := theorem2Property(o)
+			// A Theorem-2 counterexample's expected failures are all defeatable
+			// properties, in canonical order — termination first if defeated.
+			prop := o.ExpectedFailures[0]
 			shrinkAndSave(stdout, stderr, o, scenariogen.KeepExpectedFailure(prop),
 				fmt.Sprintf("Theorem-2 counterexample shrunk from seed %d (property %s)", o.Spec.Seed, prop), *outDir,
 				fmt.Sprintf("theorem2-seed%d.json", o.Spec.Seed))
 		}
 	} else if *requireT2 {
-		fmt.Fprintln(stdout, "\nNO THEOREM-2 VIOLATION REDISCOVERED: the envelope-violating class found no T/L/CS2 failure")
+		fmt.Fprintln(stdout, "\nNO THEOREM-2 VIOLATION REDISCOVERED: the envelope-violating class defeated no property of Definition 1")
 		failed = true
 	}
 	if failed {
 		return 1
 	}
 	return 0
-}
-
-// theorem2Property picks the property to preserve while shrinking a
-// Theorem-2 counterexample: termination if the schedule defeated it, else
-// the first liveness-shaped failure.
-func theorem2Property(o *scenariogen.Outcome) core.Property {
-	for _, p := range o.ExpectedFailures {
-		if p == core.PropTermination {
-			return p
-		}
-	}
-	for _, p := range o.ExpectedFailures {
-		if p == core.PropStrongLiveness || p == core.PropCS2 {
-			return p
-		}
-	}
-	return o.ExpectedFailures[0]
 }
 
 // shrinkAndSave minimises the outcome's scenario and writes a replay file.

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -47,7 +46,7 @@ type runRequest struct {
 	QueuePatienceMs float64 `json:"queue_patience_ms"`
 	MaxQueue        int     `json:"max_queue"`
 
-	Faults string `json:"faults"` // "c1=silent,e0=drop-forward"
+	Faults string `json:"faults"` // "c1=silent,e0=theft"
 
 	// Fault-plan fields (see traffic.FaultPlan): a seed-derived schedule
 	// turning FaultFraction of the connectors Byzantine mid-run, with
@@ -135,15 +134,11 @@ func (q *runRequest) prepare() (core.Scenario, traffic.Workload, traffic.Config,
 // build translates the request into the engine's inputs.
 func (q runRequest) build() (core.Scenario, traffic.Workload, traffic.Config, error) {
 	s := core.NewScenario(q.Escrows, q.Seed)
-	if q.Faults != "" {
-		for _, pair := range strings.Split(q.Faults, ",") {
-			parts := strings.SplitN(pair, "=", 2)
-			if len(parts) != 2 {
-				return s, traffic.Workload{}, traffic.Config{}, fmt.Errorf("malformed faults entry %q (want participant=behaviour)", pair)
-			}
-			s = s.SetFault(parts[0], adversary.Spec(adversary.Behaviour(parts[1]), s.Timing))
-		}
+	assignment, err := adversary.ParseAssignment(q.Faults, s.Topology)
+	if err != nil {
+		return s, traffic.Workload{}, traffic.Config{}, fmt.Errorf("faults: %v", err)
 	}
+	s = assignment.Apply(s)
 
 	w := traffic.NewWorkload(q.Payments)
 	if q.Arrival != "" {
@@ -174,22 +169,8 @@ func (q runRequest) build() (core.Scenario, traffic.Workload, traffic.Config, er
 			ManagerOutage: sim.Time(q.ManagerOutageMs * float64(sim.Millisecond)),
 		}
 	}
-	w.Mix = nil
-	known := traffic.DefaultProtocols()
-	for _, pair := range strings.Split(q.Mix, ",") {
-		parts := strings.SplitN(pair, "=", 2)
-		weight := 1.0
-		if len(parts) == 2 {
-			var err error
-			weight, err = strconv.ParseFloat(parts[1], 64)
-			if err != nil {
-				return s, w, traffic.Config{}, fmt.Errorf("malformed mix entry %q: %v", pair, err)
-			}
-		}
-		if _, ok := known[parts[0]]; !ok {
-			return s, w, traffic.Config{}, fmt.Errorf("unknown protocol %q in mix", parts[0])
-		}
-		w.Mix = append(w.Mix, traffic.ProtocolShare{Name: parts[0], Weight: weight})
+	if w.Mix, err = traffic.ParseMix(q.Mix); err != nil {
+		return s, w, traffic.Config{}, err
 	}
 
 	cfg := traffic.Config{Workers: q.Workers, Stream: q.Stream, Crypto: q.Crypto}

@@ -243,6 +243,10 @@ func TestServeValidation(t *testing.T) {
 		{"unknown protocol", `{"mix": "notaproto=1", "payments": 10}`},
 		{"bad arrival", `{"arrival": "always", "payments": 10}`},
 		{"bad faults", `{"faults": "c1"}`},
+		{"unknown behaviour", `{"faults": "c1=bogus"}`},
+		{"participant off the chain", `{"escrows": 3, "faults": "c4=silent"}`},
+		{"malformed notary", `{"faults": "notaryX=silent"}`},
+		{"bad mix weight", `{"mix": "timelock=heavy"}`},
 		{"negative commission", `{"commission": -1, "payments": 10}`},
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
@@ -552,6 +556,8 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 		`{"payments":-5}`,
 		fmt.Sprintf(`{"escrows":%d,"payments":10}`, maxEscrows+1),
 		`{"escrows":-1,"payments":10}`,
+		// Overflowed the generator's uniform draw and panicked a worker.
+		`{"payments":10,"amount_dist":"uniform","spread":4611686018427387904}`,
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -2,60 +2,10 @@
 // executes it against one shared Fig. 1 escrow chain, printing success
 // rate, throughput, latency percentiles and the liquidity-ledger audit.
 //
-// Usage:
-//
-//	xchain-traffic [flags]
-//
-//	-n 8               number of escrows (chain length)
-//	-seed 42           RNG seed (the whole run is deterministic in it)
-//	-payments 1000     number of payments
-//	-arrival poisson   arrival process: poisson, uniform, burst
-//	-rate 500          mean arrival rate (payments per simulated second)
-//	-burst 25          burst size (arrival=burst)
-//	-burst-gap 2s      gap between bursts (arrival=burst)
-//	-amount 100        central payment size
-//	-amount-dist fixed amount distribution: fixed, uniform, exponential
-//	-spread 0          half-width of the uniform amount distribution
-//	-commission 1      per-hop connector commission
-//	-mix timelock=1    comma-separated protocol=weight pairs
-//	-subpaths          route payments between random customer pairs
-//	-hotspot 0         hot sender index (with -subpaths)
-//	-hotspot-frac 0    fraction of payments from the hot sender
-//	-liquidity 0       per-account escrow endowment (0 = auto-size: never binds)
-//	-queue 0s          admission-queue patience for blocked payments
-//	-max-queue 0       queued-payment cap (0 = unbounded)
-//	-fault c1=silent   comma-separated participant=behaviour pairs
-//	-faults 0          fraction of connectors turned Byzantine mid-run by a
-//	                   seed-derived fault plan (0 = no plan)
-//	-fault-behaviours  comma-separated behaviours the plan draws from
-//	                   (default: the adversary catalogue's traffic set)
-//	-fault-from 0s     earliest fault onset (simulated time)
-//	-fault-stagger 0s  per-connector random onset jitter after -fault-from
-//	-fault-outage 0s   per-connector outage window; 0 = faulty forever
-//	-manager-outage 0s weak-liveness manager outage window from -fault-from
-//	-workers 0         worker-pool size (0 = one per CPU; results identical)
-//	-stream            aggregate-only retention: per-payment records are
-//	                   dropped as they settle, so peak memory is independent
-//	                   of -payments (identical counts/rates, histogram
-//	                   percentiles; the run executes the same either way)
-//	-exemplars 10      payments kept as a reservoir sample with -stream
-//	-checkpoint ""     write a crash-safe checkpoint to this file (atomic
-//	                   write+rename; resume with -resume)
-//	-checkpoint-every  write the checkpoint every N admitted payments
-//	                   (requires -checkpoint; 0 = only on interruption)
-//	-resume ""         resume an interrupted run from this checkpoint file;
-//	                   the flags must rebuild the exact scenario/workload the
-//	                   snapshot was taken under (enforced by config hash)
-//	-sweep-seeds 0     additionally sweep this many seeds in parallel
-//	-crypto ed25519    signature backend: ed25519 (default), hmac (identical
-//	                   aggregates, orders of magnitude less signing CPU)
-//	-crypto-stats      print key-cache / verification-memo counters
-//	-max-verify-miss 0 fail if the verify-memo miss rate exceeds this fraction
-//	-progress 0s       print a live progress line to stderr at this interval
-//	-cpuprofile ""     write a CPU profile of the run to this file
-//	-memprofile ""     write an allocation profile to this file when the run
-//	                   ends (read both with `go tool pprof`)
-//	-v                 print one line per payment (the exemplars with -stream)
+// Usage: xchain-traffic [flags]; -h lists them, each with its default. The
+// flag definitions in run are the one list. -fault and -mix strings are
+// validated before anything runs (exit 2 on an unknown behaviour,
+// participant or protocol).
 package main
 
 import (
@@ -66,7 +16,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -180,16 +129,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	s := xchainpay.NewScenario(*n, *seed)
-	if *faults != "" {
-		for _, pair := range strings.Split(*faults, ",") {
-			parts := strings.SplitN(pair, "=", 2)
-			if len(parts) != 2 {
-				fmt.Fprintf(stderr, "xchain-traffic: malformed -fault entry %q (want participant=behaviour)\n", pair)
-				return 2
-			}
-			s = s.SetFault(parts[0], adversary.Spec(adversary.Behaviour(parts[1]), s.Timing))
-		}
+	assignment, err := adversary.ParseAssignment(*faults, s.Topology)
+	if err != nil {
+		fmt.Fprintf(stderr, "xchain-traffic: -fault: %v\n", err)
+		return 2
 	}
+	s = assignment.Apply(s)
 
 	w := xchainpay.NewWorkload(*payments)
 	// The kind names are the flag strings; unknown values are rejected by
@@ -221,19 +166,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if *mix != "" {
-		w.Mix = nil
-		for _, pair := range strings.Split(*mix, ",") {
-			parts := strings.SplitN(pair, "=", 2)
-			weight := 1.0
-			if len(parts) == 2 {
-				var err error
-				weight, err = strconv.ParseFloat(parts[1], 64)
-				if err != nil {
-					fmt.Fprintf(stderr, "xchain-traffic: malformed -mix entry %q: %v\n", pair, err)
-					return 2
-				}
-			}
-			w.Mix = append(w.Mix, xchainpay.ProtocolShare{Name: parts[0], Weight: weight})
+		if w.Mix, err = traffic.ParseMix(*mix); err != nil {
+			fmt.Fprintf(stderr, "xchain-traffic: -mix: %v\n", err)
+			return 2
 		}
 	}
 

@@ -127,8 +127,20 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-fault", "nonsense"}, &out, &errOut); code != 2 {
 		t.Errorf("malformed fault accepted (exit %d)", code)
 	}
-	if code := run([]string{"-mix", "no-such-protocol=1"}, &out, &errOut); code != 1 {
-		t.Errorf("unknown protocol in mix should fail the run (exit %d)", code)
+	// Fault and mix strings fail closed, before anything runs: a typo used to
+	// build an all-honest chain (or fail only once the run started) and exit 0.
+	for _, args := range [][]string{
+		{"-mix", "no-such-protocol=1"},
+		{"-fault", "c1=sillent"},
+		{"-fault", "c1=silent,c77=silent"},
+		{"-fault", "notaryX=silent"},
+		{"-fault", "c1=silent,c1=crash"},
+	} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]) {
+			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
+		}
 	}
 	if code := run([]string{"-arrival", "brust"}, &out, &errOut); code != 1 {
 		t.Errorf("misspelled arrival kind should fail the run, not be coerced (exit %d)", code)

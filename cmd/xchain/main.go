@@ -1,20 +1,9 @@
 // Command xchain runs a single cross-chain payment scenario and prints its
 // trace, the per-customer outcomes, and the property verdicts.
 //
-// Usage:
-//
-//	xchain [flags]
-//
-//	-n 3              number of escrows (chain length)
-//	-seed 1           RNG seed (runs are deterministic in it)
-//	-protocol timelock  one of: timelock, timelock-anta, timelock-naive,
-//	                    weaklive, weaklive-committee, htlc
-//	-committee 4      committee size for weaklive-committee
-//	-network sync     one of: sync, partial
-//	-gst 500ms        global stabilisation time for -network partial
-//	-patience 30s     per-customer patience (weak-liveness protocols)
-//	-fault c1=silent  comma-separated participant=behaviour pairs
-//	-trace            print the full event trace
+// Usage: xchain [flags]; -h lists them, each with its default. The verdicts
+// are judged under the Definition of the theorem covering -protocol, and a
+// -fault string is validated before anything runs (exit 2).
 package main
 
 import (
@@ -23,13 +12,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	xchainpay "repro"
 	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/sim"
+	"repro/internal/timelock"
 )
 
 func main() {
@@ -74,39 +63,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, id := range s.Topology.Customers() {
 		s = s.SetPatience(id, durToSim(*patience))
 	}
-	if *faults != "" {
-		for _, pair := range strings.Split(*faults, ",") {
-			parts := strings.SplitN(pair, "=", 2)
-			if len(parts) != 2 {
-				return fatalf("malformed -fault entry %q (want participant=behaviour)", pair)
-			}
-			s = s.SetFault(parts[0], adversary.Spec(adversary.Behaviour(parts[1]), timing))
-		}
+	assignment, err := adversary.ParseAssignment(*faults, s.Topology)
+	if err != nil {
+		return fatalf("-fault: %v", err)
 	}
+	s = assignment.Apply(s)
 
 	var (
 		protocol xchainpay.Protocol
-		opts     check.Options
+		// bound is Theorem 1's a-priori termination bound, which only the
+		// timeout family derives.
+		bound sim.Time
 	)
+	timeBounded := func(p *timelock.Protocol) { protocol, bound = p, p.ParamsFor(s).Bound }
 	switch *protoName {
 	case "timelock":
-		p := xchainpay.TimeBounded()
-		protocol, opts = p, check.Def1TimeBounded(p.ParamsFor(s).Bound)
+		timeBounded(xchainpay.TimeBounded())
 	case "timelock-anta":
-		p := xchainpay.TimeBoundedANTA()
-		protocol, opts = p, check.Def1TimeBounded(p.ParamsFor(s).Bound)
+		timeBounded(xchainpay.TimeBoundedANTA())
 	case "timelock-naive":
-		p := xchainpay.TimeBoundedNaive()
-		protocol, opts = p, check.Def1TimeBounded(p.ParamsFor(s).Bound)
+		timeBounded(xchainpay.TimeBoundedNaive())
 	case "weaklive":
-		protocol, opts = xchainpay.WeakLiveness(), check.Def2(durToSim(*patience))
+		protocol = xchainpay.WeakLiveness()
 	case "weaklive-committee":
-		protocol, opts = xchainpay.WeakLivenessCommittee(*committee), check.Def2(durToSim(*patience))
+		protocol = xchainpay.WeakLivenessCommittee(*committee)
 	case "htlc":
-		protocol, opts = xchainpay.HTLCBaseline(), check.Def1Eventual()
+		protocol = xchainpay.HTLCBaseline()
 	default:
 		return fatalf("unknown protocol %q", *protoName)
 	}
+	opts := check.OptionsFor(protocol.Guarantee(), bound, durToSim(*patience))
 
 	res, err := protocol.Run(s)
 	if err != nil {

@@ -31,6 +31,24 @@ func TestRunProtocolsAndFaults(t *testing.T) {
 	}
 }
 
+// Every protocol is judged under the Definition its theorem is stated in:
+// certificate consistency and weak liveness are Definition-2 properties.
+func TestRunJudgesUnderTheProtocolsDefinition(t *testing.T) {
+	for proto, def2 := range map[string]bool{
+		"timelock": false, "timelock-anta": false, "timelock-naive": false, "htlc": false,
+		"weaklive": true, "weaklive-committee": true,
+	} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-n", "2", "-protocol", proto}, &out, &errOut); code == 2 {
+			t.Fatalf("%s: flag handling failed: %s", proto, errOut.String())
+		}
+		_, report, _ := strings.Cut(out.String(), "--- properties ---")
+		if got := strings.Contains(report, " CC") && strings.Contains(report, " WL"); got != def2 {
+			t.Errorf("%s: Definition 2 = %v, want %v:\n%s", proto, got, def2, report)
+		}
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-protocol", "bogus"}, &out, &errOut); code != 2 {
@@ -39,8 +57,11 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-network", "bogus"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown network accepted (exit %d)", code)
 	}
-	if code := run([]string{"-fault", "nonsense"}, &out, &errOut); code != 2 {
-		t.Errorf("malformed fault accepted (exit %d)", code)
+	for _, fault := range []string{"nonsense", "c1=sillent", "c9=silent", "notaryX=silent"} {
+		out.Reset()
+		if code := run([]string{"-fault", fault}, &out, &errOut); code != 2 || out.Len() != 0 {
+			t.Errorf("-fault %s should be rejected before the run (exit %d, stdout %q)", fault, code, out.String())
+		}
 	}
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)

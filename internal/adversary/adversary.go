@@ -12,7 +12,9 @@
 package adversary
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -102,6 +104,37 @@ func Spec(b Behaviour, timing core.Timing) core.FaultSpec {
 // Assignment maps participant IDs to behaviours; it is one corruption
 // pattern of a scenario.
 type Assignment map[string]Behaviour
+
+// ParseAssignment is the inverse of Describe: it parses a comma-separated
+// "participant=behaviour" list (the -fault flag and "faults" request field of
+// the commands) against a topology. It fails closed: a behaviour outside
+// AllBehaviours, a participant that is neither on the chain nor the manager
+// nor notaryK, and a participant named twice are all errors, so a typo never
+// runs as an honest scenario.
+func ParseAssignment(spec string, topo core.Topology) (Assignment, error) {
+	a := Assignment{}
+	if spec == "" || spec == "all-honest" {
+		return a, nil
+	}
+	for _, pair := range strings.Split(spec, ",") {
+		id, name, ok := strings.Cut(pair, "=")
+		if !ok {
+			return nil, fmt.Errorf("malformed fault entry %q (want participant=behaviour)", pair)
+		}
+		b, ok := ParseBehaviour(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown behaviour %q for %s (have %v)", name, id, AllBehaviours())
+		}
+		if topo.RoleOf(id) == "" {
+			return nil, fmt.Errorf("unknown participant %q (want c0..c%d, e0..e%d, %s or notaryK)", id, topo.N, topo.N-1, core.ManagerID)
+		}
+		if _, twice := a[id]; twice {
+			return nil, fmt.Errorf("participant %s is assigned twice", id)
+		}
+		a[id] = b
+	}
+	return a, nil
+}
 
 // Apply returns a copy of the scenario with the assignment's faults
 // installed.

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -64,6 +65,52 @@ func TestDescribe(t *testing.T) {
 	got := Assignment{"c1": Silent, "e0": Theft}.Describe()
 	if got != "c1=silent,e0=theft" {
 		t.Errorf("unexpected description %q", got)
+	}
+}
+
+// ParseAssignment inverts Describe on every enumerated assignment, and the
+// parsed assignment installs exactly the faults the string names.
+func TestParseAssignmentInvertsDescribe(t *testing.T) {
+	topo := core.NewTopology(3)
+	all := append(SingleFaultAssignments(topo), PairFaultAssignments(topo)...)
+	all = append(all, Assignment{core.ManagerID: Silent, core.NotaryID(2): Equivocation})
+	for _, want := range all {
+		got, err := ParseAssignment(want.Describe(), topo)
+		if err != nil {
+			t.Fatalf("%s: %v", want.Describe(), err)
+		}
+		if got.Describe() != want.Describe() || len(got) != len(want) {
+			t.Errorf("parsed %q back as %q", want.Describe(), got.Describe())
+		}
+	}
+	s := core.NewScenario(3, 1)
+	a, err := ParseAssignment("e0=theft,c1=silent,notary1=crash", s.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.SetFault("e0", Spec(Theft, s.Timing)).SetFault("c1", Spec(Silent, s.Timing)).SetFault("notary1", Spec(Crash, s.Timing))
+	if got := a.Apply(s); !reflect.DeepEqual(got.Faults, want.Faults) {
+		t.Errorf("applied faults %v, want %v", got.Faults, want.Faults)
+	}
+}
+
+// A typo must never run as an honest scenario.
+func TestParseAssignmentFailsClosed(t *testing.T) {
+	topo := core.NewTopology(3)
+	for _, spec := range []string{
+		"c1", "c1=", "=silent", "c1=sillent", "c1=Silent", "c1=silent,",
+		"c4=silent", "e3=theft", "c77=silent", "x=silent", "Manager=silent",
+		"notary=silent", "notaryX=silent", "notary-1=silent", "notary01=silent", "notary1x=silent",
+		"c1=silent,c1=crash", " c1=silent",
+	} {
+		if a, err := ParseAssignment(spec, topo); err == nil {
+			t.Errorf("%q parsed as %v, want an error", spec, a)
+		}
+	}
+	for _, spec := range []string{"", "all-honest", "c0=honest", "c3=forge,e2=equivocate,manager=crash-at-start,notary12=silent"} {
+		if _, err := ParseAssignment(spec, topo); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/clock"
 	"repro/internal/ledger"
@@ -140,8 +141,8 @@ func (t Topology) Participants() []string {
 	return t.appendEscrows(t.appendCustomers(make([]string, 0, 2*t.N+1)))
 }
 
-// RoleOf classifies an ID within this topology. IDs outside the topology
-// (manager, notaries) are classified by their prefix.
+// RoleOf classifies an ID within this topology; the manager and the notaries
+// notaryK sit outside the chain. An ID that names no participant has no role.
 func (t Topology) RoleOf(id string) Role {
 	switch id {
 	case t.Alice():
@@ -161,7 +162,7 @@ func (t Topology) RoleOf(id string) Role {
 			return RoleEscrow
 		}
 	}
-	if len(id) > 6 && id[:6] == "notary" {
+	if k, err := strconv.Atoi(strings.TrimPrefix(id, "notary")); err == nil && k >= 0 && id == NotaryID(k) {
 		return RoleNotary
 	}
 	return ""
@@ -513,14 +514,44 @@ func (r *RunResult) AllHonest() bool {
 	return true
 }
 
+// Theorem names the result of the paper that covers a protocol.
+type Theorem uint8
+
+// Theorems.
+const (
+	// Baseline is the HTLC chain, which no theorem of the paper covers.
+	Baseline Theorem = iota
+	// Theorem1 is the timeout family (Figure 2): all of Definition 1 under
+	// synchrony; outside it Theorem 2 applies.
+	Theorem1
+	// Theorem3 is the manager-based protocol: Definition 2 under partial
+	// synchrony, resting on the transaction manager's trust assumption.
+	Theorem3
+)
+
+// Guarantee is the one fact about correctness only a protocol knows: which
+// theorem covers it. What that theorem owes in a given run is decided in one
+// place, internal/check.
+type Guarantee struct {
+	Theorem Theorem
+	// Notaries is the size of the committee realising Theorem 3's
+	// transaction manager; zero is a single trusted manager.
+	Notaries int
+}
+
 // Protocol is the common interface of all cross-chain payment protocol
 // engines in this repository.
 type Protocol interface {
 	// Name identifies the protocol in experiment tables.
 	Name() string
+	// Guarantee states which theorem covers the protocol.
+	Guarantee() Guarantee
 	// Run executes the scenario and returns its result. Run must be
 	// deterministic in (scenario, scenario.Seed).
 	Run(s Scenario) (*RunResult, error)
+	// RunIn is the same run in a world its caller owns and reuses; the result
+	// is w's own and valid until w's next Reset.
+	RunIn(w *World, s Scenario) (*RunResult, error)
 }
 
 // Property identifies one correctness property from Definitions 1 and 2.

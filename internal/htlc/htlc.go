@@ -50,6 +50,10 @@ func New() *Protocol { return &Protocol{} }
 // Name implements core.Protocol.
 func (p *Protocol) Name() string { return "htlc" }
 
+// Guarantee implements core.Protocol: no theorem of the paper covers the
+// baseline.
+func (p *Protocol) Guarantee() core.Guarantee { return core.Guarantee{Theorem: core.Baseline} }
+
 // hopMargin returns the per-hop expiry decrement.
 func (p *Protocol) hopMargin(t core.Timing) sim.Time {
 	if p.HopMargin > 0 {

@@ -12,9 +12,9 @@
 //
 //   - Observation never changes results. Handles only read and write their
 //     own atomic cells; they never touch RNGs, event ordering or any state a
-//     run computes from. The nil-registry differential test in
-//     internal/traffic (TestMetricsResultEquivalence) enforces this the same
-//     way streaming-equivalence and backend-independence are enforced.
+//     run computes from. The metrics columns of internal/traffic's
+//     TestExecutionLattice enforce this the same way streaming-equivalence
+//     and backend-independence are enforced.
 //
 // All handles are safe for concurrent use: counters and histogram buckets
 // are atomic adds, gauges are atomic float stores/CAS loops, so worker pools

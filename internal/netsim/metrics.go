@@ -9,7 +9,7 @@ const (
 	// MetricMessagesDelivered counts messages delivered to recipients.
 	MetricMessagesDelivered = "xchain_net_messages_delivered_total"
 	// MetricMessagesDropped counts messages dropped (adversarial models,
-	// drop rules, unknown recipients).
+	// unknown recipients).
 	MetricMessagesDropped = "xchain_net_messages_dropped_total"
 	// MetricBroadcasts counts Broadcast calls; sent/broadcasts gives the
 	// mean broadcast fan-out.

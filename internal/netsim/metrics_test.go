@@ -8,7 +8,7 @@ import (
 )
 
 // An instrumented network mirrors its Stats counters into the registry,
-// including drops from rules and unknown recipients, and counts broadcasts.
+// including drops to unknown recipients, and counts broadcasts.
 func TestNetworkMetrics(t *testing.T) {
 	r := metrics.NewRegistry()
 	eng := sim.NewEngine(7)
@@ -18,9 +18,7 @@ func TestNetworkMetrics(t *testing.T) {
 	for _, id := range []string{"a", "b", "c"} {
 		net.Register(&FuncNode{Id: id})
 	}
-	net.AddRule(LinkRule{From: "a", To: "b", Drop: true})
 
-	net.Send("a", "b", RawMessage{Label: "dropped-by-rule"})
 	net.Send("a", "nobody", RawMessage{Label: "dropped-unknown"})
 	net.Send("b", "c", RawMessage{Label: "ok"})
 	net.Broadcast("c", RawMessage{Label: "fanout"}) // to a and b
@@ -42,7 +40,7 @@ func TestNetworkMetrics(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if st.Sent != 5 || st.Dropped != 2 || st.Delivered != 3 {
+	if st.Sent != 4 || st.Dropped != 1 || st.Delivered != 3 {
 		t.Fatalf("unexpected baseline stats: %+v", st)
 	}
 }

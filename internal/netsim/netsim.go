@@ -147,18 +147,6 @@ func (a Adversarial) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) {
 	return a.Strategy(env, eng)
 }
 
-// LinkRule overrides delays on a specific directed link; used to model a
-// single slow or partitioned connection.
-type LinkRule struct {
-	From, To string
-	// Extra is added to the model's delay on this link.
-	Extra sim.Time
-	// Drop silently discards every message on this link.
-	Drop bool
-	// Until limits the rule to messages sent before this time (0 = forever).
-	Until sim.Time
-}
-
 // Stats aggregates network-level counters for the cost experiments (E8).
 type Stats struct {
 	Sent      uint64
@@ -221,7 +209,6 @@ type Network struct {
 	tr       *trace.Trace
 	nodes    map[string]Node
 	ids      []string // registered node IDs, kept sorted
-	rules    []LinkRule
 	seq      uint64
 	stats    Stats
 	m        Metrics
@@ -241,7 +228,7 @@ func New(eng *sim.Engine, model DelayModel, tr *trace.Trace) *Network {
 }
 
 // Reset returns the network to the state New(eng, model, tr) builds on the
-// same engine and trace — no nodes, no rules, no tap, zeroed counters and
+// same engine and trace — no nodes, no tap, zeroed counters and
 // sequence numbers, muted metrics — keeping its maps' and pools' storage.
 // Messages still in flight belong to the engine's queue and go with the
 // engine's own Reset.
@@ -249,7 +236,6 @@ func (n *Network) Reset(model DelayModel) {
 	n.model = model
 	clear(n.nodes)
 	n.ids = n.ids[:0]
-	n.rules = n.rules[:0]
 	n.seq = 0
 	n.stats = Stats{}
 	n.m = Metrics{}
@@ -296,9 +282,6 @@ func (n *Network) NodeIDs() []string {
 	return out
 }
 
-// AddRule installs a link rule.
-func (n *Network) AddRule(r LinkRule) { n.rules = append(n.rules, r) }
-
 // Send hands a message from one participant to another. Unknown recipients
 // cause the message to be dropped (and traced), mirroring a payment sent to
 // a non-existent account rather than crashing the run.
@@ -316,14 +299,6 @@ func (n *Network) Send(from, to string, msg Message) {
 	}
 
 	delay, drop := n.model.Delay(env, n.eng)
-	for _, r := range n.rules {
-		if r.From == from && r.To == to && (r.Until == 0 || env.SentAt < r.Until) {
-			delay += r.Extra
-			if r.Drop {
-				drop = true
-			}
-		}
-	}
 	dst, ok := n.nodes[to]
 	if drop || !ok {
 		n.stats.Dropped++

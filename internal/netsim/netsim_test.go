@@ -104,19 +104,6 @@ func TestAdversarialStrategy(t *testing.T) {
 	}
 }
 
-func TestLinkRules(t *testing.T) {
-	eng, net, delivered := probeNetwork(Synchronous{Min: 1, Max: 1})
-	net.AddRule(LinkRule{From: "a", To: "b", Drop: true, Until: 10 * sim.Millisecond})
-	net.Send("a", "b", RawMessage{Label: "early"})
-	eng.ScheduleAt(20*sim.Millisecond, "later", func() {
-		net.Send("a", "b", RawMessage{Label: "late"})
-	})
-	eng.Run(0)
-	if len(*delivered) != 1 || (*delivered)[0] != "late" {
-		t.Fatalf("delivered %v, want only the late message", *delivered)
-	}
-}
-
 func TestUnknownRecipientIsDropped(t *testing.T) {
 	eng, net, _ := probeNetwork(Synchronous{Min: 1, Max: 1})
 	net.Send("a", "ghost", RawMessage{Label: "m"})

@@ -63,7 +63,9 @@ func Generate(seed int64) Spec {
 	if sp.isWeaklive() {
 		if sp.Family == FamCommittee {
 			sp.CommitteeSize = []int{1, 4}[rng.Intn(2)]
-			if rng.Intn(3) == 0 && maxNotaryFaults(sp.committeeSize()) > 0 {
+			// A committee of four stays trusted with one silent notary; the
+			// singleton tolerates none.
+			if rng.Intn(3) == 0 && sp.CommitteeSize == 4 {
 				sp.Faults = setFault(sp.Faults, core.NotaryID(0), adversary.Silent)
 			}
 		}

@@ -77,8 +77,9 @@ type Outcome struct {
 	// HTLC baseline (its documented gap).
 	ExpectedFailures []core.Property `json:"expectedFailures,omitempty"`
 	// Theorem2 marks a violating-class timeout-family run in which the
-	// adversarial schedule defeated Definition 1 (T, L or CS2 failed): a
-	// rediscovery of the impossibility result by random search.
+	// adversarial schedule defeated Definition 1 (a property Theorem 1 owes
+	// only in the envelope failed): a rediscovery of the impossibility result
+	// by random search.
 	Theorem2 bool     `json:"theorem2,omitempty"`
 	BobPaid  bool     `json:"bobPaid,omitempty"`
 	Duration sim.Time `json:"duration,omitempty"`
@@ -99,88 +100,32 @@ type Outcome struct {
 // OK reports whether the run honoured every owed invariant.
 func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 
+// guarantee is the Guarantee of the protocol a payment-family spec runs, as
+// that protocol states it.
+func (sp Spec) guarantee() core.Guarantee {
+	protos, _ := sp.Protocols() // every payment family runs at least one
+	return protos[0].Guarantee()
+}
+
 // checkOptions returns the property-evaluation options for a payment spec.
+// The a-priori bound exists for a conforming timeout-family spec only: it
+// runs derived windows (TimeoutScale 0/1), so the bound comes straight from
+// the derivation.
 func (sp Spec) checkOptions(class Class) check.Options {
-	if sp.isWeaklive() {
-		return check.Def2(sp.PatienceFloor)
-	}
+	var bound sim.Time
 	if sp.isTimelockFamily() && class == ClassConforming {
-		// Conforming specs run derived windows (TimeoutScale 0/1), so the
-		// bound comes straight from the derivation.
-		params := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), sp.Family != FamNaive)
-		return check.Def1TimeBounded(params.Bound)
+		bound = timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), sp.Family != FamNaive).Bound
 	}
-	return check.Def1Eventual()
+	return check.OptionsFor(sp.guarantee(), bound, sp.PatienceFloor)
 }
 
-// owed reports whether a property verdict is owed (must hold) for this spec
-// and class. Non-owed properties that fail are recorded as expected
-// failures.
-func (sp Spec) owed(p core.Property, class Class) bool {
-	if sp.Family == FamHTLC {
-		// The baseline's documented gap: Alice pays without ever receiving a
-		// transferable certificate, so CS1 fails even on the happy path.
-		if p == core.PropCS1 {
-			return false
-		}
-		if class == ClassViolating {
-			// Late claims surface as rejected-claim events (C) and refunds
-			// of a revealed preimage (CS2); only the escrow-security core is
-			// unconditional.
-			switch p {
-			case core.PropEscrowSecurity, core.PropCS3, core.PropConservation:
-				return true
-			}
-			return false
-		}
-		return true
-	}
-	if class == ClassConforming {
-		return true
-	}
-	if sp.isWeaklive() {
-		switch p {
-		case core.PropStrongLiveness, core.PropWeakLiveness:
-			// Impatient customers under pre-GST delays legitimately abort.
-			return false
-		case core.PropCertConsistency:
-			// CC is exactly the agreement of the transaction manager; it is
-			// only owed while the manager's trust assumption stands.
-			return sp.managerTrustIntact()
-		case core.PropTermination:
-			// Termination is owed whenever every customer's patience is
-			// finite (an abort decision always arrives eventually) and the
-			// manager can still decide.
-			return sp.allPatienceFinite() && sp.managerTrustIntact()
-		}
-		return true
-	}
-	// Timeout family under an envelope-violating schedule: Theorem 2 says
-	// some of {T, L, CS2} must be defeatable; everything else stays owed.
-	switch p {
-	case core.PropTermination, core.PropStrongLiveness, core.PropCS2:
-		return false
-	}
-	return true
-}
-
-// managerTrustIntact reports whether the transaction-manager trust
-// assumption of Theorem 3 holds in the fault assignment.
-func (sp Spec) managerTrustIntact() bool {
-	if _, faulty := sp.Faults[core.ManagerID]; faulty {
-		return false
-	}
-	notaryFaults := 0
-	topo := core.NewTopology(sp.N)
-	for id := range sp.Faults {
-		if topo.RoleOf(id) == core.RoleNotary {
-			notaryFaults++
-		}
-	}
-	if sp.Family == FamCommittee {
-		return notaryFaults <= maxNotaryFaults(sp.committeeSize())
-	}
-	return notaryFaults == 0
+// managerTrusted applies Theorem 3's trust assumption to the spec's fault
+// assignment.
+func (sp Spec) managerTrusted(g core.Guarantee) bool {
+	return check.ManagerTrusted(g, func(id string) bool {
+		_, faulty := sp.Faults[id]
+		return faulty
+	})
 }
 
 // allPatienceFinite reports whether every customer has finite patience.
@@ -350,7 +295,7 @@ func runPayment(sp Spec, out *Outcome) {
 	out.Events = primary.EventsFired
 	out.TraceLen = primary.Trace.Len()
 
-	judgeReport(sp, out, rep, primary.Duration)
+	judgeReport(sp, out, protos[0].Guarantee(), rep, primary.Duration)
 	if sp.Family == FamDifferential {
 		judgeDifferential(out, results, reports)
 	}
@@ -373,7 +318,7 @@ func runPayment(sp Spec, out *Outcome) {
 // judgeReport folds one property report into the outcome: owed failures
 // become violations, the rest are recorded as expected. The horizon rule
 // upgrades slow envelope-violating runs to termination failures.
-func judgeReport(sp Spec, out *Outcome, rep check.Report, duration sim.Time) {
+func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep check.Report, duration sim.Time) {
 	failed := map[core.Property]string{}
 	for _, p := range rep.Failures() {
 		failed[p] = rep.Verdict(p).Detail
@@ -383,24 +328,25 @@ func judgeReport(sp Spec, out *Outcome, rep check.Report, duration sim.Time) {
 			failed[core.PropTermination] = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, Horizon)
 		}
 	}
+	facts := check.Facts{
+		InEnvelope:     out.Class == ClassConforming,
+		ManagerTrusted: sp.managerTrusted(g),
+		PatienceFinite: sp.allPatienceFinite(),
+	}
 	for _, p := range core.AllProperties() {
 		detail, ok := failed[p]
 		if !ok {
 			continue
 		}
-		if sp.owed(p, out.Class) {
+		if check.Owed(g, p, facts) {
 			out.Violations = append(out.Violations, Violation{Kind: KindProperty, Property: p, Detail: detail})
 		} else {
 			out.ExpectedFailures = append(out.ExpectedFailures, p)
 		}
 	}
-	if out.Class == ClassViolating && sp.isTimelockFamily() {
-		for _, p := range out.ExpectedFailures {
-			if p == core.PropTermination || p == core.PropStrongLiveness || p == core.PropCS2 {
-				out.Theorem2 = true
-			}
-		}
-	}
+	// Outside the envelope everything Theorem 1 still owes is a violation, so
+	// an expected failure there is one of Theorem 2's defeatable properties.
+	out.Theorem2 = out.Class == ClassViolating && g.Theorem == core.Theorem1 && len(out.ExpectedFailures) > 0
 }
 
 // settlementTrace projects a trace onto its value-moving events (lock,
@@ -463,12 +409,11 @@ func runDeal(sp Spec, out *Outcome) {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
-	var res *deals.Result
+	run := deals.TimelockCommit{}.Run
 	if sp.Family == FamDealCertified {
-		res, err = deals.CertifiedCommit{}.Run(cfg)
-	} else {
-		res, err = deals.TimelockCommit{}.Run(cfg)
+		run = deals.CertifiedCommit{}.Run
 	}
+	res, err := run(cfg)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
@@ -496,12 +441,7 @@ func runDeal(sp Spec, out *Outcome) {
 		out.Violations = append(out.Violations, Violation{Kind: KindDeal, Detail: "ledger audit: " + err.Error()})
 	}
 	if sp.wantDeterminism() {
-		var q *deals.Result
-		if sp.Family == FamDealCertified {
-			q, err = deals.CertifiedCommit{}.Run(cfg)
-		} else {
-			q, err = deals.TimelockCommit{}.Run(cfg)
-		}
+		q, err := run(cfg)
 		if err != nil {
 			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
 			return

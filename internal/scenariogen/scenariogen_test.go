@@ -352,6 +352,14 @@ func TestTrafficSpecValidation(t *testing.T) {
 		"traffic on timelock":     func(sp *Spec) { sp.Family = FamTimelock },
 		"negative checkpointAt":   func(sp *Spec) { sp.Traffic.CheckpointAt = -1 },
 		"checkpointAt ≥ payments": func(sp *Spec) { sp.Traffic.CheckpointAt = sp.Traffic.Payments },
+		// Sizes a replay file must not choose freely. The clock offset used
+		// to reach rand.Int63n overflowed and panicked.
+		"population too large": func(sp *Spec) { sp.Traffic.Payments = maxTrafficPayments + 1 },
+		"chain too long":       func(sp *Spec) { sp.N = maxChain + 1 },
+		"offset overflows":     func(sp *Spec) { sp.Timing.Offset = 1 << 62 },
+		"negative patience":    func(sp *Spec) { sp.Patience = map[string]sim.Time{"c0": -1} },
+		"timeout scale":        func(sp *Spec) { sp.TimeoutScale = -2 },
+		"drift":                func(sp *Spec) { sp.Timing.Rho = 1 },
 	}
 	for name, mutate := range cases {
 		sp := trafficSpec()

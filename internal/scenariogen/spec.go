@@ -204,26 +204,72 @@ type Spec struct {
 	Traffic *TrafficSpec `json:"traffic,omitempty"`
 }
 
-// Validate checks that the spec is structurally sound and all names resolve.
+// Size bounds of a spec. A replay file is an input boundary: without them a
+// hand-edited file chooses the run's memory and time freely, and values near
+// the int64 range overflow the timing arithmetic. All are far beyond
+// anything Generate draws (n <= 8, 120 payments, windows of seconds).
+const (
+	maxChain           = 64            // escrows, deal parties, notaries
+	maxAmount          = 1_000_000_000 // base, commission, liquidity endowment
+	maxSpan            = int64(1000 * sim.Hour)
+	maxRho             = 0.1
+	maxTimeoutScale    = 1000.0
+	maxTrafficPayments = 10_000
+)
+
+// span is one bounded integer field of a spec.
+type span struct {
+	name      string
+	v, lo, hi int64
+}
+
+// Validate checks that the spec is structurally sound, every size is within
+// its bound and all names resolve.
 func (sp Spec) Validate() error {
 	if _, ok := ParseFamily(string(sp.Family)); !ok {
 		return fmt.Errorf("scenariogen: unknown family %q", sp.Family)
 	}
-	min := 1
-	if sp.Family == FamDealTimelock || sp.Family == FamDealCertified {
-		min = 2
+	minN := 1
+	if sp.isDeal() {
+		minN = 2
 	}
-	if sp.N < min {
-		return fmt.Errorf("scenariogen: family %s needs n >= %d, got %d", sp.Family, min, sp.N)
+	spans := []span{
+		{"n", int64(sp.N), int64(minN), maxChain},
+		{"base", sp.Base, 1, maxAmount},
+		{"commission", sp.Commission, 0, maxAmount},
+		{"committeeSize", int64(sp.CommitteeSize), 0, maxChain},
+		{"timing.delta", int64(sp.Timing.Delta), 1, int64(sim.Hour)},
+		{"timing.processing", int64(sp.Timing.Processing), 1, int64(sim.Hour)},
+		{"timing.offset", int64(sp.Timing.Offset), 0, int64(sim.Hour)},
+		{"net.min", int64(sp.Net.Min), 0, maxSpan},
+		{"net.gst", int64(sp.Net.GST), 0, maxSpan},
+		{"net.maxPreGST", int64(sp.Net.MaxPreGST), 0, maxSpan},
+		{"net.holdback", int64(sp.Net.Holdback), 0, maxSpan},
+		{"net.fast", int64(sp.Net.Fast), 0, maxSpan},
+		{"patienceFloor", int64(sp.PatienceFloor), 0, maxSpan},
 	}
-	if sp.Base < 1 {
-		return fmt.Errorf("scenariogen: base amount must be positive, got %d", sp.Base)
+	if ts := sp.Traffic; ts != nil {
+		spans = append(spans,
+			span{"traffic.payments", int64(ts.Payments), 1, maxTrafficPayments},
+			span{"traffic.checkpointAt", int64(ts.CheckpointAt), 0, int64(ts.Payments) - 1},
+			span{"traffic.liquidity", ts.Liquidity, 0, maxAmount},
+			span{"traffic.queuePatience", int64(ts.QueuePatience), 0, maxSpan})
 	}
-	if sp.Commission < 0 {
-		return fmt.Errorf("scenariogen: negative commission %d", sp.Commission)
+	for _, b := range spans {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("scenariogen: %s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
+		}
 	}
-	if sp.Timing.Delta <= 0 || sp.Timing.Processing <= 0 {
-		return fmt.Errorf("scenariogen: non-positive timing bounds")
+	for id, p := range sp.Patience {
+		if p < 0 || int64(p) > maxSpan {
+			return fmt.Errorf("scenariogen: patience of %s %d outside [0, %d]", id, p, maxSpan)
+		}
+	}
+	if sp.Timing.Rho < 0 || sp.Timing.Rho > maxRho {
+		return fmt.Errorf("scenariogen: clock drift %v outside [0, %v]", sp.Timing.Rho, maxRho)
+	}
+	if sp.TimeoutScale != -1 && (sp.TimeoutScale < 0 || sp.TimeoutScale > maxTimeoutScale) {
+		return fmt.Errorf("scenariogen: timeoutScale %v is neither -1 nor in [0, %v]", sp.TimeoutScale, maxTimeoutScale)
 	}
 	switch sp.Net.Kind {
 	case NetSynchronous, NetPartial:
@@ -247,17 +293,8 @@ func (sp Spec) Validate() error {
 		if ts == nil {
 			return fmt.Errorf("scenariogen: traffic family needs a traffic block")
 		}
-		if ts.Payments < 1 {
-			return fmt.Errorf("scenariogen: traffic needs at least one payment, got %d", ts.Payments)
-		}
 		if ts.Rate <= 0 {
 			return fmt.Errorf("scenariogen: non-positive traffic arrival rate %v", ts.Rate)
-		}
-		if ts.Liquidity < 0 || ts.QueuePatience < 0 {
-			return fmt.Errorf("scenariogen: negative traffic liquidity or queue patience")
-		}
-		if ts.CheckpointAt < 0 || ts.CheckpointAt >= ts.Payments {
-			return fmt.Errorf("scenariogen: traffic checkpointAt %d outside [0, payments)", ts.CheckpointAt)
 		}
 		if err := ts.plan().Validate(core.NewTopology(sp.N)); err != nil {
 			return fmt.Errorf("scenariogen: %w", err)
@@ -488,9 +525,6 @@ const (
 	ClassViolating  Class = "violating"
 )
 
-// maxNotaryFaults is f for a 3f+1 committee.
-func maxNotaryFaults(size int) int { return (size - 1) / 3 }
-
 // Class derives the spec's class from its content (never stored, so shrinker
 // mutations and hand-edited replays classify consistently).
 func (sp Spec) Class() Class {
@@ -556,13 +590,13 @@ func behaviourIn(b adversary.Behaviour, set []adversary.Behaviour) bool {
 
 // faultsConforming checks the fault assignment against the family's trust
 // assumptions: at most two faulty chain participants drawn from the
-// behaviours meaningful for their role, no faulty transaction manager, and
-// at most f faulty notaries for a 3f+1 committee.
+// behaviours meaningful for their role, and a transaction manager whose
+// trust assumption stands with any faulty notaries merely unresponsive.
 func (sp Spec) faultsConforming() bool {
 	if sp.isDeal() {
 		return true // any non-compliant subset is within Herlihy et al.'s model
 	}
-	chainFaults, notaryFaults := 0, 0
+	chainFaults := 0
 	topo := core.NewTopology(sp.N)
 	for id, name := range sp.Faults {
 		b, ok := adversary.ParseBehaviour(name)
@@ -595,7 +629,6 @@ func (sp Spec) faultsConforming() bool {
 			if b != adversary.Silent && b != adversary.CrashAtStart {
 				return false
 			}
-			notaryFaults++
 		default:
 			return false // manager faults (or unknown IDs) void the trust model
 		}
@@ -603,10 +636,7 @@ func (sp Spec) faultsConforming() bool {
 	if chainFaults > 2 {
 		return false
 	}
-	if notaryFaults > maxNotaryFaults(sp.committeeSize()) {
-		return false
-	}
-	return true
+	return !sp.isWeaklive() || sp.managerTrusted(sp.guarantee())
 }
 
 // Describe renders the spec on one line.

@@ -5,8 +5,8 @@ import (
 )
 
 // Microbenchmarks for the authentication layer, per backend. CI runs them
-// with a tiny -benchtime as a smoke test; BENCH_crypto.json records the
-// measured numbers via experiment E10 (cmd/xchain-bench -run E10 -json).
+// with a tiny -benchtime as a smoke test; experiment E10
+// (cmd/xchain-bench -run E10) prints the backend comparison.
 
 func benchEachBackend(b *testing.B, fn func(b *testing.B, name string)) {
 	for _, name := range BackendNames() {

@@ -69,6 +69,9 @@ func (p *Protocol) Name() string {
 	return name
 }
 
+// Guarantee implements core.Protocol: the timeout family is Theorem 1's.
+func (p *Protocol) Guarantee() core.Guarantee { return core.Guarantee{Theorem: core.Theorem1} }
+
 // ParamsFor returns the timeout parameters the protocol would use for the
 // scenario (derived unless overridden).
 func (p *Protocol) ParamsFor(s core.Scenario) Params {

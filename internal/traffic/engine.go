@@ -54,7 +54,8 @@ type Config struct {
 	// payment outcomes, latency, queue depth, liquidity and the kernel
 	// counters of every engine the run spins up (it overrides the
 	// scenario's registry). Observation only: the Result is byte-identical
-	// with or without it — TestMetricsResultEquivalence enforces this.
+	// with or without it — TestExecutionLattice's metrics columns enforce
+	// this.
 	Metrics *metrics.Registry
 
 	// CheckpointEvery, when > 0, writes a resumable snapshot to
@@ -104,34 +105,18 @@ func (c Config) checkpointing() bool {
 		c.InterruptAt > 0 || c.Control != nil
 }
 
-// chainProtocol is what every built-in mix entry offers: besides Run, a run
-// in a world its caller owns and reuses (the worker's standing world).
-type chainProtocol interface {
-	core.Protocol
-	RunIn(w *core.World, s core.Scenario) (*core.RunResult, error)
-}
-
-// builtinProtocols is the registry resolving Workload.Mix names. Each
+// DefaultProtocols returns the built-in protocol registry for workload
+// mixes: the names a Workload.Mix may use and the protocol each runs. Each
 // instance is stateless across runs and safe to share between worker
 // goroutines (a run derives all per-run state from the scenario).
-func builtinProtocols() map[string]chainProtocol {
-	return map[string]chainProtocol{
+func DefaultProtocols() map[string]core.Protocol {
+	return map[string]core.Protocol{
 		"timelock":           timelock.New(),
 		"timelock-naive":     timelock.NewNaive(),
 		"weaklive":           weaklive.New(),
 		"weaklive-committee": weaklive.NewCommittee(4),
 		"htlc":               htlc.New(),
 	}
-}
-
-// DefaultProtocols returns the built-in protocol registry for workload
-// mixes: the names a Workload.Mix may use and the protocol each runs.
-func DefaultProtocols() map[string]core.Protocol {
-	out := map[string]core.Protocol{}
-	for name, p := range builtinProtocols() {
-		out[name] = p
-	}
-	return out
 }
 
 // subOutcome is the precomputed result of one payment's own protocol run.
@@ -156,11 +141,11 @@ type subOutcome struct {
 // (base scenario, compiled plan, payment). The run executes in w, the
 // calling worker's standing world; the result is consumed here, before w's
 // next Reset, and nothing of it escapes.
-func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payment, registry map[string]chainProtocol) subOutcome {
+func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
 	sub := subScenario(base, plan, p)
 	proto := registry[p.Protocol]
-	_, manager := proto.(*weaklive.Protocol)
-	if plan != nil && manager && plan.managerActive(p.Arrival) {
+	g := proto.Guarantee()
+	if plan != nil && g.Theorem == core.Theorem3 && plan.managerActive(p.Arrival) {
 		if !sub.FaultOf(core.ManagerID).IsByzantine() {
 			sub = sub.SetFault(core.ManagerID, plan.manager.spec)
 		}
@@ -174,55 +159,22 @@ func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payme
 	// Aggregate safety oracle: every sub-run — honest or faulted — must
 	// satisfy the safety half of Definition 1/2 (escrow security, the
 	// customer-safety triple, certificate consistency for manager-based
-	// protocols, conservation) wherever it is owed.
-	opts := check.Def1Eventual()
-	if manager {
-		opts = check.Def2(0)
-	}
-	rep := check.Evaluate(r, opts)
+	// protocols, conservation) wherever check.Owed says the covering theorem
+	// owes it. A faulted sub-run is outside the envelope; patience plays no
+	// part, as no safety property is conditional on it.
+	rep := check.Evaluate(r, check.OptionsFor(g, 0, 0))
 	for _, prop := range rep.SafetyFailures() {
-		if !safetyOwed(prop, proto, sub, byz) {
+		facts := check.Facts{
+			InEnvelope:     !byz,
+			ManagerTrusted: check.ManagerTrusted(g, func(id string) bool { return sub.FaultOf(id).IsByzantine() }),
+		}
+		if !check.Owed(g, prop, facts) {
 			continue
 		}
 		out.safety = append(out.safety,
 			fmt.Sprintf("%s %s (%s): %s", p.ID, prop, p.Protocol, rep.Verdict(prop).Detail))
 	}
 	return out
-}
-
-// safetyOwed mirrors internal/scenariogen's owed-property rules on the
-// traffic oracle: a safety failure only counts as a violation when the
-// theorems actually owe the property under the sub-run's fault assignment.
-//   - HTLC never owes CS1 (its documented gap: Alice pays without ever
-//     receiving a transferable certificate), and on a Byzantine path only the
-//     unconditional core {ES, CS3, CV} is owed (late claims surface as
-//     refunds of a revealed preimage, which reads as a CS2 failure).
-//   - Timeout-family protocols owe everything in honest runs; on a Byzantine
-//     path CS2 joins Theorem 2's defeatable set {T, L, CS2}.
-//   - Weak-liveness protocols owe the full customer-safety triple even on a
-//     Byzantine path (Theorem 3's content); CC is exactly the manager's
-//     agreement and is owed only while the manager trust assumption stands.
-func safetyOwed(prop core.Property, proto core.Protocol, sub core.Scenario, byz bool) bool {
-	switch prop {
-	case core.PropEscrowSecurity, core.PropCS3, core.PropConservation:
-		return true // unconditional safety core, owed in every execution
-	}
-	if _, htlcBaseline := proto.(*htlc.Protocol); htlcBaseline {
-		if prop == core.PropCS1 {
-			return false
-		}
-		return !byz
-	}
-	if _, manager := proto.(*weaklive.Protocol); manager {
-		if prop == core.PropCertConsistency {
-			return !sub.FaultOf(core.ManagerID).IsByzantine()
-		}
-		return true
-	}
-	if prop == core.PropCS2 {
-		return !byz
-	}
-	return true
 }
 
 // Run executes the workload against the scenario's chain with the default
@@ -280,7 +232,7 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	if err := w.Validate(s.Topology); err != nil {
 		return nil, err
 	}
-	registry := builtinProtocols()
+	registry := DefaultProtocols()
 	// Every generated payment's protocol comes from the mix (or is the
 	// built-in default "timelock"), so validating the mix names validates
 	// the population without generating it.
@@ -364,7 +316,9 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 		}
 		res.Book = newLiquidityBook(s, w, demand)
 	}
-	src := newStreamSource(s, w, plan, registry, cfg.workers(), rm, skip)
+	// Workers beyond the number of chunks would idle; the cap also keeps a
+	// caller-chosen count from sizing the pipeline's channels.
+	src := newStreamSource(s, w, plan, registry, min(cfg.workers(), w.Payments/chunkSize+1), rm, skip)
 	// An interrupted run leaves the pipeline mid-stream; closing it releases
 	// the producer and worker goroutines.
 	defer src.close()
@@ -481,7 +435,7 @@ type streamSource struct {
 	stopOnce sync.Once
 }
 
-func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]chainProtocol, workers int, rm RunMetrics, skip int) *streamSource {
+func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]core.Protocol, workers int, rm RunMetrics, skip int) *streamSource {
 	depth := workers + 2
 	ordered := make(chan *chunk, depth)
 	work := make(chan *chunk, depth)

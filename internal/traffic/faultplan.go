@@ -86,8 +86,10 @@ func (fp FaultPlan) Validate(t core.Topology) error {
 	if fp.Fraction > 0 && t.N < 2 {
 		return fmt.Errorf("traffic: fault plan corrupts connectors but a %d-escrow chain has none", t.N)
 	}
-	if fp.From < 0 || fp.Stagger < 0 || fp.Outage < 0 || fp.ManagerOutage < 0 {
-		return fmt.Errorf("traffic: fault plan windows must be non-negative")
+	for _, d := range []sim.Time{fp.From, fp.Stagger, fp.Outage, fp.ManagerOutage} {
+		if d < 0 || d > maxWindow {
+			return fmt.Errorf("traffic: fault plan window %v outside [0, %v]", d, maxWindow)
+		}
 	}
 	allowed := map[string]bool{}
 	for _, b := range adversary.CustomerBehaviours() {

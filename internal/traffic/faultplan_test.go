@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -157,6 +158,58 @@ func TestStaticFaultsAttributed(t *testing.T) {
 	}
 	if res.SafetyViolations != 0 {
 		t.Fatalf("safety violated under a static fault:\n%s", res)
+	}
+}
+
+// TestNotaryMajorityWaivesOnlyCC is the regression test for a false safety
+// alarm: with three of a committee's four notaries equivocating, Theorem 3's
+// "less than one-third unreliable" assumption is gone and both certificates
+// do get issued — damage the theorem permits, not a violation. The traffic
+// oracle used to waive CC only for a Byzantine manager ID and counted every
+// such payment. One equivocating notary is within the assumption: there CC
+// is owed and must hold.
+func TestNotaryMajorityWaivesOnlyCC(t *testing.T) {
+	equivocate := core.FaultSpec{Equivocate: true}
+	w := NewWorkload(200).WithMix(ProtocolShare{Name: "weaklive-committee", Weight: 1})
+	w.Arrival.Rate = 200
+	for _, tc := range []struct {
+		name     string
+		notaries int
+		wantCC   bool // certificate consistency breaks in some sub-run
+	}{
+		{"within f", 1, false},
+		{"beyond f", 3, true},
+	} {
+		s := core.NewScenario(3, 42)
+		s.Crypto = "hmac"
+		for j := 0; j < tc.notaries; j++ {
+			s = s.SetFault(core.NotaryID(j), equivocate)
+		}
+		res, err := RunWith(s, w, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SafetyViolations != 0 || res.FaultedPayments != res.Total {
+			t.Errorf("%s: %d safety violations, %d of %d payments faulted, want 0 and all:\n%s",
+				tc.name, res.SafetyViolations, res.FaultedPayments, res.Total, res)
+		}
+		brokeCC := false
+		for _, p := range population(s, w) {
+			r, err := DefaultProtocols()[p.Protocol].Run(subScenario(s, nil, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := check.Evaluate(r, check.Def2(0))
+			if fails := rep.SafetyFailures(); len(fails) > 0 {
+				brokeCC = true
+				if !reflect.DeepEqual(fails, []core.Property{core.PropCertConsistency}) {
+					t.Errorf("%s: %s failed %v, want only CC", tc.name, p.ID, fails)
+				}
+			}
+		}
+		if brokeCC != tc.wantCC {
+			t.Errorf("%s: certificate consistency broke = %v, want %v", tc.name, brokeCC, tc.wantCC)
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan) (*sliceSource, *Result) {
 	src := &sliceSource{pays: population(s, w)}
 	demand := map[string]map[string]int64{}
-	world, registry := core.NewWorld(), builtinProtocols()
+	world, registry := core.NewWorld(), DefaultProtocols()
 	for _, p := range src.pays {
 		addDemand(demand, p)
 		src.subs = append(src.subs, simulateOne(world, s, plan, p, registry))

@@ -10,11 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMetricsResultEquivalence is the observability layer's core contract:
-// attaching a live metrics registry to a traffic run never changes what the
-// run computes. The rendered Result must be byte-identical with and without
-// instrumentation, serial and parallel (TestExecutionLattice's metrics
-// columns repeat the check on every lattice input and with records dropped).
+// TestMetricsResultEquivalence holds a live registry to the run it observed,
+// serial and parallel: every counter, gauge and family agrees with the exact
+// Result. That attaching the registry never changes the Result itself is
+// TestExecutionLattice's metrics and metrics/drop columns, on every input.
 func TestMetricsResultEquivalence(t *testing.T) {
 	s := core.NewScenario(4, 99)
 	w := Workload{
@@ -25,28 +24,13 @@ func TestMetricsResultEquivalence(t *testing.T) {
 		RandomSubPaths: true,
 		Mix:            []ProtocolShare{{Name: "timelock", Weight: 2}, {Name: "htlc", Weight: 1}},
 	}
-	var baseline string
 	for _, workers := range []int{1, 4} {
-		for _, instrumented := range []bool{false, true} {
-			cfg := Config{Workers: workers}
-			if instrumented {
-				cfg.Metrics = metrics.NewRegistry()
-			}
-			res, err := RunWith(s, w, cfg)
-			if err != nil {
-				t.Fatalf("workers=%d metrics=%v: %v", workers, instrumented, err)
-			}
-			got := res.String()
-			if baseline == "" {
-				baseline = got
-			} else if got != baseline {
-				t.Fatalf("workers=%d metrics=%v diverged:\n--- got ---\n%s\n--- want ---\n%s",
-					workers, instrumented, got, baseline)
-			}
-			if instrumented {
-				checkRunCounters(t, cfg.Metrics, res)
-			}
+		cfg := Config{Workers: workers, Metrics: metrics.NewRegistry()}
+		res, err := RunWith(s, w, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		checkRunCounters(t, cfg.Metrics, res)
 	}
 }
 

@@ -431,6 +431,18 @@ func TestWorkloadValidation(t *testing.T) {
 	if _, err := Run(s, w); err == nil {
 		t.Fatal("negative commission accepted")
 	}
+	// Magnitudes near the int64 range overflow the generator's draws (this
+	// spread panicked rand.Int63n) and the ledgers' sums.
+	w = NewWorkload(5)
+	w.Amounts = AmountDist{Kind: AmountUniform, Base: 100, Spread: 1 << 62}
+	if _, err := Run(s, w); err == nil {
+		t.Fatal("overflowing amount spread accepted")
+	}
+	w = NewWorkload(5)
+	w.Arrival.Rate = 1e-300
+	if _, err := Run(s, w); err == nil {
+		t.Fatal("arrival rate whose gaps overflow virtual time accepted")
+	}
 	// Zero total weight would silently resolve every payment to mix[0].
 	w = NewWorkload(5).WithMix(
 		ProtocolShare{Name: "timelock", Weight: 0},
@@ -574,34 +586,21 @@ func TestStreamingSmoke(t *testing.T) {
 	}
 }
 
-// TestCryptoBackendEquivalence asserts the tentpole invariant at the traffic
-// level: the signature backend realises a model assumption, so two runs of
-// the same workload under ed25519 and hmac must produce byte-identical
-// Results — every aggregate, every per-payment record, every audit.
-func TestCryptoBackendEquivalence(t *testing.T) {
-	s := core.NewScenario(4, 7)
-	w := NewWorkload(300)
-	w.Arrival.Rate = 2000
-	w.RandomSubPaths = true
-	w = w.WithMix(mixed...).WithLiquidity(4000).WithQueue(2*sim.Second, 0)
-
-	ref, err := RunWith(s, w, Config{Crypto: "ed25519"})
+// TestWorkerCountIsCapped: a worker count far beyond the population's chunks
+// used to size the pipeline's channels (a 10^12-worker request took the
+// process down allocating them); it now runs like any other count.
+func TestWorkerCountIsCapped(t *testing.T) {
+	s := core.NewScenario(2, 1)
+	s.Crypto = "hmac"
+	ref, err := RunWith(s, NewWorkload(20), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWith(s, w, Config{Crypto: "hmac"})
+	got, err := RunWith(s, NewWorkload(20), Config{Workers: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != ref.String() {
-		t.Fatalf("hmac run differs from ed25519:\n--- ed25519 ---\n%s--- hmac ---\n%s", ref, got)
-	}
-	if !reflect.DeepEqual(got.Payments, ref.Payments) {
-		t.Fatal("per-payment records differ across crypto backends")
-	}
-	if ref.AuditErr != nil || got.AuditErr != nil {
-		t.Fatalf("audit failed: %v / %v", ref.AuditErr, got.AuditErr)
-	}
+	requireSameResult(t, "workers=2^40", got, ref)
 }
 
 // TestCryptoBackendValidation: unknown backend names are rejected up front,

@@ -21,8 +21,12 @@ package traffic
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -149,6 +153,29 @@ func (w Workload) WithMix(mix ...ProtocolShare) Workload {
 	return w
 }
 
+// ParseMix parses a comma-separated "protocol=weight" list (a bare name
+// weighs 1), the -mix flag and "mix" request field of the commands, checking
+// every name against the built-in registry.
+func ParseMix(spec string) ([]ProtocolShare, error) {
+	registry := DefaultProtocols()
+	var mix []ProtocolShare
+	for _, pair := range strings.Split(spec, ",") {
+		name, weightText, weighted := strings.Cut(pair, "=")
+		share := ProtocolShare{Name: name, Weight: 1}
+		if weighted {
+			var err error
+			if share.Weight, err = strconv.ParseFloat(weightText, 64); err != nil {
+				return nil, fmt.Errorf("malformed mix entry %q: %v", pair, err)
+			}
+		}
+		if _, ok := registry[name]; !ok {
+			return nil, fmt.Errorf("unknown protocol %q in mix (have %v)", name, slices.Sorted(maps.Keys(registry)))
+		}
+		mix = append(mix, share)
+	}
+	return mix, nil
+}
+
 // WithLiquidity returns a copy of the workload with bounded escrow
 // liquidity.
 func (w Workload) WithLiquidity(liq int64) Workload {
@@ -164,6 +191,16 @@ func (w Workload) WithQueue(patience sim.Time, maxLen int) Workload {
 	w.MaxQueue = maxLen
 	return w
 }
+
+// Magnitude bounds of a workload and its fault plan, far beyond any
+// meaningful experiment.
+const (
+	maxAmount    = 1_000_000_000     // base, spread, commission
+	maxLiquidity = 1_000_000_000_000 // per-account endowment
+	maxWindow    = 1000 * sim.Hour   // burst gap, queue patience, fault windows
+	minRate      = 1e-3              // arrivals per simulated second
+	maxRate      = 1e9
+)
 
 // Validate checks the workload against a topology.
 func (w Workload) Validate(t core.Topology) error {
@@ -185,6 +222,26 @@ func (w Workload) Validate(t core.Topology) error {
 		// non-negative commission keeps every hop amount >= 1, which the
 		// ledgers require and admission's balance probe relies on.
 		return fmt.Errorf("traffic: negative commission %d", w.Commission)
+	}
+	// Magnitudes a caller must not choose freely: beyond these the int64
+	// sums of the generator, the demand pre-pass and the ledgers overflow.
+	for _, b := range []struct {
+		name  string
+		v, hi int64
+	}{
+		{"amount base", w.Amounts.Base, maxAmount},
+		{"amount spread", w.Amounts.Spread, maxAmount},
+		{"commission", w.Commission, maxAmount},
+		{"liquidity", w.Liquidity, maxLiquidity},
+		{"burst gap", int64(w.Arrival.BurstGap), int64(maxWindow)},
+		{"queue patience", int64(w.QueuePatience), int64(maxWindow)},
+	} {
+		if b.v > b.hi {
+			return fmt.Errorf("traffic: %s %d above %d", b.name, b.v, b.hi)
+		}
+	}
+	if r := w.Arrival.Rate; r > 0 && (r < minRate || r > maxRate) {
+		return fmt.Errorf("traffic: arrival rate %v outside [%v, %v]", r, minRate, maxRate)
 	}
 	var totalWeight float64
 	for _, m := range w.Mix {

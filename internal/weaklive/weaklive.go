@@ -87,6 +87,16 @@ func (p *Protocol) Name() string {
 	return "weaklive-trusted"
 }
 
+// Guarantee implements core.Protocol: Theorem 3, with the committee that
+// realises its transaction manager.
+func (p *Protocol) Guarantee() core.Guarantee {
+	g := core.Guarantee{Theorem: core.Theorem3}
+	if p.Manager == ManagerCommittee {
+		g.Notaries = p.committeeSize()
+	}
+	return g
+}
+
 func (p *Protocol) committeeSize() int {
 	if p.CommitteeSize <= 0 {
 		return 4
