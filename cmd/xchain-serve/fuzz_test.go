@@ -33,13 +33,14 @@ func FuzzStartRun(f *testing.F) {
 		`{"commission": -1}`, `{"payments": -5}`, `{"escrows": 65}`, `{"payments":1099511627776}`,
 		`{"workers":1000000000000}`, `{"amount_dist":"uniform","spread":4611686018427387904}`, `{"rate":1e-300}`,
 		`{"mix": "` + strings.Repeat(" ", maxRequestBody) + `timelock=1"}`,
+		`{"seed":0,"commission":0}`, `{"rate":0}`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req runRequest
+		req := defaultRequest()
 		if json.Unmarshal(body, &req) == nil {
-			if req.normalize(); req.Payments > fuzzMaxPayments {
+			if req.Payments > fuzzMaxPayments {
 				_, _, _, _ = req.prepare() // still must not panic
 				return
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sig"
@@ -22,8 +23,9 @@ import (
 	"repro/internal/traffic"
 )
 
-// runRequest is the JSON body of POST /runs. Zero values take the same
-// defaults the xchain-traffic CLI uses, so `{}` is a valid request.
+// runRequest is the JSON body of POST /runs. Absent keys take the defaults of
+// the xchain-traffic CLI's flags (defaultRequest), so `{}` is a valid
+// request.
 type runRequest struct {
 	Escrows  int   `json:"escrows"`
 	Seed     int64 `json:"seed"`
@@ -66,28 +68,17 @@ type runRequest struct {
 	Crypto  string `json:"crypto"`
 }
 
-// normalize fills defaults in place.
-func (q *runRequest) normalize() {
-	if q.Escrows == 0 {
-		q.Escrows = 8
-	}
-	if q.Seed == 0 {
-		q.Seed = 42
-	}
-	if q.Payments == 0 {
-		q.Payments = 1000
-	}
-	if q.Rate == 0 {
-		q.Rate = 500
-	}
-	if q.Amount == 0 {
-		q.Amount = 100
-	}
-	if q.Commission == 0 {
-		q.Commission = 1
-	}
-	if q.Mix == "" {
-		q.Mix = "timelock=1"
+// defaultRequest is what `{}` asks for. A body is decoded onto it, so an
+// absent key keeps its default and an explicit zero is the caller's.
+func defaultRequest() runRequest {
+	return runRequest{
+		Escrows:    traffic.DefaultEscrows,
+		Seed:       traffic.DefaultSeed,
+		Payments:   traffic.DefaultPayments,
+		Rate:       traffic.DefaultRate,
+		Amount:     traffic.DefaultAmount,
+		Commission: traffic.DefaultCommission,
+		Mix:        traffic.DefaultMix,
 	}
 }
 
@@ -104,11 +95,10 @@ const (
 )
 
 // prepare is the one gate a request passes before it may run, fresh from a
-// POST or re-read from the state dir: defaults, size bounds, translation and
-// workload validation. Nothing is allocated in proportion to the request
+// POST or re-read from the state dir: size bounds, translation and workload
+// validation. Nothing is allocated in proportion to the request
 // until it has passed.
-func (q *runRequest) prepare() (core.Scenario, traffic.Workload, traffic.Config, error) {
-	q.normalize()
+func (q runRequest) prepare() (core.Scenario, traffic.Workload, traffic.Config, error) {
 	limit := maxKeepPayments
 	if q.Stream {
 		limit = maxStreamPayments
@@ -120,6 +110,12 @@ func (q *runRequest) prepare() (core.Scenario, traffic.Workload, traffic.Config,
 	case q.Payments < 1 || q.Payments > limit:
 		err = fmt.Errorf("payments %d outside 1..%d (stream=%v; an aggregate-only run may have up to %d)",
 			q.Payments, limit, q.Stream, maxStreamPayments)
+	// The engine reads a zero rate or amount as "unset"; a request that
+	// spells one out did not mean the engine's default.
+	case q.Rate <= 0:
+		err = fmt.Errorf("rate %v is not positive", q.Rate)
+	case q.Amount <= 0:
+		err = fmt.Errorf("amount %d is not positive", q.Amount)
 	}
 	if err != nil {
 		return core.Scenario{}, traffic.Workload{}, traffic.Config{}, err
@@ -390,7 +386,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // handleStartRun validates the request, registers the run and launches it.
 func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
+	req := defaultRequest()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -489,34 +485,12 @@ func (s *server) reqPath(id string) string  { return filepath.Join(s.opts.stateD
 func (s *server) ckptPath(id string) string { return filepath.Join(s.opts.stateDir, id+".ckpt") }
 func (s *server) donePath(id string) string { return filepath.Join(s.opts.stateDir, id+".done.json") }
 
-// writeFileAtomic writes via a temp file + rename so a crash never leaves a
-// torn state file for recovery to trip over.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // gone after the rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 func (s *server) persistRequest(ru *run) error {
 	raw, err := json.MarshalIndent(ru.Req, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.reqPath(ru.ID), raw)
+	return checkpoint.WriteFileAtomic(s.reqPath(ru.ID), raw)
 }
 
 // execute runs the traffic engine to completion (or interruption) and
@@ -587,7 +561,7 @@ func (s *server) retire(ru *run) {
 	}
 	raw, err := json.MarshalIndent(marker, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(s.donePath(ru.ID), raw)
+		err = checkpoint.WriteFileAtomic(s.donePath(ru.ID), raw)
 	}
 	if err != nil {
 		// The run stays resumable; recovery will redo the tail and
@@ -666,7 +640,7 @@ func (s *server) recover() error {
 		if err != nil {
 			return fmt.Errorf("recover %s: %v", id, err)
 		}
-		var req runRequest
+		req := defaultRequest()
 		if err := json.Unmarshal(raw, &req); err != nil {
 			return fmt.Errorf("recover %s: corrupt request: %v", id, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/traffic"
 )
 
@@ -248,6 +249,10 @@ func TestServeValidation(t *testing.T) {
 		{"malformed notary", `{"faults": "notaryX=silent"}`},
 		{"bad mix weight", `{"mix": "timelock=heavy"}`},
 		{"negative commission", `{"commission": -1, "payments": 10}`},
+		{"zero rate", `{"rate": 0}`},
+		{"zero amount", `{"amount": 0}`},
+		{"zero payments", `{"payments": 0}`},
+		{"zero escrows", `{"escrows": 0}`},
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -261,6 +266,48 @@ func TestServeValidation(t *testing.T) {
 	}
 	if code := get(t, ts, "/runs/run-9999", nil); code != http.StatusNotFound {
 		t.Errorf("missing run returned %d, want 404", code)
+	}
+}
+
+// TestServeHonoursExplicitZeros: a key the body spells out is the caller's
+// value even when it is zero — seed 0 and commission 0 are as legal here as
+// on the xchain-traffic command line — while an absent key keeps the CLI's
+// default.
+func TestServeHonoursExplicitZeros(t *testing.T) {
+	ts := httptest.NewServer(newServerWith(serverOptions{maxRuns: 1}))
+	defer ts.Close()
+
+	direct := func(seed, commission int64) string {
+		// Two commission-free payments fit an account's 210 at once; with
+		// the default commission Alice pays 107 and only one does.
+		w := traffic.NewWorkload(60).WithLiquidity(210)
+		w.Arrival.Rate = traffic.DefaultRate
+		w.Commission = commission
+		res, err := traffic.RunWith(core.NewScenario(traffic.DefaultEscrows, seed), w, traffic.Config{Crypto: "hmac"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String()
+	}
+	for _, tc := range []struct {
+		body       string
+		seed       int64
+		commission int64
+	}{
+		{`{"seed": 0, "commission": 0, "payments": 60, "liquidity": 210, "crypto": "hmac"}`, 0, 0},
+		{`{"payments": 60, "liquidity": 210, "crypto": "hmac"}`, traffic.DefaultSeed, traffic.DefaultCommission},
+	} {
+		v := waitDone(t, ts, post(t, ts, tc.body))
+		want := direct(tc.seed, tc.commission)
+		if v["status"] != "done" || v["summary"] != want {
+			t.Errorf("%s ended %v:\n%v\n-- want --\n%s", tc.body, v["status"], v["summary"], want)
+		}
+		if !strings.Contains(want, fmt.Sprintf("(seed %d)", tc.seed)) {
+			t.Errorf("summary does not name seed %d:\n%s", tc.seed, want)
+		}
+	}
+	if a, b := direct(0, 0), direct(0, 1); a == b {
+		t.Error("commission does not show in the summary: the test cannot tell 0 from the default")
 	}
 }
 
@@ -453,7 +500,7 @@ func TestServeCheckpointRecovery(t *testing.T) {
 
 	// Byte-identical to the uninterrupted run: determinism makes the
 	// checkpoint-resume invisible in the Result.
-	var req runRequest
+	req := defaultRequest()
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +555,8 @@ func TestServeSurvivesUnwritableStateDir(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := runRequest{Escrows: 2, Payments: 450, Rate: 2000, Crypto: "hmac"}
+	req := defaultRequest()
+	req.Escrows, req.Payments, req.Rate, req.Crypto = 2, 450, 2000, "hmac"
 	scn, wl, cfg, err := req.prepare()
 	if err != nil {
 		t.Fatal(err)
@@ -584,7 +632,9 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 	}
 	// The larger ceiling is for aggregate-only runs (checked without running
 	// a million payments).
-	if _, _, _, err := (&runRequest{Payments: maxKeepPayments + 1, Stream: true}).prepare(); err != nil {
+	big := defaultRequest()
+	big.Payments, big.Stream = maxKeepPayments+1, true
+	if _, _, _, err := big.prepare(); err != nil {
 		t.Errorf("aggregate-only request over the keep-mode ceiling rejected: %v", err)
 	}
 
@@ -630,7 +680,7 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 func TestServeRecoversFromMalformedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"escrows": 3, "payments": 600, "rate": 3000, "stream": true, "crypto": "hmac"}`
-	var req runRequest
+	req := defaultRequest()
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}

@@ -68,18 +68,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("xchain-traffic", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n           = fs.Int("n", 8, "number of escrows in the chain")
-		seed        = fs.Int64("seed", 42, "RNG seed")
-		payments    = fs.Int("payments", 1000, "number of payments")
+		n           = fs.Int("n", traffic.DefaultEscrows, "number of escrows in the chain")
+		seed        = fs.Int64("seed", traffic.DefaultSeed, "RNG seed")
+		payments    = fs.Int("payments", traffic.DefaultPayments, "number of payments")
 		arrival     = fs.String("arrival", "poisson", "arrival process: poisson, uniform, burst")
-		rate        = fs.Float64("rate", 500, "mean arrival rate (payments per simulated second)")
+		rate        = fs.Float64("rate", traffic.DefaultRate, "mean arrival rate (payments per simulated second)")
 		burst       = fs.Int("burst", 25, "burst size for -arrival burst")
 		burstGap    = fs.Duration("burst-gap", 2*time.Second, "gap between bursts for -arrival burst")
-		amount      = fs.Int64("amount", 100, "central payment size")
+		amount      = fs.Int64("amount", traffic.DefaultAmount, "central payment size")
 		amountDist  = fs.String("amount-dist", "fixed", "amount distribution: fixed, uniform, exponential")
 		spread      = fs.Int64("spread", 0, "half-width of the uniform amount distribution")
-		commission  = fs.Int64("commission", 1, "per-hop connector commission")
-		mix         = fs.String("mix", "timelock=1", "comma-separated protocol=weight pairs")
+		commission  = fs.Int64("commission", traffic.DefaultCommission, "per-hop connector commission")
+		mix         = fs.String("mix", traffic.DefaultMix, "comma-separated protocol=weight pairs")
 		subpaths    = fs.Bool("subpaths", false, "route payments between random customer pairs")
 		hotspot     = fs.Int("hotspot", 0, "hot sender index (with -subpaths)")
 		hotspotFrac = fs.Float64("hotspot-frac", 0, "fraction of payments from the hot sender")

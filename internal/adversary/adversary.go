@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Behaviour names a deviation strategy.
@@ -219,17 +218,4 @@ func PairFaultAssignments(topo core.Topology) []Assignment {
 		}
 	}
 	return out
-}
-
-// DelayAttack returns a pre-GST adversarial delay strategy that stretches
-// every message whose description matches match to the given delay; other
-// messages travel in one tick. It is used by the Theorem-2 impossibility
-// search to starve a specific protocol phase.
-func DelayAttack(delay sim.Time, match func(describe string) bool) func(describe string) sim.Time {
-	return func(describe string) sim.Time {
-		if match(describe) {
-			return delay
-		}
-		return 1
-	}
 }

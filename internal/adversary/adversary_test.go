@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 func TestSpecHonestIsZero(t *testing.T) {
@@ -148,15 +147,5 @@ func TestPairFaultAssignments(t *testing.T) {
 		if len(a) != 2 {
 			t.Fatalf("pair assignment has %d entries: %v", len(a), a)
 		}
-	}
-}
-
-func TestDelayAttack(t *testing.T) {
-	attack := DelayAttack(10*sim.Second, func(d string) bool { return d == "chi" })
-	if got := attack("chi"); got != 10*sim.Second {
-		t.Errorf("matched message delayed by %v", got)
-	}
-	if got := attack("$"); got != 1 {
-		t.Errorf("unmatched message delayed by %v", got)
 	}
 }

@@ -61,9 +61,6 @@ type Context struct {
 	Msg  netsim.Message
 }
 
-// Auto returns the automaton the context belongs to.
-func (c *Context) Auto() *Automaton { return c.a }
-
 // Now returns the automaton's local clock reading.
 func (c *Context) Now() sim.Time { return c.a.clk.Now() }
 
@@ -191,8 +188,6 @@ type Automaton struct {
 	// Crashed, when true, makes the automaton ignore everything (used by
 	// fault injection).
 	crashed bool
-	// stateLog records visited states for the Fig. 2 conformance tests.
-	stateLog []string
 }
 
 // NewAutomaton instantiates spec. It panics on an invalid spec: specs are
@@ -232,23 +227,11 @@ func (a *Automaton) Done() bool { return a.done }
 // DoneAt returns the real time of termination (meaningful if Done).
 func (a *Automaton) DoneAt() sim.Time { return a.doneAt }
 
-// StateLog returns the sequence of states visited so far.
-func (a *Automaton) StateLog() []string { return a.stateLog }
-
 // Var reads a clock variable.
 func (a *Automaton) Var(name string) sim.Time { return a.vars[name] }
 
 // Data reads a stored protocol value.
 func (a *Automaton) Data(key string) any { return a.data[key] }
-
-// Vars returns a sorted copy of the clock variables (for debugging).
-func (a *Automaton) Vars() map[string]sim.Time {
-	out := make(map[string]sim.Time, len(a.vars))
-	for k, v := range a.vars {
-		out[k] = v
-	}
-	return out
-}
 
 // Crash makes the automaton stop reacting to anything from now on.
 func (a *Automaton) Crash() {
@@ -286,7 +269,6 @@ func (a *Automaton) enter(name string) {
 		panic(fmt.Sprintf("anta: %s entering unknown state %q", a.spec.ID, name))
 	}
 	a.current = name
-	a.stateLog = append(a.stateLog, name)
 	if a.tr.Recording() {
 		a.tr.Append(trace.Event{
 			At: a.engine().Now(), Local: a.clk.Now(), Kind: trace.KindState,
@@ -461,15 +443,4 @@ func (n *Network) AllDone() bool {
 		}
 	}
 	return true
-}
-
-// DoneCount returns how many automata have terminated.
-func (n *Network) DoneCount() int {
-	c := 0
-	for _, a := range n.automata {
-		if a.done {
-			c++
-		}
-	}
-	return c
 }

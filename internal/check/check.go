@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Options configures property evaluation.
@@ -227,8 +226,8 @@ func escrowsHonest(res *core.RunResult, i int) bool {
 
 // checkConsistency is the operational reading of property C: the engine could
 // execute every honest participant's role without getting stuck on an
-// impossible instruction. A run error or an internal violation recorded by an
-// honest participant falsifies it.
+// impossible instruction. A run error or an entry in the run's consistency
+// record (core.World.Report) falsifies it.
 func checkConsistency(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropConsistency, Applicable: true, Holds: true}
 	if res.Err != nil {
@@ -236,30 +235,15 @@ func checkConsistency(res *core.RunResult) Verdict {
 		v.Detail = "engine error: " + res.Err.Error()
 		return v
 	}
-	if res.Trace != nil {
-		for _, ev := range res.Trace.ByKind(trace.KindViolation) {
-			if res.Scenario.FaultOf(ev.Actor).IsByzantine() {
-				continue // a Byzantine actor's own violations are its deviation
-			}
-			v.Holds = false
-			v.Detail = fmt.Sprintf("honest %s hit %s", ev.Actor, ev.Label)
-			return v
-		}
-		// Detection events record a participant rejecting a peer's invalid
-		// input. Against a Byzantine peer that is the protocol working as
-		// specified; against an honest peer it means the engine produced an
-		// instruction the receiver could not accept — an inconsistency.
-		for _, ev := range res.Trace.ByKind(trace.KindDetection) {
-			if res.Scenario.FaultOf(ev.Actor).IsByzantine() {
-				continue
-			}
-			if ev.Peer != "" && res.Scenario.FaultOf(ev.Peer).IsByzantine() {
-				continue
-			}
-			v.Holds = false
-			v.Detail = fmt.Sprintf("honest %s rejected honest input: %s", ev.Actor, ev.Label)
-			return v
-		}
+	// A violation is the actor's own inconsistency and takes precedence; a
+	// detection means the engine produced an instruction that an honest
+	// receiver could not accept from an honest sender.
+	if in := res.Violation; in.Actor != "" {
+		v.Holds = false
+		v.Detail = fmt.Sprintf("honest %s hit %s", in.Actor, in.Label)
+	} else if in := res.Detection; in.Actor != "" {
+		v.Holds = false
+		v.Detail = fmt.Sprintf("honest %s rejected honest input: %s", in.Actor, in.Label)
 	}
 	return v
 }

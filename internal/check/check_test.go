@@ -17,7 +17,6 @@ func fabricate(n int) *core.RunResult {
 	res := &core.RunResult{
 		Protocol:  "fake",
 		Scenario:  s,
-		Trace:     trace.New(),
 		Book:      ledger.NewBook(),
 		Customers: map[string]core.CustomerOutcome{},
 		Escrows:   map[string]core.EscrowOutcome{},
@@ -71,51 +70,64 @@ func TestConsistencyFailsOnEngineError(t *testing.T) {
 	}
 }
 
+// reported runs nothing on a muted two-escrow world but one participant's
+// report, and returns C's verdict on what the world collected. The defect C
+// exists to catch cannot be provoked through a valid scenario — that is what
+// C asserts — so the tests inject it where a protocol process would report
+// it.
+func reported(t *testing.T, faulty string, ev trace.Event) Verdict {
+	t.Helper()
+	s := core.NewScenario(2, 1).Muted()
+	if faulty != "" {
+		s = s.SetFault(faulty, core.FaultSpec{Silent: true})
+	}
+	w := core.NewWorld()
+	if err := w.Reset(s); err != nil {
+		t.Fatal(err)
+	}
+	w.Report(ev, nil)
+	if w.Trace.Len() != 0 {
+		t.Fatal("muted world recorded a trace event")
+	}
+	res := w.Collect("fake", 0, func(int, *core.CustomerOutcome) {})
+	return Evaluate(res, Def1Eventual()).Verdict(core.PropConsistency)
+}
+
 func TestConsistencyIgnoresByzantineViolations(t *testing.T) {
-	res := fabricate(2)
-	res.Scenario = res.Scenario.SetFault("c1", core.FaultSpec{Silent: true})
-	res.Trace.Add(0, trace.KindViolation, "c1", "", "wrong-amount")
-	r := Evaluate(res, Def1Eventual())
-	if !r.Verdict(core.PropConsistency).OK() {
+	v := reported(t, "c1", trace.Event{Kind: trace.KindViolation, Actor: "c1", Label: "wrong-amount"})
+	if !v.OK() {
 		t.Fatal("violation by a Byzantine actor falsified consistency")
 	}
 }
 
 func TestConsistencyDetectionEvents(t *testing.T) {
-	// An honest escrow that records a detection event while rejecting a
-	// Byzantine peer's forged certificate is the protocol working, not
-	// failing: C must hold. (Discovered by the scenario fuzzer: the audits
-	// in xchain-check run muted and never saw these events.)
-	res := fabricate(2)
-	res.Scenario = res.Scenario.SetFault("c2", core.FaultSpec{ForgeCertificate: true})
-	res.Trace.Add(0, trace.KindDetection, "e1", "c2", "invalid-certificate")
-	r := Evaluate(res, Def1Eventual())
-	if !r.Verdict(core.PropConsistency).OK() {
+	// An honest escrow that reports a detection while rejecting a Byzantine
+	// peer's forged certificate is the protocol working, not failing: C must
+	// hold.
+	forgery := trace.Event{Kind: trace.KindDetection, Actor: "e1", Peer: "c2", Label: "invalid-certificate"}
+	if v := reported(t, "c2", forgery); !v.OK() {
 		t.Fatal("rejecting a Byzantine peer's forgery falsified consistency")
 	}
 	// The same detection against an honest peer means the engine produced an
 	// instruction the receiver could not accept — a genuine inconsistency.
-	res2 := fabricate(2)
-	res2.Trace.Add(0, trace.KindDetection, "e1", "c2", "invalid-certificate")
-	r = Evaluate(res2, Def1Eventual())
-	if r.Verdict(core.PropConsistency).OK() {
+	v := reported(t, "", forgery)
+	if v.OK() {
 		t.Fatal("an honest participant's rejection of honest input passed C")
 	}
-	// A violation event is the actor's own inconsistency: a Byzantine peer
-	// never excuses it.
-	res3 := fabricate(2)
-	res3.Scenario = res3.Scenario.SetFault("c2", core.FaultSpec{ForgeCertificate: true})
-	res3.Trace.Add(0, trace.KindViolation, "e1", "c2", "double-release")
-	r = Evaluate(res3, Def1Eventual())
-	if r.Verdict(core.PropConsistency).OK() {
+	if want := "honest e1 rejected honest input: invalid-certificate"; v.Detail != want {
+		t.Fatalf("detail %q, want %q", v.Detail, want)
+	}
+	// A violation is the actor's own inconsistency: a Byzantine peer never
+	// excuses it.
+	v = reported(t, "c2", trace.Event{Kind: trace.KindViolation, Actor: "e1", Peer: "c2", Label: "double-release"})
+	if v.OK() {
 		t.Fatal("an honest participant's own violation passed C because its peer was Byzantine")
 	}
-	// Detection events by Byzantine actors are ignored like their violations.
-	res4 := fabricate(2)
-	res4.Scenario = res4.Scenario.SetFault("e1", core.FaultSpec{StealEscrow: true})
-	res4.Trace.Add(0, trace.KindDetection, "e1", "c1", "wrong-amount")
-	r = Evaluate(res4, Def1Eventual())
-	if !r.Verdict(core.PropConsistency).OK() {
+	if want := "honest e1 hit double-release"; v.Detail != want {
+		t.Fatalf("detail %q, want %q", v.Detail, want)
+	}
+	// Detections by Byzantine actors are ignored like their violations.
+	if v := reported(t, "e1", trace.Event{Kind: trace.KindDetection, Actor: "e1", Peer: "c1", Label: "wrong-amount"}); !v.OK() {
 		t.Fatal("a Byzantine actor's detection event falsified C")
 	}
 }

@@ -9,9 +9,10 @@
 // truncated, stale or foreign snapshot is rejected outright, never silently
 // half-loaded.
 //
-// Save writes through a temporary file in the destination directory and
-// renames it into place, so a crash mid-write leaves the previous checkpoint
-// file intact — the newest *complete* checkpoint always survives.
+// Save writes through WriteFileAtomic — a temporary file in the destination
+// directory, renamed into place, the directory synced — so a crash mid-write
+// leaves the previous checkpoint file intact: the newest *complete*
+// checkpoint always survives.
 package checkpoint
 
 import (
@@ -103,41 +104,54 @@ func Encode(kind, configHash string, payload []byte) ([]byte, error) {
 	return json.MarshalIndent(env, "", " ")
 }
 
-// Save atomically writes a checkpoint file: the envelope is written to a
-// temporary file in path's directory and renamed over path. On any error the
-// previous file at path is left untouched.
+// Save atomically writes a checkpoint file (see WriteFileAtomic).
 func Save(path, kind, configHash string, payload []byte) error {
 	data, err := Encode(kind, configHash, payload)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode %s: %w", path, err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: save %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: save %s: %w", path, err)
-	}
-	// Flush to stable storage before the rename publishes the file: a crash
-	// after rename must not reveal an empty or partial checkpoint.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("checkpoint: save %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces the file at path with data so that a crash at any
+// point leaves either the previous file or the new one, whole: the data goes
+// to a temporary file in path's directory, is flushed to stable storage,
+// renamed over path, and the directory is flushed so the rename itself
+// survives a power cut. An error up to the rename leaves the previous file
+// untouched; an error syncing the directory is reported with the new file
+// already in place.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) //nolint:errcheck // gone after the rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	// Flush before the rename publishes the file: a crash after the rename
+	// must not reveal an empty or partial file.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Decode validates raw envelope bytes and returns the verified envelope,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -142,5 +143,39 @@ func TestSaveUnwritableDir(t *testing.T) {
 	err := Save(filepath.Join(t.TempDir(), "no-such-dir", "run.ckpt"), "k", "", []byte("{}"))
 	if err == nil {
 		t.Fatal("Save into a missing directory succeeded")
+	}
+}
+
+// TestWriteFileAtomicFailureKeepsOldFile: whichever step fails, the file at
+// path still holds what it held and no temporary file stays behind. The two
+// failures are ones even root cannot write through: a name so long that the
+// temporary file beside it cannot be created, and a rename onto a non-empty
+// directory.
+func TestWriteFileAtomicFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	long := filepath.Join(dir, strings.Repeat("n", 250))
+	if err := os.WriteFile(long, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(long, []byte("new")); err == nil {
+		t.Fatal("write beside a 250-byte name succeeded: the temporary file's name cannot fit")
+	}
+	if got, err := os.ReadFile(long); err != nil || string(got) != "old" {
+		t.Fatalf("failed write left %q, %v; want the old content", got, err)
+	}
+
+	target := filepath.Join(dir, "taken")
+	if err := os.MkdirAll(filepath.Join(target, "child"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("new")); err == nil {
+		t.Fatal("rename onto a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("directory holds %d entries after the failed writes, want the two it had", len(entries))
 	}
 }

@@ -107,15 +107,6 @@ func (b Bound) LocalForRealUpper(d sim.Time) sim.Time {
 	return sim.Time(float64(d) * (1 + float64(b.MaxRho)))
 }
 
-// LocalForRealLower returns a lower bound on how much local time elapses on
-// any clock satisfying the bound while real duration d elapses.
-func (b Bound) LocalForRealLower(d sim.Time) sim.Time {
-	if d <= 0 {
-		return 0
-	}
-	return sim.Time(float64(d) * (1 - float64(b.MaxRho)))
-}
-
 // RealForLocalUpper returns an upper bound on the real time needed for any
 // conforming clock to advance by local duration d (slowest clock).
 func (b Bound) RealForLocalUpper(d sim.Time) sim.Time {
@@ -123,13 +114,4 @@ func (b Bound) RealForLocalUpper(d sim.Time) sim.Time {
 		return 0
 	}
 	return sim.Time(float64(d)/(1-float64(b.MaxRho))) + 1
-}
-
-// RealForLocalLower returns a lower bound on the real time needed for any
-// conforming clock to advance by local duration d (fastest clock).
-func (b Bound) RealForLocalLower(d sim.Time) sim.Time {
-	if d <= 0 {
-		return 0
-	}
-	return sim.Time(float64(d) / (1 + float64(b.MaxRho)))
 }

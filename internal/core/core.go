@@ -342,7 +342,8 @@ type Scenario struct {
 	// shared KeySeed so the process-wide key cache turns per-payment keygen
 	// into map lookups.
 	KeySeed string
-	// MuteTrace disables trace recording for large benchmark sweeps.
+	// MuteTrace disables trace recording for large benchmark sweeps: a
+	// retention choice that no result field and no verdict can see.
 	MuteTrace bool
 	// MaxEvents caps simulation events as a runaway guard; 0 means the
 	// protocol package's default.
@@ -445,6 +446,13 @@ type EscrowOutcome struct {
 	AuditErr error
 }
 
+// Incident is one entry of a run's consistency record: who could not go on,
+// and the label it reported. The zero Incident means none.
+type Incident struct {
+	Actor string
+	Label string
+}
+
 // RunResult is the full record of one protocol execution, consumed by the
 // property checkers and the experiment harness.
 type RunResult struct {
@@ -462,6 +470,13 @@ type RunResult struct {
 	// issued the respective certificate at least once (CC).
 	CommitIssued bool
 	AbortIssued  bool
+	// Violation is the first time a participant that abides by the protocol
+	// could not execute its own role; Detection the first time one rejected
+	// the input of a peer that abides too. Both are zero in a run every
+	// participant could abide by (C); World.Report keeps them, whether or not
+	// the trace records.
+	Violation Incident
+	Detection Incident
 	// Duration is the real (virtual) time at which the last participant
 	// terminated, or the end-of-run time if some never did.
 	Duration sim.Time
@@ -484,18 +499,6 @@ func (r *RunResult) Outcome(id string) CustomerOutcome { return r.Customers[id] 
 func (r *RunResult) HonestCustomers() []string {
 	var out []string
 	for _, id := range r.Scenario.Topology.Customers() {
-		if !r.Scenario.FaultOf(id).IsByzantine() {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// HonestEscrows returns the IDs of escrows whose FaultSpec is zero, in chain
-// order.
-func (r *RunResult) HonestEscrows() []string {
-	var out []string
-	for _, id := range r.Scenario.Topology.Escrows() {
 		if !r.Scenario.FaultOf(id).IsByzantine() {
 			out = append(out, id)
 		}

@@ -152,9 +152,6 @@ func TestRunResultHelpers(t *testing.T) {
 	if got := res.HonestCustomers(); len(got) != 2 || got[0] != "c0" || got[1] != "c2" {
 		t.Fatalf("honest customers %v", got)
 	}
-	if got := res.HonestEscrows(); len(got) != 1 || got[0] != "e1" {
-		t.Fatalf("honest escrows %v", got)
-	}
 	if res.Outcome("c0").NetWealthChange() != -6 {
 		t.Fatal("NetWealthChange wrong")
 	}

@@ -83,7 +83,7 @@ func (s Scenario) SetPatience(id string, p sim.Time) Scenario {
 }
 
 // Muted returns a copy of the scenario with trace recording disabled (used
-// by large benchmark sweeps).
+// by large benchmark sweeps). Nothing a run computes depends on it.
 func (s Scenario) Muted() Scenario {
 	s.MuteTrace = true
 	return s

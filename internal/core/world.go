@@ -57,6 +57,10 @@ type World struct {
 	krCrypto string
 	krReady  bool
 
+	// violation and detection are the run's consistency record (property C),
+	// written by Report and copied into the result by Collect.
+	violation, detection Incident
+
 	res RunResult
 	// out is Collect's scratch: a customer's outcome is built here, where
 	// the protocol's callback can write to it without it escaping per call.
@@ -87,6 +91,7 @@ func (w *World) Reset(s Scenario) error {
 	}
 	w.scn = s
 	w.krReady = false
+	w.violation, w.detection = Incident{}, Incident{}
 	topo := s.Topology
 
 	w.Eng.Reset(s.Seed)
@@ -218,6 +223,42 @@ func (w *World) EventName(id, what string) string {
 	return what
 }
 
+// Report is how a participant says it could not go on, and the one place
+// that decides whether that is an inconsistency of the run. ev is a
+// trace.KindViolation — the actor could not execute its own role, which no
+// peer's fault excuses — or a trace.KindDetection — the actor rejected its
+// peer's input, which against a Byzantine peer is the protocol working as
+// specified. What a Byzantine actor reports is its own deviation. The first
+// inconsistency of each kind becomes part of the run's result, whether or
+// not the trace records; the event itself is appended to the trace at the
+// current time. A non-nil cause is appended to the label, and only formatted
+// when something keeps it.
+func (w *World) Report(ev trace.Event, cause error) {
+	var first *Incident
+	excused := w.scn.FaultOf(ev.Actor).IsByzantine()
+	switch ev.Kind {
+	case trace.KindViolation:
+		first = &w.violation
+	case trace.KindDetection:
+		first = &w.detection
+		excused = excused || w.scn.FaultOf(ev.Peer).IsByzantine()
+	default:
+		panic("core: Report of a " + string(ev.Kind) + " event")
+	}
+	keep := !excused && first.Actor == ""
+	if !keep && !w.Trace.Recording() {
+		return
+	}
+	if cause != nil {
+		ev.Label += ": " + cause.Error()
+	}
+	if keep {
+		*first = Incident{Actor: ev.Actor, Label: ev.Label}
+	}
+	ev.At = w.Eng.Now()
+	w.Trace.Append(ev)
+}
+
 // ScheduleCrashes schedules every participant's crash fault, in participant
 // order (the engine's tie-break follows scheduling order). At the fault's
 // time crash is called with the participant's ID and what it is: customer
@@ -259,6 +300,8 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 		Book:        w.Book,
 		Customers:   customers,
 		Escrows:     escrows,
+		Violation:   w.violation,
+		Detection:   w.detection,
 		NetStats:    w.Net.Stats(),
 		EventsFired: fired,
 	}

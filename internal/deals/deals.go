@@ -127,28 +127,6 @@ func (d *Deal) AssetTypes() []string {
 	return out
 }
 
-// Outgoing returns the assets party transfers away, by asset type.
-func (d *Deal) Outgoing(party string) map[string]int64 {
-	out := map[string]int64{}
-	for _, arc := range d.Arcs() {
-		if arc.From == party {
-			out[arc.Asset.Type] += arc.Asset.Amount
-		}
-	}
-	return out
-}
-
-// Incoming returns the assets party receives, by asset type.
-func (d *Deal) Incoming(party string) map[string]int64 {
-	out := map[string]int64{}
-	for _, arc := range d.Arcs() {
-		if arc.To == party {
-			out[arc.Asset.Type] += arc.Asset.Amount
-		}
-	}
-	return out
-}
-
 // WellFormed reports whether the deal's digraph is strongly connected, the
 // condition under which Herlihy et al. prove their protocols correct.
 func (d *Deal) WellFormed() bool {

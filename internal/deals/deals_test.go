@@ -58,9 +58,6 @@ func TestDealAccessors(t *testing.T) {
 	if len(types) != 2 || types[0] != "coin" || types[1] != "token" {
 		t.Errorf("asset types %v", types)
 	}
-	if d.Outgoing("alice")["coin"] != 5 || d.Incoming("alice")["token"] != 1 {
-		t.Error("outgoing/incoming totals wrong for alice")
-	}
 	if d.String() == "" {
 		t.Error("empty rendering")
 	}

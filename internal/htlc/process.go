@@ -138,13 +138,13 @@ func (p *escrowProc) onCreateLock(from string, m MsgCreateLock) {
 	}
 	want := p.run.scn.Spec.AmountVia(p.i)
 	if m.Amount != want || m.PaymentID != p.run.scn.Spec.PaymentID {
-		p.run.tr.AddValue(p.run.eng.Now(), trace.KindDetection, p.id, from, "wrong-amount", m.Amount)
+		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "wrong-amount", Value: m.Amount}, nil)
 		return
 	}
 	cond := ledger.Condition{HashLock: m.HashLock, Expiry: m.Expiry}
 	p.lockID = p.run.w.LockID(p.i)
 	if _, err := p.led.CreateLock(p.run.eng.Now(), p.lockID, p.up, p.down, want, cond); err != nil {
-		p.run.tr.AddValue(p.run.eng.Now(), trace.KindViolation, p.id, from, "lock-failed", want)
+		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: from, Label: "lock-failed", Value: want}, nil)
 		return
 	}
 	p.lockCreated = true
@@ -175,7 +175,7 @@ func (p *escrowProc) onClaim(from string, m MsgClaim) {
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
 	if err := p.led.Release(p.run.eng.Now(), p.lockID, m.Preimage, p.clk.Now()); err != nil {
-		p.run.tr.AddLazy(p.run.eng.Now(), trace.KindDetection, p.id, from, func() string { return "claim-rejected: " + err.Error() })
+		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "claim-rejected"}, err)
 		return
 	}
 	p.settled = true

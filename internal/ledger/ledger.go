@@ -546,15 +546,6 @@ func (b *Book) Names() []string {
 	return out
 }
 
-// Wealth returns owner's total available balance across all ledgers.
-func (b *Book) Wealth(owner string) int64 {
-	var total int64
-	for _, l := range b.ledgers {
-		total += l.Balance(owner)
-	}
-	return total
-}
-
 // AuditAll audits every ledger and returns the violation of the first
 // ledger, by name, that has one. Whether any ledger fails does not depend on
 // the order they are asked in, so the names are only sorted once one does.

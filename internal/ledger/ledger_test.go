@@ -181,8 +181,8 @@ func TestBook(t *testing.T) {
 	if err := l1.Mint(0, "alice", 70); err != nil {
 		t.Fatal(err)
 	}
-	if b.Wealth("alice") != 120 {
-		t.Fatalf("wealth %d", b.Wealth("alice"))
+	if got := b.SnapshotWealth()["alice"]; got != 120 {
+		t.Fatalf("wealth %d", got)
 	}
 	if got := b.Names(); len(got) != 2 || got[0] != "e0" {
 		t.Fatalf("names %v", got)

@@ -132,11 +132,6 @@ func (g *Gauge) Add(d float64) {
 //xchain:hotpath
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts one.
-//
-//xchain:hotpath
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 for the nil handle).
 func (g *Gauge) Value() float64 {
 	if g == nil {

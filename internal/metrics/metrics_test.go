@@ -24,7 +24,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	g.Inc()
-	g.Dec()
 	h.Observe(1.5)
 	r.CounterFunc("f_total", "help", func() float64 { return 1 })
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {

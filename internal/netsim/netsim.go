@@ -158,14 +158,6 @@ type Stats struct {
 	MaxDelay sim.Time
 }
 
-// MeanDelay returns the average delivery latency.
-func (s Stats) MeanDelay() sim.Time {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return s.TotalDelay / sim.Time(s.Delivered)
-}
-
 // deliverArg carries one in-flight message's delivery state. Delivery is
 // scheduled through sim.Engine.ScheduleArgIn with a pooled *deliverArg and a
 // package-level callback instead of a capturing closure, so the muted send
@@ -250,10 +242,6 @@ func (n *Network) Trace() *trace.Trace { return n.tr }
 
 // Model returns the delay model in use.
 func (n *Network) Model() DelayModel { return n.model }
-
-// SetModel replaces the delay model (e.g. to switch an experiment from
-// synchrony to partial synchrony mid-setup).
-func (n *Network) SetModel(m DelayModel) { n.model = m }
 
 // Stats returns a copy of the network counters.
 func (n *Network) Stats() Stats { return n.stats }

@@ -36,7 +36,7 @@ func TestSynchronousDeliversWithinBound(t *testing.T) {
 	if st.Sent != 50 || st.Delivered != 50 || st.Dropped != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.MeanDelay() <= 0 || st.MaxDelay > delta {
+	if st.TotalDelay <= 0 || st.MaxDelay > delta {
 		t.Fatalf("delay stats %+v", st)
 	}
 }
@@ -133,10 +133,6 @@ func TestBroadcastAndTap(t *testing.T) {
 	}
 	if net.Model().Name() != "synchronous" || net.Engine() != eng || net.Trace() == nil {
 		t.Fatal("accessors wrong")
-	}
-	net.SetModel(Adversarial{})
-	if net.Model().Name() != "adversarial" {
-		t.Fatal("SetModel did not take effect")
 	}
 }
 

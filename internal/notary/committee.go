@@ -39,7 +39,6 @@ import (
 type Committee struct {
 	deps   Deps
 	size   int
-	f      int
 	quorum int
 	ids    []string
 	procs  map[string]*notaryProc
@@ -59,10 +58,11 @@ func NewCommittee(d Deps, size int) *Committee {
 	c := &Committee{
 		deps:  d,
 		size:  size,
-		f:     (size - 1) / 3,
 		procs: map[string]*notaryProc{},
 	}
-	c.quorum = 2*c.f + 1
+	// A committee of 3f+1 tolerates f unreliable notaries by design and
+	// decides with 2f+1 votes.
+	c.quorum = 2*((size-1)/3) + 1
 	for j := 0; j < size; j++ {
 		id := core.NotaryID(j)
 		c.ids = append(c.ids, id)
@@ -101,10 +101,6 @@ func (c *Committee) Quorum() int { return c.quorum }
 
 // Size returns the committee size.
 func (c *Committee) Size() int { return c.size }
-
-// MaxFaulty returns f, the number of unreliable notaries the committee
-// tolerates by design.
-func (c *Committee) MaxFaulty() int { return c.f }
 
 // CommitIssued implements Manager.
 func (c *Committee) CommitIssued() bool { return c.commitIssued }

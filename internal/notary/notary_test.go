@@ -174,14 +174,14 @@ func TestCommitteeCommitsWhenAllPrepared(t *testing.T) {
 }
 
 func TestCommitteeQuorumArithmetic(t *testing.T) {
-	cases := []struct{ size, f, quorum int }{
-		{1, 0, 1}, {4, 1, 3}, {7, 2, 5}, {10, 3, 7}, {13, 4, 9},
+	cases := []struct{ size, quorum int }{
+		{1, 1}, {4, 3}, {7, 5}, {10, 7}, {13, 9},
 	}
 	h := newHarness(t, 1, nil)
 	for _, tc := range cases {
 		c := NewCommittee(h.deps, tc.size)
-		if c.MaxFaulty() != tc.f || c.Quorum() != tc.quorum {
-			t.Errorf("size %d: got f=%d quorum=%d, want f=%d quorum=%d", tc.size, c.MaxFaulty(), c.Quorum(), tc.f, tc.quorum)
+		if c.Quorum() != tc.quorum {
+			t.Errorf("size %d: got quorum=%d, want %d", tc.size, c.Quorum(), tc.quorum)
 		}
 		if got := len(c.IDs()); got != tc.size {
 			t.Errorf("size %d: %d notary IDs", tc.size, got)

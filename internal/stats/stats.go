@@ -147,16 +147,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under a normal approximation.
-func (s *Sample) CI95() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev() / math.Sqrt(float64(n))
-}
-
 // String summarises the sample.
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",

@@ -11,7 +11,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestEmptySample(t *testing.T) {
 	s := New()
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 || s.CI95() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
 		t.Fatal("empty sample must report zeros everywhere")
 	}
 }
@@ -288,7 +288,7 @@ func TestPropertyVarianceNonNegative(t *testing.T) {
 			}
 			s.Add(math.Mod(v, 1e6))
 		}
-		return s.Var() >= 0 && s.StdDev() >= 0 && s.CI95() >= 0
+		return s.Var() >= 0 && s.StdDev() >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestSingleValueSample(t *testing.T) {
 	if s.N() != 1 || s.Mean() != 42 || s.Min() != 42 || s.Max() != 42 || s.Sum() != 42 {
 		t.Fatalf("single-value aggregates wrong: %s", s)
 	}
-	if s.Var() != 0 || s.StdDev() != 0 || s.CI95() != 0 {
+	if s.Var() != 0 || s.StdDev() != 0 {
 		t.Fatal("single value must have zero spread")
 	}
 	for _, p := range []float64{0, 1, 50, 99, 100} {

@@ -152,10 +152,10 @@ func (p *escrowProc) onMoney(from string, m MsgMoney) {
 	}
 	want := p.env.scn.Spec.AmountVia(p.i)
 	if m.Amount != want {
-		p.env.tr.Append(trace.Event{
-			At: p.env.eng.Now(), Kind: trace.KindDetection, Actor: p.id, Peer: from,
+		p.env.w.Report(trace.Event{
+			Kind: trace.KindDetection, Actor: p.id, Peer: from,
 			Label: "wrong-amount", Value: m.Amount, Extra: fmt.Sprintf("expected %d", want),
-		})
+		}, nil)
 		return
 	}
 	p.lockID = p.env.w.LockID(p.i)
@@ -163,10 +163,10 @@ func (p *escrowProc) onMoney(from string, m MsgMoney) {
 	if err != nil {
 		// A failed lock is the escrow's own inability to execute its role,
 		// not a rejection of peer input: a violation, never excused.
-		p.env.tr.Append(trace.Event{
-			At: p.env.eng.Now(), Kind: trace.KindViolation, Actor: p.id, Peer: from,
+		p.env.w.Report(trace.Event{
+			Kind: trace.KindViolation, Actor: p.id, Peer: from,
 			Label: "lock-failed", Value: want, Extra: err.Error(),
-		})
+		}, nil)
 		return
 	}
 	p.lockCreated = true
@@ -202,7 +202,7 @@ func (p *escrowProc) onCert(from string, m MsgCert) {
 	}
 	topo := p.env.scn.Topology
 	if !m.Cert.Verify(p.env.kr, topo.Bob()) || m.Cert.PaymentID != p.env.scn.Spec.PaymentID {
-		p.env.tr.Add(p.env.eng.Now(), trace.KindDetection, p.id, from, "invalid-certificate")
+		p.env.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "invalid-certificate"}, nil)
 		return
 	}
 	// The certificate only counts if it arrives before the local deadline

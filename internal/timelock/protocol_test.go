@@ -210,7 +210,11 @@ func TestTraceRecordsProtocolFlow(t *testing.T) {
 	if res.Trace.Count(trace.KindRefund) != 0 {
 		t.Errorf("expected no refunds on the happy path, got %d", res.Trace.Count(trace.KindRefund))
 	}
-	if _, ok := res.Trace.First(trace.KindCert, "c2"); !ok {
+	issued := false
+	for _, ev := range res.Trace.Events() {
+		issued = issued || ev.Kind == trace.KindCert && ev.Actor == "c2"
+	}
+	if !issued {
 		t.Error("trace does not record Bob issuing chi")
 	}
 }

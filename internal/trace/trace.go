@@ -1,16 +1,16 @@
 // Package trace records structured execution traces.
 //
-// Every protocol engine in this repository appends trace events as it runs;
-// the property checkers in internal/check and the experiment harness in
-// internal/bench consume these traces. Keeping the trace schema in one place
-// lets the checkers work uniformly across the time-bounded protocol, the
-// weak-liveness protocol, the HTLC baseline and the cross-chain deal
-// protocols.
+// Every protocol engine in this repository appends trace events as it runs.
+// A trace is an observation channel: the human-readable record of a run
+// (xchain -trace, the message and lock counts of the experiment tables) and
+// the settlement projection the scenario fuzzer's differential oracles
+// compare. No verdict reads it — the property checkers in internal/check
+// judge a run by its core.RunResult alone — so whether a trace records or is
+// muted is a retention choice that nothing a run computes can depend on.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -157,50 +157,6 @@ func (t *Trace) Events() []Event { return t.events }
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return len(t.events) }
 
-// Filter returns the events matching all the non-zero criteria.
-func (t *Trace) Filter(kind Kind, actor string) []Event {
-	var out []Event
-	for _, e := range t.events {
-		if kind != "" && e.Kind != kind {
-			continue
-		}
-		if actor != "" && e.Actor != actor {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// ByKind returns all events of the given kind.
-func (t *Trace) ByKind(kind Kind) []Event { return t.Filter(kind, "") }
-
-// ByActor returns all events performed by the given actor.
-func (t *Trace) ByActor(actor string) []Event { return t.Filter("", actor) }
-
-// First returns the first event matching kind and actor ("" matches any) and
-// whether one was found.
-func (t *Trace) First(kind Kind, actor string) (Event, bool) {
-	for _, e := range t.events {
-		if (kind == "" || e.Kind == kind) && (actor == "" || e.Actor == actor) {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// Last returns the last event matching kind and actor ("" matches any) and
-// whether one was found.
-func (t *Trace) Last(kind Kind, actor string) (Event, bool) {
-	for i := len(t.events) - 1; i >= 0; i-- {
-		e := t.events[i]
-		if (kind == "" || e.Kind == kind) && (actor == "" || e.Actor == actor) {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
 // Count returns the number of events of the given kind.
 func (t *Trace) Count(kind Kind) int {
 	n := 0
@@ -212,22 +168,6 @@ func (t *Trace) Count(kind Kind) int {
 	return n
 }
 
-// Actors returns the sorted set of actors appearing in the trace.
-func (t *Trace) Actors() []string {
-	set := map[string]bool{}
-	for _, e := range t.events {
-		if e.Actor != "" {
-			set[e.Actor] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // String renders the whole trace, one event per line.
 func (t *Trace) String() string {
 	var b strings.Builder
@@ -236,13 +176,4 @@ func (t *Trace) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// TerminationTime returns the real time of actor's terminate event, or
-// (0,false) if the actor never terminated in this trace.
-func (t *Trace) TerminationTime(actor string) (sim.Time, bool) {
-	if ev, ok := t.Last(KindTerminate, actor); ok {
-		return ev.At, true
-	}
-	return 0, false
 }

@@ -41,41 +41,10 @@ func TestMute(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
+func TestCount(t *testing.T) {
 	tr := sample()
-	if got := len(tr.ByKind(KindTerminate)); got != 2 {
-		t.Fatalf("ByKind %d", got)
-	}
-	if got := len(tr.ByActor("e0")); got != 2 {
-		t.Fatalf("ByActor %d", got)
-	}
-	if got := len(tr.Filter(KindTerminate, "bob")); got != 1 {
-		t.Fatalf("Filter %d", got)
-	}
-	if tr.Count(KindLock) != 1 {
+	if tr.Count(KindLock) != 1 || tr.Count(KindTerminate) != 2 || tr.Count(KindAbort) != 0 {
 		t.Fatal("Count wrong")
-	}
-	if got := tr.Actors(); len(got) != 3 || got[0] != "alice" {
-		t.Fatalf("Actors %v", got)
-	}
-}
-
-func TestFirstLast(t *testing.T) {
-	tr := sample()
-	if ev, ok := tr.First(KindTerminate, ""); !ok || ev.Actor != "alice" {
-		t.Fatalf("First = %+v", ev)
-	}
-	if ev, ok := tr.Last(KindTerminate, ""); !ok || ev.Actor != "bob" {
-		t.Fatalf("Last = %+v", ev)
-	}
-	if _, ok := tr.First(KindAbort, ""); ok {
-		t.Fatal("First found a missing kind")
-	}
-	if at, ok := tr.TerminationTime("alice"); !ok || at != 4*sim.Millisecond {
-		t.Fatalf("TerminationTime = %v, %v", at, ok)
-	}
-	if _, ok := tr.TerminationTime("nobody"); ok {
-		t.Fatal("TerminationTime found a missing actor")
 	}
 }
 
@@ -118,8 +87,8 @@ func TestMutedLazyNeverInvokesCallback(t *testing.T) {
 }
 
 func TestLazyOnLiveTraceMatchesEager(t *testing.T) {
-	// Filter/First/Last must behave identically whether events were added
-	// eagerly or through the lazy entry points.
+	// A trace must read identically whether events were added eagerly or
+	// through the lazy entry points.
 	eager, lazy := New(), New()
 	eager.Add(1, KindSend, "alice", "e0", "$")
 	eager.AddValue(2, KindLock, "e0", "alice", "L1", 100)
@@ -135,14 +104,8 @@ func TestLazyOnLiveTraceMatchesEager(t *testing.T) {
 	if eager.String() != lazy.String() {
 		t.Fatalf("lazy trace differs from eager:\n%s\nvs\n%s", eager.String(), lazy.String())
 	}
-	if len(lazy.Filter(KindSend, "alice")) != 1 {
-		t.Fatal("Filter wrong on lazily-built trace")
-	}
-	if ev, ok := lazy.First(KindLock, ""); !ok || ev.Label != "L1" || ev.Value != 100 {
-		t.Fatalf("First wrong on lazily-built trace: %+v ok=%v", ev, ok)
-	}
-	if ev, ok := lazy.Last("", "alice"); !ok || ev.Kind != KindTerminate {
-		t.Fatalf("Last wrong on lazily-built trace: %+v ok=%v", ev, ok)
+	if ev := lazy.Events()[1]; ev.Kind != KindLock || ev.Label != "L1" || ev.Value != 100 {
+		t.Fatalf("lazily-built lock event wrong: %+v", ev)
 	}
 }
 

@@ -290,7 +290,7 @@ func indexedRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res
 func TestAdmissionMatchesNaiveModel(t *testing.T) {
 	for _, in := range admissionInputs() {
 		t.Run(in.name, func(t *testing.T) {
-			src, modelRes := simulatedRun(in.s, in.w, nil)
+			src, modelRes := simulatedRun(in.s, in.w, nil, DefaultProtocols())
 			realRes := *modelRes
 			realRes.Payments = make([]PaymentResult, len(modelRes.Payments))
 			realRes.Book = newLiquidityBook(in.s, in.w, nil)
@@ -337,7 +337,7 @@ func TestWaiterIndexInvariant(t *testing.T) {
 	w.Faults = FaultPlan{Fraction: 0.4, Behaviours: []string{"silent", "refuse-payment"}, From: 5 * sim.Millisecond, Stagger: 60 * sim.Millisecond, Outage: 700 * sim.Millisecond}
 
 	plan := w.Faults.compile(s)
-	src, res := simulatedRun(s, w, plan)
+	src, res := simulatedRun(s, w, plan, DefaultProtocols())
 	passes, deepest := 0, 0
 	indexedRun(t, s, w, src, res, func(tl *timeline) {
 		passes++

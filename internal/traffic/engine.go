@@ -128,11 +128,11 @@ type subOutcome struct {
 	// byz reports whether the payment's sub-scenario contained any Byzantine
 	// participant (static fault, injected plan fault, or manager outage).
 	byz bool
-	// safety lists the safety-property failures of the sub-run, already
-	// formatted for Result.SafetySample. Theorems 1 and 3 owe safety to
-	// honest parties in every execution, so any entry here is an aggregate
-	// oracle violation — liveness failures under faults are expected damage
-	// and are never listed.
+	// safety lists the owed consistency and safety-property failures of the
+	// sub-run, already formatted for Result.SafetySample. Theorems 1 and 3
+	// owe these to honest parties in every execution, so any entry here is
+	// an aggregate oracle violation — liveness failures under faults are
+	// expected damage and are never listed.
 	safety []string
 }
 
@@ -157,13 +157,17 @@ func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payme
 	}
 	out := subOutcome{paid: r.BobPaid, duration: r.Duration, events: r.EventsFired, byz: byz}
 	// Aggregate safety oracle: every sub-run — honest or faulted — must
-	// satisfy the safety half of Definition 1/2 (escrow security, the
-	// customer-safety triple, certificate consistency for manager-based
-	// protocols, conservation) wherever check.Owed says the covering theorem
-	// owes it. A faulted sub-run is outside the envelope; patience plays no
-	// part, as no safety property is conditional on it.
+	// satisfy consistency and the safety half of Definition 1/2 (escrow
+	// security, the customer-safety triple, certificate consistency for
+	// manager-based protocols, conservation) wherever check.Owed says the
+	// covering theorem owes it. A faulted sub-run is outside the envelope;
+	// patience plays no part, as none of these is conditional on it.
 	rep := check.Evaluate(r, check.OptionsFor(g, 0, 0))
-	for _, prop := range rep.SafetyFailures() {
+	failed := rep.SafetyFailures()
+	if !rep.Verdict(core.PropConsistency).OK() {
+		failed = append([]core.Property{core.PropConsistency}, failed...)
+	}
+	for _, prop := range failed {
 		facts := check.Facts{
 			InEnvelope:     !byz,
 			ManagerTrusted: check.ManagerTrusted(g, func(id string) bool { return sub.FaultOf(id).IsByzantine() }),

@@ -45,7 +45,7 @@ func population(s core.Scenario, w Workload) []*payment {
 func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 	t.Helper()
 	plan := w.Faults.compile(s)
-	src, res := simulatedRun(s, w, plan)
+	src, res := simulatedRun(s, w, plan, DefaultProtocols())
 	if err := executeTimeline(res, src, w, plan, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +53,12 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 }
 
 // simulatedRun draws the whole population, simulates it in index order on
-// one world and returns it as a slice source beside the empty Result (every
+// one world with the registry's protocols and returns it as a slice source beside the empty Result (every
 // record kept, book endowed) a timeline over it fills in.
-func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan) (*sliceSource, *Result) {
+func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]core.Protocol) (*sliceSource, *Result) {
 	src := &sliceSource{pays: population(s, w)}
 	demand := map[string]map[string]int64{}
-	world, registry := core.NewWorld(), DefaultProtocols()
+	world := core.NewWorld()
 	for _, p := range src.pays {
 		addDemand(demand, p)
 		src.subs = append(src.subs, simulateOne(world, s, plan, p, registry))

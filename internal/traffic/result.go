@@ -166,8 +166,8 @@ type Result struct {
 	DroppedFaulted      int
 	DroppedCapacity     int
 	PeakByzantineHeld   int64
-	// SafetyViolations counts safety-property failures (ES, CS1-3, CC, CV)
-	// across every per-payment protocol run — the aggregate form of the
+	// SafetyViolations counts owed consistency and safety-property failures
+	// (C, ES, CS1-3, CC, CV) across every per-payment protocol run — the aggregate form of the
 	// Theorem 1/3 safety guarantee, owed at any load and any attacker
 	// fraction; SafetySample retains the first few failure details.
 	SafetyViolations int

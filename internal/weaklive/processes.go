@@ -117,12 +117,12 @@ func (p *escrowProc) onPay(from string, m MsgPay) {
 	}
 	want := p.run.scn.Spec.AmountVia(p.i)
 	if m.Amount != want || m.PaymentID != p.run.scn.Spec.PaymentID {
-		p.run.tr.AddValue(p.run.eng.Now(), trace.KindDetection, p.id, from, "wrong-amount", m.Amount)
+		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "wrong-amount", Value: m.Amount}, nil)
 		return
 	}
 	p.lockID = p.run.w.LockID(p.i)
 	if _, err := p.led.CreateLock(p.run.eng.Now(), p.lockID, p.up, p.down, want, ledger.Condition{}); err != nil {
-		p.run.tr.AddValue(p.run.eng.Now(), trace.KindViolation, p.id, from, "lock-failed", want)
+		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: from, Label: "lock-failed", Value: want}, nil)
 		return
 	}
 	p.lockCreated = true
