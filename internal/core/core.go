@@ -382,10 +382,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// SigOptions returns the sig.Options realising the scenario's crypto
-// selection; protocol packages pass it to sig.NewKeyringWith.
-func (s Scenario) SigOptions() sig.Options { return sig.Options{Backend: s.Crypto} }
-
 // DerivedKeySeed returns the seed participant keys derive from: KeySeed when
 // set, else "seed-<Seed>" (the historical per-run derivation).
 func (s Scenario) DerivedKeySeed() string {

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/clock"
 	"repro/internal/ledger"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sig"
 	"repro/internal/sim"
@@ -30,7 +31,13 @@ const DefaultMaxEvents = 2_000_000
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Trace and Book it points to and its outcome maps.
 // They are valid until that world's next Reset; a caller that wants to keep
-// a result runs it on a world of its own (which is what Run does).
+// a result runs it on a world of its own (which is what Run does), and one
+// that compares two results runs them on two worlds. The traffic workers
+// hold one world each and fold a result into their own records before the
+// next payment; a scenariogen.Fuzz worker holds two — the primary run on the
+// first, the differential ANTA run and the determinism rerun on the second —
+// and keeps only what it copied into the Outcome. The same rule covers a
+// deals.Result from a deal protocol's RunIn.
 //
 // A world is confined to one goroutine, like the engine inside it.
 type World struct {
@@ -40,9 +47,11 @@ type World struct {
 	Book  *ledger.Book
 
 	scn Scenario
-	// ledgers[i] is escrow e_i's ledger; the slice only grows, so a shorter
-	// chain after a longer one reuses the first N.
+	// ledgers is the pool AddLedger hands out in order; the first inUse are
+	// the current run's, and on a chain ledgers[i] is escrow e_i's. The slice
+	// only grows, so a shorter chain after a longer one reuses the first N.
 	ledgers []*ledger.Ledger
+	inUse   int
 	// parts and clocks run c_0..c_N, then e_0..e_{N-1}: the order clocks
 	// draw from the RNG in.
 	parts  []string
@@ -50,8 +59,7 @@ type World struct {
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
 
-	// kr is built on the first Keyring call and afterwards reset, not
-	// rebuilt, while the backend stays the same; krReady marks it as
+	// kr is the world's one keyring (see KeyringFor); krReady marks it as
 	// already holding the current scenario's keys.
 	kr       *sig.Keyring
 	krCrypto string
@@ -83,33 +91,55 @@ func NewWorld() *World {
 	}
 }
 
+// ResetSubstrate restores the part of a world that no topology shapes — the
+// engine at the start of seed's RNG stream, an empty recording or muted
+// trace, a network without nodes, an empty book, no keys, no consistency
+// record — and invalidates everything handed out since the previous reset.
+// Reset builds a payment chain on top of it; a protocol whose parties have
+// another shape (internal/deals) calls it directly and brings its own
+// ledgers and keys with AddLedger and KeyringFor.
+func (w *World) ResetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
+	w.scn = Scenario{}
+	w.parts, w.clocks, w.wealth = w.parts[:0], w.clocks[:0], w.wealth[:0]
+	w.krReady = false
+	w.violation, w.detection = Incident{}, Incident{}
+
+	w.Eng.Reset(seed)
+	w.Eng.SetMetrics(sim.MetricsFrom(reg))
+	w.Trace.Reset(muteTrace)
+	w.Net.Reset(network)
+	w.Net.SetMetrics(netsim.MetricsFrom(reg))
+	w.Book.Reset()
+	w.inUse = 0
+}
+
+// AddLedger returns an empty ledger of that name, registered in the book:
+// the next of the world's pool, built only when the pool has run out.
+func (w *World) AddLedger(name string) *ledger.Ledger {
+	if w.inUse == len(w.ledgers) {
+		w.ledgers = append(w.ledgers, ledger.New(name))
+	}
+	led := w.ledgers[w.inUse]
+	w.inUse++
+	led.Reset(name)
+	return w.Book.Add(led)
+}
+
 // Reset validates the scenario and restores the state a new world has for
 // it, invalidating everything handed out since the previous Reset.
 func (w *World) Reset(s Scenario) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
+	w.ResetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics)
 	w.scn = s
-	w.krReady = false
-	w.violation, w.detection = Incident{}, Incident{}
 	topo := s.Topology
-
-	w.Eng.Reset(s.Seed)
-	w.Eng.SetMetrics(sim.MetricsFrom(s.Metrics))
-	w.Trace.Reset(s.MuteTrace)
-	w.Net.Reset(s.Network)
-	w.Net.SetMetrics(netsim.MetricsFrom(s.Metrics))
 
 	// Escrow e_i hosts accounts for itself and for its two customers c_i
 	// and c_{i+1}; the customers receive their initial endowment.
 	ledgerMetrics := ledger.MetricsFrom(s.Metrics, "protocol")
-	w.Book.Reset()
 	for i := 0; i < topo.N; i++ {
-		if i == len(w.ledgers) {
-			w.ledgers = append(w.ledgers, ledger.New(EscrowID(i)))
-		}
-		led := w.ledgers[i]
-		led.Reset()
+		led := w.AddLedger(EscrowID(i))
 		led.SetMetrics(ledgerMetrics)
 		if err := led.CreateAccount(EscrowID(i)); err != nil {
 			return err
@@ -122,11 +152,9 @@ func (w *World) Reset(s Scenario) error {
 				return err
 			}
 		}
-		w.Book.Add(led)
 	}
 
 	w.parts = topo.appendEscrows(topo.appendCustomers(w.parts[:0]))
-	w.clocks = w.clocks[:0]
 	rng := w.Eng.Rand()
 	for range w.parts {
 		rho := clock.Drift(0)
@@ -140,7 +168,6 @@ func (w *World) Reset(s Scenario) error {
 		w.clocks = append(w.clocks, *clock.New(w.Eng, rho, offset))
 	}
 
-	w.wealth = w.wealth[:0]
 	for i := 0; i <= topo.N; i++ {
 		w.wealth = append(w.wealth, w.customerWealth(i))
 	}
@@ -179,14 +206,21 @@ func (w *World) EscrowClock(i int) *clock.Clock { return &w.clocks[w.scn.Topolog
 // it and pay for no keys.
 func (w *World) Keyring() *sig.Keyring {
 	if !w.krReady {
-		seed := w.scn.DerivedKeySeed()
-		if w.kr == nil || w.krCrypto != w.scn.Crypto {
-			w.kr = sig.NewKeyringWith(w.scn.SigOptions(), seed, w.parts)
-			w.krCrypto = w.scn.Crypto
-		} else {
-			w.kr.Reset(seed, w.parts)
-		}
+		w.KeyringFor(w.scn.Crypto, w.scn.DerivedKeySeed(), w.parts)
 		w.krReady = true
+	}
+	return w.kr
+}
+
+// KeyringFor makes the world's keyring hold exactly ids' keys under that
+// backend and key seed and returns it. The keyring is built on the first
+// call and afterwards reset, not rebuilt, while the backend stays the same.
+func (w *World) KeyringFor(crypto, seed string, ids []string) *sig.Keyring {
+	if w.kr == nil || w.krCrypto != crypto {
+		w.kr = sig.NewKeyringWith(sig.Options{Backend: crypto}, seed, ids)
+		w.krCrypto = crypto
+	} else {
+		w.kr.Reset(seed, ids)
 	}
 	return w.kr
 }

@@ -299,7 +299,7 @@ func TestDealRunDeterminism(t *testing.T) {
 // matches the signed subject: replaying a genuine abort certificate with
 // the bit flipped (or an unsigned decision) must settle nothing.
 func TestCertifiedDecisionBindsCommitBit(t *testing.T) {
-	r, err := newDealRun(dealConfig(swapDeal(), 1), false)
+	r, err := newDealRun(core.NewWorld(), dealConfig(swapDeal(), 1), false)
 	if err != nil {
 		t.Fatal(err)
 	}

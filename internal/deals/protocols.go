@@ -360,8 +360,12 @@ func (r *dealRun) procDelay() sim.Time {
 	return sim.Time(r.eng.Rand().Int63n(int64(maxP + 1)))
 }
 
-// newDealRun builds the substrate shared by both protocols.
-func newDealRun(cfg Config, timelock bool) (*dealRun, error) {
+// certifierKeys is the one key a certified run signs with.
+var certifierKeys = []string{certifierID}
+
+// newDealRun resets w's substrate for the configuration and attaches the
+// chains and parties both protocols share to it.
+func newDealRun(w *core.World, cfg Config, timelock bool) (*dealRun, error) {
 	if cfg.Deal == nil || len(cfg.Deal.Parties) == 0 {
 		return nil, fmt.Errorf("deals: empty deal")
 	}
@@ -371,26 +375,20 @@ func newDealRun(cfg Config, timelock bool) (*dealRun, error) {
 	if cfg.Network == nil {
 		cfg.Network = netsim.Synchronous{Min: 1 * sim.Millisecond, Max: cfg.Timing.MaxMsgDelay}
 	}
-	eng := sim.NewEngine(cfg.Seed)
-	tr := trace.New()
-	if cfg.MuteTrace {
-		tr.Mute()
-	}
-	net := netsim.New(eng, cfg.Network, tr)
-	book := ledger.NewBook()
+	w.ResetSubstrate(cfg.Seed, cfg.Network, cfg.MuteTrace, nil)
 	r := &dealRun{
 		cfg:      cfg,
 		timelock: timelock,
-		eng:      eng,
-		net:      net,
-		tr:       tr,
-		book:     book,
+		eng:      w.Eng,
+		net:      w.Net,
+		tr:       w.Trace,
+		book:     w.Book,
 		outcome:  NewOutcome(cfg.Deal),
 		chains:   map[string]*assetChain{},
 		parties:  map[string]*partyProc{},
 	}
 	for _, t := range cfg.Deal.AssetTypes() {
-		led := ledger.New(t)
+		led := w.AddLedger(t)
 		for _, party := range cfg.Deal.Parties {
 			if err := led.CreateAccount(party); err != nil {
 				return nil, err
@@ -404,7 +402,6 @@ func newDealRun(cfg Config, timelock bool) (*dealRun, error) {
 				}
 			}
 		}
-		book.Add(led)
 		chain := &assetChain{run: r, asset: t, id: "chain-" + t, led: led, commitVotes: map[string]bool{}, settled: map[Arc]bool{}}
 		if timelock {
 			// The timelock covers escrow set-up plus one vote round for every
@@ -412,19 +409,19 @@ func newDealRun(cfg Config, timelock bool) (*dealRun, error) {
 			chain.expiry = sim.Time(len(cfg.Deal.Parties)+2) * (4*cfg.Timing.MaxMsgDelay + 4*cfg.Timing.MaxProcessing)
 		}
 		r.chains[t] = chain
-		net.Register(chain)
+		r.net.Register(chain)
 	}
 	for _, party := range cfg.Deal.Parties {
 		compliant := !cfg.NonCompliant[party]
 		r.outcome.Compliant[party] = compliant
 		p := &partyProc{run: r, id: party, compliant: compliant, escrowed: map[Arc]bool{}}
 		r.parties[party] = p
-		net.Register(p)
+		r.net.Register(p)
 	}
 	if !timelock {
-		r.kr = sig.NewKeyringWith(sig.Options{Backend: cfg.Crypto}, r.dealID(), []string{certifierID})
+		r.kr = w.KeyringFor(cfg.Crypto, r.dealID(), certifierKeys)
 		r.certifier = &certifierProc{run: r}
-		net.Register(r.certifier)
+		r.net.Register(r.certifier)
 	}
 	return r, nil
 }
@@ -463,12 +460,17 @@ type TimelockCommit struct{}
 func (TimelockCommit) Name() string { return "deal-timelock-commit" }
 
 // Run executes the protocol for the configuration.
-func (TimelockCommit) Run(cfg Config) (*Result, error) {
-	r, err := newDealRun(cfg, true)
+func (p TimelockCommit) Run(cfg Config) (*Result, error) { return p.RunIn(core.NewWorld(), cfg) }
+
+// RunIn is the same run on the substrate of a standing world its caller owns
+// and reuses. The Result's Trace and Book are w's own, valid until w is next
+// reset (see core.World).
+func (p TimelockCommit) RunIn(w *core.World, cfg Config) (*Result, error) {
+	r, err := newDealRun(w, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	return r.run(TimelockCommit{}.Name()), nil
+	return r.run(p.Name()), nil
 }
 
 // CertifiedCommit is Herlihy et al.'s certified blockchain commit protocol:
@@ -480,10 +482,14 @@ type CertifiedCommit struct{}
 func (CertifiedCommit) Name() string { return "deal-certified-commit" }
 
 // Run executes the protocol for the configuration.
-func (CertifiedCommit) Run(cfg Config) (*Result, error) {
-	r, err := newDealRun(cfg, false)
+func (p CertifiedCommit) Run(cfg Config) (*Result, error) { return p.RunIn(core.NewWorld(), cfg) }
+
+// RunIn is the same run on a standing world's substrate; the Result is valid
+// until w is next reset.
+func (p CertifiedCommit) RunIn(w *core.World, cfg Config) (*Result, error) {
+	r, err := newDealRun(w, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	return r.run(CertifiedCommit{}.Name()), nil
+	return r.run(p.Name()), nil
 }

@@ -133,7 +133,8 @@ func New(name string) *Ledger {
 // locks, an empty log, zeroed totals, compaction off, muted metrics —
 // keeping its maps' and its log's storage. Locks and log entries handed out
 // before the Reset must no longer be used.
-func (l *Ledger) Reset() {
+func (l *Ledger) Reset(name string) {
+	l.name = name
 	clear(l.accounts)
 	//lint:maporder the order only decides which record a later lock reuses, and CreateLock overwrites it whole
 	for _, lk := range l.locks {

@@ -167,6 +167,9 @@ type deliverArg struct {
 	dst   Node
 	env   Envelope
 	delay sim.Time
+	// label is the message's Describe(), built once by a recording Send for
+	// the send event, the delivery's event name and the deliver event.
+	label string
 }
 
 // deliver is the delivery callback shared by every scheduled message. All
@@ -176,7 +179,7 @@ type deliverArg struct {
 //xchain:hotpath
 func deliver(x any) {
 	d := x.(*deliverArg)
-	n, dst, env, delay := d.net, d.dst, d.env, d.delay
+	n, dst, env, delay, label := d.net, d.dst, d.env, d.delay, d.label
 	*d = deliverArg{}
 	n.freeArgs = append(n.freeArgs, d)
 	n.stats.Delivered++
@@ -186,7 +189,7 @@ func deliver(x any) {
 		n.stats.MaxDelay = delay
 	}
 	if n.tr.Recording() {
-		n.tr.Add(n.eng.Now(), trace.KindDeliver, env.To, env.From, env.Msg.Describe())
+		n.tr.Add(n.eng.Now(), trace.KindDeliver, env.To, env.From, label)
 	}
 	dst.Deliver(env.From, env.Msg)
 	if n.Tap != nil {
@@ -282,8 +285,10 @@ func (n *Network) Send(from, to string, msg Message) {
 	n.stats.Sent++
 	n.m.Sent.Inc()
 	recording := n.tr.Recording()
+	var label string
 	if recording {
-		n.tr.Add(now, trace.KindSend, from, to, msg.Describe())
+		label = msg.Describe()
+		n.tr.Add(now, trace.KindSend, from, to, label)
 	}
 
 	delay, drop := n.model.Delay(env, n.eng)
@@ -292,7 +297,7 @@ func (n *Network) Send(from, to string, msg Message) {
 		n.stats.Dropped++
 		n.m.Dropped.Inc()
 		if recording {
-			n.tr.Add(now, trace.KindDrop, from, to, msg.Describe())
+			n.tr.Add(now, trace.KindDrop, from, to, label)
 		}
 		return
 	}
@@ -301,7 +306,7 @@ func (n *Network) Send(from, to string, msg Message) {
 	}
 	name := "deliver"
 	if recording {
-		name = "deliver:" + msg.Describe()
+		name = "deliver:" + label
 	}
 	var d *deliverArg
 	if k := len(n.freeArgs); k > 0 {
@@ -315,6 +320,7 @@ func (n *Network) Send(from, to string, msg Message) {
 	d.dst = dst
 	d.env = env
 	d.delay = delay
+	d.label = label
 	n.eng.ScheduleArgIn(delay, name, deliver, d)
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -254,10 +255,48 @@ func TestMutedSendSkipsDescribe(t *testing.T) {
 	}
 }
 
-// countingMessage counts Describe invocations.
+// TestRecordedSendDescribesOnce: a recording Send asks the message for its
+// label once, and the send event, the deliver event and — for a recipient
+// nobody registered — the drop event all carry that one label.
+func TestRecordedSendDescribesOnce(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr := trace.New()
+	net := New(eng, Synchronous{Min: 1, Max: 1}, tr)
+	net.Register(&FuncNode{Id: "a"})
+	net.Register(&FuncNode{Id: "b"})
+	calls := 0
+	net.Send("a", "b", countingMessage{calls: &calls})
+	eng.Run(0)
+	if calls != 1 {
+		t.Fatalf("delivered message: Describe called %d times, want 1", calls)
+	}
+	net.Send("a", "nobody", countingMessage{calls: &calls})
+	eng.Run(0)
+	if calls != 2 {
+		t.Fatalf("dropped message: Describe called %d times over two sends, want 2", calls)
+	}
+	want := []trace.Event{
+		{Kind: trace.KindSend, Actor: "a", Peer: "b", Label: "counted 1"},
+		{Kind: trace.KindDeliver, Actor: "b", Peer: "a", Label: "counted 1"},
+		{Kind: trace.KindSend, Actor: "a", Peer: "nobody", Label: "counted 2"},
+		{Kind: trace.KindDrop, Actor: "a", Peer: "nobody", Label: "counted 2"},
+	}
+	got := tr.Events()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d events, want %d:\n%s", len(got), len(want), tr)
+	}
+	for i, w := range want {
+		if g := got[i]; g.Kind != w.Kind || g.Actor != w.Actor || g.Peer != w.Peer || g.Label != w.Label {
+			t.Errorf("event %d is %v, want [%s] %s -> %s %s", i, g, w.Kind, w.Actor, w.Peer, w.Label)
+		}
+	}
+}
+
+// countingMessage counts Describe invocations, and says so in its label: a
+// second call would label its event differently.
 type countingMessage struct{ calls *int }
 
 func (c countingMessage) Describe() string {
 	*c.calls++
-	return "counted"
+	return fmt.Sprintf("counted %d", *c.calls)
 }

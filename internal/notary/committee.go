@@ -2,6 +2,7 @@ package notary
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -156,7 +157,7 @@ type MsgPrePrepare struct {
 
 // Describe implements netsim.Message.
 func (m MsgPrePrepare) Describe() string {
-	return fmt.Sprintf("pre-prepare(%s,v%d by %s)", m.Decision, m.View, m.Leader)
+	return "pre-prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Leader + ")"
 }
 
 // MsgPrepare is a notary's first-phase vote.
@@ -169,7 +170,7 @@ type MsgPrepare struct {
 
 // Describe implements netsim.Message.
 func (m MsgPrepare) Describe() string {
-	return fmt.Sprintf("prepare(%s,v%d by %s)", m.Decision, m.View, m.Voter)
+	return "prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
 
 // MsgCommitVote is a notary's second-phase vote, sent once it holds a
@@ -183,7 +184,7 @@ type MsgCommitVote struct {
 
 // Describe implements netsim.Message.
 func (m MsgCommitVote) Describe() string {
-	return fmt.Sprintf("commit-vote(%s,v%d by %s)", m.Decision, m.View, m.Voter)
+	return "commit-vote(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
 
 // MsgViewChange announces that a notary moves to a new view, reporting its

@@ -1,6 +1,7 @@
 package notary
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -254,17 +255,32 @@ func TestCommitteeSizeFloor(t *testing.T) {
 	}
 }
 
+// TestMessageDescriptions pins the ballot labels to the fmt forms they were
+// first written in, view numbers of any sign and size included: recorded
+// traces carry them.
 func TestMessageDescriptions(t *testing.T) {
-	msgs := []netsim.Message{
+	for _, view := range []int{0, 1, 2, -1, 1 << 40} {
+		for _, dec := range []sig.Decision{sig.DecisionCommit, sig.DecisionAbort, ""} {
+			for _, by := range []string{"notary0", "", "a-notary-with-a-name-longer-than-any-stack-buffer-would-hold-0123456789"} {
+				want := fmt.Sprintf("(%s,v%d by %s)", dec, view, by)
+				for label, m := range map[string]netsim.Message{
+					"pre-prepare": MsgPrePrepare{Decision: dec, View: view, Leader: by},
+					"prepare":     MsgPrepare{Decision: dec, View: view, Voter: by},
+					"commit-vote": MsgCommitVote{Decision: dec, View: view, Voter: by},
+				} {
+					if got := m.Describe(); got != label+want {
+						t.Errorf("%T.Describe() = %q, want %q", m, got, label+want)
+					}
+				}
+			}
+		}
+	}
+	for _, m := range []netsim.Message{
 		MsgPrepared{Escrow: "e0"},
 		MsgAbortRequest{Customer: "c1"},
 		MsgDecision{},
-		MsgPrePrepare{Decision: sig.DecisionCommit, View: 1, Leader: "notary0"},
-		MsgPrepare{Decision: sig.DecisionAbort, View: 2, Voter: "notary1"},
-		MsgCommitVote{Decision: sig.DecisionCommit, View: 0, Voter: "notary2"},
 		MsgViewChange{NewView: 3, Voter: "notary3"},
-	}
-	for _, m := range msgs {
+	} {
 		if m.Describe() == "" {
 			t.Errorf("%T has an empty description", m)
 		}

@@ -66,7 +66,7 @@ func runBackendPair(t *testing.T, sp Spec) {
 		t.Fatalf("seed %d: %v", sp.Seed, err)
 	}
 	protosH, _ := spH.Protocols()
-	opts := spE.checkOptions(oe.Class)
+	opts := spE.checkOptions(oe.Class, protosE[0], sE)
 	for i := range protosE {
 		rE, errE := protosE[i].Run(sE)
 		rH, errH := protosH[i].Run(sH)

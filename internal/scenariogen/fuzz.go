@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -94,7 +95,10 @@ func (s *Stats) String() string {
 }
 
 // Fuzz runs a campaign: Generate each seed, run its oracle, aggregate. The
-// aggregation is deterministic in (Options) regardless of Workers.
+// aggregation is deterministic in (Options) regardless of Workers. Each
+// worker judges its seeds on one standing pair of worlds — a world is reset,
+// not rebuilt, between scenarios — and a scenario that panics costs the
+// campaign that seed, not the run.
 func Fuzz(opts Options) *Stats {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 1
@@ -105,27 +109,24 @@ func Fuzz(opts Options) *Stats {
 	}
 	outcomes := make([]*Outcome, opts.Seeds)
 	var wg sync.WaitGroup
-	next := make(chan int)
+	var next atomic.Int64 // the next unclaimed index into outcomes
 	for w := 0; w < opts.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				sp := Generate(opts.StartSeed + int64(i))
+			var ws worlds
+			for i := next.Add(1) - 1; i < int64(opts.Seeds); i = next.Add(1) - 1 {
+				sp := Generate(opts.StartSeed + i)
 				if opts.Crypto != "" {
 					sp.Crypto = opts.Crypto
 				}
 				if len(allowed) > 0 && !allowed[sp.Family] {
 					continue
 				}
-				outcomes[i] = Run(sp)
+				outcomes[i] = runGuarded(sp, &ws, runOn)
 			}
 		}()
 	}
-	for i := 0; i < opts.Seeds; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 
 	st := &Stats{ByFamily: map[Family]int{}, ExpectedCounts: map[core.Property]int{}}
@@ -158,4 +159,21 @@ func Fuzz(opts Options) *Stats {
 		}
 	}
 	return st
+}
+
+// runGuarded is run(sp, ws) with a panic turned into a finding: the outcome
+// of a scenario that panics is a KindEngine violation naming the seed and the
+// panic value, and the worlds it ran on — whose state is unknown — are
+// dropped, so the next scenario builds new ones.
+func runGuarded(sp Spec, ws *worlds, run func(Spec, *worlds) *Outcome) (out *Outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			*ws = worlds{}
+			out = &Outcome{Spec: sp, Class: sp.Class(), Violations: []Violation{{
+				Kind:   KindEngine,
+				Detail: fmt.Sprintf("seed %d panicked: %v", sp.Seed, r),
+			}}}
+		}
+	}()
+	return run(sp, ws)
 }

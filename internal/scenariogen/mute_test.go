@@ -72,7 +72,7 @@ func TestMuteEquivalence(t *testing.T) {
 					if traced.Trace.Len() == 0 || muted.Trace.Len() != 0 {
 						t.Fatalf("%s: traced run kept %d events, muted run %d", name, traced.Trace.Len(), muted.Trace.Len())
 					}
-					opts := sp.checkOptions(sp.Class())
+					opts := sp.checkOptions(sp.Class(), protos[0], s)
 					if got, want := check.Evaluate(muted, opts), check.Evaluate(traced, opts); got != want {
 						t.Fatalf("%s: verdicts differ\n--- muted\n%s--- traced\n%s", name, got, want)
 					}

@@ -107,16 +107,16 @@ func (sp Spec) guarantee() core.Guarantee {
 	return protos[0].Guarantee()
 }
 
-// checkOptions returns the property-evaluation options for a payment spec.
-// The a-priori bound exists for a conforming timeout-family spec only: it
-// runs derived windows (TimeoutScale 0/1), so the bound comes straight from
-// the derivation.
-func (sp Spec) checkOptions(class Class) check.Options {
+// checkOptions returns the property-evaluation options for a run of the
+// spec's protocol p on its scenario s. The a-priori bound exists for a
+// conforming timeout-family spec only: it runs derived windows (TimeoutScale
+// 0/1), and the bound is the one p derived them with.
+func (sp Spec) checkOptions(class Class, p core.Protocol, s core.Scenario) check.Options {
 	var bound sim.Time
-	if sp.isTimelockFamily() && class == ClassConforming {
-		bound = timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), sp.Family != FamNaive).Bound
+	if tl, ok := p.(*timelock.Protocol); ok && class == ClassConforming {
+		bound = tl.ParamsFor(s).Bound
 	}
-	return check.OptionsFor(sp.guarantee(), bound, sp.PatienceFloor)
+	return check.OptionsFor(p.Guarantee(), bound, sp.PatienceFloor)
 }
 
 // managerTrusted applies Theorem 3's trust assumption to the spec's fault
@@ -138,20 +138,38 @@ func (sp Spec) allPatienceFinite() bool {
 	return true
 }
 
+// worlds is the pair of standing worlds one goroutine judges scenarios on.
+// A spec's primary run executes on the first; what is compared against it —
+// the ANTA side of a differential spec, the determinism rerun — on the
+// second, so the primary result is still valid while it is compared
+// (core.World's lifetime rule). Each world is built on first use, and
+// nothing of either outlives a run: an Outcome holds copies only.
+type worlds [2]*core.World
+
+func (ws *worlds) world(i int) *core.World {
+	if ws[i] == nil {
+		ws[i] = core.NewWorld()
+	}
+	return ws[i]
+}
+
 // Run executes the spec and evaluates its oracle. Scenario errors are
 // reported as violations (the generator never produces invalid specs, and a
 // replay file that stopped validating is itself a regression).
-func Run(sp Spec) *Outcome {
+func Run(sp Spec) *Outcome { return runOn(sp, &worlds{}) }
+
+// runOn is Run on the caller's standing worlds: what a world ran before
+// never reaches an Outcome (TestFuzzStandingWorldEquivalence).
+func runOn(sp Spec, ws *worlds) *Outcome {
 	out := &Outcome{Spec: sp, Class: sp.Class()}
-	if sp.isDeal() {
-		runDeal(sp, out)
-		return out
-	}
-	if sp.Family == FamTraffic {
+	switch {
+	case sp.isDeal():
+		runDeal(sp, out, ws)
+	case sp.Family == FamTraffic:
 		runTraffic(sp, out)
-		return out
+	default:
+		runPayment(sp, out, ws)
 	}
-	runPayment(sp, out)
 	return out
 }
 
@@ -264,8 +282,9 @@ func checkCheckpoint(s core.Scenario, w traffic.Workload, want string, at int, o
 	}
 }
 
-// runPayment executes and judges a payment-family spec.
-func runPayment(sp Spec, out *Outcome) {
+// runPayment executes and judges a payment-family spec: protocol i runs on
+// world i (a differential spec has two, every other family one).
+func runPayment(sp Spec, out *Outcome, ws *worlds) {
 	s, err := sp.Scenario()
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
@@ -276,17 +295,17 @@ func runPayment(sp Spec, out *Outcome) {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
-	opts := sp.checkOptions(out.Class)
-	results := make([]*core.RunResult, 0, len(protos))
-	reports := make([]check.Report, 0, len(protos))
-	for _, p := range protos {
-		res, err := p.Run(s)
+	opts := sp.checkOptions(out.Class, protos[0], s)
+	var results [len(ws)]*core.RunResult
+	var reports [len(ws)]check.Report
+	for i, p := range protos {
+		res, err := p.RunIn(ws.world(i), s)
 		if err != nil {
 			out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: p.Name() + ": " + err.Error()})
 			return
 		}
-		results = append(results, res)
-		reports = append(reports, check.Evaluate(res, opts))
+		results[i] = res
+		reports[i] = check.Evaluate(res, opts)
 	}
 	primary, rep := results[0], reports[0]
 	out.Protocol = primary.Protocol
@@ -300,7 +319,8 @@ func runPayment(sp Spec, out *Outcome) {
 		judgeDifferential(out, results, reports)
 	}
 	if sp.wantDeterminism() {
-		q, err := protos[0].Run(s)
+		// The ANTA side, if there was one, has been judged: its world is free.
+		q, err := protos[0].RunIn(ws.world(1), s)
 		if err != nil {
 			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
 			return
@@ -367,7 +387,7 @@ func settlementTrace(tr *trace.Trace) []string {
 // judgeDifferential compares the process-engine and ANTA-engine runs of the
 // same scenario: every Definition-1 verdict and the settlement trace must be
 // identical. Divergence means one engine drifted from Figure 2.
-func judgeDifferential(out *Outcome, results []*core.RunResult, reports []check.Report) {
+func judgeDifferential(out *Outcome, results [2]*core.RunResult, reports [2]check.Report) {
 	proc, anta := reports[0], reports[1]
 	for _, p := range core.AllProperties() {
 		vp, okP := proc.Lookup(p)
@@ -403,17 +423,17 @@ func judgeDifferential(out *Outcome, results []*core.RunResult, reports []check.
 // runDeal executes and judges a deal-family spec against Herlihy et al.'s
 // properties: safety and termination unconditionally, strong liveness when
 // every party complies under a conforming schedule, plus the ledger audit.
-func runDeal(sp Spec, out *Outcome) {
+func runDeal(sp Spec, out *Outcome, ws *worlds) {
 	cfg, err := sp.DealConfig()
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
-	run := deals.TimelockCommit{}.Run
+	run := deals.TimelockCommit{}.RunIn
 	if sp.Family == FamDealCertified {
-		run = deals.CertifiedCommit{}.Run
+		run = deals.CertifiedCommit{}.RunIn
 	}
-	res, err := run(cfg)
+	res, err := run(ws.world(0), cfg)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
@@ -441,7 +461,7 @@ func runDeal(sp Spec, out *Outcome) {
 		out.Violations = append(out.Violations, Violation{Kind: KindDeal, Detail: "ledger audit: " + err.Error()})
 	}
 	if sp.wantDeterminism() {
-		q, err := run(cfg)
+		q, err := run(ws.world(1), cfg)
 		if err != nil {
 			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
 			return

@@ -9,28 +9,23 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/deals"
+	"repro/internal/ledger"
 	"repro/internal/sig"
 )
 
-// worldRunner is what every chain protocol offers besides Run.
-type worldRunner interface {
-	core.Protocol
-	RunIn(w *core.World, s core.Scenario) (*core.RunResult, error)
-}
-
-// reuseCase is one run of the equivalence test.
+// reuseCase is one run of the equivalence test: run executes it on w and
+// renders everything it produced, at once — on a reused world the result is
+// only valid until the next reset.
 type reuseCase struct {
-	name  string
-	proto worldRunner
-	scn   core.Scenario
-	opts  check.Options
+	name string
+	run  func(w *core.World) (string, error)
 }
 
-// renderRun renders everything a run produced — outcome, every customer and
-// escrow, the network counters, each ledger's accounts, locks and operation
-// log, the whole trace and the property verdicts — so that two runs compare
-// byte for byte. It reads the result at once: on a reused world the result
-// is only valid until the next Reset.
+// renderRun renders everything a payment run produced — outcome, every
+// customer and escrow, the network counters, each ledger's accounts, locks
+// and operation log, the whole trace and the property verdicts — so that two
+// runs compare byte for byte.
 func renderRun(res *core.RunResult, opts check.Options) string {
 	var b strings.Builder
 	topo := res.Scenario.Topology
@@ -44,52 +39,104 @@ func renderRun(res *core.RunResult, opts check.Options) string {
 	for _, id := range topo.Escrows() {
 		fmt.Fprintf(&b, "%+v\n", res.Escrows[id])
 	}
-	for _, name := range res.Book.Names() {
-		led := res.Book.MustGet(name)
-		fmt.Fprintf(&b, "%v compact=%v ops=%d\n", led, led.Compact(), led.OpCount())
-		for _, owner := range led.Accounts() {
-			fmt.Fprintf(&b, "  %s=%d\n", owner, led.Balance(owner))
-		}
-		for _, lk := range led.Locks() {
-			fmt.Fprintf(&b, "  %+v\n", *lk)
-		}
-		for _, op := range led.Ops() {
-			fmt.Fprintf(&b, "  %+v\n", op)
-		}
-	}
+	renderBook(&b, res.Book)
 	b.WriteString(res.Trace.String())
 	b.WriteString(check.Evaluate(res, opts).String())
 	return b.String()
 }
 
-// reuseCases builds the test's population: the payment-family specs among
-// the first seeds (every family with RunIn: the three timelock renderings,
-// htlc, weaklive with a trusted manager and with a committee; generated
-// faults include crashes, silence, withholding, theft and impatience), each
-// once traced and once muted, on alternating crypto backends — plus, woven
-// in every few cases, runs built to leave a world in a bad state: cut off
-// by MaxEvents with events, messages and timers still pending, a mid-run
-// crash, a withholding Bob, a manager outage.
+// renderDeal is renderRun for a deal run: the result, which arcs moved, the
+// ledgers and the whole trace.
+func renderDeal(res *deals.Result) string {
+	var b strings.Builder
+	o := res.Outcome
+	fmt.Fprintf(&b, "%s dur=%v net=%+v forever=%v safety=%v termination=%v\n",
+		res.Protocol, res.Duration, res.Stats, o.EscrowedForever, o.SafetyHolds(), o.TerminationHolds())
+	for _, arc := range o.Deal.Arcs() {
+		fmt.Fprintf(&b, "%+v transferred=%v\n", arc, o.Transferred[arc])
+	}
+	for _, p := range o.Deal.Parties {
+		fmt.Fprintf(&b, "%s compliant=%v\n", p, o.Compliant[p])
+	}
+	renderBook(&b, res.Book)
+	b.WriteString(res.Trace.String())
+	return b.String()
+}
+
+func renderBook(b *strings.Builder, book *ledger.Book) {
+	for _, name := range book.Names() {
+		led := book.MustGet(name)
+		fmt.Fprintf(b, "%v compact=%v ops=%d\n", led, led.Compact(), led.OpCount())
+		for _, owner := range led.Accounts() {
+			fmt.Fprintf(b, "  %s=%d\n", owner, led.Balance(owner))
+		}
+		for _, lk := range led.Locks() {
+			fmt.Fprintf(b, "  %+v\n", *lk)
+		}
+		for _, op := range led.Ops() {
+			fmt.Fprintf(b, "  %+v\n", op)
+		}
+	}
+}
+
+// reuseCases builds the test's population: the specs among the first seeds
+// of every family that runs on a world (the three timelock renderings, htlc,
+// weaklive with a trusted manager and with a committee, and the two deal
+// protocols, which share only a world's substrate; generated faults include
+// crashes, silence, withholding, theft and impatience), each once traced and
+// once muted, on alternating crypto backends — plus, woven in every few
+// cases, runs built to leave a world in a bad state: cut off by MaxEvents
+// with events, messages and timers still pending, a mid-run crash, a
+// withholding Bob, a manager outage.
 func reuseCases(t *testing.T, seeds int) []reuseCase {
 	t.Helper()
 	var cases []reuseCase
 	add := func(name string, p core.Protocol, s core.Scenario, opts check.Options) {
-		wr, ok := p.(worldRunner)
-		if !ok {
-			t.Fatalf("%s: protocol %s has no RunIn", name, p.Name())
+		for _, muted := range []bool{false, true} {
+			s := s
+			s.MuteTrace = muted
+			cases = append(cases, reuseCase{name: fmt.Sprintf("%s muted=%v", name, muted), run: func(w *core.World) (string, error) {
+				res, err := p.RunIn(w, s)
+				if err != nil {
+					return "", err
+				}
+				return renderRun(res, opts), nil
+			}})
 		}
-		cases = append(cases, reuseCase{name: name, proto: wr, scn: s, opts: opts})
-		muted := s
-		muted.MuteTrace = true
-		cases = append(cases, reuseCase{name: name + " muted", proto: wr, scn: muted, opts: opts})
+	}
+	addDeal := func(name string, sp Spec) {
+		cfg, err := sp.DealConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		run := deals.TimelockCommit{}.RunIn
+		if sp.Family == FamDealCertified {
+			run = deals.CertifiedCommit{}.RunIn
+		}
+		for _, muted := range []bool{false, true} {
+			cfg := cfg
+			cfg.MuteTrace = muted
+			cases = append(cases, reuseCase{name: fmt.Sprintf("%s muted=%v", name, muted), run: func(w *core.World) (string, error) {
+				res, err := run(w, cfg)
+				if err != nil {
+					return "", err
+				}
+				return renderDeal(res), nil
+			}})
+		}
 	}
 	families := map[Family]int{}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		sp := Generate(seed)
-		if sp.isDeal() || sp.Family == FamTraffic {
+		if sp.Family == FamTraffic {
 			continue
 		}
 		sp.Crypto = []string{"hmac", "ed25519"}[seed%2]
+		families[sp.Family]++
+		if sp.isDeal() {
+			addDeal(fmt.Sprintf("seed %d %s", seed, sp.Family), sp)
+			continue
+		}
 		s, err := sp.Scenario()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -98,9 +145,8 @@ func reuseCases(t *testing.T, seeds int) []reuseCase {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := sp.checkOptions(sp.Class())
+		opts := sp.checkOptions(sp.Class(), protos[0], s)
 		for _, p := range protos {
-			families[sp.Family]++
 			add(fmt.Sprintf("seed %d %s", seed, p.Name()), p, s, opts)
 			if seed%5 != 0 {
 				continue
@@ -119,8 +165,8 @@ func reuseCases(t *testing.T, seeds int) []reuseCase {
 			}
 		}
 	}
-	for _, f := range []Family{FamTimelock, FamANTA, FamNaive, FamHTLC, FamWeaklive, FamCommittee, FamDifferential} {
-		if families[f] == 0 {
+	for _, f := range AllFamilies() {
+		if f != FamTraffic && families[f] == 0 {
 			t.Fatalf("no %s spec among the first %d seeds", f, seeds)
 		}
 	}
@@ -145,12 +191,12 @@ func TestWorldReuseEquivalence(t *testing.T) {
 	}
 	observe := func(c reuseCase, w *core.World) observed {
 		before := sig.GlobalStats()
-		res, err := c.proto.RunIn(w, c.scn)
+		render, err := c.run(w)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		after := sig.GlobalStats()
-		return observed{render: renderRun(res, c.opts), sig: sig.Stats{
+		return observed{render: render, sig: sig.Stats{
 			KeygenHits:    after.KeygenHits - before.KeygenHits,
 			KeygenMisses:  after.KeygenMisses - before.KeygenMisses,
 			MemoHits:      after.MemoHits - before.MemoHits,

@@ -396,19 +396,20 @@ func (sp Spec) Scenario() (core.Scenario, error) {
 }
 
 // Protocols materialises the protocol engines the spec runs: one for every
-// family except differential, which returns the process/ANTA pair.
+// family except differential, which returns the process/ANTA pair. A
+// timeout-family protocol carries the windows it will run — derived, scaled
+// or inflated — so the run and the oracle's a-priori bound read one
+// derivation.
 func (sp Spec) Protocols() ([]core.Protocol, error) {
 	build := func(p *timelock.Protocol) core.Protocol {
-		if sp.TimeoutScale != 0 && sp.TimeoutScale != 1 {
-			topo := core.NewTopology(sp.N)
-			params := timelock.DeriveParams(topo, sp.Timing.Timing(), p.DriftAware)
-			if sp.TimeoutScale < 0 {
-				params = params.Inflated()
-			} else {
-				params = params.Scaled(sp.TimeoutScale)
-			}
-			p.Params = &params
+		params := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), p.DriftAware)
+		switch {
+		case sp.TimeoutScale < 0:
+			params = params.Inflated()
+		case sp.TimeoutScale != 0 && sp.TimeoutScale != 1:
+			params = params.Scaled(sp.TimeoutScale)
 		}
+		p.Params = &params
 		return p
 	}
 	switch sp.Family {

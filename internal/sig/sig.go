@@ -22,9 +22,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -350,7 +350,7 @@ func (c PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 
 // Describe implements a human-readable label.
 func (c PaymentCert) Describe() string {
-	return fmt.Sprintf("chi(%s by %s)", c.PaymentID, c.Issuer)
+	return "chi(" + c.PaymentID + " by " + c.Issuer + ")"
 }
 
 // Guarantee is the promise G(d) issued by escrow e_i to its upstream
@@ -389,7 +389,20 @@ func (g Guarantee) Verify(kr *Keyring) bool {
 
 // Describe implements a human-readable label.
 func (g Guarantee) Describe() string {
-	return fmt.Sprintf("G(d=%v from %s to %s)", g.D, g.Escrow, g.Customer)
+	return describePromise("G(d=", g.D, g.Escrow, g.Customer)
+}
+
+// describePromise renders an escrow promise's label, "G(d=1.000ms from e0 to
+// c0)", in one buffer: every traced timelock message carries one.
+func describePromise(open string, window sim.Time, escrow, customer string) string {
+	var buf [64]byte
+	b := append(buf[:0], open...)
+	b = window.Append(b)
+	b = append(b, " from "...)
+	b = append(b, escrow...)
+	b = append(b, " to "...)
+	b = append(b, customer...)
+	return string(append(b, ')'))
 }
 
 // Promise is P(a) issued by escrow e_i to its downstream customer c_{i+1}:
@@ -430,7 +443,7 @@ func (p Promise) Verify(kr *Keyring) bool {
 
 // Describe implements a human-readable label.
 func (p Promise) Describe() string {
-	return fmt.Sprintf("P(a=%v from %s to %s)", p.A, p.Escrow, p.Customer)
+	return describePromise("P(a=", p.A, p.Escrow, p.Customer)
 }
 
 // Decision enumerates transaction-manager decisions in the weak-liveness
@@ -522,7 +535,7 @@ func (c DecisionCert) Verify(kr *Keyring) bool {
 
 // Describe implements a human-readable label.
 func (c DecisionCert) Describe() string {
-	return fmt.Sprintf("%s-cert(%s by %s, %d sigs)", c.Decision, c.PaymentID, c.Manager, len(c.Sigs))
+	return string(c.Decision) + "-cert(" + c.PaymentID + " by " + c.Manager + ", " + strconv.Itoa(len(c.Sigs)) + " sigs)"
 }
 
 // Receipt is a generic signed receipt used by the HTLC/Interledger-atomic
@@ -559,7 +572,7 @@ func (r Receipt) Verify(kr *Keyring) bool {
 
 // Describe implements a human-readable label.
 func (r Receipt) Describe() string {
-	return fmt.Sprintf("receipt(%s:%s by %s)", r.PaymentID, r.Subject, r.Issuer)
+	return "receipt(" + r.PaymentID + ":" + r.Subject + " by " + r.Issuer + ")"
 }
 
 // HashLock helpers used by the HTLC baseline.

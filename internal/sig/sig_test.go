@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,47 @@ func TestReceipt(t *testing.T) {
 	}
 	if r.Describe() == "" {
 		t.Fatal("empty description")
+	}
+}
+
+// TestDescribeLabelsPinned pins the artefacts' trace labels to the fmt forms
+// they were first written in: recorded traces and the CLI's -trace output
+// carry them, so Describe may get cheaper but never different.
+func TestDescribeLabelsPinned(t *testing.T) {
+	times := []sim.Time{
+		0, 1, 999, -1, -2500, 80 * sim.Millisecond, 10 * sim.Minute, 3*sim.Hour + 1, 1 << 50, sim.Never,
+	}
+	ids := [][2]string{{"e0", "c0"}, {"", ""}, {"escrow-with-a-long-name-0123456789", "customer-with-a-long-name-0123456789-0123456789"}}
+	for _, d := range times {
+		for _, id := range ids {
+			g := Guarantee{PaymentID: "pay", Escrow: id[0], Customer: id[1], D: d}
+			if got, want := g.Describe(), fmt.Sprintf("G(d=%v from %s to %s)", g.D, g.Escrow, g.Customer); got != want {
+				t.Errorf("Guarantee.Describe() = %q, want %q", got, want)
+			}
+			p := Promise{PaymentID: "pay", Escrow: id[0], Customer: id[1], A: d}
+			if got, want := p.Describe(), fmt.Sprintf("P(a=%v from %s to %s)", p.A, p.Escrow, p.Customer); got != want {
+				t.Errorf("Promise.Describe() = %q, want %q", got, want)
+			}
+		}
+	}
+	for _, id := range ids {
+		c := PaymentCert{PaymentID: id[0], Issuer: id[1]}
+		if got, want := c.Describe(), fmt.Sprintf("chi(%s by %s)", c.PaymentID, c.Issuer); got != want {
+			t.Errorf("PaymentCert.Describe() = %q, want %q", got, want)
+		}
+		r := Receipt{PaymentID: id[0], Subject: "funds-received", Issuer: id[1]}
+		if got, want := r.Describe(), fmt.Sprintf("receipt(%s:%s by %s)", r.PaymentID, r.Subject, r.Issuer); got != want {
+			t.Errorf("Receipt.Describe() = %q, want %q", got, want)
+		}
+		for _, sigs := range []int{0, 1, 7, 1000} {
+			for _, dec := range []Decision{DecisionCommit, DecisionAbort, ""} {
+				dc := DecisionCert{PaymentID: id[0], Manager: id[1], Decision: dec, Sigs: make([]Signature, sigs)}
+				want := fmt.Sprintf("%s-cert(%s by %s, %d sigs)", dc.Decision, dc.PaymentID, dc.Manager, len(dc.Sigs))
+				if got := dc.Describe(); got != want {
+					t.Errorf("DecisionCert.Describe() = %q, want %q", got, want)
+				}
+			}
+		}
 	}
 }
 

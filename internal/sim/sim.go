@@ -14,8 +14,8 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Time is virtual time in microseconds since the start of the run.
@@ -39,10 +39,18 @@ const Never Time = 1<<62 - 1
 // String renders a Time in a human-friendly way (milliseconds with three
 // decimals), used by traces and experiment tables.
 func (t Time) String() string {
+	var buf [32]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends String's rendering of t to b. Labels that embed a time
+// (the escrow promises' Describe) build themselves in one buffer with it.
+func (t Time) Append(b []byte) []byte {
 	if t == Never {
-		return "never"
+		return append(b, "never"...)
 	}
-	return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+	b = strconv.AppendFloat(b, float64(t)/float64(Millisecond), 'f', 3, 64)
+	return append(b, "ms"...)
 }
 
 // Seconds converts t to floating-point seconds.

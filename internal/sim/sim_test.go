@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -11,6 +13,19 @@ func TestTimeString(t *testing.T) {
 	}
 	if got := Never.String(); got != "never" {
 		t.Errorf("Never renders as %q", got)
+	}
+	// The rendering is pinned to its fmt form: traces, tables and goldens
+	// carry it, so String may get cheaper but never different.
+	for _, v := range []Time{
+		0, 1, -1, 499, 500, 999, 1000, -1500, 12345, -5 * Millisecond, 10 * Minute, 10*Minute + 1,
+		Hour + 999, 1 << 50, 1<<55 + 12345, Never - 1, -Never, math.MaxInt64, math.MinInt64,
+	} {
+		if got, want := v.String(), fmt.Sprintf("%.3fms", float64(v)/float64(Millisecond)); got != want {
+			t.Errorf("Time(%d).String() = %q, want %q", int64(v), got, want)
+		}
+		if got := string(v.Append([]byte("at "))); got != "at "+v.String() {
+			t.Errorf("Time(%d).Append = %q", int64(v), got)
+		}
 	}
 	if (2 * Second).Seconds() != 2 {
 		t.Error("Seconds conversion wrong")

@@ -1,7 +1,7 @@
 package timelock
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/sig"
 )
@@ -37,10 +37,13 @@ type MsgMoney struct {
 
 // Describe implements netsim.Message.
 func (m MsgMoney) Describe() string {
+	open := "$("
 	if m.Refund {
-		return fmt.Sprintf("$refund(%d)", m.Amount)
+		open = "$refund("
 	}
-	return fmt.Sprintf("$(%d)", m.Amount)
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], open...), m.Amount, 10)
+	return string(append(b, ')'))
 }
 
 // MsgCert carries the payment certificate chi, signed by Bob, travelling

@@ -1,6 +1,8 @@
 package timelock
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -397,6 +399,19 @@ func TestANTASimultaneousCrashesDeterministic(t *testing.T) {
 			if got := res.Trace.Events()[i]; got.String() != er.String() {
 				t.Fatalf("run %d: trace diverges at %d:\n%s\n%s", run, i, er, got)
 			}
+		}
+	}
+}
+
+// TestMoneyLabelPinned pins "$"'s trace label to the fmt form it was first
+// written in: every recorded timelock trace carries it per hop.
+func TestMoneyLabelPinned(t *testing.T) {
+	for _, amount := range []int64{0, 1, 1000, -5, math.MaxInt64, math.MinInt64} {
+		if got, want := (MsgMoney{Amount: amount}).Describe(), fmt.Sprintf("$(%d)", amount); got != want {
+			t.Errorf("MsgMoney.Describe() = %q, want %q", got, want)
+		}
+		if got, want := (MsgMoney{Amount: amount, Refund: true}).Describe(), fmt.Sprintf("$refund(%d)", amount); got != want {
+			t.Errorf("refund MsgMoney.Describe() = %q, want %q", got, want)
 		}
 	}
 }
