@@ -172,6 +172,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
+	// An unknown backend is the run's error to report; a known one that keeps
+	// no verification memo makes every verification a miss by design.
+	backend, known := sig.BackendByName(*crypto)
+	memoOff := known && !backend.MemoByDefault()
+	if memoOff && *maxMiss > 0 {
+		fmt.Fprintf(stderr, "xchain-traffic: -max-verify-miss gates the verification memo, and the %s backend keeps none (verifying costs less than the memo's key): the gate could only fail\n", backend.Name())
+		return 2
+	}
+
 	cfg := xchainpay.TrafficConfig{Workers: *workers, Stream: *stream, Exemplars: *exemplars, Crypto: *crypto}
 	if *ckptPath != "" || *ckptEvery > 0 || *resumePath != "" {
 		if *sweepSeeds > 1 {
@@ -216,13 +225,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 0
 		}
 		st := sig.GlobalStats()
-		fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
+		memo := fmt.Sprintf("verify miss rate %.3f", st.VerifyMissRate())
+		if memoOff {
+			memo = "memo: off"
+		}
+		fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d (%s)\n",
 			sig.MetricKeygenCacheHits, st.KeygenHits,
 			sig.MetricKeygenCacheMisses, st.KeygenMisses,
 			sig.MetricVerifyMemoHits, st.MemoHits,
 			sig.MetricVerifyMemoMisses, st.MemoMisses,
 			sig.MetricVerifyMemoEvictions, st.MemoEvictions,
-			st.VerifyMissRate())
+			memo)
 		if *maxMiss > 0 && st.VerifyMissRate() > *maxMiss {
 			fmt.Fprintf(stderr, "xchain-traffic: verification-memo miss rate %.3f exceeds gate %.3f\n", st.VerifyMissRate(), *maxMiss)
 			return 1

@@ -29,7 +29,10 @@ const DefaultMaxEvents = 2_000_000
 // its world ran before (TestWorldReuseEquivalence).
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
-// own, and so are the Trace and Book it points to and its outcome maps.
+// own, and so are the Trace and Book it points to and its outcome maps —
+// and so is everything the run itself was made of: its processes (Standing),
+// every message they sent (a field of its sender, on the network by pointer)
+// and every signature the world's keyring handed out (sig.Keyring's arena).
 // They are valid until that world's next Reset; a caller that wants to keep
 // a result runs it on a world of its own (which is what Run does), and one
 // that compares two results runs them on two worlds. The traffic workers
@@ -69,6 +72,13 @@ type World struct {
 	// written by Report and copied into the result by Collect.
 	violation, detection Incident
 
+	// standing holds the protocol packages' run-states (see Standing).
+	standing []any
+	// crasher and crashes are ScheduleCrashes' run and its per-participant
+	// event arguments.
+	crasher Crasher
+	crashes []crashArg
+
 	res RunResult
 	// out is Collect's scratch: a customer's outcome is built here, where
 	// the protocol's callback can write to it without it escaping per call.
@@ -89,6 +99,23 @@ func NewWorld() *World {
 			Escrows:   map[string]EscrowOutcome{},
 		},
 	}
+}
+
+// Standing returns w's one value of type T, zeroed when first asked for: the
+// home of a protocol package's run-state — its processes, their messages,
+// whatever it derives from a scenario — which the package overwrites at the
+// start of every run instead of building it anew. The world neither resets
+// nor reads it, so what a run leaves there must never reach the next one:
+// the package rewrites every field a run reads (TestWorldReuseEquivalence).
+func Standing[T any](w *World) *T {
+	for _, s := range w.standing {
+		if st, ok := s.(*T); ok {
+			return st
+		}
+	}
+	st := new(T)
+	w.standing = append(w.standing, st)
+	return st
 }
 
 // ResetSubstrate restores the part of a world that no topology shapes — the
@@ -295,25 +322,45 @@ func (w *World) Report(ev trace.Event, cause error) {
 
 // ScheduleCrashes schedules every participant's crash fault, in participant
 // order (the engine's tie-break follows scheduling order). At the fault's
-// time crash is called with the participant's ID and what it is: customer
-// c_i or escrow e_i.
-func (w *World) ScheduleCrashes(crash func(id string, customer bool, i int)) {
+// time run.Crash is called.
+func (w *World) ScheduleCrashes(run Crasher) {
 	if len(w.scn.Faults) == 0 {
 		return
 	}
-	customers := w.scn.Topology.N + 1
+	w.crasher = run
+	if len(w.crashes) < len(w.parts) {
+		w.crashes = make([]crashArg, len(w.parts))
+	}
 	for k, id := range w.parts {
 		f := w.scn.FaultOf(id)
 		if !f.Crash {
 			continue
 		}
-		w.Eng.ScheduleAt(f.CrashAt, w.EventName(id, "crash"), func() {
-			if k < customers {
-				crash(id, true, k)
-			} else {
-				crash(id, false, k-customers)
-			}
-		})
+		w.crashes[k] = crashArg{w: w, k: k}
+		w.Eng.ScheduleArgAt(f.CrashAt, w.EventName(id, "crash"), fireCrash, &w.crashes[k])
+	}
+}
+
+// Crasher is a protocol run as ScheduleCrashes sees it.
+type Crasher interface {
+	// Crash applies participant id's crash fault; id is customer c_i or
+	// escrow e_i.
+	Crash(id string, customer bool, i int)
+}
+
+// crashArg is the argument of one scheduled crash: participant w.parts[k].
+type crashArg struct {
+	w *World
+	k int
+}
+
+func fireCrash(x any) {
+	c := x.(*crashArg)
+	w, k := c.w, c.k
+	if customers := w.scn.Topology.N + 1; k < customers {
+		w.crasher.Crash(w.parts[k], true, k)
+	} else {
+		w.crasher.Crash(w.parts[k], false, k-customers)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -79,7 +78,10 @@ func (p *Protocol) ExpiryOf(i, n int, t core.Timing) sim.Time {
 	return setup + p.baseExpiry(t) + sim.Time(n-1-i)*p.hopMargin(t)
 }
 
-// Messages.
+// Messages travel by pointer: each is a field of the process that sends it,
+// written once before Send and never after — a participant emits each
+// message kind at most once per run. Only the pointer types implement
+// netsim.Message; a message is valid until its world's next Reset.
 
 // MsgCreateLock is the customer's instruction to her escrow to lock value
 // under the hashlock.
@@ -91,7 +93,7 @@ type MsgCreateLock struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgCreateLock) Describe() string { return fmt.Sprintf("hashlock(%d)", m.Amount) }
+func (m *MsgCreateLock) Describe() string { return fmt.Sprintf("hashlock(%d)", m.Amount) }
 
 // MsgLockCreated notifies the downstream customer that an incoming lock is
 // in place.
@@ -102,7 +104,7 @@ type MsgLockCreated struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgLockCreated) Describe() string { return "lock-created" }
+func (m *MsgLockCreated) Describe() string { return "lock-created" }
 
 // MsgClaim reveals the preimage to an escrow to claim a lock.
 type MsgClaim struct {
@@ -111,7 +113,7 @@ type MsgClaim struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgClaim) Describe() string { return "claim" }
+func (m *MsgClaim) Describe() string { return "claim" }
 
 // MsgClaimed tells the payer that her lock was claimed, exposing the
 // preimage so she can claim her own incoming lock.
@@ -122,7 +124,7 @@ type MsgClaimed struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgClaimed) Describe() string { return "claimed" }
+func (m *MsgClaimed) Describe() string { return "claimed" }
 
 // MsgPaid tells the payee the escrow credited her account.
 type MsgPaid struct {
@@ -131,7 +133,7 @@ type MsgPaid struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPaid) Describe() string { return "paid" }
+func (m *MsgPaid) Describe() string { return "paid" }
 
 // MsgRefunded tells the payer her lock expired and was refunded.
 type MsgRefunded struct {
@@ -140,7 +142,7 @@ type MsgRefunded struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgRefunded) Describe() string { return "refunded" }
+func (m *MsgRefunded) Describe() string { return "refunded" }
 
 // Run implements core.Protocol.
 func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
@@ -154,21 +156,8 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 	if err := w.Reset(s); err != nil {
 		return nil, fmt.Errorf("htlc: %w", err)
 	}
-	// Bob's invoice: the preimage is derived deterministically from the
-	// scenario so runs are reproducible.
-	preimage := []byte(fmt.Sprintf("preimage-%s-%d", s.Spec.PaymentID, s.Seed))
-
-	r := &runState{
-		proto:    p,
-		w:        w,
-		scn:      s,
-		eng:      w.Eng,
-		net:      w.Net,
-		tr:       w.Trace,
-		preimage: preimage,
-		hashLock: sig.HashPreimage(preimage),
-	}
-	r.build()
+	r := core.Standing[runState](w)
+	r.reset(p, w, s)
 	r.start()
 
 	_, fired := w.Eng.Run(w.MaxEvents())

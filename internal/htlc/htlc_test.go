@@ -149,7 +149,7 @@ func TestSlowNetworkBreaksClaimWindow(t *testing.T) {
 	slow := netsim.Adversarial{
 		Label: "slow-claims",
 		Strategy: func(env netsim.Envelope, eng *sim.Engine) (sim.Time, bool) {
-			if _, isClaim := env.Msg.(MsgClaim); isClaim {
+			if _, isClaim := env.Msg.(*MsgClaim); isClaim {
 				return 10 * sim.Second, false
 			}
 			return 1 * sim.Millisecond, false

@@ -1,6 +1,9 @@
 package htlc
 
 import (
+	"slices"
+	"strconv"
+
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ledger"
@@ -11,7 +14,10 @@ import (
 )
 
 // runState holds one HTLC run and its world's handles; escrows[i] is e_i
-// and customers[i] is c_i.
+// and customers[i] is c_i. It stands on the run's world (core.Standing):
+// reset overwrites every field a run reads and every process, so nothing of
+// the previous run is left for this one, and the slices are regrown only for
+// a longer chain than any before.
 type runState struct {
 	proto *Protocol
 	w     *core.World
@@ -27,10 +33,20 @@ type runState struct {
 	customers []customerProc
 }
 
-func (r *runState) build() {
-	topo := r.scn.Topology
-	r.escrows = make([]escrowProc, topo.N)
-	r.customers = make([]customerProc, topo.N+1)
+// reset makes r the run of s under p on w, which has been reset for s, with
+// its processes registered on w's network.
+func (r *runState) reset(p *Protocol, w *core.World, s core.Scenario) {
+	r.proto, r.w, r.scn = p, w, s
+	r.eng, r.net, r.tr = w.Eng, w.Net, w.Trace
+	// Bob's invoice: the preimage is derived deterministically from the
+	// scenario so runs are reproducible.
+	r.preimage = append(append(r.preimage[:0], "preimage-"...), s.Spec.PaymentID...)
+	r.preimage = strconv.AppendInt(append(r.preimage, '-'), s.Seed, 10)
+	r.hashLock = sig.HashPreimage(r.preimage)
+
+	topo := s.Topology
+	r.escrows = slices.Grow(r.escrows[:0], topo.N)[:topo.N]
+	r.customers = slices.Grow(r.customers[:0], topo.N+1)[:topo.N+1]
 	for i := range r.escrows {
 		r.escrows[i] = escrowProc{
 			run:   r,
@@ -67,13 +83,16 @@ func (r *runState) start() {
 	for i := range r.customers {
 		r.customers[i].start()
 	}
-	r.w.ScheduleCrashes(func(_ string, customer bool, i int) {
-		if customer {
-			r.customers[i].crashed = true
-		} else {
-			r.escrows[i].crashed = true
-		}
-	})
+	r.w.ScheduleCrashes(r)
+}
+
+// Crash implements core.Crasher.
+func (r *runState) Crash(_ string, customer bool, i int) {
+	if customer {
+		r.customers[i].crashed = true
+	} else {
+		r.escrows[i].crashed = true
+	}
 }
 
 func (r *runState) collect(fired uint64) *core.RunResult {
@@ -112,6 +131,13 @@ type escrowProc struct {
 	settled     bool
 	crashed     bool
 	expiry      sim.Time
+
+	// The escrow's outgoing messages, each written once before its Send (see
+	// the message types).
+	msgLockCreated MsgLockCreated
+	msgPaid        MsgPaid
+	msgClaimed     MsgClaimed
+	msgRefunded    MsgRefunded
 }
 
 // ID implements netsim.Node.
@@ -125,14 +151,14 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgCreateLock:
+	case *MsgCreateLock:
 		p.onCreateLock(from, m)
-	case MsgClaim:
+	case *MsgClaim:
 		p.onClaim(from, m)
 	}
 }
 
-func (p *escrowProc) onCreateLock(from string, m MsgCreateLock) {
+func (p *escrowProc) onCreateLock(from string, m *MsgCreateLock) {
 	if from != p.up || p.lockCreated {
 		return
 	}
@@ -151,17 +177,24 @@ func (p *escrowProc) onCreateLock(from string, m MsgCreateLock) {
 	p.expiry = m.Expiry
 	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 	if !p.fault.Silent {
-		p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "notify-lock"), func() {
-			if p.active() {
-				p.run.net.Send(p.id, p.down, MsgLockCreated{PaymentID: m.PaymentID, Amount: want, HashLock: m.HashLock})
-			}
-		})
+		p.msgLockCreated = MsgLockCreated{PaymentID: m.PaymentID, Amount: want, HashLock: m.HashLock}
+		p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "notify-lock"), escrowNotifyLock, p)
 	}
 	// Arm the refund at the lock's expiry (escrow-local clock).
-	p.clk.ScheduleAtLocal(m.Expiry, p.run.w.EventName(p.id, "expiry"), p.onExpiry)
+	p.run.eng.ScheduleArgIn(p.clk.RealUntilLocal(m.Expiry), p.run.w.EventName(p.id, "expiry"), escrowExpiry, p)
 }
 
-func (p *escrowProc) onClaim(from string, m MsgClaim) {
+// escrowNotifyLock is the scheduled action of onCreateLock.
+//
+//xchain:hotpath
+func escrowNotifyLock(x any) {
+	p := x.(*escrowProc)
+	if p.active() {
+		p.run.net.Send(p.id, p.down, &p.msgLockCreated)
+	}
+}
+
+func (p *escrowProc) onClaim(from string, m *MsgClaim) {
 	if from != p.down || !p.lockCreated || p.settled {
 		return
 	}
@@ -183,20 +216,33 @@ func (p *escrowProc) onClaim(from string, m MsgClaim) {
 	if p.fault.Silent {
 		return
 	}
-	p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), func() {
-		if !p.active() {
-			return
-		}
-		p.run.net.Send(p.id, p.down, MsgPaid{PaymentID: m.PaymentID, Amount: amount})
-		if !p.fault.WithholdCertificate {
-			// Exposing the preimage to the payer is what lets the claim
-			// cascade upstream; withholding it is the classic griefing attack.
-			p.run.net.Send(p.id, p.up, MsgClaimed{PaymentID: m.PaymentID, Amount: amount, Preimage: m.Preimage})
-		}
-	})
+	p.msgPaid = MsgPaid{PaymentID: m.PaymentID, Amount: amount}
+	p.msgClaimed = MsgClaimed{PaymentID: m.PaymentID, Amount: amount, Preimage: m.Preimage}
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), escrowSettle, p)
 }
 
-func (p *escrowProc) onExpiry() {
+// escrowSettle is the scheduled action of onClaim.
+//
+//xchain:hotpath
+func escrowSettle(x any) {
+	p := x.(*escrowProc)
+	if !p.active() {
+		return
+	}
+	p.run.net.Send(p.id, p.down, &p.msgPaid)
+	if !p.fault.WithholdCertificate {
+		// Exposing the preimage to the payer is what lets the claim
+		// cascade upstream; withholding it is the classic griefing attack.
+		p.run.net.Send(p.id, p.up, &p.msgClaimed)
+	}
+}
+
+// escrowExpiry fires at the lock's expiry: a lock nobody claimed is refunded
+// to its payer.
+//
+//xchain:hotpath
+func escrowExpiry(x any) {
+	p := x.(*escrowProc)
 	if !p.active() || !p.lockCreated || p.settled {
 		return
 	}
@@ -210,9 +256,12 @@ func (p *escrowProc) onExpiry() {
 		return
 	}
 	p.settled = true
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
+	if p.run.tr.Recording() {
+		p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
+	}
 	if !p.fault.Silent {
-		p.run.net.Send(p.id, p.up, MsgRefunded{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount})
+		p.msgRefunded = MsgRefunded{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount}
+		p.run.net.Send(p.id, p.up, &p.msgRefunded)
 	}
 }
 
@@ -242,6 +291,11 @@ type customerProc struct {
 	crashed bool
 	term    bool
 	termAt  sim.Time
+
+	// The customer's outgoing messages, each written once before its Send:
+	// the lock instruction downstream and the claim upstream.
+	msgCreateLock MsgCreateLock
+	msgClaim      MsgClaim
 }
 
 // ID implements netsim.Node.
@@ -269,21 +323,25 @@ func (c *customerProc) createOutgoingLock() {
 		return
 	}
 	c.outgoingLock = true
-	topo := c.run.scn.Topology
-	amount := c.run.scn.Spec.AmountVia(c.i)
-	expiry := c.run.proto.ExpiryOf(c.i, topo.N, c.run.scn.Timing)
-	c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "lock"), func() {
-		if !c.active() {
-			return
-		}
-		c.paid = amount
-		c.run.net.Send(c.id, c.downEscrow, MsgCreateLock{
-			PaymentID: c.run.scn.Spec.PaymentID,
-			Amount:    amount,
-			HashLock:  c.run.hashLock,
-			Expiry:    expiry,
-		})
-	})
+	c.msgCreateLock = MsgCreateLock{
+		PaymentID: c.run.scn.Spec.PaymentID,
+		Amount:    c.run.scn.Spec.AmountVia(c.i),
+		HashLock:  c.run.hashLock,
+		Expiry:    c.run.proto.ExpiryOf(c.i, c.run.scn.Topology.N, c.run.scn.Timing),
+	}
+	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "lock"), customerLock, c)
+}
+
+// customerLock is the scheduled action of createOutgoingLock.
+//
+//xchain:hotpath
+func customerLock(x any) {
+	c := x.(*customerProc)
+	if !c.active() {
+		return
+	}
+	c.paid = c.msgCreateLock.Amount
+	c.run.net.Send(c.id, c.downEscrow, &c.msgCreateLock)
 }
 
 // Deliver implements netsim.Node.
@@ -292,13 +350,13 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgLockCreated:
+	case *MsgLockCreated:
 		c.onLockCreated(from, m)
-	case MsgClaimed:
+	case *MsgClaimed:
 		c.onClaimed(from, m)
-	case MsgPaid:
+	case *MsgPaid:
 		c.onPaid(from, m)
-	case MsgRefunded:
+	case *MsgRefunded:
 		c.onRefunded(from, m)
 	}
 }
@@ -306,7 +364,7 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 // onLockCreated reacts to the incoming lock at the upstream escrow: a
 // connector extends the chain by locking at her own escrow; Bob claims by
 // revealing the preimage.
-func (c *customerProc) onLockCreated(from string, m MsgLockCreated) {
+func (c *customerProc) onLockCreated(from string, m *MsgLockCreated) {
 	if from != c.upEscrow || c.incomingLock {
 		return
 	}
@@ -323,11 +381,8 @@ func (c *customerProc) onLockCreated(from string, m MsgLockCreated) {
 			c.run.tr.Add(c.run.eng.Now(), trace.KindByzantine, c.id, "", "withhold-preimage")
 			return
 		}
-		c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim"), func() {
-			if c.active() {
-				c.run.net.Send(c.id, c.upEscrow, MsgClaim{PaymentID: m.PaymentID, Preimage: c.run.preimage})
-			}
-		})
+		c.msgClaim = MsgClaim{PaymentID: m.PaymentID, Preimage: c.run.preimage}
+		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim"), customerClaim, c)
 		return
 	}
 	c.createOutgoingLock()
@@ -335,7 +390,7 @@ func (c *customerProc) onLockCreated(from string, m MsgLockCreated) {
 
 // onClaimed learns the preimage from the downstream escrow (our outgoing
 // lock was claimed) and uses it to claim the incoming lock upstream.
-func (c *customerProc) onClaimed(from string, m MsgClaimed) {
+func (c *customerProc) onClaimed(from string, m *MsgClaimed) {
 	if from != c.downEscrow {
 		return
 	}
@@ -349,15 +404,23 @@ func (c *customerProc) onClaimed(from string, m MsgClaimed) {
 	if c.fault.Silent {
 		return
 	}
-	c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim-up"), func() {
-		if c.active() {
-			c.run.net.Send(c.id, c.upEscrow, MsgClaim{PaymentID: m.PaymentID, Preimage: m.Preimage})
-		}
-	})
+	c.msgClaim = MsgClaim{PaymentID: m.PaymentID, Preimage: m.Preimage}
+	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim-up"), customerClaim, c)
+}
+
+// customerClaim is the scheduled action of Bob's claim and of a connector's
+// claim upstream: reveal the preimage to the upstream escrow.
+//
+//xchain:hotpath
+func customerClaim(x any) {
+	c := x.(*customerProc)
+	if c.active() {
+		c.run.net.Send(c.id, c.upEscrow, &c.msgClaim)
+	}
 }
 
 // onPaid credits an incoming payment from the upstream escrow.
-func (c *customerProc) onPaid(from string, m MsgPaid) {
+func (c *customerProc) onPaid(from string, m *MsgPaid) {
 	if from != c.upEscrow {
 		return
 	}
@@ -367,7 +430,7 @@ func (c *customerProc) onPaid(from string, m MsgPaid) {
 }
 
 // onRefunded handles the refund of this customer's own outgoing lock.
-func (c *customerProc) onRefunded(from string, m MsgRefunded) {
+func (c *customerProc) onRefunded(from string, m *MsgRefunded) {
 	if from != c.downEscrow {
 		return
 	}

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// Hotalloc enforces the lazy-trace contract inside `//xchain:hotpath`
-// functions.
+// Hotalloc enforces the lazy-trace and closure-free contracts inside
+// `//xchain:hotpath` functions.
 //
 // The muted kernel, network, ledger and metrics paths are allocation-free
 // (PR 2's AllocsPerRun regressions, PR 6's muted-handle benchmarks), which
@@ -22,9 +22,15 @@ import (
 // fmt.Errorf stays allowed: constructing an error is a result the caller
 // demanded, not observability overhead, and it only occurs off the
 // straight-line success path.
+//
+// The same functions may not hand the engine a capturing function literal:
+// `eng.ScheduleIn(d, name, func() { ... p ... })` allocates one closure per
+// scheduled action, which is what ScheduleArgIn with a package-level action
+// and the process as its argument exists to avoid. A literal that captures
+// nothing is a static function value and stays allowed.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends",
+	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends, and forbid capturing closures passed to Engine.ScheduleIn/ScheduleAt",
 	Run:  runHotalloc,
 }
 
@@ -49,6 +55,13 @@ var traceAppendMethods = map[string]bool{
 	"AddLazy":      true,
 	"AddValueLazy": true,
 	"Append":       true,
+}
+
+// closureScheduleMethods are the sim.Engine methods that take the action as
+// a func(): a capturing literal there is one allocation per event.
+var closureScheduleMethods = map[string]bool{
+	"ScheduleIn": true,
+	"ScheduleAt": true,
 }
 
 func runHotalloc(pass *Pass) error {
@@ -96,6 +109,17 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 						}
 					}
 				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && closureScheduleMethods[sel.Sel.Name] {
+					if recv := methodRecvType(info, n); typeNameIs(recv, "Engine") {
+						for _, arg := range n.Args {
+							if lit, ok := arg.(*ast.FuncLit); ok && captures(info, lit) && !isGuarded(info, recVars, stack, n) {
+								pass.Reportf(lit.Pos(),
+									"capturing closure passed to %s in hot path %s allocates per event; use ScheduleArg%s with a package-level action",
+									sel.Sel.Name, fd.Name.Name, sel.Sel.Name[len("Schedule"):])
+							}
+						}
+					}
+				}
 			case *ast.BinaryExpr:
 				if n.Op == token.ADD && isStringType(exprType(info, n)) && !isConstant(info, n) {
 					if !isGuarded(info, recVars, stack, n) {
@@ -114,6 +138,26 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 	}
 	stack = stack[:0]
 	walk(fd.Body)
+}
+
+// captures reports whether lit uses a variable declared outside it in an
+// enclosing function: what turns a function literal from a static value
+// into a heap-allocated closure.
+func captures(info *types.Info, lit *ast.FuncLit) bool {
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || found {
+			return !found
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || v.IsField() || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+			return true
+		}
+		found = v.Pos() < lit.Pos() || v.Pos() >= lit.End()
+		return !found
+	})
+	return found
 }
 
 // recordingVars collects the objects of boolean variables assigned from a

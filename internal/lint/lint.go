@@ -15,8 +15,9 @@
 //   - Hot-path frugality. The muted kernel, network, ledger and metrics
 //     paths are allocation-free by construction (PR 2, PR 6); the hotalloc
 //     and nilsafe analyzers pin the source-level idioms those guarantees
-//     rest on (trace formatting guarded by Recording(), nil-receiver no-op
-//     handles).
+//     rest on (trace formatting guarded by Recording(), scheduled actions
+//     that are package-level functions rather than closures, nil-receiver
+//     no-op handles).
 //
 // # Annotation grammar
 //

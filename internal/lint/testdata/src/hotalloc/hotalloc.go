@@ -1,9 +1,55 @@
 // Package hotalloc is a golden-diagnostic fixture for the hotalloc
-// analyzer. The local Trace type mirrors the real trace.Trace surface
-// (Recording, Add, AddLazy) that the analyzer keys on by name.
+// analyzer. The local Trace and Engine types mirror the real trace.Trace and
+// sim.Engine surfaces (Recording, Add, AddLazy; ScheduleIn, ScheduleAt,
+// ScheduleArgIn) that the analyzer keys on by name.
 package hotalloc
 
 import "fmt"
+
+type Engine struct{ queue []func() }
+
+func (e *Engine) ScheduleIn(d int64, name string, fn func()) { e.queue = append(e.queue, fn) }
+
+func (e *Engine) ScheduleAt(at int64, name string, fn func()) { e.queue = append(e.queue, fn) }
+
+func (e *Engine) ScheduleArgIn(d int64, name string, fn func(any), arg any) {
+	e.queue = append(e.queue, func() { fn(arg) })
+}
+
+type proc struct {
+	eng  *Engine
+	sent int
+}
+
+var ticks int
+
+// Bad: one closure per scheduled action, whichever of the two it goes to.
+//
+//xchain:hotpath
+func (p *proc) closurePerAction(d int64, amount int) {
+	p.eng.ScheduleIn(d, "send", func() { p.sent += amount }) // want `capturing closure passed to ScheduleIn in hot path closurePerAction allocates per event; use ScheduleArgIn`
+	p.eng.ScheduleAt(d, "send", func() { p.sent++ })         // want `capturing closure passed to ScheduleAt in hot path closurePerAction allocates per event; use ScheduleArgAt`
+}
+
+// Good: the process is the argument of a package-level action, and a
+// literal that captures nothing (package-level state is not a capture) is a
+// static function value.
+//
+//xchain:hotpath
+func (p *proc) closureFree(d int64) {
+	p.eng.ScheduleArgIn(d, "send", procSend, p)
+	p.eng.ScheduleIn(d, "tick", func() {
+		step := 1
+		ticks += step
+	})
+}
+
+func procSend(x any) { x.(*proc).sent++ }
+
+// No directive, no checks: cold paths may close over what they like.
+func (p *proc) coldClosure(d int64) {
+	p.eng.ScheduleIn(d, "send", func() { p.sent++ })
+}
 
 type Trace struct {
 	on     bool

@@ -87,10 +87,11 @@ func renderBook(b *strings.Builder, book *ledger.Book) {
 // once muted, on alternating crypto backends — plus, woven in every few
 // cases, runs built to leave a world in a bad state: cut off by MaxEvents
 // with events, messages and timers still pending, a mid-run crash, a
-// withholding Bob, a manager outage.
-func reuseCases(t *testing.T, seeds int) []reuseCase {
+// withholding Bob, a manager outage. Last comes, per family, the same spec on
+// a chain of two and on a chain of six; pairs holds those cases' indices,
+// short chain first.
+func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 	t.Helper()
-	var cases []reuseCase
 	add := func(name string, p core.Protocol, s core.Scenario, opts check.Options) {
 		for _, muted := range []bool{false, true} {
 			s := s
@@ -125,6 +126,42 @@ func reuseCases(t *testing.T, seeds int) []reuseCase {
 			}})
 		}
 	}
+	// addSpec adds sp's runs — every rendering of a payment family, the one
+	// protocol of a deal family — and, when disturbed, the runs built to
+	// leave a world in a bad state.
+	addSpec := func(name string, sp Spec, disturbed bool) {
+		if sp.isDeal() {
+			addDeal(fmt.Sprintf("%s %s", name, sp.Family), sp)
+			return
+		}
+		s, err := sp.Scenario()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		protos, err := sp.Protocols()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		opts := sp.checkOptions(sp.Class(), protos[0], s)
+		for _, p := range protos {
+			add(fmt.Sprintf("%s %s", name, p.Name()), p, s, opts)
+			if !disturbed {
+				continue
+			}
+			cut := s
+			cut.MaxEvents = uint64(3 + sp.Seed%11)
+			add(fmt.Sprintf("%s %s cut at %d events", name, p.Name(), cut.MaxEvents), p, cut, opts)
+			add(fmt.Sprintf("%s %s c1 crashes", name, p.Name()), p,
+				s.SetFault(core.CustomerID(1), adversary.Spec(adversary.Crash, s.Timing)), opts)
+			add(fmt.Sprintf("%s %s bob withholds", name, p.Name()), p,
+				s.SetFault(s.Topology.Bob(), adversary.Spec(adversary.Withhold, s.Timing)), opts)
+			if sp.isWeaklive() {
+				add(fmt.Sprintf("%s %s manager out", name, p.Name()), p,
+					s.SetFault(core.ManagerID, adversary.Spec(adversary.Silent, s.Timing)).
+						SetFault(core.NotaryID(1), adversary.Spec(adversary.CrashAtStart, s.Timing)), opts)
+			}
+		}
+	}
 	families := map[Family]int{}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		sp := Generate(seed)
@@ -133,57 +170,44 @@ func reuseCases(t *testing.T, seeds int) []reuseCase {
 		}
 		sp.Crypto = []string{"hmac", "ed25519"}[seed%2]
 		families[sp.Family]++
-		if sp.isDeal() {
-			addDeal(fmt.Sprintf("seed %d %s", seed, sp.Family), sp)
+		addSpec(fmt.Sprintf("seed %d", seed), sp, seed%5 == 0)
+	}
+	for k, f := range AllFamilies() {
+		if f == FamTraffic {
 			continue
 		}
-		s, err := sp.Scenario()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		protos, err := sp.Protocols()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		opts := sp.checkOptions(sp.Class(), protos[0], s)
-		for _, p := range protos {
-			add(fmt.Sprintf("seed %d %s", seed, p.Name()), p, s, opts)
-			if seed%5 != 0 {
-				continue
-			}
-			cut := s
-			cut.MaxEvents = uint64(3 + seed%11)
-			add(fmt.Sprintf("seed %d %s cut at %d events", seed, p.Name(), cut.MaxEvents), p, cut, opts)
-			add(fmt.Sprintf("seed %d %s c1 crashes", seed, p.Name()), p,
-				s.SetFault(core.CustomerID(1), adversary.Spec(adversary.Crash, s.Timing)), opts)
-			add(fmt.Sprintf("seed %d %s bob withholds", seed, p.Name()), p,
-				s.SetFault(s.Topology.Bob(), adversary.Spec(adversary.Withhold, s.Timing)), opts)
-			if sp.isWeaklive() {
-				add(fmt.Sprintf("seed %d %s manager out", seed, p.Name()), p,
-					s.SetFault(core.ManagerID, adversary.Spec(adversary.Silent, s.Timing)).
-						SetFault(core.NotaryID(1), adversary.Spec(adversary.CrashAtStart, s.Timing)), opts)
-			}
-		}
-	}
-	for _, f := range AllFamilies() {
-		if f != FamTraffic && families[f] == 0 {
+		if families[f] == 0 {
 			t.Fatalf("no %s spec among the first %d seeds", f, seeds)
 		}
+		sp := baseSpec(f)
+		sp.Crypto = []string{"hmac", "ed25519"}[k%2]
+		short := len(cases)
+		sp.N = 2
+		addSpec("chain of 2", sp, false)
+		long := len(cases)
+		sp.N = 6
+		addSpec("chain of 6", sp, false)
+		for i := 0; short+i < long; i++ {
+			pairs = append(pairs, [2]int{short + i, long + i})
+		}
 	}
-	return cases
+	return cases, pairs
 }
 
 // TestWorldReuseEquivalence is the oracle of world reuse: a run on a world
 // that has run anything before — in generation order and in a shuffled
-// order, so every kind of run follows every other — renders byte-equal to
-// the same run on a new world, and moves the process-wide sig counters by
-// exactly as much. Reuse is an execution strategy, never an input.
+// order, so every kind of run follows every other; each run straight after
+// itself, so a protocol's standing state meets exactly what it left; a long
+// chain after a short one and a short one after a long one, per protocol —
+// renders byte-equal to the same run on a new world, and moves the
+// process-wide sig counters by exactly as much. Reuse is an execution
+// strategy, never an input.
 func TestWorldReuseEquivalence(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
 		seeds = 120
 	}
-	cases := reuseCases(t, seeds)
+	cases, pairs := reuseCases(t, seeds)
 
 	type observed struct {
 		render string
@@ -238,7 +262,17 @@ func TestWorldReuseEquivalence(t *testing.T) {
 		order[i] = i
 	}
 	compare("in order", order)
+	twice := make([]int, 0, 2*len(cases))
+	for i := range cases {
+		twice = append(twice, i, i)
+	}
+	compare("twice back to back", twice)
+	var chains []int
+	for _, p := range pairs {
+		chains = append(chains, p[0], p[1], p[0])
+	}
+	compare("short, long, short chain", chains)
 	rand.New(rand.NewSource(12)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	compare("shuffled", order)
-	t.Logf("%d runs compared twice", len(cases))
+	t.Logf("%d runs compared in four orders, %d chain pairs among them", len(cases), len(pairs))
 }

@@ -91,11 +91,13 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 
 // fuzzAllocBudget is the allocations one scenario of the hmac campaign may
 // cost on warm standing worlds, generation and oracle included. Measured at
-// 258 when the worlds went in (270 under the race detector); what is left is
-// mostly the ANTA automata, per-scenario key derivation and the recorded
-// trace's labels. A change that brings back a per-scenario engine, trace,
-// network, book or keyring fails here, on any machine.
-const fuzzAllocBudget = 300
+// 228 when the protocol processes, their messages and the signatures moved
+// onto the worlds (240 under the race detector; 258 before), plus 10 %; what
+// is left is mostly the ANTA automata, per-scenario key derivation, the
+// notary committees and the recorded trace's labels. A change that brings
+// back a per-scenario engine, trace, network, book, keyring or process slice
+// fails here, on any machine.
+const fuzzAllocBudget = 250
 
 // TestFuzzScenarioAllocs pins what standing worlds buy by a number no
 // machine's speed moves.

@@ -38,6 +38,10 @@ type Backend interface {
 	Name() string
 	// GenerateKey derives the deterministic key material for (seed, id).
 	GenerateKey(seed, id string) Key
+	// MemoByDefault reports whether a keyring under this backend memoizes
+	// verifications unless told otherwise: true when a backend verification
+	// costs more than the memo's own key (two SHA-256 and a map probe).
+	MemoByDefault() bool
 	// bind returns a signer for k. The signer belongs to the keyring that
 	// asked for it and is confined to that keyring's goroutine; k itself may
 	// be shared process-wide through the key cache and is never written.
@@ -46,8 +50,9 @@ type Backend interface {
 
 // signer signs and verifies under one key.
 type signer interface {
-	// sign produces a detached signature over payload.
-	sign(payload []byte) Signature
+	// sign produces a detached signature over payload; a backend whose
+	// signatures have a fixed size may take their storage from a.
+	sign(a *sigArena, payload []byte) Signature
 	// verify checks sig over payload against the public half of the key.
 	verify(payload []byte, sig Signature) bool
 }
@@ -76,11 +81,15 @@ func (ed25519Backend) GenerateKey(seed, id string) Key {
 	return Key{priv: priv, pub: pub}
 }
 
+// MemoByDefault implements Backend: a verification is ~64 µs, a memo hit
+// ~0.35 µs.
+func (ed25519Backend) MemoByDefault() bool { return true }
+
 func (ed25519Backend) bind(k Key) signer { return ed25519Signer(k) }
 
 type ed25519Signer Key
 
-func (s ed25519Signer) sign(payload []byte) Signature {
+func (s ed25519Signer) sign(_ *sigArena, payload []byte) Signature {
 	return Signature(ed25519.Sign(ed25519.PrivateKey(s.priv), payload))
 }
 
@@ -102,20 +111,25 @@ func (hmacBackend) GenerateKey(seed, id string) Key {
 	return Key{priv: k, pub: k}
 }
 
+// MemoByDefault implements Backend: recomputing the MAC (~0.24 µs) is
+// cheaper than hashing payload and signature into a memo key.
+func (hmacBackend) MemoByDefault() bool { return false }
+
 func (hmacBackend) bind(k Key) signer { return &hmacSigner{mac: hmac.New(sha256.New, k.priv)} }
 
 // hmacSigner keeps one pre-keyed HMAC: Reset restores the keyed state, so an
-// operation costs the two SHA-256 finalisations and no key schedule, and
-// verification writes its MAC into the signer's own scratch.
+// operation costs the two SHA-256 finalisations and no key schedule; a
+// signature is written into the keyring's arena and verification's MAC into
+// the signer's own scratch, so neither allocates.
 type hmacSigner struct {
 	mac hash.Hash
 	sum [sha256.Size]byte
 }
 
-func (s *hmacSigner) sign(payload []byte) Signature {
+func (s *hmacSigner) sign(a *sigArena, payload []byte) Signature {
 	s.mac.Reset()
 	s.mac.Write(payload)
-	return Signature(s.mac.Sum(make([]byte, 0, sha256.Size)))
+	return Signature(s.mac.Sum(a.take(sha256.Size)))
 }
 
 func (s *hmacSigner) verify(payload []byte, sig Signature) bool {
@@ -155,8 +169,9 @@ type Options struct {
 	Backend string
 	// DisableKeyCache bypasses the process-wide key cache (tests).
 	DisableKeyCache bool
-	// MemoCapacity bounds the verification memo: 0 uses the default
-	// (memoDefaultCap entries), negative disables memoization.
+	// MemoCapacity bounds the verification memo: positive turns it on with
+	// that many entries, negative turns it off, and 0 leaves the choice to
+	// the backend (Backend.MemoByDefault; memoDefaultCap entries when on).
 	MemoCapacity int
 }
 

@@ -2,7 +2,9 @@ package sig
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,9 +194,53 @@ func TestVerifyMemoization(t *testing.T) {
 	}
 }
 
+// TestMemoDefaultPerBackend pins who memoizes: by default only a backend
+// whose verification is dearer than the memo's key, and an explicit capacity
+// — positive or negative — under either. Without a memo every verification
+// is a miss that reaches the backend, and still a correct one.
+func TestMemoDefaultPerBackend(t *testing.T) {
+	for _, tc := range []struct {
+		backend  string
+		capacity int
+		memo     bool
+	}{
+		{BackendEd25519, 0, true},
+		{BackendEd25519, 16, true},
+		{BackendEd25519, -1, false},
+		{BackendHMAC, 0, false},
+		{BackendHMAC, 16, true},
+		{BackendHMAC, -1, false},
+	} {
+		kr := NewKeyringWith(Options{Backend: tc.backend, DisableKeyCache: true, MemoCapacity: tc.capacity}, "memo-seed", []string{"a"})
+		if (kr.memo != nil) != tc.memo {
+			t.Fatalf("%s capacity %d: keeps a memo: %v, want %v", tc.backend, tc.capacity, kr.memo != nil, tc.memo)
+		}
+		msg := []byte("artefact")
+		s := kr.Sign("a", msg)
+		for i := 0; i < 2; i++ {
+			if !kr.Verify("a", msg, s) || kr.Verify("a", []byte("tampered"), s) {
+				t.Fatalf("%s capacity %d: wrong verdict on round %d", tc.backend, tc.capacity, i)
+			}
+		}
+		want := Stats{KeygenMisses: 1, MemoMisses: 4}
+		if tc.memo {
+			want = Stats{KeygenMisses: 1, MemoMisses: 2, MemoHits: 2}
+		}
+		if st := kr.Stats(); st != want {
+			t.Fatalf("%s capacity %d: stats %+v, want %+v", tc.backend, tc.capacity, st, want)
+		}
+	}
+	for _, name := range BackendNames() {
+		b, _ := BackendByName(name)
+		if b.MemoByDefault() != (name == BackendEd25519) {
+			t.Fatalf("%s: MemoByDefault() = %v", name, b.MemoByDefault())
+		}
+	}
+}
+
 func TestVerifyMemoDisabledAndEviction(t *testing.T) {
 	// Disabled memo: every verify reaches the backend.
-	off := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true, MemoCapacity: -1}, "memo-seed", []string{"a"})
+	off := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true, MemoCapacity: -1}, "memo-seed", []string{"a"})
 	msg := []byte("artefact")
 	s := off.Sign("a", msg)
 	off.Verify("a", msg, s)
@@ -310,7 +356,7 @@ func TestCanonicalTypedCases(t *testing.T) {
 func TestGlobalStats(t *testing.T) {
 	ResetGlobalStats()
 	ResetKeyCache()
-	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "global-seed", []string{"a"})
+	kr := NewKeyringWith(Options{Backend: BackendEd25519}, "global-seed", []string{"a"})
 	msg := []byte("m")
 	s := kr.Sign("a", msg)
 	kr.Verify("a", msg, s)
@@ -328,7 +374,7 @@ func TestGlobalStats(t *testing.T) {
 // Replacing a participant's key must reset the memo: verdicts memoized
 // under the old key may not answer for the new one.
 func TestAddReplacementInvalidatesMemo(t *testing.T) {
-	kr := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true}, "seed-a", []string{"p"})
+	kr := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true}, "seed-a", []string{"p"})
 	msg := []byte("payload")
 	s := kr.Sign("p", msg)
 	if !kr.Verify("p", msg, s) {
@@ -351,11 +397,13 @@ func TestVerifyMissRateNoVerifications(t *testing.T) {
 }
 
 // TestHMACSignVerifyAllocs is the allocation gate on the pre-keyed HMAC
-// path: once a key's signer is bound, a verification allocates nothing and
-// a signature only its own 32 bytes. A per-operation hmac.New would show
-// here as a dozen allocations.
+// path: once a key's signer is bound, a verification allocates nothing, and
+// on a keyring that is Reset between payments — a world's — neither does a
+// signature: a payment's worth of them goes into the arena chunk the Reset
+// rewound. A per-operation hmac.New would show here as a dozen allocations.
 func TestHMACSignVerifyAllocs(t *testing.T) {
-	kr := NewKeyringWith(Options{Backend: BackendHMAC, MemoCapacity: -1}, "alloc-seed", []string{"a"})
+	ids := []string{"a"}
+	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", ids)
 	payload := []byte("the payload of one artefact, about as long as a canonical one")
 	s := kr.Sign("a", payload)
 	if !kr.Verify("a", payload, s) {
@@ -364,17 +412,145 @@ func TestHMACSignVerifyAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload, s) }); n != 0 {
 		t.Errorf("hmac Verify allocates %v times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { kr.Sign("a", payload) }); n > 1 {
-		t.Errorf("hmac Sign allocates %v times, want at most 1", n)
+	payment := func() {
+		kr.Reset("alloc-seed", ids)
+		for i := 0; i < 17; i++ { // an n=8 timelock chain signs 17 artefacts
+			kr.Sign("a", payload)
+		}
+	}
+	if n := testing.AllocsPerRun(200, payment); n != 0 {
+		t.Errorf("hmac Sign on a warmed keyring allocates %v times per payment, want 0", n)
+	}
+	// A keyring nobody resets starts a chunk every arenaChunk/32 signatures.
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < arenaChunk/sha256.Size; i++ {
+			kr.Sign("a", payload)
+		}
+	}); n != 1 {
+		t.Errorf("a chunk's worth of hmac signatures allocates %v times, want 1", n)
 	}
 
-	// With the memo on, a verification — miss or hit — still allocates
+	// With a memo asked for, a verification — miss or hit — still allocates
 	// nothing once the memo's map has grown.
-	memo := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", []string{"a"})
+	memo := NewKeyringWith(Options{Backend: BackendHMAC, MemoCapacity: 64}, "alloc-seed", ids)
+	s = memo.Sign("a", payload)
 	memo.Verify("a", payload, s)
 	if n := testing.AllocsPerRun(200, func() { memo.Verify("a", payload, s) }); n != 0 {
 		t.Errorf("memoized hmac Verify allocates %v times, want 0", n)
 	}
+}
+
+// TestSignatureArenaRollover: signatures handed out before the arena moves
+// on to its next chunk — and before the ones after that — keep their bytes;
+// a Reset hands the current chunk out again, and what is signed afterwards
+// is right too.
+func TestSignatureArenaRollover(t *testing.T) {
+	ids := []string{"a", "b"}
+	opts := Options{Backend: BackendHMAC}
+	kr := NewKeyringWith(opts, "arena-seed", ids)
+	const n = 3*arenaChunk/sha256.Size + 7 // into the fourth chunk
+	payloads := make([][]byte, n)
+	sigs := make([]Signature, n)
+	for i := range sigs {
+		payloads[i] = []byte(fmt.Sprintf("artefact #%d", i))
+		sigs[i] = kr.Sign(ids[i%2], payloads[i])
+	}
+	ref := NewKeyringWith(opts, "arena-seed", ids)
+	check := func(when string) {
+		t.Helper()
+		for i, s := range sigs {
+			if !kr.Verify(ids[i%2], payloads[i], s) {
+				t.Fatalf("%s: signature %d no longer verifies", when, i)
+			}
+			ref.Reset("arena-seed", ids) // the reference never leaves its first chunk
+			if want := ref.Sign(ids[i%2], payloads[i]); !bytes.Equal(s, want) {
+				t.Fatalf("%s: signature %d changed", when, i)
+			}
+		}
+	}
+	check("after the arena rolled over three times")
+
+	// A Reset invalidates them all and hands the current chunk out again.
+	rewound := &sigs[n-7][0] // the first signature of the fourth chunk
+	kr.Reset("arena-seed", ids)
+	for i := range sigs {
+		sigs[i] = kr.Sign(ids[i%2], payloads[i])
+	}
+	if &sigs[0][0] != rewound {
+		t.Fatal("Reset did not hand the current chunk out again")
+	}
+	check("after a Reset and everything signed again")
+}
+
+// TestResetKeepsDroppedSigners: a participant that drops out of a shorter
+// chain keeps its bound signer for the next longer one — and only for a
+// keyring of the same seed in the same key-cache epoch. While dropped it is
+// as absent as on a new keyring.
+func TestResetKeepsDroppedSigners(t *testing.T) {
+	long, short := []string{"c0", "c1", "c2", "e0", "e1"}, []string{"c0", "c1", "e0"}
+	msg := []byte("m")
+	for _, backend := range BackendNames() {
+		ResetKeyCache()
+		opts := Options{Backend: backend}
+		kr := NewKeyringWith(opts, "seed-a", long)
+		sigC2 := append(Signature(nil), kr.Sign("c2", msg)...)
+		bound := func() bool { _, ok := kr.signers["c2"]; return ok }
+		if !bound() {
+			t.Fatalf("%s: signing did not bind c2's signer", backend)
+		}
+
+		kr.Reset("seed-a", short)
+		if !bound() {
+			t.Fatalf("%s: Reset to a shorter chain dropped c2's signer", backend)
+		}
+		if kr.Has("c2") || kr.Sign("c2", msg) != nil || kr.Verify("c2", msg, sigC2) {
+			t.Fatalf("%s: a dropped participant still signs or verifies", backend)
+		}
+		if got := strings.Join(kr.Participants(), ","); got != "c0,c1,e0" {
+			t.Fatalf("%s: participants %s after Reset to the shorter chain", backend, got)
+		}
+
+		kr.Reset("seed-a", long)
+		if !bound() {
+			t.Fatalf("%s: the longer chain did not find c2's signer again", backend)
+		}
+		if !bytes.Equal(kr.Sign("c2", msg), sigC2) {
+			t.Fatalf("%s: the kept signer signs differently", backend)
+		}
+
+		// Another seed: nothing bound under seed-a may answer.
+		kr.Reset("seed-a", short)
+		kr.Reset("seed-b", long)
+		if len(kr.signers) != 0 {
+			t.Fatalf("%s: %d signers survived a Reset to another seed", backend, len(kr.signers))
+		}
+		want := NewKeyringWith(opts, "seed-b", long).Sign("c2", msg)
+		if got := kr.Sign("c2", msg); !bytes.Equal(got, want) || bytes.Equal(got, sigC2) {
+			t.Fatalf("%s: c2 signs under the wrong seed after Reset(seed-b)", backend)
+		}
+
+		// A key brought in under another seed while its signer lies dormant.
+		kr.Reset("seed-b", short)
+		kr.Add("seed-c", "c2")
+		want = NewKeyringWith(opts, "seed-c", long).Sign("c2", msg)
+		if got := kr.Sign("c2", msg); !bytes.Equal(got, want) {
+			t.Fatalf("%s: c2 added under seed-c signs with the signer kept from seed-b", backend)
+		}
+
+		// A key-cache flush: a new keyring would derive again, so must this.
+		kr.Reset("seed-b", long)
+		kr.Sign("c2", msg)
+		kr.Reset("seed-b", short)
+		ResetKeyCache()
+		kr.Reset("seed-b", long)
+		if len(kr.signers) != 0 {
+			t.Fatalf("%s: %d signers survived ResetKeyCache", backend, len(kr.signers))
+		}
+		if st := kr.Stats(); st.KeygenMisses != uint64(len(long)) || st.KeygenHits != 0 {
+			t.Fatalf("%s: after ResetKeyCache the keyring counts %+v, want %d misses", backend, st, len(long))
+		}
+	}
+	ResetKeyCache()
 }
 
 // TestKeyringResetEquivalence resets one keyring through changing

@@ -18,7 +18,7 @@ func TestRegisterMetrics(t *testing.T) {
 	ResetGlobalStats()
 	ResetKeyCache()
 
-	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "metrics-seed", []string{"a", "b"})
+	kr := NewKeyringWith(Options{Backend: BackendEd25519}, "metrics-seed", []string{"a", "b"})
 	msg := []byte("payload")
 	s := kr.Sign("a", msg)
 	kr.Verify("a", msg, s)

@@ -13,9 +13,11 @@
 // Two caches keep the model's assumed crypto cheap at traffic scale: a
 // process-wide key cache (key derivation is a pure function of
 // (backend, seed, id), so per-payment keyrings stop paying keygen per
-// participant) and a per-keyring verification memo (the same chi, guarantee
+// participant) and, under a backend whose verification is dearer than the
+// memo's own key, a per-keyring verification memo (the same chi, guarantee
 // or promise re-verified at every hop costs one backend operation per
-// artefact, not one per hop).
+// artefact, not one per hop). Whether a keyring memoizes is a cost decision
+// per backend and can never move a verdict.
 package sig
 
 import (
@@ -81,13 +83,44 @@ type memoKey struct {
 	sig     [sha256.Size]byte
 }
 
+// arenaChunk is the size of one chunk of a keyring's signature arena: 128
+// HMAC signatures, several payments' worth.
+const arenaChunk = 4096
+
+// sigArena is the storage fixed-size signatures are written into: one chunk
+// at a time, filled front to back. A full chunk is left to the signatures in
+// it (and to the garbage collector once they are gone) and a new one begun,
+// so a signature never moves and a keyring that is never Reset holds on to
+// nothing; rewind makes the current chunk free again.
+type sigArena struct {
+	chunk []byte
+	free  []byte // the unused tail of chunk
+}
+
+// take returns n bytes of capacity (and zero length) nobody else holds.
+func (a *sigArena) take(n int) []byte {
+	if len(a.free) < n {
+		a.chunk = make([]byte, arenaChunk)
+		a.free = a.chunk
+	}
+	b := a.free[:0:n]
+	a.free = a.free[n:]
+	return b
+}
+
+func (a *sigArena) rewind() { a.free = a.chunk }
+
 // Keyring maps participant IDs to key pairs under one signature backend.
 //
 // A keyring is confined to its protocol run's goroutine (like the run's
 // sim.Engine): Sign, Verify, Add and Reset mutate the memo, the key map, the
-// bound signers and the payload scratch without locking. The process-wide
-// key cache behind Add is concurrency-safe, so any number of runs may build
-// keyrings for the same (seed, id) concurrently.
+// bound signers, the signature arena and the payload scratch without
+// locking. The process-wide key cache behind Add is concurrency-safe, so any
+// number of runs may build keyrings for the same (seed, id) concurrently.
+//
+// Lifetime rule: a Signature from Sign may live in the keyring's arena and
+// is valid until the keyring's next Reset, which hands its storage out
+// again. Nothing else invalidates it.
 type Keyring struct {
 	backend  Backend
 	useCache bool
@@ -100,7 +133,12 @@ type Keyring struct {
 	epoch uint64
 	keys  map[string]Key
 	// signers holds the backend's per-key signing state, bound on first use.
+	// It may hold more IDs than keys does: Reset keeps the signer of a
+	// participant that dropped out of a shorter chain, bound to the key the
+	// same seed would derive again, and only a held key makes it reachable.
 	signers map[string]signer
+	// arena is where fixed-size signatures are written (see sigArena).
+	arena sigArena
 	// parts caches the sorted participant list; nil means dirty
 	// (recomputed on demand, invalidated by Add).
 	parts []string
@@ -130,7 +168,10 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 		memoCap:  opts.MemoCapacity,
 	}
 	if kr.memoCap == 0 {
-		kr.memoCap = memoDefaultCap
+		kr.memoCap = -1
+		if kr.backend.MemoByDefault() {
+			kr.memoCap = memoDefaultCap
+		}
 	}
 	if kr.memoCap > 0 {
 		kr.memo = make(map[memoKey]bool)
@@ -156,10 +197,13 @@ func (kr *Keyring) derive(seed string, participants []string) {
 // while keeping what a new keyring would only fetch again: keys already held
 // for the same seed count as the key-cache hits a new keyring would score
 // (unless the cache was emptied since, when a new keyring would miss and this
-// one derives again), and their bound signers stay bound.
+// one derives again), and bound signers stay bound — those of participants
+// that drop out too, for the next longer chain under the same seed. Every
+// signature handed out before is invalid afterwards.
 func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.stats = Stats{}
 	clear(kr.memo)
+	kr.arena.rewind()
 	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
 		clear(kr.signers)
@@ -181,7 +225,6 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 		for id := range kr.keys {
 			if !slices.Contains(participants, id) {
 				delete(kr.keys, id)
-				delete(kr.signers, id)
 			}
 		}
 		kr.parts = nil
@@ -195,16 +238,18 @@ func (kr *Keyring) Backend() string { return kr.backend.Name() }
 // existing key resets the verification memo: outcomes memoized under the
 // old key must not answer for the new one.
 func (kr *Keyring) Add(seed, id string) {
-	if _, replaced := kr.keys[id]; replaced {
-		delete(kr.signers, id)
-		if len(kr.memo) > 0 {
-			kr.memo = make(map[memoKey]bool)
-			kr.stats.MemoEvictions++
-			globalMemoEvictions.Add(1)
-		}
+	_, replaced := kr.keys[id]
+	if replaced && len(kr.memo) > 0 {
+		kr.memo = make(map[memoKey]bool)
+		kr.stats.MemoEvictions++
+		globalMemoEvictions.Add(1)
 	}
 	if seed != kr.seed {
 		kr.mixed = true
+	}
+	if replaced || seed != kr.seed {
+		// Whatever signer id has is bound to another key than the new one.
+		delete(kr.signers, id)
 	}
 	if kr.useCache {
 		k, hit := cachedKey(kr.backend, seed, id)
@@ -237,17 +282,18 @@ func (kr *Keyring) Participants() []string {
 	return kr.parts
 }
 
-// signer returns id's bound signer, binding it on first use.
+// signer returns the bound signer of a key the keyring holds, binding it on
+// first use.
 func (kr *Keyring) signer(id string) (signer, bool) {
-	if s, ok := kr.signers[id]; ok {
-		return s, true
-	}
 	k, ok := kr.keys[id]
 	if !ok {
 		return nil, false
 	}
-	s := kr.backend.bind(k)
-	kr.signers[id] = s
+	s, ok := kr.signers[id]
+	if !ok {
+		s = kr.backend.bind(k)
+		kr.signers[id] = s
+	}
 	return s, true
 }
 
@@ -258,20 +304,24 @@ func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	if !ok {
 		return nil
 	}
-	return s.sign(payload)
+	return s.sign(&kr.arena, payload)
 }
 
-// Verify checks that signer produced sig over payload. Outcomes are
-// memoized per (signer, payload-hash, sig-hash): re-verifying the same
-// artefact at every hop of a chain costs one backend operation total.
+// Verify checks that signer produced sig over payload. A keyring with a
+// memo keeps outcomes per (signer, payload-hash, sig-hash): re-verifying the
+// same artefact at every hop of a chain costs one backend operation total.
+// Without one every verification is a miss and pays the backend.
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
-	if _, ok := kr.keys[signer]; !ok || len(sig) == 0 {
+	if len(sig) == 0 {
+		return false
+	}
+	s, ok := kr.signer(signer)
+	if !ok {
 		return false
 	}
 	if kr.memo == nil {
 		kr.stats.MemoMisses++
 		globalMemoMisses.Add(1)
-		s, _ := kr.signer(signer)
 		return s.verify(payload, sig)
 	}
 	mk := memoKey{signer: signer, payload: sha256.Sum256(payload), sig: sha256.Sum256(sig)}
@@ -282,7 +332,6 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	}
 	kr.stats.MemoMisses++
 	globalMemoMisses.Add(1)
-	s, _ := kr.signer(signer)
 	v := s.verify(payload, sig)
 	if len(kr.memo) >= kr.memoCap {
 		kr.memo = make(map[memoKey]bool)

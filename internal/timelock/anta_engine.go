@@ -96,11 +96,14 @@ func (ae *antaEngine) start() {
 	// follows scheduling order, so two crashes at the same instant would
 	// otherwise fire in a different order from run to run (the same
 	// map-iteration bug PR 2 fixed in netsim.Broadcast).
-	ae.env.w.ScheduleCrashes(func(id string, _ bool, _ int) {
-		if a, ok := ae.net.Get(id); ok {
-			a.Crash()
-		}
-	})
+	ae.env.w.ScheduleCrashes(ae)
+}
+
+// Crash implements core.Crasher: stop the participant's automaton.
+func (ae *antaEngine) Crash(id string, _ bool, _ int) {
+	if a, ok := ae.net.Get(id); ok {
+		a.Crash()
+	}
 }
 
 // source adapts customer c_i's automaton to the env's outcome collection.
@@ -119,7 +122,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 	lockID := e.w.LockID(i)
 	delay := e.scn.Timing.MaxProcessing / 2
 
-	var receivedCert sig.PaymentCert
+	var chi *MsgCert // the certificate as received, forwarded upstream as is
 
 	spec := anta.Spec{
 		ID:      id,
@@ -133,7 +136,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 					}
 					g := sig.NewGuarantee(e.kr, e.scn.Spec.PaymentID, id, up, e.params.D[i], ctx.Now())
 					e.tr.AddLazy(e.eng.Now(), trace.KindPromise, id, up, g.Describe)
-					ctx.Send(up, MsgGuarantee{G: g})
+					ctx.Send(up, &MsgGuarantee{G: g})
 				},
 			},
 			{
@@ -141,7 +144,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 				Transitions: []*anta.Transition{{
 					Name: "r(c_i,$)", To: StEscrowSendP,
 					Match: func(ctx *anta.Context, from string, msg netsim.Message) bool {
-						m, ok := msg.(MsgMoney)
+						m, ok := msg.(*MsgMoney)
 						return ok && from == up && !m.Refund && m.Amount == amount
 					},
 					Action: func(ctx *anta.Context) {
@@ -160,7 +163,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 					}
 					p := sig.NewPromise(e.kr, e.scn.Spec.PaymentID, id, down, e.params.A[i], e.params.Epsilon, ctx.Now())
 					e.tr.AddLazy(e.eng.Now(), trace.KindPromise, id, down, p.Describe)
-					ctx.Send(down, MsgPromise{P: p})
+					ctx.Send(down, &MsgPromise{P: p})
 				},
 			},
 			{
@@ -169,7 +172,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 					{
 						Name: "r(c_i+1,chi)", To: StEscrowCommit,
 						Match: func(ctx *anta.Context, from string, msg netsim.Message) bool {
-							m, ok := msg.(MsgCert)
+							m, ok := msg.(*MsgCert)
 							if !ok || from != down {
 								return false
 							}
@@ -180,9 +183,8 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 							return ctx.Now() < ctx.Get("u")+e.params.A[i]
 						},
 						Action: func(ctx *anta.Context) {
-							m := ctx.Msg.(MsgCert)
-							receivedCert = m.Cert
-							e.tr.AddLazy(e.eng.Now(), trace.KindCert, id, down, m.Cert.Describe)
+							chi = ctx.Msg.(*MsgCert)
+							e.tr.AddLazy(e.eng.Now(), trace.KindCert, id, down, chi.Describe)
 						},
 					},
 					{
@@ -201,12 +203,12 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 						return
 					}
 					if !fault.WithholdCertificate && !fault.Silent {
-						ctx.Send(up, MsgCert{Cert: receivedCert})
+						ctx.Send(up, chi)
 					}
 					if err := led.Release(e.eng.Now(), lockID, nil, 0); err == nil {
 						e.tr.AddValue(e.eng.Now(), trace.KindRelease, id, down, lockID, amount)
 						if !fault.Silent {
-							ctx.Send(down, MsgMoney{PaymentID: e.scn.Spec.PaymentID, Amount: amount})
+							ctx.Send(down, &MsgMoney{PaymentID: e.scn.Spec.PaymentID, Amount: amount})
 						}
 					}
 				},
@@ -221,7 +223,7 @@ func (ae *antaEngine) buildEscrow(i int) *anta.Automaton {
 					if err := led.Refund(e.eng.Now(), lockID, ctx.Now()); err == nil {
 						e.tr.AddValue(e.eng.Now(), trace.KindRefund, id, up, lockID, amount)
 						if !fault.Silent {
-							ctx.Send(up, MsgMoney{PaymentID: e.scn.Spec.PaymentID, Amount: amount, Refund: true})
+							ctx.Send(up, &MsgMoney{PaymentID: e.scn.Spec.PaymentID, Amount: amount, Refund: true})
 						}
 					}
 				},
@@ -252,27 +254,27 @@ func (ae *antaEngine) buildCustomer(i int) {
 	}
 
 	matchGuarantee := func(ctx *anta.Context, from string, msg netsim.Message) bool {
-		m, ok := msg.(MsgGuarantee)
+		m, ok := msg.(*MsgGuarantee)
 		return ok && from == downEscrow && m.G.Verify(e.kr) && m.G.PaymentID == e.scn.Spec.PaymentID
 	}
 	matchPromise := func(ctx *anta.Context, from string, msg netsim.Message) bool {
-		m, ok := msg.(MsgPromise)
+		m, ok := msg.(*MsgPromise)
 		return ok && from == upEscrow && m.P.Verify(e.kr) && m.P.PaymentID == e.scn.Spec.PaymentID
 	}
 	matchRefund := func(ctx *anta.Context, from string, msg netsim.Message) bool {
-		m, ok := msg.(MsgMoney)
+		m, ok := msg.(*MsgMoney)
 		return ok && from == downEscrow && m.Refund
 	}
 	matchChi := func(ctx *anta.Context, from string, msg netsim.Message) bool {
-		m, ok := msg.(MsgCert)
+		m, ok := msg.(*MsgCert)
 		return ok && from == downEscrow && m.Cert.Verify(e.kr, topo.Bob())
 	}
 	matchPayment := func(ctx *anta.Context, from string, msg netsim.Message) bool {
-		m, ok := msg.(MsgMoney)
+		m, ok := msg.(*MsgMoney)
 		return ok && from == upEscrow && !m.Refund
 	}
 	creditMoney := func(ctx *anta.Context) {
-		if m, ok := ctx.Msg.(MsgMoney); ok {
+		if m, ok := ctx.Msg.(*MsgMoney); ok {
 			adapter.credited += m.Amount
 		}
 	}
@@ -288,7 +290,7 @@ func (ae *antaEngine) buildCustomer(i int) {
 			if adapter.started == 0 {
 				adapter.started = e.eng.Now()
 			}
-			ctx.Send(downEscrow, MsgMoney{PaymentID: e.scn.Spec.PaymentID, Amount: amount})
+			ctx.Send(downEscrow, &MsgMoney{PaymentID: e.scn.Spec.PaymentID, Amount: amount})
 		},
 	}
 
@@ -336,7 +338,7 @@ func (ae *antaEngine) buildCustomer(i int) {
 							adapter.started = e.eng.Now()
 						}
 						e.tr.AddLazy(e.eng.Now(), trace.KindCert, id, upEscrow, cert.Describe)
-						ctx.Send(upEscrow, MsgCert{Cert: cert})
+						ctx.Send(upEscrow, &MsgCert{Cert: cert})
 					},
 				},
 				{
@@ -375,7 +377,7 @@ func (ae *antaEngine) buildCustomer(i int) {
 						if fault.WithholdCertificate || fault.Silent {
 							return
 						}
-						if m, ok := ctx.Data("chi").(MsgCert); ok {
+						if m, ok := ctx.Data("chi").(*MsgCert); ok {
 							ctx.Send(upEscrow, m)
 						}
 					},

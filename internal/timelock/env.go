@@ -22,15 +22,48 @@ type env struct {
 	kr     *sig.Keyring
 }
 
-// newEnv resets the world for the scenario and binds a run to it.
-func newEnv(w *core.World, s core.Scenario, params Params) (*env, error) {
+// standing is the package's run-state on one world (core.Standing): the env
+// and the process engine of the current run, overwritten by the next, and
+// the last derived timeout parameters, which a traffic worker's payments
+// share for as long as their chains and timing do.
+type standing struct {
+	env  env
+	proc procEngine
+
+	derived    Params
+	derivedFor paramsKey
+}
+
+// paramsKey is what DeriveParams' result is a function of.
+type paramsKey struct {
+	topo       core.Topology
+	timing     core.Timing
+	driftAware bool
+}
+
+// paramsFor is p.ParamsFor(s) without deriving what the previous run already
+// did. The result shares the cache's A and D; a run only reads them.
+func (st *standing) paramsFor(p *Protocol, s core.Scenario) Params {
+	if p.Params != nil {
+		return *p.Params
+	}
+	key := paramsKey{topo: s.Topology, timing: s.Timing, driftAware: p.DriftAware}
+	if st.derived.A == nil || st.derivedFor != key {
+		st.derived, st.derivedFor = DeriveParams(s.Topology, s.Timing, p.DriftAware), key
+	}
+	return st.derived
+}
+
+// bind resets the world for the scenario and makes st.env the run's.
+func (st *standing) bind(w *core.World, s core.Scenario, params Params) (*env, error) {
 	if err := w.Reset(s); err != nil {
 		return nil, err
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &env{w: w, scn: s, params: params, eng: w.Eng, net: w.Net, tr: w.Trace, kr: w.Keyring()}, nil
+	st.env = env{w: w, scn: s, params: params, eng: w.Eng, net: w.Net, tr: w.Trace, kr: w.Keyring()}
+	return &st.env, nil
 }
 
 // outcomeSource is what the env needs from a per-customer engine object to

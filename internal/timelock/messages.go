@@ -6,6 +6,14 @@ import (
 	"repro/internal/sig"
 )
 
+// Messages travel by pointer, written once before Send and never after. In
+// the process engine each is a field of the process that sends it — Figure
+// 2's automata are loop-free, so a participant emits each message kind at
+// most once per run — and a forwarded certificate is the pointer that was
+// received; the ANTA engine, whose automata are still built per run,
+// allocates the same types where a state emits them. Only the pointer types
+// implement netsim.Message; a message is valid until its world's next Reset.
+
 // MsgGuarantee carries the escrow promise G(d_i) from escrow e_i to its
 // upstream customer c_i.
 type MsgGuarantee struct {
@@ -13,7 +21,7 @@ type MsgGuarantee struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgGuarantee) Describe() string { return m.G.Describe() }
+func (m *MsgGuarantee) Describe() string { return m.G.Describe() }
 
 // MsgPromise carries the escrow promise P(a_i) from escrow e_i to its
 // downstream customer c_{i+1}.
@@ -22,7 +30,7 @@ type MsgPromise struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPromise) Describe() string { return m.P.Describe() }
+func (m *MsgPromise) Describe() string { return m.P.Describe() }
 
 // MsgMoney represents the transfer "$": from a customer to its escrow it is
 // the instruction to place the agreed value in escrow; from an escrow to a
@@ -36,7 +44,7 @@ type MsgMoney struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgMoney) Describe() string {
+func (m *MsgMoney) Describe() string {
 	open := "$("
 	if m.Refund {
 		open = "$refund("
@@ -53,4 +61,4 @@ type MsgCert struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgCert) Describe() string { return m.Cert.Describe() }
+func (m *MsgCert) Describe() string { return m.Cert.Describe() }

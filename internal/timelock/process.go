@@ -2,6 +2,7 @@ package timelock
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -19,20 +20,22 @@ import (
 // and TestEnginesAgree asserts their outcomes coincide.
 
 // procEngine wires the per-participant processes of one run together;
-// escrows[i] is e_i and customers[i] is c_i.
+// escrows[i] is e_i and customers[i] is c_i. It stands on the run's world
+// (see standing): reset overwrites every process, so nothing of the previous
+// run — cut short, Byzantine or complete — is left for this one, and the
+// slices are regrown only for a longer chain than any before.
 type procEngine struct {
 	env       *env
 	escrows   []escrowProc
 	customers []customerProc
 }
 
-func newProcEngine(e *env) *procEngine {
+// reset makes pe the processes of e's run, registered on its network.
+func (pe *procEngine) reset(e *env) {
 	topo := e.scn.Topology
-	pe := &procEngine{
-		env:       e,
-		escrows:   make([]escrowProc, topo.N),
-		customers: make([]customerProc, topo.N+1),
-	}
+	pe.env = e
+	pe.escrows = slices.Grow(pe.escrows[:0], topo.N)[:topo.N]
+	pe.customers = slices.Grow(pe.customers[:0], topo.N+1)[:topo.N+1]
 	for i := range pe.escrows {
 		pe.escrows[i] = newEscrowProc(e, i)
 		e.net.Register(&pe.escrows[i])
@@ -41,7 +44,6 @@ func newProcEngine(e *env) *procEngine {
 		pe.customers[i] = newCustomerProc(e, i)
 		e.net.Register(&pe.customers[i])
 	}
-	return pe
 }
 
 // start schedules the initial actions of every participant plus any crash
@@ -54,15 +56,18 @@ func (pe *procEngine) start() {
 	for i := range pe.customers {
 		pe.customers[i].start()
 	}
-	// Crash faults apply uniformly to escrows and customers.
-	pe.env.w.ScheduleCrashes(func(id string, customer bool, i int) {
-		if customer {
-			pe.customers[i].crashed = true
-		} else {
-			pe.escrows[i].crashed = true
-		}
-		pe.env.tr.Add(pe.env.eng.Now(), trace.KindByzantine, id, "", "crash")
-	})
+	pe.env.w.ScheduleCrashes(pe)
+}
+
+// Crash implements core.Crasher: crash faults apply uniformly to escrows and
+// customers.
+func (pe *procEngine) Crash(id string, customer bool, i int) {
+	if customer {
+		pe.customers[i].crashed = true
+	} else {
+		pe.escrows[i].crashed = true
+	}
+	pe.env.tr.Add(pe.env.eng.Now(), trace.KindByzantine, id, "", "crash")
 }
 
 // source adapts customer c_i's process to the env's outcome collection.
@@ -93,6 +98,15 @@ type escrowProc struct {
 	settled     bool // the lock has been released or refunded (or stolen)
 	crashed     bool
 	done        bool
+
+	// The escrow's outgoing messages, each written once before its Send: G
+	// upstream, P downstream, and the money — released downstream or
+	// refunded upstream, never both. chi is the certificate as received,
+	// forwarded upstream as is.
+	msgG     MsgGuarantee
+	msgP     MsgPromise
+	msgMoney MsgMoney
+	chi      *MsgCert
 }
 
 func newEscrowProc(e *env, i int) escrowProc {
@@ -120,15 +134,22 @@ func (p *escrowProc) start() {
 	if p.fault.Silent || p.fault.Crash && p.fault.CrashAt == 0 {
 		return
 	}
-	d := p.env.params.D[p.i]
-	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-G"), func() {
-		if !p.active() || p.fault.Silent {
-			return
-		}
-		g := sig.NewGuarantee(p.env.kr, p.env.scn.Spec.PaymentID, p.id, p.up, d, p.clk.Now())
-		p.env.tr.AddLazy(p.env.eng.Now(), trace.KindPromise, p.id, p.up, g.Describe)
-		p.env.net.Send(p.id, p.up, MsgGuarantee{G: g})
-	})
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-G"), escrowSendG, p)
+}
+
+// escrowSendG is the scheduled action of start.
+//
+//xchain:hotpath
+func escrowSendG(x any) {
+	p := x.(*escrowProc)
+	if !p.active() || p.fault.Silent {
+		return
+	}
+	p.msgG.G = sig.NewGuarantee(p.env.kr, p.env.scn.Spec.PaymentID, p.id, p.up, p.env.params.D[p.i], p.clk.Now())
+	if p.env.tr.Recording() {
+		p.env.tr.Add(p.env.eng.Now(), trace.KindPromise, p.id, p.up, p.msgG.Describe())
+	}
+	p.env.net.Send(p.id, p.up, &p.msgG)
 }
 
 // Deliver implements netsim.Node.
@@ -137,16 +158,16 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgMoney:
+	case *MsgMoney:
 		p.onMoney(from, m)
-	case MsgCert:
+	case *MsgCert:
 		p.onCert(from, m)
 	}
 }
 
 // onMoney handles the receipt r(c_i, $): the upstream customer instructs the
 // escrow to place the agreed value in escrow.
-func (p *escrowProc) onMoney(from string, m MsgMoney) {
+func (p *escrowProc) onMoney(from string, m *MsgMoney) {
 	if from != p.up || p.lockCreated || p.settled {
 		return
 	}
@@ -180,23 +201,31 @@ func (p *escrowProc) onMoney(from string, m MsgMoney) {
 	}
 	// Issue the promise P(a_i) to the downstream customer and start the
 	// timeout clock (u := now).
-	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-P"), func() {
-		if !p.active() {
-			return
-		}
-		a := p.env.params.A[p.i]
-		p.promiseAt = p.clk.Now()
-		pr := sig.NewPromise(p.env.kr, p.env.scn.Spec.PaymentID, p.id, p.down, a, p.env.params.Epsilon, p.promiseAt)
-		p.env.tr.AddLazy(p.env.eng.Now(), trace.KindPromise, p.id, p.down, pr.Describe)
-		p.env.net.Send(p.id, p.down, MsgPromise{P: pr})
-		// Arm the timeout: now >= u + a_i triggers the refund branch.
-		p.timeout = p.clk.ScheduleAtLocal(p.promiseAt+a, p.env.w.EventName(p.id, "timeout"), p.onTimeout)
-	})
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-P"), escrowSendP, p)
+}
+
+// escrowSendP is the scheduled action of onMoney.
+//
+//xchain:hotpath
+func escrowSendP(x any) {
+	p := x.(*escrowProc)
+	if !p.active() {
+		return
+	}
+	a := p.env.params.A[p.i]
+	p.promiseAt = p.clk.Now()
+	p.msgP.P = sig.NewPromise(p.env.kr, p.env.scn.Spec.PaymentID, p.id, p.down, a, p.env.params.Epsilon, p.promiseAt)
+	if p.env.tr.Recording() {
+		p.env.tr.Add(p.env.eng.Now(), trace.KindPromise, p.id, p.down, p.msgP.Describe())
+	}
+	p.env.net.Send(p.id, p.down, &p.msgP)
+	// Arm the timeout: now >= u + a_i triggers the refund branch.
+	p.timeout = p.env.eng.ScheduleArgIn(p.clk.RealUntilLocal(p.promiseAt+a), p.env.w.EventName(p.id, "timeout"), escrowTimeout, p)
 }
 
 // onCert handles the receipt r(c_{i+1}, chi) of the certificate from the
 // downstream customer before the timeout.
-func (p *escrowProc) onCert(from string, m MsgCert) {
+func (p *escrowProc) onCert(from string, m *MsgCert) {
 	if from != p.down || p.settled || !p.lockCreated {
 		return
 	}
@@ -213,7 +242,10 @@ func (p *escrowProc) onCert(from string, m MsgCert) {
 	}
 	p.settled = true
 	p.timeout.Cancel()
-	p.env.tr.AddLazy(p.env.eng.Now(), trace.KindCert, p.id, from, m.Cert.Describe)
+	p.chi = m
+	if p.env.tr.Recording() {
+		p.env.tr.Add(p.env.eng.Now(), trace.KindCert, p.id, from, m.Describe())
+	}
 
 	if p.fault.StealEscrow {
 		// A thieving escrow accepts the certificate but neither forwards it
@@ -222,54 +254,86 @@ func (p *escrowProc) onCert(from string, m MsgCert) {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "settle"), func() {
-		if p.crashed {
-			return
-		}
-		// Forward chi to the upstream customer (unless withholding) and the
-		// money to the downstream customer.
-		if !p.fault.WithholdCertificate && !p.fault.Silent {
-			p.env.net.Send(p.id, p.up, m)
-		}
-		if err := p.led.Release(p.env.eng.Now(), p.lockID, nil, 0); err == nil {
-			p.env.tr.AddValue(p.env.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, p.env.scn.Spec.AmountVia(p.i))
-			if !p.fault.Silent {
-				p.env.net.Send(p.id, p.down, MsgMoney{PaymentID: p.env.scn.Spec.PaymentID, Amount: p.env.scn.Spec.AmountVia(p.i)})
-			}
-		}
-		p.done = true
-		p.env.tr.Add(p.env.eng.Now(), trace.KindTerminate, p.id, "", "settled-commit")
-	})
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "settle"), escrowSettle, p)
 }
 
-// onTimeout fires when the certificate did not arrive by local time u + a_i:
-// the escrow refunds the money to the upstream customer.
-func (p *escrowProc) onTimeout() {
+// escrowSettle is the scheduled action of onCert: forward chi to the
+// upstream customer (unless withholding) and the money to the downstream
+// customer.
+//
+//xchain:hotpath
+func escrowSettle(x any) {
+	p := x.(*escrowProc)
+	if p.crashed {
+		return
+	}
+	recording := p.env.tr.Recording()
+	if !p.fault.WithholdCertificate && !p.fault.Silent {
+		p.env.net.Send(p.id, p.up, p.chi)
+	}
+	if err := p.led.Release(p.env.eng.Now(), p.lockID, nil, 0); err == nil {
+		amount := p.env.scn.Spec.AmountVia(p.i)
+		if recording {
+			p.env.tr.AddValue(p.env.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
+		}
+		if !p.fault.Silent {
+			p.msgMoney = MsgMoney{PaymentID: p.env.scn.Spec.PaymentID, Amount: amount}
+			p.env.net.Send(p.id, p.down, &p.msgMoney)
+		}
+	}
+	p.done = true
+	if recording {
+		p.env.tr.Add(p.env.eng.Now(), trace.KindTerminate, p.id, "", "settled-commit")
+	}
+}
+
+// escrowTimeout fires when the certificate did not arrive by local time
+// u + a_i: the escrow refunds the money to the upstream customer.
+//
+//xchain:hotpath
+func escrowTimeout(x any) {
+	p := x.(*escrowProc)
 	if !p.active() || p.settled || !p.lockCreated {
 		return
 	}
 	p.settled = true
-	if p.env.tr.Recording() {
+	recording := p.env.tr.Recording()
+	if recording {
 		p.env.tr.Add(p.env.eng.Now(), trace.KindTimeout, p.id, "", fmt.Sprintf("a_%d expired", p.i))
 	}
 	if p.fault.StealEscrow {
-		p.env.tr.Add(p.env.eng.Now(), trace.KindByzantine, p.id, "", "steal-escrow")
+		if recording {
+			p.env.tr.Add(p.env.eng.Now(), trace.KindByzantine, p.id, "", "steal-escrow")
+		}
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "refund"), func() {
-		if p.crashed {
-			return
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "refund"), escrowRefund, p)
+}
+
+// escrowRefund is the scheduled action of escrowTimeout.
+//
+//xchain:hotpath
+func escrowRefund(x any) {
+	p := x.(*escrowProc)
+	if p.crashed {
+		return
+	}
+	recording := p.env.tr.Recording()
+	if err := p.led.Refund(p.env.eng.Now(), p.lockID, p.clk.Now()); err == nil {
+		amount := p.env.scn.Spec.AmountVia(p.i)
+		if recording {
+			p.env.tr.AddValue(p.env.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
 		}
-		if err := p.led.Refund(p.env.eng.Now(), p.lockID, p.clk.Now()); err == nil {
-			p.env.tr.AddValue(p.env.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, p.env.scn.Spec.AmountVia(p.i))
-			if !p.fault.Silent {
-				p.env.net.Send(p.id, p.up, MsgMoney{PaymentID: p.env.scn.Spec.PaymentID, Amount: p.env.scn.Spec.AmountVia(p.i), Refund: true})
-			}
+		if !p.fault.Silent {
+			p.msgMoney = MsgMoney{PaymentID: p.env.scn.Spec.PaymentID, Amount: amount, Refund: true}
+			p.env.net.Send(p.id, p.up, &p.msgMoney)
 		}
-		p.done = true
+	}
+	p.done = true
+	if recording {
 		p.env.tr.Add(p.env.eng.Now(), trace.KindTerminate, p.id, "", "settled-refund")
-	})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -303,6 +367,13 @@ type customerProc struct {
 	started sim.Time
 	term    bool
 	termAt  sim.Time
+
+	// The customer's outgoing messages, each written once before its Send:
+	// the money downstream and, for Bob, the certificate he signs. chi is the
+	// certificate as received, forwarded upstream as is.
+	msgMoney MsgMoney
+	msgCert  MsgCert
+	chi      *MsgCert
 }
 
 func newCustomerProc(e *env, i int) customerProc {
@@ -341,19 +412,19 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgGuarantee:
+	case *MsgGuarantee:
 		c.onGuarantee(from, m)
-	case MsgPromise:
+	case *MsgPromise:
 		c.onPromise(from, m)
-	case MsgMoney:
+	case *MsgMoney:
 		c.onMoney(from, m)
-	case MsgCert:
+	case *MsgCert:
 		c.onCert(from, m)
 	}
 }
 
 // onGuarantee handles r(e_i, G(d_i)) from the customer's downstream escrow.
-func (c *customerProc) onGuarantee(from string, m MsgGuarantee) {
+func (c *customerProc) onGuarantee(from string, m *MsgGuarantee) {
 	if from != c.downEscrow || c.gotG {
 		return
 	}
@@ -366,7 +437,7 @@ func (c *customerProc) onGuarantee(from string, m MsgGuarantee) {
 
 // onPromise handles r(e_{i-1}, P(a_{i-1})) from the upstream escrow. For Bob
 // this is the trigger to sign and return the certificate chi.
-func (c *customerProc) onPromise(from string, m MsgPromise) {
+func (c *customerProc) onPromise(from string, m *MsgPromise) {
 	if from != c.upEscrow || c.gotP {
 		return
 	}
@@ -401,18 +472,27 @@ func (c *customerProc) maybeSendMoney() {
 		return
 	}
 	c.sentMoney = true
-	amount := c.env.scn.Spec.AmountVia(c.i)
-	c.env.eng.ScheduleIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-$"), func() {
-		if !c.active() {
-			return
-		}
-		c.paid = amount
-		if c.started == 0 {
-			c.started = c.env.eng.Now()
-		}
-		c.env.net.Send(c.id, c.downEscrow, MsgMoney{PaymentID: c.env.scn.Spec.PaymentID, Amount: amount})
-	})
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-$"), customerSendMoney, c)
 }
+
+// customerSendMoney is the scheduled action of maybeSendMoney.
+//
+//xchain:hotpath
+func customerSendMoney(x any) {
+	c := x.(*customerProc)
+	if !c.active() {
+		return
+	}
+	c.paid = c.env.scn.Spec.AmountVia(c.i)
+	if c.started == 0 {
+		c.started = c.env.eng.Now()
+	}
+	c.msgMoney = MsgMoney{PaymentID: c.env.scn.Spec.PaymentID, Amount: c.paid}
+	c.env.net.Send(c.id, c.downEscrow, &c.msgMoney)
+}
+
+// forgedSig is what a forging Bob puts where his signature belongs.
+var forgedSig = sig.Signature("forged")
 
 // bobIssueChi is Bob's reaction to the promise P(a_{n-1}): sign the
 // certificate chi and send it to his escrow.
@@ -420,38 +500,48 @@ func (c *customerProc) bobIssueChi() {
 	if c.fault.Silent || c.fault.WithholdCertificate {
 		return
 	}
-	c.env.eng.ScheduleIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-chi"), func() {
-		if !c.active() {
-			return
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-chi"), customerSendChi, c)
+}
+
+// customerSendChi is the scheduled action of bobIssueChi.
+//
+//xchain:hotpath
+func customerSendChi(x any) {
+	c := x.(*customerProc)
+	if !c.active() {
+		return
+	}
+	recording := c.env.tr.Recording()
+	if c.fault.ForgeCertificate {
+		// A forged certificate carries a signature that does not verify
+		// against Bob's key; correct escrows must reject it.
+		c.msgCert.Cert = sig.PaymentCert{
+			PaymentID: c.env.scn.Spec.PaymentID,
+			Issuer:    c.id,
+			Payer:     c.env.scn.Topology.Alice(),
+			IssuedAt:  c.clk.Now(),
+			Sig:       forgedSig,
 		}
-		var cert sig.PaymentCert
-		if c.fault.ForgeCertificate {
-			// A forged certificate carries a signature that does not verify
-			// against Bob's key; correct escrows must reject it.
-			cert = sig.PaymentCert{
-				PaymentID: c.env.scn.Spec.PaymentID,
-				Issuer:    c.id,
-				Payer:     c.env.scn.Topology.Alice(),
-				IssuedAt:  c.clk.Now(),
-				Sig:       []byte("forged"),
-			}
+		if recording {
 			c.env.tr.Add(c.env.eng.Now(), trace.KindByzantine, c.id, "", "forge-certificate")
-		} else {
-			cert = sig.NewPaymentCert(c.env.kr, c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), c.clk.Now())
-			c.signedChi = true
-			if c.started == 0 {
-				c.started = c.env.eng.Now()
-			}
 		}
-		c.env.tr.AddLazy(c.env.eng.Now(), trace.KindCert, c.id, c.upEscrow, cert.Describe)
-		c.env.net.Send(c.id, c.upEscrow, MsgCert{Cert: cert})
-	})
+	} else {
+		c.msgCert.Cert = sig.NewPaymentCert(c.env.kr, c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), c.clk.Now())
+		c.signedChi = true
+		if c.started == 0 {
+			c.started = c.env.eng.Now()
+		}
+	}
+	if recording {
+		c.env.tr.Add(c.env.eng.Now(), trace.KindCert, c.id, c.upEscrow, c.msgCert.Describe())
+	}
+	c.env.net.Send(c.id, c.upEscrow, &c.msgCert)
 }
 
 // onMoney handles money notifications from either escrow: a refund of the
 // customer's own payment from the downstream escrow, or the incoming payment
 // from the upstream escrow.
-func (c *customerProc) onMoney(from string, m MsgMoney) {
+func (c *customerProc) onMoney(from string, m *MsgMoney) {
 	switch {
 	case from == c.downEscrow && m.Refund:
 		// Refund of the money this customer had put in escrow: work is done.
@@ -475,7 +565,7 @@ func (c *customerProc) onMoney(from string, m MsgMoney) {
 // certificate, meaning this customer's payment completed downstream. A
 // connector forwards chi to her upstream escrow and then waits for the money;
 // Alice terminates immediately, holding her proof of payment.
-func (c *customerProc) onCert(from string, m MsgCert) {
+func (c *customerProc) onCert(from string, m *MsgCert) {
 	if from != c.downEscrow || c.hasChi {
 		return
 	}
@@ -483,7 +573,10 @@ func (c *customerProc) onCert(from string, m MsgCert) {
 		return
 	}
 	c.hasChi = true
-	c.env.tr.AddLazy(c.env.eng.Now(), trace.KindCert, c.id, from, func() string { return "received " + m.Cert.Describe() })
+	c.chi = m
+	if c.env.tr.Recording() {
+		c.env.tr.Add(c.env.eng.Now(), trace.KindCert, c.id, from, "received "+m.Describe())
+	}
 	if c.isAlice() {
 		c.terminate("has-certificate")
 		return
@@ -493,16 +586,22 @@ func (c *customerProc) onCert(from string, m MsgCert) {
 		c.env.tr.Add(c.env.eng.Now(), trace.KindByzantine, c.id, "", "withhold-certificate")
 		return
 	}
-	c.env.eng.ScheduleIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "fwd-chi"), func() {
-		if c.crashed {
-			return
-		}
-		c.env.net.Send(c.id, c.upEscrow, m)
-	})
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "fwd-chi"), customerFwdChi, c)
 	// If the upstream money already arrived, we are done.
 	if c.credited >= c.paid {
 		c.terminate("paid")
 	}
+}
+
+// customerFwdChi is the scheduled action of onCert.
+//
+//xchain:hotpath
+func customerFwdChi(x any) {
+	c := x.(*customerProc)
+	if c.crashed {
+		return
+	}
+	c.env.net.Send(c.id, c.upEscrow, c.chi)
 }
 
 func (c *customerProc) terminate(reason string) {

@@ -91,7 +91,8 @@ func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
 // makes, on a standing world. The result is w's own and is valid until w's
 // next Reset (see core.World).
 func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
-	env, err := newEnv(w, s, p.ParamsFor(s))
+	st := core.Standing[standing](w)
+	env, err := st.bind(w, s, st.paramsFor(p, s))
 	if err != nil {
 		return nil, fmt.Errorf("timelock: %w", err)
 	}
@@ -102,9 +103,9 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 		eng.start()
 		source = eng.source
 	default:
-		eng := newProcEngine(env)
-		eng.start()
-		source = eng.source
+		st.proc.reset(env)
+		st.proc.start()
+		source = st.proc.source
 	}
 	_, fired := env.eng.Run(w.MaxEvents())
 	return env.collect(p.Name(), source, fired), nil

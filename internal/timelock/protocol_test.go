@@ -254,7 +254,7 @@ func TestSlowLinkBeyondDeltaBreaksLiveness(t *testing.T) {
 	slow := netsim.Adversarial{
 		Label: "slow-chi",
 		Strategy: func(env netsim.Envelope, eng *sim.Engine) (sim.Time, bool) {
-			if _, isCert := env.Msg.(MsgCert); isCert {
+			if _, isCert := env.Msg.(*MsgCert); isCert {
 				return 10 * sim.Second, false
 			}
 			return 1 * sim.Millisecond, false
@@ -407,10 +407,10 @@ func TestANTASimultaneousCrashesDeterministic(t *testing.T) {
 // written in: every recorded timelock trace carries it per hop.
 func TestMoneyLabelPinned(t *testing.T) {
 	for _, amount := range []int64{0, 1, 1000, -5, math.MaxInt64, math.MinInt64} {
-		if got, want := (MsgMoney{Amount: amount}).Describe(), fmt.Sprintf("$(%d)", amount); got != want {
+		if got, want := (&MsgMoney{Amount: amount}).Describe(), fmt.Sprintf("$(%d)", amount); got != want {
 			t.Errorf("MsgMoney.Describe() = %q, want %q", got, want)
 		}
-		if got, want := (MsgMoney{Amount: amount, Refund: true}).Describe(), fmt.Sprintf("$refund(%d)", amount); got != want {
+		if got, want := (&MsgMoney{Amount: amount, Refund: true}).Describe(), fmt.Sprintf("$refund(%d)", amount); got != want {
 			t.Errorf("refund MsgMoney.Describe() = %q, want %q", got, want)
 		}
 	}

@@ -13,7 +13,11 @@ import (
 
 // Protocol messages specific to the weak-liveness protocol; the
 // manager-facing messages (prepared, abort request, decision) live in
-// internal/notary.
+// internal/notary and keep its by-value convention. The messages below
+// travel by pointer: each is a field of the process that sends it, written
+// once before Send and never after — a participant emits each at most once
+// per run. Only the pointer types implement netsim.Message; a message is
+// valid until its world's next Reset.
 
 // MsgPay is the upstream customer's instruction to her escrow to place the
 // agreed value in escrow.
@@ -23,7 +27,7 @@ type MsgPay struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPay) Describe() string { return "pay" }
+func (m *MsgPay) Describe() string { return "pay" }
 
 // MsgPayout notifies a customer that the escrow released value to her
 // account: the incoming payment on commit, or the refund of her own money on
@@ -35,7 +39,7 @@ type MsgPayout struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPayout) Describe() string {
+func (m *MsgPayout) Describe() string {
 	if m.Refund {
 		return "payout-refund"
 	}
@@ -64,10 +68,15 @@ type escrowProc struct {
 	lockID      string // set when the lock is created
 	settled     bool
 	crashed     bool
-	// decided holds the first valid decision certificate seen, which may
-	// arrive before the upstream customer's payment does (an early abort);
-	// a lock created afterwards is settled against it immediately.
-	decided *sig.DecisionCert
+	// decided is the decision of the first valid certificate seen ("" until
+	// then), which may arrive before the upstream customer's payment does (an
+	// early abort); a lock created afterwards is settled against it
+	// immediately.
+	decided sig.Decision
+
+	// msgPayout is the escrow's one outgoing payout — downstream on commit,
+	// upstream on abort — written once before its Send.
+	msgPayout MsgPayout
 }
 
 func newEscrowProc(r *runState, i int) escrowProc {
@@ -102,7 +111,7 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgPay:
+	case *MsgPay:
 		p.onPay(from, m)
 	case notary.MsgDecision:
 		p.onDecision(m)
@@ -111,7 +120,7 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 
 // onPay locks the upstream customer's money and reports prepared to the
 // transaction manager.
-func (p *escrowProc) onPay(from string, m MsgPay) {
+func (p *escrowProc) onPay(from string, m *MsgPay) {
 	if from != p.up || p.lockCreated || p.settled {
 		return
 	}
@@ -127,24 +136,32 @@ func (p *escrowProc) onPay(from string, m MsgPay) {
 	}
 	p.lockCreated = true
 	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
-	if p.decided != nil {
+	if p.decided != "" {
 		// The manager decided before this payment arrived (an early abort):
 		// settle the freshly created lock right away so the customer is not
 		// left waiting for a decision that has already been broadcast.
-		p.settle(*p.decided)
+		p.settle()
 		return
 	}
 	if p.fault.Silent {
 		return // never reports prepared: the manager will not commit
 	}
-	p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "prepared"), func() {
-		if !p.active() {
-			return
-		}
-		for _, mid := range p.run.mgr.IDs() {
-			p.run.net.Send(p.id, mid, notary.MsgPrepared{PaymentID: p.run.scn.Spec.PaymentID, Escrow: p.id})
-		}
-	})
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "prepared"), escrowPrepared, p)
+}
+
+// escrowPrepared is the scheduled action of onPay: report prepared to the
+// transaction manager.
+//
+//xchain:hotpath
+func escrowPrepared(x any) {
+	p := x.(*escrowProc)
+	if !p.active() {
+		return
+	}
+	var m netsim.Message = notary.MsgPrepared{PaymentID: p.run.scn.Spec.PaymentID, Escrow: p.id}
+	for _, mid := range p.run.mgr.IDs() {
+		p.run.net.Send(p.id, mid, m)
+	}
 }
 
 // onDecision settles the escrow lock according to a valid decision
@@ -158,18 +175,16 @@ func (p *escrowProc) onDecision(m notary.MsgDecision) {
 	if m.Cert.PaymentID != p.run.scn.Spec.PaymentID || !m.Cert.Verify(p.run.kr) {
 		return
 	}
-	if p.decided == nil {
-		cert := m.Cert
-		p.decided = &cert
+	if p.decided == "" {
+		p.decided = m.Cert.Decision
 	}
-	if !p.lockCreated {
-		return
-	}
-	p.settle(m.Cert)
+	p.settle()
 }
 
-// settle applies a decision certificate to the escrow's lock.
-func (p *escrowProc) settle(cert sig.DecisionCert) {
+// settle applies the decision to the escrow's lock, once there is one: an
+// unsettled lock is always settled by the first decision seen, because a
+// lock created after it settles at once.
+func (p *escrowProc) settle() {
 	if p.settled || !p.lockCreated {
 		return
 	}
@@ -178,30 +193,44 @@ func (p *escrowProc) settle(cert sig.DecisionCert) {
 		p.run.tr.Add(p.run.eng.Now(), trace.KindByzantine, p.id, "", "steal-escrow")
 		return
 	}
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), escrowSettle, p)
+}
+
+// escrowSettle is the scheduled action of settle.
+//
+//xchain:hotpath
+func escrowSettle(x any) {
+	p := x.(*escrowProc)
+	if !p.active() {
+		return
+	}
+	recording := p.run.tr.Recording()
 	amount := p.run.scn.Spec.AmountVia(p.i)
-	decision := cert.Decision
-	p.run.eng.ScheduleIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), func() {
-		if !p.active() {
-			return
-		}
-		switch decision {
-		case sig.DecisionCommit:
-			if err := p.led.Release(p.run.eng.Now(), p.lockID, nil, 0); err == nil {
+	switch p.decided {
+	case sig.DecisionCommit:
+		if err := p.led.Release(p.run.eng.Now(), p.lockID, nil, 0); err == nil {
+			if recording {
 				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
-				if !p.fault.Silent {
-					p.run.net.Send(p.id, p.down, MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount})
-				}
 			}
-		case sig.DecisionAbort:
-			if err := p.led.Refund(p.run.eng.Now(), p.lockID, p.clk.Now()); err == nil {
-				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
-				if !p.fault.Silent {
-					p.run.net.Send(p.id, p.up, MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount, Refund: true})
-				}
+			if !p.fault.Silent {
+				p.msgPayout = MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount}
+				p.run.net.Send(p.id, p.down, &p.msgPayout)
 			}
 		}
-		p.run.tr.AddLazy(p.run.eng.Now(), trace.KindTerminate, p.id, "", func() string { return "settled-" + string(decision) })
-	})
+	case sig.DecisionAbort:
+		if err := p.led.Refund(p.run.eng.Now(), p.lockID, p.clk.Now()); err == nil {
+			if recording {
+				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
+			}
+			if !p.fault.Silent {
+				p.msgPayout = MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount, Refund: true}
+				p.run.net.Send(p.id, p.up, &p.msgPayout)
+			}
+		}
+	}
+	if recording {
+		p.run.tr.Add(p.run.eng.Now(), trace.KindTerminate, p.id, "", "settled-"+string(p.decided))
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -234,6 +263,10 @@ type customerProc struct {
 	crashed bool
 	term    bool
 	termAt  sim.Time
+
+	// msgPay is the customer's one outgoing payment instruction, written
+	// once before its Send.
+	msgPay MsgPay
 }
 
 func newCustomerProc(r *runState, i int) customerProc {
@@ -268,15 +301,7 @@ func (c *customerProc) start() {
 	}
 	// Pay the agreed value into the downstream escrow (Bob has none).
 	if !c.isBob() && !c.fault.RefuseToPay && !c.fault.Silent {
-		amount := c.run.scn.Spec.AmountVia(c.i)
-		c.run.eng.ScheduleIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "pay"), func() {
-			if !c.active() || c.requestedAbort {
-				return
-			}
-			c.paid = amount
-			c.paidIn = true
-			c.run.net.Send(c.id, c.downEscrow, MsgPay{PaymentID: c.run.scn.Spec.PaymentID, Amount: amount})
-		})
+		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "pay"), customerPay, c)
 	}
 	// Patience: after the configured local-time budget, ask the manager to
 	// abort (unless a decision already arrived). A premature-abort Byzantine
@@ -286,25 +311,45 @@ func (c *customerProc) start() {
 		patience = 1
 	}
 	if patience > 0 {
-		c.clk.ScheduleAfterLocal(patience, c.run.w.EventName(c.id, "patience"), c.losePatience)
+		c.run.eng.ScheduleArgIn(c.clk.RealFor(patience), c.run.w.EventName(c.id, "patience"), customerLosePatience, c)
 	}
 }
 
-// losePatience sends an abort request to the transaction manager. The
-// customer keeps following the protocol afterwards: whichever certificate
-// the manager issues settles her escrow positions, so she risks nothing by
-// asking.
-func (c *customerProc) losePatience() {
+// customerPay is the scheduled action of start.
+//
+//xchain:hotpath
+func customerPay(x any) {
+	c := x.(*customerProc)
+	if !c.active() || c.requestedAbort {
+		return
+	}
+	c.paid = c.run.scn.Spec.AmountVia(c.i)
+	c.paidIn = true
+	c.msgPay = MsgPay{PaymentID: c.run.scn.Spec.PaymentID, Amount: c.paid}
+	c.run.net.Send(c.id, c.downEscrow, &c.msgPay)
+}
+
+// customerLosePatience sends an abort request to the transaction manager.
+// The customer keeps following the protocol afterwards: whichever
+// certificate the manager issues settles her escrow positions, so she risks
+// nothing by asking.
+//
+//xchain:hotpath
+func customerLosePatience(x any) {
+	c := x.(*customerProc)
 	if !c.active() || c.hasCommit || c.hasAbort || c.requestedAbort {
 		return
 	}
 	c.requestedAbort = true
-	c.run.tr.Add(c.run.eng.Now(), trace.KindAbort, c.id, "", "lost patience")
+	if c.run.tr.Recording() {
+		c.run.tr.Add(c.run.eng.Now(), trace.KindAbort, c.id, "", "lost patience")
+	}
 	if c.fault.Silent {
 		return
 	}
+	var m netsim.Message = notary.MsgAbortRequest{PaymentID: c.run.scn.Spec.PaymentID, Customer: c.id}
 	for _, mid := range c.run.mgr.IDs() {
-		c.run.net.Send(c.id, mid, notary.MsgAbortRequest{PaymentID: c.run.scn.Spec.PaymentID, Customer: c.id})
+		c.run.net.Send(c.id, mid, m)
 	}
 }
 
@@ -316,7 +361,7 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 	switch m := msg.(type) {
 	case notary.MsgDecision:
 		c.onDecision(m)
-	case MsgPayout:
+	case *MsgPayout:
 		c.onPayout(from, m)
 	}
 }
@@ -332,18 +377,25 @@ func (c *customerProc) onDecision(m notary.MsgDecision) {
 	case sig.DecisionCommit:
 		if !c.hasCommit {
 			c.hasCommit = true
-			c.run.tr.AddLazy(c.run.eng.Now(), trace.KindCert, c.id, "", func() string { return "holds " + m.Cert.Describe() })
+			c.holds(&m.Cert)
 		}
 	case sig.DecisionAbort:
 		if !c.hasAbort {
 			c.hasAbort = true
-			c.run.tr.AddLazy(c.run.eng.Now(), trace.KindCert, c.id, "", func() string { return "holds " + m.Cert.Describe() })
+			c.holds(&m.Cert)
 		}
 	}
 	c.maybeTerminate()
 }
 
-func (c *customerProc) onPayout(from string, m MsgPayout) {
+// holds traces that the customer now holds cert.
+func (c *customerProc) holds(cert *sig.DecisionCert) {
+	if c.run.tr.Recording() {
+		c.run.tr.Add(c.run.eng.Now(), trace.KindCert, c.id, "", "holds "+cert.Describe())
+	}
+}
+
+func (c *customerProc) onPayout(from string, m *MsgPayout) {
 	switch {
 	case from == c.downEscrow && m.Refund:
 		c.credited += m.Amount

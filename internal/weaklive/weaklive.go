@@ -31,6 +31,7 @@ package weaklive
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -116,28 +117,8 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 	if err := w.Reset(s); err != nil {
 		return nil, fmt.Errorf("weaklive: %w", err)
 	}
-	kr := w.Keyring()
-	deps := notary.Deps{
-		Net:        w.Net,
-		Eng:        w.Eng,
-		Kr:         kr,
-		Tr:         w.Trace,
-		PaymentID:  s.Spec.PaymentID,
-		NumEscrows: s.Topology.N,
-		Recipients: w.Participants(),
-		Timing:     s.Timing,
-		FaultOf:    s.FaultOf,
-		KeySeed:    s.DerivedKeySeed(),
-	}
-	var mgr notary.Manager
-	if p.Manager == ManagerCommittee {
-		mgr = notary.NewCommittee(deps, p.committeeSize())
-	} else {
-		mgr = notary.NewTrusted(deps)
-	}
-
-	run := &runState{w: w, scn: s, eng: w.Eng, net: w.Net, tr: w.Trace, kr: kr, mgr: mgr}
-	run.build()
+	run := core.Standing[runState](w)
+	run.reset(p, w, s)
 	run.start()
 
 	_, fired := w.Eng.Run(w.MaxEvents())
@@ -145,7 +126,11 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 }
 
 // runState holds one run's participants and its world's handles;
-// escrows[i] is e_i and customers[i] is c_i.
+// escrows[i] is e_i and customers[i] is c_i. It stands on the run's world
+// (core.Standing): reset overwrites every field a run reads and every
+// process, so nothing of the previous run is left for this one, and the
+// slices are regrown only for a longer chain than any before. The
+// transaction manager is still built per run.
 type runState struct {
 	w   *core.World
 	scn core.Scenario
@@ -157,12 +142,39 @@ type runState struct {
 
 	escrows   []escrowProc
 	customers []customerProc
+	// faultOf is the current scenario's FaultOf, bound once.
+	faultOf func(id string) core.FaultSpec
 }
 
-func (r *runState) build() {
-	topo := r.scn.Topology
-	r.escrows = make([]escrowProc, topo.N)
-	r.customers = make([]customerProc, topo.N+1)
+// reset makes r the run of s under p on w, which has been reset for s: a new
+// transaction manager and the chain's processes, registered on w's network.
+func (r *runState) reset(p *Protocol, w *core.World, s core.Scenario) {
+	r.w, r.scn = w, s
+	r.eng, r.net, r.tr, r.kr = w.Eng, w.Net, w.Trace, w.Keyring()
+	if r.faultOf == nil {
+		r.faultOf = func(id string) core.FaultSpec { return r.scn.FaultOf(id) }
+	}
+	deps := notary.Deps{
+		Net:        w.Net,
+		Eng:        w.Eng,
+		Kr:         r.kr,
+		Tr:         w.Trace,
+		PaymentID:  s.Spec.PaymentID,
+		NumEscrows: s.Topology.N,
+		Recipients: w.Participants(),
+		Timing:     s.Timing,
+		FaultOf:    r.faultOf,
+		KeySeed:    s.DerivedKeySeed(),
+	}
+	if p.Manager == ManagerCommittee {
+		r.mgr = notary.NewCommittee(deps, p.committeeSize())
+	} else {
+		r.mgr = notary.NewTrusted(deps)
+	}
+
+	topo := s.Topology
+	r.escrows = slices.Grow(r.escrows[:0], topo.N)[:topo.N]
+	r.customers = slices.Grow(r.customers[:0], topo.N+1)[:topo.N+1]
 	for i := range r.escrows {
 		r.escrows[i] = newEscrowProc(r, i)
 		r.net.Register(&r.escrows[i])
@@ -180,14 +192,17 @@ func (r *runState) start() {
 	for i := range r.customers {
 		r.customers[i].start()
 	}
-	r.w.ScheduleCrashes(func(id string, customer bool, i int) {
-		if customer {
-			r.customers[i].crashed = true
-		} else {
-			r.escrows[i].crashed = true
-		}
-		r.tr.Add(r.eng.Now(), trace.KindByzantine, id, "", "crash")
-	})
+	r.w.ScheduleCrashes(r)
+}
+
+// Crash implements core.Crasher.
+func (r *runState) Crash(id string, customer bool, i int) {
+	if customer {
+		r.customers[i].crashed = true
+	} else {
+		r.escrows[i].crashed = true
+	}
+	r.tr.Add(r.eng.Now(), trace.KindByzantine, id, "", "crash")
 }
 
 func (r *runState) collect(protocolName string, fired uint64) *core.RunResult {
