@@ -7,7 +7,9 @@
 //
 // Any oracle violation is a bug: the command prints the scenario, optionally
 // shrinks it to a minimal reproducer (-shrink) and saves a replay file that
-// re-executes byte-identically (-out). With no violations, -shrink instead
+// re-executes byte-identically (-out), and ends the report with the last
+// events of the (shrunk) scenario's trace — campaigns run muted, so that
+// trace comes from one recorded rerun. With no violations, -shrink instead
 // minimises the first Theorem-2 counterexample found, turning the
 // impossibility result into a small committed artefact.
 //
@@ -100,11 +102,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, v := range o.Violations {
 				fmt.Fprintf(stdout, "  %s\n", v)
 			}
+			sp := o.Spec
 			if *shrink {
-				shrinkAndSave(stdout, stderr, o, scenariogen.KeepViolation(o.Violations[0]),
+				sp = shrinkAndSave(stdout, stderr, o, scenariogen.KeepViolation(o.Violations[0]),
 					fmt.Sprintf("shrunk from seed %d: %s", o.Spec.Seed, o.Violations[0]), *outDir,
 					fmt.Sprintf("violation-seed%d.json", o.Spec.Seed))
 			}
+			printTraceTail(stdout, sp)
 		}
 	}
 	if st.FirstTheorem2 != nil {
@@ -129,21 +133,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// shrinkAndSave minimises the outcome's scenario and writes a replay file.
-func shrinkAndSave(stdout, stderr io.Writer, o *scenariogen.Outcome, keep scenariogen.Keep, note, dir, name string) {
+// shrinkAndSave minimises the outcome's scenario, writes a replay file and
+// returns the minimal spec.
+func shrinkAndSave(stdout, stderr io.Writer, o *scenariogen.Outcome, keep scenariogen.Keep, note, dir, name string) scenariogen.Spec {
 	res := scenariogen.Shrink(o.Spec, keep, 0)
 	fmt.Fprintf(stdout, "  shrunk (%d reductions in %d tries): %s\n", res.Accepted, res.Tried, res.Spec.Describe())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintf(stderr, "cannot create %s: %v\n", dir, err)
-		return
+		return res.Spec
 	}
 	path := filepath.Join(dir, name)
 	r := scenariogen.NewReplay(res.Outcome, note)
 	if err := r.Save(path); err != nil {
 		fmt.Fprintf(stderr, "cannot save replay: %v\n", err)
-		return
+		return res.Spec
 	}
 	fmt.Fprintf(stdout, "  replay saved: %s (re-run with -replay %s)\n", path, path)
+	return res.Spec
+}
+
+// traceTail is how many of a run's last trace events a VIOLATION block shows.
+const traceTail = 40
+
+// printTraceTail reruns the spec recorded (a run is a pure function of its
+// spec, so this is the run the campaign judged muted) and prints the end of
+// its trace.
+func printTraceTail(w io.Writer, sp scenariogen.Spec) {
+	tr, err := scenariogen.Trace(sp)
+	if err != nil {
+		fmt.Fprintf(w, "  no trace: %v\n", err)
+		return
+	}
+	evs := tr.Events()
+	tail := evs[max(0, len(evs)-traceTail):]
+	fmt.Fprintf(w, "  trace of a recorded rerun, last %d of %d events:\n", len(tail), len(evs))
+	for _, ev := range tail {
+		fmt.Fprintf(w, "    %s\n", ev)
+	}
 }
 
 // runReplay verifies a saved counterexample.

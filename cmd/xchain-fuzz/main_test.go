@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -105,5 +106,38 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)
+	}
+}
+
+// TestPrintTraceTail: a VIOLATION block ends with the last events of a
+// recorded rerun — at most traceTail of them, up to the run's final event —
+// and says so when a family has no single trace.
+func TestPrintTraceTail(t *testing.T) {
+	sp := scenariogen.Generate(4) // a committee payment: a trace longer than the tail
+	tr, err := scenariogen.Trace(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := tr.Events()
+	if len(evs) <= traceTail {
+		t.Fatalf("seed 4 records %d events, want more than the tail of %d", len(evs), traceTail)
+	}
+	var out strings.Builder
+	printTraceTail(&out, sp)
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	if len(lines) != 1+traceTail {
+		t.Fatalf("printed %d lines, want a header and %d events:\n%s", len(lines), traceTail, out.String())
+	}
+	if want := fmt.Sprintf("last %d of %d events", traceTail, len(evs)); !strings.Contains(lines[0], want) {
+		t.Errorf("header %q does not say %q", lines[0], want)
+	}
+	if got, want := strings.TrimSpace(lines[traceTail]), evs[len(evs)-1].String(); got != want {
+		t.Errorf("the tail ends with %q, the run with %q", got, want)
+	}
+
+	out.Reset()
+	printTraceTail(&out, scenariogen.Generate(21)) // a traffic population
+	if !strings.Contains(out.String(), "no trace") {
+		t.Errorf("traffic spec printed %q", out.String())
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/ledger"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timelock"
-	"repro/internal/trace"
 	"repro/internal/weaklive"
 )
 
@@ -43,8 +43,8 @@ func RunE1(cfg Config) *Table {
 			t.AddRow(
 				fmt.Sprint(n), p.Name(),
 				yesNo(res.BobPaid), yesNo(res.AllTerminated),
-				fmt.Sprint(res.Trace.Count(trace.KindLock)),
-				fmt.Sprint(res.Trace.Count(trace.KindRelease)),
+				fmt.Sprint(res.Book.CountOps(ledger.OpLock)),
+				fmt.Sprint(res.Book.CountOps(ledger.OpRelease)),
 				fmt.Sprint(res.NetStats.Sent),
 				res.Duration.String(),
 			)

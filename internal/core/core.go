@@ -334,13 +334,16 @@ type Scenario struct {
 	// Crypto names the signature backend realising the model's assumed
 	// authentication primitive ("" = ed25519; see sig.BackendNames). The
 	// backend is a model-level assumption, never a protocol input, so no
-	// verdict, settlement trace or audit may depend on it — the
+	// verdict, settlement or audit may depend on it — the
 	// backend-differential oracle in internal/scenariogen enforces this.
 	Crypto string
 	// KeySeed overrides the seed deriving participant keys ("" derives
-	// "seed-<Seed>"). Traffic runs point every payment's sub-scenario at one
-	// shared KeySeed so the process-wide key cache turns per-payment keygen
-	// into map lookups.
+	// "seed-<Seed>"). A traffic run points every payment's sub-scenario, and
+	// the scenario fuzzer every generated scenario, at one shared KeySeed: a
+	// standing world's keyring then keeps its keys and bound signers from one
+	// run to the next, and a new world's keyring finds them in the
+	// process-wide key cache. Key bytes are below the model — no control flow
+	// reads them — so, like Crypto, the seed can never be a protocol input.
 	KeySeed string
 	// MuteTrace disables trace recording for large benchmark sweeps: a
 	// retention choice that no result field and no verdict can see.
@@ -350,7 +353,7 @@ type Scenario struct {
 	MaxEvents uint64
 	// Metrics, if non-nil, receives live kernel/network/ledger counters
 	// from the run. Instrumentation is observation-only: a run's verdict,
-	// settlement trace and audits are byte-identical with or without it
+	// settlements and audits are byte-identical with or without it
 	// (the nil-registry differential test in internal/traffic enforces
 	// this), so — like Crypto — it can never be a protocol input.
 	Metrics *metrics.Registry

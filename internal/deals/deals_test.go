@@ -322,6 +322,30 @@ func TestCertifiedDecisionBindsCommitBit(t *testing.T) {
 	}
 }
 
+// The certifier's key seed is below the model: a certified run under a
+// campaign-wide KeySeed is, trace included, the run under the deal's own.
+func TestKeySeedNeverReachesARun(t *testing.T) {
+	for _, backend := range []string{"ed25519", "hmac"} {
+		cfg := dealConfig(ringDeal(), 5)
+		cfg.Crypto = backend
+		cfg.NonCompliant = map[string]bool{"b": true}
+		cfg.PartyPatience = 2 * sim.Second
+		own, err := CertifiedCommit{}.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.KeySeed = "campaign"
+		shared, err := CertifiedCommit{}.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own.Trace.Len() == 0 || own.Trace.String() != shared.Trace.String() ||
+			own.Duration != shared.Duration || own.EventsFired != shared.EventsFired || own.Stats != shared.Stats {
+			t.Fatalf("%s: the key seed changed the run:\n--- deal-<seed>\n%s--- campaign\n%s", backend, own.Trace, shared.Trace)
+		}
+	}
+}
+
 // Both crypto backends drive the certified protocol to the same outcome.
 func TestCertifiedCommitCryptoBackends(t *testing.T) {
 	for _, backend := range []string{"", "ed25519", "hmac"} {

@@ -30,6 +30,11 @@ type Config struct {
 	// decision certificates with ("" = ed25519; see sig.BackendNames). The
 	// certifier is trust-assumed, so the choice never changes an outcome.
 	Crypto string
+	// KeySeed overrides the seed the certifier's key derives from ("" derives
+	// it from the deal's ID, "deal-<Seed>"). Like the backend, the key's bytes
+	// are below the model: a campaign that runs many deals under one KeySeed
+	// keeps the key and its bound signer on a standing world's keyring.
+	KeySeed string
 }
 
 // Result is the outcome of one deal-protocol run.
@@ -40,6 +45,8 @@ type Result struct {
 	Book     *ledger.Book
 	Stats    netsim.Stats
 	Duration sim.Time
+	// EventsFired is the number of simulation events processed.
+	EventsFired uint64
 }
 
 // assetChain is the blockchain escrowing one asset type: it holds the locks
@@ -419,7 +426,11 @@ func newDealRun(w *core.World, cfg Config, timelock bool) (*dealRun, error) {
 		r.net.Register(p)
 	}
 	if !timelock {
-		r.kr = w.KeyringFor(cfg.Crypto, r.dealID(), certifierKeys)
+		keySeed := cfg.KeySeed
+		if keySeed == "" {
+			keySeed = r.dealID()
+		}
+		r.kr = w.KeyringFor(cfg.Crypto, keySeed, certifierKeys)
 		r.certifier = &certifierProc{run: r}
 		r.net.Register(r.certifier)
 	}
@@ -430,7 +441,7 @@ func (r *dealRun) run(name string) *Result {
 	for _, party := range r.cfg.Deal.Parties {
 		r.parties[party].start()
 	}
-	r.eng.Run(1_000_000)
+	_, fired := r.eng.Run(1_000_000)
 	// Anything still pending at the end of the run was escrowed forever.
 	for _, t := range r.cfg.Deal.AssetTypes() {
 		for _, lk := range r.chains[t].led.PendingLocks() {
@@ -442,12 +453,13 @@ func (r *dealRun) run(name string) *Result {
 		}
 	}
 	return &Result{
-		Protocol: name,
-		Outcome:  r.outcome,
-		Trace:    r.tr,
-		Book:     r.book,
-		Stats:    r.net.Stats(),
-		Duration: r.eng.Now(),
+		Protocol:    name,
+		Outcome:     r.outcome,
+		Trace:       r.tr,
+		Book:        r.book,
+		Stats:       r.net.Stats(),
+		Duration:    r.eng.Now(),
+		EventsFired: fired,
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -507,19 +508,42 @@ func checkPreimage(lock, preimage []byte) bool {
 // and downstream escrow accounts).
 type Book struct {
 	ledgers map[string]*Ledger
+	order   []*Ledger // the ledgers as Add registered them
+	// chain is order's first storage, so that a book of up to eight ledgers
+	// (the usual chains) is still two allocations: itself and its map.
+	chain [8]*Ledger
 }
 
 // NewBook creates an empty ledger collection.
-func NewBook() *Book { return &Book{ledgers: map[string]*Ledger{}} }
+func NewBook() *Book {
+	b := &Book{ledgers: map[string]*Ledger{}}
+	b.order = b.chain[:0]
+	return b
+}
 
 // Reset forgets every registered ledger, keeping the book's storage.
-func (b *Book) Reset() { clear(b.ledgers) }
+func (b *Book) Reset() {
+	clear(b.ledgers)
+	clear(b.order)
+	b.order = b.order[:0]
+}
 
-// Add registers a ledger; it returns the ledger for chaining.
+// Add registers a ledger; it returns the ledger for chaining. Registering a
+// name again replaces the ledger that held it, in that ledger's place.
 func (b *Book) Add(l *Ledger) *Ledger {
-	b.ledgers[l.Name()] = l
+	b.ledgers[l.name] = l
+	if len(b.ledgers) > len(b.order) {
+		b.order = append(b.order, l)
+	} else {
+		b.order[slices.IndexFunc(b.order, func(o *Ledger) bool { return o.name == l.name })] = l
+	}
 	return l
 }
+
+// Ledgers returns the ledgers in the order they were registered — on a
+// payment chain e_0..e_{N-1} — which, unlike Names, costs nothing to ask for.
+// Callers must not modify the slice.
+func (b *Book) Ledgers() []*Ledger { return b.order }
 
 // Get returns the ledger with the given name.
 func (b *Book) Get(name string) (*Ledger, bool) {
@@ -577,6 +601,21 @@ func (b *Book) TotalOps() int {
 		total += l.opCount
 	}
 	return total
+}
+
+// CountOps returns how many retained operations of the given kind the book's
+// ledgers logged: the locks, releases and refunds of a run are ledger
+// operations, whether or not a trace recorded them.
+func (b *Book) CountOps(kind OpKind) int {
+	n := 0
+	for _, l := range b.order {
+		for i := range l.ops {
+			if l.ops[i].Kind == kind {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // SnapshotWealth captures every participant's total wealth across ledgers.

@@ -196,11 +196,26 @@ func TestBook(t *testing.T) {
 	if b.TotalOps() != 2 {
 		t.Fatalf("TotalOps %d", b.TotalOps())
 	}
+	if got := b.Ledgers(); len(got) != 2 || got[0] != l0 || got[1] != l1 {
+		t.Fatalf("Ledgers %v, want the two in registration order", got)
+	}
+	again := New("e0")
+	b.Add(again)
+	if got := b.Ledgers(); len(got) != 2 || got[0] != again || got[1] != l1 {
+		t.Fatalf("Ledgers %v after e0 was registered again, want it in e0's place", got)
+	}
+	b.Add(l0)
+	if _, err := l1.CreateLock(1, "k", "alice", "alice", 5, Condition{}); err != nil {
+		t.Fatal(err)
+	}
+	if mints, locks, refunds := b.CountOps(OpMint), b.CountOps(OpLock), b.CountOps(OpRefund); mints != 2 || locks != 1 || refunds != 0 {
+		t.Fatalf("CountOps: %d mints, %d locks, %d refunds", mints, locks, refunds)
+	}
 	if err := b.AuditAll(); err != nil {
 		t.Fatal(err)
 	}
 	snap := b.SnapshotWealth()
-	if snap["alice"] != 120 {
+	if snap["alice"] != 115 {
 		t.Fatalf("snapshot %v", snap)
 	}
 	defer func() {

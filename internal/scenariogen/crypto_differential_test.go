@@ -11,7 +11,7 @@ import (
 
 // The authentication backend realises a primitive the paper's model assumes,
 // so NO observable of a run may depend on it: not a verdict, not a
-// settlement trace, not an audit. This is the backend-differential oracle:
+// settlement, not an audit. This is the backend-differential oracle:
 // every generated scenario, executed under ed25519 and under hmac, must
 // produce identical outcomes. A divergence means a protocol smuggled
 // backend-specific bytes into a decision — a bug by construction.
@@ -38,11 +38,11 @@ func runBackendPair(t *testing.T, sp Spec) {
 		t.Errorf("seed %d: outcome flags diverge (theorem2 %v/%v, bobPaid %v/%v)",
 			sp.Seed, oe.Theorem2, oh.Theorem2, oe.BobPaid, oh.BobPaid)
 	}
-	// Run fingerprint: same virtual duration, same fired events, same trace
-	// length — the backend changed CPU cycles only, never the schedule.
-	if oe.Duration != oh.Duration || oe.Events != oh.Events || oe.TraceLen != oh.TraceLen {
-		t.Errorf("seed %d: fingerprints diverge: duration %v/%v events %d/%d trace %d/%d",
-			sp.Seed, oe.Duration, oh.Duration, oe.Events, oh.Events, oe.TraceLen, oh.TraceLen)
+	// Run fingerprint: same virtual duration, same fired events, same messages,
+	// same ledger logs — the backend changed CPU cycles only, never the schedule.
+	if oe.Duration != oh.Duration || oe.Fingerprint != oh.Fingerprint || oe.TrafficPayments != oh.TrafficPayments {
+		t.Errorf("seed %d: fingerprints diverge: duration %v/%v fingerprint %+v/%+v payments %d/%d",
+			sp.Seed, oe.Duration, oh.Duration, oe.Fingerprint, oh.Fingerprint, oe.TrafficPayments, oh.TrafficPayments)
 	}
 	if sp.isDeal() || sp.Family == FamTraffic {
 		// Deal and traffic runs have no single core.Protocol to re-run raw;
@@ -51,8 +51,8 @@ func runBackendPair(t *testing.T, sp Spec) {
 	}
 
 	// For payment families, additionally compare the raw runs: every
-	// Definition-1/2 verdict, the settlement trace (value movements in
-	// order) and the per-escrow audits must be byte-identical.
+	// Definition-1/2 verdict, the settlements (value movements in order, as
+	// the ledgers logged them) and the per-escrow audits must be identical.
 	sE, err := spE.Scenario()
 	if err != nil {
 		t.Fatalf("seed %d: %v", sp.Seed, err)
@@ -85,8 +85,8 @@ func runBackendPair(t *testing.T, sp Spec) {
 					sp.Seed, protosE[i].Name(), p, vE.Applicable, vE.Holds, vH.Applicable, vH.Holds)
 			}
 		}
-		if tE, tH := settlementTrace(rE.Trace), settlementTrace(rH.Trace); !reflect.DeepEqual(tE, tH) {
-			t.Errorf("seed %d %s: settlement traces diverge:\n  ed25519 %v\n  hmac    %v", sp.Seed, protosE[i].Name(), tE, tH)
+		if d := settlementDivergence(opLogs(nil, rE.Book), opLogs(nil, rH.Book)); d != "" {
+			t.Errorf("seed %d %s: ed25519 vs hmac: %s", sp.Seed, protosE[i].Name(), d)
 		}
 		for _, id := range rE.Scenario.Topology.Escrows() {
 			aE, aH := rE.Escrows[id].AuditErr, rH.Escrows[id].AuditErr
@@ -100,7 +100,7 @@ func runBackendPair(t *testing.T, sp Spec) {
 // TestBackendDifferential120Scenarios is the committed regression of the
 // tentpole's invariant: 120 generated scenarios (every family, conforming
 // and envelope-violating classes) agree across backends on verdicts,
-// settlement traces and audits.
+// settlements and audits.
 func TestBackendDifferential120Scenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("backend differential sweep is not short")

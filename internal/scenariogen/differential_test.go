@@ -2,10 +2,13 @@ package scenariogen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/sim"
 )
 
@@ -74,5 +77,66 @@ func TestAdversaryBehaviourNamesResolve(t *testing.T) {
 	}
 	if _, ok := adversary.ParseBehaviour("no-such-behaviour"); ok {
 		t.Error("ParseBehaviour accepted an unknown name")
+	}
+}
+
+// TestSettlementDifferentialIsNotVacuous perturbs one engine's ledger logs —
+// an operation dropped, two reordered, one re-amounted, one re-addressed —
+// and requires the differential oracle to object each time: comparing ledger
+// operations instead of trace events lost none of its teeth.
+func TestSettlementDifferentialIsNotVacuous(t *testing.T) {
+	sp := baseSpec(FamDifferential)
+	s, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos, err := sp.Protocols()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs [2][][]ledger.Op
+	var reports [2]check.Report
+	for i, p := range protos {
+		res, err := p.Run(s.Muted())
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = opLogs(nil, res.Book)
+		reports[i] = check.Evaluate(res, sp.checkOptions(sp.Class(), protos[0], s))
+	}
+	differs := func(procLogs [][]ledger.Op) bool {
+		out := &Outcome{}
+		judgeDifferential(out, reports, procLogs, logs[1])
+		for _, v := range out.Violations {
+			if v.Kind != KindDifferential {
+				t.Fatalf("unexpected violation %s", v)
+			}
+		}
+		return len(out.Violations) > 0
+	}
+	if differs(logs[0]) {
+		t.Fatal("the engines disagree on the unperturbed scenario")
+	}
+	// On an honest chain ledger 1's log is two mints, a lock and its release.
+	const led = 1
+	lock := slices.IndexFunc(logs[0][led], func(op ledger.Op) bool { return op.Kind == ledger.OpLock })
+	if lock < 0 || lock+1 >= len(logs[0][led]) || logs[0][led][lock+1].Kind != ledger.OpRelease {
+		t.Fatalf("ledger %d logged %v, want a lock followed by its release", led, logs[0][led])
+	}
+	perturbations := []struct {
+		name    string
+		perturb func(log []ledger.Op) []ledger.Op
+	}{
+		{"drop", func(log []ledger.Op) []ledger.Op { return slices.Delete(log, lock, lock+1) }},
+		{"reorder", func(log []ledger.Op) []ledger.Op { log[lock], log[lock+1] = log[lock+1], log[lock]; return log }},
+		{"re-amount", func(log []ledger.Op) []ledger.Op { log[lock].Amount++; return log }},
+		{"re-address", func(log []ledger.Op) []ledger.Op { log[lock+1].To = log[lock+1].From; return log }},
+	}
+	for _, p := range perturbations {
+		procLogs := slices.Clone(logs[0])
+		procLogs[led] = p.perturb(slices.Clone(procLogs[led]))
+		if !differs(procLogs) {
+			t.Errorf("%s: the oracle accepted %v against %v", p.name, procLogs[led], logs[1][led])
+		}
 	}
 }

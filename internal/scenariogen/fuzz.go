@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Options configures a fuzzing campaign.
@@ -96,9 +97,10 @@ func (s *Stats) String() string {
 
 // Fuzz runs a campaign: Generate each seed, run its oracle, aggregate. The
 // aggregation is deterministic in (Options) regardless of Workers. Each
-// worker judges its seeds on one standing pair of worlds — a world is reset,
-// not rebuilt, between scenarios — and a scenario that panics costs the
-// campaign that seed, not the run.
+// worker draws its specs from one standing generator, reseeded per seed, and
+// judges them on one standing pair of worlds — a world is reset, not
+// rebuilt, between scenarios — and a scenario that panics costs the campaign
+// that seed, not the run.
 func Fuzz(opts Options) *Stats {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 1
@@ -115,8 +117,9 @@ func Fuzz(opts Options) *Stats {
 		go func() {
 			defer wg.Done()
 			var ws worlds
+			rng := sim.NewRand(0)
 			for i := next.Add(1) - 1; i < int64(opts.Seeds); i = next.Add(1) - 1 {
-				sp := Generate(opts.StartSeed + i)
+				sp := generate(rng, opts.StartSeed+i)
 				if opts.Crypto != "" {
 					sp.Crypto = opts.Crypto
 				}

@@ -21,8 +21,15 @@ import (
 // raw partial synchrony, impatient weak-liveness runs), where the safety
 // oracle still applies but liveness and termination failures are the
 // expected, Theorem-2-shaped outcome.
-func Generate(seed int64) Spec {
-	rng := sim.NewRand(seed)
+func Generate(seed int64) Spec { return generate(sim.NewRand(seed), seed) }
+
+// generate is Generate drawing from a generator its caller keeps: reseeding
+// the lazily materialised register is O(1), building one is 5 KB, so a Fuzz
+// worker reseeds one generator per seed instead of allocating one. The spec
+// depends on the seed alone, never on what rng drew before
+// (TestFuzzStandingWorldEquivalence).
+func generate(rng *rand.Rand, seed int64) Spec {
+	rng.Seed(seed)
 	shape := pickShape(rng)
 	sp := Spec{
 		Seed:       seed,

@@ -11,14 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMuteEquivalence is the oracle of trace muting: for every payment
-// family, on an honest chain, with every adversary behaviour on connector c1,
-// on escrow e0 and on Bob (whose forgery is what makes an escrow report a
-// detection), and under partial synchrony, on both crypto backends, the
-// muted run computes what the unmuted run computes — the same RunResult in
-// every field but the trace itself, and the same verdicts down to their
-// Detail. Muting is a retention choice, never an input; C in particular is
-// judged from the run's own record, not from trace events.
+// TestMuteEquivalence is the oracle of trace muting, which is how the fuzzer
+// runs every scenario: for every payment family, on an honest chain, with
+// every adversary behaviour on connector c1, on escrow e0 and on Bob (whose
+// forgery is what makes an escrow report a detection), and under partial
+// synchrony, on both crypto backends, the muted run computes what the unmuted
+// run computes — the same RunResult in every field but the trace itself, the
+// same verdicts down to their Detail, and the same Fingerprint. Muting is a
+// retention choice, never an input; C in particular is judged from the run's
+// own record, not from trace events. The deal families hold the same through
+// deals.Config.MuteTrace.
 func TestMuteEquivalence(t *testing.T) {
 	type variant struct {
 		name   string
@@ -82,8 +84,68 @@ func TestMuteEquivalence(t *testing.T) {
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("%s: results differ\n--- muted\n%+v\n--- traced\n%+v", name, b, a)
 					}
+					sameFingerprint(t, name,
+						fingerprint(traced.EventsFired, traced.NetStats, traced.Book),
+						fingerprint(muted.EventsFired, muted.NetStats, muted.Book))
 				}
 			}
 		})
+	}
+
+	dealVariants := []variant{
+		{name: "all compliant", net: NetworkSpec{Kind: NetSynchronous}},
+		{name: "partial synchrony", net: NetworkSpec{Kind: NetPartial, GST: 2 * sim.Second, MaxPreGST: 3 * sim.Second}},
+		{name: "p1 deviates", faults: map[string]string{dealPartyID(1): string(adversary.Silent)}, net: NetworkSpec{Kind: NetSynchronous}},
+		{name: "p0 and p2 deviate under partial synchrony",
+			faults: map[string]string{dealPartyID(0): string(adversary.Silent), dealPartyID(2): string(adversary.Silent)},
+			net:    NetworkSpec{Kind: NetPartial, GST: sim.Second, MaxPreGST: 2 * sim.Second}},
+	}
+	for _, fam := range []Family{FamDealTimelock, FamDealCertified} {
+		t.Run(string(fam), func(t *testing.T) {
+			t.Parallel()
+			for _, crypto := range []string{"hmac", "ed25519"} {
+				for _, v := range dealVariants {
+					sp := Spec{
+						Seed: 7, Family: fam, N: n, Base: 1000, Commission: 10,
+						Timing: TimingSpec{Delta: 50 * sim.Millisecond, Processing: sim.Millisecond, Rho: 1e-4, Offset: 5 * sim.Millisecond},
+						Net:    v.net, Faults: v.faults, Crypto: crypto,
+					}
+					cfg, err := sp.DealConfig()
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s %s", crypto, v.name)
+					traced, err := sp.dealProtocol()(core.NewWorld(), cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					cfg.MuteTrace = true
+					muted, err := sp.dealProtocol()(core.NewWorld(), cfg)
+					if err != nil {
+						t.Fatalf("%s muted: %v", name, err)
+					}
+					if traced.Trace.Len() == 0 || muted.Trace.Len() != 0 {
+						t.Fatalf("%s: traced run kept %d events, muted run %d", name, traced.Trace.Len(), muted.Trace.Len())
+					}
+					a, b := *traced, *muted
+					a.Trace, b.Trace = nil, nil
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s: results differ\n--- muted\n%+v\n--- traced\n%+v", name, b, a)
+					}
+					sameFingerprint(t, name,
+						fingerprint(traced.EventsFired, traced.Stats, traced.Book),
+						fingerprint(muted.EventsFired, muted.Stats, muted.Book))
+				}
+			}
+		})
+	}
+}
+
+// sameFingerprint requires a recorded and a muted run to agree on a
+// fingerprint that saw something of the run.
+func sameFingerprint(t *testing.T, name string, traced, muted Fingerprint) {
+	t.Helper()
+	if traced != muted || muted.Events == 0 || muted.Ledger == 0 {
+		t.Fatalf("%s: fingerprints %+v (traced) and %+v (muted) differ or are empty", name, traced, muted)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/deals"
+	"repro/internal/ledger"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/timelock"
 	"repro/internal/trace"
@@ -31,7 +33,8 @@ const (
 	// KindProperty: a property owed under the spec's class failed.
 	KindProperty ViolationKind = "property"
 	// KindDifferential: the process and ANTA engines disagreed on a verdict
-	// or on the settlement trace of the same scenario.
+	// or on the settlements (the value-moving ledger operations) of the same
+	// scenario.
 	KindDifferential ViolationKind = "differential"
 	// KindDeterminism: two runs of the same spec diverged.
 	KindDeterminism ViolationKind = "determinism"
@@ -83,18 +86,66 @@ type Outcome struct {
 	Theorem2 bool     `json:"theorem2,omitempty"`
 	BobPaid  bool     `json:"bobPaid,omitempty"`
 	Duration sim.Time `json:"duration,omitempty"`
-	// Events and TraceLen fingerprint the run (fired simulation events and
-	// recorded trace length; message count for deal runs; total event count
-	// and population size for traffic runs) so determinism comparisons catch
-	// drift that leaves duration and outcome unchanged.
-	Events   uint64 `json:"events,omitempty"`
-	TraceLen int    `json:"traceLen,omitempty"`
-	// TrafficFaulted and TrafficFailed summarise a traffic run's attack
-	// footprint: payments whose sub-scenario contained a Byzantine
-	// participant, and payments that were admitted but failed. A griefing
-	// counterexample is a run with both positive and zero Violations.
-	TrafficFaulted int `json:"trafficFaulted,omitempty"`
-	TrafficFailed  int `json:"trafficFailed,omitempty"`
+	Fingerprint
+	// TrafficPayments, TrafficFaulted and TrafficFailed summarise a traffic
+	// run: the population size, and its attack footprint — payments whose
+	// sub-scenario contained a Byzantine participant, and payments that were
+	// admitted but failed. A griefing counterexample is a run with the last
+	// two positive and zero Violations.
+	TrafficPayments int `json:"trafficPayments,omitempty"`
+	TrafficFaulted  int `json:"trafficFaulted,omitempty"`
+	TrafficFailed   int `json:"trafficFailed,omitempty"`
+}
+
+// Fingerprint is what two runs of one spec must agree on besides duration and
+// outcome, so determinism comparisons catch drift that leaves those
+// unchanged. It is made of what a muted run keeps: the simulation events
+// fired (for a traffic run, over the sub-runs and the timeline), the messages
+// sent and delivered, and a digest of the ledgers' operation logs (a traffic
+// run, which compares its reruns' whole Results, leaves the last three zero).
+type Fingerprint struct {
+	Events    uint64 `json:"events,omitempty"`
+	Sent      uint64 `json:"sent,omitempty"`
+	Delivered uint64 `json:"delivered,omitempty"`
+	Ledger    uint64 `json:"ledger,omitempty"`
+}
+
+func fingerprint(events uint64, net netsim.Stats, book *ledger.Book) Fingerprint {
+	return Fingerprint{Events: events, Sent: net.Sent, Delivered: net.Delivered, Ledger: ledgerDigest(book)}
+}
+
+// ledgerDigest folds every ledger's operation log — kind, from, to, amount
+// and time of each operation, ledger by ledger in the book's order — into 64
+// bits (FNV-1a). The ledgers keep their logs muted or not, and every lock,
+// release and refund a trace would show is one of these operations.
+func ledgerDigest(book *ledger.Book) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ v&0xff) * prime64
+			v >>= 8
+		}
+	}
+	str := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime64
+		}
+		word(uint64(len(s)))
+	}
+	for _, l := range book.Ledgers() {
+		ops := l.Ops()
+		word(uint64(len(ops)))
+		for i := range ops {
+			op := &ops[i]
+			str(string(op.Kind))
+			str(op.From)
+			str(op.To)
+			word(uint64(op.Amount))
+			word(uint64(op.At))
+		}
+	}
+	return h
 }
 
 // OK reports whether the run honoured every owed invariant.
@@ -158,6 +209,47 @@ func (ws *worlds) world(i int) *core.World {
 // replay file that stopped validating is itself a regression).
 func Run(sp Spec) *Outcome { return runOn(sp, &worlds{}) }
 
+// Trace runs the spec's primary protocol (the process engine of a
+// differential pair) once more on a world of its own, recording, and returns
+// the trace. Run judges muted; a run is a pure function of its spec, so this
+// is the run Run judged, with the transcript a human debugging it wants. A
+// traffic population has no one trace, and a scenario that cannot run (or
+// panics) has none either: both are errors.
+func Trace(sp Spec) (tr *trace.Trace, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tr, err = nil, fmt.Errorf("scenariogen: seed %d panicked: %v", sp.Seed, r)
+		}
+	}()
+	switch {
+	case sp.Family == FamTraffic:
+		return nil, fmt.Errorf("scenariogen: a traffic population has no single trace")
+	case sp.isDeal():
+		cfg, err := sp.DealConfig()
+		if err != nil {
+			return nil, err
+		}
+		res, err := sp.dealProtocol()(core.NewWorld(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		return res.Trace, nil
+	}
+	s, err := sp.Scenario()
+	if err != nil {
+		return nil, err
+	}
+	protos, err := sp.Protocols()
+	if err != nil {
+		return nil, err
+	}
+	res, err := protos[0].Run(s)
+	if err != nil {
+		return nil, err
+	}
+	return res.Trace, nil
+}
+
 // runOn is Run on the caller's standing worlds: what a world ran before
 // never reaches an Outcome (TestFuzzStandingWorldEquivalence).
 func runOn(sp Spec, ws *worlds) *Outcome {
@@ -200,7 +292,7 @@ func runTraffic(sp Spec, out *Outcome) {
 	out.BobPaid = res.Succeeded > 0
 	out.Duration = res.Makespan
 	out.Events = res.SubEventsFired + res.TimelineEvents
-	out.TraceLen = res.Total
+	out.TrafficPayments = res.Total
 	out.TrafficFaulted = res.FaultedPayments
 	out.TrafficFailed = res.Failed + res.Dropped + res.Rejected + res.Errored
 
@@ -283,13 +375,15 @@ func checkCheckpoint(s core.Scenario, w traffic.Workload, want string, at int, o
 }
 
 // runPayment executes and judges a payment-family spec: protocol i runs on
-// world i (a differential spec has two, every other family one).
+// world i (a differential spec has two, every other family one). The runs are
+// muted: no oracle reads a trace (Trace reruns a spec recorded, for a human).
 func runPayment(sp Spec, out *Outcome, ws *worlds) {
 	s, err := sp.Scenario()
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
+	s = s.Muted()
 	protos, err := sp.Protocols()
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
@@ -311,12 +405,12 @@ func runPayment(sp Spec, out *Outcome, ws *worlds) {
 	out.Protocol = primary.Protocol
 	out.BobPaid = primary.BobPaid
 	out.Duration = primary.Duration
-	out.Events = primary.EventsFired
-	out.TraceLen = primary.Trace.Len()
+	out.Fingerprint = fingerprint(primary.EventsFired, primary.NetStats, primary.Book)
 
 	judgeReport(sp, out, protos[0].Guarantee(), rep, primary.Duration)
 	if sp.Family == FamDifferential {
-		judgeDifferential(out, results, reports)
+		var pl, al [maxChain][]ledger.Op
+		judgeDifferential(out, reports, opLogs(pl[:0], results[0].Book), opLogs(al[:0], results[1].Book))
 	}
 	if sp.wantDeterminism() {
 		// The ANTA side, if there was one, has been judged: its world is free.
@@ -325,11 +419,10 @@ func runPayment(sp Spec, out *Outcome, ws *worlds) {
 			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
 			return
 		}
-		if q.Duration != primary.Duration || q.EventsFired != primary.EventsFired ||
-			q.BobPaid != primary.BobPaid || q.Trace.Len() != primary.Trace.Len() {
+		if fp := fingerprint(q.EventsFired, q.NetStats, q.Book); q.Duration != primary.Duration || q.BobPaid != primary.BobPaid || fp != out.Fingerprint {
 			out.Violations = append(out.Violations, Violation{
 				Kind:   KindDeterminism,
-				Detail: fmt.Sprintf("rerun diverged: duration %v vs %v, events %d vs %d", primary.Duration, q.Duration, primary.EventsFired, q.EventsFired),
+				Detail: fmt.Sprintf("rerun diverged: duration %v vs %v, fingerprint %+v vs %+v", primary.Duration, q.Duration, out.Fingerprint, fp),
 			})
 		}
 	}
@@ -369,25 +462,11 @@ func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep check.Report, dura
 	out.Theorem2 = out.Class == ClassViolating && g.Theorem == core.Theorem1 && len(out.ExpectedFailures) > 0
 }
 
-// settlementTrace projects a trace onto its value-moving events (lock,
-// release, refund, transfer). The process and ANTA engines differ in
-// internal state bookkeeping by design, but on scenarios in the differential
-// domain they must settle the same money the same way in the same order.
-func settlementTrace(tr *trace.Trace) []string {
-	var out []string
-	for _, e := range tr.Events() {
-		switch e.Kind {
-		case trace.KindLock, trace.KindRelease, trace.KindRefund, trace.KindTransfer:
-			out = append(out, fmt.Sprintf("%s|%s|%s|%d", e.Kind, e.Actor, e.Peer, e.Value))
-		}
-	}
-	return out
-}
-
 // judgeDifferential compares the process-engine and ANTA-engine runs of the
-// same scenario: every Definition-1 verdict and the settlement trace must be
-// identical. Divergence means one engine drifted from Figure 2.
-func judgeDifferential(out *Outcome, results [2]*core.RunResult, reports [2]check.Report) {
+// same scenario, by their reports and their ledgers' operation logs: every
+// Definition-1 verdict and the settlements must be identical. Divergence
+// means one engine drifted from Figure 2.
+func judgeDifferential(out *Outcome, reports [2]check.Report, procLogs, antaLogs [][]ledger.Op) {
 	proc, anta := reports[0], reports[1]
 	for _, p := range core.AllProperties() {
 		vp, okP := proc.Lookup(p)
@@ -401,23 +480,85 @@ func judgeDifferential(out *Outcome, results [2]*core.RunResult, reports [2]chec
 			})
 		}
 	}
-	pt, at := settlementTrace(results[0].Trace), settlementTrace(results[1].Trace)
-	if len(pt) != len(at) {
-		out.Violations = append(out.Violations, Violation{
-			Kind:   KindDifferential,
-			Detail: fmt.Sprintf("settlement traces differ in length: process %d vs anta %d (%v vs %v)", len(pt), len(at), pt, at),
-		})
-		return
+	if d := settlementDivergence(procLogs, antaLogs); d != "" {
+		out.Violations = append(out.Violations, Violation{Kind: KindDifferential, Detail: "process vs anta: " + d})
 	}
-	for i := range pt {
-		if pt[i] != at[i] {
-			out.Violations = append(out.Violations, Violation{
-				Kind:   KindDifferential,
-				Detail: fmt.Sprintf("settlement traces diverge at %d: process %q vs anta %q", i, pt[i], at[i]),
-			})
-			return
+}
+
+// opLogs appends the operation log of each of the book's ledgers, in the
+// book's order, to logs.
+func opLogs(logs [][]ledger.Op, book *ledger.Book) [][]ledger.Op {
+	for _, l := range book.Ledgers() {
+		logs = append(logs, l.Ops())
+	}
+	return logs
+}
+
+// settlementWalk yields the value-moving operations (lock, release, refund,
+// transfer — everything but the endowments' mints) of one run's ledger logs,
+// merged across ledgers by time, then ledger index, then sequence number.
+// Every lock, release or refund event of a recorded trace is the echo of
+// exactly one of them.
+type settlementWalk struct {
+	logs [][]ledger.Op
+	next [maxChain]int // next[i] indexes logs[i]; Spec.Validate bounds the chain
+}
+
+// step returns the next operation and the index of its ledger, nil at the
+// end. A log is in time order, so the merge only compares the logs' heads,
+// and a strict comparison leaves equal times to the lower ledger index.
+func (w *settlementWalk) step() (*ledger.Op, int) {
+	best := -1
+	for i, log := range w.logs {
+		p := w.next[i]
+		for p < len(log) && log[p].Kind == ledger.OpMint {
+			p++
+		}
+		w.next[i] = p
+		if p < len(log) && (best < 0 || log[p].At < w.logs[best][w.next[best]].At) {
+			best = i
 		}
 	}
+	if best < 0 {
+		return nil, -1
+	}
+	op := &w.logs[best][w.next[best]]
+	w.next[best]++
+	return op, best
+}
+
+// settlementDivergence compares two runs of one scenario by their ledgers'
+// operation logs: the engines differ in internal state bookkeeping by design,
+// but they must settle the same money between the same parties on the same
+// ledgers in the same order. It returns "" when they do and describes the
+// first step at which they do not; nothing is built while the runs agree.
+func settlementDivergence(a, b [][]ledger.Op) string {
+	wa, wb := settlementWalk{logs: a}, settlementWalk{logs: b}
+	for i := 0; ; i++ {
+		oa, la := wa.step()
+		ob, lb := wb.step()
+		if oa == nil && ob == nil {
+			return ""
+		}
+		if oa == nil || ob == nil || la != lb || oa.Kind != ob.Kind || oa.From != ob.From || oa.To != ob.To || oa.Amount != ob.Amount {
+			return fmt.Sprintf("settlements diverge at step %d: %s vs %s", i, describeSettlement(oa, la), describeSettlement(ob, lb))
+		}
+	}
+}
+
+func describeSettlement(op *ledger.Op, led int) string {
+	if op == nil {
+		return "nothing"
+	}
+	return fmt.Sprintf("%s|ledger %d|%s|%s|%d", op.Kind, led, op.From, op.To, op.Amount)
+}
+
+// dealProtocol returns the RunIn of the deal protocol a deal-family spec runs.
+func (sp Spec) dealProtocol() func(*core.World, deals.Config) (*deals.Result, error) {
+	if sp.Family == FamDealCertified {
+		return deals.CertifiedCommit{}.RunIn
+	}
+	return deals.TimelockCommit{}.RunIn
 }
 
 // runDeal executes and judges a deal-family spec against Herlihy et al.'s
@@ -429,10 +570,8 @@ func runDeal(sp Spec, out *Outcome, ws *worlds) {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
-	run := deals.TimelockCommit{}.RunIn
-	if sp.Family == FamDealCertified {
-		run = deals.CertifiedCommit{}.RunIn
-	}
+	cfg.MuteTrace = true
+	run := sp.dealProtocol()
 	res, err := run(ws.world(0), cfg)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
@@ -440,8 +579,7 @@ func runDeal(sp Spec, out *Outcome, ws *worlds) {
 	}
 	out.Protocol = res.Protocol
 	out.Duration = res.Duration
-	out.Events = res.Stats.Sent
-	out.TraceLen = res.Trace.Len()
+	out.Fingerprint = fingerprint(res.EventsFired, res.Stats, res.Book)
 	o := res.Outcome
 	out.BobPaid = o.AllTransferred()
 	if !o.SafetyHolds() {
@@ -466,8 +604,11 @@ func runDeal(sp Spec, out *Outcome, ws *worlds) {
 			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
 			return
 		}
-		if q.Duration != res.Duration || q.Stats.Sent != res.Stats.Sent {
-			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "deal rerun diverged"})
+		if fp := fingerprint(q.EventsFired, q.Stats, q.Book); q.Duration != res.Duration || fp != out.Fingerprint {
+			out.Violations = append(out.Violations, Violation{
+				Kind:   KindDeterminism,
+				Detail: fmt.Sprintf("deal rerun diverged: duration %v vs %v, fingerprint %+v vs %+v", res.Duration, q.Duration, out.Fingerprint, fp),
+			})
 		}
 	}
 }

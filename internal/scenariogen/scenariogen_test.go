@@ -294,8 +294,8 @@ func TestOracleTrafficHonestConforming(t *testing.T) {
 	if !out.OK() {
 		t.Fatalf("honest traffic violated the aggregate oracle: %v", out.Violations)
 	}
-	if out.Protocol != "traffic" || !out.BobPaid || out.TraceLen != 60 {
-		t.Fatalf("traffic fingerprint wrong: protocol=%q bobPaid=%v traceLen=%d", out.Protocol, out.BobPaid, out.TraceLen)
+	if out.Protocol != "traffic" || !out.BobPaid || out.TrafficPayments != 60 {
+		t.Fatalf("traffic summary wrong: protocol=%q bobPaid=%v payments=%d", out.Protocol, out.BobPaid, out.TrafficPayments)
 	}
 	if out.TrafficFaulted != 0 || out.TrafficFailed != 0 {
 		t.Fatalf("honest traffic reported attack footprint: faulted=%d failed=%d", out.TrafficFaulted, out.TrafficFailed)

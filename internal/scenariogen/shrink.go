@@ -55,12 +55,14 @@ type ShrinkResult struct {
 // schedule. Each accepted candidate strictly reduces the scenario's size
 // measure, so the loop terminates; maxTries bounds the total number of runs
 // (0 means a generous default). The spec passed in must already satisfy keep
-// (its outcome is recomputed as the baseline).
+// (its outcome is recomputed as the baseline). Every candidate is judged on
+// one standing pair of worlds.
 func Shrink(sp Spec, keep Keep, maxTries int) ShrinkResult {
 	if maxTries <= 0 {
 		maxTries = 400
 	}
-	res := ShrinkResult{Spec: sp, Outcome: Run(sp)}
+	ws := &worlds{}
+	res := ShrinkResult{Spec: sp, Outcome: runOn(sp, ws)}
 	if !keep(res.Outcome) {
 		return res
 	}
@@ -74,7 +76,7 @@ func Shrink(sp Spec, keep Keep, maxTries int) ShrinkResult {
 				continue
 			}
 			res.Tried++
-			out := Run(cand)
+			out := runOn(cand, ws)
 			if keep(out) {
 				res.Spec, res.Outcome = cand, out
 				res.Accepted++

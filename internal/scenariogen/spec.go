@@ -372,6 +372,17 @@ func (sp Spec) network() netsim.DelayModel {
 	}
 }
 
+// campaignKeySeed is the key seed every materialised scenario and deal
+// configuration runs under. Authentication is a primitive the model assumes:
+// no control flow reads a key's bytes, so which seed they derive from is, like
+// the backend, invisible to every verdict (TestBackendDifferential120Scenarios
+// holds outcomes equal across whole backends). One seed for all specs means a
+// standing world's keyring keeps its keys and bound signers from scenario to
+// scenario, and the process-wide key cache holds one entry per participant
+// name instead of one per participant per seed. The constant is part of the
+// Spec -> Scenario mapping, so Run stays a pure function of the spec.
+const campaignKeySeed = "scenariogen"
+
 // Scenario materialises the core scenario for a payment-family spec.
 func (sp Spec) Scenario() (core.Scenario, error) {
 	if err := sp.Validate(); err != nil {
@@ -384,6 +395,7 @@ func (sp Spec) Scenario() (core.Scenario, error) {
 		WithPayment(sp.Base, sp.Commission).
 		WithTiming(sp.Timing.Timing()).
 		WithCrypto(sp.Crypto)
+	s.KeySeed = campaignKeySeed
 	s = s.WithNetwork(sp.network())
 	for _, id := range sortedKeys(sp.Faults) {
 		b, _ := adversary.ParseBehaviour(sp.Faults[id])
@@ -467,6 +479,7 @@ func (sp Spec) DealConfig() (deals.Config, error) {
 		Network: sp.network(),
 		Seed:    sp.Seed,
 		Crypto:  sp.Crypto,
+		KeySeed: campaignKeySeed,
 	}
 	nc := map[string]bool{}
 	for id := range sp.Faults {

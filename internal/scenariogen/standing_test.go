@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // nonTraffic is every family the fuzzer runs on standing worlds.
@@ -23,9 +27,10 @@ func nonTraffic() []Family {
 // worlds: the Outcome of a scenario judged on a pair of worlds that has
 // judged anything before — in seed order and in a shuffled order, so every
 // family follows every other, on alternating backends — is JSON-byte-equal
-// to Run's on worlds of its own; and a campaign's Stats do not depend on how
-// many workers (hence pairs) it ran on. CI runs it under the race detector
-// at GOMAXPROCS=4: a world belongs to one worker.
+// to Run's on worlds of its own; the spec a standing generator draws for a
+// seed, whatever it drew before, is Generate's; and a campaign's Stats do not
+// depend on how many workers (hence pairs and generators) it ran on. CI runs
+// it under the race detector at GOMAXPROCS=4: a world belongs to one worker.
 func TestFuzzStandingWorldEquivalence(t *testing.T) {
 	seeds := 2000
 	if testing.Short() {
@@ -33,6 +38,12 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 	}
 	var specs []Spec
 	families := map[Family]int{}
+	rng := sim.NewRand(0)
+	for _, seed := range rand.New(rand.NewSource(21)).Perm(seeds) {
+		if got, want := generate(rng, int64(seed)), Generate(int64(seed)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: the standing generator drew\n%s\nGenerate\n%s", seed, got.MarshalIndent(), want.MarshalIndent())
+		}
+	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		sp := Generate(seed)
 		if sp.Family == FamTraffic {
@@ -89,41 +100,37 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 	t.Logf("%d scenarios judged three times; campaign of %d seeds on 1 and 4 workers", len(specs), seeds)
 }
 
-// fuzzAllocBudget is the allocations one scenario of the hmac campaign may
-// cost on warm standing worlds, generation and oracle included. Measured at
-// 228 when the protocol processes, their messages and the signatures moved
-// onto the worlds (240 under the race detector; 258 before), plus 10 %; what
-// is left is mostly the ANTA automata, per-scenario key derivation, the
-// notary committees and the recorded trace's labels. A change that brings
-// back a per-scenario engine, trace, network, book, keyring or process slice
-// fails here, on any machine.
-const fuzzAllocBudget = 250
+// fuzzAllocBudget and fuzzBytesBudget are what one scenario of the hmac
+// campaign may allocate, generation, oracle and aggregation included.
+// Measured at 124 allocations and 8.8 KB when the fuzzer went muted, onto a
+// standing generator and under one campaign key seed (228 and 21 KB before);
+// what is left is mostly the ANTA automata and the notary committees. A
+// change that brings back a per-scenario engine, trace, network, book,
+// keyring, generator or process slice fails here, on any machine.
+const (
+	fuzzAllocBudget = 150
+	fuzzBytesBudget = 10_500
+)
 
-// TestFuzzScenarioAllocs pins what standing worlds buy by a number no
-// machine's speed moves.
+// TestFuzzScenarioAllocs pins what the fuzz path costs by two numbers no
+// machine's speed moves: a one-worker hmac campaign over a fixed window of
+// clean seeds, the shape of the repository benchmark's fuzz_single batches.
 func TestFuzzScenarioAllocs(t *testing.T) {
-	const start, seeds = 300_000, 500
-	ws := &worlds{}
-	scenarios := 0
-	block := func() {
-		scenarios = 0
-		for seed := int64(start); seed < start+seeds; seed++ {
-			sp := Generate(seed)
-			if sp.Family == FamTraffic {
-				continue
-			}
-			sp.Crypto = "hmac"
-			if out := runOn(sp, ws); !out.OK() {
-				t.Fatalf("seed %d: %v", seed, out.Violations)
-			}
-			scenarios++
-		}
+	opts := Options{Seeds: 2000, StartSeed: 400_000, Workers: 1, Families: nonTraffic(), Crypto: "hmac"}
+	Fuzz(opts) // fill the key cache
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := Fuzz(opts)
+	runtime.ReadMemStats(&after)
+	if !st.Clean() {
+		t.Fatalf("seeds %d..%d are not clean: %v", opts.StartSeed, opts.StartSeed+int64(opts.Seeds)-1, st.Violations[0].Violations)
 	}
-	block() // let the worlds' storage grow and the key cache fill
-	n := testing.AllocsPerRun(3, block) / float64(scenarios)
-	t.Logf("one scenario of seeds %d..%d on standing worlds: %.1f allocations", start, start+seeds-1, n)
-	if n > fuzzAllocBudget {
-		t.Fatalf("a fuzzed scenario allocates %.1f times, budget %d", n, fuzzAllocBudget)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(st.Runs)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(st.Runs)
+	t.Logf("one of %d scenarios: %.1f allocations, %.0f bytes", st.Runs, allocs, bytes)
+	if allocs > fuzzAllocBudget || bytes > fuzzBytesBudget {
+		t.Fatalf("a fuzzed scenario allocates %.1f times and %.0f bytes, budget %d and %d", allocs, bytes, fuzzAllocBudget, fuzzBytesBudget)
 	}
 }
 

@@ -187,11 +187,16 @@ func (o Options) backend() Backend {
 }
 
 // Process-wide key cache. Key derivation is a pure function of
-// (backend, seed, id), so every keyring in the process can share one cache:
-// traffic runs that build a fresh keyring per payment stop paying
-// ed25519.GenerateKey per participant per payment and pay one map lookup
-// instead. Bounded: reaching keyCacheLimit entries clears the map (cheap,
-// and correctness never depends on residency).
+// (backend, seed, id), so every keyring in the process can share one cache.
+// What it serves is a new keyring under a key seed the process has seen: a
+// Run on a world of its own (the experiment tables, the CLIs, the tests), or
+// each worker's first payment of a traffic run or fuzz campaign, all of whose
+// scenarios share one key seed — such a keyring pays one map lookup per
+// participant instead of one ed25519.GenerateKey. A standing world's keyring
+// does not come here again: Keyring.Reset keeps its keys while the seed
+// stays. Bounded: reaching keyCacheLimit entries clears the map (cheap, and
+// correctness never depends on residency); only runs that derive a key seed
+// per scenario ("seed-<n>") ever fill it.
 type keyCacheKey struct {
 	backend string
 	seed    string
@@ -262,7 +267,8 @@ func ResetKeyCache() {
 
 // Stats counts cache traffic. Keyring.Stats reports one keyring's view;
 // GlobalStats aggregates every keyring in the process (the number a traffic
-// run's CI gate watches, since traffic builds one keyring per payment).
+// run's CI gate watches: each worker's keyring is reset per payment, and the
+// counters add up over all of them).
 type Stats struct {
 	// KeygenHits/KeygenMisses count key derivations served from / missing
 	// the process-wide key cache.

@@ -1,12 +1,13 @@
 // Package trace records structured execution traces.
 //
 // Every protocol engine in this repository appends trace events as it runs.
-// A trace is an observation channel: the human-readable record of a run
-// (xchain -trace, the message and lock counts of the experiment tables) and
-// the settlement projection the scenario fuzzer's differential oracles
-// compare. No verdict reads it — the property checkers in internal/check
-// judge a run by its core.RunResult alone — so whether a trace records or is
-// muted is a retention choice that nothing a run computes can depend on.
+// A trace is a debugger's transcript: the human-readable record of a run
+// that xchain -trace prints and xchain-fuzz shows the tail of under a
+// violation it found. Nothing else reads it. The property checkers in
+// internal/check judge a run by its core.RunResult alone, and the scenario
+// fuzzer's determinism and differential oracles compare ledger operation
+// logs, which a muted run keeps — so whether a trace records or is muted is
+// a retention choice that nothing a run computes can depend on.
 package trace
 
 import (
@@ -156,17 +157,6 @@ func (t *Trace) Events() []Event { return t.events }
 
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return len(t.events) }
-
-// Count returns the number of events of the given kind.
-func (t *Trace) Count(kind Kind) int {
-	n := 0
-	for _, e := range t.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
 
 // String renders the whole trace, one event per line.
 func (t *Trace) String() string {

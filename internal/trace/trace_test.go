@@ -41,13 +41,6 @@ func TestMute(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	tr := sample()
-	if tr.Count(KindLock) != 1 || tr.Count(KindTerminate) != 2 || tr.Count(KindAbort) != 0 {
-		t.Fatal("Count wrong")
-	}
-}
-
 func TestRendering(t *testing.T) {
 	tr := sample()
 	out := tr.String()
