@@ -11,13 +11,23 @@
 // Transitions may record the current local time into a clock variable
 // (`x := now`).
 //
-// internal/timelock builds the four automata of Fig. 2 on top of this
+// A Spec is what the figure fixes: states, transitions and clock variables,
+// with guards, actions and emitters that are functions of the *Context
+// alone. Compile validates it once and resolves every name to an index; the
+// Program it returns is immutable and shared by any number of automata and
+// goroutines. An Automaton is what a run fixes: one participant executing a
+// Program — its identifier, clock and network, and the adapter that tells
+// e_0 from e_3 (amounts, windows, the messages it sends), which the Context
+// hands to the Program's functions. Reset rebinds a standing automaton to a
+// new run, and a muted step of the interpreter allocates nothing.
+//
+// internal/timelock compiles the four automata of Fig. 2 on top of this
 // package; the generic interpreter here knows nothing about payments.
 package anta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
@@ -52,33 +62,38 @@ func (k StateKind) String() string {
 	return fmt.Sprintf("StateKind(%d)", int(k))
 }
 
-// Context is passed to transition guards and actions; it exposes the
-// automaton's clock variables, local clock and messaging.
+// Context is what a Program's guards, actions and emitters see of the
+// automaton executing them: its adapter, clock variables, local clock and
+// messaging. Each automaton has one, valid for the duration of the call.
 type Context struct {
 	a *Automaton
-	// From and Msg are set for message-triggered transitions.
+	// From and Msg are set while a message-triggered transition's Action runs.
 	From string
 	Msg  netsim.Message
 }
 
+// Adapter returns what the automaton was Reset with: the per-run, per-
+// participant half of the automaton, which the Program's functions assert
+// back to its concrete type.
+func (c *Context) Adapter() any { return c.a.adapter }
+
 // Now returns the automaton's local clock reading.
 func (c *Context) Now() sim.Time { return c.a.clk.Now() }
 
-// Set assigns a clock variable (the paper's `x := now` uses Set(x, Now())).
-func (c *Context) Set(variable string, v sim.Time) { c.a.vars[variable] = v }
+// Set assigns clock variable v, an index into Spec.Vars (the paper's
+// `x := now` is Set(x, Now())).
+func (c *Context) Set(v int, t sim.Time) { c.a.vars[v] = t }
 
-// Get reads a clock variable.
-func (c *Context) Get(variable string) sim.Time { return c.a.vars[variable] }
+// Get reads clock variable v.
+func (c *Context) Get(v int) sim.Time { return c.a.vars[v] }
 
-// Send performs the output action s(to, m).
-func (c *Context) Send(to string, m netsim.Message) { c.a.send(to, m) }
-
-// SetData stores an arbitrary protocol value (e.g. a received certificate)
-// in the automaton's data store.
-func (c *Context) SetData(key string, v any) { c.a.data[key] = v }
-
-// Data reads a stored protocol value.
-func (c *Context) Data(key string) any { return c.a.data[key] }
+// Send performs the output action s(to, m). m travels by reference: it must
+// not be written again before the automaton's next Reset.
+func (c *Context) Send(to string, m netsim.Message) {
+	if !c.a.crashed {
+		c.a.net.Send(c.a.id, to, m)
+	}
+}
 
 // Transition is one outgoing edge of an input state.
 type Transition struct {
@@ -95,73 +110,129 @@ type Transition struct {
 	TimeoutAfter func(ctx *Context) sim.Time
 	// Action runs when the transition is taken (assignments, bookkeeping).
 	Action func(ctx *Context)
+
+	// Resolved by Compile: the target's index and, for a timeout transition,
+	// which of the automaton's wake-up slots it arms.
+	to, slot int
 }
 
 // State is one automaton state.
 type State struct {
 	Name string
 	Kind StateKind
-	// Output-state fields: the automaton spends ComputeDelay of local time,
-	// runs Emit (which performs the sends), then moves to Next.
-	ComputeDelay sim.Time
-	Emit         func(ctx *Context)
-	Next         string
+	// Output-state fields: the automaton spends its compute delay of local
+	// time (see Reset), runs Emit (which performs the sends), then moves to
+	// Next.
+	Emit func(ctx *Context)
+	Next string
 	// Input-state fields.
-	Transitions []*Transition
-	// OnEnter, if non-nil, runs when the state is entered (any kind).
-	OnEnter func(ctx *Context)
+	Transitions []Transition
+
+	next int // Next's index, resolved by Compile
 }
 
-// Spec describes an automaton to be instantiated.
+// Spec describes an automaton as the figure draws it. Its functions should
+// capture nothing: whatever varies from one participant or run to the next
+// reaches them through Context.Adapter.
 type Spec struct {
-	ID      string
+	// Name says which automaton of the figure this is ("e_i"); the running
+	// instance's identifier is given to Automaton.Reset.
+	Name    string
 	Initial string
-	States  []*State
+	// Vars names the clock variables; Context.Set and Get take the index.
+	Vars   []string
+	States []State
 }
 
 // Validate checks structural well-formedness of the spec.
 func (s Spec) Validate() error {
-	if s.ID == "" {
-		return fmt.Errorf("anta: spec has empty ID")
+	if s.Name == "" {
+		return fmt.Errorf("anta: spec has empty name")
 	}
-	names := map[string]*State{}
+	names := map[string]bool{}
 	for _, st := range s.States {
 		if st.Name == "" {
-			return fmt.Errorf("anta: %s has a state with empty name", s.ID)
+			return fmt.Errorf("anta: %s has a state with empty name", s.Name)
 		}
-		if _, dup := names[st.Name]; dup {
-			return fmt.Errorf("anta: %s has duplicate state %q", s.ID, st.Name)
+		if names[st.Name] {
+			return fmt.Errorf("anta: %s has duplicate state %q", s.Name, st.Name)
 		}
-		names[st.Name] = st
+		names[st.Name] = true
 	}
-	if _, ok := names[s.Initial]; !ok {
-		return fmt.Errorf("anta: %s initial state %q not defined", s.ID, s.Initial)
+	if !names[s.Initial] {
+		return fmt.Errorf("anta: %s initial state %q not defined", s.Name, s.Initial)
 	}
 	for _, st := range s.States {
 		switch st.Kind {
 		case Output:
 			if st.Emit == nil {
-				return fmt.Errorf("anta: %s output state %q has no Emit", s.ID, st.Name)
+				return fmt.Errorf("anta: %s output state %q has no Emit", s.Name, st.Name)
 			}
-			if _, ok := names[st.Next]; !ok {
-				return fmt.Errorf("anta: %s output state %q has unknown Next %q", s.ID, st.Name, st.Next)
+			if !names[st.Next] {
+				return fmt.Errorf("anta: %s output state %q has unknown Next %q", s.Name, st.Name, st.Next)
 			}
 		case Input:
 			for _, tr := range st.Transitions {
-				if _, ok := names[tr.To]; !ok {
-					return fmt.Errorf("anta: %s state %q transition %q targets unknown state %q", s.ID, st.Name, tr.Name, tr.To)
+				if !names[tr.To] {
+					return fmt.Errorf("anta: %s state %q transition %q targets unknown state %q", s.Name, st.Name, tr.Name, tr.To)
 				}
 				if tr.Match == nil && tr.TimeoutAfter == nil {
-					return fmt.Errorf("anta: %s state %q transition %q has neither Match nor TimeoutAfter", s.ID, st.Name, tr.Name)
+					return fmt.Errorf("anta: %s state %q transition %q has neither Match nor TimeoutAfter", s.Name, st.Name, tr.Name)
 				}
 			}
 		case Final:
 			// nothing to check
 		default:
-			return fmt.Errorf("anta: %s state %q has unknown kind %v", s.ID, st.Name, st.Kind)
+			return fmt.Errorf("anta: %s state %q has unknown kind %v", s.Name, st.Name, st.Kind)
 		}
 	}
 	return nil
+}
+
+// Program is a compiled Spec: validated, every state name, transition target
+// and timeout resolved to an index. It is immutable.
+type Program struct {
+	states   []State
+	initial  int
+	vars     int // clock variables
+	timeouts int // timeout transitions, one wake-up slot each
+}
+
+// Compile validates spec and resolves its names. The program holds copies
+// of the spec's slices: later writes to spec do not reach it.
+func Compile(spec Spec) (*Program, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	p := &Program{states: slices.Clone(spec.States), vars: len(spec.Vars)}
+	index := func(name string) int {
+		return slices.IndexFunc(p.states, func(st State) bool { return st.Name == name })
+	}
+	p.initial = index(spec.Initial)
+	for i := range p.states {
+		st := &p.states[i]
+		st.next = index(st.Next)
+		st.Transitions = slices.Clone(st.Transitions)
+		for k := range st.Transitions {
+			tr := &st.Transitions[k]
+			tr.to = index(tr.To)
+			if tr.TimeoutAfter != nil {
+				tr.slot = p.timeouts
+				p.timeouts++
+			}
+		}
+	}
+	return p, nil
+}
+
+// MustCompile is Compile for specs written in protocol code, where a
+// malformed one is a programming error: it panics.
+func MustCompile(spec Spec) *Program {
+	p, err := Compile(spec)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // buffered is a received-but-unconsumed message.
@@ -170,56 +241,67 @@ type buffered struct {
 	msg  netsim.Message
 }
 
-// Automaton is a running instance of a Spec, attached to a network, a local
-// clock and a trace.
+// wakeup is the argument of one timeout transition's scheduled wake-up.
+type wakeup struct {
+	a  *Automaton
+	tr *Transition
+}
+
+// Automaton is one participant executing a Program in one run, attached to a
+// network, a local clock and a trace. The zero value is ready for Reset, and
+// Reset makes a used automaton — terminated, crashed or cut short wherever —
+// indistinguishable from a new one, keeping only its slices' storage. An
+// automaton must not be copied after Reset: the network and the engine hold
+// pointers to it.
 type Automaton struct {
-	spec    Spec
-	states  map[string]*State
-	current string
+	prog    *Program
+	id      string
+	adapter any
+	compute sim.Time // local time an output state computes for
 	clk     *clock.Clock
 	net     *netsim.Network
 	tr      *trace.Trace
-	vars    map[string]sim.Time
-	data    map[string]any
+	ctx     Context
+
+	current int // index into prog.states; -1 before Start
+	vars    []sim.Time
 	inbox   []buffered
-	pending []sim.Timer // timeout wake-ups for the current state
+	pending []sim.Timer // emission or timeout wake-ups of the current state
+	wakeups []wakeup    // one per timeout transition of prog
 	done    bool
 	doneAt  sim.Time
-	// Crashed, when true, makes the automaton ignore everything (used by
-	// fault injection).
+	// crashed makes the automaton ignore everything (fault injection).
 	crashed bool
 }
 
-// NewAutomaton instantiates spec. It panics on an invalid spec: specs are
-// built by protocol code, so a malformed one is a programming error.
-func NewAutomaton(spec Spec, clk *clock.Clock, net *netsim.Network, tr *trace.Trace) *Automaton {
-	if err := spec.Validate(); err != nil {
-		panic(err)
+// Reset makes a the automaton called id executing prog in a new run, with
+// the given adapter, spending compute of local time in every output state,
+// and registers it on net.
+func (a *Automaton) Reset(prog *Program, id string, adapter any, compute sim.Time, clk *clock.Clock, net *netsim.Network, tr *trace.Trace) {
+	clear(a.inbox) // drop the previous run's messages
+	*a = Automaton{
+		prog: prog, id: id, adapter: adapter, compute: max(compute, 0), clk: clk, net: net, tr: tr,
+		current: -1,
+		vars:    slices.Grow(a.vars[:0], prog.vars)[:prog.vars],
+		inbox:   a.inbox[:0],
+		pending: a.pending[:0],
+		wakeups: slices.Grow(a.wakeups[:0], prog.timeouts)[:prog.timeouts],
 	}
-	a := &Automaton{
-		spec:   spec,
-		states: map[string]*State{},
-		clk:    clk,
-		net:    net,
-		tr:     tr,
-		vars:   map[string]sim.Time{},
-		data:   map[string]any{},
-	}
-	for _, st := range spec.States {
-		a.states[st.Name] = st
-	}
+	a.ctx.a = a
+	clear(a.vars)
 	net.Register(a)
-	return a
 }
 
 // ID implements netsim.Node.
-func (a *Automaton) ID() string { return a.spec.ID }
+func (a *Automaton) ID() string { return a.id }
 
-// Clock returns the automaton's local clock.
-func (a *Automaton) Clock() *clock.Clock { return a.clk }
-
-// Current returns the current state name.
-func (a *Automaton) Current() string { return a.current }
+// Current returns the current state's name ("" before Start).
+func (a *Automaton) Current() string {
+	if a.current < 0 {
+		return ""
+	}
+	return a.prog.states[a.current].Name
+}
 
 // Done reports whether the automaton reached a final state.
 func (a *Automaton) Done() bool { return a.done }
@@ -227,11 +309,8 @@ func (a *Automaton) Done() bool { return a.done }
 // DoneAt returns the real time of termination (meaningful if Done).
 func (a *Automaton) DoneAt() sim.Time { return a.doneAt }
 
-// Var reads a clock variable.
-func (a *Automaton) Var(name string) sim.Time { return a.vars[name] }
-
-// Data reads a stored protocol value.
-func (a *Automaton) Data(key string) any { return a.data[key] }
+// Var reads clock variable v, an index into Spec.Vars.
+func (a *Automaton) Var(v int) sim.Time { return a.vars[v] }
 
 // Crash makes the automaton stop reacting to anything from now on.
 func (a *Automaton) Crash() {
@@ -239,144 +318,139 @@ func (a *Automaton) Crash() {
 	a.cancelPending()
 }
 
-// Start enters the initial state. It must be called exactly once, after all
-// automata of the network have been constructed.
-func (a *Automaton) Start() { a.enter(a.spec.Initial) }
-
-func (a *Automaton) send(to string, m netsim.Message) {
-	if a.crashed {
-		return
-	}
-	a.net.Send(a.spec.ID, to, m)
-}
-
-func (a *Automaton) engine() *sim.Engine { return a.net.Engine() }
+// Start enters the initial state. It must be called exactly once per run,
+// after all automata of the network have been Reset.
+func (a *Automaton) Start() { a.enter(a.prog.initial) }
 
 func (a *Automaton) cancelPending() {
 	for _, ev := range a.pending {
 		ev.Cancel()
 	}
-	a.pending = nil
+	a.pending = a.pending[:0]
 }
 
-func (a *Automaton) enter(name string) {
+// enter moves the automaton into state i.
+//
+//xchain:hotpath
+func (a *Automaton) enter(i int) {
 	if a.crashed || a.done {
 		return
 	}
 	a.cancelPending()
-	st, ok := a.states[name]
-	if !ok {
-		panic(fmt.Sprintf("anta: %s entering unknown state %q", a.spec.ID, name))
-	}
-	a.current = name
-	if a.tr.Recording() {
+	st := &a.prog.states[i]
+	a.current = i
+	recording := a.tr.Recording()
+	if recording {
 		a.tr.Append(trace.Event{
-			At: a.engine().Now(), Local: a.clk.Now(), Kind: trace.KindState,
-			Actor: a.spec.ID, Label: name, Extra: st.Kind.String(),
+			At: a.net.Engine().Now(), Local: a.clk.Now(), Kind: trace.KindState,
+			Actor: a.id, Label: st.Name, Extra: st.Kind.String(),
 		})
-	}
-	ctx := &Context{a: a}
-	if st.OnEnter != nil {
-		st.OnEnter(ctx)
 	}
 	switch st.Kind {
 	case Final:
 		a.done = true
-		a.doneAt = a.engine().Now()
-		if a.tr.Recording() {
+		a.doneAt = a.net.Engine().Now()
+		if recording {
 			a.tr.Append(trace.Event{
-				At: a.engine().Now(), Local: a.clk.Now(), Kind: trace.KindTerminate,
-				Actor: a.spec.ID, Label: name,
+				At: a.net.Engine().Now(), Local: a.clk.Now(), Kind: trace.KindTerminate,
+				Actor: a.id, Label: st.Name,
 			})
 		}
 	case Output:
-		delay := st.ComputeDelay
-		if delay < 0 {
-			delay = 0
+		name := "emit"
+		if recording {
+			name = a.id + ":emit:" + st.Name
 		}
-		evName := "emit"
-		if a.tr.Recording() {
-			evName = a.spec.ID + ":emit:" + name
-		}
-		ev := a.clk.ScheduleAfterLocal(delay, evName, func() {
-			if a.crashed || a.done || a.current != name {
-				return
-			}
-			st.Emit(&Context{a: a})
-			a.enter(st.Next)
-		})
-		a.pending = append(a.pending, ev)
+		a.pending = append(a.pending, a.clk.ScheduleArgAfterLocal(a.compute, name, emit, a))
 	case Input:
 		// Try buffered messages first (in arrival order), then arm timeouts.
-		if a.tryBuffered() {
-			return
+		if !a.tryBuffered() {
+			a.armTimeouts(st)
 		}
-		a.armTimeouts(st)
 	}
 }
 
-// armTimeouts schedules wake-ups for every timeout transition of st.
+// emit is the scheduled end of an output state's computation: perform the
+// sends and move on. Leaving a state and crashing cancel the pending events,
+// so the automaton is live and still in the state that scheduled this.
+//
+//xchain:hotpath
+func emit(x any) {
+	a := x.(*Automaton)
+	st := &a.prog.states[a.current]
+	st.Emit(&a.ctx)
+	a.enter(st.next)
+}
+
+// armTimeouts schedules a wake-up for every timeout transition of st.
+//
+//xchain:hotpath
 func (a *Automaton) armTimeouts(st *State) {
-	ctx := &Context{a: a}
-	for _, tr := range st.Transitions {
-		if tr.TimeoutAfter == nil {
-			continue
+	for k := range st.Transitions {
+		if tr := &st.Transitions[k]; tr.TimeoutAfter != nil {
+			w := &a.wakeups[tr.slot]
+			w.a, w.tr = a, tr
+			a.arm(w, tr.TimeoutAfter(&a.ctx))
 		}
-		tr := tr
-		target := tr.TimeoutAfter(ctx)
-		name := "timeout"
-		if a.tr.Recording() {
-			name = fmt.Sprintf("%s:timeout:%s", a.spec.ID, tr.Name)
-		}
-		var fire func()
-		fire = func() {
-			if a.crashed || a.done || a.current != st.Name {
-				return
-			}
-			// Re-check the guard against the current local clock; if drift
-			// rounding left us marginally early, re-arm rather than drop.
-			if deadline := tr.TimeoutAfter(&Context{a: a}); a.clk.Now() < deadline {
-				ev := a.clk.ScheduleAtLocal(deadline, name, fire)
-				a.pending = append(a.pending, ev)
-				return
-			}
-			a.take(tr, "", nil)
-		}
-		ev := a.clk.ScheduleAtLocal(target, name, fire)
-		a.pending = append(a.pending, ev)
 	}
+}
+
+// arm schedules w's wake-up for local time deadline.
+//
+//xchain:hotpath
+func (a *Automaton) arm(w *wakeup, deadline sim.Time) {
+	name := "timeout"
+	if a.tr.Recording() {
+		name = fmt.Sprintf("%s:timeout:%s", a.id, w.tr.Name)
+	}
+	a.pending = append(a.pending, a.clk.ScheduleArgAtLocal(deadline, name, wake, w))
+}
+
+// wake fires a timeout transition's wake-up (not canceled, so the automaton
+// is live and still in the transition's state).
+//
+//xchain:hotpath
+func wake(x any) {
+	w := x.(*wakeup)
+	a := w.a
+	// Re-check the guard against the current local clock; if drift rounding
+	// left us marginally early, re-arm rather than drop.
+	if deadline := w.tr.TimeoutAfter(&a.ctx); a.clk.Now() < deadline {
+		a.arm(w, deadline)
+		return
+	}
+	a.take(w.tr, "", nil)
 }
 
 // take fires a transition.
+//
+//xchain:hotpath
 func (a *Automaton) take(tr *Transition, from string, msg netsim.Message) {
-	ctx := &Context{a: a, From: from, Msg: msg}
-	if tr.TimeoutAfter != nil && tr.Match == nil && a.tr.Recording() {
+	if tr.Match == nil && a.tr.Recording() {
 		a.tr.Append(trace.Event{
-			At: a.engine().Now(), Local: a.clk.Now(), Kind: trace.KindTimeout,
-			Actor: a.spec.ID, Label: tr.Name,
+			At: a.net.Engine().Now(), Local: a.clk.Now(), Kind: trace.KindTimeout,
+			Actor: a.id, Label: tr.Name,
 		})
 	}
 	if tr.Action != nil {
-		tr.Action(ctx)
+		a.ctx.From, a.ctx.Msg = from, msg
+		tr.Action(&a.ctx)
+		a.ctx.From, a.ctx.Msg = "", nil
 	}
-	a.enter(tr.To)
+	a.enter(tr.to)
 }
 
 // tryBuffered attempts to consume one buffered message with the current
-// state's transitions; returns true if a transition fired.
+// (input) state's transitions; returns true if a transition fired.
+//
+//xchain:hotpath
 func (a *Automaton) tryBuffered() bool {
-	st := a.states[a.current]
-	if st == nil || st.Kind != Input {
-		return false
-	}
-	ctx := &Context{a: a}
+	st := &a.prog.states[a.current]
 	for i, b := range a.inbox {
-		for _, tr := range st.Transitions {
-			if tr.Match == nil {
-				continue
-			}
-			if tr.Match(ctx, b.from, b.msg) {
-				a.inbox = append(a.inbox[:i:i], a.inbox[i+1:]...)
+		for k := range st.Transitions {
+			tr := &st.Transitions[k]
+			if tr.Match != nil && tr.Match(&a.ctx, b.from, b.msg) {
+				a.inbox = slices.Delete(a.inbox, i, i+1)
 				a.take(tr, b.from, b.msg)
 				return true
 			}
@@ -387,60 +461,14 @@ func (a *Automaton) tryBuffered() bool {
 
 // Deliver implements netsim.Node: buffer the message, then try to consume it
 // if the automaton is currently waiting in an input state.
+//
+//xchain:hotpath
 func (a *Automaton) Deliver(from string, msg netsim.Message) {
 	if a.crashed || a.done {
 		return
 	}
 	a.inbox = append(a.inbox, buffered{from: from, msg: msg})
-	st := a.states[a.current]
-	if st != nil && st.Kind == Input {
+	if a.current >= 0 && a.prog.states[a.current].Kind == Input {
 		a.tryBuffered()
 	}
-}
-
-// Network is a convenience holder for a set of automata started together.
-type Network struct {
-	automata map[string]*Automaton
-}
-
-// NewNetwork returns an empty automata collection.
-func NewNetwork() *Network { return &Network{automata: map[string]*Automaton{}} }
-
-// Add registers an automaton.
-func (n *Network) Add(a *Automaton) *Automaton {
-	n.automata[a.ID()] = a
-	return a
-}
-
-// Get returns the automaton with the given ID.
-func (n *Network) Get(id string) (*Automaton, bool) {
-	a, ok := n.automata[id]
-	return a, ok
-}
-
-// IDs returns the sorted automaton IDs.
-func (n *Network) IDs() []string {
-	out := make([]string, 0, len(n.automata))
-	for id := range n.automata {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// StartAll starts every automaton (in sorted ID order, for determinism).
-func (n *Network) StartAll() {
-	for _, id := range n.IDs() {
-		n.automata[id].Start()
-	}
-}
-
-// AllDone reports whether every automaton reached a final state.
-func (n *Network) AllDone() bool {
-	for _, a := range n.automata {
-		if !a.done {
-			return false
-		}
-	}
-	return true
 }

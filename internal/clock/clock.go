@@ -85,6 +85,19 @@ func (c *Clock) ScheduleAfterLocal(d sim.Time, name string, fn func()) sim.Timer
 	return c.eng.ScheduleIn(c.RealFor(d), name, fn)
 }
 
+// ScheduleArgAtLocal is ScheduleAtLocal for a package-level action with its
+// argument pre-bound (sim.Engine.ScheduleArgIn): nothing is allocated per
+// event.
+func (c *Clock) ScheduleArgAtLocal(target sim.Time, name string, fn func(any), arg any) sim.Timer {
+	return c.eng.ScheduleArgIn(c.RealUntilLocal(target), name, fn, arg)
+}
+
+// ScheduleArgAfterLocal is ScheduleAfterLocal for a package-level action with
+// its argument pre-bound.
+func (c *Clock) ScheduleArgAfterLocal(d sim.Time, name string, fn func(any), arg any) sim.Timer {
+	return c.eng.ScheduleArgIn(c.RealFor(d), name, fn, arg)
+}
+
 // String describes the clock's drift and offset.
 func (c *Clock) String() string {
 	return fmt.Sprintf("clock(rho=%+.6f, offset=%v)", float64(c.rho), c.offset)

@@ -54,6 +54,25 @@ func TestScheduleAfterLocalReachesTarget(t *testing.T) {
 	}
 }
 
+// TestScheduleArgVariants: the pre-bound-argument forms wake at the same
+// instant as the closure forms, with the argument they were given.
+func TestScheduleArgVariants(t *testing.T) {
+	for _, rho := range []Drift{-0.2, 0, 0.2} {
+		eng := sim.NewEngine(1)
+		c := New(eng, rho, 3*sim.Millisecond)
+		var fired [4]sim.Time
+		stamp := func(x any) { *x.(*sim.Time) = eng.Now() }
+		c.ScheduleAfterLocal(100*sim.Millisecond, "after", func() { fired[0] = eng.Now() })
+		c.ScheduleArgAfterLocal(100*sim.Millisecond, "after-arg", stamp, &fired[1])
+		c.ScheduleAtLocal(50*sim.Millisecond, "at", func() { fired[2] = eng.Now() })
+		c.ScheduleArgAtLocal(50*sim.Millisecond, "at-arg", stamp, &fired[3])
+		eng.Run(0)
+		if fired[0] == 0 || fired[1] != fired[0] || fired[2] == 0 || fired[3] != fired[2] {
+			t.Errorf("rho=%v: closure and argument forms fired at %v", rho, fired)
+		}
+	}
+}
+
 func TestScheduleAtLocalInPastFiresImmediately(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := New(eng, 0, 10*sim.Millisecond)

@@ -30,9 +30,10 @@ const DefaultMaxEvents = 2_000_000
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Trace and Book it points to and its outcome maps —
-// and so is everything the run itself was made of: its processes (Standing),
-// every message they sent (a field of its sender, on the network by pointer)
-// and every signature the world's keyring handed out (sig.Keyring's arena).
+// and so is everything the run itself was made of: its processes or automata
+// (Standing), every message they sent (a field of its sender, on the network
+// by pointer) and every signature the world's keyring handed out
+// (sig.Keyring's arena).
 // They are valid until that world's next Reset; a caller that wants to keep
 // a result runs it on a world of its own (which is what Run does), and one
 // that compares two results runs them on two worlds. The traffic workers

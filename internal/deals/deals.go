@@ -23,6 +23,7 @@ package deals
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,7 +51,14 @@ type Deal struct {
 	// Parties lists the party identifiers; indices into Parties index M.
 	Parties []string
 	// M[i][j] is the asset party i transfers to party j. M[i][i] is ignored.
+	// Write it through Transfer, which keeps the derived views below current.
 	M [][]Asset
+
+	// arcs and types are what Arcs and AssetTypes hand out, derived from M
+	// when Transfer records an entry: a finished deal is only read, by any
+	// number of runs at once.
+	arcs  []Arc
+	types []string
 }
 
 // NewDeal returns an empty deal among the given parties.
@@ -59,7 +67,7 @@ func NewDeal(parties ...string) *Deal {
 	for i := range m {
 		m[i] = make([]Asset, len(parties))
 	}
-	return &Deal{Parties: append([]string(nil), parties...), M: m}
+	return &Deal{Parties: append([]string(nil), parties...), M: m, arcs: []Arc{}}
 }
 
 // indexOf returns the index of a party, or -1.
@@ -80,7 +88,24 @@ func (d *Deal) Transfer(from, to string, asset Asset) *Deal {
 		panic(fmt.Sprintf("deals: unknown party in transfer %s -> %s", from, to))
 	}
 	d.M[i][j] = asset
+	d.derive()
 	return d
+}
+
+// derive rebuilds arcs and types from M.
+func (d *Deal) derive() {
+	d.arcs, d.types = d.arcs[:0], d.types[:0]
+	for i, row := range d.M {
+		for j, a := range row {
+			if i != j && !a.IsZero() {
+				d.arcs = append(d.arcs, Arc{From: d.Parties[i], To: d.Parties[j], Asset: a})
+				if !slices.Contains(d.types, a.Type) {
+					d.types = append(d.types, a.Type)
+				}
+			}
+		}
+	}
+	sort.Strings(d.types)
 }
 
 // Entry returns M[i][j] by party name.
@@ -92,39 +117,27 @@ func (d *Deal) Entry(from, to string) Asset {
 	return d.M[i][j]
 }
 
-// Arcs returns every non-zero transfer as (from, to, asset) triples, in
-// deterministic order.
+// Arc is one non-zero transfer of a deal.
 type Arc struct {
 	From, To string
 	Asset    Asset
 }
 
-// Arcs returns the deal's non-zero transfers in row-major order.
+// Arcs returns the deal's non-zero transfers in row-major order. The slice
+// is the deal's own: callers must not modify it.
 func (d *Deal) Arcs() []Arc {
-	var out []Arc
-	for i, row := range d.M {
-		for j, a := range row {
-			if i != j && !a.IsZero() {
-				out = append(out, Arc{From: d.Parties[i], To: d.Parties[j], Asset: a})
-			}
-		}
+	if d.arcs == nil {
+		d.derive() // a Deal assembled without Transfer
 	}
-	return out
+	return d.arcs
 }
 
 // AssetTypes returns the sorted set of asset types appearing in the deal;
-// Herlihy et al. assume one blockchain (escrow) per asset type.
+// Herlihy et al. assume one blockchain (escrow) per asset type. The slice is
+// the deal's own: callers must not modify it.
 func (d *Deal) AssetTypes() []string {
-	set := map[string]bool{}
-	for _, arc := range d.Arcs() {
-		set[arc.Asset.Type] = true
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	d.Arcs()
+	return d.types
 }
 
 // WellFormed reports whether the deal's digraph is strongly connected, the

@@ -1,6 +1,7 @@
 package deals
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -60,6 +61,28 @@ func TestDealAccessors(t *testing.T) {
 	}
 	if d.String() == "" {
 		t.Error("empty rendering")
+	}
+}
+
+// TestArcsDerivedOnce: Arcs and AssetTypes hand out the deal's own slices —
+// nothing is rebuilt per call — and follow every Transfer, a later one and an
+// overwrite to zero included; a Deal assembled by hand derives them itself.
+func TestArcsDerivedOnce(t *testing.T) {
+	d := swapDeal()
+	if n := testing.AllocsPerRun(10, func() { _, _ = d.Arcs(), d.AssetTypes() }); n != 0 {
+		t.Errorf("Arcs and AssetTypes allocate %.0f times per call", n)
+	}
+	d.Transfer("alice", "bob", Asset{Type: "gem", Amount: 1})
+	if arcs, types := d.Arcs(), d.AssetTypes(); len(arcs) != 2 || arcs[0].Asset.Type != "gem" || !slices.Equal(types, []string{"gem", "token"}) {
+		t.Errorf("after an overwrite: arcs %v, types %v", arcs, types)
+	}
+	d.Transfer("alice", "bob", Asset{})
+	if arcs, types := d.Arcs(), d.AssetTypes(); len(arcs) != 1 || arcs[0].From != "bob" || !slices.Equal(types, []string{"token"}) {
+		t.Errorf("after a removal: arcs %v, types %v", arcs, types)
+	}
+	byHand := &Deal{Parties: []string{"x", "y"}, M: [][]Asset{{{}, {Type: "coin", Amount: 2}}, {{}, {}}}}
+	if arcs, types := byHand.Arcs(), byHand.AssetTypes(); len(arcs) != 1 || arcs[0] != (Arc{From: "x", To: "y", Asset: Asset{Type: "coin", Amount: 2}}) || !slices.Equal(types, []string{"coin"}) {
+		t.Errorf("hand-assembled deal: arcs %v, types %v", arcs, types)
 	}
 }
 

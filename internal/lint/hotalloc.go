@@ -26,11 +26,13 @@ import (
 // The same functions may not hand the engine a capturing function literal:
 // `eng.ScheduleIn(d, name, func() { ... p ... })` allocates one closure per
 // scheduled action, which is what ScheduleArgIn with a package-level action
-// and the process as its argument exists to avoid. A literal that captures
-// nothing is a static function value and stays allowed.
+// and the process as its argument exists to avoid. The same goes for a local
+// clock's ScheduleAtLocal and ScheduleAfterLocal, which wrap it (and have
+// ScheduleArg variants too). A literal that captures nothing is a static
+// function value and stays allowed.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends, and forbid capturing closures passed to Engine.ScheduleIn/ScheduleAt",
+	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends, and forbid capturing closures passed to Engine.ScheduleIn/ScheduleAt and Clock.ScheduleAtLocal/ScheduleAfterLocal",
 	Run:  runHotalloc,
 }
 
@@ -57,11 +59,14 @@ var traceAppendMethods = map[string]bool{
 	"Append":       true,
 }
 
-// closureScheduleMethods are the sim.Engine methods that take the action as
-// a func(): a capturing literal there is one allocation per event.
-var closureScheduleMethods = map[string]bool{
-	"ScheduleIn": true,
-	"ScheduleAt": true,
+// closureScheduleMethods are the sim.Engine and clock.Clock methods that
+// take the action as a func(), by receiver type: a capturing literal there
+// is one allocation per event.
+var closureScheduleMethods = map[string]string{
+	"ScheduleIn":         "Engine",
+	"ScheduleAt":         "Engine",
+	"ScheduleAtLocal":    "Clock",
+	"ScheduleAfterLocal": "Clock",
 }
 
 func runHotalloc(pass *Pass) error {
@@ -109,8 +114,8 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 						}
 					}
 				}
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && closureScheduleMethods[sel.Sel.Name] {
-					if recv := methodRecvType(info, n); typeNameIs(recv, "Engine") {
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && closureScheduleMethods[sel.Sel.Name] != "" {
+					if recv := methodRecvType(info, n); typeNameIs(recv, closureScheduleMethods[sel.Sel.Name]) {
 						for _, arg := range n.Args {
 							if lit, ok := arg.(*ast.FuncLit); ok && captures(info, lit) && !isGuarded(info, recVars, stack, n) {
 								pass.Reportf(lit.Pos(),

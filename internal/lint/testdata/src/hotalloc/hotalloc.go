@@ -1,7 +1,8 @@
 // Package hotalloc is a golden-diagnostic fixture for the hotalloc
 // analyzer. The local Trace and Engine types mirror the real trace.Trace and
 // sim.Engine surfaces (Recording, Add, AddLazy; ScheduleIn, ScheduleAt,
-// ScheduleArgIn) that the analyzer keys on by name.
+// ScheduleArgIn) that the analyzer keys on by name, and Clock mirrors
+// clock.Clock's local-time wrappers of them.
 package hotalloc
 
 import "fmt"
@@ -16,8 +17,21 @@ func (e *Engine) ScheduleArgIn(d int64, name string, fn func(any), arg any) {
 	e.queue = append(e.queue, func() { fn(arg) })
 }
 
+type Clock struct{ eng *Engine }
+
+func (c *Clock) ScheduleAtLocal(target int64, name string, fn func()) {
+	c.eng.ScheduleAt(target, name, fn)
+}
+
+func (c *Clock) ScheduleAfterLocal(d int64, name string, fn func()) { c.eng.ScheduleIn(d, name, fn) }
+
+func (c *Clock) ScheduleArgAfterLocal(d int64, name string, fn func(any), arg any) {
+	c.eng.ScheduleArgIn(d, name, fn, arg)
+}
+
 type proc struct {
 	eng  *Engine
+	clk  *Clock
 	sent int
 }
 
@@ -29,6 +43,28 @@ var ticks int
 func (p *proc) closurePerAction(d int64, amount int) {
 	p.eng.ScheduleIn(d, "send", func() { p.sent += amount }) // want `capturing closure passed to ScheduleIn in hot path closurePerAction allocates per event; use ScheduleArgIn`
 	p.eng.ScheduleAt(d, "send", func() { p.sent++ })         // want `capturing closure passed to ScheduleAt in hot path closurePerAction allocates per event; use ScheduleArgAt`
+}
+
+// Bad: a local clock's wrappers cost the same closure (this is how the ANTA
+// interpreter's went unnoticed).
+//
+//xchain:hotpath
+func (p *proc) closurePerLocalTimer(d int64) {
+	p.clk.ScheduleAfterLocal(d, "emit", func() { p.sent++ }) // want `capturing closure passed to ScheduleAfterLocal in hot path closurePerLocalTimer allocates per event; use ScheduleArgAfterLocal`
+	p.clk.ScheduleAtLocal(d, "timeout", func() { p.sent++ }) // want `capturing closure passed to ScheduleAtLocal in hot path closurePerLocalTimer allocates per event; use ScheduleArgAtLocal`
+	p.clk.ScheduleArgAfterLocal(d, "emit", procSend, p)
+}
+
+// A method of the same name on another type is not the clock's.
+type planner struct{ todo []func() }
+
+func (pl *planner) ScheduleAtLocal(target int64, name string, fn func()) {
+	pl.todo = append(pl.todo, fn)
+}
+
+//xchain:hotpath
+func (p *proc) otherReceiver(pl *planner, d int64) {
+	pl.ScheduleAtLocal(d, "plan", func() { p.sent++ })
 }
 
 // Good: the process is the argument of a package-level action, and a

@@ -154,8 +154,7 @@ func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 // guarantee is the Guarantee of the protocol a payment-family spec runs, as
 // that protocol states it.
 func (sp Spec) guarantee() core.Guarantee {
-	protos, _ := sp.Protocols() // every payment family runs at least one
-	return protos[0].Guarantee()
+	return sp.engines()[0].Guarantee() // every payment family runs at least one
 }
 
 // checkOptions returns the property-evaluation options for a run of the

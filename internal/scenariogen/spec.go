@@ -16,6 +16,7 @@ package scenariogen
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -397,50 +398,72 @@ func (sp Spec) Scenario() (core.Scenario, error) {
 		WithCrypto(sp.Crypto)
 	s.KeySeed = campaignKeySeed
 	s = s.WithNetwork(sp.network())
-	for _, id := range sortedKeys(sp.Faults) {
-		b, _ := adversary.ParseBehaviour(sp.Faults[id])
-		s = s.SetFault(id, adversary.Spec(b, s.Timing))
+	// The scenario's maps are its own, each built once (SetFault and
+	// SetPatience would copy the whole map per entry).
+	if len(sp.Faults) > 0 {
+		s.Faults = make(map[string]core.FaultSpec, len(sp.Faults))
+		for id, name := range sp.Faults {
+			b, _ := adversary.ParseBehaviour(name)
+			s.Faults[id] = adversary.Spec(b, s.Timing)
+		}
 	}
-	for _, id := range sortedTimeKeys(sp.Patience) {
-		s = s.SetPatience(id, sp.Patience[id])
+	if len(sp.Patience) > 0 {
+		s.Patience = maps.Clone(sp.Patience)
 	}
 	return s, nil
 }
 
-// Protocols materialises the protocol engines the spec runs: one for every
-// family except differential, which returns the process/ANTA pair. A
-// timeout-family protocol carries the windows it will run — derived, scaled
-// or inflated — so the run and the oracle's a-priori bound read one
-// derivation.
-func (sp Spec) Protocols() ([]core.Protocol, error) {
-	build := func(p *timelock.Protocol) core.Protocol {
-		params := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), p.DriftAware)
-		switch {
-		case sp.TimeoutScale < 0:
-			params = params.Inflated()
-		case sp.TimeoutScale != 0 && sp.TimeoutScale != 1:
-			params = params.Scaled(sp.TimeoutScale)
-		}
-		p.Params = &params
-		return p
-	}
+// engines returns the protocol engines the spec runs, before any timeout
+// windows are attached: one for every payment family except differential,
+// which gets the process/ANTA pair; nil for the others.
+func (sp Spec) engines() []core.Protocol {
 	switch sp.Family {
 	case FamTimelock:
-		return []core.Protocol{build(timelock.New())}, nil
+		return []core.Protocol{timelock.New()}
 	case FamANTA:
-		return []core.Protocol{build(timelock.NewANTA())}, nil
+		return []core.Protocol{timelock.NewANTA()}
 	case FamNaive:
-		return []core.Protocol{build(timelock.NewNaive())}, nil
+		return []core.Protocol{timelock.NewNaive()}
 	case FamDifferential:
-		return []core.Protocol{build(timelock.New()), build(timelock.NewANTA())}, nil
+		return []core.Protocol{timelock.New(), timelock.NewANTA()}
 	case FamHTLC:
-		return []core.Protocol{htlc.New()}, nil
+		return []core.Protocol{htlc.New()}
 	case FamWeaklive:
-		return []core.Protocol{weaklive.New()}, nil
+		return []core.Protocol{weaklive.New()}
 	case FamCommittee:
-		return []core.Protocol{weaklive.NewCommittee(sp.committeeSize())}, nil
+		return []core.Protocol{weaklive.NewCommittee(sp.committeeSize())}
 	}
-	return nil, fmt.Errorf("scenariogen: family %s has no core.Protocol", sp.Family)
+	return nil
+}
+
+// Protocols materialises the protocol engines the spec runs. A
+// timeout-family protocol carries the windows it will run — derived, scaled
+// or inflated — so the run and the oracle's a-priori bound read one
+// derivation, which a differential pair shares.
+func (sp Spec) Protocols() ([]core.Protocol, error) {
+	protos := sp.engines()
+	if protos == nil {
+		return nil, fmt.Errorf("scenariogen: family %s has no core.Protocol", sp.Family)
+	}
+	var params *timelock.Params
+	for _, p := range protos {
+		tl, ok := p.(*timelock.Protocol)
+		if !ok {
+			continue
+		}
+		if params == nil { // a family's engines agree on DriftAware
+			derived := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), tl.DriftAware)
+			switch {
+			case sp.TimeoutScale < 0:
+				derived = derived.Inflated()
+			case sp.TimeoutScale != 0 && sp.TimeoutScale != 1:
+				derived = derived.Scaled(sp.TimeoutScale)
+			}
+			params = &derived
+		}
+		tl.Params = params
+	}
+	return protos, nil
 }
 
 // dealPartyID returns the canonical ID of deal party i.

@@ -102,14 +102,17 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 
 // fuzzAllocBudget and fuzzBytesBudget are what one scenario of the hmac
 // campaign may allocate, generation, oracle and aggregation included.
-// Measured at 124 allocations and 8.8 KB when the fuzzer went muted, onto a
-// standing generator and under one campaign key seed (228 and 21 KB before);
-// what is left is mostly the ANTA automata and the notary committees. A
-// change that brings back a per-scenario engine, trace, network, book,
-// keyring, generator or process slice fails here, on any machine.
+// Measured at 44 allocations and 3.4 KB when the Figure-2 automata were
+// compiled once and stood on the world, a deal's arcs were derived once and
+// a scenario's fault and patience maps built once (124 and 8.8 KB before,
+// muted on a standing generator under one campaign key seed; 228 and 21 KB
+// before that); what is left is mostly the deal runs and the notary
+// committees. A change that brings back a per-scenario engine, trace,
+// network, book, keyring, generator, process slice or automaton fails here,
+// on any machine.
 const (
-	fuzzAllocBudget = 150
-	fuzzBytesBudget = 10_500
+	fuzzAllocBudget = 49
+	fuzzBytesBudget = 3_700
 )
 
 // TestFuzzScenarioAllocs pins what the fuzz path costs by two numbers no

@@ -23,12 +23,14 @@ type env struct {
 }
 
 // standing is the package's run-state on one world (core.Standing): the env
-// and the process engine of the current run, overwritten by the next, and
-// the last derived timeout parameters, which a traffic worker's payments
-// share for as long as their chains and timing do.
+// and the engine of the current run — processes or automata, whichever the
+// protocol executes — overwritten by the next, and the last derived timeout
+// parameters, which a traffic worker's payments share for as long as their
+// chains and timing do.
 type standing struct {
 	env  env
 	proc procEngine
+	anta antaEngine
 
 	derived    Params
 	derivedFor paramsKey

@@ -7,12 +7,11 @@ import (
 )
 
 // Messages travel by pointer, written once before Send and never after. In
-// the process engine each is a field of the process that sends it — Figure
-// 2's automata are loop-free, so a participant emits each message kind at
-// most once per run — and a forwarded certificate is the pointer that was
-// received; the ANTA engine, whose automata are still built per run,
-// allocates the same types where a state emits them. Only the pointer types
-// implement netsim.Message; a message is valid until its world's next Reset.
+// both engines each is a field of its sender — a process, or an automaton's
+// adapter — since Figure 2's automata are loop-free and a participant emits
+// each message kind at most once per run, and a forwarded certificate is the
+// pointer that was received. Only the pointer types implement
+// netsim.Message; a message is valid until its world's next Reset.
 
 // MsgGuarantee carries the escrow promise G(d_i) from escrow e_i to its
 // upstream customer c_i.

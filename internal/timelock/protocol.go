@@ -59,14 +59,15 @@ func NewNaive() *Protocol {
 
 // Name implements core.Protocol.
 func (p *Protocol) Name() string {
-	name := "timelock"
-	if !p.DriftAware {
-		name = "timelock-naive"
+	switch anta := p.Engine == EngineANTA; {
+	case p.DriftAware && anta:
+		return "timelock-anta"
+	case p.DriftAware:
+		return "timelock"
+	case anta:
+		return "timelock-naive-anta"
 	}
-	if p.Engine == EngineANTA {
-		name += "-anta"
-	}
-	return name
+	return "timelock-naive"
 }
 
 // Guarantee implements core.Protocol: the timeout family is Theorem 1's.
@@ -99,9 +100,9 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 	var source func(i int) outcomeSource
 	switch p.Engine {
 	case EngineANTA:
-		eng := newAntaEngine(env)
-		eng.start()
-		source = eng.source
+		st.anta.reset(env)
+		st.anta.start()
+		source = st.anta.source
 	default:
 		st.proc.reset(env)
 		st.proc.start()

@@ -30,6 +30,10 @@ func mutedHMAC(n int, seed int64) core.Scenario {
 // processes, closures, message boxes or signatures, nor of the world: a
 // change that brings back a per-payment map, engine, keyring, process slice
 // or formatted ID fails here, on any machine, rather than in a benchmark.
+// The Figure-2 automata stand on the world like the processes, compiled once
+// per process, so a timelock-anta payment allocates what a timelock payment
+// does; besides its budget the test holds it to at most twice the timelock
+// row's count at the same n.
 var paymentAllocBudget = []struct {
 	name string
 	p    interface {
@@ -40,12 +44,15 @@ var paymentAllocBudget = []struct {
 }{
 	{"timelock n=2", timelock.New(), 2, 7},
 	{"timelock n=8", timelock.New(), 8, 13},
+	{"timelock-anta n=2", timelock.NewANTA(), 2, 7},
+	{"timelock-anta n=8", timelock.NewANTA(), 8, 13},
 	{"htlc n=2", htlc.New(), 2, 8},
 	{"weaklive n=2", weaklive.New(), 2, 25},
 	{"weaklive-committee n=2", weaklive.NewCommittee(4), 2, 230},
 }
 
 func TestReusedWorldPaymentAllocs(t *testing.T) {
+	measured := map[string]float64{}
 	for _, tc := range paymentAllocBudget {
 		w := core.NewWorld()
 		seed := int64(1)
@@ -63,6 +70,12 @@ func TestReusedWorldPaymentAllocs(t *testing.T) {
 		t.Logf("one muted hmac %s payment on a reused world: %.0f allocations", tc.name, n)
 		if n > tc.budget {
 			t.Errorf("a %s payment on a reused world allocates %.0f times, budget %.0f", tc.name, n, tc.budget)
+		}
+		measured[tc.name] = n
+	}
+	for _, n := range []string{"n=2", "n=8"} {
+		if anta, proc := measured["timelock-anta "+n], measured["timelock "+n]; anta > 2*proc {
+			t.Errorf("a timelock-anta %s payment allocates %.0f times, more than twice the process engine's %.0f", n, anta, proc)
 		}
 	}
 }

@@ -681,9 +681,9 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 		f := fs.toFlight()
 		t.track[f.p.Index] = f
 		if fs.InQueue {
-			f.expiry = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "expire:"+f.p.ID, t.expireAction(f))
+			f.expiry = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "expire", t.expireAction(f))
 		} else {
-			f.settle = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "settle:"+f.p.ID, t.settleAction(f))
+			f.settle = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "settle", t.settleAction(f))
 			t.inFlight++
 		}
 	}

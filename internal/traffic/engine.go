@@ -306,6 +306,11 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 		}
 	}
 
+	// Every payment runs under the base scenario's key seed (subScenario):
+	// derive it here, once — after the fingerprint, which records the seed as
+	// the caller gave it.
+	s.KeySeed = s.DerivedKeySeed()
+
 	if cfg.keep() {
 		res.Payments = make([]PaymentResult, w.Payments)
 	}
@@ -812,7 +817,7 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		return
 	}
 	f.passBase = t.passes - 1 // the arrival was attempt 0
-	f.expiry = t.eng.ScheduleIn(t.w.QueuePatience, "expire:"+p.ID, t.expireAction(f))
+	f.expiry = t.eng.ScheduleIn(t.w.QueuePatience, "expire", t.expireAction(f))
 	t.enqueue(f)
 }
 
@@ -902,7 +907,7 @@ func (t *timeline) start(f *flight, now sim.Time) {
 	if t.inFlight > t.res.PeakInFlight {
 		t.res.PeakInFlight = t.inFlight
 	}
-	f.settle = t.eng.ScheduleIn(f.sub.duration, "settle:"+f.p.ID, t.settleAction(f))
+	f.settle = t.eng.ScheduleIn(f.sub.duration, "settle", t.settleAction(f))
 }
 
 // settleAction builds the settlement callback of f: classify the outcome at
