@@ -249,3 +249,32 @@ func TestIDsInterned(t *testing.T) {
 		t.Fatalf("Participants() = %v", got)
 	}
 }
+
+// TestLockIDs: a world's lock IDs read "<payment>/e<i>" whatever it ran
+// before — a longer chain, a longer payment ID — and a run's IDs cost one
+// allocation however many escrows ask.
+func TestLockIDs(t *testing.T) {
+	w := NewWorld()
+	for _, n := range []int{3, 12, 1, 300, 2} {
+		s := NewScenario(n, int64(n))
+		if err := w.Reset(s); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{n - 1, 0, n / 2} {
+			if got, want := w.LockID(i), s.Spec.PaymentID+"/"+EscrowID(i); got != want {
+				t.Fatalf("chain of %d: LockID(%d) = %q, want %q", n, i, got, want)
+			}
+		}
+	}
+	s := NewScenario(8, 1).Muted()
+	allocs := testing.AllocsPerRun(100, func() {
+		w.ResetSubstrate(s.Seed, s.Network, true, nil)
+		w.scn = s
+		for i := 0; i < 8; i++ {
+			w.LockID(i)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a run's eight lock IDs allocate %.0f times, want 1", allocs)
+	}
+}

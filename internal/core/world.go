@@ -31,9 +31,11 @@ const DefaultMaxEvents = 2_000_000
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Trace and Book it points to and its outcome maps —
 // and so is everything the run itself was made of: its processes or automata
-// (Standing), every message they sent (a field of its sender, on the network
-// by pointer) and every signature the world's keyring handed out
-// (sig.Keyring's arena).
+// and its transaction manager, trusted or a committee of notaries (Standing),
+// every message they sent (a field of its sender or a record of the
+// committee's ballot arena, on the network by pointer), every decision
+// certificate with its signer and signature slices (its issuer's), and every
+// signature the world's keyring handed out (sig.Keyring's arena).
 // They are valid until that world's next Reset; a caller that wants to keep
 // a result runs it on a world of its own (which is what Run does), and one
 // that compares two results runs them on two worlds. The traffic workers
@@ -62,6 +64,11 @@ type World struct {
 	clocks []clock.Clock
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
+	// lockIDs is the run's escrow lock IDs back to back, built by the run's
+	// first LockID ("" until then) in lockBuf; e_i's ends at lockEnds[i].
+	lockIDs  string
+	lockEnds []int
+	lockBuf  []byte
 
 	// kr is the world's one keyring (see KeyringFor); krReady marks it as
 	// already holding the current scenario's keys.
@@ -130,6 +137,7 @@ func (w *World) ResetSubstrate(seed int64, network netsim.DelayModel, muteTrace 
 	w.scn = Scenario{}
 	w.parts, w.clocks, w.wealth = w.parts[:0], w.clocks[:0], w.wealth[:0]
 	w.krReady = false
+	w.lockIDs = ""
 	w.violation, w.detection = Incident{}, Incident{}
 
 	w.Eng.Reset(seed)
@@ -272,8 +280,25 @@ func (w *World) ActionDelay(id string) sim.Time {
 	return delay
 }
 
-// LockID returns the identifier of the payment's escrow lock on e_i.
-func (w *World) LockID(i int) string { return w.scn.Spec.PaymentID + "/" + EscrowID(i) }
+// LockID returns the identifier of the payment's escrow lock on e_i,
+// "<payment>/e<i>". The chain's IDs are one string, made when a run first
+// asks for one, and each is a piece of it: a run pays for one string, not
+// for one per escrow.
+func (w *World) LockID(i int) string {
+	if w.lockIDs == "" {
+		buf, ends := w.lockBuf[:0], w.lockEnds[:0]
+		for e := 0; e < w.scn.Topology.N; e++ {
+			buf = append(append(append(buf, w.scn.Spec.PaymentID...), '/'), EscrowID(e)...)
+			ends = append(ends, len(buf))
+		}
+		w.lockBuf, w.lockEnds, w.lockIDs = buf, ends, string(buf)
+	}
+	start := 0
+	if i > 0 {
+		start = w.lockEnds[i-1]
+	}
+	return w.lockIDs[start:w.lockEnds[i]]
+}
 
 // EventName labels a scheduled event "id:what". Nothing reads event names
 // but a debugger, so a muted run gets the constant alone and builds no

@@ -69,6 +69,10 @@ type Lock struct {
 	Cond      Condition
 	State     LockState
 	SettledAt sim.Time
+
+	// next links the records a ledger keeps for reuse (Ledger.free); nil in
+	// every lock a ledger holds.
+	next *Lock
 }
 
 // OpKind enumerates ledger operations for the audit log.
@@ -102,7 +106,7 @@ type Ledger struct {
 	name     string
 	accounts map[string]int64
 	locks    map[string]*Lock
-	free     []*Lock // records of locks dropped by Reset, for CreateLock to reuse
+	free     *Lock // records of locks dropped by Reset or forgotten under compaction, for CreateLock to reuse
 	ops      []Op
 	opCount  int
 	minted   int64
@@ -139,7 +143,7 @@ func (l *Ledger) Reset(name string) {
 	clear(l.accounts)
 	//lint:maporder the order only decides which record a later lock reuses, and CreateLock overwrites it whole
 	for _, lk := range l.locks {
-		l.free = append(l.free, lk)
+		lk.next, l.free = l.free, lk
 	}
 	clear(l.locks)
 	clear(l.byzOwners)
@@ -161,6 +165,12 @@ func (l *Ledger) Name() string { return l.name }
 // neither of which compaction touches. Long-running traffic ledgers enable
 // this; single-payment protocol runs keep the full history for the
 // property checkers and traces.
+//
+// A compacting ledger recycles a forgotten lock's record for a later
+// CreateLock, so the *Lock that CreateLock or Lock returned is valid only
+// until that lock settles. No caller keeps one that long: the traffic
+// timeline, the only user of compaction, discards CreateLock's result and
+// settles by lock ID.
 func (l *Ledger) SetCompact(on bool) { l.compact = on }
 
 // Compact reports whether compaction is enabled.
@@ -253,9 +263,9 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, payer, l.accounts[payer], amount)
 	}
 	l.accounts[payer] -= amount
-	var lk *Lock
-	if n := len(l.free); n > 0 {
-		lk, l.free = l.free[n-1], l.free[:n-1]
+	lk := l.free
+	if lk != nil {
+		l.free = lk.next
 	} else {
 		lk = &Lock{}
 	}
@@ -340,7 +350,7 @@ func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.T
 		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
 	}
 	l.log(Op{At: at, Kind: OpRelease, From: lk.Payer, To: lk.Payee, Amount: lk.Amount, LockID: id})
-	l.forget(id)
+	l.forget(lk)
 	return nil
 }
 
@@ -370,16 +380,18 @@ func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
 		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
 	}
 	l.log(Op{At: at, Kind: OpRefund, From: lk.Payer, To: lk.Payer, Amount: lk.Amount, LockID: id})
-	l.forget(id)
+	l.forget(lk)
 	return nil
 }
 
-// forget drops a settled lock under compaction.
+// forget drops a settled lock under compaction and keeps its record for the
+// next CreateLock.
 //
 //xchain:hotpath
-func (l *Ledger) forget(id string) {
+func (l *Ledger) forget(lk *Lock) {
 	if l.compact {
-		delete(l.locks, id)
+		delete(l.locks, lk.ID)
+		lk.next, l.free = l.free, lk
 		l.settled++
 	}
 }

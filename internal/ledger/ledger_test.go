@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -360,5 +361,53 @@ func TestCompaction(t *testing.T) {
 	b.Add(compact)
 	if b.TotalOps() != compact.OpCount() {
 		t.Fatal("TotalOps ignores compacted ops")
+	}
+}
+
+// TestCompactionRecyclesLockRecords: a compacting ledger hands a settled
+// lock's record to the next CreateLock, so a steady lock-settle cycle (the
+// traffic timeline's) allocates no lock.
+func TestCompactionRecyclesLockRecords(t *testing.T) {
+	l := New("e0")
+	l.SetCompact(true)
+	if err := l.Mint(0, "alice", 1_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.CreateAccount("bob"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.CreateLock(1, "a", "alice", "bob", 10, Condition{Expiry: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Refund(6, "a", 6); err != nil {
+		t.Fatal(err)
+	}
+	second, err := l.CreateLock(7, "b", "alice", "bob", 20, Condition{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Fatal("the forgotten lock's record was not reused")
+	}
+	if want := (Lock{ID: "b", Payer: "alice", Payee: "bob", Amount: 20, CreatedAt: 7, State: LockPending}); !reflect.DeepEqual(*second, want) {
+		t.Fatalf("reused record reads %+v, want %+v", *second, want)
+	}
+	if err := l.Release(8, "b", nil, 8); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := l.CreateLock(9, "c", "alice", "bob", 1, Condition{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Release(9, "c", nil, 9); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a lock-release cycle on a compacting ledger allocates %.0f times", allocs)
+	}
+	if err := l.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }

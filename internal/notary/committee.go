@@ -2,6 +2,8 @@ package notary
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -37,65 +39,68 @@ import (
 // Safety (certificate consistency) needs only f < m/3; liveness additionally
 // needs partial synchrony: after GST a view led by an honest notary decides
 // within a bounded number of message delays.
+//
+// A committee stands on the run's world: CommitteeIn clears, per notary,
+// the records of the views the previous run reached, rewrites every other
+// field a run reads and keeps the storage, which grows only for a larger
+// committee than any before.
 type Committee struct {
-	deps   Deps
-	size   int
-	quorum int
-	ids    []string
-	procs  map[string]*notaryProc
+	run
+	issued
+	size, quorum int
+	words        int // words of a voter bitset: one per 64 notaries
+	ids          []string
+	procs        []notaryProc // procs[j] is notary j
 
-	commitIssued bool
-	abortIssued  bool
+	// The ballots, each sent once per view (twice by an equivocator) and
+	// valid until the next reset.
+	prePrepares arena[MsgPrePrepare]
+	prepares    arena[MsgPrepare]
+	commitVotes arena[MsgCommitVote]
+	viewChanges arena[MsgViewChange]
 }
 
-// NewCommittee creates a committee of size notaries (size should be 3f+1 for
-// the intended fault tolerance; any size >= 1 is accepted so experiments can
-// explore broken configurations), registers every notary on the network and
-// returns the committee handle.
-func NewCommittee(d Deps, size int) *Committee {
+// CommitteeIn makes w's notary committee a committee of size notaries for
+// s's run — w has been reset for s — registers every notary on w's network
+// and returns it. size should be 3f+1 for the intended fault tolerance; any
+// size >= 1 is accepted so experiments can explore broken configurations.
+func CommitteeIn(w *core.World, s core.Scenario, size int) *Committee {
+	c := &core.Standing[standing](w).committee
 	if size < 1 {
 		size = 1
 	}
-	c := &Committee{
-		deps:  d,
-		size:  size,
-		procs: map[string]*notaryProc{},
+	for j := range c.procs {
+		c.procs[j].clear()
 	}
+	c.run = run{w: w, scn: s, kr: w.Keyring()}
+	c.issued = issued{}
 	// A committee of 3f+1 tolerates f unreliable notaries by design and
 	// decides with 2f+1 votes.
-	c.quorum = 2*((size-1)/3) + 1
-	for j := 0; j < size; j++ {
-		id := core.NotaryID(j)
-		c.ids = append(c.ids, id)
-		if !d.Kr.Has(id) {
-			d.Kr.Add(d.KeySeed, id)
-		}
+	c.size, c.quorum, c.words = size, 2*((size-1)/3)+1, (size+63)/64
+	c.prePrepares.rewind()
+	c.prepares.rewind()
+	c.commitVotes.rewind()
+	c.viewChanges.rewind()
+	c.ids = c.ids[:0]
+	for j, seed := 0, s.DerivedKeySeed(); j < size; j++ {
+		c.ids = append(c.ids, core.NotaryID(j))
+		c.addKey(seed, c.ids[j])
 	}
-	for j := 0; j < size; j++ {
-		id := core.NotaryID(j)
-		p := &notaryProc{
-			committee:   c,
-			id:          id,
-			index:       j,
-			fault:       d.faultOf(id),
-			prepared:    map[string]bool{},
-			prepVotes:   map[string]map[string]bool{},
-			commitVotes: map[string]map[string]bool{},
-			preparedIn:  map[int]sig.Decision{},
-			viewChanges: map[int]map[string]lockInfo{},
-		}
-		c.procs[id] = p
-		d.Net.Register(p)
-		if p.fault.Crash {
-			p := p
-			d.Eng.ScheduleAt(p.fault.CrashAt, "crash:"+id, func() { p.crashed = true })
-		}
+	c.procs = slices.Grow(c.procs[:0], size)[:size]
+	for j := range c.procs {
+		p := &c.procs[j]
+		p.reset(c, j, s.FaultOf(c.ids[j]))
+		c.w.Net.Register(p)
+		c.scheduleCrash(p.id, p.fault, notaryCrash, p)
 	}
 	return c
 }
 
+//xchain:hotpath
+func notaryCrash(x any) { x.(*notaryProc).crashed = true }
+
 // IDs implements Manager.
-func (c *Committee) IDs() []string { return append([]string(nil), c.ids...) }
+func (c *Committee) IDs() []string { return c.ids }
 
 // Quorum implements Manager.
 func (c *Committee) Quorum() int { return c.quorum }
@@ -103,22 +108,11 @@ func (c *Committee) Quorum() int { return c.quorum }
 // Size returns the committee size.
 func (c *Committee) Size() int { return c.size }
 
-// CommitIssued implements Manager.
-func (c *Committee) CommitIssued() bool { return c.commitIssued }
-
-// AbortIssued implements Manager.
-func (c *Committee) AbortIssued() bool { return c.abortIssued }
-
-// leaderOf returns the leader notary ID of a view (round-robin rotation).
-func (c *Committee) leaderOf(view int) string {
-	return core.NotaryID(view % c.size)
-}
-
 // viewTimeout is the time a notary waits in one view before changing views;
 // it grows with the view number so that, under partial synchrony, views
 // eventually outlast the (unknown) post-GST message delay.
 func (c *Committee) viewTimeout(view int) sim.Time {
-	base := 8*c.deps.Timing.MaxMsgDelay + 6*c.deps.Timing.MaxProcessing
+	base := 8*c.scn.Timing.MaxMsgDelay + 6*c.scn.Timing.MaxProcessing
 	return base * sim.Time(view+1)
 }
 
@@ -126,19 +120,9 @@ func (c *Committee) viewTimeout(view int) sim.Time {
 // the decision for this run. It is large enough that every notary leads many
 // times (liveness after GST needs only one honest-led view), while keeping
 // runs with a permanently deadlocked committee — e.g. a third or more of the
-// notaries silent, which the paper explicitly excludes — finite.
+// notaries silent, which the paper explicitly excludes — finite. Views run
+// from 0 to maxViews inclusive: view maxViews-1's timer is the last one armed.
 const maxViews = 64
-
-// recordIssued notes a valid decision certificate observed anywhere in the
-// committee (feeds the CC property and the run result).
-func (c *Committee) recordIssued(d sig.Decision) {
-	switch d {
-	case sig.DecisionCommit:
-		c.commitIssued = true
-	case sig.DecisionAbort:
-		c.abortIssued = true
-	}
-}
 
 // Committee-internal messages (in addition to those in notary.go).
 
@@ -156,7 +140,7 @@ type MsgPrePrepare struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPrePrepare) Describe() string {
+func (m *MsgPrePrepare) Describe() string {
 	return "pre-prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Leader + ")"
 }
 
@@ -169,7 +153,7 @@ type MsgPrepare struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPrepare) Describe() string {
+func (m *MsgPrepare) Describe() string {
 	return "prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
 
@@ -183,7 +167,7 @@ type MsgCommitVote struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgCommitVote) Describe() string {
+func (m *MsgCommitVote) Describe() string {
 	return "commit-vote(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
 
@@ -200,8 +184,43 @@ type MsgViewChange struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgViewChange) Describe() string {
+func (m *MsgViewChange) Describe() string {
 	return fmt.Sprintf("view-change(v%d by %s)", m.NewView, m.Voter)
+}
+
+// arena is the storage of the messages of one type that are sent once per
+// view, a chunk at a time (as sig's signature arena): a full chunk is left
+// to the messages in it and a new one begun, so a message never moves;
+// rewind makes the current chunk free again, for the next run.
+type arena[T any] struct {
+	chunk []T
+	used  int
+}
+
+// take returns a record nobody else holds; the caller overwrites it whole.
+func (a *arena[T]) take() *T {
+	if a.used == len(a.chunk) {
+		a.chunk, a.used = make([]T, 32), 0 // a committee of four decides in view 0 with nine ballots
+	}
+	a.used++
+	return &a.chunk[a.used-1]
+}
+
+func (a *arena[T]) rewind() { a.used = 0 }
+
+// voters is a set of notaries by index.
+type voters []uint64
+
+func (v voters) add(j int) { v[j>>6] |= 1 << (j & 63) }
+
+func (v voters) has(j int) bool { return v[j>>6]&(1<<(j&63)) != 0 }
+
+func (v voters) count() int {
+	n := 0
+	for _, w := range v {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // lockInfo is a reported lock inside a view-change quorum.
@@ -210,68 +229,134 @@ type lockInfo struct {
 	view     int
 }
 
+// viewRecord is what a notary notes once per view.
+type viewRecord struct {
+	voted      bool    // cast its prepare vote
+	proposed   bool    // proposed, as the view's leader
+	sentCommit [2]bool // sent its commit vote for decisions[k]
+}
+
+// viewTimer is the argument of a view's timer event.
+type viewTimer struct {
+	p    *notaryProc
+	view int
+}
+
 // notaryProc is one notary's state machine.
 type notaryProc struct {
-	committee *Committee
-	id        string
-	index     int
-	fault     core.FaultSpec
-	crashed   bool
+	c       *Committee
+	id      string
+	index   int
+	fault   core.FaultSpec
+	crashed bool
 
 	// Evidence gathered from the payment protocol.
-	prepared       map[string]bool
+	prepared       []string // the escrows that reported, a set
 	abortRequested bool
 
-	// Agreement state.
-	view       int
-	preparedIn map[int]sig.Decision // prepare vote cast per view
-	// prepVotes[decision|view][voter] / commitVotes[...] collect votes.
-	prepVotes   map[string]map[string]bool
-	commitVotes map[string]map[string]bool
+	// Agreement state. The per-view records are arrays over the views 0..
+	// maxViews; hi is the highest view one was written for in this run, which
+	// is as far as clear has to go. tallies holds each view's tallies (see
+	// tally), locks the lock each notary reported with its change to a view.
+	view    int
+	hi      int
+	views   [maxViews + 1]viewRecord
+	tallies []uint64
+	locks   []lockInfo
 	// lock is the decision this notary holds a prepared certificate for.
 	lock     sig.Decision
 	lockView int
-	// committedIn records whether this notary already sent its commit vote
-	// for (decision, view).
-	sentCommit map[string]bool
-
-	pendingPrePrepare *MsgPrePrepare
-	viewChanges       map[int]map[string]lockInfo
-	proposedView      map[int]bool
-
-	decided     bool
-	decidedCert sig.DecisionCert
+	// pending is a pre-prepare this notary could not justify yet.
+	pending *MsgPrePrepare
+	// decided says a certificate was adopted, decision for which decision.
+	decided  bool
+	decision sig.Decision
 
 	timerArmed bool
+	timers     [maxViews]viewTimer
+	// cert is the certificate this notary assembles, at most once per run.
+	cert MsgDecision
+}
+
+// clear zeroes what the last run wrote into the per-view records. The locks
+// need no clearing: an entry is read only under its bit in the changes tally.
+func (p *notaryProc) clear() {
+	clear(p.views[:p.hi+1])
+	clear(p.tallies[:(p.hi+1)*(len(p.tallies)/(maxViews+1))])
+	p.hi = 0
+}
+
+// reset makes p, cleared, notary j of c.
+func (p *notaryProc) reset(c *Committee, j int, fault core.FaultSpec) {
+	p.c, p.id, p.index, p.fault = c, c.ids[j], j, fault
+	p.crashed, p.abortRequested, p.decided, p.timerArmed = false, false, false, false
+	p.prepared = p.prepared[:0]
+	p.view, p.lock, p.lockView, p.decision, p.pending = 0, "", 0, "", nil
+	// Whatever storage these keep is zero (clear), or read only once written.
+	tallies, locks := (maxViews+1)*talliesPerView*c.words, (maxViews+1)*c.size
+	p.tallies = slices.Grow(p.tallies[:0], tallies)[:tallies]
+	p.locks = slices.Grow(p.locks[:0], locks)[:locks]
 }
 
 // ID implements netsim.Node.
 func (p *notaryProc) ID() string { return p.id }
 
-func (p *notaryProc) deps() Deps   { return p.committee.deps }
 func (p *notaryProc) active() bool { return !p.crashed && !p.fault.Silent }
 
-func voteKey(d sig.Decision, view int) string { return fmt.Sprintf("%s|%d", d, view) }
+// touch reports whether view is one a notary can be in, and notes that its
+// records are about to be written.
+func (p *notaryProc) touch(view int) bool {
+	if uint(view) > maxViews {
+		return false
+	}
+	p.hi = max(p.hi, view)
+	return true
+}
+
+// The tallies of a view: the prepare votes for decisions[k] at prepares+k,
+// the commit votes at commits+k, and who announced a change to the view.
+const (
+	prepares       = 0
+	commits        = 2
+	changes        = 4
+	talliesPerView = 5
+)
+
+// tally returns one of view's tallies.
+func (p *notaryProc) tally(view, which int) voters {
+	w := p.c.words
+	return p.tallies[(view*talliesPerView+which)*w:][:w]
+}
+
+// ballot resolves a vote to the index of its decision and of its voter. A
+// vote for something other than commit or abort, from a name that is no
+// member's or for a view no notary reaches is dropped; no run produces one.
+func (p *notaryProc) ballot(d sig.Decision, view int, voter string) (k, j int, ok bool) {
+	k, j = slices.Index(decisions[:], d), slices.Index(p.c.ids, voter)
+	return k, j, k >= 0 && j >= 0 && p.touch(view)
+}
 
 // Deliver implements netsim.Node.
+//
+//xchain:hotpath
 func (p *notaryProc) Deliver(from string, msg netsim.Message) {
 	if !p.active() {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgPrepared:
+	case *MsgPrepared:
 		p.onEvidencePrepared(m)
-	case MsgAbortRequest:
+	case *MsgAbortRequest:
 		p.onEvidenceAbort(m)
-	case MsgPrePrepare:
+	case *MsgPrePrepare:
 		p.onPrePrepare(from, m)
-	case MsgPrepare:
+	case *MsgPrepare:
 		p.onPrepare(m)
-	case MsgCommitVote:
+	case *MsgCommitVote:
 		p.onCommitVote(m)
-	case MsgViewChange:
+	case *MsgViewChange:
 		p.onViewChange(m)
-	case MsgDecision:
+	case *MsgDecision:
 		p.onDecision(m)
 	}
 }
@@ -282,22 +367,26 @@ func (p *notaryProc) grounds() (sig.Decision, bool) {
 	if p.abortRequested {
 		return sig.DecisionAbort, true
 	}
-	if len(p.prepared) >= p.deps().NumEscrows {
+	if len(p.prepared) >= p.c.scn.Topology.N {
 		return sig.DecisionCommit, true
 	}
 	return "", false
 }
 
-func (p *notaryProc) onEvidencePrepared(m MsgPrepared) {
-	if m.PaymentID != p.deps().PaymentID || p.decided {
+//xchain:hotpath
+func (p *notaryProc) onEvidencePrepared(m *MsgPrepared) {
+	if m.PaymentID != p.c.paymentID() || p.decided {
 		return
 	}
-	p.prepared[m.Escrow] = true
+	if !slices.Contains(p.prepared, m.Escrow) {
+		p.prepared = append(p.prepared, m.Escrow)
+	}
 	p.act()
 }
 
-func (p *notaryProc) onEvidenceAbort(m MsgAbortRequest) {
-	if m.PaymentID != p.deps().PaymentID || p.decided {
+//xchain:hotpath
+func (p *notaryProc) onEvidenceAbort(m *MsgAbortRequest) {
+	if m.PaymentID != p.c.paymentID() || p.decided {
 		return
 	}
 	p.abortRequested = true
@@ -306,6 +395,8 @@ func (p *notaryProc) onEvidenceAbort(m MsgAbortRequest) {
 
 // act runs whenever the notary's evidence changes: arm the view timer,
 // propose if leading, and re-examine a buffered pre-prepare.
+//
+//xchain:hotpath
 func (p *notaryProc) act() {
 	if p.decided {
 		return
@@ -313,71 +404,91 @@ func (p *notaryProc) act() {
 	if _, ok := p.grounds(); !ok {
 		return
 	}
-	p.armTimer()
+	if !p.timerArmed {
+		p.timerArmed = true
+		p.scheduleViewChange(p.view)
+	}
 	p.maybePropose()
-	if p.pendingPrePrepare != nil {
-		pp := *p.pendingPrePrepare
-		p.pendingPrePrepare = nil
+	if pp := p.pending; pp != nil {
+		p.pending = nil
 		p.onPrePrepare(pp.Leader, pp)
 	}
 }
 
-func (p *notaryProc) armTimer() {
-	if p.timerArmed {
-		return
-	}
-	p.timerArmed = true
-	p.scheduleViewChange(p.view)
-}
-
+// scheduleViewChange arms the timer of view. A timer that a later view
+// supersedes still fires, as a no-op: the events a run fires are part of its
+// fingerprint.
+//
+//xchain:hotpath
 func (p *notaryProc) scheduleViewChange(view int) {
 	if view >= maxViews {
 		return
 	}
-	d := p.deps()
-	d.Eng.ScheduleIn(p.committee.viewTimeout(view), p.id+":view-timer", func() {
-		if !p.active() || p.decided || p.view != view {
-			return
-		}
-		p.moveToView(view + 1)
-	})
+	c := p.c
+	p.timers[view] = viewTimer{p: p, view: view}
+	c.w.Eng.ScheduleArgIn(c.viewTimeout(view), c.w.EventName(p.id, "view-timer"), viewTimedOut, &p.timers[view])
+}
+
+// viewTimedOut is the scheduled action of scheduleViewChange.
+//
+//xchain:hotpath
+func viewTimedOut(x any) {
+	t := x.(*viewTimer)
+	if p := t.p; p.active() && !p.decided && p.view == t.view {
+		p.moveToView(t.view + 1)
+	}
 }
 
 // moveToView advances to a later view, announces the change (with the
 // current lock) to the whole committee and restarts the timer.
+//
+//xchain:hotpath
 func (p *notaryProc) moveToView(v int) {
 	if v <= p.view && p.timerArmed {
 		return
 	}
-	d := p.deps()
+	c := p.c
 	p.view = v
-	if d.Tr.Recording() {
-		d.Tr.Add(d.Eng.Now(), trace.KindConsensus, p.id, "", fmt.Sprintf("view-change to %d", v))
+	if c.w.Trace.Recording() {
+		c.w.Trace.Add(c.w.Eng.Now(), trace.KindConsensus, p.id, "", fmt.Sprintf("view-change to %d", v))
 	}
-	vc := MsgViewChange{PaymentID: d.PaymentID, NewView: v, Voter: p.id, Locked: p.lock, LockView: p.lockView}
-	for _, nid := range p.committee.ids {
-		if nid != p.id {
-			d.Net.Send(p.id, nid, vc)
-		}
-	}
+	vc := c.viewChanges.take()
+	*vc = MsgViewChange{PaymentID: c.paymentID(), NewView: v, Voter: p.id, Locked: p.lock, LockView: p.lockView}
+	p.broadcast(vc)
 	p.onViewChange(vc)
 	p.maybePropose()
 	p.scheduleViewChange(v)
 }
 
+// broadcast sends m to every other notary, in index order.
+//
+//xchain:hotpath
+func (p *notaryProc) broadcast(m netsim.Message) {
+	for j, nid := range p.c.ids {
+		if j != p.index {
+			p.c.w.Net.Send(p.id, nid, m)
+		}
+	}
+}
+
 // onViewChange records a peer's view-change and, if this notary leads the
 // announced view, considers proposing.
-func (p *notaryProc) onViewChange(m MsgViewChange) {
-	d := p.deps()
-	if m.PaymentID != d.PaymentID || p.decided {
+//
+//xchain:hotpath
+func (p *notaryProc) onViewChange(m *MsgViewChange) {
+	c := p.c
+	if m.PaymentID != c.paymentID() || p.decided {
 		return
 	}
-	if p.viewChanges[m.NewView] == nil {
-		p.viewChanges[m.NewView] = map[string]lockInfo{}
+	j := slices.Index(c.ids, m.Voter)
+	if j < 0 || !p.touch(m.NewView) {
+		return
 	}
-	p.viewChanges[m.NewView][m.Voter] = lockInfo{decision: m.Locked, view: m.LockView}
+	changed := p.tally(m.NewView, changes)
+	changed.add(j)
+	p.locks[m.NewView*c.size+j] = lockInfo{decision: m.Locked, view: m.LockView}
 	// Catch up if a majority of the committee is already past this view.
-	if m.NewView > p.view && len(p.viewChanges[m.NewView]) > p.committee.size/2 {
+	if m.NewView > p.view && changed.count() > c.size/2 {
 		p.moveToView(m.NewView)
 	}
 	p.maybePropose()
@@ -386,15 +497,10 @@ func (p *notaryProc) onViewChange(m MsgViewChange) {
 // maybePropose broadcasts a pre-prepare if this notary leads the current
 // view and has something to propose: a lock carried over from a view-change
 // report, or its own grounds.
+//
+//xchain:hotpath
 func (p *notaryProc) maybePropose() {
-	d := p.deps()
-	if p.decided || p.committee.leaderOf(p.view) != p.id {
-		return
-	}
-	if p.proposedView == nil {
-		p.proposedView = map[int]bool{}
-	}
-	if p.proposedView[p.view] {
+	if p.decided || p.view%p.c.size != p.index || p.views[p.view].proposed {
 		return
 	}
 	// Choose the value: the highest-view lock reported for this view (or our
@@ -408,39 +514,47 @@ func (p *notaryProc) maybePropose() {
 		}
 		lockView = -1
 	}
-	p.proposedView[p.view] = true
-	send := func(dec sig.Decision, lv int) {
-		pp := MsgPrePrepare{PaymentID: d.PaymentID, Decision: dec, View: p.view, Leader: p.id, LockView: lv}
-		if d.Tr.Recording() {
-			d.Tr.Add(d.Eng.Now(), trace.KindConsensus, p.id, "", fmt.Sprintf("propose %s in view %d", dec, p.view))
-		}
-		for _, nid := range p.committee.ids {
-			if nid != p.id {
-				d.Net.Send(p.id, nid, pp)
-			}
-		}
-		p.onPrePrepare(p.id, pp)
-	}
-	send(dec, lockView)
+	p.touch(p.view)
+	p.views[p.view].proposed = true
+	p.propose(dec, lockView)
 	if p.fault.Equivocate {
 		other := sig.DecisionAbort
 		if dec == sig.DecisionAbort {
 			other = sig.DecisionCommit
 		}
-		send(other, -1)
+		p.propose(other, -1)
 	}
+}
+
+// propose broadcasts the pre-prepare of dec for the current view.
+//
+//xchain:hotpath
+func (p *notaryProc) propose(dec sig.Decision, lockView int) {
+	c := p.c
+	pp := c.prePrepares.take()
+	*pp = MsgPrePrepare{PaymentID: c.paymentID(), Decision: dec, View: p.view, Leader: p.id, LockView: lockView}
+	if c.w.Trace.Recording() {
+		c.w.Trace.Add(c.w.Eng.Now(), trace.KindConsensus, p.id, "", fmt.Sprintf("propose %s in view %d", dec, p.view))
+	}
+	p.broadcast(pp)
+	p.onPrePrepare(p.id, pp)
 }
 
 // chooseValue returns the locked decision with the highest lock view among
 // this notary's own lock and the locks reported in view-change messages for
-// the current view.
+// the current view (of two reports with the same lock view, the one of the
+// notary with the lower index).
 func (p *notaryProc) chooseValue() (sig.Decision, int, bool) {
-	best := lockInfo{view: -1}
-	if p.lock != "" {
-		best = lockInfo{decision: p.lock, view: p.lockView}
+	best := lockInfo{decision: p.lock, view: p.lockView}
+	if p.lock == "" {
+		best.view = -1
 	}
-	for _, li := range p.viewChanges[p.view] {
-		if li.decision != "" && li.view > best.view {
+	changed := p.tally(p.view, changes)
+	for j := range p.c.ids {
+		if !changed.has(j) {
+			continue
+		}
+		if li := p.locks[p.view*p.c.size+j]; li.decision != "" && li.view > best.view {
 			best = li
 		}
 	}
@@ -452,15 +566,17 @@ func (p *notaryProc) chooseValue() (sig.Decision, int, bool) {
 
 // onPrePrepare handles the leader's proposal: send a prepare vote if the
 // decision is justified and not in conflict with this notary's lock.
-func (p *notaryProc) onPrePrepare(from string, m MsgPrePrepare) {
-	d := p.deps()
-	if m.PaymentID != d.PaymentID || p.decided {
+//
+//xchain:hotpath
+func (p *notaryProc) onPrePrepare(from string, m *MsgPrePrepare) {
+	c := p.c
+	if m.PaymentID != c.paymentID() || p.decided || !p.touch(m.View) {
 		return
 	}
-	if from != m.Leader || p.committee.leaderOf(m.View) != m.Leader || m.View < p.view {
+	if from != m.Leader || c.ids[m.View%c.size] != m.Leader || m.View < p.view {
 		return
 	}
-	if _, voted := p.preparedIn[m.View]; voted && !p.fault.Equivocate {
+	if p.views[m.View].voted && !p.fault.Equivocate {
 		return
 	}
 	// Lock rule: a locked notary only prepares its locked decision, unless
@@ -474,120 +590,121 @@ func (p *notaryProc) onPrePrepare(from string, m MsgPrePrepare) {
 	if !justified {
 		switch m.Decision {
 		case sig.DecisionCommit:
-			justified = len(p.prepared) >= d.NumEscrows
+			justified = len(p.prepared) >= c.scn.Topology.N
 		case sig.DecisionAbort:
 			justified = p.abortRequested
 		}
 	}
 	if !justified {
-		cp := m
-		p.pendingPrePrepare = &cp
+		p.pending = m
 		return
 	}
 	if m.View > p.view {
 		p.moveToView(m.View)
 	}
-	p.preparedIn[m.View] = m.Decision
-	vote := MsgPrepare{PaymentID: d.PaymentID, Decision: m.Decision, View: m.View, Voter: p.id}
-	for _, nid := range p.committee.ids {
-		if nid != p.id {
-			d.Net.Send(p.id, nid, vote)
-		}
-	}
+	p.views[m.View].voted = true
+	vote := c.prepares.take()
+	*vote = MsgPrepare{PaymentID: c.paymentID(), Decision: m.Decision, View: m.View, Voter: p.id}
+	p.broadcast(vote)
 	p.onPrepare(vote)
 }
 
 // onPrepare collects first-phase votes; a quorum locks the decision and
 // triggers the commit vote.
-func (p *notaryProc) onPrepare(m MsgPrepare) {
-	d := p.deps()
-	if m.PaymentID != d.PaymentID || p.decided {
+//
+//xchain:hotpath
+func (p *notaryProc) onPrepare(m *MsgPrepare) {
+	c := p.c
+	if m.PaymentID != c.paymentID() || p.decided {
 		return
 	}
-	key := voteKey(m.Decision, m.View)
-	if p.prepVotes[key] == nil {
-		p.prepVotes[key] = map[string]bool{}
-	}
-	p.prepVotes[key][m.Voter] = true
-	if len(p.prepVotes[key]) < p.committee.quorum {
+	k, j, ok := p.ballot(m.Decision, m.View, m.Voter)
+	if !ok {
 		return
 	}
-	if p.sentCommit == nil {
-		p.sentCommit = map[string]bool{}
-	}
-	if p.sentCommit[key] {
+	votes := p.tally(m.View, prepares+k)
+	votes.add(j)
+	if votes.count() < c.quorum || p.views[m.View].sentCommit[k] {
 		return
 	}
-	p.sentCommit[key] = true
+	p.views[m.View].sentCommit[k] = true
 	// Prepared certificate reached: lock and vote to commit.
 	if m.View >= p.lockView || p.lock == "" {
 		p.lock = m.Decision
 		p.lockView = m.View
 	}
-	cv := MsgCommitVote{PaymentID: d.PaymentID, Decision: m.Decision, View: m.View, Voter: p.id}
-	for _, nid := range p.committee.ids {
-		if nid != p.id {
-			d.Net.Send(p.id, nid, cv)
-		}
-	}
+	cv := c.commitVotes.take()
+	*cv = MsgCommitVote{PaymentID: c.paymentID(), Decision: m.Decision, View: m.View, Voter: p.id}
+	p.broadcast(cv)
 	p.onCommitVote(cv)
 }
 
 // onCommitVote collects second-phase votes; a quorum decides.
-func (p *notaryProc) onCommitVote(m MsgCommitVote) {
-	d := p.deps()
-	if m.PaymentID != d.PaymentID || p.decided {
+//
+//xchain:hotpath
+func (p *notaryProc) onCommitVote(m *MsgCommitVote) {
+	c := p.c
+	if m.PaymentID != c.paymentID() || p.decided {
 		return
 	}
-	key := voteKey(m.Decision, m.View)
-	if p.commitVotes[key] == nil {
-		p.commitVotes[key] = map[string]bool{}
+	k, j, ok := p.ballot(m.Decision, m.View, m.Voter)
+	if !ok {
+		return
 	}
-	p.commitVotes[key][m.Voter] = true
-	if len(p.commitVotes[key]) < p.committee.quorum {
+	votes := p.tally(m.View, commits+k)
+	votes.add(j)
+	if votes.count() < c.quorum {
 		return
 	}
 	// Decision reached: assemble the certificate from the committing voters
 	// (deterministic order) and broadcast it.
-	signers := make([]string, 0, p.committee.quorum)
-	for _, nid := range p.committee.ids {
-		if p.commitVotes[key][nid] {
-			signers = append(signers, nid)
+	cert := &p.cert.Cert
+	*cert = sig.DecisionCert{
+		PaymentID: c.paymentID(), Decision: m.Decision, Manager: core.ManagerID, IssuedAt: c.w.Eng.Now(),
+		Quorum: c.quorum, Signers: cert.Signers[:0], Sigs: cert.Sigs,
+	}
+	for i, nid := range c.ids {
+		if votes.has(i) {
+			cert.Signers = append(cert.Signers, nid)
 		}
 	}
-	cert := sig.NewCommitteeDecisionCert(d.Kr, d.PaymentID, m.Decision, core.ManagerID, d.Eng.Now(), signers, p.committee.quorum)
-	p.adopt(cert)
-	d.Tr.AddLazy(d.Eng.Now(), trace.KindDecision, p.id, "", cert.Describe)
+	cert.Sign(c.kr)
+	p.adopt(cert.Decision)
+	if c.w.Trace.Recording() {
+		c.w.Trace.Add(c.w.Eng.Now(), trace.KindDecision, p.id, "", cert.Describe())
+	}
 	if p.fault.WithholdCertificate {
 		return
 	}
-	for _, id := range d.Recipients {
-		d.Net.Send(p.id, id, MsgDecision{Cert: cert})
+	for _, id := range c.w.Participants() {
+		c.w.Net.Send(p.id, id, &p.cert)
 	}
-	for _, nid := range p.committee.ids {
-		if nid != p.id {
-			d.Net.Send(p.id, nid, MsgDecision{Cert: cert})
-		}
-	}
+	p.broadcast(&p.cert)
 }
 
-// onDecision adopts a certificate assembled by another notary.
-func (p *notaryProc) onDecision(m MsgDecision) {
-	d := p.deps()
-	if m.Cert.PaymentID != d.PaymentID {
+// onDecision adopts a certificate assembled by another notary. A notary that
+// has decided does not verify another for the same decision — adopting it
+// would change nothing — but does verify one for the other decision: a valid
+// one is an inconsistency the run must record.
+//
+//xchain:hotpath
+func (p *notaryProc) onDecision(m *MsgDecision) {
+	c := p.c
+	if m.Cert.PaymentID != c.paymentID() || p.decided && m.Cert.Decision == p.decision {
 		return
 	}
-	if !m.Cert.Verify(d.Kr) || len(m.Cert.Signers) < p.committee.quorum {
+	if !m.Cert.Verify(c.kr) || len(m.Cert.Signers) < c.quorum {
 		return
 	}
-	p.adopt(m.Cert)
+	p.adopt(m.Cert.Decision)
 }
 
-func (p *notaryProc) adopt(cert sig.DecisionCert) {
-	p.committee.recordIssued(cert.Decision)
+// adopt notes a valid certificate for d, issued here or observed.
+func (p *notaryProc) adopt(d sig.Decision) {
+	p.c.issued.record(d)
 	if p.decided {
 		return
 	}
 	p.decided = true
-	p.decidedCert = cert
+	p.decision = d
 }

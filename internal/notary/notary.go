@@ -18,19 +18,25 @@
 // prepared, or abort if a customer asked for it first. Certificate
 // consistency (property CC) is exactly the statement that commit and abort
 // certificates are never both issued.
+//
+// Both managers stand on the run's world (core.Standing): TrustedIn and
+// CommitteeIn reset the world's one Trusted or Committee for a run, and what
+// a manager sends — certificates with their signer and signature slices,
+// ballots — is storage it owns, on the network by pointer, never written
+// after Send and valid until the world's next Reset (core.World).
 package notary
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/sig"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Protocol messages exchanged with (and within) the transaction manager.
+// Only the pointer types implement netsim.Message: a message is a field of
+// its sender (or a record of the committee's arena), written before its Send
+// and never after.
 
 // MsgPrepared is sent by escrow e_i to the manager once the upstream
 // customer's money is locked in escrow.
@@ -40,7 +46,7 @@ type MsgPrepared struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgPrepared) Describe() string { return "prepared(" + m.Escrow + ")" }
+func (m *MsgPrepared) Describe() string { return "prepared(" + m.Escrow + ")" }
 
 // MsgAbortRequest is sent by a customer that lost patience.
 type MsgAbortRequest struct {
@@ -49,57 +55,25 @@ type MsgAbortRequest struct {
 }
 
 // Describe implements netsim.Message.
-func (m MsgAbortRequest) Describe() string { return "abort-request(" + m.Customer + ")" }
+func (m *MsgAbortRequest) Describe() string { return "abort-request(" + m.Customer + ")" }
 
 // MsgDecision carries the manager's decision certificate to participants
-// (and between notaries, so that all learn an assembled certificate).
+// (and between notaries, so that all learn an assembled certificate). The
+// certificate's Signers and Sigs are its issuer's standing slices.
 type MsgDecision struct {
 	Cert sig.DecisionCert
 }
 
 // Describe implements netsim.Message.
-func (m MsgDecision) Describe() string { return m.Cert.Describe() }
-
-// MsgProposal is the committee-internal proposal broadcast by the view's
-// leader.
-type MsgProposal struct {
-	PaymentID string
-	Decision  sig.Decision
-	View      int
-	Leader    string
-}
-
-// Describe implements netsim.Message.
-func (m MsgProposal) Describe() string {
-	return fmt.Sprintf("propose(%s,v%d by %s)", m.Decision, m.View, m.Leader)
-}
-
-// MsgVote is a committee-internal vote for a proposal.
-type MsgVote struct {
-	PaymentID string
-	Decision  sig.Decision
-	View      int
-	Voter     string
-	Sig       sig.Signature
-}
-
-// Describe implements netsim.Message.
-func (m MsgVote) Describe() string {
-	return fmt.Sprintf("vote(%s,v%d by %s)", m.Decision, m.View, m.Voter)
-}
-
-// votePayload is the canonical payload a notary signs when voting. It binds
-// payment, decision and view.
-func votePayload(paymentID string, d sig.Decision, view int) []byte {
-	return []byte(fmt.Sprintf("vote|%s|%s|%d", paymentID, d, view))
-}
+func (m *MsgDecision) Describe() string { return m.Cert.Describe() }
 
 // Manager is the common interface of the transaction-manager
 // implementations: the weak-liveness protocol sends MsgPrepared and
 // MsgAbortRequest to every ID in IDs() and receives MsgDecision broadcasts
 // in return.
 type Manager interface {
-	// IDs lists the node IDs protocol messages must be sent to.
+	// IDs lists the node IDs protocol messages must be sent to. The slice is
+	// the manager's own: callers must not modify it.
 	IDs() []string
 	// CommitIssued and AbortIssued report whether a valid certificate of the
 	// respective kind was ever issued during the run.
@@ -109,27 +83,60 @@ type Manager interface {
 	Quorum() int
 }
 
-// Deps bundles what a manager implementation needs from the protocol run.
-type Deps struct {
-	Net        *netsim.Network
-	Eng        *sim.Engine
-	Kr         *sig.Keyring
-	Tr         *trace.Trace
-	PaymentID  string
-	NumEscrows int
-	// Recipients are the participant IDs (customers and escrows) that must
-	// receive the decision broadcast.
-	Recipients []string
-	Timing     core.Timing
-	// FaultOf returns the fault spec of a manager/notary ID (zero if honest).
-	FaultOf func(id string) core.FaultSpec
-	// KeySeed derives the notaries' deterministic keys.
-	KeySeed string
+// standing is what a world keeps of this package from run to run: the
+// managers TrustedIn and CommitteeIn reset and return.
+type standing struct {
+	trusted   Trusted
+	committee Committee
 }
 
-func (d Deps) faultOf(id string) core.FaultSpec {
-	if d.FaultOf == nil {
-		return core.FaultSpec{}
-	}
-	return d.FaultOf(id)
+// run is what both managers hold of their current run: the world, the
+// scenario and the world's keyring.
+type run struct {
+	w   *core.World
+	scn core.Scenario
+	kr  *sig.Keyring
 }
+
+// paymentID is the payment the manager decides on.
+func (r *run) paymentID() string { return r.scn.Spec.PaymentID }
+
+// addKey derives the key of manager or notary id, which is no participant of
+// the chain, from the run's key seed.
+func (r *run) addKey(seed, id string) {
+	if !r.kr.Has(id) {
+		r.kr.Add(seed, id)
+	}
+}
+
+// scheduleCrash schedules id's crash fault, if it has one: crash(arg).
+func (r *run) scheduleCrash(id string, f core.FaultSpec, crash func(any), arg any) {
+	if f.Crash {
+		r.w.Eng.ScheduleArgAt(f.CrashAt, r.w.EventName(id, "crash"), crash, arg)
+	}
+}
+
+// The two decisions a manager can take, by the index tallies and standing
+// certificates are kept under.
+const (
+	commit = iota
+	abort
+)
+
+var decisions = [2]sig.Decision{commit: sig.DecisionCommit, abort: sig.DecisionAbort}
+
+// issued records which decisions a valid certificate was issued for (feeds
+// the CC property and the run result).
+type issued [2]bool
+
+func (i *issued) record(d sig.Decision) {
+	if k := slices.Index(decisions[:], d); k >= 0 {
+		i[k] = true
+	}
+}
+
+// CommitIssued implements Manager.
+func (i *issued) CommitIssued() bool { return i[commit] }
+
+// AbortIssued implements Manager.
+func (i *issued) AbortIssued() bool { return i[abort] }

@@ -1,6 +1,8 @@
 package notary
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sig"
@@ -11,123 +13,135 @@ import (
 // Trusted is the single-external-party realisation of the transaction
 // manager: one process, trusted by all participants, that decides commit
 // when every escrow reports prepared and abort when any customer asks first.
+// It stands on the run's world: TrustedIn rewrites every field a run reads
+// and keeps only the slices' storage.
 type Trusted struct {
-	deps  Deps
+	run
+	issued
 	fault core.FaultSpec
 
-	prepared map[string]bool
+	prepared []string // the escrows that reported, a set
 	decided  bool
-	decision sig.Decision
+	crashed  bool
 
-	commitIssued bool
-	abortIssued  bool
-	crashed      bool
+	// certs[k] is the certificate for decisions[k], issued at most once per
+	// run and sent by pointer; issues[k] is the argument of its issue event.
+	certs  [2]MsgDecision
+	issues [2]issueArg
 }
 
-// NewTrusted creates the single trusted manager, registers it on the network
-// under core.ManagerID and returns it.
-func NewTrusted(d Deps) *Trusted {
-	t := &Trusted{
-		deps:     d,
-		fault:    d.faultOf(core.ManagerID),
-		prepared: map[string]bool{},
-	}
-	if !d.Kr.Has(core.ManagerID) {
-		d.Kr.Add(d.KeySeed, core.ManagerID)
-	}
-	d.Net.Register(&managerNode{id: core.ManagerID, deliver: t.deliver})
-	if t.fault.Crash {
-		d.Eng.ScheduleAt(t.fault.CrashAt, "crash:"+core.ManagerID, func() { t.crashed = true })
-	}
+// trustedIDs is every Trusted's IDs() and its certificates' Signers;
+// read-only.
+var trustedIDs = []string{core.ManagerID}
+
+// TrustedIn makes w's single trusted manager the manager of s's run — w has
+// been reset for s — registers it on w's network under core.ManagerID and
+// returns it.
+func TrustedIn(w *core.World, s core.Scenario) *Trusted {
+	t := &core.Standing[standing](w).trusted
+	t.run = run{w: w, scn: s, kr: w.Keyring()}
+	t.issued = issued{}
+	t.fault = s.FaultOf(core.ManagerID)
+	t.prepared = t.prepared[:0]
+	t.decided, t.crashed = false, false
+	t.addKey(s.DerivedKeySeed(), core.ManagerID)
+	t.w.Net.Register(t)
+	t.scheduleCrash(core.ManagerID, t.fault, trustedCrash, t)
 	return t
 }
 
-// managerNode adapts a deliver function to netsim.Node.
-type managerNode struct {
-	id      string
-	deliver func(from string, msg netsim.Message)
-}
+//xchain:hotpath
+func trustedCrash(x any) { x.(*Trusted).crashed = true }
 
 // ID implements netsim.Node.
-func (n *managerNode) ID() string { return n.id }
-
-// Deliver implements netsim.Node.
-func (n *managerNode) Deliver(from string, msg netsim.Message) {
-	n.deliver(from, msg)
-}
+func (t *Trusted) ID() string { return core.ManagerID }
 
 // IDs implements Manager.
-func (t *Trusted) IDs() []string { return []string{core.ManagerID} }
+func (t *Trusted) IDs() []string { return trustedIDs }
 
 // Quorum implements Manager.
 func (t *Trusted) Quorum() int { return 1 }
 
-// CommitIssued implements Manager.
-func (t *Trusted) CommitIssued() bool { return t.commitIssued }
-
-// AbortIssued implements Manager.
-func (t *Trusted) AbortIssued() bool { return t.abortIssued }
-
-func (t *Trusted) deliver(from string, msg netsim.Message) {
+// Deliver implements netsim.Node.
+//
+//xchain:hotpath
+func (t *Trusted) Deliver(from string, msg netsim.Message) {
 	if t.crashed || t.fault.Silent {
 		return
 	}
 	switch m := msg.(type) {
-	case MsgPrepared:
-		if m.PaymentID != t.deps.PaymentID || t.decided {
+	case *MsgPrepared:
+		if m.PaymentID != t.paymentID() || t.decided {
 			return
 		}
-		t.prepared[m.Escrow] = true
-		if len(t.prepared) >= t.deps.NumEscrows {
-			t.decide(sig.DecisionCommit)
+		if !slices.Contains(t.prepared, m.Escrow) {
+			t.prepared = append(t.prepared, m.Escrow)
 		}
-	case MsgAbortRequest:
-		if m.PaymentID != t.deps.PaymentID || t.decided {
+		if len(t.prepared) >= t.scn.Topology.N {
+			t.decide(commit)
+		}
+	case *MsgAbortRequest:
+		if m.PaymentID != t.paymentID() || t.decided {
 			return
 		}
-		t.decide(sig.DecisionAbort)
+		t.decide(abort)
 	}
 }
 
-// decide fixes the decision (exactly once for an honest manager) and
-// broadcasts the certificate. An equivocating Byzantine manager issues both
-// certificates, which is exactly the behaviour the CC checker must catch
-// when the manager is corrupt.
-func (t *Trusted) decide(d sig.Decision) {
+// decide fixes the decision decisions[k] (exactly once for an honest
+// manager) and broadcasts the certificate. An equivocating Byzantine manager
+// issues both certificates, which is exactly the behaviour the CC checker
+// must catch when the manager is corrupt.
+//
+//xchain:hotpath
+func (t *Trusted) decide(k int) {
 	if t.decided && !t.fault.Equivocate {
 		return
 	}
 	t.decided = true
-	t.decision = d
-	t.issue(d)
+	t.issue(k)
 	if t.fault.Equivocate {
-		other := sig.DecisionAbort
-		if d == sig.DecisionAbort {
-			other = sig.DecisionCommit
-		}
-		t.issue(other)
+		t.issue(1 - k)
 	}
 }
 
-func (t *Trusted) issue(d sig.Decision) {
-	delay := sim.Time(t.deps.Eng.Rand().Int63n(int64(t.deps.Timing.MaxProcessing + 1)))
-	t.deps.Eng.ScheduleIn(delay+t.fault.DelayActions, "manager:decide", func() {
-		if t.crashed {
-			return
-		}
-		cert := sig.NewDecisionCert(t.deps.Kr, t.deps.PaymentID, d, core.ManagerID, t.deps.Eng.Now())
-		switch d {
-		case sig.DecisionCommit:
-			t.commitIssued = true
-		case sig.DecisionAbort:
-			t.abortIssued = true
-		}
-		t.deps.Tr.AddLazy(t.deps.Eng.Now(), trace.KindDecision, core.ManagerID, "", cert.Describe)
-		if t.fault.WithholdCertificate {
-			return // decided internally but never tells anyone
-		}
-		for _, id := range t.deps.Recipients {
-			t.deps.Net.Send(core.ManagerID, id, MsgDecision{Cert: cert})
-		}
-	})
+// issueArg is the argument of one scheduled issue: t's certificate for
+// decisions[k].
+type issueArg struct {
+	t *Trusted
+	k int
+}
+
+//xchain:hotpath
+func (t *Trusted) issue(k int) {
+	delay := sim.Time(t.w.Eng.Rand().Int63n(int64(t.scn.Timing.MaxProcessing + 1)))
+	t.issues[k] = issueArg{t: t, k: k}
+	t.w.Eng.ScheduleArgIn(delay+t.fault.DelayActions, "manager:decide", trustedIssue, &t.issues[k])
+}
+
+// trustedIssue is the scheduled action of issue: sign the certificate and
+// send it to every participant.
+//
+//xchain:hotpath
+func trustedIssue(x any) {
+	a := x.(*issueArg)
+	t, m := a.t, &a.t.certs[a.k]
+	if t.crashed {
+		return
+	}
+	m.Cert = sig.DecisionCert{
+		PaymentID: t.paymentID(), Decision: decisions[a.k], Manager: core.ManagerID, IssuedAt: t.w.Eng.Now(),
+		Quorum: 1, Signers: trustedIDs, Sigs: m.Cert.Sigs,
+	}
+	m.Cert.Sign(t.kr)
+	t.issued[a.k] = true
+	if t.w.Trace.Recording() {
+		t.w.Trace.Add(t.w.Eng.Now(), trace.KindDecision, core.ManagerID, "", m.Cert.Describe())
+	}
+	if t.fault.WithholdCertificate {
+		return // decided internally but never tells anyone
+	}
+	for _, id := range t.w.Participants() {
+		t.w.Net.Send(core.ManagerID, id, m)
+	}
 }

@@ -186,7 +186,7 @@ func TestMessagesImmutableInFlight(t *testing.T) {
 		if e.byPointer == 0 || e.delivered == 0 {
 			t.Errorf("%s: the oracle saw no pointer message delivered", name)
 		}
-		if name != "weaklive-trusted" && name != "weaklive-committee" && e.byPointer != e.sent {
+		if e.byPointer != e.sent {
 			t.Errorf("%s: %d of %d messages went by value", name, e.sent-e.byPointer, e.sent)
 		}
 	}

@@ -3,6 +3,7 @@ package scenariogen
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -87,9 +88,11 @@ func renderBook(b *strings.Builder, book *ledger.Book) {
 // once muted, on alternating crypto backends — plus, woven in every few
 // cases, runs built to leave a world in a bad state: cut off by MaxEvents
 // with events, messages and timers still pending, a mid-run crash, a
-// withholding Bob, a manager outage. Last comes, per family, the same spec on
+// withholding Bob, a manager outage. Then comes, per family, the same spec on
 // a chain of two and on a chain of six; pairs holds those cases' indices,
-// short chain first.
+// short chain first. Last come the runs that leave the standing transaction
+// manager in a bad state, each followed by one that would show it (see
+// managerCases); the committees of different sizes among them are pairs too.
 func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 	t.Helper()
 	add := func(name string, p core.Protocol, s core.Scenario, opts check.Options) {
@@ -191,7 +194,99 @@ func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 			pairs = append(pairs, [2]int{short + i, long + i})
 		}
 	}
+
+	// addRun adds sp's primary protocol, cut off after maxEvents events if
+	// that is not 0, and returns the index of its first case.
+	addRun := func(name string, sp Spec, maxEvents uint64) int {
+		s, err := sp.Scenario()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		protos, err := sp.Protocols()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s.MaxEvents = maxEvents
+		first := len(cases)
+		add(fmt.Sprintf("%s %s", name, protos[0].Name()), protos[0], s, sp.checkOptions(sp.Class(), protos[0], s))
+		return first
+	}
+	managerCases(t, addRun, &pairs)
 	return cases, pairs
+}
+
+// managerCases adds the runs that disturb what internal/notary keeps on a
+// world, in the order that would show it: a committee of four after a
+// committee of one and back (as pairs); a committee cut off in the middle of
+// a view change — view timers armed, ballots in flight — and one that went
+// through dozens of views, each followed by a run that decides in view 0; a
+// crashed, a silent, an equivocating and a withholding notary, each followed
+// by an honest committee; and the trusted manager after a committee. Every
+// run is added traced and muted, so two cases apart.
+func managerCases(t *testing.T, addRun func(name string, sp Spec, maxEvents uint64) int, pairs *[][2]int) {
+	t.Helper()
+	calm := baseSpec(FamCommittee)
+	calm.Crypto = "hmac"
+	for _, sizes := range [][2]int{{1, 4}, {4, 7}} {
+		small, large := calm, calm
+		small.CommitteeSize, large.CommitteeSize = sizes[0], sizes[1]
+		a := addRun(fmt.Sprintf("committee of %d", sizes[0]), small, 0)
+		b := addRun(fmt.Sprintf("committee of %d", sizes[1]), large, 0)
+		*pairs = append(*pairs, [2]int{a, b}, [2]int{a + 1, b + 1})
+	}
+
+	// The shrunk seed 252644: a committee of four under partial synchrony that
+	// walks through view after view (and ends in the CC violation it pins).
+	r, err := LoadReplay(filepath.Join("testdata", "known-bugs", "weaklive-committee-cc-seed252644-shrunk.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalls := r.Spec
+	tr, err := Trace(stalls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full := tr.String(); !strings.Contains(full, "view-change to 3") || !strings.Contains(full, "-cert(") {
+		t.Fatalf("the stalling run no longer changes views and decides:\n%s", full)
+	}
+	// Cut it where some notary has changed views twice and nobody has decided.
+	s, err := stalls.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos, err := stalls.Protocols()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := uint64(0)
+	for events := uint64(40); cut == 0; events += 10 {
+		s.MaxEvents = events
+		res, err := protos[0].Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch seen := res.Trace.String(); {
+		case strings.Contains(seen, "-cert("):
+			t.Fatalf("no cut of the stalling run lands between its second view change and its decision")
+		case strings.Contains(seen, "view-change to 2") && strings.Contains(seen, "prepare("):
+			cut = events
+		}
+	}
+	addRun("cut in a view change", stalls, cut)
+	addRun("after the cut", calm, 0)
+	addRun("through many views", stalls, 0)
+	addRun("after many views", calm, 0)
+
+	for _, behaviour := range []adversary.Behaviour{adversary.Crash, adversary.Silent, adversary.Equivocation, adversary.Withhold} {
+		for _, sp := range []Spec{calm, stalls} {
+			// notary0 leads view 0, where an equivocator's two proposals go out.
+			sp.Faults = map[string]string{core.NotaryID(0): string(behaviour)}
+			addRun(fmt.Sprintf("notary0 %s, %s", behaviour, sp.Net.Kind), sp, 0)
+			addRun("an honest committee after it", calm, 0)
+		}
+	}
+	addRun("a committee", calm, 0)
+	addRun("the trusted manager after it", baseSpec(FamWeaklive), 0)
 }
 
 // TestWorldReuseEquivalence is the oracle of world reuse: a run on a world

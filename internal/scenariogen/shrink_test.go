@@ -179,3 +179,35 @@ func TestReplayCorpus(t *testing.T) {
 		})
 	}
 }
+
+// TestKnownBugsStillReproduce re-executes the shrunk replays of defects
+// nobody has fixed yet (ROADMAP item 1), kept apart from the corpus in
+// testdata/known-bugs: each must still be an oracle violation with exactly
+// its recorded failed-property set. It pins the bug, not the fix: a change
+// that is not meant to fix it — a rewrite of the code it lives in, say —
+// must carry it over bit for bit, and the change that does fix it moves the
+// file.
+func TestKnownBugsStillReproduce(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "known-bugs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 2 {
+		t.Fatalf("%d known-bug replays, expected at least 2", len(files))
+	}
+	for _, path := range files {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			r, err := LoadReplay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Expect.Buggy {
+				t.Fatalf("%s does not record a bug; it belongs in testdata/, under TestReplayCorpus", path)
+			}
+			if err := r.Verify(); err != nil {
+				t.Fatalf("%v\nIf this change fixes the defect (ROADMAP item 1), move %s into testdata/ with the fixed expectation "+
+					"(buggy false, the property gone from violated) so that TestReplayCorpus holds it; otherwise the run it pins has moved.", err, path)
+			}
+		})
+	}
+}

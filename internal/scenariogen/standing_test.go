@@ -102,17 +102,17 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 
 // fuzzAllocBudget and fuzzBytesBudget are what one scenario of the hmac
 // campaign may allocate, generation, oracle and aggregation included.
-// Measured at 44 allocations and 3.4 KB when the Figure-2 automata were
-// compiled once and stood on the world, a deal's arcs were derived once and
-// a scenario's fault and patience maps built once (124 and 8.8 KB before,
-// muted on a standing generator under one campaign key seed; 228 and 21 KB
-// before that); what is left is mostly the deal runs and the notary
-// committees. A change that brings back a per-scenario engine, trace,
-// network, book, keyring, generator, process slice or automaton fails here,
-// on any machine.
+// Measured at 31.3 allocations and 2.5 KB (33.3 and 2.7 KB under the race
+// detector) when the transaction manager moved onto the world (44 and 3.4 KB
+// before, with the Figure-2 automata compiled once and standing; 124 and
+// 8.8 KB before that, muted on a standing generator under one campaign key
+// seed; 228 and 21 KB before that); what is left is mostly the deal runs. A
+// change that brings back a per-scenario engine, trace, network, book,
+// keyring, generator, process slice, automaton or committee fails here, on
+// any machine.
 const (
-	fuzzAllocBudget = 49
-	fuzzBytesBudget = 3_700
+	fuzzAllocBudget = 35
+	fuzzBytesBudget = 2_800
 )
 
 // TestFuzzScenarioAllocs pins what the fuzz path costs by two numbers no

@@ -531,24 +531,25 @@ func (kr *Keyring) decisionPayload(c DecisionCert) []byte {
 	return kr.buf
 }
 
-// NewDecisionCert creates a certificate signed by a single manager.
-func NewDecisionCert(kr *Keyring, paymentID string, d Decision, manager string, at sim.Time) DecisionCert {
-	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: manager, IssuedAt: at, Quorum: 1}
-	c.Signers = []string{manager}
-	c.Sigs = []Signature{kr.Sign(manager, kr.decisionPayload(c))}
+// NewCommitteeDecisionCert creates a certificate carrying one signature per
+// signer; quorum is the validity threshold (e.g. 2f+1 of 3f+1 notaries, or 1
+// for a single manager that signs alone).
+func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committee string, at sim.Time, signers []string, quorum int) DecisionCert {
+	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: committee, IssuedAt: at, Quorum: quorum, Signers: slices.Clone(signers)}
+	c.Sign(kr)
 	return c
 }
 
-// NewCommitteeDecisionCert creates a certificate carrying one signature per
-// signer; quorum is the validity threshold (e.g. 2f+1 of 3f+1 notaries).
-func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committee string, at sim.Time, signers []string, quorum int) DecisionCert {
-	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: committee, IssuedAt: at, Quorum: quorum}
-	payload := kr.decisionPayload(c)
-	for _, s := range signers {
-		c.Signers = append(c.Signers, s)
+// Sign signs the certificate as it stands on behalf of every entry of
+// Signers, into Sigs, whose storage it reuses: an issuer that keeps one
+// certificate and rewrites it per run (internal/notary) issues without
+// allocating. What Sigs held before is gone.
+func (c *DecisionCert) Sign(kr *Keyring) {
+	payload := kr.decisionPayload(*c)
+	c.Sigs = c.Sigs[:0]
+	for _, s := range c.Signers {
 		c.Sigs = append(c.Sigs, kr.Sign(s, payload))
 	}
-	return c
 }
 
 // Verify checks that the certificate carries at least Quorum valid

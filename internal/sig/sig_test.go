@@ -106,7 +106,7 @@ func TestGuaranteeAndPromise(t *testing.T) {
 
 func TestDecisionCert(t *testing.T) {
 	kr := testKeyring()
-	single := NewDecisionCert(kr, "pay1", DecisionCommit, "manager", 3)
+	single := NewCommitteeDecisionCert(kr, "pay1", DecisionCommit, "manager", 3, []string{"manager"}, 1)
 	if !single.Verify(kr) {
 		t.Fatal("single-manager certificate rejected")
 	}

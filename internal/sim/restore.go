@@ -4,10 +4,10 @@ package sim
 // rebuilds a byte-identical engine. Restoring an engine is a three-step
 // protocol on a freshly constructed Engine:
 //
-//  1. RestoreEvent once per pending event captured from the old engine,
-//     re-attaching a freshly built callback under the event's original
-//     (at, seq) coordinates. Order of calls does not matter: the heap
-//     property only depends on (at, seq).
+//  1. RestoreEvent (or RestoreEventArg) once per pending event captured from
+//     the old engine, re-attaching a freshly built callback under the
+//     event's original (at, seq) coordinates. Order of calls does not
+//     matter: the heap property only depends on (at, seq).
 //  2. RestoreClock to set the virtual clock and the seq/fired/scheduled
 //     cursors to their captured values.
 //  3. Resume the normal Run/RunBefore drive loop.
@@ -34,6 +34,16 @@ func (t Timer) Pending() (at Time, seq uint64, ok bool) {
 // handle. RestoreEvent must only be used while rebuilding an engine from a
 // checkpoint, before RestoreClock.
 func (e *Engine) RestoreEvent(at Time, seq uint64, name string, fn func()) Timer {
+	return e.restore(at, seq, name, fn, nil, nil)
+}
+
+// RestoreEventArg is RestoreEvent for an event scheduled with ScheduleArgAt
+// or ScheduleArgIn: fn fires with arg.
+func (e *Engine) RestoreEventArg(at Time, seq uint64, name string, fn func(any), arg any) Timer {
+	return e.restore(at, seq, name, nil, fn, arg)
+}
+
+func (e *Engine) restore(at Time, seq uint64, name string, fn func(), argFn func(any), arg any) Timer {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -45,8 +55,8 @@ func (e *Engine) RestoreEvent(at Time, seq uint64, name string, fn func()) Timer
 	ev.at = at
 	ev.name = name
 	ev.fn = fn
-	ev.argFn = nil
-	ev.arg = nil
+	ev.argFn = argFn
+	ev.arg = arg
 	ev.seq = seq
 	ev.canceled = false
 	e.push(ev)

@@ -103,6 +103,25 @@ func TestRestoreSeqOrdering(t *testing.T) {
 	}
 }
 
+// TestRestoreEventArg: the Arg form restores an event that fires its
+// package-level action with its argument, at its old coordinates.
+func TestRestoreEventArg(t *testing.T) {
+	var log []string
+	note := func(x any) { log = append(log, *x.(*string)) }
+	old, older := "old", "older"
+	e := NewEngine(1)
+	e.RestoreEventArg(50, 3, "old", note, &old)
+	tm := e.RestoreEventArg(50, 2, "older", note, &older)
+	if at, seq, ok := tm.Pending(); !ok || at != 50 || seq != 2 {
+		t.Fatalf("restored timer pending at (%v, %d, %v), want (50, 2, true)", at, seq, ok)
+	}
+	e.RestoreClock(10, 7, 4, 7)
+	e.Run(0)
+	if want := []string{"older", "old"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("fire order %v, want %v", log, want)
+	}
+}
+
 // TestPendingStates pins Timer.Pending across the live / fired / canceled /
 // zero-value states.
 func TestPendingStates(t *testing.T) {

@@ -679,11 +679,12 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 	for i := range sn.Flights {
 		fs := &sn.Flights[i]
 		f := fs.toFlight()
+		f.t = t
 		t.track[f.p.Index] = f
 		if fs.InQueue {
-			f.expiry = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "expire", t.expireAction(f))
+			f.expiry = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "expire", expireFlight, f)
 		} else {
-			f.settle = t.eng.RestoreEvent(fs.Timer.At, fs.Timer.Seq, "settle", t.settleAction(f))
+			f.settle = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "settle", settleFlight, f)
 			t.inFlight++
 		}
 	}

@@ -611,6 +611,7 @@ func wireLiquidityGauges(s core.Scenario, lm ledger.Metrics, l *ledger.Ledger) {
 // the payment reaches a terminal status, so the timeline's memory tracks the
 // number of in-flight and queued payments, not the population size.
 type flight struct {
+	t   *timeline // the timeline the flight is on, for its scheduled actions
 	p   *payment
 	sub subOutcome
 	pr  PaymentResult
@@ -777,7 +778,7 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 // arrive admits, queues or rejects one payment at its arrival instant.
 func (t *timeline) arrive(p *payment, sub subOutcome) {
 	now := t.eng.Now()
-	f := &flight{p: p, sub: sub}
+	f := &flight{t: t, p: p, sub: sub}
 	if t.track != nil {
 		t.track[p.Index] = f
 	}
@@ -817,25 +818,25 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		return
 	}
 	f.passBase = t.passes - 1 // the arrival was attempt 0
-	f.expiry = t.eng.ScheduleIn(t.w.QueuePatience, "expire", t.expireAction(f))
+	f.expiry = t.eng.ScheduleArgIn(t.w.QueuePatience, "expire", expireFlight, f)
 	t.enqueue(f)
 }
 
-// expireAction builds the queue-expiry callback of f: the payment's patience
-// ran out before capacity freed up. A named constructor (not an inline
-// closure) so resume can re-attach an identical callback to a restored
-// event.
-func (t *timeline) expireAction(f *flight) func() {
-	return func() {
-		t.unfile(f)
-		t.dequeue(f)
-		f.pr.Status = StatusDropped
-		f.pr.End = t.eng.Now()
-		f.pr.Queued = true
-		f.pr.QueueWait = f.pr.End - f.p.Arrival
-		f.pr.DropCause = t.dropCause(f)
-		t.finish(f)
-	}
+// expireFlight is the queue-expiry action of a flight: the payment's
+// patience ran out before capacity freed up. A package-level action on the
+// flight (not a closure per payment), which is also what resume re-attaches
+// to a restored event.
+func expireFlight(x any) {
+	f := x.(*flight)
+	t := f.t
+	t.unfile(f)
+	t.dequeue(f)
+	f.pr.Status = StatusDropped
+	f.pr.End = t.eng.Now()
+	f.pr.Queued = true
+	f.pr.QueueWait = f.pr.End - f.p.Arrival
+	f.pr.DropCause = t.dropCause(f)
+	t.finish(f)
 }
 
 // dropCause attributes a queue-expiry drop: "faulted-path" when the
@@ -907,51 +908,51 @@ func (t *timeline) start(f *flight, now sim.Time) {
 	if t.inFlight > t.res.PeakInFlight {
 		t.res.PeakInFlight = t.inFlight
 	}
-	f.settle = t.eng.ScheduleIn(f.sub.duration, "settle", t.settleAction(f))
+	f.settle = t.eng.ScheduleArgIn(f.sub.duration, "settle", settleFlight, f)
 }
 
-// settleAction builds the settlement callback of f: classify the outcome at
+// settleFlight is the settlement action of a flight: classify the outcome at
 // the virtual time the payment's own protocol run finished, release or
 // refund every hop's lock, and wake the waiters a refund may have unblocked.
-// A named constructor (not an inline closure) so resume can re-attach an
-// identical callback to a restored event.
-func (t *timeline) settleAction(f *flight) func() {
-	return func() {
-		end := t.eng.Now()
-		f.pr.End = end
-		switch {
-		case f.sub.err != nil:
-			f.pr.Status = StatusError
-		case f.sub.paid:
-			f.pr.Status = StatusOK
-		default:
-			f.pr.Status = StatusProtocolFailed
+// A package-level action on the flight (not a closure per payment), which is
+// also what resume re-attaches to a restored event.
+func settleFlight(x any) {
+	f := x.(*flight)
+	t := f.t
+	end := t.eng.Now()
+	f.pr.End = end
+	switch {
+	case f.sub.err != nil:
+		f.pr.Status = StatusError
+	case f.sub.paid:
+		f.pr.Status = StatusOK
+	default:
+		f.pr.Status = StatusProtocolFailed
+	}
+	for k, amount := range f.p.Amounts {
+		l := t.ledgers[f.p.Sender+k]
+		if f.pr.Status == StatusOK {
+			l.Release(end, f.lockID, nil, end) //nolint:errcheck // unconditional lock
+		} else {
+			l.Refund(end, f.lockID, end) //nolint:errcheck // unconditional lock
 		}
-		for k, amount := range f.p.Amounts {
-			l := t.ledgers[f.p.Sender+k]
-			if f.pr.Status == StatusOK {
-				l.Release(end, f.lockID, nil, end) //nolint:errcheck // unconditional lock
-			} else {
-				l.Refund(end, f.lockID, end) //nolint:errcheck // unconditional lock
-			}
-			t.lockedNow -= amount
-		}
-		if t.lockedNow < 0 && t.res.CascadeErr == nil {
-			t.res.CascadeErr = fmt.Errorf("traffic: refund cascade over-released at %v (%d units)", end, t.lockedNow)
-		}
-		t.observeByzHeld()
-		t.inFlight--
-		t.m.InFlight.Set(float64(t.inFlight))
-		t.finish(f)
-		// A release credits the payee account c_{e+1} on e_e, which no
-		// admission ever debits: only a refund can unblock a waiter.
-		if f.pr.Status != StatusOK {
-			t.wake(f.p.Sender, f.p.Receiver, end)
-		}
-		t.passes++
-		if t.afterPass != nil {
-			t.afterPass(f)
-		}
+		t.lockedNow -= amount
+	}
+	if t.lockedNow < 0 && t.res.CascadeErr == nil {
+		t.res.CascadeErr = fmt.Errorf("traffic: refund cascade over-released at %v (%d units)", end, t.lockedNow)
+	}
+	t.observeByzHeld()
+	t.inFlight--
+	t.m.InFlight.Set(float64(t.inFlight))
+	t.finish(f)
+	// A release credits the payee account c_{e+1} on e_e, which no
+	// admission ever debits: only a refund can unblock a waiter.
+	if f.pr.Status != StatusOK {
+		t.wake(f.p.Sender, f.p.Receiver, end)
+	}
+	t.passes++
+	if t.afterPass != nil {
+		t.afterPass(f)
 	}
 }
 

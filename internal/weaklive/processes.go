@@ -13,11 +13,10 @@ import (
 
 // Protocol messages specific to the weak-liveness protocol; the
 // manager-facing messages (prepared, abort request, decision) live in
-// internal/notary and keep its by-value convention. The messages below
-// travel by pointer: each is a field of the process that sends it, written
-// once before Send and never after — a participant emits each at most once
-// per run. Only the pointer types implement netsim.Message; a message is
-// valid until its world's next Reset.
+// internal/notary. All of them travel by pointer: each is a field of the
+// process that sends it, written once before Send and never after — a
+// participant emits each at most once per run. Only the pointer types
+// implement netsim.Message; a message is valid until its world's next Reset.
 
 // MsgPay is the upstream customer's instruction to her escrow to place the
 // agreed value in escrow.
@@ -74,9 +73,10 @@ type escrowProc struct {
 	// immediately.
 	decided sig.Decision
 
-	// msgPayout is the escrow's one outgoing payout — downstream on commit,
-	// upstream on abort — written once before its Send.
-	msgPayout MsgPayout
+	// The escrow's outgoing messages, each written once before its Send: the
+	// report to the manager, and the payout — downstream or upstream.
+	msgPrepared notary.MsgPrepared
+	msgPayout   MsgPayout
 }
 
 func newEscrowProc(r *runState, i int) escrowProc {
@@ -113,7 +113,7 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 	switch m := msg.(type) {
 	case *MsgPay:
 		p.onPay(from, m)
-	case notary.MsgDecision:
+	case *notary.MsgDecision:
 		p.onDecision(m)
 	}
 }
@@ -158,18 +158,18 @@ func escrowPrepared(x any) {
 	if !p.active() {
 		return
 	}
-	var m netsim.Message = notary.MsgPrepared{PaymentID: p.run.scn.Spec.PaymentID, Escrow: p.id}
+	p.msgPrepared = notary.MsgPrepared{PaymentID: p.run.scn.Spec.PaymentID, Escrow: p.id}
 	for _, mid := range p.run.mgr.IDs() {
-		p.run.net.Send(p.id, mid, m)
+		p.run.net.Send(p.id, mid, &p.msgPrepared)
 	}
 }
 
 // onDecision settles the escrow lock according to a valid decision
 // certificate: release downstream on commit, refund upstream on abort. A
 // decision arriving before the lock exists is remembered and applied when
-// (if ever) the payment arrives.
-func (p *escrowProc) onDecision(m notary.MsgDecision) {
-	if p.settled {
+// (if ever) the payment arrives, and not verified a second time.
+func (p *escrowProc) onDecision(m *notary.MsgDecision) {
+	if p.settled || p.decided != "" && m.Cert.Decision == p.decided {
 		return
 	}
 	if m.Cert.PaymentID != p.run.scn.Spec.PaymentID || !m.Cert.Verify(p.run.kr) {
@@ -264,9 +264,10 @@ type customerProc struct {
 	term    bool
 	termAt  sim.Time
 
-	// msgPay is the customer's one outgoing payment instruction, written
-	// once before its Send.
-	msgPay MsgPay
+	// The customer's outgoing messages, each written once before its Send:
+	// the payment instruction and the abort request to the manager.
+	msgPay   MsgPay
+	msgAbort notary.MsgAbortRequest
 }
 
 func newCustomerProc(r *runState, i int) customerProc {
@@ -347,9 +348,9 @@ func customerLosePatience(x any) {
 	if c.fault.Silent {
 		return
 	}
-	var m netsim.Message = notary.MsgAbortRequest{PaymentID: c.run.scn.Spec.PaymentID, Customer: c.id}
+	c.msgAbort = notary.MsgAbortRequest{PaymentID: c.run.scn.Spec.PaymentID, Customer: c.id}
 	for _, mid := range c.run.mgr.IDs() {
-		c.run.net.Send(c.id, mid, m)
+		c.run.net.Send(c.id, mid, &c.msgAbort)
 	}
 }
 
@@ -359,15 +360,25 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case notary.MsgDecision:
+	case *notary.MsgDecision:
 		c.onDecision(m)
 	case *MsgPayout:
 		c.onPayout(from, m)
 	}
 }
 
-func (c *customerProc) onDecision(m notary.MsgDecision) {
-	if m.Cert.PaymentID != c.run.scn.Spec.PaymentID || !m.Cert.Verify(c.run.kr) {
+// onDecision takes note of a valid decision certificate. A customer that
+// holds one for a decision does not verify another for the same decision:
+// her flag is set and her termination condition unchanged. One for the other
+// decision is verified, because holding both is what CC forbids.
+func (c *customerProc) onDecision(m *notary.MsgDecision) {
+	if m.Cert.PaymentID != c.run.scn.Spec.PaymentID {
+		return
+	}
+	if d := m.Cert.Decision; d == sig.DecisionCommit && c.hasCommit || d == sig.DecisionAbort && c.hasAbort {
+		return
+	}
+	if !m.Cert.Verify(c.run.kr) {
 		return
 	}
 	if len(m.Cert.Signers) < c.run.mgr.Quorum() {

@@ -32,6 +32,7 @@ package weaklive
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -53,14 +54,6 @@ const (
 	ManagerCommittee
 )
 
-// String implements fmt.Stringer.
-func (k ManagerKind) String() string {
-	if k == ManagerCommittee {
-		return "committee"
-	}
-	return "trusted"
-}
-
 // Protocol is the weak-liveness cross-chain payment protocol. It implements
 // core.Protocol.
 type Protocol struct {
@@ -80,12 +73,24 @@ func NewCommittee(size int) *Protocol {
 	return &Protocol{Manager: ManagerCommittee, CommitteeSize: size}
 }
 
+// committeeNames holds the protocol's name for the committee sizes anybody
+// runs, so that naming a run allocates nothing.
+var committeeNames = func() (names [32]string) {
+	for size := range names {
+		names[size] = "weaklive-committee-" + strconv.Itoa(size)
+	}
+	return names
+}()
+
 // Name implements core.Protocol.
 func (p *Protocol) Name() string {
-	if p.Manager == ManagerCommittee {
-		return fmt.Sprintf("weaklive-committee-%d", p.committeeSize())
+	if p.Manager != ManagerCommittee {
+		return "weaklive-trusted"
 	}
-	return "weaklive-trusted"
+	if size := p.committeeSize(); size < len(committeeNames) {
+		return committeeNames[size]
+	}
+	return "weaklive-committee-" + strconv.Itoa(p.committeeSize())
 }
 
 // Guarantee implements core.Protocol: Theorem 3, with the committee that
@@ -130,7 +135,7 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 // (core.Standing): reset overwrites every field a run reads and every
 // process, so nothing of the previous run is left for this one, and the
 // slices are regrown only for a longer chain than any before. The
-// transaction manager is still built per run.
+// transaction manager stands on the world too, in internal/notary's care.
 type runState struct {
 	w   *core.World
 	scn core.Scenario
@@ -142,34 +147,17 @@ type runState struct {
 
 	escrows   []escrowProc
 	customers []customerProc
-	// faultOf is the current scenario's FaultOf, bound once.
-	faultOf func(id string) core.FaultSpec
 }
 
-// reset makes r the run of s under p on w, which has been reset for s: a new
+// reset makes r the run of s under p on w, which has been reset for s: the
 // transaction manager and the chain's processes, registered on w's network.
 func (r *runState) reset(p *Protocol, w *core.World, s core.Scenario) {
 	r.w, r.scn = w, s
 	r.eng, r.net, r.tr, r.kr = w.Eng, w.Net, w.Trace, w.Keyring()
-	if r.faultOf == nil {
-		r.faultOf = func(id string) core.FaultSpec { return r.scn.FaultOf(id) }
-	}
-	deps := notary.Deps{
-		Net:        w.Net,
-		Eng:        w.Eng,
-		Kr:         r.kr,
-		Tr:         w.Trace,
-		PaymentID:  s.Spec.PaymentID,
-		NumEscrows: s.Topology.N,
-		Recipients: w.Participants(),
-		Timing:     s.Timing,
-		FaultOf:    r.faultOf,
-		KeySeed:    s.DerivedKeySeed(),
-	}
 	if p.Manager == ManagerCommittee {
-		r.mgr = notary.NewCommittee(deps, p.committeeSize())
+		r.mgr = notary.CommitteeIn(w, s, p.committeeSize())
 	} else {
-		r.mgr = notary.NewTrusted(deps)
+		r.mgr = notary.TrustedIn(w, s)
 	}
 
 	topo := s.Topology

@@ -6,6 +6,8 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/notary"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -267,5 +269,56 @@ func TestNames(t *testing.T) {
 	}
 	if NewCommittee(0).Name() != "weaklive-committee-4" {
 		t.Errorf("unexpected default-size name %q", NewCommittee(0).Name())
+	}
+}
+
+// TestSameDecisionCertNotReverified: a customer who holds a certificate for
+// a decision, and an escrow that has seen one, pay no signature verification
+// for another certificate of that decision; one for the other decision is
+// still verified, and a customer still comes to hold both.
+func TestSameDecisionCertNotReverified(t *testing.T) {
+	w := core.NewWorld()
+	s := core.NewScenario(2, 4).WithCrypto("hmac") // no memo: every Keyring.Verify is a miss
+	// A silent e1 never reports, so nothing is decided until Bob asks to abort.
+	s = s.SetFault(core.EscrowID(1), core.FaultSpec{Silent: true}).SetPatience(core.CustomerID(2), 10*sim.Second)
+	res, err := NewCommittee(4).RunIn(w, s)
+	if err != nil || res.CommitIssued || !res.AbortIssued {
+		t.Fatalf("err=%v commit=%v abort=%v, want an abort", err, res.CommitIssued, res.AbortIssued)
+	}
+	run := core.Standing[runState](w)
+	kr, ids := w.Keyring(), run.mgr.IDs()
+	verifies := func(deliver func()) uint64 {
+		before := kr.Stats()
+		deliver()
+		after := kr.Stats()
+		return after.MemoHits + after.MemoMisses - before.MemoHits - before.MemoMisses
+	}
+	cert := func(d sig.Decision) *notary.MsgDecision {
+		return &notary.MsgDecision{Cert: sig.NewCommitteeDecisionCert(kr, s.Spec.PaymentID, d, core.ManagerID, w.Eng.Now(), ids[:3], 3)}
+	}
+	// c1 paid in and, e1 being silent, never got her refund there: she holds
+	// the abort certificate and is still listening.
+	c1 := &run.customers[1]
+	if !c1.hasAbort || c1.hasCommit || !c1.active() {
+		t.Fatalf("c1: abort=%v commit=%v active=%v", c1.hasAbort, c1.hasCommit, c1.active())
+	}
+	if n := verifies(func() { c1.Deliver(ids[0], cert(sig.DecisionAbort)) }); n != 0 {
+		t.Errorf("a customer holding an abort certificate verified %d signatures of a second one", n)
+	}
+	if n := verifies(func() { c1.Deliver(ids[0], cert(sig.DecisionCommit)) }); n != 3 || !c1.hasCommit || !c1.hasAbort {
+		t.Errorf("a commit certificate after an abort one: %d signatures verified, commit=%v abort=%v; want 3 and both", n, c1.hasCommit, c1.hasAbort)
+	}
+	if n := verifies(func() { c1.Deliver(ids[0], cert(sig.DecisionCommit)) }); n != 0 {
+		t.Errorf("a customer holding both certificates verified %d signatures of a third", n)
+	}
+	// An escrow that learnt the decision before any money arrived keeps
+	// waiting for a lock to settle, and verifies the decision once.
+	e0 := &run.escrows[0]
+	*e0 = newEscrowProc(run, 0)
+	if n := verifies(func() { e0.Deliver(ids[0], cert(sig.DecisionAbort)) }); n != 3 || e0.decided != sig.DecisionAbort || e0.settled {
+		t.Fatalf("an escrow's first certificate: %d signatures verified, decided %q, settled=%v", n, e0.decided, e0.settled)
+	}
+	if n := verifies(func() { e0.Deliver(ids[1], cert(sig.DecisionAbort)) }); n != 0 {
+		t.Errorf("an escrow that knows the decision verified %d signatures of a second certificate for it", n)
 	}
 }
