@@ -219,11 +219,16 @@ type PaymentSpec struct {
 // and a per-hop commission added upstream: Alice pays
 // base + (n-1)*commission, Bob receives base.
 func NewPaymentSpec(paymentID string, t Topology, base, commission int64) PaymentSpec {
-	amounts := make([]int64, t.N)
+	return PaymentSpec{PaymentID: paymentID, Amounts: AppendAmounts(make([]int64, 0, t.N), t, base, commission)}
+}
+
+// AppendAmounts appends NewPaymentSpec's per-hop amounts to dst: a caller
+// that builds specs one after another keeps the slice.
+func AppendAmounts(dst []int64, t Topology, base, commission int64) []int64 {
 	for i := 0; i < t.N; i++ {
-		amounts[i] = base + int64(t.N-1-i)*commission
+		dst = append(dst, base+int64(t.N-1-i)*commission)
 	}
-	return PaymentSpec{PaymentID: paymentID, Amounts: amounts}
+	return dst
 }
 
 // Validate checks that the spec matches the topology and all amounts are

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -18,7 +18,7 @@ import (
 func NewScenario(n int, seed int64) Scenario {
 	topo := NewTopology(n)
 	timing := DefaultTiming()
-	spec := NewPaymentSpec(fmt.Sprintf("pay-n%d-s%d", n, seed), topo, 1000, 10)
+	spec := NewPaymentSpec(PaymentID(n, seed), topo, 1000, 10)
 	return Scenario{
 		Topology:       topo,
 		Spec:           spec,
@@ -27,6 +27,14 @@ func NewScenario(n int, seed int64) Scenario {
 		InitialBalance: spec.AlicePays() * 2,
 		Seed:           seed,
 	}
+}
+
+// PaymentID is the payment identifier NewScenario gives a chain of n escrows
+// run under seed, "pay-n<n>-s<seed>".
+func PaymentID(n int, seed int64) string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "pay-n"...), int64(n), 10)
+	return string(strconv.AppendInt(append(b, "-s"...), seed, 10))
 }
 
 // WithNetwork returns a copy of the scenario using the given delay model.

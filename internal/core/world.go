@@ -43,7 +43,9 @@ const DefaultMaxEvents = 2_000_000
 // next payment; a scenariogen.Fuzz worker holds two — the primary run on the
 // first, the differential ANTA run and the determinism rerun on the second —
 // and keeps only what it copied into the Outcome. The same rule covers a
-// deals.Result from a deal protocol's RunIn.
+// deal protocol's RunIn: the deals.Result, its Outcome with the Transferred
+// and Compliant maps and the EscrowedForever slice, the chains, parties and
+// certifier that ran, and every message they sent are the world's.
 //
 // A world is confined to one goroutine, like the engine inside it.
 type World struct {

@@ -24,7 +24,6 @@ package deals
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -105,7 +104,7 @@ func (d *Deal) derive() {
 			}
 		}
 	}
-	sort.Strings(d.types)
+	slices.Sort(d.types)
 }
 
 // Entry returns M[i][j] by party name.

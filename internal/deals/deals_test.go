@@ -322,25 +322,27 @@ func TestDealRunDeterminism(t *testing.T) {
 // matches the signed subject: replaying a genuine abort certificate with
 // the bit flipped (or an unsigned decision) must settle nothing.
 func TestCertifiedDecisionBindsCommitBit(t *testing.T) {
-	r, err := newDealRun(core.NewWorld(), dealConfig(swapDeal(), 1), false)
-	if err != nil {
+	w := core.NewWorld()
+	r := core.Standing[dealRun](w)
+	if err := r.reset(w, dealConfig(swapDeal(), 1), false); err != nil {
 		t.Fatal(err)
 	}
-	chain := r.chains["coin"]
-	abortCert := sig.NewReceipt(r.kr, r.dealID(), certifierID, "abort", 0)
-	chain.onCertified(msgCertified{Commit: true, Cert: abortCert})
-	if len(chain.settled) != 0 {
+	chain := &r.chains[0]
+	settled := func() bool { return r.arcs[0].settled || r.arcs[1].settled }
+	abortCert := sig.NewReceipt(r.kr, r.id, certifierID, "abort", 0)
+	chain.onCertified(&msgCertified{Commit: true, Cert: abortCert})
+	if chain.led.Name() != "coin" || settled() {
 		t.Fatal("flipped-bit replay of an abort certificate settled arcs")
 	}
-	chain.onCertified(msgCertified{Commit: true})
-	if len(chain.settled) != 0 {
+	chain.onCertified(&msgCertified{Commit: true})
+	if settled() {
 		t.Fatal("unsigned decision settled arcs")
 	}
-	commitCert := sig.NewReceipt(r.kr, r.dealID(), certifierID, "commit", 0)
+	commitCert := sig.NewReceipt(r.kr, r.id, certifierID, "commit", 0)
 	tampered := commitCert
 	tampered.Subject = "abort"
-	chain.onCertified(msgCertified{Commit: false, Cert: tampered})
-	if len(chain.settled) != 0 {
+	chain.onCertified(&msgCertified{Commit: false, Cert: tampered})
+	if settled() {
 		t.Fatal("tampered certificate settled arcs")
 	}
 }

@@ -88,27 +88,39 @@ func Candidates() []Candidate {
 // is permitted before GST in the partially synchronous model.
 type Attack struct {
 	Name string
-	// Matches selects the messages the adversary delays, by description.
-	Matches func(describe string) bool
+	// Matches selects the messages the adversary delays, by the head of their
+	// description (netsim.HeadOf): a message's kind, never its values.
+	Matches func(head string) bool
 	// Holdback is how long matched messages are delayed.
 	Holdback sim.Time
 }
 
-// Model returns the netsim delay model implementing the attack.
-func (a Attack) Model(fast sim.Time) netsim.DelayModel {
-	return netsim.Adversarial{
-		Label: a.Name,
-		Strategy: func(env netsim.Envelope, eng *sim.Engine) (sim.Time, bool) {
-			if a.Matches(env.Msg.Describe()) {
-				return a.Holdback, false
-			}
-			if fast <= 0 {
-				return 1, false
-			}
-			return 1 + sim.Time(eng.Rand().Int63n(int64(fast))), false
-		},
-	}
+// Schedule is an attack as a netsim delay model: matched messages arrive
+// after the holdback, every other within Fast. It is a plain value, so a
+// caller that runs many attack scenarios rewrites one in place.
+type Schedule struct {
+	Attack Attack
+	Fast   sim.Time
 }
+
+// Name implements netsim.DelayModel.
+func (s *Schedule) Name() string { return "adversarial:" + s.Attack.Name }
+
+// Delay implements netsim.DelayModel.
+//
+//xchain:hotpath
+func (s *Schedule) Delay(env netsim.Envelope, eng *sim.Engine) (sim.Time, bool) {
+	if s.Attack.Matches(netsim.HeadOf(env.Msg)) {
+		return s.Attack.Holdback, false
+	}
+	if s.Fast <= 0 {
+		return 1, false
+	}
+	return 1 + sim.Time(eng.Rand().Int63n(int64(s.Fast))), false
+}
+
+// Model returns the netsim delay model implementing the attack.
+func (a Attack) Model(fast sim.Time) netsim.DelayModel { return &Schedule{Attack: a, Fast: fast} }
 
 // AttackNames lists the adversarial schedules of the Theorem-2 search in
 // canonical order. Each name selects one class of protocol message to starve:
@@ -201,6 +213,7 @@ func SearchImpossibility(opts Options) []Finding {
 		opts.Seeds = []int64{1}
 	}
 	var findings []Finding
+	w := core.NewWorld() // every result is read before the next run
 	for _, cand := range Candidates() {
 		// Derive the candidate's largest window to size the attacks.
 		probe := core.NewScenario(opts.N, opts.Seeds[0])
@@ -219,7 +232,7 @@ func SearchImpossibility(opts Options) []Finding {
 				s := core.NewScenario(opts.N, seed).Muted()
 				s.Network = att.Model(s.Timing.MaxMsgDelay)
 				p := cand.Build(s)
-				res, err := p.Run(s)
+				res, err := p.RunIn(w, s)
 				if err != nil {
 					violated[core.PropConsistency] = true
 					continue
@@ -298,11 +311,12 @@ func ControlUnderSynchrony(opts Options) (map[string]bool, error) {
 		opts.Seeds = []int64{1}
 	}
 	out := map[string]bool{}
+	w := core.NewWorld()
 	for _, cand := range Candidates() {
 		ok := true
 		for _, seed := range opts.Seeds {
 			s := core.NewScenario(opts.N, seed).Muted()
-			res, err := cand.Build(s).Run(s)
+			res, err := cand.Build(s).RunIn(w, s)
 			if err != nil {
 				return nil, err
 			}

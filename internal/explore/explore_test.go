@@ -1,10 +1,17 @@
 package explore
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/htlc"
+	"repro/internal/netsim"
+	"repro/internal/notary"
+	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/timelock"
+	"repro/internal/weaklive"
 )
 
 func TestCandidatesCoverFiniteAndInfinite(t *testing.T) {
@@ -51,6 +58,48 @@ func TestAttacksMatchProtocolMessages(t *testing.T) {
 	}
 	if !byName["delay-promises"].Matches("P(a=1ms from e0 to c1)") {
 		t.Error("promise attack does not match promises")
+	}
+}
+
+// TestAttacksClassifyByHead: a schedule reads a message's head, not its
+// description (netsim.HeadOf), so every protocol message — both Theorem-1
+// engines send the timelock ones, the ANTA adapters as their fields — has a
+// head its description starts with, and every attack answers the same on
+// either. internal/deals holds its own unexported seven to the same
+// (TestMessageHeads there), and scenariogen's TestMessagesImmutableInFlight
+// every message any engine actually sends.
+func TestAttacksClassifyByHead(t *testing.T) {
+	cert := sig.DecisionCert{Decision: sig.DecisionCommit, PaymentID: "pay", Manager: "manager"}
+	for _, m := range []netsim.Message{
+		&timelock.MsgGuarantee{G: sig.Guarantee{Escrow: "e0", Customer: "c0", D: sim.Second}},
+		&timelock.MsgPromise{P: sig.Promise{Escrow: "e0", Customer: "c1", A: sim.Second}},
+		&timelock.MsgMoney{Amount: 100}, &timelock.MsgMoney{Amount: 100, Refund: true},
+		&timelock.MsgCert{Cert: sig.PaymentCert{PaymentID: "pay", Issuer: "c3"}},
+		&htlc.MsgCreateLock{Amount: 7}, &htlc.MsgLockCreated{}, &htlc.MsgClaim{}, &htlc.MsgClaimed{}, &htlc.MsgPaid{}, &htlc.MsgRefunded{},
+		&weaklive.MsgPay{}, &weaklive.MsgPayout{}, &weaklive.MsgPayout{Refund: true},
+		&notary.MsgPrepared{Escrow: "e1"}, &notary.MsgAbortRequest{Customer: "c2"},
+		&notary.MsgDecision{Cert: cert}, &notary.MsgDecision{Cert: sig.DecisionCert{Decision: sig.DecisionAbort}},
+		&notary.MsgPrePrepare{Decision: sig.DecisionCommit, View: 2, Leader: "notary2"},
+		&notary.MsgPrepare{Decision: sig.DecisionAbort, View: 1, Voter: "notary0"},
+		&notary.MsgCommitVote{Decision: sig.DecisionCommit, Voter: "notary3"},
+		&notary.MsgViewChange{NewView: 3, Voter: "notary1"},
+	} {
+		head, ok := m.(interface{ Head() string })
+		if !ok {
+			t.Errorf("%T has no Head method", m)
+			continue
+		}
+		if h := head.Head(); h == "" || h != netsim.HeadOf(m) || !strings.HasPrefix(m.Describe(), h) {
+			t.Errorf("%T: description %q does not start with head %q", m, m.Describe(), h)
+		}
+		for _, a := range Attacks(sim.Second) {
+			if a.Matches(head.Head()) != a.Matches(m.Describe()) {
+				t.Errorf("%s matches %T by head %q differently than by description %q", a.Name, m, head.Head(), m.Describe())
+			}
+		}
+	}
+	if netsim.HeadOf(netsim.RawMessage{Label: "chi(raw)"}) != "chi(raw)" {
+		t.Error("a message without a head is not classified by its description")
 	}
 }
 

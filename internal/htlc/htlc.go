@@ -95,6 +95,10 @@ type MsgCreateLock struct {
 // Describe implements netsim.Message.
 func (m *MsgCreateLock) Describe() string { return fmt.Sprintf("hashlock(%d)", m.Amount) }
 
+// Head is the constant Describe starts with (see netsim.HeadOf); the other
+// messages' descriptions are constants, hence their own heads.
+func (m *MsgCreateLock) Head() string { return "hashlock(" }
+
 // MsgLockCreated notifies the downstream customer that an incoming lock is
 // in place.
 type MsgLockCreated struct {
@@ -106,6 +110,9 @@ type MsgLockCreated struct {
 // Describe implements netsim.Message.
 func (m *MsgLockCreated) Describe() string { return "lock-created" }
 
+// Head implements netsim.HeadOf's optional method.
+func (m *MsgLockCreated) Head() string { return "lock-created" }
+
 // MsgClaim reveals the preimage to an escrow to claim a lock.
 type MsgClaim struct {
 	PaymentID string
@@ -114,6 +121,9 @@ type MsgClaim struct {
 
 // Describe implements netsim.Message.
 func (m *MsgClaim) Describe() string { return "claim" }
+
+// Head implements netsim.HeadOf's optional method.
+func (m *MsgClaim) Head() string { return "claim" }
 
 // MsgClaimed tells the payer that her lock was claimed, exposing the
 // preimage so she can claim her own incoming lock.
@@ -126,6 +136,9 @@ type MsgClaimed struct {
 // Describe implements netsim.Message.
 func (m *MsgClaimed) Describe() string { return "claimed" }
 
+// Head implements netsim.HeadOf's optional method.
+func (m *MsgClaimed) Head() string { return "claimed" }
+
 // MsgPaid tells the payee the escrow credited her account.
 type MsgPaid struct {
 	PaymentID string
@@ -135,6 +148,9 @@ type MsgPaid struct {
 // Describe implements netsim.Message.
 func (m *MsgPaid) Describe() string { return "paid" }
 
+// Head implements netsim.HeadOf's optional method.
+func (m *MsgPaid) Head() string { return "paid" }
+
 // MsgRefunded tells the payer her lock expired and was refunded.
 type MsgRefunded struct {
 	PaymentID string
@@ -143,6 +159,9 @@ type MsgRefunded struct {
 
 // Describe implements netsim.Message.
 func (m *MsgRefunded) Describe() string { return "refunded" }
+
+// Head implements netsim.HeadOf's optional method.
+func (m *MsgRefunded) Head() string { return "refunded" }
 
 // Run implements core.Protocol.
 func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {

@@ -18,9 +18,24 @@ import (
 )
 
 // Message is the payload moved between participants. Protocol packages
-// define concrete message types; Describe is used for traces only.
+// define concrete message types. Describe renders the message for a trace;
+// a delay model that classifies messages reads HeadOf instead, which renders
+// nothing.
 type Message interface {
 	Describe() string
+}
+
+// HeadOf returns the constant head of msg's description — "chi(", "$(",
+// "P(" — when msg declares one with a Head() string method, which every
+// protocol message in the tree does, and the whole description otherwise.
+// Describe() always starts with the head, and the head runs up to where the
+// message's own values begin, so a test for a message kind's prefix reads the
+// same on either — and the head is built for no message.
+func HeadOf(msg Message) string {
+	if h, ok := msg.(interface{ Head() string }); ok {
+		return h.Head()
+	}
+	return msg.Describe()
 }
 
 // Node is a participant attached to the network.

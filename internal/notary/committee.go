@@ -144,6 +144,9 @@ func (m *MsgPrePrepare) Describe() string {
 	return "pre-prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Leader + ")"
 }
 
+// Head is the constant Describe starts with (see netsim.HeadOf).
+func (m *MsgPrePrepare) Head() string { return "pre-prepare(" }
+
 // MsgPrepare is a notary's first-phase vote.
 type MsgPrepare struct {
 	PaymentID string
@@ -156,6 +159,9 @@ type MsgPrepare struct {
 func (m *MsgPrepare) Describe() string {
 	return "prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
+
+// Head is the constant Describe starts with.
+func (m *MsgPrepare) Head() string { return "prepare(" }
 
 // MsgCommitVote is a notary's second-phase vote, sent once it holds a
 // prepared certificate (2f+1 prepares) for the decision.
@@ -170,6 +176,9 @@ type MsgCommitVote struct {
 func (m *MsgCommitVote) Describe() string {
 	return "commit-vote(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
+
+// Head is the constant Describe starts with.
+func (m *MsgCommitVote) Head() string { return "commit-vote(" }
 
 // MsgViewChange announces that a notary moves to a new view, reporting its
 // current lock (if any) so the new leader can carry it over.
@@ -187,6 +196,9 @@ type MsgViewChange struct {
 func (m *MsgViewChange) Describe() string {
 	return fmt.Sprintf("view-change(v%d by %s)", m.NewView, m.Voter)
 }
+
+// Head is the constant Describe starts with.
+func (m *MsgViewChange) Head() string { return "view-change(v" }
 
 // arena is the storage of the messages of one type that are sent once per
 // view, a chunk at a time (as sig's signature arena): a full chunk is left

@@ -48,6 +48,9 @@ type MsgPrepared struct {
 // Describe implements netsim.Message.
 func (m *MsgPrepared) Describe() string { return "prepared(" + m.Escrow + ")" }
 
+// Head is the constant Describe starts with (see netsim.HeadOf).
+func (m *MsgPrepared) Head() string { return "prepared(" }
+
 // MsgAbortRequest is sent by a customer that lost patience.
 type MsgAbortRequest struct {
 	PaymentID string
@@ -56,6 +59,9 @@ type MsgAbortRequest struct {
 
 // Describe implements netsim.Message.
 func (m *MsgAbortRequest) Describe() string { return "abort-request(" + m.Customer + ")" }
+
+// Head is the constant Describe starts with.
+func (m *MsgAbortRequest) Head() string { return "abort-request(" }
 
 // MsgDecision carries the manager's decision certificate to participants
 // (and between notaries, so that all learn an assembled certificate). The
@@ -66,6 +72,10 @@ type MsgDecision struct {
 
 // Describe implements netsim.Message.
 func (m *MsgDecision) Describe() string { return m.Cert.Describe() }
+
+// Head is what Describe starts with and no certificate's values reach: the
+// decision's name.
+func (m *MsgDecision) Head() string { return string(m.Cert.Decision) }
 
 // Manager is the common interface of the transaction-manager
 // implementations: the weak-liveness protocol sends MsgPrepared and

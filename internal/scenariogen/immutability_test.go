@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -18,7 +19,10 @@ import (
 // envelope twice — at Send, as the delay model the scenario's own is wrapped
 // in, and after delivery, as the network's tap — and holds the engine to it:
 // a message reads at delivery as it read at Send, and no message is sent
-// again, while an earlier Send of it is in flight, reading differently.
+// again, while an earlier Send of it is in flight, reading differently. It
+// also holds every message to what an attack schedule assumes of it
+// (netsim.HeadOf): a head, which the description starts with and every attack
+// classifies as it does the description.
 type msgWatch struct {
 	t     *testing.T
 	name  string
@@ -29,6 +33,9 @@ type msgWatch struct {
 	sent, byPointer    int
 	delivered, aliased int
 }
+
+// attacks are the schedules a message's head must classify it for.
+var attacks = explore.Attacks(sim.Second)
 
 type sentMsg struct {
 	msg   netsim.Message
@@ -49,6 +56,14 @@ func (m *msgWatch) Delay(env netsim.Envelope, eng *sim.Engine) (sim.Time, bool) 
 	}
 	delay, drop := m.inner.Delay(env, eng)
 	label := env.Msg.Describe()
+	if h, ok := env.Msg.(interface{ Head() string }); !ok || h.Head() == "" || !strings.HasPrefix(label, h.Head()) {
+		m.t.Errorf("%s: message #%d %q (%T) has no head it starts with", m.name, env.Seq, label, env.Msg)
+	}
+	for _, a := range attacks {
+		if a.Matches(netsim.HeadOf(env.Msg)) != a.Matches(label) {
+			m.t.Errorf("%s: %s classifies message #%d %q differently by its head %q", m.name, a.Name, env.Seq, label, netsim.HeadOf(env.Msg))
+		}
+	}
 	m.sent++
 	if reflect.ValueOf(env.Msg).Kind() == reflect.Pointer {
 		m.byPointer++
@@ -85,8 +100,8 @@ func (m *msgWatch) tap(env netsim.Envelope, _ sim.Time) {
 // the replay corpus and over generated scenarios — faults, partial synchrony
 // and attack schedules as Generate draws them, every third one also cut short
 // by MaxEvents, traced and muted alternating — until every process engine
-// has had its share, each engine on one standing world so that a run's
-// messages are the storage the previous run's were.
+// and both deal protocols have had their share, each on one standing world so
+// that a run's messages are the storage the previous run's were.
 func TestMessagesImmutableInFlight(t *testing.T) {
 	perEngine := 300
 	if testing.Short() {
@@ -98,7 +113,7 @@ func TestMessagesImmutableInFlight(t *testing.T) {
 		delivered, aliased, cut int
 	}
 	engines := map[string]*engine{}
-	for _, name := range []string{"timelock", "timelock-anta", "htlc", "weaklive-trusted", "weaklive-committee"} {
+	for _, name := range []string{"timelock", "timelock-anta", "htlc", "weaklive-trusted", "weaklive-committee", string(FamDealTimelock), string(FamDealCertified)} {
 		engines[name] = &engine{w: core.NewWorld()}
 	}
 	engineOf := func(p core.Protocol) *engine {
@@ -108,7 +123,32 @@ func TestMessagesImmutableInFlight(t *testing.T) {
 		}
 		return engines[name]
 	}
+	count := func(e *engine, m *msgWatch, maxEvents uint64) {
+		e.runs++
+		e.sent, e.byPointer = e.sent+m.sent, e.byPointer+m.byPointer
+		e.delivered, e.aliased = e.delivered+m.delivered, e.aliased+m.aliased
+		if maxEvents > 0 {
+			e.cut++
+		}
+	}
 	watch := func(name string, sp Spec, maxEvents uint64, muted bool) {
+		if sp.isDeal() { // a deal run takes no event cap
+			cfg, err := sp.DealConfig()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			e := engines[string(sp.Family)]
+			m := &msgWatch{t: t, name: name, net: e.w.Net, inner: cfg.Network, inflight: map[uint64]sentMsg{}}
+			cfg.Network, cfg.MuteTrace = m, muted
+			if _, err := sp.dealProtocol()(e.w, cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(m.inflight) != 0 {
+				t.Errorf("%s: %d messages never delivered", name, len(m.inflight))
+			}
+			count(e, m, 0)
+			return
+		}
 		s, err := sp.Scenario()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -130,12 +170,7 @@ func TestMessagesImmutableInFlight(t *testing.T) {
 			if maxEvents == 0 && len(m.inflight) != 0 && s.Network.Name() == "synchronous" {
 				t.Errorf("%s: %d messages never delivered", m.name, len(m.inflight))
 			}
-			e.runs++
-			e.sent, e.byPointer = e.sent+m.sent, e.byPointer+m.byPointer
-			e.delivered, e.aliased = e.delivered+m.delivered, e.aliased+m.aliased
-			if maxEvents > 0 {
-				e.cut++
-			}
+			count(e, m, maxEvents)
 		}
 	}
 
@@ -148,8 +183,8 @@ func TestMessagesImmutableInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Spec.isDeal() || r.Spec.Family == FamTraffic {
-			continue // no chain engine on a world of ours to watch
+		if r.Spec.Family == FamTraffic {
+			continue // no engine on a world of ours to watch
 		}
 		watch(filepath.Base(path), r.Spec, 0, false)
 		watch(filepath.Base(path)+" muted", r.Spec, 0, true)
@@ -170,13 +205,13 @@ func TestMessagesImmutableInFlight(t *testing.T) {
 			t.Fatalf("100000 seeds did not give every engine %d scenarios", perEngine)
 		}
 		sp := Generate(seed)
-		if sp.isDeal() || sp.Family == FamTraffic {
+		if sp.Family == FamTraffic {
 			continue
 		}
 		sp.Crypto = "hmac"
 		name := fmt.Sprintf("seed %d %s", seed, sp.Family)
 		watch(name, sp, 0, seed%2 == 0)
-		if seed%3 == 0 {
+		if seed%3 == 0 && !sp.isDeal() {
 			watch(name+" cut", sp, uint64(5+seed%40), seed%2 == 1)
 		}
 	}

@@ -154,7 +154,7 @@ func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 // guarantee is the Guarantee of the protocol a payment-family spec runs, as
 // that protocol states it.
 func (sp Spec) guarantee() core.Guarantee {
-	return sp.engines()[0].Guarantee() // every payment family runs at least one
+	return new(materialiser).engines(sp)[0].Guarantee() // every payment family runs at least one
 }
 
 // checkOptions returns the property-evaluation options for a run of the
@@ -188,19 +188,24 @@ func (sp Spec) allPatienceFinite() bool {
 	return true
 }
 
-// worlds is the pair of standing worlds one goroutine judges scenarios on.
-// A spec's primary run executes on the first; what is compared against it —
-// the ANTA side of a differential spec, the determinism rerun — on the
+// worlds is what one goroutine judges scenarios on: a pair of standing
+// worlds and the materialiser that turns each spec into what runs on them. A
+// spec's primary run executes on the first world; what is compared against
+// it — the ANTA side of a differential spec, the determinism rerun — on the
 // second, so the primary result is still valid while it is compared
 // (core.World's lifetime rule). Each world is built on first use, and
-// nothing of either outlives a run: an Outcome holds copies only.
-type worlds [2]*core.World
+// nothing of either, or of the materialiser, outlives a run: an Outcome
+// holds copies only.
+type worlds struct {
+	w   [2]*core.World
+	mat materialiser
+}
 
 func (ws *worlds) world(i int) *core.World {
-	if ws[i] == nil {
-		ws[i] = core.NewWorld()
+	if ws.w[i] == nil {
+		ws.w[i] = core.NewWorld()
 	}
-	return ws[i]
+	return ws.w[i]
 }
 
 // Run executes the spec and evaluates its oracle. Scenario errors are
@@ -377,20 +382,20 @@ func checkCheckpoint(s core.Scenario, w traffic.Workload, want string, at int, o
 // world i (a differential spec has two, every other family one). The runs are
 // muted: no oracle reads a trace (Trace reruns a spec recorded, for a human).
 func runPayment(sp Spec, out *Outcome, ws *worlds) {
-	s, err := sp.Scenario()
+	s, err := ws.mat.scenario(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
 	s = s.Muted()
-	protos, err := sp.Protocols()
+	protos, err := ws.mat.protocols(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return
 	}
 	opts := sp.checkOptions(out.Class, protos[0], s)
-	var results [len(ws)]*core.RunResult
-	var reports [len(ws)]check.Report
+	var results [len(ws.w)]*core.RunResult
+	var reports [len(ws.w)]check.Report
 	for i, p := range protos {
 		res, err := p.RunIn(ws.world(i), s)
 		if err != nil {
@@ -564,7 +569,7 @@ func (sp Spec) dealProtocol() func(*core.World, deals.Config) (*deals.Result, er
 // properties: safety and termination unconditionally, strong liveness when
 // every party complies under a conforming schedule, plus the ledger audit.
 func runDeal(sp Spec, out *Outcome, ws *worlds) {
-	cfg, err := sp.DealConfig()
+	cfg, err := ws.mat.dealConfig(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
 		return

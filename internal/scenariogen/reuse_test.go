@@ -12,7 +12,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/deals"
 	"repro/internal/ledger"
+	"repro/internal/netsim"
 	"repro/internal/sig"
+	"repro/internal/sim"
 )
 
 // reuseCase is one run of the equivalence test: run executes it on w and
@@ -108,15 +110,14 @@ func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 			}})
 		}
 	}
-	addDeal := func(name string, sp Spec) {
-		cfg, err := sp.DealConfig()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	// addDealRun adds the configuration's run under one of the two deal
+	// protocols, traced and muted, and returns the index of the first.
+	addDealRun := func(name string, cfg deals.Config, certified bool) int {
 		run := deals.TimelockCommit{}.RunIn
-		if sp.Family == FamDealCertified {
+		if certified {
 			run = deals.CertifiedCommit{}.RunIn
 		}
+		first := len(cases)
 		for _, muted := range []bool{false, true} {
 			cfg := cfg
 			cfg.MuteTrace = muted
@@ -128,6 +129,14 @@ func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 				return renderDeal(res), nil
 			}})
 		}
+		return first
+	}
+	addDeal := func(name string, sp Spec) {
+		cfg, err := sp.DealConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		addDealRun(name, cfg, sp.Family == FamDealCertified)
 	}
 	// addSpec adds sp's runs — every rendering of a payment family, the one
 	// protocol of a deal family — and, when disturbed, the runs built to
@@ -212,7 +221,51 @@ func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 		return first
 	}
 	managerCases(t, addRun, &pairs)
+	dealCases(t, addDealRun, &pairs)
 	return cases, pairs
+}
+
+// dealCases adds the runs that disturb what internal/deals keeps on a world,
+// in the order that would show it: a certified ring of five with a deviator
+// and parties that never lose patience, which ends with locks pending and
+// the certifier undecided; after it a ring of two and a ring of five under
+// timelocks (as pairs, for the short-long-short order); a deal that is no
+// ring, with two arcs of each asset type, under timelocks, then certified,
+// then under timelocks again; and a certified deal whose parties lose
+// patience before GST. Every run is added traced and muted.
+func dealCases(t *testing.T, addDealRun func(name string, cfg deals.Config, certified bool) int, pairs *[][2]int) {
+	t.Helper()
+	ringOf := func(n int, family Family) deals.Config {
+		sp := baseSpec(family)
+		sp.N, sp.Crypto = n, "hmac"
+		cfg, err := sp.DealConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	stuck := ringOf(5, FamDealCertified)
+	stuck.NonCompliant, stuck.PartyPatience = map[string]bool{dealPartyID(3): true}, 0
+	addDealRun("a certified ring of 5 that stays escrowed", stuck, true)
+	short := addDealRun("a timelock ring of 2", ringOf(2, FamDealTimelock), false)
+	long := addDealRun("a timelock ring of 5", ringOf(5, FamDealTimelock), false)
+	*pairs = append(*pairs, [2]int{short, long}, [2]int{short + 1, long + 1})
+
+	twoEach := ringOf(3, FamDealTimelock)
+	twoEach.Deal = deals.NewDeal("z", "a", "m").
+		Transfer("z", "a", deals.Asset{Type: "x", Amount: 4}).
+		Transfer("a", "m", deals.Asset{Type: "x", Amount: 3}).
+		Transfer("m", "z", deals.Asset{Type: "y", Amount: 2}).
+		Transfer("z", "m", deals.Asset{Type: "y", Amount: 1})
+	addDealRun("two arcs of each asset type under timelocks", twoEach, false)
+	deviant := twoEach
+	deviant.NonCompliant = map[string]bool{"a": true}
+	addDealRun("the same, certified, with a deviator nobody outwaits", deviant, true)
+	addDealRun("and under timelocks again", twoEach, false)
+	impatient := ringOf(4, FamDealCertified)
+	impatient.PartyPatience = 40 * sim.Millisecond
+	impatient.Network = netsim.PartialSynchrony{GST: 2 * sim.Second, Delta: impatient.Timing.MaxMsgDelay, MaxPreGST: sim.Second}
+	addDealRun("a certified ring of 4 that loses patience before GST", impatient, true)
 }
 
 // managerCases adds the runs that disturb what internal/notary keeps on a

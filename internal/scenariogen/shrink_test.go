@@ -192,8 +192,8 @@ func TestKnownBugsStillReproduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 2 {
-		t.Fatalf("%d known-bug replays, expected at least 2", len(files))
+	if len(files) < 5 {
+		t.Fatalf("%d known-bug replays, expected at least 5", len(files))
 	}
 	for _, path := range files {
 		t.Run(filepath.Base(path), func(t *testing.T) {

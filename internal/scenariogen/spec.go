@@ -16,7 +16,6 @@ package scenariogen
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 
@@ -352,27 +351,6 @@ func (sp Spec) sufficientDealPatience() sim.Time {
 	return sim.Time(100*(sp.N+5)) * sp.Timing.Delta
 }
 
-// network materialises the delay model.
-func (sp Spec) network() netsim.DelayModel {
-	switch sp.Net.Kind {
-	case NetPartial:
-		return netsim.PartialSynchrony{GST: sp.Net.GST, Delta: sp.Timing.Delta, MaxPreGST: sp.Net.MaxPreGST}
-	case NetAttack:
-		a, _ := explore.AttackByName(sp.Net.Attack, sp.Net.Holdback)
-		fast := sp.Net.Fast
-		if fast <= 0 {
-			fast = sp.Timing.Delta
-		}
-		return a.Model(fast)
-	default:
-		min := sp.Net.Min
-		if min < 1 {
-			min = 1
-		}
-		return netsim.Synchronous{Min: min, Max: sp.Timing.Delta}
-	}
-}
-
 // campaignKeySeed is the key seed every materialised scenario and deal
 // configuration runs under. Authentication is a primitive the model assumes:
 // no control flow reads a key's bytes, so which seed they derive from is, like
@@ -384,31 +362,93 @@ func (sp Spec) network() netsim.DelayModel {
 // Spec -> Scenario mapping, so Run stays a pure function of the spec.
 const campaignKeySeed = "scenariogen"
 
+// materialiser turns specs into what runs them — a core.Scenario and its
+// protocols, or a deals.Config — in storage it keeps from spec to spec: the
+// per-hop amounts, the fault maps, the delay model (handed out by pointer),
+// one engine of each kind, the timeout windows and the ring deal are written
+// over in place. What it returns is therefore valid until it next
+// materialises the same thing, which suits a fuzz worker: it judges a spec
+// before it draws the next. The Spec methods below are the same code on a
+// materialiser of their own, so what they return is their caller's.
+type materialiser struct {
+	amounts []int64
+	faults  map[string]core.FaultSpec
+
+	synchronous netsim.Synchronous
+	partial     netsim.PartialSynchrony
+	attack      explore.Schedule
+
+	// The engines, rewritten bare by engines before protocols attaches a
+	// spec's windows to the timelock ones; protos is the slice both return.
+	process, anta timelock.Protocol
+	htlc          htlc.Protocol
+	weaklive      weaklive.Protocol
+	protos        [2]core.Protocol
+	params        timelock.Params
+
+	// rings[n] is the ring deal among n parties, at the amounts of the last
+	// spec that asked for it; assets[i] is "asset<i>".
+	rings        map[int]*deals.Deal
+	assets       []string
+	nonCompliant map[string]bool
+}
+
+// network materialises the delay model.
+func (m *materialiser) network(sp Spec) netsim.DelayModel {
+	switch sp.Net.Kind {
+	case NetPartial:
+		m.partial = netsim.PartialSynchrony{GST: sp.Net.GST, Delta: sp.Timing.Delta, MaxPreGST: sp.Net.MaxPreGST}
+		return &m.partial
+	case NetAttack:
+		a, _ := explore.AttackByName(sp.Net.Attack, sp.Net.Holdback)
+		m.attack = explore.Schedule{Attack: a, Fast: sp.Net.Fast}
+		if m.attack.Fast <= 0 {
+			m.attack.Fast = sp.Timing.Delta
+		}
+		return &m.attack
+	default:
+		m.synchronous = netsim.Synchronous{Min: max(sp.Net.Min, 1), Max: sp.Timing.Delta}
+		return &m.synchronous
+	}
+}
+
 // Scenario materialises the core scenario for a payment-family spec.
-func (sp Spec) Scenario() (core.Scenario, error) {
+func (sp Spec) Scenario() (core.Scenario, error) { return new(materialiser).scenario(sp) }
+
+func (m *materialiser) scenario(sp Spec) (core.Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return core.Scenario{}, err
 	}
 	if sp.isDeal() {
 		return core.Scenario{}, fmt.Errorf("scenariogen: %s is a deal family, use DealConfig", sp.Family)
 	}
-	s := core.NewScenario(sp.N, sp.Seed).
-		WithPayment(sp.Base, sp.Commission).
-		WithTiming(sp.Timing.Timing()).
-		WithCrypto(sp.Crypto)
-	s.KeySeed = campaignKeySeed
-	s = s.WithNetwork(sp.network())
-	// The scenario's maps are its own, each built once (SetFault and
-	// SetPatience would copy the whole map per entry).
+	// What core.NewScenario(sp.N, sp.Seed) with the spec's payment, timing,
+	// backend and network is, built in place.
+	topo := core.NewTopology(sp.N)
+	m.amounts = core.AppendAmounts(m.amounts[:0], topo, sp.Base, sp.Commission)
+	s := core.Scenario{
+		Topology: topo,
+		Spec:     core.PaymentSpec{PaymentID: core.PaymentID(sp.N, sp.Seed), Amounts: m.amounts},
+		Timing:   sp.Timing.Timing(),
+		Network:  m.network(sp),
+		Seed:     sp.Seed,
+		Crypto:   sp.Crypto,
+		KeySeed:  campaignKeySeed,
+	}
+	s.InitialBalance = s.Spec.AlicePays() * 2
 	if len(sp.Faults) > 0 {
-		s.Faults = make(map[string]core.FaultSpec, len(sp.Faults))
+		if m.faults == nil {
+			m.faults = make(map[string]core.FaultSpec, len(sp.Faults))
+		}
+		clear(m.faults)
 		for id, name := range sp.Faults {
 			b, _ := adversary.ParseBehaviour(name)
-			s.Faults[id] = adversary.Spec(b, s.Timing)
+			m.faults[id] = adversary.Spec(b, s.Timing)
 		}
+		s.Faults = m.faults
 	}
 	if len(sp.Patience) > 0 {
-		s.Patience = maps.Clone(sp.Patience)
+		s.Patience = sp.Patience // read, never written: SetPatience copies
 	}
 	return s, nil
 }
@@ -416,22 +456,29 @@ func (sp Spec) Scenario() (core.Scenario, error) {
 // engines returns the protocol engines the spec runs, before any timeout
 // windows are attached: one for every payment family except differential,
 // which gets the process/ANTA pair; nil for the others.
-func (sp Spec) engines() []core.Protocol {
+func (m *materialiser) engines(sp Spec) []core.Protocol {
 	switch sp.Family {
 	case FamTimelock:
-		return []core.Protocol{timelock.New()}
+		m.process = *timelock.New()
+		return append(m.protos[:0], &m.process)
 	case FamANTA:
-		return []core.Protocol{timelock.NewANTA()}
+		m.anta = *timelock.NewANTA()
+		return append(m.protos[:0], &m.anta)
 	case FamNaive:
-		return []core.Protocol{timelock.NewNaive()}
+		m.process = *timelock.NewNaive()
+		return append(m.protos[:0], &m.process)
 	case FamDifferential:
-		return []core.Protocol{timelock.New(), timelock.NewANTA()}
+		m.process, m.anta = *timelock.New(), *timelock.NewANTA()
+		return append(m.protos[:0], &m.process, &m.anta)
 	case FamHTLC:
-		return []core.Protocol{htlc.New()}
+		m.htlc = *htlc.New()
+		return append(m.protos[:0], &m.htlc)
 	case FamWeaklive:
-		return []core.Protocol{weaklive.New()}
+		m.weaklive = *weaklive.New()
+		return append(m.protos[:0], &m.weaklive)
 	case FamCommittee:
-		return []core.Protocol{weaklive.NewCommittee(sp.committeeSize())}
+		m.weaklive = *weaklive.NewCommittee(sp.committeeSize())
+		return append(m.protos[:0], &m.weaklive)
 	}
 	return nil
 }
@@ -440,28 +487,30 @@ func (sp Spec) engines() []core.Protocol {
 // timeout-family protocol carries the windows it will run — derived, scaled
 // or inflated — so the run and the oracle's a-priori bound read one
 // derivation, which a differential pair shares.
-func (sp Spec) Protocols() ([]core.Protocol, error) {
-	protos := sp.engines()
+func (sp Spec) Protocols() ([]core.Protocol, error) { return new(materialiser).protocols(sp) }
+
+func (m *materialiser) protocols(sp Spec) ([]core.Protocol, error) {
+	protos := m.engines(sp)
 	if protos == nil {
 		return nil, fmt.Errorf("scenariogen: family %s has no core.Protocol", sp.Family)
 	}
-	var params *timelock.Params
+	derived := false
 	for _, p := range protos {
 		tl, ok := p.(*timelock.Protocol)
 		if !ok {
 			continue
 		}
-		if params == nil { // a family's engines agree on DriftAware
-			derived := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), tl.DriftAware)
+		if !derived { // a family's engines agree on DriftAware
+			m.params.Derive(core.NewTopology(sp.N), sp.Timing.Timing(), tl.DriftAware)
 			switch {
 			case sp.TimeoutScale < 0:
-				derived = derived.Inflated()
+				m.params.Inflate()
 			case sp.TimeoutScale != 0 && sp.TimeoutScale != 1:
-				derived = derived.Scaled(sp.TimeoutScale)
+				m.params.Scale(sp.TimeoutScale)
 			}
-			params = &derived
+			derived = true
 		}
-		tl.Params = params
+		tl.Params = &m.params
 	}
 	return protos, nil
 }
@@ -473,23 +522,36 @@ func dealPartyID(i int) string { return fmt.Sprintf("p%d", i) }
 // arc i transferring Base + i*Commission of asset_i from p_i to p_{(i+1)%N}.
 // A ring is strongly connected, hence well-formed in the sense of Herlihy et
 // al., so their protocols' guarantees are owed on it.
-func (sp Spec) Deal() *deals.Deal {
-	parties := make([]string, sp.N)
-	for i := range parties {
-		parties[i] = dealPartyID(i)
+func (sp Spec) Deal() *deals.Deal { return new(materialiser).ring(sp) }
+
+func (m *materialiser) ring(sp Spec) *deals.Deal {
+	d := m.rings[sp.N]
+	if d == nil {
+		parties := make([]string, sp.N)
+		for i := range parties {
+			parties[i] = dealPartyID(i)
+		}
+		for i := len(m.assets); i < sp.N; i++ {
+			m.assets = append(m.assets, fmt.Sprintf("asset%d", i))
+		}
+		if m.rings == nil {
+			m.rings = map[int]*deals.Deal{}
+		}
+		d = deals.NewDeal(parties...)
+		m.rings[sp.N] = d
 	}
-	d := deals.NewDeal(parties...)
-	for i := 0; i < sp.N; i++ {
-		d.Transfer(parties[i], parties[(i+1)%sp.N], deals.Asset{
-			Type:   fmt.Sprintf("asset%d", i),
-			Amount: sp.Base + int64(i)*sp.Commission,
-		})
+	// The ring among N has the same parties, arcs and asset types whatever
+	// the spec: only the amounts are written.
+	for i, p := range d.Parties {
+		d.Transfer(p, d.Parties[(i+1)%sp.N], deals.Asset{Type: m.assets[i], Amount: sp.Base + int64(i)*sp.Commission})
 	}
 	return d
 }
 
 // DealConfig materialises the deal-protocol configuration of a deal spec.
-func (sp Spec) DealConfig() (deals.Config, error) {
+func (sp Spec) DealConfig() (deals.Config, error) { return new(materialiser).dealConfig(sp) }
+
+func (m *materialiser) dealConfig(sp Spec) (deals.Config, error) {
 	if err := sp.Validate(); err != nil {
 		return deals.Config{}, err
 	}
@@ -497,19 +559,22 @@ func (sp Spec) DealConfig() (deals.Config, error) {
 		return deals.Config{}, fmt.Errorf("scenariogen: %s is not a deal family", sp.Family)
 	}
 	cfg := deals.Config{
-		Deal:    sp.Deal(),
+		Deal:    m.ring(sp),
 		Timing:  sp.Timing.Timing(),
-		Network: sp.network(),
+		Network: m.network(sp),
 		Seed:    sp.Seed,
 		Crypto:  sp.Crypto,
 		KeySeed: campaignKeySeed,
 	}
-	nc := map[string]bool{}
-	for id := range sp.Faults {
-		nc[id] = true
-	}
-	if len(nc) > 0 {
-		cfg.NonCompliant = nc
+	if len(sp.Faults) > 0 {
+		if m.nonCompliant == nil {
+			m.nonCompliant = make(map[string]bool, len(sp.Faults))
+		}
+		clear(m.nonCompliant)
+		for id := range sp.Faults {
+			m.nonCompliant[id] = true
+		}
+		cfg.NonCompliant = m.nonCompliant
 	}
 	if sp.Family == FamDealCertified {
 		cfg.PartyPatience = sp.PatienceFloor

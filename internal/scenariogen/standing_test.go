@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -101,18 +104,21 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 }
 
 // fuzzAllocBudget and fuzzBytesBudget are what one scenario of the hmac
-// campaign may allocate, generation, oracle and aggregation included.
-// Measured at 31.3 allocations and 2.5 KB (33.3 and 2.7 KB under the race
-// detector) when the transaction manager moved onto the world (44 and 3.4 KB
-// before, with the Figure-2 automata compiled once and standing; 124 and
-// 8.8 KB before that, muted on a standing generator under one campaign key
-// seed; 228 and 21 KB before that); what is left is mostly the deal runs. A
-// change that brings back a per-scenario engine, trace, network, book,
-// keyring, generator, process slice, automaton or committee fails here, on
-// any machine.
+// campaign may allocate, generation, oracle and aggregation included: what
+// was measured when the deal run and the Spec's materialisation moved onto
+// the worker's standing storage — 6.7 allocations and 978 bytes, 7.2 and
+// 1 050 under the race detector — plus a tenth. (31.3 and 2.5 KB before,
+// with the transaction manager on the world; 44 and 3.4 KB before that, the
+// Figure-2 automata compiled once; 124 and 8.8 KB muted on a standing
+// generator under one campaign key seed; 228 and 21 KB before that.) What is
+// left is the Outcome, the generated spec's fault and patience maps, and the
+// payment's and its locks' ID strings. A change that brings back a
+// per-scenario engine, trace, network, book, keyring, generator, process
+// slice, automaton, committee, deal run, amounts slice, fault map, delay
+// model or protocol object fails here, on any machine.
 const (
-	fuzzAllocBudget = 35
-	fuzzBytesBudget = 2_800
+	fuzzAllocBudget = 7.4
+	fuzzBytesBudget = 1_080
 )
 
 // TestFuzzScenarioAllocs pins what the fuzz path costs by two numbers no
@@ -133,7 +139,7 @@ func TestFuzzScenarioAllocs(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(st.Runs)
 	t.Logf("one of %d scenarios: %.1f allocations, %.0f bytes", st.Runs, allocs, bytes)
 	if allocs > fuzzAllocBudget || bytes > fuzzBytesBudget {
-		t.Fatalf("a fuzzed scenario allocates %.1f times and %.0f bytes, budget %d and %d", allocs, bytes, fuzzAllocBudget, fuzzBytesBudget)
+		t.Fatalf("a fuzzed scenario allocates %.1f times and %.0f bytes, budget %v and %v", allocs, bytes, fuzzAllocBudget, fuzzBytesBudget)
 	}
 }
 
@@ -142,8 +148,8 @@ func TestFuzzScenarioAllocs(t *testing.T) {
 func TestFuzzRecoversPanickingScenario(t *testing.T) {
 	ws := &worlds{}
 	sp := baseSpec(FamTimelock)
-	if out := runGuarded(sp, ws, runOn); !out.OK() || ws[0] == nil {
-		t.Fatalf("healthy scenario: violations %v, primary world built: %v", out.Violations, ws[0] != nil)
+	if out := runGuarded(sp, ws, runOn); !out.OK() || ws.w[0] == nil {
+		t.Fatalf("healthy scenario: violations %v, primary world built: %v", out.Violations, ws.w[0] != nil)
 	}
 	out := runGuarded(sp, ws, func(Spec, *worlds) *Outcome { panic("ledger exploded") })
 	if len(out.Violations) != 1 || out.Violations[0].Kind != KindEngine {
@@ -155,10 +161,102 @@ func TestFuzzRecoversPanickingScenario(t *testing.T) {
 	if out.Spec.Seed != sp.Seed || out.Class != sp.Class() {
 		t.Fatalf("outcome describes %s/%s, want the panicking spec", out.Spec.Describe(), out.Class)
 	}
-	if ws[0] != nil || ws[1] != nil {
+	if ws.w[0] != nil || ws.w[1] != nil {
 		t.Fatal("worlds of unknown state were kept after a panic")
 	}
 	if out := runGuarded(sp, ws, runOn); !out.OK() {
 		t.Fatalf("scenario after a panic: %v", out.Violations)
 	}
+}
+
+// sameNetwork reports whether two materialised delay models are one model:
+// reflect.DeepEqual holds the plain ones to it, and an attack schedule — whose
+// Matches is a function, which DeepEqual never calls equal — by its name, its
+// delays and how it classifies the heads the schedules tell apart.
+func sameNetwork(a, b netsim.DelayModel) bool {
+	sa, attackA := a.(*explore.Schedule)
+	sb, attackB := b.(*explore.Schedule)
+	if !attackA || !attackB {
+		return attackA == attackB && reflect.DeepEqual(a, b)
+	}
+	for _, head := range []string{"chi(", "$(", "$refund(", "P(a=", "G(d=", "pay"} {
+		if sa.Attack.Matches(head) != sb.Attack.Matches(head) {
+			return false
+		}
+	}
+	return sa.Name() == sb.Name() && sa.Attack.Holdback == sb.Attack.Holdback && sa.Fast == sb.Fast
+}
+
+// TestMaterialiserMatchesSpec is the oracle of the standing materialiser:
+// whatever it materialised before — the specs of 20 000 seeds in seed order,
+// reversed, and with long chains and short ones interleaved — the Scenario,
+// Protocols and DealConfig it hands a run are what a new materialiser (the
+// public Spec methods) returns: reflect.DeepEqual on everything a run reads,
+// the delay model by sameNetwork.
+func TestMaterialiserMatchesSpec(t *testing.T) {
+	seeds := 20_000
+	if testing.Short() {
+		seeds = 3_000
+	}
+	var specs []Spec
+	families := map[Family]int{}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		if sp := Generate(seed); sp.Family != FamTraffic {
+			specs = append(specs, sp)
+			families[sp.Family]++
+		}
+	}
+	for _, f := range nonTraffic() {
+		if families[f] == 0 {
+			t.Fatalf("no %s spec among the first %d seeds", f, seeds)
+		}
+	}
+	var m materialiser
+	check := func(pass string, sp Spec) {
+		t.Helper()
+		if sp.isDeal() {
+			got, err := m.dealConfig(sp)
+			want, wantErr := sp.DealConfig()
+			if err != nil || wantErr != nil || !sameNetwork(got.Network, want.Network) {
+				t.Fatalf("%s: %s: errors %v and %v, networks %+v and %+v", pass, sp.Describe(), err, wantErr, got.Network, want.Network)
+			}
+			got.Network, want.Network = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s: the standing materialiser's deal configuration\n%+v\n%s\na new one's\n%+v\n%s", pass, sp.Describe(), got, got.Deal, want, want.Deal)
+			}
+			return
+		}
+		got, err := m.scenario(sp)
+		want, wantErr := sp.Scenario()
+		if err != nil || wantErr != nil || !sameNetwork(got.Network, want.Network) {
+			t.Fatalf("%s: %s: errors %v and %v, networks %+v and %+v", pass, sp.Describe(), err, wantErr, got.Network, want.Network)
+		}
+		got.Network, want.Network = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s: the standing materialiser's scenario\n%+v\na new one's\n%+v", pass, sp.Describe(), got, want)
+		}
+		gotProtos, err := m.protocols(sp)
+		wantProtos, wantErr := sp.Protocols()
+		if err != nil || wantErr != nil || !reflect.DeepEqual(gotProtos, wantProtos) {
+			t.Fatalf("%s: %s: errors %v and %v, protocols %+v and %+v", pass, sp.Describe(), err, wantErr, gotProtos, wantProtos)
+		}
+		for i, p := range gotProtos {
+			if p.Name() != wantProtos[i].Name() || p.Guarantee() != wantProtos[i].Guarantee() {
+				t.Fatalf("%s: %s: protocol %d is %s, a new materialiser's %s", pass, sp.Describe(), i, p.Name(), wantProtos[i].Name())
+			}
+		}
+	}
+	for _, sp := range specs {
+		check("in seed order", sp)
+	}
+	for i := len(specs) - 1; i >= 0; i-- {
+		check("reversed", specs[i])
+	}
+	byLength := slices.Clone(specs)
+	slices.SortStableFunc(byLength, func(a, b Spec) int { return a.N - b.N })
+	for lo, hi := 0, len(byLength)-1; lo < hi; lo, hi = lo+1, hi-1 {
+		check("long after short", byLength[hi])
+		check("short after long", byLength[lo])
+	}
+	t.Logf("%d specs materialised in three orders", len(specs))
 }

@@ -22,6 +22,9 @@ type MsgGuarantee struct {
 // Describe implements netsim.Message.
 func (m *MsgGuarantee) Describe() string { return m.G.Describe() }
 
+// Head is the constant Describe starts with (see netsim.HeadOf).
+func (m *MsgGuarantee) Head() string { return "G(d=" }
+
 // MsgPromise carries the escrow promise P(a_i) from escrow e_i to its
 // downstream customer c_{i+1}.
 type MsgPromise struct {
@@ -30,6 +33,9 @@ type MsgPromise struct {
 
 // Describe implements netsim.Message.
 func (m *MsgPromise) Describe() string { return m.P.Describe() }
+
+// Head is the constant Describe starts with.
+func (m *MsgPromise) Head() string { return "P(a=" }
 
 // MsgMoney represents the transfer "$": from a customer to its escrow it is
 // the instruction to place the agreed value in escrow; from an escrow to a
@@ -44,13 +50,18 @@ type MsgMoney struct {
 
 // Describe implements netsim.Message.
 func (m *MsgMoney) Describe() string {
-	open := "$("
-	if m.Refund {
-		open = "$refund("
-	}
 	var buf [32]byte
-	b := strconv.AppendInt(append(buf[:0], open...), m.Amount, 10)
+	b := strconv.AppendInt(append(buf[:0], m.Head()...), m.Amount, 10)
 	return string(append(b, ')'))
+}
+
+// Head is the constant Describe starts with: a payment's differs from a
+// refund's, which no schedule that starves the money holds back.
+func (m *MsgMoney) Head() string {
+	if m.Refund {
+		return "$refund("
+	}
+	return "$("
 }
 
 // MsgCert carries the payment certificate chi, signed by Bob, travelling
@@ -61,3 +72,6 @@ type MsgCert struct {
 
 // Describe implements netsim.Message.
 func (m *MsgCert) Describe() string { return m.Cert.Describe() }
+
+// Head is the constant Describe starts with.
+func (m *MsgCert) Head() string { return "chi(" }

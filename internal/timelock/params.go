@@ -12,6 +12,7 @@ package timelock
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -78,10 +79,19 @@ func hopSlack(t core.Timing) sim.Time {
 // payments to spurious refunds and stranding honest connectors (a
 // termination failure) once clocks drift appreciably.
 func DeriveParams(topo core.Topology, t core.Timing, driftAware bool) Params {
+	var p Params
+	p.Derive(topo, t, driftAware)
+	return p
+}
+
+// Derive makes p what DeriveParams returns, in p's own A and D, which are
+// regrown only for a longer chain than any before: a caller that derives for
+// scenario after scenario keeps one Params.
+func (p *Params) Derive(topo core.Topology, t core.Timing, driftAware bool) {
 	n := topo.N
-	p := Params{
-		A:          make([]sim.Time, n),
-		D:          make([]sim.Time, n),
+	*p = Params{
+		A:          slices.Grow(p.A[:0], n)[:n],
+		D:          slices.Grow(p.D[:0], n)[:n],
 		DriftAware: driftAware,
 	}
 	scaleUp := func(d sim.Time) sim.Time {
@@ -116,41 +126,46 @@ func DeriveParams(topo core.Topology, t core.Timing, driftAware bool) Params {
 		2*(t.MaxMsgDelay+t.MaxProcessing) + // response propagates to customers
 		hopSlack(t) // final releases along the chain
 	p.Bound = bound
+}
+
+// Scale multiplies every window and the termination bound by scale (> 0),
+// in place. Any scale >= 1 keeps the derivation sound under synchrony; the
+// Theorem-2 exploration uses scaled variants as the timeout-protocol family
+// that partial synchrony defeats.
+func (p *Params) Scale(scale float64) {
+	for i := range p.A {
+		p.A[i] = sim.Time(float64(p.A[i]) * scale)
+		p.D[i] = sim.Time(float64(p.D[i])*scale) + 1
+	}
+	p.Bound = sim.Time(float64(p.Bound)*scale) + 1
+}
+
+// Inflate makes every timeout window effectively infinite (about 35
+// simulated years), in place, kept strictly nested so the parameters stay
+// structurally valid. It is the patient end of the timeout-protocol family:
+// under an adversarial schedule it never refunds, so it loses termination
+// instead of liveness.
+func (p *Params) Inflate() {
+	base := sim.Time(1) << 50
+	for i := range p.A {
+		p.A[i] = base - sim.Time(i)*sim.Hour
+		p.D[i] = p.A[i] + sim.Hour
+	}
+	p.Bound = sim.Time(1) << 55
+}
+
+// Scaled returns a copy of the parameters after Scale(scale).
+func (p Params) Scaled(scale float64) Params {
+	p.A, p.D = slices.Clone(p.A), slices.Clone(p.D)
+	p.Scale(scale)
 	return p
 }
 
-// Scaled returns a copy of the parameters with every window and the
-// termination bound multiplied by scale (> 0). Any scale >= 1 keeps the
-// derivation sound under synchrony; the Theorem-2 exploration uses scaled
-// variants as the timeout-protocol family that partial synchrony defeats.
-func (p Params) Scaled(scale float64) Params {
-	q := p
-	q.A = make([]sim.Time, len(p.A))
-	q.D = make([]sim.Time, len(p.D))
-	for i := range p.A {
-		q.A[i] = sim.Time(float64(p.A[i]) * scale)
-		q.D[i] = sim.Time(float64(p.D[i])*scale) + 1
-	}
-	q.Bound = sim.Time(float64(p.Bound)*scale) + 1
-	return q
-}
-
-// Inflated returns a copy of the parameters with effectively infinite
-// timeout windows (about 35 simulated years), kept strictly nested so the
-// parameters stay structurally valid. It is the patient end of the
-// timeout-protocol family: under an adversarial schedule it never refunds,
-// so it loses termination instead of liveness.
+// Inflated returns a copy of the parameters after Inflate.
 func (p Params) Inflated() Params {
-	q := p
-	q.A = make([]sim.Time, len(p.A))
-	q.D = make([]sim.Time, len(p.D))
-	base := sim.Time(1) << 50
-	for i := range q.A {
-		q.A[i] = base - sim.Time(i)*sim.Hour
-		q.D[i] = q.A[i] + sim.Hour
-	}
-	q.Bound = sim.Time(1) << 55
-	return q
+	p.A, p.D = slices.Clone(p.A), slices.Clone(p.D)
+	p.Inflate()
+	return p
 }
 
 // Validate checks internal consistency of the parameters: windows must be

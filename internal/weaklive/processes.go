@@ -28,6 +28,10 @@ type MsgPay struct {
 // Describe implements netsim.Message.
 func (m *MsgPay) Describe() string { return "pay" }
 
+// Head is the constant Describe starts with (see netsim.HeadOf): the whole
+// description, as it is constant.
+func (m *MsgPay) Head() string { return "pay" }
+
 // MsgPayout notifies a customer that the escrow released value to her
 // account: the incoming payment on commit, or the refund of her own money on
 // abort.
@@ -44,6 +48,9 @@ func (m *MsgPayout) Describe() string {
 	}
 	return "payout"
 }
+
+// Head is the constant Describe starts with: all of it.
+func (m *MsgPayout) Head() string { return m.Describe() }
 
 // ---------------------------------------------------------------------------
 // Escrow process
