@@ -330,7 +330,7 @@ func RunA3(cfg Config) *Table {
 			}
 			paid.Observe(res.BobPaid)
 			aborted.Observe(res.AbortIssued)
-			if !check.Evaluate(res, check.Def2(patience)).SafetyOK() {
+			if rep := check.Evaluate(res, check.Def2(patience)); !rep.SafetyOK() {
 				safety++
 			}
 		})

@@ -115,7 +115,7 @@ func (r *Report) put(v Verdict) {
 
 // Lookup returns the verdict of one property and whether the property was
 // evaluated (CC and WL are only evaluated under Definition 2).
-func (r Report) Lookup(p core.Property) (Verdict, bool) {
+func (r *Report) Lookup(p core.Property) (Verdict, bool) {
 	for i := range r.verdicts {
 		if r.verdicts[i].Property == p && p != "" {
 			return r.verdicts[i], true
@@ -126,13 +126,13 @@ func (r Report) Lookup(p core.Property) (Verdict, bool) {
 
 // Verdict returns the verdict of one property (the zero Verdict if it was
 // not evaluated).
-func (r Report) Verdict(p core.Property) Verdict {
+func (r *Report) Verdict(p core.Property) Verdict {
 	v, _ := r.Lookup(p)
 	return v
 }
 
 // AllOK reports whether every property holds or is inapplicable.
-func (r Report) AllOK() bool {
+func (r *Report) AllOK() bool {
 	for i := range r.verdicts {
 		if !r.verdicts[i].OK() {
 			return false
@@ -143,7 +143,7 @@ func (r Report) AllOK() bool {
 
 // SafetyOK reports whether the safety properties (ES, CS1-3, CC, CV) hold.
 // These must hold regardless of which participants are Byzantine.
-func (r Report) SafetyOK() bool {
+func (r *Report) SafetyOK() bool {
 	for _, p := range safetyProperties {
 		if !r.Verdict(p).OK() {
 			return false
@@ -157,7 +157,7 @@ func (r Report) SafetyOK() bool {
 // aggregate oracle uses it to separate safety violations — owed to honest
 // parties in every execution — from liveness failures, which are expected
 // damage under faults.
-func (r Report) SafetyFailures() []core.Property {
+func (r *Report) SafetyFailures() []core.Property {
 	var out []core.Property
 	for _, p := range safetyProperties {
 		if !r.Verdict(p).OK() {
@@ -169,7 +169,7 @@ func (r Report) SafetyFailures() []core.Property {
 
 // Failures returns the properties that are applicable but do not hold, in
 // canonical order.
-func (r Report) Failures() []core.Property {
+func (r *Report) Failures() []core.Property {
 	var out []core.Property
 	for i := range r.verdicts {
 		if !r.verdicts[i].OK() {

@@ -90,7 +90,8 @@ func reported(t *testing.T, faulty string, ev trace.Event) Verdict {
 		t.Fatal("muted world recorded a trace event")
 	}
 	res := w.Collect("fake", 0, func(int, *core.CustomerOutcome) {})
-	return Evaluate(res, Def1Eventual()).Verdict(core.PropConsistency)
+	rep := Evaluate(res, Def1Eventual())
+	return rep.Verdict(core.PropConsistency)
 }
 
 func TestConsistencyIgnoresByzantineViolations(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -69,10 +68,19 @@ type Lock struct {
 	Cond      Condition
 	State     LockState
 	SettledAt sim.Time
+}
 
-	// next links the records a ledger keeps for reuse (Ledger.free); nil in
-	// every lock a ledger holds.
-	next *Lock
+// lockRec is a ledger's record of one lock. prev and next link the locks a
+// ledger holds into the list every walk over them follows, from Ledger.head;
+// next alone links the records it keeps for reuse (Ledger.free).
+type lockRec struct {
+	Lock
+	prev, next *lockRec
+}
+
+type account struct {
+	owner   string
+	balance int64 // available, excluding escrowed funds
 }
 
 // OpKind enumerates ledger operations for the audit log.
@@ -103,10 +111,14 @@ type Op struct {
 // concerns are, as the paper notes, orthogonal to the protocol and handled by
 // the payment specification choosing per-hop amounts.
 type Ledger struct {
-	name     string
-	accounts map[string]int64
-	locks    map[string]*Lock
-	free     *Lock // records of locks dropped by Reset or forgotten under compaction, for CreateLock to reuse
+	name string
+	// accounts are in creation order (capture order after FromState): three
+	// on a payment ledger, one per party on a deal chain — few enough that a
+	// linear scan finds an owner before a map would have hashed the name.
+	accounts []account
+	locks    map[string]*lockRec // by ID: a traffic ledger settles thousands of in-flight locks
+	head     lockRec             // the held list's sentinel: head.next is the first lock the map holds
+	free     *lockRec            // records of locks dropped by Reset or forgotten under compaction, for CreateLock to reuse
 	ops      []Op
 	opCount  int
 	minted   int64
@@ -127,23 +139,18 @@ type Ledger struct {
 
 // New creates an empty ledger named name (normally the escrow's ID).
 func New(name string) *Ledger {
-	return &Ledger{
-		name:     name,
-		accounts: map[string]int64{},
-		locks:    map[string]*Lock{},
-	}
+	return &Ledger{name: name, locks: map[string]*lockRec{}}
 }
 
 // Reset returns the ledger to the state New(name) builds — no accounts, no
 // locks, an empty log, zeroed totals, compaction off, muted metrics —
-// keeping its maps' and its log's storage. Locks and log entries handed out
-// before the Reset must no longer be used.
+// keeping its accounts', lock records', maps' and log's storage. Locks and
+// log entries handed out before the Reset must no longer be used.
 func (l *Ledger) Reset(name string) {
 	l.name = name
-	clear(l.accounts)
-	//lint:maporder the order only decides which record a later lock reuses, and CreateLock overwrites it whole
-	for _, lk := range l.locks {
-		lk.next, l.free = l.free, lk
+	l.accounts = l.accounts[:0]
+	for lk := l.head.next; lk != nil; lk = l.head.next {
+		l.head.next, lk.next, l.free = lk.next, l.free, lk
 	}
 	clear(l.locks)
 	clear(l.byzOwners)
@@ -180,33 +187,58 @@ func (l *Ledger) Compact() bool { return l.compact }
 // compaction.
 func (l *Ledger) SettledForgotten() int { return l.settled }
 
+// find returns the index of owner's account, or -1.
+//
+//xchain:hotpath
+func (l *Ledger) find(owner string) int {
+	for i := range l.accounts {
+		if l.accounts[i].owner == owner {
+			return i
+		}
+	}
+	return -1
+}
+
+// credit adds amount to owner's balance, opening the account if needed.
+//
+//xchain:hotpath
+func (l *Ledger) credit(owner string, amount int64) {
+	if i := l.find(owner); i >= 0 {
+		l.accounts[i].balance += amount
+		return
+	}
+	l.accounts = append(l.accounts, account{owner, amount})
+}
+
 // CreateAccount registers an account with a zero balance.
 func (l *Ledger) CreateAccount(owner string) error {
-	if _, ok := l.accounts[owner]; ok {
+	if l.HasAccount(owner) {
 		return fmt.Errorf("%w: %s", ErrDuplicateAccount, owner)
 	}
-	l.accounts[owner] = 0
+	l.accounts = append(l.accounts, account{owner: owner})
 	return nil
 }
 
 // HasAccount reports whether owner holds an account.
-func (l *Ledger) HasAccount(owner string) bool {
-	_, ok := l.accounts[owner]
-	return ok
-}
+func (l *Ledger) HasAccount(owner string) bool { return l.find(owner) >= 0 }
 
 // Accounts returns the sorted account owners.
 func (l *Ledger) Accounts() []string {
 	out := make([]string, 0, len(l.accounts))
-	for a := range l.accounts {
-		out = append(out, a)
+	for _, a := range l.accounts {
+		out = append(out, a.owner)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Balance returns owner's available balance (excluding escrowed funds).
-func (l *Ledger) Balance(owner string) int64 { return l.accounts[owner] }
+func (l *Ledger) Balance(owner string) int64 {
+	if i := l.find(owner); i >= 0 {
+		return l.accounts[i].balance
+	}
+	return 0
+}
 
 // Mint credits owner with newly created value (initial endowments in
 // scenarios). It creates the account if needed.
@@ -214,10 +246,7 @@ func (l *Ledger) Mint(at sim.Time, owner string, amount int64) error {
 	if amount <= 0 {
 		return ErrBadAmount
 	}
-	if _, ok := l.accounts[owner]; !ok {
-		l.accounts[owner] = 0
-	}
-	l.accounts[owner] += amount
+	l.credit(owner, amount)
 	l.minted += amount
 	l.m.Available.Add(float64(amount))
 	l.log(Op{At: at, Kind: OpMint, To: owner, Amount: amount})
@@ -231,14 +260,15 @@ func (l *Ledger) Transfer(at sim.Time, from, to string, amount int64) error {
 	if amount <= 0 {
 		return ErrBadAmount
 	}
-	if !l.HasAccount(from) || !l.HasAccount(to) {
+	f, t := l.find(from), l.find(to)
+	if f < 0 || t < 0 {
 		return fmt.Errorf("%w: %s or %s on %s", ErrNoAccount, from, to, l.name)
 	}
-	if l.accounts[from] < amount {
-		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, from, l.accounts[from], amount)
+	if l.accounts[f].balance < amount {
+		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, from, l.accounts[f].balance, amount)
 	}
-	l.accounts[from] -= amount
-	l.accounts[to] += amount
+	l.accounts[f].balance -= amount
+	l.accounts[t].balance += amount
 	l.log(Op{At: at, Kind: OpTransfer, From: from, To: to, Amount: amount})
 	return nil
 }
@@ -253,24 +283,25 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 	if _, dup := l.locks[id]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateLock, id)
 	}
-	if !l.HasAccount(payer) {
+	p := l.find(payer)
+	if p < 0 {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, payer, l.name)
 	}
 	if !l.HasAccount(payee) {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, payee, l.name)
 	}
-	if l.accounts[payer] < amount {
-		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, payer, l.accounts[payer], amount)
+	if l.accounts[p].balance < amount {
+		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, payer, l.accounts[p].balance, amount)
 	}
-	l.accounts[payer] -= amount
+	l.accounts[p].balance -= amount
 	lk := l.free
 	if lk != nil {
 		l.free = lk.next
 	} else {
-		lk = &Lock{}
+		lk = &lockRec{}
 	}
-	*lk = Lock{ID: id, Payer: payer, Payee: payee, Amount: amount, CreatedAt: at, Cond: cond, State: LockPending}
-	l.locks[id] = lk
+	*lk = lockRec{Lock: Lock{ID: id, Payer: payer, Payee: payee, Amount: amount, CreatedAt: at, Cond: cond, State: LockPending}}
+	l.hold(lk)
 	l.m.LocksCreated.Inc()
 	l.m.Available.Add(-float64(amount))
 	l.m.Escrowed.Add(float64(amount))
@@ -279,20 +310,32 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 		l.m.ByzantineEscrowed.Add(float64(amount))
 	}
 	l.log(Op{At: at, Kind: OpLock, From: payer, To: payee, Amount: amount, LockID: id})
-	return lk, nil
+	return &lk.Lock, nil
+}
+
+// hold files a lock's record under its ID and at the front of the held list.
+func (l *Ledger) hold(lk *lockRec) {
+	l.locks[lk.ID] = lk
+	lk.next, lk.prev = l.head.next, &l.head
+	if lk.next != nil {
+		lk.next.prev = lk
+	}
+	l.head.next = lk
 }
 
 // Lock returns the lock with the given id.
 func (l *Ledger) Lock(id string) (*Lock, bool) {
-	lk, ok := l.locks[id]
-	return lk, ok
+	if lk, ok := l.locks[id]; ok {
+		return &lk.Lock, true
+	}
+	return nil, false
 }
 
 // Locks returns all locks sorted by id.
 func (l *Ledger) Locks() []*Lock {
 	out := make([]*Lock, 0, len(l.locks))
-	for _, lk := range l.locks {
-		out = append(out, lk)
+	for lk := l.head.next; lk != nil; lk = lk.next {
+		out = append(out, &lk.Lock)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -312,7 +355,7 @@ func (l *Ledger) PendingLocks() []*Lock {
 // PendingCount returns the number of locks still pending.
 func (l *Ledger) PendingCount() int {
 	n := 0
-	for _, lk := range l.locks {
+	for lk := l.head.next; lk != nil; lk = lk.next {
 		if lk.State == LockPending {
 			n++
 		}
@@ -339,18 +382,8 @@ func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.T
 	if lk.Cond.Expiry != 0 && localNow >= lk.Cond.Expiry {
 		return ErrExpired
 	}
-	lk.State = LockReleased
-	lk.SettledAt = at
-	l.accounts[lk.Payee] += lk.Amount
 	l.m.LocksReleased.Inc()
-	l.m.Escrowed.Add(-float64(lk.Amount))
-	l.m.Available.Add(float64(lk.Amount))
-	if l.byzOwners[lk.Payer] {
-		l.byzEscrowed -= lk.Amount
-		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
-	}
-	l.log(Op{At: at, Kind: OpRelease, From: lk.Payer, To: lk.Payee, Amount: lk.Amount, LockID: id})
-	l.forget(lk)
+	l.settle(at, lk, LockReleased, OpRelease, lk.Payee)
 	return nil
 }
 
@@ -369,31 +402,36 @@ func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
 	if lk.Cond.Expiry != 0 && localNow < lk.Cond.Expiry {
 		return ErrNotExpired
 	}
-	lk.State = LockRefunded
-	lk.SettledAt = at
-	l.accounts[lk.Payer] += lk.Amount
 	l.m.LocksRefunded.Inc()
+	l.settle(at, lk, LockRefunded, OpRefund, lk.Payer)
+	return nil
+}
+
+// settle pays a pending lock out to Release's payee or Refund's payer. Under
+// compaction it then forgets the lock — out of the ID map, unlinked from the
+// held list — and keeps its record for the next CreateLock.
+//
+//xchain:hotpath
+func (l *Ledger) settle(at sim.Time, lk *lockRec, state LockState, kind OpKind, to string) {
+	lk.State, lk.SettledAt = state, at
+	l.credit(to, lk.Amount)
 	l.m.Escrowed.Add(-float64(lk.Amount))
 	l.m.Available.Add(float64(lk.Amount))
 	if l.byzOwners[lk.Payer] {
 		l.byzEscrowed -= lk.Amount
 		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
 	}
-	l.log(Op{At: at, Kind: OpRefund, From: lk.Payer, To: lk.Payer, Amount: lk.Amount, LockID: id})
-	l.forget(lk)
-	return nil
-}
-
-// forget drops a settled lock under compaction and keeps its record for the
-// next CreateLock.
-//
-//xchain:hotpath
-func (l *Ledger) forget(lk *Lock) {
-	if l.compact {
-		delete(l.locks, lk.ID)
-		lk.next, l.free = l.free, lk
-		l.settled++
+	l.log(Op{At: at, Kind: kind, From: lk.Payer, To: to, Amount: lk.Amount, LockID: lk.ID})
+	if !l.compact {
+		return
 	}
+	delete(l.locks, lk.ID)
+	lk.prev.next = lk.next
+	if lk.next != nil {
+		lk.next.prev = lk.prev
+	}
+	lk.prev, lk.next, l.free = nil, l.free, lk
+	l.settled++
 }
 
 // Ops returns the retained operation log (empty under compaction; see
@@ -417,7 +455,7 @@ func (l *Ledger) log(op Op) {
 // EscrowedTotal returns the total value currently held in pending locks.
 func (l *Ledger) EscrowedTotal() int64 {
 	var total int64
-	for _, lk := range l.locks {
+	for lk := l.head.next; lk != nil; lk = lk.next {
 		if lk.State == LockPending {
 			total += lk.Amount
 		}
@@ -437,7 +475,7 @@ func (l *Ledger) SetByzantine(owner string, on bool) {
 		l.byzOwners = map[string]bool{}
 	}
 	var held int64
-	for _, lk := range l.locks {
+	for lk := l.head.next; lk != nil; lk = lk.next {
 		if lk.State == LockPending && lk.Payer == owner {
 			held += lk.Amount
 		}
@@ -461,8 +499,8 @@ func (l *Ledger) ByzantineEscrowed() int64 { return l.byzEscrowed }
 // AccountsTotal returns the sum of available balances.
 func (l *Ledger) AccountsTotal() int64 {
 	var total int64
-	for _, b := range l.accounts {
-		total += b
+	for _, a := range l.accounts {
+		total += a.balance
 	}
 	return total
 }
@@ -472,14 +510,16 @@ func (l *Ledger) Minted() int64 { return l.minted }
 
 // Audit verifies conservation of value: minted == available + escrowed.
 // The Escrow-security property checker relies on this to prove the escrow
-// itself never loses (or creates) money.
+// itself never loses (or creates) money. Of several negative balances it
+// names the first in the ledger's own order (creation, or capture order after
+// FromState).
 func (l *Ledger) Audit() error {
 	if got := l.AccountsTotal() + l.EscrowedTotal(); got != l.minted {
 		return fmt.Errorf("ledger %s: conservation violated: minted=%d accounted=%d", l.name, l.minted, got)
 	}
-	for owner, bal := range l.accounts {
-		if bal < 0 {
-			return fmt.Errorf("ledger %s: negative balance for %s: %d", l.name, owner, bal)
+	for _, a := range l.accounts {
+		if a.balance < 0 {
+			return fmt.Errorf("ledger %s: negative balance for %s: %d", l.name, a.owner, a.balance)
 		}
 	}
 	return nil
@@ -489,8 +529,8 @@ func (l *Ledger) Audit() error {
 // the customer-security checkers ("got her money back").
 func (l *Ledger) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(l.accounts))
-	for k, v := range l.accounts {
-		out[k] = v
+	for _, a := range l.accounts {
+		out[a.owner] = a.balance
 	}
 	return out
 }
@@ -519,23 +559,21 @@ func checkPreimage(lock, preimage []byte) bool {
 // connector must end up with "her money back", summed across her upstream
 // and downstream escrow accounts).
 type Book struct {
-	ledgers map[string]*Ledger
-	order   []*Ledger // the ledgers as Add registered them
+	order []*Ledger // the ledgers as Add registered them, found by name by a linear scan
 	// chain is order's first storage, so that a book of up to eight ledgers
-	// (the usual chains) is still two allocations: itself and its map.
+	// (the usual chains) is one allocation.
 	chain [8]*Ledger
 }
 
 // NewBook creates an empty ledger collection.
 func NewBook() *Book {
-	b := &Book{ledgers: map[string]*Ledger{}}
+	b := &Book{}
 	b.order = b.chain[:0]
 	return b
 }
 
 // Reset forgets every registered ledger, keeping the book's storage.
 func (b *Book) Reset() {
-	clear(b.ledgers)
 	clear(b.order)
 	b.order = b.order[:0]
 }
@@ -543,12 +581,13 @@ func (b *Book) Reset() {
 // Add registers a ledger; it returns the ledger for chaining. Registering a
 // name again replaces the ledger that held it, in that ledger's place.
 func (b *Book) Add(l *Ledger) *Ledger {
-	b.ledgers[l.name] = l
-	if len(b.ledgers) > len(b.order) {
-		b.order = append(b.order, l)
-	} else {
-		b.order[slices.IndexFunc(b.order, func(o *Ledger) bool { return o.name == l.name })] = l
+	for i, o := range b.order {
+		if o.name == l.name {
+			b.order[i] = l
+			return l
+		}
 	}
+	b.order = append(b.order, l)
 	return l
 }
 
@@ -558,15 +597,21 @@ func (b *Book) Add(l *Ledger) *Ledger {
 func (b *Book) Ledgers() []*Ledger { return b.order }
 
 // Get returns the ledger with the given name.
+//
+//xchain:hotpath
 func (b *Book) Get(name string) (*Ledger, bool) {
-	l, ok := b.ledgers[name]
-	return l, ok
+	for _, l := range b.order {
+		if l.name == name {
+			return l, true
+		}
+	}
+	return nil, false
 }
 
 // MustGet returns the ledger or panics; for scenario builders where absence
 // is a programming error.
 func (b *Book) MustGet(name string) *Ledger {
-	l, ok := b.ledgers[name]
+	l, ok := b.Get(name)
 	if !ok {
 		panic("ledger: no such ledger " + name)
 	}
@@ -575,33 +620,25 @@ func (b *Book) MustGet(name string) *Ledger {
 
 // Names returns the sorted ledger names.
 func (b *Book) Names() []string {
-	out := make([]string, 0, len(b.ledgers))
-	for n := range b.ledgers {
-		out = append(out, n)
+	out := make([]string, 0, len(b.order))
+	for _, l := range b.order {
+		out = append(out, l.name)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // AuditAll audits every ledger and returns the violation of the first
-// ledger, by name, that has one. Whether any ledger fails does not depend on
-// the order they are asked in, so the names are only sorted once one does.
+// ledger, by name, that has one.
 func (b *Book) AuditAll() error {
-	clean := true
-	for _, l := range b.ledgers {
-		if l.Audit() != nil {
-			clean = false
+	var first *Ledger
+	var firstErr error
+	for _, l := range b.order {
+		if err := l.Audit(); err != nil && (first == nil || l.name < first.name) {
+			first, firstErr = l, err
 		}
 	}
-	if clean {
-		return nil
-	}
-	for _, name := range b.Names() {
-		if err := b.ledgers[name].Audit(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr
 }
 
 // TotalOps returns the total number of operations logged across all ledgers
@@ -609,7 +646,7 @@ func (b *Book) AuditAll() error {
 // experiments report it as "ledger operations".
 func (b *Book) TotalOps() int {
 	total := 0
-	for _, l := range b.ledgers {
+	for _, l := range b.order {
 		total += l.opCount
 	}
 	return total
@@ -633,9 +670,9 @@ func (b *Book) CountOps(kind OpKind) int {
 // SnapshotWealth captures every participant's total wealth across ledgers.
 func (b *Book) SnapshotWealth() map[string]int64 {
 	out := map[string]int64{}
-	for _, l := range b.ledgers {
-		for _, owner := range l.Accounts() {
-			out[owner] += l.Balance(owner)
+	for _, l := range b.order {
+		for _, a := range l.accounts {
+			out[a.owner] += a.balance
 		}
 	}
 	return out

@@ -411,3 +411,112 @@ func TestCompactionRecyclesLockRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAuditNamesFirstNegativeInLedgerOrder: of two negative balances Audit
+// names the first in the ledger's own order — capture order after FromState,
+// not owner order — and the same one every time.
+func TestAuditNamesFirstNegativeInLedgerOrder(t *testing.T) {
+	l := FromState(LedgerState{Name: "e0", Accounts: []AccountState{
+		{Owner: "zed", Balance: -5}, {Owner: "amy", Balance: -3}, {Owner: "bob", Balance: 8},
+	}})
+	const want = "ledger e0: negative balance for zed: -5"
+	for i := 0; i < 100; i++ {
+		if err := l.Audit(); err == nil || err.Error() != want {
+			t.Fatalf("Audit call %d: %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestCompactLockChurnAllocatesNothing: settling a lock on a compacting
+// ledger that holds thousands of pending ones unlinks it in place, and the
+// next lock takes its record: a lock-settle cycle allocates nothing.
+func TestCompactLockChurnAllocatesNothing(t *testing.T) {
+	l := New("e0")
+	l.SetCompact(true)
+	if err := l.Mint(0, "alice", 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.CreateAccount("bob"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if _, err := l.CreateLock(1, fmt.Sprintf("pending-%d", i), "alice", "bob", 1, Condition{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := l.CreateLock(2, "churn", "alice", "bob", 1, Condition{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Release(3, "churn", nil, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a lock-release cycle beside 5000 pending locks allocates %.1f times", allocs)
+	}
+	if l.PendingCount() != 5000 || l.EscrowedTotal() != 5000 {
+		t.Fatalf("%d locks pending holding %d, want 5000 and 5000", l.PendingCount(), l.EscrowedTotal())
+	}
+	if err := l.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetReusesPendingLocks: the lock records a run left pending — and
+// its settled ones, which a full-history ledger keeps — are what the next
+// run's locks are written into, so a run repeated on a reset ledger
+// allocates nothing.
+func TestResetReusesPendingLocks(t *testing.T) {
+	l := New("e0")
+	ids := []string{"L0", "L1", "L2"}
+	run := func() {
+		l.Reset("e0")
+		if err := l.Mint(0, "alice", 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.CreateAccount("bob"); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if _, err := l.CreateLock(1, id, "alice", "bob", 10, Condition{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Release(2, "L0", nil, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	first := map[*Lock]bool{}
+	for _, lk := range l.Locks() {
+		first[lk] = true
+	}
+	run()
+	for _, lk := range l.Locks() {
+		if !first[lk] {
+			t.Fatalf("lock %s was written into a new record after Reset", lk.ID)
+		}
+	}
+	if l.PendingCount() != 2 {
+		t.Fatalf("%d locks pending, want 2", l.PendingCount())
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a run on a reset ledger allocates %.1f times", allocs)
+	}
+}
+
+// TestAuditAllNamesFirstFailingLedgerByName: registration order does not
+// decide which failing ledger AuditAll reports; the name does.
+func TestAuditAllNamesFirstFailingLedgerByName(t *testing.T) {
+	bad := func(name string) *Ledger {
+		return FromState(LedgerState{Name: name, Accounts: []AccountState{{Owner: "c0", Balance: -1}}, Minted: -1})
+	}
+	b := NewBook()
+	b.Add(New("e2"))
+	b.Add(bad("e1"))
+	b.Add(bad("e0"))
+	if err := b.AuditAll(); err == nil || err.Error() != "ledger e0: negative balance for c0: -1" {
+		t.Fatalf("AuditAll = %v, want e0's negative balance", err)
+	}
+}

@@ -45,7 +45,7 @@ func (l *Ledger) State() LedgerState {
 		ByzEscrowed:      l.byzEscrowed,
 	}
 	for _, owner := range l.Accounts() {
-		st.Accounts = append(st.Accounts, AccountState{Owner: owner, Balance: l.accounts[owner]})
+		st.Accounts = append(st.Accounts, AccountState{Owner: owner, Balance: l.Balance(owner)})
 	}
 	for _, lk := range l.Locks() {
 		st.Locks = append(st.Locks, *lk)
@@ -70,11 +70,10 @@ func (l *Ledger) State() LedgerState {
 func FromState(st LedgerState) *Ledger {
 	l := New(st.Name)
 	for _, a := range st.Accounts {
-		l.accounts[a.Owner] = a.Balance
+		l.accounts = append(l.accounts, account{a.Owner, a.Balance})
 	}
-	for i := range st.Locks {
-		lk := st.Locks[i]
-		l.locks[lk.ID] = &lk
+	for _, lk := range st.Locks {
+		l.hold(&lockRec{Lock: lk})
 	}
 	if len(st.Ops) > 0 {
 		l.ops = append([]Op(nil), st.Ops...)

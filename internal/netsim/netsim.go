@@ -11,7 +11,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -78,10 +78,7 @@ func (s Synchronous) Name() string { return "synchronous" }
 // Delay implements DelayModel.
 func (s Synchronous) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) {
 	lo, hi := s.Min, s.Max
-	if hi < lo {
-		hi = lo
-	}
-	if hi == lo {
+	if hi <= lo {
 		return lo, false
 	}
 	return lo + sim.Time(eng.Rand().Int63n(int64(hi-lo+1))), false
@@ -116,24 +113,11 @@ func (p PartialSynchrony) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) 
 		if env.SentAt+d > p.GST+p.Delta {
 			d = p.GST + p.Delta - env.SentAt
 		}
-		if d < 1 {
-			d = 1
-		}
-		return d, false
+		return max(d, 1), false
 	}
-	hi := p.MaxPreGST
-	if hi < p.Delta {
-		hi = p.Delta
-	}
-	if hi <= 0 {
-		hi = 1
-	}
-	d := 1 + sim.Time(eng.Rand().Int63n(int64(hi)))
+	d := 1 + sim.Time(eng.Rand().Int63n(int64(max(p.MaxPreGST, p.Delta, 1))))
 	if env.SentAt+d > p.GST+p.Delta {
-		d = p.GST + p.Delta - env.SentAt
-		if d < 1 {
-			d = 1
-		}
+		d = max(p.GST+p.Delta-env.SentAt, 1)
 	}
 	return d, false
 }
@@ -200,9 +184,7 @@ func deliver(x any) {
 	n.stats.Delivered++
 	n.m.Delivered.Inc()
 	n.stats.TotalDelay += delay
-	if delay > n.stats.MaxDelay {
-		n.stats.MaxDelay = delay
-	}
+	n.stats.MaxDelay = max(n.stats.MaxDelay, delay)
 	if n.tr.Recording() {
 		n.tr.Add(n.eng.Now(), trace.KindDeliver, env.To, env.From, label)
 	}
@@ -212,13 +194,18 @@ func deliver(x any) {
 	}
 }
 
+// node is one entry of a network's node table.
+type node struct {
+	id string
+	n  Node
+}
+
 // Network connects nodes through a delay model on a simulation engine.
 type Network struct {
 	eng      *sim.Engine
 	model    DelayModel
 	tr       *trace.Trace
-	nodes    map[string]Node
-	ids      []string // registered node IDs, kept sorted
+	nodes    []node // registered nodes, sorted by ID
 	seq      uint64
 	stats    Stats
 	m        Metrics
@@ -234,18 +221,18 @@ func New(eng *sim.Engine, model DelayModel, tr *trace.Trace) *Network {
 	if tr == nil {
 		tr = trace.New()
 	}
-	return &Network{eng: eng, model: model, tr: tr, nodes: map[string]Node{}}
+	return &Network{eng: eng, model: model, tr: tr}
 }
 
 // Reset returns the network to the state New(eng, model, tr) builds on the
 // same engine and trace — no nodes, no tap, zeroed counters and
-// sequence numbers, muted metrics — keeping its maps' and pools' storage.
+// sequence numbers, muted metrics — keeping its table's and pools' storage.
 // Messages still in flight belong to the engine's queue and go with the
 // engine's own Reset.
 func (n *Network) Reset(model DelayModel) {
 	n.model = model
 	clear(n.nodes)
-	n.ids = n.ids[:0]
+	n.nodes = n.nodes[:0]
 	n.seq = 0
 	n.stats = Stats{}
 	n.m = Metrics{}
@@ -266,25 +253,38 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // Register attaches a node. Registering two nodes with the same ID is a
 // programming error and panics.
-func (n *Network) Register(node Node) {
-	id := node.ID()
-	if _, dup := n.nodes[id]; dup {
+func (n *Network) Register(nd Node) {
+	id := nd.ID()
+	at, dup := n.lookup(id)
+	if dup {
 		panic(fmt.Sprintf("netsim: duplicate node id %q", id))
 	}
-	n.nodes[id] = node
-	at := sort.SearchStrings(n.ids, id)
-	n.ids = append(n.ids, "")
-	copy(n.ids[at+1:], n.ids[at:])
-	n.ids[at] = id
+	n.nodes = slices.Insert(n.nodes, at, node{id, nd})
 }
 
-// NodeIDs returns the registered node IDs in sorted order. Iteration over
-// nodes must never depend on Go map order: per-message sequence numbers and
-// RNG draws follow iteration order, and a run is only reproducible if that
-// order is fixed.
+// lookup returns where id stands in the node table, or would, and whether
+// it does.
+//
+//xchain:hotpath
+func (n *Network) lookup(id string) (int, bool) {
+	lo, hi := 0, len(n.nodes)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); n.nodes[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(n.nodes) && n.nodes[lo].id == id
+}
+
+// NodeIDs returns the registered node IDs in sorted order, which Broadcast
+// sends in: per-message sequence numbers and RNG draws follow it.
 func (n *Network) NodeIDs() []string {
-	out := make([]string, len(n.ids))
-	copy(out, n.ids)
+	out := make([]string, len(n.nodes))
+	for i, nd := range n.nodes {
+		out[i] = nd.id
+	}
 	return out
 }
 
@@ -307,7 +307,7 @@ func (n *Network) Send(from, to string, msg Message) {
 	}
 
 	delay, drop := n.model.Delay(env, n.eng)
-	dst, ok := n.nodes[to]
+	at, ok := n.lookup(to)
 	if drop || !ok {
 		n.stats.Dropped++
 		n.m.Dropped.Inc()
@@ -316,9 +316,7 @@ func (n *Network) Send(from, to string, msg Message) {
 		}
 		return
 	}
-	if delay < 1 {
-		delay = 1
-	}
+	delay = max(delay, 1)
 	name := "deliver"
 	if recording {
 		name = "deliver:" + label
@@ -332,7 +330,7 @@ func (n *Network) Send(from, to string, msg Message) {
 		d = &deliverArg{}
 	}
 	d.net = n
-	d.dst = dst
+	d.dst = n.nodes[at].n
 	d.env = env
 	d.delay = delay
 	d.label = label
@@ -346,9 +344,9 @@ func (n *Network) Send(from, to string, msg Message) {
 //xchain:hotpath
 func (n *Network) Broadcast(from string, msg Message) {
 	n.m.Broadcasts.Inc()
-	for _, id := range n.ids {
-		if id != from {
-			n.Send(from, id, msg)
+	for _, nd := range n.nodes {
+		if nd.id != from {
+			n.Send(from, nd.id, msg)
 		}
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"hash"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -155,12 +156,7 @@ func BackendByName(name string) (Backend, bool) {
 
 // BackendNames lists the registered backend names in sorted order.
 func BackendNames() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(backends))
 }
 
 // Options selects and tunes the authentication layer of one keyring.

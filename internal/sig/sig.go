@@ -21,6 +21,7 @@
 package sig
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -131,12 +132,12 @@ type Keyring struct {
 	seed  string
 	mixed bool
 	epoch uint64
-	keys  map[string]Key
-	// signers holds the backend's per-key signing state, bound on first use.
-	// It may hold more IDs than keys does: Reset keeps the signer of a
-	// participant that dropped out of a shorter chain, bound to the key the
-	// same seed would derive again, and only a held key makes it reachable.
-	signers map[string]signer
+	// keys holds each participant's key and, bound on first use, its signer:
+	// Sign and Verify find both in one probe. Reset keeps a dropped-out
+	// participant's entry, not held, for its signer (bound to the key the same
+	// seed derives again); only Add holds it again. held counts those held.
+	keys map[string]keyEntry
+	held int
 	// arena is where fixed-size signatures are written (see sigArena).
 	arena sigArena
 	// parts caches the sorted participant list; nil means dirty
@@ -151,6 +152,12 @@ type Keyring struct {
 	buf []byte
 }
 
+type keyEntry struct {
+	key  Key
+	s    signer
+	held bool
+}
+
 // NewKeyring creates deterministic ed25519 keys for the given participants
 // with default options (process-wide key cache and verification memo on).
 // The participant order does not matter: keys depend only on (seed, id).
@@ -163,8 +170,7 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
 		backend:  opts.backend(),
 		useCache: !opts.DisableKeyCache,
-		keys:     make(map[string]Key, len(participants)),
-		signers:  map[string]signer{},
+		keys:     make(map[string]keyEntry, len(participants)),
 		memoCap:  opts.MemoCapacity,
 	}
 	if kr.memoCap == 0 {
@@ -184,9 +190,7 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 // sorted order.
 func (kr *Keyring) derive(seed string, participants []string) {
 	kr.seed, kr.mixed, kr.epoch = seed, false, keyCacheEpoch.Load()
-	ids := append([]string(nil), participants...)
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(slices.Values(participants)) {
 		kr.Add(seed, id)
 	}
 }
@@ -206,14 +210,13 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.arena.rewind()
 	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
-		clear(kr.signers)
-		kr.parts = nil
+		kr.held, kr.parts = 0, nil
 		kr.derive(seed, participants)
 		return
 	}
 	kept := 0
 	for _, id := range participants {
-		if _, ok := kr.keys[id]; ok {
+		if kr.Has(id) {
 			kept++
 		} else {
 			kr.Add(seed, id)
@@ -221,10 +224,10 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 	}
 	kr.stats.KeygenHits += uint64(kept)
 	globalKeygenHits.Add(uint64(kept))
-	if len(kr.keys) > len(participants) {
-		for id := range kr.keys {
-			if !slices.Contains(participants, id) {
-				delete(kr.keys, id)
+	if kr.held > len(participants) {
+		for id, e := range kr.keys {
+			if e.held && !slices.Contains(participants, id) {
+				kr.keys[id], kr.held = keyEntry{key: e.key, s: e.s}, kr.held-1
 			}
 		}
 		kr.parts = nil
@@ -238,7 +241,8 @@ func (kr *Keyring) Backend() string { return kr.backend.Name() }
 // existing key resets the verification memo: outcomes memoized under the
 // old key must not answer for the new one.
 func (kr *Keyring) Add(seed, id string) {
-	_, replaced := kr.keys[id]
+	e := kr.keys[id]
+	replaced := e.held
 	if replaced && len(kr.memo) > 0 {
 		kr.memo = make(map[memoKey]bool)
 		kr.stats.MemoEvictions++
@@ -249,7 +253,7 @@ func (kr *Keyring) Add(seed, id string) {
 	}
 	if replaced || seed != kr.seed {
 		// Whatever signer id has is bound to another key than the new one.
-		delete(kr.signers, id)
+		e.s = nil
 	}
 	if kr.useCache {
 		k, hit := cachedKey(kr.backend, seed, id)
@@ -258,24 +262,31 @@ func (kr *Keyring) Add(seed, id string) {
 		} else {
 			kr.stats.KeygenMisses++
 		}
-		kr.keys[id] = k
+		e.key = k
 	} else {
 		kr.stats.KeygenMisses++
-		kr.keys[id] = kr.backend.GenerateKey(seed, id)
+		e.key = kr.backend.GenerateKey(seed, id)
 	}
+	if !replaced {
+		kr.held++
+	}
+	e.held = true
+	kr.keys[id] = e
 	kr.parts = nil
 }
 
 // Has reports whether the keyring holds a key for id.
-func (kr *Keyring) Has(id string) bool { _, ok := kr.keys[id]; return ok }
+func (kr *Keyring) Has(id string) bool { return kr.keys[id].held }
 
 // Participants returns the sorted IDs with keys. The sorted slice is cached
 // and invalidated by Add; callers must not modify it.
 func (kr *Keyring) Participants() []string {
 	if kr.parts == nil {
-		kr.parts = make([]string, 0, len(kr.keys))
-		for id := range kr.keys {
-			kr.parts = append(kr.parts, id)
+		kr.parts = make([]string, 0, kr.held)
+		for id, e := range kr.keys {
+			if e.held {
+				kr.parts = append(kr.parts, id)
+			}
 		}
 		sort.Strings(kr.parts)
 	}
@@ -284,17 +295,18 @@ func (kr *Keyring) Participants() []string {
 
 // signer returns the bound signer of a key the keyring holds, binding it on
 // first use.
+//
+//xchain:hotpath
 func (kr *Keyring) signer(id string) (signer, bool) {
-	k, ok := kr.keys[id]
-	if !ok {
+	e := kr.keys[id]
+	if !e.held {
 		return nil, false
 	}
-	s, ok := kr.signers[id]
-	if !ok {
-		s = kr.backend.bind(k)
-		kr.signers[id] = s
+	if e.s == nil {
+		e.s = kr.backend.bind(e.key)
+		kr.keys[id] = e
 	}
-	return s, true
+	return e.s, true
 }
 
 // Sign signs payload on behalf of id. Signing for an unknown participant
@@ -636,13 +648,5 @@ func HashPreimage(preimage []byte) []byte {
 // CheckPreimage reports whether preimage hashes to lock.
 func CheckPreimage(lock, preimage []byte) bool {
 	h := sha256.Sum256(preimage)
-	if len(lock) != len(h) {
-		return false
-	}
-	for i := range h {
-		if lock[i] != h[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(lock, h[:])
 }

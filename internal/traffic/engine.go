@@ -23,8 +23,11 @@ import (
 // (aggregates are identical for every worker count and retention policy).
 type Config struct {
 	// Workers bounds the goroutines simulating individual payments. Zero
-	// means runtime.NumCPU(); 1 forces fully serial execution (useful as a
-	// speedup baseline in benchmarks).
+	// means runtime.NumCPU(). 1 is one simulating worker, not serial
+	// execution: the producer generating the population and the timeline
+	// admitting it (the caller's goroutine) run beside it, up to two of the
+	// three runnable at a time — what the benchmark's single-worker
+	// workloads size themselves by.
 	Workers int
 	// Deprecated: ignored; there is one timeline.
 	Shards int
