@@ -64,6 +64,13 @@ type Verdict struct {
 // OK reports whether the verdict is satisfied (holds or not applicable).
 func (v Verdict) OK() bool { return !v.Applicable || v.Holds }
 
+// fail falsifies v, with a detail formatted from format and args: built only
+// for a property that fails.
+func (v *Verdict) fail(format string, args ...any) {
+	v.Holds = false
+	v.Detail = fmt.Sprintf(format, args...)
+}
+
 // String renders the verdict compactly.
 func (v Verdict) String() string {
 	status := "PASS"
@@ -85,33 +92,38 @@ func (v Verdict) String() string {
 type Report struct {
 	Protocol string
 	Options  Options
-	// verdicts is indexed by the property's position in
+	// verdicts is indexed by slot, the property's position in
 	// core.AllProperties; a zero Property marks one that was not evaluated.
-	verdicts [len(propertyOrder)]Verdict
+	verdicts [numSlots]Verdict
 }
 
-// propertyOrder is core.AllProperties' canonical order.
-var propertyOrder = [...]core.Property{
-	core.PropConsistency, core.PropTermination, core.PropEscrowSecurity,
-	core.PropCS1, core.PropCS2, core.PropCS3,
-	core.PropStrongLiveness, core.PropWeakLiveness, core.PropCertConsistency, core.PropConservation,
+// The slots of a report's verdicts, in core.AllProperties' order: Evaluate
+// writes each checker's verdict to its property's slot, and the safety
+// questions read theirs, without comparing a property's name.
+const (
+	slotC = iota
+	slotT
+	slotES
+	slotCS1
+	slotCS2
+	slotCS3
+	slotL
+	slotWL
+	slotCC
+	slotCV
+	numSlots
+)
+
+// propertyOrder is core.AllProperties' canonical order, by slot.
+var propertyOrder = [numSlots]core.Property{
+	slotC: core.PropConsistency, slotT: core.PropTermination, slotES: core.PropEscrowSecurity,
+	slotCS1: core.PropCS1, slotCS2: core.PropCS2, slotCS3: core.PropCS3,
+	slotL: core.PropStrongLiveness, slotWL: core.PropWeakLiveness,
+	slotCC: core.PropCertConsistency, slotCV: core.PropConservation,
 }
 
-// safetyProperties is the SafetyOK set, in canonical order.
-var safetyProperties = [...]core.Property{
-	core.PropEscrowSecurity, core.PropCS1, core.PropCS2, core.PropCS3,
-	core.PropCertConsistency, core.PropConservation,
-}
-
-func (r *Report) put(v Verdict) {
-	for i, p := range propertyOrder {
-		if p == v.Property {
-			r.verdicts[i] = v
-			return
-		}
-	}
-	panic("check: verdict for unknown property " + string(v.Property))
-}
+// safetySlots are the SafetyOK set's slots, in canonical order.
+var safetySlots = [...]int{slotES, slotCS1, slotCS2, slotCS3, slotCC, slotCV}
 
 // Lookup returns the verdict of one property and whether the property was
 // evaluated (CC and WL are only evaluated under Definition 2).
@@ -144,8 +156,8 @@ func (r *Report) AllOK() bool {
 // SafetyOK reports whether the safety properties (ES, CS1-3, CC, CV) hold.
 // These must hold regardless of which participants are Byzantine.
 func (r *Report) SafetyOK() bool {
-	for _, p := range safetyProperties {
-		if !r.Verdict(p).OK() {
+	for _, i := range safetySlots {
+		if !r.verdicts[i].OK() {
 			return false
 		}
 	}
@@ -159,9 +171,9 @@ func (r *Report) SafetyOK() bool {
 // damage under faults.
 func (r *Report) SafetyFailures() []core.Property {
 	var out []core.Property
-	for _, p := range safetyProperties {
-		if !r.Verdict(p).OK() {
-			out = append(out, p)
+	for _, i := range safetySlots {
+		if !r.verdicts[i].OK() {
+			out = append(out, propertyOrder[i])
 		}
 	}
 	return out
@@ -194,25 +206,28 @@ func (r Report) String() string {
 // Evaluate computes all property verdicts for a run result. A verdict's
 // Detail is only built for a property that fails, so evaluating a run whose
 // properties hold formats nothing.
-func Evaluate(res *core.RunResult, opts Options) Report {
-	r := Report{Protocol: res.Protocol, Options: opts}
-	r.put(checkConsistency(res))
-	r.put(checkTermination(res, opts))
-	r.put(checkEscrowSecurity(res))
-	r.put(checkCS1(res, opts))
-	r.put(checkCS2(res, opts))
-	r.put(checkCS3(res))
-	r.put(checkStrongLiveness(res))
+func Evaluate(res *core.RunResult, opts Options) (r Report) {
+	r.Protocol, r.Options = res.Protocol, opts
+	v := &r.verdicts
+	v[slotC] = checkConsistency(res)
+	v[slotT] = checkTermination(res, opts)
+	v[slotES] = checkEscrowSecurity(res)
+	v[slotCS1] = checkCS1(res, opts)
+	v[slotCS2] = checkCS2(res, opts)
+	v[slotCS3] = checkCS3(res)
+	v[slotL] = checkStrongLiveness(res)
 	if opts.Definition2 {
-		r.put(checkWeakLiveness(res, opts))
-		r.put(checkCertConsistency(res))
+		v[slotWL] = checkWeakLiveness(res, opts)
+		v[slotCC] = checkCertConsistency(res)
 	}
-	r.put(checkConservation(res))
+	v[slotCV] = checkConservation(res)
 	return r
 }
 
 // escrowsHonest reports whether the escrows of customer c_i all abide by the
 // protocol in the scenario.
+//
+//xchain:hotpath
 func escrowsHonest(res *core.RunResult, i int) bool {
 	topo := res.Scenario.Topology
 	if up, ok := topo.UpstreamEscrow(i); ok && res.Scenario.FaultOf(up).IsByzantine() {
@@ -228,22 +243,21 @@ func escrowsHonest(res *core.RunResult, i int) bool {
 // execute every honest participant's role without getting stuck on an
 // impossible instruction. A run error or an entry in the run's consistency
 // record (core.World.Report) falsifies it.
+//
+//xchain:hotpath
 func checkConsistency(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropConsistency, Applicable: true, Holds: true}
 	if res.Err != nil {
-		v.Holds = false
-		v.Detail = "engine error: " + res.Err.Error()
+		v.fail("engine error: %v", res.Err)
 		return v
 	}
 	// A violation is the actor's own inconsistency and takes precedence; a
 	// detection means the engine produced an instruction that an honest
 	// receiver could not accept from an honest sender.
 	if in := res.Violation; in.Actor != "" {
-		v.Holds = false
-		v.Detail = fmt.Sprintf("honest %s hit %s", in.Actor, in.Label)
+		v.fail("honest %s hit %s", in.Actor, in.Label)
 	} else if in := res.Detection; in.Actor != "" {
-		v.Holds = false
-		v.Detail = fmt.Sprintf("honest %s rejected honest input: %s", in.Actor, in.Label)
+		v.fail("honest %s rejected honest input: %s", in.Actor, in.Label)
 	}
 	return v
 }
@@ -251,6 +265,8 @@ func checkConsistency(res *core.RunResult) Verdict {
 // checkTermination is property T: each customer that abides by the protocol
 // and either makes a payment or issues a certificate terminates (within the
 // bound, if one is configured), provided her escrows abide by the protocol.
+//
+//xchain:hotpath
 func checkTermination(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropTermination, Holds: true}
 	topo := res.Scenario.Topology
@@ -267,8 +283,7 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 		}
 		v.Applicable = true
 		if !out.Terminated {
-			v.Holds = false
-			v.Detail = fmt.Sprintf("%s never terminated", id)
+			v.fail("%s never terminated", id)
 			return v
 		}
 		// The a-priori bound is measured from the customer's first protocol
@@ -279,8 +294,7 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 			elapsed = out.TerminatedAt
 		}
 		if opts.TimeBound > 0 && elapsed > opts.TimeBound {
-			v.Holds = false
-			v.Detail = fmt.Sprintf("%s took %v from its first obligation, beyond the bound %v", id, elapsed, opts.TimeBound)
+			v.fail("%s took %v from its first obligation, beyond the bound %v", id, elapsed, opts.TimeBound)
 			return v
 		}
 	}
@@ -289,6 +303,8 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 
 // checkEscrowSecurity is property ES: each escrow that abides by the
 // protocol does not lose money.
+//
+//xchain:hotpath
 func checkEscrowSecurity(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropEscrowSecurity, Holds: true}
 	for i := 0; i < res.Scenario.Topology.N; i++ {
@@ -299,13 +315,11 @@ func checkEscrowSecurity(res *core.RunResult) Verdict {
 		v.Applicable = true
 		out := res.Escrows[id]
 		if out.BalanceDelta < 0 {
-			v.Holds = false
-			v.Detail = fmt.Sprintf("%s lost %d", id, -out.BalanceDelta)
+			v.fail("%s lost %d", id, -out.BalanceDelta)
 			return v
 		}
 		if out.AuditErr != nil {
-			v.Holds = false
-			v.Detail = fmt.Sprintf("%s audit: %v", id, out.AuditErr)
+			v.fail("%s audit: %v", id, out.AuditErr)
 			return v
 		}
 	}
@@ -316,6 +330,8 @@ func checkEscrowSecurity(res *core.RunResult) Verdict {
 // her escrow abide by the protocol, Alice has either got her money back or
 // received the certificate chi (Definition 1) / the commit certificate
 // (Definition 2).
+//
+//xchain:hotpath
 func checkCS1(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropCS1, Holds: true}
 	topo := res.Scenario.Topology
@@ -337,8 +353,7 @@ func checkCS1(res *core.RunResult, opts Options) Verdict {
 		proof = out.HoldsCommitCert
 	}
 	if !gotMoneyBack && !proof {
-		v.Holds = false
-		v.Detail = fmt.Sprintf("Alice lost %d without proof of payment", -out.NetWealthChange())
+		v.fail("Alice lost %d without proof of payment", -out.NetWealthChange())
 	}
 	return v
 }
@@ -347,6 +362,8 @@ func checkCS1(res *core.RunResult, opts Options) Verdict {
 // escrow abide by the protocol, Bob has either received the money or not
 // issued the certificate chi (Definition 1) / received the money or the
 // abort certificate (Definition 2).
+//
+//xchain:hotpath
 func checkCS2(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropCS2, Holds: true}
 	topo := res.Scenario.Topology
@@ -381,6 +398,8 @@ func checkCS2(res *core.RunResult, opts Options) Verdict {
 // connector that abides by the protocol has got her money back (i.e. her
 // wealth did not decrease; a positive commission is acceptable), provided
 // her escrows abide by the protocol.
+//
+//xchain:hotpath
 func checkCS3(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropCS3, Holds: true}
 	topo := res.Scenario.Topology
@@ -398,8 +417,7 @@ func checkCS3(res *core.RunResult) Verdict {
 		}
 		v.Applicable = true
 		if out.NetWealthChange() < 0 {
-			v.Holds = false
-			v.Detail = fmt.Sprintf("connector %s lost %d", id, -out.NetWealthChange())
+			v.fail("connector %s lost %d", id, -out.NetWealthChange())
 			return v
 		}
 	}
@@ -408,6 +426,8 @@ func checkCS3(res *core.RunResult) Verdict {
 
 // checkStrongLiveness is property L of Definition 1: if all parties abide by
 // the protocol, Bob is paid eventually.
+//
+//xchain:hotpath
 func checkStrongLiveness(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropStrongLiveness, Holds: true}
 	if !res.AllHonest() {
@@ -424,6 +444,8 @@ func checkStrongLiveness(res *core.RunResult) Verdict {
 // checkWeakLiveness is property L of Definition 2: if all parties abide by
 // the protocol and the customers wait sufficiently long before and after
 // sending money, Bob is eventually paid.
+//
+//xchain:hotpath
 func checkWeakLiveness(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropWeakLiveness, Holds: true}
 	if !res.AllHonest() {
@@ -445,6 +467,8 @@ func checkWeakLiveness(res *core.RunResult, opts Options) Verdict {
 
 // checkCertConsistency is property CC of Definition 2: an abort and a commit
 // certificate can never both be issued.
+//
+//xchain:hotpath
 func checkCertConsistency(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropCertConsistency, Applicable: true, Holds: true}
 	if res.CommitIssued && res.AbortIssued {
@@ -456,6 +480,8 @@ func checkCertConsistency(res *core.RunResult) Verdict {
 
 // checkConservation is the engineering invariant that every ledger conserves
 // value (money is neither created nor destroyed, only moved or locked).
+//
+//xchain:hotpath
 func checkConservation(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropConservation, Applicable: true, Holds: true}
 	if res.Book == nil {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +17,7 @@ func fabricate(n int) *core.RunResult {
 	s := core.NewScenario(n, 1)
 	res := &core.RunResult{
 		Protocol:  "fake",
-		Scenario:  s,
+		Scenario:  &s,
 		Book:      ledger.NewBook(),
 		Customers: map[string]core.CustomerOutcome{},
 		Escrows:   map[string]core.EscrowOutcome{},
@@ -55,7 +56,7 @@ func TestHappyFabricatedRunPassesDef1(t *testing.T) {
 	})
 	r := Evaluate(res, Def1TimeBounded(time(1)))
 	if !r.AllOK() {
-		t.Fatalf("fabricated happy run fails:\n%s", r)
+		t.Fatalf("fabricated happy run fails:\n%s", &r)
 	}
 }
 
@@ -82,7 +83,7 @@ func reported(t *testing.T, faulty string, ev trace.Event) Verdict {
 		s = s.SetFault(faulty, core.FaultSpec{Silent: true})
 	}
 	w := core.NewWorld()
-	if err := w.Reset(s); err != nil {
+	if err := w.Reset(&s); err != nil {
 		t.Fatal(err)
 	}
 	w.Report(ev, nil)
@@ -139,7 +140,7 @@ func TestPreconditionsWhenNoCustomerAbides(t *testing.T) {
 	// matter how badly the run went for the deviators.
 	res := fabricate(2)
 	for _, id := range res.Scenario.Topology.Customers() {
-		res.Scenario = res.Scenario.SetFault(id, core.FaultSpec{Silent: true})
+		*res.Scenario = res.Scenario.SetFault(id, core.FaultSpec{Silent: true})
 	}
 	for _, id := range res.Scenario.Topology.Customers() {
 		setOutcome(res, id, func(o *core.CustomerOutcome) {
@@ -191,7 +192,7 @@ func TestTerminationBoundEnforced(t *testing.T) {
 
 func TestTerminationNotOwedWhenEscrowByzantine(t *testing.T) {
 	res := fabricate(2)
-	res.Scenario = res.Scenario.SetFault("e0", core.FaultSpec{Silent: true})
+	*res.Scenario = res.Scenario.SetFault("e0", core.FaultSpec{Silent: true})
 	setOutcome(res, "c0", func(o *core.CustomerOutcome) { o.PaidOut = 10; o.Terminated = false })
 	r := Evaluate(res, Def1Eventual())
 	if !r.Verdict(core.PropTermination).OK() {
@@ -216,7 +217,7 @@ func TestEscrowSecurity(t *testing.T) {
 		t.Fatal("escrow losing money passed ES")
 	}
 	// A Byzantine escrow's losses are its own problem.
-	res.Scenario = res.Scenario.SetFault("e1", core.FaultSpec{StealEscrow: true})
+	*res.Scenario = res.Scenario.SetFault("e1", core.FaultSpec{StealEscrow: true})
 	r = Evaluate(res, Def1Eventual())
 	if !r.Verdict(core.PropEscrowSecurity).OK() {
 		t.Fatal("Byzantine escrow's loss falsified ES")
@@ -243,7 +244,7 @@ func TestCS1(t *testing.T) {
 	}
 	// Not owed when Alice's escrow is Byzantine.
 	setOutcome(res, "c0", func(o *core.CustomerOutcome) { o.HoldsChi = false })
-	res.Scenario = res.Scenario.SetFault("e0", core.FaultSpec{StealEscrow: true})
+	*res.Scenario = res.Scenario.SetFault("e0", core.FaultSpec{StealEscrow: true})
 	r = Evaluate(res, Def1Eventual())
 	if !r.Verdict(core.PropCS1).OK() {
 		t.Fatal("CS1 demanded although Alice's escrow was Byzantine")
@@ -298,7 +299,7 @@ func TestCS3(t *testing.T) {
 		t.Fatal("connector losing money passed CS3")
 	}
 	// Not owed when the connector's escrow is Byzantine.
-	res.Scenario = res.Scenario.SetFault("e1", core.FaultSpec{Silent: true})
+	*res.Scenario = res.Scenario.SetFault("e1", core.FaultSpec{Silent: true})
 	r = Evaluate(res, Def1Eventual())
 	if !r.Verdict(core.PropCS3).OK() {
 		t.Fatal("CS3 demanded although the connector's escrow was Byzantine")
@@ -313,7 +314,7 @@ func TestStrongLiveness(t *testing.T) {
 		t.Fatal("all-honest run without payment passed L")
 	}
 	// Not owed once any participant is Byzantine.
-	res.Scenario = res.Scenario.SetFault("c1", core.FaultSpec{Silent: true})
+	*res.Scenario = res.Scenario.SetFault("c1", core.FaultSpec{Silent: true})
 	r = Evaluate(res, Def1Eventual())
 	if !r.Verdict(core.PropStrongLiveness).OK() {
 		t.Fatal("L demanded despite a Byzantine participant")
@@ -329,7 +330,7 @@ func TestWeakLiveness(t *testing.T) {
 		t.Fatal("patient all-honest run without payment passed WL")
 	}
 	// An impatient customer voids the precondition.
-	res.Scenario = res.Scenario.SetPatience("c1", 1*sim.Millisecond)
+	*res.Scenario = res.Scenario.SetPatience("c1", 1*sim.Millisecond)
 	r = Evaluate(res, Def2(1*sim.Second))
 	if !r.Verdict(core.PropWeakLiveness).OK() {
 		t.Fatal("WL demanded despite an impatient customer")
@@ -410,5 +411,20 @@ func TestReportHelpers(t *testing.T) {
 	}
 	if r.String() == "" {
 		t.Fatal("empty report rendering")
+	}
+}
+
+// TestSlotsFollowPropertyOrder pins a report's slots — propertyOrder, and
+// the slot Evaluate writes each checker's verdict to — to
+// core.AllProperties' canonical order.
+func TestSlotsFollowPropertyOrder(t *testing.T) {
+	if all := core.AllProperties(); !reflect.DeepEqual(all, propertyOrder[:]) {
+		t.Fatalf("slots hold %v, want core.AllProperties() %v", propertyOrder, all)
+	}
+	r := Evaluate(fabricate(2), Def2(0))
+	for i, v := range r.verdicts {
+		if v.Property != propertyOrder[i] {
+			t.Errorf("Evaluate wrote %s's verdict to %s's slot", v.Property, propertyOrder[i])
+		}
 	}
 }

@@ -98,8 +98,8 @@ func trafficSafetyOwed(g core.Guarantee, p core.Property, byz bool, tr trust) bo
 // everywhere but the cells the test names.
 func TestOwedAgainstBothParentRules(t *testing.T) {
 	safety := map[core.Property]bool{}
-	for _, p := range safetyProperties {
-		safety[p] = true
+	for _, i := range safetySlots {
+		safety[propertyOrder[i]] = true
 	}
 	changed := map[string]bool{}
 	for name, g := range guarantees {
@@ -148,7 +148,8 @@ func TestBrokenTrustWaivesOnlyCC(t *testing.T) {
 		if g.Theorem != core.Theorem3 {
 			continue
 		}
-		for _, p := range safetyProperties {
+		for _, i := range safetySlots {
+			p := propertyOrder[i]
 			got := Owed(g, p, Facts{})
 			if want := p != core.PropCertConsistency; got != want {
 				t.Errorf("%s: %s owed = %v with trust broken outside the envelope, want %v", name, p, got, want)

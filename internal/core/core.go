@@ -365,13 +365,23 @@ type Scenario struct {
 }
 
 // FaultOf returns the fault spec of a participant (zero value if honest).
-func (s Scenario) FaultOf(id string) FaultSpec { return s.Faults[id] }
+func (s *Scenario) FaultOf(id string) FaultSpec {
+	if len(s.Faults) == 0 {
+		return FaultSpec{}
+	}
+	return s.Faults[id]
+}
 
 // PatienceOf returns the patience of a customer (0 = infinite).
-func (s Scenario) PatienceOf(id string) sim.Time { return s.Patience[id] }
+func (s *Scenario) PatienceOf(id string) sim.Time {
+	if len(s.Patience) == 0 {
+		return 0
+	}
+	return s.Patience[id]
+}
 
 // Validate checks scenario consistency.
-func (s Scenario) Validate() error {
+func (s *Scenario) Validate() error {
 	if s.Topology.N < 1 {
 		return fmt.Errorf("core: scenario topology has no escrows")
 	}
@@ -392,7 +402,7 @@ func (s Scenario) Validate() error {
 
 // DerivedKeySeed returns the seed participant keys derive from: KeySeed when
 // set, else "seed-<Seed>" (the historical per-run derivation).
-func (s Scenario) DerivedKeySeed() string {
+func (s *Scenario) DerivedKeySeed() string {
 	if s.KeySeed != "" {
 		return s.KeySeed
 	}
@@ -461,7 +471,9 @@ type Incident struct {
 // property checkers and the experiment harness.
 type RunResult struct {
 	Protocol string
-	Scenario Scenario
+	// Scenario is the scenario the run executed: the world's own copy, valid
+	// until that world's next reset like the rest of the result (see World).
+	Scenario *Scenario
 	Trace    *trace.Trace
 	Book     *ledger.Book
 	// Customers maps customer ID to outcome; Escrows maps escrow ID to

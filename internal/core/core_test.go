@@ -143,7 +143,7 @@ func TestFaultSpec(t *testing.T) {
 
 func TestRunResultHelpers(t *testing.T) {
 	s := NewScenario(2, 1).SetFault("c1", FaultSpec{Silent: true}).SetFault("e0", FaultSpec{StealEscrow: true})
-	res := &RunResult{Scenario: s, Customers: map[string]CustomerOutcome{
+	res := &RunResult{Scenario: &s, Customers: map[string]CustomerOutcome{
 		"c0": {WealthBefore: 10, WealthAfter: 4},
 	}}
 	if res.AllHonest() {
@@ -155,7 +155,8 @@ func TestRunResultHelpers(t *testing.T) {
 	if res.Outcome("c0").NetWealthChange() != -6 {
 		t.Fatal("NetWealthChange wrong")
 	}
-	if (&RunResult{Scenario: NewScenario(1, 1)}).AllHonest() == false {
+	honest := NewScenario(1, 1)
+	if (&RunResult{Scenario: &honest}).AllHonest() == false {
 		t.Fatal("fault-free scenario not AllHonest")
 	}
 }
@@ -257,7 +258,7 @@ func TestLockIDs(t *testing.T) {
 	w := NewWorld()
 	for _, n := range []int{3, 12, 1, 300, 2} {
 		s := NewScenario(n, int64(n))
-		if err := w.Reset(s); err != nil {
+		if err := w.Reset(&s); err != nil {
 			t.Fatal(err)
 		}
 		for _, i := range []int{n - 1, 0, n / 2} {

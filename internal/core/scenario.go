@@ -13,8 +13,10 @@ import (
 // initial balance that comfortably funds it, and no faults.
 //
 // Callers typically adjust Network, Faults or Patience before running. The
-// scenario is a value; copies are cheap and independent except for the Faults
-// and Patience maps, which SetFault and SetPatience copy-on-write.
+// scenario is a value, and the With* and Set* builders return changed copies,
+// independent of the original (SetFault and SetPatience copy the Faults and
+// Patience maps on write). A run copies it once, into its world, and reads
+// that copy through a pointer from then on.
 func NewScenario(n int, seed int64) Scenario {
 	topo := NewTopology(n)
 	timing := DefaultTiming()
@@ -43,8 +45,9 @@ func (s Scenario) WithNetwork(m netsim.DelayModel) Scenario {
 	return s
 }
 
-// WithSeed returns a copy of the scenario with a different RNG seed (and the
-// payment ID updated so runs remain distinguishable in traces).
+// WithSeed returns a copy of the scenario with a different RNG seed. The
+// payment ID stays as it was: runs of one scenario under several seeds share
+// it.
 func (s Scenario) WithSeed(seed int64) Scenario {
 	s.Seed = seed
 	return s

@@ -29,8 +29,9 @@ const DefaultMaxEvents = 2_000_000
 // its world ran before (TestWorldReuseEquivalence).
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
-// own, and so are the Trace and Book it points to and its outcome maps —
-// and so is everything the run itself was made of: its processes or automata
+// own, and so are the Scenario, Trace and Book it points to (RunResult.Scenario
+// is the world's copy of the scenario, which Reset made) and its outcome maps
+// — and so is everything the run itself was made of: its processes or automata
 // and its transaction manager, trusted or a committee of notaries (Standing),
 // every message they sent (a field of its sender or a record of the
 // committee's ballot arena, on the network by pointer), every decision
@@ -54,6 +55,8 @@ type World struct {
 	Net   *netsim.Network
 	Book  *ledger.Book
 
+	// scn is the run's scenario, copied in by Reset: the one copy a run
+	// makes, read through Scenario and RunResult.Scenario from then on.
 	scn Scenario
 	// ledgers is the pool AddLedger hands out in order; the first inUse are
 	// the current run's, and on a chain ledgers[i] is escrow e_i's. The slice
@@ -93,6 +96,8 @@ type World struct {
 	// out is Collect's scratch: a customer's outcome is built here, where
 	// the protocol's callback can write to it without it escaping per call.
 	out CustomerOutcome
+	// collected is the chain length whose outcomes res's maps hold.
+	collected int
 }
 
 // NewWorld returns an empty world; Reset makes it usable.
@@ -137,6 +142,12 @@ func Standing[T any](w *World) *T {
 // ledgers and keys with AddLedger and KeyringFor.
 func (w *World) ResetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
 	w.scn = Scenario{}
+	w.resetSubstrate(seed, network, muteTrace, reg)
+}
+
+// resetSubstrate is ResetSubstrate but for the scenario, which Reset copies in
+// before it: Reset's argument may be the world's own copy (RunResult.Scenario).
+func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
 	w.parts, w.clocks, w.wealth = w.parts[:0], w.clocks[:0], w.wealth[:0]
 	w.krReady = false
 	w.lockIDs = ""
@@ -164,13 +175,14 @@ func (w *World) AddLedger(name string) *ledger.Ledger {
 }
 
 // Reset validates the scenario and restores the state a new world has for
-// it, invalidating everything handed out since the previous Reset.
-func (w *World) Reset(s Scenario) error {
+// it, invalidating everything handed out since the previous Reset. The world
+// keeps a copy of *s, and nothing of s itself.
+func (w *World) Reset(s *Scenario) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	w.ResetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics)
-	w.scn = s
+	w.scn = *s
+	w.resetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics)
 	topo := s.Topology
 
 	// Escrow e_i hosts accounts for itself and for its two customers c_i
@@ -230,6 +242,10 @@ func (w *World) customerWealth(i int) int64 {
 // the slice.
 func (w *World) Participants() []string { return w.parts }
 
+// Scenario returns the scenario the world was last Reset for: the world's own
+// copy, valid until its next reset. Callers must not modify it.
+func (w *World) Scenario() *Scenario { return &w.scn }
+
 // Ledger returns escrow e_i's ledger.
 func (w *World) Ledger(i int) *ledger.Ledger { return w.ledgers[i] }
 
@@ -274,6 +290,8 @@ func (w *World) MaxEvents() uint64 {
 // ActionDelay draws how long participant id takes over one action: a
 // uniformly random fraction of the processing bound, plus id's Byzantine
 // action delay if it has one.
+//
+//xchain:hotpath
 func (w *World) ActionDelay(id string) sim.Time {
 	delay := w.scn.FaultOf(id).DelayActions
 	if maxP := w.scn.Timing.MaxProcessing; maxP > 0 {
@@ -322,6 +340,8 @@ func (w *World) EventName(id, what string) string {
 // not the trace records; the event itself is appended to the trace at the
 // current time. A non-nil cause is appended to the label, and only formatted
 // when something keeps it.
+//
+//xchain:hotpath
 func (w *World) Report(ev trace.Event, cause error) {
 	var first *Incident
 	excused := w.scn.FaultOf(ev.Actor).IsByzantine()
@@ -332,20 +352,19 @@ func (w *World) Report(ev trace.Event, cause error) {
 		first = &w.detection
 		excused = excused || w.scn.FaultOf(ev.Peer).IsByzantine()
 	default:
+		//lint:hotalloc unreachable: only a caller's programming error gets here
 		panic("core: Report of a " + string(ev.Kind) + " event")
 	}
-	keep := !excused && first.Actor == ""
-	if !keep && !w.Trace.Recording() {
-		return
+	if keep := !excused && first.Actor == ""; keep || w.Trace.Recording() {
+		if cause != nil {
+			ev.Label += ": " + cause.Error()
+		}
+		if keep {
+			*first = Incident{Actor: ev.Actor, Label: ev.Label}
+		}
+		ev.At = w.Eng.Now()
+		w.Trace.Append(ev)
 	}
-	if cause != nil {
-		ev.Label += ": " + cause.Error()
-	}
-	if keep {
-		*first = Incident{Actor: ev.Actor, Label: ev.Label}
-	}
-	ev.At = w.Eng.Now()
-	w.Trace.Append(ev)
 }
 
 // ScheduleCrashes schedules every participant's crash fault, in participant
@@ -396,32 +415,35 @@ func fireCrash(x any) {
 // run has ended. customer fills in what only the protocol knows about
 // customer c_i (termination, amounts, certificates); identity, role and
 // wealth are already set.
+//
+// The result's outcome maps stand on the world like the result: each entry
+// of this chain is overwritten, and only the entries of a longer chain
+// collected before are deleted.
 func (w *World) Collect(protocol string, fired uint64, customer func(i int, out *CustomerOutcome)) *RunResult {
-	topo := w.scn.Topology
+	n := w.scn.Topology.N
 	res := &w.res
 	customers, escrows := res.Customers, res.Escrows
-	clear(customers)
-	clear(escrows)
-	*res = RunResult{
-		Protocol:    protocol,
-		Scenario:    w.scn,
-		Trace:       w.Trace,
-		Book:        w.Book,
-		Customers:   customers,
-		Escrows:     escrows,
-		Violation:   w.violation,
-		Detection:   w.detection,
-		NetStats:    w.Net.Stats(),
-		EventsFired: fired,
+	for i := n + 1; i <= w.collected; i++ {
+		delete(customers, CustomerID(i))
+		delete(escrows, EscrowID(i-1))
 	}
+	w.collected = n
+	res.Protocol = protocol
+	res.Scenario = &w.scn
+	res.Trace, res.Book = w.Trace, w.Book
+	res.CommitIssued, res.AbortIssued = false, false
+	res.Violation, res.Detection = w.violation, w.detection
+	res.NetStats = w.Net.Stats()
+	res.EventsFired = fired
+	res.Err = nil
 	allTerm := true
 	var lastTerm sim.Time
-	for i := 0; i <= topo.N; i++ {
+	out := &w.out
+	for i := 0; i <= n; i++ {
 		id := CustomerID(i)
-		out := &w.out
 		*out = CustomerOutcome{
 			ID:           id,
-			Role:         topo.customerRole(i),
+			Role:         w.scn.Topology.customerRole(i),
 			WealthBefore: w.wealth[i],
 			WealthAfter:  w.customerWealth(i),
 		}
@@ -434,7 +456,9 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 		}
 		customers[id] = *out
 	}
-	for i := 0; i < topo.N; i++ {
+	// out is Bob's outcome now, the last the loop built.
+	res.BobPaid = out.Received > 0 || out.NetWealthChange() > 0
+	for i := 0; i < n; i++ {
 		id, led := EscrowID(i), w.ledgers[i]
 		escrows[id] = EscrowOutcome{
 			ID:           id,
@@ -443,8 +467,6 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 			AuditErr:     led.Audit(),
 		}
 	}
-	bob := customers[topo.Bob()]
-	res.BobPaid = bob.Received > 0 || bob.NetWealthChange() > 0
 	res.AllTerminated = allTerm
 	if lastTerm > 0 {
 		res.Duration = lastTerm

@@ -172,11 +172,11 @@ func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
 // makes, on a standing world. The result is w's own and is valid until w's
 // next Reset (see core.World).
 func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
-	if err := w.Reset(s); err != nil {
+	if err := w.Reset(&s); err != nil {
 		return nil, fmt.Errorf("htlc: %w", err)
 	}
 	r := core.Standing[runState](w)
-	r.reset(p, w, s)
+	r.reset(p, w)
 	r.start()
 
 	_, fired := w.Eng.Run(w.MaxEvents())

@@ -21,7 +21,7 @@ import (
 type runState struct {
 	proto *Protocol
 	w     *core.World
-	scn   core.Scenario
+	scn   *core.Scenario // the world's
 	eng   *sim.Engine
 	net   *netsim.Network
 	tr    *trace.Trace
@@ -33,9 +33,10 @@ type runState struct {
 	customers []customerProc
 }
 
-// reset makes r the run of s under p on w, which has been reset for s, with
+// reset makes r the run under p of the scenario w has been reset for, with
 // its processes registered on w's network.
-func (r *runState) reset(p *Protocol, w *core.World, s core.Scenario) {
+func (r *runState) reset(p *Protocol, w *core.World) {
+	s := w.Scenario()
 	r.proto, r.w, r.scn = p, w, s
 	r.eng, r.net, r.tr = w.Eng, w.Net, w.Trace
 	// Bob's invoice: the preimage is derived deterministically from the

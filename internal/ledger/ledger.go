@@ -249,7 +249,7 @@ func (l *Ledger) Mint(at sim.Time, owner string, amount int64) error {
 	l.credit(owner, amount)
 	l.minted += amount
 	l.m.Available.Add(float64(amount))
-	l.log(Op{At: at, Kind: OpMint, To: owner, Amount: amount})
+	l.log(at, OpMint, "", owner, amount, "")
 	return nil
 }
 
@@ -269,7 +269,7 @@ func (l *Ledger) Transfer(at sim.Time, from, to string, amount int64) error {
 	}
 	l.accounts[f].balance -= amount
 	l.accounts[t].balance += amount
-	l.log(Op{At: at, Kind: OpTransfer, From: from, To: to, Amount: amount})
+	l.log(at, OpTransfer, from, to, amount, "")
 	return nil
 }
 
@@ -300,7 +300,10 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 	} else {
 		lk = &lockRec{}
 	}
-	*lk = lockRec{Lock: Lock{ID: id, Payer: payer, Payee: payee, Amount: amount, CreatedAt: at, Cond: cond, State: LockPending}}
+	// Written field by field: the record is the ledger's, and a composite
+	// literal would be built aside and copied over it.
+	lk.ID, lk.Payer, lk.Payee, lk.Amount = id, payer, payee, amount
+	lk.CreatedAt, lk.Cond, lk.State, lk.SettledAt = at, cond, LockPending, 0
 	l.hold(lk)
 	l.m.LocksCreated.Inc()
 	l.m.Available.Add(-float64(amount))
@@ -309,7 +312,7 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 		l.byzEscrowed += amount
 		l.m.ByzantineEscrowed.Add(float64(amount))
 	}
-	l.log(Op{At: at, Kind: OpLock, From: payer, To: payee, Amount: amount, LockID: id})
+	l.log(at, OpLock, payer, payee, amount, id)
 	return &lk.Lock, nil
 }
 
@@ -421,7 +424,7 @@ func (l *Ledger) settle(at sim.Time, lk *lockRec, state LockState, kind OpKind, 
 		l.byzEscrowed -= lk.Amount
 		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
 	}
-	l.log(Op{At: at, Kind: kind, From: lk.Payer, To: to, Amount: lk.Amount, LockID: lk.ID})
+	l.log(at, kind, lk.Payer, to, lk.Amount, lk.ID)
 	if !l.compact {
 		return
 	}
@@ -442,14 +445,21 @@ func (l *Ledger) Ops() []Op { return l.ops }
 // not.
 func (l *Ledger) OpCount() int { return l.opCount }
 
+// log records one operation: counted always, appended to the log — written in
+// its slot, not built aside and copied there — unless compacting.
+//
 //xchain:hotpath
-func (l *Ledger) log(op Op) {
-	op.Seq = l.opCount
+func (l *Ledger) log(at sim.Time, kind OpKind, from, to string, amount int64, lockID string) {
+	seq := l.opCount
 	l.opCount++
 	l.m.Ops.Inc()
-	if !l.compact {
-		l.ops = append(l.ops, op)
+	if l.compact {
+		return
 	}
+	l.ops = append(l.ops, Op{})
+	op := &l.ops[len(l.ops)-1]
+	op.Seq, op.At, op.Kind = seq, at, kind
+	op.From, op.To, op.Amount, op.LockID = from, to, amount, lockID
 }
 
 // EscrowedTotal returns the total value currently held in pending locks.

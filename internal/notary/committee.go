@@ -61,10 +61,12 @@ type Committee struct {
 }
 
 // CommitteeIn makes w's notary committee a committee of size notaries for
-// s's run — w has been reset for s — registers every notary on w's network
-// and returns it. size should be 3f+1 for the intended fault tolerance; any
-// size >= 1 is accepted so experiments can explore broken configurations.
-func CommitteeIn(w *core.World, s core.Scenario, size int) *Committee {
+// the run of the scenario w has been reset for, registers every notary on w's
+// network and returns it. size should be 3f+1 for the intended fault
+// tolerance; any size >= 1 is accepted so experiments can explore broken
+// configurations.
+func CommitteeIn(w *core.World, size int) *Committee {
+	s := w.Scenario()
 	c := &core.Standing[standing](w).committee
 	if size < 1 {
 		size = 1

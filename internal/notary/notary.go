@@ -100,11 +100,11 @@ type standing struct {
 	committee Committee
 }
 
-// run is what both managers hold of their current run: the world, the
-// scenario and the world's keyring.
+// run is what both managers hold of their current run: the world, its
+// scenario and its keyring.
 type run struct {
 	w   *core.World
-	scn core.Scenario
+	scn *core.Scenario
 	kr  *sig.Keyring
 }
 

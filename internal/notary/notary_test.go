@@ -37,7 +37,7 @@ func newHarness(t *testing.T, numEscrows int, faults map[string]core.FaultSpec) 
 // stand-ins of its participants.
 func (h *harness) begin() {
 	h.t.Helper()
-	if err := h.w.Reset(h.s); err != nil {
+	if err := h.w.Reset(&h.s); err != nil {
 		h.t.Fatal(err)
 	}
 	h.decisions = h.decisions[:0]
@@ -59,12 +59,12 @@ func (h *harness) begin() {
 
 func (h *harness) trusted() *Trusted {
 	h.begin()
-	return TrustedIn(h.w, h.s)
+	return TrustedIn(h.w)
 }
 
 func (h *harness) committee(size int) *Committee {
 	h.begin()
-	return CommitteeIn(h.w, h.s, size)
+	return CommitteeIn(h.w, size)
 }
 
 func (h *harness) sendPrepared(mgr Manager, escrow string, at sim.Time) {

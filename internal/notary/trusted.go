@@ -34,10 +34,11 @@ type Trusted struct {
 // read-only.
 var trustedIDs = []string{core.ManagerID}
 
-// TrustedIn makes w's single trusted manager the manager of s's run — w has
-// been reset for s — registers it on w's network under core.ManagerID and
-// returns it.
-func TrustedIn(w *core.World, s core.Scenario) *Trusted {
+// TrustedIn makes w's single trusted manager the manager of the run of the
+// scenario w has been reset for, registers it on w's network under
+// core.ManagerID and returns it.
+func TrustedIn(w *core.World) *Trusted {
+	s := w.Scenario()
 	t := &core.Standing[standing](w).trusted
 	t.run = run{w: w, scn: s, kr: w.Keyring()}
 	t.issued = issued{}

@@ -106,7 +106,7 @@ func TestSettlementDifferentialIsNotVacuous(t *testing.T) {
 	}
 	differs := func(procLogs [][]ledger.Op) bool {
 		out := &Outcome{}
-		judgeDifferential(out, reports, procLogs, logs[1])
+		judgeDifferential(out, &reports, procLogs, logs[1])
 		for _, v := range out.Violations {
 			if v.Kind != KindDifferential {
 				t.Fatalf("unexpected violation %s", v)

@@ -405,16 +405,16 @@ func runPayment(sp Spec, out *Outcome, ws *worlds) {
 		results[i] = res
 		reports[i] = check.Evaluate(res, opts)
 	}
-	primary, rep := results[0], reports[0]
+	primary := results[0]
 	out.Protocol = primary.Protocol
 	out.BobPaid = primary.BobPaid
 	out.Duration = primary.Duration
 	out.Fingerprint = fingerprint(primary.EventsFired, primary.NetStats, primary.Book)
 
-	judgeReport(sp, out, protos[0].Guarantee(), rep, primary.Duration)
+	judgeReport(sp, out, protos[0].Guarantee(), &reports[0], primary.Duration)
 	if sp.Family == FamDifferential {
 		var pl, al [maxChain][]ledger.Op
-		judgeDifferential(out, reports, opLogs(pl[:0], results[0].Book), opLogs(al[:0], results[1].Book))
+		judgeDifferential(out, &reports, opLogs(pl[:0], results[0].Book), opLogs(al[:0], results[1].Book))
 	}
 	if sp.wantDeterminism() {
 		// The ANTA side, if there was one, has been judged: its world is free.
@@ -435,7 +435,7 @@ func runPayment(sp Spec, out *Outcome, ws *worlds) {
 // judgeReport folds one property report into the outcome: owed failures
 // become violations, the rest are recorded as expected. The horizon rule
 // upgrades slow envelope-violating runs to termination failures.
-func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep check.Report, duration sim.Time) {
+func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep *check.Report, duration sim.Time) {
 	failed := map[core.Property]string{}
 	for _, p := range rep.Failures() {
 		failed[p] = rep.Verdict(p).Detail
@@ -470,8 +470,8 @@ func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep check.Report, dura
 // same scenario, by their reports and their ledgers' operation logs: every
 // Definition-1 verdict and the settlements must be identical. Divergence
 // means one engine drifted from Figure 2.
-func judgeDifferential(out *Outcome, reports [2]check.Report, procLogs, antaLogs [][]ledger.Op) {
-	proc, anta := reports[0], reports[1]
+func judgeDifferential(out *Outcome, reports *[2]check.Report, procLogs, antaLogs [][]ledger.Op) {
+	proc, anta := &reports[0], &reports[1]
 	for _, p := range core.AllProperties() {
 		vp, okP := proc.Lookup(p)
 		va, okA := anta.Lookup(p)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/timelock"
 )
 
 // reuseCase is one run of the equivalence test: run executes it on w and
@@ -222,7 +223,66 @@ func reuseCases(t *testing.T, seeds int) (cases []reuseCase, pairs [][2]int) {
 	}
 	managerCases(t, addRun, &pairs)
 	dealCases(t, addDealRun, &pairs)
+	timelockCases(t, func(name string, p core.Protocol, s core.Scenario) int {
+		first := len(cases)
+		add(name, p, s, check.OptionsFor(p.Guarantee(), 0, 0))
+		return first
+	}, &pairs)
 	return cases, pairs
+}
+
+// timelockCases adds the runs that leave Figure 2's processes, and the ANTA
+// engine's adapters, in every state a run can leave them in — under both
+// engines, each followed by an honest run on a chain of the same length,
+// which a field their in-place reset forgot would show. Both disturbing runs
+// are chains of four whose c1 crashes after paying. In the first e2 steals
+// the escrow, and it is cut off once e2 has: e0 and e1 hold locks and wait
+// with timeouts armed, e2 and e3 are settled and done, c0 to c3 have their
+// guarantees, promises and payments out, c3 holds chi, and Bob is paid for
+// the chi he signed. In the second c3 withholds chi, and it runs to its end:
+// e0 to e2 time out and refund, and c0 and c2 are refunded. Last come an
+// honest chain of eight and one of two (as a pair), so a result's outcome
+// maps lose six customers and six escrows from one run to the next.
+func timelockCases(t *testing.T, add func(name string, p core.Protocol, s core.Scenario) int, pairs *[][2]int) {
+	t.Helper()
+	honest := core.NewScenario(4, 3).WithCrypto("hmac")
+	crashes := honest.SetFault(core.CustomerID(1), core.FaultSpec{Crash: true, CrashAt: 250 * sim.Millisecond})
+	steals := crashes.SetFault(core.EscrowID(2), core.FaultSpec{StealEscrow: true})
+	withholds := crashes.SetFault(core.CustomerID(3), core.FaultSpec{WithholdCertificate: true})
+	for _, p := range []core.Protocol{timelock.New(), timelock.NewANTA()} {
+		cut := steals
+		for cut.MaxEvents = 10; ; cut.MaxEvents++ {
+			res, err := p.Run(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := res.Trace.String()
+			if res.EventsFired < cut.MaxEvents || strings.Contains(tr, "expired") || strings.Contains(tr, "now>=u+a_i") {
+				t.Fatalf("%s: no cut lands after e2's theft and before the first timeout:\n%s", p.Name(), tr)
+			}
+			if strings.Contains(tr, "steal-escrow") {
+				break
+			}
+		}
+		res, err := p.Run(withholds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refunded := false
+		for _, op := range res.Book.MustGet(core.EscrowID(2)).Ops() {
+			refunded = refunded || op.Kind == ledger.OpRefund
+		}
+		if !refunded {
+			t.Fatalf("%s: c3 withholding chi did not make e2 refund", p.Name())
+		}
+		add(fmt.Sprintf("%s chain of 4, e2 steals, c1 crashes, cut at %d events", p.Name(), cut.MaxEvents), p, cut)
+		add(fmt.Sprintf("%s honest chain of 4 after the cut", p.Name()), p, honest)
+		add(fmt.Sprintf("%s chain of 4, c3 withholds chi, c1 crashes", p.Name()), p, withholds)
+		add(fmt.Sprintf("%s honest chain of 4 after it", p.Name()), p, honest)
+	}
+	long := add("timelock honest chain of 8", timelock.New(), core.NewScenario(8, 4).WithCrypto("hmac"))
+	short := add("timelock honest chain of 2 after it", timelock.New(), core.NewScenario(2, 5).WithCrypto("hmac"))
+	*pairs = append(*pairs, [2]int{short, long}, [2]int{short + 1, long + 1})
 }
 
 // dealCases adds the runs that disturb what internal/deals keeps on a world,

@@ -322,19 +322,19 @@ func TestCanonicalTypedCases(t *testing.T) {
 		want  []byte
 	}{
 		{"chi", func() []byte {
-			return kr.paymentCertPayload(PaymentCert{PaymentID: "p", Issuer: "bob", Payer: "alice", IssuedAt: 9})
+			return kr.paymentCertPayload(&PaymentCert{PaymentID: "p", Issuer: "bob", Payer: "alice", IssuedAt: 9})
 		}, referencePayload("chi", "p", "bob", "alice", sim.Time(9))},
 		{"guarantee", func() []byte {
-			return kr.guaranteePayload(Guarantee{PaymentID: "p", Escrow: "e0", Customer: "c0", D: 7, IssuedAt: -3})
+			return kr.guaranteePayload(&Guarantee{PaymentID: "p", Escrow: "e0", Customer: "c0", D: 7, IssuedAt: -3})
 		}, referencePayload("guarantee", "p", "e0", "c0", sim.Time(7), sim.Time(-3))},
 		{"promise", func() []byte {
-			return kr.promisePayload(Promise{PaymentID: "p", Escrow: "e0", Customer: "c1", A: 5, Epsilon: 2, IssuedAt: 11})
+			return kr.promisePayload(&Promise{PaymentID: "p", Escrow: "e0", Customer: "c1", A: 5, Epsilon: 2, IssuedAt: 11})
 		}, referencePayload("promise", "p", "e0", "c1", sim.Time(5), sim.Time(2), sim.Time(11))},
 		{"decision", func() []byte {
-			return kr.decisionPayload(DecisionCert{PaymentID: "p", Decision: DecisionAbort, Manager: "manager", IssuedAt: 4})
+			return kr.decisionPayload(&DecisionCert{PaymentID: "p", Decision: DecisionAbort, Manager: "manager", IssuedAt: 4})
 		}, referencePayload("decision", "p", "abort", "manager", sim.Time(4))},
 		{"receipt", func() []byte {
-			return kr.receiptPayload(Receipt{PaymentID: "p", Issuer: "bob", Subject: "funds-received", IssuedAt: 1})
+			return kr.receiptPayload(&Receipt{PaymentID: "p", Issuer: "bob", Subject: "funds-received", IssuedAt: 1})
 		}, referencePayload("receipt", "p", "bob", "funds-received", sim.Time(1))},
 	}
 	for _, c := range cases {
@@ -346,8 +346,8 @@ func TestCanonicalTypedCases(t *testing.T) {
 		}
 	}
 	// Distinct field splits must encode distinctly (length prefixes).
-	ab := append([]byte(nil), kr.receiptPayload(Receipt{PaymentID: "ab", Issuer: "c"})...)
-	if bytes.Equal(ab, kr.receiptPayload(Receipt{PaymentID: "a", Issuer: "bc"})) {
+	ab := append([]byte(nil), kr.receiptPayload(&Receipt{PaymentID: "ab", Issuer: "c"})...)
+	if bytes.Equal(ab, kr.receiptPayload(&Receipt{PaymentID: "a", Issuer: "bc"})) {
 		t.Fatal("field boundaries collide")
 	}
 }

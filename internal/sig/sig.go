@@ -363,7 +363,10 @@ func (kr *Keyring) Stats() Stats { return kr.stats }
 // and byte slices as their bytes, integers and times as eight big-endian
 // bytes. The payload functions below build it with typed appends into the
 // keyring's scratch (payload building runs per artefact on the signing hot
-// path); the result is valid until the keyring builds its next payload.
+// path); the result is valid until the keyring builds its next payload. They
+// read the artefact in place, as do its Sign and Verify: an artefact lives in
+// the message that carries it, and is signed there, not built aside and
+// copied in.
 
 func appendField(b []byte, f string) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(len(f)))
@@ -385,7 +388,7 @@ type PaymentCert struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) paymentCertPayload(c PaymentCert) []byte {
+func (kr *Keyring) paymentCertPayload(c *PaymentCert) []byte {
 	b := appendField(kr.buf[:0], "chi")
 	b = appendField(b, c.PaymentID)
 	b = appendField(b, c.Issuer)
@@ -397,12 +400,15 @@ func (kr *Keyring) paymentCertPayload(c PaymentCert) []byte {
 // NewPaymentCert builds and signs chi with issuer's key.
 func NewPaymentCert(kr *Keyring, paymentID, issuer, payer string, at sim.Time) PaymentCert {
 	c := PaymentCert{PaymentID: paymentID, Issuer: issuer, Payer: payer, IssuedAt: at}
-	c.Sig = kr.Sign(issuer, kr.paymentCertPayload(c))
+	c.Sign(kr)
 	return c
 }
 
+// Sign signs chi as it stands with its issuer's key, into Sig.
+func (c *PaymentCert) Sign(kr *Keyring) { c.Sig = kr.Sign(c.Issuer, kr.paymentCertPayload(c)) }
+
 // Verify checks chi's signature against the expected issuer.
-func (c PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
+func (c *PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 	if c.Issuer != expectedIssuer {
 		return false
 	}
@@ -426,7 +432,7 @@ type Guarantee struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) guaranteePayload(g Guarantee) []byte {
+func (kr *Keyring) guaranteePayload(g *Guarantee) []byte {
 	b := appendField(kr.buf[:0], "guarantee")
 	b = appendField(b, g.PaymentID)
 	b = appendField(b, g.Escrow)
@@ -439,12 +445,15 @@ func (kr *Keyring) guaranteePayload(g Guarantee) []byte {
 // NewGuarantee builds and signs G(d).
 func NewGuarantee(kr *Keyring, paymentID, escrow, customer string, d, at sim.Time) Guarantee {
 	g := Guarantee{PaymentID: paymentID, Escrow: escrow, Customer: customer, D: d, IssuedAt: at}
-	g.Sig = kr.Sign(escrow, kr.guaranteePayload(g))
+	g.Sign(kr)
 	return g
 }
 
+// Sign signs G(d) as it stands with its escrow's key, into Sig.
+func (g *Guarantee) Sign(kr *Keyring) { g.Sig = kr.Sign(g.Escrow, kr.guaranteePayload(g)) }
+
 // Verify checks the guarantee's signature against its stated escrow.
-func (g Guarantee) Verify(kr *Keyring) bool {
+func (g *Guarantee) Verify(kr *Keyring) bool {
 	return kr.Verify(g.Escrow, kr.guaranteePayload(g), g.Sig)
 }
 
@@ -479,7 +488,7 @@ type Promise struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) promisePayload(p Promise) []byte {
+func (kr *Keyring) promisePayload(p *Promise) []byte {
 	b := appendField(kr.buf[:0], "promise")
 	b = appendField(b, p.PaymentID)
 	b = appendField(b, p.Escrow)
@@ -493,12 +502,15 @@ func (kr *Keyring) promisePayload(p Promise) []byte {
 // NewPromise builds and signs P(a).
 func NewPromise(kr *Keyring, paymentID, escrow, customer string, a, epsilon, at sim.Time) Promise {
 	p := Promise{PaymentID: paymentID, Escrow: escrow, Customer: customer, A: a, Epsilon: epsilon, IssuedAt: at}
-	p.Sig = kr.Sign(escrow, kr.promisePayload(p))
+	p.Sign(kr)
 	return p
 }
 
+// Sign signs P(a) as it stands with its escrow's key, into Sig.
+func (p *Promise) Sign(kr *Keyring) { p.Sig = kr.Sign(p.Escrow, kr.promisePayload(p)) }
+
 // Verify checks the promise's signature against its stated escrow.
-func (p Promise) Verify(kr *Keyring) bool {
+func (p *Promise) Verify(kr *Keyring) bool {
 	return kr.Verify(p.Escrow, kr.promisePayload(p), p.Sig)
 }
 
@@ -534,7 +546,7 @@ type DecisionCert struct {
 	Quorum int
 }
 
-func (kr *Keyring) decisionPayload(c DecisionCert) []byte {
+func (kr *Keyring) decisionPayload(c *DecisionCert) []byte {
 	b := appendField(kr.buf[:0], "decision")
 	b = appendField(b, c.PaymentID)
 	b = appendField(b, string(c.Decision))
@@ -557,7 +569,7 @@ func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committ
 // certificate and rewrites it per run (internal/notary) issues without
 // allocating. What Sigs held before is gone.
 func (c *DecisionCert) Sign(kr *Keyring) {
-	payload := kr.decisionPayload(*c)
+	payload := kr.decisionPayload(c)
 	c.Sigs = c.Sigs[:0]
 	for _, s := range c.Signers {
 		c.Sigs = append(c.Sigs, kr.Sign(s, payload))
@@ -566,7 +578,7 @@ func (c *DecisionCert) Sign(kr *Keyring) {
 
 // Verify checks that the certificate carries at least Quorum valid
 // signatures from distinct signers.
-func (c DecisionCert) Verify(kr *Keyring) bool {
+func (c *DecisionCert) Verify(kr *Keyring) bool {
 	if len(c.Signers) != len(c.Sigs) || c.Quorum <= 0 {
 		return false
 	}
@@ -611,7 +623,7 @@ type Receipt struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) receiptPayload(r Receipt) []byte {
+func (kr *Keyring) receiptPayload(r *Receipt) []byte {
 	b := appendField(kr.buf[:0], "receipt")
 	b = appendField(b, r.PaymentID)
 	b = appendField(b, r.Issuer)
@@ -623,12 +635,12 @@ func (kr *Keyring) receiptPayload(r Receipt) []byte {
 // NewReceipt builds and signs a receipt.
 func NewReceipt(kr *Keyring, paymentID, issuer, subject string, at sim.Time) Receipt {
 	r := Receipt{PaymentID: paymentID, Issuer: issuer, Subject: subject, IssuedAt: at}
-	r.Sig = kr.Sign(issuer, kr.receiptPayload(r))
+	r.Sig = kr.Sign(issuer, kr.receiptPayload(&r))
 	return r
 }
 
 // Verify checks the receipt's signature.
-func (r Receipt) Verify(kr *Keyring) bool {
+func (r *Receipt) Verify(kr *Keyring) bool {
 	return kr.Verify(r.Issuer, kr.receiptPayload(r), r.Sig)
 }
 

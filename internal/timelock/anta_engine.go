@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ledger"
 	"repro/internal/netsim"
-	"repro/internal/sig"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -135,7 +134,10 @@ func escrowEmitG(ctx *anta.Context) {
 	if e.fault.Silent {
 		return
 	}
-	e.msgG.G = sig.NewGuarantee(e.env.kr, e.env.scn.Spec.PaymentID, e.id, e.up, e.env.params.D[e.i], ctx.Now())
+	g := &e.msgG.G
+	g.PaymentID, g.Escrow, g.Customer = e.env.scn.Spec.PaymentID, e.id, e.up
+	g.D, g.IssuedAt = e.env.params.D[e.i], ctx.Now()
+	g.Sign(e.env.kr)
 	if e.env.tr.Recording() {
 		e.env.tr.Add(e.env.eng.Now(), trace.KindPromise, e.id, e.up, e.msgG.Describe())
 	}
@@ -165,7 +167,10 @@ func escrowEmitP(ctx *anta.Context) {
 	if e.fault.Silent {
 		return
 	}
-	e.msgP.P = sig.NewPromise(e.env.kr, e.env.scn.Spec.PaymentID, e.id, e.down, e.env.params.A[e.i], e.env.params.Epsilon, ctx.Now())
+	p := &e.msgP.P
+	p.PaymentID, p.Escrow, p.Customer = e.env.scn.Spec.PaymentID, e.id, e.down
+	p.A, p.Epsilon, p.IssuedAt = e.env.params.A[e.i], e.env.params.Epsilon, ctx.Now()
+	p.Sign(e.env.kr)
 	if e.env.tr.Recording() {
 		e.env.tr.Add(e.env.eng.Now(), trace.KindPromise, e.id, e.down, e.msgP.Describe())
 	}
@@ -351,7 +356,9 @@ func bobEmitChi(ctx *anta.Context) {
 	if c.fault.Silent || c.fault.WithholdCertificate {
 		return
 	}
-	c.msgCert.Cert = sig.NewPaymentCert(c.env.kr, c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), ctx.Now())
+	chi := &c.msgCert.Cert
+	chi.PaymentID, chi.Issuer, chi.Payer, chi.IssuedAt = c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), ctx.Now()
+	chi.Sign(c.env.kr)
 	c.signed = true
 	if c.started == 0 {
 		c.started = c.env.eng.Now()
@@ -372,9 +379,11 @@ func chloeEmitChi(ctx *anta.Context) {
 
 // antaEngine is the automata of one run; escrows[i] adapts e_i, customers[i]
 // adapts c_i. Like procEngine it stands on the run's world (see standing):
-// reset overwrites every adapter and resets every automaton, so nothing of
-// the previous run — cut short, crashed or complete — is left for this one,
-// and the slices are regrown only for a longer chain than any before.
+// an adapter's identity is written when its slot is first used, reset
+// rewrites the rest of its state in place — all but the outgoing messages a
+// run writes whole before sending — and resets every automaton, so nothing of
+// the previous run — cut short, crashed or complete — is left for this one. The slices are regrown only for a
+// longer chain than any before.
 type antaEngine struct {
 	env       *env
 	escrows   []antaEscrow
@@ -397,10 +406,15 @@ func (ae *antaEngine) reset(e *env) {
 	ae.customers = slices.Grow(ae.customers[:0], topo.N+1)[:topo.N+1]
 	ae.autos = slices.Grow(ae.autos[:0], 2*topo.N+1)[:2*topo.N+1]
 	for i := range ae.customers {
-		c, id := &ae.customers[i], core.CustomerID(i)
-		*c = antaCustomer{auto: &ae.autos[i], env: e, i: i, id: id, fault: e.scn.FaultOf(id)}
-		c.upEscrow, _ = topo.UpstreamEscrow(i)
+		c := &ae.customers[i]
+		if c.env == nil {
+			c.env, c.i, c.id = e, i, core.CustomerID(i)
+			c.upEscrow, _ = topo.UpstreamEscrow(i)
+		}
+		c.auto, c.fault = &ae.autos[i], e.scn.FaultOf(c.id)
 		c.downEscrow, _ = topo.DownstreamEscrow(i)
+		c.paid, c.credited, c.hasChi, c.signed, c.started = 0, 0, false, false, 0
+		c.chi = nil
 		prog := f.chloe
 		switch i {
 		case 0:
@@ -408,16 +422,18 @@ func (ae *antaEngine) reset(e *env) {
 		case topo.N:
 			prog = f.bob
 		}
-		c.auto.Reset(prog, id, c, compute, e.w.CustomerClock(i), e.net, e.tr)
+		c.auto.Reset(prog, c.id, c, compute, e.w.CustomerClock(i), e.net, e.tr)
 	}
 	for i := range ae.escrows {
-		x, id := &ae.escrows[i], core.EscrowID(i)
-		*x = antaEscrow{
-			auto: &ae.autos[topo.N+1+i], env: e, i: i, id: id,
-			up: topo.UpstreamCustomer(i), down: topo.DownstreamCustomer(i),
-			fault: e.scn.FaultOf(id), led: e.w.Ledger(i), amount: e.scn.Spec.AmountVia(i),
+		x := &ae.escrows[i]
+		if x.env == nil {
+			x.env, x.i, x.id = e, i, core.EscrowID(i)
+			x.up, x.down = core.CustomerID(i), core.CustomerID(i+1)
+			x.led = e.w.Ledger(i)
 		}
-		x.auto.Reset(f.escrow, id, x, compute, e.w.EscrowClock(i), e.net, e.tr)
+		x.auto, x.fault, x.amount = &ae.autos[topo.N+1+i], e.scn.FaultOf(x.id), e.scn.Spec.AmountVia(i)
+		x.lockID, x.chi = "", nil
+		x.auto.Reset(f.escrow, x.id, x, compute, e.w.EscrowClock(i), e.net, e.tr)
 	}
 	if resized {
 		ae.order = ae.order[:0]

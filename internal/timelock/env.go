@@ -11,11 +11,12 @@ import (
 // env is one protocol run's view of the world it executes in, plus the
 // run's timeout parameters. Both the process-based and the ANTA-based
 // engines execute against the same env, which is what makes their outcomes
-// directly comparable.
+// directly comparable. scn is the world's copy of the scenario and params the
+// protocol's or the standing cache's: the run reads both in place.
 type env struct {
 	w      *core.World
-	scn    core.Scenario
-	params Params
+	scn    *core.Scenario
+	params *Params
 	eng    *sim.Engine
 	net    *netsim.Network
 	tr     *trace.Trace
@@ -44,27 +45,27 @@ type paramsKey struct {
 }
 
 // paramsFor is p.ParamsFor(s) without deriving what the previous run already
-// did. The result shares the cache's A and D; a run only reads them.
-func (st *standing) paramsFor(p *Protocol, s core.Scenario) Params {
+// did: the protocol's own parameters, or the cache's. A run only reads them.
+func (st *standing) paramsFor(p *Protocol, s *core.Scenario) *Params {
 	if p.Params != nil {
-		return *p.Params
+		return p.Params
 	}
 	key := paramsKey{topo: s.Topology, timing: s.Timing, driftAware: p.DriftAware}
 	if st.derived.A == nil || st.derivedFor != key {
 		st.derived, st.derivedFor = DeriveParams(s.Topology, s.Timing, p.DriftAware), key
 	}
-	return st.derived
+	return &st.derived
 }
 
 // bind resets the world for the scenario and makes st.env the run's.
-func (st *standing) bind(w *core.World, s core.Scenario, params Params) (*env, error) {
+func (st *standing) bind(w *core.World, s *core.Scenario, params *Params) (*env, error) {
 	if err := w.Reset(s); err != nil {
 		return nil, err
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	st.env = env{w: w, scn: s, params: params, eng: w.Eng, net: w.Net, tr: w.Trace, kr: w.Keyring()}
+	st.env = env{w: w, scn: w.Scenario(), params: params, eng: w.Eng, net: w.Net, tr: w.Trace, kr: w.Keyring()}
 	return &st.env, nil
 }
 

@@ -21,9 +21,12 @@ import (
 
 // procEngine wires the per-participant processes of one run together;
 // escrows[i] is e_i and customers[i] is c_i. It stands on the run's world
-// (see standing): reset overwrites every process, so nothing of the previous
-// run — cut short, Byzantine or complete — is left for this one, and the
-// slices are regrown only for a longer chain than any before.
+// (see standing), and so does each process: its identity — env, index, name,
+// the neighbours and ledger its index fixes — is written when its slot is
+// first used, and reset rewrites the rest of its state in place, all but the
+// outgoing messages a run writes whole before sending, so nothing of the
+// previous run — cut short, Byzantine or complete — is left for this one. The slices are regrown only for a longer chain than any
+// before.
 type procEngine struct {
 	env       *env
 	escrows   []escrowProc
@@ -32,17 +35,25 @@ type procEngine struct {
 
 // reset makes pe the processes of e's run, registered on its network.
 func (pe *procEngine) reset(e *env) {
-	topo := e.scn.Topology
+	n := e.scn.Topology.N
 	pe.env = e
-	pe.escrows = slices.Grow(pe.escrows[:0], topo.N)[:topo.N]
-	pe.customers = slices.Grow(pe.customers[:0], topo.N+1)[:topo.N+1]
+	pe.escrows = slices.Grow(pe.escrows[:0], n)[:n]
+	pe.customers = slices.Grow(pe.customers[:0], n+1)[:n+1]
 	for i := range pe.escrows {
-		pe.escrows[i] = newEscrowProc(e, i)
-		e.net.Register(&pe.escrows[i])
+		p := &pe.escrows[i]
+		if p.env == nil {
+			p.place(e, i)
+		}
+		p.reset(e)
+		e.net.Register(p)
 	}
 	for i := range pe.customers {
-		pe.customers[i] = newCustomerProc(e, i)
-		e.net.Register(&pe.customers[i])
+		c := &pe.customers[i]
+		if c.env == nil {
+			c.place(e, i)
+		}
+		c.reset(e)
+		e.net.Register(c)
 	}
 }
 
@@ -109,19 +120,22 @@ type escrowProc struct {
 	chi      *MsgCert
 }
 
-func newEscrowProc(e *env, i int) escrowProc {
-	topo := e.scn.Topology
-	id := core.EscrowID(i)
-	return escrowProc{
-		env:   e,
-		i:     i,
-		id:    id,
-		up:    topo.UpstreamCustomer(i),
-		down:  topo.DownstreamCustomer(i),
-		clk:   e.w.EscrowClock(i),
-		led:   e.w.Ledger(i),
-		fault: e.scn.FaultOf(id),
-	}
+// place makes the unused slot p escrow e_i on e's world for good: what the
+// slot's index fixes on every chain.
+func (p *escrowProc) place(e *env, i int) {
+	p.env, p.i, p.id = e, i, core.EscrowID(i)
+	p.up, p.down = core.CustomerID(i), core.CustomerID(i+1)
+	p.led = e.w.Ledger(i)
+}
+
+// reset makes p, placed, its escrow in e's run: it rewrites every field of
+// the run's state. Only the outgoing messages are left, each written whole
+// before its Send.
+func (p *escrowProc) reset(e *env) {
+	p.clk = e.w.EscrowClock(p.i)
+	p.fault = e.scn.FaultOf(p.id)
+	p.lockCreated, p.lockID, p.promiseAt, p.timeout = false, "", 0, sim.Timer{}
+	p.settled, p.crashed, p.done, p.chi = false, false, false, nil
 }
 
 // ID implements netsim.Node.
@@ -145,7 +159,10 @@ func escrowSendG(x any) {
 	if !p.active() || p.fault.Silent {
 		return
 	}
-	p.msgG.G = sig.NewGuarantee(p.env.kr, p.env.scn.Spec.PaymentID, p.id, p.up, p.env.params.D[p.i], p.clk.Now())
+	g := &p.msgG.G
+	g.PaymentID, g.Escrow, g.Customer = p.env.scn.Spec.PaymentID, p.id, p.up
+	g.D, g.IssuedAt = p.env.params.D[p.i], p.clk.Now()
+	g.Sign(p.env.kr)
 	if p.env.tr.Recording() {
 		p.env.tr.Add(p.env.eng.Now(), trace.KindPromise, p.id, p.up, p.msgG.Describe())
 	}
@@ -214,7 +231,10 @@ func escrowSendP(x any) {
 	}
 	a := p.env.params.A[p.i]
 	p.promiseAt = p.clk.Now()
-	p.msgP.P = sig.NewPromise(p.env.kr, p.env.scn.Spec.PaymentID, p.id, p.down, a, p.env.params.Epsilon, p.promiseAt)
+	pr := &p.msgP.P
+	pr.PaymentID, pr.Escrow, pr.Customer = p.env.scn.Spec.PaymentID, p.id, p.down
+	pr.A, pr.Epsilon, pr.IssuedAt = a, p.env.params.Epsilon, p.promiseAt
+	pr.Sign(p.env.kr)
 	if p.env.tr.Recording() {
 		p.env.tr.Add(p.env.eng.Now(), trace.KindPromise, p.id, p.down, p.msgP.Describe())
 	}
@@ -358,7 +378,6 @@ type customerProc struct {
 	sentMoney bool
 	hasChi    bool
 	signedChi bool
-	aborted   bool
 	crashed   bool
 
 	paid     int64
@@ -376,22 +395,24 @@ type customerProc struct {
 	chi      *MsgCert
 }
 
-func newCustomerProc(e *env, i int) customerProc {
-	topo := e.scn.Topology
-	c := customerProc{
-		env:   e,
-		i:     i,
-		id:    core.CustomerID(i),
-		clk:   e.w.CustomerClock(i),
-		fault: e.scn.FaultOf(core.CustomerID(i)),
-	}
-	if up, ok := topo.UpstreamEscrow(i); ok {
-		c.upEscrow = up
-	}
-	if down, ok := topo.DownstreamEscrow(i); ok {
-		c.downEscrow = down
-	}
-	return c
+// place makes the unused slot c customer c_i on e's world for good, as
+// escrowProc.place does an escrow.
+func (c *customerProc) place(e *env, i int) {
+	c.env, c.i, c.id = e, i, core.CustomerID(i)
+	c.upEscrow, _ = e.scn.Topology.UpstreamEscrow(i)
+}
+
+// reset makes c, placed, its customer in e's run, as escrowProc.reset does an
+// escrow. The downstream escrow is the run's, since the chain's length decides
+// who is Bob.
+func (c *customerProc) reset(e *env) {
+	c.clk = e.w.CustomerClock(c.i)
+	c.fault = e.scn.FaultOf(c.id)
+	c.downEscrow, _ = e.scn.Topology.DownstreamEscrow(c.i)
+	c.gotG, c.gotP, c.sentMoney = false, false, false
+	c.hasChi, c.signedChi, c.crashed = false, false, false
+	c.paid, c.credited, c.started = 0, 0, 0
+	c.term, c.termAt, c.chi = false, 0, nil
 }
 
 // ID implements netsim.Node.
@@ -526,7 +547,9 @@ func customerSendChi(x any) {
 			c.env.tr.Add(c.env.eng.Now(), trace.KindByzantine, c.id, "", "forge-certificate")
 		}
 	} else {
-		c.msgCert.Cert = sig.NewPaymentCert(c.env.kr, c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), c.clk.Now())
+		chi := &c.msgCert.Cert
+		chi.PaymentID, chi.Issuer, chi.Payer, chi.IssuedAt = c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), c.clk.Now()
+		chi.Sign(c.env.kr)
 		c.signedChi = true
 		if c.started == 0 {
 			c.started = c.env.eng.Now()

@@ -93,7 +93,7 @@ func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
 // next Reset (see core.World).
 func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
 	st := core.Standing[standing](w)
-	env, err := st.bind(w, s, st.paramsFor(p, s))
+	env, err := st.bind(w, &s, st.paramsFor(p, &s))
 	if err != nil {
 		return nil, fmt.Errorf("timelock: %w", err)
 	}

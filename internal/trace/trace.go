@@ -115,13 +115,21 @@ func (t *Trace) Append(ev Event) Event {
 	return ev
 }
 
-// Add is a convenience wrapper building an Event from its parts.
+// Add is a convenience wrapper building an Event from its parts. A muted
+// trace builds none and returns the zero Event.
 func (t *Trace) Add(at sim.Time, kind Kind, actor, peer, label string) Event {
+	if t.muted {
+		return Event{}
+	}
 	return t.Append(Event{At: at, Kind: kind, Actor: actor, Peer: peer, Label: label})
 }
 
-// AddValue records an event carrying a value amount.
+// AddValue records an event carrying a value amount; muted, it is Add's
+// no-op.
 func (t *Trace) AddValue(at sim.Time, kind Kind, actor, peer, label string, value int64) Event {
+	if t.muted {
+		return Event{}
+	}
 	return t.Append(Event{At: at, Kind: kind, Actor: actor, Peer: peer, Label: label, Value: value})
 }
 

@@ -22,7 +22,7 @@ func (p lockFailer) Run(s core.Scenario) (*core.RunResult, error) {
 }
 
 func (lockFailer) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
-	if err := w.Reset(s); err != nil {
+	if err := w.Reset(&s); err != nil {
 		return nil, err
 	}
 	w.Report(trace.Event{Kind: trace.KindViolation, Actor: core.EscrowID(0), Peer: core.CustomerID(0), Label: "lock-failed"}, nil)

@@ -139,22 +139,45 @@ type subOutcome struct {
 	safety []string
 }
 
+// simulator is one simulating worker's standing state: the world its
+// payments run on, and the scenario each payment's sub-run is written into
+// (subScenario) with the fault and patience maps it points at when the
+// payment has faults or patience. Like the world, it is confined to its
+// worker.
+type simulator struct {
+	w        *core.World
+	sub      core.Scenario
+	faults   map[string]core.FaultSpec
+	patience map[string]sim.Time
+}
+
+func newSimulator() *simulator { return &simulator{w: core.NewWorld()} }
+
+// setFault gives participant id fault f in the worker's fault map.
+func (sm *simulator) setFault(id string, f core.FaultSpec) {
+	if sm.faults == nil {
+		sm.faults = map[string]core.FaultSpec{}
+	}
+	sm.faults[id] = f
+}
+
 // simulateOne runs one payment's protocol simulation and evaluates the
 // theorem-shaped safety checkers on its result; a pure function of
-// (base scenario, compiled plan, payment). The run executes in w, the
-// calling worker's standing world; the result is consumed here, before w's
-// next Reset, and nothing of it escapes.
-func simulateOne(w *core.World, base core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
-	sub := subScenario(base, plan, p)
+// (base scenario, compiled plan, payment). The run executes in the worker's
+// standing world; the result is consumed here, before the world's next
+// Reset, and nothing of it escapes.
+func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
+	sub := sm.subScenario(base, plan, p)
 	proto := registry[p.Protocol]
 	g := proto.Guarantee()
 	if plan != nil && g.Theorem == core.Theorem3 && plan.managerActive(p.Arrival) {
 		if !sub.FaultOf(core.ManagerID).IsByzantine() {
-			sub = sub.SetFault(core.ManagerID, plan.manager.spec)
+			sm.setFault(core.ManagerID, plan.manager.spec)
+			sub.Faults = sm.faults
 		}
 	}
 	byz := len(sub.Faults) > 0
-	r, err := proto.RunIn(w, sub)
+	r, err := proto.RunIn(sm.w, *sub)
 	if err != nil {
 		return subOutcome{err: err, byz: byz}
 	}
@@ -486,13 +509,13 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 	}()
 	for i := 0; i < workers; i++ {
 		go func() {
-			var world *core.World // built on the first chunk: short runs use few
+			var sm *simulator // built on the first chunk: short runs use few
 			for c := range work {
-				if world == nil {
-					world = core.NewWorld()
+				if sm == nil {
+					sm = newSimulator()
 				}
 				for j, p := range c.pays {
-					c.subs[j] = simulateOne(world, s, plan, p, registry)
+					c.subs[j] = sm.simulateOne(&s, plan, p, registry)
 					rm.Simulated.Inc()
 				}
 				rm.ChunksSimulated.Inc()
@@ -785,16 +808,11 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 	if t.track != nil {
 		t.track[p.Index] = f
 	}
-	f.pr = PaymentResult{
-		ID:       p.ID,
-		Sender:   p.Sender,
-		Receiver: p.Receiver,
-		Amount:   p.Amounts[len(p.Amounts)-1],
-		Volume:   p.Amounts[0],
-		Hops:     p.hops(),
-		Protocol: p.Protocol,
-		Arrival:  p.Arrival,
-	}
+	// The record is the new flight's, and zero: written in place.
+	pr := &f.pr
+	pr.ID, pr.Sender, pr.Receiver = p.ID, p.Sender, p.Receiver
+	pr.Amount, pr.Volume = p.Amounts[len(p.Amounts)-1], p.Amounts[0]
+	pr.Hops, pr.Protocol, pr.Arrival = p.hops(), p.Protocol, p.Arrival
 	if sub.err == nil {
 		f.pr.SubEvents = sub.events
 	}

@@ -58,10 +58,10 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]core.Protocol) (*sliceSource, *Result) {
 	src := &sliceSource{pays: population(s, w)}
 	demand := map[string]map[string]int64{}
-	world := core.NewWorld()
+	sm := newSimulator()
 	for _, p := range src.pays {
 		addDemand(demand, p)
-		src.subs = append(src.subs, simulateOne(world, s, plan, p, registry))
+		src.subs = append(src.subs, sm.simulateOne(&s, plan, p, registry))
 	}
 	return src, &Result{
 		Chain:               s.Topology.N,

@@ -132,7 +132,7 @@ func NewRunMetrics(r *metrics.Registry) RunMetrics {
 
 // observeStatus bumps the per-status counter (and the latency histogram for
 // settled payments) for one terminal payment record.
-func (m RunMetrics) observeStatus(p *PaymentResult) {
+func (m *RunMetrics) observeStatus(p *PaymentResult) {
 	switch p.Status {
 	case StatusOK:
 		m.Settled.Inc()

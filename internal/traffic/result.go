@@ -89,7 +89,7 @@ type PaymentResult struct {
 
 // Latency is the end-to-end latency (arrival to settlement) of an admitted
 // payment, including any queue wait.
-func (p PaymentResult) Latency() sim.Time { return p.End - p.Arrival }
+func (p *PaymentResult) Latency() sim.Time { return p.End - p.Arrival }
 
 // Result aggregates a whole traffic run. All fields are deterministic in
 // (Scenario.Seed, Workload); String renders them to a byte-stable summary.

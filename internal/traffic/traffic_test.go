@@ -343,7 +343,8 @@ func TestSubScenarioTranslation(t *testing.T) {
 		SetFault(core.EscrowID(1), core.FaultSpec{StealEscrow: true}).
 		SetPatience(core.CustomerID(3), 7*sim.Second)
 	p := &payment{Index: 0, ID: "p", Sender: 1, Receiver: 4, Amounts: []int64{30, 20, 10}, Seed: 99}
-	sub := subScenario(base, nil, p)
+	var sm simulator
+	sub := sm.subScenario(&base, nil, p)
 	if sub.Topology.N != 3 {
 		t.Fatalf("sub-chain has %d escrows, want 3", sub.Topology.N)
 	}
@@ -361,6 +362,31 @@ func TestSubScenarioTranslation(t *testing.T) {
 	}
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("sub-scenario invalid: %v", err)
+	}
+}
+
+// TestSubScenarioForgetsFaults: a worker writes every payment's sub-scenario
+// over the last one's, fault and patience maps included, so what a faulted
+// payment was given must be gone by the next payment: one whose route crosses
+// no Byzantine or impatient participant reads no fault and no patience.
+func TestSubScenarioForgetsFaults(t *testing.T) {
+	base := core.NewScenario(5, 1).
+		SetFault(core.CustomerID(2), core.FaultSpec{Silent: true}).
+		SetFault(core.EscrowID(1), core.FaultSpec{StealEscrow: true}).
+		SetPatience(core.CustomerID(2), 7*sim.Second)
+	var sm simulator
+	faulted := sm.subScenario(&base, nil, &payment{ID: "faulted", Sender: 1, Receiver: 4, Amounts: []int64{30, 20, 10}, Seed: 1})
+	if len(faulted.Faults) != 2 || len(faulted.Patience) != 1 {
+		t.Fatalf("route c1..c4 has faults %v and patience %v, want two faults and one patience", faulted.Faults, faulted.Patience)
+	}
+	honest := sm.subScenario(&base, nil, &payment{ID: "honest", Sender: 3, Receiver: 5, Amounts: []int64{20, 10}, Seed: 2})
+	if honest.Faults != nil || honest.Patience != nil {
+		t.Fatalf("route c3..c5 kept the previous payment's faults %v and patience %v", honest.Faults, honest.Patience)
+	}
+	for _, id := range honest.Topology.Participants() {
+		if honest.FaultOf(id).IsByzantine() || honest.PatienceOf(id) != 0 {
+			t.Fatalf("%s of an honest route reads fault %+v, patience %v", id, honest.FaultOf(id), honest.PatienceOf(id))
+		}
 	}
 }
 

@@ -503,53 +503,54 @@ func addDemand(demand map[string]map[string]int64, p *payment) {
 	}
 }
 
-// subScenario builds the single-payment scenario that simulates payment p in
-// isolation: the route becomes its own Fig. 1 chain (sub-chain customer c_k
-// is chain customer c_{Sender+k}), inheriting timing, network model, faults
-// and patience from the base scenario, with the payment's private seed. With
-// a compiled fault plan, connectors strictly inside the route whose fault
-// window covers the payment's arrival get the planned behaviour too (an
-// injected fault overrides a static one for the window's duration).
-func subScenario(base core.Scenario, plan *compiledPlan, p *payment) core.Scenario {
+// subScenario writes into sm.sub, and returns, the single-payment scenario
+// that simulates payment p in isolation: the route becomes its own Fig. 1
+// chain (sub-chain customer c_k is chain customer c_{Sender+k}), inheriting
+// timing, network model, faults and patience from the base scenario, with
+// the payment's private seed. With a compiled fault plan, connectors strictly
+// inside the route whose fault window covers the payment's arrival get the
+// planned behaviour too (an injected fault overrides a static one for the
+// window's duration).
+//
+// The scenario is the worker's: every field is rewritten per payment, and its
+// Faults and Patience are the worker's maps, emptied per payment and nil
+// when the payment has none. It is valid until the next payment's.
+func (sm *simulator) subScenario(base *core.Scenario, plan *compiledPlan, p *payment) *core.Scenario {
 	h := p.hops()
-	topo := core.NewTopology(h)
-	spec := core.PaymentSpec{PaymentID: p.ID, Amounts: p.Amounts}
-	balance := spec.AlicePays() * 2
-	if base.InitialBalance > balance {
-		balance = base.InitialBalance
-	}
-	sub := core.Scenario{
-		Topology:       topo,
-		Spec:           spec,
-		Timing:         base.Timing,
-		Network:        base.Network,
-		InitialBalance: balance,
-		Seed:           p.Seed,
-		Crypto:         base.Crypto,
-		// Every payment shares the base scenario's key seed: keys are a pure
-		// function of (backend, seed, id), so the process-wide key cache in
-		// internal/sig serves the whole population after the first payment
-		// instead of regenerating keys per participant per payment.
-		KeySeed:   base.DerivedKeySeed(),
-		MuteTrace: true,
-		MaxEvents: base.MaxEvents,
-		// Instrumentation follows the base scenario into every sub-run:
-		// shared atomic counters, no per-run registries (observation only,
-		// so sub-run results stay pure functions of the inputs above).
-		Metrics: base.Metrics,
-	}
+	sub := &sm.sub
+	sub.Topology = core.NewTopology(h)
+	sub.Spec = core.PaymentSpec{PaymentID: p.ID, Amounts: p.Amounts}
+	sub.Timing, sub.Network = base.Timing, base.Network
+	sub.InitialBalance = max(sub.Spec.AlicePays()*2, base.InitialBalance)
+	sub.Seed, sub.Crypto = p.Seed, base.Crypto
+	// Every payment shares the base scenario's key seed: keys are a pure
+	// function of (backend, seed, id), so the process-wide key cache in
+	// internal/sig serves the whole population after the first payment
+	// instead of regenerating keys per participant per payment.
+	sub.KeySeed = base.DerivedKeySeed()
+	sub.MuteTrace, sub.MaxEvents = true, base.MaxEvents
+	// Instrumentation follows the base scenario into every sub-run: shared
+	// atomic counters, no per-run registries (observation only, so sub-run
+	// results stay pure functions of the inputs above).
+	sub.Metrics = base.Metrics
+
+	clear(sm.faults)
+	clear(sm.patience)
 	for k := 0; k <= h; k++ {
 		id := core.CustomerID(p.Sender + k)
 		if f := base.FaultOf(id); f.IsByzantine() {
-			sub = sub.SetFault(core.CustomerID(k), f)
+			sm.setFault(core.CustomerID(k), f)
 		}
 		if pt := base.PatienceOf(id); pt != 0 {
-			sub = sub.SetPatience(core.CustomerID(k), pt)
+			if sm.patience == nil {
+				sm.patience = map[string]sim.Time{}
+			}
+			sm.patience[core.CustomerID(k)] = pt
 		}
 	}
 	for k := 0; k < h; k++ {
 		if f := base.FaultOf(core.EscrowID(p.Sender + k)); f.IsByzantine() {
-			sub = sub.SetFault(core.EscrowID(k), f)
+			sm.setFault(core.EscrowID(k), f)
 		}
 	}
 	// Manager and notary faults apply to every payment that uses them.
@@ -557,7 +558,7 @@ func subScenario(base core.Scenario, plan *compiledPlan, p *payment) core.Scenar
 		switch base.Topology.RoleOf(id) {
 		case core.RoleManager, core.RoleNotary:
 			if f.IsByzantine() {
-				sub = sub.SetFault(id, f)
+				sm.setFault(id, f)
 			}
 		}
 	}
@@ -566,9 +567,16 @@ func subScenario(base core.Scenario, plan *compiledPlan, p *payment) core.Scenar
 		// payment; its sender and receiver play Alice and Bob.
 		for k := 1; k < h; k++ {
 			if f, ok := plan.specAt(p.Sender+k, p.Arrival); ok {
-				sub = sub.SetFault(core.CustomerID(k), f)
+				sm.setFault(core.CustomerID(k), f)
 			}
 		}
+	}
+	sub.Faults, sub.Patience = nil, nil
+	if len(sm.faults) > 0 {
+		sub.Faults = sm.faults
+	}
+	if len(sm.patience) > 0 {
+		sub.Patience = sm.patience
 	}
 	return sub
 }

@@ -119,11 +119,11 @@ func (p *Protocol) Run(s core.Scenario) (*core.RunResult, error) {
 // makes, on a standing world. The result is w's own and is valid until w's
 // next Reset (see core.World).
 func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error) {
-	if err := w.Reset(s); err != nil {
+	if err := w.Reset(&s); err != nil {
 		return nil, fmt.Errorf("weaklive: %w", err)
 	}
 	run := core.Standing[runState](w)
-	run.reset(p, w, s)
+	run.reset(p, w)
 	run.start()
 
 	_, fired := w.Eng.Run(w.MaxEvents())
@@ -138,7 +138,7 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 // transaction manager stands on the world too, in internal/notary's care.
 type runState struct {
 	w   *core.World
-	scn core.Scenario
+	scn *core.Scenario // the world's
 	eng *sim.Engine
 	net *netsim.Network
 	tr  *trace.Trace
@@ -149,18 +149,18 @@ type runState struct {
 	customers []customerProc
 }
 
-// reset makes r the run of s under p on w, which has been reset for s: the
+// reset makes r the run under p of the scenario w has been reset for: the
 // transaction manager and the chain's processes, registered on w's network.
-func (r *runState) reset(p *Protocol, w *core.World, s core.Scenario) {
-	r.w, r.scn = w, s
+func (r *runState) reset(p *Protocol, w *core.World) {
+	r.w, r.scn = w, w.Scenario()
 	r.eng, r.net, r.tr, r.kr = w.Eng, w.Net, w.Trace, w.Keyring()
 	if p.Manager == ManagerCommittee {
-		r.mgr = notary.CommitteeIn(w, s, p.committeeSize())
+		r.mgr = notary.CommitteeIn(w, p.committeeSize())
 	} else {
-		r.mgr = notary.TrustedIn(w, s)
+		r.mgr = notary.TrustedIn(w)
 	}
 
-	topo := s.Topology
+	topo := r.scn.Topology
 	r.escrows = slices.Grow(r.escrows[:0], topo.N)[:topo.N]
 	r.customers = slices.Grow(r.customers[:0], topo.N+1)[:topo.N+1]
 	for i := range r.escrows {
