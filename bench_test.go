@@ -1,11 +1,11 @@
 package xchainpay
 
-// Benchmark harness: one testing.B benchmark per experiment of DESIGN.md /
-// EXPERIMENTS.md. Each benchmark regenerates its experiment's table through
-// internal/bench at a configuration scaled down to the benchmark's
+// Benchmark harness: one testing.B benchmark per experiment of README's
+// "Experiments" section. Each benchmark regenerates its experiment's table
+// through internal/bench at a configuration scaled down to the benchmark's
 // iteration budget; `go test -bench=. -benchmem` therefore re-derives every
 // table and figure artefact of the paper. cmd/xchain-bench prints the same
-// tables at the full configuration for EXPERIMENTS.md.
+// tables at the full configuration.
 
 import (
 	"testing"

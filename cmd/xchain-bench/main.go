@@ -1,5 +1,5 @@
-// Command xchain-bench runs the experiment suite (E1..E9, A1..A3) and prints
-// the tables recorded in EXPERIMENTS.md.
+// Command xchain-bench runs the experiment suite (E1..E11, A1..A3) and prints
+// the tables README's "Experiments" section describes.
 //
 // Usage:
 //

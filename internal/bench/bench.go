@@ -3,10 +3,10 @@
 // protocol behaviour, the three theorems, the Section-5 comparison with
 // cross-chain deals, the related-work baselines, the cost scaling of all
 // protocols, the concurrent-traffic workloads of internal/traffic, and the
-// ablations called out in DESIGN.md. Each experiment is
-// addressable by its ID (E1..E11, A1..A3); cmd/xchain-bench prints the
-// tables, the root-level bench_test.go wraps them as Go benchmarks, and
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// ablations A1..A3. Each experiment is addressable by its ID (E1..E11,
+// A1..A3); cmd/xchain-bench prints the tables, the root-level bench_test.go
+// wraps them as Go benchmarks, and README's "Experiments" section lists what
+// each one reproduces.
 package bench
 
 import (
@@ -35,7 +35,8 @@ type Config struct {
 // pass (seconds).
 func Quick() Config { return Config{Runs: 3, MaxChain: 5} }
 
-// Full returns the configuration used for the EXPERIMENTS.md numbers.
+// Full returns the configuration of cmd/xchain-bench's full tables (README,
+// "Experiments").
 func Full() Config { return Config{Runs: 20, MaxChain: 8} }
 
 // workers resolves the worker count.

@@ -26,7 +26,8 @@ const DefaultMaxEvents = 2_000_000
 // run on a reused world is indistinguishable from a run on a new one, and a
 // worker that simulates a million payments builds one world, not a million.
 // Reuse is an execution strategy: nothing a run computes may depend on what
-// its world ran before (TestWorldReuseEquivalence).
+// its world ran before (internal/scenariogen's reused-world column,
+// TestWorldReuseEquivalence).
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Scenario, Trace and Book it points to (RunResult.Scenario
@@ -121,7 +122,7 @@ func NewWorld() *World {
 // whatever it derives from a scenario — which the package overwrites at the
 // start of every run instead of building it anew. The world neither resets
 // nor reads it, so what a run leaves there must never reach the next one:
-// the package rewrites every field a run reads (TestWorldReuseEquivalence).
+// the package rewrites every field a run reads (the reused-world column).
 func Standing[T any](w *World) *T {
 	for _, s := range w.standing {
 		if st, ok := s.(*T); ok {

@@ -123,7 +123,7 @@ func TestControlUnderSynchrony(t *testing.T) {
 }
 
 func TestSearchImpossibilityAndTheorem2(t *testing.T) {
-	findings := SearchImpossibility(Options{N: 2, Seeds: []int64{1, 2}, Horizon: 10 * sim.Minute})
+	findings := SearchImpossibility(Options{N: 2, Seeds: []int64{1, 2}})
 	if len(findings) == 0 {
 		t.Fatal("no findings produced")
 	}
@@ -163,7 +163,7 @@ func TestVerifyTheorem2RejectsSurvivors(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if o.N <= 0 || len(o.Seeds) == 0 || o.Horizon <= 0 {
+	if o.N <= 0 || len(o.Seeds) == 0 {
 		t.Fatalf("incomplete defaults %+v", o)
 	}
 }

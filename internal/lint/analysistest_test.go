@@ -19,6 +19,35 @@ import (
 	"testing"
 )
 
+// The fixtures and in-memory sources share one file set and one source
+// importer, so the standard library packages they import are type-checked
+// once per test binary, not once per test.
+var (
+	testFset = token.NewFileSet()
+	testStd  = importer.ForCompiler(testFset, "source", nil)
+)
+
+// checkPackage type-checks parsed files as importPath and returns the
+// package the analyzers run on.
+func checkPackage(t *testing.T, importPath, dir string, files []*ast.File) *Package {
+	t.Helper()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: testStd}
+	tpkg, err := conf.Check(importPath, testFset, files, info)
+	if err != nil {
+		t.Fatalf("type-checking %s: %v", importPath, err)
+	}
+	return &Package{
+		ImportPath: importPath, Name: tpkg.Name(), Dir: dir, Target: true,
+		Fset: testFset, Files: files, Types: tpkg, Info: info,
+	}
+}
+
 // loadTestdataPkg parses and type-checks one fixture package.
 func loadTestdataPkg(t *testing.T, importPath string) *Package {
 	t.Helper()
@@ -27,13 +56,12 @@ func loadTestdataPkg(t *testing.T, importPath string) *Package {
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
 	}
-	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		f, err := parser.ParseFile(testFset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parsing fixture: %v", err)
 		}
@@ -42,28 +70,7 @@ func loadTestdataPkg(t *testing.T, importPath string) *Package {
 	if len(files) == 0 {
 		t.Fatalf("no Go files under %s", dir)
 	}
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", importPath, err)
-	}
-	return &Package{
-		ImportPath: importPath,
-		Name:       tpkg.Name(),
-		Dir:        dir,
-		Target:     true,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
+	return checkPackage(t, importPath, dir, files)
 }
 
 // wantRe extracts the backtick-quoted regexp from a `// want` comment.

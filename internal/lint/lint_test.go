@@ -2,10 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
@@ -14,27 +11,11 @@ import (
 // full suite over it.
 func checkSource(t *testing.T, importPath, src string) []Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(testFset, "src.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(importPath, fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	pkg := &Package{
-		ImportPath: importPath, Name: tpkg.Name(), Target: true,
-		Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info,
-	}
-	diags, err := RunAnalyzers([]*Package{pkg}, Analyzers())
+	diags, err := RunAnalyzers([]*Package{checkPackage(t, importPath, "", []*ast.File{f})}, Analyzers())
 	if err != nil {
 		t.Fatalf("RunAnalyzers: %v", err)
 	}

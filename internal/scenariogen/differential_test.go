@@ -3,6 +3,7 @@ package scenariogen
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -44,21 +45,23 @@ func differentialSpec(seed int64) Spec {
 	return sp
 }
 
-// TestEngineDifferential100Scenarios is the engine-drift regression: across
-// 100 seeded random scenarios the timelock process engine and the Figure-2
-// ANTA interpreter must produce identical Definition-1 verdicts and
-// identical settlement-event sequences (locks, releases, refunds, transfers
-// in order with actors and amounts). Any future change that makes one engine
-// settle differently from the other fails here with the offending seed.
+// TestEngineDifferential100Scenarios is the other-engine column, the
+// engine-drift regression: on the 100 differentialSpec rows the timelock
+// process engine and the Figure-2 ANTA interpreter produced identical
+// Definition-1 verdicts and identical settlement sequences (locks, releases,
+// refunds, transfers in order with actors and amounts) in their reference
+// run. Any future change that makes one engine settle differently from the
+// other fails here with the offending seed.
 func TestEngineDifferential100Scenarios(t *testing.T) {
-	for seed := int64(1); seed <= 100; seed++ {
-		sp := differentialSpec(seed)
-		if got := sp.Class(); got != ClassConforming {
-			t.Fatalf("seed %d: differential spec classified %s", seed, got)
+	p := population(t)
+	t.Parallel()
+	for _, i := range p.rowsIn(colEngine) {
+		r := p.rows[i].reference(t)
+		if r.out.Class != ClassConforming {
+			t.Fatalf("%s: differential spec classified %s", r.name, r.out.Class)
 		}
-		out := Run(sp)
-		for _, v := range out.Violations {
-			t.Errorf("seed %d (%s): engines disagree: %s", seed, sp.Describe(), v)
+		for _, v := range r.out.Violations {
+			t.Errorf("%s (%s): engines disagree: %s", r.name, r.sp.Describe(), v)
 		}
 	}
 }
@@ -137,6 +140,52 @@ func TestSettlementDifferentialIsNotVacuous(t *testing.T) {
 		procLogs[led] = p.perturb(slices.Clone(procLogs[led]))
 		if !differs(procLogs) {
 			t.Errorf("%s: the oracle accepted %v against %v", p.name, procLogs[led], logs[1][led])
+		}
+	}
+}
+
+// TestSameRunBites perturbs each observable sameRun compares, one at a time,
+// on a real run's Outcome, and requires sameRun to name it; and it requires a
+// rerun whose fingerprint differs to become exactly one determinism
+// violation, for a payment spec and for a deal spec.
+func TestSameRunBites(t *testing.T) {
+	run := Run(baseSpec(FamTimelock))
+	if d := sameRun(run, Run(baseSpec(FamTimelock))); d.field != "" {
+		t.Fatalf("two runs of one spec differ: %s", d)
+	}
+	for field, perturb := range map[string]func(o *Outcome){
+		"duration":        func(o *Outcome) { o.Duration++ },
+		"bobPaid":         func(o *Outcome) { o.BobPaid = !o.BobPaid },
+		"events":          func(o *Outcome) { o.Events++ },
+		"sent":            func(o *Outcome) { o.Sent++ },
+		"delivered":       func(o *Outcome) { o.Delivered++ },
+		"ledger":          func(o *Outcome) { o.Ledger++ },
+		"trafficPayments": func(o *Outcome) { o.TrafficPayments++ },
+	} {
+		o := *run
+		perturb(&o)
+		if d := sameRun(run, &o); d.field != field || !strings.HasPrefix(d.String(), field) {
+			t.Errorf("perturbed %s, sameRun reports %q", field, d)
+		}
+	}
+	for _, fam := range []Family{FamTimelock, FamDealTimelock} {
+		out, p := kernel(baseSpec(fam), &worlds{}, false)
+		if !out.OK() {
+			t.Fatalf("%s: %v", fam, out.Violations)
+		}
+		again := p
+		if p.deal != nil {
+			d := *p.deal
+			d.EventsFired++
+			again.deal = &d
+		} else {
+			res := *p.res
+			res.EventsFired++
+			again.res = &res
+		}
+		judgeRerun(out, again, nil)
+		if len(out.Violations) != 1 || out.Violations[0].Kind != KindDeterminism || !strings.Contains(out.Violations[0].Detail, "events") {
+			t.Errorf("%s: a rerun with one more event became %v, want one %s violation naming its events", fam, out.Violations, KindDeterminism)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func Fuzz(opts Options) *Stats {
 				if len(allowed) > 0 && !allowed[sp.Family] {
 					continue
 				}
-				outcomes[i] = runGuarded(sp, &ws, runOn)
+				outcomes[i] = runGuarded(sp, &ws, judge)
 			}
 		}()
 	}

@@ -1,8 +1,6 @@
 package scenariogen
 
 import (
-	"fmt"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,123 +94,45 @@ func (m *msgWatch) tap(env netsim.Envelope, _ sim.Time) {
 	}
 }
 
-// TestMessagesImmutableInFlight runs the message-immutability oracle over
-// the replay corpus and over generated scenarios — faults, partial synchrony
-// and attack schedules as Generate draws them, every third one also cut short
-// by MaxEvents, traced and muted alternating — until every process engine
-// and both deal protocols have had their share, each on one standing world so
-// that a run's messages are the storage the previous run's were.
+// TestMessagesImmutableInFlight is the tapped column: every row, cut rows
+// included, runs — recording and muted alternating — under the
+// message-immutability oracle, each on one standing world per engine so that
+// a run's messages are the storage the previous run's were; every process
+// engine and both deal protocols have their share of the population.
 func TestMessagesImmutableInFlight(t *testing.T) {
-	perEngine := 300
-	if testing.Short() {
-		perEngine = 60
-	}
 	type engine struct {
 		w                       *core.World
 		runs, sent, byPointer   int
 		delivered, aliased, cut int
 	}
 	engines := map[string]*engine{}
-	for _, name := range []string{"timelock", "timelock-anta", "htlc", "weaklive-trusted", "weaklive-committee", string(FamDealTimelock), string(FamDealCertified)} {
-		engines[name] = &engine{w: core.NewWorld()}
-	}
-	engineOf := func(p core.Protocol) *engine {
-		name := strings.Replace(p.Name(), "timelock-naive", "timelock", 1)
-		if strings.HasPrefix(name, "weaklive-committee") {
-			name = "weaklive-committee" // the name carries the committee's size
+	p := population(t)
+	t.Parallel()
+	var mat materialiser
+	for k, i := range p.rowsIn(colTapped) {
+		r := p.rows[i]
+		us := []*hand{r.handBuilt(t)}
+		if us[0] == nil {
+			us = units(t, &mat, r.sp)
 		}
-		return engines[name]
-	}
-	count := func(e *engine, m *msgWatch, maxEvents uint64) {
-		e.runs++
-		e.sent, e.byPointer = e.sent+m.sent, e.byPointer+m.byPointer
-		e.delivered, e.aliased = e.delivered+m.delivered, e.aliased+m.aliased
-		if maxEvents > 0 {
-			e.cut++
-		}
-	}
-	watch := func(name string, sp Spec, maxEvents uint64, muted bool) {
-		if sp.isDeal() { // a deal run takes no event cap
-			cfg, err := sp.DealConfig()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			e := engines[string(sp.Family)]
-			m := &msgWatch{t: t, name: name, net: e.w.Net, inner: cfg.Network, inflight: map[uint64]sentMsg{}}
-			cfg.Network, cfg.MuteTrace = m, muted
-			if _, err := sp.dealProtocol()(e.w, cfg); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if len(m.inflight) != 0 {
-				t.Errorf("%s: %d messages never delivered", name, len(m.inflight))
-			}
-			count(e, m, 0)
-			return
-		}
-		s, err := sp.Scenario()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		protos, err := sp.Protocols()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		s.MaxEvents, s.MuteTrace = maxEvents, muted
-		for _, p := range protos {
-			e := engineOf(p)
+		for _, u := range us {
+			e := engines[u.engine]
 			if e == nil {
-				t.Fatalf("%s: no engine for protocol %s", name, p.Name())
+				e = &engine{w: core.NewWorld()}
+				engines[u.engine] = e
 			}
-			m := &msgWatch{t: t, name: name + " " + p.Name(), net: e.w.Net, inner: s.Network, inflight: map[uint64]sentMsg{}}
-			if _, err := p.RunIn(e.w, s.WithNetwork(m)); err != nil {
-				t.Fatalf("%s: %v", m.name, err)
-			}
-			if maxEvents == 0 && len(m.inflight) != 0 && s.Network.Name() == "synchronous" {
+			m := &msgWatch{t: t, name: r.name + " " + u.engine, net: e.w.Net, inflight: map[uint64]sentMsg{}}
+			u.run(t, e.w, k%2 == 0, func(inner netsim.DelayModel) netsim.DelayModel { m.inner = inner; return m })
+			cut := u.deal == nil && u.s.MaxEvents > 0
+			if !cut && len(m.inflight) != 0 && (u.deal != nil || m.Name() == "synchronous") {
 				t.Errorf("%s: %d messages never delivered", m.name, len(m.inflight))
 			}
-			count(e, m, maxEvents)
-		}
-	}
-
-	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("replay corpus: %d files, err %v", len(files), err)
-	}
-	for _, path := range files {
-		r, err := LoadReplay(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Spec.Family == FamTraffic {
-			continue // no engine on a world of ours to watch
-		}
-		watch(filepath.Base(path), r.Spec, 0, false)
-		watch(filepath.Base(path)+" muted", r.Spec, 0, true)
-	}
-
-	short := func() bool {
-		for name, e := range engines {
-			if name != "timelock-anta" && e.runs < perEngine {
-				return true
+			e.runs++
+			e.sent, e.byPointer = e.sent+m.sent, e.byPointer+m.byPointer
+			e.delivered, e.aliased = e.delivered+m.delivered, e.aliased+m.aliased
+			if cut {
+				e.cut++
 			}
-		}
-		return false
-	}
-	seed := int64(0)
-	for short() {
-		seed++
-		if seed > 100_000 {
-			t.Fatalf("100000 seeds did not give every engine %d scenarios", perEngine)
-		}
-		sp := Generate(seed)
-		if sp.Family == FamTraffic {
-			continue
-		}
-		sp.Crypto = "hmac"
-		name := fmt.Sprintf("seed %d %s", seed, sp.Family)
-		watch(name, sp, 0, seed%2 == 0)
-		if seed%3 == 0 && !sp.isDeal() {
-			watch(name+" cut", sp, uint64(5+seed%40), seed%2 == 1)
 		}
 	}
 	for name, e := range engines {

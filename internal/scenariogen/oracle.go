@@ -9,6 +9,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/deals"
+	"repro/internal/explore"
 	"repro/internal/ledger"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -16,14 +17,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
-
-// Horizon caps how long "eventually" is allowed to take in an
-// envelope-violating run, mirroring internal/explore: a protocol that only
-// terminates because the adversary's finite holdback ran out has no a-priori
-// bound — its termination time grows with the holdback — so exceeding the
-// horizon counts as a termination failure. This is the experimental reading
-// of Theorem 2's limit argument.
-const Horizon = 10 * sim.Minute
 
 // ViolationKind classifies how a run broke its oracle.
 type ViolationKind string
@@ -189,16 +182,17 @@ func (sp Spec) allPatienceFinite() bool {
 }
 
 // worlds is what one goroutine judges scenarios on: a pair of standing
-// worlds and the materialiser that turns each spec into what runs on them. A
-// spec's primary run executes on the first world; what is compared against
-// it — the ANTA side of a differential spec, the determinism rerun — on the
-// second, so the primary result is still valid while it is compared
-// (core.World's lifetime rule). Each world is built on first use, and
-// nothing of either, or of the materialiser, outlives a run: an Outcome
-// holds copies only.
+// worlds, the verdicts of the runs on them, and the materialiser that turns
+// each spec into what runs on them. A spec's primary run executes on the
+// first world; what is compared against it — the ANTA side of a differential
+// spec, the determinism rerun — on the second, so the primary result is
+// still valid while it is compared (core.World's lifetime rule). Each world
+// is built on first use, and nothing of either, or of the materialiser,
+// outlives the next run: an Outcome holds copies only.
 type worlds struct {
-	w   [2]*core.World
-	mat materialiser
+	w       [2]*core.World
+	reports [2]check.Report
+	mat     materialiser
 }
 
 func (ws *worlds) world(i int) *core.World {
@@ -208,65 +202,131 @@ func (ws *worlds) world(i int) *core.World {
 	return ws.w[i]
 }
 
+// primary is the run a kernel run judges its spec by, as its protocol
+// returned it: the payment run with its verdicts, or the deal run. Like the
+// worlds it ran on it is valid until they run the next spec; a traffic
+// population, or a spec that could not run, has none.
+type primary struct {
+	res    *core.RunResult
+	report *check.Report
+	deal   *deals.Result
+}
+
+// observe records the primary run's protocol, payment, duration and
+// fingerprint on o.
+func (o *Outcome) observe(p primary) {
+	if d := p.deal; d != nil {
+		o.Protocol, o.BobPaid, o.Duration = d.Protocol, d.Outcome.AllTransferred(), d.Duration
+		o.Fingerprint = fingerprint(d.EventsFired, d.Stats, d.Book)
+		return
+	}
+	o.Protocol, o.BobPaid, o.Duration = p.res.Protocol, p.res.BobPaid, p.res.Duration
+	o.Fingerprint = fingerprint(p.res.EventsFired, p.res.NetStats, p.res.Book)
+}
+
+// kernel is the one run every driver makes — Fuzz, Shrink, Replay.Verify,
+// Trace and the package tests' equivalence columns: it materialises the spec
+// on ws, runs it, recording or muted, judges it, and returns the Outcome
+// beside the primary run. What ws ran before never reaches either.
+func kernel(sp Spec, ws *worlds, record bool) (*Outcome, primary) {
+	out := &Outcome{Spec: sp, Class: sp.Class()}
+	var p primary
+	switch {
+	case sp.isDeal():
+		p.deal = runDeal(sp, out, ws, record)
+	case sp.Family == FamTraffic:
+		runTraffic(sp, out)
+	default:
+		p.res, p.report = runPayment(sp, out, ws, record)
+	}
+	return out, p
+}
+
+// judge is the kernel as the drivers that keep only the verdict run it:
+// muted, no oracle reads a trace.
+func judge(sp Spec, ws *worlds) *Outcome {
+	out, _ := kernel(sp, ws, false)
+	return out
+}
+
 // Run executes the spec and evaluates its oracle. Scenario errors are
 // reported as violations (the generator never produces invalid specs, and a
 // replay file that stopped validating is itself a regression).
-func Run(sp Spec) *Outcome { return runOn(sp, &worlds{}) }
+func Run(sp Spec) *Outcome { return judge(sp, &worlds{}) }
 
-// Trace runs the spec's primary protocol (the process engine of a
-// differential pair) once more on a world of its own, recording, and returns
-// the trace. Run judges muted; a run is a pure function of its spec, so this
-// is the run Run judged, with the transcript a human debugging it wants. A
-// traffic population has no one trace, and a scenario that cannot run (or
-// panics) has none either: both are errors.
+// Trace runs the spec once more on worlds of its own, recording, and returns
+// the trace of its primary protocol (the process engine of a differential
+// pair). Run judges muted; a run is a pure function of its spec, so this is
+// the run Run judged, with the transcript a human debugging it wants. A
+// traffic population has no one trace, and a scenario whose primary run
+// cannot be made has none either: both are errors. What the kernel does
+// beside the primary run — the ANTA side, judging, the determinism rerun —
+// costs the trace only by panicking: then Trace returns the panic as an
+// error.
 func Trace(sp Spec) (tr *trace.Trace, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			tr, err = nil, fmt.Errorf("scenariogen: seed %d panicked: %v", sp.Seed, r)
 		}
 	}()
-	switch {
-	case sp.Family == FamTraffic:
+	if sp.Family == FamTraffic {
 		return nil, fmt.Errorf("scenariogen: a traffic population has no single trace")
-	case sp.isDeal():
-		cfg, err := sp.DealConfig()
-		if err != nil {
-			return nil, err
-		}
-		res, err := sp.dealProtocol()(core.NewWorld(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Trace, nil
 	}
-	s, err := sp.Scenario()
-	if err != nil {
-		return nil, err
+	out, p := kernel(sp, &worlds{}, true)
+	switch {
+	case p.res != nil:
+		return p.res.Trace, nil
+	case p.deal != nil:
+		return p.deal.Trace, nil
 	}
-	protos, err := sp.Protocols()
-	if err != nil {
-		return nil, err
-	}
-	res, err := protos[0].Run(s)
-	if err != nil {
-		return nil, err
-	}
-	return res.Trace, nil
+	return nil, errors.New(out.Violations[0].Detail)
 }
 
-// runOn is Run on the caller's standing worlds: what a world ran before
-// never reaches an Outcome (TestFuzzStandingWorldEquivalence).
-func runOn(sp Spec, ws *worlds) *Outcome {
-	out := &Outcome{Spec: sp, Class: sp.Class()}
+// runDiff is the first observable on which two runs of one spec differ, by
+// its JSON name, with its two values; the zero runDiff means they agree.
+type runDiff struct {
+	field string
+	a, b  any
+}
+
+func (d runDiff) String() string { return fmt.Sprintf("%s %v vs %v", d.field, d.a, d.b) }
+
+// sameRun compares two runs of one spec on everything a rerun must
+// reproduce: duration, Bob's payment, each fingerprint word and the traffic
+// population. It returns the first difference, and builds nothing while the
+// runs agree.
+func sameRun(a, b *Outcome) runDiff {
 	switch {
-	case sp.isDeal():
-		runDeal(sp, out, ws)
-	case sp.Family == FamTraffic:
-		runTraffic(sp, out)
-	default:
-		runPayment(sp, out, ws)
+	case a.Duration != b.Duration:
+		return runDiff{"duration", a.Duration, b.Duration}
+	case a.BobPaid != b.BobPaid:
+		return runDiff{"bobPaid", a.BobPaid, b.BobPaid}
+	case a.Events != b.Events:
+		return runDiff{"events", a.Events, b.Events}
+	case a.Sent != b.Sent:
+		return runDiff{"sent", a.Sent, b.Sent}
+	case a.Delivered != b.Delivered:
+		return runDiff{"delivered", a.Delivered, b.Delivered}
+	case a.Ledger != b.Ledger:
+		return runDiff{"ledger", a.Ledger, b.Ledger}
+	case a.TrafficPayments != b.TrafficPayments:
+		return runDiff{"trafficPayments", a.TrafficPayments, b.TrafficPayments}
 	}
-	return out
+	return runDiff{}
+}
+
+// judgeRerun is the determinism oracle: the spec's primary protocol, run
+// once more on the second world, must reproduce the primary run (sameRun).
+func judgeRerun(out *Outcome, again primary, err error) {
+	if err != nil {
+		out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
+		return
+	}
+	var o Outcome
+	o.observe(again)
+	if d := sameRun(out, &o); d.field != "" {
+		out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun diverged: " + d.String()})
+	}
 }
 
 // runTraffic executes and judges a traffic-family spec: a whole payment
@@ -379,57 +439,52 @@ func checkCheckpoint(s core.Scenario, w traffic.Workload, want string, at int, o
 }
 
 // runPayment executes and judges a payment-family spec: protocol i runs on
-// world i (a differential spec has two, every other family one). The runs are
-// muted: no oracle reads a trace (Trace reruns a spec recorded, for a human).
-func runPayment(sp Spec, out *Outcome, ws *worlds) {
+// world i (a differential spec has two, every other family one), recording
+// or muted as the kernel was asked. It returns the primary run and its
+// verdicts, nil if that run could not be made; an error on the ANTA side is
+// a violation, but leaves the primary run to be returned.
+func runPayment(sp Spec, out *Outcome, ws *worlds, record bool) (*core.RunResult, *check.Report) {
 	s, err := ws.mat.scenario(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
-		return
+		return nil, nil
 	}
-	s = s.Muted()
+	if !record {
+		s = s.Muted()
+	}
 	protos, err := ws.mat.protocols(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
-		return
+		return nil, nil
 	}
 	opts := sp.checkOptions(out.Class, protos[0], s)
 	var results [len(ws.w)]*core.RunResult
-	var reports [len(ws.w)]check.Report
 	for i, p := range protos {
 		res, err := p.RunIn(ws.world(i), s)
 		if err != nil {
 			out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: p.Name() + ": " + err.Error()})
-			return
+			if i == 0 {
+				return nil, nil
+			}
+			return results[0], &ws.reports[0]
 		}
 		results[i] = res
-		reports[i] = check.Evaluate(res, opts)
+		ws.reports[i] = check.Evaluate(res, opts)
 	}
-	primary := results[0]
-	out.Protocol = primary.Protocol
-	out.BobPaid = primary.BobPaid
-	out.Duration = primary.Duration
-	out.Fingerprint = fingerprint(primary.EventsFired, primary.NetStats, primary.Book)
+	first := results[0]
+	out.observe(primary{res: first})
 
-	judgeReport(sp, out, protos[0].Guarantee(), &reports[0], primary.Duration)
+	judgeReport(sp, out, protos[0].Guarantee(), &ws.reports[0], first.Duration)
 	if sp.Family == FamDifferential {
 		var pl, al [maxChain][]ledger.Op
-		judgeDifferential(out, &reports, opLogs(pl[:0], results[0].Book), opLogs(al[:0], results[1].Book))
+		judgeDifferential(out, &ws.reports, opLogs(pl[:0], results[0].Book), opLogs(al[:0], results[1].Book))
 	}
 	if sp.wantDeterminism() {
 		// The ANTA side, if there was one, has been judged: its world is free.
 		q, err := protos[0].RunIn(ws.world(1), s)
-		if err != nil {
-			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
-			return
-		}
-		if fp := fingerprint(q.EventsFired, q.NetStats, q.Book); q.Duration != primary.Duration || q.BobPaid != primary.BobPaid || fp != out.Fingerprint {
-			out.Violations = append(out.Violations, Violation{
-				Kind:   KindDeterminism,
-				Detail: fmt.Sprintf("rerun diverged: duration %v vs %v, fingerprint %+v vs %+v", primary.Duration, q.Duration, out.Fingerprint, fp),
-			})
-		}
+		judgeRerun(out, primary{res: q}, err)
 	}
+	return first, &ws.reports[0]
 }
 
 // judgeReport folds one property report into the outcome: owed failures
@@ -440,9 +495,9 @@ func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep *check.Report, dur
 	for _, p := range rep.Failures() {
 		failed[p] = rep.Verdict(p).Detail
 	}
-	if out.Class == ClassViolating && duration > Horizon {
+	if out.Class == ClassViolating && duration > explore.Horizon {
 		if _, already := failed[core.PropTermination]; !already {
-			failed[core.PropTermination] = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, Horizon)
+			failed[core.PropTermination] = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, explore.Horizon)
 		}
 	}
 	facts := check.Facts{
@@ -567,25 +622,23 @@ func (sp Spec) dealProtocol() func(*core.World, deals.Config) (*deals.Result, er
 
 // runDeal executes and judges a deal-family spec against Herlihy et al.'s
 // properties: safety and termination unconditionally, strong liveness when
-// every party complies under a conforming schedule, plus the ledger audit.
-func runDeal(sp Spec, out *Outcome, ws *worlds) {
+// every party complies under a conforming schedule, plus the ledger audit. It
+// returns the deal run, nil if the spec could not run.
+func runDeal(sp Spec, out *Outcome, ws *worlds, record bool) *deals.Result {
 	cfg, err := ws.mat.dealConfig(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
-		return
+		return nil
 	}
-	cfg.MuteTrace = true
+	cfg.MuteTrace = !record
 	run := sp.dealProtocol()
 	res, err := run(ws.world(0), cfg)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
-		return
+		return nil
 	}
-	out.Protocol = res.Protocol
-	out.Duration = res.Duration
-	out.Fingerprint = fingerprint(res.EventsFired, res.Stats, res.Book)
+	out.observe(primary{deal: res})
 	o := res.Outcome
-	out.BobPaid = o.AllTransferred()
 	if !o.SafetyHolds() {
 		out.Violations = append(out.Violations, Violation{Kind: KindDeal, Detail: "a compliant party ended with an unacceptable payoff"})
 	}
@@ -604,17 +657,9 @@ func runDeal(sp Spec, out *Outcome, ws *worlds) {
 	}
 	if sp.wantDeterminism() {
 		q, err := run(ws.world(1), cfg)
-		if err != nil {
-			out.Violations = append(out.Violations, Violation{Kind: KindDeterminism, Detail: "rerun errored: " + err.Error()})
-			return
-		}
-		if fp := fingerprint(q.EventsFired, q.Stats, q.Book); q.Duration != res.Duration || fp != out.Fingerprint {
-			out.Violations = append(out.Violations, Violation{
-				Kind:   KindDeterminism,
-				Detail: fmt.Sprintf("deal rerun diverged: duration %v vs %v, fingerprint %+v vs %+v", res.Duration, q.Duration, out.Fingerprint, fp),
-			})
-		}
+		judgeRerun(out, primary{deal: q}, err)
 	}
+	return res
 }
 
 // wantDeterminism samples a sixteenth of the seed space for the double-run

@@ -74,19 +74,17 @@ func NewReplay(o *Outcome, note string) Replay {
 
 // Verify re-runs the replay twice, on one standing pair of worlds, and checks
 // that both runs reproduce the expectation exactly: same class, protocol,
-// failed-property set, Theorem-2 flag and payment outcome, and identical
-// durations and fingerprints across the two runs (the determinism half of
-// "byte-identical").
+// failed-property set, Theorem-2 flag and payment outcome, and the same run
+// twice (sameRun: the determinism half of "byte-identical").
 func (r Replay) Verify() error {
 	if r.Version != replayVersion {
 		return fmt.Errorf("scenariogen: replay version %d, want %d", r.Version, replayVersion)
 	}
 	ws := &worlds{}
-	a := runOn(r.Spec, ws)
-	b := runOn(r.Spec, ws)
-	if a.Duration != b.Duration || a.BobPaid != b.BobPaid || a.Fingerprint != b.Fingerprint || a.TrafficPayments != b.TrafficPayments {
-		return fmt.Errorf("scenariogen: replay is not deterministic: duration %v vs %v, paid %v vs %v, fingerprint %+v vs %+v, payments %d vs %d",
-			a.Duration, b.Duration, a.BobPaid, b.BobPaid, a.Fingerprint, b.Fingerprint, a.TrafficPayments, b.TrafficPayments)
+	a := judge(r.Spec, ws)
+	b := judge(r.Spec, ws)
+	if d := sameRun(a, b); d.field != "" {
+		return fmt.Errorf("scenariogen: replay is not deterministic: %s", d)
 	}
 	if a.Class != r.Expect.Class {
 		return fmt.Errorf("scenariogen: replay class %s, expected %s", a.Class, r.Expect.Class)

@@ -62,7 +62,7 @@ func Shrink(sp Spec, keep Keep, maxTries int) ShrinkResult {
 		maxTries = 400
 	}
 	ws := &worlds{}
-	res := ShrinkResult{Spec: sp, Outcome: runOn(sp, ws)}
+	res := ShrinkResult{Spec: sp, Outcome: judge(sp, ws)}
 	if !keep(res.Outcome) {
 		return res
 	}
@@ -76,7 +76,7 @@ func Shrink(sp Spec, keep Keep, maxTries int) ShrinkResult {
 				continue
 			}
 			res.Tried++
-			out := runOn(cand, ws)
+			out := judge(cand, ws)
 			if keep(out) {
 				res.Spec, res.Outcome = cand, out
 				res.Accepted++

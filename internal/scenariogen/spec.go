@@ -354,12 +354,13 @@ func (sp Spec) sufficientDealPatience() sim.Time {
 // campaignKeySeed is the key seed every materialised scenario and deal
 // configuration runs under. Authentication is a primitive the model assumes:
 // no control flow reads a key's bytes, so which seed they derive from is, like
-// the backend, invisible to every verdict (TestBackendDifferential120Scenarios
-// holds outcomes equal across whole backends). One seed for all specs means a
-// standing world's keyring keeps its keys and bound signers from scenario to
-// scenario, and the process-wide key cache holds one entry per participant
-// name instead of one per participant per seed. The constant is part of the
-// Spec -> Scenario mapping, so Run stays a pure function of the spec.
+// the backend, invisible to every verdict (the other-backend column,
+// TestBackendDifferential120Scenarios, holds runs equal across whole
+// backends). One seed for all specs means a standing world's keyring keeps
+// its keys and bound signers from scenario to scenario, and the process-wide
+// key cache holds one entry per participant name instead of one per
+// participant per seed. The constant is part of the Spec -> Scenario mapping,
+// so Run stays a pure function of the spec.
 const campaignKeySeed = "scenariogen"
 
 // materialiser turns specs into what runs them — a core.Scenario and its

@@ -1,7 +1,6 @@
 package scenariogen
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -26,70 +25,46 @@ func nonTraffic() []Family {
 	return out
 }
 
-// TestFuzzStandingWorldEquivalence is the oracle of the fuzzer's standing
-// worlds: the Outcome of a scenario judged on a pair of worlds that has
-// judged anything before — in seed order and in a shuffled order, so every
-// family follows every other, on alternating backends — is JSON-byte-equal
-// to Run's on worlds of its own; the spec a standing generator draws for a
-// seed, whatever it drew before, is Generate's; and a campaign's Stats do not
+// standingSeeds is how many generated seeds the standing-pair column, the
+// standing generator's check and the campaign cover.
+func standingSeeds() int {
+	if testing.Short() {
+		return 300
+	}
+	return 2000
+}
+
+// TestFuzzStandingWorldEquivalence is the standing-pair column: a row judged
+// muted on a pair of worlds that has judged anything before — in population
+// order and in a shuffled order, so every family follows every other, on
+// alternating backends — has its reference's Outcome (JSON-byte-equal) and
+// result. Besides it, the spec a standing generator draws for a seed,
+// whatever it drew before, is Generate's, and a campaign's Stats do not
 // depend on how many workers (hence pairs and generators) it ran on. CI runs
 // it under the race detector at GOMAXPROCS=4: a world belongs to one worker.
 func TestFuzzStandingWorldEquivalence(t *testing.T) {
-	seeds := 2000
-	if testing.Short() {
-		seeds = 300
-	}
-	var specs []Spec
-	families := map[Family]int{}
+	seeds := standingSeeds()
 	rng := sim.NewRand(0)
 	for _, seed := range rand.New(rand.NewSource(21)).Perm(seeds) {
 		if got, want := generate(rng, int64(seed)), Generate(int64(seed)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: the standing generator drew\n%s\nGenerate\n%s", seed, got.MarshalIndent(), want.MarshalIndent())
 		}
 	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		sp := Generate(seed)
-		if sp.Family == FamTraffic {
-			continue
-		}
-		sp.Crypto = []string{"hmac", "ed25519"}[seed%2]
-		families[sp.Family]++
-		specs = append(specs, sp)
-	}
-	for _, f := range nonTraffic() {
-		if families[f] == 0 {
-			t.Fatalf("no %s spec among the first %d seeds", f, seeds)
-		}
-	}
-	render := func(o *Outcome) string {
-		js, err := json.Marshal(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(js)
-	}
-	want := make([]string, len(specs))
-	for i, sp := range specs {
-		want[i] = render(Run(sp))
-	}
 
+	p := population(t)
+	t.Parallel()
 	ws := &worlds{}
 	compare := func(pass string, order []int) {
 		for k, i := range order {
-			if got := render(runOn(specs[i], ws)); got != want[i] {
-				after := "new worlds"
-				if k > 0 {
-					after = specs[order[k-1]].Describe()
-				}
-				t.Fatalf("%s: %s, judged after %s, differs from its outcome on new worlds:\n--- standing\n%s\n--- new\n%s",
-					pass, specs[i].Describe(), after, got, want[i])
+			got := p.rows[i].observe(t, ws, false)
+			after := "new worlds"
+			if k > 0 {
+				after = p.rows[order[k-1]].name
 			}
+			p.rows[i].check(t, pass+", after "+after, got, false, false)
 		}
 	}
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
+	order := p.rowsIn(colStanding)
 	compare("in order", order)
 	rand.New(rand.NewSource(18)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	compare("shuffled", order)
@@ -100,7 +75,7 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 	if four := Fuzz(opts).String(); one != four {
 		t.Fatalf("worker count changed the campaign:\n--- 1 worker\n%s--- 4 workers\n%s", one, four)
 	}
-	t.Logf("%d scenarios judged three times; campaign of %d seeds on 1 and 4 workers", len(specs), seeds)
+	t.Logf("%d rows judged twice; campaign of %d seeds on 1 and 4 workers", len(order), seeds)
 }
 
 // fuzzAllocBudget and fuzzBytesBudget are what one scenario of the hmac
@@ -148,7 +123,7 @@ func TestFuzzScenarioAllocs(t *testing.T) {
 func TestFuzzRecoversPanickingScenario(t *testing.T) {
 	ws := &worlds{}
 	sp := baseSpec(FamTimelock)
-	if out := runGuarded(sp, ws, runOn); !out.OK() || ws.w[0] == nil {
+	if out := runGuarded(sp, ws, judge); !out.OK() || ws.w[0] == nil {
 		t.Fatalf("healthy scenario: violations %v, primary world built: %v", out.Violations, ws.w[0] != nil)
 	}
 	out := runGuarded(sp, ws, func(Spec, *worlds) *Outcome { panic("ledger exploded") })
@@ -164,7 +139,7 @@ func TestFuzzRecoversPanickingScenario(t *testing.T) {
 	if ws.w[0] != nil || ws.w[1] != nil {
 		t.Fatal("worlds of unknown state were kept after a panic")
 	}
-	if out := runGuarded(sp, ws, runOn); !out.OK() {
+	if out := runGuarded(sp, ws, judge); !out.OK() {
 		t.Fatalf("scenario after a panic: %v", out.Violations)
 	}
 }
@@ -194,6 +169,7 @@ func sameNetwork(a, b netsim.DelayModel) bool {
 // public Spec methods) returns: reflect.DeepEqual on everything a run reads,
 // the delay model by sameNetwork.
 func TestMaterialiserMatchesSpec(t *testing.T) {
+	t.Parallel()
 	seeds := 20_000
 	if testing.Short() {
 		seeds = 3_000

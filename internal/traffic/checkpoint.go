@@ -31,7 +31,7 @@ import (
 // The determinism contract does the heavy lifting: because an uninterrupted
 // run is a pure function of its inputs, a resumed run that restores the
 // timeline state exactly and replays the remaining payments produces a
-// byte-identical Result (TestCheckpointEquivalence).
+// byte-identical Result (TestExecutionLattice's resume cells).
 
 // SnapshotKind is the checkpoint envelope kind of traffic run snapshots.
 const SnapshotKind = "traffic-run"

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // resumeAfterInterrupt runs (s, w, cfg) interrupted at payment `at`, checks
@@ -65,152 +64,29 @@ func assertSameRun(t *testing.T, ref, got *Result) {
 	}
 }
 
-// TestCheckpointEquivalence is the subsystem's oracle: a run interrupted at
-// an adversarially chosen payment count and resumed from its snapshot must
-// produce a Result byte-identical to the uninterrupted run — across worker
-// counts, honest and Byzantine plans, liquidity-bounded queues (shallow and
-// a hundred deep) and exemplar reservoirs (TestExecutionLattice's resume columns cover the retention
-// policies on every lattice input). Interrupt points are
-// chosen to land mid-chunk (517 is inside the second pipeline chunk), at the
-// very first boundary, and one payment before the end.
-func TestCheckpointEquivalence(t *testing.T) {
+// TestCheckpointControlInterrupt: a run whose Control is tripped before it
+// starts stops at the first boundary and leaves a snapshot there.
+// (TestExecutionLattice's resume cells are the checkpoint oracle: every
+// input interrupted at its cuts and resumed, byte-identical.)
+func TestCheckpointControlInterrupt(t *testing.T) {
 	s := core.NewScenario(6, 7)
-	base := NewWorkload(1200)
-	base.Arrival.Rate = 2000
-	base = base.WithMix(mixed...)
-
-	t.Run("honest-stream", func(t *testing.T) {
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Workers: workers, Stream: true, KeepPayments: true, Crypto: "hmac"}
-			ref, err := RunWith(s, base, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, at := range []int{1, 517, 1199} {
-				got, _ := resumeAfterInterrupt(t, s, base, cfg, at)
-				assertSameRun(t, ref, got)
-			}
-		}
-	})
-
-	t.Run("queue-expiry", func(t *testing.T) {
-		w := base.WithLiquidity(500).WithQueue(250*sim.Millisecond, 0)
-		cfg := Config{Workers: 2, Stream: true, KeepPayments: true, Crypto: "hmac"}
-		ref, err := RunWith(s, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Dropped == 0 || ref.QueuedCount == 0 {
-			t.Fatalf("workload not contended enough to exercise the queue: %+v", ref)
-		}
-		got, sn := resumeAfterInterrupt(t, s, w, cfg, 600)
-		if len(sn.Queue) == 0 {
-			t.Fatal("interrupt point never caught payments waiting in the queue")
-		}
-		assertSameRun(t, ref, got)
-	})
-
-	t.Run("liquidity-bound-deep-queue", func(t *testing.T) {
-		// Cut while well over a hundred payments wait, on a chain whose silent
-		// connectors keep refunding: the resumed run must file every waiter
-		// under the account that refuses it in the restored book, give the ones
-		// later admitted the attempt number the uninterrupted run gave them,
-		// and refuse the snapshot once a waiter's every hop is flush.
-		s := core.NewScenario(6, 11).
-			SetFault(core.CustomerID(2), core.FaultSpec{Silent: true}).
-			SetFault(core.CustomerID(4), core.FaultSpec{Silent: true})
-		w := NewWorkload(2000).WithLiquidity(3000).WithQueue(1500*sim.Millisecond, 0)
-		w.Arrival.Rate = 3000
-		w.RandomSubPaths = true
-		cfg := Config{Workers: 2, Stream: true, KeepPayments: true, Crypto: "hmac"}
-		ref, err := RunWith(s, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, sn := resumeAfterInterrupt(t, s, w, cfg, 900)
-		if len(sn.Queue) < 100 {
-			t.Fatalf("interrupt point caught %d payments waiting, want at least 100", len(sn.Queue))
-		}
-		readmitted := 0
-		for _, idx := range sn.Queue {
-			if st := ref.Payments[idx].Status; st == StatusOK || st == StatusProtocolFailed {
-				readmitted++
-			}
-		}
-		if readmitted == 0 {
-			t.Fatal("no payment waiting at the cut was admitted after it")
-		}
-		assertSameRun(t, ref, got)
-
-		for i := range sn.Ledgers {
-			for a := range sn.Ledgers[i].Accounts {
-				sn.Ledgers[i].Accounts[a].Balance = 1 << 40
-			}
-		}
-		rcfg := cfg
-		rcfg.Resume = sn
-		if res, err := RunWith(s, w, rcfg); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("resume with every waiter admissible returned (%v, %v), want ErrBadSnapshot", res, err)
-		}
-	})
-
-	t.Run("byzantine-mid-onset", func(t *testing.T) {
-		w := base.WithFaults(FaultPlan{
-			Fraction: 0.3,
-			From:     50 * sim.Millisecond,
-			Stagger:  200 * sim.Millisecond,
-			Outage:   400 * sim.Millisecond,
-		})
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Workers: workers, Stream: true, KeepPayments: true, Crypto: "hmac"}
-			ref, err := RunWith(s, w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref.FaultedPayments == 0 {
-				t.Fatalf("fault plan never touched a payment: %+v", ref)
-			}
-			got, sn := resumeAfterInterrupt(t, s, w, cfg, 300)
-			if len(sn.Marks) == 0 {
-				t.Fatal("interrupt point never caught pending Byzantine marks")
-			}
-			assertSameRun(t, ref, got)
-		}
-	})
-
-	t.Run("exemplar-reservoir", func(t *testing.T) {
-		cfg := Config{Workers: 2, Stream: true, Exemplars: 16, Crypto: "hmac"}
-		ref, err := RunWith(s, base, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ref.Exemplars) != 16 {
-			t.Fatalf("reservoir retained %d exemplars, want 16", len(ref.Exemplars))
-		}
-		// 700 is past the reservoir-fill point, so the restored RNG must
-		// resume mid-replacement-stream.
-		got, _ := resumeAfterInterrupt(t, s, base, cfg, 700)
-		assertSameRun(t, ref, got)
-	})
-
-	t.Run("control-interrupt", func(t *testing.T) {
-		// Control pre-tripped: the run must stop at the first boundary.
-		ctl := &Control{}
-		ctl.Interrupt()
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		cfg := Config{Workers: 1, Stream: true, KeepPayments: true, Crypto: "hmac",
-			Control: ctl, CheckpointPath: path}
-		if _, err := RunWith(s, base, cfg); !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("controlled run returned %v, want ErrInterrupted", err)
-		}
-		sn, err := LoadSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sn.NextIndex != 1 {
-			t.Fatalf("pre-tripped control stopped at payment %d, want 1", sn.NextIndex)
-		}
-	})
+	w := NewWorkload(1200).WithMix(mixed...)
+	w.Arrival.Rate = 2000
+	ctl := &Control{}
+	ctl.Interrupt()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg := Config{Workers: 1, Stream: true, KeepPayments: true, Crypto: "hmac",
+		Control: ctl, CheckpointPath: path}
+	if _, err := RunWith(s, w, cfg); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("controlled run returned %v, want ErrInterrupted", err)
+	}
+	sn, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.NextIndex != 1 {
+		t.Fatalf("pre-tripped control stopped at payment %d, want 1", sn.NextIndex)
+	}
 }
 
 // TestCheckpointPeriodicWrites pins the periodic cadence: a completed run

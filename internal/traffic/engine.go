@@ -78,7 +78,8 @@ type Config struct {
 	// starting at payment 0. The snapshot's configuration fingerprint must
 	// match this run's (scenario, workload, retention) exactly — RunWith
 	// returns a *ConfigMismatchError otherwise. The resumed run's Result is
-	// byte-identical to an uninterrupted run (TestCheckpointEquivalence).
+	// byte-identical to an uninterrupted run (TestExecutionLattice's resume
+	// cells).
 	Resume *RunSnapshot
 	// InterruptAt, when > 0, stops the run just before admitting payment
 	// InterruptAt (writing a snapshot when CheckpointPath is set) and makes

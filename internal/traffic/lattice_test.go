@@ -130,14 +130,16 @@ func requireSameAggregates(t *testing.T, tag string, got, ref *Result) {
 }
 
 // latticeInput is one row: a (scenario, workload) pair named after the part
-// of the timeline it stresses, the payment index at which the resume columns
-// cut the run, and a check that the reference really shows that stress.
+// of the timeline it stresses, the payment indices at which the resume
+// columns cut the run, a check that the reference really shows that stress,
+// and one that every snapshot taken at a cut captures it.
 type latticeInput struct {
 	name      string
 	s         core.Scenario
 	w         Workload
-	cut       int
+	cuts      []int
 	exercises func(ref *Result) bool
+	captures  func(sn *RunSnapshot, ref *Result) bool
 }
 
 // latticeKnob is one column: a result-neutral configuration, optionally run
@@ -178,17 +180,37 @@ func latticeInputs() []latticeInput {
 	}
 	queued := func(r *Result) bool { return r.Dropped > 0 && r.QueuedCount > 0 }
 	return []latticeInput{
-		{name: "mixed", s: hmac(core.NewScenario(5, 42)), w: mix, cut: 137},
-		{name: "bursty", s: burstyScenario(), w: burstyWorkload(false), cut: 151},
-		{name: "bursty-faulted", s: burstyScenario(), w: burstyWorkload(true), cut: 151, exercises: byzantine},
-		{name: "manager-outage", s: hmac(core.NewScenario(8, 99)), w: byzWorkload(400), cut: 200, exercises: byzantine},
+		// Cut at the first boundary, mid-chunk and one payment before the end.
+		{name: "mixed", s: hmac(core.NewScenario(5, 42)), w: mix, cuts: []int{1, 137, 399}},
+		{name: "bursty", s: burstyScenario(), w: burstyWorkload(false), cuts: []int{151}},
+		{name: "bursty-faulted", s: burstyScenario(), w: burstyWorkload(true), cuts: []int{151}, exercises: byzantine},
+		// Staggered onsets and recoveries are still pending at the cut.
+		{name: "manager-outage", s: hmac(core.NewScenario(8, 99)), w: byzWorkload(400), cuts: []int{200}, exercises: byzantine,
+			captures: func(sn *RunSnapshot, _ *Result) bool { return len(sn.Marks) > 0 }},
+		// Payments wait in the queue at the cut, and some of them expire.
 		{name: "starved-queue", s: hmac(core.NewScenario(4, 7).SetFault(core.CustomerID(2), core.FaultSpec{Silent: true})),
-			w: starved, cut: 57, exercises: queued},
-		{name: "subpaths-bounded", s: hmac(core.NewScenario(4, 7)), w: sub, cut: 150,
+			w: starved, cuts: []int{57}, exercises: queued,
+			captures: func(sn *RunSnapshot, _ *Result) bool { return len(sn.Queue) > 0 }},
+		{name: "subpaths-bounded", s: hmac(core.NewScenario(4, 7)), w: sub, cuts: []int{150},
 			exercises: func(r *Result) bool { return r.QueuedCount > 0 }},
+		// A hundred payments wait at each cut, filed under the accounts that
+		// refuse them, and some are admitted after it; an aggregate-only
+		// snapshot is past the exemplar reservoir's fill point, so the restored
+		// RNG resumes mid-replacement-stream; 517 lies inside the second
+		// pipeline chunk.
 		{name: "refund-wake", s: hmac(core.NewScenario(6, 11).SetFault(core.CustomerID(2), silent).SetFault(core.CustomerID(4), silent)),
-			w: wake, cut: 300,
-			exercises: func(r *Result) bool { return r.Failed > 0 && r.Dropped > 0 && admittedFromQueue(r) > 20 }},
+			w: wake, cuts: []int{300, 517},
+			exercises: func(r *Result) bool { return r.Failed > 0 && r.Dropped > 0 && admittedFromQueue(r) > 20 },
+			captures: func(sn *RunSnapshot, ref *Result) bool {
+				readmitted := 0
+				for _, idx := range sn.Queue {
+					if st := ref.Payments[idx].Status; st == StatusOK || st == StatusProtocolFailed {
+						readmitted++
+					}
+				}
+				pastFill := sn.Agg.Hist == nil || sn.Agg.ResSeen > len(sn.Agg.Reservoir)
+				return len(sn.Queue) >= 100 && readmitted > 0 && pastFill
+			}},
 	}
 }
 
@@ -207,6 +229,7 @@ func latticeKnobs() []latticeKnob {
 		{name: "metrics/drop", cfg: with(drop, 2), metrics: true},
 		{name: "ed25519", cfg: Config{Crypto: "ed25519"}},
 		{name: "resume", cfg: Config{Workers: 2}, resume: true},
+		{name: "resume/workers=1", cfg: with(keep, 1), resume: true},
 		{name: "resume/workers=4", cfg: with(keep, 4), resume: true},
 		{name: "resume/drop", cfg: with(drop, 2), resume: true},
 	}
@@ -217,7 +240,9 @@ func latticeKnobs() []latticeKnob {
 // the serial reference — String(), per-payment records and final book wealth
 // when records are kept; every exact aggregate, the histogram bound and the
 // book wealth when they are dropped, plus one exemplar reservoir per input
-// whatever the worker count, registry or interruption. Runs under -race in
+// whatever the worker count, registry or interruption. A resume cell does
+// this for a run interrupted at each of the row's cuts and resumed from its
+// snapshot, which must capture what the row stresses. Runs under -race in
 // CI's race job.
 func TestExecutionLattice(t *testing.T) {
 	for _, in := range latticeInputs() {
@@ -231,14 +256,22 @@ func TestExecutionLattice(t *testing.T) {
 		var exemplars []PaymentResult // shared by every drop cell of this row
 		for _, k := range latticeKnobs() {
 			t.Run(in.name+"/"+k.name, func(t *testing.T) {
-				for run := 0; run < max(k.runs, 1); run++ {
+				cuts := []int{0}
+				if k.resume {
+					cuts = in.cuts
+				}
+				for run := 0; run < max(k.runs, 1)*len(cuts); run++ {
 					cfg := k.cfg
 					if k.metrics {
 						cfg.Metrics = metrics.NewRegistry()
 					}
 					var got *Result
-					if k.resume {
-						got, _ = resumeAfterInterrupt(t, in.s, in.w, cfg, in.cut)
+					if cut := cuts[run%len(cuts)]; cut > 0 {
+						var sn *RunSnapshot
+						got, sn = resumeAfterInterrupt(t, in.s, in.w, cfg, cut)
+						if in.captures != nil && !in.captures(sn, ref) {
+							t.Fatalf("the snapshot at payment %d does not capture what %s stresses", cut, in.name)
+						}
 					} else {
 						var err error
 						if got, err = RunWith(in.s, in.w, cfg); err != nil {

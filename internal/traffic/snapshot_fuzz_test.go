@@ -82,6 +82,33 @@ func TestResumeRejectsBadSnapshot(t *testing.T) {
 			}
 		})
 	}
+	// A real queue, every balance flush: nothing refuses a waiter any more.
+	t.Run("waiters-admissible", func(t *testing.T) {
+		var in latticeInput
+		for _, in = range latticeInputs() {
+			if in.name == "refund-wake" {
+				break
+			}
+		}
+		cfg := Config{Workers: 2, Stream: true, KeepPayments: true, InterruptAt: in.cuts[0],
+			CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt")}
+		if _, err := RunWith(in.s, in.w, cfg); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%s: interrupted run returned %v", in.name, err)
+		}
+		sn, err := LoadSnapshot(cfg.CheckpointPath)
+		if err != nil || len(sn.Queue) == 0 {
+			t.Fatalf("%s: snapshot with %d waiters (%v)", in.name, len(sn.Queue), err)
+		}
+		for i := range sn.Ledgers {
+			for a := range sn.Ledgers[i].Accounts {
+				sn.Ledgers[i].Accounts[a].Balance = 1 << 40
+			}
+		}
+		cfg.InterruptAt, cfg.Resume = 0, sn
+		if res, err := RunWith(in.s, in.w, cfg); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("resume with every waiter admissible returned (%v, %v), want ErrBadSnapshot", res, err)
+		}
+	})
 }
 
 // snapshotEdits are the field edits FuzzResumeSnapshot applies to a decoded
@@ -197,7 +224,7 @@ func FuzzResumeSnapshot(f *testing.F) {
 	interrupted(s, w, Config{Workers: 1, Stream: true, Exemplars: 8, Crypto: cfg.Crypto}, 200)
 	for _, in := range latticeInputs() {
 		if in.name == "refund-wake" {
-			interrupted(in.s, in.w, Config{Workers: 1}, in.cut)
+			interrupted(in.s, in.w, Config{Workers: 1}, in.cuts[0])
 		}
 	}
 	var queued RunSnapshot
