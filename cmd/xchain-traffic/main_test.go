@@ -268,40 +268,32 @@ func TestRunCryptoStatsNames(t *testing.T) {
 	}
 }
 
-// A backend that keeps no verification memo: the miss-rate gate could only
-// fail, so asking for it is a usage error that names the backend, and the
-// counters say the memo is off rather than showing a 1.000 miss rate. Under
-// ed25519 the gate and the rate work as before.
-func TestRunVerifyMissGateNeedsAMemo(t *testing.T) {
-	base := []string{"-n", "2", "-payments", "20"}
-	var out, errOut strings.Builder
-	if code := run(append(base, "-crypto", "hmac", "-max-verify-miss", "0.9"), &out, &errOut); code != 2 {
-		t.Fatalf("-max-verify-miss under hmac exited %d, want 2; stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "hmac backend keeps none") || out.Len() != 0 {
-		t.Errorf("refusal does not name the backend, or something ran:\nstderr: %s\nstdout: %s", errOut.String(), out.String())
-	}
+// The miss-rate gate runs on every backend: an honest run's verifications
+// are all answered by the keyrings' issuance records (rate 0.000, the gate
+// passes), while a forging Bob's certificates are misses that pay the backend
+// and trip it.
+func TestRunVerifyMissGateBothBackends(t *testing.T) {
+	for _, backend := range []string{"hmac", "ed25519"} {
+		args := []string{"-n", "2", "-payments", "20", "-crypto", backend, "-crypto-stats", "-max-verify-miss", "0.01"}
+		// The counters are the process's: start each run below from zero.
+		sig.ResetGlobalStats()
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%s: honest run exited %d, stderr: %s", backend, code, errOut.String())
+		}
+		if !strings.Contains(out.String(), "(verify miss rate 0.000)") || strings.Contains(out.String(), "xchain_sig_verify_memo_hits_total=0 ") {
+			t.Errorf("%s: an honest run should verify from the record alone:\n%s", backend, out.String())
+		}
 
-	// The counters are the process's: start each run below from zero.
-	out.Reset()
-	errOut.Reset()
-	sig.ResetGlobalStats()
-	if code := run(append(base, "-crypto", "hmac", "-crypto-stats"), &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "xchain_sig_verify_memo_hits_total=0 ") || !strings.Contains(out.String(), "(memo: off)") ||
-		strings.Contains(out.String(), "miss rate") {
-		t.Errorf("hmac counters should read 0 hits and memo: off:\n%s", out.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	sig.ResetGlobalStats()
-	if code := run(append(base, "-crypto-stats", "-max-verify-miss", "0.9"), &out, &errOut); code != 0 {
-		t.Fatalf("ed25519 gate: exit %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "(verify miss rate 0.") {
-		t.Errorf("ed25519 counters should show a miss rate below 1:\n%s", out.String())
+		sig.ResetGlobalStats()
+		out.Reset()
+		errOut.Reset()
+		if code := run(append(args, "-fault", "c2=forge"), &out, &errOut); code != 1 {
+			t.Fatalf("%s: forging run exited %d, want 1; stderr: %s", backend, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "verification miss rate 0.200 exceeds gate 0.010") {
+			t.Errorf("%s: forged certificates did not trip the gate:\nstderr: %s\nstdout: %s", backend, errOut.String(), out.String())
+		}
 	}
 }
 

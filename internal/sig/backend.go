@@ -34,15 +34,17 @@ type Key struct {
 // key derivation from (seed, id), and detached signing and verification
 // through a signer bound to one key. Implementations must be stateless and
 // safe for concurrent use; whatever state signing needs lives in the signer.
+//
+// Contract: a signer's verify accepts every signature, of at least eight
+// bytes, its sign produced over the same payload (HMAC is deterministic,
+// Ed25519 correct by construction). The keyring's issuance record rests on
+// this: it answers a triple it recorded with true and no backend operation,
+// and that is exactly what verify would have answered.
 type Backend interface {
 	// Name identifies the backend in options, CLIs and cache keys.
 	Name() string
 	// GenerateKey derives the deterministic key material for (seed, id).
 	GenerateKey(seed, id string) Key
-	// MemoByDefault reports whether a keyring under this backend memoizes
-	// verifications unless told otherwise: true when a backend verification
-	// costs more than the memo's own key (two SHA-256 and a map probe).
-	MemoByDefault() bool
 	// bind returns a signer for k. The signer belongs to the keyring that
 	// asked for it and is confined to that keyring's goroutine; k itself may
 	// be shared process-wide through the key cache and is never written.
@@ -82,10 +84,6 @@ func (ed25519Backend) GenerateKey(seed, id string) Key {
 	return Key{priv: priv, pub: pub}
 }
 
-// MemoByDefault implements Backend: a verification is ~64 µs, a memo hit
-// ~0.35 µs.
-func (ed25519Backend) MemoByDefault() bool { return true }
-
 func (ed25519Backend) bind(k Key) signer { return ed25519Signer(k) }
 
 type ed25519Signer Key
@@ -111,10 +109,6 @@ func (hmacBackend) GenerateKey(seed, id string) Key {
 	k := append([]byte(nil), mac[:]...)
 	return Key{priv: k, pub: k}
 }
-
-// MemoByDefault implements Backend: recomputing the MAC (~0.24 µs) is
-// cheaper than hashing payload and signature into a memo key.
-func (hmacBackend) MemoByDefault() bool { return false }
 
 func (hmacBackend) bind(k Key) signer { return &hmacSigner{mac: hmac.New(sha256.New, k.priv)} }
 
@@ -165,9 +159,9 @@ type Options struct {
 	Backend string
 	// DisableKeyCache bypasses the process-wide key cache (tests).
 	DisableKeyCache bool
-	// MemoCapacity bounds the verification memo: positive turns it on with
-	// that many entries, negative turns it off, and 0 leaves the choice to
-	// the backend (Backend.MemoByDefault; memoDefaultCap entries when on).
+	// MemoCapacity bounds the issuance record: positive keeps that many
+	// entries, 0 means recordDefaultCap, and negative turns the record off
+	// so that every verification pays the backend.
 	MemoCapacity int
 }
 
@@ -270,11 +264,12 @@ type Stats struct {
 	// the process-wide key cache.
 	KeygenHits   uint64
 	KeygenMisses uint64
-	// MemoHits/MemoMisses count signature verifications served from / missing
-	// the keyring's verification memo. A miss pays one backend Verify.
+	// MemoHits/MemoMisses count signature verifications answered from the
+	// keyring's issuance record / paid to the backend.
 	MemoHits   uint64
 	MemoMisses uint64
-	// MemoEvictions counts bulk memo resets on capacity overflow.
+	// MemoEvictions counts issuance records emptied before a Reset: on
+	// capacity overflow or a replacing Add.
 	MemoEvictions uint64
 }
 

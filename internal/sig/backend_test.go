@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -165,11 +166,13 @@ func cacheFiller(t *testing.T, n int) int {
 	return peak
 }
 
-// Verification memoization: the same artefact re-verified costs one backend
-// operation; tampering reaches the backend again; negative results memoize
-// too; overflow evicts wholesale.
+// The issuance record: re-verifying what the keyring signed costs no backend
+// operation, however often; a tampered payload, and a signature another
+// keyring made, still reach the backend — the latter to a true answer when
+// that keyring holds the same key.
 func TestVerifyMemoization(t *testing.T) {
-	kr := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true}, "memo-seed", []string{"a"})
+	opts := Options{Backend: BackendEd25519, DisableKeyCache: true}
+	kr := NewKeyringWith(opts, "memo-seed", []string{"a"})
 	msg := []byte("artefact")
 	s := kr.Sign("a", msg)
 	for i := 0; i < 3; i++ {
@@ -177,92 +180,86 @@ func TestVerifyMemoization(t *testing.T) {
 			t.Fatal("valid signature rejected")
 		}
 	}
-	if st := kr.Stats(); st.MemoMisses != 1 || st.MemoHits != 2 {
-		t.Fatalf("stats after 3 identical verifies = %+v, want 1 miss + 2 hits", kr.Stats())
+	if st := kr.Stats(); st.MemoMisses != 0 || st.MemoHits != 3 {
+		t.Fatalf("stats after 3 identical verifies = %+v, want 3 hits and no miss", st)
 	}
-	// A tampered payload is a distinct memo entry and must fail repeatedly.
 	for i := 0; i < 2; i++ {
 		if kr.Verify("a", []byte("tampered"), s) {
 			t.Fatal("tampered payload verified")
 		}
 	}
 	if st := kr.Stats(); st.MemoMisses != 2 || st.MemoHits != 3 {
-		t.Fatalf("stats after tampered verifies = %+v", kr.Stats())
+		t.Fatalf("stats after tampered verifies = %+v, want 2 misses", st)
 	}
-	if rate := kr.Stats().VerifyMissRate(); rate <= 0 || rate >= 1 {
-		t.Fatalf("VerifyMissRate() = %v, want a proper fraction", rate)
+	elsewhere := []byte("signed elsewhere")
+	foreign := NewKeyringWith(opts, "memo-seed", []string{"a"}).Sign("a", elsewhere)
+	if !kr.Verify("a", elsewhere, foreign) {
+		t.Fatal("a valid signature from another keyring was rejected")
+	}
+	if st := kr.Stats(); st.MemoMisses != 3 || st.MemoHits != 3 {
+		t.Fatalf("stats after a foreign signature = %+v, want it to reach the backend", st)
+	}
+	if rate := kr.Stats().VerifyMissRate(); rate != 0.5 {
+		t.Fatalf("VerifyMissRate() = %v, want 0.5", rate)
 	}
 }
 
-// TestMemoDefaultPerBackend pins who memoizes: by default only a backend
-// whose verification is dearer than the memo's key, and an explicit capacity
-// — positive or negative — under either. Without a memo every verification
-// is a miss that reaches the backend, and still a correct one.
+// TestMemoDefaultPerBackend pins who keeps an issuance record: every keyring
+// by default and under a positive capacity, whatever the backend, and none
+// under a negative one. Without a record every verification is a miss that
+// reaches the backend, and still a correct one.
 func TestMemoDefaultPerBackend(t *testing.T) {
-	for _, tc := range []struct {
-		backend  string
-		capacity int
-		memo     bool
-	}{
-		{BackendEd25519, 0, true},
-		{BackendEd25519, 16, true},
-		{BackendEd25519, -1, false},
-		{BackendHMAC, 0, false},
-		{BackendHMAC, 16, true},
-		{BackendHMAC, -1, false},
-	} {
-		kr := NewKeyringWith(Options{Backend: tc.backend, DisableKeyCache: true, MemoCapacity: tc.capacity}, "memo-seed", []string{"a"})
-		if (kr.memo != nil) != tc.memo {
-			t.Fatalf("%s capacity %d: keeps a memo: %v, want %v", tc.backend, tc.capacity, kr.memo != nil, tc.memo)
-		}
-		msg := []byte("artefact")
-		s := kr.Sign("a", msg)
-		for i := 0; i < 2; i++ {
-			if !kr.Verify("a", msg, s) || kr.Verify("a", []byte("tampered"), s) {
-				t.Fatalf("%s capacity %d: wrong verdict on round %d", tc.backend, tc.capacity, i)
-			}
-		}
-		want := Stats{KeygenMisses: 1, MemoMisses: 4}
-		if tc.memo {
-			want = Stats{KeygenMisses: 1, MemoMisses: 2, MemoHits: 2}
-		}
-		if st := kr.Stats(); st != want {
-			t.Fatalf("%s capacity %d: stats %+v, want %+v", tc.backend, tc.capacity, st, want)
-		}
-	}
 	for _, name := range BackendNames() {
-		b, _ := BackendByName(name)
-		if b.MemoByDefault() != (name == BackendEd25519) {
-			t.Fatalf("%s: MemoByDefault() = %v", name, b.MemoByDefault())
+		for _, capacity := range []int{0, 16, -1} {
+			kr := NewKeyringWith(Options{Backend: name, DisableKeyCache: true, MemoCapacity: capacity}, "memo-seed", []string{"a"})
+			msg := []byte("artefact")
+			s := kr.Sign("a", msg)
+			for i := 0; i < 2; i++ {
+				if !kr.Verify("a", msg, s) || kr.Verify("a", []byte("tampered"), s) {
+					t.Fatalf("%s capacity %d: wrong verdict on round %d", name, capacity, i)
+				}
+			}
+			want := Stats{KeygenMisses: 1, MemoMisses: 2, MemoHits: 2}
+			if capacity < 0 {
+				want = Stats{KeygenMisses: 1, MemoMisses: 4}
+			}
+			if st := kr.Stats(); st != want {
+				t.Fatalf("%s capacity %d: stats %+v, want %+v", name, capacity, st, want)
+			}
 		}
 	}
 }
 
 func TestVerifyMemoDisabledAndEviction(t *testing.T) {
-	// Disabled memo: every verify reaches the backend.
+	// No record: every verify reaches the backend.
 	off := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true, MemoCapacity: -1}, "memo-seed", []string{"a"})
 	msg := []byte("artefact")
 	s := off.Sign("a", msg)
 	off.Verify("a", msg, s)
 	off.Verify("a", msg, s)
 	if st := off.Stats(); st.MemoHits != 0 || st.MemoMisses != 2 {
-		t.Fatalf("disabled memo stats = %+v", st)
+		t.Fatalf("disabled record stats = %+v", st)
 	}
 
-	// Tiny capacity: distinct artefacts force bulk evictions, and results
-	// stay correct afterwards.
-	small := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true, MemoCapacity: 2}, "memo-seed", []string{"a"})
-	payloads := [][]byte{[]byte("p1"), []byte("p2"), []byte("p3"), []byte("p4")}
-	for _, p := range payloads {
-		if !small.Verify("a", p, small.Sign("a", p)) {
-			t.Fatalf("valid signature over %q rejected", p)
+	// A full record empties before its next entry, at a set capacity and at
+	// the default one: the signature it dropped is verified by the backend,
+	// to the same answer, and the one after is answered from the record.
+	for _, capacity := range []int{2, 0} {
+		kr := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true, MemoCapacity: capacity}, "memo-seed", []string{"a"})
+		n := cmp.Or(capacity, recordDefaultCap) + 1
+		sigs := make([]Signature, n)
+		for i := range sigs {
+			sigs[i] = kr.Sign("a", []byte(strconv.Itoa(i)))
 		}
-	}
-	if st := small.Stats(); st.MemoEvictions == 0 {
-		t.Fatalf("no evictions at capacity 2 across 4 artefacts: %+v", st)
-	}
-	if !small.Verify("a", payloads[3], small.Sign("a", payloads[3])) {
-		t.Fatal("verification wrong after eviction")
+		if st := kr.Stats(); st.MemoEvictions != 1 || len(kr.issued) != 1 {
+			t.Fatalf("capacity %d: %d signatures left %d entries and stats %+v, want one eviction", capacity, n, len(kr.issued), st)
+		}
+		if !kr.Verify("a", []byte("0"), sigs[0]) || !kr.Verify("a", []byte(strconv.Itoa(n-1)), sigs[n-1]) {
+			t.Fatalf("capacity %d: verification wrong after eviction", capacity)
+		}
+		if st := kr.Stats(); st.MemoMisses != 1 || st.MemoHits != 1 {
+			t.Fatalf("capacity %d: stats %+v, want the dropped signature to miss and the last to hit", capacity, st)
+		}
 	}
 }
 
@@ -294,7 +291,7 @@ func TestParticipantsCached(t *testing.T) {
 // referencePayload is the canonical encoding spelled out field by field:
 // every field length-prefixed with eight big-endian bytes, integers and
 // times as eight big-endian bytes. The typed payload builders must produce
-// exactly these bytes, or every signature (and every memo key) would change.
+// exactly these bytes, or every signature would change.
 func referencePayload(fields ...any) []byte {
 	var out []byte
 	put := func(b []byte) {
@@ -352,18 +349,19 @@ func TestCanonicalTypedCases(t *testing.T) {
 	}
 }
 
-// GlobalStats aggregates across keyrings; ResetGlobalStats zeroes it.
+// GlobalStats aggregates across keyrings — a record hit on one, a miss there
+// for the signature the other made — and ResetGlobalStats zeroes it.
 func TestGlobalStats(t *testing.T) {
 	ResetGlobalStats()
 	ResetKeyCache()
 	kr := NewKeyringWith(Options{Backend: BackendEd25519}, "global-seed", []string{"a"})
-	msg := []byte("m")
-	s := kr.Sign("a", msg)
-	kr.Verify("a", msg, s)
-	kr.Verify("a", msg, s)
+	other := NewKeyringWith(Options{Backend: BackendEd25519}, "global-seed", []string{"a"})
+	mine, theirs := []byte("m"), []byte("n")
+	kr.Verify("a", mine, kr.Sign("a", mine))
+	kr.Verify("a", theirs, other.Sign("a", theirs))
 	st := GlobalStats()
-	if st.KeygenMisses == 0 || st.MemoMisses == 0 || st.MemoHits == 0 {
-		t.Fatalf("GlobalStats() = %+v, want nonzero counters", st)
+	if want := (Stats{KeygenHits: 1, KeygenMisses: 1, MemoHits: 1, MemoMisses: 1}); st != want {
+		t.Fatalf("GlobalStats() = %+v, want %+v", st, want)
 	}
 	ResetGlobalStats()
 	if st := GlobalStats(); st != (Stats{}) {
@@ -371,8 +369,8 @@ func TestGlobalStats(t *testing.T) {
 	}
 }
 
-// Replacing a participant's key must reset the memo: verdicts memoized
-// under the old key may not answer for the new one.
+// Replacing a participant's key must empty the issuance record: what the old
+// key signed may not answer for the new one.
 func TestAddReplacementInvalidatesMemo(t *testing.T) {
 	kr := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true}, "seed-a", []string{"p"})
 	msg := []byte("payload")
@@ -382,7 +380,7 @@ func TestAddReplacementInvalidatesMemo(t *testing.T) {
 	}
 	kr.Add("seed-b", "p") // replace p's key
 	if kr.Verify("p", msg, s) {
-		t.Fatal("signature under the replaced key still verified (stale memo)")
+		t.Fatal("signature under the replaced key still verified (stale record)")
 	}
 }
 
@@ -397,20 +395,26 @@ func TestVerifyMissRateNoVerifications(t *testing.T) {
 }
 
 // TestHMACSignVerifyAllocs is the allocation gate on the pre-keyed HMAC
-// path: once a key's signer is bound, a verification allocates nothing, and
-// on a keyring that is Reset between payments — a world's — neither does a
-// signature: a payment's worth of them goes into the arena chunk the Reset
-// rewound. A per-operation hmac.New would show here as a dozen allocations.
+// path: once a key's signer is bound, a verification allocates nothing —
+// answered from the issuance record or paid to the backend — and on a keyring
+// that is Reset between payments — a world's — neither does a signature: a
+// payment's worth of them goes into the arena chunk the Reset rewound, and
+// into the record's storage the Reset emptied. A per-operation hmac.New would
+// show here as a dozen allocations.
 func TestHMACSignVerifyAllocs(t *testing.T) {
 	ids := []string{"a"}
 	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", ids)
 	payload := []byte("the payload of one artefact, about as long as a canonical one")
 	s := kr.Sign("a", payload)
-	if !kr.Verify("a", payload, s) {
+	foreign := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", ids).Sign("a", payload[1:])
+	if !kr.Verify("a", payload, s) || !kr.Verify("a", payload[1:], foreign) {
 		t.Fatal("signature does not verify")
 	}
 	if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload, s) }); n != 0 {
-		t.Errorf("hmac Verify allocates %v times, want 0", n)
+		t.Errorf("hmac Verify from the record allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload[1:], foreign) }); n != 0 {
+		t.Errorf("hmac Verify by the backend allocates %v times, want 0", n)
 	}
 	payment := func() {
 		kr.Reset("alloc-seed", ids)
@@ -421,22 +425,18 @@ func TestHMACSignVerifyAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, payment); n != 0 {
 		t.Errorf("hmac Sign on a warmed keyring allocates %v times per payment, want 0", n)
 	}
-	// A keyring nobody resets starts a chunk every arenaChunk/32 signatures.
+	// A keyring nobody resets starts a chunk every arenaChunk/32 signatures,
+	// once its record has grown to capacity (and empties in place from then
+	// on).
+	for i := 0; i < recordDefaultCap; i++ {
+		kr.Sign("a", payload)
+	}
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < arenaChunk/sha256.Size; i++ {
 			kr.Sign("a", payload)
 		}
 	}); n != 1 {
 		t.Errorf("a chunk's worth of hmac signatures allocates %v times, want 1", n)
-	}
-
-	// With a memo asked for, a verification — miss or hit — still allocates
-	// nothing once the memo's map has grown.
-	memo := NewKeyringWith(Options{Backend: BackendHMAC, MemoCapacity: 64}, "alloc-seed", ids)
-	s = memo.Sign("a", payload)
-	memo.Verify("a", payload, s)
-	if n := testing.AllocsPerRun(200, func() { memo.Verify("a", payload, s) }); n != 0 {
-		t.Errorf("memoized hmac Verify allocates %v times, want 0", n)
 	}
 }
 
@@ -565,8 +565,8 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 // TestKeyringResetEquivalence resets one keyring through changing
 // participant sets, seeds and a key-cache flush, and expects after every
 // Reset what a new keyring shows: the same signatures, exactly the
-// participants' keys, an empty memo, and the same Stats and process-wide
-// counter deltas.
+// participants' keys, an empty issuance record, and the same Stats and
+// process-wide counter deltas.
 func TestKeyringResetEquivalence(t *testing.T) {
 	for _, backend := range []string{BackendHMAC, BackendEd25519} {
 		ResetKeyCache()
@@ -589,7 +589,7 @@ func TestKeyringResetEquivalence(t *testing.T) {
 		msg := []byte("m")
 		for i, st := range steps {
 			// use drives a keyring the way a run does: a late Add (the
-			// notary's key), a signature, a miss and a hit.
+			// notary's key), a signature and two record hits.
 			use := func(kr *Keyring) (Signature, Stats) {
 				if st.extra != "" && !kr.Has(st.extra) {
 					kr.Add(st.seed, st.extra)

@@ -10,13 +10,13 @@ const (
 	// missing the process-wide key cache.
 	MetricKeygenCacheHits   = "xchain_sig_keygen_cache_hits_total"
 	MetricKeygenCacheMisses = "xchain_sig_keygen_cache_misses_total"
-	// MetricVerifyMemoHits / Misses count signature verifications served
-	// from / missing keyring verification memos; a miss pays one backend
-	// Verify.
+	// MetricVerifyMemoHits / Misses count signature verifications answered
+	// from keyring issuance records / paid to the backend. The names date
+	// from the verification memo the record replaced.
 	MetricVerifyMemoHits   = "xchain_sig_verify_memo_hits_total"
 	MetricVerifyMemoMisses = "xchain_sig_verify_memo_misses_total"
-	// MetricVerifyMemoEvictions counts memo resets (capacity or key
-	// replacement).
+	// MetricVerifyMemoEvictions counts issuance records emptied before a
+	// Reset (capacity or key replacement).
 	MetricVerifyMemoEvictions = "xchain_sig_verify_memo_evictions_total"
 )
 
@@ -36,10 +36,10 @@ func RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(globalKeygenHits.Load()) })
 	r.CounterFunc(MetricKeygenCacheMisses, "Key derivations missing the process-wide key cache.",
 		func() float64 { return float64(globalKeygenMisses.Load()) })
-	r.CounterFunc(MetricVerifyMemoHits, "Signature verifications served from keyring memos.",
+	r.CounterFunc(MetricVerifyMemoHits, "Signature verifications answered from keyring issuance records.",
 		func() float64 { return float64(globalMemoHits.Load()) })
-	r.CounterFunc(MetricVerifyMemoMisses, "Signature verifications missing keyring memos.",
+	r.CounterFunc(MetricVerifyMemoMisses, "Signature verifications paid to the signature backend.",
 		func() float64 { return float64(globalMemoMisses.Load()) })
-	r.CounterFunc(MetricVerifyMemoEvictions, "Keyring verification memo resets.",
+	r.CounterFunc(MetricVerifyMemoEvictions, "Keyring issuance records emptied on overflow or key replacement.",
 		func() float64 { return float64(globalMemoEvictions.Load()) })
 }

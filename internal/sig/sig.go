@@ -10,18 +10,22 @@
 // participants may refuse to sign or replay artefacts, but cannot forge
 // signatures of correct participants.
 //
-// Two caches keep the model's assumed crypto cheap at traffic scale: a
+// Two mechanisms keep the model's assumed crypto cheap at traffic scale: a
 // process-wide key cache (key derivation is a pure function of
 // (backend, seed, id), so per-payment keyrings stop paying keygen per
-// participant) and, under a backend whose verification is dearer than the
-// memo's own key, a per-keyring verification memo (the same chi, guarantee
-// or promise re-verified at every hop costs one backend operation per
-// artefact, not one per hop). Whether a keyring memoizes is a cost decision
-// per backend and can never move a verdict.
+// participant) and a per-keyring issuance record, the bookkeeping of the
+// ideal signature functionality F_SIG (Canetti, CSFW 2004): a keyring
+// remembers every (signer, payload, signature) it signed since its last
+// Reset, and verifying one of those is a lookup. Only a triple the keyring
+// did not issue — a forgery, a tampered artefact, another keyring's
+// signature — pays the backend. Every backend accepts every signature it
+// produces, so the lookup answers what the backend would: neither mechanism
+// can move a verdict.
 package sig
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -35,10 +39,11 @@ import (
 // Signature is a detached signature over a canonical payload encoding.
 type Signature []byte
 
-// String renders a short hex prefix of the signature.
+// String renders a short hex prefix of the signature: its first eight bytes,
+// or all of a shorter one.
 func (s Signature) String() string {
-	if len(s) == 0 {
-		return "sig()"
+	if len(s) < 8 {
+		return "sig(" + hex.EncodeToString(s) + ")"
 	}
 	return "sig(" + hex.EncodeToString(s[:8]) + "…)"
 }
@@ -69,19 +74,19 @@ func (r *deterministicReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// memoDefaultCap bounds the verification memo of one keyring. Single-payment
-// runs verify a handful of artefacts; the bound only matters for long-lived
-// keyrings, where overflowing resets the memo wholesale (correctness never
-// depends on residency).
-const memoDefaultCap = 4096
+// recordDefaultCap bounds the issuance record of one keyring. A payment signs
+// a few dozen artefacts; the bound only matters for keyrings nobody Resets,
+// where overflowing empties the record wholesale (an artefact it no longer
+// holds is verified by the backend, to the same answer).
+const recordDefaultCap = 4096
 
-// memoKey identifies one (signer, payload, signature) verification. Payload
-// and signature enter by SHA-256 so a memo entry cannot be satisfied by a
-// colliding artefact.
-type memoKey struct {
-	signer  string
-	payload [sha256.Size]byte
-	sig     [sha256.Size]byte
+// issuance is one entry of the issuance record: signer signed the payload
+// issuedBytes[off:mid] into the signature issuedBytes[mid:end], whose first
+// eight bytes are prefix.
+type issuance struct {
+	signer        string
+	prefix        uint64
+	off, mid, end int
 }
 
 // arenaChunk is the size of one chunk of a keyring's signature arena: 128
@@ -114,8 +119,8 @@ func (a *sigArena) rewind() { a.free = a.chunk }
 // Keyring maps participant IDs to key pairs under one signature backend.
 //
 // A keyring is confined to its protocol run's goroutine (like the run's
-// sim.Engine): Sign, Verify, Add and Reset mutate the memo, the key map, the
-// bound signers, the signature arena and the payload scratch without
+// sim.Engine): Sign, Verify, Add and Reset mutate the issuance record, the key
+// map, the bound signers, the signature arena and the payload scratch without
 // locking. The process-wide key cache behind Add is concurrency-safe, so any
 // number of runs may build keyrings for the same (seed, id) concurrently.
 //
@@ -143,10 +148,13 @@ type Keyring struct {
 	// parts caches the sorted participant list; nil means dirty
 	// (recomputed on demand, invalidated by Add).
 	parts []string
-	// memo caches verification outcomes; nil means memoization is disabled.
-	memo    map[memoKey]bool
-	memoCap int
-	stats   Stats
+	// issued and issuedBytes are the issuance record: what Sign produced
+	// since the last Reset, copied, at most recordCap entries (none when
+	// recordCap is negative). A replacing Add empties it too.
+	issued      []issuance
+	issuedBytes []byte
+	recordCap   int
+	stats       Stats
 	// buf is the scratch the typed artefacts build their canonical payloads
 	// in; a payload is consumed by Sign or Verify before the next is built.
 	buf []byte
@@ -159,7 +167,7 @@ type keyEntry struct {
 }
 
 // NewKeyring creates deterministic ed25519 keys for the given participants
-// with default options (process-wide key cache and verification memo on).
+// with default options (process-wide key cache and issuance record on).
 // The participant order does not matter: keys depend only on (seed, id).
 func NewKeyring(seed string, participants []string) *Keyring {
 	return NewKeyringWith(Options{}, seed, participants)
@@ -168,19 +176,10 @@ func NewKeyring(seed string, participants []string) *Keyring {
 // NewKeyringWith creates a keyring under the options' backend.
 func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
-		backend:  opts.backend(),
-		useCache: !opts.DisableKeyCache,
-		keys:     make(map[string]keyEntry, len(participants)),
-		memoCap:  opts.MemoCapacity,
-	}
-	if kr.memoCap == 0 {
-		kr.memoCap = -1
-		if kr.backend.MemoByDefault() {
-			kr.memoCap = memoDefaultCap
-		}
-	}
-	if kr.memoCap > 0 {
-		kr.memo = make(map[memoKey]bool)
+		backend:   opts.backend(),
+		useCache:  !opts.DisableKeyCache,
+		keys:      make(map[string]keyEntry, len(participants)),
+		recordCap: cmp.Or(opts.MemoCapacity, recordDefaultCap),
 	}
 	kr.derive(seed, participants)
 	return kr
@@ -197,7 +196,7 @@ func (kr *Keyring) derive(seed string, participants []string) {
 
 // Reset makes the keyring what NewKeyringWith(same options, seed,
 // participants) returns — exactly these participants' keys, an empty
-// verification memo, Stats counting one key derivation per participant —
+// issuance record, Stats counting one key derivation per participant —
 // while keeping what a new keyring would only fetch again: keys already held
 // for the same seed count as the key-cache hits a new keyring would score
 // (unless the cache was emptied since, when a new keyring would miss and this
@@ -206,7 +205,7 @@ func (kr *Keyring) derive(seed string, participants []string) {
 // signature handed out before is invalid afterwards.
 func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.stats = Stats{}
-	clear(kr.memo)
+	kr.issued, kr.issuedBytes = kr.issued[:0], kr.issuedBytes[:0]
 	kr.arena.rewind()
 	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
@@ -238,15 +237,13 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 func (kr *Keyring) Backend() string { return kr.backend.Name() }
 
 // Add creates (or replaces) the key pair for one participant. Replacing an
-// existing key resets the verification memo: outcomes memoized under the
-// old key must not answer for the new one.
+// existing key empties the issuance record: what the old key signed must not
+// answer for the new one.
 func (kr *Keyring) Add(seed, id string) {
 	e := kr.keys[id]
 	replaced := e.held
-	if replaced && len(kr.memo) > 0 {
-		kr.memo = make(map[memoKey]bool)
-		kr.stats.MemoEvictions++
-		globalMemoEvictions.Add(1)
+	if replaced && len(kr.issued) > 0 {
+		kr.forget()
 	}
 	if seed != kr.seed {
 		kr.mixed = true
@@ -309,49 +306,59 @@ func (kr *Keyring) signer(id string) (signer, bool) {
 	return e.s, true
 }
 
-// Sign signs payload on behalf of id. Signing for an unknown participant
-// returns nil (which never verifies).
+// forget empties the issuance record before its time: at capacity, or when a
+// key it answers for is replaced.
+func (kr *Keyring) forget() {
+	kr.issued, kr.issuedBytes = kr.issued[:0], kr.issuedBytes[:0]
+	kr.stats.MemoEvictions++
+	globalMemoEvictions.Add(1)
+}
+
+// Sign signs payload on behalf of id and enters the triple in the issuance
+// record. Signing for an unknown participant returns nil (which never
+// verifies).
 func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	s, ok := kr.signer(id)
 	if !ok {
 		return nil
 	}
-	return s.sign(&kr.arena, payload)
+	sig := s.sign(&kr.arena, payload)
+	if kr.recordCap > 0 {
+		if len(kr.issued) == kr.recordCap {
+			kr.forget()
+		}
+		off := len(kr.issuedBytes)
+		kr.issuedBytes = append(append(kr.issuedBytes, payload...), sig...)
+		kr.issued = append(kr.issued, issuance{id, binary.LittleEndian.Uint64(sig), off, off + len(payload), len(kr.issuedBytes)})
+	}
+	return sig
 }
 
-// Verify checks that signer produced sig over payload. A keyring with a
-// memo keeps outcomes per (signer, payload-hash, sig-hash): re-verifying the
-// same artefact at every hop of a chain costs one backend operation total.
-// Without one every verification is a miss and pays the backend.
+// Verify checks that signer produced sig over payload. A triple in the
+// issuance record is answered there, true, with no backend operation:
+// re-verifying chi at every hop of a chain costs a few byte comparisons. Any
+// other triple is a miss and pays the backend.
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	if len(sig) == 0 {
 		return false
+	}
+	if len(sig) >= 8 {
+		prefix := binary.LittleEndian.Uint64(sig)
+		for _, e := range kr.issued {
+			if e.prefix == prefix && e.signer == signer && bytes.Equal(kr.issuedBytes[e.mid:e.end], sig) && bytes.Equal(kr.issuedBytes[e.off:e.mid], payload) {
+				kr.stats.MemoHits++
+				globalMemoHits.Add(1)
+				return true
+			}
+		}
 	}
 	s, ok := kr.signer(signer)
 	if !ok {
 		return false
 	}
-	if kr.memo == nil {
-		kr.stats.MemoMisses++
-		globalMemoMisses.Add(1)
-		return s.verify(payload, sig)
-	}
-	mk := memoKey{signer: signer, payload: sha256.Sum256(payload), sig: sha256.Sum256(sig)}
-	if v, hit := kr.memo[mk]; hit {
-		kr.stats.MemoHits++
-		globalMemoHits.Add(1)
-		return v
-	}
 	kr.stats.MemoMisses++
 	globalMemoMisses.Add(1)
-	v := s.verify(payload, sig)
-	if len(kr.memo) >= kr.memoCap {
-		kr.memo = make(map[memoKey]bool)
-		kr.stats.MemoEvictions++
-		globalMemoEvictions.Add(1)
-	}
-	kr.memo[mk] = v
-	return v
+	return s.verify(payload, sig)
 }
 
 // Stats returns this keyring's cache counters (see Stats; GlobalStats

@@ -56,6 +56,24 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// TestSignatureString renders the first eight bytes of a signature, and all
+// of a shorter one: a 6-byte forgery renders instead of panicking.
+func TestSignatureString(t *testing.T) {
+	for _, c := range []struct {
+		s    Signature
+		want string
+	}{
+		{nil, "sig()"},
+		{Signature("forged"), "sig(666f72676564)"},
+		{Signature("12345678"), "sig(3132333435363738…)"},
+		{Signature("0123456789abcdef0123456789abcdef"), "sig(3031323334353637…)"},
+	} {
+		if got := c.s.String(); got != c.want {
+			t.Errorf("Signature(%q).String() = %q, want %q", []byte(c.s), got, c.want)
+		}
+	}
+}
+
 func TestPaymentCert(t *testing.T) {
 	kr := testKeyring()
 	chi := NewPaymentCert(kr, "pay1", "bob", "alice", 5*sim.Millisecond)
