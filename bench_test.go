@@ -131,20 +131,9 @@ func BenchmarkProtocolHTLC_n4(b *testing.B) { benchProtocol(b, HTLCBaseline(), 4
 // protocol. CI runs these with -benchtime=1x as a smoke test; compare runs
 // with benchstat (see README "Performance").
 
-// BenchmarkKernelScheduleFire measures one schedule+fire cycle through the
-// pooled event heap using the closure-based entry point.
-func BenchmarkKernelScheduleFire(b *testing.B) {
-	eng := sim.NewEngine(1)
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.ScheduleAt(eng.Now()+1, "tick", fn)
-		eng.Run(0)
-	}
-}
-
-// BenchmarkKernelScheduleFireArg measures the allocation-free arg-based
-// entry point used by the network's delivery path.
+// BenchmarkKernelScheduleFireArg measures one schedule+fire cycle through
+// the pooled event heap: a package-level action with a pre-bound argument,
+// the form every event takes.
 func BenchmarkKernelScheduleFireArg(b *testing.B) {
 	eng := sim.NewEngine(1)
 	type payload struct{ n int }
@@ -161,14 +150,14 @@ func BenchmarkKernelScheduleFireArg(b *testing.B) {
 // sift cost): 1024 pending events per firing.
 func BenchmarkKernelScheduleDepth(b *testing.B) {
 	eng := sim.NewEngine(1)
-	fn := func() {}
+	fn := func(any) {}
 	for i := 0; i < 1024; i++ {
-		eng.ScheduleAt(eng.Now()+sim.Time(i)+1, "standing", fn)
+		eng.ScheduleArgAt(eng.Now()+sim.Time(i)+1, "standing", fn, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ScheduleAt(eng.Now()+1, "tick", fn)
+		eng.ScheduleArgAt(eng.Now()+1, "tick", fn, nil)
 		eng.RunUntil(eng.NextEventTime(), 1)
 	}
 }
@@ -212,11 +201,11 @@ func BenchmarkKernelSendDeliverTraced(b *testing.B) {
 // protocols: schedule a timer, cancel it, let the queue discard it.
 func BenchmarkKernelCancel(b *testing.B) {
 	eng := sim.NewEngine(1)
-	fn := func() {}
+	fn := func(any) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tm := eng.ScheduleAt(eng.Now()+1000, "timeout", fn)
-		eng.ScheduleAt(eng.Now()+1, "work", fn)
+		tm := eng.ScheduleArgAt(eng.Now()+1000, "timeout", fn, nil)
+		eng.ScheduleArgAt(eng.Now()+1, "work", fn, nil)
 		tm.Cancel()
 		eng.Run(0)
 	}
@@ -266,16 +255,16 @@ func BenchmarkMetricsHistogramMuted(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelScheduleFireInstrumented is BenchmarkKernelScheduleFire
+// BenchmarkKernelScheduleFireInstrumented is BenchmarkKernelScheduleFireArg
 // with a live metrics registry attached to the engine, for measuring the
 // instrumentation overhead on the kernel's hottest cycle.
 func BenchmarkKernelScheduleFireInstrumented(b *testing.B) {
 	eng := sim.NewEngine(1)
 	eng.SetMetrics(sim.MetricsFrom(metrics.NewRegistry()))
-	fn := func() {}
+	fn := func(any) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.ScheduleAt(eng.Now()+1, "tick", fn)
+		eng.ScheduleArgAt(eng.Now()+1, "tick", fn, nil)
 		eng.Run(0)
 	}
 }

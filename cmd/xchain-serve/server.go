@@ -76,6 +76,8 @@ func defaultRequest() runRequest {
 		Seed:       traffic.DefaultSeed,
 		Payments:   traffic.DefaultPayments,
 		Rate:       traffic.DefaultRate,
+		BurstSize:  traffic.DefaultBurstSize,
+		BurstGapMs: traffic.DefaultBurstGap.Millis(),
 		Amount:     traffic.DefaultAmount,
 		Commission: traffic.DefaultCommission,
 		Mix:        traffic.DefaultMix,
@@ -141,6 +143,8 @@ func (q runRequest) build() (core.Scenario, traffic.Workload, traffic.Config, er
 		w.Arrival.Kind = traffic.ArrivalKind(q.Arrival)
 	}
 	w.Arrival.Rate = q.Rate
+	// A zero burst size or gap is the engine's default: what request files
+	// persisted before these keys took the CLI's defaults spell out.
 	if q.BurstSize > 0 {
 		w.Arrival.BurstSize = q.BurstSize
 	}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -308,6 +309,35 @@ func TestServeHonoursExplicitZeros(t *testing.T) {
 	}
 	if a, b := direct(0, 0), direct(0, 1); a == b {
 		t.Error("commission does not show in the summary: the test cannot tell 0 from the default")
+	}
+}
+
+// TestServeBurstDefaultsAreTheCLIs: `{"arrival": "burst"}` runs the bursts
+// `xchain-traffic -arrival burst` runs (its -burst and -burst-gap defaults),
+// not the engine's. A request file persisted before the defaults existed
+// spells out zeros, which still build the engine's bursts, so a recovered run
+// keeps the workload it was checkpointed under.
+func TestServeBurstDefaultsAreTheCLIs(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		size int
+		gap  sim.Time
+	}{
+		{`{"arrival": "burst"}`, 25, 2 * sim.Second},
+		{`{"arrival": "burst", "burst_size": 0, "burst_gap_ms": 0}`, 0, 0},
+		{`{"arrival": "burst", "burst_size": 7, "burst_gap_ms": 3}`, 7, 3 * sim.Millisecond},
+	} {
+		req := defaultRequest()
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		_, wl, _, err := req.prepare()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if a := wl.Arrival; a.BurstSize != tc.size || a.BurstGap != tc.gap {
+			t.Errorf("%s builds bursts of %d every %v, want %d every %v", tc.body, a.BurstSize, a.BurstGap, tc.size, tc.gap)
+		}
 	}
 }
 

@@ -73,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		payments    = fs.Int("payments", traffic.DefaultPayments, "number of payments")
 		arrival     = fs.String("arrival", "poisson", "arrival process: poisson, uniform, burst")
 		rate        = fs.Float64("rate", traffic.DefaultRate, "mean arrival rate (payments per simulated second)")
-		burst       = fs.Int("burst", 25, "burst size for -arrival burst")
-		burstGap    = fs.Duration("burst-gap", 2*time.Second, "gap between bursts for -arrival burst")
+		burst       = fs.Int("burst", traffic.DefaultBurstSize, "burst size for -arrival burst")
+		burstGap    = fs.Duration("burst-gap", time.Duration(traffic.DefaultBurstGap)*time.Microsecond, "gap between bursts for -arrival burst")
 		amount      = fs.Int64("amount", traffic.DefaultAmount, "central payment size")
 		amountDist  = fs.String("amount-dist", "fixed", "amount distribution: fixed, uniform, exponential")
 		spread      = fs.Int64("spread", 0, "half-width of the uniform amount distribution")

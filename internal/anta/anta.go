@@ -357,11 +357,7 @@ func (a *Automaton) enter(i int) {
 			})
 		}
 	case Output:
-		name := "emit"
-		if recording {
-			name = a.id + ":emit:" + st.Name
-		}
-		a.pending = append(a.pending, a.clk.ScheduleArgAfterLocal(a.compute, name, emit, a))
+		a.pending = append(a.pending, a.clk.ScheduleArgAfterLocal(a.compute, "emit", emit, a))
 	case Input:
 		// Try buffered messages first (in arrival order), then arm timeouts.
 		if !a.tryBuffered() {
@@ -399,11 +395,7 @@ func (a *Automaton) armTimeouts(st *State) {
 //
 //xchain:hotpath
 func (a *Automaton) arm(w *wakeup, deadline sim.Time) {
-	name := "timeout"
-	if a.tr.Recording() {
-		name = fmt.Sprintf("%s:timeout:%s", a.id, w.tr.Name)
-	}
-	a.pending = append(a.pending, a.clk.ScheduleArgAtLocal(deadline, name, wake, w))
+	a.pending = append(a.pending, a.clk.ScheduleArgAtLocal(deadline, "timeout", wake, w))
 }
 
 // wake fires a timeout transition's wake-up (not canceled, so the automaton

@@ -140,7 +140,7 @@ func TestEarlyWakeUpRearms(t *testing.T) {
 	p := &peer{to: "a", timeout: 2 * sim.Millisecond}
 	b := w.bind(new(Automaton), pong, "b", p)
 	b.Start()
-	w.eng.ScheduleAt(sim.Millisecond, "extend", func() { p.timeout = 4 * sim.Millisecond })
+	w.eng.ScheduleArgAt(sim.Millisecond, "extend", func(any) { p.timeout = 4 * sim.Millisecond }, nil)
 	w.eng.RunUntil(3*sim.Millisecond, 0)
 	if b.Done() || len(b.pending) != 2 {
 		t.Fatalf("at 3ms: done=%v with %d wake-ups scheduled, want the fired one and its successor", b.Done(), len(b.pending))
@@ -158,7 +158,7 @@ func TestBufferedMessageConsumedOnStateEntry(t *testing.T) {
 	b := w.bind(new(Automaton), pong, "b", &peer{to: "a", timeout: sim.Second})
 	w.net.Register(&netsim.FuncNode{Id: "a"})
 	w.net.Send("a", "b", netsim.RawMessage{Label: "ping"})
-	w.eng.ScheduleAt(10*sim.Millisecond, "late-start", b.Start)
+	w.eng.ScheduleArgAt(10*sim.Millisecond, "late-start", func(any) { b.Start() }, nil)
 	w.eng.Run(0)
 	if b.Current() != "done" {
 		t.Fatalf("b ended in %s", b.Current())

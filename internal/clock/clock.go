@@ -73,27 +73,16 @@ func (c *Clock) RealUntilLocal(target sim.Time) sim.Time {
 	return c.RealFor(target - now)
 }
 
-// ScheduleAtLocal schedules fn to run when the local clock reaches local time
-// target. The returned timer may be canceled.
-func (c *Clock) ScheduleAtLocal(target sim.Time, name string, fn func()) sim.Timer {
-	return c.eng.ScheduleIn(c.RealUntilLocal(target), name, fn)
-}
-
-// ScheduleAfterLocal schedules fn to run after local duration d has elapsed
-// on this clock.
-func (c *Clock) ScheduleAfterLocal(d sim.Time, name string, fn func()) sim.Timer {
-	return c.eng.ScheduleIn(c.RealFor(d), name, fn)
-}
-
-// ScheduleArgAtLocal is ScheduleAtLocal for a package-level action with its
-// argument pre-bound (sim.Engine.ScheduleArgIn): nothing is allocated per
-// event.
+// ScheduleArgAtLocal schedules fn(arg) to run when the local clock reaches
+// local time target (sim.Engine.ScheduleArgIn: a package-level action with
+// its argument pre-bound, so nothing is allocated per event). The returned
+// timer may be canceled.
 func (c *Clock) ScheduleArgAtLocal(target sim.Time, name string, fn func(any), arg any) sim.Timer {
 	return c.eng.ScheduleArgIn(c.RealUntilLocal(target), name, fn, arg)
 }
 
-// ScheduleArgAfterLocal is ScheduleAfterLocal for a package-level action with
-// its argument pre-bound.
+// ScheduleArgAfterLocal schedules fn(arg) to run after local duration d has
+// elapsed on this clock.
 func (c *Clock) ScheduleArgAfterLocal(d sim.Time, name string, fn func(any), arg any) sim.Timer {
 	return c.eng.ScheduleArgIn(c.RealFor(d), name, fn, arg)
 }

@@ -10,11 +10,11 @@ import (
 func TestPerfectClockTracksRealTime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := New(eng, 0, 0)
-	eng.ScheduleAt(250*sim.Millisecond, "probe", func() {
+	eng.ScheduleArgAt(250*sim.Millisecond, "probe", func(any) {
 		if c.Now() != 250*sim.Millisecond {
 			t.Errorf("perfect clock reads %v at real 250ms", c.Now())
 		}
-	})
+	}, nil)
 	eng.Run(0)
 }
 
@@ -22,14 +22,14 @@ func TestFastAndSlowClocks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fast := New(eng, 0.1, 0)
 	slow := New(eng, -0.1, 0)
-	eng.ScheduleAt(1*sim.Second, "probe", func() {
+	eng.ScheduleArgAt(1*sim.Second, "probe", func(any) {
 		if fast.Now() <= 1*sim.Second {
 			t.Errorf("fast clock reads %v, want > 1s", fast.Now())
 		}
 		if slow.Now() >= 1*sim.Second {
 			t.Errorf("slow clock reads %v, want < 1s", slow.Now())
 		}
-	})
+	}, nil)
 	eng.Run(0)
 }
 
@@ -46,7 +46,7 @@ func TestScheduleAfterLocalReachesTarget(t *testing.T) {
 		eng := sim.NewEngine(1)
 		c := New(eng, rho, 0)
 		var reading sim.Time
-		c.ScheduleAfterLocal(100*sim.Millisecond, "wake", func() { reading = c.Now() })
+		c.ScheduleArgAfterLocal(100*sim.Millisecond, "wake", func(any) { reading = c.Now() }, nil)
 		eng.Run(0)
 		if reading < 100*sim.Millisecond {
 			t.Errorf("rho=%v: woke at local %v, before the requested 100ms", rho, reading)
@@ -54,21 +54,20 @@ func TestScheduleAfterLocalReachesTarget(t *testing.T) {
 	}
 }
 
-// TestScheduleArgVariants: the pre-bound-argument forms wake at the same
-// instant as the closure forms, with the argument they were given.
+// TestScheduleArgVariants: both local-clock forms fire their action with the
+// argument they were given, at the real instant the clock conversions name.
 func TestScheduleArgVariants(t *testing.T) {
 	for _, rho := range []Drift{-0.2, 0, 0.2} {
 		eng := sim.NewEngine(1)
 		c := New(eng, rho, 3*sim.Millisecond)
-		var fired [4]sim.Time
+		var fired [2]sim.Time
 		stamp := func(x any) { *x.(*sim.Time) = eng.Now() }
-		c.ScheduleAfterLocal(100*sim.Millisecond, "after", func() { fired[0] = eng.Now() })
-		c.ScheduleArgAfterLocal(100*sim.Millisecond, "after-arg", stamp, &fired[1])
-		c.ScheduleAtLocal(50*sim.Millisecond, "at", func() { fired[2] = eng.Now() })
-		c.ScheduleArgAtLocal(50*sim.Millisecond, "at-arg", stamp, &fired[3])
+		after, until := c.RealFor(100*sim.Millisecond), c.RealUntilLocal(50*sim.Millisecond)
+		c.ScheduleArgAfterLocal(100*sim.Millisecond, "after", stamp, &fired[0])
+		c.ScheduleArgAtLocal(50*sim.Millisecond, "at", stamp, &fired[1])
 		eng.Run(0)
-		if fired[0] == 0 || fired[1] != fired[0] || fired[2] == 0 || fired[3] != fired[2] {
-			t.Errorf("rho=%v: closure and argument forms fired at %v", rho, fired)
+		if fired[0] != after || fired[1] != until {
+			t.Errorf("rho=%v: fired at %v, want [%v %v]", rho, fired, after, until)
 		}
 	}
 }
@@ -77,7 +76,7 @@ func TestScheduleAtLocalInPastFiresImmediately(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := New(eng, 0, 10*sim.Millisecond)
 	fired := false
-	c.ScheduleAtLocal(5*sim.Millisecond, "past", func() { fired = true })
+	c.ScheduleArgAtLocal(5*sim.Millisecond, "past", func(any) { fired = true }, nil)
 	eng.Run(0)
 	if !fired {
 		t.Fatal("past local target never fired")

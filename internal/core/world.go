@@ -321,16 +321,6 @@ func (w *World) LockID(i int) string {
 	return w.lockIDs[start:w.lockEnds[i]]
 }
 
-// EventName labels a scheduled event "id:what". Nothing reads event names
-// but a debugger, so a muted run gets the constant alone and builds no
-// string per event.
-func (w *World) EventName(id, what string) string {
-	if w.Trace.Recording() {
-		return id + ":" + what
-	}
-	return what
-}
-
 // Report is how a participant says it could not go on, and the one place
 // that decides whether that is an inconsistency of the run. ev is a
 // trace.KindViolation — the actor could not execute its own role, which no
@@ -385,7 +375,7 @@ func (w *World) ScheduleCrashes(run Crasher) {
 			continue
 		}
 		w.crashes[k] = crashArg{w: w, k: k}
-		w.Eng.ScheduleArgAt(f.CrashAt, w.EventName(id, "crash"), fireCrash, &w.crashes[k])
+		w.Eng.ScheduleArgAt(f.CrashAt, "crash", fireCrash, &w.crashes[k])
 	}
 }
 

@@ -126,7 +126,7 @@ func (a *assetChain) onEscrow(from string, arc *arcState) {
 	}
 	// Timelock protocol: arm this arc's refund timeout.
 	if r.timelock && a.expiry > 0 {
-		r.eng.ScheduleArgAt(a.expiry, r.w.EventName(a.id, "expiry"), expireArc, arc)
+		r.eng.ScheduleArgAt(a.expiry, "expiry", expireArc, arc)
 	}
 }
 
@@ -258,13 +258,13 @@ func (p *partyProc) start() {
 	}
 	for i := range r.arcs {
 		if arc := &r.arcs[i]; arc.From == p.id {
-			r.eng.ScheduleArgIn(r.procDelay(), r.w.EventName(p.id, "escrow"), sendEscrow, arc)
+			r.eng.ScheduleArgIn(r.procDelay(), "escrow", sendEscrow, arc)
 		}
 	}
 	// Certified-blockchain protocol: impatient parties ask the certifier to
 	// abort after their patience runs out.
 	if !r.timelock && r.cfg.PartyPatience > 0 {
-		r.eng.ScheduleArgIn(r.cfg.PartyPatience, r.w.EventName(p.id, "patience"), losePatience, p)
+		r.eng.ScheduleArgIn(r.cfg.PartyPatience, "patience", losePatience, p)
 	}
 }
 

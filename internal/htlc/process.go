@@ -179,10 +179,10 @@ func (p *escrowProc) onCreateLock(from string, m *MsgCreateLock) {
 	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 	if !p.fault.Silent {
 		p.msgLockCreated = MsgLockCreated{PaymentID: m.PaymentID, Amount: want, HashLock: m.HashLock}
-		p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "notify-lock"), escrowNotifyLock, p)
+		p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "notify-lock", escrowNotifyLock, p)
 	}
 	// Arm the refund at the lock's expiry (escrow-local clock).
-	p.run.eng.ScheduleArgIn(p.clk.RealUntilLocal(m.Expiry), p.run.w.EventName(p.id, "expiry"), escrowExpiry, p)
+	p.run.eng.ScheduleArgIn(p.clk.RealUntilLocal(m.Expiry), "expiry", escrowExpiry, p)
 }
 
 // escrowNotifyLock is the scheduled action of onCreateLock.
@@ -219,7 +219,7 @@ func (p *escrowProc) onClaim(from string, m *MsgClaim) {
 	}
 	p.msgPaid = MsgPaid{PaymentID: m.PaymentID, Amount: amount}
 	p.msgClaimed = MsgClaimed{PaymentID: m.PaymentID, Amount: amount, Preimage: m.Preimage}
-	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), escrowSettle, p)
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "settle", escrowSettle, p)
 }
 
 // escrowSettle is the scheduled action of onClaim.
@@ -330,7 +330,7 @@ func (c *customerProc) createOutgoingLock() {
 		HashLock:  c.run.hashLock,
 		Expiry:    c.run.proto.ExpiryOf(c.i, c.run.scn.Topology.N, c.run.scn.Timing),
 	}
-	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "lock"), customerLock, c)
+	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "lock", customerLock, c)
 }
 
 // customerLock is the scheduled action of createOutgoingLock.
@@ -383,7 +383,7 @@ func (c *customerProc) onLockCreated(from string, m *MsgLockCreated) {
 			return
 		}
 		c.msgClaim = MsgClaim{PaymentID: m.PaymentID, Preimage: c.run.preimage}
-		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim"), customerClaim, c)
+		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "claim", customerClaim, c)
 		return
 	}
 	c.createOutgoingLock()
@@ -406,7 +406,7 @@ func (c *customerProc) onClaimed(from string, m *MsgClaimed) {
 		return
 	}
 	c.msgClaim = MsgClaim{PaymentID: m.PaymentID, Preimage: m.Preimage}
-	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "claim-up"), customerClaim, c)
+	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "claim-up", customerClaim, c)
 }
 
 // customerClaim is the scheduled action of Bob's claim and of a connector's

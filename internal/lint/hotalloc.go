@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Hotalloc enforces the lazy-trace and closure-free contracts inside
+// Hotalloc enforces the guarded-trace and closure-free contracts inside
 // `//xchain:hotpath` functions.
 //
 // The muted kernel, network, ledger and metrics paths are allocation-free
@@ -17,22 +17,24 @@ import (
 // The analyzer recognises both guard spellings used in the tree — calling
 // <trace>.Recording() directly in the if condition, and branching on a bool
 // previously assigned from a Recording() call. Code inside a function
-// literal is exempt: lazy label callbacks run only when a trace is live.
+// literal is exempt: it runs when the literal is called, not on the hot
+// function's own path, and a capturing literal handed to the engine is
+// reported by the rule below.
 //
 // fmt.Errorf stays allowed: constructing an error is a result the caller
 // demanded, not observability overhead, and it only occurs off the
 // straight-line success path.
 //
 // The same functions may not hand the engine a capturing function literal:
-// `eng.ScheduleIn(d, name, func() { ... p ... })` allocates one closure per
-// scheduled action, which is what ScheduleArgIn with a package-level action
-// and the process as its argument exists to avoid. The same goes for a local
-// clock's ScheduleAtLocal and ScheduleAfterLocal, which wrap it (and have
-// ScheduleArg variants too). A literal that captures nothing is a static
-// function value and stays allowed.
+// `eng.ScheduleArgIn(d, name, func(any) { ... p ... }, nil)` allocates one
+// closure per scheduled action, which a package-level action with the
+// process as its argument avoids. The same goes for ScheduleArgAt,
+// RestoreEventArg, and a local clock's ScheduleArgAtLocal and
+// ScheduleArgAfterLocal, which wrap the engine. A literal that captures
+// nothing is a static function value and stays allowed.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends, and forbid capturing closures passed to Engine.ScheduleIn/ScheduleAt and Clock.ScheduleAtLocal/ScheduleAfterLocal",
+	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends, and forbid capturing closures passed to Engine.ScheduleArgIn/ScheduleArgAt/RestoreEventArg and Clock.ScheduleArgAtLocal/ScheduleArgAfterLocal",
 	Run:  runHotalloc,
 }
 
@@ -49,24 +51,23 @@ var eagerFmtFuncs = map[string]bool{
 }
 
 // traceAppendMethods are the trace.Trace methods that record an event; on a
-// hot path even the lazy variants must be guarded, since building their
-// label closure allocates whether or not the trace is live.
+// hot path each must be guarded, since building its arguments (labels,
+// Event values) is work a muted run throws away.
 var traceAppendMethods = map[string]bool{
-	"Add":          true,
-	"AddValue":     true,
-	"AddLazy":      true,
-	"AddValueLazy": true,
-	"Append":       true,
+	"Add":      true,
+	"AddValue": true,
+	"Append":   true,
 }
 
 // closureScheduleMethods are the sim.Engine and clock.Clock methods that
-// take the action as a func(), by receiver type: a capturing literal there
-// is one allocation per event.
+// take an event's action, by receiver type: a capturing literal there is one
+// allocation per event.
 var closureScheduleMethods = map[string]string{
-	"ScheduleIn":         "Engine",
-	"ScheduleAt":         "Engine",
-	"ScheduleAtLocal":    "Clock",
-	"ScheduleAfterLocal": "Clock",
+	"ScheduleArgIn":         "Engine",
+	"ScheduleArgAt":         "Engine",
+	"RestoreEventArg":       "Engine",
+	"ScheduleArgAtLocal":    "Clock",
+	"ScheduleArgAfterLocal": "Clock",
 }
 
 func runHotalloc(pass *Pass) error {
@@ -119,8 +120,8 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 						for _, arg := range n.Args {
 							if lit, ok := arg.(*ast.FuncLit); ok && captures(info, lit) && !isGuarded(info, recVars, stack, n) {
 								pass.Reportf(lit.Pos(),
-									"capturing closure passed to %s in hot path %s allocates per event; use ScheduleArg%s with a package-level action",
-									sel.Sel.Name, fd.Name.Name, sel.Sel.Name[len("Schedule"):])
+									"capturing closure passed to %s in hot path %s allocates per event; pass a package-level action and bind its state in arg",
+									sel.Sel.Name, fd.Name.Name)
 							}
 						}
 					}
@@ -198,7 +199,8 @@ func recordingVars(info *types.Info, body *ast.BlockStmt) map[types.Object]bool 
 
 // isGuarded reports whether node n (with ancestor stack) sits inside the
 // body of an if statement whose condition tests Recording() (directly or
-// via a bound bool), or inside a function literal (lazy evaluation).
+// via a bound bool), or inside a function literal (which runs only when
+// called).
 func isGuarded(info *types.Info, recVars map[types.Object]bool, stack []ast.Node, n ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch anc := stack[i].(type) {

@@ -30,8 +30,6 @@ var Maprange = &Analyzer{
 // orderPublishingMethods are method names that commit an ordering to the
 // simulation or the network the moment they are called.
 var orderPublishingMethods = map[string]bool{
-	"ScheduleAt":    true,
-	"ScheduleIn":    true,
 	"ScheduleArgAt": true,
 	"ScheduleArgIn": true,
 	"Send":          true,

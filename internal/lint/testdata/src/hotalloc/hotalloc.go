@@ -1,7 +1,7 @@
 // Package hotalloc is a golden-diagnostic fixture for the hotalloc
 // analyzer. The local Trace and Engine types mirror the real trace.Trace and
-// sim.Engine surfaces (Recording, Add, AddLazy; ScheduleIn, ScheduleAt,
-// ScheduleArgIn) that the analyzer keys on by name, and Clock mirrors
+// sim.Engine surfaces (Recording, Add; ScheduleArgIn, ScheduleArgAt,
+// RestoreEventArg) that the analyzer keys on by name, and Clock mirrors
 // clock.Clock's local-time wrappers of them.
 package hotalloc
 
@@ -9,21 +9,23 @@ import "fmt"
 
 type Engine struct{ queue []func() }
 
-func (e *Engine) ScheduleIn(d int64, name string, fn func()) { e.queue = append(e.queue, fn) }
-
-func (e *Engine) ScheduleAt(at int64, name string, fn func()) { e.queue = append(e.queue, fn) }
-
 func (e *Engine) ScheduleArgIn(d int64, name string, fn func(any), arg any) {
+	e.queue = append(e.queue, func() { fn(arg) })
+}
+
+func (e *Engine) ScheduleArgAt(at int64, name string, fn func(any), arg any) {
+	e.queue = append(e.queue, func() { fn(arg) })
+}
+
+func (e *Engine) RestoreEventArg(at int64, seq uint64, name string, fn func(any), arg any) {
 	e.queue = append(e.queue, func() { fn(arg) })
 }
 
 type Clock struct{ eng *Engine }
 
-func (c *Clock) ScheduleAtLocal(target int64, name string, fn func()) {
-	c.eng.ScheduleAt(target, name, fn)
+func (c *Clock) ScheduleArgAtLocal(target int64, name string, fn func(any), arg any) {
+	c.eng.ScheduleArgAt(target, name, fn, arg)
 }
-
-func (c *Clock) ScheduleAfterLocal(d int64, name string, fn func()) { c.eng.ScheduleIn(d, name, fn) }
 
 func (c *Clock) ScheduleArgAfterLocal(d int64, name string, fn func(any), arg any) {
 	c.eng.ScheduleArgIn(d, name, fn, arg)
@@ -37,12 +39,13 @@ type proc struct {
 
 var ticks int
 
-// Bad: one closure per scheduled action, whichever of the two it goes to.
+// Bad: one closure per scheduled action, whichever entry point it goes to.
 //
 //xchain:hotpath
 func (p *proc) closurePerAction(d int64, amount int) {
-	p.eng.ScheduleIn(d, "send", func() { p.sent += amount }) // want `capturing closure passed to ScheduleIn in hot path closurePerAction allocates per event; use ScheduleArgIn`
-	p.eng.ScheduleAt(d, "send", func() { p.sent++ })         // want `capturing closure passed to ScheduleAt in hot path closurePerAction allocates per event; use ScheduleArgAt`
+	p.eng.ScheduleArgIn(d, "send", func(any) { p.sent += amount }, nil) // want `capturing closure passed to ScheduleArgIn in hot path closurePerAction allocates per event; pass a package-level action and bind its state in arg`
+	p.eng.ScheduleArgAt(d, "send", func(any) { p.sent++ }, nil)         // want `capturing closure passed to ScheduleArgAt in hot path closurePerAction allocates per event`
+	p.eng.RestoreEventArg(d, 1, "send", func(any) { p.sent++ }, nil)    // want `capturing closure passed to RestoreEventArg in hot path closurePerAction allocates per event`
 }
 
 // Bad: a local clock's wrappers cost the same closure (this is how the ANTA
@@ -50,21 +53,21 @@ func (p *proc) closurePerAction(d int64, amount int) {
 //
 //xchain:hotpath
 func (p *proc) closurePerLocalTimer(d int64) {
-	p.clk.ScheduleAfterLocal(d, "emit", func() { p.sent++ }) // want `capturing closure passed to ScheduleAfterLocal in hot path closurePerLocalTimer allocates per event; use ScheduleArgAfterLocal`
-	p.clk.ScheduleAtLocal(d, "timeout", func() { p.sent++ }) // want `capturing closure passed to ScheduleAtLocal in hot path closurePerLocalTimer allocates per event; use ScheduleArgAtLocal`
+	p.clk.ScheduleArgAfterLocal(d, "emit", func(any) { p.sent++ }, nil) // want `capturing closure passed to ScheduleArgAfterLocal in hot path closurePerLocalTimer allocates per event`
+	p.clk.ScheduleArgAtLocal(d, "timeout", func(any) { p.sent++ }, nil) // want `capturing closure passed to ScheduleArgAtLocal in hot path closurePerLocalTimer allocates per event`
 	p.clk.ScheduleArgAfterLocal(d, "emit", procSend, p)
 }
 
 // A method of the same name on another type is not the clock's.
-type planner struct{ todo []func() }
+type planner struct{ todo []func(any) }
 
-func (pl *planner) ScheduleAtLocal(target int64, name string, fn func()) {
+func (pl *planner) ScheduleArgAtLocal(target int64, name string, fn func(any), arg any) {
 	pl.todo = append(pl.todo, fn)
 }
 
 //xchain:hotpath
 func (p *proc) otherReceiver(pl *planner, d int64) {
-	pl.ScheduleAtLocal(d, "plan", func() { p.sent++ })
+	pl.ScheduleArgAtLocal(d, "plan", func(any) { p.sent++ }, nil)
 }
 
 // Good: the process is the argument of a package-level action, and a
@@ -74,17 +77,17 @@ func (p *proc) otherReceiver(pl *planner, d int64) {
 //xchain:hotpath
 func (p *proc) closureFree(d int64) {
 	p.eng.ScheduleArgIn(d, "send", procSend, p)
-	p.eng.ScheduleIn(d, "tick", func() {
+	p.eng.ScheduleArgIn(d, "tick", func(any) {
 		step := 1
 		ticks += step
-	})
+	}, nil)
 }
 
 func procSend(x any) { x.(*proc).sent++ }
 
 // No directive, no checks: cold paths may close over what they like.
 func (p *proc) coldClosure(d int64) {
-	p.eng.ScheduleIn(d, "send", func() { p.sent++ })
+	p.eng.ScheduleArgIn(d, "send", func(any) { p.sent++ }, nil)
 }
 
 type Trace struct {
@@ -95,8 +98,6 @@ type Trace struct {
 func (t *Trace) Recording() bool { return t != nil && t.on }
 
 func (t *Trace) Add(label string) { t.events = append(t.events, label) }
-
-func (t *Trace) AddLazy(f func() string) { t.events = append(t.events, f()) }
 
 //xchain:hotpath
 func eagerFormat(seq uint64) string {
@@ -133,12 +134,12 @@ func guardedBound(tr *Trace, id string) {
 	}
 }
 
-// Building the lazy closure still allocates on a muted run, so the AddLazy
-// call itself is flagged; the Sprintf inside the literal is lazy and exempt.
+// The body of a function literal runs when the literal is called, not on
+// the hot function's own path: the Sprintf inside it is exempt.
 //
 //xchain:hotpath
-func lazyClosure(tr *Trace, seq uint64) {
-	tr.AddLazy(func() string { return fmt.Sprintf("seq=%d", seq) }) // want `trace AddLazy in hot path lazyClosure not guarded by Recording\(\)`
+func literalBody(tr *Trace, seq uint64) func() string {
+	return func() string { return fmt.Sprintf("seq=%d", seq) }
 }
 
 // A negated condition is not a guard: this body runs exactly when muted.

@@ -1,6 +1,6 @@
 // Package maprange is a golden-diagnostic fixture for the maprange
 // analyzer. The local engine/network types mirror the method shapes the
-// analyzer keys on (ScheduleAt, Send) so the fixture stays self-contained.
+// analyzer keys on (ScheduleArgAt, Send) so the fixture stays self-contained.
 package maprange
 
 import (
@@ -12,16 +12,16 @@ import (
 
 type engine struct{}
 
-func (engine) ScheduleAt(t int64, f func()) {}
+func (engine) ScheduleArgAt(t int64, name string, f func(any), arg any) {}
 
 type network struct{}
 
 func (network) Send(from, to string, payload any) {}
 
 func schedules(e engine, wake map[string]int64) {
-	for id, t := range wake { // want `range over map wake with an order-sensitive body \(calls ScheduleAt, committing event order\)`
+	for id, t := range wake { // want `range over map wake with an order-sensitive body \(calls ScheduleArgAt, committing event order\)`
 		_ = id
-		e.ScheduleAt(t, func() {})
+		e.ScheduleArgAt(t, "wake", func(any) {}, nil)
 	}
 }
 
@@ -109,6 +109,6 @@ func counts(m map[string]int) int {
 func justified(e engine, wake map[string]int64) {
 	//lint:maporder fixture: a justified suppression silences the finding
 	for _, t := range wake {
-		e.ScheduleAt(t, func() {})
+		e.ScheduleArgAt(t, "wake", func(any) {}, nil)
 	}
 }

@@ -123,8 +123,10 @@ func (p PartialSynchrony) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) 
 }
 
 // Adversarial lets a strategy pick every delay (and optionally drop
-// messages from/to Byzantine parties). Used by the Theorem-2 impossibility
-// search: the adversary may delay any message by any finite amount.
+// messages from/to Byzantine parties): the adversary may delay any message
+// by any finite amount. Tests build strategy delay models with it; the
+// Theorem-2 impossibility search schedules its attacks with
+// explore.Schedule instead.
 type Adversarial struct {
 	Strategy func(env Envelope, eng *sim.Engine) (sim.Time, bool)
 	Label    string
@@ -167,7 +169,7 @@ type deliverArg struct {
 	env   Envelope
 	delay sim.Time
 	// label is the message's Describe(), built once by a recording Send for
-	// the send event, the delivery's event name and the deliver event.
+	// the send and the deliver trace events.
 	label string
 }
 
@@ -317,10 +319,6 @@ func (n *Network) Send(from, to string, msg Message) {
 		return
 	}
 	delay = max(delay, 1)
-	name := "deliver"
-	if recording {
-		name = "deliver:" + label
-	}
 	var d *deliverArg
 	if k := len(n.freeArgs); k > 0 {
 		d = n.freeArgs[k-1]
@@ -334,7 +332,7 @@ func (n *Network) Send(from, to string, msg Message) {
 	d.env = env
 	d.delay = delay
 	d.label = label
-	n.eng.ScheduleArgIn(delay, name, deliver, d)
+	n.eng.ScheduleArgIn(delay, "deliver", deliver, d)
 }
 
 // Broadcast sends msg from one participant to every other registered node,

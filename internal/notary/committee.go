@@ -440,7 +440,7 @@ func (p *notaryProc) scheduleViewChange(view int) {
 	}
 	c := p.c
 	p.timers[view] = viewTimer{p: p, view: view}
-	c.w.Eng.ScheduleArgIn(c.viewTimeout(view), c.w.EventName(p.id, "view-timer"), viewTimedOut, &p.timers[view])
+	c.w.Eng.ScheduleArgIn(c.viewTimeout(view), "view-timer", viewTimedOut, &p.timers[view])
 }
 
 // viewTimedOut is the scheduled action of scheduleViewChange.

@@ -122,7 +122,7 @@ func (r *run) addKey(seed, id string) {
 // scheduleCrash schedules id's crash fault, if it has one: crash(arg).
 func (r *run) scheduleCrash(id string, f core.FaultSpec, crash func(any), arg any) {
 	if f.Crash {
-		r.w.Eng.ScheduleArgAt(f.CrashAt, r.w.EventName(id, "crash"), crash, arg)
+		r.w.Eng.ScheduleArgAt(f.CrashAt, "crash", crash, arg)
 	}
 }
 

@@ -68,21 +68,21 @@ func (h *harness) committee(size int) *Committee {
 }
 
 func (h *harness) sendPrepared(mgr Manager, escrow string, at sim.Time) {
-	h.w.Eng.ScheduleAt(at, "prepared", func() {
+	h.w.Eng.ScheduleArgAt(at, "prepared", func(any) {
 		m := &MsgPrepared{PaymentID: h.s.Spec.PaymentID, Escrow: escrow}
 		for _, id := range mgr.IDs() {
 			h.w.Net.Send(escrow, id, m)
 		}
-	})
+	}, nil)
 }
 
 func (h *harness) sendAbortRequest(mgr Manager, customer string, at sim.Time) {
-	h.w.Eng.ScheduleAt(at, "abort-request", func() {
+	h.w.Eng.ScheduleArgAt(at, "abort-request", func(any) {
 		m := &MsgAbortRequest{PaymentID: h.s.Spec.PaymentID, Customer: customer}
 		for _, id := range mgr.IDs() {
 			h.w.Net.Send(customer, id, m)
 		}
-	})
+	}, nil)
 }
 
 func (h *harness) run() uint64 {

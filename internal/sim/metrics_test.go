@@ -15,9 +15,9 @@ func TestEngineMetrics(t *testing.T) {
 	m.Watermark = r.Gauge(MetricVirtualTimeMs, "Virtual time watermark.")
 	eng.SetMetrics(m)
 
-	eng.ScheduleIn(5*Millisecond, "a", func() {})
-	tm := eng.ScheduleIn(10*Millisecond, "b", func() {})
-	eng.ScheduleIn(20*Millisecond, "c", func() {})
+	eng.ScheduleArgIn(5*Millisecond, "a", func(any) {}, nil)
+	tm := eng.ScheduleArgIn(10*Millisecond, "b", func(any) {}, nil)
+	eng.ScheduleArgIn(20*Millisecond, "c", func(any) {}, nil)
 	tm.Cancel()
 	eng.Run(0)
 

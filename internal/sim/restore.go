@@ -4,10 +4,10 @@ package sim
 // rebuilds a byte-identical engine. Restoring an engine is a three-step
 // protocol on a freshly constructed Engine:
 //
-//  1. RestoreEvent (or RestoreEventArg) once per pending event captured from
-//     the old engine, re-attaching a freshly built callback under the
-//     event's original (at, seq) coordinates. Order of calls does not
-//     matter: the heap property only depends on (at, seq).
+//  1. RestoreEventArg once per pending event captured from the old engine,
+//     re-attaching its action and argument under the event's original
+//     (at, seq) coordinates. Order of calls does not matter: the heap
+//     property only depends on (at, seq).
 //  2. RestoreClock to set the virtual clock and the seq/fired/scheduled
 //     cursors to their captured values.
 //  3. Resume the normal Run/RunBefore drive loop.
@@ -28,45 +28,18 @@ func (t Timer) Pending() (at Time, seq uint64, ok bool) {
 	return t.ev.at, t.ev.seq, true
 }
 
-// RestoreEvent inserts an event at explicit heap coordinates (at, seq),
+// RestoreEventArg inserts fn(arg) at explicit heap coordinates (at, seq),
 // bypassing the seq allocator and the scheduled counter — both are restored
 // wholesale by RestoreClock. The returned Timer is a normal cancelable
-// handle. RestoreEvent must only be used while rebuilding an engine from a
-// checkpoint, before RestoreClock.
-func (e *Engine) RestoreEvent(at Time, seq uint64, name string, fn func()) Timer {
-	return e.restore(at, seq, name, fn, nil, nil)
-}
-
-// RestoreEventArg is RestoreEvent for an event scheduled with ScheduleArgAt
-// or ScheduleArgIn: fn fires with arg.
+// handle. RestoreEventArg must only be used while rebuilding an engine from
+// a checkpoint, before RestoreClock. name is ignored, as for ScheduleArgAt.
 func (e *Engine) RestoreEventArg(at Time, seq uint64, name string, fn func(any), arg any) Timer {
-	return e.restore(at, seq, name, nil, fn, arg)
-}
-
-func (e *Engine) restore(at Time, seq uint64, name string, fn func(), argFn func(any), arg any) Timer {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.at = at
-	ev.name = name
-	ev.fn = fn
-	ev.argFn = argFn
-	ev.arg = arg
-	ev.seq = seq
-	ev.canceled = false
-	e.push(ev)
-	e.live++
-	return Timer{eng: e, ev: ev, gen: ev.gen}
+	return e.insert(at, seq, fn, arg)
 }
 
 // RestoreClock sets the engine's virtual clock, sequence cursor and
 // fired/scheduled totals to captured values. Call it after every
-// RestoreEvent: restored events keep their original seq values, and new
+// RestoreEventArg: restored events keep their original seq values, and new
 // events scheduled once the run resumes draw seq values above the cursor.
 func (e *Engine) RestoreClock(now Time, seq, fired, scheduled uint64) {
 	e.now = now

@@ -7,7 +7,7 @@ import (
 )
 
 // TestRestoreReplaysIdentically interrupts an engine mid-run, captures its
-// clock and live events, rebuilds a second engine via RestoreEvent +
+// clock and live events, rebuilds a second engine via RestoreEventArg +
 // RestoreClock, and asserts the remainder of the run fires the same events at
 // the same instants in the same order.
 func TestRestoreReplaysIdentically(t *testing.T) {
@@ -16,9 +16,9 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 		at   Time
 	}
 
-	drive := func(log *[]rec, eng *Engine) func(string) func() {
-		return func(name string) func() {
-			return func() { *log = append(*log, rec{name, eng.Now()}) }
+	drive := func(log *[]rec, eng *Engine) func(string) func(any) {
+		return func(name string) func(any) {
+			return func(any) { *log = append(*log, rec{name, eng.Now()}) }
 		}
 	}
 
@@ -29,7 +29,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 	mk := drive(&want, ref)
 	for i := 0; i < 8; i++ {
 		at := Time(10 * (i/2 + 1)) // pairs share an instant; seq breaks the tie
-		ref.ScheduleAt(at, fmt.Sprintf("e%d", i), mk(fmt.Sprintf("e%d", i)))
+		ref.ScheduleArgAt(at, fmt.Sprintf("e%d", i), mk(fmt.Sprintf("e%d", i)), nil)
 	}
 	ref.RunUntil(20, 0) // fires e0..e3
 	prefix := len(want)
@@ -44,7 +44,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		at := Time(10 * (i/2 + 1))
 		n := fmt.Sprintf("e%d", i)
-		timers = append(timers, cut.ScheduleAt(at, n, mkc(n)))
+		timers = append(timers, cut.ScheduleArgAt(at, n, mkc(n), nil))
 		names = append(names, n)
 	}
 	cut.RunUntil(20, 0)
@@ -62,7 +62,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 		if !ok {
 			continue // already fired
 		}
-		res.RestoreEvent(at, evseq, names[i], mkr(names[i]))
+		res.RestoreEventArg(at, evseq, names[i], mkr(names[i]), nil)
 	}
 	res.RestoreClock(now, seq, fired, scheduled)
 
@@ -91,9 +91,9 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 func TestRestoreSeqOrdering(t *testing.T) {
 	var log []string
 	e := NewEngine(1)
-	e.RestoreEvent(50, 3, "old", func() { log = append(log, "old") })
+	e.RestoreEventArg(50, 3, "old", func(any) { log = append(log, "old") }, nil)
 	e.RestoreClock(10, 7, 4, 7)
-	e.ScheduleAt(50, "new", func() { log = append(log, "new") }) // seq 8 > 3
+	e.ScheduleArgAt(50, "new", func(any) { log = append(log, "new") }, nil) // seq 8 > 3
 	e.Run(0)
 	if want := []string{"old", "new"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("fire order %v, want %v", log, want)
@@ -126,9 +126,9 @@ func TestRestoreEventArg(t *testing.T) {
 // zero-value states.
 func TestPendingStates(t *testing.T) {
 	e := NewEngine(1)
-	live := e.ScheduleAt(30, "live", func() {})
-	firedT := e.ScheduleAt(5, "fired", func() {})
-	cancT := e.ScheduleAt(40, "canceled", func() {})
+	live := e.ScheduleArgAt(30, "live", func(any) {}, nil)
+	firedT := e.ScheduleArgAt(5, "fired", func(any) {}, nil)
+	cancT := e.ScheduleArgAt(40, "canceled", func(any) {}, nil)
 	cancT.Cancel()
 	e.RunUntil(10, 0)
 

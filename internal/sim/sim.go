@@ -8,9 +8,10 @@
 //
 // The kernel is written for the muted hot path: every experiment sweep and
 // traffic run schedules and fires millions of events, so the event queue is
-// a hand-rolled min-heap over a free list of event records. Scheduling with
-// a pre-bound argument (ScheduleArgAt) reuses a pooled record and performs
-// no heap allocation in steady state.
+// a hand-rolled min-heap over a free list of event records. An event is a
+// package-level action with a pre-bound argument (ScheduleArgAt), so
+// scheduling reuses a pooled record and performs no heap allocation in
+// steady state.
 package sim
 
 import (
@@ -59,22 +60,17 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Millis converts t to floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// event is a scheduled callback record. Records are owned by the engine and
-// recycled through a free list once fired or discarded, so external code
-// never holds one directly; Timer is the caller-facing handle.
+// event is a scheduled action record: when it fires (at, seq), whether it
+// still may (gen, canceled), and what it does (fn(arg)). Records are owned by
+// the engine and recycled through a free list once fired or discarded, so
+// external code never holds one directly; Timer is the caller-facing handle.
 type event struct {
-	at   Time
-	name string
-	// Exactly one of fn / argFn is set. argFn with a pre-bound argument lets
-	// hot callers (the network's delivery path) schedule without creating a
-	// capturing closure.
-	fn    func()
-	argFn func(any)
-	arg   any
-
+	at       Time
 	seq      uint64 // tie-breaker for deterministic ordering
 	gen      uint64 // incremented on recycle; stale Timers no longer match
 	canceled bool
+	fn       func(any)
+	arg      any
 }
 
 // Timer is a cancelable handle to a scheduled event. The zero value is an
@@ -228,25 +224,16 @@ func (e *Engine) popRoot() *event {
 //xchain:hotpath
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.name = ""
 	ev.fn = nil
-	ev.argFn = nil
 	ev.arg = nil
 	e.free = append(e.free, ev)
 }
 
-// schedule is the common scheduling path. Records come from the free list,
-// so in steady state the only allocation is whatever closure (if any) the
-// caller built for fn.
+// insert queues fn(arg) at heap coordinates (at, seq) in a record taken from
+// the free list, so in steady state it allocates nothing.
 //
 //xchain:hotpath
-func (e *Engine) schedule(at Time, name string, fn func(), argFn func(any), arg any) Timer {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.scheduled++
-	e.m.Scheduled.Inc()
+func (e *Engine) insert(at Time, seq uint64, fn func(any), arg any) Timer {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -255,55 +242,41 @@ func (e *Engine) schedule(at Time, name string, fn func(), argFn func(any), arg 
 	} else {
 		ev = &event{}
 	}
-	ev.at = at
-	ev.name = name
-	ev.fn = fn
-	ev.argFn = argFn
-	ev.arg = arg
-	ev.seq = e.seq
-	ev.canceled = false
+	ev.at, ev.seq, ev.canceled = at, seq, false
+	ev.fn, ev.arg = fn, arg
 	e.push(ev)
 	e.live++
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
-// ScheduleAt registers fn to run at absolute virtual time at. Scheduling in
-// the past is clamped to "now": the event fires before time advances further.
-//
-//xchain:hotpath
-func (e *Engine) ScheduleAt(at Time, name string, fn func()) Timer {
-	return e.schedule(at, name, fn, nil, nil)
-}
-
-// ScheduleIn registers fn to run after delay d from the current time.
-//
-//xchain:hotpath
-func (e *Engine) ScheduleIn(d Time, name string, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.schedule(e.now+d, name, fn, nil, nil)
-}
-
-// ScheduleArgAt registers fn(arg) to run at absolute virtual time at. Unlike
-// ScheduleAt, fn can be a non-capturing (package-level) function with all
+// ScheduleArgAt registers fn(arg) to run at absolute virtual time at.
+// Scheduling in the past is clamped to "now": the event fires before time
+// advances further. fn is meant to be a package-level function with all
 // per-event state pre-bound in arg, so the hot path allocates nothing: arg
 // is typically a pointer into a caller-managed pool, and boxing a pointer
-// into an interface does not allocate.
+// into an interface does not allocate. The engine keeps no name: name is
+// accepted and ignored.
 //
 //xchain:hotpath
 func (e *Engine) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
-	return e.schedule(at, name, nil, fn, arg)
+	if at < e.now {
+		at = e.now
+	}
+	e.seq++
+	e.scheduled++
+	e.m.Scheduled.Inc()
+	return e.insert(at, e.seq, fn, arg)
 }
 
-// ScheduleArgIn registers fn(arg) to run after delay d from the current time.
+// ScheduleArgIn registers fn(arg) to run after delay d from the current
+// time; name is ignored, as for ScheduleArgAt.
 //
 //xchain:hotpath
 func (e *Engine) ScheduleArgIn(d Time, name string, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now+d, name, nil, fn, arg)
+	return e.ScheduleArgAt(e.now+d, name, fn, arg)
 }
 
 // Stop halts the run: Run returns after the currently executing event
@@ -341,13 +314,9 @@ func (e *Engine) step(until Time) bool {
 		// Copy the callback out and recycle before invoking: the callback may
 		// itself schedule (reusing this record) or cancel its own stale Timer,
 		// both of which are safe once the generation has been bumped.
-		fn, argFn, arg := next.fn, next.argFn, next.arg
+		fn, arg := next.fn, next.arg
 		e.recycle(next)
-		if argFn != nil {
-			argFn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 		return true
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -40,7 +41,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{30, 10, 20, 10, 5} {
 		at := at
-		eng.ScheduleAt(at, "ev", func() { fired = append(fired, at) })
+		eng.ScheduleArgAt(at, "ev", func(any) { fired = append(fired, at) }, nil)
 	}
 	end, n := eng.Run(0)
 	if n != 5 {
@@ -61,7 +62,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.ScheduleAt(50, "tie", func() { order = append(order, i) })
+		eng.ScheduleArgAt(50, "tie", func(any) { order = append(order, i) }, nil)
 	}
 	eng.Run(0)
 	for i, v := range order {
@@ -74,9 +75,9 @@ func TestTieBreakIsFIFO(t *testing.T) {
 func TestScheduleInPastClampsToNow(t *testing.T) {
 	eng := NewEngine(1)
 	var secondAt Time
-	eng.ScheduleAt(100, "first", func() {
-		eng.ScheduleAt(10, "late", func() { secondAt = eng.Now() })
-	})
+	eng.ScheduleArgAt(100, "first", func(any) {
+		eng.ScheduleArgAt(10, "late", func(any) { secondAt = eng.Now() }, nil)
+	}, nil)
 	eng.Run(0)
 	if secondAt != 100 {
 		t.Fatalf("past-scheduled event fired at %v, want clamped to 100", secondAt)
@@ -86,7 +87,7 @@ func TestScheduleInPastClampsToNow(t *testing.T) {
 func TestCancel(t *testing.T) {
 	eng := NewEngine(1)
 	fired := false
-	ev := eng.ScheduleAt(10, "cancel-me", func() { fired = true })
+	ev := eng.ScheduleArgAt(10, "cancel-me", func(any) { fired = true }, nil)
 	ev.Cancel()
 	if !ev.Canceled() {
 		t.Fatal("Canceled() false after Cancel")
@@ -104,12 +105,12 @@ func TestStopHaltsRun(t *testing.T) {
 	eng := NewEngine(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		eng.ScheduleAt(Time(i), "tick", func() {
+		eng.ScheduleArgAt(Time(i), "tick", func(any) {
 			count++
 			if count == 3 {
 				eng.Stop()
 			}
-		})
+		}, nil)
 	}
 	eng.Run(0)
 	if count != 3 {
@@ -122,8 +123,8 @@ func TestStopHaltsRun(t *testing.T) {
 
 func TestRunUntilAdvancesToHorizon(t *testing.T) {
 	eng := NewEngine(1)
-	eng.ScheduleAt(10, "early", func() {})
-	eng.ScheduleAt(500, "late", func() {})
+	eng.ScheduleArgAt(10, "early", func(any) {}, nil)
+	eng.ScheduleArgAt(500, "late", func(any) {}, nil)
 	now, fired := eng.RunUntil(100, 0)
 	if fired != 1 || now != 100 {
 		t.Fatalf("RunUntil fired %d events and ended at %v", fired, now)
@@ -135,13 +136,13 @@ func TestRunUntilAdvancesToHorizon(t *testing.T) {
 
 func TestMaxEventsCap(t *testing.T) {
 	eng := NewEngine(1)
-	var schedule func()
+	var schedule func(any)
 	count := 0
-	schedule = func() {
+	schedule = func(any) {
 		count++
-		eng.ScheduleIn(1, "loop", schedule)
+		eng.ScheduleArgIn(1, "loop", schedule, nil)
 	}
-	eng.ScheduleIn(1, "loop", schedule)
+	eng.ScheduleArgIn(1, "loop", schedule, nil)
 	eng.Run(100)
 	if count != 100 {
 		t.Fatalf("event cap not enforced: %d events fired", count)
@@ -150,8 +151,8 @@ func TestMaxEventsCap(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	eng := NewEngine(1)
-	eng.ScheduleAt(1, "a", func() {})
-	eng.ScheduleAt(2, "b", func() {})
+	eng.ScheduleArgAt(1, "a", func(any) {}, nil)
+	eng.ScheduleArgAt(2, "b", func(any) {}, nil)
 	if eng.EventsScheduled() != 2 || eng.Pending() != 2 {
 		t.Fatal("scheduling counters wrong")
 	}
@@ -177,12 +178,12 @@ func TestPropertyVirtualTimeMonotone(t *testing.T) {
 		ok := true
 		for _, d := range delays {
 			d := Time(d)
-			eng.ScheduleAt(d, "ev", func() {
+			eng.ScheduleArgAt(d, "ev", func(any) {
 				if eng.Now() < last {
 					ok = false
 				}
 				last = eng.Now()
-			})
+			}, nil)
 		}
 		eng.Run(0)
 		return ok
@@ -194,13 +195,13 @@ func TestPropertyVirtualTimeMonotone(t *testing.T) {
 
 func TestStaleTimerCancelIsNoOp(t *testing.T) {
 	// Event records are pooled: after an event fires, its record may be
-	// reused by a later ScheduleAt. A Timer held across the firing must not
+	// reused by a later ScheduleArgAt. A Timer held across the firing must not
 	// be able to cancel the record's new occupant.
 	eng := NewEngine(1)
-	first := eng.ScheduleAt(10, "first", func() {})
+	first := eng.ScheduleArgAt(10, "first", func(any) {}, nil)
 	eng.Run(0)
 	fired := false
-	eng.ScheduleAt(20, "second", func() { fired = true })
+	eng.ScheduleArgAt(20, "second", func(any) { fired = true }, nil)
 	first.Cancel() // stale: the record now belongs to "second"
 	if first.Canceled() {
 		t.Fatal("stale timer reports Canceled")
@@ -221,8 +222,8 @@ func TestZeroTimerIsInert(t *testing.T) {
 
 func TestNextEventTimeDiscardsCanceledRoot(t *testing.T) {
 	eng := NewEngine(1)
-	early := eng.ScheduleAt(10, "early", func() {})
-	eng.ScheduleAt(500, "late", func() {})
+	early := eng.ScheduleArgAt(10, "early", func(any) {}, nil)
+	eng.ScheduleArgAt(500, "late", func(any) {}, nil)
 	early.Cancel()
 	if got := eng.NextEventTime(); got != 500 {
 		t.Fatalf("NextEventTime = %v, want 500", got)
@@ -243,7 +244,7 @@ func TestCancelHeavyWorkload(t *testing.T) {
 	var fired []Time
 	for i := 1; i <= n; i++ {
 		at := Time(i)
-		timers = append(timers, eng.ScheduleAt(at, "timer", func() { fired = append(fired, at) }))
+		timers = append(timers, eng.ScheduleArgAt(at, "timer", func(any) { fired = append(fired, at) }, nil))
 	}
 	for i, tm := range timers {
 		if i%100 != 0 { // cancel 99% of them
@@ -273,32 +274,14 @@ func TestCancelHeavyWorkload(t *testing.T) {
 	}
 }
 
-func TestScheduleAtAllocs(t *testing.T) {
-	// Regression for the pooled event heap: in steady state, scheduling and
-	// firing an event must not allocate beyond the caller's own closure.
-	eng := NewEngine(1)
-	fn := func() {}
-	// Warm-up fills the free list and the heap's backing array.
-	for i := 0; i < 100; i++ {
-		eng.ScheduleAt(eng.Now()+1, "warmup", fn)
-		eng.Run(0)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		eng.ScheduleAt(eng.Now()+1, "tick", fn)
-		eng.Run(0)
-	})
-	if allocs > 1 {
-		t.Fatalf("ScheduleAt+fire allocates %.1f objects per event, want <= 1", allocs)
-	}
-}
-
 func TestScheduleArgAtAllocs(t *testing.T) {
-	// The arg-based entry point exists so hot callers can pre-bind all state
-	// and hit a strictly allocation-free path.
+	// Regression for the pooled event heap: with all state pre-bound in its
+	// argument, scheduling and firing an event is strictly allocation-free.
 	eng := NewEngine(1)
 	type payload struct{ n int }
 	arg := &payload{}
 	fn := func(x any) { x.(*payload).n++ }
+	// Warm-up fills the free list and the heap's backing array.
 	for i := 0; i < 100; i++ {
 		eng.ScheduleArgAt(eng.Now()+1, "warmup", fn, arg)
 		eng.Run(0)
@@ -320,7 +303,7 @@ func TestRunBefore(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 10, 15} {
 		at := at
-		eng.ScheduleAt(at, "ev", func() { fired = append(fired, at) })
+		eng.ScheduleArgAt(at, "ev", func(any) { fired = append(fired, at) }, nil)
 	}
 	now, n := eng.RunBefore(10, 0)
 	if n != 1 || len(fired) != 1 || fired[0] != 5 {
@@ -331,7 +314,7 @@ func TestRunBefore(t *testing.T) {
 	}
 	// Work injected at t=10 now schedules ahead in time order but behind
 	// the two pending t=10 events in sequence order; all fire at 10.
-	eng.ScheduleAt(10, "injected", func() { fired = append(fired, -10) })
+	eng.ScheduleArgAt(10, "injected", func(any) { fired = append(fired, -10) }, nil)
 	now, n = eng.RunBefore(15, 0)
 	if n != 3 {
 		t.Fatalf("RunBefore(15) fired %d events", n)
@@ -362,7 +345,7 @@ func TestRunBeforeCapped(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30} {
 		at := at
-		eng.ScheduleAt(at, "ev", func() { fired = append(fired, at) })
+		eng.ScheduleArgAt(at, "ev", func(any) { fired = append(fired, at) }, nil)
 	}
 	now, n := eng.RunBefore(100, 1)
 	if n != 1 || now != 10 {
@@ -383,7 +366,7 @@ func TestRunBeforeCapped(t *testing.T) {
 func TestRunBeforeZero(t *testing.T) {
 	eng := NewEngine(1)
 	fired := false
-	eng.ScheduleAt(0, "ev", func() { fired = true })
+	eng.ScheduleArgAt(0, "ev", func(any) { fired = true }, nil)
 	if now, n := eng.RunBefore(0, 0); now != 0 || n != 0 || fired {
 		t.Fatalf("RunBefore(0) fired=%v n=%d now=%v", fired, n, now)
 	}
@@ -397,17 +380,17 @@ func TestRunBeforeZero(t *testing.T) {
 // scheduling, a cancellation, RNG draws — and returns everything observable.
 func script(eng *Engine) []int64 {
 	var log []int64
-	var tick func()
+	var tick func(any)
 	n := 0
-	tick = func() {
+	tick = func(any) {
 		n++
 		log = append(log, int64(eng.Now()), eng.Rand().Int63n(1000))
 		if n < 20 {
-			eng.ScheduleIn(Time(1+eng.Rand().Intn(5)), "tick", tick)
+			eng.ScheduleArgIn(Time(1+eng.Rand().Intn(5)), "tick", tick, nil)
 		}
 	}
-	eng.ScheduleAt(3, "tick", tick)
-	eng.ScheduleAt(7, "never", func() { log = append(log, -1) }).Cancel()
+	eng.ScheduleArgAt(3, "tick", tick, nil)
+	eng.ScheduleArgAt(7, "never", func(any) { log = append(log, -1) }, nil).Cancel()
 	end, fired := eng.Run(0)
 	return append(log, int64(end), int64(fired), int64(eng.EventsScheduled()), int64(eng.EventsFired()))
 }
@@ -422,13 +405,13 @@ func TestResetRestoresNewEngine(t *testing.T) {
 		eng := NewEngine(seed + 1000)
 		reset := false
 		for i := 0; i < 50; i++ {
-			eng.ScheduleAt(Time(10*i), "leftover", func() {
+			eng.ScheduleArgAt(Time(10*i), "leftover", func(any) {
 				if reset {
 					t.Error("an event from before Reset fired after it")
 				}
-			})
+			}, nil)
 		}
-		eng.ScheduleAt(15, "stop", eng.Stop)
+		eng.ScheduleArgAt(15, "stop", func(any) { eng.Stop() }, nil)
 		eng.Run(0) // fires the events up to 15, then stops with 48 pending
 		eng.Rand().Int63()
 		eng.Reset(seed)
@@ -455,7 +438,7 @@ func TestStaleTimerAfterReset(t *testing.T) {
 	eng := NewEngine(1)
 	var stale []Timer
 	for i := 0; i < 8; i++ {
-		stale = append(stale, eng.ScheduleAt(Time(10+i), "old", func() { t.Error("an event from before Reset fired") }))
+		stale = append(stale, eng.ScheduleArgAt(Time(10+i), "old", func(any) { t.Error("an event from before Reset fired") }, nil))
 	}
 	canceled := stale[0]
 	canceled.Cancel()
@@ -463,7 +446,7 @@ func TestStaleTimerAfterReset(t *testing.T) {
 
 	fired := 0
 	for i := 0; i < 8; i++ { // reuses the eight recycled records
-		eng.ScheduleAt(Time(1+i), "new", func() { fired++ })
+		eng.ScheduleArgAt(Time(1+i), "new", func(any) { fired++ }, nil)
 	}
 	for _, tm := range stale {
 		tm.Cancel()
@@ -480,15 +463,26 @@ func TestStaleTimerAfterReset(t *testing.T) {
 	}
 }
 
+// TestEventRecordSize pins the event record to its time, order and action:
+// 56 bytes on a 64-bit platform, the 64-byte allocation size class.
+func TestEventRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Fatalf("event record is %d bytes, want 56", got)
+	}
+}
+
 // TestResetAllocs is the allocation gate on the reuse path: once the heap
 // and free list have grown, Reset — with events still pending — allocates
 // nothing, and neither does reseeding.
 func TestResetAllocs(t *testing.T) {
 	eng := NewEngine(1)
-	fn := func() {}
+	fn := func(any) {}
 	fill := func() {
 		for i := 0; i < 32; i++ {
-			eng.ScheduleAt(Time(i), "pending", fn)
+			eng.ScheduleArgAt(Time(i), "pending", fn, nil)
 		}
 	}
 	fill()

@@ -256,7 +256,7 @@ func escrowEmitRefund(ctx *anta.Context) {
 }
 
 // antaCustomer is the per-run half of customer c_i's automaton (Alice for
-// i=0, Bob for i=n, Chloe_i otherwise) and its outcomeSource. msgMoney goes
+// i=0, Bob for i=n, Chloe_i otherwise) and the outcome it keeps. msgMoney goes
 // downstream; msgCert is the certificate Bob signs; chi is the certificate
 // as received, which Chloe forwards upstream as is.
 type antaCustomer struct {
@@ -277,19 +277,6 @@ type antaCustomer struct {
 	msgCert  MsgCert
 	chi      *MsgCert
 }
-
-func (c *antaCustomer) terminated() (bool, sim.Time) {
-	if c.auto.Done() {
-		return true, c.auto.DoneAt()
-	}
-	return false, 0
-}
-
-func (c *antaCustomer) startedAt() sim.Time { return c.started }
-func (c *antaCustomer) holdsChi() bool      { return c.hasChi }
-func (c *antaCustomer) issuedChi() bool     { return c.signed }
-func (c *antaCustomer) paidOut() int64      { return c.paid }
-func (c *antaCustomer) received() int64     { return c.credited }
 
 //xchain:hotpath
 func customerMatchG(ctx *anta.Context, from string, msg netsim.Message) bool {
@@ -462,5 +449,12 @@ func (ae *antaEngine) Crash(_ string, customer bool, i int) {
 	}
 }
 
-// source adapts customer c_i's automaton to the env's outcome collection.
-func (ae *antaEngine) source(i int) outcomeSource { return &ae.customers[i] }
+// outcome fills in customer c_i's part of the run's result (core.World.Collect).
+func (ae *antaEngine) outcome(i int, out *core.CustomerOutcome) {
+	c := &ae.customers[i]
+	if c.auto.Done() {
+		out.Terminated, out.TerminatedAt = true, c.auto.DoneAt()
+	}
+	out.StartedAt, out.HoldsChi, out.IssuedChi = c.started, c.hasChi, c.signed
+	out.PaidOut, out.Received = c.paid, c.credited
+}

@@ -68,28 +68,3 @@ func (st *standing) bind(w *core.World, s *core.Scenario, params *Params) (*env,
 	st.env = env{w: w, scn: w.Scenario(), params: params, eng: w.Eng, net: w.Net, tr: w.Trace, kr: w.Keyring()}
 	return &st.env, nil
 }
-
-// outcomeSource is what the env needs from a per-customer engine object to
-// build a core.CustomerOutcome. Both engines implement it.
-type outcomeSource interface {
-	terminated() (bool, sim.Time)
-	startedAt() sim.Time
-	holdsChi() bool
-	issuedChi() bool
-	paidOut() int64
-	received() int64
-}
-
-// collect builds the RunResult common to both engines; source(i) is
-// customer c_i's engine object.
-func (e *env) collect(protocolName string, source func(i int) outcomeSource, eventsFired uint64) *core.RunResult {
-	return e.w.Collect(protocolName, eventsFired, func(i int, out *core.CustomerOutcome) {
-		src := source(i)
-		out.Terminated, out.TerminatedAt = src.terminated()
-		out.StartedAt = src.startedAt()
-		out.HoldsChi = src.holdsChi()
-		out.IssuedChi = src.issuedChi()
-		out.PaidOut = src.paidOut()
-		out.Received = src.received()
-	})
-}

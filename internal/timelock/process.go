@@ -81,8 +81,13 @@ func (pe *procEngine) Crash(id string, customer bool, i int) {
 	pe.env.tr.Add(pe.env.eng.Now(), trace.KindByzantine, id, "", "crash")
 }
 
-// source adapts customer c_i's process to the env's outcome collection.
-func (pe *procEngine) source(i int) outcomeSource { return &pe.customers[i] }
+// outcome fills in customer c_i's part of the run's result (core.World.Collect).
+func (pe *procEngine) outcome(i int, out *core.CustomerOutcome) {
+	c := &pe.customers[i]
+	out.Terminated, out.TerminatedAt = c.term, c.termAt
+	out.StartedAt, out.HoldsChi, out.IssuedChi = c.started, c.hasChi, c.signedChi
+	out.PaidOut, out.Received = c.paid, c.credited
+}
 
 // ---------------------------------------------------------------------------
 // Escrow process (automaton e_i of Fig. 2)
@@ -148,7 +153,7 @@ func (p *escrowProc) start() {
 	if p.fault.Silent || p.fault.Crash && p.fault.CrashAt == 0 {
 		return
 	}
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-G"), escrowSendG, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "send-G", escrowSendG, p)
 }
 
 // escrowSendG is the scheduled action of start.
@@ -218,7 +223,7 @@ func (p *escrowProc) onMoney(from string, m *MsgMoney) {
 	}
 	// Issue the promise P(a_i) to the downstream customer and start the
 	// timeout clock (u := now).
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "send-P"), escrowSendP, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "send-P", escrowSendP, p)
 }
 
 // escrowSendP is the scheduled action of onMoney.
@@ -240,7 +245,7 @@ func escrowSendP(x any) {
 	}
 	p.env.net.Send(p.id, p.down, &p.msgP)
 	// Arm the timeout: now >= u + a_i triggers the refund branch.
-	p.timeout = p.env.eng.ScheduleArgIn(p.clk.RealUntilLocal(p.promiseAt+a), p.env.w.EventName(p.id, "timeout"), escrowTimeout, p)
+	p.timeout = p.env.eng.ScheduleArgIn(p.clk.RealUntilLocal(p.promiseAt+a), "timeout", escrowTimeout, p)
 }
 
 // onCert handles the receipt r(c_{i+1}, chi) of the certificate from the
@@ -274,7 +279,7 @@ func (p *escrowProc) onCert(from string, m *MsgCert) {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "settle"), escrowSettle, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "settle", escrowSettle, p)
 }
 
 // escrowSettle is the scheduled action of onCert: forward chi to the
@@ -328,7 +333,7 @@ func escrowTimeout(x any) {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), p.env.w.EventName(p.id, "refund"), escrowRefund, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "refund", escrowRefund, p)
 }
 
 // escrowRefund is the scheduled action of escrowTimeout.
@@ -493,7 +498,7 @@ func (c *customerProc) maybeSendMoney() {
 		return
 	}
 	c.sentMoney = true
-	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-$"), customerSendMoney, c)
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), "send-$", customerSendMoney, c)
 }
 
 // customerSendMoney is the scheduled action of maybeSendMoney.
@@ -521,7 +526,7 @@ func (c *customerProc) bobIssueChi() {
 	if c.fault.Silent || c.fault.WithholdCertificate {
 		return
 	}
-	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "send-chi"), customerSendChi, c)
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), "send-chi", customerSendChi, c)
 }
 
 // customerSendChi is the scheduled action of bobIssueChi.
@@ -609,7 +614,7 @@ func (c *customerProc) onCert(from string, m *MsgCert) {
 		c.env.tr.Add(c.env.eng.Now(), trace.KindByzantine, c.id, "", "withhold-certificate")
 		return
 	}
-	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), c.env.w.EventName(c.id, "fwd-chi"), customerFwdChi, c)
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), "fwd-chi", customerFwdChi, c)
 	// If the upstream money already arrived, we are done.
 	if c.credited >= c.paid {
 		c.terminate("paid")
@@ -635,12 +640,3 @@ func (c *customerProc) terminate(reason string) {
 	c.termAt = c.env.eng.Now()
 	c.env.tr.Add(c.env.eng.Now(), trace.KindTerminate, c.id, "", reason)
 }
-
-// outcomeSource implementation.
-
-func (c *customerProc) terminated() (bool, sim.Time) { return c.term, c.termAt }
-func (c *customerProc) startedAt() sim.Time          { return c.started }
-func (c *customerProc) holdsChi() bool               { return c.hasChi }
-func (c *customerProc) issuedChi() bool              { return c.signedChi }
-func (c *customerProc) paidOut() int64               { return c.paid }
-func (c *customerProc) received() int64              { return c.credited }

@@ -97,17 +97,19 @@ func (p *Protocol) RunIn(w *core.World, s core.Scenario) (*core.RunResult, error
 	if err != nil {
 		return nil, fmt.Errorf("timelock: %w", err)
 	}
-	var source func(i int) outcomeSource
+	// outcome fills in customer c_i's part of the result from the engine the
+	// run executed on.
+	var outcome func(i int, out *core.CustomerOutcome)
 	switch p.Engine {
 	case EngineANTA:
 		st.anta.reset(env)
 		st.anta.start()
-		source = st.anta.source
+		outcome = st.anta.outcome
 	default:
 		st.proc.reset(env)
 		st.proc.start()
-		source = st.proc.source
+		outcome = st.proc.outcome
 	}
 	_, fired := env.eng.Run(w.MaxEvents())
-	return env.collect(p.Name(), source, fired), nil
+	return w.Collect(p.Name(), fired, outcome), nil
 }

@@ -79,3 +79,44 @@ func TestReusedWorldPaymentAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReusedWorldRecordedPaymentAllocs is the gate beside the muted ones for
+// a recording run: one hmac n=2 payment on a standing world with its trace
+// live, its scenario built beforehand. What it may allocate is the trace's
+// own labels (message descriptions, certificate renderings) and the lock IDs;
+// the engine keeps no event names, so a recorded run builds none. Building
+// them cost 24 more allocations per payment on the process engine and 28 on
+// the ANTA one.
+func TestReusedWorldRecordedPaymentAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      *timelock.Protocol
+		budget float64
+	}{
+		{"timelock", timelock.New(), 23},
+		{"timelock-anta", timelock.NewANTA(), 21},
+	} {
+		w := core.NewWorld()
+		scenarios := make([]core.Scenario, 211) // warm-up, AllocsPerRun's own warm-up run, 200 measured
+		for i := range scenarios {
+			scenarios[i] = mutedHMAC(2, int64(i+1))
+			scenarios[i].MuteTrace = false
+		}
+		k := 0
+		run := func() {
+			res, err := tc.p.RunIn(w, scenarios[k])
+			if err != nil || !res.BobPaid || res.Trace.Len() == 0 {
+				t.Fatalf("%s, seed %d: err=%v paid=%v recorded=%v", tc.name, k+1, err, res != nil && res.BobPaid, res != nil && res.Trace.Len() > 0)
+			}
+			k++
+		}
+		for i := 0; i < 10; i++ { // let the world's and the trace's storage grow
+			run()
+		}
+		n := testing.AllocsPerRun(200, run)
+		t.Logf("one recorded hmac %s n=2 payment on a reused world: %.0f allocations", tc.name, n)
+		if n > tc.budget {
+			t.Errorf("a recorded %s n=2 payment on a reused world allocates %.0f times, budget %.0f", tc.name, n, tc.budget)
+		}
+	}
+}

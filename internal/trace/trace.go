@@ -133,32 +133,6 @@ func (t *Trace) AddValue(at sim.Time, kind Kind, actor, peer, label string, valu
 	return t.Append(Event{At: at, Kind: kind, Actor: actor, Peer: peer, Label: label, Value: value})
 }
 
-// AddLazy records an event whose label is built on demand: the label
-// callback is only invoked when the trace is live, so muted runs skip the
-// string formatting entirely. A nil callback records an empty label.
-func (t *Trace) AddLazy(at sim.Time, kind Kind, actor, peer string, label func() string) Event {
-	if t.muted {
-		return Event{}
-	}
-	var l string
-	if label != nil {
-		l = label()
-	}
-	return t.Append(Event{At: at, Kind: kind, Actor: actor, Peer: peer, Label: l})
-}
-
-// AddValueLazy is AddLazy for events carrying a value amount.
-func (t *Trace) AddValueLazy(at sim.Time, kind Kind, actor, peer string, label func() string, value int64) Event {
-	if t.muted {
-		return Event{}
-	}
-	var l string
-	if label != nil {
-		l = label()
-	}
-	return t.Append(Event{At: at, Kind: kind, Actor: actor, Peer: peer, Label: l, Value: value})
-}
-
 // Events returns the recorded events in order. The returned slice is the
 // trace's backing storage; callers must not modify it.
 func (t *Trace) Events() []Event { return t.events }

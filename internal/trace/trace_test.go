@@ -63,49 +63,3 @@ func TestRecordingPredicate(t *testing.T) {
 		t.Fatal("muted trace still recording")
 	}
 }
-
-func TestMutedLazyNeverInvokesCallback(t *testing.T) {
-	tr := New()
-	tr.Mute()
-	calls := 0
-	label := func() string { calls++; return "expensive" }
-	tr.AddLazy(1, KindSend, "a", "b", label)
-	tr.AddValueLazy(2, KindLock, "e0", "a", label, 100)
-	if calls != 0 {
-		t.Fatalf("muted trace invoked the label callback %d times, want 0", calls)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("muted trace recorded %d events", tr.Len())
-	}
-}
-
-func TestLazyOnLiveTraceMatchesEager(t *testing.T) {
-	// A trace must read identically whether events were added eagerly or
-	// through the lazy entry points.
-	eager, lazy := New(), New()
-	eager.Add(1, KindSend, "alice", "e0", "$")
-	eager.AddValue(2, KindLock, "e0", "alice", "L1", 100)
-	eager.Add(3, KindTerminate, "alice", "", "done")
-
-	calls := 0
-	lazy.AddLazy(1, KindSend, "alice", "e0", func() string { calls++; return "$" })
-	lazy.AddValueLazy(2, KindLock, "e0", "alice", func() string { calls++; return "L1" }, 100)
-	lazy.AddLazy(3, KindTerminate, "alice", "", func() string { calls++; return "done" })
-	if calls != 3 {
-		t.Fatalf("live trace invoked %d label callbacks, want 3", calls)
-	}
-	if eager.String() != lazy.String() {
-		t.Fatalf("lazy trace differs from eager:\n%s\nvs\n%s", eager.String(), lazy.String())
-	}
-	if ev := lazy.Events()[1]; ev.Kind != KindLock || ev.Label != "L1" || ev.Value != 100 {
-		t.Fatalf("lazily-built lock event wrong: %+v", ev)
-	}
-}
-
-func TestLazyNilCallback(t *testing.T) {
-	tr := New()
-	ev := tr.AddLazy(1, KindAnnotation, "a", "", nil)
-	if ev.Label != "" || tr.Len() != 1 {
-		t.Fatal("nil label callback should record an empty label")
-	}
-}

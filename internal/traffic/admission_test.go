@@ -177,7 +177,7 @@ func naiveRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res *
 		f.pr.Start = now
 		inFlight++
 		res.PeakInFlight = max(res.PeakInFlight, inFlight)
-		eng.ScheduleIn(f.sub.duration, "settle", func() {
+		eng.ScheduleArgIn(f.sub.duration, "settle", func(any) {
 			end := eng.Now()
 			f.pr.End = end
 			switch {
@@ -211,7 +211,7 @@ func naiveRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res *
 				q.pr.QueueWait = end - q.p.Arrival
 				start(q, end)
 			}
-		})
+		}, nil)
 	}
 
 	var fired uint64
@@ -237,7 +237,7 @@ func naiveRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res *
 			f.pr.Status, f.pr.End = StatusRejected, now
 			finish(f)
 		default:
-			f.expiry = eng.ScheduleIn(w.QueuePatience, "expire", func() {
+			f.expiry = eng.ScheduleArgIn(w.QueuePatience, "expire", func(any) {
 				queue = slices.DeleteFunc(queue, func(q *naiveFlight) bool { return q == f })
 				f.pr.Status, f.pr.End, f.pr.Queued = StatusDropped, eng.Now(), true
 				f.pr.QueueWait = f.pr.End - p.Arrival
@@ -251,7 +251,7 @@ func naiveRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res *
 					f.pr.DropCause = CauseFaultedPath
 				}
 				finish(f)
-			})
+			}, nil)
 			queue = append(queue, f)
 		}
 	}

@@ -159,7 +159,7 @@ func (fp runFingerprint) canonical() (hash string, doc []byte, err error) {
 }
 
 // EventState pins a pending engine event's heap coordinates so resume can
-// rebuild it exactly where it was (see sim.Engine.RestoreEvent).
+// rebuild it exactly where it was (see sim.Engine.RestoreEventArg).
 type EventState struct {
 	At  sim.Time `json:"at"`
 	Seq uint64   `json:"seq"`
@@ -695,12 +695,11 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 		f.refused = t.refusingHop(f.p) // validate found one in these balances
 		t.enqueue(f)
 	}
-	for _, mk := range sn.Marks {
-		mk := mk
-		tm := t.eng.RestoreEvent(mk.At, mk.Seq, fmt.Sprintf("byz-%v:c%d", mk.On, mk.Index), func() {
-			t.setByzantine(mk.Index, mk.On)
-		})
-		t.markTimers = append(t.markTimers, markTimer{index: mk.Index, on: mk.On, tm: tm})
+	t.markTimers = make([]markTimer, len(sn.Marks))
+	for i, mk := range sn.Marks {
+		mt := &t.markTimers[i]
+		mt.t, mt.index, mt.on = t, mk.Index, mk.On
+		mt.tm = t.eng.RestoreEventArg(mk.At, mk.Seq, "byz", fireMark, mt)
 	}
 	for _, sp := range sn.Settled {
 		t.res.Payments[sp.Index] = sp.PR

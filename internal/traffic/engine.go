@@ -713,11 +713,22 @@ type timeline struct {
 	afterPass func(settled *flight)
 }
 
-// markTimer pairs a scheduled Byzantine-status transition with its timer.
+// markTimer pairs a scheduled Byzantine-status transition with its timer. It
+// is also the argument of its event's action, fireMark, so the timeline's
+// markTimers slice is sized before any pointer into it is taken.
 type markTimer struct {
+	t     *timeline
 	index int
 	on    bool
 	tm    sim.Timer
+}
+
+// fireMark is the action of a Byzantine-status transition. A package-level
+// action on its markTimer (not a closure per mark), which is also what
+// resume re-attaches to a restored event.
+func fireMark(x any) {
+	mt := x.(*markTimer)
+	mt.t.setByzantine(mt.index, mt.on)
 }
 
 // scheduleMarks replays the plan's Byzantine-status transitions on the
@@ -728,16 +739,16 @@ func (t *timeline) scheduleMarks() {
 	if t.plan == nil {
 		return
 	}
-	for _, mk := range t.plan.marks() {
+	marks := t.plan.marks()
+	t.markTimers = make([]markTimer, 0, len(marks)) // never grows: pointers into it stay valid
+	for _, mk := range marks {
 		if mk.at <= 0 {
 			t.setByzantine(mk.index, mk.on)
 			continue
 		}
-		mk := mk
-		tm := t.eng.ScheduleIn(mk.at, fmt.Sprintf("byz-%v:c%d", mk.on, mk.index), func() {
-			t.setByzantine(mk.index, mk.on)
-		})
-		t.markTimers = append(t.markTimers, markTimer{index: mk.index, on: mk.on, tm: tm})
+		t.markTimers = append(t.markTimers, markTimer{t: t, index: mk.index, on: mk.on})
+		mt := &t.markTimers[len(t.markTimers)-1]
+		mt.tm = t.eng.ScheduleArgIn(mk.at, "byz", fireMark, mt)
 	}
 }
 

@@ -146,6 +146,8 @@ const (
 	DefaultAmount     = 100
 	DefaultCommission = 1
 	DefaultMix        = "timelock=1"
+	DefaultBurstSize  = 25
+	DefaultBurstGap   = 2 * sim.Second
 )
 
 // NewWorkload returns a sane default workload: n payments, Poisson arrivals

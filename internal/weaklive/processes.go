@@ -153,7 +153,7 @@ func (p *escrowProc) onPay(from string, m *MsgPay) {
 	if p.fault.Silent {
 		return // never reports prepared: the manager will not commit
 	}
-	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "prepared"), escrowPrepared, p)
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "prepared", escrowPrepared, p)
 }
 
 // escrowPrepared is the scheduled action of onPay: report prepared to the
@@ -200,7 +200,7 @@ func (p *escrowProc) settle() {
 		p.run.tr.Add(p.run.eng.Now(), trace.KindByzantine, p.id, "", "steal-escrow")
 		return
 	}
-	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), p.run.w.EventName(p.id, "settle"), escrowSettle, p)
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "settle", escrowSettle, p)
 }
 
 // escrowSettle is the scheduled action of settle.
@@ -309,7 +309,7 @@ func (c *customerProc) start() {
 	}
 	// Pay the agreed value into the downstream escrow (Bob has none).
 	if !c.isBob() && !c.fault.RefuseToPay && !c.fault.Silent {
-		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), c.run.w.EventName(c.id, "pay"), customerPay, c)
+		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "pay", customerPay, c)
 	}
 	// Patience: after the configured local-time budget, ask the manager to
 	// abort (unless a decision already arrived). A premature-abort Byzantine
@@ -319,7 +319,7 @@ func (c *customerProc) start() {
 		patience = 1
 	}
 	if patience > 0 {
-		c.run.eng.ScheduleArgIn(c.clk.RealFor(patience), c.run.w.EventName(c.id, "patience"), customerLosePatience, c)
+		c.run.eng.ScheduleArgIn(c.clk.RealFor(patience), "patience", customerLosePatience, c)
 	}
 }
 
