@@ -41,6 +41,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "xchain-check: -n: need at least one escrow, got %d\n", *n)
+		return 2
+	}
 	failed := false
 
 	fmt.Fprintf(stdout, "=== safety audit: Definition 1 under synchrony, every single- and pair-fault assignment (n=%d) ===\n", *n)

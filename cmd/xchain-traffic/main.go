@@ -114,6 +114,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "xchain-traffic: -n: need at least one escrow, got %d\n", *n)
+		return 2
+	}
 	if *cpuProfile != "" || *memProfile != "" {
 		stop, err := startProfiles(*cpuProfile, *memProfile)
 		if err != nil {
@@ -203,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// progress goroutine never outlives the run (stop is idempotent).
 		defer stopProgress()
 	}
-	// cryptoGate prints the process-wide cache counters under their
+	// cryptoGate prints the process-wide sig counters under their
 	// canonical metric names (the same the /metrics exposition uses, see
 	// internal/sig RegisterMetrics) and applies the verification miss-rate
 	// gate: the share of verifications the keyrings' issuance records could
@@ -218,12 +222,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 0
 		}
 		st := sig.GlobalStats()
-		fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
+		fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
 			sig.MetricKeygenCacheHits, st.KeygenHits,
 			sig.MetricKeygenCacheMisses, st.KeygenMisses,
 			sig.MetricVerifyMemoHits, st.MemoHits,
 			sig.MetricVerifyMemoMisses, st.MemoMisses,
 			sig.MetricVerifyMemoEvictions, st.MemoEvictions,
+			sig.MetricRendered, st.Rendered,
 			st.VerifyMissRate())
 		if *maxMiss > 0 && st.VerifyMissRate() > *maxMiss {
 			fmt.Fprintf(stderr, "xchain-traffic: verification miss rate %.3f exceeds gate %.3f\n", st.VerifyMissRate(), *maxMiss)

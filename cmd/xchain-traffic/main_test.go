@@ -137,6 +137,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-fault", "c1=silent,c77=silent"},
 		{"-fault", "notaryX=silent"},
 		{"-fault", "c1=silent,c1=crash"},
+		{"-n", "0"}, // used to panic in core.NewTopology
+		{"-n", "-1"},
 	} {
 		out.Reset()
 		errOut.Reset()
@@ -261,6 +263,7 @@ func TestRunCryptoStatsNames(t *testing.T) {
 	for _, want := range []string{
 		"xchain_sig_keygen_cache_hits_total=",
 		"xchain_sig_verify_memo_misses_total=",
+		"xchain_sig_rendered_total=0 ",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("crypto-stats output missing %q:\n%s", want, out.String())

@@ -49,6 +49,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "xchain: "+format+"\n", args...)
 		return 2
 	}
+	if *n < 1 {
+		return fatalf("-n: need at least one escrow, got %d", *n)
+	}
+	if *committee < 1 {
+		return fatalf("-committee: need at least one notary, got %d", *committee)
+	}
 
 	s := xchainpay.NewScenario(*n, *seed)
 	timing := s.Timing

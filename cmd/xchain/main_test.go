@@ -63,6 +63,19 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("-fault %s should be rejected before the run (exit %d, stdout %q)", fault, code, out.String())
 		}
 	}
+	// A chain needs an escrow and a committee a notary: -n 0 used to panic
+	// in core.NewTopology, and -committee 0 to run a committee of 4.
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-3"},
+		{"-protocol", "weaklive-committee", "-committee", "0"},
+		{"-protocol", "weaklive-committee", "-committee", "-2"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[len(args)-2]+":") {
+			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
+		}
+	}
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)
 	}

@@ -208,6 +208,7 @@ func (r *row) observe(t *testing.T, ws *worlds, record bool) seen {
 		MemoHits:      after.MemoHits - before.MemoHits,
 		MemoMisses:    after.MemoMisses - before.MemoMisses,
 		MemoEvictions: after.MemoEvictions - before.MemoEvictions,
+		Rendered:      after.Rendered - before.Rendered,
 	}
 	if s.out != nil {
 		js, err := json.Marshal(s.out)

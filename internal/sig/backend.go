@@ -35,11 +35,14 @@ type Key struct {
 // through a signer bound to one key. Implementations must be stateless and
 // safe for concurrent use; whatever state signing needs lives in the signer.
 //
-// Contract: a signer's verify accepts every signature, of at least eight
-// bytes, its sign produced over the same payload (HMAC is deterministic,
-// Ed25519 correct by construction). The keyring's issuance record rests on
-// this: it answers a triple it recorded with true and no backend operation,
-// and that is exactly what verify would have answered.
+// Contract: a signer's sign is a pure function of (key, payload) — HMAC by
+// definition, Go's ed25519.Sign as RFC 8032's deterministic Ed25519 — and
+// its verify accepts every signature its sign produced over the same
+// payload. The keyring rests on both: it renders a signature's bytes when
+// something first reads them rather than at Sign, which yields the same
+// bytes only because sign is pure, and it answers a verification of a term
+// it recorded with true and no backend operation, which is exactly what
+// verify would have answered.
 type Backend interface {
 	// Name identifies the backend in options, CLIs and cache keys.
 	Name() string
@@ -53,11 +56,11 @@ type Backend interface {
 
 // signer signs and verifies under one key.
 type signer interface {
-	// sign produces a detached signature over payload; a backend whose
-	// signatures have a fixed size may take their storage from a.
-	sign(a *sigArena, payload []byte) Signature
+	// sign produces a detached signature over payload. The result may be
+	// the signer's scratch, valid until its next operation.
+	sign(payload []byte) []byte
 	// verify checks sig over payload against the public half of the key.
-	verify(payload []byte, sig Signature) bool
+	verify(payload, sig []byte) bool
 }
 
 // Backend names.
@@ -88,11 +91,11 @@ func (ed25519Backend) bind(k Key) signer { return ed25519Signer(k) }
 
 type ed25519Signer Key
 
-func (s ed25519Signer) sign(_ *sigArena, payload []byte) Signature {
-	return Signature(ed25519.Sign(ed25519.PrivateKey(s.priv), payload))
+func (s ed25519Signer) sign(payload []byte) []byte {
+	return ed25519.Sign(ed25519.PrivateKey(s.priv), payload)
 }
 
-func (s ed25519Signer) verify(payload []byte, sig Signature) bool {
+func (s ed25519Signer) verify(payload, sig []byte) bool {
 	return ed25519.Verify(ed25519.PublicKey(s.pub), payload, sig)
 }
 
@@ -113,21 +116,20 @@ func (hmacBackend) GenerateKey(seed, id string) Key {
 func (hmacBackend) bind(k Key) signer { return &hmacSigner{mac: hmac.New(sha256.New, k.priv)} }
 
 // hmacSigner keeps one pre-keyed HMAC: Reset restores the keyed state, so an
-// operation costs the two SHA-256 finalisations and no key schedule; a
-// signature is written into the keyring's arena and verification's MAC into
-// the signer's own scratch, so neither allocates.
+// operation costs the two SHA-256 finalisations and no key schedule; the MAC
+// is written into the signer's own scratch, so neither operation allocates.
 type hmacSigner struct {
 	mac hash.Hash
 	sum [sha256.Size]byte
 }
 
-func (s *hmacSigner) sign(a *sigArena, payload []byte) Signature {
+func (s *hmacSigner) sign(payload []byte) []byte {
 	s.mac.Reset()
 	s.mac.Write(payload)
-	return Signature(s.mac.Sum(a.take(sha256.Size)))
+	return s.mac.Sum(s.sum[:0])
 }
 
-func (s *hmacSigner) verify(payload []byte, sig Signature) bool {
+func (s *hmacSigner) verify(payload, sig []byte) bool {
 	s.mac.Reset()
 	s.mac.Write(payload)
 	return hmac.Equal(s.mac.Sum(s.sum[:0]), sig)
@@ -159,9 +161,10 @@ type Options struct {
 	Backend string
 	// DisableKeyCache bypasses the process-wide key cache (tests).
 	DisableKeyCache bool
-	// MemoCapacity bounds the issuance record: positive keeps that many
-	// entries, 0 means recordDefaultCap, and negative turns the record off
-	// so that every verification pays the backend.
+	// MemoCapacity's sign switches the issuance record: negative turns it
+	// off, so that every verification pays the backend; 0 or positive keeps
+	// it on. A positive value bounds nothing: every live signature is its
+	// own record entry.
 	MemoCapacity int
 }
 
@@ -213,6 +216,7 @@ var (
 	globalMemoHits      atomic.Uint64
 	globalMemoMisses    atomic.Uint64
 	globalMemoEvictions atomic.Uint64
+	globalRendered      atomic.Uint64
 )
 
 // cachedKey returns the key for (backend, seed, id), consulting and filling
@@ -265,12 +269,15 @@ type Stats struct {
 	KeygenHits   uint64
 	KeygenMisses uint64
 	// MemoHits/MemoMisses count signature verifications answered from the
-	// keyring's issuance record / paid to the backend.
+	// keyring's recorded terms / paid to the backend.
 	MemoHits   uint64
 	MemoMisses uint64
-	// MemoEvictions counts issuance records emptied before a Reset: on
-	// capacity overflow or a replacing Add.
+	// MemoEvictions counts replacing Adds, each of which stops the terms
+	// recorded before it answering verifications.
 	MemoEvictions uint64
+	// Rendered counts signatures whose bytes the backend produced, because
+	// something read them: Bytes, String, or a verification that missed.
+	Rendered uint64
 }
 
 // VerifyMissRate returns the fraction of verifications that paid a backend
@@ -293,6 +300,7 @@ func GlobalStats() Stats {
 		MemoHits:      globalMemoHits.Load(),
 		MemoMisses:    globalMemoMisses.Load(),
 		MemoEvictions: globalMemoEvictions.Load(),
+		Rendered:      globalRendered.Load(),
 	}
 }
 
@@ -303,4 +311,5 @@ func ResetGlobalStats() {
 	globalMemoHits.Store(0)
 	globalMemoMisses.Store(0)
 	globalMemoEvictions.Store(0)
+	globalRendered.Store(0)
 }

@@ -2,10 +2,9 @@ package sig
 
 import (
 	"bytes"
-	"cmp"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,7 +27,7 @@ func TestBackendContract(t *testing.T) {
 			}
 			msg := []byte("payload")
 			s := kr.Sign("a", msg)
-			if len(s) == 0 {
+			if len(s.Bytes()) == 0 {
 				t.Fatal("empty signature")
 			}
 			if !kr.Verify("a", msg, s) {
@@ -40,16 +39,16 @@ func TestBackendContract(t *testing.T) {
 			if kr.Verify("a", []byte("tampered"), s) {
 				t.Fatal("signature verified over tampered payload")
 			}
-			if kr.Verify("a", msg, nil) {
+			if kr.Verify("a", msg, Signature{}) || kr.Verify("a", msg, Raw(nil)) {
 				t.Fatal("empty signature verified")
 			}
 			// Determinism across keyrings.
 			kr2 := NewKeyringWith(opts, "seed", []string{"a"})
-			if !bytes.Equal(kr2.Sign("a", msg), s) {
+			if !bytes.Equal(kr2.Sign("a", msg).Bytes(), s.Bytes()) {
 				t.Fatal("same (backend, seed, id) produced different signatures")
 			}
 			kr3 := NewKeyringWith(opts, "other", []string{"a"})
-			if bytes.Equal(kr3.Sign("a", msg), s) {
+			if bytes.Equal(kr3.Sign("a", msg).Bytes(), s.Bytes()) {
 				t.Fatal("different seeds produced identical signatures")
 			}
 		})
@@ -91,7 +90,7 @@ func TestKeyCacheEquivalenceAndHits(t *testing.T) {
 	for _, name := range BackendNames() {
 		cached := NewKeyringWith(Options{Backend: name}, "cache-seed", []string{"x", "y"})
 		direct := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "cache-seed", []string{"x", "y"})
-		if !bytes.Equal(cached.Sign("x", msg), direct.Sign("x", msg)) {
+		if !bytes.Equal(cached.Sign("x", msg).Bytes(), direct.Sign("x", msg).Bytes()) {
 			t.Fatalf("%s: cached and direct keys differ", name)
 		}
 		if st := cached.Stats(); st.KeygenMisses != 2 || st.KeygenHits != 0 {
@@ -101,7 +100,7 @@ func TestKeyCacheEquivalenceAndHits(t *testing.T) {
 		if st := again.Stats(); st.KeygenHits != 2 || st.KeygenMisses != 0 {
 			t.Fatalf("%s: second keyring stats = %+v, want 2 hits", name, st)
 		}
-		if !bytes.Equal(again.Sign("x", msg), direct.Sign("x", msg)) {
+		if !bytes.Equal(again.Sign("x", msg).Bytes(), direct.Sign("x", msg).Bytes()) {
 			t.Fatalf("%s: cache served a wrong key", name)
 		}
 	}
@@ -120,16 +119,16 @@ func TestKeyCacheConcurrency(t *testing.T) {
 	ResetKeyCache()
 	msg := []byte("concurrent payload")
 	for _, name := range BackendNames() {
-		want := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "race-seed", []string{"p0", "p1", "p2"}).Sign("p1", msg)
+		want := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "race-seed", []string{"p0", "p1", "p2"}).Sign("p1", msg).Bytes()
 		const goroutines = 16
-		got := make([]Signature, goroutines)
+		got := make([][]byte, goroutines)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				kr := NewKeyringWith(Options{Backend: name}, "race-seed", []string{"p0", "p1", "p2"})
-				got[g] = kr.Sign("p1", msg)
+				got[g] = kr.Sign("p1", msg).Bytes()
 			}(g)
 		}
 		wg.Wait()
@@ -169,7 +168,7 @@ func cacheFiller(t *testing.T, n int) int {
 // The issuance record: re-verifying what the keyring signed costs no backend
 // operation, however often; a tampered payload, and a signature another
 // keyring made, still reach the backend — the latter to a true answer when
-// that keyring holds the same key.
+// that keyring holds the same key. A miss renders a signature once.
 func TestVerifyMemoization(t *testing.T) {
 	opts := Options{Backend: BackendEd25519, DisableKeyCache: true}
 	kr := NewKeyringWith(opts, "memo-seed", []string{"a"})
@@ -180,24 +179,27 @@ func TestVerifyMemoization(t *testing.T) {
 			t.Fatal("valid signature rejected")
 		}
 	}
-	if st := kr.Stats(); st.MemoMisses != 0 || st.MemoHits != 3 {
-		t.Fatalf("stats after 3 identical verifies = %+v, want 3 hits and no miss", st)
+	if st := kr.Stats(); st.MemoMisses != 0 || st.MemoHits != 3 || st.Rendered != 0 {
+		t.Fatalf("stats after 3 identical verifies = %+v, want 3 hits, no miss and nothing rendered", st)
 	}
 	for i := 0; i < 2; i++ {
 		if kr.Verify("a", []byte("tampered"), s) {
 			t.Fatal("tampered payload verified")
 		}
 	}
-	if st := kr.Stats(); st.MemoMisses != 2 || st.MemoHits != 3 {
-		t.Fatalf("stats after tampered verifies = %+v, want 2 misses", st)
+	if st := kr.Stats(); st.MemoMisses != 2 || st.MemoHits != 3 || st.Rendered != 1 {
+		t.Fatalf("stats after tampered verifies = %+v, want 2 misses and one rendering", st)
 	}
 	elsewhere := []byte("signed elsewhere")
-	foreign := NewKeyringWith(opts, "memo-seed", []string{"a"}).Sign("a", elsewhere)
-	if !kr.Verify("a", elsewhere, foreign) {
+	other := NewKeyringWith(opts, "memo-seed", []string{"a"})
+	if !kr.Verify("a", elsewhere, other.Sign("a", elsewhere)) {
 		t.Fatal("a valid signature from another keyring was rejected")
 	}
 	if st := kr.Stats(); st.MemoMisses != 3 || st.MemoHits != 3 {
 		t.Fatalf("stats after a foreign signature = %+v, want it to reach the backend", st)
+	}
+	if st := other.Stats(); st.Rendered != 1 {
+		t.Fatalf("the signing keyring's stats = %+v, want its signature rendered there", st)
 	}
 	if rate := kr.Stats().VerifyMissRate(); rate != 0.5 {
 		t.Fatalf("VerifyMissRate() = %v, want 0.5", rate)
@@ -219,9 +221,9 @@ func TestMemoDefaultPerBackend(t *testing.T) {
 					t.Fatalf("%s capacity %d: wrong verdict on round %d", name, capacity, i)
 				}
 			}
-			want := Stats{KeygenMisses: 1, MemoMisses: 2, MemoHits: 2}
+			want := Stats{KeygenMisses: 1, MemoMisses: 2, MemoHits: 2, Rendered: 1}
 			if capacity < 0 {
-				want = Stats{KeygenMisses: 1, MemoMisses: 4}
+				want = Stats{KeygenMisses: 1, MemoMisses: 4, Rendered: 1}
 			}
 			if st := kr.Stats(); st != want {
 				t.Fatalf("%s capacity %d: stats %+v, want %+v", name, capacity, st, want)
@@ -230,8 +232,11 @@ func TestMemoDefaultPerBackend(t *testing.T) {
 	}
 }
 
+// TestVerifyMemoDisabledAndEviction: without a record every verification
+// reaches the backend; with one, nothing evicts a term but a replacing Add —
+// a keyring nobody resets answers every signature it ever made, however
+// small its MemoCapacity, across chunks of its arenas.
 func TestVerifyMemoDisabledAndEviction(t *testing.T) {
-	// No record: every verify reaches the backend.
 	off := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true, MemoCapacity: -1}, "memo-seed", []string{"a"})
 	msg := []byte("artefact")
 	s := off.Sign("a", msg)
@@ -241,25 +246,26 @@ func TestVerifyMemoDisabledAndEviction(t *testing.T) {
 		t.Fatalf("disabled record stats = %+v", st)
 	}
 
-	// A full record empties before its next entry, at a set capacity and at
-	// the default one: the signature it dropped is verified by the backend,
-	// to the same answer, and the one after is answered from the record.
-	for _, capacity := range []int{2, 0} {
-		kr := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true, MemoCapacity: capacity}, "memo-seed", []string{"a"})
-		n := cmp.Or(capacity, recordDefaultCap) + 1
-		sigs := make([]Signature, n)
-		for i := range sigs {
-			sigs[i] = kr.Sign("a", []byte(strconv.Itoa(i)))
+	kr := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true, MemoCapacity: 2}, "memo-seed", []string{"a", "b"})
+	n := 3*termChunk + 1
+	sigs := make([]Signature, n)
+	for i := range sigs {
+		sigs[i] = kr.Sign("a", []byte(strconv.Itoa(i)))
+	}
+	for i, s := range sigs {
+		if !kr.Verify("a", []byte(strconv.Itoa(i)), s) {
+			t.Fatalf("signature %d of %d rejected", i, n)
 		}
-		if st := kr.Stats(); st.MemoEvictions != 1 || len(kr.issued) != 1 {
-			t.Fatalf("capacity %d: %d signatures left %d entries and stats %+v, want one eviction", capacity, n, len(kr.issued), st)
-		}
-		if !kr.Verify("a", []byte("0"), sigs[0]) || !kr.Verify("a", []byte(strconv.Itoa(n-1)), sigs[n-1]) {
-			t.Fatalf("capacity %d: verification wrong after eviction", capacity)
-		}
-		if st := kr.Stats(); st.MemoMisses != 1 || st.MemoHits != 1 {
-			t.Fatalf("capacity %d: stats %+v, want the dropped signature to miss and the last to hit", capacity, st)
-		}
+	}
+	if st := kr.Stats(); st.MemoHits != uint64(n) || st.MemoMisses != 0 || st.MemoEvictions != 0 {
+		t.Fatalf("stats %+v, want %d hits and no eviction", st, n)
+	}
+	kr.Add("memo-seed", "b")
+	if !kr.Verify("a", []byte("0"), sigs[0]) {
+		t.Fatal("a signature rejected after b's key was replaced by the same one")
+	}
+	if st := kr.Stats(); st.MemoEvictions != 1 || st.MemoMisses != 1 {
+		t.Fatalf("stats %+v after a replacing Add, want one eviction and the next verification a miss", st)
 	}
 }
 
@@ -360,7 +366,7 @@ func TestGlobalStats(t *testing.T) {
 	kr.Verify("a", mine, kr.Sign("a", mine))
 	kr.Verify("a", theirs, other.Sign("a", theirs))
 	st := GlobalStats()
-	if want := (Stats{KeygenHits: 1, KeygenMisses: 1, MemoHits: 1, MemoMisses: 1}); st != want {
+	if want := (Stats{KeygenHits: 1, KeygenMisses: 1, MemoHits: 1, MemoMisses: 1, Rendered: 1}); st != want {
 		t.Fatalf("GlobalStats() = %+v, want %+v", st, want)
 	}
 	ResetGlobalStats()
@@ -369,8 +375,8 @@ func TestGlobalStats(t *testing.T) {
 	}
 }
 
-// Replacing a participant's key must empty the issuance record: what the old
-// key signed may not answer for the new one.
+// Replacing a participant's key moves the generation on: what the old key
+// signed may not answer for the new one.
 func TestAddReplacementInvalidatesMemo(t *testing.T) {
 	kr := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true}, "seed-a", []string{"p"})
 	msg := []byte("payload")
@@ -394,65 +400,103 @@ func TestVerifyMissRateNoVerifications(t *testing.T) {
 	}
 }
 
-// TestHMACSignVerifyAllocs is the allocation gate on the pre-keyed HMAC
-// path: once a key's signer is bound, a verification allocates nothing —
-// answered from the issuance record or paid to the backend — and on a keyring
-// that is Reset between payments — a world's — neither does a signature: a
-// payment's worth of them goes into the arena chunk the Reset rewound, and
-// into the record's storage the Reset emptied. A per-operation hmac.New would
-// show here as a dozen allocations.
+// TestHMACSignVerifyAllocs is the allocation gate on Sign and Verify, at
+// every backend: once a key's signer is bound, a verification answered from
+// the record allocates nothing, nor does an hmac one paid to the backend (a
+// per-operation hmac.New would show here as a dozen allocations); and on a
+// keyring that is Reset between payments — a world's — neither does a
+// signature: Sign runs no backend, and a payment's worth of terms and
+// payloads goes into the arena chunks the Reset rewound.
 func TestHMACSignVerifyAllocs(t *testing.T) {
 	ids := []string{"a"}
-	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", ids)
-	payload := []byte("the payload of one artefact, about as long as a canonical one")
-	s := kr.Sign("a", payload)
-	foreign := NewKeyringWith(Options{Backend: BackendHMAC}, "alloc-seed", ids).Sign("a", payload[1:])
-	if !kr.Verify("a", payload, s) || !kr.Verify("a", payload[1:], foreign) {
-		t.Fatal("signature does not verify")
-	}
-	if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload, s) }); n != 0 {
-		t.Errorf("hmac Verify from the record allocates %v times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload[1:], foreign) }); n != 0 {
-		t.Errorf("hmac Verify by the backend allocates %v times, want 0", n)
-	}
-	payment := func() {
+	payload := []byte(strings.Repeat("payload.", 8)) // 64 bytes: a term chunk's payloads fill a byte chunk
+	for _, name := range BackendNames() {
+		kr := NewKeyringWith(Options{Backend: name}, "alloc-seed", ids)
+		s := kr.Sign("a", payload)
+		foreign := NewKeyringWith(Options{Backend: name}, "alloc-seed", ids).Sign("a", payload[1:])
+		if !kr.Verify("a", payload, s) || !kr.Verify("a", payload[1:], foreign) {
+			t.Fatalf("%s: signature does not verify", name)
+		}
+		if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload, s) }); n != 0 {
+			t.Errorf("%s Verify from the record allocates %v times, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { kr.Verify("a", payload[1:], foreign) }); n != 0 && name == BackendHMAC {
+			t.Errorf("hmac Verify by the backend allocates %v times, want 0", n)
+		}
+		payment := func() {
+			kr.Reset("alloc-seed", ids)
+			for i := 0; i < 17; i++ { // an n=8 timelock chain signs 17 artefacts
+				kr.Sign("a", payload)
+			}
+		}
+		if n := testing.AllocsPerRun(200, payment); n != 0 {
+			t.Errorf("%s Sign on a warmed keyring allocates %v times per payment, want 0", name, n)
+		}
+		// A keyring nobody resets starts a term chunk and a byte chunk every
+		// termChunk signatures.
 		kr.Reset("alloc-seed", ids)
-		for i := 0; i < 17; i++ { // an n=8 timelock chain signs 17 artefacts
-			kr.Sign("a", payload)
+		if n := testing.AllocsPerRun(10, func() {
+			for i := 0; i < termChunk; i++ {
+				kr.Sign("a", payload)
+			}
+		}); n != 2 {
+			t.Errorf("%s: a chunk's worth of signatures allocates %v times, want 2", name, n)
 		}
-	}
-	if n := testing.AllocsPerRun(200, payment); n != 0 {
-		t.Errorf("hmac Sign on a warmed keyring allocates %v times per payment, want 0", n)
-	}
-	// A keyring nobody resets starts a chunk every arenaChunk/32 signatures,
-	// once its record has grown to capacity (and empties in place from then
-	// on).
-	for i := 0; i < recordDefaultCap; i++ {
-		kr.Sign("a", payload)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		for i := 0; i < arenaChunk/sha256.Size; i++ {
-			kr.Sign("a", payload)
-		}
-	}); n != 1 {
-		t.Errorf("a chunk's worth of hmac signatures allocates %v times, want 1", n)
 	}
 }
 
-// TestSignatureArenaRollover: signatures handed out before the arena moves
-// on to its next chunk — and before the ones after that — keep their bytes;
-// a Reset hands the current chunk out again, and what is signed afterwards
-// is right too.
+// TestRenderedMatchesEager: for each backend, over a population of signers
+// and payloads and across two keyrings, what Bytes renders is what the
+// backend signed when Sign was called — whether the signature is read at
+// once, after the rest of the population was signed, or after its keyring's
+// arenas moved on to later chunks.
+func TestRenderedMatchesEager(t *testing.T) {
+	ids := []string{"alice", "bob", "escrow0", "notary3"}
+	for _, name := range BackendNames() {
+		krs := []*Keyring{
+			NewKeyringWith(Options{Backend: name}, "eager-a", ids),
+			NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "eager-b", ids),
+		}
+		type signed struct {
+			s     Signature
+			eager []byte
+		}
+		var pop []signed
+		for i := 0; i < 3*termChunk; i++ {
+			kr, id := krs[i%2], ids[i%len(ids)]
+			payload := []byte(fmt.Sprintf("artefact %d: %s", i, strings.Repeat("x", i%97)))
+			eager := bytes.Clone(kr.backend.bind(kr.keys[id].key).sign(payload))
+			s := kr.Sign(id, payload)
+			if i%5 == 0 && !bytes.Equal(s.Bytes(), eager) {
+				t.Fatalf("%s: signature %d read at once renders %x, the backend signed %x", name, i, s.Bytes(), eager)
+			}
+			pop = append(pop, signed{s, eager})
+		}
+		for i, x := range pop {
+			if !bytes.Equal(x.s.Bytes(), x.eager) {
+				t.Fatalf("%s: signature %d renders %x, the backend signed %x at Sign", name, i, x.s.Bytes(), x.eager)
+			}
+		}
+		if got, want := krs[0].Stats().Rendered+krs[1].Stats().Rendered, uint64(len(pop)); got != want {
+			t.Fatalf("%s: %d renderings for %d signatures read, want one each", name, got, want)
+		}
+	}
+}
+
+// TestSignatureArenaRollover: signatures handed out before the keyring's
+// arenas move on to their next chunks — and before the ones after that —
+// keep their terms and render the right bytes; a Reset makes them all stale
+// and hands the current chunks out again, and what is signed afterwards is
+// right too.
 func TestSignatureArenaRollover(t *testing.T) {
 	ids := []string{"a", "b"}
 	opts := Options{Backend: BackendHMAC}
 	kr := NewKeyringWith(opts, "arena-seed", ids)
-	const n = 3*arenaChunk/sha256.Size + 7 // into the fourth chunk
+	const n = 3*termChunk + 7 // into the fourth term chunk, and past several byte chunks
 	payloads := make([][]byte, n)
 	sigs := make([]Signature, n)
 	for i := range sigs {
-		payloads[i] = []byte(fmt.Sprintf("artefact #%d", i))
+		payloads[i] = []byte(fmt.Sprintf("artefact #%d %s", i, strings.Repeat("-", 80)))
 		sigs[i] = kr.Sign(ids[i%2], payloads[i])
 	}
 	ref := NewKeyringWith(opts, "arena-seed", ids)
@@ -462,22 +506,28 @@ func TestSignatureArenaRollover(t *testing.T) {
 			if !kr.Verify(ids[i%2], payloads[i], s) {
 				t.Fatalf("%s: signature %d no longer verifies", when, i)
 			}
-			ref.Reset("arena-seed", ids) // the reference never leaves its first chunk
-			if want := ref.Sign(ids[i%2], payloads[i]); !bytes.Equal(s, want) {
-				t.Fatalf("%s: signature %d changed", when, i)
+			ref.Reset("arena-seed", ids) // the reference never leaves its first chunks
+			if want := ref.Sign(ids[i%2], payloads[i]).Bytes(); !bytes.Equal(s.Bytes(), want) {
+				t.Fatalf("%s: signature %d renders differently", when, i)
 			}
 		}
 	}
-	check("after the arena rolled over three times")
+	check("after the term arena rolled over three times")
 
-	// A Reset invalidates them all and hands the current chunk out again.
-	rewound := &sigs[n-7][0] // the first signature of the fourth chunk
+	// A Reset makes them all stale and hands the current chunks out again.
+	old := slices.Clone(sigs)
+	rewound := sigs[n-7].t // the first term of the fourth chunk
 	kr.Reset("arena-seed", ids)
+	for i, s := range old {
+		if s.Bytes() != nil || kr.Verify(ids[i%2], payloads[i], s) {
+			t.Fatalf("signature %d renders or verifies after a Reset", i)
+		}
+	}
 	for i := range sigs {
 		sigs[i] = kr.Sign(ids[i%2], payloads[i])
 	}
-	if &sigs[0][0] != rewound {
-		t.Fatal("Reset did not hand the current chunk out again")
+	if sigs[0].t != rewound {
+		t.Fatal("Reset did not hand the current term chunk out again")
 	}
 	check("after a Reset and everything signed again")
 }
@@ -493,7 +543,7 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		ResetKeyCache()
 		opts := Options{Backend: backend}
 		kr := NewKeyringWith(opts, "seed-a", long)
-		sigC2 := append(Signature(nil), kr.Sign("c2", msg)...)
+		sigC2 := bytes.Clone(kr.Sign("c2", msg).Bytes())
 		bound := func() bool { return kr.keys["c2"].s != nil }
 		signers := func() int {
 			n := 0
@@ -512,7 +562,7 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		if !bound() {
 			t.Fatalf("%s: Reset to a shorter chain dropped c2's signer", backend)
 		}
-		if kr.Has("c2") || kr.Sign("c2", msg) != nil || kr.Verify("c2", msg, sigC2) {
+		if kr.Has("c2") || kr.Sign("c2", msg) != (Signature{}) || kr.Verify("c2", msg, Raw(sigC2)) {
 			t.Fatalf("%s: a dropped participant still signs or verifies", backend)
 		}
 		if got := strings.Join(kr.Participants(), ","); got != "c0,c1,e0" {
@@ -523,7 +573,7 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		if !bound() {
 			t.Fatalf("%s: the longer chain did not find c2's signer again", backend)
 		}
-		if !bytes.Equal(kr.Sign("c2", msg), sigC2) {
+		if !bytes.Equal(kr.Sign("c2", msg).Bytes(), sigC2) {
 			t.Fatalf("%s: the kept signer signs differently", backend)
 		}
 
@@ -533,16 +583,16 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		if n := signers(); n != 0 {
 			t.Fatalf("%s: %d signers survived a Reset to another seed", backend, n)
 		}
-		want := NewKeyringWith(opts, "seed-b", long).Sign("c2", msg)
-		if got := kr.Sign("c2", msg); !bytes.Equal(got, want) || bytes.Equal(got, sigC2) {
+		want := NewKeyringWith(opts, "seed-b", long).Sign("c2", msg).Bytes()
+		if got := kr.Sign("c2", msg).Bytes(); !bytes.Equal(got, want) || bytes.Equal(got, sigC2) {
 			t.Fatalf("%s: c2 signs under the wrong seed after Reset(seed-b)", backend)
 		}
 
 		// A key brought in under another seed while its signer lies dormant.
 		kr.Reset("seed-b", short)
 		kr.Add("seed-c", "c2")
-		want = NewKeyringWith(opts, "seed-c", long).Sign("c2", msg)
-		if got := kr.Sign("c2", msg); !bytes.Equal(got, want) {
+		want = NewKeyringWith(opts, "seed-c", long).Sign("c2", msg).Bytes()
+		if got := kr.Sign("c2", msg).Bytes(); !bytes.Equal(got, want) {
 			t.Fatalf("%s: c2 added under seed-c signs with the signer kept from seed-b", backend)
 		}
 
@@ -565,7 +615,7 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 // TestKeyringResetEquivalence resets one keyring through changing
 // participant sets, seeds and a key-cache flush, and expects after every
 // Reset what a new keyring shows: the same signatures, exactly the
-// participants' keys, an empty issuance record, and the same Stats and
+// participants' keys, no term answering from before, and the same Stats and
 // process-wide counter deltas.
 func TestKeyringResetEquivalence(t *testing.T) {
 	for _, backend := range []string{BackendHMAC, BackendEd25519} {
@@ -589,15 +639,15 @@ func TestKeyringResetEquivalence(t *testing.T) {
 		msg := []byte("m")
 		for i, st := range steps {
 			// use drives a keyring the way a run does: a late Add (the
-			// notary's key), a signature and two record hits.
-			use := func(kr *Keyring) (Signature, Stats) {
+			// notary's key), a signature, two record hits and a rendering.
+			use := func(kr *Keyring) ([]byte, Stats) {
 				if st.extra != "" && !kr.Has(st.extra) {
 					kr.Add(st.seed, st.extra)
 				}
 				s := kr.Sign("c1", msg)
 				kr.Verify("c1", msg, s)
 				kr.Verify("c1", msg, s)
-				return s, kr.Stats()
+				return bytes.Clone(s.Bytes()), kr.Stats()
 			}
 			// Both keyrings must meet the key cache in the same state: empty
 			// on a flush step, otherwise already holding the step's keys.
@@ -642,5 +692,6 @@ func statsDelta(a, b Stats) Stats {
 		MemoHits:      b.MemoHits - a.MemoHits,
 		MemoMisses:    b.MemoMisses - a.MemoMisses,
 		MemoEvictions: b.MemoEvictions - a.MemoEvictions,
+		Rendered:      b.Rendered - a.Rendered,
 	}
 }

@@ -40,17 +40,41 @@ func BenchmarkSigKeygenCached(b *testing.B) {
 	})
 }
 
-// BenchmarkSigSign measures one detached signature.
+// BenchmarkSigSign measures Sign: recording a term, which runs no backend.
+// The keyring is Reset every resetEvery signatures, as a world's is between
+// payments, keeping its key.
 func BenchmarkSigSign(b *testing.B) {
 	benchEachBackend(b, func(b *testing.B, name string) {
-		kr := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "bench-seed", []string{"p"})
+		kr := NewKeyringWith(Options{Backend: name}, "bench-seed", []string{"p"})
 		payload := []byte("benchmark payload of a realistic artefact size, ~64B...")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			if i%resetEvery == 0 {
+				kr.Reset("bench-seed", []string{"p"})
+			}
 			kr.Sign("p", payload)
 		}
 	})
 }
+
+// BenchmarkSigRender measures Bytes of a fresh signature: the backend
+// producing the bytes of a term it was never asked to sign before.
+func BenchmarkSigRender(b *testing.B) {
+	benchEachBackend(b, func(b *testing.B, name string) {
+		kr := NewKeyringWith(Options{Backend: name}, "bench-seed", []string{"p"})
+		payload := []byte("benchmark payload of a realistic artefact size, ~64B...")
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%resetEvery == 0 {
+				kr.Reset("bench-seed", []string{"p"})
+			}
+			kr.Sign("p", payload).Bytes()
+		}
+	})
+}
+
+// resetEvery is how many signatures the benchmarks make between Resets.
+const resetEvery = 32
 
 // BenchmarkSigVerify measures one raw verification (issuance record off): the
 // cost of a verification the record cannot answer.

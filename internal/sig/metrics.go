@@ -11,13 +11,14 @@ const (
 	MetricKeygenCacheHits   = "xchain_sig_keygen_cache_hits_total"
 	MetricKeygenCacheMisses = "xchain_sig_keygen_cache_misses_total"
 	// MetricVerifyMemoHits / Misses count signature verifications answered
-	// from keyring issuance records / paid to the backend. The names date
+	// from keyrings' recorded terms / paid to the backend. The names date
 	// from the verification memo the record replaced.
 	MetricVerifyMemoHits   = "xchain_sig_verify_memo_hits_total"
 	MetricVerifyMemoMisses = "xchain_sig_verify_memo_misses_total"
-	// MetricVerifyMemoEvictions counts issuance records emptied before a
-	// Reset (capacity or key replacement).
+	// MetricVerifyMemoEvictions counts replacing key Adds.
 	MetricVerifyMemoEvictions = "xchain_sig_verify_memo_evictions_total"
+	// MetricRendered counts signatures whose bytes a backend produced.
+	MetricRendered = "xchain_sig_rendered_total"
 )
 
 // RegisterMetrics exposes the process-wide crypto cache counters on r as
@@ -36,10 +37,12 @@ func RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(globalKeygenHits.Load()) })
 	r.CounterFunc(MetricKeygenCacheMisses, "Key derivations missing the process-wide key cache.",
 		func() float64 { return float64(globalKeygenMisses.Load()) })
-	r.CounterFunc(MetricVerifyMemoHits, "Signature verifications answered from keyring issuance records.",
+	r.CounterFunc(MetricVerifyMemoHits, "Signature verifications answered from keyrings' recorded terms.",
 		func() float64 { return float64(globalMemoHits.Load()) })
 	r.CounterFunc(MetricVerifyMemoMisses, "Signature verifications paid to the signature backend.",
 		func() float64 { return float64(globalMemoMisses.Load()) })
-	r.CounterFunc(MetricVerifyMemoEvictions, "Keyring issuance records emptied on overflow or key replacement.",
+	r.CounterFunc(MetricVerifyMemoEvictions, "Keys replaced in a keyring, retiring the terms signed before.",
 		func() float64 { return float64(globalMemoEvictions.Load()) })
+	r.CounterFunc(MetricRendered, "Signatures whose bytes a backend produced because something read them.",
+		func() float64 { return float64(globalRendered.Load()) })
 }

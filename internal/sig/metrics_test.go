@@ -23,6 +23,7 @@ func TestRegisterMetrics(t *testing.T) {
 	s := kr.Sign("a", msg)
 	kr.Verify("a", msg, s)
 	kr.Verify("a", msg, s)
+	kr.Verify("a", []byte("tampered"), s)
 
 	st := GlobalStats()
 	var b strings.Builder
@@ -36,13 +37,14 @@ func TestRegisterMetrics(t *testing.T) {
 		MetricVerifyMemoHits:      st.MemoHits,
 		MetricVerifyMemoMisses:    st.MemoMisses,
 		MetricVerifyMemoEvictions: st.MemoEvictions,
+		MetricRendered:            st.Rendered,
 	} {
 		line := name + " " + strconv.FormatUint(want, 10) + "\n"
 		if !strings.Contains(got, line) {
 			t.Errorf("exposition missing %q:\n%s", line, got)
 		}
 	}
-	if st.MemoHits == 0 || st.KeygenMisses == 0 {
+	if st.MemoHits == 0 || st.KeygenMisses == 0 || st.Rendered == 0 {
 		t.Fatalf("test exercised no cache traffic: %+v", st)
 	}
 }

@@ -9,42 +9,50 @@ import (
 	"testing"
 )
 
-// The issuance record may only answer what the backend would. These tests
-// run programs of keyring operations through keyrings that keep a record and
-// through a reference that keeps none (MemoCapacity -1, every verification
-// paid to the backend), and require the same Verify answer at every step.
+// The record may only answer what the backend would, and rendering a
+// signature late may change no byte and no answer. These tests run programs
+// of keyring operations through a keyring that answers from its terms and a
+// reference that answers nothing (MemoCapacity -1: every verification
+// rendered and paid to the backend), and require the same Verify answer at
+// every step, and rendered bytes equal to what the backend signed when Sign
+// was called.
 
 var (
 	progIDs   = []string{"a", "b", "c"}
 	progSeeds = []string{"s0", "s1"}
 )
 
-// smallRecord is the capacity of the record a program overflows; the default
-// one holds every signature a program makes.
-const smallRecord = 3
-
-// triple is one (signer, payload, signature) a program has seen, in bytes of
-// its own: a Reset hands a keyring's signature storage out again.
+// triple is one (signer, payload, signature) a program has seen. sigs holds
+// the record keyring's handle and the reference's: the two terms of one Sign
+// (own), or one Raw or foreign signature both verify. eager is what the
+// backend signed at Sign, for an own triple.
 type triple struct {
 	signer  string
 	payload []byte
-	sig     Signature
+	sigs    [2]Signature
+	own     bool
+	eager   []byte
 }
 
-func (x triple) String() string { return fmt.Sprintf("%s/%q/%v", x.signer, x.payload, x.sig) }
+func (x triple) String() string { return fmt.Sprintf("%s/%q/%x", x.signer, x.payload, x.eager) }
+
+// eagerSign is what the parent's Sign returned: the backend's signature under
+// id's current key, computed now.
+func eagerSign(kr *Keyring, id string, payload []byte) []byte {
+	return bytes.Clone(kr.backend.bind(kr.keys[id].key).sign(payload))
+}
 
 // driveKeyrings runs program — two bytes a step, an operation and its
-// argument — through a default keyring, a keyring with a record of
-// smallRecord entries and the reference, all under backend, and returns how
-// many of the default keyring's verifications its record answered and how
-// many it paid to the backend.
+// argument — through a keyring with a record and the reference, both under
+// backend, and returns how many of the record keyring's verifications it
+// answered and how many it paid to the backend.
 func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses uint64) {
 	t.Helper()
 	seed := progSeeds[0]
 	opts := Options{Backend: backend}
-	recs := []*Keyring{NewKeyringWith(opts, seed, progIDs), NewKeyringWith(Options{Backend: backend, MemoCapacity: smallRecord}, seed, progIDs)}
+	rec := NewKeyringWith(opts, seed, progIDs)
 	ref := NewKeyringWith(Options{Backend: backend, MemoCapacity: -1}, seed, progIDs)
-	all := append(slices.Clone(recs), ref)
+	all := [2]*Keyring{rec, ref}
 	others := map[string]*Keyring{}
 	var pool []triple // the triples seen so far, the newest last
 	var log []string
@@ -58,31 +66,35 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 		}
 		return pool[int(arg)%len(pool)], true
 	}
-	// sign signs on every keyring, which must agree byte for byte, and
-	// enters the triple in the pool.
-	sign := func(id string, payload []byte) {
-		want := ref.Sign(id, payload)
-		for _, kr := range recs {
-			if got := kr.Sign(id, payload); !bytes.Equal(got, want) {
-				fail("Sign(%s, %q) = %v, the reference %v", id, payload, got, want)
-			}
+	// verify has each keyring verify its own handle; the answers must agree.
+	verify := func(x triple) bool {
+		before := rec.stats
+		want := ref.Verify(x.signer, x.payload, x.sigs[1])
+		if got := rec.Verify(x.signer, x.payload, x.sigs[0]); got != want {
+			fail("Verify(%v) = %v, the backend %v", x, got, want)
 		}
-		if want != nil {
-			pool = append(pool, triple{id, payload, slices.Clone(want)})
-		}
+		hits += rec.stats.MemoHits - before.MemoHits
+		misses += rec.stats.MemoMisses - before.MemoMisses
+		return want
 	}
-	verify := func(x triple) {
-		want := ref.Verify(x.signer, x.payload, x.sig)
-		for i, kr := range recs {
-			before := kr.stats
-			if got := kr.Verify(x.signer, x.payload, x.sig); got != want {
-				fail("keyring %d: Verify(%v) = %v, the backend %v", i, x, got, want)
-			}
-			if i == 0 {
-				hits += kr.stats.MemoHits - before.MemoHits
-				misses += kr.stats.MemoMisses - before.MemoMisses
-			}
+	// rendered renders both handles of x, which must agree with each other
+	// and with what the backend signed at Sign, and returns the bytes.
+	rendered := func(x triple) []byte {
+		got, want := x.sigs[0].Bytes(), x.sigs[1].Bytes()
+		if !bytes.Equal(got, want) {
+			fail("%v renders %x, the reference %x", x, got, want)
 		}
+		if x.own && want != nil && !bytes.Equal(want, x.eager) {
+			fail("%v renders %x, the backend signed %x at Sign", x, want, x.eager)
+		}
+		return want
+	}
+	// raw enters and verifies a triple whose signature is b as literal bytes.
+	raw := func(x triple, b []byte) {
+		s := Raw(b)
+		x.sigs, x.own, x.eager = [2]Signature{s, s}, false, nil
+		pool = append(pool, x)
+		verify(x)
 	}
 	for i := 0; i+1 < len(program) && i < 512; i += 2 {
 		op, arg := program[i]%12, program[i+1]
@@ -90,9 +102,27 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 		payload := []byte{'m', '0' + arg%5}
 		log = append(log, fmt.Sprintf("op %d arg %d", op, arg))
 		switch op {
-		case 0: // sign
-			sign(id, payload)
-		case 1: // verify an issued triple
+		case 0, 11: // sign; 11 then verifies a tampered copy of the bytes
+			x := triple{signer: id, payload: payload, own: true}
+			if ref.Has(id) {
+				x.eager = eagerSign(ref, id, payload)
+			}
+			for j, kr := range all {
+				x.sigs[j] = kr.Sign(id, payload)
+			}
+			if (x.sigs[0] == Signature{}) != (x.eager == nil) || (x.sigs[1] == Signature{}) != (x.eager == nil) {
+				fail("Sign(%s) = %v and %v, holding a key: %v", id, x.sigs[0], x.sigs[1], x.eager != nil)
+			}
+			if x.eager == nil {
+				continue
+			}
+			pool = append(pool, x)
+			if op == 11 {
+				b := slices.Clone(x.eager)
+				b[int(arg)%len(b)] ^= 0x80
+				raw(x, b)
+			}
+		case 1: // verify a triple
 			if x, ok := pick(arg); ok {
 				verify(x)
 			}
@@ -102,21 +132,23 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 				x.payload[int(arg)%len(x.payload)] ^= 1
 				verify(x)
 			}
-		case 3: // a tampered signature
+		case 3: // a tampered copy of the signature
 			if x, ok := pick(arg); ok {
-				x.sig = slices.Clone(x.sig)
-				x.sig[int(arg)%len(x.sig)] ^= 0x80
-				verify(x)
+				if b := slices.Clone(rendered(x)); len(b) > 0 {
+					b[int(arg)%len(b)] ^= 0x80
+					raw(x, b)
+				}
 			}
 		case 4: // a wrong signer
 			if x, ok := pick(arg); ok {
 				x.signer = progIDs[(slices.Index(progIDs, x.signer)+1+int(arg)%2)%len(progIDs)]
 				verify(x)
 			}
-		case 5: // a signature under 8 bytes
+		case 5: // a truncated copy of the signature
 			if x, ok := pick(arg); ok {
-				x.sig = x.sig[:6]
-				verify(x)
+				if b := rendered(x); len(b) > 0 {
+					raw(x, b[:int(arg)%len(b)])
+				}
 			}
 		case 6: // another keyring's signature, under either seed
 			other := others[seedArg]
@@ -124,7 +156,8 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 				other = NewKeyringWith(opts, seedArg, progIDs)
 				others[seedArg] = other
 			}
-			x := triple{id, payload, slices.Clone(other.Sign(id, payload))}
+			s := other.Sign(id, payload)
+			x := triple{signer: id, payload: payload, sigs: [2]Signature{s, s}}
 			pool = append(pool, x)
 			verify(x)
 		case 7: // Add, replacing the key when id holds one
@@ -144,23 +177,28 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 			for _, kr := range all {
 				kr.Reset(seed, parts)
 			}
-		case 10: // overflow the small record
-			signer := ref.Participants()[int(arg)%len(ref.Participants())]
-			for j := 0; j <= smallRecord; j++ {
-				sign(signer, []byte{'f', byte(j), arg})
+			// Every handle signed before is stale now: it renders nil and
+			// verifies nowhere.
+			for _, x := range pool {
+				if !x.own {
+					continue
+				}
+				if b := rendered(x); b != nil {
+					fail("%v renders %x after a Reset, want a stale handle's nil", x, b)
+				}
+				if verify(x) {
+					fail("%v verifies after a Reset", x)
+				}
 			}
-		case 11: // a signature tampered in place after Sign returned it
-			want := ref.Sign(id, payload)
-			if want == nil {
-				continue
-			}
-			want[0] ^= 0x80
-			answer := ref.Verify(id, payload, want)
-			for j, kr := range recs {
-				s := kr.Sign(id, payload)
-				s[0] ^= 0x80
-				if got := kr.Verify(id, payload, s); got != answer {
-					fail("keyring %d: a signature tampered in place verifies %v, the backend %v", j, got, answer)
+		case 10: // render now, which must change no answer
+			if x, ok := pick(arg); ok {
+				before := verify(x)
+				b := rendered(x)
+				if verify(x) != before {
+					fail("rendering %v changed its answer from %v", x, before)
+				}
+				if b != nil {
+					raw(x, slices.Clone(b))
 				}
 			}
 		}
@@ -213,20 +251,21 @@ func FuzzKeyringOps(f *testing.F) {
 		0, 0, // sign a
 		1, 0, // verify it
 		2, 1, // a tampered payload
-		3, 2, // a tampered signature
+		3, 2, // a tampered copy of the signature
 		4, 0, // a wrong signer
-		5, 0, // 6 bytes
+		5, 6, // 6 bytes of it
 		6, 1, // b signs on another keyring, under s1
 		7, 3, // Add a under s1, replacing its key
 		1, 0, // a's triple from before the Add
+		10, 0, // render it now
 		0, 1, // sign b
-		8, 4, // Reset to {a, c}
-		1, 8, // b's own triple, b dropped
+		8, 4, // Reset to {a, c} under s0: everything signed is stale
+		1, 5, // b's triple, b dropped
+		1, 4, // a's bytes from before the Add, as Raw, under its s0 key again
 		9, 5, // Reset to s1, {b, c}
-		1, 8, // b's own triple, under the old seed
-		10, 0, // overflow the small record
-		1, 3,
-		11, 2, // c's signature, tampered in place
+		1, 5, // b's triple, under the other seed
+		11, 2, // c signs, and a tampered copy
+		10, 1, // render one now
 	})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {

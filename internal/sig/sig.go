@@ -13,19 +13,20 @@
 // Two mechanisms keep the model's assumed crypto cheap at traffic scale: a
 // process-wide key cache (key derivation is a pure function of
 // (backend, seed, id), so per-payment keyrings stop paying keygen per
-// participant) and a per-keyring issuance record, the bookkeeping of the
-// ideal signature functionality F_SIG (Canetti, CSFW 2004): a keyring
-// remembers every (signer, payload, signature) it signed since its last
-// Reset, and verifying one of those is a lookup. Only a triple the keyring
-// did not issue — a forgery, a tampered artefact, another keyring's
-// signature — pays the backend. Every backend accepts every signature it
-// produces, so the lookup answers what the backend would: neither mechanism
-// can move a verdict.
+// participant) and signatures kept as the records of the ideal signature
+// functionality F_SIG (Canetti, CSFW 2004). Sign records a term — this
+// signer signed this payload — and hands out a handle on it; the bit string
+// is rendered by the backend only when something reads it. Verifying a term
+// the keyring recorded since its last Reset is a comparison, and only
+// anything else — a forgery, a tampered artefact, another keyring's
+// signature — is rendered and paid to the backend. Every backend signs
+// deterministically and accepts every signature it produces, so a late
+// rendering is the bytes Sign would have produced and the comparison answers
+// what the backend would: neither mechanism can move a verdict.
 package sig
 
 import (
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -36,16 +37,56 @@ import (
 	"repro/internal/sim"
 )
 
-// Signature is a detached signature over a canonical payload encoding.
-type Signature []byte
+// Signature is a detached signature over a canonical payload encoding, held
+// as a handle on the term Sign recorded (or on bytes Raw wraps). The zero
+// Signature is the absent signature: it renders nil and never verifies.
+type Signature struct {
+	t   *term
+	gen uint64 // the generation of t's keyring when Sign recorded t
+}
+
+// term is what Sign records: kr signed payload (copied into kr's arena) for
+// signer with s. rendered is nil until read; a Raw term has nothing else.
+type term struct {
+	kr       *Keyring
+	signer   string
+	s        signer
+	payload  []byte
+	rendered []byte
+}
+
+// Raw wraps literal signature bytes — a forgery, a tampered copy — as a
+// Signature that is no keyring's term, so every verification of it is paid
+// to the backend.
+func Raw(b []byte) Signature { return Signature{t: &term{rendered: bytes.Clone(b)}} }
+
+// Bytes returns the signature's bytes, rendering them with the signer's key
+// on first read (the backend signs deterministically, so they are the bytes
+// signing at Sign would have produced). A stale handle — one signed before
+// its keyring's last Reset — renders nil. The result must not be modified.
+func (s Signature) Bytes() []byte {
+	t := s.t
+	if t == nil || t.kr != nil && s.gen < t.kr.since {
+		return nil
+	}
+	if t.rendered == nil && t.kr != nil {
+		b := t.s.sign(t.payload)
+		t.rendered = t.kr.arena.take(len(b), arenaChunk)
+		copy(t.rendered, b)
+		t.kr.stats.Rendered++
+		globalRendered.Add(1)
+	}
+	return t.rendered
+}
 
 // String renders a short hex prefix of the signature: its first eight bytes,
 // or all of a shorter one.
 func (s Signature) String() string {
-	if len(s) < 8 {
-		return "sig(" + hex.EncodeToString(s) + ")"
+	b := s.Bytes()
+	if len(b) < 8 {
+		return "sig(" + hex.EncodeToString(b) + ")"
 	}
-	return "sig(" + hex.EncodeToString(s[:8]) + "…)"
+	return "sig(" + hex.EncodeToString(b[:8]) + "…)"
 }
 
 // deterministicReader produces a reproducible byte stream for key generation
@@ -74,59 +115,48 @@ func (r *deterministicReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// recordDefaultCap bounds the issuance record of one keyring. A payment signs
-// a few dozen artefacts; the bound only matters for keyrings nobody Resets,
-// where overflowing empties the record wholesale (an artefact it no longer
-// holds is verified by the backend, to the same answer).
-const recordDefaultCap = 4096
+// Chunk sizes of a keyring's arenas, each several payments' worth.
+const (
+	arenaChunk = 4096
+	termChunk  = 64
+)
 
-// issuance is one entry of the issuance record: signer signed the payload
-// issuedBytes[off:mid] into the signature issuedBytes[mid:end], whose first
-// eight bytes are prefix.
-type issuance struct {
-	signer        string
-	prefix        uint64
-	off, mid, end int
+// arena hands out storage from fixed-size chunks, filled front to back. A
+// full chunk is left to what was taken from it (and to the garbage collector
+// once that is gone) and a new one begun, so nothing taken ever moves and a
+// keyring that is never Reset holds on to nothing; rewind makes the current
+// chunk free again.
+type arena[T any] struct {
+	chunk []T
+	used  int
 }
 
-// arenaChunk is the size of one chunk of a keyring's signature arena: 128
-// HMAC signatures, several payments' worth.
-const arenaChunk = 4096
-
-// sigArena is the storage fixed-size signatures are written into: one chunk
-// at a time, filled front to back. A full chunk is left to the signatures in
-// it (and to the garbage collector once they are gone) and a new one begun,
-// so a signature never moves and a keyring that is never Reset holds on to
-// nothing; rewind makes the current chunk free again.
-type sigArena struct {
-	chunk []byte
-	free  []byte // the unused tail of chunk
-}
-
-// take returns n bytes of capacity (and zero length) nobody else holds.
-func (a *sigArena) take(n int) []byte {
-	if len(a.free) < n {
-		a.chunk = make([]byte, arenaChunk)
-		a.free = a.chunk
+// take returns n elements nobody else holds, from chunks of size elements.
+func (a *arena[T]) take(n, size int) []T {
+	if a.used+n > len(a.chunk) {
+		if n > size {
+			return make([]T, n)
+		}
+		a.chunk, a.used = make([]T, size), 0
 	}
-	b := a.free[:0:n]
-	a.free = a.free[n:]
-	return b
+	a.used += n
+	return a.chunk[a.used-n : a.used : a.used]
 }
 
-func (a *sigArena) rewind() { a.free = a.chunk }
+func (a *arena[T]) rewind() { a.used = 0 }
 
 // Keyring maps participant IDs to key pairs under one signature backend.
 //
 // A keyring is confined to its protocol run's goroutine (like the run's
-// sim.Engine): Sign, Verify, Add and Reset mutate the issuance record, the key
-// map, the bound signers, the signature arena and the payload scratch without
-// locking. The process-wide key cache behind Add is concurrency-safe, so any
+// sim.Engine): Sign, Verify, Add and Reset mutate the terms, the key map, the
+// bound signers, the arena and the payload scratch without locking, and so
+// do the Bytes and String of a Signature it signed, which render into its
+// arena. The process-wide key cache behind Add is concurrency-safe, so any
 // number of runs may build keyrings for the same (seed, id) concurrently.
 //
-// Lifetime rule: a Signature from Sign may live in the keyring's arena and
-// is valid until the keyring's next Reset, which hands its storage out
-// again. Nothing else invalidates it.
+// Lifetime rule: a Signature from Sign is valid until the keyring's next
+// Reset, which hands its term and its storage out again; afterwards it is
+// stale. Nothing else invalidates it.
 type Keyring struct {
 	backend  Backend
 	useCache bool
@@ -143,18 +173,21 @@ type Keyring struct {
 	// seed derives again); only Add holds it again. held counts those held.
 	keys map[string]keyEntry
 	held int
-	// arena is where fixed-size signatures are written (see sigArena).
-	arena sigArena
+	// arena holds the signed payloads and rendered signatures, terms the
+	// terms Sign records.
+	arena arena[byte]
+	terms arena[term]
 	// parts caches the sorted participant list; nil means dirty
 	// (recomputed on demand, invalidated by Add).
 	parts []string
-	// issued and issuedBytes are the issuance record: what Sign produced
-	// since the last Reset, copied, at most recordCap entries (none when
-	// recordCap is negative). A replacing Add empties it too.
-	issued      []issuance
-	issuedBytes []byte
-	recordCap   int
-	stats       Stats
+	// gen is the keyring's generation, moved on by Reset and by a replacing
+	// Add: only a term of the current generation answers a verification.
+	// since is the generation of the last Reset: a handle from before it is
+	// stale.
+	gen, since uint64
+	// record is false when every verification must pay the backend.
+	record bool
+	stats  Stats
 	// buf is the scratch the typed artefacts build their canonical payloads
 	// in; a payload is consumed by Sign or Verify before the next is built.
 	buf []byte
@@ -167,8 +200,9 @@ type keyEntry struct {
 }
 
 // NewKeyring creates deterministic ed25519 keys for the given participants
-// with default options (process-wide key cache and issuance record on).
-// The participant order does not matter: keys depend only on (seed, id).
+// with default options (process-wide key cache on, verification of recorded
+// terms answered without the backend). The participant order does not
+// matter: keys depend only on (seed, id).
 func NewKeyring(seed string, participants []string) *Keyring {
 	return NewKeyringWith(Options{}, seed, participants)
 }
@@ -176,10 +210,10 @@ func NewKeyring(seed string, participants []string) *Keyring {
 // NewKeyringWith creates a keyring under the options' backend.
 func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
-		backend:   opts.backend(),
-		useCache:  !opts.DisableKeyCache,
-		keys:      make(map[string]keyEntry, len(participants)),
-		recordCap: cmp.Or(opts.MemoCapacity, recordDefaultCap),
+		backend:  opts.backend(),
+		useCache: !opts.DisableKeyCache,
+		keys:     make(map[string]keyEntry, len(participants)),
+		record:   opts.MemoCapacity >= 0,
 	}
 	kr.derive(seed, participants)
 	return kr
@@ -195,18 +229,20 @@ func (kr *Keyring) derive(seed string, participants []string) {
 }
 
 // Reset makes the keyring what NewKeyringWith(same options, seed,
-// participants) returns — exactly these participants' keys, an empty
-// issuance record, Stats counting one key derivation per participant —
+// participants) returns — exactly these participants' keys, no term that
+// answers a verification, Stats counting one key derivation per participant —
 // while keeping what a new keyring would only fetch again: keys already held
 // for the same seed count as the key-cache hits a new keyring would score
 // (unless the cache was emptied since, when a new keyring would miss and this
 // one derives again), and bound signers stay bound — those of participants
 // that drop out too, for the next longer chain under the same seed. Every
-// signature handed out before is invalid afterwards.
+// signature handed out before is stale afterwards.
 func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.stats = Stats{}
-	kr.issued, kr.issuedBytes = kr.issued[:0], kr.issuedBytes[:0]
+	kr.gen++
+	kr.since = kr.gen
 	kr.arena.rewind()
+	kr.terms.rewind()
 	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
 		kr.held, kr.parts = 0, nil
@@ -237,13 +273,15 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 func (kr *Keyring) Backend() string { return kr.backend.Name() }
 
 // Add creates (or replaces) the key pair for one participant. Replacing an
-// existing key empties the issuance record: what the old key signed must not
-// answer for the new one.
+// existing key moves the generation on: what the old key signed must not
+// answer for the new one without the backend.
 func (kr *Keyring) Add(seed, id string) {
 	e := kr.keys[id]
 	replaced := e.held
-	if replaced && len(kr.issued) > 0 {
-		kr.forget()
+	if replaced {
+		kr.gen++
+		kr.stats.MemoEvictions++
+		globalMemoEvictions.Add(1)
 	}
 	if seed != kr.seed {
 		kr.mixed = true
@@ -306,59 +344,46 @@ func (kr *Keyring) signer(id string) (signer, bool) {
 	return e.s, true
 }
 
-// forget empties the issuance record before its time: at capacity, or when a
-// key it answers for is replaced.
-func (kr *Keyring) forget() {
-	kr.issued, kr.issuedBytes = kr.issued[:0], kr.issuedBytes[:0]
-	kr.stats.MemoEvictions++
-	globalMemoEvictions.Add(1)
-}
-
-// Sign signs payload on behalf of id and enters the triple in the issuance
-// record. Signing for an unknown participant returns nil (which never
-// verifies).
+// Sign records that id signed payload and returns the handle on that term;
+// no backend runs until something reads its bytes. Signing for an unknown
+// participant returns the zero Signature (which never verifies).
 func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	s, ok := kr.signer(id)
 	if !ok {
-		return nil
+		return Signature{}
 	}
-	sig := s.sign(&kr.arena, payload)
-	if kr.recordCap > 0 {
-		if len(kr.issued) == kr.recordCap {
-			kr.forget()
-		}
-		off := len(kr.issuedBytes)
-		kr.issuedBytes = append(append(kr.issuedBytes, payload...), sig...)
-		kr.issued = append(kr.issued, issuance{id, binary.LittleEndian.Uint64(sig), off, off + len(payload), len(kr.issuedBytes)})
-	}
-	return sig
+	t := &kr.terms.take(1, termChunk)[0]
+	*t = term{kr: kr, signer: id, s: s, payload: kr.arena.take(len(payload), arenaChunk)}
+	copy(t.payload, payload)
+	return Signature{t: t, gen: kr.gen}
 }
 
-// Verify checks that signer produced sig over payload. A triple in the
-// issuance record is answered there, true, with no backend operation:
-// re-verifying chi at every hop of a chain costs a few byte comparisons. Any
-// other triple is a miss and pays the backend.
+// Verify checks that signer produced sig over payload. A term this keyring
+// recorded in its current generation, by the same signer over an equal
+// payload, is answered true with no backend operation (a record hit):
+// re-verifying chi at every hop of a chain costs a comparison. Anything else
+// is rendered and paid to the backend (a miss).
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
-	if len(sig) == 0 {
+	t := sig.t
+	if t == nil {
 		return false
 	}
-	if len(sig) >= 8 {
-		prefix := binary.LittleEndian.Uint64(sig)
-		for _, e := range kr.issued {
-			if e.prefix == prefix && e.signer == signer && bytes.Equal(kr.issuedBytes[e.mid:e.end], sig) && bytes.Equal(kr.issuedBytes[e.off:e.mid], payload) {
-				kr.stats.MemoHits++
-				globalMemoHits.Add(1)
-				return true
-			}
-		}
+	if kr.record && t.kr == kr && sig.gen == kr.gen && t.signer == signer && bytes.Equal(t.payload, payload) {
+		kr.stats.MemoHits++
+		globalMemoHits.Add(1)
+		return true
 	}
 	s, ok := kr.signer(signer)
 	if !ok {
 		return false
 	}
+	b := sig.Bytes()
+	if len(b) == 0 {
+		return false
+	}
 	kr.stats.MemoMisses++
 	globalMemoMisses.Add(1)
-	return s.verify(payload, sig)
+	return s.verify(payload, b)
 }
 
 // Stats returns this keyring's cache counters (see Stats; GlobalStats

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -17,11 +18,11 @@ func TestKeyringDeterminism(t *testing.T) {
 	a := NewKeyring("seed", []string{"x", "y"})
 	b := NewKeyring("seed", []string{"y", "x"})
 	msg := []byte("hello")
-	if !bytes.Equal(a.Sign("x", msg), b.Sign("x", msg)) {
+	if !bytes.Equal(a.Sign("x", msg).Bytes(), b.Sign("x", msg).Bytes()) {
 		t.Fatal("same seed and id produced different keys")
 	}
 	c := NewKeyring("other", []string{"x"})
-	if bytes.Equal(a.Sign("x", msg), c.Sign("x", msg)) {
+	if bytes.Equal(a.Sign("x", msg).Bytes(), c.Sign("x", msg).Bytes()) {
 		t.Fatal("different seeds produced identical keys")
 	}
 }
@@ -39,10 +40,10 @@ func TestSignVerify(t *testing.T) {
 	if kr.Verify("alice", []byte("tampered"), sig) {
 		t.Fatal("signature verified over tampered payload")
 	}
-	if kr.Verify("alice", msg, nil) {
+	if kr.Verify("alice", msg, Signature{}) {
 		t.Fatal("empty signature verified")
 	}
-	if kr.Sign("stranger", msg) != nil {
+	if kr.Sign("stranger", msg) != (Signature{}) {
 		t.Fatal("signing for an unknown id returned a signature")
 	}
 	if !kr.Has("alice") || kr.Has("stranger") {
@@ -51,25 +52,31 @@ func TestSignVerify(t *testing.T) {
 	if len(kr.Participants()) != 8 {
 		t.Fatal("participant list wrong")
 	}
-	if sig.String() == "" || Signature(nil).String() == "" {
+	if sig.String() == "" || (Signature{}).String() == "" {
 		t.Fatal("signature rendering empty")
 	}
 }
 
 // TestSignatureString renders the first eight bytes of a signature, and all
-// of a shorter one: a 6-byte forgery renders instead of panicking.
+// of a shorter one: a 6-byte forgery renders instead of panicking, and so do
+// the absent signature and a stale one.
 func TestSignatureString(t *testing.T) {
+	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "string-seed", []string{"a"})
+	stale := kr.Sign("a", []byte("m"))
+	kr.Reset("string-seed", []string{"a"})
 	for _, c := range []struct {
 		s    Signature
 		want string
 	}{
-		{nil, "sig()"},
-		{Signature("forged"), "sig(666f72676564)"},
-		{Signature("12345678"), "sig(3132333435363738…)"},
-		{Signature("0123456789abcdef0123456789abcdef"), "sig(3031323334353637…)"},
+		{Signature{}, "sig()"},
+		{stale, "sig()"},
+		{Raw([]byte("forged")), "sig(666f72676564)"},
+		{Raw([]byte("12345678")), "sig(3132333435363738…)"},
+		{Raw([]byte("0123456789abcdef0123456789abcdef")), "sig(3031323334353637…)"},
+		{kr.Sign("a", []byte("m")), "sig(" + hex.EncodeToString(eagerSign(kr, "a", []byte("m"))[:8]) + "…)"},
 	} {
 		if got := c.s.String(); got != c.want {
-			t.Errorf("Signature(%q).String() = %q, want %q", []byte(c.s), got, c.want)
+			t.Errorf("Signature(%x).String() = %q, want %q", c.s.Bytes(), got, c.want)
 		}
 	}
 }

@@ -518,7 +518,7 @@ func customerSendMoney(x any) {
 }
 
 // forgedSig is what a forging Bob puts where his signature belongs.
-var forgedSig = sig.Signature("forged")
+var forgedSig = sig.Raw([]byte("forged"))
 
 // bobIssueChi is Bob's reaction to the promise P(a_{n-1}): sign the
 // certificate chi and send it to his escrow.

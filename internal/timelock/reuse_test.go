@@ -120,3 +120,51 @@ func TestReusedWorldRecordedPaymentAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestHonestPaymentRendersNothing: on a standing world an honest n=2 payment
+// reads no signature's bytes at either backend — every verification is a
+// record hit, no signature is rendered, and Sign runs no backend, so an
+// ed25519 payment allocates what an hmac one does (ed25519 signing allocated
+// its 64-byte signature). A forging Bob's chi is a Raw signature: one miss,
+// paid to the backend, and still nothing rendered.
+func TestHonestPaymentRendersNothing(t *testing.T) {
+	p := timelock.New()
+	allocs := map[string]float64{}
+	for _, crypto := range []string{"hmac", "ed25519"} {
+		w := core.NewWorld()
+		seed := int64(1)
+		scenario := func() core.Scenario {
+			s := mutedHMAC(2, seed).WithCrypto(crypto)
+			seed++
+			return s
+		}
+		run := func(s core.Scenario) *core.RunResult {
+			res, err := p.RunIn(w, s)
+			if err != nil {
+				t.Fatalf("%s, seed %d: %v", crypto, s.Seed, err)
+			}
+			return res
+		}
+		for i := 0; i < 10; i++ { // let the world's storage grow
+			run(scenario())
+		}
+		if res := run(scenario()); !res.BobPaid {
+			t.Fatalf("%s: the honest payment did not pay Bob", crypto)
+		}
+		if st := w.Keyring().Stats(); st.Rendered != 0 || st.MemoMisses != 0 || st.MemoHits == 0 {
+			t.Errorf("%s: an honest payment's keyring stats %+v, want record hits only and nothing rendered", crypto, st)
+		}
+		allocs[crypto] = testing.AllocsPerRun(100, func() { run(scenario()) })
+
+		forged := scenario().SetFault(core.CustomerID(2), core.FaultSpec{ForgeCertificate: true})
+		if res := run(forged); res.BobPaid {
+			t.Fatalf("%s: a forged chi paid Bob", crypto)
+		}
+		if st := w.Keyring().Stats(); st.Rendered != 0 || st.MemoMisses != 1 {
+			t.Errorf("%s: a c2=forge payment's keyring stats %+v, want exactly one miss and nothing rendered", crypto, st)
+		}
+	}
+	if allocs["ed25519"] != allocs["hmac"] {
+		t.Errorf("an honest ed25519 payment allocates %.0f times, an hmac one %.0f: Sign ran a backend", allocs["ed25519"], allocs["hmac"])
+	}
+}
