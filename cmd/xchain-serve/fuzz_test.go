@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 // fuzzMaxPayments caps the runs the fuzz target lets execute: a larger
@@ -38,12 +39,9 @@ func FuzzStartRun(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := defaultRequest()
-		if json.Unmarshal(body, &req) == nil {
-			if req.Payments > fuzzMaxPayments {
-				_, _, _, _ = req.prepare() // still must not panic
-				return
-			}
+		if req, err := traffic.DecodeRequest(bytes.NewReader(body)); err == nil && req.Payments > fuzzMaxPayments {
+			_, _, _, _ = prepare(req) // still must not panic
+			return
 		}
 		srv := newServerWith(serverOptions{maxRuns: 1})
 		rec := httptest.NewRecorder()

@@ -23,7 +23,7 @@
 //
 // Endpoints:
 //
-//	POST /runs        start a traffic run (JSON body, see runRequest);
+//	POST /runs        start a traffic run (JSON body, see traffic.Request);
 //	                  responds 202 with the run's id and links, 429 when
 //	                  saturated, 503 while draining
 //	GET  /runs        list runs, newest first

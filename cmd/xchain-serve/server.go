@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -22,67 +22,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
-
-// runRequest is the JSON body of POST /runs. Absent keys take the defaults of
-// the xchain-traffic CLI's flags (defaultRequest), so `{}` is a valid
-// request.
-type runRequest struct {
-	Escrows  int   `json:"escrows"`
-	Seed     int64 `json:"seed"`
-	Payments int   `json:"payments"`
-
-	Arrival    string  `json:"arrival"` // poisson (default), uniform, burst
-	Rate       float64 `json:"rate"`
-	BurstSize  int     `json:"burst_size"`
-	BurstGapMs float64 `json:"burst_gap_ms"`
-
-	Amount     int64  `json:"amount"`
-	AmountDist string `json:"amount_dist"` // fixed (default), uniform, exponential
-	Spread     int64  `json:"spread"`
-	Commission int64  `json:"commission"`
-
-	Mix      string `json:"mix"` // "timelock=1,htlc=1"
-	Subpaths bool   `json:"subpaths"`
-
-	Liquidity       int64   `json:"liquidity"`
-	QueuePatienceMs float64 `json:"queue_patience_ms"`
-	MaxQueue        int     `json:"max_queue"`
-
-	Faults string `json:"faults"` // "c1=silent,e0=theft"
-
-	// Fault-plan fields (see traffic.FaultPlan): a seed-derived schedule
-	// turning FaultFraction of the connectors Byzantine mid-run, with
-	// optional recovery windows and a weak-liveness manager outage.
-	FaultFraction   float64  `json:"fault_fraction"`
-	FaultBehaviours []string `json:"fault_behaviours"`
-	FaultFromMs     float64  `json:"fault_from_ms"`
-	FaultStaggerMs  float64  `json:"fault_stagger_ms"`
-	FaultOutageMs   float64  `json:"fault_outage_ms"`
-	ManagerOutageMs float64  `json:"manager_outage_ms"`
-
-	// Stream selects aggregate-only retention (no per-payment records, flat
-	// memory, the larger payments ceiling); it does not change how the run
-	// executes.
-	Stream  bool   `json:"stream"`
-	Workers int    `json:"workers"`
-	Crypto  string `json:"crypto"`
-}
-
-// defaultRequest is what `{}` asks for. A body is decoded onto it, so an
-// absent key keeps its default and an explicit zero is the caller's.
-func defaultRequest() runRequest {
-	return runRequest{
-		Escrows:    traffic.DefaultEscrows,
-		Seed:       traffic.DefaultSeed,
-		Payments:   traffic.DefaultPayments,
-		Rate:       traffic.DefaultRate,
-		BurstSize:  traffic.DefaultBurstSize,
-		BurstGapMs: traffic.DefaultBurstGap.Millis(),
-		Amount:     traffic.DefaultAmount,
-		Commission: traffic.DefaultCommission,
-		Mix:        traffic.DefaultMix,
-	}
-}
 
 // Size bounds of one request. A run that keeps every per-payment record
 // holds one PaymentResult (~250 B) per payment until it finishes, so its
@@ -97,90 +36,31 @@ const (
 )
 
 // prepare is the one gate a request passes before it may run, fresh from a
-// POST or re-read from the state dir: size bounds, translation and workload
-// validation. Nothing is allocated in proportion to the request
-// until it has passed.
-func (q runRequest) prepare() (core.Scenario, traffic.Workload, traffic.Config, error) {
+// POST or re-read from the state dir: this deployment's size bounds, then
+// q.Build. Nothing is allocated in proportion to the request until it has
+// passed.
+func prepare(q traffic.Request) (core.Scenario, traffic.Workload, traffic.Config, error) {
 	limit := maxKeepPayments
 	if q.Stream {
 		limit = maxStreamPayments
 	}
 	var err error
 	switch {
-	case q.Escrows < 1 || q.Escrows > maxEscrows:
-		err = fmt.Errorf("escrows %d outside 1..%d", q.Escrows, maxEscrows)
-	case q.Payments < 1 || q.Payments > limit:
-		err = fmt.Errorf("payments %d outside 1..%d (stream=%v; an aggregate-only run may have up to %d)",
+	case q.Escrows > maxEscrows:
+		err = fmt.Errorf("escrows %d above %d", q.Escrows, maxEscrows)
+	case q.Payments > limit:
+		err = fmt.Errorf("payments %d above %d (stream=%v; an aggregate-only run may have up to %d)",
 			q.Payments, limit, q.Stream, maxStreamPayments)
-	// The engine reads a zero rate or amount as "unset"; a request that
-	// spells one out did not mean the engine's default.
-	case q.Rate <= 0:
-		err = fmt.Errorf("rate %v is not positive", q.Rate)
-	case q.Amount <= 0:
-		err = fmt.Errorf("amount %d is not positive", q.Amount)
+	default:
+		return q.Build()
 	}
-	if err != nil {
-		return core.Scenario{}, traffic.Workload{}, traffic.Config{}, err
-	}
-	scn, wl, cfg, err := q.build()
-	if err == nil {
-		err = wl.Validate(scn.Topology)
-	}
-	return scn, wl, cfg, err
-}
-
-// build translates the request into the engine's inputs.
-func (q runRequest) build() (core.Scenario, traffic.Workload, traffic.Config, error) {
-	s := core.NewScenario(q.Escrows, q.Seed)
-	assignment, err := adversary.ParseAssignment(q.Faults, s.Topology)
-	if err != nil {
-		return s, traffic.Workload{}, traffic.Config{}, fmt.Errorf("faults: %v", err)
-	}
-	s = assignment.Apply(s)
-
-	w := traffic.NewWorkload(q.Payments)
-	if q.Arrival != "" {
-		w.Arrival.Kind = traffic.ArrivalKind(q.Arrival)
-	}
-	w.Arrival.Rate = q.Rate
-	// A zero burst size or gap is the engine's default: what request files
-	// persisted before these keys took the CLI's defaults spell out.
-	if q.BurstSize > 0 {
-		w.Arrival.BurstSize = q.BurstSize
-	}
-	w.Arrival.BurstGap = sim.Time(q.BurstGapMs * float64(sim.Millisecond))
-	if q.AmountDist != "" {
-		w.Amounts.Kind = traffic.AmountKind(q.AmountDist)
-	}
-	w.Amounts.Base = q.Amount
-	w.Amounts.Spread = q.Spread
-	w.Commission = q.Commission
-	w.RandomSubPaths = q.Subpaths
-	w.Liquidity = q.Liquidity
-	w.QueuePatience = sim.Time(q.QueuePatienceMs * float64(sim.Millisecond))
-	w.MaxQueue = q.MaxQueue
-	if q.FaultFraction > 0 || q.ManagerOutageMs > 0 {
-		w.Faults = traffic.FaultPlan{
-			Fraction:      q.FaultFraction,
-			Behaviours:    q.FaultBehaviours,
-			From:          sim.Time(q.FaultFromMs * float64(sim.Millisecond)),
-			Stagger:       sim.Time(q.FaultStaggerMs * float64(sim.Millisecond)),
-			Outage:        sim.Time(q.FaultOutageMs * float64(sim.Millisecond)),
-			ManagerOutage: sim.Time(q.ManagerOutageMs * float64(sim.Millisecond)),
-		}
-	}
-	if w.Mix, err = traffic.ParseMix(q.Mix); err != nil {
-		return s, w, traffic.Config{}, err
-	}
-
-	cfg := traffic.Config{Workers: q.Workers, Stream: q.Stream, Crypto: q.Crypto}
-	return s, w, cfg, nil
+	return core.Scenario{}, traffic.Workload{}, traffic.Config{}, err
 }
 
 // run is one traffic run owned by the server.
 type run struct {
 	ID      string
-	Req     runRequest
+	Req     traffic.Request
 	Reg     *metrics.Registry
 	Started time.Time
 	Ctl     *traffic.Control
@@ -390,10 +270,8 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // handleStartRun validates the request, registers the run and launches it.
 func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
-	req := defaultRequest()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := traffic.DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
@@ -405,7 +283,7 @@ func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 	// Validate before accepting: a rejected request should 400 now, before
 	// it is registered or persisted, not fail (or exhaust memory)
 	// asynchronously.
-	scn, wl, cfg, err := req.prepare()
+	scn, wl, cfg, err := prepare(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -457,7 +335,7 @@ func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 
 // register creates the run's table entry. Callers hold s.mu. The matching
 // wg.Done/active-- happens when execute returns (or on persist failure).
-func (s *server) register(id string, req runRequest) *run {
+func (s *server) register(id string, req traffic.Request) *run {
 	ru := &run{
 		ID:      id,
 		Req:     req,
@@ -504,10 +382,13 @@ func (s *server) persistRequest(ru *run) error {
 func (s *server) execute(ru *run, scn core.Scenario, wl traffic.Workload, cfg traffic.Config) {
 	defer s.release()
 	res, err := traffic.RunWith(scn, wl, cfg)
-	if cfg.Resume != nil && errors.Is(err, traffic.ErrBadSnapshot) {
+	var mismatch *traffic.ConfigMismatchError
+	if cfg.Resume != nil && (errors.Is(err, traffic.ErrBadSnapshot) || errors.As(err, &mismatch)) {
 		// A checkpoint whose checksum holds but whose content this run could
-		// not have written is as unusable as a torn one; RunWith refused it
-		// before restoring anything, so redo the whole workload.
+		// not have written is as unusable as a torn one, and so is one taken
+		// under another configuration: the request file is authoritative.
+		// RunWith refused it before restoring anything, so redo the whole
+		// workload.
 		fmt.Fprintf(os.Stderr, "xchain-serve: %s: ignoring unusable checkpoint: %v\n", ru.ID, err)
 		cfg.Resume = nil
 		res, err = traffic.RunWith(scn, wl, cfg)
@@ -609,7 +490,8 @@ func summarize(res *traffic.Result) *runSummary {
 // recover re-adopts persisted runs from the state dir: every <id>.req.json
 // without a completion marker is re-registered under its original ID and
 // resumed from its checkpoint (or restarted from scratch when none was
-// written — determinism makes the redo byte-identical). A request that no
+// written, or it no longer fits the request — determinism makes the redo
+// byte-identical). A request that no
 // longer passes prepare (written by a build with looser bounds, or edited)
 // is retired as failed, never executed. Completed runs only advance the ID
 // counter so new runs never collide with retired ones.
@@ -644,11 +526,11 @@ func (s *server) recover() error {
 		if err != nil {
 			return fmt.Errorf("recover %s: %v", id, err)
 		}
-		req := defaultRequest()
-		if err := json.Unmarshal(raw, &req); err != nil {
+		req, err := traffic.DecodeRequest(bytes.NewReader(raw))
+		if err != nil {
 			return fmt.Errorf("recover %s: corrupt request: %v", id, err)
 		}
-		scn, wl, cfg, err := req.prepare()
+		scn, wl, cfg, err := prepare(req)
 		s.mu.Lock()
 		ru := s.register(id, req)
 		s.mu.Unlock()

@@ -282,9 +282,9 @@ func TestServeHonoursExplicitZeros(t *testing.T) {
 		// Two commission-free payments fit an account's 210 at once; with
 		// the default commission Alice pays 107 and only one does.
 		w := traffic.NewWorkload(60).WithLiquidity(210)
-		w.Arrival.Rate = traffic.DefaultRate
+		w.Arrival.Rate = traffic.DefaultRequest().Rate
 		w.Commission = commission
-		res, err := traffic.RunWith(core.NewScenario(traffic.DefaultEscrows, seed), w, traffic.Config{Crypto: "hmac"})
+		res, err := traffic.RunWith(core.NewScenario(traffic.DefaultRequest().Escrows, seed), w, traffic.Config{Crypto: "hmac"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestServeHonoursExplicitZeros(t *testing.T) {
 		commission int64
 	}{
 		{`{"seed": 0, "commission": 0, "payments": 60, "liquidity": 210, "crypto": "hmac"}`, 0, 0},
-		{`{"payments": 60, "liquidity": 210, "crypto": "hmac"}`, traffic.DefaultSeed, traffic.DefaultCommission},
+		{`{"payments": 60, "liquidity": 210, "crypto": "hmac"}`, traffic.DefaultRequest().Seed, traffic.DefaultRequest().Commission},
 	} {
 		v := waitDone(t, ts, post(t, ts, tc.body))
 		want := direct(tc.seed, tc.commission)
@@ -327,11 +327,11 @@ func TestServeBurstDefaultsAreTheCLIs(t *testing.T) {
 		{`{"arrival": "burst", "burst_size": 0, "burst_gap_ms": 0}`, 0, 0},
 		{`{"arrival": "burst", "burst_size": 7, "burst_gap_ms": 3}`, 7, 3 * sim.Millisecond},
 	} {
-		req := defaultRequest()
-		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+		req, err := traffic.DecodeRequest(strings.NewReader(tc.body))
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, wl, _, err := req.prepare()
+		_, wl, _, err := prepare(req)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.body, err)
 		}
@@ -530,11 +530,11 @@ func TestServeCheckpointRecovery(t *testing.T) {
 
 	// Byte-identical to the uninterrupted run: determinism makes the
 	// checkpoint-resume invisible in the Result.
-	req := defaultRequest()
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
+	req, err := traffic.DecodeRequest(strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	scn, wl, cfg, err := req.prepare()
+	scn, wl, cfg, err := prepare(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,9 +585,9 @@ func TestServeSurvivesUnwritableStateDir(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := defaultRequest()
+	req := traffic.DefaultRequest()
 	req.Escrows, req.Payments, req.Rate, req.Crypto = 2, 450, 2000, "hmac"
-	scn, wl, cfg, err := req.prepare()
+	scn, wl, cfg, err := prepare(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,9 +662,9 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 	}
 	// The larger ceiling is for aggregate-only runs (checked without running
 	// a million payments).
-	big := defaultRequest()
+	big := traffic.DefaultRequest()
 	big.Payments, big.Stream = maxKeepPayments+1, true
-	if _, _, _, err := big.prepare(); err != nil {
+	if _, _, _, err := prepare(big); err != nil {
 		t.Errorf("aggregate-only request over the keep-mode ceiling rejected: %v", err)
 	}
 
@@ -710,11 +710,11 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 func TestServeRecoversFromMalformedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"escrows": 3, "payments": 600, "rate": 3000, "stream": true, "crypto": "hmac"}`
-	req := defaultRequest()
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
+	req, err := traffic.DecodeRequest(strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	scn, wl, cfg, err := req.prepare()
+	scn, wl, cfg, err := prepare(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,6 +756,73 @@ func TestServeRecoversFromMalformedCheckpoint(t *testing.T) {
 	v := waitDone(t, ts, "run-0001")
 	if v["status"] != "done" || v["summary"] != ref.String() {
 		t.Fatalf("run over a malformed checkpoint ended %v (%v):\n%v\n-- want --\n%s", v["status"], v["error"], v["summary"], ref)
+	}
+}
+
+// TestServeRedoesForeignCheckpoint plants, under a run's ID, the checkpoint
+// of another request (another seed). The request file is authoritative and a
+// redo is identical, so recovery must run the request from scratch to its
+// own summary; it used to retire the run as failed on the config mismatch.
+func TestServeRedoesForeignCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"escrows": 3, "payments": 600, "rate": 3000, "stream": true, "crypto": "hmac"}`
+	build := func(body string) (core.Scenario, traffic.Workload, traffic.Config) {
+		req, err := traffic.DecodeRequest(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scn, wl, cfg, err := prepare(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scn, wl, cfg
+	}
+	ref, err := traffic.RunWith(build(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, wl, cfg := build(`{"escrows": 3, "payments": 600, "rate": 3000, "stream": true, "crypto": "hmac", "seed": 7}`)
+	cfg.InterruptAt, cfg.CheckpointPath = 300, filepath.Join(dir, "run-0001.ckpt")
+	if _, err := traffic.RunWith(scn, wl, cfg); !errors.Is(err, traffic.ErrInterrupted) {
+		t.Fatalf("interrupted run returned %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run-0001.req.json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newServerWith(serverOptions{stateDir: dir, ckptEvery: 250, maxRuns: 2})
+	if err := srv.recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if v := waitDone(t, ts, "run-0001"); v["status"] != "done" || v["summary"] != ref.String() {
+		t.Fatalf("run over a foreign checkpoint ended %v (%v):\n%v\n-- want --\n%s", v["status"], v["error"], v["summary"], ref)
+	}
+}
+
+// TestServeSummaryIsTheCLIs posts the requests of xchain-traffic's
+// testdata/request-summaries.json, each beside the summary the CLI prints for
+// it as arguments (its TestSummaryIsServes), and answers the same summary
+// byte for byte.
+func TestServeSummaryIsTheCLIs(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "xchain-traffic", "testdata", "request-summaries.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Body    json.RawMessage
+		Summary string
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) != 3 {
+		t.Fatalf("%d requests in the file (%v), want 3", len(cases), err)
+	}
+	ts := httptest.NewServer(newServerWith(serverOptions{maxRuns: 1}))
+	defer ts.Close()
+	for _, c := range cases {
+		if v := waitDone(t, ts, post(t, ts, string(c.Body))); v["status"] != "done" || v["summary"] != c.Summary {
+			t.Errorf("%s ended %v:\n%v\n-- want --\n%s", c.Body, v["status"], v["summary"], c.Summary)
+		}
 	}
 }
 

@@ -3,9 +3,10 @@
 // rate, throughput, latency percentiles and the liquidity-ledger audit.
 //
 // Usage: xchain-traffic [flags]; -h lists them, each with its default. The
-// flag definitions in run are the one list. -fault and -mix strings are
-// validated before anything runs (exit 2 on an unknown behaviour,
-// participant or protocol).
+// flag definitions in parse are the one list: the first group names the
+// run, as a traffic.Request (the body xchain-serve's POST /runs takes), and
+// the rest tune how it executes and reports. A request Build refuses exits
+// 2, naming the flag at fault, before anything runs.
 package main
 
 import (
@@ -13,17 +14,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	xchainpay "repro"
-	"repro/internal/adversary"
 	"repro/internal/metrics"
 	"repro/internal/sig"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -64,62 +65,124 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func run(args []string, stdout, stderr io.Writer) (code int) {
+// options are the flags that tune how xchain-traffic executes and reports a
+// run, beside the traffic.Request that names it.
+type options struct {
+	exemplars, ckptEvery, sweepSeeds             int
+	ckptPath, resumePath, cpuProfile, memProfile string
+	cryptoStats, verbose                         bool
+	maxMiss                                      float64
+	progress                                     time.Duration
+}
+
+// parse reads args into the request they name and the CLI's own options.
+// Its flag definitions are the one list of flags, and the one table from
+// request keys to flags: the first group binds each field of the request
+// (see flagFor).
+func parse(args []string, stderr io.Writer) (*flag.FlagSet, *traffic.Request, options, error) {
 	fs := flag.NewFlagSet("xchain-traffic", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		n           = fs.Int("n", traffic.DefaultEscrows, "number of escrows in the chain")
-		seed        = fs.Int64("seed", traffic.DefaultSeed, "RNG seed")
-		payments    = fs.Int("payments", traffic.DefaultPayments, "number of payments")
-		arrival     = fs.String("arrival", "poisson", "arrival process: poisson, uniform, burst")
-		rate        = fs.Float64("rate", traffic.DefaultRate, "mean arrival rate (payments per simulated second)")
-		burst       = fs.Int("burst", traffic.DefaultBurstSize, "burst size for -arrival burst")
-		burstGap    = fs.Duration("burst-gap", time.Duration(traffic.DefaultBurstGap)*time.Microsecond, "gap between bursts for -arrival burst")
-		amount      = fs.Int64("amount", traffic.DefaultAmount, "central payment size")
-		amountDist  = fs.String("amount-dist", "fixed", "amount distribution: fixed, uniform, exponential")
-		spread      = fs.Int64("spread", 0, "half-width of the uniform amount distribution")
-		commission  = fs.Int64("commission", traffic.DefaultCommission, "per-hop connector commission")
-		mix         = fs.String("mix", traffic.DefaultMix, "comma-separated protocol=weight pairs")
-		subpaths    = fs.Bool("subpaths", false, "route payments between random customer pairs")
-		hotspot     = fs.Int("hotspot", 0, "hot sender index (with -subpaths)")
-		hotspotFrac = fs.Float64("hotspot-frac", 0, "fraction of payments from the hot sender")
-		liquidity   = fs.Int64("liquidity", 0, "per-account escrow endowment (0 = auto-sized)")
-		queue       = fs.Duration("queue", 0, "admission-queue patience for blocked payments")
-		maxQueue    = fs.Int("max-queue", 0, "queued-payment cap (0 = unbounded)")
-		faults      = fs.String("fault", "", "comma-separated participant=behaviour pairs, e.g. c1=silent")
-		faultFrac   = fs.Float64("faults", 0, "fraction of connectors turned Byzantine mid-run (0 = no fault plan)")
-		faultBehav  = fs.String("fault-behaviours", "", "comma-separated behaviours the fault plan draws from (empty = default set)")
-		faultFrom   = fs.Duration("fault-from", 0, "earliest fault onset (simulated time)")
-		faultStag   = fs.Duration("fault-stagger", 0, "per-connector random onset jitter after -fault-from")
-		faultOutage = fs.Duration("fault-outage", 0, "per-connector outage window; 0 = faulty for the rest of the run")
-		mgrOutage   = fs.Duration("manager-outage", 0, "weak-liveness manager outage window starting at -fault-from")
-		workers     = fs.Int("workers", 0, "worker-pool size (0 = one per CPU)")
-		stream      = fs.Bool("stream", false, "aggregate-only retention: drop per-payment records as they settle (flat memory, histogram percentiles)")
-		exemplars   = fs.Int("exemplars", 10, "payments kept as a reservoir sample with -stream")
-		ckptPath    = fs.String("checkpoint", "", "write a crash-safe checkpoint to this file (resume with -resume)")
-		ckptEvery   = fs.Int("checkpoint-every", 0, "write the checkpoint every N admitted payments (requires -checkpoint)")
-		resumePath  = fs.String("resume", "", "resume an interrupted run from this checkpoint file")
-		sweepSeeds  = fs.Int("sweep-seeds", 0, "additionally sweep this many seeds in parallel")
-		crypto      = fs.String("crypto", "", "signature backend: ed25519 (default), hmac")
-		cryptoStats = fs.Bool("crypto-stats", false, "print key-cache and issuance-record counters after the run")
-		maxMiss     = fs.Float64("max-verify-miss", 0, "fail if the share of verifications the issuance records cannot answer exceeds this fraction (0 = no gate)")
-		progress    = fs.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
-		verbose     = fs.Bool("v", false, "print one line per payment (the exemplars with -stream)")
-	)
-	if err := fs.Parse(args); err != nil {
+	q := traffic.DefaultRequest()
+	fs.IntVar(&q.Escrows, "n", q.Escrows, "number of escrows in the chain")
+	fs.Int64Var(&q.Seed, "seed", q.Seed, "RNG seed")
+	fs.IntVar(&q.Payments, "payments", q.Payments, "number of payments")
+	fs.StringVar(&q.Arrival, "arrival", q.Arrival, "arrival process: poisson, uniform, burst")
+	fs.Float64Var(&q.Rate, "rate", q.Rate, "mean arrival rate (payments per simulated second)")
+	fs.IntVar(&q.BurstSize, "burst", q.BurstSize, "burst size for -arrival burst")
+	fs.Var((*msFlag)(&q.BurstGapMs), "burst-gap", "`duration` between bursts for -arrival burst")
+	fs.Int64Var(&q.Amount, "amount", q.Amount, "central payment size")
+	fs.StringVar(&q.AmountDist, "amount-dist", q.AmountDist, "amount distribution: fixed, uniform, exponential")
+	fs.Int64Var(&q.Spread, "spread", q.Spread, "half-width of the uniform amount distribution")
+	fs.Int64Var(&q.Commission, "commission", q.Commission, "per-hop connector commission")
+	fs.StringVar(&q.Mix, "mix", q.Mix, "comma-separated protocol=weight pairs")
+	fs.BoolVar(&q.Subpaths, "subpaths", q.Subpaths, "route payments between random customer pairs")
+	fs.IntVar(&q.Hotspot, "hotspot", q.Hotspot, "hot sender index (with -subpaths)")
+	fs.Float64Var(&q.HotspotFrac, "hotspot-frac", q.HotspotFrac, "fraction of payments from the hot sender")
+	fs.Int64Var(&q.Liquidity, "liquidity", q.Liquidity, "per-account escrow endowment (0 = auto-sized)")
+	fs.Var((*msFlag)(&q.QueuePatienceMs), "queue", "admission-queue patience (a `duration`) for blocked payments")
+	fs.IntVar(&q.MaxQueue, "max-queue", q.MaxQueue, "queued-payment cap (0 = unbounded)")
+	fs.StringVar(&q.Faults, "fault", q.Faults, "comma-separated participant=behaviour pairs, e.g. c1=silent")
+	fs.Float64Var(&q.FaultFraction, "faults", q.FaultFraction, "fraction of connectors turned Byzantine mid-run (0 = no fault plan)")
+	fs.Var((*listFlag)(&q.FaultBehaviours), "fault-behaviours", "comma-separated `behaviours` the fault plan draws from (empty = default set)")
+	fs.Var((*msFlag)(&q.FaultFromMs), "fault-from", "earliest fault onset (a simulated `duration`)")
+	fs.Var((*msFlag)(&q.FaultStaggerMs), "fault-stagger", "per-connector random onset jitter (a `duration`) after -fault-from")
+	fs.Var((*msFlag)(&q.FaultOutageMs), "fault-outage", "per-connector outage `duration`; 0 = faulty for the rest of the run")
+	fs.Var((*msFlag)(&q.ManagerOutageMs), "manager-outage", "weak-liveness manager outage `duration` starting at -fault-from")
+	fs.IntVar(&q.Workers, "workers", q.Workers, "worker-pool size (0 = one per CPU)")
+	fs.BoolVar(&q.Stream, "stream", q.Stream, "aggregate-only retention: drop per-payment records as they settle (flat memory, histogram percentiles)")
+	fs.StringVar(&q.Crypto, "crypto", q.Crypto, "signature backend: ed25519 (default), hmac")
+
+	var o options
+	fs.IntVar(&o.exemplars, "exemplars", 10, "payments kept as a reservoir sample with -stream")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "write a crash-safe checkpoint to this file (resume with -resume)")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write the checkpoint every N admitted payments (requires -checkpoint)")
+	fs.StringVar(&o.resumePath, "resume", "", "resume an interrupted run from this checkpoint file")
+	fs.IntVar(&o.sweepSeeds, "sweep-seeds", 0, "additionally sweep this many seeds in parallel")
+	fs.BoolVar(&o.cryptoStats, "crypto-stats", false, "print key-cache and issuance-record counters after the run")
+	fs.Float64Var(&o.maxMiss, "max-verify-miss", 0, "fail if the share of verifications the issuance records cannot answer exceeds this fraction (0 = no gate)")
+	fs.DurationVar(&o.progress, "progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file when the run ends")
+	fs.BoolVar(&o.verbose, "v", false, "print one line per payment (the exemplars with -stream)")
+	err := fs.Parse(args)
+	return fs, &q, o, err
+}
+
+// msFlag is a duration flag writing a request's _ms field.
+type msFlag float64
+
+func (f *msFlag) String() string {
+	return time.Duration(math.Round(float64(*f) * float64(time.Millisecond))).String()
+}
+
+func (f *msFlag) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	*f = msFlag(float64(d) / float64(time.Millisecond))
+	return err
+}
+
+// listFlag is a comma-separated list flag writing a request's list field.
+type listFlag []string
+
+func (f *listFlag) String() string { return strings.Join(*f, ",") }
+
+func (f *listFlag) Set(s string) error {
+	*f = nil
+	if s != "" {
+		*f = strings.Split(s, ",")
+	}
+	return nil
+}
+
+// flagFor names the flag of fs bound to the field of q under the JSON key.
+func flagFor(fs *flag.FlagSet, q *traffic.Request, key string) (name string) {
+	v := reflect.ValueOf(q).Elem()
+	fs.VisitAll(func(f *flag.Flag) {
+		for i := range v.NumField() {
+			if v.Type().Field(i).Tag.Get("json") == key && reflect.ValueOf(f.Value).Pointer() == v.Field(i).Addr().Pointer() {
+				name = f.Name
+			}
+		}
+	})
+	return name
+}
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs, q, o, err := parse(args, stderr)
+	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	if *n < 1 {
-		fmt.Fprintf(stderr, "xchain-traffic: -n: need at least one escrow, got %d\n", *n)
+	s, w, cfg, err := q.Build()
+	var re *traffic.RequestError // Build's only error
+	if errors.As(err, &re) {
+		fmt.Fprintf(stderr, "xchain-traffic: -%s: %v\n", flagFor(fs, q, re.Key), re.Err)
 		return 2
 	}
-	if *cpuProfile != "" || *memProfile != "" {
-		stop, err := startProfiles(*cpuProfile, *memProfile)
+	if o.cpuProfile != "" || o.memProfile != "" {
+		stop, err := startProfiles(o.cpuProfile, o.memProfile)
 		if err != nil {
 			fmt.Fprintf(stderr, "xchain-traffic: cannot start profile: %v\n", err)
 			return 1
@@ -132,77 +195,33 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 	}
 
-	s := xchainpay.NewScenario(*n, *seed)
-	assignment, err := adversary.ParseAssignment(*faults, s.Topology)
-	if err != nil {
-		fmt.Fprintf(stderr, "xchain-traffic: -fault: %v\n", err)
-		return 2
-	}
-	s = assignment.Apply(s)
-
-	w := xchainpay.NewWorkload(*payments)
-	// The kind names are the flag strings; unknown values are rejected by
-	// Workload.Validate rather than silently coerced.
-	w.Arrival.Kind = xchainpay.ArrivalKind(*arrival)
-	w.Arrival.Rate = *rate
-	w.Arrival.BurstSize = *burst
-	w.Arrival.BurstGap = durToSim(*burstGap)
-	w.Amounts.Kind = xchainpay.AmountKind(*amountDist)
-	w.Amounts.Base = *amount
-	w.Amounts.Spread = *spread
-	w.Commission = *commission
-	w.RandomSubPaths = *subpaths
-	w.HotspotSender = *hotspot
-	w.HotspotFraction = *hotspotFrac
-	w.Liquidity = *liquidity
-	w.QueuePatience = durToSim(*queue)
-	w.MaxQueue = *maxQueue
-	if *faultFrac > 0 || *mgrOutage > 0 {
-		w.Faults = xchainpay.TrafficFaultPlan{
-			Fraction:      *faultFrac,
-			From:          durToSim(*faultFrom),
-			Stagger:       durToSim(*faultStag),
-			Outage:        durToSim(*faultOutage),
-			ManagerOutage: durToSim(*mgrOutage),
-		}
-		if *faultBehav != "" {
-			w.Faults.Behaviours = strings.Split(*faultBehav, ",")
-		}
-	}
-	if *mix != "" {
-		if w.Mix, err = traffic.ParseMix(*mix); err != nil {
-			fmt.Fprintf(stderr, "xchain-traffic: -mix: %v\n", err)
-			return 2
-		}
-	}
-
-	cfg := xchainpay.TrafficConfig{Workers: *workers, Stream: *stream, Exemplars: *exemplars, Crypto: *crypto}
-	if *ckptPath != "" || *ckptEvery > 0 || *resumePath != "" {
-		if *sweepSeeds > 1 {
+	cfg.Exemplars = o.exemplars
+	if o.ckptPath != "" || o.ckptEvery > 0 || o.resumePath != "" {
+		if o.sweepSeeds > 1 {
 			fmt.Fprintf(stderr, "xchain-traffic: -checkpoint/-resume cannot be combined with -sweep-seeds\n")
 			return 2
 		}
-		cfg.CheckpointPath = *ckptPath
-		cfg.CheckpointEvery = *ckptEvery
-		if *resumePath != "" {
+		cfg.CheckpointPath = o.ckptPath
+		cfg.CheckpointEvery = o.ckptEvery
+		if o.resumePath != "" {
 			// Resuming with periodic checkpoints but no explicit -checkpoint
 			// keeps writing to the file being resumed from.
 			if cfg.CheckpointPath == "" && cfg.CheckpointEvery > 0 {
-				cfg.CheckpointPath = *resumePath
+				cfg.CheckpointPath = o.resumePath
 			}
-			sn, err := xchainpay.LoadTrafficSnapshot(*resumePath)
+			sn, err := xchainpay.LoadTrafficSnapshot(o.resumePath)
 			if err != nil {
-				fmt.Fprintf(stderr, "xchain-traffic: cannot resume from %s: %v\n", *resumePath, err)
+				fmt.Fprintf(stderr, "xchain-traffic: cannot resume from %s: %v\n", o.resumePath, err)
 				return 1
 			}
 			cfg.Resume = sn
 		}
 	}
 	var stopProgress func()
-	if *progress > 0 {
+	if o.progress > 0 {
 		reg := metrics.NewRegistry()
 		cfg.Metrics = reg
-		stopProgress = startProgress(stderr, reg, *progress)
+		stopProgress = startProgress(stderr, reg, o.progress)
 		// Error paths return without reaching cryptoGate; make sure the
 		// progress goroutine never outlives the run (stop is idempotent).
 		defer stopProgress()
@@ -218,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if stopProgress != nil {
 			stopProgress()
 		}
-		if !*cryptoStats && *maxMiss <= 0 {
+		if !o.cryptoStats && o.maxMiss <= 0 {
 			return 0
 		}
 		st := sig.GlobalStats()
@@ -230,16 +249,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			sig.MetricVerifyMemoEvictions, st.MemoEvictions,
 			sig.MetricRendered, st.Rendered,
 			st.VerifyMissRate())
-		if *maxMiss > 0 && st.VerifyMissRate() > *maxMiss {
-			fmt.Fprintf(stderr, "xchain-traffic: verification miss rate %.3f exceeds gate %.3f\n", st.VerifyMissRate(), *maxMiss)
+		if o.maxMiss > 0 && st.VerifyMissRate() > o.maxMiss {
+			fmt.Fprintf(stderr, "xchain-traffic: verification miss rate %.3f exceeds gate %.3f\n", st.VerifyMissRate(), o.maxMiss)
 			return 1
 		}
 		return 0
 	}
-	if *sweepSeeds > 1 {
-		seeds := make([]int64, *sweepSeeds)
+	if o.sweepSeeds > 1 {
+		seeds := make([]int64, o.sweepSeeds)
 		for i := range seeds {
-			seeds[i] = *seed + int64(i)
+			seeds[i] = q.Seed + int64(i)
 		}
 		points := xchainpay.SeedSweepTraffic(s, w, seeds)
 		for _, o := range xchainpay.SweepTraffic(points, cfg) {
@@ -266,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "xchain-traffic: %v\n", err)
 		return 1
 	}
-	if *verbose {
+	if o.verbose {
 		fmt.Fprint(stdout, res.PaymentTable())
 	}
 	fmt.Fprint(stdout, res.String())
@@ -290,8 +309,6 @@ func gate(stderr io.Writer, res *xchainpay.TrafficResult) int {
 	}
 	return 0
 }
-
-func durToSim(d time.Duration) sim.Time { return sim.Time(d / time.Microsecond) }
 
 // startProgress launches a goroutine printing one progress line to w
 // immediately and then every interval, reading the run's live registry and

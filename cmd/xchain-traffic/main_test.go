@@ -146,15 +146,15 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
 		}
 	}
-	if code := run([]string{"-arrival", "brust"}, &out, &errOut); code != 1 {
-		t.Errorf("misspelled arrival kind should fail the run, not be coerced (exit %d)", code)
+	if code := run([]string{"-arrival", "brust"}, &out, &errOut); code != 2 {
+		t.Errorf("misspelled arrival kind should be rejected, not coerced (exit %d)", code)
 	}
 	// A negative commission makes hop amounts non-positive; it used to run to
 	// completion with every payment booked as a liquidity rejection.
 	out.Reset()
 	errOut.Reset()
 	code := run([]string{"-n", "4", "-payments", "200", "-commission", "-60", "-crypto", "hmac"}, &out, &errOut)
-	if code != 1 || !strings.Contains(errOut.String(), "negative commission") || out.Len() != 0 {
+	if code != 2 || !strings.Contains(errOut.String(), "negative commission") || out.Len() != 0 {
 		t.Errorf("negative commission should fail before any payment runs (exit %d, stdout %q, stderr %q)",
 			code, out.String(), errOut.String())
 	}

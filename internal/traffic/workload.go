@@ -135,21 +135,6 @@ type Workload struct {
 	Faults FaultPlan
 }
 
-// The run xchain-traffic and xchain-serve execute when their caller names
-// nothing: the CLI's flag defaults, and what the keys absent from a
-// POST /runs body stand for.
-const (
-	DefaultEscrows    = 8
-	DefaultSeed       = 42
-	DefaultPayments   = 1000
-	DefaultRate       = 500
-	DefaultAmount     = 100
-	DefaultCommission = 1
-	DefaultMix        = "timelock=1"
-	DefaultBurstSize  = 25
-	DefaultBurstGap   = 2 * sim.Second
-)
-
 // NewWorkload returns a sane default workload: n payments, Poisson arrivals
 // at 100/s, fixed size 100 with commission 1, all time-bounded protocol,
 // full-path routes, auto-sized liquidity, no queuing.
