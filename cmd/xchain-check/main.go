@@ -21,6 +21,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/scenariogen"
 	"repro/internal/timelock"
 )
 
@@ -41,8 +42,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *n < 1 {
-		fmt.Fprintf(stderr, "xchain-check: -n: need at least one escrow, got %d\n", *n)
+	if *n < 1 || *n > scenariogen.MaxChain {
+		fmt.Fprintf(stderr, "xchain-check: -n: need 1 to %d escrows, got %d\n", scenariogen.MaxChain, *n)
+		return 2
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(stderr, "xchain-check: -seeds: need at least one seed, got %d\n", *seeds)
 		return 2
 	}
 	failed := false

@@ -68,7 +68,7 @@ func (k StateKind) String() string {
 type Context struct {
 	a *Automaton
 	// From and Msg are set while a message-triggered transition's Action runs.
-	From string
+	From sim.PID
 	Msg  netsim.Message
 }
 
@@ -89,9 +89,9 @@ func (c *Context) Get(v int) sim.Time { return c.a.vars[v] }
 
 // Send performs the output action s(to, m). m travels by reference: it must
 // not be written again before the automaton's next Reset.
-func (c *Context) Send(to string, m netsim.Message) {
+func (c *Context) Send(to sim.PID, m netsim.Message) {
 	if !c.a.crashed {
-		c.a.net.Send(c.a.id, to, m)
+		c.a.net.Post(c.a.pid, to, m)
 	}
 }
 
@@ -103,7 +103,7 @@ type Transition struct {
 	To string
 	// Match, if non-nil, makes this a message transition r(id, m): it fires
 	// when a message arrives (or is buffered) for which Match returns true.
-	Match func(ctx *Context, from string, msg netsim.Message) bool
+	Match func(ctx *Context, from sim.PID, msg netsim.Message) bool
 	// TimeoutAfter, if non-nil, makes this a timeout transition enabled when
 	// local now >= TimeoutAfter(ctx). The guard is re-evaluated on state
 	// entry; the automaton schedules a wake-up for the guard time.
@@ -237,7 +237,7 @@ func MustCompile(spec Spec) *Program {
 
 // buffered is a received-but-unconsumed message.
 type buffered struct {
-	from string
+	from sim.PID
 	msg  netsim.Message
 }
 
@@ -256,6 +256,7 @@ type wakeup struct {
 type Automaton struct {
 	prog    *Program
 	id      string
+	pid     sim.PID
 	adapter any
 	compute sim.Time // local time an output state computes for
 	clk     *clock.Clock
@@ -276,11 +277,11 @@ type Automaton struct {
 
 // Reset makes a the automaton called id executing prog in a new run, with
 // the given adapter, spending compute of local time in every output state,
-// and registers it on net.
-func (a *Automaton) Reset(prog *Program, id string, adapter any, compute sim.Time, clk *clock.Clock, net *netsim.Network, tr *trace.Trace) {
+// and attaches it to net under pid.
+func (a *Automaton) Reset(prog *Program, id string, pid sim.PID, adapter any, compute sim.Time, clk *clock.Clock, net *netsim.Network, tr *trace.Trace) {
 	clear(a.inbox) // drop the previous run's messages
 	*a = Automaton{
-		prog: prog, id: id, adapter: adapter, compute: max(compute, 0), clk: clk, net: net, tr: tr,
+		prog: prog, id: id, pid: pid, adapter: adapter, compute: max(compute, 0), clk: clk, net: net, tr: tr,
 		current: -1,
 		vars:    slices.Grow(a.vars[:0], prog.vars)[:prog.vars],
 		inbox:   a.inbox[:0],
@@ -289,7 +290,7 @@ func (a *Automaton) Reset(prog *Program, id string, adapter any, compute sim.Tim
 	}
 	a.ctx.a = a
 	clear(a.vars)
-	net.Register(a)
+	net.Attach(pid, a)
 }
 
 // ID implements netsim.Node.
@@ -411,13 +412,13 @@ func wake(x any) {
 		a.arm(w, deadline)
 		return
 	}
-	a.take(w.tr, "", nil)
+	a.take(w.tr, sim.NoPID, nil)
 }
 
 // take fires a transition.
 //
 //xchain:hotpath
-func (a *Automaton) take(tr *Transition, from string, msg netsim.Message) {
+func (a *Automaton) take(tr *Transition, from sim.PID, msg netsim.Message) {
 	if tr.Match == nil && a.tr.Recording() {
 		a.tr.Append(trace.Event{
 			At: a.net.Engine().Now(), Local: a.clk.Now(), Kind: trace.KindTimeout,
@@ -427,7 +428,7 @@ func (a *Automaton) take(tr *Transition, from string, msg netsim.Message) {
 	if tr.Action != nil {
 		a.ctx.From, a.ctx.Msg = from, msg
 		tr.Action(&a.ctx)
-		a.ctx.From, a.ctx.Msg = "", nil
+		a.ctx.From, a.ctx.Msg = sim.NoPID, nil
 	}
 	a.enter(tr.to)
 }
@@ -455,7 +456,7 @@ func (a *Automaton) tryBuffered() bool {
 // if the automaton is currently waiting in an input state.
 //
 //xchain:hotpath
-func (a *Automaton) Deliver(from string, msg netsim.Message) {
+func (a *Automaton) Deliver(from sim.PID, msg netsim.Message) {
 	if a.crashed || a.done {
 		return
 	}

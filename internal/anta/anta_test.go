@@ -13,16 +13,21 @@ import (
 // ping/pong automata: a sends "ping", b replies "pong", a terminates; b also
 // has a timeout transition that fires if no ping arrives in time. What a run
 // fixes — the peer, b's timeout, what an emitter saw — is the adapter.
+// names is every test's participant table; pid finds a name's PID in it.
+var names = []string{"a", "b", "d", "x", "y", "nobody"}
+
+func pid(name string) sim.PID { return sim.PID(slices.Index(names, name)) }
+
 type peer struct {
-	to      string
+	to      sim.PID
 	timeout sim.Time
 	emitted int
 }
 
 func self(ctx *Context) *peer { return ctx.Adapter().(*peer) }
 
-func says(label string) func(*Context, string, netsim.Message) bool {
-	return func(_ *Context, _ string, msg netsim.Message) bool { return msg.Describe() == label }
+func says(label string) func(*Context, sim.PID, netsim.Message) bool {
+	return func(_ *Context, _ sim.PID, msg netsim.Message) bool { return msg.Describe() == label }
 }
 
 func emits(label string) func(*Context) {
@@ -78,7 +83,9 @@ type bench struct {
 func newBench(delay sim.Time) *bench {
 	eng := sim.NewEngine(1)
 	tr := trace.New()
-	return &bench{eng: eng, net: netsim.New(eng, netsim.Synchronous{Min: delay, Max: delay}, tr), tr: tr}
+	net := netsim.New(eng, netsim.Synchronous{Min: delay, Max: delay}, tr)
+	net.SetParticipants(names)
+	return &bench{eng: eng, net: net, tr: tr}
 }
 
 // reset starts the next run on the same engine, network and trace.
@@ -86,19 +93,20 @@ func (b *bench) reset() {
 	b.eng.Reset(1)
 	b.tr.Reset(false)
 	b.net.Reset(b.net.Model())
+	b.net.SetParticipants(names)
 }
 
 // bind resets a to run prog as id.
 func (b *bench) bind(a *Automaton, prog *Program, id string, p *peer) *Automaton {
-	a.Reset(prog, id, p, sim.Millisecond, clock.New(b.eng, 0, 0), b.net, b.tr)
+	a.Reset(prog, id, pid(id), p, sim.Millisecond, clock.New(b.eng, 0, 0), b.net, b.tr)
 	return a
 }
 
 // build is the ping/pong pair a and b on a new bench.
 func build(timeout, delay sim.Time) (*bench, *Automaton, *Automaton) {
 	w := newBench(delay)
-	a := w.bind(new(Automaton), ping, "a", &peer{to: "b"})
-	b := w.bind(new(Automaton), pong, "b", &peer{to: "a", timeout: timeout})
+	a := w.bind(new(Automaton), ping, "a", &peer{to: pid("b")})
+	b := w.bind(new(Automaton), pong, "b", &peer{to: pid("a"), timeout: timeout})
 	return w, a, b
 }
 
@@ -137,7 +145,7 @@ func TestTimeoutTransitionFires(t *testing.T) {
 // for the new deadline instead of firing or being lost.
 func TestEarlyWakeUpRearms(t *testing.T) {
 	w := newBench(1)
-	p := &peer{to: "a", timeout: 2 * sim.Millisecond}
+	p := &peer{to: pid("a"), timeout: 2 * sim.Millisecond}
 	b := w.bind(new(Automaton), pong, "b", p)
 	b.Start()
 	w.eng.ScheduleArgAt(sim.Millisecond, "extend", func(any) { p.timeout = 4 * sim.Millisecond }, nil)
@@ -155,7 +163,7 @@ func TestBufferedMessageConsumedOnStateEntry(t *testing.T) {
 	// Deliver the ping before b enters its waiting state: the inbox must
 	// buffer it and the transition must still fire.
 	w := newBench(1)
-	b := w.bind(new(Automaton), pong, "b", &peer{to: "a", timeout: sim.Second})
+	b := w.bind(new(Automaton), pong, "b", &peer{to: pid("a"), timeout: sim.Second})
 	w.net.Register(&netsim.FuncNode{Id: "a"})
 	w.net.Send("a", "b", netsim.RawMessage{Label: "ping"})
 	w.eng.ScheduleArgAt(10*sim.Millisecond, "late-start", func(any) { b.Start() }, nil)
@@ -226,7 +234,7 @@ func TestProgramIsACopy(t *testing.T) {
 	w := newBench(1)
 	a := w.bind(new(Automaton), prog, "x", nil)
 	a.Start()
-	a.Deliver("anyone", netsim.RawMessage{Label: "go"})
+	a.Deliver(sim.NoPID, netsim.RawMessage{Label: "go"})
 	if !a.Done() || a.Current() != "f" {
 		t.Fatalf("the compiled program changed with its spec: in %q, done=%v", a.Current(), a.Done())
 	}
@@ -234,7 +242,7 @@ func TestProgramIsACopy(t *testing.T) {
 
 func TestAdapter(t *testing.T) {
 	w := newBench(1)
-	p := &peer{to: "nobody"}
+	p := &peer{to: pid("nobody")}
 	a := w.bind(new(Automaton), ping, "d", p)
 	a.Start()
 	w.eng.Run(0)
@@ -253,9 +261,9 @@ type run struct {
 
 // pingPong runs a as ping and b as pong, recorded, to the end.
 func pingPong(w *bench, a, b *Automaton, timeout sim.Time) (run, []string) {
-	pa := &peer{to: "b"}
+	pa := &peer{to: pid("b")}
 	w.bind(a, ping, "a", pa)
-	w.bind(b, pong, "b", &peer{to: "a", timeout: timeout})
+	w.bind(b, pong, "b", &peer{to: pid("a"), timeout: timeout})
 	a.Start()
 	b.Start()
 	_, fired := w.eng.Run(0)
@@ -280,8 +288,8 @@ func TestResetMakesANewAutomaton(t *testing.T) {
 
 		dirty := map[string]func(w *bench) (a, b *Automaton){
 			"crashed": func(w *bench) (*Automaton, *Automaton) {
-				x := w.bind(new(Automaton), pong, "x", &peer{to: "y", timeout: sim.Second})
-				y := w.bind(new(Automaton), ping, "y", &peer{to: "x"})
+				x := w.bind(new(Automaton), pong, "x", &peer{to: pid("y"), timeout: sim.Second})
+				y := w.bind(new(Automaton), ping, "y", &peer{to: pid("x")})
 				x.Start()
 				y.Start()
 				w.eng.RunUntil(3*sim.Millisecond, 0) // y's ping is in flight
@@ -294,8 +302,8 @@ func TestResetMakesANewAutomaton(t *testing.T) {
 				return x, y
 			},
 			"emission pending": func(w *bench) (*Automaton, *Automaton) {
-				x := w.bind(new(Automaton), pong, "x", &peer{to: "y", timeout: sim.Second})
-				y := w.bind(new(Automaton), ping, "y", &peer{to: "x"})
+				x := w.bind(new(Automaton), pong, "x", &peer{to: pid("y"), timeout: sim.Second})
+				y := w.bind(new(Automaton), ping, "y", &peer{to: pid("x")})
 				x.Start()
 				y.Start()
 				// y's ping arrives at 1ms + delay; x then computes its reply for 1ms.
@@ -306,11 +314,11 @@ func TestResetMakesANewAutomaton(t *testing.T) {
 				return x, y
 			},
 			"armed timeout, non-empty inbox": func(w *bench) (*Automaton, *Automaton) {
-				x := w.bind(new(Automaton), pong, "x", &peer{to: "y", timeout: sim.Second})
-				y := w.bind(new(Automaton), ping, "y", &peer{to: "x"})
+				x := w.bind(new(Automaton), pong, "x", &peer{to: pid("y"), timeout: sim.Second})
+				y := w.bind(new(Automaton), ping, "y", &peer{to: pid("x")})
 				x.Start()
-				x.Deliver("y", netsim.RawMessage{Label: "noise"})
-				y.Deliver("x", netsim.RawMessage{Label: "early"})
+				x.Deliver(pid("y"), netsim.RawMessage{Label: "noise"})
+				y.Deliver(pid("x"), netsim.RawMessage{Label: "early"})
 				if x.Current() != "wait" || len(x.pending) != 1 || len(x.inbox) != 1 || len(y.inbox) != 1 {
 					t.Fatalf("armed: x in %q, %d pending, inboxes %d and %d", x.Current(), len(x.pending), len(x.inbox), len(y.inbox))
 				}
@@ -347,14 +355,15 @@ func TestMutedStepsDoNotAllocate(t *testing.T) {
 	for _, timeout := range []sim.Time{sim.Second, 2 * sim.Millisecond} {
 		w := newBench(5 * sim.Millisecond)
 		a, b := new(Automaton), new(Automaton)
-		pa, pb := &peer{to: "b"}, &peer{to: "a", timeout: timeout}
+		pa, pb := &peer{to: pid("b")}, &peer{to: pid("a"), timeout: timeout}
 		clk := clock.New(w.eng, 0, 0)
 		once := func() {
 			w.eng.Reset(1)
 			w.tr.Reset(true)
 			w.net.Reset(w.net.Model())
-			a.Reset(ping, "a", pa, sim.Millisecond, clk, w.net, w.tr)
-			b.Reset(pong, "b", pb, sim.Millisecond, clk, w.net, w.tr)
+			w.net.SetParticipants(names)
+			a.Reset(ping, "a", pid("a"), pa, sim.Millisecond, clk, w.net, w.tr)
+			b.Reset(pong, "b", pid("b"), pb, sim.Millisecond, clk, w.net, w.tr)
 			a.Start()
 			b.Start()
 			w.eng.Run(0)

@@ -229,11 +229,10 @@ func Evaluate(res *core.RunResult, opts Options) (r Report) {
 //
 //xchain:hotpath
 func escrowsHonest(res *core.RunResult, i int) bool {
-	topo := res.Scenario.Topology
-	if up, ok := topo.UpstreamEscrow(i); ok && res.Scenario.FaultOf(up).IsByzantine() {
+	if i > 0 && res.EscrowByzantine(i-1) {
 		return false
 	}
-	if down, ok := topo.DownstreamEscrow(i); ok && res.Scenario.FaultOf(down).IsByzantine() {
+	if i < res.Scenario.Topology.N && res.EscrowByzantine(i) {
 		return false
 	}
 	return true
@@ -271,10 +270,10 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropTermination, Holds: true}
 	topo := res.Scenario.Topology
 	for i := 0; i <= topo.N; i++ {
-		id := core.CustomerID(i)
-		if res.Scenario.FaultOf(id).IsByzantine() || !escrowsHonest(res, i) {
+		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
 			continue
 		}
+		id := core.CustomerID(i)
 		out := res.Outcome(id)
 		// The obligation only covers customers who made a payment or issued a
 		// certificate (Alice/connectors who paid in; Bob if he signed chi).
@@ -308,12 +307,12 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 func checkEscrowSecurity(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropEscrowSecurity, Holds: true}
 	for i := 0; i < res.Scenario.Topology.N; i++ {
-		id := core.EscrowID(i)
-		if res.Scenario.FaultOf(id).IsByzantine() {
+		if res.EscrowByzantine(i) {
 			continue
 		}
+		id := core.EscrowID(i)
 		v.Applicable = true
-		out := res.Escrows[id]
+		out := res.Escrows[id] //lint:hotalloc the result's outcome maps are keyed by name, one read per escrow
 		if out.BalanceDelta < 0 {
 			v.fail("%s lost %d", id, -out.BalanceDelta)
 			return v
@@ -336,10 +335,7 @@ func checkCS1(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropCS1, Holds: true}
 	topo := res.Scenario.Topology
 	alice := topo.Alice()
-	if res.Scenario.FaultOf(alice).IsByzantine() {
-		return v
-	}
-	if down, ok := topo.DownstreamEscrow(0); ok && res.Scenario.FaultOf(down).IsByzantine() {
+	if res.CustomerByzantine(0) || !escrowsHonest(res, 0) {
 		return v
 	}
 	out := res.Outcome(alice)
@@ -368,10 +364,7 @@ func checkCS2(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropCS2, Holds: true}
 	topo := res.Scenario.Topology
 	bob := topo.Bob()
-	if res.Scenario.FaultOf(bob).IsByzantine() {
-		return v
-	}
-	if up, ok := topo.UpstreamEscrow(topo.N); ok && res.Scenario.FaultOf(up).IsByzantine() {
+	if res.CustomerByzantine(topo.N) || !escrowsHonest(res, topo.N) {
 		return v
 	}
 	out := res.Outcome(bob)
@@ -404,10 +397,10 @@ func checkCS3(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropCS3, Holds: true}
 	topo := res.Scenario.Topology
 	for i := 1; i < topo.N; i++ {
-		id := core.CustomerID(i)
-		if res.Scenario.FaultOf(id).IsByzantine() {
+		if res.CustomerByzantine(i) {
 			continue
 		}
+		id := core.CustomerID(i)
 		if !escrowsHonest(res, i) {
 			continue
 		}

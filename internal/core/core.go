@@ -80,6 +80,13 @@ func EscrowID(i int) string { return escrowIDs.id(i) }
 // NotaryID returns the canonical ID of notary j in the manager committee.
 func NotaryID(j int) string { return notaryIDs.id(j) }
 
+// PID is a participant's index in its run's participant table (see
+// sim.PID and World).
+type PID = sim.PID
+
+// NoPID addresses nobody.
+const NoPID = sim.NoPID
+
 // ManagerID is the logical identity of the transaction manager (single
 // trusted party or committee) in the weak-liveness protocol.
 const ManagerID = "manager"
@@ -505,6 +512,30 @@ type RunResult struct {
 	// Err records a scenario/engine error (not a protocol property
 	// violation).
 	Err error
+
+	// byz is the run's Byzantine flag per PID, the world's; nil in a result
+	// built by hand, whose scenario answers instead.
+	byz []bool
+}
+
+// CustomerByzantine reports whether customer c_i deviates from the protocol.
+//
+//xchain:hotpath
+func (r *RunResult) CustomerByzantine(i int) bool {
+	if r.byz != nil {
+		return r.byz[i]
+	}
+	return r.Scenario.FaultOf(CustomerID(i)).IsByzantine()
+}
+
+// EscrowByzantine reports whether escrow e_i deviates from the protocol.
+//
+//xchain:hotpath
+func (r *RunResult) EscrowByzantine(i int) bool {
+	if r.byz != nil {
+		return r.byz[r.Scenario.Topology.N+1+i]
+	}
+	return r.Scenario.FaultOf(EscrowID(i)).IsByzantine()
 }
 
 // Outcome returns the outcome of one customer.
@@ -514,8 +545,8 @@ func (r *RunResult) Outcome(id string) CustomerOutcome { return r.Customers[id] 
 // in chain order.
 func (r *RunResult) HonestCustomers() []string {
 	var out []string
-	for _, id := range r.Scenario.Topology.Customers() {
-		if !r.Scenario.FaultOf(id).IsByzantine() {
+	for i, id := range r.Scenario.Topology.Customers() {
+		if !r.CustomerByzantine(i) {
 			out = append(out, id)
 		}
 	}

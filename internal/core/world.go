@@ -64,10 +64,17 @@ type World struct {
 	// only grows, so a shorter chain after a longer one reuses the first N.
 	ledgers []*ledger.Ledger
 	inUse   int
-	// parts and clocks run c_0..c_N, then e_0..e_{N-1}: the order clocks
-	// draw from the RNG in.
-	parts  []string
-	clocks []clock.Clock
+	// names is the run's participant table, which a PID indexes: c_0..c_N,
+	// then e_0..e_{N-1} — the chain, the first chain entries, whose clocks
+	// draw from the RNG in that order — then the manager, then the notaries
+	// Join adds. faults, byz and patience are the scenario's Faults and
+	// Patience resolved per PID, once, by Reset and Join.
+	names    []string
+	chain    int
+	faults   []FaultSpec
+	byz      []bool
+	patience []sim.Time
+	clocks   []clock.Clock
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
 	// lockIDs is the run's escrow lock IDs back to back, built by the run's
@@ -149,7 +156,8 @@ func (w *World) ResetSubstrate(seed int64, network netsim.DelayModel, muteTrace 
 // resetSubstrate is ResetSubstrate but for the scenario, which Reset copies in
 // before it: Reset's argument may be the world's own copy (RunResult.Scenario).
 func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
-	w.parts, w.clocks, w.wealth = w.parts[:0], w.clocks[:0], w.wealth[:0]
+	w.names, w.chain, w.clocks, w.wealth = w.names[:0], 0, w.clocks[:0], w.wealth[:0]
+	w.faults, w.byz, w.patience = w.faults[:0], w.byz[:0], w.patience[:0]
 	w.krReady = false
 	w.lockIDs = ""
 	w.violation, w.detection = Incident{}, Incident{}
@@ -186,28 +194,35 @@ func (w *World) Reset(s *Scenario) error {
 	w.resetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics)
 	topo := s.Topology
 
+	w.names = topo.appendEscrows(topo.appendCustomers(w.names))
+	w.chain = len(w.names)
+	for range w.names {
+		w.resolve()
+	}
+	w.Join(ManagerID)
+
 	// Escrow e_i hosts accounts for itself and for its two customers c_i
 	// and c_{i+1}; the customers receive their initial endowment.
 	ledgerMetrics := ledger.MetricsFrom(s.Metrics, "protocol")
 	for i := 0; i < topo.N; i++ {
 		led := w.AddLedger(EscrowID(i))
 		led.SetMetrics(ledgerMetrics)
-		if err := led.CreateAccount(EscrowID(i)); err != nil {
+		led.SetParticipants(w.names)
+		if err := led.OpenAccount(w.EscrowPID(i)); err != nil {
 			return err
 		}
-		for _, cust := range [2]string{CustomerID(i), CustomerID(i + 1)} {
-			if err := led.CreateAccount(cust); err != nil {
+		for _, cust := range [2]PID{w.CustomerPID(i), w.CustomerPID(i + 1)} {
+			if err := led.OpenAccount(cust); err != nil {
 				return err
 			}
-			if err := led.Mint(0, cust, s.InitialBalance); err != nil {
+			if err := led.Deposit(0, cust, s.InitialBalance); err != nil {
 				return err
 			}
 		}
 	}
 
-	w.parts = topo.appendEscrows(topo.appendCustomers(w.parts[:0]))
 	rng := w.Eng.Rand()
-	for range w.parts {
+	for range w.chain {
 		rho := clock.Drift(0)
 		var offset sim.Time
 		if s.Timing.Clock.MaxRho > 0 {
@@ -225,23 +240,105 @@ func (w *World) Reset(s *Scenario) error {
 	return nil
 }
 
+// resolve appends the next PID's fault, Byzantine flag and patience, read
+// from the scenario under its name.
+func (w *World) resolve() {
+	var f FaultSpec
+	var p sim.Time
+	if len(w.scn.Faults) > 0 || len(w.scn.Patience) > 0 {
+		id := w.names[len(w.faults)]
+		f, p = w.scn.FaultOf(id), w.scn.PatienceOf(id)
+	}
+	w.faults, w.byz, w.patience = append(w.faults, f), append(w.byz, f != FaultSpec{}), append(w.patience, p)
+}
+
+// Join adds a participant outside the chain — the manager (Reset adds it),
+// a notary — to the run's participant table and returns its PID.
+func (w *World) Join(name string) PID {
+	w.names = append(w.names, name)
+	w.resolve()
+	w.Net.SetParticipants(w.names)
+	return PID(len(w.names) - 1)
+}
+
+// Name renders pid: its participant's interned ID, "" for NoPID.
+func (w *World) Name(pid PID) string {
+	if uint(pid) < uint(len(w.names)) {
+		return w.names[pid]
+	}
+	return ""
+}
+
+// CustomerPID returns customer c_i's PID.
+func (w *World) CustomerPID(i int) PID { return PID(i) }
+
+// EscrowPID returns escrow e_i's PID.
+func (w *World) EscrowPID(i int) PID { return PID(w.scn.Topology.N + 1 + i) }
+
+// ManagerPID returns the transaction manager's PID.
+func (w *World) ManagerPID() PID { return PID(w.chain) }
+
+// UpstreamEscrowPID returns customer c_i's upstream escrow e_{i-1}, NoPID
+// for Alice.
+func (w *World) UpstreamEscrowPID(i int) PID {
+	if i <= 0 {
+		return NoPID
+	}
+	return w.EscrowPID(i - 1)
+}
+
+// DownstreamEscrowPID returns customer c_i's downstream escrow e_i, NoPID
+// for Bob.
+func (w *World) DownstreamEscrowPID(i int) PID {
+	if i >= w.scn.Topology.N {
+		return NoPID
+	}
+	return w.EscrowPID(i)
+}
+
+// FaultOf returns pid's fault spec (zero value if honest).
+//
+//xchain:hotpath
+func (w *World) FaultOf(pid PID) FaultSpec { return w.faults[pid] }
+
+// Byzantine reports whether pid deviates from the protocol.
+//
+//xchain:hotpath
+func (w *World) Byzantine(pid PID) bool { return w.byz[pid] }
+
+// PatienceOf returns pid's patience (0 = infinite).
+func (w *World) PatienceOf(pid PID) sim.Time { return w.patience[pid] }
+
+// byzantineNamed is Byzantine for the participant named id, false for a
+// name the table does not hold.
+func (w *World) byzantineNamed(id string) bool {
+	for pid, name := range w.names {
+		if name == id {
+			return w.byz[pid]
+		}
+	}
+	return false
+}
+
 // customerWealth sums c_i's balances over the two ledgers she has accounts
 // on (e_{i-1} and e_i).
+//
+//xchain:hotpath
 func (w *World) customerWealth(i int) int64 {
 	var total int64
-	id := CustomerID(i)
+	pid := w.CustomerPID(i)
 	if i > 0 {
-		total += w.ledgers[i-1].Balance(id)
+		total += w.ledgers[i-1].Balance(pid)
 	}
 	if i < w.scn.Topology.N {
-		total += w.ledgers[i].Balance(id)
+		total += w.ledgers[i].Balance(pid)
 	}
 	return total
 }
 
-// Participants returns c_0..c_N then e_0..e_{N-1}; callers must not modify
-// the slice.
-func (w *World) Participants() []string { return w.parts }
+// Participants returns c_0..c_N then e_0..e_{N-1}, PIDs 0 to 2N; callers
+// must not modify the slice.
+func (w *World) Participants() []string { return w.names[:w.chain] }
 
 // Scenario returns the scenario the world was last Reset for: the world's own
 // copy, valid until its next reset. Callers must not modify it.
@@ -261,14 +358,14 @@ func (w *World) EscrowClock(i int) *clock.Clock { return &w.clocks[w.scn.Topolog
 // it and pay for no keys.
 func (w *World) Keyring() *sig.Keyring {
 	if !w.krReady {
-		w.KeyringFor(w.scn.Crypto, w.scn.DerivedKeySeed(), w.parts)
+		w.KeyringFor(w.scn.Crypto, w.scn.DerivedKeySeed(), w.Participants())
 		w.krReady = true
 	}
 	return w.kr
 }
 
 // KeyringFor makes the world's keyring hold exactly ids' keys under that
-// backend and key seed and returns it. The keyring is built on the first
+// backend and key seed, ids[i] under PID i, and returns it. The keyring is built on the first
 // call and afterwards reset, not rebuilt, while the backend stays the same.
 func (w *World) KeyringFor(crypto, seed string, ids []string) *sig.Keyring {
 	if w.kr == nil || w.krCrypto != crypto {
@@ -288,13 +385,13 @@ func (w *World) MaxEvents() uint64 {
 	return DefaultMaxEvents
 }
 
-// ActionDelay draws how long participant id takes over one action: a
-// uniformly random fraction of the processing bound, plus id's Byzantine
+// ActionDelay draws how long participant pid takes over one action: a
+// uniformly random fraction of the processing bound, plus pid's Byzantine
 // action delay if it has one.
 //
 //xchain:hotpath
-func (w *World) ActionDelay(id string) sim.Time {
-	delay := w.scn.FaultOf(id).DelayActions
+func (w *World) ActionDelay(pid PID) sim.Time {
+	delay := w.faults[pid].DelayActions
 	if maxP := w.scn.Timing.MaxProcessing; maxP > 0 {
 		delay += sim.Time(w.Eng.Rand().Int63n(int64(maxP + 1)))
 	}
@@ -335,13 +432,13 @@ func (w *World) LockID(i int) string {
 //xchain:hotpath
 func (w *World) Report(ev trace.Event, cause error) {
 	var first *Incident
-	excused := w.scn.FaultOf(ev.Actor).IsByzantine()
+	excused := w.byzantineNamed(ev.Actor)
 	switch ev.Kind {
 	case trace.KindViolation:
 		first = &w.violation
 	case trace.KindDetection:
 		first = &w.detection
-		excused = excused || w.scn.FaultOf(ev.Peer).IsByzantine()
+		excused = excused || w.byzantineNamed(ev.Peer)
 	default:
 		//lint:hotalloc unreachable: only a caller's programming error gets here
 		panic("core: Report of a " + string(ev.Kind) + " event")
@@ -366,11 +463,11 @@ func (w *World) ScheduleCrashes(run Crasher) {
 		return
 	}
 	w.crasher = run
-	if len(w.crashes) < len(w.parts) {
-		w.crashes = make([]crashArg, len(w.parts))
+	if len(w.crashes) < w.chain {
+		w.crashes = make([]crashArg, w.chain)
 	}
-	for k, id := range w.parts {
-		f := w.scn.FaultOf(id)
+	for k := range w.chain {
+		f := w.faults[k]
 		if !f.Crash {
 			continue
 		}
@@ -386,7 +483,7 @@ type Crasher interface {
 	Crash(id string, customer bool, i int)
 }
 
-// crashArg is the argument of one scheduled crash: participant w.parts[k].
+// crashArg is the argument of one scheduled crash: participant PID k.
 type crashArg struct {
 	w *World
 	k int
@@ -396,9 +493,9 @@ func fireCrash(x any) {
 	c := x.(*crashArg)
 	w, k := c.w, c.k
 	if customers := w.scn.Topology.N + 1; k < customers {
-		w.crasher.Crash(w.parts[k], true, k)
+		w.crasher.Crash(w.names[k], true, k)
 	} else {
-		w.crasher.Crash(w.parts[k], false, k-customers)
+		w.crasher.Crash(w.names[k], false, k-customers)
 	}
 }
 
@@ -421,6 +518,7 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 	w.collected = n
 	res.Protocol = protocol
 	res.Scenario = &w.scn
+	res.byz = w.byz
 	res.Trace, res.Book = w.Trace, w.Book
 	res.CommitIssued, res.AbortIssued = false, false
 	res.Violation, res.Detection = w.violation, w.detection
@@ -442,7 +540,7 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 		if out.Terminated && out.TerminatedAt > lastTerm {
 			lastTerm = out.TerminatedAt
 		}
-		if !out.Terminated && !w.scn.FaultOf(id).IsByzantine() {
+		if !out.Terminated && !w.byz[i] {
 			allTerm = false
 		}
 		customers[id] = *out
@@ -453,7 +551,7 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 		id, led := EscrowID(i), w.ledgers[i]
 		escrows[id] = EscrowOutcome{
 			ID:           id,
-			BalanceDelta: led.Balance(id),
+			BalanceDelta: led.Balance(w.EscrowPID(i)),
 			PendingLocks: led.PendingCount(),
 			AuditErr:     led.Audit(),
 		}

@@ -60,6 +60,7 @@ type Result struct {
 type assetChain struct {
 	run *dealRun
 	id  string         // "chain-" + the asset type
+	pid sim.PID        // its index in Deal.AssetTypes()
 	led *ledger.Ledger // named after the asset type
 
 	// votes is the set of party indices whose commit vote arrived; voted its size.
@@ -72,10 +73,12 @@ type assetChain struct {
 // the messages about it, which reset writes and nobody after.
 type arcState struct {
 	Arc
-	index   int
-	chain   *assetChain
-	lockID  string // "<from>-><to>:<type>"
-	settled bool
+	index int
+	chain *assetChain
+	// from and to address the arc's parties in the run.
+	from, to sim.PID
+	lockID   string // "<from>-><to>:<type>"
+	settled  bool
 
 	escrow   msgEscrow     // the owner's instruction to the chain
 	escrowed msgEscrowed   // the chain's announcement to every party
@@ -96,7 +99,7 @@ func (a *assetChain) ID() string { return a.id }
 // Deliver implements netsim.Node.
 //
 //xchain:hotpath
-func (a *assetChain) Deliver(from string, msg netsim.Message) {
+func (a *assetChain) Deliver(from sim.PID, msg netsim.Message) {
 	switch m := msg.(type) {
 	case *msgEscrow:
 		a.onEscrow(from, m.arc)
@@ -110,19 +113,19 @@ func (a *assetChain) Deliver(from string, msg netsim.Message) {
 // onEscrow locks the arc's asset and announces the escrow to every party.
 //
 //xchain:hotpath
-func (a *assetChain) onEscrow(from string, arc *arcState) {
+func (a *assetChain) onEscrow(from sim.PID, arc *arcState) {
 	r := a.run
-	if arc.From != from || arc.chain != a || arc.settled {
+	if arc.from != from || arc.chain != a || arc.settled {
 		return
 	}
-	if _, err := a.led.CreateLock(r.eng.Now(), arc.lockID, arc.From, arc.To, arc.Asset.Amount, ledger.Condition{}); err != nil {
+	if _, err := a.led.Escrow(r.eng.Now(), arc.lockID, arc.from, arc.to, arc.Asset.Amount, ledger.Condition{}); err != nil {
 		return
 	}
 	if r.tr.Recording() {
 		r.tr.AddValue(r.eng.Now(), trace.KindLock, a.id, arc.From, arc.lockID, arc.Asset.Amount)
 	}
 	for i := range r.parties {
-		r.net.Send(a.id, r.parties[i].id, &arc.escrowed)
+		r.net.Post(a.pid, r.parties[i].pid, &arc.escrowed)
 	}
 	// Timelock protocol: arm this arc's refund timeout.
 	if r.timelock && a.expiry > 0 {
@@ -143,8 +146,8 @@ func expireArc(x any) {
 // not its sender's own is no party's, and dropped.
 //
 //xchain:hotpath
-func (a *assetChain) onCommitVote(from string, voter *partyProc) {
-	if !a.run.timelock || voter.id != from {
+func (a *assetChain) onCommitVote(from sim.PID, voter *partyProc) {
+	if !a.run.timelock || voter.pid != from {
 		return
 	}
 	if mark(a.votes, voter.index) {
@@ -197,8 +200,8 @@ func (a *assetChain) release(arc *arcState) {
 	if r.tr.Recording() {
 		r.tr.AddValue(r.eng.Now(), trace.KindRelease, a.id, arc.To, arc.lockID, arc.Asset.Amount)
 	}
-	r.net.Send(a.id, arc.To, &arc.outcome[1])
-	r.net.Send(a.id, arc.From, &arc.outcome[1])
+	r.net.Post(a.pid, arc.to, &arc.outcome[1])
+	r.net.Post(a.pid, arc.from, &arc.outcome[1])
 }
 
 //xchain:hotpath
@@ -214,13 +217,14 @@ func (a *assetChain) refund(arc *arcState) {
 	if r.tr.Recording() {
 		r.tr.AddValue(r.eng.Now(), trace.KindRefund, a.id, arc.From, arc.lockID, arc.Asset.Amount)
 	}
-	r.net.Send(a.id, arc.From, &arc.outcome[0])
+	r.net.Post(a.pid, arc.from, &arc.outcome[0])
 }
 
 // partyProc is one deal party, at its index in Deal.Parties.
 type partyProc struct {
 	run       *dealRun
 	id        string
+	pid       sim.PID
 	index     int
 	compliant bool
 
@@ -242,7 +246,7 @@ func (p *partyProc) ID() string { return p.id }
 // chains keep the books, and it exists so the cost experiments count it.
 //
 //xchain:hotpath
-func (p *partyProc) Deliver(from string, msg netsim.Message) {
+func (p *partyProc) Deliver(_ sim.PID, msg netsim.Message) {
 	if m, ok := msg.(*msgEscrowed); ok {
 		p.onEscrowed(m.arc)
 	}
@@ -273,7 +277,7 @@ func (p *partyProc) start() {
 //xchain:hotpath
 func sendEscrow(x any) {
 	arc := x.(*arcState)
-	arc.chain.run.net.Send(arc.From, arc.chain.id, &arc.escrow)
+	arc.chain.run.net.Post(arc.from, arc.chain.pid, &arc.escrow)
 }
 
 // losePatience is start's scheduled action when the party's patience ends.
@@ -282,7 +286,7 @@ func sendEscrow(x any) {
 func losePatience(x any) {
 	p := x.(*partyProc)
 	if !p.run.certifier.decided {
-		p.run.net.Send(p.id, certifierID, &p.abortAsk)
+		p.run.net.Post(p.pid, p.run.certifier.pid, &p.abortAsk)
 	}
 }
 
@@ -300,11 +304,11 @@ func (p *partyProc) onEscrowed(arc *arcState) {
 	}
 	p.voted = true
 	if !r.timelock {
-		r.net.Send(p.id, certifierID, &p.allEscrowed)
+		r.net.Post(p.pid, r.certifier.pid, &p.allEscrowed)
 		return
 	}
 	for i := range r.chains {
-		r.net.Send(p.id, r.chains[i].id, &p.vote)
+		r.net.Post(p.pid, r.chains[i].pid, &p.vote)
 	}
 }
 
@@ -317,6 +321,7 @@ const certifierID = "certifier"
 // certificate if a party asks first.
 type certifierProc struct {
 	run     *dealRun
+	pid     sim.PID
 	decided bool
 	// certified is the one decision, written by decide before it is sent.
 	certified msgCertified
@@ -328,7 +333,7 @@ func (c *certifierProc) ID() string { return certifierID }
 // Deliver implements netsim.Node.
 //
 //xchain:hotpath
-func (c *certifierProc) Deliver(from string, msg netsim.Message) {
+func (c *certifierProc) Deliver(_ sim.PID, msg netsim.Message) {
 	switch msg.(type) {
 	case *msgAllEscrowed:
 		c.decide(true)
@@ -358,10 +363,10 @@ func (c *certifierProc) decide(commit bool) {
 	}
 	c.certified = msgCertified{Commit: commit, Cert: sig.NewReceipt(r.kr, r.id, certifierID, label, r.eng.Now())}
 	for i := range r.chains {
-		r.net.Send(certifierID, r.chains[i].id, &c.certified)
+		r.net.Post(c.pid, r.chains[i].pid, &c.certified)
 	}
 	for i := range r.parties {
-		r.net.Send(certifierID, r.parties[i].id, &c.certified)
+		r.net.Post(c.pid, r.parties[i].pid, &c.certified)
 	}
 }
 
@@ -431,6 +436,9 @@ type dealRun struct {
 	parties   []partyProc  // in Deal.Parties order
 	arcs      []arcState   // in Deal.Arcs() order
 	certifier certifierProc
+	// parts is the run's participant table, which a PID indexes: the
+	// chains, then the parties, then the certifier.
+	parts []string
 
 	// sets is the storage of the chains' votes and the parties' escrowed.
 	sets []uint64
@@ -516,8 +524,15 @@ func (r *dealRun) reset(w *core.World, cfg Config, timelock bool) error {
 	r.sets = slices.Grow(r.sets[:0], len(types)*perChain+len(parties)*perParty)[:len(types)*perChain+len(parties)*perParty]
 	clear(r.sets)
 	sets := r.sets
+	r.parts = r.parts[:0]
+	for i := range r.chains {
+		r.parts = append(r.parts, r.chains[i].id)
+	}
+	r.parts = append(append(r.parts, parties...), certifierID)
+	r.net.SetParticipants(r.parts)
 	for i, t := range types {
 		led := w.AddLedger(t)
+		led.SetParticipants(r.parts)
 		for _, party := range parties {
 			if err := led.CreateAccount(party); err != nil {
 				return err
@@ -532,18 +547,19 @@ func (r *dealRun) reset(w *core.World, cfg Config, timelock bool) error {
 			}
 		}
 		chain := &r.chains[i]
-		*chain = assetChain{run: r, id: chain.id, led: led, votes: sets[:perChain]}
+		*chain = assetChain{run: r, id: chain.id, pid: sim.PID(i), led: led, votes: sets[:perChain]}
 		sets = sets[perChain:]
 		if timelock {
 			// The timelock covers escrow set-up plus one vote round for every
 			// party, with synchrony slack.
 			chain.expiry = sim.Time(len(parties)+2) * (4*cfg.Timing.MaxMsgDelay + 4*cfg.Timing.MaxProcessing)
 		}
-		r.net.Register(chain)
+		r.net.Attach(chain.pid, chain)
 	}
 	for i, arc := range arcs {
 		a := &r.arcs[i]
 		*a = arcState{Arc: arc, index: i, chain: &r.chains[slices.Index(types, arc.Asset.Type)], lockID: a.lockID}
+		a.from, a.to = sim.PID(len(types)+slices.Index(parties, arc.From)), sim.PID(len(types)+slices.Index(parties, arc.To))
 		a.escrow, a.escrowed = msgEscrow{arc: a}, msgEscrowed{arc: a}
 		a.outcome = [2]msgSettled{{Arc: arc}, {Arc: arc, Transferred: true}}
 	}
@@ -556,20 +572,20 @@ func (r *dealRun) reset(w *core.World, cfg Config, timelock bool) error {
 	r.parties = slices.Grow(r.parties[:0], len(parties))[:len(parties)]
 	for i, id := range parties {
 		p := &r.parties[i]
-		*p = partyProc{run: r, id: id, index: i, compliant: !cfg.NonCompliant[id], escrowed: sets[:perParty]}
+		*p = partyProc{run: r, id: id, pid: sim.PID(len(types) + i), index: i, compliant: !cfg.NonCompliant[id], escrowed: sets[:perParty]}
 		sets = sets[perParty:]
 		p.vote, p.allEscrowed, p.abortAsk = msgCommitVote{from: p}, msgAllEscrowed{Party: id}, msgAbortAsk{Party: id}
 		r.outcome.Compliant[id] = p.compliant
-		r.net.Register(p)
+		r.net.Attach(p.pid, p)
 	}
-	r.certifier = certifierProc{run: r}
+	r.certifier = certifierProc{run: r, pid: sim.PID(len(r.parts) - 1)}
 	if !timelock {
 		keySeed := cfg.KeySeed
 		if keySeed == "" {
 			keySeed = r.id
 		}
 		r.kr = w.KeyringFor(cfg.Crypto, keySeed, certifierKeys)
-		r.net.Register(&r.certifier)
+		r.net.Attach(r.certifier.pid, &r.certifier)
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ func render(res *Result) string {
 		led := res.Book.MustGet(name)
 		fmt.Fprintf(&b, "%v ops=%d\n", led, led.OpCount())
 		for _, owner := range led.Accounts() {
-			fmt.Fprintf(&b, "  %s=%d\n", owner, led.Balance(owner))
+			fmt.Fprintf(&b, "  %s=%d\n", owner, led.Balance(led.PID(owner)))
 		}
 		for _, lk := range led.Locks() {
 			fmt.Fprintf(&b, "  %+v\n", *lk)

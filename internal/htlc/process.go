@@ -50,25 +50,31 @@ func (r *runState) reset(p *Protocol, w *core.World) {
 	r.customers = slices.Grow(r.customers[:0], topo.N+1)[:topo.N+1]
 	for i := range r.escrows {
 		r.escrows[i] = escrowProc{
-			run:   r,
-			i:     i,
-			id:    core.EscrowID(i),
-			up:    topo.UpstreamCustomer(i),
-			down:  topo.DownstreamCustomer(i),
-			clk:   r.w.EscrowClock(i),
-			led:   r.w.Ledger(i),
-			fault: r.scn.FaultOf(core.EscrowID(i)),
+			run:     r,
+			i:       i,
+			id:      core.EscrowID(i),
+			up:      topo.UpstreamCustomer(i),
+			down:    topo.DownstreamCustomer(i),
+			pid:     w.EscrowPID(i),
+			upPID:   w.CustomerPID(i),
+			downPID: w.CustomerPID(i + 1),
+			clk:     r.w.EscrowClock(i),
+			led:     r.w.Ledger(i),
+			fault:   w.FaultOf(w.EscrowPID(i)),
 		}
-		r.net.Register(&r.escrows[i])
+		r.net.Attach(r.escrows[i].pid, &r.escrows[i])
 	}
 	for i := range r.customers {
 		c := &r.customers[i]
 		*c = customerProc{
-			run:   r,
-			i:     i,
-			id:    core.CustomerID(i),
-			clk:   r.w.CustomerClock(i),
-			fault: r.scn.FaultOf(core.CustomerID(i)),
+			run:     r,
+			i:       i,
+			id:      core.CustomerID(i),
+			pid:     w.CustomerPID(i),
+			upPID:   w.UpstreamEscrowPID(i),
+			downPID: w.DownstreamEscrowPID(i),
+			clk:     r.w.CustomerClock(i),
+			fault:   w.FaultOf(w.CustomerPID(i)),
 		}
 		if up, ok := topo.UpstreamEscrow(i); ok {
 			c.upEscrow = up
@@ -76,7 +82,7 @@ func (r *runState) reset(p *Protocol, w *core.World) {
 		if down, ok := topo.DownstreamEscrow(i); ok {
 			c.downEscrow = down
 		}
-		r.net.Register(c)
+		r.net.Attach(c.pid, c)
 	}
 }
 
@@ -118,14 +124,16 @@ func (r *runState) collect(fired uint64) *core.RunResult {
 // c_i (payer) and c_{i+1} (payee). Unlike the Figure-2 escrow it enforces
 // the hashlock and the timelock mechanically; it makes no promises.
 type escrowProc struct {
-	run   *runState
-	i     int
-	id    string
-	up    string
-	down  string
-	clk   *clock.Clock
-	led   *ledger.Ledger
-	fault core.FaultSpec
+	run  *runState
+	i    int
+	id   string
+	up   string
+	down string
+	// pid, upPID and downPID address e_i, c_i and c_{i+1} in the run.
+	pid, upPID, downPID core.PID
+	clk                 *clock.Clock
+	led                 *ledger.Ledger
+	fault               core.FaultSpec
 
 	lockCreated bool
 	lockID      string // set when the lock is created
@@ -147,7 +155,7 @@ func (p *escrowProc) ID() string { return p.id }
 func (p *escrowProc) active() bool { return !p.crashed }
 
 // Deliver implements netsim.Node.
-func (p *escrowProc) Deliver(from string, msg netsim.Message) {
+func (p *escrowProc) Deliver(from core.PID, msg netsim.Message) {
 	if !p.active() {
 		return
 	}
@@ -159,19 +167,19 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 	}
 }
 
-func (p *escrowProc) onCreateLock(from string, m *MsgCreateLock) {
-	if from != p.up || p.lockCreated {
+func (p *escrowProc) onCreateLock(from core.PID, m *MsgCreateLock) {
+	if from != p.upPID || p.lockCreated {
 		return
 	}
 	want := p.run.scn.Spec.AmountVia(p.i)
 	if m.Amount != want || m.PaymentID != p.run.scn.Spec.PaymentID {
-		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "wrong-amount", Value: m.Amount}, nil)
+		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: p.up, Label: "wrong-amount", Value: m.Amount}, nil)
 		return
 	}
 	cond := ledger.Condition{HashLock: m.HashLock, Expiry: m.Expiry}
 	p.lockID = p.run.w.LockID(p.i)
-	if _, err := p.led.CreateLock(p.run.eng.Now(), p.lockID, p.up, p.down, want, cond); err != nil {
-		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: from, Label: "lock-failed", Value: want}, nil)
+	if _, err := p.led.Escrow(p.run.eng.Now(), p.lockID, p.upPID, p.downPID, want, cond); err != nil {
+		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: p.up, Label: "lock-failed", Value: want}, nil)
 		return
 	}
 	p.lockCreated = true
@@ -179,7 +187,7 @@ func (p *escrowProc) onCreateLock(from string, m *MsgCreateLock) {
 	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 	if !p.fault.Silent {
 		p.msgLockCreated = MsgLockCreated{PaymentID: m.PaymentID, Amount: want, HashLock: m.HashLock}
-		p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "notify-lock", escrowNotifyLock, p)
+		p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.pid), "notify-lock", escrowNotifyLock, p)
 	}
 	// Arm the refund at the lock's expiry (escrow-local clock).
 	p.run.eng.ScheduleArgIn(p.clk.RealUntilLocal(m.Expiry), "expiry", escrowExpiry, p)
@@ -191,12 +199,12 @@ func (p *escrowProc) onCreateLock(from string, m *MsgCreateLock) {
 func escrowNotifyLock(x any) {
 	p := x.(*escrowProc)
 	if p.active() {
-		p.run.net.Send(p.id, p.down, &p.msgLockCreated)
+		p.run.net.Post(p.pid, p.downPID, &p.msgLockCreated)
 	}
 }
 
-func (p *escrowProc) onClaim(from string, m *MsgClaim) {
-	if from != p.down || !p.lockCreated || p.settled {
+func (p *escrowProc) onClaim(from core.PID, m *MsgClaim) {
+	if from != p.downPID || !p.lockCreated || p.settled {
 		return
 	}
 	if m.PaymentID != p.run.scn.Spec.PaymentID {
@@ -209,7 +217,7 @@ func (p *escrowProc) onClaim(from string, m *MsgClaim) {
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
 	if err := p.led.Release(p.run.eng.Now(), p.lockID, m.Preimage, p.clk.Now()); err != nil {
-		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "claim-rejected"}, err)
+		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: p.down, Label: "claim-rejected"}, err)
 		return
 	}
 	p.settled = true
@@ -219,7 +227,7 @@ func (p *escrowProc) onClaim(from string, m *MsgClaim) {
 	}
 	p.msgPaid = MsgPaid{PaymentID: m.PaymentID, Amount: amount}
 	p.msgClaimed = MsgClaimed{PaymentID: m.PaymentID, Amount: amount, Preimage: m.Preimage}
-	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "settle", escrowSettle, p)
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.pid), "settle", escrowSettle, p)
 }
 
 // escrowSettle is the scheduled action of onClaim.
@@ -230,11 +238,11 @@ func escrowSettle(x any) {
 	if !p.active() {
 		return
 	}
-	p.run.net.Send(p.id, p.down, &p.msgPaid)
+	p.run.net.Post(p.pid, p.downPID, &p.msgPaid)
 	if !p.fault.WithholdCertificate {
 		// Exposing the preimage to the payer is what lets the claim
 		// cascade upstream; withholding it is the classic griefing attack.
-		p.run.net.Send(p.id, p.up, &p.msgClaimed)
+		p.run.net.Post(p.pid, p.upPID, &p.msgClaimed)
 	}
 }
 
@@ -262,7 +270,7 @@ func escrowExpiry(x any) {
 	}
 	if !p.fault.Silent {
 		p.msgRefunded = MsgRefunded{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount}
-		p.run.net.Send(p.id, p.up, &p.msgRefunded)
+		p.run.net.Post(p.pid, p.upPID, &p.msgRefunded)
 	}
 }
 
@@ -280,6 +288,9 @@ type customerProc struct {
 
 	upEscrow   string
 	downEscrow string
+	// pid, upPID and downPID address c_i and its two escrows in the run
+	// (core.NoPID for a missing one).
+	pid, upPID, downPID core.PID
 
 	incomingLock bool
 	outgoingLock bool
@@ -330,7 +341,7 @@ func (c *customerProc) createOutgoingLock() {
 		HashLock:  c.run.hashLock,
 		Expiry:    c.run.proto.ExpiryOf(c.i, c.run.scn.Topology.N, c.run.scn.Timing),
 	}
-	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "lock", customerLock, c)
+	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.pid), "lock", customerLock, c)
 }
 
 // customerLock is the scheduled action of createOutgoingLock.
@@ -342,11 +353,11 @@ func customerLock(x any) {
 		return
 	}
 	c.paid = c.msgCreateLock.Amount
-	c.run.net.Send(c.id, c.downEscrow, &c.msgCreateLock)
+	c.run.net.Post(c.pid, c.downPID, &c.msgCreateLock)
 }
 
 // Deliver implements netsim.Node.
-func (c *customerProc) Deliver(from string, msg netsim.Message) {
+func (c *customerProc) Deliver(from core.PID, msg netsim.Message) {
 	if !c.active() {
 		return
 	}
@@ -365,8 +376,8 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 // onLockCreated reacts to the incoming lock at the upstream escrow: a
 // connector extends the chain by locking at her own escrow; Bob claims by
 // revealing the preimage.
-func (c *customerProc) onLockCreated(from string, m *MsgLockCreated) {
-	if from != c.upEscrow || c.incomingLock {
+func (c *customerProc) onLockCreated(from core.PID, m *MsgLockCreated) {
+	if from != c.upPID || c.incomingLock {
 		return
 	}
 	if !sig.CheckPreimage(m.HashLock, c.run.preimage) {
@@ -383,7 +394,7 @@ func (c *customerProc) onLockCreated(from string, m *MsgLockCreated) {
 			return
 		}
 		c.msgClaim = MsgClaim{PaymentID: m.PaymentID, Preimage: c.run.preimage}
-		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "claim", customerClaim, c)
+		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.pid), "claim", customerClaim, c)
 		return
 	}
 	c.createOutgoingLock()
@@ -391,8 +402,8 @@ func (c *customerProc) onLockCreated(from string, m *MsgLockCreated) {
 
 // onClaimed learns the preimage from the downstream escrow (our outgoing
 // lock was claimed) and uses it to claim the incoming lock upstream.
-func (c *customerProc) onClaimed(from string, m *MsgClaimed) {
-	if from != c.downEscrow {
+func (c *customerProc) onClaimed(from core.PID, m *MsgClaimed) {
+	if from != c.downPID {
 		return
 	}
 	c.outResolved = true
@@ -406,7 +417,7 @@ func (c *customerProc) onClaimed(from string, m *MsgClaimed) {
 		return
 	}
 	c.msgClaim = MsgClaim{PaymentID: m.PaymentID, Preimage: m.Preimage}
-	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "claim-up", customerClaim, c)
+	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.pid), "claim-up", customerClaim, c)
 }
 
 // customerClaim is the scheduled action of Bob's claim and of a connector's
@@ -416,13 +427,13 @@ func (c *customerProc) onClaimed(from string, m *MsgClaimed) {
 func customerClaim(x any) {
 	c := x.(*customerProc)
 	if c.active() {
-		c.run.net.Send(c.id, c.upEscrow, &c.msgClaim)
+		c.run.net.Post(c.pid, c.upPID, &c.msgClaim)
 	}
 }
 
 // onPaid credits an incoming payment from the upstream escrow.
-func (c *customerProc) onPaid(from string, m *MsgPaid) {
-	if from != c.upEscrow {
+func (c *customerProc) onPaid(from core.PID, m *MsgPaid) {
+	if from != c.upPID {
 		return
 	}
 	c.credited += m.Amount
@@ -431,8 +442,8 @@ func (c *customerProc) onPaid(from string, m *MsgPaid) {
 }
 
 // onRefunded handles the refund of this customer's own outgoing lock.
-func (c *customerProc) onRefunded(from string, m *MsgRefunded) {
-	if from != c.downEscrow {
+func (c *customerProc) onRefunded(from core.PID, m *MsgRefunded) {
+	if from != c.downPID {
 		return
 	}
 	c.credited += m.Amount

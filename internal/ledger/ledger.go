@@ -75,11 +75,13 @@ type Lock struct {
 // next alone links the records it keeps for reuse (Ledger.free).
 type lockRec struct {
 	Lock
-	prev, next *lockRec
+	payer, payee sim.PID
+	prev, next   *lockRec
 }
 
+// account is one owner's account, keyed by the owner's PID.
 type account struct {
-	owner   string
+	pid     sim.PID
 	balance int64 // available, excluding escrowed funds
 }
 
@@ -112,24 +114,35 @@ type Op struct {
 // the payment specification choosing per-hop amounts.
 type Ledger struct {
 	name string
+	// names is the participant table the owners' PIDs index (see
+	// SetParticipants); a name is only rendered, never compared, by the
+	// PID-keyed operations. own is the table's storage when the ledger keeps
+	// its own (PID's additions), and owned says names is in it.
+	names []string
+	own   []string
+	owned bool
 	// accounts are in creation order (capture order after FromState): three
 	// on a payment ledger, one per party on a deal chain — few enough that a
-	// linear scan finds an owner before a map would have hashed the name.
+	// scan over their PIDs finds an owner before anything could be hashed.
 	accounts []account
-	locks    map[string]*lockRec // by ID: a traffic ledger settles thousands of in-flight locks
-	head     lockRec             // the held list's sentinel: head.next is the first lock the map holds
-	free     *lockRec            // records of locks dropped by Reset or forgotten under compaction, for CreateLock to reuse
-	ops      []Op
-	opCount  int
-	minted   int64
-	compact  bool
-	settled  int // settled locks forgotten under compaction
+	// locks indexes the held locks by ID once a ledger holds more than
+	// indexFrom of them (a traffic ledger settles thousands of in-flight
+	// locks); below that, the held list is scanned. nil until then.
+	locks   map[string]*lockRec
+	held    int      // locks on the held list
+	head    lockRec  // the held list's sentinel: head.next is the most recent lock held
+	free    *lockRec // records of locks dropped by Reset or forgotten under compaction, for Escrow to reuse
+	ops     []Op
+	opCount int
+	minted  int64
+	compact bool
+	settled int // settled locks forgotten under compaction
 
-	// byzOwners marks accounts currently controlled by Byzantine parties
-	// (see SetByzantine); byzEscrowed is the running total of value held in
-	// pending locks whose payer is marked — lock-and-abandon griefing made
-	// observable. Updated in O(1) per lock operation.
-	byzOwners   map[string]bool
+	// byz marks, by PID, the owners currently controlled by Byzantine
+	// parties (see SetByzantine); byzEscrowed is the running total of value
+	// held in pending locks whose payer is marked — lock-and-abandon griefing
+	// made observable. Updated in O(1) per lock operation.
+	byz         []bool
 	byzEscrowed int64
 
 	// m holds optional instrumentation hooks (see SetMetrics); the zero
@@ -139,21 +152,28 @@ type Ledger struct {
 
 // New creates an empty ledger named name (normally the escrow's ID).
 func New(name string) *Ledger {
-	return &Ledger{name: name, locks: map[string]*lockRec{}}
+	return &Ledger{name: name}
 }
 
+// indexFrom is how many held locks a ledger scans for an ID before it keeps
+// them in a map: a payment ledger holds one or two.
+const indexFrom = 8
+
 // Reset returns the ledger to the state New(name) builds — no accounts, no
-// locks, an empty log, zeroed totals, compaction off, muted metrics —
-// keeping its accounts', lock records', maps' and log's storage. Locks and
-// log entries handed out before the Reset must no longer be used.
+// locks, an empty participant table and log, zeroed totals, compaction off,
+// muted metrics — keeping its accounts', lock records', map's and log's
+// storage. Locks and log entries handed out before the Reset must no longer
+// be used.
 func (l *Ledger) Reset(name string) {
 	l.name = name
+	l.names, l.owned = l.own[:0], true
 	l.accounts = l.accounts[:0]
 	for lk := l.head.next; lk != nil; lk = l.head.next {
 		l.head.next, lk.next, l.free = lk.next, l.free, lk
 	}
 	clear(l.locks)
-	clear(l.byzOwners)
+	clear(l.byz)
+	l.held = 0
 	l.ops = l.ops[:0]
 	l.opCount, l.minted, l.settled, l.byzEscrowed = 0, 0, 0, 0
 	l.compact = false
@@ -174,9 +194,9 @@ func (l *Ledger) Name() string { return l.name }
 // property checkers and traces.
 //
 // A compacting ledger recycles a forgotten lock's record for a later
-// CreateLock, so the *Lock that CreateLock or Lock returned is valid only
+// Escrow, so the *Lock that Escrow or Lock returned is valid only
 // until that lock settles. No caller keeps one that long: the traffic
-// timeline, the only user of compaction, discards CreateLock's result and
+// timeline, the only user of compaction, discards Escrow's result and
 // settles by lock ID.
 func (l *Ledger) SetCompact(on bool) { l.compact = on }
 
@@ -187,111 +207,171 @@ func (l *Ledger) Compact() bool { return l.compact }
 // compaction.
 func (l *Ledger) SettledForgotten() int { return l.settled }
 
-// find returns the index of owner's account, or -1.
+// SetParticipants makes names the table the owners' PIDs index: PID i is
+// names[i]. The ledger reads names without copying it and never writes to it
+// (PID's additions go to a copy); the caller must not change what a PID
+// names while the ledger holds its account.
+func (l *Ledger) SetParticipants(names []string) {
+	l.names, l.owned = names, false
+}
+
+// PID returns name's PID, adding name to the participant table if the table
+// does not hold it yet. It scans the table: the way in for the name-addressed
+// operations, never for a run's.
+func (l *Ledger) PID(name string) sim.PID {
+	for i, nm := range l.names {
+		if nm == name {
+			return sim.PID(i)
+		}
+	}
+	if !l.owned {
+		l.names, l.owned = append(l.own[:0], l.names...), true
+	}
+	l.names = append(l.names, name)
+	l.own = l.names
+	return sim.PID(len(l.names) - 1)
+}
+
+// growByz makes byz long enough to mark pid.
+func (l *Ledger) growByz(pid sim.PID) {
+	if int(pid) >= len(l.byz) {
+		l.byz = append(l.byz, make([]bool, int(pid)+1-len(l.byz))...)
+	}
+}
+
+// byzantine reports whether pid is marked Byzantine.
 //
 //xchain:hotpath
-func (l *Ledger) find(owner string) int {
+func (l *Ledger) byzantine(pid sim.PID) bool {
+	return uint(pid) < uint(len(l.byz)) && l.byz[pid]
+}
+
+// owner renders pid's name from the participant table.
+//
+//xchain:hotpath
+func (l *Ledger) owner(pid sim.PID) string {
+	if uint(pid) < uint(len(l.names)) {
+		return l.names[pid]
+	}
+	return ""
+}
+
+// find returns the index of pid's account, or -1.
+//
+//xchain:hotpath
+func (l *Ledger) find(pid sim.PID) int {
 	for i := range l.accounts {
-		if l.accounts[i].owner == owner {
+		if l.accounts[i].pid == pid {
 			return i
 		}
 	}
 	return -1
 }
 
-// credit adds amount to owner's balance, opening the account if needed.
+// credit adds amount to pid's balance, opening the account if needed.
 //
 //xchain:hotpath
-func (l *Ledger) credit(owner string, amount int64) {
-	if i := l.find(owner); i >= 0 {
+func (l *Ledger) credit(pid sim.PID, amount int64) {
+	if i := l.find(pid); i >= 0 {
 		l.accounts[i].balance += amount
 		return
 	}
-	l.accounts = append(l.accounts, account{owner, amount})
+	l.accounts = append(l.accounts, account{pid: pid, balance: amount})
 }
 
-// CreateAccount registers an account with a zero balance.
-func (l *Ledger) CreateAccount(owner string) error {
-	if l.HasAccount(owner) {
-		return fmt.Errorf("%w: %s", ErrDuplicateAccount, owner)
+// OpenAccount registers an account with a zero balance for participant pid.
+func (l *Ledger) OpenAccount(pid sim.PID) error {
+	if l.HasAccount(pid) {
+		return fmt.Errorf("%w: %s", ErrDuplicateAccount, l.owner(pid))
 	}
-	l.accounts = append(l.accounts, account{owner: owner})
+	l.accounts = append(l.accounts, account{pid: pid})
 	return nil
 }
 
-// HasAccount reports whether owner holds an account.
-func (l *Ledger) HasAccount(owner string) bool { return l.find(owner) >= 0 }
+// CreateAccount is OpenAccount for the participant named owner.
+func (l *Ledger) CreateAccount(owner string) error { return l.OpenAccount(l.PID(owner)) }
+
+// HasAccount reports whether pid holds an account.
+func (l *Ledger) HasAccount(pid sim.PID) bool { return l.find(pid) >= 0 }
 
 // Accounts returns the sorted account owners.
 func (l *Ledger) Accounts() []string {
 	out := make([]string, 0, len(l.accounts))
 	for _, a := range l.accounts {
-		out = append(out, a.owner)
+		out = append(out, l.owner(a.pid))
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Balance returns owner's available balance (excluding escrowed funds).
-func (l *Ledger) Balance(owner string) int64 {
-	if i := l.find(owner); i >= 0 {
+// Balance returns pid's available balance (excluding escrowed funds).
+//
+//xchain:hotpath
+func (l *Ledger) Balance(pid sim.PID) int64 {
+	if i := l.find(pid); i >= 0 {
 		return l.accounts[i].balance
 	}
 	return 0
 }
 
-// Mint credits owner with newly created value (initial endowments in
+// Deposit credits pid with newly created value (initial endowments in
 // scenarios). It creates the account if needed.
-func (l *Ledger) Mint(at sim.Time, owner string, amount int64) error {
+func (l *Ledger) Deposit(at sim.Time, pid sim.PID, amount int64) error {
 	if amount <= 0 {
 		return ErrBadAmount
 	}
-	l.credit(owner, amount)
+	l.credit(pid, amount)
 	l.minted += amount
 	l.m.Available.Add(float64(amount))
-	l.log(at, OpMint, "", owner, amount, "")
+	l.log(at, OpMint, "", l.owner(pid), amount, "")
 	return nil
+}
+
+// Mint is Deposit for the participant named owner.
+func (l *Ledger) Mint(at sim.Time, owner string, amount int64) error {
+	return l.Deposit(at, l.PID(owner), amount)
 }
 
 // Transfer moves value directly between two accounts of this ledger.
 //
 //xchain:hotpath
-func (l *Ledger) Transfer(at sim.Time, from, to string, amount int64) error {
+func (l *Ledger) Transfer(at sim.Time, from, to sim.PID, amount int64) error {
 	if amount <= 0 {
 		return ErrBadAmount
 	}
 	f, t := l.find(from), l.find(to)
 	if f < 0 || t < 0 {
-		return fmt.Errorf("%w: %s or %s on %s", ErrNoAccount, from, to, l.name)
+		return fmt.Errorf("%w: %s or %s on %s", ErrNoAccount, l.owner(from), l.owner(to), l.name)
 	}
 	if l.accounts[f].balance < amount {
-		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, from, l.accounts[f].balance, amount)
+		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(from), l.accounts[f].balance, amount)
 	}
 	l.accounts[f].balance -= amount
 	l.accounts[t].balance += amount
-	l.log(at, OpTransfer, from, to, amount, "")
+	l.log(at, OpTransfer, l.owner(from), l.owner(to), amount, "")
 	return nil
 }
 
-// CreateLock moves amount from payer's account into escrow under id.
+// Escrow moves amount from payer's account into escrow under id, payable to
+// payee.
 //
 //xchain:hotpath
-func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, cond Condition) (*Lock, error) {
+func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int64, cond Condition) (*Lock, error) {
 	if amount <= 0 {
 		return nil, ErrBadAmount
 	}
-	if _, dup := l.locks[id]; dup {
+	if l.lookup(id) != nil {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateLock, id)
 	}
 	p := l.find(payer)
 	if p < 0 {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, payer, l.name)
+		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
 	}
 	if !l.HasAccount(payee) {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, payee, l.name)
+		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payee), l.name)
 	}
 	if l.accounts[p].balance < amount {
-		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, payer, l.accounts[p].balance, amount)
+		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(payer), l.accounts[p].balance, amount)
 	}
 	l.accounts[p].balance -= amount
 	lk := l.free
@@ -302,33 +382,70 @@ func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, 
 	}
 	// Written field by field: the record is the ledger's, and a composite
 	// literal would be built aside and copied over it.
-	lk.ID, lk.Payer, lk.Payee, lk.Amount = id, payer, payee, amount
+	payerName, payeeName := l.owner(payer), l.owner(payee)
+	lk.ID, lk.Payer, lk.Payee, lk.Amount = id, payerName, payeeName, amount
+	lk.payer, lk.payee = payer, payee
 	lk.CreatedAt, lk.Cond, lk.State, lk.SettledAt = at, cond, LockPending, 0
 	l.hold(lk)
 	l.m.LocksCreated.Inc()
 	l.m.Available.Add(-float64(amount))
 	l.m.Escrowed.Add(float64(amount))
-	if l.byzOwners[payer] {
+	if l.byzantine(payer) {
 		l.byzEscrowed += amount
 		l.m.ByzantineEscrowed.Add(float64(amount))
 	}
-	l.log(at, OpLock, payer, payee, amount, id)
+	l.log(at, OpLock, payerName, payeeName, amount, id)
 	return &lk.Lock, nil
 }
 
-// hold files a lock's record under its ID and at the front of the held list.
+// CreateLock is Escrow between the participants named payer and payee.
+func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, cond Condition) (*Lock, error) {
+	p := l.PID(payer)
+	return l.Escrow(at, id, p, l.PID(payee), amount, cond)
+}
+
+// hold files a lock's record at the front of the held list, and under its ID
+// once the ledger indexes its locks.
+//
+//xchain:hotpath
 func (l *Ledger) hold(lk *lockRec) {
-	l.locks[lk.ID] = lk
 	lk.next, lk.prev = l.head.next, &l.head
 	if lk.next != nil {
 		lk.next.prev = lk
 	}
 	l.head.next = lk
+	l.held++
+	switch {
+	case l.locks != nil:
+		l.locks[lk.ID] = lk //lint:hotalloc lock IDs are strings; only a ledger past indexFrom held locks keeps this index
+	case l.held > indexFrom:
+		// The ledger outgrew a scan: index what it holds, and from now on
+		// (Reset keeps the map) every lock it holds.
+		l.locks = make(map[string]*lockRec, 2*indexFrom)
+		for r := l.head.next; r != nil; r = r.next {
+			l.locks[r.ID] = r //lint:hotalloc once per ledger, when it first outgrows a scan
+		}
+	}
+}
+
+// lookup returns the held lock with that ID, or nil.
+//
+//xchain:hotpath
+func (l *Ledger) lookup(id string) *lockRec {
+	if l.locks != nil {
+		return l.locks[id] //lint:hotalloc lock IDs are strings; only a ledger past indexFrom held locks keeps this index
+	}
+	for lk := l.head.next; lk != nil; lk = lk.next {
+		if lk.ID == id {
+			return lk
+		}
+	}
+	return nil
 }
 
 // Lock returns the lock with the given id.
 func (l *Ledger) Lock(id string) (*Lock, bool) {
-	if lk, ok := l.locks[id]; ok {
+	if lk := l.lookup(id); lk != nil {
 		return &lk.Lock, true
 	}
 	return nil, false
@@ -336,7 +453,7 @@ func (l *Ledger) Lock(id string) (*Lock, bool) {
 
 // Locks returns all locks sorted by id.
 func (l *Ledger) Locks() []*Lock {
-	out := make([]*Lock, 0, len(l.locks))
+	out := make([]*Lock, 0, l.held)
 	for lk := l.head.next; lk != nil; lk = lk.next {
 		out = append(out, &lk.Lock)
 	}
@@ -372,8 +489,8 @@ func (l *Ledger) PendingCount() int {
 //
 //xchain:hotpath
 func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.Time) error {
-	lk, ok := l.locks[id]
-	if !ok {
+	lk := l.lookup(id)
+	if lk == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 	}
 	if lk.State != LockPending {
@@ -386,7 +503,7 @@ func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.T
 		return ErrExpired
 	}
 	l.m.LocksReleased.Inc()
-	l.settle(at, lk, LockReleased, OpRelease, lk.Payee)
+	l.settle(at, lk, LockReleased, OpRelease, lk.payee)
 	return nil
 }
 
@@ -395,8 +512,8 @@ func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.T
 //
 //xchain:hotpath
 func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
-	lk, ok := l.locks[id]
-	if !ok {
+	lk := l.lookup(id)
+	if lk == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 	}
 	if lk.State != LockPending {
@@ -406,29 +523,36 @@ func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
 		return ErrNotExpired
 	}
 	l.m.LocksRefunded.Inc()
-	l.settle(at, lk, LockRefunded, OpRefund, lk.Payer)
+	l.settle(at, lk, LockRefunded, OpRefund, lk.payer)
 	return nil
 }
 
 // settle pays a pending lock out to Release's payee or Refund's payer. Under
 // compaction it then forgets the lock — out of the ID map, unlinked from the
-// held list — and keeps its record for the next CreateLock.
+// held list — and keeps its record for the next Escrow.
 //
 //xchain:hotpath
-func (l *Ledger) settle(at sim.Time, lk *lockRec, state LockState, kind OpKind, to string) {
+func (l *Ledger) settle(at sim.Time, lk *lockRec, state LockState, kind OpKind, to sim.PID) {
 	lk.State, lk.SettledAt = state, at
 	l.credit(to, lk.Amount)
 	l.m.Escrowed.Add(-float64(lk.Amount))
 	l.m.Available.Add(float64(lk.Amount))
-	if l.byzOwners[lk.Payer] {
+	if l.byzantine(lk.payer) {
 		l.byzEscrowed -= lk.Amount
 		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
 	}
-	l.log(at, kind, lk.Payer, to, lk.Amount, lk.ID)
+	toName := lk.Payee
+	if to == lk.payer {
+		toName = lk.Payer
+	}
+	l.log(at, kind, lk.Payer, toName, lk.Amount, lk.ID)
 	if !l.compact {
 		return
 	}
-	delete(l.locks, lk.ID)
+	if l.locks != nil {
+		delete(l.locks, lk.ID)
+	}
+	l.held--
 	lk.prev.next = lk.next
 	if lk.next != nil {
 		lk.next.prev = lk.prev
@@ -473,29 +597,26 @@ func (l *Ledger) EscrowedTotal() int64 {
 	return total
 }
 
-// SetByzantine marks (or unmarks) owner's account as controlled by a
-// Byzantine party. Marking sweeps owner's currently pending locks into the
+// SetByzantine marks (or unmarks) pid's account as controlled by a
+// Byzantine party. Marking sweeps pid's currently pending locks into the
 // Byzantine-held total (O(pending locks)); from then on every lock
 // operation maintains it in O(1). Unmarking sweeps them back out.
-func (l *Ledger) SetByzantine(owner string, on bool) {
-	if l.byzOwners[owner] == on {
+func (l *Ledger) SetByzantine(pid sim.PID, on bool) {
+	if l.byzantine(pid) == on {
 		return
 	}
-	if l.byzOwners == nil {
-		l.byzOwners = map[string]bool{}
-	}
+	l.growByz(pid)
 	var held int64
 	for lk := l.head.next; lk != nil; lk = lk.next {
-		if lk.State == LockPending && lk.Payer == owner {
+		if lk.State == LockPending && lk.payer == pid {
 			held += lk.Amount
 		}
 	}
+	l.byz[pid] = on
 	if on {
-		l.byzOwners[owner] = true
 		l.byzEscrowed += held
 		l.m.ByzantineEscrowed.Add(float64(held))
 	} else {
-		delete(l.byzOwners, owner)
 		l.byzEscrowed -= held
 		l.m.ByzantineEscrowed.Add(-float64(held))
 	}
@@ -529,7 +650,7 @@ func (l *Ledger) Audit() error {
 	}
 	for _, a := range l.accounts {
 		if a.balance < 0 {
-			return fmt.Errorf("ledger %s: negative balance for %s: %d", l.name, a.owner, a.balance)
+			return fmt.Errorf("ledger %s: negative balance for %s: %d", l.name, l.owner(a.pid), a.balance)
 		}
 	}
 	return nil
@@ -540,14 +661,14 @@ func (l *Ledger) Audit() error {
 func (l *Ledger) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(l.accounts))
 	for _, a := range l.accounts {
-		out[a.owner] = a.balance
+		out[l.owner(a.pid)] = a.balance
 	}
 	return out
 }
 
 // String summarises the ledger.
 func (l *Ledger) String() string {
-	return fmt.Sprintf("ledger(%s: %d accounts, %d locks, minted=%d)", l.name, len(l.accounts), len(l.locks), l.minted)
+	return fmt.Sprintf("ledger(%s: %d accounts, %d locks, minted=%d)", l.name, len(l.accounts), l.held, l.minted)
 }
 
 func checkPreimage(lock, preimage []byte) bool {
@@ -682,7 +803,7 @@ func (b *Book) SnapshotWealth() map[string]int64 {
 	out := map[string]int64{}
 	for _, l := range b.order {
 		for _, a := range l.accounts {
-			out[a.owner] += a.balance
+			out[l.owner(a.pid)] += a.balance
 		}
 	}
 	return out

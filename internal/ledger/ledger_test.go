@@ -27,7 +27,7 @@ func newFunded(t *testing.T) *Ledger {
 
 func TestAccountsAndMint(t *testing.T) {
 	l := newFunded(t)
-	if !l.HasAccount("alice") || l.HasAccount("nobody") {
+	if !l.HasAccount(l.PID("alice")) || l.HasAccount(l.PID("nobody")) {
 		t.Fatal("HasAccount wrong")
 	}
 	if err := l.CreateAccount("alice"); !errors.Is(err, ErrDuplicateAccount) {
@@ -36,7 +36,7 @@ func TestAccountsAndMint(t *testing.T) {
 	if err := l.Mint(0, "alice", 0); !errors.Is(err, ErrBadAmount) {
 		t.Fatalf("zero mint error = %v", err)
 	}
-	if got := l.Balance("alice"); got != 1000 {
+	if got := l.Balance(l.PID("alice")); got != 1000 {
 		t.Fatalf("balance %d", got)
 	}
 	if got := l.Accounts(); len(got) != 3 || got[0] != "alice" {
@@ -49,19 +49,19 @@ func TestAccountsAndMint(t *testing.T) {
 
 func TestTransfer(t *testing.T) {
 	l := newFunded(t)
-	if err := l.Transfer(1, "alice", "bob", 300); err != nil {
+	if err := l.Transfer(1, l.PID("alice"), l.PID("bob"), 300); err != nil {
 		t.Fatal(err)
 	}
-	if l.Balance("alice") != 700 || l.Balance("bob") != 300 {
+	if l.Balance(l.PID("alice")) != 700 || l.Balance(l.PID("bob")) != 300 {
 		t.Fatal("balances wrong after transfer")
 	}
-	if err := l.Transfer(2, "alice", "bob", 10_000); !errors.Is(err, ErrInsufficientFunds) {
+	if err := l.Transfer(2, l.PID("alice"), l.PID("bob"), 10_000); !errors.Is(err, ErrInsufficientFunds) {
 		t.Fatalf("overdraft error = %v", err)
 	}
-	if err := l.Transfer(3, "alice", "nobody", 1); !errors.Is(err, ErrNoAccount) {
+	if err := l.Transfer(3, l.PID("alice"), l.PID("nobody"), 1); !errors.Is(err, ErrNoAccount) {
 		t.Fatalf("unknown account error = %v", err)
 	}
-	if err := l.Transfer(4, "alice", "bob", -5); !errors.Is(err, ErrBadAmount) {
+	if err := l.Transfer(4, l.PID("alice"), l.PID("bob"), -5); !errors.Is(err, ErrBadAmount) {
 		t.Fatalf("negative amount error = %v", err)
 	}
 	if err := l.Audit(); err != nil {
@@ -75,7 +75,7 @@ func TestLockReleaseRefund(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lk.State != LockPending || l.Balance("alice") != 600 || l.EscrowedTotal() != 400 {
+	if lk.State != LockPending || l.Balance(l.PID("alice")) != 600 || l.EscrowedTotal() != 400 {
 		t.Fatal("lock accounting wrong")
 	}
 	if _, err := l.CreateLock(2, "L1", "alice", "bob", 1, Condition{}); !errors.Is(err, ErrDuplicateLock) {
@@ -84,7 +84,7 @@ func TestLockReleaseRefund(t *testing.T) {
 	if err := l.Release(3, "L1", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if l.Balance("bob") != 400 || l.EscrowedTotal() != 0 {
+	if l.Balance(l.PID("bob")) != 400 || l.EscrowedTotal() != 0 {
 		t.Fatal("release accounting wrong")
 	}
 	if err := l.Release(4, "L1", nil, 0); !errors.Is(err, ErrLockSettled) {
@@ -104,8 +104,8 @@ func TestLockReleaseRefund(t *testing.T) {
 	if err := l.Refund(7, "L2", 0); err != nil {
 		t.Fatal(err)
 	}
-	if l.Balance("alice") != 600 {
-		t.Fatalf("refund did not restore alice: %d", l.Balance("alice"))
+	if l.Balance(l.PID("alice")) != 600 {
+		t.Fatalf("refund did not restore alice: %d", l.Balance(l.PID("alice")))
 	}
 	if got := len(l.Locks()); got != 2 {
 		t.Fatalf("lock count %d", got)
@@ -254,7 +254,7 @@ func TestPropertyConservation(t *testing.T) {
 			case 0:
 				_ = l.Mint(sim.Time(i), from, amount)
 			case 1:
-				_ = l.Transfer(sim.Time(i), from, to, amount)
+				_ = l.Transfer(sim.Time(i), l.PID(from), l.PID(to), amount)
 			case 2:
 				id := string(rune('L')) + string(rune('0'+len(lockIDs)%10)) + string(rune('0'+len(lockIDs)/10))
 				if _, err := l.CreateLock(sim.Time(i), id, from, to, amount, Condition{}); err == nil {
@@ -318,7 +318,7 @@ func TestCompaction(t *testing.T) {
 		}
 	}
 	// Identical observable state...
-	if full.Balance("alice") != compact.Balance("alice") || full.Balance("bob") != compact.Balance("bob") {
+	if full.Balance(full.PID("alice")) != compact.Balance(compact.PID("alice")) || full.Balance(full.PID("bob")) != compact.Balance(compact.PID("bob")) {
 		t.Fatal("balances diverge under compaction")
 	}
 	if full.EscrowedTotal() != compact.EscrowedTotal() || compact.EscrowedTotal() != 7 {

@@ -38,7 +38,7 @@ type Metrics struct {
 	Ops           *metrics.Counter
 
 	// Available / Escrowed track this ledger's liquidity split. Mint grows
-	// Available; CreateLock moves value Available -> Escrowed; Release and
+	// Available; Escrow moves value Available -> Escrowed; Release and
 	// Refund move it back (to the payee resp. payer's available balance).
 	Available *metrics.Gauge
 	Escrowed  *metrics.Gauge

@@ -104,9 +104,9 @@ func TestLedgerByzantineHeld(t *testing.T) {
 	_, err := l.CreateLock(1, "pre", "mallory", "bob", 300, Condition{})
 	must(err)
 	check(0)
-	l.SetByzantine("mallory", true)
+	l.SetByzantine(l.PID("mallory"), true)
 	check(300)
-	l.SetByzantine("mallory", true) // idempotent: no double count
+	l.SetByzantine(l.PID("mallory"), true) // idempotent: no double count
 	check(300)
 
 	// Locks created while marked join the total in O(1); honest owners never do.
@@ -126,7 +126,7 @@ func TestLedgerByzantineHeld(t *testing.T) {
 	_, err = l.CreateLock(6, "late", "mallory", "bob", 150, Condition{})
 	must(err)
 	check(150)
-	l.SetByzantine("mallory", false)
+	l.SetByzantine(l.PID("mallory"), false)
 	check(0)
 	if got := l.EscrowedTotal(); got != 550 {
 		t.Fatalf("EscrowedTotal() = %d, want 550 (marking must not move balances)", got)

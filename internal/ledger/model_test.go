@@ -303,7 +303,7 @@ func driveLedgers(t testing.TB, program []byte) {
 			got, want = l.Mint(at, a, amt), m.Mint(at, a, amt)
 		case 2:
 			what = fmt.Sprintf("Transfer %s->%s %d", a, b, amt)
-			got, want = l.Transfer(at, a, b, amt), m.Transfer(at, a, b, amt)
+			got, want = l.Transfer(at, l.PID(a), l.PID(b), amt), m.Transfer(at, a, b, amt)
 		case 3:
 			var cond Condition
 			switch sel / len(modelLockIDs) % 3 {
@@ -328,7 +328,7 @@ func driveLedgers(t testing.TB, program []byte) {
 			m.compact = x%2 == 0
 		case 7:
 			what = fmt.Sprintf("SetByzantine %s %v", a, y%2 == 0)
-			l.SetByzantine(a, y%2 == 0)
+			l.SetByzantine(l.PID(a), y%2 == 0)
 			m.SetByzantine(a, y%2 == 0)
 		case 8:
 			name := []string{"e0", "e1"}[x%2]
@@ -360,10 +360,10 @@ func compareWithModel(t testing.TB, step int, what string, l *Ledger, m *mapLedg
 		t.Fatalf("step %d (%s): "+format, append([]any{step, what}, args...)...)
 	}
 	for _, owner := range modelOwners {
-		if got, want := l.Balance(owner), m.accounts[owner]; got != want {
+		if got, want := l.Balance(l.PID(owner)), m.accounts[owner]; got != want {
 			fail("Balance(%s) = %d, the model %d", owner, got, want)
 		}
-		if got, want := l.HasAccount(owner), m.has(owner); got != want {
+		if got, want := l.HasAccount(l.PID(owner)), m.has(owner); got != want {
 			fail("HasAccount(%s) = %v, the model %v", owner, got, want)
 		}
 	}

@@ -1,6 +1,10 @@
 package ledger
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/sim"
+)
 
 // Checkpoint support: a Ledger can be captured into a plain serialisable
 // value and rebuilt exactly. All map-backed state is flattened into sorted
@@ -44,21 +48,21 @@ func (l *Ledger) State() LedgerState {
 		SettledForgotten: l.settled,
 		ByzEscrowed:      l.byzEscrowed,
 	}
-	for _, owner := range l.Accounts() {
-		st.Accounts = append(st.Accounts, AccountState{Owner: owner, Balance: l.Balance(owner)})
+	for _, a := range l.accounts {
+		st.Accounts = append(st.Accounts, AccountState{Owner: l.owner(a.pid), Balance: a.balance})
 	}
+	for pid, on := range l.byz {
+		if on {
+			st.ByzantineOwners = append(st.ByzantineOwners, l.owner(sim.PID(pid)))
+		}
+	}
+	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].Owner < st.Accounts[j].Owner })
+	sort.Strings(st.ByzantineOwners)
 	for _, lk := range l.Locks() {
 		st.Locks = append(st.Locks, *lk)
 	}
 	if len(l.ops) > 0 {
 		st.Ops = append([]Op(nil), l.ops...)
-	}
-	if len(l.byzOwners) > 0 {
-		st.ByzantineOwners = make([]string, 0, len(l.byzOwners))
-		for owner := range l.byzOwners {
-			st.ByzantineOwners = append(st.ByzantineOwners, owner)
-		}
-		sort.Strings(st.ByzantineOwners)
 	}
 	return st
 }
@@ -70,10 +74,15 @@ func (l *Ledger) State() LedgerState {
 func FromState(st LedgerState) *Ledger {
 	l := New(st.Name)
 	for _, a := range st.Accounts {
-		l.accounts = append(l.accounts, account{a.Owner, a.Balance})
+		l.accounts = append(l.accounts, account{pid: l.PID(a.Owner), balance: a.Balance})
+	}
+	for _, owner := range st.ByzantineOwners {
+		pid := l.PID(owner)
+		l.growByz(pid)
+		l.byz[pid] = true
 	}
 	for _, lk := range st.Locks {
-		l.hold(&lockRec{Lock: lk})
+		l.hold(&lockRec{Lock: lk, payer: l.PID(lk.Payer), payee: l.PID(lk.Payee)})
 	}
 	if len(st.Ops) > 0 {
 		l.ops = append([]Op(nil), st.Ops...)
@@ -82,12 +91,6 @@ func FromState(st LedgerState) *Ledger {
 	l.minted = st.Minted
 	l.compact = st.Compact
 	l.settled = st.SettledForgotten
-	if len(st.ByzantineOwners) > 0 {
-		l.byzOwners = make(map[string]bool, len(st.ByzantineOwners))
-		for _, owner := range st.ByzantineOwners {
-			l.byzOwners[owner] = true
-		}
-	}
 	l.byzEscrowed = st.ByzEscrowed
 	return l
 }

@@ -33,7 +33,7 @@ func buildBusyLedger(t *testing.T) *Ledger {
 	must(err)
 	_, err = l.CreateLock(55, "lk-evil", "mallory", "bob", 300, Condition{})
 	must(err)
-	l.SetByzantine("mallory", true)
+	l.SetByzantine(l.PID("mallory"), true)
 	return l
 }
 
@@ -46,7 +46,7 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 		if err := l.Release(100, "lk-pending", nil, 100); err != nil {
 			t.Fatalf("release pending: %v", err)
 		}
-		l.SetByzantine("mallory", false)
+		l.SetByzantine(l.PID("mallory"), false)
 		if err := l.Refund(600, "lk-evil", 600); err != nil {
 			t.Fatalf("refund evil: %v", err)
 		}
@@ -73,8 +73,8 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 	drive(restored)
 
 	for _, owner := range []string{"alice", "bob", "mallory"} {
-		if restored.Balance(owner) != orig.Balance(owner) {
-			t.Fatalf("%s balance %d, want %d", owner, restored.Balance(owner), orig.Balance(owner))
+		if restored.Balance(restored.PID(owner)) != orig.Balance(orig.PID(owner)) {
+			t.Fatalf("%s balance %d, want %d", owner, restored.Balance(restored.PID(owner)), orig.Balance(orig.PID(owner)))
 		}
 	}
 	if restored.Minted() != orig.Minted() || restored.EscrowedTotal() != orig.EscrowedTotal() {
@@ -125,7 +125,7 @@ func TestLedgerStateRetainsOps(t *testing.T) {
 	if err := l.Mint(0, "alice", 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Transfer(sim.Millisecond, "alice", "alice", 5); err != nil {
+	if err := l.Transfer(sim.Millisecond, l.PID("alice"), l.PID("alice"), 5); err != nil {
 		t.Fatal(err)
 	}
 	r := FromState(l.State())

@@ -32,9 +32,14 @@ import (
 // RestoreEventArg, and a local clock's ScheduleArgAtLocal and
 // ScheduleArgAfterLocal, which wrap the engine. A literal that captures
 // nothing is a static function value and stays allowed.
+//
+// Nor may they index a map keyed by a string, reading or writing: that is an
+// identity looked up by hashing its name, which inside a run is a
+// participant's PID (sim.PID) indexing a slice. Lookups a Recording() guard
+// covers are rendering and stay allowed.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation and trace appends, and forbid capturing closures passed to Engine.ScheduleArgIn/ScheduleArgAt/RestoreEventArg and Clock.ScheduleArgAtLocal/ScheduleArgAfterLocal",
+	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation, trace appends and indexes into string-keyed maps, and forbid capturing closures passed to Engine.ScheduleArgIn/ScheduleArgAt/RestoreEventArg and Clock.ScheduleArgAtLocal/ScheduleArgAfterLocal",
 	Run:  runHotalloc,
 }
 
@@ -126,6 +131,12 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 						}
 					}
 				}
+			case *ast.IndexExpr:
+				if stringKeyedMap(exprType(info, n.X)) && !isGuarded(info, recVars, stack, n) {
+					pass.Reportf(n.Pos(),
+						"index into a string-keyed map in hot path %s; address the participant by its PID instead of hashing its name",
+						fd.Name.Name)
+				}
 			case *ast.BinaryExpr:
 				if n.Op == token.ADD && isStringType(exprType(info, n)) && !isConstant(info, n) {
 					if !isGuarded(info, recVars, stack, n) {
@@ -144,6 +155,15 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 	}
 	stack = stack[:0]
 	walk(fd.Body)
+}
+
+// stringKeyedMap reports whether t is a map whose key is a string type.
+func stringKeyedMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	m, ok := t.Underlying().(*types.Map)
+	return ok && isStringType(m.Key())
 }
 
 // captures reports whether lit uses a variable declared outside it in an

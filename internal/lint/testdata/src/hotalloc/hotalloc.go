@@ -168,3 +168,36 @@ func justified(tr *Trace, id string) {
 	//lint:hotalloc fixture: a justified suppression silences the finding
 	tr.Add(id)
 }
+
+// registry is a name-keyed table, the shape a participant table had before
+// PIDs.
+type registry struct {
+	byName map[string]int
+	byID   map[int]int
+	names  []string
+}
+
+// Bad: every read or write of a string-keyed map hashes a name.
+//
+//xchain:hotpath
+func (r *registry) lookups(name string, tr *Trace) int {
+	n := r.byName[name]              // want `index into a string-keyed map in hot path lookups; address the participant by its PID instead of hashing its name`
+	r.byName[name] = n + 1           // want `index into a string-keyed map in hot path lookups`
+	if v, ok := r.byName["c0"]; ok { // want `index into a string-keyed map in hot path lookups`
+		n += v
+	}
+	return n + r.byID[n] + len(r.names[n])
+}
+
+// Good: an integer-keyed map or a slice is no name lookup, a lookup under a
+// Recording() guard is rendering, and a literal runs when called.
+//
+//xchain:hotpath
+func (r *registry) guardedLookups(pid int, tr *Trace) int {
+	n := r.byID[pid]
+	if tr.Recording() {
+		n += r.byName[r.names[pid]]
+	}
+	count := func(name string) int { return r.byName[name] }
+	return n + count("c1")
+}

@@ -21,7 +21,7 @@ func TestNetworkMetrics(t *testing.T) {
 
 	net.Send("a", "nobody", RawMessage{Label: "dropped-unknown"})
 	net.Send("b", "c", RawMessage{Label: "ok"})
-	net.Broadcast("c", RawMessage{Label: "fanout"}) // to a and b
+	net.Broadcast(net.PID("c"), RawMessage{Label: "fanout"}) // to a and b
 	eng.Run(0)
 
 	st := net.Stats()

@@ -12,6 +12,7 @@ package netsim
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -40,17 +41,19 @@ func HeadOf(msg Message) string {
 
 // Node is a participant attached to the network.
 type Node interface {
-	// ID returns the participant's unique identifier.
+	// ID returns the participant's name, which the network renders in
+	// traces and registers the node under by Register.
 	ID() string
-	// Deliver is invoked by the network when a message arrives.
-	Deliver(from string, msg Message)
+	// Deliver is invoked by the network when a message arrives from the
+	// participant with that PID.
+	Deliver(from sim.PID, msg Message)
 }
 
 // Envelope describes a message in flight; adversarial delay models receive
 // it when choosing delays.
 type Envelope struct {
-	From   string
-	To     string
+	From   sim.PID
+	To     sim.PID
 	Msg    Message
 	SentAt sim.Time
 	Seq    uint64
@@ -188,7 +191,7 @@ func deliver(x any) {
 	n.stats.TotalDelay += delay
 	n.stats.MaxDelay = max(n.stats.MaxDelay, delay)
 	if n.tr.Recording() {
-		n.tr.Add(n.eng.Now(), trace.KindDeliver, env.To, env.From, label)
+		n.tr.Add(n.eng.Now(), trace.KindDeliver, n.Name(env.To), n.Name(env.From), label)
 	}
 	dst.Deliver(env.From, env.Msg)
 	if n.Tap != nil {
@@ -196,22 +199,21 @@ func deliver(x any) {
 	}
 }
 
-// node is one entry of a network's node table.
-type node struct {
-	id string
-	n  Node
-}
-
-// Network connects nodes through a delay model on a simulation engine.
+// Network connects nodes through a delay model on a simulation engine. Its
+// nodes are addressed by PID: names is the run's participant table (PID i
+// is names[i]) and nodes[i] the node registered under PID i, nil if none.
 type Network struct {
 	eng      *sim.Engine
 	model    DelayModel
 	tr       *trace.Trace
-	nodes    []node // registered nodes, sorted by ID
+	names    []string
+	nodes    []Node
 	seq      uint64
 	stats    Stats
 	m        Metrics
 	freeArgs []*deliverArg
+	// order is Broadcast's scratch: the registered PIDs sorted by name.
+	order []sim.PID
 	// Tap, if set, observes every delivered message after the recipient
 	// handles it (used by checkers needing message-level visibility).
 	Tap func(env Envelope, deliveredAt sim.Time)
@@ -219,6 +221,7 @@ type Network struct {
 
 // New creates a network over eng using the given delay model, recording into
 // tr (which may be nil, in which case a fresh muted-free trace is created).
+// Its participant table starts empty: Register adds names to it.
 func New(eng *sim.Engine, model DelayModel, tr *trace.Trace) *Network {
 	if tr == nil {
 		tr = trace.New()
@@ -227,18 +230,27 @@ func New(eng *sim.Engine, model DelayModel, tr *trace.Trace) *Network {
 }
 
 // Reset returns the network to the state New(eng, model, tr) builds on the
-// same engine and trace — no nodes, no tap, zeroed counters and
-// sequence numbers, muted metrics — keeping its table's and pools' storage.
-// Messages still in flight belong to the engine's queue and go with the
-// engine's own Reset.
+// same engine and trace — no nodes, an empty participant table, no tap,
+// zeroed counters and sequence numbers, muted metrics — keeping its table's
+// and pools' storage. Messages still in flight belong to the engine's queue
+// and go with the engine's own Reset.
 func (n *Network) Reset(model DelayModel) {
 	n.model = model
+	n.names = nil
 	clear(n.nodes)
 	n.nodes = n.nodes[:0]
 	n.seq = 0
 	n.stats = Stats{}
 	n.m = Metrics{}
 	n.Tap = nil
+}
+
+// SetParticipants makes names the run's participant table: PID i is
+// names[i]. The network reads names without copying it and never writes to
+// it (PID's additions go to a copy), so the caller may extend it and hand it
+// over again, but must not change what a PID names during the run.
+func (n *Network) SetParticipants(names []string) {
+	n.names = names[:len(names):len(names)]
 }
 
 // Engine returns the underlying simulation engine.
@@ -253,49 +265,79 @@ func (n *Network) Model() DelayModel { return n.model }
 // Stats returns a copy of the network counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Register attaches a node. Registering two nodes with the same ID is a
-// programming error and panics.
-func (n *Network) Register(nd Node) {
-	id := nd.ID()
-	at, dup := n.lookup(id)
-	if dup {
-		panic(fmt.Sprintf("netsim: duplicate node id %q", id))
+// Name renders pid from the participant table: "" for NoPID or a PID the
+// table does not hold.
+func (n *Network) Name(pid sim.PID) string {
+	if uint(pid) < uint(len(n.names)) {
+		return n.names[pid]
 	}
-	n.nodes = slices.Insert(n.nodes, at, node{id, nd})
+	return ""
 }
 
-// lookup returns where id stands in the node table, or would, and whether
-// it does.
-//
-//xchain:hotpath
-func (n *Network) lookup(id string) (int, bool) {
-	lo, hi := 0, len(n.nodes)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); n.nodes[m].id < id {
-			lo = m + 1
-		} else {
-			hi = m
+// Attach registers nd under pid in O(1). Registering two nodes under one
+// PID is a programming error and panics.
+func (n *Network) Attach(pid sim.PID, nd Node) {
+	if pid < 0 {
+		panic(fmt.Sprintf("netsim: node %q attached under no PID", nd.ID()))
+	}
+	if int(pid) >= len(n.nodes) {
+		n.nodes = append(n.nodes, make([]Node, int(pid)+1-len(n.nodes))...)
+	}
+	if n.nodes[pid] != nil {
+		panic(fmt.Sprintf("netsim: duplicate node id %q", n.Name(pid)))
+	}
+	n.nodes[pid] = nd
+}
+
+// Register attaches a node under its name, which it adds to the participant
+// table if the table does not hold it yet. It serves networks built without
+// a table (tests, probes); a run that laid out its participants attaches
+// them by PID.
+func (n *Network) Register(nd Node) { n.Attach(n.PID(nd.ID()), nd) }
+
+// PID returns name's PID, adding name to the participant table if the table
+// does not hold it yet. It scans the table: the edge's way in, never a
+// run's.
+func (n *Network) PID(name string) sim.PID {
+	for i, nm := range n.names {
+		if nm == name {
+			return sim.PID(i)
 		}
 	}
-	return lo, lo < len(n.nodes) && n.nodes[lo].id == id
+	n.names = append(n.names, name)
+	return sim.PID(len(n.names) - 1)
 }
 
-// NodeIDs returns the registered node IDs in sorted order, which Broadcast
-// sends in: per-message sequence numbers and RNG draws follow it.
+// NodeIDs returns the registered nodes' names in sorted order, which
+// Broadcast sends in: per-message sequence numbers and RNG draws follow it.
 func (n *Network) NodeIDs() []string {
-	out := make([]string, len(n.nodes))
-	for i, nd := range n.nodes {
-		out[i] = nd.id
+	out := make([]string, 0, len(n.nodes))
+	for _, pid := range n.byName() {
+		out = append(out, n.names[pid])
 	}
 	return out
 }
 
-// Send hands a message from one participant to another. Unknown recipients
-// cause the message to be dropped (and traced), mirroring a payment sent to
-// a non-existent account rather than crashing the run.
+// byName returns the registered PIDs sorted by name, in n's scratch.
+func (n *Network) byName() []sim.PID {
+	n.order = n.order[:0]
+	for i, nd := range n.nodes {
+		if nd != nil {
+			n.order = append(n.order, sim.PID(i))
+		}
+	}
+	slices.SortFunc(n.order, func(a, b sim.PID) int { return strings.Compare(n.names[a], n.names[b]) })
+	return n.order
+}
+
+// Post hands a message from one participant to another. A recipient with no
+// node registered under its PID causes the message to be dropped (and
+// counted and traced), mirroring a payment sent to a non-existent account
+// rather than crashing the run. Names are rendered only for a recording
+// trace.
 //
 //xchain:hotpath
-func (n *Network) Send(from, to string, msg Message) {
+func (n *Network) Post(from, to sim.PID, msg Message) {
 	n.seq++
 	now := n.eng.Now()
 	env := Envelope{From: from, To: to, Msg: msg, SentAt: now, Seq: n.seq}
@@ -305,16 +347,19 @@ func (n *Network) Send(from, to string, msg Message) {
 	var label string
 	if recording {
 		label = msg.Describe()
-		n.tr.Add(now, trace.KindSend, from, to, label)
+		n.tr.Add(now, trace.KindSend, n.Name(from), n.Name(to), label)
 	}
 
 	delay, drop := n.model.Delay(env, n.eng)
-	at, ok := n.lookup(to)
-	if drop || !ok {
+	var dst Node
+	if uint(to) < uint(len(n.nodes)) {
+		dst = n.nodes[to]
+	}
+	if drop || dst == nil {
 		n.stats.Dropped++
 		n.m.Dropped.Inc()
 		if recording {
-			n.tr.Add(now, trace.KindDrop, from, to, label)
+			n.tr.Add(now, trace.KindDrop, n.Name(from), n.Name(to), label)
 		}
 		return
 	}
@@ -328,23 +373,28 @@ func (n *Network) Send(from, to string, msg Message) {
 		d = &deliverArg{}
 	}
 	d.net = n
-	d.dst = n.nodes[at].n
+	d.dst = dst
 	d.env = env
 	d.delay = delay
 	d.label = label
 	n.eng.ScheduleArgIn(delay, "deliver", deliver, d)
 }
 
+// Send is Post between participants named by their IDs, each found in (or
+// added to) the participant table: the edge's way in, for tests and probes.
+func (n *Network) Send(from, to string, msg Message) {
+	f := n.PID(from)
+	n.Post(f, n.PID(to), msg)
+}
+
 // Broadcast sends msg from one participant to every other registered node,
-// in sorted node-ID order so that the per-message sequence numbers and delay
-// draws are identical on every run.
-//
-//xchain:hotpath
-func (n *Network) Broadcast(from string, msg Message) {
+// in sorted node-name order so that the per-message sequence numbers and
+// delay draws are identical on every run, whatever the PIDs' order.
+func (n *Network) Broadcast(from sim.PID, msg Message) {
 	n.m.Broadcasts.Inc()
-	for _, nd := range n.nodes {
-		if nd.id != from {
-			n.Send(from, nd.id, msg)
+	for _, to := range n.byName() {
+		if to != from {
+			n.Post(from, to, msg)
 		}
 	}
 }
@@ -353,14 +403,14 @@ func (n *Network) Broadcast(from string, msg Message) {
 // lightweight observers.
 type FuncNode struct {
 	Id      string
-	Handler func(from string, msg Message)
+	Handler func(from sim.PID, msg Message)
 }
 
 // ID implements Node.
 func (f *FuncNode) ID() string { return f.Id }
 
 // Deliver implements Node.
-func (f *FuncNode) Deliver(from string, msg Message) {
+func (f *FuncNode) Deliver(from sim.PID, msg Message) {
 	if f.Handler != nil {
 		f.Handler(from, msg)
 	}

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +16,7 @@ func probeNetwork(model DelayModel) (*sim.Engine, *Network, *[]string) {
 	net := New(eng, model, trace.New())
 	var delivered []string
 	net.Register(&FuncNode{Id: "a"})
-	net.Register(&FuncNode{Id: "b", Handler: func(from string, msg Message) {
+	net.Register(&FuncNode{Id: "b", Handler: func(from sim.PID, msg Message) {
 		delivered = append(delivered, msg.Describe())
 	}})
 	return eng, net, &delivered
@@ -47,7 +49,7 @@ func TestPartialSynchronyRespectsDeltaAfterGST(t *testing.T) {
 	delta := 20 * sim.Millisecond
 	model := PartialSynchrony{GST: gst, Delta: delta, MaxPreGST: 5 * sim.Second}
 	eng := sim.NewEngine(3)
-	env := Envelope{From: "a", To: "b", Msg: RawMessage{Label: "m"}}
+	env := Envelope{From: 0, To: 1, Msg: RawMessage{Label: "m"}}
 	for i := 0; i < 200; i++ {
 		env.SentAt = sim.Time(i) * 20 * sim.Millisecond
 		d, drop := model.Delay(env, eng)
@@ -82,7 +84,7 @@ func TestAdversarialStrategy(t *testing.T) {
 	model := Adversarial{
 		Label: "drop-b",
 		Strategy: func(env Envelope, eng *sim.Engine) (sim.Time, bool) {
-			return 5, env.To == "b"
+			return 5, env.To == 1
 		},
 	}
 	if model.Name() != "adversarial:drop-b" {
@@ -120,11 +122,11 @@ func TestBroadcastAndTap(t *testing.T) {
 	count := 0
 	for _, id := range []string{"a", "b", "c", "d"} {
 		id := id
-		net.Register(&FuncNode{Id: id, Handler: func(string, Message) { count++ }})
+		net.Register(&FuncNode{Id: id, Handler: func(sim.PID, Message) { count++ }})
 	}
 	taps := 0
 	net.Tap = func(env Envelope, at sim.Time) { taps++ }
-	net.Broadcast("a", RawMessage{Label: "hello"})
+	net.Broadcast(net.PID("a"), RawMessage{Label: "hello"})
 	eng.Run(0)
 	if count != 3 || taps != 3 {
 		t.Fatalf("broadcast reached %d nodes, tapped %d", count, taps)
@@ -200,8 +202,8 @@ func TestBroadcastDeterministic(t *testing.T) {
 		for _, id := range order {
 			net.Register(&FuncNode{Id: id})
 		}
-		net.Broadcast("n0", RawMessage{Label: "round"})
-		net.Broadcast("n3", RawMessage{Label: "round"})
+		net.Broadcast(net.PID("n0"), RawMessage{Label: "round"})
+		net.Broadcast(net.PID("n3"), RawMessage{Label: "round"})
 		eng.Run(0)
 		return tr.String()
 	}
@@ -299,4 +301,75 @@ type countingMessage struct{ calls *int }
 func (c countingMessage) Describe() string {
 	*c.calls++
 	return fmt.Sprintf("counted %d", *c.calls)
+}
+
+// TestPostToUnregisteredPIDDropped: a message to a PID with no node — in the
+// table or past its end — is dropped and counted, and the trace names the
+// recipient the table holds.
+func TestPostToUnregisteredPIDDropped(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr := trace.New()
+	net := New(eng, Synchronous{Min: 1, Max: 1}, tr)
+	net.SetParticipants([]string{"a", "b", "c"})
+	delivered := 0
+	net.Attach(0, &FuncNode{Id: "a", Handler: func(sim.PID, Message) { delivered++ }})
+	for _, to := range []sim.PID{1, 2, 9, sim.NoPID} {
+		net.Post(0, to, RawMessage{Label: "m"})
+	}
+	net.Post(1, 0, RawMessage{Label: "m"})
+	eng.Run(0)
+	if st := net.Stats(); st.Sent != 5 || st.Dropped != 4 || st.Delivered != 1 || delivered != 1 {
+		t.Fatalf("stats %+v, delivered %d: want 5 sent, 4 dropped, 1 delivered", st, delivered)
+	}
+	if !strings.Contains(tr.String(), "b") || net.Name(9) != "" || net.Name(sim.NoPID) != "" {
+		t.Fatalf("names: trace\n%s", tr.String())
+	}
+}
+
+// TestDuplicateAttachPanics: a PID takes one node, whether attached by PID
+// or registered by name.
+func TestDuplicateAttachPanics(t *testing.T) {
+	for name, attach := range map[string]func(*Network){
+		"attach":   func(n *Network) { n.Attach(0, &FuncNode{Id: "a"}) },
+		"register": func(n *Network) { n.Register(&FuncNode{Id: "a"}) },
+	} {
+		net := New(sim.NewEngine(1), Synchronous{Min: 1, Max: 1}, nil)
+		net.SetParticipants([]string{"a"})
+		net.Attach(0, &FuncNode{Id: "a"})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a second node under PID 0 did not panic", name)
+				}
+			}()
+			attach(net)
+		}()
+	}
+}
+
+// TestBroadcastNameOrderNotPIDOrder: with eleven participants c0..c10 at
+// PIDs 0..10, index order and name order differ ("c10" sorts before "c2"),
+// and Broadcast sends in name order.
+func TestBroadcastNameOrderNotPIDOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := New(eng, Synchronous{Min: 1, Max: 1}, nil)
+	var names []string
+	for i := 0; i <= 10; i++ {
+		names = append(names, fmt.Sprintf("c%d", i))
+	}
+	net.SetParticipants(names)
+	var order []string
+	for i, name := range names {
+		net.Attach(sim.PID(i), &FuncNode{Id: name})
+	}
+	net.Tap = func(env Envelope, _ sim.Time) { order = append(order, net.Name(env.To)) }
+	net.Broadcast(0, RawMessage{Label: "all"})
+	eng.Run(0)
+	want := []string{"c1", "c10", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("broadcast order %v, want %v", order, want)
+	}
+	if ids := net.NodeIDs(); ids[2] != "c10" || ids[3] != "c2" {
+		t.Fatalf("NodeIDs %v not in name order", ids)
+	}
 }

@@ -50,6 +50,7 @@ type Committee struct {
 	size, quorum int
 	words        int // words of a voter bitset: one per 64 notaries
 	ids          []string
+	pids         []core.PID   // pids[j] is notary j's PID
 	procs        []notaryProc // procs[j] is notary j
 
 	// The ballots, each sent once per view (twice by an equivocator) and
@@ -83,16 +84,17 @@ func CommitteeIn(w *core.World, size int) *Committee {
 	c.prepares.rewind()
 	c.commitVotes.rewind()
 	c.viewChanges.rewind()
-	c.ids = c.ids[:0]
+	c.ids, c.pids = c.ids[:0], c.pids[:0]
 	for j, seed := 0, s.DerivedKeySeed(); j < size; j++ {
 		c.ids = append(c.ids, core.NotaryID(j))
-		c.addKey(seed, c.ids[j])
+		c.pids = append(c.pids, w.Join(c.ids[j]))
+		c.addKey(seed, c.pids[j], c.ids[j])
 	}
 	c.procs = slices.Grow(c.procs[:0], size)[:size]
 	for j := range c.procs {
 		p := &c.procs[j]
-		p.reset(c, j, s.FaultOf(c.ids[j]))
-		c.w.Net.Register(p)
+		p.reset(c, j, w.FaultOf(c.pids[j]))
+		c.w.Net.Attach(c.pids[j], p)
 		c.scheduleCrash(p.id, p.fault, notaryCrash, p)
 	}
 	return c
@@ -103,6 +105,9 @@ func notaryCrash(x any) { x.(*notaryProc).crashed = true }
 
 // IDs implements Manager.
 func (c *Committee) IDs() []string { return c.ids }
+
+// PIDs implements Manager.
+func (c *Committee) PIDs() []core.PID { return c.pids }
 
 // Quorum implements Manager.
 func (c *Committee) Quorum() int { return c.quorum }
@@ -260,6 +265,7 @@ type viewTimer struct {
 type notaryProc struct {
 	c       *Committee
 	id      string
+	pid     core.PID
 	index   int
 	fault   core.FaultSpec
 	crashed bool
@@ -288,8 +294,10 @@ type notaryProc struct {
 
 	timerArmed bool
 	timers     [maxViews]viewTimer
-	// cert is the certificate this notary assembles, at most once per run.
-	cert MsgDecision
+	// cert is the certificate this notary assembles, at most once per run,
+	// and signers its signers' PIDs.
+	cert    MsgDecision
+	signers []core.PID
 }
 
 // clear zeroes what the last run wrote into the per-view records. The locks
@@ -302,7 +310,7 @@ func (p *notaryProc) clear() {
 
 // reset makes p, cleared, notary j of c.
 func (p *notaryProc) reset(c *Committee, j int, fault core.FaultSpec) {
-	p.c, p.id, p.index, p.fault = c, c.ids[j], j, fault
+	p.c, p.id, p.pid, p.index, p.fault = c, c.ids[j], c.pids[j], j, fault
 	p.crashed, p.abortRequested, p.decided, p.timerArmed = false, false, false, false
 	p.prepared = p.prepared[:0]
 	p.view, p.lock, p.lockView, p.decision, p.pending = 0, "", 0, "", nil
@@ -353,7 +361,7 @@ func (p *notaryProc) ballot(d sig.Decision, view int, voter string) (k, j int, o
 // Deliver implements netsim.Node.
 //
 //xchain:hotpath
-func (p *notaryProc) Deliver(from string, msg netsim.Message) {
+func (p *notaryProc) Deliver(from core.PID, msg netsim.Message) {
 	if !p.active() {
 		return
 	}
@@ -363,7 +371,7 @@ func (p *notaryProc) Deliver(from string, msg netsim.Message) {
 	case *MsgAbortRequest:
 		p.onEvidenceAbort(m)
 	case *MsgPrePrepare:
-		p.onPrePrepare(from, m)
+		p.onPrePrepare(p.c.w.Name(from), m)
 	case *MsgPrepare:
 		p.onPrepare(m)
 	case *MsgCommitVote:
@@ -478,9 +486,9 @@ func (p *notaryProc) moveToView(v int) {
 //
 //xchain:hotpath
 func (p *notaryProc) broadcast(m netsim.Message) {
-	for j, nid := range p.c.ids {
+	for j, nid := range p.c.pids {
 		if j != p.index {
-			p.c.w.Net.Send(p.id, nid, m)
+			p.c.w.Net.Post(p.pid, nid, m)
 		}
 	}
 }
@@ -677,12 +685,14 @@ func (p *notaryProc) onCommitVote(m *MsgCommitVote) {
 		PaymentID: c.paymentID(), Decision: m.Decision, Manager: core.ManagerID, IssuedAt: c.w.Eng.Now(),
 		Quorum: c.quorum, Signers: cert.Signers[:0], Sigs: cert.Sigs,
 	}
+	p.signers = p.signers[:0]
 	for i, nid := range c.ids {
 		if votes.has(i) {
 			cert.Signers = append(cert.Signers, nid)
+			p.signers = append(p.signers, c.pids[i])
 		}
 	}
-	cert.Sign(c.kr)
+	cert.Sign(c.kr, p.signers)
 	p.adopt(cert.Decision)
 	if c.w.Trace.Recording() {
 		c.w.Trace.Add(c.w.Eng.Now(), trace.KindDecision, p.id, "", cert.Describe())
@@ -690,8 +700,8 @@ func (p *notaryProc) onCommitVote(m *MsgCommitVote) {
 	if p.fault.WithholdCertificate {
 		return
 	}
-	for _, id := range c.w.Participants() {
-		c.w.Net.Send(p.id, id, &p.cert)
+	for pid := range core.PID(len(c.w.Participants())) {
+		c.w.Net.Post(p.pid, pid, &p.cert)
 	}
 	p.broadcast(&p.cert)
 }

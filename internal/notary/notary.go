@@ -79,12 +79,14 @@ func (m *MsgDecision) Head() string { return string(m.Cert.Decision) }
 
 // Manager is the common interface of the transaction-manager
 // implementations: the weak-liveness protocol sends MsgPrepared and
-// MsgAbortRequest to every ID in IDs() and receives MsgDecision broadcasts
+// MsgAbortRequest to every PID in PIDs() and receives MsgDecision broadcasts
 // in return.
 type Manager interface {
-	// IDs lists the node IDs protocol messages must be sent to. The slice is
-	// the manager's own: callers must not modify it.
+	// IDs lists the names of the nodes protocol messages must be sent to,
+	// and PIDs the same nodes in the run. The slices are the manager's own:
+	// callers must not modify them.
 	IDs() []string
+	PIDs() []core.PID
 	// CommitIssued and AbortIssued report whether a valid certificate of the
 	// respective kind was ever issued during the run.
 	CommitIssued() bool
@@ -112,10 +114,10 @@ type run struct {
 func (r *run) paymentID() string { return r.scn.Spec.PaymentID }
 
 // addKey derives the key of manager or notary id, which is no participant of
-// the chain, from the run's key seed.
-func (r *run) addKey(seed, id string) {
-	if !r.kr.Has(id) {
-		r.kr.Add(seed, id)
+// the chain, from the run's key seed, under its PID.
+func (r *run) addKey(seed string, pid core.PID, id string) {
+	if !r.kr.Holds(pid, id) {
+		r.kr.Hold(pid, seed, id)
 	}
 }
 

@@ -49,7 +49,7 @@ func (h *harness) begin() {
 		h.w.Net.Register(h.nodes[i])
 	}
 	if h.nodes[0].Handler == nil {
-		h.nodes[0].Handler = func(from string, msg netsim.Message) {
+		h.nodes[0].Handler = func(from sim.PID, msg netsim.Message) {
 			if d, ok := msg.(*MsgDecision); ok {
 				h.decisions = append(h.decisions, d.Cert)
 			}
@@ -450,13 +450,13 @@ func TestSameDecisionCertNotReverified(t *testing.T) {
 		t.Fatalf("notary1 decided=%v, silent notary3 decided=%v", decided.decided, silent.decided)
 	}
 	second := &MsgDecision{Cert: h.decisions[0]}
-	if n := verifies(func() { decided.Deliver(core.NotaryID(0), second) }); n != 0 {
+	if n := verifies(func() { decided.Deliver(c.PIDs()[0], second) }); n != 0 {
 		t.Errorf("a decided notary verified %d signatures of a second commit certificate", n)
 	}
 	// The same certificate costs a notary that has not decided its quorum of
 	// verifications.
 	silent.fault = core.FaultSpec{}
-	if n := verifies(func() { silent.Deliver(core.NotaryID(0), second) }); n != uint64(c.Quorum()) || !silent.decided {
+	if n := verifies(func() { silent.Deliver(c.PIDs()[0], second) }); n != uint64(c.Quorum()) || !silent.decided {
 		t.Errorf("an undecided notary verified %d signatures of its first certificate (decided=%v), want %d", n, silent.decided, c.Quorum())
 	}
 	// A certificate for the other decision is verified: a forged one is
@@ -465,10 +465,10 @@ func TestSameDecisionCertNotReverified(t *testing.T) {
 	forged := &MsgDecision{Cert: other.Cert}
 	forged.Cert.Sigs = slices.Clone(other.Cert.Sigs)
 	forged.Cert.Sigs[0] = forged.Cert.Sigs[1]
-	if n := verifies(func() { decided.Deliver(core.NotaryID(0), forged) }); n != uint64(c.Quorum()) || c.AbortIssued() {
+	if n := verifies(func() { decided.Deliver(c.PIDs()[0], forged) }); n != uint64(c.Quorum()) || c.AbortIssued() {
 		t.Errorf("a forged certificate for the other decision: %d signatures verified, abort issued=%v; want %d and false", n, c.AbortIssued(), c.Quorum())
 	}
-	if n := verifies(func() { decided.Deliver(core.NotaryID(0), other) }); n != uint64(c.Quorum()) {
+	if n := verifies(func() { decided.Deliver(c.PIDs()[0], other) }); n != uint64(c.Quorum()) {
 		t.Errorf("a decided notary verified %d signatures of a certificate for the other decision, want %d", n, c.Quorum())
 	}
 	if !c.AbortIssued() || !c.CommitIssued() {

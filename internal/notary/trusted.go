@@ -19,6 +19,7 @@ type Trusted struct {
 	run
 	issued
 	fault core.FaultSpec
+	pids  [1]core.PID // the manager's, PIDs()
 
 	prepared []string // the escrows that reported, a set
 	decided  bool
@@ -42,11 +43,12 @@ func TrustedIn(w *core.World) *Trusted {
 	t := &core.Standing[standing](w).trusted
 	t.run = run{w: w, scn: s, kr: w.Keyring()}
 	t.issued = issued{}
-	t.fault = s.FaultOf(core.ManagerID)
+	t.pids[0] = w.ManagerPID()
+	t.fault = w.FaultOf(t.pids[0])
 	t.prepared = t.prepared[:0]
 	t.decided, t.crashed = false, false
-	t.addKey(s.DerivedKeySeed(), core.ManagerID)
-	t.w.Net.Register(t)
+	t.addKey(s.DerivedKeySeed(), t.pids[0], core.ManagerID)
+	t.w.Net.Attach(t.pids[0], t)
 	t.scheduleCrash(core.ManagerID, t.fault, trustedCrash, t)
 	return t
 }
@@ -60,13 +62,16 @@ func (t *Trusted) ID() string { return core.ManagerID }
 // IDs implements Manager.
 func (t *Trusted) IDs() []string { return trustedIDs }
 
+// PIDs implements Manager.
+func (t *Trusted) PIDs() []core.PID { return t.pids[:] }
+
 // Quorum implements Manager.
 func (t *Trusted) Quorum() int { return 1 }
 
 // Deliver implements netsim.Node.
 //
 //xchain:hotpath
-func (t *Trusted) Deliver(from string, msg netsim.Message) {
+func (t *Trusted) Deliver(_ core.PID, msg netsim.Message) {
 	if t.crashed || t.fault.Silent {
 		return
 	}
@@ -134,7 +139,7 @@ func trustedIssue(x any) {
 		PaymentID: t.paymentID(), Decision: decisions[a.k], Manager: core.ManagerID, IssuedAt: t.w.Eng.Now(),
 		Quorum: 1, Signers: trustedIDs, Sigs: m.Cert.Sigs,
 	}
-	m.Cert.Sign(t.kr)
+	m.Cert.Sign(t.kr, t.pids[:])
 	t.issued[a.k] = true
 	if t.w.Trace.Recording() {
 		t.w.Trace.Add(t.w.Eng.Now(), trace.KindDecision, core.ManagerID, "", m.Cert.Describe())
@@ -142,7 +147,7 @@ func trustedIssue(x any) {
 	if t.fault.WithholdCertificate {
 		return // decided internally but never tells anyone
 	}
-	for _, id := range t.w.Participants() {
-		t.w.Net.Send(core.ManagerID, id, m)
+	for pid := range core.PID(len(t.w.Participants())) {
+		t.w.Net.Post(t.pids[0], pid, m)
 	}
 }

@@ -310,7 +310,7 @@ func render(b []byte, p primary) ([]byte, int) {
 		b = fmt.Appendf(b, "%v compact=%v ops=%d\n", led, led.Compact(), led.OpCount())
 		for _, owner := range led.Accounts() {
 			str(owner)
-			num(led.Balance(owner))
+			num(led.Balance(led.PID(owner)))
 		}
 		b = append(b, '\n')
 		for _, lk := range led.Locks() {

@@ -465,7 +465,7 @@ func TestRenderedMatchesEager(t *testing.T) {
 		for i := 0; i < 3*termChunk; i++ {
 			kr, id := krs[i%2], ids[i%len(ids)]
 			payload := []byte(fmt.Sprintf("artefact %d: %s", i, strings.Repeat("x", i%97)))
-			eager := bytes.Clone(kr.backend.bind(kr.keys[id].key).sign(payload))
+			eager := bytes.Clone(kr.backend.bind(kr.keys[kr.index(id)].key).sign(payload))
 			s := kr.Sign(id, payload)
 			if i%5 == 0 && !bytes.Equal(s.Bytes(), eager) {
 				t.Fatalf("%s: signature %d read at once renders %x, the backend signed %x", name, i, s.Bytes(), eager)
@@ -544,7 +544,7 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		opts := Options{Backend: backend}
 		kr := NewKeyringWith(opts, "seed-a", long)
 		sigC2 := bytes.Clone(kr.Sign("c2", msg).Bytes())
-		bound := func() bool { return kr.keys["c2"].s != nil }
+		bound := func() bool { return kr.keys[kr.entry("c2")].s != nil }
 		signers := func() int {
 			n := 0
 			for _, e := range kr.keys {

@@ -39,7 +39,7 @@ func (x triple) String() string { return fmt.Sprintf("%s/%q/%x", x.signer, x.pay
 // eagerSign is what the parent's Sign returned: the backend's signature under
 // id's current key, computed now.
 func eagerSign(kr *Keyring, id string, payload []byte) []byte {
-	return bytes.Clone(kr.backend.bind(kr.keys[id].key).sign(payload))
+	return bytes.Clone(kr.backend.bind(kr.keys[kr.index(id)].key).sign(payload))
 }
 
 // driveKeyrings runs program — two bytes a step, an operation and its

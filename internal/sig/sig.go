@@ -167,11 +167,12 @@ type Keyring struct {
 	seed  string
 	mixed bool
 	epoch uint64
-	// keys holds each participant's key and, bound on first use, its signer:
-	// Sign and Verify find both in one probe. Reset keeps a dropped-out
-	// participant's entry, not held, for its signer (bound to the key the same
-	// seed derives again); only Add holds it again. held counts those held.
-	keys map[string]keyEntry
+	// keys holds each participant's key and, bound on first use, its
+	// signer, indexed by the participant's PID: SignAs finds both by index.
+	// Reset keeps a dropped-out participant's entry, not held, for its signer
+	// (bound to the key the same seed derives again); only a later Reset or
+	// Add that names it holds it again. held counts those held.
+	keys []keyEntry
 	held int
 	// arena holds the signed payloads and rendered signatures, terms the
 	// terms Sign records.
@@ -194,6 +195,7 @@ type Keyring struct {
 }
 
 type keyEntry struct {
+	id   string
 	key  Key
 	s    signer
 	held bool
@@ -201,8 +203,8 @@ type keyEntry struct {
 
 // NewKeyring creates deterministic ed25519 keys for the given participants
 // with default options (process-wide key cache on, verification of recorded
-// terms answered without the backend). The participant order does not
-// matter: keys depend only on (seed, id).
+// terms answered without the backend). participants[i] is held under PID i;
+// the keys themselves depend only on (seed, id).
 func NewKeyring(seed string, participants []string) *Keyring {
 	return NewKeyringWith(Options{}, seed, participants)
 }
@@ -212,19 +214,19 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
 		backend:  opts.backend(),
 		useCache: !opts.DisableKeyCache,
-		keys:     make(map[string]keyEntry, len(participants)),
+		keys:     make([]keyEntry, 0, len(participants)),
 		record:   opts.MemoCapacity >= 0,
 	}
 	kr.derive(seed, participants)
 	return kr
 }
 
-// derive fills an empty keyring with the participants' keys under seed, in
-// sorted order.
+// derive fills an empty keyring with the participants' keys under seed,
+// participants[i] under PID i.
 func (kr *Keyring) derive(seed string, participants []string) {
 	kr.seed, kr.mixed, kr.epoch = seed, false, keyCacheEpoch.Load()
-	for _, id := range slices.Sorted(slices.Values(participants)) {
-		kr.Add(seed, id)
+	for i, id := range participants {
+		kr.Hold(sim.PID(i), seed, id)
 	}
 }
 
@@ -245,38 +247,95 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.terms.rewind()
 	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
+		kr.keys = kr.keys[:0]
 		kr.held, kr.parts = 0, nil
 		kr.derive(seed, participants)
 		return
 	}
+	// Every entry a Reset keeps is under this seed, so an entry for a
+	// participant's name has its key and bound signer, wherever it stands: it
+	// is moved to the participant's PID, and a held one is kept as is.
 	kept := 0
-	for _, id := range participants {
-		if kr.Has(id) {
+	for i, id := range participants {
+		kr.place(i, id)
+		if kr.keys[i].held {
 			kept++
 		} else {
-			kr.Add(seed, id)
+			kr.Hold(sim.PID(i), seed, id)
 		}
 	}
 	kr.stats.KeygenHits += uint64(kept)
 	globalKeygenHits.Add(uint64(kept))
-	if kr.held > len(participants) {
-		for id, e := range kr.keys {
-			if e.held && !slices.Contains(participants, id) {
-				kr.keys[id], kr.held = keyEntry{key: e.key, s: e.s}, kr.held-1
-			}
+	for i := len(participants); i < len(kr.keys); i++ {
+		if kr.keys[i].held {
+			kr.keys[i].held = false
+			kr.held--
 		}
-		kr.parts = nil
 	}
+	kr.parts = nil
+}
+
+// place brings the entry named id to PID i — the one some entry has, or a
+// new one — keeping the entry that stood there under another PID: a key and
+// its bound signer wait for their participant to come back.
+func (kr *Keyring) place(i int, id string) {
+	if i >= len(kr.keys) {
+		kr.keys = append(kr.keys, make([]keyEntry, i+1-len(kr.keys))...)
+	}
+	if kr.keys[i].id == id {
+		return
+	}
+	if j := kr.entry(id); j >= 0 {
+		kr.keys[i], kr.keys[j] = kr.keys[j], kr.keys[i]
+		return
+	}
+	if kr.keys[i].id != "" {
+		kr.keys = append(kr.keys, kr.keys[i])
+	}
+	kr.keys[i] = keyEntry{id: id}
 }
 
 // Backend returns the name of the keyring's signature backend.
 func (kr *Keyring) Backend() string { return kr.backend.Name() }
 
-// Add creates (or replaces) the key pair for one participant. Replacing an
-// existing key moves the generation on: what the old key signed must not
-// answer for the new one without the backend.
+// Add creates (or replaces) the key pair for one participant: under the PID
+// of the entry that has its name, or else under the next PID.
 func (kr *Keyring) Add(seed, id string) {
-	e := kr.keys[id]
+	pid := sim.PID(len(kr.keys))
+	if i := kr.entry(id); i >= 0 {
+		pid = sim.PID(i) // held, or a dropped-out entry with its signer bound
+	}
+	kr.Hold(pid, seed, id)
+}
+
+// entry returns the PID of the entry named id, held or not, or -1: place
+// keeps one entry per name.
+func (kr *Keyring) entry(id string) int {
+	for i := range kr.keys {
+		if kr.keys[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// index returns the PID under which the keyring holds id's key, or -1. It
+// scans the entries: the way in for the name-addressed operations, never for
+// a run's signing.
+func (kr *Keyring) index(id string) int {
+	if i := kr.entry(id); i >= 0 && kr.keys[i].held {
+		return i
+	}
+	return -1
+}
+
+// Hold creates (or replaces) the key pair for participant id under pid,
+// moving id's entry there if it stands elsewhere. Replacing a held key moves
+// the generation on: what the old key signed must not answer for the new one
+// without the backend.
+func (kr *Keyring) Hold(pid sim.PID, seed, id string) {
+	kr.place(int(pid), id)
+	e := kr.keys[pid]
 	replaced := e.held
 	if replaced {
 		kr.gen++
@@ -306,21 +365,26 @@ func (kr *Keyring) Add(seed, id string) {
 		kr.held++
 	}
 	e.held = true
-	kr.keys[id] = e
+	kr.keys[pid] = e
 	kr.parts = nil
 }
 
+// Holds reports whether the keyring holds id's key under pid.
+func (kr *Keyring) Holds(pid sim.PID, id string) bool {
+	return uint(pid) < uint(len(kr.keys)) && kr.keys[pid].held && kr.keys[pid].id == id
+}
+
 // Has reports whether the keyring holds a key for id.
-func (kr *Keyring) Has(id string) bool { return kr.keys[id].held }
+func (kr *Keyring) Has(id string) bool { return kr.index(id) >= 0 }
 
 // Participants returns the sorted IDs with keys. The sorted slice is cached
-// and invalidated by Add; callers must not modify it.
+// and invalidated by Add and Reset; callers must not modify it.
 func (kr *Keyring) Participants() []string {
 	if kr.parts == nil {
 		kr.parts = make([]string, 0, kr.held)
-		for id, e := range kr.keys {
+		for _, e := range kr.keys {
 			if e.held {
-				kr.parts = append(kr.parts, id)
+				kr.parts = append(kr.parts, e.id)
 			}
 		}
 		sort.Strings(kr.parts)
@@ -328,34 +392,44 @@ func (kr *Keyring) Participants() []string {
 	return kr.parts
 }
 
-// signer returns the bound signer of a key the keyring holds, binding it on
-// first use.
+// signer returns the bound signer of the key the keyring holds under pid,
+// binding it on first use.
 //
 //xchain:hotpath
-func (kr *Keyring) signer(id string) (signer, bool) {
-	e := kr.keys[id]
+func (kr *Keyring) signer(pid int) (signer, bool) {
+	if uint(pid) >= uint(len(kr.keys)) {
+		return nil, false
+	}
+	e := &kr.keys[pid]
 	if !e.held {
 		return nil, false
 	}
 	if e.s == nil {
 		e.s = kr.backend.bind(e.key)
-		kr.keys[id] = e
 	}
 	return e.s, true
 }
 
-// Sign records that id signed payload and returns the handle on that term;
-// no backend runs until something reads its bytes. Signing for an unknown
-// participant returns the zero Signature (which never verifies).
-func (kr *Keyring) Sign(id string, payload []byte) Signature {
-	s, ok := kr.signer(id)
+// SignAs records that the participant under pid signed payload and returns
+// the handle on that term; no backend runs until something reads its bytes.
+// Signing for a PID without a key returns the zero Signature (which never
+// verifies).
+//
+//xchain:hotpath
+func (kr *Keyring) SignAs(pid sim.PID, payload []byte) Signature {
+	s, ok := kr.signer(int(pid))
 	if !ok {
 		return Signature{}
 	}
 	t := &kr.terms.take(1, termChunk)[0]
-	*t = term{kr: kr, signer: id, s: s, payload: kr.arena.take(len(payload), arenaChunk)}
+	*t = term{kr: kr, signer: kr.keys[pid].id, s: s, payload: kr.arena.take(len(payload), arenaChunk)}
 	copy(t.payload, payload)
 	return Signature{t: t, gen: kr.gen}
+}
+
+// Sign is SignAs for the participant named id.
+func (kr *Keyring) Sign(id string, payload []byte) Signature {
+	return kr.SignAs(sim.PID(kr.index(id)), payload)
 }
 
 // Verify checks that signer produced sig over payload. A term this keyring
@@ -373,7 +447,7 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 		globalMemoHits.Add(1)
 		return true
 	}
-	s, ok := kr.signer(signer)
+	s, ok := kr.signer(kr.index(signer))
 	if !ok {
 		return false
 	}
@@ -432,12 +506,13 @@ func (kr *Keyring) paymentCertPayload(c *PaymentCert) []byte {
 // NewPaymentCert builds and signs chi with issuer's key.
 func NewPaymentCert(kr *Keyring, paymentID, issuer, payer string, at sim.Time) PaymentCert {
 	c := PaymentCert{PaymentID: paymentID, Issuer: issuer, Payer: payer, IssuedAt: at}
-	c.Sign(kr)
+	c.Sig = kr.Sign(issuer, kr.paymentCertPayload(&c))
 	return c
 }
 
-// Sign signs chi as it stands with its issuer's key, into Sig.
-func (c *PaymentCert) Sign(kr *Keyring) { c.Sig = kr.Sign(c.Issuer, kr.paymentCertPayload(c)) }
+// Sign signs chi as it stands with the key under by, its issuer's PID, into
+// Sig.
+func (c *PaymentCert) Sign(kr *Keyring, by sim.PID) { c.Sig = kr.SignAs(by, kr.paymentCertPayload(c)) }
 
 // Verify checks chi's signature against the expected issuer.
 func (c *PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
@@ -477,12 +552,13 @@ func (kr *Keyring) guaranteePayload(g *Guarantee) []byte {
 // NewGuarantee builds and signs G(d).
 func NewGuarantee(kr *Keyring, paymentID, escrow, customer string, d, at sim.Time) Guarantee {
 	g := Guarantee{PaymentID: paymentID, Escrow: escrow, Customer: customer, D: d, IssuedAt: at}
-	g.Sign(kr)
+	g.Sig = kr.Sign(escrow, kr.guaranteePayload(&g))
 	return g
 }
 
-// Sign signs G(d) as it stands with its escrow's key, into Sig.
-func (g *Guarantee) Sign(kr *Keyring) { g.Sig = kr.Sign(g.Escrow, kr.guaranteePayload(g)) }
+// Sign signs G(d) as it stands with the key under by, its escrow's PID, into
+// Sig.
+func (g *Guarantee) Sign(kr *Keyring, by sim.PID) { g.Sig = kr.SignAs(by, kr.guaranteePayload(g)) }
 
 // Verify checks the guarantee's signature against its stated escrow.
 func (g *Guarantee) Verify(kr *Keyring) bool {
@@ -534,12 +610,13 @@ func (kr *Keyring) promisePayload(p *Promise) []byte {
 // NewPromise builds and signs P(a).
 func NewPromise(kr *Keyring, paymentID, escrow, customer string, a, epsilon, at sim.Time) Promise {
 	p := Promise{PaymentID: paymentID, Escrow: escrow, Customer: customer, A: a, Epsilon: epsilon, IssuedAt: at}
-	p.Sign(kr)
+	p.Sig = kr.Sign(escrow, kr.promisePayload(&p))
 	return p
 }
 
-// Sign signs P(a) as it stands with its escrow's key, into Sig.
-func (p *Promise) Sign(kr *Keyring) { p.Sig = kr.Sign(p.Escrow, kr.promisePayload(p)) }
+// Sign signs P(a) as it stands with the key under by, its escrow's PID, into
+// Sig.
+func (p *Promise) Sign(kr *Keyring, by sim.PID) { p.Sig = kr.SignAs(by, kr.promisePayload(p)) }
 
 // Verify checks the promise's signature against its stated escrow.
 func (p *Promise) Verify(kr *Keyring) bool {
@@ -592,19 +669,22 @@ func (kr *Keyring) decisionPayload(c *DecisionCert) []byte {
 // for a single manager that signs alone).
 func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committee string, at sim.Time, signers []string, quorum int) DecisionCert {
 	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: committee, IssuedAt: at, Quorum: quorum, Signers: slices.Clone(signers)}
-	c.Sign(kr)
+	payload := kr.decisionPayload(&c)
+	for _, s := range c.Signers {
+		c.Sigs = append(c.Sigs, kr.Sign(s, payload))
+	}
 	return c
 }
 
 // Sign signs the certificate as it stands on behalf of every entry of
-// Signers, into Sigs, whose storage it reuses: an issuer that keeps one
-// certificate and rewrites it per run (internal/notary) issues without
-// allocating. What Sigs held before is gone.
-func (c *DecisionCert) Sign(kr *Keyring) {
+// Signers, by[i] being Signers[i]'s PID, into Sigs, whose storage it reuses:
+// an issuer that keeps one certificate and rewrites it per run
+// (internal/notary) issues without allocating. What Sigs held before is gone.
+func (c *DecisionCert) Sign(kr *Keyring, by []sim.PID) {
 	payload := kr.decisionPayload(c)
 	c.Sigs = c.Sigs[:0]
-	for _, s := range c.Signers {
-		c.Sigs = append(c.Sigs, kr.Sign(s, payload))
+	for _, pid := range by {
+		c.Sigs = append(c.Sigs, kr.SignAs(pid, payload))
 	}
 }
 

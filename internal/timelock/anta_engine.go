@@ -117,10 +117,12 @@ type antaEscrow struct {
 	i        int
 	id       string
 	up, down string // customers c_i (pays in) and c_{i+1} (is paid out)
-	fault    core.FaultSpec
-	led      *ledger.Ledger
-	amount   int64
-	lockID   string // set when the lock is created
+	// pid, upPID and downPID address e_i, c_i and c_{i+1} in the run.
+	pid, upPID, downPID core.PID
+	fault               core.FaultSpec
+	led                 *ledger.Ledger
+	amount              int64
+	lockID              string // set when the lock is created
 
 	msgG     MsgGuarantee
 	msgP     MsgPromise
@@ -137,25 +139,25 @@ func escrowEmitG(ctx *anta.Context) {
 	g := &e.msgG.G
 	g.PaymentID, g.Escrow, g.Customer = e.env.scn.Spec.PaymentID, e.id, e.up
 	g.D, g.IssuedAt = e.env.params.D[e.i], ctx.Now()
-	g.Sign(e.env.kr)
+	g.Sign(e.env.kr, e.pid)
 	if e.env.tr.Recording() {
 		e.env.tr.Add(e.env.eng.Now(), trace.KindPromise, e.id, e.up, e.msgG.Describe())
 	}
-	ctx.Send(e.up, &e.msgG)
+	ctx.Send(e.upPID, &e.msgG)
 }
 
 //xchain:hotpath
-func escrowMatchMoney(ctx *anta.Context, from string, msg netsim.Message) bool {
+func escrowMatchMoney(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	e := ctx.Adapter().(*antaEscrow)
 	m, ok := msg.(*MsgMoney)
-	return ok && from == e.up && !m.Refund && m.Amount == e.amount
+	return ok && from == e.upPID && !m.Refund && m.Amount == e.amount
 }
 
 //xchain:hotpath
 func escrowLock(ctx *anta.Context) {
 	e := ctx.Adapter().(*antaEscrow)
 	e.lockID = e.env.w.LockID(e.i)
-	if _, err := e.led.CreateLock(e.env.eng.Now(), e.lockID, e.up, e.down, e.amount, ledger.Condition{}); err == nil && e.env.tr.Recording() {
+	if _, err := e.led.Escrow(e.env.eng.Now(), e.lockID, e.upPID, e.downPID, e.amount, ledger.Condition{}); err == nil && e.env.tr.Recording() {
 		e.env.tr.AddValue(e.env.eng.Now(), trace.KindLock, e.id, e.up, e.lockID, e.amount)
 	}
 }
@@ -170,11 +172,11 @@ func escrowEmitP(ctx *anta.Context) {
 	p := &e.msgP.P
 	p.PaymentID, p.Escrow, p.Customer = e.env.scn.Spec.PaymentID, e.id, e.down
 	p.A, p.Epsilon, p.IssuedAt = e.env.params.A[e.i], e.env.params.Epsilon, ctx.Now()
-	p.Sign(e.env.kr)
+	p.Sign(e.env.kr, e.pid)
 	if e.env.tr.Recording() {
 		e.env.tr.Add(e.env.eng.Now(), trace.KindPromise, e.id, e.down, e.msgP.Describe())
 	}
-	ctx.Send(e.down, &e.msgP)
+	ctx.Send(e.downPID, &e.msgP)
 }
 
 // escrowDeadline is the guard now >= u + a_i.
@@ -186,10 +188,10 @@ func escrowDeadline(ctx *anta.Context) sim.Time {
 }
 
 //xchain:hotpath
-func escrowMatchChi(ctx *anta.Context, from string, msg netsim.Message) bool {
+func escrowMatchChi(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	e := ctx.Adapter().(*antaEscrow)
 	m, ok := msg.(*MsgCert)
-	if !ok || from != e.down {
+	if !ok || from != e.downPID {
 		return false
 	}
 	if !m.Cert.Verify(e.env.kr, e.env.scn.Topology.Bob()) || m.Cert.PaymentID != e.env.scn.Spec.PaymentID {
@@ -225,7 +227,7 @@ func escrowEmitCommit(ctx *anta.Context) {
 		return
 	}
 	if !e.fault.WithholdCertificate && !e.fault.Silent {
-		ctx.Send(e.up, e.chi)
+		ctx.Send(e.upPID, e.chi)
 	}
 	if err := e.led.Release(e.env.eng.Now(), e.lockID, nil, 0); err == nil {
 		if e.env.tr.Recording() {
@@ -233,7 +235,7 @@ func escrowEmitCommit(ctx *anta.Context) {
 		}
 		if !e.fault.Silent {
 			e.msgMoney = MsgMoney{PaymentID: e.env.scn.Spec.PaymentID, Amount: e.amount}
-			ctx.Send(e.down, &e.msgMoney)
+			ctx.Send(e.downPID, &e.msgMoney)
 		}
 	}
 }
@@ -250,7 +252,7 @@ func escrowEmitRefund(ctx *anta.Context) {
 		}
 		if !e.fault.Silent {
 			e.msgMoney = MsgMoney{PaymentID: e.env.scn.Spec.PaymentID, Amount: e.amount, Refund: true}
-			ctx.Send(e.up, &e.msgMoney)
+			ctx.Send(e.upPID, &e.msgMoney)
 		}
 	}
 }
@@ -265,7 +267,10 @@ type antaCustomer struct {
 	i                    int
 	id                   string
 	upEscrow, downEscrow string // e_{i-1} ("" for Alice) and e_i ("" for Bob)
-	fault                core.FaultSpec
+	// pid, upPID and downPID address c_i and its two escrows in the run
+	// (core.NoPID for a missing one).
+	pid, upPID, downPID core.PID
+	fault               core.FaultSpec
 
 	paid     int64
 	credited int64
@@ -279,36 +284,36 @@ type antaCustomer struct {
 }
 
 //xchain:hotpath
-func customerMatchG(ctx *anta.Context, from string, msg netsim.Message) bool {
+func customerMatchG(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	c := ctx.Adapter().(*antaCustomer)
 	m, ok := msg.(*MsgGuarantee)
-	return ok && from == c.downEscrow && m.G.Verify(c.env.kr) && m.G.PaymentID == c.env.scn.Spec.PaymentID
+	return ok && from == c.downPID && m.G.Verify(c.env.kr) && m.G.PaymentID == c.env.scn.Spec.PaymentID
 }
 
 //xchain:hotpath
-func customerMatchP(ctx *anta.Context, from string, msg netsim.Message) bool {
+func customerMatchP(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	c := ctx.Adapter().(*antaCustomer)
 	m, ok := msg.(*MsgPromise)
-	return ok && from == c.upEscrow && m.P.Verify(c.env.kr) && m.P.PaymentID == c.env.scn.Spec.PaymentID
+	return ok && from == c.upPID && m.P.Verify(c.env.kr) && m.P.PaymentID == c.env.scn.Spec.PaymentID
 }
 
 //xchain:hotpath
-func customerMatchRefund(ctx *anta.Context, from string, msg netsim.Message) bool {
+func customerMatchRefund(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	m, ok := msg.(*MsgMoney)
-	return ok && from == ctx.Adapter().(*antaCustomer).downEscrow && m.Refund
+	return ok && from == ctx.Adapter().(*antaCustomer).downPID && m.Refund
 }
 
 //xchain:hotpath
-func customerMatchChi(ctx *anta.Context, from string, msg netsim.Message) bool {
+func customerMatchChi(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	c := ctx.Adapter().(*antaCustomer)
 	m, ok := msg.(*MsgCert)
-	return ok && from == c.downEscrow && m.Cert.Verify(c.env.kr, c.env.scn.Topology.Bob())
+	return ok && from == c.downPID && m.Cert.Verify(c.env.kr, c.env.scn.Topology.Bob())
 }
 
 //xchain:hotpath
-func customerMatchPayment(ctx *anta.Context, from string, msg netsim.Message) bool {
+func customerMatchPayment(ctx *anta.Context, from core.PID, msg netsim.Message) bool {
 	m, ok := msg.(*MsgMoney)
-	return ok && from == ctx.Adapter().(*antaCustomer).upEscrow && !m.Refund
+	return ok && from == ctx.Adapter().(*antaCustomer).upPID && !m.Refund
 }
 
 //xchain:hotpath
@@ -334,7 +339,7 @@ func customerEmitMoney(ctx *anta.Context) {
 		c.started = c.env.eng.Now()
 	}
 	c.msgMoney = MsgMoney{PaymentID: c.env.scn.Spec.PaymentID, Amount: c.paid}
-	ctx.Send(c.downEscrow, &c.msgMoney)
+	ctx.Send(c.downPID, &c.msgMoney)
 }
 
 //xchain:hotpath
@@ -345,7 +350,7 @@ func bobEmitChi(ctx *anta.Context) {
 	}
 	chi := &c.msgCert.Cert
 	chi.PaymentID, chi.Issuer, chi.Payer, chi.IssuedAt = c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), ctx.Now()
-	chi.Sign(c.env.kr)
+	chi.Sign(c.env.kr, c.pid)
 	c.signed = true
 	if c.started == 0 {
 		c.started = c.env.eng.Now()
@@ -353,14 +358,14 @@ func bobEmitChi(ctx *anta.Context) {
 	if c.env.tr.Recording() {
 		c.env.tr.Add(c.env.eng.Now(), trace.KindCert, c.id, c.upEscrow, c.msgCert.Describe())
 	}
-	ctx.Send(c.upEscrow, &c.msgCert)
+	ctx.Send(c.upPID, &c.msgCert)
 }
 
 //xchain:hotpath
 func chloeEmitChi(ctx *anta.Context) {
 	c := ctx.Adapter().(*antaCustomer)
 	if !c.fault.WithholdCertificate && !c.fault.Silent {
-		ctx.Send(c.upEscrow, c.chi)
+		ctx.Send(c.upPID, c.chi)
 	}
 }
 
@@ -398,7 +403,8 @@ func (ae *antaEngine) reset(e *env) {
 			c.env, c.i, c.id = e, i, core.CustomerID(i)
 			c.upEscrow, _ = topo.UpstreamEscrow(i)
 		}
-		c.auto, c.fault = &ae.autos[i], e.scn.FaultOf(c.id)
+		c.pid, c.upPID, c.downPID = e.w.CustomerPID(i), e.w.UpstreamEscrowPID(i), e.w.DownstreamEscrowPID(i)
+		c.auto, c.fault = &ae.autos[i], e.w.FaultOf(c.pid)
 		c.downEscrow, _ = topo.DownstreamEscrow(i)
 		c.paid, c.credited, c.hasChi, c.signed, c.started = 0, 0, false, false, 0
 		c.chi = nil
@@ -409,7 +415,7 @@ func (ae *antaEngine) reset(e *env) {
 		case topo.N:
 			prog = f.bob
 		}
-		c.auto.Reset(prog, c.id, c, compute, e.w.CustomerClock(i), e.net, e.tr)
+		c.auto.Reset(prog, c.id, c.pid, c, compute, e.w.CustomerClock(i), e.net, e.tr)
 	}
 	for i := range ae.escrows {
 		x := &ae.escrows[i]
@@ -418,9 +424,10 @@ func (ae *antaEngine) reset(e *env) {
 			x.up, x.down = core.CustomerID(i), core.CustomerID(i+1)
 			x.led = e.w.Ledger(i)
 		}
-		x.auto, x.fault, x.amount = &ae.autos[topo.N+1+i], e.scn.FaultOf(x.id), e.scn.Spec.AmountVia(i)
+		x.pid, x.upPID, x.downPID = e.w.EscrowPID(i), e.w.CustomerPID(i), e.w.CustomerPID(i+1)
+		x.auto, x.fault, x.amount = &ae.autos[topo.N+1+i], e.w.FaultOf(x.pid), e.scn.Spec.AmountVia(i)
 		x.lockID, x.chi = "", nil
-		x.auto.Reset(f.escrow, x.id, x, compute, e.w.EscrowClock(i), e.net, e.tr)
+		x.auto.Reset(f.escrow, x.id, x.pid, x, compute, e.w.EscrowClock(i), e.net, e.tr)
 	}
 	if resized {
 		ae.order = ae.order[:0]

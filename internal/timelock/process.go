@@ -45,7 +45,7 @@ func (pe *procEngine) reset(e *env) {
 			p.place(e, i)
 		}
 		p.reset(e)
-		e.net.Register(p)
+		e.net.Attach(p.pid, p)
 	}
 	for i := range pe.customers {
 		c := &pe.customers[i]
@@ -53,7 +53,7 @@ func (pe *procEngine) reset(e *env) {
 			c.place(e, i)
 		}
 		c.reset(e)
-		e.net.Register(c)
+		e.net.Attach(c.pid, c)
 	}
 }
 
@@ -98,14 +98,16 @@ func (pe *procEngine) outcome(i int, out *core.CustomerOutcome) {
 // forwards the certificate upstream and the money downstream, or refunds the
 // money upstream when its local timeout u + a_i expires.
 type escrowProc struct {
-	env   *env
-	i     int
-	id    string
-	up    string // upstream customer c_i (pays in)
-	down  string // downstream customer c_{i+1} (is paid out)
-	clk   *clock.Clock
-	led   *ledger.Ledger
-	fault core.FaultSpec
+	env  *env
+	i    int
+	id   string
+	up   string // upstream customer c_i (pays in)
+	down string // downstream customer c_{i+1} (is paid out)
+	// pid, upPID and downPID address e_i, c_i and c_{i+1} in the run.
+	pid, upPID, downPID core.PID
+	clk                 *clock.Clock
+	led                 *ledger.Ledger
+	fault               core.FaultSpec
 
 	lockCreated bool
 	lockID      string   // set when the lock is created
@@ -138,7 +140,8 @@ func (p *escrowProc) place(e *env, i int) {
 // before its Send.
 func (p *escrowProc) reset(e *env) {
 	p.clk = e.w.EscrowClock(p.i)
-	p.fault = e.scn.FaultOf(p.id)
+	p.pid, p.upPID, p.downPID = e.w.EscrowPID(p.i), e.w.CustomerPID(p.i), e.w.CustomerPID(p.i+1)
+	p.fault = e.w.FaultOf(p.pid)
 	p.lockCreated, p.lockID, p.promiseAt, p.timeout = false, "", 0, sim.Timer{}
 	p.settled, p.crashed, p.done, p.chi = false, false, false, nil
 }
@@ -153,7 +156,7 @@ func (p *escrowProc) start() {
 	if p.fault.Silent || p.fault.Crash && p.fault.CrashAt == 0 {
 		return
 	}
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "send-G", escrowSendG, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.pid), "send-G", escrowSendG, p)
 }
 
 // escrowSendG is the scheduled action of start.
@@ -167,15 +170,15 @@ func escrowSendG(x any) {
 	g := &p.msgG.G
 	g.PaymentID, g.Escrow, g.Customer = p.env.scn.Spec.PaymentID, p.id, p.up
 	g.D, g.IssuedAt = p.env.params.D[p.i], p.clk.Now()
-	g.Sign(p.env.kr)
+	g.Sign(p.env.kr, p.pid)
 	if p.env.tr.Recording() {
 		p.env.tr.Add(p.env.eng.Now(), trace.KindPromise, p.id, p.up, p.msgG.Describe())
 	}
-	p.env.net.Send(p.id, p.up, &p.msgG)
+	p.env.net.Post(p.pid, p.upPID, &p.msgG)
 }
 
 // Deliver implements netsim.Node.
-func (p *escrowProc) Deliver(from string, msg netsim.Message) {
+func (p *escrowProc) Deliver(from core.PID, msg netsim.Message) {
 	if !p.active() {
 		return
 	}
@@ -189,25 +192,25 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 
 // onMoney handles the receipt r(c_i, $): the upstream customer instructs the
 // escrow to place the agreed value in escrow.
-func (p *escrowProc) onMoney(from string, m *MsgMoney) {
-	if from != p.up || p.lockCreated || p.settled {
+func (p *escrowProc) onMoney(from core.PID, m *MsgMoney) {
+	if from != p.upPID || p.lockCreated || p.settled {
 		return
 	}
 	want := p.env.scn.Spec.AmountVia(p.i)
 	if m.Amount != want {
 		p.env.w.Report(trace.Event{
-			Kind: trace.KindDetection, Actor: p.id, Peer: from,
+			Kind: trace.KindDetection, Actor: p.id, Peer: p.up,
 			Label: "wrong-amount", Value: m.Amount, Extra: fmt.Sprintf("expected %d", want),
 		}, nil)
 		return
 	}
 	p.lockID = p.env.w.LockID(p.i)
-	lk, err := p.led.CreateLock(p.env.eng.Now(), p.lockID, p.up, p.down, want, ledger.Condition{})
+	lk, err := p.led.Escrow(p.env.eng.Now(), p.lockID, p.upPID, p.downPID, want, ledger.Condition{})
 	if err != nil {
 		// A failed lock is the escrow's own inability to execute its role,
 		// not a rejection of peer input: a violation, never excused.
 		p.env.w.Report(trace.Event{
-			Kind: trace.KindViolation, Actor: p.id, Peer: from,
+			Kind: trace.KindViolation, Actor: p.id, Peer: p.up,
 			Label: "lock-failed", Value: want, Extra: err.Error(),
 		}, nil)
 		return
@@ -223,7 +226,7 @@ func (p *escrowProc) onMoney(from string, m *MsgMoney) {
 	}
 	// Issue the promise P(a_i) to the downstream customer and start the
 	// timeout clock (u := now).
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "send-P", escrowSendP, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.pid), "send-P", escrowSendP, p)
 }
 
 // escrowSendP is the scheduled action of onMoney.
@@ -239,24 +242,24 @@ func escrowSendP(x any) {
 	pr := &p.msgP.P
 	pr.PaymentID, pr.Escrow, pr.Customer = p.env.scn.Spec.PaymentID, p.id, p.down
 	pr.A, pr.Epsilon, pr.IssuedAt = a, p.env.params.Epsilon, p.promiseAt
-	pr.Sign(p.env.kr)
+	pr.Sign(p.env.kr, p.pid)
 	if p.env.tr.Recording() {
 		p.env.tr.Add(p.env.eng.Now(), trace.KindPromise, p.id, p.down, p.msgP.Describe())
 	}
-	p.env.net.Send(p.id, p.down, &p.msgP)
+	p.env.net.Post(p.pid, p.downPID, &p.msgP)
 	// Arm the timeout: now >= u + a_i triggers the refund branch.
 	p.timeout = p.env.eng.ScheduleArgIn(p.clk.RealUntilLocal(p.promiseAt+a), "timeout", escrowTimeout, p)
 }
 
 // onCert handles the receipt r(c_{i+1}, chi) of the certificate from the
 // downstream customer before the timeout.
-func (p *escrowProc) onCert(from string, m *MsgCert) {
-	if from != p.down || p.settled || !p.lockCreated {
+func (p *escrowProc) onCert(from core.PID, m *MsgCert) {
+	if from != p.downPID || p.settled || !p.lockCreated {
 		return
 	}
 	topo := p.env.scn.Topology
 	if !m.Cert.Verify(p.env.kr, topo.Bob()) || m.Cert.PaymentID != p.env.scn.Spec.PaymentID {
-		p.env.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "invalid-certificate"}, nil)
+		p.env.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: p.down, Label: "invalid-certificate"}, nil)
 		return
 	}
 	// The certificate only counts if it arrives before the local deadline
@@ -269,7 +272,7 @@ func (p *escrowProc) onCert(from string, m *MsgCert) {
 	p.timeout.Cancel()
 	p.chi = m
 	if p.env.tr.Recording() {
-		p.env.tr.Add(p.env.eng.Now(), trace.KindCert, p.id, from, m.Describe())
+		p.env.tr.Add(p.env.eng.Now(), trace.KindCert, p.id, p.down, m.Describe())
 	}
 
 	if p.fault.StealEscrow {
@@ -279,7 +282,7 @@ func (p *escrowProc) onCert(from string, m *MsgCert) {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "settle", escrowSettle, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.pid), "settle", escrowSettle, p)
 }
 
 // escrowSettle is the scheduled action of onCert: forward chi to the
@@ -294,7 +297,7 @@ func escrowSettle(x any) {
 	}
 	recording := p.env.tr.Recording()
 	if !p.fault.WithholdCertificate && !p.fault.Silent {
-		p.env.net.Send(p.id, p.up, p.chi)
+		p.env.net.Post(p.pid, p.upPID, p.chi)
 	}
 	if err := p.led.Release(p.env.eng.Now(), p.lockID, nil, 0); err == nil {
 		amount := p.env.scn.Spec.AmountVia(p.i)
@@ -303,7 +306,7 @@ func escrowSettle(x any) {
 		}
 		if !p.fault.Silent {
 			p.msgMoney = MsgMoney{PaymentID: p.env.scn.Spec.PaymentID, Amount: amount}
-			p.env.net.Send(p.id, p.down, &p.msgMoney)
+			p.env.net.Post(p.pid, p.downPID, &p.msgMoney)
 		}
 	}
 	p.done = true
@@ -333,7 +336,7 @@ func escrowTimeout(x any) {
 		p.done = true
 		return
 	}
-	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.id), "refund", escrowRefund, p)
+	p.env.eng.ScheduleArgIn(p.env.w.ActionDelay(p.pid), "refund", escrowRefund, p)
 }
 
 // escrowRefund is the scheduled action of escrowTimeout.
@@ -352,7 +355,7 @@ func escrowRefund(x any) {
 		}
 		if !p.fault.Silent {
 			p.msgMoney = MsgMoney{PaymentID: p.env.scn.Spec.PaymentID, Amount: amount, Refund: true}
-			p.env.net.Send(p.id, p.up, &p.msgMoney)
+			p.env.net.Post(p.pid, p.upPID, &p.msgMoney)
 		}
 	}
 	p.done = true
@@ -377,6 +380,9 @@ type customerProc struct {
 
 	upEscrow   string // e_{i-1}, "" for Alice
 	downEscrow string // e_i, "" for Bob
+	// pid, upPID and downPID address c_i and its two escrows in the run
+	// (core.NoPID where upEscrow or downEscrow is "").
+	pid, upPID, downPID core.PID
 
 	gotG      bool
 	gotP      bool
@@ -412,7 +418,8 @@ func (c *customerProc) place(e *env, i int) {
 // who is Bob.
 func (c *customerProc) reset(e *env) {
 	c.clk = e.w.CustomerClock(c.i)
-	c.fault = e.scn.FaultOf(c.id)
+	c.pid, c.upPID, c.downPID = e.w.CustomerPID(c.i), e.w.UpstreamEscrowPID(c.i), e.w.DownstreamEscrowPID(c.i)
+	c.fault = e.w.FaultOf(c.pid)
 	c.downEscrow, _ = e.scn.Topology.DownstreamEscrow(c.i)
 	c.gotG, c.gotP, c.sentMoney = false, false, false
 	c.hasChi, c.signedChi, c.crashed = false, false, false
@@ -433,7 +440,7 @@ func (c *customerProc) start() {
 }
 
 // Deliver implements netsim.Node.
-func (c *customerProc) Deliver(from string, msg netsim.Message) {
+func (c *customerProc) Deliver(from core.PID, msg netsim.Message) {
 	if !c.active() {
 		return
 	}
@@ -450,8 +457,8 @@ func (c *customerProc) Deliver(from string, msg netsim.Message) {
 }
 
 // onGuarantee handles r(e_i, G(d_i)) from the customer's downstream escrow.
-func (c *customerProc) onGuarantee(from string, m *MsgGuarantee) {
-	if from != c.downEscrow || c.gotG {
+func (c *customerProc) onGuarantee(from core.PID, m *MsgGuarantee) {
+	if from != c.downPID || c.gotG {
 		return
 	}
 	if !m.G.Verify(c.env.kr) || m.G.PaymentID != c.env.scn.Spec.PaymentID {
@@ -463,8 +470,8 @@ func (c *customerProc) onGuarantee(from string, m *MsgGuarantee) {
 
 // onPromise handles r(e_{i-1}, P(a_{i-1})) from the upstream escrow. For Bob
 // this is the trigger to sign and return the certificate chi.
-func (c *customerProc) onPromise(from string, m *MsgPromise) {
-	if from != c.upEscrow || c.gotP {
+func (c *customerProc) onPromise(from core.PID, m *MsgPromise) {
+	if from != c.upPID || c.gotP {
 		return
 	}
 	if !m.P.Verify(c.env.kr) || m.P.PaymentID != c.env.scn.Spec.PaymentID {
@@ -498,7 +505,7 @@ func (c *customerProc) maybeSendMoney() {
 		return
 	}
 	c.sentMoney = true
-	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), "send-$", customerSendMoney, c)
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.pid), "send-$", customerSendMoney, c)
 }
 
 // customerSendMoney is the scheduled action of maybeSendMoney.
@@ -514,7 +521,7 @@ func customerSendMoney(x any) {
 		c.started = c.env.eng.Now()
 	}
 	c.msgMoney = MsgMoney{PaymentID: c.env.scn.Spec.PaymentID, Amount: c.paid}
-	c.env.net.Send(c.id, c.downEscrow, &c.msgMoney)
+	c.env.net.Post(c.pid, c.downPID, &c.msgMoney)
 }
 
 // forgedSig is what a forging Bob puts where his signature belongs.
@@ -526,7 +533,7 @@ func (c *customerProc) bobIssueChi() {
 	if c.fault.Silent || c.fault.WithholdCertificate {
 		return
 	}
-	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), "send-chi", customerSendChi, c)
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.pid), "send-chi", customerSendChi, c)
 }
 
 // customerSendChi is the scheduled action of bobIssueChi.
@@ -554,7 +561,7 @@ func customerSendChi(x any) {
 	} else {
 		chi := &c.msgCert.Cert
 		chi.PaymentID, chi.Issuer, chi.Payer, chi.IssuedAt = c.env.scn.Spec.PaymentID, c.id, c.env.scn.Topology.Alice(), c.clk.Now()
-		chi.Sign(c.env.kr)
+		chi.Sign(c.env.kr, c.pid)
 		c.signedChi = true
 		if c.started == 0 {
 			c.started = c.env.eng.Now()
@@ -563,23 +570,23 @@ func customerSendChi(x any) {
 	if recording {
 		c.env.tr.Add(c.env.eng.Now(), trace.KindCert, c.id, c.upEscrow, c.msgCert.Describe())
 	}
-	c.env.net.Send(c.id, c.upEscrow, &c.msgCert)
+	c.env.net.Post(c.pid, c.upPID, &c.msgCert)
 }
 
 // onMoney handles money notifications from either escrow: a refund of the
 // customer's own payment from the downstream escrow, or the incoming payment
 // from the upstream escrow.
-func (c *customerProc) onMoney(from string, m *MsgMoney) {
+func (c *customerProc) onMoney(from core.PID, m *MsgMoney) {
 	switch {
-	case from == c.downEscrow && m.Refund:
+	case from == c.downPID && m.Refund:
 		// Refund of the money this customer had put in escrow: work is done.
 		c.credited += m.Amount
 		c.terminate("refunded")
-	case from == c.upEscrow && !m.Refund:
+	case from == c.upPID && !m.Refund:
 		c.credited += m.Amount
 		// A connector terminates once her upstream escrow pays her; Bob
 		// terminates as soon as he is paid.
-		if c.isBob() || c.hasChi || c.fault.IsByzantine() {
+		if c.isBob() || c.hasChi || c.env.w.Byzantine(c.pid) {
 			c.terminate("paid")
 			return
 		}
@@ -593,8 +600,8 @@ func (c *customerProc) onMoney(from string, m *MsgMoney) {
 // certificate, meaning this customer's payment completed downstream. A
 // connector forwards chi to her upstream escrow and then waits for the money;
 // Alice terminates immediately, holding her proof of payment.
-func (c *customerProc) onCert(from string, m *MsgCert) {
-	if from != c.downEscrow || c.hasChi {
+func (c *customerProc) onCert(from core.PID, m *MsgCert) {
+	if from != c.downPID || c.hasChi {
 		return
 	}
 	if !m.Cert.Verify(c.env.kr, c.env.scn.Topology.Bob()) {
@@ -603,7 +610,7 @@ func (c *customerProc) onCert(from string, m *MsgCert) {
 	c.hasChi = true
 	c.chi = m
 	if c.env.tr.Recording() {
-		c.env.tr.Add(c.env.eng.Now(), trace.KindCert, c.id, from, "received "+m.Describe())
+		c.env.tr.Add(c.env.eng.Now(), trace.KindCert, c.id, c.downEscrow, "received "+m.Describe())
 	}
 	if c.isAlice() {
 		c.terminate("has-certificate")
@@ -614,7 +621,7 @@ func (c *customerProc) onCert(from string, m *MsgCert) {
 		c.env.tr.Add(c.env.eng.Now(), trace.KindByzantine, c.id, "", "withhold-certificate")
 		return
 	}
-	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.id), "fwd-chi", customerFwdChi, c)
+	c.env.eng.ScheduleArgIn(c.env.w.ActionDelay(c.pid), "fwd-chi", customerFwdChi, c)
 	// If the upstream money already arrived, we are done.
 	if c.credited >= c.paid {
 		c.terminate("paid")
@@ -629,7 +636,7 @@ func customerFwdChi(x any) {
 	if c.crashed {
 		return
 	}
-	c.env.net.Send(c.id, c.upEscrow, c.chi)
+	c.env.net.Post(c.pid, c.upPID, c.chi)
 }
 
 func (c *customerProc) terminate(reason string) {

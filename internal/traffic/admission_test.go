@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -130,8 +131,8 @@ func naiveRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res *
 	for i := 1; i < s.Topology.N; i++ {
 		if s.FaultOf(core.CustomerID(i)).IsByzantine() {
 			static[i] = true
-			ledgerOf(i-1).SetByzantine(core.CustomerID(i), true)
-			ledgerOf(i).SetByzantine(core.CustomerID(i), true)
+			ledgerOf(i-1).SetByzantine(ledgerOf(i-1).PID(core.CustomerID(i)), true)
+			ledgerOf(i).SetByzantine(ledgerOf(i).PID(core.CustomerID(i)), true)
 		}
 	}
 	observeHeld := func() {
@@ -349,7 +350,7 @@ func TestWaiterIndexInvariant(t *testing.T) {
 					t.Fatalf("pass %d: %s filed under e%d slot %d but records inQueue=%v e%d slot %d",
 						passes, f.p.ID, e, slot, f.inQueue, f.refused, f.slot)
 				}
-				if have, need := tl.ledgers[e].Balance(tl.customers[e]), f.p.Amounts[e-f.p.Sender]; have >= need {
+				if have, need := tl.ledgers[e].Balance(tl.payers[e]), f.p.Amounts[e-f.p.Sender]; have >= need {
 					t.Fatalf("pass %d: %s waits on e%d, which holds %d for its %d", passes, f.p.ID, e, have, need)
 				}
 			}
@@ -396,5 +397,34 @@ func TestRefusedAdmissionAllocs(t *testing.T) {
 	}
 	if got := res.Book.TotalOps(); got != ops {
 		t.Errorf("refused attempts performed %d ledger operations, want none", got-ops)
+	}
+}
+
+// TestStreamedPaymentAllocs pins what a streamed honest payment allocates,
+// end to end, on the repository benchmark's reference population (a
+// 2-escrow chain, Poisson arrivals at 20 000/s, hmac, one worker): chunks
+// and flights are recycled and the ID is rendered once, so what is left is
+// the ID, the protocol run's lock IDs and what the pipeline and the engine
+// amortise.
+func TestStreamedPaymentAllocs(t *testing.T) {
+	const payments = 6000
+	w := NewWorkload(payments)
+	w.Arrival.Rate = 20000
+	s := core.NewScenario(2, 11)
+	cfg := Config{Stream: true, Workers: 1, Crypto: "hmac"}
+	if _, err := RunWith(s, w, cfg); err != nil { // fill the key cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunWith(s, w, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Succeeded != payments {
+		t.Fatalf("err %v, %d of %d payments succeeded", err, res.Succeeded, payments)
+	}
+	perPayment := float64(after.Mallocs-before.Mallocs) / payments
+	t.Logf("%.2f allocations and %.0f bytes per payment", perPayment, float64(after.TotalAlloc-before.TotalAlloc)/payments)
+	if perPayment > 7 {
+		t.Errorf("a streamed payment allocates %.2f times, budget 7", perPayment)
 	}
 }

@@ -396,10 +396,10 @@ func newTimeline(res *Result, w Workload, plan *compiledPlan, keep bool, exempla
 		waiters: make([][]*flight, res.Chain),
 	}
 	for i := 0; i < res.Chain; i++ {
-		tl.ledgers = append(tl.ledgers, res.Book.MustGet(core.EscrowID(i)))
-	}
-	for i := 0; i <= res.Chain; i++ {
-		tl.customers = append(tl.customers, core.CustomerID(i))
+		l := res.Book.MustGet(core.EscrowID(i))
+		tl.ledgers = append(tl.ledgers, l)
+		tl.payers = append(tl.payers, l.PID(core.CustomerID(i)))
+		tl.payees = append(tl.payees, l.PID(core.CustomerID(i+1)))
 	}
 	em := sim.MetricsFrom(reg)
 	if reg != nil {
@@ -444,11 +444,39 @@ type paymentSource interface {
 const chunkSize = 512
 
 // chunk is one unit of pipeline work: a run of consecutive payments and
-// their sub-outcomes. done is closed once the chunk is fully simulated.
+// their sub-outcomes. done receives once the chunk is fully simulated. Once
+// the consumer has moved past a chunk (passed) and no flight reads its
+// payments any more (live), it goes back to the producer through free, and
+// the next payments are written over it, their Amounts included. passed and
+// live are the consumer's: the timeline runs on its goroutine.
 type chunk struct {
-	pays []*payment
-	subs []subOutcome
-	done chan struct{}
+	pays   []payment
+	subs   []subOutcome
+	done   chan struct{}
+	free   chan<- *chunk
+	passed bool
+	live   int
+}
+
+// hold notes one more flight reading a payment of c.
+func (c *chunk) hold() { c.live++ }
+
+// release notes a flight done with a payment of c, and hands c back once
+// nothing reads it.
+func (c *chunk) release() {
+	c.live--
+	c.recycle()
+}
+
+// recycle hands c back to the producer if the consumer has moved past it and
+// no flight reads it. A full free queue drops it for the garbage collector.
+func (c *chunk) recycle() {
+	if c.passed && c.live == 0 {
+		select {
+		case c.free <- c:
+		default:
+		}
+	}
 }
 
 // streamSource is the bounded three-stage pipeline every run executes. A
@@ -475,6 +503,10 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 	depth := workers + 2
 	ordered := make(chan *chunk, depth)
 	work := make(chan *chunk, depth)
+	// free holds chunks for reuse: about as many as the queues and the
+	// workers hold at once. A chunk that finds it full is left to the
+	// garbage collector.
+	free := make(chan *chunk, 2*depth+workers)
 	stop := make(chan struct{})
 	go func() {
 		defer close(ordered)
@@ -482,18 +514,28 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 		g := w.newGenerator(s)
 		g.skip(skip)
 		for {
-			c := &chunk{done: make(chan struct{})}
-			for len(c.pays) < chunkSize {
-				p := &payment{}
-				if !g.next(p) {
-					break
-				}
-				c.pays = append(c.pays, p)
+			var c *chunk
+			select {
+			case c = <-free:
+				c.passed = false
+			default:
+				// Sized once for what is left to generate: a chunk is never
+				// regrown, and a short run's last one is no longer than its tail.
+				c = &chunk{pays: make([]payment, 0, min(chunkSize, g.left())), done: make(chan struct{}, 1), free: free}
 			}
-			if len(c.pays) == 0 {
+			pays, n := c.pays[:cap(c.pays)], 0
+			for ; n < chunkSize && g.left() > 0; n++ {
+				if n == len(pays) {
+					pays = append(pays, payment{})
+				}
+				g.next(&pays[n])
+				pays[n].chunk = c
+			}
+			if n == 0 {
 				break
 			}
-			c.subs = make([]subOutcome, len(c.pays))
+			c.pays = pays[:n]
+			c.subs = slices.Grow(c.subs[:0], n)[:n]
 			rm.Generated.Add(uint64(len(c.pays)))
 			rm.ChunksGenerated.Inc()
 			select {
@@ -515,12 +557,12 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 				if sm == nil {
 					sm = newSimulator()
 				}
-				for j, p := range c.pays {
-					c.subs[j] = sm.simulateOne(&s, plan, p, registry)
+				for j := range c.pays {
+					c.subs[j] = sm.simulateOne(&s, plan, &c.pays[j], registry)
 					rm.Simulated.Inc()
 				}
 				rm.ChunksSimulated.Inc()
-				close(c.done)
+				c.done <- struct{}{}
 			}
 		}()
 	}
@@ -533,8 +575,16 @@ func (s *streamSource) close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
+// next returns the next payment. It stays valid while a flight holds its
+// chunk (chunk.hold), or else until the following call: the chunk is
+// recycled once the consumer has moved past it and no flight reads it.
 func (s *streamSource) next() (*payment, subOutcome, bool) {
 	for s.cur == nil || s.i == len(s.cur.pays) {
+		if s.cur != nil {
+			s.cur.passed = true
+			s.cur.recycle()
+			s.cur = nil
+		}
 		c, ok := <-s.ordered
 		if !ok {
 			return nil, subOutcome{}, false
@@ -543,7 +593,7 @@ func (s *streamSource) next() (*payment, subOutcome, bool) {
 		s.m.ChunksConsumed.Inc()
 		s.cur, s.i = c, 0
 	}
-	p, sub := s.cur.pays[s.i], s.cur.subs[s.i]
+	p, sub := &s.cur.pays[s.i], s.cur.subs[s.i]
 	s.i++
 	return p, sub, true
 }
@@ -639,7 +689,7 @@ func wireLiquidityGauges(s core.Scenario, lm ledger.Metrics, l *ledger.Ledger) {
 // number of in-flight and queued payments, not the population size.
 type flight struct {
 	t   *timeline // the timeline the flight is on, for its scheduled actions
-	p   *payment
+	p   *payment  // its chunk's, which the flight holds until recycled
 	sub subOutcome
 	pr  PaymentResult
 
@@ -673,11 +723,12 @@ type timeline struct {
 	plan *compiledPlan
 	m    RunMetrics
 
-	// ledgers[e] is escrow e_e's traffic ledger and customers[i] is c_i's ID,
-	// resolved once. Every lock on e_e is paid by c_e, so one balance per
-	// escrow — Balance(c_e) on e_e — decides admission there.
-	ledgers   []*ledger.Ledger
-	customers []string
+	// ledgers[e] is escrow e_e's traffic ledger, and payers[e] and payees[e]
+	// are c_e's and c_{e+1}'s PIDs on it, resolved once. Every lock on e_e is
+	// paid by c_e, so one balance per escrow — Balance(c_e) on e_e — decides
+	// admission there.
+	ledgers        []*ledger.Ledger
+	payers, payees []sim.PID
 
 	// waiters[e] holds the queued flights whose last attempt was refused by
 	// c_e's balance on e_e, in no particular order; woken is the scratch list
@@ -708,6 +759,8 @@ type timeline struct {
 	// read their heap coordinates.
 	markTimers []markTimer
 
+	// freeFlights are finished flights for newFlight to reuse.
+	freeFlights []*flight
 	// afterPass, when set (tests only), runs at the end of every drain pass
 	// with the flight whose settlement started it.
 	afterPass func(settled *flight)
@@ -756,10 +809,10 @@ func (t *timeline) scheduleMarks() {
 // ledgers, so liquidity held in the connector's locks is observable as
 // Byzantine-held (lock-and-abandon griefing shows up directly).
 func (t *timeline) setByzantine(idx int, on bool) {
-	owner := t.customers[idx]
+	owner := core.CustomerID(idx)
 	for _, e := range []int{idx - 1, idx} {
 		if e >= 0 && e < t.res.Chain {
-			t.ledgers[e].SetByzantine(owner, on)
+			t.ledgers[e].SetByzantine(t.ledgers[e].PID(owner), on)
 		}
 	}
 	if on {
@@ -816,7 +869,7 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 // arrive admits, queues or rejects one payment at its arrival instant.
 func (t *timeline) arrive(p *payment, sub subOutcome) {
 	now := t.eng.Now()
-	f := &flight{t: t, p: p, sub: sub}
+	f := t.newFlight(p, sub)
 	if t.track != nil {
 		t.track[p.Index] = f
 	}
@@ -848,6 +901,7 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		f.pr.Status = StatusRejected
 		f.pr.End = now
 		t.finish(f)
+		t.recycle(f)
 		return
 	}
 	f.passBase = t.passes - 1 // the arrival was attempt 0
@@ -870,6 +924,35 @@ func expireFlight(x any) {
 	f.pr.QueueWait = f.pr.End - f.p.Arrival
 	f.pr.DropCause = t.dropCause(f)
 	t.finish(f)
+	t.recycle(f)
+}
+
+// newFlight returns a flight for p with sub-outcome sub, recycled or new,
+// holding p's chunk.
+func (t *timeline) newFlight(p *payment, sub subOutcome) *flight {
+	var f *flight
+	if k := len(t.freeFlights); k > 0 {
+		f = t.freeFlights[k-1]
+		t.freeFlights[k-1] = nil
+		t.freeFlights = t.freeFlights[:k-1]
+	} else {
+		f = &flight{}
+	}
+	*f = flight{t: t, p: p, sub: sub}
+	if p.chunk != nil {
+		p.chunk.hold()
+	}
+	return f
+}
+
+// recycle hands a finished flight, which nothing reads any more, back for
+// newFlight, and releases its payment's chunk.
+func (t *timeline) recycle(f *flight) {
+	if c := f.p.chunk; c != nil {
+		c.release()
+	}
+	f.p = nil
+	t.freeFlights = append(t.freeFlights, f)
 }
 
 // dropCause attributes a queue-expiry drop: "faulted-path" when the
@@ -894,7 +977,7 @@ func (t *timeline) dropCause(f *flight) DropCause {
 func (t *timeline) refusingHop(p *payment) int {
 	for k, amount := range p.Amounts {
 		e := p.Sender + k
-		if t.ledgers[e].Balance(t.customers[e]) < amount {
+		if t.ledgers[e].Balance(t.payers[e]) < amount {
 			return e
 		}
 	}
@@ -914,10 +997,13 @@ func (t *timeline) admit(f *flight, now sim.Time, attempt int) bool {
 		f.refused = e
 		return false
 	}
-	id := p.ID + "#" + strconv.Itoa(attempt)
+	id := p.firstLockID
+	if attempt > 0 || id == "" {
+		id = p.ID + "#" + strconv.Itoa(attempt)
+	}
 	for k, amount := range p.Amounts {
 		e := p.Sender + k
-		_, err := t.ledgers[e].CreateLock(now, id, t.customers[e], t.customers[e+1], amount, ledger.Condition{})
+		_, err := t.ledgers[e].Escrow(now, id, t.payers[e], t.payees[e], amount, ledger.Condition{})
 		if err != nil && t.res.CascadeErr == nil {
 			// Not reachable from a state this run produced: amounts are
 			// validated positive, the balance was just read and attempt IDs
@@ -987,6 +1073,7 @@ func settleFlight(x any) {
 	if t.afterPass != nil {
 		t.afterPass(f)
 	}
+	t.recycle(f)
 }
 
 // enqueue files f, just refused, among the waiters of the account that

@@ -284,6 +284,12 @@ type payment struct {
 	Arrival  sim.Time
 	Protocol string
 	Seed     int64
+
+	// firstLockID is the lock ID of admission attempt 0, ID + "#0", of
+	// which ID is the prefix ("" when the generator rendered no ID).
+	firstLockID string
+	// chunk is the pipeline chunk the payment stands in, nil outside one.
+	chunk *chunk
 }
 
 // hops returns the number of escrows the payment crosses.
@@ -324,9 +330,10 @@ type generator struct {
 	seed        int64 // scenario seed
 	now         sim.Time
 	idx         int
-	// withIDs disables payment-ID formatting; the demand pre-pass only needs
-	// routes and amounts, and skipping fmt.Sprintf keeps it allocation-light.
+	// withIDs disables payment-ID rendering; the demand pre-pass only needs
+	// routes and amounts, and skipping the IDs keeps it allocation-free.
 	withIDs bool
+	idBuf   []byte // where next renders an ID
 }
 
 // newGenerator resolves workload defaults against the scenario and positions
@@ -379,6 +386,9 @@ func (g *generator) skip(n int) {
 	}
 	g.withIDs = ids
 }
+
+// left returns how many payments next has still to generate.
+func (g *generator) left() int { return g.w.Payments - g.idx }
 
 // next fills p with the next payment of the population, reusing p's Amounts
 // capacity, and reports whether one was produced.
@@ -452,9 +462,19 @@ func (g *generator) next(p *payment) bool {
 	}
 
 	p.Index = i
-	p.ID = ""
+	p.ID, p.firstLockID = "", ""
 	if g.withIDs {
-		p.ID = fmt.Sprintf("p%05d-c%d-c%d", i, sender, receiver)
+		// "p%05d-c%d-c%d#0", rendered once: the ID is its prefix.
+		b := append(g.idBuf[:0], 'p')
+		for pad := 10000; pad > 1 && i < pad; pad /= 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = strconv.AppendInt(append(b, "-c"...), int64(sender), 10)
+		b = strconv.AppendInt(append(b, "-c"...), int64(receiver), 10)
+		g.idBuf = append(b, "#0"...)
+		p.firstLockID = string(g.idBuf)
+		p.ID = p.firstLockID[:len(b)]
 	}
 	p.Sender = sender
 	p.Receiver = receiver

@@ -61,14 +61,16 @@ func (m *MsgPayout) Head() string { return m.Describe() }
 // and settles the lock according to the manager's decision certificate. It
 // never times out on its own — safety must not depend on synchrony.
 type escrowProc struct {
-	run   *runState
-	i     int
-	id    string
-	up    string
-	down  string
-	clk   *clock.Clock
-	led   *ledger.Ledger
-	fault core.FaultSpec
+	run  *runState
+	i    int
+	id   string
+	up   string
+	down string
+	// pid, upPID and downPID address e_i, c_i and c_{i+1} in the run.
+	pid, upPID, downPID core.PID
+	clk                 *clock.Clock
+	led                 *ledger.Ledger
+	fault               core.FaultSpec
 
 	lockCreated bool
 	lockID      string // set when the lock is created
@@ -87,17 +89,19 @@ type escrowProc struct {
 }
 
 func newEscrowProc(r *runState, i int) escrowProc {
-	topo := r.scn.Topology
-	id := core.EscrowID(i)
+	topo, w := r.scn.Topology, r.w
 	return escrowProc{
-		run:   r,
-		i:     i,
-		id:    id,
-		up:    topo.UpstreamCustomer(i),
-		down:  topo.DownstreamCustomer(i),
-		clk:   r.w.EscrowClock(i),
-		led:   r.w.Ledger(i),
-		fault: r.scn.FaultOf(id),
+		run:     r,
+		i:       i,
+		id:      core.EscrowID(i),
+		up:      topo.UpstreamCustomer(i),
+		down:    topo.DownstreamCustomer(i),
+		pid:     w.EscrowPID(i),
+		upPID:   w.CustomerPID(i),
+		downPID: w.CustomerPID(i + 1),
+		clk:     w.EscrowClock(i),
+		led:     w.Ledger(i),
+		fault:   w.FaultOf(w.EscrowPID(i)),
 	}
 }
 
@@ -113,7 +117,7 @@ func (p *escrowProc) start() {
 }
 
 // Deliver implements netsim.Node.
-func (p *escrowProc) Deliver(from string, msg netsim.Message) {
+func (p *escrowProc) Deliver(from core.PID, msg netsim.Message) {
 	if !p.active() {
 		return
 	}
@@ -127,18 +131,18 @@ func (p *escrowProc) Deliver(from string, msg netsim.Message) {
 
 // onPay locks the upstream customer's money and reports prepared to the
 // transaction manager.
-func (p *escrowProc) onPay(from string, m *MsgPay) {
-	if from != p.up || p.lockCreated || p.settled {
+func (p *escrowProc) onPay(from core.PID, m *MsgPay) {
+	if from != p.upPID || p.lockCreated || p.settled {
 		return
 	}
 	want := p.run.scn.Spec.AmountVia(p.i)
 	if m.Amount != want || m.PaymentID != p.run.scn.Spec.PaymentID {
-		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: from, Label: "wrong-amount", Value: m.Amount}, nil)
+		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: p.up, Label: "wrong-amount", Value: m.Amount}, nil)
 		return
 	}
 	p.lockID = p.run.w.LockID(p.i)
-	if _, err := p.led.CreateLock(p.run.eng.Now(), p.lockID, p.up, p.down, want, ledger.Condition{}); err != nil {
-		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: from, Label: "lock-failed", Value: want}, nil)
+	if _, err := p.led.Escrow(p.run.eng.Now(), p.lockID, p.upPID, p.downPID, want, ledger.Condition{}); err != nil {
+		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: p.up, Label: "lock-failed", Value: want}, nil)
 		return
 	}
 	p.lockCreated = true
@@ -153,7 +157,7 @@ func (p *escrowProc) onPay(from string, m *MsgPay) {
 	if p.fault.Silent {
 		return // never reports prepared: the manager will not commit
 	}
-	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "prepared", escrowPrepared, p)
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.pid), "prepared", escrowPrepared, p)
 }
 
 // escrowPrepared is the scheduled action of onPay: report prepared to the
@@ -166,8 +170,8 @@ func escrowPrepared(x any) {
 		return
 	}
 	p.msgPrepared = notary.MsgPrepared{PaymentID: p.run.scn.Spec.PaymentID, Escrow: p.id}
-	for _, mid := range p.run.mgr.IDs() {
-		p.run.net.Send(p.id, mid, &p.msgPrepared)
+	for _, mid := range p.run.mgr.PIDs() {
+		p.run.net.Post(p.pid, mid, &p.msgPrepared)
 	}
 }
 
@@ -200,7 +204,7 @@ func (p *escrowProc) settle() {
 		p.run.tr.Add(p.run.eng.Now(), trace.KindByzantine, p.id, "", "steal-escrow")
 		return
 	}
-	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.id), "settle", escrowSettle, p)
+	p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.pid), "settle", escrowSettle, p)
 }
 
 // escrowSettle is the scheduled action of settle.
@@ -221,7 +225,7 @@ func escrowSettle(x any) {
 			}
 			if !p.fault.Silent {
 				p.msgPayout = MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount}
-				p.run.net.Send(p.id, p.down, &p.msgPayout)
+				p.run.net.Post(p.pid, p.downPID, &p.msgPayout)
 			}
 		}
 	case sig.DecisionAbort:
@@ -231,7 +235,7 @@ func escrowSettle(x any) {
 			}
 			if !p.fault.Silent {
 				p.msgPayout = MsgPayout{PaymentID: p.run.scn.Spec.PaymentID, Amount: amount, Refund: true}
-				p.run.net.Send(p.id, p.up, &p.msgPayout)
+				p.run.net.Post(p.pid, p.upPID, &p.msgPayout)
 			}
 		}
 	}
@@ -257,6 +261,9 @@ type customerProc struct {
 
 	upEscrow   string
 	downEscrow string
+	// pid, upPID and downPID address c_i and its two escrows in the run
+	// (core.NoPID for a missing one).
+	pid, upPID, downPID core.PID
 
 	paid     int64
 	credited int64
@@ -278,13 +285,16 @@ type customerProc struct {
 }
 
 func newCustomerProc(r *runState, i int) customerProc {
-	topo := r.scn.Topology
+	topo, w := r.scn.Topology, r.w
 	c := customerProc{
-		run:   r,
-		i:     i,
-		id:    core.CustomerID(i),
-		clk:   r.w.CustomerClock(i),
-		fault: r.scn.FaultOf(core.CustomerID(i)),
+		run:     r,
+		i:       i,
+		id:      core.CustomerID(i),
+		pid:     w.CustomerPID(i),
+		upPID:   w.UpstreamEscrowPID(i),
+		downPID: w.DownstreamEscrowPID(i),
+		clk:     w.CustomerClock(i),
+		fault:   w.FaultOf(w.CustomerPID(i)),
 	}
 	if up, ok := topo.UpstreamEscrow(i); ok {
 		c.upEscrow = up
@@ -309,12 +319,12 @@ func (c *customerProc) start() {
 	}
 	// Pay the agreed value into the downstream escrow (Bob has none).
 	if !c.isBob() && !c.fault.RefuseToPay && !c.fault.Silent {
-		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.id), "pay", customerPay, c)
+		c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.pid), "pay", customerPay, c)
 	}
 	// Patience: after the configured local-time budget, ask the manager to
 	// abort (unless a decision already arrived). A premature-abort Byzantine
 	// customer asks immediately.
-	patience := c.run.scn.PatienceOf(c.id)
+	patience := c.run.w.PatienceOf(c.pid)
 	if c.fault.PrematureAbort {
 		patience = 1
 	}
@@ -334,7 +344,7 @@ func customerPay(x any) {
 	c.paid = c.run.scn.Spec.AmountVia(c.i)
 	c.paidIn = true
 	c.msgPay = MsgPay{PaymentID: c.run.scn.Spec.PaymentID, Amount: c.paid}
-	c.run.net.Send(c.id, c.downEscrow, &c.msgPay)
+	c.run.net.Post(c.pid, c.downPID, &c.msgPay)
 }
 
 // customerLosePatience sends an abort request to the transaction manager.
@@ -356,13 +366,13 @@ func customerLosePatience(x any) {
 		return
 	}
 	c.msgAbort = notary.MsgAbortRequest{PaymentID: c.run.scn.Spec.PaymentID, Customer: c.id}
-	for _, mid := range c.run.mgr.IDs() {
-		c.run.net.Send(c.id, mid, &c.msgAbort)
+	for _, mid := range c.run.mgr.PIDs() {
+		c.run.net.Post(c.pid, mid, &c.msgAbort)
 	}
 }
 
 // Deliver implements netsim.Node.
-func (c *customerProc) Deliver(from string, msg netsim.Message) {
+func (c *customerProc) Deliver(from core.PID, msg netsim.Message) {
 	if !c.active() {
 		return
 	}
@@ -413,12 +423,12 @@ func (c *customerProc) holds(cert *sig.DecisionCert) {
 	}
 }
 
-func (c *customerProc) onPayout(from string, m *MsgPayout) {
+func (c *customerProc) onPayout(from core.PID, m *MsgPayout) {
 	switch {
-	case from == c.downEscrow && m.Refund:
+	case from == c.downPID && m.Refund:
 		c.credited += m.Amount
 		c.refunded = true
-	case from == c.upEscrow && !m.Refund:
+	case from == c.upPID && !m.Refund:
 		c.credited += m.Amount
 	default:
 		return

@@ -165,11 +165,11 @@ func (r *runState) reset(p *Protocol, w *core.World) {
 	r.customers = slices.Grow(r.customers[:0], topo.N+1)[:topo.N+1]
 	for i := range r.escrows {
 		r.escrows[i] = newEscrowProc(r, i)
-		r.net.Register(&r.escrows[i])
+		r.net.Attach(r.escrows[i].pid, &r.escrows[i])
 	}
 	for i := range r.customers {
 		r.customers[i] = newCustomerProc(r, i)
-		r.net.Register(&r.customers[i])
+		r.net.Attach(r.customers[i].pid, &r.customers[i])
 	}
 }
 

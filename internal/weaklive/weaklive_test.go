@@ -302,23 +302,23 @@ func TestSameDecisionCertNotReverified(t *testing.T) {
 	if !c1.hasAbort || c1.hasCommit || !c1.active() {
 		t.Fatalf("c1: abort=%v commit=%v active=%v", c1.hasAbort, c1.hasCommit, c1.active())
 	}
-	if n := verifies(func() { c1.Deliver(ids[0], cert(sig.DecisionAbort)) }); n != 0 {
+	if n := verifies(func() { c1.Deliver(run.mgr.PIDs()[0], cert(sig.DecisionAbort)) }); n != 0 {
 		t.Errorf("a customer holding an abort certificate verified %d signatures of a second one", n)
 	}
-	if n := verifies(func() { c1.Deliver(ids[0], cert(sig.DecisionCommit)) }); n != 3 || !c1.hasCommit || !c1.hasAbort {
+	if n := verifies(func() { c1.Deliver(run.mgr.PIDs()[0], cert(sig.DecisionCommit)) }); n != 3 || !c1.hasCommit || !c1.hasAbort {
 		t.Errorf("a commit certificate after an abort one: %d signatures verified, commit=%v abort=%v; want 3 and both", n, c1.hasCommit, c1.hasAbort)
 	}
-	if n := verifies(func() { c1.Deliver(ids[0], cert(sig.DecisionCommit)) }); n != 0 {
+	if n := verifies(func() { c1.Deliver(run.mgr.PIDs()[0], cert(sig.DecisionCommit)) }); n != 0 {
 		t.Errorf("a customer holding both certificates verified %d signatures of a third", n)
 	}
 	// An escrow that learnt the decision before any money arrived keeps
 	// waiting for a lock to settle, and verifies the decision once.
 	e0 := &run.escrows[0]
 	*e0 = newEscrowProc(run, 0)
-	if n := verifies(func() { e0.Deliver(ids[0], cert(sig.DecisionAbort)) }); n != 3 || e0.decided != sig.DecisionAbort || e0.settled {
+	if n := verifies(func() { e0.Deliver(run.mgr.PIDs()[0], cert(sig.DecisionAbort)) }); n != 3 || e0.decided != sig.DecisionAbort || e0.settled {
 		t.Fatalf("an escrow's first certificate: %d signatures verified, decided %q, settled=%v", n, e0.decided, e0.settled)
 	}
-	if n := verifies(func() { e0.Deliver(ids[1], cert(sig.DecisionAbort)) }); n != 0 {
+	if n := verifies(func() { e0.Deliver(run.mgr.PIDs()[1], cert(sig.DecisionAbort)) }); n != 0 {
 		t.Errorf("an escrow that knows the decision verified %d signatures of a second certificate for it", n)
 	}
 }
