@@ -21,7 +21,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/scenariogen"
 	"repro/internal/timelock"
 )
 
@@ -42,8 +41,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *n < 1 || *n > scenariogen.MaxChain {
-		fmt.Fprintf(stderr, "xchain-check: -n: need 1 to %d escrows, got %d\n", scenariogen.MaxChain, *n)
+	if *n < 1 || *n > core.MaxChain {
+		fmt.Fprintf(stderr, "xchain-check: -n: need 1 to %d escrows, got %d\n", core.MaxChain, *n)
 		return 2
 	}
 	if *seeds < 1 {

@@ -27,12 +27,11 @@ import (
 // holds one PaymentResult (~250 B) per payment until it finishes, so its
 // ceiling is what a server running maxRuns of them can afford to hold; an
 // aggregate-only run ("stream") needs constant memory and is bounded by
-// patience instead (~25 µs of one core per hmac payment). Every escrow is a
-// ledger, a hop of every full-path payment and two keys.
+// patience instead (~25 µs of one core per hmac payment). The chain is
+// bounded by q.Build itself (core.MaxChain), for the CLI as for the server.
 const (
 	maxKeepPayments   = 1_000_000
 	maxStreamPayments = 100_000_000
-	maxEscrows        = 64
 )
 
 // prepare is the one gate a request passes before it may run, fresh from a
@@ -44,17 +43,11 @@ func prepare(q traffic.Request) (core.Scenario, traffic.Workload, traffic.Config
 	if q.Stream {
 		limit = maxStreamPayments
 	}
-	var err error
-	switch {
-	case q.Escrows > maxEscrows:
-		err = fmt.Errorf("escrows %d above %d", q.Escrows, maxEscrows)
-	case q.Payments > limit:
-		err = fmt.Errorf("payments %d above %d (stream=%v; an aggregate-only run may have up to %d)",
+	if q.Payments > limit {
+		return core.Scenario{}, traffic.Workload{}, traffic.Config{}, fmt.Errorf("payments %d above %d (stream=%v; an aggregate-only run may have up to %d)",
 			q.Payments, limit, q.Stream, maxStreamPayments)
-	default:
-		return q.Build()
 	}
-	return core.Scenario{}, traffic.Workload{}, traffic.Config{}, err
+	return q.Build()
 }
 
 // run is one traffic run owned by the server.

@@ -632,7 +632,7 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 		fmt.Sprintf(`{"payments":%d}`, maxKeepPayments+1),
 		fmt.Sprintf(`{"payments":%d,"stream":true}`, maxStreamPayments+1),
 		`{"payments":-5}`,
-		fmt.Sprintf(`{"escrows":%d,"payments":10}`, maxEscrows+1),
+		fmt.Sprintf(`{"escrows":%d,"payments":10}`, core.MaxChain+1),
 		`{"escrows":-1,"payments":10}`,
 		// Overflowed the generator's uniform draw and panicked a worker.
 		`{"payments":10,"amount_dist":"uniform","spread":4611686018427387904}`,

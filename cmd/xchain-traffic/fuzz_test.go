@@ -14,16 +14,15 @@ import (
 // spend the fuzzing budget on one input.
 const (
 	fuzzMaxPayments = 400
-	fuzzMaxEscrows  = 64
 	fuzzMaxSweep    = 3
 )
 
 // FuzzTrafficArgs is xchain-traffic's argv, fuzzed (arguments NUL-separated):
 // any argument list exits 0, 1 or 2 without a panic, and an exit 2 names a
 // flag on its first line. An input that writes files, prints progress, or
-// runs beyond the caps is only parsed and built (only parsed beyond the
-// escrow cap). Seeded from TestRunBadFlags and from FuzzStartRun's bodies,
-// rendered as arguments.
+// runs beyond the caps is only parsed and built; Build refuses a chain beyond
+// core.MaxChain itself, so every -n is built. Seeded from TestRunBadFlags and
+// from FuzzStartRun's bodies, rendered as arguments.
 func FuzzTrafficArgs(f *testing.F) {
 	for _, args := range [][]string{
 		{"-no-such-flag"}, {"-shards", "2"}, {"-mix", "timelock=abc"}, {"-fault", "nonsense"},
@@ -56,9 +55,6 @@ func FuzzTrafficArgs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, joined string) {
 		args := strings.Split(joined, "\x00")
 		fs, q, o, err := parse(args, io.Discard)
-		if err == nil && q.Escrows > fuzzMaxEscrows {
-			return // Build allocates in proportion to the chain, which -n does not bound
-		}
 		if err == nil && (q.Payments > fuzzMaxPayments || o.sweepSeeds > fuzzMaxSweep ||
 			o.ckptPath != "" || o.resumePath != "" || o.cpuProfile != "" || o.memProfile != "" || o.progress != 0) {
 			_, _, _, _ = q.Build() // still must not panic

@@ -17,6 +17,7 @@ import (
 	xchainpay "repro"
 	"repro/internal/adversary"
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/timelock"
 )
@@ -49,8 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "xchain: "+format+"\n", args...)
 		return 2
 	}
-	if *n < 1 {
-		return fatalf("-n: need at least one escrow, got %d", *n)
+	if *n < 1 || *n > core.MaxChain {
+		return fatalf("-n: need 1 to %d escrows, got %d", core.MaxChain, *n)
 	}
 	if *committee < 1 {
 		return fatalf("-committee: need at least one notary, got %d", *committee)

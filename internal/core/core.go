@@ -99,6 +99,12 @@ type Topology struct {
 	N int
 }
 
+// MaxChain bounds the chain length an input may ask for: escrows, deal
+// parties and notaries. A run lays out tables in proportion to the chain, so
+// every input boundary (request, flag, replay file) refuses a longer one
+// before anything is built; it is far beyond any experiment.
+const MaxChain = 64
+
 // NewTopology returns a topology with n escrows. It panics if n < 1, which
 // is a scenario-construction bug rather than a runtime condition.
 func NewTopology(n int) Topology {

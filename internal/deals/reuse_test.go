@@ -42,7 +42,7 @@ func render(res *Result) string {
 			fmt.Fprintf(&b, "  %s=%d\n", owner, led.Balance(led.PID(owner)))
 		}
 		for _, lk := range led.Locks() {
-			fmt.Fprintf(&b, "  %+v\n", *lk)
+			fmt.Fprintf(&b, "  %+v\n", lk)
 		}
 		for _, op := range led.Ops() {
 			fmt.Fprintf(&b, "  %+v\n", op)

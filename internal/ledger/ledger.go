@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -58,7 +60,9 @@ type Condition struct {
 	Expiry sim.Time
 }
 
-// Lock is value held in escrow between two customers of this ledger.
+// Lock is value held in escrow between two customers of this ledger, as a
+// read renders it (Lock, Locks, LockOf, State): the ledger keeps the
+// participants as PIDs and a keyed lock's ID as its label and key.
 type Lock struct {
 	ID        string
 	Payer     string
@@ -70,13 +74,55 @@ type Lock struct {
 	SettledAt sim.Time
 }
 
+// lockStates are the states a record's state indexes.
+var lockStates = [...]LockState{LockPending, LockReleased, LockRefunded}
+
+// Record states: indices into lockStates.
+const (
+	statePending uint8 = iota
+	stateReleased
+	stateRefunded
+)
+
 // lockRec is a ledger's record of one lock. prev and next link the locks a
 // ledger holds into the list every walk over them follows, from Ledger.head;
-// next alone links the records it keeps for reuse (Ledger.free).
+// next alone links the records it keeps for reuse (Ledger.free). gen counts
+// the times the record left the held list, so that a Handle taken before
+// tells it is stale.
 type lockRec struct {
-	Lock
-	payer, payee sim.PID
-	prev, next   *lockRec
+	// label is the lock's ID, or a keyed lock's label: its ID is label#key,
+	// rendered only when read.
+	label     string
+	key       uint64
+	amount    int64
+	createdAt sim.Time
+	settledAt sim.Time
+	cond      Condition
+	payer     sim.PID
+	payee     sim.PID
+	gen       uint32
+	state     uint8
+	keyed     bool
+	prev      *lockRec
+	next      *lockRec
+}
+
+// id renders the record's lock ID.
+func (r *lockRec) id() string {
+	if !r.keyed {
+		return r.label
+	}
+	return r.label + "#" + strconv.FormatUint(r.key, 10)
+}
+
+// Handle addresses a lock on the ledger that holds it. Escrow and EscrowKeyed
+// return one, and ReleaseLock and RefundLock settle the lock through it
+// without looking up its ID. A handle goes stale when its lock leaves the
+// ledger, that is when compaction forgets it or Reset drops it; a stale handle
+// settles nothing. The zero Handle addresses no lock.
+type Handle struct {
+	rec *lockRec
+	gen uint32
 }
 
 // account is one owner's account, keyed by the owner's PID.
@@ -125,13 +171,18 @@ type Ledger struct {
 	// on a payment ledger, one per party on a deal chain — few enough that a
 	// scan over their PIDs finds an owner before anything could be hashed.
 	accounts []account
-	// locks indexes the held locks by ID once a ledger holds more than
-	// indexFrom of them (a traffic ledger settles thousands of in-flight
-	// locks); below that, the held list is scanned. nil until then.
-	locks   map[string]*lockRec
-	held    int      // locks on the held list
-	head    lockRec  // the held list's sentinel: head.next is the most recent lock held
-	free    *lockRec // records of locks dropped by Reset or forgotten under compaction, for Escrow to reuse
+	// The held list is the only index of the locks: the ID-addressed
+	// operations scan it (a protocol's ledger holds one or two), and a
+	// ledger with thousands of locks (the traffic timeline's) is settled
+	// through Handles.
+	held int      // locks on the held list
+	head lockRec  // the held list's sentinel: head.next is the most recent lock held
+	free *lockRec // records of locks dropped by Reset or forgotten under compaction, for Escrow to reuse
+	// made counts the records the ledger has made; past recordsAlone of them
+	// it makes them recordBlock at a time, what is left of the block in block.
+	made  int
+	block []lockRec
+
 	ops     []Op
 	opCount int
 	minted  int64
@@ -155,23 +206,19 @@ func New(name string) *Ledger {
 	return &Ledger{name: name}
 }
 
-// indexFrom is how many held locks a ledger scans for an ID before it keeps
-// them in a map: a payment ledger holds one or two.
-const indexFrom = 8
-
 // Reset returns the ledger to the state New(name) builds — no accounts, no
 // locks, an empty participant table and log, zeroed totals, compaction off,
-// muted metrics — keeping its accounts', lock records', map's and log's
-// storage. Locks and log entries handed out before the Reset must no longer
-// be used.
+// muted metrics — keeping its accounts', lock records' and log's storage.
+// Log entries handed out before the Reset must no longer be used, and every
+// Handle goes stale.
 func (l *Ledger) Reset(name string) {
 	l.name = name
 	l.names, l.owned = l.own[:0], true
 	l.accounts = l.accounts[:0]
 	for lk := l.head.next; lk != nil; lk = l.head.next {
+		lk.gen++
 		l.head.next, lk.next, l.free = lk.next, l.free, lk
 	}
-	clear(l.locks)
 	clear(l.byz)
 	l.held = 0
 	l.ops = l.ops[:0]
@@ -194,10 +241,8 @@ func (l *Ledger) Name() string { return l.name }
 // property checkers and traces.
 //
 // A compacting ledger recycles a forgotten lock's record for a later
-// Escrow, so the *Lock that Escrow or Lock returned is valid only
-// until that lock settles. No caller keeps one that long: the traffic
-// timeline, the only user of compaction, discards Escrow's result and
-// settles by lock ID.
+// Escrow; the forgotten lock's Handle goes stale first, so it never
+// addresses the record's next lock.
 func (l *Ledger) SetCompact(on bool) { l.compact = on }
 
 // Compact reports whether compaction is enabled.
@@ -353,39 +398,55 @@ func (l *Ledger) Transfer(at sim.Time, from, to sim.PID, amount int64) error {
 }
 
 // Escrow moves amount from payer's account into escrow under id, payable to
-// payee.
+// payee, and returns the lock's handle. The ID must be new to the ledger
+// (ErrDuplicateLock): the held list is scanned for it.
 //
 //xchain:hotpath
-func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int64, cond Condition) (*Lock, error) {
+func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
 	if amount <= 0 {
-		return nil, ErrBadAmount
+		return Handle{}, ErrBadAmount
 	}
 	if l.lookup(id) != nil {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicateLock, id)
+		return Handle{}, fmt.Errorf("%w: %s", ErrDuplicateLock, id)
 	}
+	return l.escrow(at, id, 0, false, payer, payee, amount, cond)
+}
+
+// EscrowKeyed is Escrow for the lock with ID label#key, which is rendered
+// only when the lock is read. The ID is not looked up: the caller keeps its
+// keys unique among the locks the ledger holds (the traffic timeline's are
+// a payment's ID and admission attempt), and settles the lock through the
+// returned handle.
+//
+//xchain:hotpath
+func (l *Ledger) EscrowKeyed(at sim.Time, label string, key uint64, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
+	if amount <= 0 {
+		return Handle{}, ErrBadAmount
+	}
+	return l.escrow(at, label, key, true, payer, payee, amount, cond)
+}
+
+// escrow is Escrow's and EscrowKeyed's common tail: amount and ID passed.
+//
+//xchain:hotpath
+func (l *Ledger) escrow(at sim.Time, label string, key uint64, keyed bool, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
 	p := l.find(payer)
 	if p < 0 {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
+		return Handle{}, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
 	}
 	if !l.HasAccount(payee) {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payee), l.name)
+		return Handle{}, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payee), l.name)
 	}
 	if l.accounts[p].balance < amount {
-		return nil, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(payer), l.accounts[p].balance, amount)
+		return Handle{}, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(payer), l.accounts[p].balance, amount)
 	}
 	l.accounts[p].balance -= amount
-	lk := l.free
-	if lk != nil {
-		l.free = lk.next
-	} else {
-		lk = &lockRec{}
-	}
+	lk := l.newRec()
 	// Written field by field: the record is the ledger's, and a composite
 	// literal would be built aside and copied over it.
-	payerName, payeeName := l.owner(payer), l.owner(payee)
-	lk.ID, lk.Payer, lk.Payee, lk.Amount = id, payerName, payeeName, amount
+	lk.label, lk.key, lk.keyed, lk.amount = label, key, keyed, amount
 	lk.payer, lk.payee = payer, payee
-	lk.CreatedAt, lk.Cond, lk.State, lk.SettledAt = at, cond, LockPending, 0
+	lk.createdAt, lk.cond, lk.state, lk.settledAt = at, cond, statePending, 0
 	l.hold(lk)
 	l.m.LocksCreated.Inc()
 	l.m.Available.Add(-float64(amount))
@@ -394,18 +455,46 @@ func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int
 		l.byzEscrowed += amount
 		l.m.ByzantineEscrowed.Add(float64(amount))
 	}
-	l.log(at, OpLock, payerName, payeeName, amount, id)
-	return &lk.Lock, nil
+	l.logLock(at, OpLock, lk, payee)
+	return Handle{rec: lk, gen: lk.gen}, nil
 }
 
 // CreateLock is Escrow between the participants named payer and payee.
-func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, cond Condition) (*Lock, error) {
+func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, cond Condition) (Handle, error) {
 	p := l.PID(payer)
 	return l.Escrow(at, id, p, l.PID(payee), amount, cond)
 }
 
-// hold files a lock's record at the front of the held list, and under its ID
-// once the ledger indexes its locks.
+// Record blocks: a ledger makes its first recordsAlone records one by one (a
+// protocol run's holds one or two locks), and then, since it holds many at
+// once (a traffic timeline's holds one per payment in flight), recordBlock at
+// a time: as many as fill an 8 KiB size class beside the 8-byte header the
+// allocator gives a block that holds pointers.
+const (
+	recordsAlone = 8
+	recordBlock  = (8<<10 - 8) / int(unsafe.Sizeof(lockRec{}))
+)
+
+// newRec returns a record for a new lock: a reused one, else a new one.
+//
+//xchain:hotpath
+func (l *Ledger) newRec() *lockRec {
+	if lk := l.free; lk != nil {
+		l.free = lk.next
+		return lk
+	}
+	l.made++
+	if l.made <= recordsAlone {
+		return &lockRec{}
+	}
+	if len(l.block) == cap(l.block) {
+		l.block = make([]lockRec, 0, recordBlock)
+	}
+	l.block = l.block[:len(l.block)+1]
+	return &l.block[len(l.block)-1]
+}
+
+// hold files a lock's record at the front of the held list.
 //
 //xchain:hotpath
 func (l *Ledger) hold(lk *lockRec) {
@@ -415,55 +504,80 @@ func (l *Ledger) hold(lk *lockRec) {
 	}
 	l.head.next = lk
 	l.held++
-	switch {
-	case l.locks != nil:
-		l.locks[lk.ID] = lk //lint:hotalloc lock IDs are strings; only a ledger past indexFrom held locks keeps this index
-	case l.held > indexFrom:
-		// The ledger outgrew a scan: index what it holds, and from now on
-		// (Reset keeps the map) every lock it holds.
-		l.locks = make(map[string]*lockRec, 2*indexFrom)
-		for r := l.head.next; r != nil; r = r.next {
-			l.locks[r.ID] = r //lint:hotalloc once per ledger, when it first outgrows a scan
-		}
-	}
 }
 
-// lookup returns the held lock with that ID, or nil.
+// lookup returns the held lock with that ID, or nil. A keyed lock's ID is
+// rendered to compare it: the ID-addressed operations are for ledgers of
+// ID-labelled locks, a keyed lock is settled through its handle.
 //
 //xchain:hotpath
 func (l *Ledger) lookup(id string) *lockRec {
-	if l.locks != nil {
-		return l.locks[id] //lint:hotalloc lock IDs are strings; only a ledger past indexFrom held locks keeps this index
-	}
 	for lk := l.head.next; lk != nil; lk = lk.next {
-		if lk.ID == id {
+		if lk.id() == id {
 			return lk
 		}
 	}
 	return nil
 }
 
-// Lock returns the lock with the given id.
-func (l *Ledger) Lock(id string) (*Lock, bool) {
-	if lk := l.lookup(id); lk != nil {
-		return &lk.Lock, true
+// held returns the record h addresses, or nil when h is stale.
+//
+//xchain:hotpath
+func (h Handle) held() *lockRec {
+	if h.rec == nil || h.rec.gen != h.gen {
+		return nil
 	}
-	return nil, false
+	return h.rec
+}
+
+// render renders a record as the Lock a read returns.
+func (l *Ledger) render(lk *lockRec) Lock {
+	return Lock{
+		ID: lk.id(), Payer: l.owner(lk.payer), Payee: l.owner(lk.payee), Amount: lk.amount,
+		CreatedAt: lk.createdAt, Cond: lk.cond, State: lockStates[lk.state], SettledAt: lk.settledAt,
+	}
+}
+
+// Lock returns the lock with the given id.
+func (l *Ledger) Lock(id string) (Lock, bool) {
+	if lk := l.lookup(id); lk != nil {
+		return l.render(lk), true
+	}
+	return Lock{}, false
+}
+
+// LockOf returns the lock h addresses, unless h is stale.
+func (l *Ledger) LockOf(h Handle) (Lock, bool) {
+	if lk := h.held(); lk != nil {
+		return l.render(lk), true
+	}
+	return Lock{}, false
+}
+
+// Handles returns a handle on every lock the ledger holds, the most recent
+// first: how a caller that settles by handle finds the locks of a ledger
+// FromState rebuilt.
+func (l *Ledger) Handles() []Handle {
+	out := make([]Handle, 0, l.held)
+	for lk := l.head.next; lk != nil; lk = lk.next {
+		out = append(out, Handle{rec: lk, gen: lk.gen})
+	}
+	return out
 }
 
 // Locks returns all locks sorted by id.
-func (l *Ledger) Locks() []*Lock {
-	out := make([]*Lock, 0, l.held)
+func (l *Ledger) Locks() []Lock {
+	out := make([]Lock, 0, l.held)
 	for lk := l.head.next; lk != nil; lk = lk.next {
-		out = append(out, &lk.Lock)
+		out = append(out, l.render(lk))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // PendingLocks returns the locks still pending, sorted by id.
-func (l *Ledger) PendingLocks() []*Lock {
-	var out []*Lock
+func (l *Ledger) PendingLocks() []Lock {
+	var out []Lock
 	for _, lk := range l.Locks() {
 		if lk.State == LockPending {
 			out = append(out, lk)
@@ -476,7 +590,7 @@ func (l *Ledger) PendingLocks() []*Lock {
 func (l *Ledger) PendingCount() int {
 	n := 0
 	for lk := l.head.next; lk != nil; lk = lk.next {
-		if lk.State == LockPending {
+		if lk.state == statePending {
 			n++
 		}
 	}
@@ -493,17 +607,35 @@ func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.T
 	if lk == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 	}
-	if lk.State != LockPending {
-		return fmt.Errorf("%w: %s is %s", ErrLockSettled, id, lk.State)
+	return l.release(at, lk, preimage, localNow)
+}
+
+// ReleaseLock is Release of the lock h addresses; a stale h is ErrNoSuchLock.
+//
+//xchain:hotpath
+func (l *Ledger) ReleaseLock(at sim.Time, h Handle, preimage []byte, localNow sim.Time) error {
+	lk := h.held()
+	if lk == nil {
+		return ErrNoSuchLock
 	}
-	if len(lk.Cond.HashLock) > 0 && !checkPreimage(lk.Cond.HashLock, preimage) {
+	return l.release(at, lk, preimage, localNow)
+}
+
+// release is Release's and ReleaseLock's common tail: the lock is found.
+//
+//xchain:hotpath
+func (l *Ledger) release(at sim.Time, lk *lockRec, preimage []byte, localNow sim.Time) error {
+	if lk.state != statePending {
+		return fmt.Errorf("%w: %s is %s", ErrLockSettled, lk.id(), lockStates[lk.state])
+	}
+	if len(lk.cond.HashLock) > 0 && !checkPreimage(lk.cond.HashLock, preimage) {
 		return ErrBadPreimage
 	}
-	if lk.Cond.Expiry != 0 && localNow >= lk.Cond.Expiry {
+	if lk.cond.Expiry != 0 && localNow >= lk.cond.Expiry {
 		return ErrExpired
 	}
 	l.m.LocksReleased.Inc()
-	l.settle(at, lk, LockReleased, OpRelease, lk.payee)
+	l.settle(at, lk, stateReleased, OpRelease, lk.payee)
 	return nil
 }
 
@@ -516,47 +648,59 @@ func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
 	if lk == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 	}
-	if lk.State != LockPending {
-		return fmt.Errorf("%w: %s is %s", ErrLockSettled, id, lk.State)
+	return l.refund(at, lk, localNow)
+}
+
+// RefundLock is Refund of the lock h addresses; a stale h is ErrNoSuchLock.
+//
+//xchain:hotpath
+func (l *Ledger) RefundLock(at sim.Time, h Handle, localNow sim.Time) error {
+	lk := h.held()
+	if lk == nil {
+		return ErrNoSuchLock
 	}
-	if lk.Cond.Expiry != 0 && localNow < lk.Cond.Expiry {
+	return l.refund(at, lk, localNow)
+}
+
+// refund is Refund's and RefundLock's common tail: the lock is found.
+//
+//xchain:hotpath
+func (l *Ledger) refund(at sim.Time, lk *lockRec, localNow sim.Time) error {
+	if lk.state != statePending {
+		return fmt.Errorf("%w: %s is %s", ErrLockSettled, lk.id(), lockStates[lk.state])
+	}
+	if lk.cond.Expiry != 0 && localNow < lk.cond.Expiry {
 		return ErrNotExpired
 	}
 	l.m.LocksRefunded.Inc()
-	l.settle(at, lk, LockRefunded, OpRefund, lk.payer)
+	l.settle(at, lk, stateRefunded, OpRefund, lk.payer)
 	return nil
 }
 
 // settle pays a pending lock out to Release's payee or Refund's payer. Under
-// compaction it then forgets the lock — out of the ID map, unlinked from the
-// held list — and keeps its record for the next Escrow.
+// compaction it then forgets the lock — unlinked from the held list, its
+// handles stale — and keeps its record for the next Escrow.
 //
 //xchain:hotpath
-func (l *Ledger) settle(at sim.Time, lk *lockRec, state LockState, kind OpKind, to sim.PID) {
-	lk.State, lk.SettledAt = state, at
-	l.credit(to, lk.Amount)
-	l.m.Escrowed.Add(-float64(lk.Amount))
-	l.m.Available.Add(float64(lk.Amount))
+func (l *Ledger) settle(at sim.Time, lk *lockRec, state uint8, kind OpKind, to sim.PID) {
+	lk.state, lk.settledAt = state, at
+	l.credit(to, lk.amount)
+	l.m.Escrowed.Add(-float64(lk.amount))
+	l.m.Available.Add(float64(lk.amount))
 	if l.byzantine(lk.payer) {
-		l.byzEscrowed -= lk.Amount
-		l.m.ByzantineEscrowed.Add(-float64(lk.Amount))
+		l.byzEscrowed -= lk.amount
+		l.m.ByzantineEscrowed.Add(-float64(lk.amount))
 	}
-	toName := lk.Payee
-	if to == lk.payer {
-		toName = lk.Payer
-	}
-	l.log(at, kind, lk.Payer, toName, lk.Amount, lk.ID)
+	l.logLock(at, kind, lk, to)
 	if !l.compact {
 		return
-	}
-	if l.locks != nil {
-		delete(l.locks, lk.ID)
 	}
 	l.held--
 	lk.prev.next = lk.next
 	if lk.next != nil {
 		lk.next.prev = lk.prev
 	}
+	lk.gen++
 	lk.prev, lk.next, l.free = nil, l.free, lk
 	l.settled++
 }
@@ -586,12 +730,25 @@ func (l *Ledger) log(at sim.Time, kind OpKind, from, to string, amount int64, lo
 	op.From, op.To, op.Amount, op.LockID = from, to, amount, lockID
 }
 
+// logLock logs a lock operation on lk, from its payer to to; the names and
+// the lock ID are only rendered for a log that retains the entry.
+//
+//xchain:hotpath
+func (l *Ledger) logLock(at sim.Time, kind OpKind, lk *lockRec, to sim.PID) {
+	if l.compact {
+		l.opCount++
+		l.m.Ops.Inc()
+		return
+	}
+	l.log(at, kind, l.owner(lk.payer), l.owner(to), lk.amount, lk.id())
+}
+
 // EscrowedTotal returns the total value currently held in pending locks.
 func (l *Ledger) EscrowedTotal() int64 {
 	var total int64
 	for lk := l.head.next; lk != nil; lk = lk.next {
-		if lk.State == LockPending {
-			total += lk.Amount
+		if lk.state == statePending {
+			total += lk.amount
 		}
 	}
 	return total
@@ -608,8 +765,8 @@ func (l *Ledger) SetByzantine(pid sim.PID, on bool) {
 	l.growByz(pid)
 	var held int64
 	for lk := l.head.next; lk != nil; lk = lk.next {
-		if lk.State == LockPending && lk.payer == pid {
-			held += lk.Amount
+		if lk.state == statePending && lk.payer == pid {
+			held += lk.amount
 		}
 	}
 	l.byz[pid] = on

@@ -71,11 +71,11 @@ func TestTransfer(t *testing.T) {
 
 func TestLockReleaseRefund(t *testing.T) {
 	l := newFunded(t)
-	lk, err := l.CreateLock(1, "L1", "alice", "bob", 400, Condition{})
+	h, err := l.CreateLock(1, "L1", "alice", "bob", 400, Condition{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lk.State != LockPending || l.Balance(l.PID("alice")) != 600 || l.EscrowedTotal() != 400 {
+	if lk, ok := l.LockOf(h); !ok || lk.State != LockPending || l.Balance(l.PID("alice")) != 600 || l.EscrowedTotal() != 400 {
 		t.Fatal("lock accounting wrong")
 	}
 	if _, err := l.CreateLock(2, "L1", "alice", "bob", 1, Condition{}); !errors.Is(err, ErrDuplicateLock) {
@@ -387,11 +387,14 @@ func TestCompactionRecyclesLockRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second != first {
+	if second.rec != first.rec {
 		t.Fatal("the forgotten lock's record was not reused")
 	}
-	if want := (Lock{ID: "b", Payer: "alice", Payee: "bob", Amount: 20, CreatedAt: 7, State: LockPending}); !reflect.DeepEqual(*second, want) {
-		t.Fatalf("reused record reads %+v, want %+v", *second, want)
+	if _, ok := l.LockOf(first); ok {
+		t.Fatal("the forgotten lock's handle still addresses its reused record")
+	}
+	if got, _ := l.LockOf(second); !reflect.DeepEqual(got, Lock{ID: "b", Payer: "alice", Payee: "bob", Amount: 20, CreatedAt: 7, State: LockPending}) {
+		t.Fatalf("reused record reads %+v", got)
 	}
 	if err := l.Release(8, "b", nil, 8); err != nil {
 		t.Fatal(err)
@@ -427,9 +430,10 @@ func TestAuditNamesFirstNegativeInLedgerOrder(t *testing.T) {
 	}
 }
 
-// TestCompactLockChurnAllocatesNothing: settling a lock on a compacting
-// ledger that holds thousands of pending ones unlinks it in place, and the
-// next lock takes its record: a lock-settle cycle allocates nothing.
+// TestCompactLockChurnAllocatesNothing: settling a lock through its handle on
+// a compacting ledger that holds thousands of pending ones unlinks it in
+// place, and the next lock takes its record: a keyed lock-settle cycle (the
+// traffic timeline's) allocates nothing and renders no ID.
 func TestCompactLockChurnAllocatesNothing(t *testing.T) {
 	l := New("e0")
 	l.SetCompact(true)
@@ -444,11 +448,15 @@ func TestCompactLockChurnAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	alice, bob := l.PID("alice"), l.PID("bob")
+	key := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := l.CreateLock(2, "churn", "alice", "bob", 1, Condition{}); err != nil {
+		key++
+		h, err := l.EscrowKeyed(2, "churn", key, alice, bob, 1, Condition{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Release(3, "churn", nil, 3); err != nil {
+		if err := l.ReleaseLock(3, h, nil, 3); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -488,14 +496,14 @@ func TestResetReusesPendingLocks(t *testing.T) {
 		}
 	}
 	run()
-	first := map[*Lock]bool{}
-	for _, lk := range l.Locks() {
-		first[lk] = true
+	first := map[*lockRec]bool{}
+	for _, h := range l.Handles() {
+		first[h.rec] = true
 	}
 	run()
-	for _, lk := range l.Locks() {
-		if !first[lk] {
-			t.Fatalf("lock %s was written into a new record after Reset", lk.ID)
+	for _, h := range l.Handles() {
+		if !first[h.rec] {
+			t.Fatalf("lock %s was written into a new record after Reset", h.rec.id())
 		}
 	}
 	if l.PendingCount() != 2 {

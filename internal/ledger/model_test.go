@@ -3,10 +3,13 @@ package ledger
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sig"
@@ -272,8 +275,10 @@ func mapFromState(st LedgerState) *mapLedger {
 }
 
 var (
-	modelOwners    = []string{"alice", "bob", "carol", "dave", "eve"}
-	modelLockIDs   = []string{"L0", "L1", "L2", "L3", "L4", "L5"}
+	modelOwners = []string{"alice", "bob", "carol", "dave", "eve"}
+	// modelLockIDs are label#key, so that the keyed twin can name each by its
+	// label and key; "b#1" is a prefix of "b#12".
+	modelLockIDs   = []string{"a#0", "a#1", "a#2", "b#0", "b#1", "b#12"}
 	modelPreimages = [][]byte{[]byte("yes"), []byte("no")}
 	modelHashLock  = sig.HashPreimage(modelPreimages[0])
 )
@@ -281,10 +286,14 @@ var (
 // driveLedgers decodes program five bytes a step — kind, two operands, an
 // amount and a selector — applies each step to a ledger and to the model,
 // and after every step requires the two to read the same through every
-// accessor, error for error and byte for byte of their captures.
+// accessor, error for error and byte for byte of their captures. A keyed
+// twin takes the same steps the way the traffic timeline does: it escrows
+// each lock under its label and key and settles it through the handle it
+// got, and must read as the ledger does.
 func driveLedgers(t testing.TB, program []byte) {
 	t.Helper()
-	l, m := New("e0"), newMapLedger("e0")
+	l, m, k := New("e0"), newMapLedger("e0"), New("e0")
+	handles := map[string]Handle{} // k's, by rendered ID
 	for step := 0; len(program) >= 5; step++ {
 		kind, x, y, amt, sel := program[0], int(program[1]), int(program[2]), int64(program[3]%64), int(program[4])
 		program = program[5:]
@@ -292,18 +301,19 @@ func driveLedgers(t testing.TB, program []byte) {
 		a, b := modelOwners[x%len(modelOwners)], modelOwners[y%len(modelOwners)]
 		id := modelLockIDs[sel%len(modelLockIDs)]
 		localNow := at + sim.Time(y%8) - 4
-		var got, want error
+		var got, want, twin error
 		what := ""
 		switch kind % 11 {
 		case 0:
 			what = "CreateAccount " + a
-			got, want = l.CreateAccount(a), m.CreateAccount(a)
+			got, want, twin = l.CreateAccount(a), m.CreateAccount(a), k.CreateAccount(a)
 		case 1:
 			what = fmt.Sprintf("Mint %s %d", a, amt)
-			got, want = l.Mint(at, a, amt), m.Mint(at, a, amt)
+			got, want, twin = l.Mint(at, a, amt), m.Mint(at, a, amt), k.Mint(at, a, amt)
 		case 2:
 			what = fmt.Sprintf("Transfer %s->%s %d", a, b, amt)
 			got, want = l.Transfer(at, l.PID(a), l.PID(b), amt), m.Transfer(at, a, b, amt)
+			twin = k.Transfer(at, k.PID(a), k.PID(b), amt)
 		case 3:
 			var cond Condition
 			switch sel / len(modelLockIDs) % 3 {
@@ -315,41 +325,126 @@ func driveLedgers(t testing.TB, program []byte) {
 			what = fmt.Sprintf("CreateLock %s %s->%s %d %+v", id, a, b, amt, cond)
 			_, got = l.CreateLock(at, id, a, b, amt, cond)
 			want = m.CreateLock(at, id, a, b, amt, cond)
+			if _, held := k.Lock(id); held && amt > 0 {
+				// EscrowKeyed's caller keeps its keys unique: the twin never
+				// asks for a lock it holds.
+				twin = ErrDuplicateLock
+				break
+			}
+			label, key, _ := strings.Cut(id, "#")
+			n, _ := strconv.ParseUint(key, 10, 64)
+			var h Handle
+			if h, twin = k.EscrowKeyed(at, label, n, k.PID(a), k.PID(b), amt, cond); twin == nil {
+				handles[id] = h
+			}
 		case 4:
 			pre := modelPreimages[x%2]
 			what = fmt.Sprintf("Release %s %s @%v", id, pre, localNow)
 			got, want = l.Release(at, id, pre, localNow), m.Release(at, id, pre, localNow)
+			twin = k.ReleaseLock(at, handles[id], pre, localNow)
 		case 5:
 			what = fmt.Sprintf("Refund %s @%v", id, localNow)
 			got, want = l.Refund(at, id, localNow), m.Refund(at, id, localNow)
+			twin = k.RefundLock(at, handles[id], localNow)
 		case 6:
 			what = fmt.Sprintf("SetCompact %v", x%2 == 0)
 			l.SetCompact(x%2 == 0)
+			k.SetCompact(x%2 == 0)
 			m.compact = x%2 == 0
 		case 7:
 			what = fmt.Sprintf("SetByzantine %s %v", a, y%2 == 0)
 			l.SetByzantine(l.PID(a), y%2 == 0)
+			k.SetByzantine(k.PID(a), y%2 == 0)
 			m.SetByzantine(a, y%2 == 0)
 		case 8:
 			name := []string{"e0", "e1"}[x%2]
 			what = "Reset " + name
 			l.Reset(name)
+			k.Reset(name)
 			m = newMapLedger(name)
 		case 9:
 			what = "State/FromState"
-			l, m = FromState(l.State()), mapFromState(m.State())
+			l, m, k = FromState(l.State()), mapFromState(m.State()), FromState(k.State())
+			// The rebuilt twin's locks are found the way a resumed traffic run
+			// finds its flights' locks.
+			clear(handles)
+			for _, h := range k.Handles() {
+				lk, _ := k.LockOf(h)
+				handles[lk.ID] = h
+			}
 		case 10:
 			what = "Lock " + id
 			lk, ok := l.Lock(id)
 			mk, mok := m.locks[id]
-			if ok != mok || ok && !reflect.DeepEqual(*lk, *mk) {
+			if ok != mok || ok && !reflect.DeepEqual(lk, *mk) {
 				t.Fatalf("step %d (%s): Lock reads %v %+v, the model %v %+v", step, what, ok, lk, mok, mk)
+			}
+			if kk, kok := k.Lock(id); kok != ok || !reflect.DeepEqual(kk, lk) {
+				t.Fatalf("step %d (%s): the keyed twin's Lock reads %v %+v, the ledger's %v %+v", step, what, kok, kk, ok, lk)
+			}
+			if kk, kok := k.LockOf(handles[id]); kok && !reflect.DeepEqual(kk, lk) {
+				t.Fatalf("step %d (%s): the twin's handle reads %+v, the ledger %+v", step, what, kk, lk)
 			}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("step %d (%s): ledger returns %v, the model %v", step, what, got, want)
 		}
+		if errClass(twin) != errClass(got) {
+			t.Fatalf("step %d (%s): the keyed twin returns %v, the ledger %v", step, what, twin, got)
+		}
 		compareWithModel(t, step, what, l, m)
+		compareTwins(t, step, what, l, k)
+	}
+}
+
+// errClass is the ledger error err wraps, or nil: a stale handle's error does
+// not name the lock an ID-addressed one names.
+func errClass(err error) error {
+	for _, class := range []error{
+		ErrNoAccount, ErrInsufficientFunds, ErrNoSuchLock, ErrLockSettled, ErrBadAmount,
+		ErrBadPreimage, ErrNotExpired, ErrExpired, ErrDuplicateLock, ErrDuplicateAccount,
+	} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+// compareTwins requires the keyed twin k to read as the ledger l does: the
+// same balances, locks, totals, audit, operation count and capture.
+func compareTwins(t testing.TB, step int, what string, l, k *Ledger) {
+	t.Helper()
+	for _, owner := range modelOwners {
+		if got, want := k.Balance(k.PID(owner)), l.Balance(l.PID(owner)); got != want {
+			t.Fatalf("step %d (%s): the keyed twin's Balance(%s) = %d, the ledger's %d", step, what, owner, got, want)
+		}
+	}
+	if got, want := k.Locks(), l.Locks(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d (%s): the keyed twin's Locks = %+v, the ledger's %+v", step, what, got, want)
+	}
+	for _, pair := range [][2]any{
+		{k.PendingCount(), l.PendingCount()},
+		{k.EscrowedTotal(), l.EscrowedTotal()},
+		{k.ByzantineEscrowed(), l.ByzantineEscrowed()},
+		{k.OpCount(), l.OpCount()},
+		{fmt.Sprint(k.Audit()), fmt.Sprint(l.Audit())},
+		{k.String(), l.String()},
+	} {
+		if pair[0] != pair[1] {
+			t.Fatalf("step %d (%s): the keyed twin reads %v, the ledger %v", step, what, pair[0], pair[1])
+		}
+	}
+	got, err := json.Marshal(k.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(l.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("step %d (%s): the keyed twin's State\n%s\nthe ledger's\n%s", step, what, got, want)
 	}
 }
 
@@ -370,10 +465,10 @@ func compareWithModel(t testing.TB, step int, what string, l *Ledger, m *mapLedg
 	if got, want := l.Accounts(), m.Accounts(); !reflect.DeepEqual(got, want) {
 		fail("Accounts = %v, the model %v", got, want)
 	}
-	if got, want := lockValues(l.Locks()), lockValues(m.Locks()); !reflect.DeepEqual(got, want) {
+	if got, want := l.Locks(), lockValues(m.Locks()); !reflect.DeepEqual(got, want) {
 		fail("Locks = %+v, the model %+v", got, want)
 	}
-	if got, want := lockValues(l.PendingLocks()), lockValues(m.PendingLocks()); !reflect.DeepEqual(got, want) {
+	if got, want := append([]Lock{}, l.PendingLocks()...), lockValues(m.PendingLocks()); !reflect.DeepEqual(got, want) {
 		fail("PendingLocks = %+v, the model %+v", got, want)
 	}
 	if got, want := l.PendingCount(), len(m.PendingLocks()); got != want {
@@ -434,22 +529,40 @@ func TestLedgerMatchesMapModel(t *testing.T) {
 }
 
 // FuzzLedgerOps is TestLedgerMatchesMapModel under the native fuzzing
-// engine: any program, the same reading step for step.
+// engine: any program, the same reading step for step — for the ledger
+// against the model and for the keyed twin, which settles by handle,
+// against the ledger.
 func FuzzLedgerOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
 		0, 0, 0, 0, 0, // CreateAccount alice
 		0, 1, 0, 0, 0, // CreateAccount bob
 		1, 0, 0, 50, 0, // Mint alice 50
-		3, 0, 1, 10, 0, // CreateLock L0 alice->bob 10
-		3, 0, 1, 10, 1, // CreateLock L1
+		3, 0, 1, 10, 0, // CreateLock a#0 alice->bob 10
+		3, 0, 1, 10, 1, // CreateLock a#1
 		6, 0, 0, 0, 0, // SetCompact on
-		4, 0, 4, 0, 0, // Release L0
+		4, 0, 4, 0, 0, // Release a#0
 		7, 0, 0, 0, 0, // SetByzantine alice
-		3, 0, 1, 5, 0, // CreateLock L0 again
+		3, 0, 1, 5, 0, // CreateLock a#0 again
 		9, 0, 0, 0, 0, // State/FromState
-		5, 0, 4, 0, 1, // Refund L1
+		5, 0, 4, 0, 1, // Refund a#1
 		8, 0, 0, 0, 0, // Reset
+	})
+	f.Add([]byte{
+		0, 0, 0, 0, 0, // CreateAccount alice
+		0, 1, 0, 0, 0, // CreateAccount bob
+		1, 0, 0, 60, 0, // Mint alice 60
+		3, 0, 1, 10, 4, // CreateLock b#1 alice->bob 10
+		3, 0, 1, 10, 5, // CreateLock b#12
+		10, 0, 0, 0, 4, // Lock b#1
+		4, 0, 4, 0, 5, // Release b#12
+		4, 0, 4, 0, 5, // Release b#12 again: settled
+		6, 0, 0, 0, 0, // SetCompact on
+		5, 0, 4, 0, 4, // Refund b#1: forgotten
+		5, 0, 4, 0, 4, // Refund b#1 again: no such lock
+		3, 0, 1, 10, 4, // CreateLock b#1 anew
+		9, 0, 0, 0, 0, // State/FromState
+		4, 0, 4, 0, 4, // Release b#1 through the rebuilt twin's handle
 	})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		driveLedgers(t, program)

@@ -58,8 +58,9 @@ func (l *Ledger) State() LedgerState {
 	}
 	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].Owner < st.Accounts[j].Owner })
 	sort.Strings(st.ByzantineOwners)
-	for _, lk := range l.Locks() {
-		st.Locks = append(st.Locks, *lk)
+	st.Locks = l.Locks()
+	if len(st.Locks) == 0 {
+		st.Locks = nil
 	}
 	if len(l.ops) > 0 {
 		st.Ops = append([]Op(nil), l.ops...)
@@ -69,8 +70,11 @@ func (l *Ledger) State() LedgerState {
 
 // FromState rebuilds a ledger from a capture. The result is operationally
 // identical to the captured ledger: same balances, pending locks, audit
-// totals, compaction mode and Byzantine marks. Metrics hooks are not part of
-// the capture; attach them afterwards with SetMetrics if needed.
+// totals, compaction mode and Byzantine marks. Every lock is rebuilt under its
+// captured ID, keyed or not (a keyed lock's rendered ID is just as unique),
+// and a state other than pending or released reads as refunded. Metrics hooks
+// are not part of the capture; attach them afterwards with SetMetrics if
+// needed.
 func FromState(st LedgerState) *Ledger {
 	l := New(st.Name)
 	for _, a := range st.Accounts {
@@ -82,7 +86,17 @@ func FromState(st LedgerState) *Ledger {
 		l.byz[pid] = true
 	}
 	for _, lk := range st.Locks {
-		l.hold(&lockRec{Lock: lk, payer: l.PID(lk.Payer), payee: l.PID(lk.Payee)})
+		state := stateRefunded
+		switch lk.State {
+		case LockPending:
+			state = statePending
+		case LockReleased:
+			state = stateReleased
+		}
+		l.hold(&lockRec{
+			label: lk.ID, amount: lk.Amount, createdAt: lk.CreatedAt, settledAt: lk.SettledAt,
+			cond: lk.Cond, payer: l.PID(lk.Payer), payee: l.PID(lk.Payee), state: state,
+		})
 	}
 	if len(st.Ops) > 0 {
 		l.ops = append([]Op(nil), st.Ops...)

@@ -314,7 +314,7 @@ func render(b []byte, p primary) ([]byte, int) {
 		}
 		b = append(b, '\n')
 		for _, lk := range led.Locks() {
-			b = fmt.Appendf(b, "%+v\n", *lk)
+			b = fmt.Appendf(b, "%+v\n", lk)
 		}
 		for _, op := range led.Ops() {
 			num(int64(op.Seq), int64(op.At), op.Amount)

@@ -476,7 +476,7 @@ func runPayment(sp Spec, out *Outcome, ws *worlds, record bool) (*core.RunResult
 
 	judgeReport(sp, out, protos[0].Guarantee(), &ws.reports[0], first.Duration)
 	if sp.Family == FamDifferential {
-		var pl, al [MaxChain][]ledger.Op
+		var pl, al [core.MaxChain][]ledger.Op
 		judgeDifferential(out, &ws.reports, opLogs(pl[:0], results[0].Book), opLogs(al[:0], results[1].Book))
 	}
 	if sp.wantDeterminism() {
@@ -560,7 +560,7 @@ func opLogs(logs [][]ledger.Op, book *ledger.Book) [][]ledger.Op {
 // exactly one of them.
 type settlementWalk struct {
 	logs [][]ledger.Op
-	next [MaxChain]int // next[i] indexes logs[i]; Spec.Validate bounds the chain
+	next [core.MaxChain]int // next[i] indexes logs[i]; Spec.Validate bounds the chain
 }
 
 // step returns the next operation and the index of its ledger, nil at the

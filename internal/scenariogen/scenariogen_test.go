@@ -355,7 +355,7 @@ func TestTrafficSpecValidation(t *testing.T) {
 		// Sizes a replay file must not choose freely. The clock offset used
 		// to reach rand.Int63n overflowed and panicked.
 		"population too large": func(sp *Spec) { sp.Traffic.Payments = maxTrafficPayments + 1 },
-		"chain too long":       func(sp *Spec) { sp.N = MaxChain + 1 },
+		"chain too long":       func(sp *Spec) { sp.N = core.MaxChain + 1 },
 		"offset overflows":     func(sp *Spec) { sp.Timing.Offset = 1 << 62 },
 		"negative patience":    func(sp *Spec) { sp.Patience = map[string]sim.Time{"c0": -1} },
 		"timeout scale":        func(sp *Spec) { sp.TimeoutScale = -2 },

@@ -209,7 +209,6 @@ type Spec struct {
 // the int64 range overflow the timing arithmetic. All are far beyond
 // anything Generate draws (n <= 8, 120 payments, windows of seconds).
 const (
-	MaxChain           = 64            // escrows, deal parties, notaries; exported for the CLIs that share the bound
 	maxAmount          = 1_000_000_000 // base, commission, liquidity endowment
 	maxSpan            = int64(1000 * sim.Hour)
 	maxRho             = 0.1
@@ -234,10 +233,10 @@ func (sp Spec) Validate() error {
 		minN = 2
 	}
 	spans := []span{
-		{"n", int64(sp.N), int64(minN), MaxChain},
+		{"n", int64(sp.N), int64(minN), core.MaxChain},
 		{"base", sp.Base, 1, maxAmount},
 		{"commission", sp.Commission, 0, maxAmount},
-		{"committeeSize", int64(sp.CommitteeSize), 0, MaxChain},
+		{"committeeSize", int64(sp.CommitteeSize), 0, core.MaxChain},
 		{"timing.delta", int64(sp.Timing.Delta), 1, int64(sim.Hour)},
 		{"timing.processing", int64(sp.Timing.Processing), 1, int64(sim.Hour)},
 		{"timing.offset", int64(sp.Timing.Offset), 0, int64(sim.Hour)},

@@ -205,8 +205,7 @@ func (p *escrowProc) onMoney(from core.PID, m *MsgMoney) {
 		return
 	}
 	p.lockID = p.env.w.LockID(p.i)
-	lk, err := p.led.Escrow(p.env.eng.Now(), p.lockID, p.upPID, p.downPID, want, ledger.Condition{})
-	if err != nil {
+	if _, err := p.led.Escrow(p.env.eng.Now(), p.lockID, p.upPID, p.downPID, want, ledger.Condition{}); err != nil {
 		// A failed lock is the escrow's own inability to execute its role,
 		// not a rejection of peer input: a violation, never excused.
 		p.env.w.Report(trace.Event{
@@ -216,7 +215,7 @@ func (p *escrowProc) onMoney(from core.PID, m *MsgMoney) {
 		return
 	}
 	p.lockCreated = true
-	p.env.tr.AddValue(p.env.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, lk.Amount)
+	p.env.tr.AddValue(p.env.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 
 	if p.fault.Silent {
 		// A silent escrow swallows the money: it never issues P(a_i), never

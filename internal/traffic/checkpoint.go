@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -167,8 +168,10 @@ type EventState struct {
 
 // FlightState is one live payment — queued or in flight — flattened for
 // serialisation: the generated payment, its precomputed protocol
-// sub-outcome, the evolving PaymentResult and the pending timer (expiry for
-// queued flights, settlement for admitted ones).
+// sub-outcome, its record as it stands (status and end still unset) and the
+// pending timer (expiry for queued flights, settlement for admitted ones).
+// The per-hop amounts and the lock ID are rendered here, at the edge: a
+// flight keeps its base amount and its locks' handles.
 type FlightState struct {
 	Index    int      `json:"index"`
 	ID       string   `json:"id"`
@@ -304,11 +307,13 @@ func LoadSnapshot(path string) (*RunSnapshot, error) {
 }
 
 // validate checks, before anything is restored, that sn is a state this run
-// (chain escrows, payments payments, this retention) could have captured, so
-// that restoring it and running on cannot index out of range, miss a ledger,
-// reserve a non-positive amount or leave a queued payment filed under no
-// account. Every failure wraps ErrBadSnapshot.
-func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) error {
+// (chain escrows, workload w resolved to ps, this retention) could have
+// captured, so that restoring it and running on cannot index out of range,
+// miss a ledger, reserve a non-positive amount, settle a hop other than it
+// locked or leave a queued payment filed under no account. Every failure
+// wraps ErrBadSnapshot.
+func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool, exemplars int) error {
+	payments := w.Payments
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
@@ -334,6 +339,12 @@ func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) e
 				payer[e] = a.Balance
 			}
 		}
+		for _, lk := range l.Locks {
+			// A traffic ledger compacts: it forgets a lock as it settles.
+			if lk.State != ledger.LockPending {
+				return bad("ledger %s holds lock %s %s", l.Name, lk.ID, lk.State)
+			}
+		}
 	}
 	queued := map[int]bool{} // index -> waiting, not yet listed in Queue
 	last := -1
@@ -346,12 +357,17 @@ func (sn *RunSnapshot) validate(chain, payments int, keep bool, exemplars int) e
 		if f.Sender < 0 || f.Sender >= f.Receiver || f.Receiver > chain {
 			return bad("flight %d: route c%d -> c%d outside the chain", f.Index, f.Sender, f.Receiver)
 		}
-		if len(f.Amounts) != f.Receiver-f.Sender {
-			return bad("flight %d: %d amounts for %d hops", f.Index, len(f.Amounts), f.Receiver-f.Sender)
+		h := f.Receiver - f.Sender
+		if len(f.Amounts) != h {
+			return bad("flight %d: %d amounts for %d hops", f.Index, len(f.Amounts), h)
+		}
+		if protoIndex(ps, f.Protocol) < 0 {
+			return bad("flight %d: protocol %q is not in the mix", f.Index, f.Protocol)
 		}
 		fits := true
 		for k, amount := range f.Amounts {
-			if amount < 1 {
+			// The run derives every hop's amount from the last one.
+			if amount < 1 || amount != f.Amounts[h-1]+int64(h-1-k)*w.Commission {
 				return bad("flight %d: hop %d carries amount %d", f.Index, k, amount)
 			}
 			fits = fits && payer[f.Sender+k] >= amount
@@ -509,32 +525,35 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sort.Ints(idxs)
 	for _, i := range idxs {
 		f := t.track[i]
+		p := f.p
 		fs := FlightState{
-			Index:    f.p.Index,
-			ID:       f.p.ID,
-			Sender:   f.p.Sender,
-			Receiver: f.p.Receiver,
-			Amounts:  append([]int64(nil), f.p.Amounts...),
-			Arrival:  f.p.Arrival,
-			Protocol: f.p.Protocol,
-			Seed:     f.p.Seed,
+			Index:    p.Index,
+			ID:       p.ID,
+			Sender:   p.Sender,
+			Receiver: p.Receiver,
+			Amounts:  make([]int64, p.hops()),
+			Arrival:  p.Arrival,
+			Protocol: t.ps.names[p.proto],
+			Seed:     p.Seed,
 			Paid:     f.sub.paid,
 			Duration: f.sub.duration,
 			Events:   f.sub.events,
-			Err:      errString(f.sub.err),
+			Err:      errString(f.sub.err()),
 			Byz:      f.sub.byz,
-			PR:       f.pr,
-			Attempts: f.attempts,
-			LockID:   f.lockID,
+			Attempts: int(f.attempts),
 			InQueue:  f.inQueue,
 		}
-		tm := f.settle
-		if f.inQueue {
-			tm = f.expiry
-			fs.Attempts = t.passes - f.passBase
-			sn.Queue = append(sn.Queue, f.p.Index) // arrival order = index order
+		for k := range fs.Amounts {
+			fs.Amounts[k] = p.amountVia(k, t.w.Commission)
 		}
-		at, seq, ok := tm.Pending()
+		t.record(f, &fs.PR)
+		if f.inQueue {
+			fs.Attempts = t.passes - f.passBase
+			sn.Queue = append(sn.Queue, p.Index) // arrival order = index order
+		} else if lk, ok := t.ledgers[p.Sender].LockOf(f.locks[0]); ok {
+			fs.LockID = lk.ID
+		}
+		at, seq, ok := f.tm.Pending()
 		if !ok {
 			return nil, fmt.Errorf("traffic: checkpoint: live flight %s has no pending timer", f.p.ID)
 		}
@@ -632,19 +651,25 @@ func (p *PartialResult) apply(r *Result) {
 	}
 }
 
-// toFlight rebuilds the live flight (payment, sub-outcome, evolving result)
-// from its capture. Timers are re-attached by timeline.restore.
-func (fs *FlightState) toFlight() *flight {
+// protoIndex returns the index of the protocol named name in ps, or -1.
+func protoIndex(ps *protocols, name string) int {
+	return slices.Index(ps.names, name)
+}
+
+// toFlight rebuilds the live flight (payment, sub-outcome, admission) from
+// its capture, which validate passed. Timers and lock handles are
+// re-attached by timeline.restore.
+func (fs *FlightState) toFlight(ps *protocols) *flight {
 	f := &flight{
 		p: &payment{
 			Index:    fs.Index,
 			ID:       fs.ID,
 			Sender:   fs.Sender,
 			Receiver: fs.Receiver,
-			Amounts:  append([]int64(nil), fs.Amounts...),
+			Base:     fs.Amounts[len(fs.Amounts)-1],
 			Arrival:  fs.Arrival,
-			Protocol: fs.Protocol,
 			Seed:     fs.Seed,
+			proto:    protoIndex(ps, fs.Protocol),
 		},
 		sub: subOutcome{
 			paid:     fs.Paid,
@@ -652,12 +677,12 @@ func (fs *FlightState) toFlight() *flight {
 			events:   fs.Events,
 			byz:      fs.Byz,
 		},
-		pr:       fs.PR,
-		attempts: fs.Attempts,
-		lockID:   fs.LockID,
+		start:    fs.PR.Start,
+		queued:   fs.PR.Queued,
+		attempts: int32(fs.Attempts),
 	}
 	if fs.Err != "" {
-		f.sub.err = errors.New(fs.Err)
+		f.sub.fail = &subFailure{err: errors.New(fs.Err)}
 	}
 	return f
 }
@@ -676,23 +701,40 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 
 	sn.Partial.apply(t.res)
 
+	// held[e] finds a restored lock of escrow e by its ID: the ledgers were
+	// rebuilt from their captures, and a flight settles its locks by handle.
+	var held []map[string]ledger.Handle
 	for i := range sn.Flights {
 		fs := &sn.Flights[i]
-		f := fs.toFlight()
+		f := fs.toFlight(t.ps)
 		f.t = t
 		t.track[f.p.Index] = f
 		if fs.InQueue {
-			f.expiry = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "expire", expireFlight, f)
-		} else {
-			f.settle = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "settle", settleFlight, f)
-			t.inFlight++
+			f.tm = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "expire", expireFlight, f)
+			continue
 		}
+		if held == nil {
+			held = make([]map[string]ledger.Handle, len(t.ledgers))
+			for e, l := range t.ledgers {
+				held[e] = map[string]ledger.Handle{}
+				for _, h := range l.Handles() {
+					lk, _ := l.LockOf(h)
+					held[e][lk.ID] = h
+				}
+			}
+		}
+		t.holdHandles(f, f.p.hops())
+		for k := range f.locks {
+			f.locks[k] = held[f.p.Sender+k][fs.LockID]
+		}
+		f.tm = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "settle", settleFlight, f)
+		t.inFlight++
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
 	for _, idx := range sn.Queue {
 		f := t.track[idx]
-		f.passBase = t.passes - f.attempts
-		f.refused = t.refusingHop(f.p) // validate found one in these balances
+		f.passBase = t.passes - int(f.attempts)
+		f.refused = int32(t.refusingHop(f.p)) // validate found one in these balances
 		t.enqueue(f)
 	}
 	t.markTimers = make([]markTimer, len(sn.Marks))

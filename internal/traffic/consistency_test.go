@@ -48,7 +48,7 @@ func TestTrafficJudgesConsistency(t *testing.T) {
 	} {
 		w := NewWorkload(1).WithMix(ProtocolShare{Name: "stub", Weight: 1})
 		src, res := simulatedRun(tc.s, w, nil, map[string]core.Protocol{"stub": lockFailer{tc.theorem}})
-		if err := executeTimeline(res, src, w, nil, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
+		if err := executeTimeline(res, src, w, &src.ps, nil, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if res.SafetyViolations != tc.want || len(res.SafetySample) != tc.want {

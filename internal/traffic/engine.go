@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -125,13 +125,20 @@ func DefaultProtocols() map[string]core.Protocol {
 
 // subOutcome is the precomputed result of one payment's own protocol run.
 type subOutcome struct {
-	paid     bool
 	duration sim.Time
 	events   uint64
-	err      error
+	paid     bool
 	// byz reports whether the payment's sub-scenario contained any Byzantine
 	// participant (static fault, injected plan fault, or manager outage).
 	byz bool
+	// fail holds what a run rarely has: nil unless it returned an error or
+	// owes safety failures.
+	fail *subFailure
+}
+
+// subFailure is the rare part of a sub-outcome.
+type subFailure struct {
+	err error
 	// safety lists the owed consistency and safety-property failures of the
 	// sub-run, already formatted for Result.SafetySample. Theorems 1 and 3
 	// owe these to honest parties in every execution, so any entry here is
@@ -140,19 +147,62 @@ type subOutcome struct {
 	safety []string
 }
 
-// simulator is one simulating worker's standing state: the world its
-// payments run on, and the scenario each payment's sub-run is written into
-// (subScenario) with the fault and patience maps it points at when the
-// payment has faults or patience. Like the world, it is confined to its
-// worker.
-type simulator struct {
-	w        *core.World
-	sub      core.Scenario
-	faults   map[string]core.FaultSpec
-	patience map[string]sim.Time
+// err returns the error the sub-run returned, or nil.
+func (o *subOutcome) err() error {
+	if o.fail == nil {
+		return nil
+	}
+	return o.fail.err
 }
 
-func newSimulator() *simulator { return &simulator{w: core.NewWorld()} }
+// safety returns the owed safety failures of the sub-run.
+func (o *subOutcome) safety() []string {
+	if o.fail == nil {
+		return nil
+	}
+	return o.fail.safety
+}
+
+// protocols is a run's protocol mix resolved against a registry: entry i of
+// the workload's mix (Workload.mix) is named names[i] and runs runs[i], and a
+// payment's proto indexes both.
+type protocols struct {
+	names []string
+	runs  []core.Protocol
+}
+
+// resolveProtocols resolves w's mix against registry. Every generated
+// payment's protocol comes from the mix, so resolving it validates the
+// population without generating it.
+func resolveProtocols(w Workload, registry map[string]core.Protocol) (protocols, error) {
+	var ps protocols
+	for _, m := range w.mix() {
+		proto, ok := registry[m.Name]
+		if !ok {
+			return protocols{}, fmt.Errorf("traffic: workload mixes unknown protocol %q", m.Name)
+		}
+		ps.names = append(ps.names, m.Name)
+		ps.runs = append(ps.runs, proto)
+	}
+	return ps, nil
+}
+
+// simulator is one simulating worker's standing state: the world its
+// payments run on, and the scenario each payment's sub-run is written into
+// (subScenario) with the hop amounts and the fault and patience maps it
+// points at. Like the world, it is confined to its worker.
+type simulator struct {
+	w          *core.World
+	commission int64 // the workload's: a hop's amount is derived from it
+	sub        core.Scenario
+	amounts    []int64
+	faults     map[string]core.FaultSpec
+	patience   map[string]sim.Time
+}
+
+func newSimulator(commission int64) *simulator {
+	return &simulator{w: core.NewWorld(), commission: commission}
+}
 
 // setFault gives participant id fault f in the worker's fault map.
 func (sm *simulator) setFault(id string, f core.FaultSpec) {
@@ -167,9 +217,9 @@ func (sm *simulator) setFault(id string, f core.FaultSpec) {
 // (base scenario, compiled plan, payment). The run executes in the worker's
 // standing world; the result is consumed here, before the world's next
 // Reset, and nothing of it escapes.
-func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *payment, registry map[string]core.Protocol) subOutcome {
+func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *payment, ps *protocols) subOutcome {
 	sub := sm.subScenario(base, plan, p)
-	proto := registry[p.Protocol]
+	proto := ps.runs[p.proto]
 	g := proto.Guarantee()
 	if plan != nil && g.Theorem == core.Theorem3 && plan.managerActive(p.Arrival) {
 		if !sub.FaultOf(core.ManagerID).IsByzantine() {
@@ -180,7 +230,7 @@ func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *pay
 	byz := len(sub.Faults) > 0
 	r, err := proto.RunIn(sm.w, *sub)
 	if err != nil {
-		return subOutcome{err: err, byz: byz}
+		return subOutcome{byz: byz, fail: &subFailure{err: err}}
 	}
 	out := subOutcome{paid: r.BobPaid, duration: r.Duration, events: r.EventsFired, byz: byz}
 	// Aggregate safety oracle: every sub-run — honest or faulted — must
@@ -202,8 +252,11 @@ func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *pay
 		if !check.Owed(g, prop, facts) {
 			continue
 		}
-		out.safety = append(out.safety,
-			fmt.Sprintf("%s %s (%s): %s", p.ID, prop, p.Protocol, rep.Verdict(prop).Detail))
+		if out.fail == nil {
+			out.fail = &subFailure{}
+		}
+		out.fail.safety = append(out.fail.safety,
+			fmt.Sprintf("%s %s (%s): %s", p.ID, prop, ps.names[p.proto], rep.Verdict(prop).Detail))
 	}
 	return out
 }
@@ -263,14 +316,9 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	if err := w.Validate(s.Topology); err != nil {
 		return nil, err
 	}
-	registry := DefaultProtocols()
-	// Every generated payment's protocol comes from the mix (or is the
-	// built-in default "timelock"), so validating the mix names validates
-	// the population without generating it.
-	for _, m := range w.Mix {
-		if _, ok := registry[m.Name]; !ok {
-			return nil, fmt.Errorf("traffic: workload mixes unknown protocol %q", m.Name)
-		}
+	ps, err := resolveProtocols(w, DefaultProtocols())
+	if err != nil {
+		return nil, err
 	}
 
 	// Config.Metrics overrides the scenario's registry; either way the
@@ -317,7 +365,7 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 			if resume.ConfigHash != hash {
 				return nil, &ConfigMismatchError{SnapshotHash: resume.ConfigHash, RunHash: hash, Config: resume.Config}
 			}
-			if err := resume.validate(s.Topology.N, w.Payments, cfg.keep(), exemplars); err != nil {
+			if err := resume.validate(s.Topology.N, w, &ps, cfg.keep(), exemplars); err != nil {
 				return nil, err
 			}
 			skip = resume.NextIndex
@@ -354,11 +402,11 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	}
 	// Workers beyond the number of chunks would idle; the cap also keeps a
 	// caller-chosen count from sizing the pipeline's channels.
-	src := newStreamSource(s, w, plan, registry, min(cfg.workers(), w.Payments/chunkSize+1), rm, skip)
+	src := newStreamSource(s, w, plan, &ps, min(cfg.workers(), w.Payments/chunkSize+1), rm, skip)
 	// An interrupted run leaves the pipeline mid-stream; closing it releases
 	// the producer and worker goroutines.
 	defer src.close()
-	if err := executeTimeline(res, src, w, plan, cfg.keep(), exemplars, s.Metrics, rm, ck, resume); err != nil {
+	if err := executeTimeline(res, src, w, &ps, plan, cfg.keep(), exemplars, s.Metrics, rm, ck, resume); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -366,8 +414,8 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 
 // executeTimeline drives the admission timeline over the payment source and
 // finalises every aggregate of res.
-func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, ck *checkpointer, snap *RunSnapshot) error {
-	tl := newTimeline(res, w, plan, keep, exemplars, reg, rm, snap)
+func executeTimeline(res *Result, src paymentSource, w Workload, ps *protocols, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, ck *checkpointer, snap *RunSnapshot) error {
+	tl := newTimeline(res, w, ps, plan, keep, exemplars, reg, rm, snap)
 	if ck != nil || snap != nil {
 		tl.track = make(map[int]*flight)
 	}
@@ -378,7 +426,7 @@ func executeTimeline(res *Result, src paymentSource, w Workload, plan *compiledP
 // aggregator fresh or restored from snap. The timeline's engine is the run's
 // authoritative virtual clock, so it (and only it) carries the virtual-time
 // watermark gauge.
-func newTimeline(res *Result, w Workload, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, snap *RunSnapshot) *timeline {
+func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, snap *RunSnapshot) *timeline {
 	var agg *aggregator
 	if snap != nil {
 		agg = restoredAggregator(res, keep, exemplars, &snap.Agg)
@@ -391,6 +439,7 @@ func newTimeline(res *Result, w Workload, plan *compiledPlan, keep bool, exempla
 		res:     res,
 		agg:     agg,
 		w:       w,
+		ps:      ps,
 		plan:    plan,
 		m:       rm,
 		waiters: make([][]*flight, res.Chain),
@@ -447,8 +496,8 @@ const chunkSize = 512
 // their sub-outcomes. done receives once the chunk is fully simulated. Once
 // the consumer has moved past a chunk (passed) and no flight reads its
 // payments any more (live), it goes back to the producer through free, and
-// the next payments are written over it, their Amounts included. passed and
-// live are the consumer's: the timeline runs on its goroutine.
+// the next payments are written over it. passed and live are the
+// consumer's: the timeline runs on its goroutine.
 type chunk struct {
 	pays   []payment
 	subs   []subOutcome
@@ -499,7 +548,7 @@ type streamSource struct {
 	stopOnce sync.Once
 }
 
-func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]core.Protocol, workers int, rm RunMetrics, skip int) *streamSource {
+func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, ps *protocols, workers int, rm RunMetrics, skip int) *streamSource {
 	depth := workers + 2
 	ordered := make(chan *chunk, depth)
 	work := make(chan *chunk, depth)
@@ -555,10 +604,10 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, registry m
 			var sm *simulator // built on the first chunk: short runs use few
 			for c := range work {
 				if sm == nil {
-					sm = newSimulator()
+					sm = newSimulator(w.Commission)
 				}
 				for j := range c.pays {
-					c.subs[j] = sm.simulateOne(&s, plan, &c.pays[j], registry)
+					c.subs[j] = sm.simulateOne(&s, plan, &c.pays[j], ps)
 					rm.Simulated.Inc()
 				}
 				rm.ChunksSimulated.Inc()
@@ -682,34 +731,38 @@ func wireLiquidityGauges(s core.Scenario, lm ledger.Metrics, l *ledger.Ledger) {
 }
 
 // flight is the per-payment runtime state the timeline tracks between
-// arrival and settlement: the evolving PaymentResult, the active lock ID,
-// and — while waiting for liquidity — where it is filed among the waiters
-// and its expiry timer. It is released to the garbage collector as soon as
-// the payment reaches a terminal status, so the timeline's memory tracks the
-// number of in-flight and queued payments, not the population size.
+// arrival and settlement: what it needs to settle the payment and to write
+// its record at the end (finish), the handles of its locks, and — while
+// waiting for liquidity — where it is filed among the waiters. Finished
+// flights are reused, so the timeline's memory tracks the number of
+// in-flight and queued payments, not the population size.
 type flight struct {
 	t   *timeline // the timeline the flight is on, for its scheduled actions
 	p   *payment  // its chunk's, which the flight holds until recycled
 	sub subOutcome
-	pr  PaymentResult
+	// locks are the handles of the payment's locks, hop by hop, once
+	// admitted: a piece of the timeline's handle slab, kept across reuse.
+	locks []ledger.Handle
+	// tm is the pending event: the queue expiry while queued, the
+	// settlement while in flight. Capture reads its heap coordinates.
+	tm sim.Timer
+	// start is when the payment was admitted.
+	start sim.Time
 
 	// attempts is the number of admission attempts the payment had made when
-	// it was admitted (so its lock ID ends in attempts-1). A queued flight's
-	// count runs with the timeline's pass counter instead: passes-passBase.
-	attempts int
+	// it was admitted (its locks' key is attempts-1). A queued flight's count
+	// runs with the timeline's pass counter instead: passes-passBase.
 	passBase int
-	lockID   string
+	attempts int32
 
-	// While queued: refused is the escrow whose payer account could not cover
-	// the last attempt, slot the flight's position among that account's
-	// waiters (expiry removes it in O(1)).
+	// While queued (inQueue): refused is the escrow whose payer account could
+	// not cover the last attempt, slot the flight's position among that
+	// account's waiters (expiry removes it in O(1)). queued says an admitted
+	// payment waited first.
+	refused int32
+	slot    int32
 	inQueue bool
-	refused int
-	slot    int
-	expiry  sim.Timer
-	// settle is the pending settlement event while the payment is in
-	// flight; capture reads its heap coordinates.
-	settle sim.Timer
+	queued  bool
 }
 
 // timeline replays arrivals, admission, queuing and settlement on a
@@ -720,6 +773,7 @@ type timeline struct {
 	res  *Result
 	agg  *aggregator
 	w    Workload
+	ps   *protocols // the run's, which a payment's proto indexes
 	plan *compiledPlan
 	m    RunMetrics
 
@@ -759,8 +813,14 @@ type timeline struct {
 	// read their heap coordinates.
 	markTimers []markTimer
 
-	// freeFlights are finished flights for newFlight to reuse.
+	// freeFlights are finished flights for newFlight to reuse, and flights
+	// what is left of the block new ones are cut from; slab is what is left
+	// of the storage flights' lock handles are cut from; pr is where finish
+	// writes a record the run does not keep.
 	freeFlights []*flight
+	flights     []flight
+	slab        []ledger.Handle
+	pr          PaymentResult
 	// afterPass, when set (tests only), runs at the end of every drain pass
 	// with the flight whose settlement started it.
 	afterPass func(settled *flight)
@@ -867,27 +927,20 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 }
 
 // arrive admits, queues or rejects one payment at its arrival instant.
+//
+//xchain:hotpath
 func (t *timeline) arrive(p *payment, sub subOutcome) {
 	now := t.eng.Now()
 	f := t.newFlight(p, sub)
 	if t.track != nil {
 		t.track[p.Index] = f
 	}
-	// The record is the new flight's, and zero: written in place.
-	pr := &f.pr
-	pr.ID, pr.Sender, pr.Receiver = p.ID, p.Sender, p.Receiver
-	pr.Amount, pr.Volume = p.Amounts[len(p.Amounts)-1], p.Amounts[0]
-	pr.Hops, pr.Protocol, pr.Arrival = p.hops(), p.Protocol, p.Arrival
-	if sub.err == nil {
-		f.pr.SubEvents = sub.events
-	}
-	f.pr.Faulted = sub.byz
-	if len(sub.safety) > 0 {
+	if safety := sub.safety(); len(safety) > 0 {
 		// Aggregate safety oracle: arrivals are processed in generation
 		// order, so the violation count and its sample are deterministic.
-		t.res.SafetyViolations += len(sub.safety)
-		t.m.SafetyViolations.Add(uint64(len(sub.safety)))
-		for _, detail := range sub.safety {
+		t.res.SafetyViolations += len(safety)
+		t.m.SafetyViolations.Add(uint64(len(safety)))
+		for _, detail := range safety {
 			if len(t.res.SafetySample) < maxSafetySample {
 				t.res.SafetySample = append(t.res.SafetySample, detail)
 			}
@@ -898,14 +951,12 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		return
 	}
 	if t.w.QueuePatience <= 0 || (t.w.MaxQueue > 0 && t.qlen >= t.w.MaxQueue) {
-		f.pr.Status = StatusRejected
-		f.pr.End = now
-		t.finish(f)
+		t.finish(f, StatusRejected, now, "")
 		t.recycle(f)
 		return
 	}
 	f.passBase = t.passes - 1 // the arrival was attempt 0
-	f.expiry = t.eng.ScheduleArgIn(t.w.QueuePatience, "expire", expireFlight, f)
+	f.tm = t.eng.ScheduleArgIn(t.w.QueuePatience, "expire", expireFlight, f)
 	t.enqueue(f)
 }
 
@@ -913,19 +964,25 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 // patience ran out before capacity freed up. A package-level action on the
 // flight (not a closure per payment), which is also what resume re-attaches
 // to a restored event.
+//
+//xchain:hotpath
 func expireFlight(x any) {
 	f := x.(*flight)
 	t := f.t
 	t.unfile(f)
 	t.dequeue(f)
-	f.pr.Status = StatusDropped
-	f.pr.End = t.eng.Now()
-	f.pr.Queued = true
-	f.pr.QueueWait = f.pr.End - f.p.Arrival
-	f.pr.DropCause = t.dropCause(f)
-	t.finish(f)
+	t.finish(f, StatusDropped, t.eng.Now(), t.dropCause(f))
 	t.recycle(f)
 }
+
+// Flights and lock handles are made in blocks: flightBlock flights fill an
+// 8 KiB size class beside the 8-byte header the allocator gives a block that
+// holds pointers, and slabSize handles are cut into pieces for flights whose
+// storage is too short for their route.
+const (
+	flightBlock = (8<<10 - 8) / int(unsafe.Sizeof(flight{}))
+	slabSize    = (8<<10 - 8) / int(unsafe.Sizeof(ledger.Handle{}))
+)
 
 // newFlight returns a flight for p with sub-outcome sub, recycled or new,
 // holding p's chunk.
@@ -936,9 +993,13 @@ func (t *timeline) newFlight(p *payment, sub subOutcome) *flight {
 		t.freeFlights[k-1] = nil
 		t.freeFlights = t.freeFlights[:k-1]
 	} else {
-		f = &flight{}
+		if len(t.flights) == cap(t.flights) {
+			t.flights = make([]flight, 0, flightBlock)
+		}
+		t.flights = t.flights[:len(t.flights)+1]
+		f = &t.flights[len(t.flights)-1]
 	}
-	*f = flight{t: t, p: p, sub: sub}
+	*f = flight{t: t, p: p, sub: sub, locks: f.locks[:0]}
 	if p.chunk != nil {
 		p.chunk.hold()
 	}
@@ -953,6 +1014,21 @@ func (t *timeline) recycle(f *flight) {
 	}
 	f.p = nil
 	t.freeFlights = append(t.freeFlights, f)
+}
+
+// holdHandles makes f.locks n handles long, in its own storage when that is
+// long enough and in a piece cut from the slab when it is not.
+func (t *timeline) holdHandles(f *flight, n int) {
+	if cap(f.locks) >= n {
+		f.locks = f.locks[:n]
+		return
+	}
+	if cap(t.slab)-len(t.slab) < n {
+		t.slab = make([]ledger.Handle, 0, max(slabSize, n))
+	}
+	k := len(t.slab)
+	t.slab = t.slab[:k+n]
+	f.locks = t.slab[k : k+n : k+n]
 }
 
 // dropCause attributes a queue-expiry drop: "faulted-path" when the
@@ -974,10 +1050,12 @@ func (t *timeline) dropCause(f *flight) DropCause {
 // cannot cover its hop, or -1 when every hop fits. The hops of one route sit
 // on distinct escrows, so the per-hop reads are exact: admission would not
 // change a balance a later hop depends on.
+//
+//xchain:hotpath
 func (t *timeline) refusingHop(p *payment) int {
-	for k, amount := range p.Amounts {
+	for k := range p.hops() {
 		e := p.Sender + k
-		if t.ledgers[e].Balance(t.payers[e]) < amount {
+		if t.ledgers[e].Balance(t.payers[e]) < p.amountVia(k, t.w.Commission) {
 			return e
 		}
 	}
@@ -985,77 +1063,82 @@ func (t *timeline) refusingHop(p *payment) int {
 }
 
 // admit makes admission attempt number attempt for f at now: it reads every
-// hop's payer balance and only when all fit reserves them, under the lock ID
-// "<id>#<attempt>". A refused attempt is therefore a few balance reads — no
-// lock, no ledger operation, no allocation — and leaves the refusing escrow
-// in f.refused. attempt is 0 at arrival and, for a queued payment, the
-// number of settlements it has waited through, so an admitted payment's lock
-// ID does not depend on which of those settlements actually re-tried it.
+// hop's payer balance and only when all fit reserves them, as locks keyed by
+// the payment's ID and the attempt (their ID, rendered only when read, is
+// "<id>#<attempt>"), and keeps their handles. A refused attempt is therefore
+// a few balance reads — no lock, no ledger operation, no allocation — and
+// leaves the refusing escrow in f.refused. attempt is 0 at arrival and, for a
+// queued payment, the number of settlements it has waited through, so an
+// admitted payment's lock ID does not depend on which of those settlements
+// actually re-tried it.
+//
+//xchain:hotpath
 func (t *timeline) admit(f *flight, now sim.Time, attempt int) bool {
 	p := f.p
 	if e := t.refusingHop(p); e >= 0 {
-		f.refused = e
+		f.refused = int32(e)
 		return false
 	}
-	id := p.firstLockID
-	if attempt > 0 || id == "" {
-		id = p.ID + "#" + strconv.Itoa(attempt)
-	}
-	for k, amount := range p.Amounts {
+	t.holdHandles(f, p.hops())
+	for k := range f.locks {
 		e := p.Sender + k
-		_, err := t.ledgers[e].Escrow(now, id, t.payers[e], t.payees[e], amount, ledger.Condition{})
+		amount := p.amountVia(k, t.w.Commission)
+		h, err := t.ledgers[e].EscrowKeyed(now, p.ID, uint64(attempt), t.payers[e], t.payees[e], amount, ledger.Condition{})
 		if err != nil && t.res.CascadeErr == nil {
 			// Not reachable from a state this run produced: amounts are
-			// validated positive, the balance was just read and attempt IDs
+			// validated positive, the balance was just read and attempts
 			// never repeat. Flag the run rather than half-undo the admission.
-			t.res.CascadeErr = fmt.Errorf("traffic: reserving %s on %s: %w", id, t.ledgers[e].Name(), err)
+			t.res.CascadeErr = fmt.Errorf("traffic: reserving %s#%d on %s: %w", p.ID, attempt, t.ledgers[e].Name(), err)
 		}
+		f.locks[k] = h
 		t.lockedNow += amount
 	}
-	f.lockID = id
-	f.attempts = attempt + 1
+	f.attempts = int32(attempt + 1)
 	t.observeByzHeld()
 	return true
 }
 
 // start marks f admitted at now and schedules its settlement at the virtual
 // time its own protocol run finished.
+//
+//xchain:hotpath
 func (t *timeline) start(f *flight, now sim.Time) {
-	f.pr.Start = now
+	f.start = now
 	t.inFlight++
 	t.m.InFlight.Set(float64(t.inFlight))
 	if t.inFlight > t.res.PeakInFlight {
 		t.res.PeakInFlight = t.inFlight
 	}
-	f.settle = t.eng.ScheduleArgIn(f.sub.duration, "settle", settleFlight, f)
+	f.tm = t.eng.ScheduleArgIn(f.sub.duration, "settle", settleFlight, f)
 }
 
 // settleFlight is the settlement action of a flight: classify the outcome at
 // the virtual time the payment's own protocol run finished, release or
-// refund every hop's lock, and wake the waiters a refund may have unblocked.
-// A package-level action on the flight (not a closure per payment), which is
-// also what resume re-attaches to a restored event.
+// refund every hop's lock through its handle, and wake the waiters a refund
+// may have unblocked. A package-level action on the flight (not a closure per
+// payment), which is also what resume re-attaches to a restored event.
+//
+//xchain:hotpath
 func settleFlight(x any) {
 	f := x.(*flight)
 	t := f.t
 	end := t.eng.Now()
-	f.pr.End = end
+	status := StatusProtocolFailed
 	switch {
-	case f.sub.err != nil:
-		f.pr.Status = StatusError
+	case f.sub.err() != nil:
+		status = StatusError
 	case f.sub.paid:
-		f.pr.Status = StatusOK
-	default:
-		f.pr.Status = StatusProtocolFailed
+		status = StatusOK
 	}
-	for k, amount := range f.p.Amounts {
-		l := t.ledgers[f.p.Sender+k]
-		if f.pr.Status == StatusOK {
-			l.Release(end, f.lockID, nil, end) //nolint:errcheck // unconditional lock
+	p := f.p
+	for k, h := range f.locks {
+		l := t.ledgers[p.Sender+k]
+		if status == StatusOK {
+			l.ReleaseLock(end, h, nil, end) //nolint:errcheck // unconditional lock
 		} else {
-			l.Refund(end, f.lockID, end) //nolint:errcheck // unconditional lock
+			l.RefundLock(end, h, end) //nolint:errcheck // unconditional lock
 		}
-		t.lockedNow -= amount
+		t.lockedNow -= p.amountVia(k, t.w.Commission)
 	}
 	if t.lockedNow < 0 && t.res.CascadeErr == nil {
 		t.res.CascadeErr = fmt.Errorf("traffic: refund cascade over-released at %v (%d units)", end, t.lockedNow)
@@ -1063,11 +1146,11 @@ func settleFlight(x any) {
 	t.observeByzHeld()
 	t.inFlight--
 	t.m.InFlight.Set(float64(t.inFlight))
-	t.finish(f)
+	t.finish(f, status, end, "")
 	// A release credits the payee account c_{e+1} on e_e, which no
 	// admission ever debits: only a refund can unblock a waiter.
-	if f.pr.Status != StatusOK {
-		t.wake(f.p.Sender, f.p.Receiver, end)
+	if status != StatusOK {
+		t.wake(p.Sender, p.Receiver, end)
 	}
 	t.passes++
 	if t.afterPass != nil {
@@ -1094,7 +1177,7 @@ func (t *timeline) dequeue(f *flight) {
 
 // file appends f to the waiters of f.refused.
 func (t *timeline) file(f *flight) {
-	f.slot = len(t.waiters[f.refused])
+	f.slot = int32(len(t.waiters[f.refused]))
 	t.waiters[f.refused] = append(t.waiters[f.refused], f)
 }
 
@@ -1129,23 +1212,53 @@ func (t *timeline) wake(lo, hi int, now sim.Time) {
 			continue
 		}
 		t.dequeue(f)
-		f.expiry.Cancel()
-		f.pr.Queued = true
-		f.pr.QueueWait = now - f.p.Arrival
+		f.tm.Cancel()
+		f.queued = true
 		t.start(f, now)
 	}
 	clear(woken)
 	t.woken = woken[:0]
 }
 
-// finish hands a terminal payment record to the aggregator and, when
-// per-payment retention is on, to its slot in res.Payments.
-func (t *timeline) finish(f *flight) {
+// record writes f's payment record as it stands before its end: what the
+// payment is, and when and how it was admitted.
+//
+//xchain:hotpath
+func (t *timeline) record(f *flight, pr *PaymentResult) {
+	p := f.p
+	*pr = PaymentResult{}
+	pr.ID, pr.Sender, pr.Receiver = p.ID, p.Sender, p.Receiver
+	pr.Amount, pr.Volume = p.Base, p.amountVia(0, t.w.Commission)
+	pr.Hops, pr.Protocol, pr.Arrival = p.hops(), t.ps.names[p.proto], p.Arrival
+	pr.Start, pr.Queued = f.start, f.queued
+	if f.queued {
+		pr.QueueWait = f.start - p.Arrival
+	}
+	if f.sub.err() == nil {
+		// A rejected or dropped payment's sub-run ran too: the pipeline
+		// simulates every payment before the timeline admits it.
+		pr.SubEvents = f.sub.events
+	}
+	pr.Faulted = f.sub.byz
+}
+
+// finish ends f with status at end — a drop attributed to cause — and hands
+// its record to the aggregator and, when per-payment retention is on, to its
+// slot in res.Payments.
+//
+//xchain:hotpath
+func (t *timeline) finish(f *flight, status Status, end sim.Time, cause DropCause) {
 	if t.track != nil {
 		delete(t.track, f.p.Index)
 	}
-	t.agg.observe(t.res, &f.pr)
+	pr := &t.pr
 	if t.res.Payments != nil {
-		t.res.Payments[f.p.Index] = f.pr
+		pr = &t.res.Payments[f.p.Index]
 	}
+	t.record(f, pr)
+	pr.Status, pr.End, pr.DropCause = status, end, cause
+	if status == StatusDropped {
+		pr.Queued, pr.QueueWait = true, end-f.p.Arrival
+	}
+	t.agg.observe(t.res, pr)
 }

@@ -194,9 +194,9 @@ func TestNotaryMajorityWaivesOnlyCC(t *testing.T) {
 				tc.name, res.SafetyViolations, res.FaultedPayments, res.Total, res)
 		}
 		brokeCC := false
-		var sm simulator
+		sm := simulator{commission: w.Commission}
 		for _, p := range population(s, w) {
-			r, err := DefaultProtocols()[p.Protocol].Run(*sm.subScenario(&s, nil, p))
+			r, err := DefaultProtocols()[w.mix()[p.proto].Name].Run(*sm.subScenario(&s, nil, p))
 			if err != nil {
 				t.Fatal(err)
 			}

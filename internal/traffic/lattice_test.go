@@ -11,10 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// sliceSource feeds the timeline an already simulated population.
+// sliceSource feeds the timeline an already simulated population, of the
+// protocols ps.
 type sliceSource struct {
 	pays []*payment
 	subs []subOutcome
+	ps   protocols
 	i    int
 }
 
@@ -46,7 +48,7 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 	t.Helper()
 	plan := w.Faults.compile(s)
 	src, res := simulatedRun(s, w, plan, DefaultProtocols())
-	if err := executeTimeline(res, src, w, plan, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
+	if err := executeTimeline(res, src, w, &src.ps, plan, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -56,12 +58,16 @@ func referenceRun(t *testing.T, s core.Scenario, w Workload) *Result {
 // one world with the registry's protocols and returns it as a slice source beside the empty Result (every
 // record kept, book endowed) a timeline over it fills in.
 func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan, registry map[string]core.Protocol) (*sliceSource, *Result) {
-	src := &sliceSource{pays: population(s, w)}
+	ps, err := resolveProtocols(w, registry)
+	if err != nil {
+		panic(err)
+	}
+	src := &sliceSource{pays: population(s, w), ps: ps}
 	demand := map[string]map[string]int64{}
-	sm := newSimulator()
+	sm := newSimulator(w.Commission)
 	for _, p := range src.pays {
-		addDemand(demand, p)
-		src.subs = append(src.subs, sm.simulateOne(&s, plan, p, registry))
+		addDemand(demand, p, w.Commission)
+		src.subs = append(src.subs, sm.simulateOne(&s, plan, p, &src.ps))
 	}
 	return src, &Result{
 		Chain:               s.Topology.N,

@@ -117,8 +117,10 @@ func (q Request) Build() (core.Scenario, Workload, Config, error) {
 	// The engine reads a zero rate or amount as "unset"; a request that
 	// spells one out did not mean the engine's default.
 	switch {
-	case q.Escrows < 1:
-		return fail("escrows", fmt.Errorf("need at least one escrow, got %d", q.Escrows))
+	case q.Escrows < 1 || q.Escrows > core.MaxChain:
+		// Checked before anything is built: a scenario's tables grow with
+		// the chain.
+		return fail("escrows", fmt.Errorf("need 1 to %d escrows, got %d", core.MaxChain, q.Escrows))
 	case !(q.Rate > 0):
 		return fail("rate", fmt.Errorf("%v is not positive", q.Rate))
 	case q.Amount <= 0:

@@ -76,7 +76,9 @@ type PaymentResult struct {
 	Queued    bool
 	QueueWait sim.Time
 	// SubEvents is the number of simulation events the payment's own
-	// protocol run fired (0 when it never ran).
+	// protocol run fired. The pipeline simulates every payment before the
+	// timeline admits it, so a rejected or dropped payment carries its
+	// sub-run's events too; only a sub-run that returned an error counts 0.
 	SubEvents uint64
 	// Faulted reports whether the payment's sub-scenario contained any
 	// Byzantine participant (static fault, fault-plan window covering its
@@ -342,8 +344,8 @@ func (a *aggregator) finalize(r *Result) {
 	}
 	if r.Book != nil {
 		r.AuditErr = r.Book.AuditAll()
-		for _, name := range r.Book.Names() {
-			r.PendingLocks += len(r.Book.MustGet(name).PendingLocks())
+		for _, l := range r.Book.Ledgers() {
+			r.PendingLocks += l.PendingCount()
 		}
 	}
 }

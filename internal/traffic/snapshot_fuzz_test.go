@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -61,6 +62,18 @@ func TestResumeRejectsBadSnapshot(t *testing.T) {
 			sn.Flights[0].InQueue, sn.Queue = true, []int{sn.Flights[0].Index}
 		}},
 		{"hop-amount-not-positive", func(sn *RunSnapshot) { sn.Flights[0].Amounts[0] = 0 }},
+		// A flight keeps its last hop's amount and derives the others, and
+		// its protocol's index in the mix.
+		{"hop-amounts-not-derived", func(sn *RunSnapshot) { sn.Flights[0].Amounts[0]++ }},
+		{"protocol-outside-the-mix", func(sn *RunSnapshot) { sn.Flights[0].Protocol = "htlc-naive" }},
+		{"settled-lock-held", func(sn *RunSnapshot) {
+			for i := range sn.Ledgers {
+				if len(sn.Ledgers[i].Locks) > 0 {
+					sn.Ledgers[i].Locks[0].State = ledger.LockReleased
+					return
+				}
+			}
+		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			sn, err := LoadSnapshot(goldenTrafficSnapshot)

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,6 +195,48 @@ func TestQueueing(t *testing.T) {
 	}
 }
 
+// TestUnadmittedPaymentsCarrySubEvents pins what PaymentResult.SubEvents
+// and the summary's sub-events= count: the pipeline simulates every payment
+// before the timeline admits it, so a dropped or rejected payment carries the
+// events of the sub-run it never settled.
+func TestUnadmittedPaymentsCarrySubEvents(t *testing.T) {
+	s := core.NewScenario(4, 7).WithCrypto("hmac")
+	w := NewWorkload(60)
+	w.Arrival = Arrival{Kind: ArrivalBurst, BurstSize: 30, BurstGap: 2 * sim.Second}
+	queued := w.WithLiquidity(450).WithQueue(sim.Millisecond, 0)
+	for _, in := range []struct {
+		w    Workload
+		want Status
+	}{{queued, StatusDropped}, {w.WithLiquidity(450), StatusRejected}} {
+		res, err := Run(s, in.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum uint64
+		seen := 0
+		sm := newSimulator(in.w.Commission)
+		for i, p := range population(s, in.w) {
+			pr := &res.Payments[i]
+			sum += pr.SubEvents
+			if pr.Status != in.want {
+				continue
+			}
+			seen++
+			r, err := DefaultProtocols()[in.w.mix()[p.proto].Name].Run(*sm.subScenario(&s, nil, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr.SubEvents == 0 || pr.SubEvents != r.EventsFired {
+				t.Fatalf("%s payment %s carries %d sub-events, its sub-run fired %d", pr.Status, pr.ID, pr.SubEvents, r.EventsFired)
+			}
+		}
+		if seen == 0 || sum != res.SubEventsFired {
+			t.Fatalf("%d %s payments; records sum to %d sub-events, the summary counts %d:\n%s",
+				seen, in.want, sum, res.SubEventsFired, res)
+		}
+	}
+}
+
 // TestQueuedReadmissionAfterPartialRollback is the regression test for a
 // payment whose first hop fits and whose second does not: A must queue
 // without holding anything on the hop that fitted (an earlier version locked
@@ -205,8 +248,8 @@ func TestQueuedReadmissionAfterPartialRollback(t *testing.T) {
 	w := Workload{Payments: 2, Liquidity: 100, QueuePatience: 10 * sim.Minute}
 	// B (c1->c2) drains c1's e1 account at t=0 and refunds at t=2s;
 	// A (c0->c2) arrives at t=1ms, fits e0, finds e1 exhausted, queues on e1.
-	pB := &payment{Index: 0, ID: "pB", Sender: 1, Receiver: 2, Amounts: []int64{100}, Arrival: 0}
-	pA := &payment{Index: 1, ID: "pA", Sender: 0, Receiver: 2, Amounts: []int64{100, 100}, Arrival: sim.Millisecond}
+	pB := &payment{Index: 0, ID: "pB", Sender: 1, Receiver: 2, Base: 100, Arrival: 0}
+	pA := &payment{Index: 1, ID: "pA", Sender: 0, Receiver: 2, Base: 100, Arrival: sim.Millisecond}
 	payments := []*payment{pB, pA}
 	subs := []subOutcome{
 		{paid: false, duration: 2 * sim.Second},
@@ -219,7 +262,11 @@ func TestQueuedReadmissionAfterPartialRollback(t *testing.T) {
 		Payments: make([]PaymentResult, 2),
 		Book:     newLiquidityBook(s, w, nil),
 	}
-	if err := executeTimeline(res, &sliceSource{pays: payments, subs: subs}, w, nil, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
+	ps, err := resolveProtocols(w, DefaultProtocols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := executeTimeline(res, &sliceSource{pays: payments, subs: subs}, w, &ps, nil, true, 0, nil, RunMetrics{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,8 +331,8 @@ func TestSubPathsAndHotspot(t *testing.T) {
 		if p.Sender < 0 || p.Receiver > 6 || p.Sender >= p.Receiver {
 			t.Fatalf("invalid route c%d -> c%d", p.Sender, p.Receiver)
 		}
-		if len(p.Amounts) != p.hops() {
-			t.Fatalf("route %s has %d amounts for %d hops", p.ID, len(p.Amounts), p.hops())
+		if p.Base < 1 || p.amountVia(0, w.Commission) != p.Base+int64(p.hops()-1)*w.Commission {
+			t.Fatalf("route %s pays %d, its first hop %d", p.ID, p.Base, p.amountVia(0, w.Commission))
 		}
 		if p.Sender == 2 {
 			hot++
@@ -342,8 +389,8 @@ func TestSubScenarioTranslation(t *testing.T) {
 		SetFault(core.CustomerID(2), core.FaultSpec{Silent: true}).
 		SetFault(core.EscrowID(1), core.FaultSpec{StealEscrow: true}).
 		SetPatience(core.CustomerID(3), 7*sim.Second)
-	p := &payment{Index: 0, ID: "p", Sender: 1, Receiver: 4, Amounts: []int64{30, 20, 10}, Seed: 99}
-	var sm simulator
+	p := &payment{Index: 0, ID: "p", Sender: 1, Receiver: 4, Base: 10, Seed: 99}
+	sm := simulator{commission: 10}
 	sub := sm.subScenario(&base, nil, p)
 	if sub.Topology.N != 3 {
 		t.Fatalf("sub-chain has %d escrows, want 3", sub.Topology.N)
@@ -356,6 +403,9 @@ func TestSubScenarioTranslation(t *testing.T) {
 	}
 	if sub.PatienceOf(core.CustomerID(2)) != 7*sim.Second {
 		t.Fatal("patience on chain c3 not translated to sub c2")
+	}
+	if want := []int64{30, 20, 10}; !slices.Equal(sub.Spec.Amounts, want) {
+		t.Fatalf("sub-run pays %v hop by hop, want %v", sub.Spec.Amounts, want)
 	}
 	if sub.Seed != 99 {
 		t.Fatalf("sub-run does not use the payment's private seed: %d", sub.Seed)
@@ -375,11 +425,11 @@ func TestSubScenarioForgetsFaults(t *testing.T) {
 		SetFault(core.EscrowID(1), core.FaultSpec{StealEscrow: true}).
 		SetPatience(core.CustomerID(2), 7*sim.Second)
 	var sm simulator
-	faulted := sm.subScenario(&base, nil, &payment{ID: "faulted", Sender: 1, Receiver: 4, Amounts: []int64{30, 20, 10}, Seed: 1})
+	faulted := sm.subScenario(&base, nil, &payment{ID: "faulted", Sender: 1, Receiver: 4, Base: 10, Seed: 1})
 	if len(faulted.Faults) != 2 || len(faulted.Patience) != 1 {
 		t.Fatalf("route c1..c4 has faults %v and patience %v, want two faults and one patience", faulted.Faults, faulted.Patience)
 	}
-	honest := sm.subScenario(&base, nil, &payment{ID: "honest", Sender: 3, Receiver: 5, Amounts: []int64{20, 10}, Seed: 2})
+	honest := sm.subScenario(&base, nil, &payment{ID: "honest", Sender: 3, Receiver: 5, Base: 10, Seed: 2})
 	if honest.Faults != nil || honest.Patience != nil {
 		t.Fatalf("route c3..c5 kept the previous payment's faults %v and patience %v", honest.Faults, honest.Patience)
 	}

@@ -272,22 +272,20 @@ func (w Workload) WithFaults(fp FaultPlan) Workload {
 	return w
 }
 
-// payment is one generated payment: its route on the shared chain, its
-// per-hop amounts, its arrival time, the protocol it uses, and a private
-// seed for its own simulation.
+// payment is one generated payment: its route on the shared chain, the
+// amount its receiver collects (each hop's is derived from it: amountVia),
+// its arrival time, the protocol it uses, and a private seed for its own
+// simulation.
 type payment struct {
 	Index    int
 	ID       string
-	Sender   int // customer index c_Sender
-	Receiver int // customer index c_Receiver, Sender < Receiver
-	Amounts  []int64
+	Sender   int   // customer index c_Sender
+	Receiver int   // customer index c_Receiver, Sender < Receiver
+	Base     int64 // what c_Receiver collects: the last hop's amount
 	Arrival  sim.Time
-	Protocol string
 	Seed     int64
-
-	// firstLockID is the lock ID of admission attempt 0, ID + "#0", of
-	// which ID is the prefix ("" when the generator rendered no ID).
-	firstLockID string
+	// proto indexes the run's protocol mix (Workload.mix, protocols).
+	proto int
 	// chunk is the pipeline chunk the payment stands in, nil outside one.
 	chunk *chunk
 }
@@ -295,8 +293,23 @@ type payment struct {
 // hops returns the number of escrows the payment crosses.
 func (p *payment) hops() int { return p.Receiver - p.Sender }
 
-// amountVia returns the amount locked on escrow e_{Sender+k}.
-func (p *payment) amountVia(k int) int64 { return p.Amounts[k] }
+// amountVia returns the amount locked on escrow e_{Sender+k}: the base plus
+// the commission of every connector downstream of that hop, exactly as in
+// core.NewPaymentSpec.
+//
+//xchain:hotpath
+func (p *payment) amountVia(k int, commission int64) int64 {
+	return p.Base + int64(p.hops()-1-k)*commission
+}
+
+// mix returns the workload's protocol mix, the default 100% "timelock" when
+// it names none.
+func (w Workload) mix() []ProtocolShare {
+	if len(w.Mix) == 0 {
+		return []ProtocolShare{{Name: "timelock", Weight: 1}}
+	}
+	return w.Mix
+}
 
 // splitmix64 is the SplitMix64 finalizer, used to derive independent
 // per-payment seeds from (Scenario.Seed, payment index) without any shared
@@ -351,10 +364,7 @@ func (w Workload) newGenerator(s core.Scenario) *generator {
 	if w.Amounts.Base <= 0 {
 		w.Amounts.Base = 100
 	}
-	mix := w.Mix
-	if len(mix) == 0 {
-		mix = []ProtocolShare{{Name: "timelock", Weight: 1}}
-	}
+	mix := w.mix()
 	var totalWeight float64
 	for _, m := range mix {
 		totalWeight += m.Weight
@@ -390,8 +400,8 @@ func (g *generator) skip(n int) {
 // left returns how many payments next has still to generate.
 func (g *generator) left() int { return g.w.Payments - g.idx }
 
-// next fills p with the next payment of the population, reusing p's Amounts
-// capacity, and reports whether one was produced.
+// next fills p with the next payment of the population and reports whether
+// one was produced.
 func (g *generator) next(p *payment) bool {
 	if g.idx >= g.w.Payments {
 		return false
@@ -438,23 +448,14 @@ func (g *generator) next(p *payment) bool {
 	if base < 1 {
 		base = 1
 	}
-	hops := receiver - sender
-	if cap(p.Amounts) >= hops {
-		p.Amounts = p.Amounts[:hops]
-	} else {
-		p.Amounts = make([]int64, hops)
-	}
-	for k := 0; k < hops; k++ {
-		p.Amounts[k] = base + int64(hops-1-k)*w.Commission
-	}
 
 	// 4) Protocol.
-	name := g.mix[0].Name
+	proto := 0
 	if len(g.mix) > 1 && g.totalWeight > 0 {
 		pick := rng.Float64() * g.totalWeight
-		for _, m := range g.mix {
+		for j, m := range g.mix {
 			if pick < m.Weight {
-				name = m.Name
+				proto = j
 				break
 			}
 			pick -= m.Weight
@@ -462,9 +463,10 @@ func (g *generator) next(p *payment) bool {
 	}
 
 	p.Index = i
-	p.ID, p.firstLockID = "", ""
+	p.ID = ""
 	if g.withIDs {
-		// "p%05d-c%d-c%d#0", rendered once: the ID is its prefix.
+		// "p%05d-c%d-c%d", rendered once: the sub-run's artefacts name it,
+		// and the payment's locks are keyed by it.
 		b := append(g.idBuf[:0], 'p')
 		for pad := 10000; pad > 1 && i < pad; pad /= 10 {
 			b = append(b, '0')
@@ -472,14 +474,14 @@ func (g *generator) next(p *payment) bool {
 		b = strconv.AppendInt(b, int64(i), 10)
 		b = strconv.AppendInt(append(b, "-c"...), int64(sender), 10)
 		b = strconv.AppendInt(append(b, "-c"...), int64(receiver), 10)
-		g.idBuf = append(b, "#0"...)
-		p.firstLockID = string(g.idBuf)
-		p.ID = p.firstLockID[:len(b)]
+		g.idBuf = b
+		p.ID = string(b)
 	}
 	p.Sender = sender
 	p.Receiver = receiver
+	p.Base = base
 	p.Arrival = g.now
-	p.Protocol = name
+	p.proto = proto
 	p.Seed = paymentSeed(g.seed, i)
 	return true
 }
@@ -494,19 +496,19 @@ func (w Workload) demand(s core.Scenario) map[string]map[string]int64 {
 	out := map[string]map[string]int64{}
 	var p payment
 	for g.next(&p) {
-		addDemand(out, &p)
+		addDemand(out, &p, w.Commission)
 	}
 	return out
 }
 
 // addDemand accumulates one payment's per-hop reservations.
-func addDemand(demand map[string]map[string]int64, p *payment) {
+func addDemand(demand map[string]map[string]int64, p *payment, commission int64) {
 	for k := 0; k < p.hops(); k++ {
 		e := core.EscrowID(p.Sender + k)
 		if demand[e] == nil {
 			demand[e] = map[string]int64{}
 		}
-		demand[e][core.CustomerID(p.Sender+k)] += p.amountVia(k)
+		demand[e][core.CustomerID(p.Sender+k)] += p.amountVia(k, commission)
 	}
 }
 
@@ -519,14 +521,19 @@ func addDemand(demand map[string]map[string]int64, p *payment) {
 // planned behaviour too (an injected fault overrides a static one for the
 // window's duration).
 //
-// The scenario is the worker's: every field is rewritten per payment, and its
-// Faults and Patience are the worker's maps, emptied per payment and nil
-// when the payment has none. It is valid until the next payment's.
+// The scenario is the worker's: every field is rewritten per payment, its
+// Spec.Amounts are the worker's scratch, and its Faults and Patience are the
+// worker's maps, emptied per payment and nil when the payment has none. It is
+// valid until the next payment's.
 func (sm *simulator) subScenario(base *core.Scenario, plan *compiledPlan, p *payment) *core.Scenario {
 	h := p.hops()
 	sub := &sm.sub
 	sub.Topology = core.NewTopology(h)
-	sub.Spec = core.PaymentSpec{PaymentID: p.ID, Amounts: p.Amounts}
+	sm.amounts = slices.Grow(sm.amounts[:0], h)[:h]
+	for k := range sm.amounts {
+		sm.amounts[k] = p.amountVia(k, sm.commission)
+	}
+	sub.Spec = core.PaymentSpec{PaymentID: p.ID, Amounts: sm.amounts}
 	sub.Timing, sub.Network = base.Timing, base.Network
 	sub.InitialBalance = max(sub.Spec.AlicePays()*2, base.InitialBalance)
 	sub.Seed, sub.Crypto = p.Seed, base.Crypto
