@@ -273,8 +273,7 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
 			continue
 		}
-		id := core.CustomerID(i)
-		out := res.Outcome(id)
+		out := &res.Customers[i]
 		// The obligation only covers customers who made a payment or issued a
 		// certificate (Alice/connectors who paid in; Bob if he signed chi).
 		if out.PaidOut == 0 && !out.IssuedChi && !out.HoldsCommitCert && !out.HoldsAbortCert {
@@ -282,7 +281,7 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 		}
 		v.Applicable = true
 		if !out.Terminated {
-			v.fail("%s never terminated", id)
+			v.fail("%s never terminated", out.ID)
 			return v
 		}
 		// The a-priori bound is measured from the customer's first protocol
@@ -293,7 +292,7 @@ func checkTermination(res *core.RunResult, opts Options) Verdict {
 			elapsed = out.TerminatedAt
 		}
 		if opts.TimeBound > 0 && elapsed > opts.TimeBound {
-			v.fail("%s took %v from its first obligation, beyond the bound %v", id, elapsed, opts.TimeBound)
+			v.fail("%s took %v from its first obligation, beyond the bound %v", out.ID, elapsed, opts.TimeBound)
 			return v
 		}
 	}
@@ -310,15 +309,14 @@ func checkEscrowSecurity(res *core.RunResult) Verdict {
 		if res.EscrowByzantine(i) {
 			continue
 		}
-		id := core.EscrowID(i)
 		v.Applicable = true
-		out := res.Escrows[id] //lint:hotalloc the result's outcome maps are keyed by name, one read per escrow
+		out := &res.Escrows[i]
 		if out.BalanceDelta < 0 {
-			v.fail("%s lost %d", id, -out.BalanceDelta)
+			v.fail("%s lost %d", out.ID, -out.BalanceDelta)
 			return v
 		}
 		if out.AuditErr != nil {
-			v.fail("%s audit: %v", id, out.AuditErr)
+			v.fail("%s audit: %v", out.ID, out.AuditErr)
 			return v
 		}
 	}
@@ -333,12 +331,10 @@ func checkEscrowSecurity(res *core.RunResult) Verdict {
 //xchain:hotpath
 func checkCS1(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropCS1, Holds: true}
-	topo := res.Scenario.Topology
-	alice := topo.Alice()
 	if res.CustomerByzantine(0) || !escrowsHonest(res, 0) {
 		return v
 	}
-	out := res.Outcome(alice)
+	out := &res.Customers[0]
 	if !out.Terminated {
 		return v // CS1 is an "upon termination" guarantee
 	}
@@ -362,12 +358,11 @@ func checkCS1(res *core.RunResult, opts Options) Verdict {
 //xchain:hotpath
 func checkCS2(res *core.RunResult, opts Options) Verdict {
 	v := Verdict{Property: core.PropCS2, Holds: true}
-	topo := res.Scenario.Topology
-	bob := topo.Bob()
-	if res.CustomerByzantine(topo.N) || !escrowsHonest(res, topo.N) {
+	n := res.Scenario.Topology.N
+	if res.CustomerByzantine(n) || !escrowsHonest(res, n) {
 		return v
 	}
-	out := res.Outcome(bob)
+	out := &res.Customers[n]
 	if !out.Terminated && !out.IssuedChi {
 		return v
 	}
@@ -397,20 +392,16 @@ func checkCS3(res *core.RunResult) Verdict {
 	v := Verdict{Property: core.PropCS3, Holds: true}
 	topo := res.Scenario.Topology
 	for i := 1; i < topo.N; i++ {
-		if res.CustomerByzantine(i) {
+		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
 			continue
 		}
-		id := core.CustomerID(i)
-		if !escrowsHonest(res, i) {
-			continue
-		}
-		out := res.Outcome(id)
+		out := &res.Customers[i]
 		if !out.Terminated {
 			continue
 		}
 		v.Applicable = true
 		if out.NetWealthChange() < 0 {
-			v.fail("connector %s lost %d", id, -out.NetWealthChange())
+			v.fail("connector %s lost %d", out.ID, -out.NetWealthChange())
 			return v
 		}
 	}

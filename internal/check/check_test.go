@@ -16,17 +16,15 @@ import (
 func fabricate(n int) *core.RunResult {
 	s := core.NewScenario(n, 1)
 	res := &core.RunResult{
-		Protocol:  "fake",
-		Scenario:  &s,
-		Book:      ledger.NewBook(),
-		Customers: map[string]core.CustomerOutcome{},
-		Escrows:   map[string]core.EscrowOutcome{},
+		Protocol: "fake",
+		Scenario: &s,
+		Book:     ledger.NewBook(),
 	}
 	for _, id := range s.Topology.Customers() {
-		res.Customers[id] = core.CustomerOutcome{ID: id, Role: s.Topology.RoleOf(id), Terminated: true, TerminatedAt: 10 * sim.Millisecond}
+		res.Customers = append(res.Customers, core.CustomerOutcome{ID: id, Role: s.Topology.RoleOf(id), Terminated: true, TerminatedAt: 10 * sim.Millisecond})
 	}
 	for _, id := range s.Topology.Escrows() {
-		res.Escrows[id] = core.EscrowOutcome{ID: id}
+		res.Escrows = append(res.Escrows, core.EscrowOutcome{ID: id})
 	}
 	res.AllTerminated = true
 	res.BobPaid = true
@@ -34,9 +32,11 @@ func fabricate(n int) *core.RunResult {
 }
 
 func setOutcome(res *core.RunResult, id string, mutate func(*core.CustomerOutcome)) {
-	out := res.Customers[id]
-	mutate(&out)
-	res.Customers[id] = out
+	for i := range res.Customers {
+		if res.Customers[i].ID == id {
+			mutate(&res.Customers[i])
+		}
+	}
 }
 
 func TestHappyFabricatedRunPassesDef1(t *testing.T) {
@@ -211,7 +211,7 @@ func TestTerminationNotOwedWithoutPaymentOrCertificate(t *testing.T) {
 
 func TestEscrowSecurity(t *testing.T) {
 	res := fabricate(2)
-	res.Escrows["e1"] = core.EscrowOutcome{ID: "e1", BalanceDelta: -5}
+	res.Escrows[1] = core.EscrowOutcome{ID: "e1", BalanceDelta: -5}
 	r := Evaluate(res, Def1Eventual())
 	if r.Verdict(core.PropEscrowSecurity).OK() {
 		t.Fatal("escrow losing money passed ES")

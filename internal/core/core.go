@@ -489,10 +489,10 @@ type RunResult struct {
 	Scenario *Scenario
 	Trace    *trace.Trace
 	Book     *ledger.Book
-	// Customers maps customer ID to outcome; Escrows maps escrow ID to
-	// outcome.
-	Customers map[string]CustomerOutcome
-	Escrows   map[string]EscrowOutcome
+	// Customers holds customer c_i's outcome at index i, c_0..c_N; Escrows
+	// holds escrow e_i's at index i.
+	Customers []CustomerOutcome
+	Escrows   []EscrowOutcome
 	// BobPaid reports whether Bob ended up with the money (liveness L).
 	BobPaid bool
 	// CommitIssued / AbortIssued report whether the transaction manager
@@ -544,8 +544,17 @@ func (r *RunResult) EscrowByzantine(i int) bool {
 	return r.Scenario.FaultOf(EscrowID(i)).IsByzantine()
 }
 
-// Outcome returns the outcome of one customer.
-func (r *RunResult) Outcome(id string) CustomerOutcome { return r.Customers[id] }
+// Outcome returns the outcome of the customer named id (the zero outcome
+// for a name no customer has): the lookup for a caller that holds a name,
+// where a run's checkers index Customers by position.
+func (r *RunResult) Outcome(id string) CustomerOutcome {
+	for i := range r.Customers {
+		if r.Customers[i].ID == id {
+			return r.Customers[i]
+		}
+	}
+	return CustomerOutcome{}
+}
 
 // HonestCustomers returns the IDs of customers whose FaultSpec is zero,
 // in chain order.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ledger"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -143,8 +144,8 @@ func TestFaultSpec(t *testing.T) {
 
 func TestRunResultHelpers(t *testing.T) {
 	s := NewScenario(2, 1).SetFault("c1", FaultSpec{Silent: true}).SetFault("e0", FaultSpec{StealEscrow: true})
-	res := &RunResult{Scenario: &s, Customers: map[string]CustomerOutcome{
-		"c0": {WealthBefore: 10, WealthAfter: 4},
+	res := &RunResult{Scenario: &s, Customers: []CustomerOutcome{
+		{ID: "c0", WealthBefore: 10, WealthAfter: 4},
 	}}
 	if res.AllHonest() {
 		t.Fatal("AllHonest true despite faults")
@@ -251,9 +252,10 @@ func TestIDsInterned(t *testing.T) {
 	}
 }
 
-// TestLockIDs: a world's lock IDs read "<payment>/e<i>" whatever it ran
-// before — a longer chain, a longer payment ID — and a run's IDs cost one
-// allocation however many escrows ask.
+// TestLockIDs: a payment's lock on a world's escrow e_i reads
+// "<payment>/e<i>" — through its handle, the ledger and the op log — whatever
+// the world ran before (a longer chain, a longer payment ID), and a run that
+// escrows and settles its locks without reading them renders no ID.
 func TestLockIDs(t *testing.T) {
 	w := NewWorld()
 	for _, n := range []int{3, 12, 1, 300, 2} {
@@ -262,20 +264,39 @@ func TestLockIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range []int{n - 1, 0, n / 2} {
-			if got, want := w.LockID(i), s.Spec.PaymentID+"/"+EscrowID(i); got != want {
-				t.Fatalf("chain of %d: LockID(%d) = %q, want %q", n, i, got, want)
+			led := w.Ledger(i)
+			if len(led.Locks()) > 0 {
+				continue // n/2 or 0 is n-1
+			}
+			h, err := led.EscrowHop(0, s.Spec.PaymentID, i, w.CustomerPID(i), w.CustomerPID(i+1), s.Spec.AmountVia(i), ledger.Condition{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := s.Spec.PaymentID + "/" + EscrowID(i)
+			if got := h.ID(); got != want {
+				t.Fatalf("chain of %d: lock on e%d reads %q, want %q", n, i, got, want)
+			}
+			if _, ok := led.Lock(want); !ok {
+				t.Fatalf("chain of %d: e%d holds no lock %q", n, i, want)
+			}
+			if ops := led.Ops(); ops[len(ops)-1].LockID() != want {
+				t.Fatalf("chain of %d: e%d logs lock %q, want %q", n, i, ops[len(ops)-1].LockID(), want)
 			}
 		}
 	}
 	s := NewScenario(8, 1).Muted()
 	allocs := testing.AllocsPerRun(100, func() {
-		w.ResetSubstrate(s.Seed, s.Network, true, nil)
-		w.scn = s
+		if err := w.Reset(&s); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 8; i++ {
-			w.LockID(i)
+			h, _ := w.Ledger(i).EscrowHop(0, s.Spec.PaymentID, i, w.CustomerPID(i), w.CustomerPID(i+1), s.Spec.AmountVia(i), ledger.Condition{})
+			if err := w.Ledger(i).ReleaseLock(1, h, nil, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("a run's eight lock IDs allocate %.0f times, want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("a run's eight locks allocate %.0f times, want 0", allocs)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/clock"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
@@ -31,7 +33,7 @@ const DefaultMaxEvents = 2_000_000
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Scenario, Trace and Book it points to (RunResult.Scenario
-// is the world's copy of the scenario, which Reset made) and its outcome maps
+// is the world's copy of the scenario, which Reset made) and its outcome slices
 // — and so is everything the run itself was made of: its processes or automata
 // and its transaction manager, trusted or a committee of notaries (Standing),
 // every message they sent (a field of its sender or a record of the
@@ -77,11 +79,6 @@ type World struct {
 	clocks   []clock.Clock
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
-	// lockIDs is the run's escrow lock IDs back to back, built by the run's
-	// first LockID ("" until then) in lockBuf; e_i's ends at lockEnds[i].
-	lockIDs  string
-	lockEnds []int
-	lockBuf  []byte
 
 	// kr is the world's one keyring (see KeyringFor); krReady marks it as
 	// already holding the current scenario's keys.
@@ -101,11 +98,6 @@ type World struct {
 	crashes []crashArg
 
 	res RunResult
-	// out is Collect's scratch: a customer's outcome is built here, where
-	// the protocol's callback can write to it without it escaping per call.
-	out CustomerOutcome
-	// collected is the chain length whose outcomes res's maps hold.
-	collected int
 }
 
 // NewWorld returns an empty world; Reset makes it usable.
@@ -117,10 +109,6 @@ func NewWorld() *World {
 		Trace: tr,
 		Net:   netsim.New(eng, nil, tr),
 		Book:  ledger.NewBook(),
-		res: RunResult{
-			Customers: map[string]CustomerOutcome{},
-			Escrows:   map[string]EscrowOutcome{},
-		},
 	}
 }
 
@@ -159,7 +147,6 @@ func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace 
 	w.names, w.chain, w.clocks, w.wealth = w.names[:0], 0, w.clocks[:0], w.wealth[:0]
 	w.faults, w.byz, w.patience = w.faults[:0], w.byz[:0], w.patience[:0]
 	w.krReady = false
-	w.lockIDs = ""
 	w.violation, w.detection = Incident{}, Incident{}
 
 	w.Eng.Reset(seed)
@@ -398,26 +385,6 @@ func (w *World) ActionDelay(pid PID) sim.Time {
 	return delay
 }
 
-// LockID returns the identifier of the payment's escrow lock on e_i,
-// "<payment>/e<i>". The chain's IDs are one string, made when a run first
-// asks for one, and each is a piece of it: a run pays for one string, not
-// for one per escrow.
-func (w *World) LockID(i int) string {
-	if w.lockIDs == "" {
-		buf, ends := w.lockBuf[:0], w.lockEnds[:0]
-		for e := 0; e < w.scn.Topology.N; e++ {
-			buf = append(append(append(buf, w.scn.Spec.PaymentID...), '/'), EscrowID(e)...)
-			ends = append(ends, len(buf))
-		}
-		w.lockBuf, w.lockEnds, w.lockIDs = buf, ends, string(buf)
-	}
-	start := 0
-	if i > 0 {
-		start = w.lockEnds[i-1]
-	}
-	return w.lockIDs[start:w.lockEnds[i]]
-}
-
 // Report is how a participant says it could not go on, and the one place
 // that decides whether that is an inconsistency of the run. ev is a
 // trace.KindViolation — the actor could not execute its own role, which no
@@ -504,18 +471,13 @@ func fireCrash(x any) {
 // customer c_i (termination, amounts, certificates); identity, role and
 // wealth are already set.
 //
-// The result's outcome maps stand on the world like the result: each entry
-// of this chain is overwritten, and only the entries of a longer chain
-// collected before are deleted.
+// The result's outcome slices stand on the world like the result: each
+// outcome is written in place, at its chain position.
 func (w *World) Collect(protocol string, fired uint64, customer func(i int, out *CustomerOutcome)) *RunResult {
 	n := w.scn.Topology.N
 	res := &w.res
-	customers, escrows := res.Customers, res.Escrows
-	for i := n + 1; i <= w.collected; i++ {
-		delete(customers, CustomerID(i))
-		delete(escrows, EscrowID(i-1))
-	}
-	w.collected = n
+	res.Customers = slices.Grow(res.Customers[:0], n+1)[:n+1]
+	res.Escrows = slices.Grow(res.Escrows[:0], n)[:n]
 	res.Protocol = protocol
 	res.Scenario = &w.scn
 	res.byz = w.byz
@@ -527,11 +489,11 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 	res.Err = nil
 	allTerm := true
 	var lastTerm sim.Time
-	out := &w.out
+	var out *CustomerOutcome
 	for i := 0; i <= n; i++ {
-		id := CustomerID(i)
+		out = &res.Customers[i]
 		*out = CustomerOutcome{
-			ID:           id,
+			ID:           CustomerID(i),
 			Role:         w.scn.Topology.customerRole(i),
 			WealthBefore: w.wealth[i],
 			WealthAfter:  w.customerWealth(i),
@@ -543,14 +505,13 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 		if !out.Terminated && !w.byz[i] {
 			allTerm = false
 		}
-		customers[id] = *out
 	}
 	// out is Bob's outcome now, the last the loop built.
 	res.BobPaid = out.Received > 0 || out.NetWealthChange() > 0
 	for i := 0; i < n; i++ {
-		id, led := EscrowID(i), w.ledgers[i]
-		escrows[id] = EscrowOutcome{
-			ID:           id,
+		led := w.ledgers[i]
+		res.Escrows[i] = EscrowOutcome{
+			ID:           EscrowID(i),
 			BalanceDelta: led.Balance(w.EscrowPID(i)),
 			PendingLocks: led.PendingCount(),
 			AuditErr:     led.Audit(),

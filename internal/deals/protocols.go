@@ -361,7 +361,8 @@ func (c *certifierProc) decide(commit bool) {
 	if r.tr.Recording() {
 		r.tr.Add(r.eng.Now(), trace.KindDecision, certifierID, "", label)
 	}
-	c.certified = msgCertified{Commit: commit, Cert: sig.NewReceipt(r.kr, r.id, certifierID, label, r.eng.Now())}
+	c.certified = msgCertified{Commit: commit, Cert: sig.Receipt{PaymentID: r.id, Issuer: certifierID, Subject: label, IssuedAt: r.eng.Now()}}
+	c.certified.Cert.Sign(r.kr, certifierKey)
 	for i := range r.chains {
 		r.net.Post(c.pid, r.chains[i].pid, &c.certified)
 	}
@@ -462,8 +463,11 @@ func (r *dealRun) procDelay() sim.Time {
 	return sim.Time(r.eng.Rand().Int63n(int64(maxP + 1)))
 }
 
-// certifierKeys is the one key a certified run signs with.
+// certifierKeys is the one key a certified run signs with, held under
+// certifierKey in the run's keyring.
 var certifierKeys = []string{certifierID}
+
+const certifierKey sim.PID = 0
 
 // rename renders the chains' node IDs, the arcs' lock IDs and — to label a
 // certified run's certificates — the deal's ID as pieces of one string, the

@@ -136,7 +136,8 @@ type escrowProc struct {
 	fault               core.FaultSpec
 
 	lockCreated bool
-	lockID      string // set when the lock is created
+	lock        ledger.Handle // set when the lock is created
+	lockID      string        // the lock's ID, rendered when a trace records
 	settled     bool
 	crashed     bool
 	expiry      sim.Time
@@ -177,14 +178,17 @@ func (p *escrowProc) onCreateLock(from core.PID, m *MsgCreateLock) {
 		return
 	}
 	cond := ledger.Condition{HashLock: m.HashLock, Expiry: m.Expiry}
-	p.lockID = p.run.w.LockID(p.i)
-	if _, err := p.led.Escrow(p.run.eng.Now(), p.lockID, p.upPID, p.downPID, want, cond); err != nil {
+	lock, err := p.led.EscrowHop(p.run.eng.Now(), p.run.scn.Spec.PaymentID, p.i, p.upPID, p.downPID, want, cond)
+	if err != nil {
 		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: p.up, Label: "lock-failed", Value: want}, nil)
 		return
 	}
-	p.lockCreated = true
+	p.lock, p.lockCreated = lock, true
 	p.expiry = m.Expiry
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
+	if p.run.tr.Recording() {
+		p.lockID = lock.ID()
+		p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
+	}
 	if !p.fault.Silent {
 		p.msgLockCreated = MsgLockCreated{PaymentID: m.PaymentID, Amount: want, HashLock: m.HashLock}
 		p.run.eng.ScheduleArgIn(p.run.w.ActionDelay(p.pid), "notify-lock", escrowNotifyLock, p)
@@ -216,12 +220,14 @@ func (p *escrowProc) onClaim(from core.PID, m *MsgClaim) {
 		return
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
-	if err := p.led.Release(p.run.eng.Now(), p.lockID, m.Preimage, p.clk.Now()); err != nil {
+	if err := p.led.ReleaseLock(p.run.eng.Now(), p.lock, m.Preimage, p.clk.Now()); err != nil {
 		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: p.down, Label: "claim-rejected"}, err)
 		return
 	}
 	p.settled = true
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
+	if p.run.tr.Recording() {
+		p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
+	}
 	if p.fault.Silent {
 		return
 	}
@@ -260,7 +266,7 @@ func escrowExpiry(x any) {
 		return
 	}
 	amount := p.run.scn.Spec.AmountVia(p.i)
-	if err := p.led.Refund(p.run.eng.Now(), p.lockID, p.clk.Now()); err != nil {
+	if err := p.led.RefundLock(p.run.eng.Now(), p.lock, p.clk.Now()); err != nil {
 		// The claim may have raced the expiry; nothing to do.
 		return
 	}

@@ -12,6 +12,7 @@ package ledger
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -90,8 +91,8 @@ const (
 // the times the record left the held list, so that a Handle taken before
 // tells it is stale.
 type lockRec struct {
-	// label is the lock's ID, or a keyed lock's label: its ID is label#key,
-	// rendered only when read.
+	// label, key and form are the lock's name (see lockName), kept flat so
+	// that form packs beside state.
 	label     string
 	key       uint64
 	amount    int64
@@ -102,21 +103,46 @@ type lockRec struct {
 	payee     sim.PID
 	gen       uint32
 	state     uint8
-	keyed     bool
+	form      uint8
 	prev      *lockRec
 	next      *lockRec
 }
 
-// id renders the record's lock ID.
-func (r *lockRec) id() string {
-	if !r.keyed {
-		return r.label
-	}
-	return r.label + "#" + strconv.FormatUint(r.key, 10)
+// lockName is a lock's ID as the ledger keeps it, for a lock record and for
+// the log entries of its operations: the ID itself (formID), or a keyed
+// lock's label and key, whose ID is rendered only when read.
+type lockName struct {
+	label string
+	key   uint64
+	form  uint8
 }
 
-// Handle addresses a lock on the ledger that holds it. Escrow and EscrowKeyed
-// return one, and ReleaseLock and RefundLock settle the lock through it
+// Lock ID forms: how a keyed lock's ID is rendered from its label and key.
+const (
+	formID      uint8 = iota // the label is the ID
+	formAttempt              // label#key: a traffic payment's admission attempt
+	formHop                  // label/e<key>: a payment's lock on escrow e_key
+)
+
+// id renders the lock ID.
+func (n lockName) id() string {
+	switch n.form {
+	case formAttempt:
+		return n.label + "#" + strconv.FormatUint(n.key, 10)
+	case formHop:
+		return n.label + "/e" + strconv.FormatUint(n.key, 10)
+	}
+	return n.label
+}
+
+// name returns the record's lock name.
+func (r *lockRec) name() lockName { return lockName{r.label, r.key, r.form} }
+
+// id renders the record's lock ID.
+func (r *lockRec) id() string { return r.name().id() }
+
+// Handle addresses a lock on the ledger that holds it. The Escrow family
+// returns one, and ReleaseLock and RefundLock settle the lock through it
 // without looking up its ID. A handle goes stale when its lock leaves the
 // ledger, that is when compaction forgets it or Reset drops it; a stale handle
 // settles nothing. The zero Handle addresses no lock.
@@ -143,7 +169,8 @@ const (
 	OpRefund   OpKind = "refund"
 )
 
-// Op is one entry of the ledger's operation log.
+// Op is one entry of the ledger's operation log. A lock operation's entry
+// keeps the lock's name and renders its ID when read (LockID).
 type Op struct {
 	Seq    int
 	At     sim.Time
@@ -151,7 +178,38 @@ type Op struct {
 	From   string
 	To     string
 	Amount int64
+	lock   lockName
+}
+
+// LockID renders the ID of the lock the operation moved value into or out
+// of, "" for a mint or a transfer.
+func (o *Op) LockID() string { return o.lock.id() }
+
+// opJSON is an Op as it is serialised, its lock ID rendered.
+type opJSON struct {
+	Seq    int
+	At     sim.Time
+	Kind   OpKind
+	From   string
+	To     string
+	Amount int64
 	LockID string
+}
+
+// MarshalJSON serialises the entry with its lock ID rendered.
+func (o Op) MarshalJSON() ([]byte, error) {
+	return json.Marshal(opJSON{o.Seq, o.At, o.Kind, o.From, o.To, o.Amount, o.LockID()})
+}
+
+// UnmarshalJSON reads an entry MarshalJSON wrote; its lock ID reads back as
+// it was rendered.
+func (o *Op) UnmarshalJSON(b []byte) error {
+	var j opJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*o = Op{Seq: j.Seq, At: j.At, Kind: j.Kind, From: j.From, To: j.To, Amount: j.Amount, lock: lockName{label: j.LockID}}
+	return nil
 }
 
 // Ledger is a single escrow's book: accounts, escrow locks and an operation
@@ -172,9 +230,9 @@ type Ledger struct {
 	// scan over their PIDs finds an owner before anything could be hashed.
 	accounts []account
 	// The held list is the only index of the locks: the ID-addressed
-	// operations scan it (a protocol's ledger holds one or two), and a
-	// ledger with thousands of locks (the traffic timeline's) is settled
-	// through Handles.
+	// operations scan it (a deal's ledger holds a few), and the protocols'
+	// locks and the traffic timeline's thousands are settled through
+	// Handles.
 	held int      // locks on the held list
 	head lockRec  // the held list's sentinel: head.next is the most recent lock held
 	free *lockRec // records of locks dropped by Reset or forgotten under compaction, for Escrow to reuse
@@ -368,7 +426,7 @@ func (l *Ledger) Deposit(at sim.Time, pid sim.PID, amount int64) error {
 	l.credit(pid, amount)
 	l.minted += amount
 	l.m.Available.Add(float64(amount))
-	l.log(at, OpMint, "", l.owner(pid), amount, "")
+	l.log(at, OpMint, "", l.owner(pid), amount, lockName{})
 	return nil
 }
 
@@ -393,7 +451,7 @@ func (l *Ledger) Transfer(at sim.Time, from, to sim.PID, amount int64) error {
 	}
 	l.accounts[f].balance -= amount
 	l.accounts[t].balance += amount
-	l.log(at, OpTransfer, l.owner(from), l.owner(to), amount, "")
+	l.log(at, OpTransfer, l.owner(from), l.owner(to), amount, lockName{})
 	return nil
 }
 
@@ -409,7 +467,7 @@ func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int
 	if l.lookup(id) != nil {
 		return Handle{}, fmt.Errorf("%w: %s", ErrDuplicateLock, id)
 	}
-	return l.escrow(at, id, 0, false, payer, payee, amount, cond)
+	return l.escrow(at, lockName{label: id}, payer, payee, amount, cond)
 }
 
 // EscrowKeyed is Escrow for the lock with ID label#key, which is rendered
@@ -423,13 +481,25 @@ func (l *Ledger) EscrowKeyed(at sim.Time, label string, key uint64, payer, payee
 	if amount <= 0 {
 		return Handle{}, ErrBadAmount
 	}
-	return l.escrow(at, label, key, true, payer, payee, amount, cond)
+	return l.escrow(at, lockName{label, key, formAttempt}, payer, payee, amount, cond)
 }
 
-// escrow is Escrow's and EscrowKeyed's common tail: amount and ID passed.
+// EscrowHop is EscrowKeyed for the lock with ID label/e<hop>: payment label's
+// lock on escrow e_hop of its chain, the one lock a protocol run's escrow
+// holds.
 //
 //xchain:hotpath
-func (l *Ledger) escrow(at sim.Time, label string, key uint64, keyed bool, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
+func (l *Ledger) EscrowHop(at sim.Time, label string, hop int, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
+	if amount <= 0 {
+		return Handle{}, ErrBadAmount
+	}
+	return l.escrow(at, lockName{label, uint64(hop), formHop}, payer, payee, amount, cond)
+}
+
+// escrow is the Escrow family's common tail: amount and ID passed.
+//
+//xchain:hotpath
+func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
 	p := l.find(payer)
 	if p < 0 {
 		return Handle{}, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
@@ -444,7 +514,7 @@ func (l *Ledger) escrow(at sim.Time, label string, key uint64, keyed bool, payer
 	lk := l.newRec()
 	// Written field by field: the record is the ledger's, and a composite
 	// literal would be built aside and copied over it.
-	lk.label, lk.key, lk.keyed, lk.amount = label, key, keyed, amount
+	lk.label, lk.key, lk.form, lk.amount = name.label, name.key, name.form, amount
 	lk.payer, lk.payee = payer, payee
 	lk.createdAt, lk.cond, lk.state, lk.settledAt = at, cond, statePending, 0
 	l.hold(lk)
@@ -518,6 +588,14 @@ func (l *Ledger) lookup(id string) *lockRec {
 		}
 	}
 	return nil
+}
+
+// ID renders the ID of the lock h addresses, "" when h is stale.
+func (h Handle) ID() string {
+	if lk := h.held(); lk != nil {
+		return lk.id()
+	}
+	return ""
 }
 
 // held returns the record h addresses, or nil when h is stale.
@@ -717,7 +795,7 @@ func (l *Ledger) OpCount() int { return l.opCount }
 // its slot, not built aside and copied there — unless compacting.
 //
 //xchain:hotpath
-func (l *Ledger) log(at sim.Time, kind OpKind, from, to string, amount int64, lockID string) {
+func (l *Ledger) log(at sim.Time, kind OpKind, from, to string, amount int64, lock lockName) {
 	seq := l.opCount
 	l.opCount++
 	l.m.Ops.Inc()
@@ -727,11 +805,12 @@ func (l *Ledger) log(at sim.Time, kind OpKind, from, to string, amount int64, lo
 	l.ops = append(l.ops, Op{})
 	op := &l.ops[len(l.ops)-1]
 	op.Seq, op.At, op.Kind = seq, at, kind
-	op.From, op.To, op.Amount, op.LockID = from, to, amount, lockID
+	op.From, op.To, op.Amount, op.lock = from, to, amount, lock
 }
 
-// logLock logs a lock operation on lk, from its payer to to; the names and
-// the lock ID are only rendered for a log that retains the entry.
+// logLock logs a lock operation on lk, from its payer to to; the names are
+// only rendered for a log that retains the entry, and the lock ID when the
+// entry is read.
 //
 //xchain:hotpath
 func (l *Ledger) logLock(at sim.Time, kind OpKind, lk *lockRec, to sim.PID) {
@@ -740,7 +819,7 @@ func (l *Ledger) logLock(at sim.Time, kind OpKind, lk *lockRec, to sim.PID) {
 		l.m.Ops.Inc()
 		return
 	}
-	l.log(at, kind, l.owner(lk.payer), l.owner(to), lk.amount, lk.id())
+	l.log(at, kind, l.owner(lk.payer), l.owner(to), lk.amount, lk.name())
 }
 
 // EscrowedTotal returns the total value currently held in pending locks.

@@ -102,7 +102,7 @@ func (m *mapLedger) CreateLock(at sim.Time, id, payer, payee string, amount int6
 	if m.byzOwners[payer] {
 		m.byzEscrowed += amount
 	}
-	m.log(Op{At: at, Kind: OpLock, From: payer, To: payee, Amount: amount, LockID: id})
+	m.log(Op{At: at, Kind: OpLock, From: payer, To: payee, Amount: amount, lock: lockName{label: id}})
 	return nil
 }
 
@@ -113,7 +113,7 @@ func (m *mapLedger) settle(at sim.Time, lk *Lock, state LockState, kind OpKind, 
 	if m.byzOwners[lk.Payer] {
 		m.byzEscrowed -= lk.Amount
 	}
-	m.log(Op{At: at, Kind: kind, From: lk.Payer, To: to, Amount: lk.Amount, LockID: lk.ID})
+	m.log(Op{At: at, Kind: kind, From: lk.Payer, To: to, Amount: lk.Amount, lock: lockName{label: lk.ID}})
 	if m.compact {
 		delete(m.locks, lk.ID)
 		m.settled++

@@ -273,11 +273,11 @@ func render(b []byte, p primary) ([]byte, int) {
 			res.Protocol, res.BobPaid, res.CommitIssued, res.AbortIssued, res.Duration, res.AllTerminated,
 			res.EventsFired, res.Err, res.NetStats, res.Violation, res.Detection)
 		b = fmt.Appendf(b, "%d customers, %d escrows\n", len(res.Customers), len(res.Escrows))
-		for _, id := range res.Scenario.Topology.Customers() {
-			b = fmt.Appendf(b, "%+v\n", res.Customers[id])
+		for _, out := range res.Customers {
+			b = fmt.Appendf(b, "%+v\n", out)
 		}
-		for _, id := range res.Scenario.Topology.Escrows() {
-			b = fmt.Appendf(b, "%+v\n", res.Escrows[id])
+		for _, out := range res.Escrows {
+			b = fmt.Appendf(b, "%+v\n", out)
 		}
 		b = append(b, p.report.String()...)
 		book, tr = res.Book, res.Trace
@@ -318,7 +318,7 @@ func render(b []byte, p primary) ([]byte, int) {
 		}
 		for _, op := range led.Ops() {
 			num(int64(op.Seq), int64(op.At), op.Amount)
-			str(string(op.Kind), op.From, op.To, op.LockID, "\n")
+			str(string(op.Kind), op.From, op.To, op.LockID(), "\n")
 		}
 	}
 	split := len(b)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/netsim"
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -113,7 +114,7 @@ func TestFuzzScenarioAllocs(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(st.Runs)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(st.Runs)
 	t.Logf("one of %d scenarios: %.1f allocations, %.0f bytes", st.Runs, allocs, bytes)
-	if allocs > fuzzAllocBudget || bytes > fuzzBytesBudget {
+	if !race.Enabled && (allocs > fuzzAllocBudget || bytes > fuzzBytesBudget) { // the detector allocates
 		t.Fatalf("a fuzzed scenario allocates %.1f times and %.0f bytes, budget %v and %v", allocs, bytes, fuzzAllocBudget, fuzzBytesBudget)
 	}
 }

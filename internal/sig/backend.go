@@ -5,8 +5,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"hash"
-	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -135,25 +133,23 @@ func (s *hmacSigner) verify(payload, sig []byte) bool {
 	return hmac.Equal(s.mac.Sum(s.sum[:0]), sig)
 }
 
-// backends is the registry of available backends.
-var backends = map[string]Backend{
-	BackendEd25519: ed25519Backend{},
-	BackendHMAC:    hmacBackend{},
-}
-
 // BackendByName resolves a backend; the empty name is the ed25519 default.
+// Every scenario's Validate asks, so it compares names rather than hashing
+// them.
+//
+//xchain:hotpath
 func BackendByName(name string) (Backend, bool) {
-	if name == "" {
-		name = BackendEd25519
+	switch name {
+	case "", BackendEd25519:
+		return ed25519Backend{}, true
+	case BackendHMAC:
+		return hmacBackend{}, true
 	}
-	b, ok := backends[name]
-	return b, ok
+	return nil, false
 }
 
-// BackendNames lists the registered backend names in sorted order.
-func BackendNames() []string {
-	return slices.Sorted(maps.Keys(backends))
-}
+// BackendNames lists the backend names in sorted order.
+func BackendNames() []string { return []string{BackendEd25519, BackendHMAC} }
 
 // Options selects and tunes the authentication layer of one keyring.
 type Options struct {

@@ -296,8 +296,8 @@ func TestParticipantsCached(t *testing.T) {
 
 // referencePayload is the canonical encoding spelled out field by field:
 // every field length-prefixed with eight big-endian bytes, integers and
-// times as eight big-endian bytes. The typed payload builders must produce
-// exactly these bytes, or every signature would change.
+// times as eight big-endian bytes. render must produce exactly these bytes,
+// or every signature would change.
 func referencePayload(fields ...any) []byte {
 	var out []byte
 	put := func(b []byte) {
@@ -315,29 +315,30 @@ func referencePayload(fields ...any) []byte {
 	return out
 }
 
-// The typed payload builders encode exactly the canonical form, keep field
-// boundaries apart, and build in the keyring's scratch without allocating.
+// render encodes every typed artefact in exactly the canonical form, keeps
+// field boundaries apart, and builds in a grown scratch without allocating.
 func TestCanonicalTypedCases(t *testing.T) {
-	kr := NewKeyringWith(Options{Backend: BackendHMAC}, "canon-seed", []string{"a"})
+	var buf []byte
+	render := func(c content) []byte { buf = c.render(buf[:0]); return buf }
 	cases := []struct {
 		name  string
-		build func() []byte // the result aliases kr's scratch until the next build
+		build func() []byte // the result aliases buf until the next build
 		want  []byte
 	}{
 		{"chi", func() []byte {
-			return kr.paymentCertPayload(&PaymentCert{PaymentID: "p", Issuer: "bob", Payer: "alice", IssuedAt: 9})
+			return render((&PaymentCert{PaymentID: "p", Issuer: "bob", Payer: "alice", IssuedAt: 9}).content())
 		}, referencePayload("chi", "p", "bob", "alice", sim.Time(9))},
 		{"guarantee", func() []byte {
-			return kr.guaranteePayload(&Guarantee{PaymentID: "p", Escrow: "e0", Customer: "c0", D: 7, IssuedAt: -3})
+			return render((&Guarantee{PaymentID: "p", Escrow: "e0", Customer: "c0", D: 7, IssuedAt: -3}).content())
 		}, referencePayload("guarantee", "p", "e0", "c0", sim.Time(7), sim.Time(-3))},
 		{"promise", func() []byte {
-			return kr.promisePayload(&Promise{PaymentID: "p", Escrow: "e0", Customer: "c1", A: 5, Epsilon: 2, IssuedAt: 11})
+			return render((&Promise{PaymentID: "p", Escrow: "e0", Customer: "c1", A: 5, Epsilon: 2, IssuedAt: 11}).content())
 		}, referencePayload("promise", "p", "e0", "c1", sim.Time(5), sim.Time(2), sim.Time(11))},
 		{"decision", func() []byte {
-			return kr.decisionPayload(&DecisionCert{PaymentID: "p", Decision: DecisionAbort, Manager: "manager", IssuedAt: 4})
+			return render((&DecisionCert{PaymentID: "p", Decision: DecisionAbort, Manager: "manager", IssuedAt: 4}).content())
 		}, referencePayload("decision", "p", "abort", "manager", sim.Time(4))},
 		{"receipt", func() []byte {
-			return kr.receiptPayload(&Receipt{PaymentID: "p", Issuer: "bob", Subject: "funds-received", IssuedAt: 1})
+			return render((&Receipt{PaymentID: "p", Issuer: "bob", Subject: "funds-received", IssuedAt: 1}).content())
 		}, referencePayload("receipt", "p", "bob", "funds-received", sim.Time(1))},
 	}
 	for _, c := range cases {
@@ -349,8 +350,8 @@ func TestCanonicalTypedCases(t *testing.T) {
 		}
 	}
 	// Distinct field splits must encode distinctly (length prefixes).
-	ab := append([]byte(nil), kr.receiptPayload(&Receipt{PaymentID: "ab", Issuer: "c"})...)
-	if bytes.Equal(ab, kr.receiptPayload(&Receipt{PaymentID: "a", Issuer: "bc"})) {
+	ab := append([]byte(nil), render((&Receipt{PaymentID: "ab", Issuer: "c"}).content())...)
+	if bytes.Equal(ab, render((&Receipt{PaymentID: "a", Issuer: "bc"}).content())) {
 		t.Fatal("field boundaries collide")
 	}
 }

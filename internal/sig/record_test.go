@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // The record may only answer what the backend would, and rendering a
@@ -36,11 +38,167 @@ type triple struct {
 
 func (x triple) String() string { return fmt.Sprintf("%s/%q/%x", x.signer, x.payload, x.eager) }
 
+// art is a typed artefact a program signs: its content, and for a decision
+// certificate the one notary that signs it (every other artefact names its
+// signer in its second field).
+type art struct {
+	c      content
+	notary string
+}
+
+func (a art) String() string {
+	return fmt.Sprintf("%s%q%v", kindTags[a.c.kind], a.c.f, a.c.t[:kindTimes[a.c.kind]])
+}
+
+// signer is who signs a.
+func (a art) signer() string {
+	if a.c.kind == kindDecision {
+		return a.notary
+	}
+	return a.c.f[1]
+}
+
+// The artefact types, built from a's content with sig as their signature.
+func (a art) chi(sig Signature) PaymentCert {
+	return PaymentCert{PaymentID: a.c.f[0], Issuer: a.c.f[1], Payer: a.c.f[2], IssuedAt: a.c.t[0], Sig: sig}
+}
+
+func (a art) guarantee(sig Signature) Guarantee {
+	return Guarantee{PaymentID: a.c.f[0], Escrow: a.c.f[1], Customer: a.c.f[2], D: a.c.t[0], IssuedAt: a.c.t[1], Sig: sig}
+}
+
+func (a art) promise(sig Signature) Promise {
+	return Promise{PaymentID: a.c.f[0], Escrow: a.c.f[1], Customer: a.c.f[2], A: a.c.t[0], Epsilon: a.c.t[1], IssuedAt: a.c.t[2], Sig: sig}
+}
+
+func (a art) decision(sig Signature) DecisionCert {
+	return DecisionCert{PaymentID: a.c.f[0], Decision: Decision(a.c.f[1]), Manager: a.c.f[2], IssuedAt: a.c.t[0],
+		Signers: []string{a.notary}, Sigs: []Signature{sig}, Quorum: 1}
+}
+
+func (a art) receipt(sig Signature) Receipt {
+	return Receipt{PaymentID: a.c.f[0], Issuer: a.c.f[1], Subject: a.c.f[2], IssuedAt: a.c.t[0], Sig: sig}
+}
+
+// sign signs a on kr through its type's Sign, by its signer's PID.
+func (a art) sign(kr *Keyring) Signature {
+	by := sim.PID(kr.index(a.signer()))
+	switch a.c.kind {
+	case kindChi:
+		x := a.chi(Signature{})
+		x.Sign(kr, by)
+		return x.Sig
+	case kindGuarantee:
+		x := a.guarantee(Signature{})
+		x.Sign(kr, by)
+		return x.Sig
+	case kindPromise:
+		x := a.promise(Signature{})
+		x.Sign(kr, by)
+		return x.Sig
+	case kindDecision:
+		x := a.decision(Signature{})
+		x.Sign(kr, []sim.PID{by})
+		return x.Sigs[0]
+	}
+	x := a.receipt(Signature{})
+	x.Sign(kr, by)
+	return x.Sig
+}
+
+// verify verifies a, signed sig, on kr through its type's Verify.
+func (a art) verify(kr *Keyring, sig Signature) bool {
+	switch a.c.kind {
+	case kindChi:
+		x := a.chi(sig)
+		return x.Verify(kr, x.Issuer)
+	case kindGuarantee:
+		x := a.guarantee(sig)
+		return x.Verify(kr)
+	case kindPromise:
+		x := a.promise(sig)
+		return x.Verify(kr)
+	case kindDecision:
+		x := a.decision(sig)
+		return x.Verify(kr)
+	}
+	x := a.receipt(sig)
+	return x.Verify(kr)
+}
+
+// contentOf is what a's type records as its content, which must be a's.
+func (a art) contentOf() content {
+	switch a.c.kind {
+	case kindChi:
+		x := a.chi(Signature{})
+		return x.content()
+	case kindGuarantee:
+		x := a.guarantee(Signature{})
+		return x.content()
+	case kindPromise:
+		x := a.promise(Signature{})
+		return x.content()
+	case kindDecision:
+		x := a.decision(Signature{})
+		return x.content()
+	}
+	x := a.receipt(Signature{})
+	return x.content()
+}
+
+// newArt draws an artefact of every kind in turn from arg: payment IDs and
+// third fields that move a byte across the field boundary ("ab" + "c" and
+// "a" + "bc"), a signer among the program's participants, small times.
+func newArt(arg byte) art {
+	k := kindChi + kind(arg%5)
+	a := art{c: content{kind: k}, notary: progIDs[int(arg/5)%len(progIDs)]}
+	a.c.f = [3]string{[]string{"ab", "a"}[arg/3%2], progIDs[int(arg/7)%len(progIDs)], []string{"c", "bc"}[arg/11%2]}
+	if k == kindDecision {
+		a.c.f[1] = []string{string(DecisionCommit), string(DecisionAbort)}[arg/7%2]
+	}
+	for j := range kindTimes[k] {
+		a.c.t[j] = sim.Time(int(arg)%(3+j) - 1)
+	}
+	return a
+}
+
+// tamper returns a with one thing changed, as arg picks: a field's last byte
+// moved to the front of the next field, a string field replaced, or a time
+// moved by one.
+func tamper(a art, arg byte) art {
+	switch j := int(arg/3) % 3; arg % 3 {
+	case 0:
+		if j < 2 && a.c.f[j] != "" {
+			last := len(a.c.f[j]) - 1
+			a.c.f[j], a.c.f[j+1] = a.c.f[j][:last], a.c.f[j][last:]+a.c.f[j+1]
+		} else {
+			a.c.f[j] += "x"
+		}
+	case 1:
+		a.c.f[j] = progIDs[(slices.Index(progIDs, a.c.f[j])+1+len(progIDs))%len(progIDs)]
+	default:
+		a.c.t[j%kindTimes[a.c.kind]]++
+	}
+	return a
+}
+
+// typedTriple is a typed artefact a program has signed: its record
+// keyring's and the reference's signatures, and what the backend signed
+// over its canonical encoding at Sign.
+type typedTriple struct {
+	a     art
+	sigs  [2]Signature
+	eager []byte
+}
+
 // eagerSign is what the parent's Sign returned: the backend's signature under
 // id's current key, computed now.
 func eagerSign(kr *Keyring, id string, payload []byte) []byte {
 	return bytes.Clone(kr.backend.bind(kr.keys[kr.index(id)].key).sign(payload))
 }
+
+// numOps is how many operations a program step chooses from.
+const numOps = 17
 
 // driveKeyrings runs program — two bytes a step, an operation and its
 // argument — through a keyring with a record and the reference, both under
@@ -54,7 +212,8 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 	ref := NewKeyringWith(Options{Backend: backend, MemoCapacity: -1}, seed, progIDs)
 	all := [2]*Keyring{rec, ref}
 	others := map[string]*Keyring{}
-	var pool []triple // the triples seen so far, the newest last
+	var pool []triple       // the triples seen so far, the newest last
+	var typed []typedTriple // the typed artefacts signed so far, the newest last
 	var log []string
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -89,6 +248,41 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 		}
 		return want
 	}
+	// verifyTyped has each keyring verify a with its own signature of it —
+	// through a's type, and through the raw Verify with a's canonical
+	// encoding — and the answers must agree.
+	verifyTyped := func(a art, sigs [2]Signature) bool {
+		before := rec.stats
+		want := a.verify(ref, sigs[1])
+		if got := a.verify(rec, sigs[0]); got != want {
+			fail("%v.Verify = %v, the backend %v", a, got, want)
+		}
+		payload := a.c.render(nil)
+		if got, ref := rec.Verify(a.signer(), payload, sigs[0]), ref.Verify(a.signer(), payload, sigs[1]); got != ref || ref != want {
+			fail("Verify(%s, %v's encoding) = %v, the backend %v, the typed verification %v", a.signer(), a, got, ref, want)
+		}
+		hits += rec.stats.MemoHits - before.MemoHits
+		misses += rec.stats.MemoMisses - before.MemoMisses
+		return want
+	}
+	// renderedTyped renders both signatures of x, which must agree with
+	// each other and with what the backend signed at Sign.
+	renderedTyped := func(x typedTriple) []byte {
+		got, want := x.sigs[0].Bytes(), x.sigs[1].Bytes()
+		if !bytes.Equal(got, want) {
+			fail("%v renders %x, the reference %x", x.a, got, want)
+		}
+		if want != nil && !bytes.Equal(want, x.eager) {
+			fail("%v renders %x, the backend signed %x at Sign", x.a, want, x.eager)
+		}
+		return want
+	}
+	pickTyped := func(arg byte) (typedTriple, bool) {
+		if len(typed) == 0 {
+			return typedTriple{}, false
+		}
+		return typed[int(arg)%len(typed)], true
+	}
 	// raw enters and verifies a triple whose signature is b as literal bytes.
 	raw := func(x triple, b []byte) {
 		s := Raw(b)
@@ -97,7 +291,7 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 		verify(x)
 	}
 	for i := 0; i+1 < len(program) && i < 512; i += 2 {
-		op, arg := program[i]%12, program[i+1]
+		op, arg := program[i]%numOps, program[i+1]
 		id, seedArg := progIDs[int(arg)%len(progIDs)], progSeeds[int(arg)%len(progSeeds)]
 		payload := []byte{'m', '0' + arg%5}
 		log = append(log, fmt.Sprintf("op %d arg %d", op, arg))
@@ -179,6 +373,14 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 			}
 			// Every handle signed before is stale now: it renders nil and
 			// verifies nowhere.
+			for _, x := range typed {
+				if b := renderedTyped(x); b != nil {
+					fail("%v renders %x after a Reset, want a stale handle's nil", x.a, b)
+				}
+				if verifyTyped(x.a, x.sigs) {
+					fail("%v verifies after a Reset", x.a)
+				}
+			}
 			for _, x := range pool {
 				if !x.own {
 					continue
@@ -201,9 +403,57 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 					raw(x, slices.Clone(b))
 				}
 			}
+		case 12: // sign a typed artefact, and verify it
+			a := newArt(arg)
+			if got := a.contentOf(); got != a.c {
+				fail("%v records content %v", a, got)
+			}
+			x := typedTriple{a: a}
+			if ref.Has(a.signer()) {
+				x.eager = eagerSign(ref, a.signer(), a.c.render(nil))
+			}
+			for j, kr := range all {
+				x.sigs[j] = a.sign(kr)
+			}
+			if (x.sigs[0] == Signature{}) != (x.eager == nil) || (x.sigs[1] == Signature{}) != (x.eager == nil) {
+				fail("%v signed %v and %v, holding a key: %v", a, x.sigs[0], x.sigs[1], x.eager != nil)
+			}
+			if x.eager == nil {
+				continue
+			}
+			typed = append(typed, x)
+			verifyTyped(a, x.sigs)
+		case 13: // verify a typed artefact
+			if x, ok := pickTyped(arg); ok {
+				verifyTyped(x.a, x.sigs)
+			}
+		case 14: // a tampered typed artefact
+			if x, ok := pickTyped(arg); ok {
+				verifyTyped(tamper(x.a, arg), x.sigs)
+			}
+		case 15: // render a typed artefact's signature now, which must change
+			// no answer; its bytes as Raw verify as the term does
+			if x, ok := pickTyped(arg); ok {
+				before := verifyTyped(x.a, x.sigs)
+				b := renderedTyped(x)
+				if verifyTyped(x.a, x.sigs) != before {
+					fail("rendering %v changed its answer from %v", x.a, before)
+				}
+				if b != nil {
+					s := Raw(slices.Clone(b))
+					verifyTyped(x.a, [2]Signature{s, s})
+				}
+			}
+		case 16: // a typed artefact's signature under another artefact
+			if x, ok := pickTyped(arg); ok {
+				verifyTyped(newArt(arg), x.sigs)
+			}
 		}
 		if len(pool) > 32 {
 			pool = pool[len(pool)-32:]
+		}
+		if len(typed) > 32 {
+			typed = typed[len(typed)-32:]
 		}
 	}
 	return hits, misses
@@ -213,9 +463,9 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 // every operation in turn, through both backends: the record must answer
 // every verification as the backend does, and must answer some of them.
 func TestIssuanceRecordMatchesBackend(t *testing.T) {
-	every := make([]byte, 0, 48)
-	for op := byte(0); op < 24; op++ {
-		every = append(every, op%12, op)
+	every := make([]byte, 0, 4*numOps)
+	for op := byte(0); op < 2*numOps; op++ {
+		every = append(every, op%numOps, op)
 	}
 	for _, backend := range BackendNames() {
 		runs := 300
@@ -266,6 +516,27 @@ func FuzzKeyringOps(f *testing.F) {
 		1, 5, // b's triple, under the other seed
 		11, 2, // c signs, and a tampered copy
 		10, 1, // render one now
+	})
+	f.Add([]byte{
+		0,     // ed25519
+		12, 0, // a signs chi "ab"/"a"/"c"
+		12, 37, // c signs a promise
+		12, 11, // b signs a guarantee
+		12, 3, // a signs a decision certificate
+		12, 4, // a signs a receipt
+		13, 1, // verify the promise
+		14, 0, // the chi as "a"/"ba"/"c": a byte moved across the field boundary
+		14, 22, // the guarantee under another escrow
+		14, 2, // the guarantee with its window moved
+		14, 7, // the guarantee to another customer
+		14, 3, // the decision certificate with a byte moved into its manager
+		15, 3, // render the decision certificate late, and verify it as Raw
+		16, 2, // the guarantee's signature under another artefact
+		7, 0, // Add a, replacing its key
+		13, 0, // the chi signed under a's old key
+		8, 0, // Reset to {a}: every typed signature is stale
+		12, 5, // a signs chi again
+		13, 5, // and it verifies
 	})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {

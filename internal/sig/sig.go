@@ -15,11 +15,13 @@
 // (backend, seed, id), so per-payment keyrings stop paying keygen per
 // participant) and signatures kept as the records of the ideal signature
 // functionality F_SIG (Canetti, CSFW 2004). Sign records a term — this
-// signer signed this payload — and hands out a handle on it; the bit string
-// is rendered by the backend only when something reads it. Verifying a term
-// the keyring recorded since its last Reset is a comparison, and only
-// anything else — a forgery, a tampered artefact, another keyring's
-// signature — is rendered and paid to the backend. Every backend signs
+// signer signed this message — and hands out a handle on it; the bit string
+// is rendered by the backend only when something reads it. A typed
+// artefact's term holds its kind and fields, and their canonical encoding is
+// rendered only for the backend. Verifying a term the keyring recorded since
+// its last Reset is a comparison of signer and fields, and only anything
+// else — a forgery, a tampered artefact, another keyring's signature — is
+// rendered and paid to the backend. Every backend signs
 // deterministically and accepts every signature it produces, so a late
 // rendering is the bytes Sign would have produced and the comparison answers
 // what the backend would: neither mechanism can move a verdict.
@@ -33,25 +35,26 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/sim"
 )
 
-// Signature is a detached signature over a canonical payload encoding, held
-// as a handle on the term Sign recorded (or on bytes Raw wraps). The zero
+// Signature is a detached signature over a canonical encoding, held as a
+// handle on the term Sign recorded (or on bytes Raw wraps). The zero
 // Signature is the absent signature: it renders nil and never verifies.
 type Signature struct {
 	t   *term
 	gen uint64 // the generation of t's keyring when Sign recorded t
 }
 
-// term is what Sign records: kr signed payload (copied into kr's arena) for
-// signer with s. rendered is nil until read; a Raw term has nothing else.
+// term is what Sign records: kr signed c for signer with s. rendered is nil
+// until read; a Raw term has nothing else.
 type term struct {
 	kr       *Keyring
 	signer   string
 	s        signer
-	payload  []byte
+	c        content
 	rendered []byte
 }
 
@@ -70,7 +73,8 @@ func (s Signature) Bytes() []byte {
 		return nil
 	}
 	if t.rendered == nil && t.kr != nil {
-		b := t.s.sign(t.payload)
+		t.kr.buf = t.c.render(t.kr.buf[:0])
+		b := t.s.sign(t.kr.buf)
 		t.rendered = t.kr.arena.take(len(b), arenaChunk)
 		copy(t.rendered, b)
 		t.kr.stats.Rendered++
@@ -149,7 +153,7 @@ func (a *arena[T]) rewind() { a.used = 0 }
 //
 // A keyring is confined to its protocol run's goroutine (like the run's
 // sim.Engine): Sign, Verify, Add and Reset mutate the terms, the key map, the
-// bound signers, the arena and the payload scratch without locking, and so
+// bound signers, the arena and the rendering scratch without locking, and so
 // do the Bytes and String of a Signature it signed, which render into its
 // arena. The process-wide key cache behind Add is concurrency-safe, so any
 // number of runs may build keyrings for the same (seed, id) concurrently.
@@ -174,8 +178,8 @@ type Keyring struct {
 	// Add that names it holds it again. held counts those held.
 	keys []keyEntry
 	held int
-	// arena holds the signed payloads and rendered signatures, terms the
-	// terms Sign records.
+	// arena holds the raw payloads signed and the signatures rendered, terms
+	// the terms Sign records.
 	arena arena[byte]
 	terms arena[term]
 	// parts caches the sorted participant list; nil means dirty
@@ -189,8 +193,8 @@ type Keyring struct {
 	// record is false when every verification must pay the backend.
 	record bool
 	stats  Stats
-	// buf is the scratch the typed artefacts build their canonical payloads
-	// in; a payload is consumed by Sign or Verify before the next is built.
+	// buf is the scratch render builds canonical encodings in, for the
+	// backend or a raw Verify; each is consumed before the next is built.
 	buf []byte
 }
 
@@ -417,14 +421,15 @@ func (kr *Keyring) signer(pid int) (signer, bool) {
 //
 //xchain:hotpath
 func (kr *Keyring) SignAs(pid sim.PID, payload []byte) Signature {
-	s, ok := kr.signer(int(pid))
-	if !ok {
-		return Signature{}
+	sig := kr.sign(pid, &content{})
+	if sig.t != nil {
+		// The term holds its copy of the payload, in the arena it is
+		// recorded with.
+		b := kr.arena.take(len(payload), arenaChunk)
+		copy(b, payload)
+		sig.t.c.f[0] = unsafe.String(unsafe.SliceData(b), len(b))
 	}
-	t := &kr.terms.take(1, termChunk)[0]
-	*t = term{kr: kr, signer: kr.keys[pid].id, s: s, payload: kr.arena.take(len(payload), arenaChunk)}
-	copy(t.payload, payload)
-	return Signature{t: t, gen: kr.gen}
+	return sig
 }
 
 // Sign is SignAs for the participant named id.
@@ -432,20 +437,81 @@ func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	return kr.SignAs(sim.PID(kr.index(id)), payload)
 }
 
+// sign records that the participant under pid signed c.
+//
+//xchain:hotpath
+func (kr *Keyring) sign(pid sim.PID, c *content) Signature {
+	s, ok := kr.signer(int(pid))
+	if !ok {
+		return Signature{}
+	}
+	t := &kr.terms.take(1, termChunk)[0]
+	t.kr, t.signer, t.s, t.c, t.rendered = kr, kr.keys[pid].id, s, *c, nil
+	return Signature{t: t, gen: kr.gen}
+}
+
+// recorded returns the term of sig if it answers a verification of signer
+// on kr without the backend: kr recorded it, in its current generation, for
+// signer.
+//
+//xchain:hotpath
+func (kr *Keyring) recorded(signer string, sig Signature) *term {
+	if t := sig.t; kr.record && t != nil && t.kr == kr && sig.gen == kr.gen && t.signer == signer {
+		return t
+	}
+	return nil
+}
+
 // Verify checks that signer produced sig over payload. A term this keyring
 // recorded in its current generation, by the same signer over an equal
 // payload, is answered true with no backend operation (a record hit):
-// re-verifying chi at every hop of a chain costs a comparison. Anything else
-// is rendered and paid to the backend (a miss).
+// re-verifying chi at every hop of a chain costs a comparison. A typed
+// artefact's term is rendered to its canonical encoding to be compared.
+// Anything else is rendered and paid to the backend (a miss).
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
-	t := sig.t
-	if t == nil {
-		return false
+	if t := kr.recorded(signer, sig); t != nil {
+		var same bool
+		if t.c.kind == kindRaw {
+			same = t.c.f[0] == string(payload)
+		} else {
+			kr.buf = t.c.render(kr.buf[:0])
+			same = bytes.Equal(kr.buf, payload)
+		}
+		if same {
+			kr.hit()
+			return true
+		}
 	}
-	if kr.record && t.kr == kr && sig.gen == kr.gen && t.signer == signer && bytes.Equal(t.payload, payload) {
-		kr.stats.MemoHits++
-		globalMemoHits.Add(1)
+	return kr.miss(signer, payload, nil, sig)
+}
+
+// verify checks that signer signed the typed artefact c in sig: for a term
+// recorded on kr, a comparison of signer, generation and fields; else the
+// backend's answer over c's canonical encoding.
+//
+//xchain:hotpath
+func (kr *Keyring) verify(signer string, c *content, sig Signature) bool {
+	if t := kr.recorded(signer, sig); t != nil && t.c == *c {
+		kr.hit()
 		return true
+	}
+	return kr.miss(signer, nil, c, sig)
+}
+
+// hit counts a verification answered from the record.
+//
+//xchain:hotpath
+func (kr *Keyring) hit() {
+	kr.stats.MemoHits++
+	globalMemoHits.Add(1)
+}
+
+// miss answers a verification the record did not: the backend checks sig's
+// bytes under signer's key, over payload or, for a typed artefact, over c's
+// canonical encoding.
+func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature) bool {
+	if sig.t == nil {
+		return false
 	}
 	s, ok := kr.signer(kr.index(signer))
 	if !ok {
@@ -454,6 +520,11 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	b := sig.Bytes()
 	if len(b) == 0 {
 		return false
+	}
+	if c != nil {
+		// After the bytes, which may have been rendered in the same scratch.
+		kr.buf = c.render(kr.buf[:0])
+		payload = kr.buf
 	}
 	kr.stats.MemoMisses++
 	globalMemoMisses.Add(1)
@@ -464,25 +535,66 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 // aggregates across keyrings).
 func (kr *Keyring) Stats() Stats { return kr.stats }
 
-// A typed artefact's canonical payload is its kind followed by its fields,
-// each length-prefixed so distinct field values can never collide: strings
-// and byte slices as their bytes, integers and times as eight big-endian
-// bytes. The payload functions below build it with typed appends into the
-// keyring's scratch (payload building runs per artefact on the signing hot
-// path); the result is valid until the keyring builds its next payload. They
-// read the artefact in place, as do its Sign and Verify: an artefact lives in
-// the message that carries it, and is signed there, not built aside and
-// copied in.
+// content is what a term records as signed: a typed artefact's kind and
+// fields, compared with ==, or (kindRaw) a raw payload, held in f[0]. Every
+// artefact has three string fields and one to three times; the unused times
+// are zero.
+type content struct {
+	kind kind
+	f    [3]string
+	t    [3]sim.Time
+}
+
+// kind tells the typed artefacts apart.
+type kind uint8
+
+const (
+	kindRaw kind = iota
+	kindChi
+	kindGuarantee
+	kindPromise
+	kindDecision
+	kindReceipt
+)
+
+// kindTags are the kinds' first fields in their canonical encodings, and
+// kindTimes how many times each encodes.
+var (
+	kindTags  = [...]string{kindChi: "chi", kindGuarantee: "guarantee", kindPromise: "promise", kindDecision: "decision", kindReceipt: "receipt"}
+	kindTimes = [...]int{kindChi: 1, kindGuarantee: 2, kindPromise: 3, kindDecision: 1, kindReceipt: 1}
+)
+
+// render appends c's canonical encoding to b and returns it: a raw payload
+// as it is, and a typed artefact as its kind followed by its fields, each
+// length-prefixed so distinct field values can never collide — strings as
+// their bytes, times as eight big-endian bytes. It is what the backend signs
+// and verifies, so it runs only for the backend (a signature's Bytes, a
+// verification the record does not answer) and for a raw Verify against a
+// typed term: a signature and its verification on the record compare
+// content.
+func (c *content) render(b []byte) []byte {
+	if c.kind == kindRaw {
+		return append(b, c.f[0]...)
+	}
+	b = appendField(b, kindTags[c.kind])
+	for _, f := range c.f {
+		b = appendField(b, f)
+	}
+	for _, t := range c.t[:kindTimes[c.kind]] {
+		b = binary.BigEndian.AppendUint64(b, 8)
+		b = binary.BigEndian.AppendUint64(b, uint64(t))
+	}
+	return b
+}
 
 func appendField(b []byte, f string) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(len(f)))
 	return append(b, f...)
 }
 
-func appendTime(b []byte, t sim.Time) []byte {
-	b = binary.BigEndian.AppendUint64(b, 8)
-	return binary.BigEndian.AppendUint64(b, uint64(t))
-}
+// An artefact is signed and verified in place, in the message that carries
+// it: its Sign records its content as the term, and its Verify compares its
+// content with the term's.
 
 // PaymentCert is the certificate chi: a statement signed by Bob that Alice's
 // obligation to pay him has been met (Definition 1).
@@ -494,32 +606,35 @@ type PaymentCert struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) paymentCertPayload(c *PaymentCert) []byte {
-	b := appendField(kr.buf[:0], "chi")
-	b = appendField(b, c.PaymentID)
-	b = appendField(b, c.Issuer)
-	b = appendField(b, c.Payer)
-	kr.buf = appendTime(b, c.IssuedAt)
-	return kr.buf
+func (c *PaymentCert) content() content {
+	return content{kind: kindChi, f: [3]string{c.PaymentID, c.Issuer, c.Payer}, t: [3]sim.Time{c.IssuedAt}}
 }
 
 // NewPaymentCert builds and signs chi with issuer's key.
 func NewPaymentCert(kr *Keyring, paymentID, issuer, payer string, at sim.Time) PaymentCert {
 	c := PaymentCert{PaymentID: paymentID, Issuer: issuer, Payer: payer, IssuedAt: at}
-	c.Sig = kr.Sign(issuer, kr.paymentCertPayload(&c))
+	c.Sign(kr, sim.PID(kr.index(issuer)))
 	return c
 }
 
 // Sign signs chi as it stands with the key under by, its issuer's PID, into
 // Sig.
-func (c *PaymentCert) Sign(kr *Keyring, by sim.PID) { c.Sig = kr.SignAs(by, kr.paymentCertPayload(c)) }
+//
+//xchain:hotpath
+func (c *PaymentCert) Sign(kr *Keyring, by sim.PID) {
+	cc := c.content()
+	c.Sig = kr.sign(by, &cc)
+}
 
 // Verify checks chi's signature against the expected issuer.
+//
+//xchain:hotpath
 func (c *PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 	if c.Issuer != expectedIssuer {
 		return false
 	}
-	return kr.Verify(c.Issuer, kr.paymentCertPayload(c), c.Sig)
+	cc := c.content()
+	return kr.verify(c.Issuer, &cc, c.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -539,30 +654,32 @@ type Guarantee struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) guaranteePayload(g *Guarantee) []byte {
-	b := appendField(kr.buf[:0], "guarantee")
-	b = appendField(b, g.PaymentID)
-	b = appendField(b, g.Escrow)
-	b = appendField(b, g.Customer)
-	b = appendTime(b, g.D)
-	kr.buf = appendTime(b, g.IssuedAt)
-	return kr.buf
+func (g *Guarantee) content() content {
+	return content{kind: kindGuarantee, f: [3]string{g.PaymentID, g.Escrow, g.Customer}, t: [3]sim.Time{g.D, g.IssuedAt}}
 }
 
 // NewGuarantee builds and signs G(d).
 func NewGuarantee(kr *Keyring, paymentID, escrow, customer string, d, at sim.Time) Guarantee {
 	g := Guarantee{PaymentID: paymentID, Escrow: escrow, Customer: customer, D: d, IssuedAt: at}
-	g.Sig = kr.Sign(escrow, kr.guaranteePayload(&g))
+	g.Sign(kr, sim.PID(kr.index(escrow)))
 	return g
 }
 
 // Sign signs G(d) as it stands with the key under by, its escrow's PID, into
 // Sig.
-func (g *Guarantee) Sign(kr *Keyring, by sim.PID) { g.Sig = kr.SignAs(by, kr.guaranteePayload(g)) }
+//
+//xchain:hotpath
+func (g *Guarantee) Sign(kr *Keyring, by sim.PID) {
+	c := g.content()
+	g.Sig = kr.sign(by, &c)
+}
 
 // Verify checks the guarantee's signature against its stated escrow.
+//
+//xchain:hotpath
 func (g *Guarantee) Verify(kr *Keyring) bool {
-	return kr.Verify(g.Escrow, kr.guaranteePayload(g), g.Sig)
+	c := g.content()
+	return kr.verify(g.Escrow, &c, g.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -596,31 +713,32 @@ type Promise struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) promisePayload(p *Promise) []byte {
-	b := appendField(kr.buf[:0], "promise")
-	b = appendField(b, p.PaymentID)
-	b = appendField(b, p.Escrow)
-	b = appendField(b, p.Customer)
-	b = appendTime(b, p.A)
-	b = appendTime(b, p.Epsilon)
-	kr.buf = appendTime(b, p.IssuedAt)
-	return kr.buf
+func (p *Promise) content() content {
+	return content{kind: kindPromise, f: [3]string{p.PaymentID, p.Escrow, p.Customer}, t: [3]sim.Time{p.A, p.Epsilon, p.IssuedAt}}
 }
 
 // NewPromise builds and signs P(a).
 func NewPromise(kr *Keyring, paymentID, escrow, customer string, a, epsilon, at sim.Time) Promise {
 	p := Promise{PaymentID: paymentID, Escrow: escrow, Customer: customer, A: a, Epsilon: epsilon, IssuedAt: at}
-	p.Sig = kr.Sign(escrow, kr.promisePayload(&p))
+	p.Sign(kr, sim.PID(kr.index(escrow)))
 	return p
 }
 
 // Sign signs P(a) as it stands with the key under by, its escrow's PID, into
 // Sig.
-func (p *Promise) Sign(kr *Keyring, by sim.PID) { p.Sig = kr.SignAs(by, kr.promisePayload(p)) }
+//
+//xchain:hotpath
+func (p *Promise) Sign(kr *Keyring, by sim.PID) {
+	c := p.content()
+	p.Sig = kr.sign(by, &c)
+}
 
 // Verify checks the promise's signature against its stated escrow.
+//
+//xchain:hotpath
 func (p *Promise) Verify(kr *Keyring) bool {
-	return kr.Verify(p.Escrow, kr.promisePayload(p), p.Sig)
+	c := p.content()
+	return kr.verify(p.Escrow, &c, p.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -655,13 +773,8 @@ type DecisionCert struct {
 	Quorum int
 }
 
-func (kr *Keyring) decisionPayload(c *DecisionCert) []byte {
-	b := appendField(kr.buf[:0], "decision")
-	b = appendField(b, c.PaymentID)
-	b = appendField(b, string(c.Decision))
-	b = appendField(b, c.Manager)
-	kr.buf = appendTime(b, c.IssuedAt)
-	return kr.buf
+func (c *DecisionCert) content() content {
+	return content{kind: kindDecision, f: [3]string{c.PaymentID, string(c.Decision), c.Manager}, t: [3]sim.Time{c.IssuedAt}}
 }
 
 // NewCommitteeDecisionCert creates a certificate carrying one signature per
@@ -669,10 +782,11 @@ func (kr *Keyring) decisionPayload(c *DecisionCert) []byte {
 // for a single manager that signs alone).
 func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committee string, at sim.Time, signers []string, quorum int) DecisionCert {
 	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: committee, IssuedAt: at, Quorum: quorum, Signers: slices.Clone(signers)}
-	payload := kr.decisionPayload(&c)
-	for _, s := range c.Signers {
-		c.Sigs = append(c.Sigs, kr.Sign(s, payload))
+	by := make([]sim.PID, len(signers))
+	for i, s := range signers {
+		by[i] = sim.PID(kr.index(s))
 	}
+	c.Sign(kr, by)
 	return c
 }
 
@@ -680,21 +794,25 @@ func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committ
 // Signers, by[i] being Signers[i]'s PID, into Sigs, whose storage it reuses:
 // an issuer that keeps one certificate and rewrites it per run
 // (internal/notary) issues without allocating. What Sigs held before is gone.
+//
+//xchain:hotpath
 func (c *DecisionCert) Sign(kr *Keyring, by []sim.PID) {
-	payload := kr.decisionPayload(c)
+	cc := c.content()
 	c.Sigs = c.Sigs[:0]
 	for _, pid := range by {
-		c.Sigs = append(c.Sigs, kr.SignAs(pid, payload))
+		c.Sigs = append(c.Sigs, kr.sign(pid, &cc))
 	}
 }
 
 // Verify checks that the certificate carries at least Quorum valid
 // signatures from distinct signers.
+//
+//xchain:hotpath
 func (c *DecisionCert) Verify(kr *Keyring) bool {
 	if len(c.Signers) != len(c.Sigs) || c.Quorum <= 0 {
 		return false
 	}
-	payload := kr.decisionPayload(c)
+	cc := c.content()
 	valid := 0
 	// verified[j] records whether entry j's signature verified; a signer
 	// counts once, so a later entry under an already-verified name is
@@ -710,7 +828,7 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 				break
 			}
 		}
-		ok := !dup && kr.Verify(s, payload, c.Sigs[i])
+		ok := !dup && kr.verify(s, &cc, c.Sigs[i])
 		verified = append(verified, ok)
 		if ok {
 			valid++
@@ -735,25 +853,32 @@ type Receipt struct {
 	Sig       Signature
 }
 
-func (kr *Keyring) receiptPayload(r *Receipt) []byte {
-	b := appendField(kr.buf[:0], "receipt")
-	b = appendField(b, r.PaymentID)
-	b = appendField(b, r.Issuer)
-	b = appendField(b, r.Subject)
-	kr.buf = appendTime(b, r.IssuedAt)
-	return kr.buf
+func (r *Receipt) content() content {
+	return content{kind: kindReceipt, f: [3]string{r.PaymentID, r.Issuer, r.Subject}, t: [3]sim.Time{r.IssuedAt}}
 }
 
 // NewReceipt builds and signs a receipt.
 func NewReceipt(kr *Keyring, paymentID, issuer, subject string, at sim.Time) Receipt {
 	r := Receipt{PaymentID: paymentID, Issuer: issuer, Subject: subject, IssuedAt: at}
-	r.Sig = kr.Sign(issuer, kr.receiptPayload(&r))
+	r.Sign(kr, sim.PID(kr.index(issuer)))
 	return r
 }
 
+// Sign signs the receipt as it stands with the key under by, its issuer's
+// PID, into Sig.
+//
+//xchain:hotpath
+func (r *Receipt) Sign(kr *Keyring, by sim.PID) {
+	c := r.content()
+	r.Sig = kr.sign(by, &c)
+}
+
 // Verify checks the receipt's signature.
+//
+//xchain:hotpath
 func (r *Receipt) Verify(kr *Keyring) bool {
-	return kr.Verify(r.Issuer, kr.receiptPayload(r), r.Sig)
+	c := r.content()
+	return kr.verify(r.Issuer, &c, r.Sig)
 }
 
 // Describe implements a human-readable label.

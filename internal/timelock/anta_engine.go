@@ -122,7 +122,8 @@ type antaEscrow struct {
 	fault               core.FaultSpec
 	led                 *ledger.Ledger
 	amount              int64
-	lockID              string // set when the lock is created
+	lock                ledger.Handle // set when the lock is created
+	lockID              string        // the lock's ID, rendered when a trace records
 
 	msgG     MsgGuarantee
 	msgP     MsgPromise
@@ -156,8 +157,10 @@ func escrowMatchMoney(ctx *anta.Context, from core.PID, msg netsim.Message) bool
 //xchain:hotpath
 func escrowLock(ctx *anta.Context) {
 	e := ctx.Adapter().(*antaEscrow)
-	e.lockID = e.env.w.LockID(e.i)
-	if _, err := e.led.Escrow(e.env.eng.Now(), e.lockID, e.upPID, e.downPID, e.amount, ledger.Condition{}); err == nil && e.env.tr.Recording() {
+	lock, err := e.led.EscrowHop(e.env.eng.Now(), e.env.scn.Spec.PaymentID, e.i, e.upPID, e.downPID, e.amount, ledger.Condition{})
+	e.lock = lock
+	if err == nil && e.env.tr.Recording() {
+		e.lockID = lock.ID()
 		e.env.tr.AddValue(e.env.eng.Now(), trace.KindLock, e.id, e.up, e.lockID, e.amount)
 	}
 }
@@ -229,7 +232,7 @@ func escrowEmitCommit(ctx *anta.Context) {
 	if !e.fault.WithholdCertificate && !e.fault.Silent {
 		ctx.Send(e.upPID, e.chi)
 	}
-	if err := e.led.Release(e.env.eng.Now(), e.lockID, nil, 0); err == nil {
+	if err := e.led.ReleaseLock(e.env.eng.Now(), e.lock, nil, 0); err == nil {
 		if e.env.tr.Recording() {
 			e.env.tr.AddValue(e.env.eng.Now(), trace.KindRelease, e.id, e.down, e.lockID, e.amount)
 		}
@@ -246,7 +249,7 @@ func escrowEmitRefund(ctx *anta.Context) {
 	if e.steals() {
 		return
 	}
-	if err := e.led.Refund(e.env.eng.Now(), e.lockID, ctx.Now()); err == nil {
+	if err := e.led.RefundLock(e.env.eng.Now(), e.lock, ctx.Now()); err == nil {
 		if e.env.tr.Recording() {
 			e.env.tr.AddValue(e.env.eng.Now(), trace.KindRefund, e.id, e.up, e.lockID, e.amount)
 		}
@@ -426,7 +429,7 @@ func (ae *antaEngine) reset(e *env) {
 		}
 		x.pid, x.upPID, x.downPID = e.w.EscrowPID(i), e.w.CustomerPID(i), e.w.CustomerPID(i+1)
 		x.auto, x.fault, x.amount = &ae.autos[topo.N+1+i], e.w.FaultOf(x.pid), e.scn.Spec.AmountVia(i)
-		x.lockID, x.chi = "", nil
+		x.lock, x.lockID, x.chi = ledger.Handle{}, "", nil
 		x.auto.Reset(f.escrow, x.id, x.pid, x, compute, e.w.EscrowClock(i), e.net, e.tr)
 	}
 	if resized {

@@ -110,8 +110,9 @@ type escrowProc struct {
 	fault               core.FaultSpec
 
 	lockCreated bool
-	lockID      string   // set when the lock is created
-	promiseAt   sim.Time // local time u at which P(a_i) was issued
+	lock        ledger.Handle // set when the lock is created
+	lockID      string        // the lock's ID, rendered when a trace records
+	promiseAt   sim.Time      // local time u at which P(a_i) was issued
 	timeout     sim.Timer
 	settled     bool // the lock has been released or refunded (or stolen)
 	crashed     bool
@@ -142,7 +143,7 @@ func (p *escrowProc) reset(e *env) {
 	p.clk = e.w.EscrowClock(p.i)
 	p.pid, p.upPID, p.downPID = e.w.EscrowPID(p.i), e.w.CustomerPID(p.i), e.w.CustomerPID(p.i+1)
 	p.fault = e.w.FaultOf(p.pid)
-	p.lockCreated, p.lockID, p.promiseAt, p.timeout = false, "", 0, sim.Timer{}
+	p.lockCreated, p.lock, p.lockID, p.promiseAt, p.timeout = false, ledger.Handle{}, "", 0, sim.Timer{}
 	p.settled, p.crashed, p.done, p.chi = false, false, false, nil
 }
 
@@ -204,8 +205,8 @@ func (p *escrowProc) onMoney(from core.PID, m *MsgMoney) {
 		}, nil)
 		return
 	}
-	p.lockID = p.env.w.LockID(p.i)
-	if _, err := p.led.Escrow(p.env.eng.Now(), p.lockID, p.upPID, p.downPID, want, ledger.Condition{}); err != nil {
+	lock, err := p.led.EscrowHop(p.env.eng.Now(), p.env.scn.Spec.PaymentID, p.i, p.upPID, p.downPID, want, ledger.Condition{})
+	if err != nil {
 		// A failed lock is the escrow's own inability to execute its role,
 		// not a rejection of peer input: a violation, never excused.
 		p.env.w.Report(trace.Event{
@@ -214,8 +215,11 @@ func (p *escrowProc) onMoney(from core.PID, m *MsgMoney) {
 		}, nil)
 		return
 	}
-	p.lockCreated = true
-	p.env.tr.AddValue(p.env.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
+	p.lock, p.lockCreated = lock, true
+	if p.env.tr.Recording() {
+		p.lockID = lock.ID()
+		p.env.tr.AddValue(p.env.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
+	}
 
 	if p.fault.Silent {
 		// A silent escrow swallows the money: it never issues P(a_i), never
@@ -298,7 +302,7 @@ func escrowSettle(x any) {
 	if !p.fault.WithholdCertificate && !p.fault.Silent {
 		p.env.net.Post(p.pid, p.upPID, p.chi)
 	}
-	if err := p.led.Release(p.env.eng.Now(), p.lockID, nil, 0); err == nil {
+	if err := p.led.ReleaseLock(p.env.eng.Now(), p.lock, nil, 0); err == nil {
 		amount := p.env.scn.Spec.AmountVia(p.i)
 		if recording {
 			p.env.tr.AddValue(p.env.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
@@ -347,7 +351,7 @@ func escrowRefund(x any) {
 		return
 	}
 	recording := p.env.tr.Recording()
-	if err := p.led.Refund(p.env.eng.Now(), p.lockID, p.clk.Now()); err == nil {
+	if err := p.led.RefundLock(p.env.eng.Now(), p.lock, p.clk.Now()); err == nil {
 		amount := p.env.scn.Spec.AmountVia(p.i)
 		if recording {
 			p.env.tr.AddValue(p.env.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)

@@ -73,7 +73,8 @@ type escrowProc struct {
 	fault               core.FaultSpec
 
 	lockCreated bool
-	lockID      string // set when the lock is created
+	lock        ledger.Handle // set when the lock is created
+	lockID      string        // the lock's ID, rendered when a trace records
 	settled     bool
 	crashed     bool
 	// decided is the decision of the first valid certificate seen ("" until
@@ -140,13 +141,16 @@ func (p *escrowProc) onPay(from core.PID, m *MsgPay) {
 		p.run.w.Report(trace.Event{Kind: trace.KindDetection, Actor: p.id, Peer: p.up, Label: "wrong-amount", Value: m.Amount}, nil)
 		return
 	}
-	p.lockID = p.run.w.LockID(p.i)
-	if _, err := p.led.Escrow(p.run.eng.Now(), p.lockID, p.upPID, p.downPID, want, ledger.Condition{}); err != nil {
+	lock, err := p.led.EscrowHop(p.run.eng.Now(), p.run.scn.Spec.PaymentID, p.i, p.upPID, p.downPID, want, ledger.Condition{})
+	if err != nil {
 		p.run.w.Report(trace.Event{Kind: trace.KindViolation, Actor: p.id, Peer: p.up, Label: "lock-failed", Value: want}, nil)
 		return
 	}
-	p.lockCreated = true
-	p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
+	p.lock, p.lockCreated = lock, true
+	if p.run.tr.Recording() {
+		p.lockID = lock.ID()
+		p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
+	}
 	if p.decided != "" {
 		// The manager decided before this payment arrived (an early abort):
 		// settle the freshly created lock right away so the customer is not
@@ -219,7 +223,7 @@ func escrowSettle(x any) {
 	amount := p.run.scn.Spec.AmountVia(p.i)
 	switch p.decided {
 	case sig.DecisionCommit:
-		if err := p.led.Release(p.run.eng.Now(), p.lockID, nil, 0); err == nil {
+		if err := p.led.ReleaseLock(p.run.eng.Now(), p.lock, nil, 0); err == nil {
 			if recording {
 				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRelease, p.id, p.down, p.lockID, amount)
 			}
@@ -229,7 +233,7 @@ func escrowSettle(x any) {
 			}
 		}
 	case sig.DecisionAbort:
-		if err := p.led.Refund(p.run.eng.Now(), p.lockID, p.clk.Now()); err == nil {
+		if err := p.led.RefundLock(p.run.eng.Now(), p.lock, p.clk.Now()); err == nil {
 			if recording {
 				p.run.tr.AddValue(p.run.eng.Now(), trace.KindRefund, p.id, p.up, p.lockID, amount)
 			}
