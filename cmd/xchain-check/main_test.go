@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -44,5 +45,28 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)
+	}
+}
+
+// TestRunGolden pins the report byte for byte: the safety audit's counts and
+// every finding of the Theorem-2 search at -n 2 -seeds 2. Regenerate with
+// XCHAIN_REGEN_GOLDEN=1 after a deliberate change to either.
+func TestRunGolden(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-n", "2", "-seeds", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	const golden = "testdata/n2-seeds2.txt"
+	if os.Getenv("XCHAIN_REGEN_GOLDEN") == "1" {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Fatalf("report drifted from %s:\n%s", golden, out.String())
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -127,6 +128,26 @@ func TestRunE4ReproducesTheorem2(t *testing.T) {
 	}
 	if !strings.Contains(out, "control: the same candidates satisfy Definition 1 under synchrony: yes") {
 		t.Errorf("E4 control group failed:\n%s", out)
+	}
+}
+
+// TestRunE4Golden pins E4's table at the quick configuration byte for byte:
+// every candidate's findings, durations included, and the control. Regenerate
+// with XCHAIN_REGEN_GOLDEN=1 after a deliberate change to the search.
+func TestRunE4Golden(t *testing.T) {
+	got := RunE4(Quick()).String()
+	const golden = "testdata/e4-quick.txt"
+	if os.Getenv("XCHAIN_REGEN_GOLDEN") == "1" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("E4 drifted from %s:\n%s", golden, got)
 	}
 }
 
