@@ -14,13 +14,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/explore"
+	"repro/internal/scenariogen"
 	"repro/internal/timelock"
 )
 
@@ -77,9 +76,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintln(stdout, "=== impossibility exploration: Theorem 2 under partial synchrony ===")
-	opts := explore.DefaultOptions()
-	opts.N = *n
-	findings := explore.SearchImpossibility(opts)
+	theorem2Seeds := []int64{1, 2, 3}
+	findings := scenariogen.SearchTheorem2(*n, theorem2Seeds)
 	for _, f := range findings {
 		props := make([]string, 0, len(f.Violated))
 		for _, pr := range f.Violated {
@@ -91,30 +89,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%-20s vs %-20s -> %s\n", f.Candidate, f.Attack, label)
 	}
-	if err := explore.VerifyTheorem2(findings); err != nil {
+	if err := scenariogen.VerifyTheorem2(findings); err != nil {
 		fmt.Fprintf(stdout, "THEOREM 2 NOT REPRODUCED: %v\n", err)
 		failed = true
 	} else {
 		fmt.Fprintln(stdout, "reproduced: every candidate protocol fails Definition 1 under some partial-synchrony attack")
 	}
-	control, err := explore.ControlUnderSynchrony(opts)
-	if err != nil {
-		fmt.Fprintf(stderr, "control error: %v\n", err)
+	for _, cand := range scenariogen.ControlUnderSynchrony(*n, theorem2Seeds) {
+		fmt.Fprintf(stdout, "control FAILED: %s violates Definition 1 even under synchrony\n", cand)
 		failed = true
-	} else {
-		// Report in sorted candidate order: map iteration would print
-		// failures in a different order on every run.
-		cands := make([]string, 0, len(control))
-		for cand := range control {
-			cands = append(cands, cand)
-		}
-		sort.Strings(cands)
-		for _, cand := range cands {
-			if !control[cand] {
-				fmt.Fprintf(stdout, "control FAILED: %s violates Definition 1 even under synchrony\n", cand)
-				failed = true
-			}
-		}
 	}
 
 	if failed {

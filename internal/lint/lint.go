@@ -129,13 +129,11 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/check":       true,
 	"repro/internal/checkpoint":  true,
 	// Not named by the original contract list but equally inside the
-	// deterministic world: local clocks, traces, adversary behaviours, the
-	// exhaustive explorer and the stats reductions all run under virtual
-	// time.
+	// deterministic world: local clocks, traces, adversary behaviours and
+	// the stats reductions all run under virtual time.
 	"repro/internal/clock":     true,
 	"repro/internal/trace":     true,
 	"repro/internal/adversary": true,
-	"repro/internal/explore":   true,
 	"repro/internal/stats":     true,
 	"repro/internal/sig":       true,
 }

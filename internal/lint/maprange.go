@@ -13,17 +13,18 @@ import (
 // Go randomises map iteration order per run, so any loop body that
 // *publishes* its iteration order — scheduling events, sending messages or
 // on channels, drawing RNG values, appending to a slice, building a string,
-// writing to a stream — makes the run irreproducible. This is exactly the
-// bug class PR 2 fixed by hand in netsim.Broadcast. The analyzer recognises
-// the two sanctioned idioms: iterate a sorted key slice instead of the map,
-// or append map keys/values and sort the slice later in the same function.
+// writing to a stream, returning the first entry that matches — makes the
+// run irreproducible. This is exactly the bug class PR 2 fixed by hand in
+// netsim.Broadcast. The analyzer recognises the two sanctioned idioms:
+// iterate a sorted key slice instead of the map, or append map keys/values
+// and sort the slice later in the same function.
 // Bodies that only fold into commutative accumulators (counters, sums,
 // max/min, other maps) are inherently order-insensitive and never flagged.
 // Sites where unordered iteration is provably fine carry a justified
 // //lint:maporder annotation.
 var Maprange = &Analyzer{
 	Name: "maprange",
-	Doc:  "flag range over a map whose body is order-sensitive (schedules, sends, appends, draws RNG, builds output) unless keys are sorted",
+	Doc:  "flag range over a map whose body is order-sensitive (schedules, sends, appends, draws RNG, builds output, returns an entry) unless keys are sorted",
 	Run:  runMaprange,
 }
 
@@ -169,6 +170,29 @@ func orderSensitive(pass *Pass, rng *ast.RangeStmt, encl ast.Node) string {
 			}
 		}
 		return true
+	})
+	if reason == "" {
+		reason = returnsEntry(info, rng)
+	}
+	return reason
+}
+
+// returnsEntry reports a return in the loop body, outside any function
+// literal (which returns from the literal), whose results use a variable
+// declared in the loop: the function then answers with whichever entry the
+// iteration reaches first.
+func returnsEntry(info *types.Info, rng *ast.RangeStmt) (reason string) {
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			ast.Inspect(ret, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok && reason == "" && objDeclaredWithin(info.Uses[id], rng) {
+					reason = fmt.Sprintf("returns %s, the first entry the iteration reaches", id.Name)
+				}
+				return reason == ""
+			})
+		}
+		_, lit := n.(*ast.FuncLit)
+		return reason == "" && !lit
 	})
 	return reason
 }

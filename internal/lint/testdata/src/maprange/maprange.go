@@ -97,6 +97,50 @@ func prints(m map[string]int) string {
 	return b.String()
 }
 
+func returnsFirst(m map[string]int) error {
+	for k, v := range m { // want `range over map m with an order-sensitive body \(returns k, the first entry the iteration reaches\)`
+		if v < 0 {
+			return fmt.Errorf("negative entry %s", k)
+		}
+	}
+	return nil
+}
+
+// An early return of a constant does not say which entry was reached.
+func anyNegative(m map[string]int) bool {
+	for _, v := range m {
+		if v < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// The sorted-keys idiom: the first bad entry is the smallest bad key.
+func returnsFirstSorted(m map[string]int) error {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if m[k] < 0 {
+			return fmt.Errorf("negative entry %s", k)
+		}
+	}
+	return nil
+}
+
+// A return inside a function literal returns from the literal.
+func returnsInLiteral(m map[string]int) int {
+	total := 0
+	for k := range m {
+		length := func() int { return len(k) }
+		total += length()
+	}
+	return total
+}
+
 // Commutative accumulation is inherently order-insensitive.
 func counts(m map[string]int) int {
 	total := 0

@@ -5,8 +5,9 @@
 // and 3 assume partial synchrony (a bound exists but either is unknown or
 // only holds after an unknown global stabilisation time, GST). This package
 // realises those models as pluggable DelayModel implementations over the
-// deterministic simulation kernel, plus adversarial hooks used by the
-// impossibility experiments (E4) to stretch delays against a protocol.
+// deterministic simulation kernel. An adversary is one more DelayModel: the
+// Theorem-2 search (E4) holds protocol messages back with scenariogen.Schedule,
+// and tests script any delay with Adversarial.
 package netsim
 
 import (
@@ -88,14 +89,13 @@ func (s Synchronous) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) {
 }
 
 // PartialSynchrony delivers messages with arbitrary (but finite) delay before
-// GST and within Delta after GST. Before GST the delay is chosen by PreGST if
-// set, otherwise uniformly in [Delta, MaxPreGST].
+// GST and within Delta after GST. Before GST the delay is drawn uniformly
+// from 1 to max(MaxPreGST, Delta), and capped so that the message still
+// arrives by GST + Delta: partial synchrony never loses messages.
 type PartialSynchrony struct {
 	GST       sim.Time
 	Delta     sim.Time
 	MaxPreGST sim.Time
-	// PreGST, if non-nil, chooses the pre-GST delay adversarially.
-	PreGST func(env Envelope, eng *sim.Engine) sim.Time
 }
 
 // Name implements DelayModel.
@@ -109,15 +109,6 @@ func (p PartialSynchrony) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) 
 		}
 		return 1 + sim.Time(eng.Rand().Int63n(int64(p.Delta))), false
 	}
-	if p.PreGST != nil {
-		d := p.PreGST(env, eng)
-		// A message sent before GST is still guaranteed to arrive by
-		// GST + Delta: partial synchrony never loses messages.
-		if env.SentAt+d > p.GST+p.Delta {
-			d = p.GST + p.Delta - env.SentAt
-		}
-		return max(d, 1), false
-	}
 	d := 1 + sim.Time(eng.Rand().Int63n(int64(max(p.MaxPreGST, p.Delta, 1))))
 	if env.SentAt+d > p.GST+p.Delta {
 		d = max(p.GST+p.Delta-env.SentAt, 1)
@@ -128,8 +119,7 @@ func (p PartialSynchrony) Delay(env Envelope, eng *sim.Engine) (sim.Time, bool) 
 // Adversarial lets a strategy pick every delay (and optionally drop
 // messages from/to Byzantine parties): the adversary may delay any message
 // by any finite amount. Tests build strategy delay models with it; the
-// Theorem-2 impossibility search schedules its attacks with
-// explore.Schedule instead.
+// Theorem-2 search schedules its attacks with scenariogen.Schedule instead.
 type Adversarial struct {
 	Strategy func(env Envelope, eng *sim.Engine) (sim.Time, bool)
 	Label    string

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/sim"
-	"repro/internal/timelock"
 	"repro/internal/traffic"
 )
 
@@ -221,18 +219,11 @@ func genViolation(rng *rand.Rand, sp *Spec) {
 	if sp.isTimelockFamily() && rng.Intn(3) < 2 {
 		scales := []float64{1, 2, 8, -1}
 		sp.TimeoutScale = scales[rng.Intn(len(scales))]
-		params := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), true)
-		maxWindow := params.A[0]
-		if sp.TimeoutScale < 0 {
-			maxWindow = 0
-		} else {
-			maxWindow = sim.Time(float64(maxWindow) * sp.TimeoutScale)
-		}
-		names := explore.AttackNames()
+		names := AttackNames()
 		sp.Net = NetworkSpec{
 			Kind:     NetAttack,
 			Attack:   names[rng.Intn(len(names))],
-			Holdback: explore.HoldbackFor(maxWindow),
+			Holdback: sp.attackHoldback(),
 			Fast:     sp.Timing.Delta,
 		}
 		return

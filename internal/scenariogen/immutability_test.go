@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -33,7 +32,7 @@ type msgWatch struct {
 }
 
 // attacks are the schedules a message's head must classify it for.
-var attacks = explore.Attacks(sim.Second)
+var attacks = allAttacks(sim.Second)
 
 type sentMsg struct {
 	msg   netsim.Message
@@ -59,7 +58,7 @@ func (m *msgWatch) Delay(env netsim.Envelope, eng *sim.Engine) (sim.Time, bool) 
 	}
 	for _, a := range attacks {
 		if a.Matches(netsim.HeadOf(env.Msg)) != a.Matches(label) {
-			m.t.Errorf("%s: %s classifies message #%d %q differently by its head %q", m.name, a.Name, env.Seq, label, netsim.HeadOf(env.Msg))
+			m.t.Errorf("%s: %s classifies message #%d %q differently by its head %q", m.name, a.Attack, env.Seq, label, netsim.HeadOf(env.Msg))
 		}
 	}
 	m.sent++

@@ -9,7 +9,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/deals"
-	"repro/internal/explore"
 	"repro/internal/ledger"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -495,9 +494,9 @@ func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep *check.Report, dur
 	for _, p := range rep.Failures() {
 		failed[p] = rep.Verdict(p).Detail
 	}
-	if out.Class == ClassViolating && duration > explore.Horizon {
+	if out.Class == ClassViolating && duration > Horizon {
 		if _, already := failed[core.PropTermination]; !already {
-			failed[core.PropTermination] = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, explore.Horizon)
+			failed[core.PropTermination] = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, Horizon)
 		}
 	}
 	facts := check.Facts{

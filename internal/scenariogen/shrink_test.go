@@ -152,7 +152,7 @@ func TestShrunkSpecDropsOutOfRangeParticipants(t *testing.T) {
 }
 
 // TestReplayCorpus re-executes every committed counterexample in testdata:
-// known Theorem-2 violating schedules (from the internal/explore search) and
+// known Theorem-2 violating schedules (members of the theorem2Spec population) and
 // the first shrunk counterexamples the fuzzer found. Each must reproduce its
 // recorded class, protocol and exact failed-property set, deterministically.
 func TestReplayCorpus(t *testing.T) {

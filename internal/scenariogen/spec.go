@@ -7,10 +7,11 @@
 // The paper's claims are universally quantified: Theorem 1 must hold on
 // every synchronous schedule, Theorem 2 needs only one adversarial schedule,
 // Theorem 3 must hold under any partial-synchrony behaviour. The experiment
-// grids in internal/bench and internal/explore only exercise hand-picked
-// points of those quantifiers; this package samples them. Every scenario is
-// a pure function of one int64 seed, so any failure report reduces to a
-// single number plus this package's version.
+// grids in internal/bench and the Theorem-2 search (theorem2.go: one
+// adversarial population of specs, judged like any other) only exercise
+// hand-picked points of those quantifiers; this package samples them. Every
+// scenario is a pure function of one int64 seed, so any failure report
+// reduces to a single number plus this package's version.
 package scenariogen
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/deals"
-	"repro/internal/explore"
 	"repro/internal/htlc"
 	"repro/internal/netsim"
 	"repro/internal/sig"
@@ -97,7 +97,7 @@ type NetworkSpec struct {
 	// GST and MaxPreGST parametrise partial synchrony (delta is Timing.Delta).
 	GST       sim.Time `json:"gst,omitempty"`
 	MaxPreGST sim.Time `json:"maxPreGST,omitempty"`
-	// Attack names an explore.AttackByName schedule; Holdback is how long
+	// Attack names an AttackByName schedule; Holdback is how long
 	// matched messages are delayed, Fast bounds every other delay.
 	Attack   string   `json:"attack,omitempty"`
 	Holdback sim.Time `json:"holdback,omitempty"`
@@ -259,10 +259,8 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("scenariogen: %s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
 		}
 	}
-	for id, p := range sp.Patience {
-		if p < 0 || int64(p) > maxSpan {
-			return fmt.Errorf("scenariogen: patience of %s %d outside [0, %d]", id, p, maxSpan)
-		}
+	if id, ok := firstBad(sp.Patience, func(p sim.Time) bool { return p < 0 || int64(p) > maxSpan }); ok {
+		return fmt.Errorf("scenariogen: patience of %s %d outside [0, %d]", id, sp.Patience[id], maxSpan)
 	}
 	if sp.Timing.Rho < 0 || sp.Timing.Rho > maxRho {
 		return fmt.Errorf("scenariogen: clock drift %v outside [0, %v]", sp.Timing.Rho, maxRho)
@@ -273,16 +271,14 @@ func (sp Spec) Validate() error {
 	switch sp.Net.Kind {
 	case NetSynchronous, NetPartial:
 	case NetAttack:
-		if _, ok := explore.AttackByName(sp.Net.Attack, sp.Net.Holdback); !ok {
+		if _, ok := AttackByName(sp.Net.Attack, sp.Net.Holdback); !ok {
 			return fmt.Errorf("scenariogen: unknown attack %q", sp.Net.Attack)
 		}
 	default:
 		return fmt.Errorf("scenariogen: unknown network kind %q", sp.Net.Kind)
 	}
-	for id, name := range sp.Faults {
-		if _, ok := adversary.ParseBehaviour(name); !ok {
-			return fmt.Errorf("scenariogen: unknown behaviour %q for %s", name, id)
-		}
+	if id, ok := firstBad(sp.Faults, func(name string) bool { _, ok := adversary.ParseBehaviour(name); return !ok }); ok {
+		return fmt.Errorf("scenariogen: unknown behaviour %q for %s", sp.Faults[id], id)
 	}
 	if _, ok := sig.BackendByName(sp.Crypto); !ok {
 		return fmt.Errorf("scenariogen: unknown crypto backend %q (have %v)", sp.Crypto, sig.BackendNames())
@@ -302,6 +298,18 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("scenariogen: family %s does not take a traffic block", sp.Family)
 	}
 	return nil
+}
+
+// firstBad returns the smallest key of m whose value is bad, and whether there
+// is one: an error names the same entry whatever order the map iterates in.
+func firstBad[V any](m map[string]V, bad func(V) bool) (string, bool) {
+	first, found := "", false
+	for k, v := range m {
+		if bad(v) && (!found || k < first) {
+			first, found = k, true
+		}
+	}
+	return first, found
 }
 
 // isDeal reports whether the spec runs a deal protocol.
@@ -376,7 +384,7 @@ type materialiser struct {
 
 	synchronous netsim.Synchronous
 	partial     netsim.PartialSynchrony
-	attack      explore.Schedule
+	attack      Schedule
 
 	// The engines, rewritten bare by engines before protocols attaches a
 	// spec's windows to the timelock ones; protos is the slice both return.
@@ -400,8 +408,8 @@ func (m *materialiser) network(sp Spec) netsim.DelayModel {
 		m.partial = netsim.PartialSynchrony{GST: sp.Net.GST, Delta: sp.Timing.Delta, MaxPreGST: sp.Net.MaxPreGST}
 		return &m.partial
 	case NetAttack:
-		a, _ := explore.AttackByName(sp.Net.Attack, sp.Net.Holdback)
-		m.attack = explore.Schedule{Attack: a, Fast: sp.Net.Fast}
+		m.attack, _ = AttackByName(sp.Net.Attack, sp.Net.Holdback)
+		m.attack.Fast = sp.Net.Fast
 		if m.attack.Fast <= 0 {
 			m.attack.Fast = sp.Timing.Delta
 		}

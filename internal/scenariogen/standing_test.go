@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/netsim"
 	"repro/internal/race"
 	"repro/internal/sim"
@@ -150,17 +149,17 @@ func TestFuzzRecoversPanickingScenario(t *testing.T) {
 // Matches is a function, which DeepEqual never calls equal — by its name, its
 // delays and how it classifies the heads the schedules tell apart.
 func sameNetwork(a, b netsim.DelayModel) bool {
-	sa, attackA := a.(*explore.Schedule)
-	sb, attackB := b.(*explore.Schedule)
+	sa, attackA := a.(*Schedule)
+	sb, attackB := b.(*Schedule)
 	if !attackA || !attackB {
 		return attackA == attackB && reflect.DeepEqual(a, b)
 	}
 	for _, head := range []string{"chi(", "$(", "$refund(", "P(a=", "G(d=", "pay"} {
-		if sa.Attack.Matches(head) != sb.Attack.Matches(head) {
+		if sa.Matches(head) != sb.Matches(head) {
 			return false
 		}
 	}
-	return sa.Name() == sb.Name() && sa.Attack.Holdback == sb.Attack.Holdback && sa.Fast == sb.Fast
+	return sa.Name() == sb.Name() && sa.Holdback == sb.Holdback && sa.Fast == sb.Fast
 }
 
 // TestMaterialiserMatchesSpec is the oracle of the standing materialiser:

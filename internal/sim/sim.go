@@ -3,8 +3,8 @@
 // All protocols in this repository execute on top of this kernel: virtual
 // time only advances when the next scheduled event is processed, so a run is
 // a pure function of its inputs (scenario parameters and RNG seed). This is
-// what lets the property checkers in internal/check and the exhaustive
-// explorer in internal/explore reason about executions.
+// what lets the property checkers in internal/check and the scenario fuzzer
+// and Theorem-2 search in internal/scenariogen reason about executions.
 //
 // The kernel is written for the muted hot path: every experiment sweep and
 // traffic run schedules and fires millions of events, so the event queue is

@@ -130,7 +130,7 @@ func (p *Params) Derive(topo core.Topology, t core.Timing, driftAware bool) {
 
 // Scale multiplies every window and the termination bound by scale (> 0),
 // in place. Any scale >= 1 keeps the derivation sound under synchrony; the
-// Theorem-2 exploration uses scaled variants as the timeout-protocol family
+// Theorem-2 search uses scaled variants as the timeout-protocol family
 // that partial synchrony defeats.
 func (p *Params) Scale(scale float64) {
 	for i := range p.A {
@@ -152,20 +152,6 @@ func (p *Params) Inflate() {
 		p.D[i] = p.A[i] + sim.Hour
 	}
 	p.Bound = sim.Time(1) << 55
-}
-
-// Scaled returns a copy of the parameters after Scale(scale).
-func (p Params) Scaled(scale float64) Params {
-	p.A, p.D = slices.Clone(p.A), slices.Clone(p.D)
-	p.Scale(scale)
-	return p
-}
-
-// Inflated returns a copy of the parameters after Inflate.
-func (p Params) Inflated() Params {
-	p.A, p.D = slices.Clone(p.A), slices.Clone(p.D)
-	p.Inflate()
-	return p
 }
 
 // Validate checks internal consistency of the parameters: windows must be
