@@ -1,4 +1,4 @@
-// Command xchain-bench runs the experiment suite (E1..E11, A1..A3) and prints
+// Command xchain-bench runs the experiment suite (E1..E9, E11, A1..A3) and prints
 // the tables README's "Experiments" section describes.
 //
 // Usage:
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		quick    = fs.Bool("quick", false, "use the quick (test-sized) configuration")
 		runs     = fs.Int("runs", 0, "override the number of seeds per experiment cell")
-		maxChain = fs.Int("maxchain", 0, "override the largest chain length swept")
+		maxChain = fs.Int("maxchain", 0, fmt.Sprintf("override the largest chain length swept (at most %d)", core.MaxChain))
 		workers  = fs.Int("workers", 0, "override the worker-pool size (default GOMAXPROCS)")
 		only     = fs.String("run", "", "comma-separated experiment IDs to run (default: all)")
 	)
@@ -40,6 +41,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "xchain-bench: "+format+"\n", args...)
+		return 2
+	}
+	// A negative count, or a chain longer than any input may ask for, is
+	// refused before anything runs; 0 keeps the configuration's value.
+	switch {
+	case *runs < 0:
+		return fail("-runs: need a non-negative count, got %d", *runs)
+	case *workers < 0:
+		return fail("-workers: need a non-negative count, got %d", *workers)
+	case *maxChain < 0 || *maxChain > core.MaxChain:
+		return fail("-maxchain: need 0 to %d escrows, got %d", core.MaxChain, *maxChain)
 	}
 
 	cfg := bench.Full()
@@ -62,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, id := range strings.Split(*only, ",") {
 			e, ok := bench.ByID(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(stderr, "xchain-bench: unknown experiment %q\n", id)
-				return 2
+				return fail("unknown experiment %q", id)
 			}
 			selected = append(selected, e)
 		}

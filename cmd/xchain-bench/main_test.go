@@ -37,6 +37,20 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)
 	}
+	// Negative counts and chains beyond core.MaxChain are refused, naming
+	// the flag, before anything runs: -maxchain 100000 used to start sweeping.
+	for _, args := range [][]string{
+		{"-runs", "-1"},
+		{"-workers", "-2"},
+		{"-maxchain", "-1"},
+		{"-maxchain", "65"},
+		{"-maxchain", "100000"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(append(args, "-run", "E3"), &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]+":") {
+			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
+		}
+	}
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)
 	}

@@ -53,8 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *n < 1 || *n > core.MaxChain {
 		return fatalf("-n: need 1 to %d escrows, got %d", core.MaxChain, *n)
 	}
-	if *committee < 1 {
-		return fatalf("-committee: need at least one notary, got %d", *committee)
+	if *committee < 1 || *committee > core.MaxChain {
+		return fatalf("-committee: need 1 to %d notaries, got %d", core.MaxChain, *committee)
 	}
 
 	s := xchainpay.NewScenario(*n, *seed)

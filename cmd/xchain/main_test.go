@@ -64,12 +64,16 @@ func TestRunBadFlags(t *testing.T) {
 		}
 	}
 	// A chain needs an escrow and a committee a notary: -n 0 used to panic
-	// in core.NewTopology, and -committee 0 to run a committee of 4.
+	// in core.NewTopology, and -committee 0 to run a committee of 4. Neither
+	// may exceed core.MaxChain: -committee 1000 used to hit the runaway cap.
 	for _, args := range [][]string{
 		{"-n", "0"},
 		{"-n", "-3"},
+		{"-n", "65"},
 		{"-protocol", "weaklive-committee", "-committee", "0"},
 		{"-protocol", "weaklive-committee", "-committee", "-2"},
+		{"-protocol", "weaklive-committee", "-committee", "65"},
+		{"-protocol", "weaklive-committee", "-committee", "1000"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[len(args)-2]+":") {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/scenariogen"
 )
 
 // FuzzScenarioInvariants is the native-fuzzing entry point of the
@@ -18,8 +20,8 @@ func FuzzScenarioInvariants(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		sp := GenerateScenario(seed)
-		out := RunScenarioSpec(sp)
+		sp := scenariogen.Generate(seed)
+		out := scenariogen.Run(sp)
 		for _, v := range out.Violations {
 			t.Errorf("seed %d (%s, class %s): %s", seed, sp.Describe(), out.Class, v)
 		}
@@ -35,7 +37,7 @@ func FuzzScenarioSpecRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		sp := GenerateScenario(seed)
+		sp := scenariogen.Generate(seed)
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid spec: %v", seed, err)
 		}
@@ -43,7 +45,7 @@ func FuzzScenarioSpecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: marshal: %v", seed, err)
 		}
-		var back ScenarioSpec
+		var back scenariogen.Spec
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("seed %d: unmarshal: %v", seed, err)
 		}

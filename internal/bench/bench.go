@@ -3,10 +3,11 @@
 // protocol behaviour, the three theorems, the Section-5 comparison with
 // cross-chain deals, the related-work baselines, the cost scaling of all
 // protocols, the concurrent-traffic workloads of internal/traffic, and the
-// ablations A1..A3. Each experiment is addressable by its ID (E1..E11,
+// ablations A1..A3. Each experiment is addressable by its ID (E1..E9, E11,
 // A1..A3); cmd/xchain-bench prints the tables, the root-level bench_test.go
 // wraps them as Go benchmarks, and README's "Experiments" section lists what
-// each one reproduces.
+// each one reproduces. The package reads no clock: a table is a function of
+// its Config, and testdata/quick.txt pins every table at Quick().
 package bench
 
 import (
@@ -139,7 +140,6 @@ func All() []Experiment {
 		{ID: "E7", Title: "Related work: HTLC baseline vs the time-bounded protocol", Run: RunE7},
 		{ID: "E8", Title: "Cost scaling: messages, latency and ledger operations vs chain length", Run: RunE8},
 		{ID: "E9", Title: "Traffic: concurrent multi-payment workloads on a shared escrow chain", Run: RunE9},
-		{ID: "E10", Title: "Crypto backends: authentication microcosts and traffic wall-clock", Run: RunE10},
 		{ID: "E11", Title: "Byzantine traffic: measured attack damage vs attacker fraction", Run: RunE11},
 		{ID: "A1", Title: "Ablation: clock-drift fine-tuning of the timeout derivation", Run: RunA1},
 		{ID: "A2", Title: "Ablation: notary committee size and fault threshold", Run: RunA2},

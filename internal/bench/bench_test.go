@@ -45,8 +45,8 @@ func TestConfigs(t *testing.T) {
 
 func TestByIDAndAll(t *testing.T) {
 	all := All()
-	if len(all) != 14 {
-		t.Fatalf("expected 14 experiments (E1-E11, A1-A3), got %d", len(all))
+	if len(all) != 13 {
+		t.Fatalf("expected 13 experiments (E1-E9, E11, A1-A3), got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -137,9 +137,6 @@ func TestRunE4ReproducesTheorem2(t *testing.T) {
 func TestQuickGolden(t *testing.T) {
 	var b strings.Builder
 	for _, e := range All() {
-		if e.ID == "E10" {
-			continue // reads a clock; removed from the suite
-		}
 		b.WriteString(e.Run(Quick()).String())
 		b.WriteByte('\n')
 	}
@@ -264,29 +261,6 @@ func TestRunE9Traffic(t *testing.T) {
 		if rejected <= 0 {
 			t.Errorf("E9 burst/starved n=%s: no rejections under starved liquidity", r[1])
 		}
-	}
-}
-
-func TestRunE10CryptoBackends(t *testing.T) {
-	tab := RunE10(Config{Runs: 1, MaxChain: 2})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("E10 produced %d rows, want one per backend", len(tab.Rows))
-	}
-	found := map[string]bool{}
-	for _, r := range tab.Rows {
-		found[r[0]] = true
-	}
-	if !found["ed25519"] || !found["hmac"] {
-		t.Fatalf("E10 rows missing a backend: %v", tab.Rows)
-	}
-	ok := false
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "identical across backends: yes") {
-			ok = true
-		}
-	}
-	if !ok {
-		t.Fatalf("E10 backends disagreed on traffic aggregates:\n%s", tab.String())
 	}
 }
 

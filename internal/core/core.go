@@ -137,15 +137,6 @@ func (t Topology) appendEscrows(out []string) []string {
 	return out
 }
 
-// Connectors returns the IDs of the intermediaries c1..c_{n-1}.
-func (t Topology) Connectors() []string {
-	var out []string
-	for i := 1; i < t.N; i++ {
-		out = append(out, CustomerID(i))
-	}
-	return out
-}
-
 // Escrows returns the IDs e0..e_{n-1} in order.
 func (t Topology) Escrows() []string { return t.appendEscrows(make([]string, 0, t.N)) }
 

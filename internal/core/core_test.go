@@ -19,9 +19,6 @@ func TestTopology(t *testing.T) {
 	if got := topo.Customers(); len(got) != 4 || got[1] != "c1" {
 		t.Fatalf("customers %v", got)
 	}
-	if got := topo.Connectors(); len(got) != 2 || got[0] != "c1" || got[1] != "c2" {
-		t.Fatalf("connectors %v", got)
-	}
 	if got := topo.Escrows(); len(got) != 3 || got[2] != "e2" {
 		t.Fatalf("escrows %v", got)
 	}

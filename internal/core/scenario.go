@@ -53,15 +53,6 @@ func (s Scenario) WithSeed(seed int64) Scenario {
 	return s
 }
 
-// WithPayment returns a copy of the scenario with a fresh commissioned
-// payment spec (base amount paid to Bob, per-hop commission added upstream)
-// and an initial balance that comfortably funds it.
-func (s Scenario) WithPayment(base, commission int64) Scenario {
-	s.Spec = NewPaymentSpec(s.Spec.PaymentID, s.Topology, base, commission)
-	s.InitialBalance = s.Spec.AlicePays() * 2
-	return s
-}
-
 // WithTiming returns a copy of the scenario with different timing
 // assumptions.
 func (s Scenario) WithTiming(t Timing) Scenario {

@@ -107,15 +107,6 @@ func (d *Deal) derive() {
 	slices.Sort(d.types)
 }
 
-// Entry returns M[i][j] by party name.
-func (d *Deal) Entry(from, to string) Asset {
-	i, j := d.indexOf(from), d.indexOf(to)
-	if i < 0 || j < 0 {
-		return Asset{}
-	}
-	return d.M[i][j]
-}
-
 // Arc is one non-zero transfer of a deal.
 type Arc struct {
 	From, To string
@@ -198,30 +189,10 @@ type Outcome struct {
 	Compliant map[string]bool
 }
 
-// NewOutcome returns an outcome in which nothing was transferred and
-// everybody is compliant.
-func NewOutcome(d *Deal) *Outcome {
-	o := &Outcome{Deal: d, Transferred: map[Arc]bool{}, Compliant: map[string]bool{}}
-	for _, p := range d.Parties {
-		o.Compliant[p] = true
-	}
-	return o
-}
-
 // AllTransferred reports whether every arc completed.
 func (o *Outcome) AllTransferred() bool {
 	for _, arc := range o.Deal.Arcs() {
 		if !o.Transferred[arc] {
-			return false
-		}
-	}
-	return true
-}
-
-// NoneTransferred reports whether no arc completed.
-func (o *Outcome) NoneTransferred() bool {
-	for _, arc := range o.Deal.Arcs() {
-		if o.Transferred[arc] {
 			return false
 		}
 	}

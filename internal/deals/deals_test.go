@@ -46,11 +46,8 @@ func TestWellFormed(t *testing.T) {
 
 func TestDealAccessors(t *testing.T) {
 	d := swapDeal()
-	if got := d.Entry("alice", "bob"); got.Amount != 5 || got.Type != "coin" {
-		t.Errorf("Entry(alice,bob) = %v", got)
-	}
-	if got := d.Entry("bob", "nobody"); !got.IsZero() {
-		t.Errorf("unknown party entry = %v", got)
+	if got := d.M[0][1]; got.Amount != 5 || got.Type != "coin" {
+		t.Errorf("M[alice][bob] = %v", got)
 	}
 	if got := len(d.Arcs()); got != 2 {
 		t.Errorf("swap has %d arcs", got)
@@ -91,14 +88,10 @@ func TestAcceptability(t *testing.T) {
 	arcs := d.Arcs()
 	aliceToBob, bobToAlice := arcs[0], arcs[1]
 
-	dealDone := NewOutcome(d)
-	dealDone.Transferred[aliceToBob] = true
-	dealDone.Transferred[bobToAlice] = true
-	dealOff := NewOutcome(d)
-	aliceLoses := NewOutcome(d)
-	aliceLoses.Transferred[aliceToBob] = true
-	aliceGains := NewOutcome(d)
-	aliceGains.Transferred[bobToAlice] = true
+	dealDone := &Outcome{Deal: d, Transferred: map[Arc]bool{aliceToBob: true, bobToAlice: true}, Compliant: map[string]bool{"alice": true, "bob": true}}
+	dealOff := &Outcome{Deal: d, Compliant: map[string]bool{"alice": true, "bob": true}}
+	aliceLoses := &Outcome{Deal: d, Transferred: map[Arc]bool{aliceToBob: true}, Compliant: map[string]bool{"alice": true, "bob": true}}
+	aliceGains := &Outcome{Deal: d, Transferred: map[Arc]bool{bobToAlice: true}, Compliant: map[string]bool{"alice": true, "bob": true}}
 
 	for _, p := range d.Parties {
 		if !dealDone.Acceptable(p) {
@@ -131,14 +124,14 @@ func TestAcceptability(t *testing.T) {
 
 func TestOutcomeHelpers(t *testing.T) {
 	d := ringDeal()
-	o := NewOutcome(d)
-	if !o.NoneTransferred() || o.AllTransferred() {
+	o := &Outcome{Deal: d, Transferred: map[Arc]bool{}, Compliant: map[string]bool{"a": true, "b": true, "c": true}}
+	if o.AllTransferred() {
 		t.Error("fresh outcome flags wrong")
 	}
 	for _, arc := range d.Arcs() {
 		o.Transferred[arc] = true
 	}
-	if !o.AllTransferred() || o.NoneTransferred() {
+	if !o.AllTransferred() {
 		t.Error("completed outcome flags wrong")
 	}
 	if !o.TerminationHolds() {
@@ -186,8 +179,10 @@ func TestTimelockCommitDeviatorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Outcome.NoneTransferred() {
-		t.Fatal("a deviating party should force the whole deal to abort")
+	for _, arc := range res.Outcome.Deal.Arcs() {
+		if res.Outcome.Transferred[arc] {
+			t.Fatal("a deviating party should force the whole deal to abort")
+		}
 	}
 	if !res.Outcome.SafetyHolds() {
 		t.Fatal("safety violated for compliant parties")
@@ -261,7 +256,7 @@ func TestPaymentAsDealIsNotWellFormed(t *testing.T) {
 	if d.WellFormed() {
 		t.Fatal("a linear payment translates to a path, which must not be well-formed")
 	}
-	if got := d.Entry("c0", "c1").Amount; got != spec.AmountVia(0) {
+	if got := d.M[0][1].Amount; got != spec.AmountVia(0) {
 		t.Errorf("first hop amount %d, want %d", got, spec.AmountVia(0))
 	}
 }

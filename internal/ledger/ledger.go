@@ -162,11 +162,10 @@ type OpKind string
 
 // Ledger operation kinds.
 const (
-	OpMint     OpKind = "mint"
-	OpTransfer OpKind = "transfer"
-	OpLock     OpKind = "lock"
-	OpRelease  OpKind = "release"
-	OpRefund   OpKind = "refund"
+	OpMint    OpKind = "mint"
+	OpLock    OpKind = "lock"
+	OpRelease OpKind = "release"
+	OpRefund  OpKind = "refund"
 )
 
 // Op is one entry of the ledger's operation log. A lock operation's entry
@@ -433,26 +432,6 @@ func (l *Ledger) Deposit(at sim.Time, pid sim.PID, amount int64) error {
 // Mint is Deposit for the participant named owner.
 func (l *Ledger) Mint(at sim.Time, owner string, amount int64) error {
 	return l.Deposit(at, l.PID(owner), amount)
-}
-
-// Transfer moves value directly between two accounts of this ledger.
-//
-//xchain:hotpath
-func (l *Ledger) Transfer(at sim.Time, from, to sim.PID, amount int64) error {
-	if amount <= 0 {
-		return ErrBadAmount
-	}
-	f, t := l.find(from), l.find(to)
-	if f < 0 || t < 0 {
-		return fmt.Errorf("%w: %s or %s on %s", ErrNoAccount, l.owner(from), l.owner(to), l.name)
-	}
-	if l.accounts[f].balance < amount {
-		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(from), l.accounts[f].balance, amount)
-	}
-	l.accounts[f].balance -= amount
-	l.accounts[t].balance += amount
-	l.log(at, OpTransfer, l.owner(from), l.owner(to), amount, lockName{})
-	return nil
 }
 
 // Escrow moves amount from payer's account into escrow under id, payable to

@@ -125,11 +125,11 @@ func TestLedgerStateRetainsOps(t *testing.T) {
 	if err := l.Mint(0, "alice", 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Transfer(sim.Millisecond, l.PID("alice"), l.PID("alice"), 5); err != nil {
+	if _, err := l.CreateLock(sim.Millisecond, "L", "alice", "alice", 5, Condition{}); err != nil {
 		t.Fatal(err)
 	}
 	r := FromState(l.State())
-	if len(r.Ops()) != 2 || r.Ops()[1].Kind != OpTransfer {
+	if len(r.Ops()) != 2 || r.Ops()[1].Kind != OpLock {
 		t.Fatalf("ops lost in round trip: %+v", r.Ops())
 	}
 }

@@ -9,8 +9,8 @@
 //     globalrand analyzers rule out the three mechanical ways Go code breaks
 //     the contract (reading the wall clock, iterating a map where order
 //     matters, drawing from an unseeded process-global RNG) before a test
-//     ever runs. PR 2's Broadcast map-iteration bug is the motivating
-//     specimen: it survived until a trace diff exposed it.
+//     ever runs. A broadcast that sent in map-iteration order is the
+//     motivating specimen: it survived until a trace diff exposed it.
 //
 //   - Hot-path frugality. The muted kernel, network, ledger and metrics
 //     paths are allocation-free by construction (PR 2, PR 6); the hotalloc,
@@ -110,9 +110,10 @@ func Analyzers() []*Analyzer {
 // deterministicPkgs lists the packages whose runs must be pure functions of
 // their inputs: everything executing on (or feeding) the virtual-time
 // kernel. The wallclock and globalrand analyzers only apply inside these.
-// CLIs (repro/cmd/...), examples, the facade, internal/bench (wall-clock
-// measurement is its job), internal/metrics (live observability) and this
-// package are deliberately outside the set.
+// CLIs (repro/cmd/...), examples, the facade, internal/metrics (live
+// observability) and this package are deliberately outside the set.
+// internal/bench is inside it: its tables are functions of their
+// configuration, and wall-clock cost is benchmark/'s to measure.
 var deterministicPkgs = map[string]bool{
 	"repro/internal/sim":         true,
 	"repro/internal/netsim":      true,
@@ -128,6 +129,7 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/scenariogen": true,
 	"repro/internal/check":       true,
 	"repro/internal/checkpoint":  true,
+	"repro/internal/bench":       true,
 	// Not named by the original contract list but equally inside the
 	// deterministic world: local clocks, traces, adversary behaviours and
 	// the stats reductions all run under virtual time.

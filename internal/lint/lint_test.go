@@ -112,7 +112,7 @@ func TestIsDeterministicPkg(t *testing.T) {
 		"repro/internal/timelock": true,
 		"repro/internal/trace":    true,
 		"repro/cmd/xchain-sim":    false,
-		"repro/internal/bench":    false,
+		"repro/internal/bench":    true,
 		"repro/internal/metrics":  false,
 		"repro/internal/lint":     false,
 	} {

@@ -14,10 +14,10 @@ import (
 // *publishes* its iteration order — scheduling events, sending messages or
 // on channels, drawing RNG values, appending to a slice, building a string,
 // writing to a stream, returning the first entry that matches — makes the
-// run irreproducible. This is exactly the bug class PR 2 fixed by hand in
-// netsim.Broadcast. The analyzer recognises the two sanctioned idioms:
-// iterate a sorted key slice instead of the map, or append map keys/values
-// and sort the slice later in the same function.
+// run irreproducible. A network broadcast that sent in map order was this
+// bug class's first specimen. The analyzer recognises the two sanctioned
+// idioms: iterate a sorted key slice instead of the map, or append map
+// keys/values and sort the slice later in the same function.
 // Bodies that only fold into commutative accumulators (counters, sums,
 // max/min, other maps) are inherently order-insensitive and never flagged.
 // Sites where unordered iteration is provably fine carry a justified
@@ -34,7 +34,7 @@ var orderPublishingMethods = map[string]bool{
 	"ScheduleArgAt": true,
 	"ScheduleArgIn": true,
 	"Send":          true,
-	"Broadcast":     true,
+	"Post":          true,
 }
 
 // builderWriteMethods are the ordered-output methods of strings.Builder and

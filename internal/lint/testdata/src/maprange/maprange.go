@@ -1,6 +1,7 @@
 // Package maprange is a golden-diagnostic fixture for the maprange
 // analyzer. The local engine/network types mirror the method shapes the
-// analyzer keys on (ScheduleArgAt, Send) so the fixture stays self-contained.
+// analyzer keys on (ScheduleArgAt, Send, Post) so the fixture stays
+// self-contained.
 package maprange
 
 import (
@@ -18,6 +19,8 @@ type network struct{}
 
 func (network) Send(from, to string, payload any) {}
 
+func (network) Post(from, to int, payload any) {}
+
 func schedules(e engine, wake map[string]int64) {
 	for id, t := range wake { // want `range over map wake with an order-sensitive body \(calls ScheduleArgAt, committing event order\)`
 		_ = id
@@ -28,6 +31,12 @@ func schedules(e engine, wake map[string]int64) {
 func sends(n network, peers map[string]bool) {
 	for id := range peers { // want `range over map peers with an order-sensitive body \(calls Send, committing event order\)`
 		n.Send("origin", id, nil)
+	}
+}
+
+func posts(n network, peers map[int]bool) {
+	for to := range peers { // want `range over map peers with an order-sensitive body \(calls Post, committing event order\)`
+		n.Post(0, to, nil)
 	}
 }
 

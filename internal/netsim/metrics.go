@@ -11,19 +11,15 @@ const (
 	// MetricMessagesDropped counts messages dropped (adversarial models,
 	// unknown recipients).
 	MetricMessagesDropped = "xchain_net_messages_dropped_total"
-	// MetricBroadcasts counts Broadcast calls; sent/broadcasts gives the
-	// mean broadcast fan-out.
-	MetricBroadcasts = "xchain_net_broadcasts_total"
 )
 
 // Metrics holds the network's instrumentation hooks. The zero value is
 // muted: nil handles make every update an inlined no-op, preserving the
 // zero-allocation muted send path.
 type Metrics struct {
-	Sent       *metrics.Counter
-	Delivered  *metrics.Counter
-	Dropped    *metrics.Counter
-	Broadcasts *metrics.Counter
+	Sent      *metrics.Counter
+	Delivered *metrics.Counter
+	Dropped   *metrics.Counter
 }
 
 // MetricsFrom returns the network counter hooks registered on r. A nil
@@ -33,10 +29,9 @@ func MetricsFrom(r *metrics.Registry) Metrics {
 		return Metrics{}
 	}
 	return Metrics{
-		Sent:       r.Counter(MetricMessagesSent, "Network messages sent."),
-		Delivered:  r.Counter(MetricMessagesDelivered, "Network messages delivered."),
-		Dropped:    r.Counter(MetricMessagesDropped, "Network messages dropped."),
-		Broadcasts: r.Counter(MetricBroadcasts, "Network broadcasts initiated."),
+		Sent:      r.Counter(MetricMessagesSent, "Network messages sent."),
+		Delivered: r.Counter(MetricMessagesDelivered, "Network messages delivered."),
+		Dropped:   r.Counter(MetricMessagesDropped, "Network messages dropped."),
 	}
 }
 

@@ -12,8 +12,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -202,8 +200,6 @@ type Network struct {
 	stats    Stats
 	m        Metrics
 	freeArgs []*deliverArg
-	// order is Broadcast's scratch: the registered PIDs sorted by name.
-	order []sim.PID
 	// Tap, if set, observes every delivered message after the recipient
 	// handles it (used by checkers needing message-level visibility).
 	Tap func(env Envelope, deliveredAt sim.Time)
@@ -298,28 +294,6 @@ func (n *Network) PID(name string) sim.PID {
 	return sim.PID(len(n.names) - 1)
 }
 
-// NodeIDs returns the registered nodes' names in sorted order, which
-// Broadcast sends in: per-message sequence numbers and RNG draws follow it.
-func (n *Network) NodeIDs() []string {
-	out := make([]string, 0, len(n.nodes))
-	for _, pid := range n.byName() {
-		out = append(out, n.names[pid])
-	}
-	return out
-}
-
-// byName returns the registered PIDs sorted by name, in n's scratch.
-func (n *Network) byName() []sim.PID {
-	n.order = n.order[:0]
-	for i, nd := range n.nodes {
-		if nd != nil {
-			n.order = append(n.order, sim.PID(i))
-		}
-	}
-	slices.SortFunc(n.order, func(a, b sim.PID) int { return strings.Compare(n.names[a], n.names[b]) })
-	return n.order
-}
-
 // Post hands a message from one participant to another. A recipient with no
 // node registered under its PID causes the message to be dropped (and
 // counted and traced), mirroring a payment sent to a non-existent account
@@ -375,18 +349,6 @@ func (n *Network) Post(from, to sim.PID, msg Message) {
 func (n *Network) Send(from, to string, msg Message) {
 	f := n.PID(from)
 	n.Post(f, n.PID(to), msg)
-}
-
-// Broadcast sends msg from one participant to every other registered node,
-// in sorted node-name order so that the per-message sequence numbers and
-// delay draws are identical on every run, whatever the PIDs' order.
-func (n *Network) Broadcast(from sim.PID, msg Message) {
-	n.m.Broadcasts.Inc()
-	for _, to := range n.byName() {
-		if to != from {
-			n.Post(from, to, msg)
-		}
-	}
 }
 
 // FuncNode adapts a handler function into a Node; useful in tests and for

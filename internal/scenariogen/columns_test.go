@@ -483,7 +483,9 @@ func buildPopulation(t *testing.T) *populationT {
 				}
 				d := sp.clone()
 				for id, behaviour := range faults {
-					d.Faults = setFault(d.Faults, id, behaviour)
+					if d.participant(id) { // a trusted manager has no notaries
+						d.Faults = setFault(d.Faults, id, behaviour)
+					}
 				}
 				b.spec(fmt.Sprintf("%s with %v", name, faults), d, colsWorld)
 			}

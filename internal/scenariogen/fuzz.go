@@ -23,9 +23,6 @@ type Options struct {
 	// Families, if non-empty, restricts the campaign to these families;
 	// seeds generating other families are counted as skipped.
 	Families []Family
-	// MaxFailures stops collecting violation outcomes beyond this many
-	// (0 = 16); counting continues.
-	MaxFailures int
 	// Crypto names the signature backend every generated scenario runs with
 	// ("" keeps each spec's generated backend: ed25519 for single-payment
 	// scenarios, hmac for traffic populations). Oracles are
@@ -41,12 +38,9 @@ func (o Options) workers() int {
 	return runtime.NumCPU()
 }
 
-func (o Options) maxFailures() int {
-	if o.MaxFailures > 0 {
-		return o.MaxFailures
-	}
-	return 16
-}
+// maxFailures is how many violating outcomes a campaign keeps; counting
+// continues beyond it.
+const maxFailures = 16
 
 // Stats aggregates a fuzzing campaign.
 type Stats struct {
@@ -55,7 +49,7 @@ type Stats struct {
 	Conforming int
 	Violating  int
 	ByFamily   map[Family]int
-	// Violations holds up to MaxFailures failing outcomes in seed order;
+	// Violations holds up to maxFailures failing outcomes in seed order;
 	// ViolationCount counts all of them.
 	Violations     []*Outcome
 	ViolationCount int
@@ -156,7 +150,7 @@ func Fuzz(opts Options) *Stats {
 		}
 		if !o.OK() {
 			st.ViolationCount++
-			if len(st.Violations) < opts.maxFailures() {
+			if len(st.Violations) < maxFailures {
 				st.Violations = append(st.Violations, o)
 			}
 		}

@@ -644,7 +644,7 @@ func runDeal(sp Spec, out *Outcome, ws *worlds, record bool) *deals.Result {
 	if !o.TerminationHolds() {
 		out.Violations = append(out.Violations, Violation{Kind: KindDeal, Detail: "a compliant party's asset stayed escrowed forever"})
 	}
-	if len(sp.Faults) == 0 && !o.AllTransferred() {
+	if !o.StrongLivenessHolds() {
 		if out.Class == ClassConforming {
 			out.Violations = append(out.Violations, Violation{Kind: KindDeal, Detail: "all parties complied under synchrony but the deal did not complete"})
 		} else {

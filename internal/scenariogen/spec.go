@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/adversary"
@@ -259,7 +260,15 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("scenariogen: %s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
 		}
 	}
-	if id, ok := firstBad(sp.Patience, func(p sim.Time) bool { return p < 0 || int64(p) > maxSpan }); ok {
+	// A key naming nobody would be ignored by the run, yet could still
+	// change the spec's class and with it the properties the run owes.
+	if id, ok := firstBad(sp.Faults, func(id, _ string) bool { return !sp.participant(id) }); ok {
+		return fmt.Errorf("scenariogen: fault on %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
+	}
+	if id, ok := firstBad(sp.Patience, func(id string, _ sim.Time) bool { return !sp.participant(id) }); ok {
+		return fmt.Errorf("scenariogen: patience of %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
+	}
+	if id, ok := firstBad(sp.Patience, func(_ string, p sim.Time) bool { return p < 0 || int64(p) > maxSpan }); ok {
 		return fmt.Errorf("scenariogen: patience of %s %d outside [0, %d]", id, sp.Patience[id], maxSpan)
 	}
 	if sp.Timing.Rho < 0 || sp.Timing.Rho > maxRho {
@@ -277,7 +286,7 @@ func (sp Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenariogen: unknown network kind %q", sp.Net.Kind)
 	}
-	if id, ok := firstBad(sp.Faults, func(name string) bool { _, ok := adversary.ParseBehaviour(name); return !ok }); ok {
+	if id, ok := firstBad(sp.Faults, func(_, name string) bool { _, ok := adversary.ParseBehaviour(name); return !ok }); ok {
 		return fmt.Errorf("scenariogen: unknown behaviour %q for %s", sp.Faults[id], id)
 	}
 	if _, ok := sig.BackendByName(sp.Crypto); !ok {
@@ -300,16 +309,37 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// firstBad returns the smallest key of m whose value is bad, and whether there
+// firstBad returns the smallest key of m whose entry is bad, and whether there
 // is one: an error names the same entry whatever order the map iterates in.
-func firstBad[V any](m map[string]V, bad func(V) bool) (string, bool) {
+func firstBad[V any](m map[string]V, bad func(string, V) bool) (string, bool) {
 	first, found := "", false
 	for k, v := range m {
-		if bad(v) && (!found || k < first) {
+		if bad(k, v) && (!found || k < first) {
 			first, found = k, true
 		}
 	}
 	return first, found
+}
+
+// participant reports whether id names a participant of the spec's runs: a
+// deal's parties p0..p_{N-1}; otherwise the chain's customers and escrows,
+// plus the transaction manager of the weak-liveness families and the
+// notaries of a committee.
+func (sp Spec) participant(id string) bool {
+	if sp.isDeal() {
+		k, err := strconv.Atoi(strings.TrimPrefix(id, "p"))
+		return err == nil && 0 <= k && k < sp.N && id == "p"+strconv.Itoa(k)
+	}
+	switch core.NewTopology(sp.N).RoleOf(id) {
+	case core.RoleAlice, core.RoleConnector, core.RoleBob, core.RoleEscrow:
+		return true
+	case core.RoleManager:
+		return sp.isWeaklive()
+	case core.RoleNotary:
+		k, _ := strconv.Atoi(strings.TrimPrefix(id, "notary"))
+		return sp.Family == FamCommittee && k < sp.committeeSize()
+	}
+	return false
 }
 
 // isDeal reports whether the spec runs a deal protocol.

@@ -261,3 +261,42 @@ func TestValidateNamesOneEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsNonParticipants: a fault or patience key must name a
+// participant of the spec's family. A key naming nobody changes no run, yet
+// it could turn a conforming spec violating and so shrink the set of
+// properties a replay's own run is judged on.
+func TestValidateRejectsNonParticipants(t *testing.T) {
+	timelock := Generate(3) // conforming, n=3
+	deal := Generate(26)    // deal-timelock, n=2, p1 silent
+	weaklive, committee := baseSpec(FamWeaklive), baseSpec(FamCommittee)
+	for _, tc := range []struct {
+		sp       Spec
+		faults   map[string]string
+		patience map[string]sim.Time
+		wantBad  string // "" = valid
+	}{
+		{sp: timelock, faults: map[string]string{"c61": "silent", "c60": "silent", "c1": "silent"}, wantBad: "c60"},
+		{sp: timelock, faults: map[string]string{"manager": "silent"}, wantBad: "manager"},
+		{sp: timelock, patience: map[string]sim.Time{"c9": 1, "c7": 1, "c3": 1}, wantBad: "c7"},
+		{sp: timelock, faults: map[string]string{"c3": "silent", "e2": "theft"}},
+		{sp: deal, faults: map[string]string{"p7": "silent"}, wantBad: "p7"},
+		{sp: deal, faults: map[string]string{"p01": "silent"}, wantBad: "p01"},
+		{sp: deal, faults: map[string]string{"c0": "silent"}, wantBad: "c0"},
+		{sp: deal, faults: map[string]string{"p0": "silent", "p1": "silent"}},
+		{sp: weaklive, faults: map[string]string{"notary0": "silent"}, wantBad: "notary0"},
+		{sp: weaklive, faults: map[string]string{"manager": "equivocate"}},
+		{sp: committee, faults: map[string]string{"notary4": "silent"}, wantBad: "notary4"},
+		{sp: committee, faults: map[string]string{"notary3": "silent", "manager": "silent"}},
+	} {
+		sp := tc.sp.clone()
+		sp.Faults, sp.Patience = tc.faults, tc.patience
+		err := sp.Validate()
+		switch {
+		case tc.wantBad == "" && err != nil:
+			t.Errorf("%s %v %v: rejected: %v", sp.Family, tc.faults, tc.patience, err)
+		case tc.wantBad != "" && (err == nil || !strings.Contains(err.Error(), tc.wantBad+",")):
+			t.Errorf("%s %v %v: want %s reported, got %v", sp.Family, tc.faults, tc.patience, tc.wantBad, err)
+		}
+	}
+}

@@ -5,8 +5,8 @@ import (
 )
 
 // Microbenchmarks for the authentication layer, per backend. CI runs them
-// with a tiny -benchtime as a smoke test; experiment E10
-// (cmd/xchain-bench -run E10) prints the backend comparison.
+// with a tiny -benchtime as a smoke test; the repository benchmark's sig.*
+// probes (benchmark/probes.go) report the same costs per run.
 
 func benchEachBackend(b *testing.B, fn func(b *testing.B, name string)) {
 	for _, name := range BackendNames() {

@@ -106,13 +106,12 @@ func (t Timer) Canceled() bool {
 // use: a run is strictly sequential, which is what makes it reproducible.
 // Parallelism in this repository happens across independent runs.
 type Engine struct {
-	now     Time
-	heap    []*event // min-heap ordered by (at, seq)
-	free    []*event // recycled records ready for reuse
-	live    int      // pending events that are not canceled
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
+	now  Time
+	heap []*event // min-heap ordered by (at, seq)
+	free []*event // recycled records ready for reuse
+	live int      // pending events that are not canceled
+	seq  uint64
+	rng  *rand.Rand
 
 	// Stats
 	fired     uint64
@@ -142,7 +141,6 @@ func (e *Engine) Reset(seed int64) {
 	e.heap = e.heap[:0]
 	e.now, e.live, e.seq = 0, 0, 0
 	e.fired, e.scheduled = 0, 0
-	e.stopped = false
 	e.rng.Seed(seed)
 }
 
@@ -279,21 +277,11 @@ func (e *Engine) ScheduleArgIn(d Time, name string, fn func(any), arg any) Timer
 	return e.ScheduleArgAt(e.now+d, name, fn, arg)
 }
 
-// Stop halts the run: Run returns after the currently executing event
-// completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
-// step fires the earliest pending event. It returns false when the queue is
-// empty or the engine has been stopped.
+// step fires the earliest pending event. It returns false when no event is
+// due by until.
 //
 //xchain:hotpath
 func (e *Engine) step(until Time) bool {
-	if e.stopped {
-		return false
-	}
 	for len(e.heap) > 0 {
 		next := e.heap[0]
 		if next.canceled {
@@ -322,8 +310,8 @@ func (e *Engine) step(until Time) bool {
 	return false
 }
 
-// Run processes events until the queue drains, Stop is called, or the limit
-// on fired events is exceeded. It returns the virtual time at which the run
+// Run processes events until the queue drains or the limit on fired events
+// is exceeded. It returns the virtual time at which the run
 // ended and the number of events fired.
 func (e *Engine) Run(maxEvents uint64) (Time, uint64) {
 	return e.RunUntil(Never, maxEvents)
@@ -343,7 +331,7 @@ func (e *Engine) RunUntil(until Time, maxEvents uint64) (Time, uint64) {
 		}
 		fired++
 	}
-	if until != Never && e.now < until && !e.stopped {
+	if until != Never && e.now < until {
 		e.now = until
 	}
 	return e.now, fired
@@ -369,7 +357,7 @@ func (e *Engine) RunBefore(t Time, maxEvents uint64) (Time, uint64) {
 	// Advance to t only once no earlier event remains (maxEvents may have
 	// stopped the loop short); otherwise the clock would later run
 	// backwards when the leftover events fire.
-	if e.NextEventTime() >= t && e.now < t && !e.stopped {
+	if e.NextEventTime() >= t && e.now < t {
 		e.now = t
 	}
 	return e.now, fired

@@ -101,26 +101,6 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	eng := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		eng.ScheduleArgAt(Time(i), "tick", func(any) {
-			count++
-			if count == 3 {
-				eng.Stop()
-			}
-		}, nil)
-	}
-	eng.Run(0)
-	if count != 3 {
-		t.Fatalf("stopped run fired %d events", count)
-	}
-	if !eng.Stopped() {
-		t.Fatal("Stopped() false after Stop")
-	}
-}
-
 func TestRunUntilAdvancesToHorizon(t *testing.T) {
 	eng := NewEngine(1)
 	eng.ScheduleArgAt(10, "early", func(any) {}, nil)
@@ -396,8 +376,7 @@ func script(eng *Engine) []int64 {
 }
 
 // TestResetRestoresNewEngine runs the same script on a new engine and on one
-// that was reset mid-run — pending events, a live timer, a stopped flag, a
-// half-used RNG — and expects identical observations.
+// that was reset mid-run — pending events, a live timer, a half-used RNG — and expects identical observations.
 func TestResetRestoresNewEngine(t *testing.T) {
 	for _, seed := range []int64{1, 42, -7} {
 		want := script(NewEngine(seed))
@@ -411,13 +390,12 @@ func TestResetRestoresNewEngine(t *testing.T) {
 				}
 			}, nil)
 		}
-		eng.ScheduleArgAt(15, "stop", func(any) { eng.Stop() }, nil)
-		eng.Run(0) // fires the events up to 15, then stops with 48 pending
+		eng.RunUntil(15, 0) // fires the events up to 15 and leaves 48 pending
 		eng.Rand().Int63()
 		eng.Reset(seed)
 		reset = true
-		if eng.Now() != 0 || eng.Pending() != 0 || !eng.Drained() || eng.Stopped() || eng.EventsFired() != 0 || eng.EventsScheduled() != 0 {
-			t.Fatalf("seed %d: Reset left now=%v pending=%d live=%d stopped=%v", seed, eng.Now(), eng.Pending(), eng.Live(), eng.Stopped())
+		if eng.Now() != 0 || eng.Pending() != 0 || !eng.Drained() || eng.EventsFired() != 0 || eng.EventsScheduled() != 0 {
+			t.Fatalf("seed %d: Reset left now=%v pending=%d live=%d", seed, eng.Now(), eng.Pending(), eng.Live())
 		}
 		got := script(eng)
 		if len(got) != len(want) {

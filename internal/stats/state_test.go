@@ -72,7 +72,7 @@ func TestHistogramRestoreOverwrites(t *testing.T) {
 
 // TestSampleValues pins insertion order and copy semantics.
 func TestSampleValues(t *testing.T) {
-	s := Of(3, 1, 2)
+	s := &Sample{values: []float64{3, 1, 2}}
 	vals := s.Values()
 	if want := []float64{3, 1, 2}; !reflect.DeepEqual(vals, want) {
 		t.Fatalf("Values() = %v, want %v", vals, want)

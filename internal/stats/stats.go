@@ -25,15 +25,6 @@ type Sample struct {
 // New returns an empty sample.
 func New() *Sample { return &Sample{} }
 
-// Of returns a sample over the given values.
-func Of(values ...float64) *Sample {
-	s := New()
-	for _, v := range values {
-		s.Add(v)
-	}
-	return s
-}
-
 // Add records one observation.
 func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)

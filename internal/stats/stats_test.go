@@ -17,7 +17,7 @@ func TestEmptySample(t *testing.T) {
 }
 
 func TestBasicStatistics(t *testing.T) {
-	s := Of(2, 4, 4, 4, 5, 5, 7, 9)
+	s := &Sample{values: []float64{2, 4, 4, 4, 5, 5, 7, 9}}
 	if !almost(s.Mean(), 5) {
 		t.Errorf("mean = %v", s.Mean())
 	}
@@ -36,7 +36,7 @@ func TestBasicStatistics(t *testing.T) {
 }
 
 func TestPercentiles(t *testing.T) {
-	s := Of(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	s := &Sample{values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}
 	if got := s.Percentile(0); got != 1 {
 		t.Errorf("p0 = %v", got)
 	}
@@ -104,7 +104,7 @@ func TestPercentileSortCache(t *testing.T) {
 		t.Fatalf("post-invalidation queries performed %d sorts, want 2", s.sorts)
 	}
 	// And the cached path returns the same values as a fresh sample.
-	fresh := Of(append([]float64(nil), s.values...)...)
+	fresh := &Sample{values: append([]float64(nil), s.values...)}
 	for _, p := range []float64{0, 25, 50, 95, 99, 100} {
 		if a, b := s.Percentile(p), fresh.Percentile(p); a != b {
 			t.Fatalf("cached p%v = %v, fresh = %v", p, a, b)
@@ -123,7 +123,7 @@ func BenchmarkPercentileFinalize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := Of(values...)
+		s := &Sample{values: append([]float64(nil), values...)}
 		for _, p := range []float64{50, 95, 99, 50, 95} {
 			s.Percentile(p)
 		}
@@ -309,7 +309,7 @@ func TestPropertyCounterRateBounded(t *testing.T) {
 }
 
 func TestSingleValueSample(t *testing.T) {
-	s := Of(42)
+	s := &Sample{values: []float64{42}}
 	if s.N() != 1 || s.Mean() != 42 || s.Min() != 42 || s.Max() != 42 || s.Sum() != 42 {
 		t.Fatalf("single-value aggregates wrong: %s", s)
 	}
@@ -324,7 +324,7 @@ func TestSingleValueSample(t *testing.T) {
 }
 
 func TestIdenticalValuesSample(t *testing.T) {
-	s := Of(7, 7, 7, 7, 7)
+	s := &Sample{values: []float64{7, 7, 7, 7, 7}}
 	if s.Mean() != 7 || s.Var() != 0 || s.StdDev() != 0 {
 		t.Fatalf("identical values must have mean 7 and zero spread: %s", s)
 	}
@@ -336,7 +336,7 @@ func TestIdenticalValuesSample(t *testing.T) {
 }
 
 func TestPercentileOutOfRangeClamped(t *testing.T) {
-	s := Of(1, 2, 3)
+	s := &Sample{values: []float64{1, 2, 3}}
 	if got := s.Percentile(-10); got != 1 {
 		t.Errorf("p(-10) = %v, want the minimum", got)
 	}

@@ -389,7 +389,7 @@ func TestRefusedAdmissionAllocs(t *testing.T) {
 	tl := newTimeline(res, w, &protocols{}, nil, false, 0, nil, RunMetrics{}, nil)
 	// The first two hops fit; e2 cannot cover the third.
 	e2 := res.Book.MustGet(core.EscrowID(2))
-	if err := e2.Transfer(0, e2.PID(core.CustomerID(2)), e2.PID(core.CustomerID(3)), 1); err != nil {
+	if _, err := e2.Escrow(0, "drain", e2.PID(core.CustomerID(2)), e2.PID(core.CustomerID(3)), 1, ledger.Condition{}); err != nil {
 		t.Fatal(err)
 	}
 	f := &flight{p: &payment{ID: "p", Sender: 0, Receiver: 4, Base: 100}}

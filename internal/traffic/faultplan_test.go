@@ -264,15 +264,19 @@ func TestFaultPlanValidation(t *testing.T) {
 		"negative window":   {Fraction: 0.5, Outage: -sim.Second},
 	}
 	for name, fp := range cases {
-		w := NewWorkload(10).WithFaults(fp)
+		w := NewWorkload(10)
+		w.Faults = fp
 		if err := w.Validate(topo); err == nil {
 			t.Errorf("%s: validation accepted %+v", name, fp)
 		}
 	}
-	if err := NewWorkload(10).WithFaults(FaultPlan{Fraction: 0.5}).Validate(core.NewTopology(1)); err == nil {
+	w := NewWorkload(10)
+	w.Faults = FaultPlan{Fraction: 0.5}
+	if err := w.Validate(core.NewTopology(1)); err == nil {
 		t.Error("fraction > 0 accepted on a chain with no connectors")
 	}
-	if err := NewWorkload(10).WithFaults(FaultPlan{Fraction: 0.5, Behaviours: []string{"forge", "slow"}}).Validate(topo); err != nil {
+	w.Faults.Behaviours = []string{"forge", "slow"}
+	if err := w.Validate(topo); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }

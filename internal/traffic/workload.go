@@ -265,13 +265,6 @@ func (w Workload) Validate(t core.Topology) error {
 	return w.Faults.Validate(t)
 }
 
-// WithFaults returns a copy of the workload running under the given
-// Byzantine fault plan.
-func (w Workload) WithFaults(fp FaultPlan) Workload {
-	w.Faults = fp
-	return w
-}
-
 // payment is one generated payment: its route on the shared chain, the
 // amount its receiver collects (each hop's is derived from it: amountVia),
 // its arrival time, the protocol it uses, and a private seed for its own

@@ -3,6 +3,7 @@ package xchainpay
 import (
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 )
 
@@ -49,8 +50,8 @@ func TestFacadeProtocols(t *testing.T) {
 		// security is deliberately *not* satisfied by the HTLC baseline, and
 		// the weak-liveness protocol is judged under Definition 2 — that is
 		// what experiments E5 and E7 are about.)
-		rep := CheckEventual(res)
-		for _, prop := range []Property{core.PropEscrowSecurity, core.PropConservation} {
+		rep := check.Evaluate(res, check.Def1Eventual())
+		for _, prop := range []core.Property{core.PropEscrowSecurity, core.PropConservation} {
 			if !rep.Verdict(prop).OK() {
 				t.Errorf("%s: %s violated: %s", p.Name(), prop, rep.Verdict(prop).Detail)
 			}
@@ -109,12 +110,6 @@ func TestTrafficFacade(t *testing.T) {
 }
 
 func TestFacadeScenarioHelpers(t *testing.T) {
-	if NewTopology(4).N != 4 {
-		t.Error("NewTopology mismatch")
-	}
-	if DefaultTiming().MaxMsgDelay <= 0 {
-		t.Error("DefaultTiming incomplete")
-	}
 	s := NewScenario(2, 1).SetFault("c1", FaultSpec{Silent: true})
 	if !s.FaultOf("c1").Silent {
 		t.Error("SetFault lost the fault")
