@@ -311,8 +311,8 @@ func (e *Engine) step(until Time) bool {
 }
 
 // Run processes events until the queue drains or the limit on fired events
-// is exceeded. It returns the virtual time at which the run
-// ended and the number of events fired.
+// is exceeded. It returns the virtual time at which the run ended and the
+// number of events fired.
 func (e *Engine) Run(maxEvents uint64) (Time, uint64) {
 	return e.RunUntil(Never, maxEvents)
 }

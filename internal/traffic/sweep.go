@@ -71,24 +71,3 @@ func SeedSweep(base core.Scenario, w Workload, seeds []int64) []Point {
 	}
 	return out
 }
-
-// Grid builds the cross product of chain lengths and seeds, constructing a
-// fresh default scenario per chain length. mutate, if non-nil, adjusts each
-// scenario (fault injection, network model) before it is added.
-func Grid(chains []int, seeds []int64, w Workload, mutate func(core.Scenario) core.Scenario) []Point {
-	var out []Point
-	for _, n := range chains {
-		for _, seed := range seeds {
-			s := core.NewScenario(n, seed)
-			if mutate != nil {
-				s = mutate(s)
-			}
-			out = append(out, Point{
-				Label:    fmt.Sprintf("n=%d seed=%d", n, seed),
-				Scenario: s,
-				Workload: w,
-			})
-		}
-	}
-	return out
-}

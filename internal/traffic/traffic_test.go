@@ -466,7 +466,8 @@ func TestPaymentSeedDerivation(t *testing.T) {
 // requires identical outcomes in identical order.
 func TestSweepDeterministicOrdering(t *testing.T) {
 	w := NewWorkload(40)
-	points := Grid([]int{2, 4}, []int64{1, 2, 3}, w, nil)
+	seeds := []int64{1, 2, 3}
+	points := append(SeedSweep(core.NewScenario(2, 0), w, seeds), SeedSweep(core.NewScenario(4, 0), w, seeds)...)
 	if len(points) != 6 {
 		t.Fatalf("grid built %d points", len(points))
 	}
