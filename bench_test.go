@@ -12,10 +12,13 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/htlc"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/timelock"
 	"repro/internal/trace"
+	"repro/internal/weaklive"
 )
 
 // benchConfig is the per-iteration experiment size used inside benchmarks:
@@ -107,24 +110,24 @@ func benchProtocol(b *testing.B, p core.Protocol, n int) {
 
 // BenchmarkProtocolTimeBounded_n4 measures one end-to-end time-bounded
 // payment across four escrows.
-func BenchmarkProtocolTimeBounded_n4(b *testing.B) { benchProtocol(b, TimeBounded(), 4) }
+func BenchmarkProtocolTimeBounded_n4(b *testing.B) { benchProtocol(b, timelock.New(), 4) }
 
 // BenchmarkProtocolTimeBoundedANTA_n4 measures the same payment on the
 // ANTA (Figure-2 automata) engine.
-func BenchmarkProtocolTimeBoundedANTA_n4(b *testing.B) { benchProtocol(b, TimeBoundedANTA(), 4) }
+func BenchmarkProtocolTimeBoundedANTA_n4(b *testing.B) { benchProtocol(b, timelock.NewANTA(), 4) }
 
 // BenchmarkProtocolWeakLivenessTrusted_n4 measures one weak-liveness payment
 // with the trusted manager.
-func BenchmarkProtocolWeakLivenessTrusted_n4(b *testing.B) { benchProtocol(b, WeakLiveness(), 4) }
+func BenchmarkProtocolWeakLivenessTrusted_n4(b *testing.B) { benchProtocol(b, weaklive.New(), 4) }
 
 // BenchmarkProtocolWeakLivenessCommittee_n4 measures one weak-liveness
 // payment with a 4-notary committee.
 func BenchmarkProtocolWeakLivenessCommittee_n4(b *testing.B) {
-	benchProtocol(b, WeakLivenessCommittee(4), 4)
+	benchProtocol(b, weaklive.NewCommittee(4), 4)
 }
 
 // BenchmarkProtocolHTLC_n4 measures one hashed-timelock payment.
-func BenchmarkProtocolHTLC_n4(b *testing.B) { benchProtocol(b, HTLCBaseline(), 4) }
+func BenchmarkProtocolHTLC_n4(b *testing.B) { benchProtocol(b, htlc.New(), 4) }
 
 // Kernel micro-benchmarks: the raw cost of the simulation kernel's hot path
 // (event scheduling/firing and muted message delivery), independent of any

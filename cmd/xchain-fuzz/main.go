@@ -56,7 +56,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-
+	if *seeds < 1 {
+		fmt.Fprintf(stderr, "-seeds: need at least 1, got %d\n", *seeds)
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "-workers: need 0 (one per CPU) or more, got %d\n", *workers)
+		return 2
+	}
 	if _, ok := sig.BackendByName(*crypto); !ok {
 		fmt.Fprintf(stderr, "unknown crypto backend %q (have %v)\n", *crypto, sig.BackendNames())
 		return 2

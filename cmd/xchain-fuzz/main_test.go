@@ -107,6 +107,15 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)
 	}
+	// A count out of range used to run one seed (-seeds -5) or die out of
+	// memory; it now fails before any run, naming the flag.
+	for _, args := range [][]string{{"-seeds", "0"}, {"-seeds", "-5"}, {"-workers", "-1"}} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]) {
+			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
+		}
+	}
 }
 
 // TestPrintTraceTail: a VIOLATION block ends with the last events of a

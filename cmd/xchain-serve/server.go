@@ -113,21 +113,20 @@ type progress struct {
 }
 
 func (r *run) progress() progress {
-	reg := r.Reg
-	lat := reg.Histogram(traffic.MetricLatencyMs, "")
+	m := traffic.NewRunMetrics(r.Reg)
 	return progress{
-		Generated:  reg.Counter(traffic.MetricPaymentsGenerated, "").Value(),
-		Simulated:  reg.Counter(traffic.MetricPaymentsSimulated, "").Value(),
-		Settled:    reg.Counter(traffic.MetricPaymentsSettled, "").Value(),
-		Failed:     reg.Counter(traffic.MetricPaymentsFailed, "").Value(),
-		Rejected:   reg.Counter(traffic.MetricPaymentsRejected, "").Value(),
-		Expired:    reg.Counter(traffic.MetricPaymentsExpired, "").Value(),
-		Errored:    reg.Counter(traffic.MetricPaymentsErrored, "").Value(),
-		QueueDepth: reg.Gauge(traffic.MetricQueueDepth, "").Value(),
-		InFlight:   reg.Gauge(traffic.MetricInFlight, "").Value(),
-		P50Ms:      lat.Quantile(0.5),
-		P99Ms:      lat.Quantile(0.99),
-		VirtualMs:  reg.Gauge(sim.MetricVirtualTimeMs, "").Value(),
+		Generated:  m.Generated.Value(),
+		Simulated:  m.Simulated.Value(),
+		Settled:    m.Settled.Value(),
+		Failed:     m.Failed.Value(),
+		Rejected:   m.Rejected.Value(),
+		Expired:    m.Expired.Value(),
+		Errored:    m.Errored.Value(),
+		QueueDepth: m.QueueDepth.Value(),
+		InFlight:   m.InFlight.Value(),
+		P50Ms:      m.Latency.Quantile(0.5),
+		P99Ms:      m.Latency.Quantile(0.99),
+		VirtualMs:  r.Reg.Gauge(sim.MetricVirtualTimeMs, "").Value(),
 	}
 }
 

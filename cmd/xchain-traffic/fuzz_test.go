@@ -30,6 +30,7 @@ func FuzzTrafficArgs(f *testing.F) {
 		{"-fault", "notaryX=silent"}, {"-fault", "c1=silent,c1=crash"}, {"-n", "0"}, {"-n", "-1"},
 		{"-arrival", "brust"}, {"-n", "4", "-payments", "200", "-commission", "-60", "-crypto", "hmac"}, {"-h"},
 		{"-rate", "0"}, {"-rate", "NaN"}, {"-burst-gap", "1.001ms", "-payments", "40", "-arrival", "burst"},
+		{"-sweep-seeds", "-4"}, {"-exemplars", "-1"}, {"-max-verify-miss", "-1"}, {"-checkpoint-every", "-3"},
 	} {
 		f.Add(strings.Join(args, "\x00"))
 	}

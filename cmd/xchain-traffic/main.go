@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	xchainpay "repro"
 	"repro/internal/metrics"
 	"repro/internal/sig"
 	"repro/internal/traffic"
@@ -64,6 +63,9 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		return first
 	}, nil
 }
+
+// maxSweepSeeds bounds -sweep-seeds: a sweep holds one result per seed.
+const maxSweepSeeds = 1000
 
 // options are the flags that tune how xchain-traffic executes and reports a
 // run, beside the traffic.Request that names it.
@@ -117,7 +119,7 @@ func parse(args []string, stderr io.Writer) (*flag.FlagSet, *traffic.Request, op
 	fs.StringVar(&o.ckptPath, "checkpoint", "", "write a crash-safe checkpoint to this file (resume with -resume)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write the checkpoint every N admitted payments (requires -checkpoint)")
 	fs.StringVar(&o.resumePath, "resume", "", "resume an interrupted run from this checkpoint file")
-	fs.IntVar(&o.sweepSeeds, "sweep-seeds", 0, "additionally sweep this many seeds in parallel")
+	fs.IntVar(&o.sweepSeeds, "sweep-seeds", 0, fmt.Sprintf("additionally sweep this many seeds in parallel (at most %d)", maxSweepSeeds))
 	fs.BoolVar(&o.cryptoStats, "crypto-stats", false, "print key-cache and issuance-record counters after the run")
 	fs.Float64Var(&o.maxMiss, "max-verify-miss", 0, "fail if the share of verifications the issuance records cannot answer exceeds this fraction (0 = no gate)")
 	fs.DurationVar(&o.progress, "progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
@@ -126,6 +128,23 @@ func parse(args []string, stderr io.Writer) (*flag.FlagSet, *traffic.Request, op
 	fs.BoolVar(&o.verbose, "v", false, "print one line per payment (the exemplars with -stream)")
 	err := fs.Parse(args)
 	return fs, &q, o, err
+}
+
+// check refuses an option no run can honour, naming its flag.
+func (o options) check() error {
+	switch {
+	case o.exemplars < 0:
+		return fmt.Errorf("-exemplars: need 0 or more, got %d", o.exemplars)
+	case o.ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every: need 0 or more, got %d", o.ckptEvery)
+	case o.sweepSeeds < 0 || o.sweepSeeds > maxSweepSeeds:
+		return fmt.Errorf("-sweep-seeds: need 0 to %d, got %d", maxSweepSeeds, o.sweepSeeds)
+	case !(o.maxMiss >= 0 && o.maxMiss <= 1):
+		return fmt.Errorf("-max-verify-miss: need a fraction from 0 to 1, got %v", o.maxMiss)
+	case o.progress < 0:
+		return fmt.Errorf("-progress: need 0 or more, got %v", o.progress)
+	}
+	return nil
 }
 
 // msFlag is a duration flag writing a request's _ms field.
@@ -175,6 +194,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
+	if err := o.check(); err != nil {
+		fmt.Fprintf(stderr, "xchain-traffic: %v\n", err)
+		return 2
+	}
 	s, w, cfg, err := q.Build()
 	var re *traffic.RequestError // Build's only error
 	if errors.As(err, &re) {
@@ -209,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if cfg.CheckpointPath == "" && cfg.CheckpointEvery > 0 {
 				cfg.CheckpointPath = o.resumePath
 			}
-			sn, err := xchainpay.LoadTrafficSnapshot(o.resumePath)
+			sn, err := traffic.LoadSnapshot(o.resumePath)
 			if err != nil {
 				fmt.Fprintf(stderr, "xchain-traffic: cannot resume from %s: %v\n", o.resumePath, err)
 				return 1
@@ -260,8 +283,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		for i := range seeds {
 			seeds[i] = q.Seed + int64(i)
 		}
-		points := xchainpay.SeedSweepTraffic(s, w, seeds)
-		for _, o := range xchainpay.SweepTraffic(points, cfg) {
+		points := traffic.SeedSweep(s, w, seeds)
+		for _, o := range traffic.Sweep(points, cfg) {
 			if o.Err != nil {
 				fmt.Fprintf(stderr, "xchain-traffic: %s: %v\n", o.Point.Label, o.Err)
 				return 1
@@ -274,9 +297,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return cryptoGate()
 	}
 
-	res, err := xchainpay.RunTrafficWith(s, w, cfg)
+	res, err := traffic.RunWith(s, w, cfg)
 	if err != nil {
-		var mm *xchainpay.TrafficConfigMismatchError
+		var mm *traffic.ConfigMismatchError
 		if errors.As(err, &mm) {
 			fmt.Fprintf(stderr, "xchain-traffic: %v\n", err)
 			fmt.Fprintf(stderr, "xchain-traffic: the -resume snapshot was taken under a different scenario/workload than the current flags rebuild; rerun with the original flags. The snapshot's embedded config:\n%s\n", mm.EmbeddedConfig())
@@ -298,7 +321,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // gate enforces the aggregate oracles on a finished run: the ledger audit
 // and refund-cascade conservation, plus the Theorem-1/3 safety oracle (zero
 // owed safety-property failures at any load and any attacker fraction).
-func gate(stderr io.Writer, res *xchainpay.TrafficResult) int {
+func gate(stderr io.Writer, res *traffic.Result) int {
 	if res.AuditErr != nil || res.CascadeErr != nil || res.PendingLocks != 0 {
 		fmt.Fprintf(stderr, "xchain-traffic: liquidity ledgers inconsistent after the run\n")
 		return 1
@@ -311,11 +334,12 @@ func gate(stderr io.Writer, res *xchainpay.TrafficResult) int {
 }
 
 // startProgress launches a goroutine printing one progress line to w
-// immediately and then every interval, reading the run's live registry and
-// the Go heap. The returned stop function is idempotent: it prints a final
-// line and waits for the goroutine to exit, so no write races the caller's
-// own output.
+// immediately and then every interval, reading the run's traffic family
+// through the handles RunWith updates, and the Go heap. The returned stop
+// function is idempotent: it prints a final line and waits for the
+// goroutine to exit, so no write races the caller's own output.
 func startProgress(w io.Writer, reg *metrics.Registry, every time.Duration) func() {
+	m := traffic.NewRunMetrics(reg)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -325,23 +349,19 @@ func startProgress(w io.Writer, reg *metrics.Registry, every time.Duration) func
 		var lastSettled uint64
 		lastAt := time.Now()
 		line := func() {
-			settled := reg.Counter(traffic.MetricPaymentsSettled, "").Value()
+			settled := m.Settled.Value()
 			now := time.Now()
 			rate := 0.0
 			if dt := now.Sub(lastAt).Seconds(); dt > 0 {
 				rate = float64(settled-lastSettled) / dt
 			}
 			lastSettled, lastAt = settled, now
-			lat := reg.Histogram(traffic.MetricLatencyMs, "")
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			fmt.Fprintf(w, "progress: generated=%d simulated=%d settled=%d (%.0f/s wall) queue=%.0f in-flight=%.0f p50=%.3fms p99=%.3fms heap=%.1fMB\n",
-				reg.Counter(traffic.MetricPaymentsGenerated, "").Value(),
-				reg.Counter(traffic.MetricPaymentsSimulated, "").Value(),
-				settled, rate,
-				reg.Gauge(traffic.MetricQueueDepth, "").Value(),
-				reg.Gauge(traffic.MetricInFlight, "").Value(),
-				lat.Quantile(0.5), lat.Quantile(0.99),
+				m.Generated.Value(), m.Simulated.Value(), settled, rate,
+				m.QueueDepth.Value(), m.InFlight.Value(),
+				m.Latency.Quantile(0.5), m.Latency.Quantile(0.99),
 				float64(ms.HeapAlloc)/(1<<20))
 		}
 		line()

@@ -139,6 +139,14 @@ func TestRunBadFlags(t *testing.T) {
 		{"-fault", "c1=silent,c1=crash"},
 		{"-n", "0"}, // used to panic in core.NewTopology
 		{"-n", "-1"},
+		// Execution options out of range used to exit 0 silently, fail
+		// inside the library, or (-sweep-seeds 3000000000) run out of memory.
+		{"-sweep-seeds", "-4"},
+		{"-sweep-seeds", "3000000000"},
+		{"-exemplars", "-1"},
+		{"-progress", "-1s"},
+		{"-max-verify-miss", "-1"},
+		{"-checkpoint-every", "-3", "-checkpoint", "f"},
 	} {
 		out.Reset()
 		errOut.Reset()

@@ -14,12 +14,14 @@ import (
 	"os"
 	"time"
 
-	xchainpay "repro"
 	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/htlc"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/timelock"
+	"repro/internal/weaklive"
 )
 
 func main() {
@@ -57,13 +59,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatalf("-committee: need 1 to %d notaries, got %d", core.MaxChain, *committee)
 	}
 
-	s := xchainpay.NewScenario(*n, *seed)
+	s := core.NewScenario(*n, *seed)
 	timing := s.Timing
 	switch *network {
 	case "sync":
 		// Default network already synchronous.
 	case "partial":
-		s = s.WithNetwork(xchainpay.PartiallySynchronous(durToSim(*gst), timing.MaxMsgDelay, 4*durToSim(*gst)))
+		s = s.WithNetwork(netsim.PartialSynchrony{GST: durToSim(*gst), Delta: timing.MaxMsgDelay, MaxPreGST: 4 * durToSim(*gst)})
 	default:
 		return fatalf("unknown network model %q", *network)
 	}
@@ -77,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s = assignment.Apply(s)
 
 	var (
-		protocol xchainpay.Protocol
+		protocol core.Protocol
 		// bound is Theorem 1's a-priori termination bound, which only the
 		// timeout family derives.
 		bound sim.Time
@@ -85,17 +87,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeBounded := func(p *timelock.Protocol) { protocol, bound = p, p.ParamsFor(s).Bound }
 	switch *protoName {
 	case "timelock":
-		timeBounded(xchainpay.TimeBounded())
+		timeBounded(timelock.New())
 	case "timelock-anta":
-		timeBounded(xchainpay.TimeBoundedANTA())
+		timeBounded(timelock.NewANTA())
 	case "timelock-naive":
-		timeBounded(xchainpay.TimeBoundedNaive())
+		timeBounded(timelock.NewNaive())
 	case "weaklive":
-		protocol = xchainpay.WeakLiveness()
+		protocol = weaklive.New()
 	case "weaklive-committee":
-		protocol = xchainpay.WeakLivenessCommittee(*committee)
+		protocol = weaklive.NewCommittee(*committee)
 	case "htlc":
-		protocol = xchainpay.HTLCBaseline()
+		protocol = htlc.New()
 	default:
 		return fatalf("unknown protocol %q", *protoName)
 	}

@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"log"
 
-	xchainpay "repro"
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/timelock"
 )
 
-func run(title string, scenario xchainpay.Scenario) {
-	protocol := xchainpay.TimeBounded()
+func run(title string, scenario core.Scenario) {
+	protocol := timelock.New()
 	result, err := protocol.Run(scenario)
 	if err != nil {
 		log.Fatal(err)
@@ -34,7 +36,7 @@ func run(title string, scenario xchainpay.Scenario) {
 		fmt.Printf("  %-3s net %+5d  terminated=%v  chi=%v%s\n",
 			id, out.NetWealthChange(), out.Terminated, out.HoldsChi, marker)
 	}
-	report := xchainpay.CheckTimeBounded(result, protocol.ParamsFor(scenario).Bound)
+	report := check.Evaluate(result, check.Def1TimeBounded(protocol.ParamsFor(scenario).Bound))
 	fmt.Printf("all Definition-1 properties hold: %v\n\n", report.AllOK())
 }
 
@@ -42,21 +44,21 @@ func main() {
 	// Chloe_2 withholds the certificate instead of forwarding it upstream:
 	// she only hurts herself — everyone upstream is refunded when the escrow
 	// windows expire.
-	withholding := xchainpay.NewScenario(4, 7).
-		SetFault("c2", xchainpay.FaultSpec{WithholdCertificate: true})
+	withholding := core.NewScenario(4, 7).
+		SetFault("c2", core.FaultSpec{WithholdCertificate: true})
 	run("connector c2 withholds the certificate", withholding)
 
 	// Bob never signs chi: no money moves at all, and in particular Bob is
 	// not paid (CS2), while Alice and the connectors get their money back
 	// (CS1, CS3).
-	silentBob := xchainpay.NewScenario(4, 7).
-		SetFault("c4", xchainpay.FaultSpec{WithholdCertificate: true})
+	silentBob := core.NewScenario(4, 7).
+		SetFault("c4", core.FaultSpec{WithholdCertificate: true})
 	run("Bob withholds the certificate", silentBob)
 
 	// A thieving escrow: e1 keeps the escrowed funds. Its own customers are
 	// exposed (they trusted it), but customers of honest escrows remain
 	// protected — exactly the scope of the paper's trust assumptions.
-	thievingEscrow := xchainpay.NewScenario(4, 7).
-		SetFault("e1", xchainpay.FaultSpec{StealEscrow: true})
+	thievingEscrow := core.NewScenario(4, 7).
+		SetFault("e1", core.FaultSpec{StealEscrow: true})
 	run("escrow e1 steals the escrowed funds", thievingEscrow)
 }

@@ -13,18 +13,18 @@ import (
 	"fmt"
 	"log"
 
-	xchainpay "repro"
 	"repro/internal/core"
 	"repro/internal/deals"
+	"repro/internal/timelock"
 )
 
 func main() {
 	// A three-hop payment, as the paper's Fig. 1.
-	scenario := xchainpay.NewScenario(3, 5)
+	scenario := core.NewScenario(3, 5)
 
 	// Run it as a payment with the time-bounded protocol: Alice ends up with
 	// Bob's signed certificate chi.
-	payRes, err := xchainpay.TimeBounded().Run(scenario)
+	payRes, err := timelock.New().Run(scenario)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	xchainpay "repro"
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/timelock"
 )
 
 func main() {
@@ -20,9 +22,9 @@ func main() {
 	// (Bob receives 1000, each connector earns a 10-unit commission), the
 	// synchrony assumptions, and the RNG seed that makes the run
 	// reproducible.
-	scenario := xchainpay.NewScenario(3, 42)
+	scenario := core.NewScenario(3, 42)
 
-	protocol := xchainpay.TimeBounded()
+	protocol := timelock.New()
 	result, err := protocol.Run(scenario)
 	if err != nil {
 		log.Fatal(err)
@@ -42,6 +44,6 @@ func main() {
 	// derived parameters; the checker verifies the whole of Definition 1
 	// against it.
 	bound := protocol.ParamsFor(scenario).Bound
-	report := xchainpay.CheckTimeBounded(result, bound)
+	report := check.Evaluate(result, check.Def1TimeBounded(bound))
 	fmt.Printf("\ntermination bound: %v\n%s", bound, report)
 }

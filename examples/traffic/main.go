@@ -14,26 +14,28 @@ import (
 	"fmt"
 	"log"
 
-	xchainpay "repro"
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 func main() {
 	// One shared chain: Alice, seven connectors, Bob, eight escrows.
-	scenario := xchainpay.NewScenario(8, 42)
+	scenario := core.NewScenario(8, 42)
 
 	// A thousand payments arriving as a Poisson process at 500 payments per
 	// simulated second, 40% time-bounded, 30% weak-liveness, 30% HTLC.
 	// Liquidity is auto-sized, so admission never binds and the run shows
 	// the chain's raw capacity.
-	workload := xchainpay.NewWorkload(1000)
+	workload := traffic.NewWorkload(1000)
 	workload.Arrival.Rate = 500
 	workload = workload.WithMix(
-		xchainpay.ProtocolShare{Name: "timelock", Weight: 0.4},
-		xchainpay.ProtocolShare{Name: "weaklive", Weight: 0.3},
-		xchainpay.ProtocolShare{Name: "htlc", Weight: 0.3},
+		traffic.ProtocolShare{Name: "timelock", Weight: 0.4},
+		traffic.ProtocolShare{Name: "weaklive", Weight: 0.3},
+		traffic.ProtocolShare{Name: "htlc", Weight: 0.3},
 	)
 
-	result, err := xchainpay.RunTraffic(scenario, workload)
+	result, err := traffic.Run(scenario, workload)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,11 +46,11 @@ func main() {
 	// handful of simultaneous payments, and bursts of 50 slam into it.
 	// Blocked payments wait up to 10 simulated seconds in the admission
 	// queue before being dropped.
-	starved := xchainpay.NewWorkload(1000)
-	starved.Arrival = xchainpay.Arrival{Kind: xchainpay.ArrivalBurst, BurstSize: 50, BurstGap: 2 * xchainpay.Second}
-	starved = starved.WithLiquidity(5500).WithQueue(10*xchainpay.Second, 0)
+	starved := traffic.NewWorkload(1000)
+	starved.Arrival = traffic.Arrival{Kind: traffic.ArrivalBurst, BurstSize: 50, BurstGap: 2 * sim.Second}
+	starved = starved.WithLiquidity(5500).WithQueue(10*sim.Second, 0)
 
-	result, err = xchainpay.RunTraffic(scenario, starved)
+	result, err = traffic.Run(scenario, starved)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 
 	// Determinism: the exact same workload on the exact same seed, executed
 	// serially instead of on the worker pool, is byte-identical.
-	again, err := xchainpay.RunTrafficWith(scenario, starved, xchainpay.TrafficConfig{Workers: 1})
+	again, err := traffic.RunWith(scenario, starved, traffic.Config{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

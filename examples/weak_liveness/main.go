@@ -18,11 +18,15 @@ import (
 	"fmt"
 	"log"
 
-	xchainpay "repro"
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/weaklive"
 )
 
-func run(title string, scenario xchainpay.Scenario, patience xchainpay.Time) {
-	protocol := xchainpay.WeakLivenessCommittee(4)
+func run(title string, scenario core.Scenario, patience sim.Time) {
+	protocol := weaklive.NewCommittee(4)
 	result, err := protocol.Run(scenario)
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +39,7 @@ func run(title string, scenario xchainpay.Scenario, patience xchainpay.Time) {
 		fmt.Printf("  %-3s net %+5d  terminated=%v  commit-cert=%v  abort-cert=%v  lost patience=%v\n",
 			id, out.NetWealthChange(), out.Terminated, out.HoldsCommitCert, out.HoldsAbortCert, out.Aborted)
 	}
-	report := xchainpay.CheckWeakLiveness(result, patience)
+	report := check.Evaluate(result, check.Def2(patience))
 	fmt.Printf("all Definition-2 properties hold: %v\n\n", report.AllOK())
 }
 
@@ -43,23 +47,23 @@ func main() {
 	// The network is partially synchronous: messages may take up to 800ms
 	// before the global stabilisation time (1s) and respect the 50ms bound
 	// afterwards.
-	network := xchainpay.PartiallySynchronous(
-		1*xchainpay.Second, 50*xchainpay.Millisecond, 800*xchainpay.Millisecond)
+	network := netsim.PartialSynchrony{
+		GST: 1 * sim.Second, Delta: 50 * sim.Millisecond, MaxPreGST: 800 * sim.Millisecond}
 
 	// 1. Patient customers: weak liveness delivers the payment.
-	patient := xchainpay.NewScenario(3, 11).WithNetwork(network)
+	patient := core.NewScenario(3, 11).WithNetwork(network)
 	for _, id := range patient.Topology.Customers() {
-		patient = patient.SetPatience(id, 30*xchainpay.Second)
+		patient = patient.SetPatience(id, 30*sim.Second)
 	}
-	run("patient customers, GST = 1s", patient, 10*xchainpay.Second)
+	run("patient customers, GST = 1s", patient, 10*sim.Second)
 
 	// 2. An impatient connector aborts early; the abort certificate settles
 	// every escrow and nobody loses value.
-	impatient := patient.SetPatience("c1", 100*xchainpay.Millisecond)
-	run("connector c1 loses patience after 100ms", impatient, 10*xchainpay.Second)
+	impatient := patient.SetPatience("c1", 100*sim.Millisecond)
+	run("connector c1 loses patience after 100ms", impatient, 10*sim.Second)
 
 	// 3. One silent notary out of four: below the f < n/3 threshold the
 	// committee still reaches its decision.
-	faultyNotary := patient.SetFault("notary0", xchainpay.FaultSpec{Silent: true})
-	run("one silent notary out of four", faultyNotary, 10*xchainpay.Second)
+	faultyNotary := patient.SetFault("notary0", core.FaultSpec{Silent: true})
+	run("one silent notary out of four", faultyNotary, 10*sim.Second)
 }

@@ -110,8 +110,8 @@ func Analyzers() []*Analyzer {
 // deterministicPkgs lists the packages whose runs must be pure functions of
 // their inputs: everything executing on (or feeding) the virtual-time
 // kernel. The wallclock and globalrand analyzers only apply inside these.
-// CLIs (repro/cmd/...), examples, the facade, internal/metrics (live
-// observability) and this package are deliberately outside the set.
+// CLIs (repro/cmd/...), examples, internal/metrics (live observability)
+// and this package are deliberately outside the set.
 // internal/bench is inside it: its tables are functions of their
 // configuration, and wall-clock cost is benchmark/'s to measure.
 var deterministicPkgs = map[string]bool{

@@ -89,13 +89,25 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
+// window is how far past the earliest unfinished seed a campaign's workers
+// may run. Finished outcomes wait in a ring of this size until every earlier
+// seed is done, then fold into Stats in seed order, so a campaign's memory
+// does not grow with its seed count.
+const window = 256
+
+// skipped marks a ring slot whose seed generated a filtered-out family.
+var skipped = &Outcome{}
+
 // Fuzz runs a campaign: Generate each seed, run its oracle, aggregate. The
 // aggregation is deterministic in (Options) regardless of Workers. Each
 // worker draws its specs from one standing generator, reseeded per seed, and
 // judges them on one standing pair of worlds — a world is reset, not
 // rebuilt, between scenarios — and a scenario that panics costs the campaign
 // that seed, not the run.
-func Fuzz(opts Options) *Stats {
+func Fuzz(opts Options) *Stats { return fuzz(opts, judge) }
+
+// fuzz is Fuzz judging each spec with run.
+func fuzz(opts Options, run func(Spec, *worlds) *Outcome) *Stats {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 1
 	}
@@ -103,9 +115,15 @@ func Fuzz(opts Options) *Stats {
 	for _, f := range opts.Families {
 		allowed[f] = true
 	}
-	outcomes := make([]*Outcome, opts.Seeds)
-	var wg sync.WaitGroup
-	var next atomic.Int64 // the next unclaimed index into outcomes
+	st := &Stats{ByFamily: map[Family]int{}, ExpectedCounts: map[core.Property]int{}}
+	var (
+		mu     sync.Mutex
+		moved  = sync.NewCond(&mu) // folded advanced
+		ring   [window]*Outcome    // seed i's outcome at i%window until folded
+		folded int64               // seeds [0, folded) are in st
+		wg     sync.WaitGroup
+		next   atomic.Int64 // the next unclaimed seed index
+	)
 	for w := 0; w < opts.workers(); w++ {
 		wg.Add(1)
 		go func() {
@@ -113,49 +131,63 @@ func Fuzz(opts Options) *Stats {
 			var ws worlds
 			rng := sim.NewRand(0)
 			for i := next.Add(1) - 1; i < int64(opts.Seeds); i = next.Add(1) - 1 {
+				mu.Lock()
+				for i >= folded+window {
+					moved.Wait()
+				}
+				mu.Unlock()
+				out := skipped
 				sp := generate(rng, opts.StartSeed+i)
 				if opts.Crypto != "" {
 					sp.Crypto = opts.Crypto
 				}
-				if len(allowed) > 0 && !allowed[sp.Family] {
-					continue
+				if len(allowed) == 0 || allowed[sp.Family] {
+					out = runGuarded(sp, &ws, run)
 				}
-				outcomes[i] = runGuarded(sp, &ws, judge)
+				mu.Lock()
+				ring[i%window] = out
+				for o := ring[folded%window]; o != nil; o = ring[folded%window] {
+					st.add(o)
+					ring[folded%window] = nil
+					folded++
+				}
+				mu.Unlock()
+				moved.Broadcast()
 			}
 		}()
 	}
 	wg.Wait()
+	return st
+}
 
-	st := &Stats{ByFamily: map[Family]int{}, ExpectedCounts: map[core.Property]int{}}
-	for _, o := range outcomes {
-		if o == nil {
-			st.Skipped++
-			continue
-		}
-		st.Runs++
-		st.ByFamily[o.Spec.Family]++
-		if o.Class == ClassConforming {
-			st.Conforming++
-		} else {
-			st.Violating++
-		}
-		for _, p := range o.ExpectedFailures {
-			st.ExpectedCounts[p]++
-		}
-		if o.Theorem2 {
-			st.Theorem2Count++
-			if st.FirstTheorem2 == nil {
-				st.FirstTheorem2 = o
-			}
-		}
-		if !o.OK() {
-			st.ViolationCount++
-			if len(st.Violations) < maxFailures {
-				st.Violations = append(st.Violations, o)
-			}
+// add folds the next seed's outcome into the campaign's aggregates.
+func (s *Stats) add(o *Outcome) {
+	if o == skipped {
+		s.Skipped++
+		return
+	}
+	s.Runs++
+	s.ByFamily[o.Spec.Family]++
+	if o.Class == ClassConforming {
+		s.Conforming++
+	} else {
+		s.Violating++
+	}
+	for _, p := range o.ExpectedFailures {
+		s.ExpectedCounts[p]++
+	}
+	if o.Theorem2 {
+		s.Theorem2Count++
+		if s.FirstTheorem2 == nil {
+			s.FirstTheorem2 = o
 		}
 	}
-	return st
+	if !o.OK() {
+		s.ViolationCount++
+		if len(s.Violations) < maxFailures {
+			s.Violations = append(s.Violations, o)
+		}
+	}
 }
 
 // runGuarded is run(sp, ws) with a panic turned into a finding: the outcome

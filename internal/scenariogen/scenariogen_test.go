@@ -2,8 +2,10 @@ package scenariogen
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -385,6 +387,73 @@ func TestFuzzAggregationDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.ByFamily, b.ByFamily) || !reflect.DeepEqual(a.ExpectedCounts, b.ExpectedCounts) {
 		t.Fatalf("worker count changed campaign tallies:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestFuzzReorderWindow: a campaign crossing three reorder windows, with the
+// certified deal's known violation (seed 47205, testdata/known-bugs) in the
+// third, folds on one worker and on four the Stats a seed-by-seed fold gives:
+// the counts, the violations in seed order and the earliest Theorem-2
+// counterexample.
+func TestFuzzReorderWindow(t *testing.T) {
+	opts := Options{Seeds: 3*window + 50, StartSeed: 47205 - 2*window - 50, Families: nonTraffic(), Crypto: "hmac"}
+	summary := func(st *Stats) string {
+		first := int64(-1)
+		if st.FirstTheorem2 != nil {
+			first = st.FirstTheorem2.Spec.Seed
+		}
+		s := fmt.Sprintf("%sfirst theorem-2 seed %d\n", st, first)
+		for _, o := range st.Violations {
+			s += fmt.Sprintf("violation seed %d\n", o.Spec.Seed)
+		}
+		return s
+	}
+	ref := &Stats{ByFamily: map[Family]int{}, ExpectedCounts: map[core.Property]int{}}
+	for seed := opts.StartSeed; seed < opts.StartSeed+int64(opts.Seeds); seed++ {
+		sp := Generate(seed)
+		sp.Crypto = opts.Crypto
+		if sp.Family == FamTraffic {
+			ref.add(skipped)
+			continue
+		}
+		ref.add(Run(sp))
+	}
+	if ref.ViolationCount == 0 || ref.FirstTheorem2 == nil {
+		t.Fatalf("want seed 47205's violation and a Theorem-2 counterexample:\n%s", ref)
+	}
+	want := summary(ref)
+	for _, workers := range []int{1, 4} {
+		opts.Workers = workers
+		if got := summary(Fuzz(opts)); got != want {
+			t.Fatalf("%d workers:\n%s--- a seed-by-seed fold\n%s", workers, got, want)
+		}
+	}
+}
+
+// TestFuzzFoldsInSeedOrder: the first seed of each window runs slowest, so
+// its successors finish first, up to a window ahead; the fold still counts
+// every seed once and keeps the first violations and the first Theorem-2
+// outcome in seed order.
+func TestFuzzFoldsInSeedOrder(t *testing.T) {
+	slow := func(sp Spec, _ *worlds) *Outcome {
+		if sp.Seed%window == 0 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		o := &Outcome{Spec: sp, Theorem2: sp.Seed%50 == 0}
+		if sp.Seed%40 == 0 {
+			o.Violations = []Violation{{Kind: KindEngine}}
+		}
+		return o
+	}
+	for _, workers := range []int{1, 4} {
+		st := fuzz(Options{Seeds: 3 * window, Workers: workers}, slow)
+		got := fmt.Sprintf("runs=%d violations=%d first-theorem2=%d", st.Runs, st.ViolationCount, st.FirstTheorem2.Spec.Seed)
+		for _, o := range st.Violations {
+			got += fmt.Sprint(" ", o.Spec.Seed)
+		}
+		if want := "runs=768 violations=20 first-theorem2=0 0 40 80 120 160 200 240 280 320 360 400 440 480 520 560 600"; got != want {
+			t.Fatalf("%d workers folded\n%s, want\n%s", workers, got, want)
+		}
 	}
 }
 

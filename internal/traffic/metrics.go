@@ -96,8 +96,9 @@ type RunMetrics struct {
 }
 
 // NewRunMetrics registers (or finds) the traffic family on r and returns the
-// handles. Both RunWith and xchain-serve call this, so the run's hot path
-// and the HTTP scrape converge on the same cells with the same help strings.
+// handles. RunWith and the live-progress readers of xchain-serve and
+// xchain-traffic all call this, so the run's hot path and its readers
+// converge on the same cells with the same help strings.
 // A nil registry yields the zero (muted) RunMetrics.
 func NewRunMetrics(r *metrics.Registry) RunMetrics {
 	if r == nil {

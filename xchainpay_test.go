@@ -5,11 +5,17 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/htlc"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/timelock"
+	"repro/internal/traffic"
+	"repro/internal/weaklive"
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	s := NewScenario(3, 42)
-	p := TimeBounded()
+	s := core.NewScenario(3, 42)
+	p := timelock.New()
 	res, err := p.Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -17,20 +23,20 @@ func TestQuickstartFlow(t *testing.T) {
 	if !res.BobPaid {
 		t.Fatal("Bob not paid on the quickstart path")
 	}
-	rep := CheckTimeBounded(res, p.ParamsFor(s).Bound)
+	rep := check.Evaluate(res, check.Def1TimeBounded(p.ParamsFor(s).Bound))
 	if !rep.AllOK() {
 		t.Fatalf("Definition-1 properties violated:\n%s", rep)
 	}
 }
 
 func TestFacadeProtocols(t *testing.T) {
-	s := NewScenario(2, 7)
+	s := core.NewScenario(2, 7)
 	for _, id := range s.Topology.Customers() {
-		s = s.SetPatience(id, 20*Second)
+		s = s.SetPatience(id, 20*sim.Second)
 	}
-	protocols := []Protocol{
-		TimeBounded(), TimeBoundedANTA(), TimeBoundedNaive(),
-		WeakLiveness(), WeakLivenessCommittee(4), HTLCBaseline(),
+	protocols := []core.Protocol{
+		timelock.New(), timelock.NewANTA(), timelock.NewNaive(),
+		weaklive.New(), weaklive.NewCommittee(4), htlc.New(),
 	}
 	seen := map[string]bool{}
 	for _, p := range protocols {
@@ -60,31 +66,31 @@ func TestFacadeProtocols(t *testing.T) {
 }
 
 func TestFacadeNetworks(t *testing.T) {
-	s := NewScenario(2, 3).WithNetwork(PartiallySynchronous(500*Millisecond, 50*Millisecond, 400*Millisecond))
+	s := core.NewScenario(2, 3).WithNetwork(netsim.PartialSynchrony{GST: 500 * sim.Millisecond, Delta: 50 * sim.Millisecond, MaxPreGST: 400 * sim.Millisecond})
 	for _, id := range s.Topology.Customers() {
-		s = s.SetPatience(id, 30*Second)
+		s = s.SetPatience(id, 30*sim.Second)
 	}
-	res, err := WeakLiveness().Run(s)
+	res, err := weaklive.New().Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.BobPaid {
 		t.Fatal("patient customers under partial synchrony should still pay Bob")
 	}
-	rep := CheckWeakLiveness(res, 10*Second)
+	rep := check.Evaluate(res, check.Def2(10*sim.Second))
 	if !rep.AllOK() {
 		t.Fatalf("Definition-2 properties violated:\n%s", rep)
 	}
 }
 
 func TestTrafficFacade(t *testing.T) {
-	s := NewScenario(4, 11)
-	w := NewWorkload(80)
-	a, err := RunTraffic(s, w)
+	s := core.NewScenario(4, 11)
+	w := traffic.NewWorkload(80)
+	a, err := traffic.Run(s, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTrafficWith(s, w, TrafficConfig{Workers: 1})
+	b, err := traffic.RunWith(s, w, traffic.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +103,10 @@ func TestTrafficFacade(t *testing.T) {
 	if a.AuditErr != nil {
 		t.Fatalf("liquidity ledgers failed audit: %v", a.AuditErr)
 	}
-	points := SweepTraffic([]TrafficPoint{
+	points := traffic.Sweep([]traffic.Point{
 		{Label: "a", Scenario: s, Workload: w},
 		{Label: "b", Scenario: s.WithSeed(12), Workload: w},
-	}, TrafficConfig{})
+	}, traffic.Config{})
 	if len(points) != 2 || points[0].Err != nil || points[1].Err != nil {
 		t.Fatalf("sweep failed: %+v", points)
 	}
@@ -110,7 +116,7 @@ func TestTrafficFacade(t *testing.T) {
 }
 
 func TestFacadeScenarioHelpers(t *testing.T) {
-	s := NewScenario(2, 1).SetFault("c1", FaultSpec{Silent: true})
+	s := core.NewScenario(2, 1).SetFault("c1", core.FaultSpec{Silent: true})
 	if !s.FaultOf("c1").Silent {
 		t.Error("SetFault lost the fault")
 	}
