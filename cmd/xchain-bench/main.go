@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, id := range strings.Split(*only, ",") {
 			e, ok := bench.ByID(strings.TrimSpace(id))
 			if !ok {
-				return fail("unknown experiment %q", id)
+				return fail("-run: unknown experiment %q", id)
 			}
 			selected = append(selected, e)
 		}

@@ -31,8 +31,8 @@ func TestRunTrafficExperiment(t *testing.T) {
 
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-run", "E99"}, &out, &errOut); code != 2 {
-		t.Errorf("unknown experiment accepted (exit %d)", code)
+	if code := run([]string{"-run", "E99"}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "-run:") {
+		t.Errorf("unknown experiment accepted or unnamed (exit %d, stderr %q)", code, errOut.String())
 	}
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)

@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if _, ok := sig.BackendByName(*crypto); !ok {
-		fmt.Fprintf(stderr, "unknown crypto backend %q (have %v)\n", *crypto, sig.BackendNames())
+		fmt.Fprintf(stderr, "-crypto: unknown crypto backend %q (have %v)\n", *crypto, sig.BackendNames())
 		return 2
 	}
 	if *replay != "" {
@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		f, ok := scenariogen.ParseFamily(name)
 		if !ok {
-			fmt.Fprintf(stderr, "unknown family %q\n", name)
+			fmt.Fprintf(stderr, "-families: unknown family %q\n", name)
 			return 2
 		}
 		opts.Families = append(opts.Families, f)

@@ -98,9 +98,6 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)
 	}
-	if code := run([]string{"-families", "nope"}, &out, &errOut); code != 2 {
-		t.Errorf("unknown family accepted (exit %d)", code)
-	}
 	if code := run([]string{"-replay", "/no/such/file.json"}, &out, &errOut); code != 2 {
 		t.Errorf("missing replay file accepted (exit %d)", code)
 	}
@@ -108,11 +105,12 @@ func TestRunBadFlags(t *testing.T) {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)
 	}
 	// A count out of range used to run one seed (-seeds -5) or die out of
-	// memory; it now fails before any run, naming the flag.
-	for _, args := range [][]string{{"-seeds", "0"}, {"-seeds", "-5"}, {"-workers", "-1"}} {
+	// memory; it now fails before any run, naming the flag, as an unknown
+	// name does.
+	for _, args := range [][]string{{"-seeds", "0"}, {"-seeds", "-5"}, {"-workers", "-1"}, {"-families", "nope"}, {"-crypto", "bogus"}} {
 		out.Reset()
 		errOut.Reset()
-		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]) {
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]+":") {
 			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
 		}
 	}

@@ -9,13 +9,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// Caps of the runs FuzzTrafficArgs lets execute, as FuzzStartRun caps its
-// own: a larger accepted request passed the same Build, and running it would
-// spend the fuzzing budget on one input.
-const (
-	fuzzMaxPayments = 400
-	fuzzMaxSweep    = 3
-)
+// fuzzMaxPayments caps the runs FuzzTrafficArgs lets execute, as
+// FuzzStartRun caps its own: a larger accepted request passed the same Build,
+// and running it would spend the fuzzing budget on one input.
+const fuzzMaxPayments = 400
 
 // FuzzTrafficArgs is xchain-traffic's argv, fuzzed (arguments NUL-separated):
 // any argument list exits 0, 1 or 2 without a panic, and an exit 2 names a
@@ -30,7 +27,7 @@ func FuzzTrafficArgs(f *testing.F) {
 		{"-fault", "notaryX=silent"}, {"-fault", "c1=silent,c1=crash"}, {"-n", "0"}, {"-n", "-1"},
 		{"-arrival", "brust"}, {"-n", "4", "-payments", "200", "-commission", "-60", "-crypto", "hmac"}, {"-h"},
 		{"-rate", "0"}, {"-rate", "NaN"}, {"-burst-gap", "1.001ms", "-payments", "40", "-arrival", "burst"},
-		{"-sweep-seeds", "-4"}, {"-exemplars", "-1"}, {"-max-verify-miss", "-1"}, {"-checkpoint-every", "-3"},
+		{"-progress", "-1s"}, {"-exemplars", "-1"}, {"-max-verify-miss", "-1"}, {"-checkpoint-every", "-3"},
 	} {
 		f.Add(strings.Join(args, "\x00"))
 	}
@@ -56,7 +53,7 @@ func FuzzTrafficArgs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, joined string) {
 		args := strings.Split(joined, "\x00")
 		fs, q, o, err := parse(args, io.Discard)
-		if err == nil && (q.Payments > fuzzMaxPayments || o.sweepSeeds > fuzzMaxSweep ||
+		if err == nil && (q.Payments > fuzzMaxPayments ||
 			o.ckptPath != "" || o.resumePath != "" || o.cpuProfile != "" || o.memProfile != "" || o.progress != 0) {
 			_, _, _, _ = q.Build() // still must not panic
 			return

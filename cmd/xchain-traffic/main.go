@@ -64,13 +64,10 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-// maxSweepSeeds bounds -sweep-seeds: a sweep holds one result per seed.
-const maxSweepSeeds = 1000
-
 // options are the flags that tune how xchain-traffic executes and reports a
 // run, beside the traffic.Request that names it.
 type options struct {
-	exemplars, ckptEvery, sweepSeeds             int
+	exemplars, ckptEvery                         int
 	ckptPath, resumePath, cpuProfile, memProfile string
 	cryptoStats, verbose                         bool
 	maxMiss                                      float64
@@ -119,7 +116,6 @@ func parse(args []string, stderr io.Writer) (*flag.FlagSet, *traffic.Request, op
 	fs.StringVar(&o.ckptPath, "checkpoint", "", "write a crash-safe checkpoint to this file (resume with -resume)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write the checkpoint every N admitted payments (requires -checkpoint)")
 	fs.StringVar(&o.resumePath, "resume", "", "resume an interrupted run from this checkpoint file")
-	fs.IntVar(&o.sweepSeeds, "sweep-seeds", 0, fmt.Sprintf("additionally sweep this many seeds in parallel (at most %d)", maxSweepSeeds))
 	fs.BoolVar(&o.cryptoStats, "crypto-stats", false, "print key-cache and issuance-record counters after the run")
 	fs.Float64Var(&o.maxMiss, "max-verify-miss", 0, "fail if the share of verifications the issuance records cannot answer exceeds this fraction (0 = no gate)")
 	fs.DurationVar(&o.progress, "progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
@@ -137,8 +133,6 @@ func (o options) check() error {
 		return fmt.Errorf("-exemplars: need 0 or more, got %d", o.exemplars)
 	case o.ckptEvery < 0:
 		return fmt.Errorf("-checkpoint-every: need 0 or more, got %d", o.ckptEvery)
-	case o.sweepSeeds < 0 || o.sweepSeeds > maxSweepSeeds:
-		return fmt.Errorf("-sweep-seeds: need 0 to %d, got %d", maxSweepSeeds, o.sweepSeeds)
 	case !(o.maxMiss >= 0 && o.maxMiss <= 1):
 		return fmt.Errorf("-max-verify-miss: need a fraction from 0 to 1, got %v", o.maxMiss)
 	case o.progress < 0:
@@ -220,10 +214,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	cfg.Exemplars = o.exemplars
 	if o.ckptPath != "" || o.ckptEvery > 0 || o.resumePath != "" {
-		if o.sweepSeeds > 1 {
-			fmt.Fprintf(stderr, "xchain-traffic: -checkpoint/-resume cannot be combined with -sweep-seeds\n")
-			return 2
-		}
 		cfg.CheckpointPath = o.ckptPath
 		cfg.CheckpointEvery = o.ckptEvery
 		if o.resumePath != "" {
@@ -245,58 +235,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		reg := metrics.NewRegistry()
 		cfg.Metrics = reg
 		stopProgress = startProgress(stderr, reg, o.progress)
-		// Error paths return without reaching cryptoGate; make sure the
-		// progress goroutine never outlives the run (stop is idempotent).
+		// Error paths return before the stop below; make sure the progress
+		// goroutine never outlives the run (stop is idempotent).
 		defer stopProgress()
 	}
-	// cryptoGate prints the process-wide sig counters under their
-	// canonical metric names (the same the /metrics exposition uses, see
-	// internal/sig RegisterMetrics) and applies the verification miss-rate
-	// gate: the share of verifications the keyrings' issuance records could
-	// not answer, which only forged or foreign signatures should make. It
-	// covers single runs and sweeps alike (the counters aggregate every run
-	// of the process).
-	cryptoGate := func() int {
-		if stopProgress != nil {
-			stopProgress()
-		}
-		if !o.cryptoStats && o.maxMiss <= 0 {
-			return 0
-		}
-		st := sig.GlobalStats()
-		fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
-			sig.MetricKeygenCacheHits, st.KeygenHits,
-			sig.MetricKeygenCacheMisses, st.KeygenMisses,
-			sig.MetricVerifyMemoHits, st.MemoHits,
-			sig.MetricVerifyMemoMisses, st.MemoMisses,
-			sig.MetricVerifyMemoEvictions, st.MemoEvictions,
-			sig.MetricRendered, st.Rendered,
-			st.VerifyMissRate())
-		if o.maxMiss > 0 && st.VerifyMissRate() > o.maxMiss {
-			fmt.Fprintf(stderr, "xchain-traffic: verification miss rate %.3f exceeds gate %.3f\n", st.VerifyMissRate(), o.maxMiss)
-			return 1
-		}
-		return 0
-	}
-	if o.sweepSeeds > 1 {
-		seeds := make([]int64, o.sweepSeeds)
-		for i := range seeds {
-			seeds[i] = q.Seed + int64(i)
-		}
-		points := traffic.SeedSweep(s, w, seeds)
-		for _, o := range traffic.Sweep(points, cfg) {
-			if o.Err != nil {
-				fmt.Fprintf(stderr, "xchain-traffic: %s: %v\n", o.Point.Label, o.Err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "=== %s ===\n%s", o.Point.Label, o.Result)
-			if bad := gate(stderr, o.Result); bad != 0 {
-				return bad
-			}
-		}
-		return cryptoGate()
-	}
-
 	res, err := traffic.RunWith(s, w, cfg)
 	if err != nil {
 		var mm *traffic.ConfigMismatchError
@@ -315,7 +257,35 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if bad := gate(stderr, res); bad != 0 {
 		return bad
 	}
-	return cryptoGate()
+	if stopProgress != nil {
+		stopProgress()
+	}
+	return cryptoGate(stdout, stderr, o)
+}
+
+// cryptoGate prints the process-wide sig counters under their canonical
+// metric names (the same the /metrics exposition uses, see internal/sig
+// RegisterMetrics) and applies the verification miss-rate gate: the share of
+// verifications the keyrings' issuance records could not answer, which only
+// forged or foreign signatures should make.
+func cryptoGate(stdout, stderr io.Writer, o options) int {
+	if !o.cryptoStats && o.maxMiss <= 0 {
+		return 0
+	}
+	st := sig.GlobalStats()
+	fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
+		sig.MetricKeygenCacheHits, st.KeygenHits,
+		sig.MetricKeygenCacheMisses, st.KeygenMisses,
+		sig.MetricVerifyMemoHits, st.MemoHits,
+		sig.MetricVerifyMemoMisses, st.MemoMisses,
+		sig.MetricVerifyMemoEvictions, st.MemoEvictions,
+		sig.MetricRendered, st.Rendered,
+		st.VerifyMissRate())
+	if o.maxMiss > 0 && st.VerifyMissRate() > o.maxMiss {
+		fmt.Fprintf(stderr, "xchain-traffic: verification miss rate %.3f exceeds gate %.3f\n", st.VerifyMissRate(), o.maxMiss)
+		return 1
+	}
+	return 0
 }
 
 // gate enforces the aggregate oracles on a finished run: the ledger audit

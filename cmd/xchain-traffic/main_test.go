@@ -101,17 +101,6 @@ func TestRunLiquidityBoundPinned(t *testing.T) {
 	}
 }
 
-func TestRunSeedSweep(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-n", "2", "-payments", "20", "-sweep-seeds", "3"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	if got := strings.Count(out.String(), "=== n=2 seed="); got != 3 {
-		t.Errorf("expected 3 sweep cells, saw %d:\n%s", got, out.String())
-	}
-}
-
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
@@ -139,10 +128,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-fault", "c1=silent,c1=crash"},
 		{"-n", "0"}, // used to panic in core.NewTopology
 		{"-n", "-1"},
-		// Execution options out of range used to exit 0 silently, fail
-		// inside the library, or (-sweep-seeds 3000000000) run out of memory.
-		{"-sweep-seeds", "-4"},
-		{"-sweep-seeds", "3000000000"},
+		// Execution options out of range used to exit 0 silently or fail
+		// inside the library.
 		{"-exemplars", "-1"},
 		{"-progress", "-1s"},
 		{"-max-verify-miss", "-1"},
@@ -242,12 +229,6 @@ func TestRunCheckpointResume(t *testing.T) {
 		if !strings.Contains(mismatch.String(), want) {
 			t.Errorf("mismatch diagnostics missing %q:\n%s", want, mismatch.String())
 		}
-	}
-
-	// Checkpointing is a single-run feature.
-	var out3, comboErr strings.Builder
-	if code := run(append([]string{"-checkpoint", ckpt, "-sweep-seeds", "3"}, flags...), &out3, &comboErr); code != 2 {
-		t.Errorf("-checkpoint with -sweep-seeds should exit 2, got %d", code)
 	}
 
 	// A missing snapshot is a load error, not a fresh start.

@@ -58,6 +58,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *committee < 1 || *committee > core.MaxChain {
 		return fatalf("-committee: need 1 to %d notaries, got %d", core.MaxChain, *committee)
 	}
+	if *gst < 0 {
+		return fatalf("-gst: need 0 or more, got %v", *gst)
+	}
+	if *patience < 0 {
+		return fatalf("-patience: need 0 or more, got %v", *patience)
+	}
 
 	s := core.NewScenario(*n, *seed)
 	timing := s.Timing
@@ -67,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "partial":
 		s = s.WithNetwork(netsim.PartialSynchrony{GST: durToSim(*gst), Delta: timing.MaxMsgDelay, MaxPreGST: 4 * durToSim(*gst)})
 	default:
-		return fatalf("unknown network model %q", *network)
+		return fatalf("-network: unknown network model %q", *network)
 	}
 	for _, id := range s.Topology.Customers() {
 		s = s.SetPatience(id, durToSim(*patience))
@@ -99,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "htlc":
 		protocol = htlc.New()
 	default:
-		return fatalf("unknown protocol %q", *protoName)
+		return fatalf("-protocol: unknown protocol %q", *protoName)
 	}
 	opts := check.OptionsFor(protocol.Guarantee(), bound, durToSim(*patience))
 

@@ -51,12 +51,6 @@ func TestRunJudgesUnderTheProtocolsDefinition(t *testing.T) {
 
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-protocol", "bogus"}, &out, &errOut); code != 2 {
-		t.Errorf("unknown protocol accepted (exit %d)", code)
-	}
-	if code := run([]string{"-network", "bogus"}, &out, &errOut); code != 2 {
-		t.Errorf("unknown network accepted (exit %d)", code)
-	}
 	for _, fault := range []string{"nonsense", "c1=sillent", "c9=silent", "notaryX=silent"} {
 		out.Reset()
 		if code := run([]string{"-fault", fault}, &out, &errOut); code != 2 || out.Len() != 0 {
@@ -66,7 +60,12 @@ func TestRunBadFlags(t *testing.T) {
 	// A chain needs an escrow and a committee a notary: -n 0 used to panic
 	// in core.NewTopology, and -committee 0 to run a committee of 4. Neither
 	// may exceed core.MaxChain: -committee 1000 used to hit the runaway cap.
+	// A negative -gst or -patience used to run and exit 0.
 	for _, args := range [][]string{
+		{"-protocol", "bogus"},
+		{"-network", "bogus"},
+		{"-network", "partial", "-gst", "-1s"},
+		{"-patience", "-5s"},
 		{"-n", "0"},
 		{"-n", "-3"},
 		{"-n", "65"},

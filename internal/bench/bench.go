@@ -13,7 +13,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -157,6 +156,30 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// forEach runs job(idx) for every idx in [0, n) across a bounded worker
+// pool and returns the results in index order, whichever worker finished
+// first.
+func forEach[R any](cfg Config, n int, job func(idx int) R) []R {
+	results := make([]R, n)
+	idxCh := make(chan int)
+	var wg sync.WaitGroup
+	for range max(1, min(cfg.workers(), n)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range idxCh {
+				results[idx] = job(idx)
+			}
+		}()
+	}
+	for idx := range n {
+		idxCh <- idx
+	}
+	close(idxCh)
+	wg.Wait()
+	return results
+}
+
 // runJob is one scenario execution request used by the parallel sweep
 // helper.
 type runJob struct {
@@ -164,44 +187,20 @@ type runJob struct {
 	scenario core.Scenario
 }
 
-// runParallel executes the jobs across a bounded worker pool and hands each
-// result, with its job index, to collect. The collect callback runs in the
-// calling goroutine, so collectors need no locking; result order is by job
-// index.
+// runParallel executes the jobs on forEach's pool and hands each result,
+// with its job index, to collect. The collect callback runs in the calling
+// goroutine, so collectors need no locking; result order is by job index.
 func runParallel(cfg Config, jobs []runJob, collect func(idx int, res *core.RunResult, err error)) {
 	type item struct {
-		idx int
 		res *core.RunResult
 		err error
 	}
-	workers := cfg.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobCh := make(chan int)
-	results := make([]item, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobCh {
-				res, err := jobs[idx].protocol.Run(jobs[idx].scenario)
-				results[idx] = item{idx: idx, res: res, err: err}
-			}
-		}()
-	}
-	for idx := range jobs {
-		jobCh <- idx
-	}
-	close(jobCh)
-	wg.Wait()
-	sort.SliceStable(results, func(i, j int) bool { return results[i].idx < results[j].idx })
-	for _, it := range results {
-		collect(it.idx, it.res, it.err)
+	items := forEach(cfg, len(jobs), func(idx int) item {
+		res, err := jobs[idx].protocol.Run(jobs[idx].scenario)
+		return item{res, err}
+	})
+	for idx, it := range items {
+		collect(idx, it.res, it.err)
 	}
 }
 

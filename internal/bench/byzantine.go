@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -65,35 +64,33 @@ func RunE11(cfg Config) *Table {
 				// the worst-case damage reading for the sweep.
 				w.Faults = traffic.FaultPlan{Fraction: frac}
 			}
-			points := traffic.SeedSweep(core.NewScenario(n, 0), w, cfg.seeds())
-			outcomes := traffic.Sweep(points, traffic.Config{Workers: cfg.workers()})
 			success, faulted := stats.New(), stats.New()
 			dropF, dropC := stats.New(), stats.New()
 			settled, p95, held := stats.New(), stats.New(), stats.New()
 			byzConn, safety := 0, 0
-			for _, o := range outcomes {
-				if o.Err != nil {
-					t.AddNote("%s attacker=%.0f%%: %v", load.name, 100*frac, o.Err)
+			for _, o := range runSeeds(cfg, n, w) {
+				if o.err != nil {
+					t.AddNote("%s attacker=%.0f%%: %v", load.name, 100*frac, o.err)
 					continue
 				}
-				if o.Result.AuditErr != nil {
-					t.AddNote("%s attacker=%.0f%%: AUDIT FAILED: %v", load.name, 100*frac, o.Result.AuditErr)
+				if o.res.AuditErr != nil {
+					t.AddNote("%s attacker=%.0f%%: AUDIT FAILED: %v", load.name, 100*frac, o.res.AuditErr)
 					continue
 				}
-				if o.Result.CascadeErr != nil {
-					t.AddNote("%s attacker=%.0f%%: CASCADE FAILED: %v", load.name, 100*frac, o.Result.CascadeErr)
+				if o.res.CascadeErr != nil {
+					t.AddNote("%s attacker=%.0f%%: CASCADE FAILED: %v", load.name, 100*frac, o.res.CascadeErr)
 					continue
 				}
-				total := float64(o.Result.Total)
-				success.Add(float64(o.Result.Succeeded) / total)
-				faulted.Add(float64(o.Result.FaultedPayments) / total)
-				dropF.Add(float64(o.Result.DroppedFaulted) / total)
-				dropC.Add(float64(o.Result.DroppedCapacity) / total)
-				settled.Add(o.Result.Throughput)
-				p95.Add(o.Result.LatencyP95Ms)
-				held.AddInt(o.Result.PeakByzantineHeld)
-				byzConn = o.Result.ByzantineConnectors
-				safety += o.Result.SafetyViolations
+				total := float64(o.res.Total)
+				success.Add(float64(o.res.Succeeded) / total)
+				faulted.Add(float64(o.res.FaultedPayments) / total)
+				dropF.Add(float64(o.res.DroppedFaulted) / total)
+				dropC.Add(float64(o.res.DroppedCapacity) / total)
+				settled.Add(o.res.Throughput)
+				p95.Add(o.res.LatencyP95Ms)
+				held.AddInt(o.res.PeakByzantineHeld)
+				byzConn = o.res.ByzantineConnectors
+				safety += o.res.SafetyViolations
 			}
 			safetyTotal += safety
 			if frac == 0 {

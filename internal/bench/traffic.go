@@ -29,11 +29,28 @@ func trafficPayments(cfg Config) int {
 	return p
 }
 
+// seedRun is one seed's traffic run of an E9 or E11 cell.
+type seedRun struct {
+	res *traffic.Result
+	err error
+}
+
+// runSeeds runs w on an n-escrow chain once per configured seed on the
+// bench pool, each run single-threaded, and returns the runs in seed order:
+// the cells' stats.Sample means depend on the order of addition.
+func runSeeds(cfg Config, n int, w traffic.Workload) []seedRun {
+	seeds := cfg.seeds()
+	return forEach(cfg, len(seeds), func(i int) seedRun {
+		res, err := traffic.RunWith(core.NewScenario(n, 0).WithSeed(seeds[i]), w, traffic.Config{Workers: 1})
+		return seedRun{res, err}
+	})
+}
+
 // RunE9 is the traffic experiment: many concurrent payments multiplexed
 // over one shared escrow chain, swept across chain lengths and workload
-// regimes on the parallel sweep runner. It reports, per cell, the offered
-// versus settled rates, the admission outcomes, latency percentiles and the
-// peak number of payments simultaneously in flight.
+// regimes. It reports, per cell, the offered versus settled rates, the
+// admission outcomes, latency percentiles and the peak number of payments
+// simultaneously in flight.
 func RunE9(cfg Config) *Table {
 	t := &Table{
 		ID:      "E9",
@@ -74,27 +91,25 @@ func RunE9(cfg Config) *Table {
 	for _, cell := range cells {
 		for _, n := range chains {
 			w := cell.build(n, payments)
-			points := traffic.SeedSweep(core.NewScenario(n, 0), w, cfg.seeds())
-			outcomes := traffic.Sweep(points, traffic.Config{Workers: cfg.workers()})
 			success, rejected, dropped := stats.New(), stats.New(), stats.New()
 			settled, p50, p95, peak := stats.New(), stats.New(), stats.New(), stats.New()
-			for _, o := range outcomes {
-				if o.Err != nil {
-					t.AddNote("%s n=%d: %v", cell.name, n, o.Err)
+			for _, o := range runSeeds(cfg, n, w) {
+				if o.err != nil {
+					t.AddNote("%s n=%d: %v", cell.name, n, o.err)
 					continue
 				}
-				if o.Result.AuditErr != nil {
-					t.AddNote("%s n=%d: AUDIT FAILED: %v", cell.name, n, o.Result.AuditErr)
+				if o.res.AuditErr != nil {
+					t.AddNote("%s n=%d: AUDIT FAILED: %v", cell.name, n, o.res.AuditErr)
 					continue
 				}
-				total := float64(o.Result.Total)
-				success.Add(float64(o.Result.Succeeded) / total)
-				rejected.Add(float64(o.Result.Rejected) / total)
-				dropped.Add(float64(o.Result.Dropped) / total)
-				settled.Add(o.Result.Throughput)
-				p50.Add(o.Result.LatencyP50Ms)
-				p95.Add(o.Result.LatencyP95Ms)
-				peak.AddInt(int64(o.Result.PeakInFlight))
+				total := float64(o.res.Total)
+				success.Add(float64(o.res.Succeeded) / total)
+				rejected.Add(float64(o.res.Rejected) / total)
+				dropped.Add(float64(o.res.Dropped) / total)
+				settled.Add(o.res.Throughput)
+				p50.Add(o.res.LatencyP50Ms)
+				p95.Add(o.res.LatencyP95Ms)
+				peak.AddInt(int64(o.res.PeakInFlight))
 			}
 			t.AddRow(cell.name, fmt.Sprint(n), fmt.Sprint(payments),
 				fmtPct(success.Mean()), fmtPct(rejected.Mean()), fmtPct(dropped.Mean()),

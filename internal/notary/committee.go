@@ -148,7 +148,7 @@ type MsgPrePrepare struct {
 
 // Describe implements netsim.Message.
 func (m *MsgPrePrepare) Describe() string {
-	return "pre-prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Leader + ")"
+	return "pre-prepare(" + m.Decision.String() + ",v" + strconv.Itoa(m.View) + " by " + m.Leader + ")"
 }
 
 // Head is the constant Describe starts with (see netsim.HeadOf).
@@ -164,7 +164,7 @@ type MsgPrepare struct {
 
 // Describe implements netsim.Message.
 func (m *MsgPrepare) Describe() string {
-	return "prepare(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
+	return "prepare(" + m.Decision.String() + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
 
 // Head is the constant Describe starts with.
@@ -181,7 +181,7 @@ type MsgCommitVote struct {
 
 // Describe implements netsim.Message.
 func (m *MsgCommitVote) Describe() string {
-	return "commit-vote(" + string(m.Decision) + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
+	return "commit-vote(" + m.Decision.String() + ",v" + strconv.Itoa(m.View) + " by " + m.Voter + ")"
 }
 
 // Head is the constant Describe starts with.
@@ -252,7 +252,7 @@ type lockInfo struct {
 type viewRecord struct {
 	voted      bool    // cast its prepare vote
 	proposed   bool    // proposed, as the view's leader
-	sentCommit [2]bool // sent its commit vote for decisions[k]
+	sentCommit [2]bool // sent its commit vote for the decision of index k
 }
 
 // viewTimer is the argument of a view's timer event.
@@ -313,7 +313,7 @@ func (p *notaryProc) reset(c *Committee, j int, fault core.FaultSpec) {
 	p.c, p.id, p.pid, p.index, p.fault = c, c.ids[j], c.pids[j], j, fault
 	p.crashed, p.abortRequested, p.decided, p.timerArmed = false, false, false, false
 	p.prepared = p.prepared[:0]
-	p.view, p.lock, p.lockView, p.decision, p.pending = 0, "", 0, "", nil
+	p.view, p.lock, p.lockView, p.decision, p.pending = 0, 0, 0, 0, nil
 	// Whatever storage these keep is zero (clear), or read only once written.
 	tallies, locks := (maxViews+1)*talliesPerView*c.words, (maxViews+1)*c.size
 	p.tallies = slices.Grow(p.tallies[:0], tallies)[:tallies]
@@ -354,8 +354,8 @@ func (p *notaryProc) tally(view, which int) voters {
 // vote for something other than commit or abort, from a name that is no
 // member's or for a view no notary reaches is dropped; no run produces one.
 func (p *notaryProc) ballot(d sig.Decision, view int, voter string) (k, j int, ok bool) {
-	k, j = slices.Index(decisions[:], d), slices.Index(p.c.ids, voter)
-	return k, j, k >= 0 && j >= 0 && p.touch(view)
+	k, j = int(d)-1, slices.Index(p.c.ids, voter)
+	return k, j, (k == commit || k == abort) && j >= 0 && p.touch(view)
 }
 
 // Deliver implements netsim.Node.
@@ -392,7 +392,7 @@ func (p *notaryProc) grounds() (sig.Decision, bool) {
 	if len(p.prepared) >= p.c.scn.Topology.N {
 		return sig.DecisionCommit, true
 	}
-	return "", false
+	return 0, false
 }
 
 //xchain:hotpath
@@ -568,7 +568,7 @@ func (p *notaryProc) propose(dec sig.Decision, lockView int) {
 // notary with the lower index).
 func (p *notaryProc) chooseValue() (sig.Decision, int, bool) {
 	best := lockInfo{decision: p.lock, view: p.lockView}
-	if p.lock == "" {
+	if p.lock == 0 {
 		best.view = -1
 	}
 	changed := p.tally(p.view, changes)
@@ -576,12 +576,12 @@ func (p *notaryProc) chooseValue() (sig.Decision, int, bool) {
 		if !changed.has(j) {
 			continue
 		}
-		if li := p.locks[p.view*p.c.size+j]; li.decision != "" && li.view > best.view {
+		if li := p.locks[p.view*p.c.size+j]; li.decision != 0 && li.view > best.view {
 			best = li
 		}
 	}
-	if best.decision == "" {
-		return "", -1, false
+	if best.decision == 0 {
+		return 0, -1, false
 	}
 	return best.decision, best.view, true
 }
@@ -603,7 +603,7 @@ func (p *notaryProc) onPrePrepare(from string, m *MsgPrePrepare) {
 	}
 	// Lock rule: a locked notary only prepares its locked decision, unless
 	// the proposal documents a lock from a strictly later view.
-	if p.lock != "" && p.lock != m.Decision && m.LockView <= p.lockView {
+	if p.lock != 0 && p.lock != m.Decision && m.LockView <= p.lockView {
 		return
 	}
 	// Justification: the decision must follow from this notary's own
@@ -651,7 +651,7 @@ func (p *notaryProc) onPrepare(m *MsgPrepare) {
 	}
 	p.views[m.View].sentCommit[k] = true
 	// Prepared certificate reached: lock and vote to commit.
-	if m.View >= p.lockView || p.lock == "" {
+	if m.View >= p.lockView || p.lock == 0 {
 		p.lock = m.Decision
 		p.lockView = m.View
 	}

@@ -27,8 +27,6 @@
 package notary
 
 import (
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/sig"
 )
@@ -75,7 +73,7 @@ func (m *MsgDecision) Describe() string { return m.Cert.Describe() }
 
 // Head is what Describe starts with and no certificate's values reach: the
 // decision's name.
-func (m *MsgDecision) Head() string { return string(m.Cert.Decision) }
+func (m *MsgDecision) Head() string { return m.Cert.Decision.String() }
 
 // Manager is the common interface of the transaction-manager
 // implementations: the weak-liveness protocol sends MsgPrepared and
@@ -129,20 +127,18 @@ func (r *run) scheduleCrash(id string, f core.FaultSpec, crash func(any), arg an
 }
 
 // The two decisions a manager can take, by the index tallies and standing
-// certificates are kept under.
+// certificates are kept under: decision d's is d-1.
 const (
-	commit = iota
-	abort
+	commit = int(sig.DecisionCommit) - 1
+	abort  = int(sig.DecisionAbort) - 1
 )
-
-var decisions = [2]sig.Decision{commit: sig.DecisionCommit, abort: sig.DecisionAbort}
 
 // issued records which decisions a valid certificate was issued for (feeds
 // the CC property and the run result).
 type issued [2]bool
 
 func (i *issued) record(d sig.Decision) {
-	if k := slices.Index(decisions[:], d); k >= 0 {
+	if k := int(d) - 1; k == commit || k == abort {
 		i[k] = true
 	}
 }

@@ -288,7 +288,7 @@ func TestCommitteeSizeFloor(t *testing.T) {
 // traces carry them.
 func TestMessageDescriptions(t *testing.T) {
 	for _, view := range []int{0, 1, 2, -1, 1 << 40} {
-		for _, dec := range []sig.Decision{sig.DecisionCommit, sig.DecisionAbort, ""} {
+		for _, dec := range []sig.Decision{sig.DecisionCommit, sig.DecisionAbort, 0} {
 			for _, by := range []string{"notary0", "", "a-notary-with-a-name-longer-than-any-stack-buffer-would-hold-0123456789"} {
 				want := fmt.Sprintf("(%s,v%d by %s)", dec, view, by)
 				for label, m := range map[string]netsim.Message{
@@ -370,14 +370,14 @@ func TestResetMakesANewCommittee(t *testing.T) {
 				if p.view >= 2 {
 					views++
 				}
-				if p.lock != "" {
+				if p.lock != 0 {
 					locks++
 				}
 				if p.pending != nil {
 					buffered++
 				}
 				for view := 0; view <= p.hi; view++ {
-					for k := range decisions {
+					for _, k := range []int{commit, abort} {
 						if n := p.tally(view, prepares+k).count(); 0 < n && n < c.quorum {
 							partial++
 						}

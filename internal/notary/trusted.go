@@ -25,8 +25,9 @@ type Trusted struct {
 	decided  bool
 	crashed  bool
 
-	// certs[k] is the certificate for decisions[k], issued at most once per
-	// run and sent by pointer; issues[k] is the argument of its issue event.
+	// certs[k] is the certificate for the decision of index k, issued at
+	// most once per run and sent by pointer; issues[k] is the argument of
+	// its issue event.
 	certs  [2]MsgDecision
 	issues [2]issueArg
 }
@@ -94,7 +95,7 @@ func (t *Trusted) Deliver(_ core.PID, msg netsim.Message) {
 	}
 }
 
-// decide fixes the decision decisions[k] (exactly once for an honest
+// decide fixes the decision of index k (exactly once for an honest
 // manager) and broadcasts the certificate. An equivocating Byzantine manager
 // issues both certificates, which is exactly the behaviour the CC checker
 // must catch when the manager is corrupt.
@@ -112,7 +113,7 @@ func (t *Trusted) decide(k int) {
 }
 
 // issueArg is the argument of one scheduled issue: t's certificate for
-// decisions[k].
+// the decision of index k.
 type issueArg struct {
 	t *Trusted
 	k int
@@ -136,7 +137,7 @@ func trustedIssue(x any) {
 		return
 	}
 	m.Cert = sig.DecisionCert{
-		PaymentID: t.paymentID(), Decision: decisions[a.k], Manager: core.ManagerID, IssuedAt: t.w.Eng.Now(),
+		PaymentID: t.paymentID(), Decision: sig.Decision(a.k + 1), Manager: core.ManagerID, IssuedAt: t.w.Eng.Now(),
 		Quorum: 1, Signers: trustedIDs, Sigs: m.Cert.Sigs,
 	}
 	m.Cert.Sign(t.kr, t.pids[:])

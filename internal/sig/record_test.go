@@ -72,8 +72,19 @@ func (a art) promise(sig Signature) Promise {
 }
 
 func (a art) decision(sig Signature) DecisionCert {
-	return DecisionCert{PaymentID: a.c.f[0], Decision: Decision(a.c.f[1]), Manager: a.c.f[2], IssuedAt: a.c.t[0],
+	return DecisionCert{PaymentID: a.c.f[0], Decision: decisionNamed(a.c.f[1]), Manager: a.c.f[2], IssuedAt: a.c.t[0],
 		Signers: []string{a.notary}, Sigs: []Signature{sig}, Quorum: 1}
+}
+
+// decisionNamed is the decision whose String is s; a tampered name is no
+// decision's, so its certificate carries the zero Decision.
+func decisionNamed(s string) Decision {
+	for _, d := range []Decision{DecisionCommit, DecisionAbort} {
+		if d.String() == s {
+			return d
+		}
+	}
+	return 0
 }
 
 func (a art) receipt(sig Signature) Receipt {
@@ -154,7 +165,7 @@ func newArt(arg byte) art {
 	a := art{c: content{kind: k}, notary: progIDs[int(arg/5)%len(progIDs)]}
 	a.c.f = [3]string{[]string{"ab", "a"}[arg/3%2], progIDs[int(arg/7)%len(progIDs)], []string{"c", "bc"}[arg/11%2]}
 	if k == kindDecision {
-		a.c.f[1] = []string{string(DecisionCommit), string(DecisionAbort)}[arg/7%2]
+		a.c.f[1] = []string{DecisionCommit.String(), DecisionAbort.String()}[arg/7%2]
 	}
 	for j := range kindTimes[k] {
 		a.c.t[j] = sim.Time(int(arg)%(3+j) - 1)

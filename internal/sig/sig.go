@@ -747,14 +747,26 @@ func (p Promise) Describe() string {
 }
 
 // Decision enumerates transaction-manager decisions in the weak-liveness
-// protocol (Definition 2).
-type Decision string
+// protocol (Definition 2). The zero value is no decision.
+type Decision uint8
 
 // Transaction manager decisions.
 const (
-	DecisionCommit Decision = "commit"
-	DecisionAbort  Decision = "abort"
+	DecisionCommit Decision = iota + 1
+	DecisionAbort
 )
+
+// String is the decision's name in signed content, descriptions and traces:
+// "commit", "abort", or "" for the zero value.
+func (d Decision) String() string {
+	switch d {
+	case DecisionCommit:
+		return "commit"
+	case DecisionAbort:
+		return "abort"
+	}
+	return ""
+}
 
 // DecisionCert is a commit or abort certificate (chi_c / chi_a) issued by
 // the transaction manager. For a notary committee, Signers carries one
@@ -774,7 +786,7 @@ type DecisionCert struct {
 }
 
 func (c *DecisionCert) content() content {
-	return content{kind: kindDecision, f: [3]string{c.PaymentID, string(c.Decision), c.Manager}, t: [3]sim.Time{c.IssuedAt}}
+	return content{kind: kindDecision, f: [3]string{c.PaymentID, c.Decision.String(), c.Manager}, t: [3]sim.Time{c.IssuedAt}}
 }
 
 // NewCommitteeDecisionCert creates a certificate carrying one signature per
@@ -839,7 +851,7 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 
 // Describe implements a human-readable label.
 func (c DecisionCert) Describe() string {
-	return string(c.Decision) + "-cert(" + c.PaymentID + " by " + c.Manager + ", " + strconv.Itoa(len(c.Sigs)) + " sigs)"
+	return c.Decision.String() + "-cert(" + c.PaymentID + " by " + c.Manager + ", " + strconv.Itoa(len(c.Sigs)) + " sigs)"
 }
 
 // Receipt is a generic signed receipt used by the HTLC/Interledger-atomic

@@ -207,7 +207,7 @@ func TestDescribeLabelsPinned(t *testing.T) {
 			t.Errorf("Receipt.Describe() = %q, want %q", got, want)
 		}
 		for _, sigs := range []int{0, 1, 7, 1000} {
-			for _, dec := range []Decision{DecisionCommit, DecisionAbort, ""} {
+			for _, dec := range []Decision{DecisionCommit, DecisionAbort, 0} {
 				dc := DecisionCert{PaymentID: id[0], Manager: id[1], Decision: dec, Sigs: make([]Signature, sigs)}
 				want := fmt.Sprintf("%s-cert(%s by %s, %d sigs)", dc.Decision, dc.PaymentID, dc.Manager, len(dc.Sigs))
 				if got := dc.Describe(); got != want {

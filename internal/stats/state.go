@@ -1,10 +1,10 @@
 package stats
 
-// Checkpoint support: a Histogram and a Sample can be captured into plain
-// serialisable values and rebuilt exactly. Both captures are loss-free —
-// restore followed by the same stream of Add calls produces byte-identical
-// summaries — which is what lets the traffic layer prove checkpoint
-// equivalence over its latency statistics.
+// Checkpoint support: a Histogram can be captured into a plain serialisable
+// value and rebuilt exactly. The capture is loss-free — restore followed by
+// the same stream of Add calls produces byte-identical summaries — which is
+// what lets the traffic layer prove checkpoint equivalence over its latency
+// statistics.
 
 // HistogramState is the serialisable capture of a Histogram. All fields are
 // exported for JSON round-tripping; Counts is copied on capture and restore,
@@ -38,11 +38,4 @@ func (h *Histogram) Restore(st HistogramState) {
 	h.sum = st.Sum
 	h.min = st.Min
 	h.max = st.Max
-}
-
-// Values returns the sample's observations in insertion order. The returned
-// slice is a copy; checkpointing serialises it and replays it through Add so
-// order-sensitive derived quantities (floating-point sums) rebuild exactly.
-func (s *Sample) Values() []float64 {
-	return append([]float64(nil), s.values...)
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -67,26 +66,5 @@ func TestHistogramRestoreOverwrites(t *testing.T) {
 	h.Restore(empty.State())
 	if h.N() != 0 || h.Sum() != 0 || h.Percentile(50) != 0 {
 		t.Fatalf("restore of empty state left residue: %s", h)
-	}
-}
-
-// TestSampleValues pins insertion order and copy semantics.
-func TestSampleValues(t *testing.T) {
-	s := &Sample{values: []float64{3, 1, 2}}
-	vals := s.Values()
-	if want := []float64{3, 1, 2}; !reflect.DeepEqual(vals, want) {
-		t.Fatalf("Values() = %v, want %v", vals, want)
-	}
-	vals[0] = 99
-	if s.Min() != 1 || s.Values()[0] != 3 {
-		t.Fatal("Values() aliases the sample's backing array")
-	}
-
-	replay := New()
-	for _, v := range s.Values() {
-		replay.Add(v)
-	}
-	if replay.String() != s.String() {
-		t.Fatalf("replayed sample %q, want %q", replay.String(), s.String())
 	}
 }

@@ -280,7 +280,7 @@ func indexedRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res
 			afterPass(tl)
 		}
 	}
-	if err := tl.execute(src, nil, nil, true); err != nil {
+	if err := tl.execute(src, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return lockIDs

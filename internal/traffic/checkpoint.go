@@ -206,11 +206,11 @@ type MarkState struct {
 	On    bool     `json:"on"`
 }
 
-// AggState captures the aggregator: exact scalar accumulators plus whichever
-// latency summary the run keeps (sample values are rebuilt from the settled
-// payment records, so only the histogram form is stored) and the exemplar
-// reservoir with its observation count (the reservoir RNG is re-derived by
-// replaying its draw sequence, which depends only on ResSeen).
+// AggState captures the aggregator: exact scalar accumulators, the latency
+// histogram of a run that drops its records (one that keeps them takes its
+// percentiles from them) and the exemplar reservoir with its observation
+// count (the reservoir RNG is re-derived by replaying its draw sequence,
+// which depends only on ResSeen).
 type AggState struct {
 	LatSum       float64  `json:"latSum"`
 	LatMax       float64  `json:"latMax"`
@@ -602,9 +602,6 @@ func (a *aggregator) state() AggState {
 // reservoir RNG is recovered by replaying its draw sequence: algorithm R
 // draws exactly once per observation past the reservoir size, so the number
 // of past draws — and each draw's bound — is a pure function of ResSeen.
-// The keep-mode latency sample is rebuilt by the caller from the settled
-// payment records (percentiles sort the sample, so insertion order is
-// immaterial).
 func restoredAggregator(res *Result, keep bool, exemplars int, st *AggState) *aggregator {
 	a := newAggregator(res, keep, exemplars)
 	a.latSum = st.LatSum
@@ -693,7 +690,7 @@ func (fs *FlightState) toFlight(ps *protocols) *flight {
 // the restored book, the pending Byzantine marks, and finally the engine
 // clock. The book must already be restored and sn
 // validated.
-func (t *timeline) restore(sn *RunSnapshot, keep bool) {
+func (t *timeline) restore(sn *RunSnapshot) {
 	t.fired = sn.TimelineFired
 	t.lockedNow = sn.LockedNow
 	t.byzConn = sn.ByzConn
@@ -745,9 +742,6 @@ func (t *timeline) restore(sn *RunSnapshot, keep bool) {
 	}
 	for _, sp := range sn.Settled {
 		t.res.Payments[sp.Index] = sp.PR
-		if keep && sp.PR.Status == StatusOK {
-			t.agg.latSample.Add(sp.PR.Latency().Millis())
-		}
 	}
 	t.eng.RestoreClock(sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled)
 	t.observeByzHeld()

@@ -419,7 +419,7 @@ func executeTimeline(res *Result, src paymentSource, w Workload, ps *protocols, 
 	if ck != nil || snap != nil {
 		tl.track = make(map[int]*flight)
 	}
-	return tl.execute(src, ck, snap, keep)
+	return tl.execute(src, ck, snap)
 }
 
 // newTimeline builds the admission timeline of one run over res.Book, its
@@ -460,9 +460,9 @@ func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, kee
 
 // execute runs the timeline to the end of src — from snap's state when
 // resuming — and finalises every aggregate of the run's Result.
-func (t *timeline) execute(src paymentSource, ck *checkpointer, snap *RunSnapshot, keep bool) error {
+func (t *timeline) execute(src paymentSource, ck *checkpointer, snap *RunSnapshot) error {
 	if snap != nil {
-		t.restore(snap, keep)
+		t.restore(snap)
 	} else {
 		t.scheduleMarks()
 	}
@@ -645,38 +645,6 @@ func (s *streamSource) next() (*payment, subOutcome, bool) {
 	p, sub := &s.cur.pays[s.i], s.cur.subs[s.i]
 	s.i++
 	return p, sub, true
-}
-
-// forEachIndex runs fn(idx) for every idx in [0, n) across a pool of workers
-// goroutines (serially when workers <= 1 or n is small). fn writes into
-// caller-owned, index-disjoint slots, so results are ordered by index no
-// matter which worker finished first.
-func forEachIndex(n, workers int, fn func(idx int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for idx := 0; idx < n; idx++ {
-			fn(idx)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				fn(idx)
-			}
-		}()
-	}
-	for idx := 0; idx < n; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // newLiquidityBook builds the traffic-level escrow book: one ledger per

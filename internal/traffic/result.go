@@ -196,21 +196,20 @@ type Result struct {
 // aggregator folds per-payment terminal records into a Result as the
 // timeline produces them, in settlement order. It retains O(1) state (plus
 // the optional exemplar reservoir): exact counters for everything except
-// the latency percentiles, which come from the exact sample when
-// per-payment records are kept and from a log-bucketed histogram otherwise.
+// the latency percentiles, which come from the kept per-payment records when
+// there are any and from a log-bucketed histogram otherwise.
 type aggregator struct {
 	keep bool
 	// m mirrors terminal statuses and latencies into the live registry (the
 	// zero value is muted). It feeds observers only; every Result field
 	// still comes from the exact fields below.
 	m RunMetrics
-	// latSample holds every latency when keep; latHist summarises them when
-	// not. Mean and max are tracked exactly either way.
-	latSample *stats.Sample
-	latHist   *stats.Histogram
-	latSum    float64
-	latMax    float64
-	latCount  int
+	// latHist summarises the latencies when the records are not kept. Mean
+	// and max are tracked exactly either way.
+	latHist  *stats.Histogram
+	latSum   float64
+	latMax   float64
+	latCount int
 
 	queueWaitSum float64
 
@@ -227,9 +226,7 @@ type aggregator struct {
 // reservoir (only meaningful when per-payment records are dropped).
 func newAggregator(res *Result, keep bool, exemplars int) *aggregator {
 	a := &aggregator{keep: keep, resSize: exemplars}
-	if keep {
-		a.latSample = stats.New()
-	} else {
+	if !keep {
 		a.latHist = stats.NewHistogram()
 	}
 	if exemplars > 0 {
@@ -255,9 +252,7 @@ func (a *aggregator) observe(r *Result, p *PaymentResult) {
 		if lat > a.latMax {
 			a.latMax = lat
 		}
-		if a.keep {
-			a.latSample.Add(lat)
-		} else {
+		if !a.keep {
 			a.latHist.Add(lat)
 		}
 	case StatusProtocolFailed:
@@ -321,9 +316,15 @@ func (a *aggregator) finalize(r *Result) {
 	}
 	r.LatencyMaxMs = a.latMax
 	if a.keep {
-		r.LatencyP50Ms = a.latSample.Percentile(50)
-		r.LatencyP95Ms = a.latSample.Percentile(95)
-		r.LatencyP99Ms = a.latSample.Percentile(99)
+		lats := stats.New()
+		for i := range r.Payments {
+			if p := &r.Payments[i]; p.Status == StatusOK {
+				lats.Add(p.Latency().Millis())
+			}
+		}
+		r.LatencyP50Ms = lats.Percentile(50)
+		r.LatencyP95Ms = lats.Percentile(95)
+		r.LatencyP99Ms = lats.Percentile(99)
 	} else {
 		r.LatencyP50Ms = a.latHist.Percentile(50)
 		r.LatencyP95Ms = a.latHist.Percentile(95)

@@ -3,11 +3,9 @@ package traffic
 import (
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -462,31 +460,6 @@ func TestPaymentSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicOrdering runs a grid in parallel and serially and
-// requires identical outcomes in identical order.
-func TestSweepDeterministicOrdering(t *testing.T) {
-	w := NewWorkload(40)
-	seeds := []int64{1, 2, 3}
-	points := append(SeedSweep(core.NewScenario(2, 0), w, seeds), SeedSweep(core.NewScenario(4, 0), w, seeds)...)
-	if len(points) != 6 {
-		t.Fatalf("grid built %d points", len(points))
-	}
-	par := Sweep(points, Config{Workers: 4})
-	ser := Sweep(points, Config{Workers: 1})
-	for i := range points {
-		if par[i].Err != nil || ser[i].Err != nil {
-			t.Fatalf("sweep errors: %v / %v", par[i].Err, ser[i].Err)
-		}
-		if par[i].Point.Label != points[i].Label {
-			t.Fatalf("outcome %d out of order: %s", i, par[i].Point.Label)
-		}
-		if par[i].Result.String() != ser[i].Result.String() {
-			t.Fatalf("point %s differs between parallel and serial sweep:\n%s\nvs\n%s",
-				points[i].Label, par[i].Result, ser[i].Result)
-		}
-	}
-}
-
 // TestWorkloadValidation covers the error paths of RunWith.
 func TestWorkloadValidation(t *testing.T) {
 	s := core.NewScenario(3, 1)
@@ -694,53 +667,6 @@ func TestCryptoBackendValidation(t *testing.T) {
 	}
 	if _, err := RunWith(s, w, Config{Crypto: "hmac"}); err != nil {
 		t.Fatalf("Config.Crypto should override the scenario's backend: %v", err)
-	}
-}
-
-// TestSweepMetricsIsolation is the regression test for the shared-registry
-// seam: Sweep used to copy the Config per cell but share the one
-// cfg.Metrics pointer across concurrently running cells, so live gauges
-// fought each other and counters blurred the cells together. Each cell must
-// get its own labelled registry whose counters match that cell's Result
-// exactly.
-func TestSweepMetricsIsolation(t *testing.T) {
-	w := NewWorkload(120)
-	w.Arrival.Rate = 600
-	points := []Point{
-		{Label: "a", Scenario: core.NewScenario(4, 1), Workload: w},
-		{Label: "b", Scenario: core.NewScenario(6, 2), Workload: w},
-	}
-	outcomes := Sweep(points, Config{Workers: 2, Metrics: metrics.NewRegistry()})
-	if outcomes[0].Metrics == nil || outcomes[1].Metrics == nil {
-		t.Fatal("sweep cells did not receive private registries")
-	}
-	if outcomes[0].Metrics == outcomes[1].Metrics {
-		t.Fatal("concurrent sweep cells share one registry")
-	}
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-		snap := o.Metrics.Snapshot()
-		counters := map[string]float64{}
-		cellLabelled := false
-		for _, fam := range snap {
-			for _, sample := range fam.Samples {
-				counters[fam.Name] += sample.Value
-				if strings.Contains(sample.Labels, `cell="`+o.Point.Label+`"`) {
-					cellLabelled = true
-				}
-			}
-		}
-		if !cellLabelled {
-			t.Fatalf("cell %q: no sample carries its cell label", o.Point.Label)
-		}
-		if got, want := counters[MetricPaymentsGenerated], float64(o.Result.Total); got != want {
-			t.Fatalf("cell %q: generated counter %v, want %v (cross-cell bleed?)", o.Point.Label, got, want)
-		}
-		if got, want := counters[MetricPaymentsSettled], float64(o.Result.Succeeded); got != want {
-			t.Fatalf("cell %q: settled counter %v, want %v (cross-cell bleed?)", o.Point.Label, got, want)
-		}
 	}
 }
 

@@ -9,8 +9,7 @@
 // escrow liquidity (escrow locks reserving balance on a traffic-level
 // ledger.Book), runs the payment itself on the deterministic sim engine, and
 // aggregates the per-payment results into a Result with success rate,
-// throughput and latency percentiles. sweep.go runs whole workloads across a
-// parameter grid on a worker pool.
+// throughput and latency percentiles.
 //
 // Everything is deterministic in (Scenario.Seed, Workload): payment arrival
 // times, sizes, routes and per-payment protocol seeds are all derived from

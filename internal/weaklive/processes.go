@@ -77,7 +77,7 @@ type escrowProc struct {
 	lockID      string        // the lock's ID, rendered when a trace records
 	settled     bool
 	crashed     bool
-	// decided is the decision of the first valid certificate seen ("" until
+	// decided is the decision of the first valid certificate seen (0 until
 	// then), which may arrive before the upstream customer's payment does (an
 	// early abort); a lock created afterwards is settled against it
 	// immediately.
@@ -151,7 +151,7 @@ func (p *escrowProc) onPay(from core.PID, m *MsgPay) {
 		p.lockID = lock.ID()
 		p.run.tr.AddValue(p.run.eng.Now(), trace.KindLock, p.id, p.up, p.lockID, want)
 	}
-	if p.decided != "" {
+	if p.decided != 0 {
 		// The manager decided before this payment arrived (an early abort):
 		// settle the freshly created lock right away so the customer is not
 		// left waiting for a decision that has already been broadcast.
@@ -184,13 +184,13 @@ func escrowPrepared(x any) {
 // decision arriving before the lock exists is remembered and applied when
 // (if ever) the payment arrives, and not verified a second time.
 func (p *escrowProc) onDecision(m *notary.MsgDecision) {
-	if p.settled || p.decided != "" && m.Cert.Decision == p.decided {
+	if p.settled || p.decided != 0 && m.Cert.Decision == p.decided {
 		return
 	}
 	if m.Cert.PaymentID != p.run.scn.Spec.PaymentID || !m.Cert.Verify(p.run.kr) {
 		return
 	}
-	if p.decided == "" {
+	if p.decided == 0 {
 		p.decided = m.Cert.Decision
 	}
 	p.settle()
@@ -244,7 +244,7 @@ func escrowSettle(x any) {
 		}
 	}
 	if recording {
-		p.run.tr.Add(p.run.eng.Now(), trace.KindTerminate, p.id, "", "settled-"+string(p.decided))
+		p.run.tr.Add(p.run.eng.Now(), trace.KindTerminate, p.id, "", "settled-"+p.decided.String())
 	}
 }
 

@@ -103,16 +103,6 @@ func TestTrafficFacade(t *testing.T) {
 	if a.AuditErr != nil {
 		t.Fatalf("liquidity ledgers failed audit: %v", a.AuditErr)
 	}
-	points := traffic.Sweep([]traffic.Point{
-		{Label: "a", Scenario: s, Workload: w},
-		{Label: "b", Scenario: s.WithSeed(12), Workload: w},
-	}, traffic.Config{})
-	if len(points) != 2 || points[0].Err != nil || points[1].Err != nil {
-		t.Fatalf("sweep failed: %+v", points)
-	}
-	if points[0].Result.String() != a.String() {
-		t.Fatal("sweep cell differs from the standalone run of the same point")
-	}
 }
 
 func TestFacadeScenarioHelpers(t *testing.T) {
