@@ -170,13 +170,18 @@ func (r *Report) SafetyOK() bool {
 // parties in every execution — from liveness failures, which are expected
 // damage under faults.
 func (r *Report) SafetyFailures() []core.Property {
-	var out []core.Property
+	return r.AppendSafetyFailures(nil)
+}
+
+// AppendSafetyFailures appends SafetyFailures to dst, so that a caller that
+// judges run after run can keep one slice.
+func (r *Report) AppendSafetyFailures(dst []core.Property) []core.Property {
 	for _, i := range safetySlots {
 		if !r.verdicts[i].OK() {
-			out = append(out, propertyOrder[i])
+			dst = append(dst, propertyOrder[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // Failures returns the properties that are applicable but do not hold, in

@@ -27,7 +27,7 @@ type runState struct {
 	tr    *trace.Trace
 
 	preimage []byte
-	hashLock []byte
+	hashLock [32]byte
 
 	escrows   []escrowProc
 	customers []customerProc
@@ -344,7 +344,7 @@ func (c *customerProc) createOutgoingLock() {
 	c.msgCreateLock = MsgCreateLock{
 		PaymentID: c.run.scn.Spec.PaymentID,
 		Amount:    c.run.scn.Spec.AmountVia(c.i),
-		HashLock:  c.run.hashLock,
+		HashLock:  c.run.hashLock[:],
 		Expiry:    c.run.proto.ExpiryOf(c.i, c.run.scn.Topology.N, c.run.scn.Timing),
 	}
 	c.run.eng.ScheduleArgIn(c.run.w.ActionDelay(c.pid), "lock", customerLock, c)

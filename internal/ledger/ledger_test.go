@@ -121,7 +121,8 @@ func TestLockErrors(t *testing.T) {
 func TestHashlockAndExpiryConditions(t *testing.T) {
 	l := newFunded(t)
 	preimage := []byte("secret")
-	cond := Condition{HashLock: sig.HashPreimage(preimage), Expiry: 100 * sim.Millisecond}
+	lock := sig.HashPreimage(preimage)
+	cond := Condition{HashLock: lock[:], Expiry: 100 * sim.Millisecond}
 	if _, err := l.CreateLock(1, "H", "alice", "bob", 100, cond); err != nil {
 		t.Fatal(err)
 	}

@@ -264,7 +264,8 @@ var (
 	// label and key; "b#1" is a prefix of "b#12".
 	modelLockIDs   = []string{"a#0", "a#1", "a#2", "b#0", "b#1", "b#12"}
 	modelPreimages = [][]byte{[]byte("yes"), []byte("no")}
-	modelHashLock  = sig.HashPreimage(modelPreimages[0])
+	modelHashSum   = sig.HashPreimage(modelPreimages[0])
+	modelHashLock  = modelHashSum[:]
 )
 
 // driveLedgers decodes program five bytes a step — kind, two operands, an

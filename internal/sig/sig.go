@@ -900,10 +900,10 @@ func (r Receipt) Describe() string {
 
 // HashLock helpers used by the HTLC baseline.
 
-// HashPreimage hashes a preimage for use as a hashlock.
-func HashPreimage(preimage []byte) []byte {
-	h := sha256.Sum256(preimage)
-	return h[:]
+// HashPreimage hashes a preimage for use as a hashlock. The hash is a value,
+// so a caller that keeps it puts nothing on the heap.
+func HashPreimage(preimage []byte) [32]byte {
+	return sha256.Sum256(preimage)
 }
 
 // CheckPreimage reports whether preimage hashes to lock.

@@ -221,10 +221,10 @@ func TestDescribeLabelsPinned(t *testing.T) {
 func TestHashPreimage(t *testing.T) {
 	pre := []byte("open sesame")
 	lock := HashPreimage(pre)
-	if !CheckPreimage(lock, pre) {
+	if !CheckPreimage(lock[:], pre) {
 		t.Fatal("correct preimage rejected")
 	}
-	if CheckPreimage(lock, []byte("wrong")) {
+	if CheckPreimage(lock[:], []byte("wrong")) {
 		t.Fatal("wrong preimage accepted")
 	}
 	if CheckPreimage([]byte("short"), pre) {

@@ -113,6 +113,9 @@ type Engine struct {
 	seq  uint64
 	rng  *rand.Rand
 
+	// block is what is left of the block new records are cut from.
+	block []event
+
 	// Stats
 	fired     uint64
 	scheduled uint64
@@ -227,8 +230,16 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
+// eventBlock is how many records a block holds: 16 of 56 bytes fill an
+// 896-byte size class. A world's engine rarely holds more than a few dozen
+// events, so a block stays small; the traffic timeline's, which warms up to
+// thousands, makes a block per 16 rather than a record each. A record never
+// moves, so Timers keep pointing at it.
+const eventBlock = 16
+
 // insert queues fn(arg) at heap coordinates (at, seq) in a record taken from
-// the free list, so in steady state it allocates nothing.
+// the free list, else cut from a block, so in steady state it allocates
+// nothing.
 //
 //xchain:hotpath
 func (e *Engine) insert(at Time, seq uint64, fn func(any), arg any) Timer {
@@ -238,7 +249,11 @@ func (e *Engine) insert(at Time, seq uint64, fn func(any), arg any) Timer {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		if len(e.block) == cap(e.block) {
+			e.block = make([]event, 0, eventBlock)
+		}
+		e.block = e.block[:len(e.block)+1]
+		ev = &e.block[len(e.block)-1]
 	}
 	ev.at, ev.seq, ev.canceled = at, seq, false
 	ev.fn, ev.arg = fn, arg

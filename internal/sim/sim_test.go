@@ -442,7 +442,8 @@ func TestStaleTimerAfterReset(t *testing.T) {
 }
 
 // TestEventRecordSize pins the event record to its time, order and action:
-// 56 bytes on a 64-bit platform, the 64-byte allocation size class.
+// 56 bytes on a 64-bit platform, so a block of eventBlock records fills the
+// 896-byte allocation size class.
 func TestEventRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the size is pinned for 64-bit platforms")

@@ -52,7 +52,8 @@ func (st *standing) paramsFor(p *Protocol, s *core.Scenario) *Params {
 	}
 	key := paramsKey{topo: s.Topology, timing: s.Timing, driftAware: p.DriftAware}
 	if st.derived.A == nil || st.derivedFor != key {
-		st.derived, st.derivedFor = DeriveParams(s.Topology, s.Timing, p.DriftAware), key
+		st.derived.Derive(s.Topology, s.Timing, p.DriftAware)
+		st.derivedFor = key
 	}
 	return &st.derived
 }

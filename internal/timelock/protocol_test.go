@@ -3,10 +3,12 @@ package timelock
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -353,6 +355,33 @@ func TestParamsOverride(t *testing.T) {
 	got := p.ParamsFor(s)
 	if got.Bound != custom.Bound {
 		t.Fatalf("override ignored: got bound %v, want %v", got.Bound, custom.Bound)
+	}
+}
+
+// TestParamsCacheAllocs: the standing cache derives into its own A and D, so
+// a worker whose payments' chains change length from one to the next (random
+// sub-paths) allocates nothing for timeout parameters once they have grown,
+// and still reads what DeriveParams returns.
+func TestParamsCacheAllocs(t *testing.T) {
+	var st standing
+	p := New()
+	var scenarios []core.Scenario
+	for _, n := range []int{3, 5, 2, 5} {
+		scenarios = append(scenarios, happyScenario(n, 1))
+	}
+	for i := range scenarios { // warm-up: the cache grows to the longest chain
+		s := &scenarios[i]
+		if got, want := *st.paramsFor(p, s), DeriveParams(s.Topology, s.Timing, p.DriftAware); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: cached parameters %+v, want %+v", s.Topology.N, got, want)
+		}
+	}
+	k := 0
+	derive := func() {
+		st.paramsFor(p, &scenarios[k%len(scenarios)])
+		k++
+	}
+	if n := testing.AllocsPerRun(100, derive); n != 0 && !race.Enabled { // the detector allocates
+		t.Errorf("the parameter cache allocates %v times per payment over alternating chains, want 0", n)
 	}
 }
 

@@ -188,9 +188,10 @@ func resolveProtocols(w Workload, registry map[string]core.Protocol) (protocols,
 }
 
 // simulator is one simulating worker's standing state: the world its
-// payments run on, and the scenario each payment's sub-run is written into
+// payments run on, the scenario each payment's sub-run is written into
 // (subScenario) with the hop amounts and the fault and patience maps it
-// points at. Like the world, it is confined to its worker.
+// points at, and the list its safety failures are judged from. Like the
+// world, it is confined to its worker.
 type simulator struct {
 	w          *core.World
 	commission int64 // the workload's: a hop's amount is derived from it
@@ -198,6 +199,7 @@ type simulator struct {
 	amounts    []int64
 	faults     map[string]core.FaultSpec
 	patience   map[string]sim.Time
+	failed     []core.Property
 }
 
 func newSimulator(commission int64) *simulator {
@@ -240,10 +242,12 @@ func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *pay
 	// covering theorem owes it. A faulted sub-run is outside the envelope;
 	// patience plays no part, as none of these is conditional on it.
 	rep := check.Evaluate(r, check.OptionsFor(g, 0, 0))
-	failed := rep.SafetyFailures()
+	failed := sm.failed[:0]
 	if !rep.Verdict(core.PropConsistency).OK() {
-		failed = append([]core.Property{core.PropConsistency}, failed...)
+		failed = append(failed, core.PropConsistency)
 	}
+	failed = rep.AppendSafetyFailures(failed)
+	sm.failed = failed
 	for _, prop := range failed {
 		facts := check.Facts{
 			InEnvelope:     !byz,
@@ -584,6 +588,7 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, ps *protoc
 				break
 			}
 			c.pays = pays[:n]
+			cutIDs(c.pays)
 			c.subs = slices.Grow(c.subs[:0], n)[:n]
 			rm.Generated.Add(uint64(len(c.pays)))
 			rm.ChunksGenerated.Inc()

@@ -30,11 +30,13 @@ func (s *sliceSource) next() (*payment, subOutcome, bool) {
 }
 
 // population draws the whole workload at once (RunWith never holds more than
-// a few chunks of it).
+// a few chunks of it), rendering each payment's ID on its own rather than
+// cutting a chunk's from one string.
 func population(s core.Scenario, w Workload) []*payment {
 	g := w.newGenerator(s)
 	var out []*payment
 	for p := new(payment); g.next(p); p = new(payment) {
+		p.ID = string(p.appendID(nil))
 		out = append(out, p)
 	}
 	return out

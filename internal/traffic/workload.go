@@ -335,10 +335,6 @@ type generator struct {
 	seed        int64 // scenario seed
 	now         sim.Time
 	idx         int
-	// withIDs disables payment-ID rendering; the demand pre-pass only needs
-	// routes and amounts, and skipping the IDs keeps it allocation-free.
-	withIDs bool
-	idBuf   []byte // where next renders an ID
 }
 
 // newGenerator resolves workload defaults against the scenario and positions
@@ -368,32 +364,28 @@ func (w Workload) newGenerator(s core.Scenario) *generator {
 		rng:         rand.New(rand.NewSource(int64(splitmix64(uint64(s.Seed)) >> 1))),
 		n:           s.Topology.N,
 		seed:        s.Seed,
-		withIDs:     true,
 	}
 }
 
 // skip advances the generator past the first n payments without retaining
-// them. RNG consumption is identical to generating them (only the ID
-// formatting — which never draws — is suppressed), so the generator lands
-// exactly where an uninterrupted run would be: checkpoint resume re-derives
-// the generator's position instead of serialising RNG internals.
+// them. RNG consumption is identical to generating them, so the generator
+// lands exactly where an uninterrupted run would be: checkpoint resume
+// re-derives the generator's position instead of serialising RNG internals.
 func (g *generator) skip(n int) {
 	if n <= 0 {
 		return
 	}
-	ids := g.withIDs
-	g.withIDs = false
 	var p payment
 	for i := 0; i < n && g.next(&p); i++ {
 	}
-	g.withIDs = ids
 }
 
 // left returns how many payments next has still to generate.
 func (g *generator) left() int { return g.w.Payments - g.idx }
 
 // next fills p with the next payment of the population and reports whether
-// one was produced.
+// one was produced. It leaves p's ID empty: the pipeline's producer names a
+// whole chunk at once (cutIDs).
 func (g *generator) next(p *payment) bool {
 	if g.idx >= g.w.Payments {
 		return false
@@ -455,27 +447,63 @@ func (g *generator) next(p *payment) bool {
 	}
 
 	p.Index = i
-	p.ID = ""
-	if g.withIDs {
-		// "p%05d-c%d-c%d", rendered once: the sub-run's artefacts name it,
-		// and the payment's locks are keyed by it.
-		b := append(g.idBuf[:0], 'p')
-		for pad := 10000; pad > 1 && i < pad; pad /= 10 {
-			b = append(b, '0')
-		}
-		b = strconv.AppendInt(b, int64(i), 10)
-		b = strconv.AppendInt(append(b, "-c"...), int64(sender), 10)
-		b = strconv.AppendInt(append(b, "-c"...), int64(receiver), 10)
-		g.idBuf = b
-		p.ID = string(b)
-	}
 	p.Sender = sender
 	p.Receiver = receiver
 	p.Base = base
 	p.Arrival = g.now
 	p.proto = proto
 	p.Seed = paymentSeed(g.seed, i)
+	p.ID = ""
 	return true
+}
+
+// appendID appends p's ID, "p%05d-c%d-c%d" of its index, sender and
+// receiver, to b: the sub-run's artefacts name it, and the payment's locks
+// are keyed by it.
+func (p *payment) appendID(b []byte) []byte {
+	b = append(b, 'p')
+	for pad := 10000; pad > 1 && p.Index < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(p.Index), 10)
+	b = strconv.AppendInt(append(b, "-c"...), int64(p.Sender), 10)
+	return strconv.AppendInt(append(b, "-c"...), int64(p.Receiver), 10)
+}
+
+// idLen is the length of p's ID: 5 fixed bytes ("p", "-c", "-c"), the
+// index's digits (at least 5 after padding) and the two customer numbers'.
+func (p *payment) idLen() int {
+	return 5 + max(5, digits(p.Index)) + digits(p.Sender) + digits(p.Receiver)
+}
+
+// digits is the number of decimal digits of v >= 0.
+func digits(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// cutIDs gives every payment of pays its ID (appendID), cut from one
+// string that holds them back to back, sized exactly: one allocation for a
+// pipeline chunk's IDs rather than one per payment.
+func cutIDs(pays []payment) {
+	size := 0
+	for i := range pays {
+		size += pays[i].idLen()
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var id [32]byte
+	for i := range pays {
+		b.Write(pays[i].appendID(id[:0]))
+	}
+	ids := b.String()
+	for i := range pays {
+		n := pays[i].idLen()
+		pays[i].ID, ids = ids[:n], ids[n:]
+	}
 }
 
 // demand computes each escrow account's worst-case liquidity demand across
@@ -484,7 +512,6 @@ func (g *generator) next(p *payment) bool {
 // auto-size endowments when Workload.Liquidity is unset.
 func (w Workload) demand(s core.Scenario) map[string]map[string]int64 {
 	g := w.newGenerator(s)
-	g.withIDs = false
 	out := map[string]map[string]int64{}
 	var p payment
 	for g.next(&p) {
