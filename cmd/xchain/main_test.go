@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -84,5 +86,46 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
 		t.Errorf("-h should print usage and exit 0 (exit %d)", code)
+	}
+}
+
+// TestRunGolden pins stdout and the exit code of every protocol, on both
+// networks, honest and under one faulty connector or escrow, on chains of one
+// and three escrows, plus one recorded trace. Regenerate with
+// XCHAIN_REGEN_GOLDEN=1 after a deliberate change to a run or its report.
+func TestRunGolden(t *testing.T) {
+	var argvs [][]string
+	for _, proto := range []string{"timelock", "timelock-anta", "timelock-naive", "weaklive", "weaklive-committee", "htlc"} {
+		for _, network := range []string{"sync", "partial"} {
+			for _, fault := range []string{"", "c1=silent", "e0=theft"} {
+				for _, n := range []string{"1", "3"} {
+					args := []string{"-protocol", proto, "-network", network, "-n", n}
+					if fault != "" {
+						args = append(args, "-fault", fault)
+					}
+					argvs = append(argvs, args)
+				}
+			}
+		}
+	}
+	argvs = append(argvs, []string{"-n", "3", "-protocol", "weaklive", "-fault", "c1=silent", "-trace"})
+	var got strings.Builder
+	for _, args := range argvs {
+		var out, errOut strings.Builder
+		code := run(args, &out, &errOut)
+		fmt.Fprintf(&got, "$ xchain %s\n%sexit %d\n\n", strings.Join(args, " "), out.String(), code)
+	}
+	const golden = "testdata/runs.txt"
+	if os.Getenv("XCHAIN_REGEN_GOLDEN") == "1" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("runs drifted from %s:\n%s", golden, got.String())
 	}
 }
