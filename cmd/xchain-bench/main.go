@@ -47,29 +47,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "xchain-bench: "+format+"\n", args...)
 		return 2
 	}
-	// A negative count, or a chain longer than any input may ask for, is
-	// refused before anything runs; 0 keeps the configuration's value.
-	switch {
-	case *runs < 0:
-		return fail("-runs: need a non-negative count, got %d", *runs)
-	case *workers < 0:
-		return fail("-workers: need a non-negative count, got %d", *workers)
-	case *maxChain < 0 || *maxChain > core.MaxChain:
-		return fail("-maxchain: need 0 to %d escrows, got %d", core.MaxChain, *maxChain)
-	}
-
 	cfg := bench.Full()
 	if *quick {
 		cfg = bench.Quick()
 	}
-	if *runs > 0 {
+	// A flag's 0 keeps the configuration's value.
+	if *runs != 0 {
 		cfg.Runs = *runs
 	}
-	if *maxChain > 0 {
+	if *maxChain != 0 {
 		cfg.MaxChain = *maxChain
 	}
-	if *workers > 0 {
+	if *workers != 0 {
 		cfg.Workers = *workers
+	}
+	if err := cfg.Validate(); err != nil {
+		return fail("-%v", err) // Validate names the field as its flag does
 	}
 
 	experiments := bench.All()

@@ -20,7 +20,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/scenariogen"
-	"repro/internal/timelock"
 )
 
 func main() {
@@ -51,21 +50,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	failed := false
 
 	fmt.Fprintf(stdout, "=== safety audit: Definition 1 under synchrony, every single- and pair-fault assignment (n=%d) ===\n", *n)
-	p := timelock.New()
 	summary := check.NewSummary()
-	assignments := adversary.SingleFaultAssignments(core.NewTopology(*n))
-	assignments = append(assignments, adversary.PairFaultAssignments(core.NewTopology(*n))...)
-	for _, a := range assignments {
-		for seed := int64(1); seed <= int64(*seeds); seed++ {
-			s := a.Apply(core.NewScenario(*n, seed)).Muted()
-			res, err := p.Run(s)
-			if err != nil {
-				fmt.Fprintf(stderr, "run error (%s): %v\n", a.Describe(), err)
-				failed = true
-				continue
-			}
-			summary.Add(check.Evaluate(res, check.Def1TimeBounded(p.ParamsFor(s).Bound)))
-		}
+	topo := core.NewTopology(*n)
+	assignments := append(adversary.SingleFaultAssignments(topo), adversary.PairFaultAssignments(topo)...)
+	for _, err := range scenariogen.AuditTheorem1(summary, *n, assignments, *seeds) {
+		fmt.Fprintf(stderr, "run error: %v\n", err)
+		failed = true
 	}
 	fmt.Fprint(stdout, summary.String())
 	if summary.Clean() {

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/scenariogen"
-	"repro/internal/sig"
 )
 
 func main() {
@@ -56,16 +55,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *seeds < 1 {
-		fmt.Fprintf(stderr, "-seeds: need at least 1, got %d\n", *seeds)
-		return 2
+	opts := scenariogen.Options{Seeds: *seeds, StartSeed: *start, Workers: *workers, Crypto: *crypto}
+	for _, name := range strings.Split(*families, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			opts.Families = append(opts.Families, scenariogen.Family(name))
+		}
 	}
-	if *workers < 0 {
-		fmt.Fprintf(stderr, "-workers: need 0 (one per CPU) or more, got %d\n", *workers)
-		return 2
-	}
-	if _, ok := sig.BackendByName(*crypto); !ok {
-		fmt.Fprintf(stderr, "-crypto: unknown crypto backend %q (have %v)\n", *crypto, sig.BackendNames())
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(stderr, "-%v\n", err) // Validate names the option as its flag does
 		return 2
 	}
 	if *replay != "" {
@@ -86,18 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := scenariogen.Options{Seeds: *seeds, StartSeed: *start, Workers: *workers, Crypto: *crypto}
-	for _, name := range strings.Split(*families, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
-		}
-		f, ok := scenariogen.ParseFamily(name)
-		if !ok {
-			fmt.Fprintf(stderr, "-families: unknown family %q\n", name)
-			return 2
-		}
-		opts.Families = append(opts.Families, f)
-	}
 	st := scenariogen.Fuzz(opts)
 	fmt.Fprint(stdout, st)
 

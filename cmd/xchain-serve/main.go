@@ -46,35 +46,27 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	withPprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	stateDir := flag.String("state-dir", "", "persist runs here for crash recovery (empty = no persistence)")
-	ckptEvery := flag.Int("checkpoint-every", 20000, "checkpoint cadence in admitted payments (with -state-dir)")
-	maxRuns := flag.Int("max-runs", 0, "concurrently executing runs before 429 (0 = one per CPU)")
-	drain := flag.Duration("drain", 20*time.Second, "graceful-shutdown deadline for in-flight runs")
-	flag.Parse()
-
-	srv := newServerWith(serverOptions{
-		withPprof:    *withPprof,
-		stateDir:     *stateDir,
-		ckptEvery:    *ckptEvery,
-		maxRuns:      *maxRuns,
-		drainTimeout: *drain,
-	})
+	addr, opts, err := parse(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xchain-serve: %v\n", err)
+		os.Exit(2)
+	}
+	srv := newServerWith(opts)
 	if err := srv.recover(); err != nil {
 		fmt.Fprintf(os.Stderr, "xchain-serve: recovery failed: %v\n", err)
 		os.Exit(1)
 	}
 
-	hs := newHTTPServer(*addr, srv)
+	hs := newHTTPServer(addr, srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "xchain-serve: listening on %s (max-runs=%d)\n", *addr, srv.opts.maxRuns)
+	fmt.Fprintf(os.Stderr, "xchain-serve: listening on %s (max-runs=%d)\n", addr, srv.opts.maxRuns)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -83,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xchain-serve: %v\n", err)
 		os.Exit(1)
 	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "xchain-serve: %v: draining (deadline %s)\n", sig, *drain)
+		fmt.Fprintf(os.Stderr, "xchain-serve: %v: draining (deadline %s)\n", sig, opts.drainTimeout)
 	}
 
 	// Stop admitting, interrupt in-flight runs (each writes its final
@@ -99,4 +91,25 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "xchain-serve: drained cleanly\n")
+}
+
+// parse reads the command line (a bad flag or -h exits) into the listen
+// address and the server's options. A negative -checkpoint-every, -max-runs
+// or -drain is refused before anything listens.
+func parse(args []string) (string, serverOptions, error) {
+	fs := flag.NewFlagSet("xchain-serve", flag.ExitOnError)
+	var opts serverOptions
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.BoolVar(&opts.withPprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
+	fs.StringVar(&opts.stateDir, "state-dir", "", "persist runs here for crash recovery (empty = no persistence)")
+	fs.IntVar(&opts.ckptEvery, "checkpoint-every", 20000, "checkpoint cadence in admitted payments (with -state-dir)")
+	fs.IntVar(&opts.maxRuns, "max-runs", 0, "concurrently executing runs before 429 (0 = one per CPU)")
+	fs.DurationVar(&opts.drainTimeout, "drain", 20*time.Second, "graceful-shutdown deadline for in-flight runs")
+	_ = fs.Parse(args) // ExitOnError: it returns only on success
+	for _, name := range []string{"checkpoint-every", "max-runs", "drain"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return "", opts, fmt.Errorf("-%s: need 0 or more, got %s", name, v)
+		}
+	}
+	return *addr, opts, nil
 }

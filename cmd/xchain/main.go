@@ -1,9 +1,10 @@
 // Command xchain runs a single cross-chain payment scenario and prints its
 // trace, the per-customer outcomes, and the property verdicts.
 //
-// Usage: xchain [flags]; -h lists them, each with its default. The verdicts
-// are judged under the Definition of the theorem covering -protocol, and a
-// -fault string is validated before anything runs (exit 2).
+// Usage: xchain [flags]; -h lists them, each with its default. The flags
+// decode into one scenariogen.Spec, which Spec.Validate judges before
+// anything runs (exit 2, naming the flag). The verdicts are judged under the
+// Definition of the theorem covering -protocol.
 package main
 
 import (
@@ -14,14 +15,11 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/htlc"
-	"repro/internal/netsim"
+	"repro/internal/scenariogen"
 	"repro/internal/sim"
 	"repro/internal/timelock"
-	"repro/internal/weaklive"
 )
 
 func main() {
@@ -48,66 +46,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	fatalf := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "xchain: "+format+"\n", args...)
+	refuse := func(flag string, err error) int {
+		fmt.Fprintf(stderr, "xchain: %s: %v\n", flag, err)
 		return 2
 	}
-	if *n < 1 || *n > core.MaxChain {
-		return fatalf("-n: need 1 to %d escrows, got %d", core.MaxChain, *n)
+	sp := scenariogen.NewSpec(scenariogen.Family(*protoName), *n, *seed)
+	if !sp.Family.SinglePayment() {
+		return refuse("-protocol", fmt.Errorf("unknown protocol %q", *protoName))
 	}
-	if *committee < 1 || *committee > core.MaxChain {
-		return fatalf("-committee: need 1 to %d notaries, got %d", core.MaxChain, *committee)
+	// A spec's committee of 0 is the default 4; the flag's is nobody.
+	if *committee == 0 {
+		return refuse("-committee", errors.New("need 1 or more notaries, got 0"))
 	}
-	if *gst < 0 {
-		return fatalf("-gst: need 0 or more, got %v", *gst)
+	sp.CommitteeSize = *committee
+	kind, ok := networks[*network]
+	if !ok {
+		return refuse("-network", fmt.Errorf("unknown network model %q", *network))
 	}
-	if *patience < 0 {
-		return fatalf("-patience: need 0 or more, got %v", *patience)
+	// -gst is judged under either network, as it always was; every customer
+	// waits -patience (up to the chain bound: Validate refuses a longer -n).
+	g := sim.Time(gst.Microseconds())
+	sp.Net.Kind, sp.Net.GST, sp.Net.MaxPreGST = kind, g, 4*g
+	sp.PatienceFloor = sim.Time(patience.Microseconds())
+	sp.Patience = map[string]sim.Time{}
+	for i := 0; i <= min(*n, core.MaxChain); i++ {
+		sp.Patience[core.CustomerID(i)] = sp.PatienceFloor
 	}
-
-	s := core.NewScenario(*n, *seed)
-	timing := s.Timing
-	switch *network {
-	case "sync":
-		// Default network already synchronous.
-	case "partial":
-		s = s.WithNetwork(netsim.PartialSynchrony{GST: durToSim(*gst), Delta: timing.MaxMsgDelay, MaxPreGST: 4 * durToSim(*gst)})
-	default:
-		return fatalf("-network: unknown network model %q", *network)
+	var err error
+	if sp.Faults, err = scenariogen.ParseFaults(*faults); err != nil {
+		return refuse("-fault", err)
 	}
-	for _, id := range s.Topology.Customers() {
-		s = s.SetPatience(id, durToSim(*patience))
-	}
-	assignment, err := adversary.ParseAssignment(*faults, s.Topology)
+	// Validate is a single-payment spec's only refusal, and it runs one protocol.
+	s, err := sp.Scenario()
 	if err != nil {
-		return fatalf("-fault: %v", err)
+		fe := err.(*scenariogen.FieldError)
+		return refuse(flagOf[fe.Field], fe.Err)
 	}
-	s = assignment.Apply(s)
-
-	var (
-		protocol core.Protocol
-		// bound is Theorem 1's a-priori termination bound, which only the
-		// timeout family derives.
-		bound sim.Time
-	)
-	timeBounded := func(p *timelock.Protocol) { protocol, bound = p, p.ParamsFor(s).Bound }
-	switch *protoName {
-	case "timelock":
-		timeBounded(timelock.New())
-	case "timelock-anta":
-		timeBounded(timelock.NewANTA())
-	case "timelock-naive":
-		timeBounded(timelock.NewNaive())
-	case "weaklive":
-		protocol = weaklive.New()
-	case "weaklive-committee":
-		protocol = weaklive.NewCommittee(*committee)
-	case "htlc":
-		protocol = htlc.New()
-	default:
-		return fatalf("-protocol: unknown protocol %q", *protoName)
+	protos, _ := sp.Protocols()
+	protocol := protos[0]
+	// bound is Theorem 1's a-priori termination bound, which only the
+	// timeout family derives.
+	var bound sim.Time
+	if tl, ok := protocol.(*timelock.Protocol); ok {
+		bound = tl.ParamsFor(s).Bound
 	}
-	opts := check.OptionsFor(protocol.Guarantee(), bound, durToSim(*patience))
+	opts := check.OptionsFor(protocol.Guarantee(), bound, sp.PatienceFloor)
 
 	res, err := protocol.Run(s)
 	if err != nil {
@@ -138,4 +121,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func durToSim(d time.Duration) sim.Time { return sim.Time(d / time.Microsecond) }
+// networks maps -network's values to the spec's delay models.
+var networks = map[string]scenariogen.NetworkKind{"sync": scenariogen.NetSynchronous, "partial": scenariogen.NetPartial}
+
+// flagOf names the flag behind each spec field xchain sets.
+var flagOf = map[string]string{
+	"n": "-n", "committeeSize": "-committee", "net.gst": "-gst", "net.maxPreGST": "-gst",
+	"patience": "-patience", "patienceFloor": "-patience", "faults": "-fault",
+}

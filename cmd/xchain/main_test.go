@@ -75,6 +75,14 @@ func TestRunBadFlags(t *testing.T) {
 		{"-protocol", "weaklive-committee", "-committee", "-2"},
 		{"-protocol", "weaklive-committee", "-committee", "65"},
 		{"-protocol", "weaklive-committee", "-committee", "1000"},
+		// A fault on nobody used to run the honest payment and waive its
+		// liveness verdict; a -gst or -patience past the spec's span bound
+		// used to run.
+		{"-protocol", "timelock", "-fault", "notary0=silent"},
+		{"-protocol", "timelock", "-fault", "manager=silent"},
+		{"-protocol", "weaklive", "-fault", "notary0=silent"},
+		{"-patience", "2000h"},
+		{"-network", "partial", "-gst", "2000h"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[len(args)-2]+":") {

@@ -104,9 +104,9 @@ func Spec(b Behaviour, timing core.Timing) core.FaultSpec {
 // pattern of a scenario.
 type Assignment map[string]Behaviour
 
-// ParseAssignment is the inverse of Describe: it parses a comma-separated
-// "participant=behaviour" list (the -fault flag and "faults" request field of
-// the commands) against a topology. It fails closed: a behaviour outside
+// ParseAssignment parses a comma-separated "participant=behaviour" list (a
+// traffic request's "faults", xchain-traffic's -fault) against a topology
+// ("" and "all-honest" are the empty assignment). It fails closed: a behaviour outside
 // AllBehaviours, a participant that is neither on the chain nor the manager
 // nor notaryK, and a participant named twice are all errors, so a typo never
 // runs as an honest scenario.
@@ -150,31 +150,6 @@ func (a Assignment) Apply(s core.Scenario) core.Scenario {
 		s = s.SetFault(id, Spec(a[id], s.Timing))
 	}
 	return s
-}
-
-// Describe renders the assignment compactly ("c1=silent,e0=theft").
-func (a Assignment) Describe() string {
-	if len(a) == 0 {
-		return "all-honest"
-	}
-	ids := make([]string, 0, len(a))
-	for id := range a {
-		if a[id] != Honest {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return "all-honest"
-	}
-	sort.Strings(ids)
-	out := ""
-	for i, id := range ids {
-		if i > 0 {
-			out += ","
-		}
-		out += id + "=" + string(a[id])
-	}
-	return out
 }
 
 // SingleFaultAssignments enumerates every assignment in which exactly one

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -54,32 +55,24 @@ func TestApplySkipsHonest(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	if got := (Assignment{}).Describe(); got != "all-honest" {
-		t.Errorf("empty assignment described as %q", got)
-	}
-	if got := (Assignment{"c0": Honest}).Describe(); got != "all-honest" {
-		t.Errorf("all-honest assignment described as %q", got)
-	}
-	got := Assignment{"c1": Silent, "e0": Theft}.Describe()
-	if got != "c1=silent,e0=theft" {
-		t.Errorf("unexpected description %q", got)
-	}
-}
-
-// ParseAssignment inverts Describe on every enumerated assignment, and the
-// parsed assignment installs exactly the faults the string names.
-func TestParseAssignmentInvertsDescribe(t *testing.T) {
+// ParseAssignment reads back every enumerated assignment from its list, and
+// the parsed assignment installs exactly the faults the string names.
+func TestParseAssignmentRoundTrip(t *testing.T) {
 	topo := core.NewTopology(3)
 	all := append(SingleFaultAssignments(topo), PairFaultAssignments(topo)...)
 	all = append(all, Assignment{core.ManagerID: Silent, core.NotaryID(2): Equivocation})
 	for _, want := range all {
-		got, err := ParseAssignment(want.Describe(), topo)
-		if err != nil {
-			t.Fatalf("%s: %v", want.Describe(), err)
+		var pairs []string
+		for id, b := range want {
+			pairs = append(pairs, id+"="+string(b))
 		}
-		if got.Describe() != want.Describe() || len(got) != len(want) {
-			t.Errorf("parsed %q back as %q", want.Describe(), got.Describe())
+		list := strings.Join(pairs, ",")
+		got, err := ParseAssignment(list, topo)
+		if err != nil {
+			t.Fatalf("%s: %v", list, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parsed %q as %v, want %v", list, got, want)
 		}
 	}
 	s := core.NewScenario(3, 1)

@@ -39,6 +39,21 @@ func Quick() Config { return Config{Runs: 3, MaxChain: 5} }
 // "Experiments").
 func Full() Config { return Config{Runs: 20, MaxChain: 8} }
 
+// Validate checks the configuration, naming the field at fault as
+// xchain-bench's flag does: no count is negative, and no chain is longer than
+// core.MaxChain. A zero is each field's default.
+func (c Config) Validate() error {
+	switch {
+	case c.Runs < 0:
+		return fmt.Errorf("runs: need a non-negative count, got %d", c.Runs)
+	case c.Workers < 0:
+		return fmt.Errorf("workers: need a non-negative count, got %d", c.Workers)
+	case c.MaxChain < 0 || c.MaxChain > core.MaxChain:
+		return fmt.Errorf("maxchain: need 0 to %d escrows, got %d", core.MaxChain, c.MaxChain)
+	}
+	return nil
+}
+
 // workers resolves the worker count.
 func (c Config) workers() int {
 	if c.Workers > 0 {

@@ -74,25 +74,11 @@ func RunE2(cfg Config) *Table {
 		chains = []int{2}
 	}
 	summary := check.NewSummary()
-	var jobs []runJob
-	var bounds []sim.Time
 	for _, n := range chains {
-		p := timelock.New()
-		for _, a := range adversary.SingleFaultAssignments(core.NewTopology(n)) {
-			for _, seed := range cfg.seeds() {
-				s := a.Apply(core.NewScenario(n, seed)).Muted()
-				jobs = append(jobs, runJob{protocol: p, scenario: s})
-				bounds = append(bounds, p.ParamsFor(s).Bound)
-			}
+		for _, err := range scenariogen.AuditTheorem1(summary, n, adversary.SingleFaultAssignments(core.NewTopology(n)), len(cfg.seeds())) {
+			t.AddNote("run error: %v", err)
 		}
 	}
-	runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
-		if err != nil {
-			t.AddNote("run error: %v", err)
-			return
-		}
-		summary.Add(check.Evaluate(res, check.Def1TimeBounded(bounds[idx])))
-	})
 	for _, p := range core.AllProperties() {
 		if summary.Applicable[p] == 0 && summary.Violations[p] == 0 {
 			continue

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -29,6 +30,26 @@ type Options struct {
 	// backend-independent, so a campaign under "hmac" judges identical
 	// verdicts at a fraction of the CPU cost.
 	Crypto string
+}
+
+// Validate checks the options, naming the one at fault as xchain-fuzz's flag
+// does (Fuzz itself runs a seed count below 1 as one seed).
+func (o Options) Validate() error {
+	_, known := sig.BackendByName(o.Crypto)
+	switch {
+	case o.Seeds < 1:
+		return fmt.Errorf("seeds: need at least 1, got %d", o.Seeds)
+	case o.Workers < 0:
+		return fmt.Errorf("workers: need 0 (one per CPU) or more, got %d", o.Workers)
+	case !known:
+		return fmt.Errorf("crypto: unknown crypto backend %q (have %v)", o.Crypto, sig.BackendNames())
+	}
+	for _, f := range o.Families {
+		if _, ok := ParseFamily(string(f)); !ok {
+			return fmt.Errorf("families: unknown family %q", f)
+		}
+	}
+	return nil
 }
 
 func (o Options) workers() int {

@@ -1,6 +1,9 @@
 package scenariogen
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -154,17 +157,14 @@ func candidates(sp Spec) []Spec {
 	for _, n := range []int{minN, sp.N / 2, sp.N - 1} {
 		if n >= minN && n < sp.N && !seen[n] {
 			seen[n] = true
-			n := n
 			add(func(c *Spec) { c.setN(n) })
 		}
 	}
-	for _, id := range sortedKeys(sp.Faults) {
-		id := id
+	for _, id := range slices.Sorted(maps.Keys(sp.Faults)) {
 		add(func(c *Spec) { delete(c.Faults, id) })
 	}
 	if !sp.isWeaklive() {
-		for _, id := range sortedTimeKeys(sp.Patience) {
-			id := id
+		for _, id := range slices.Sorted(maps.Keys(sp.Patience)) {
 			add(func(c *Spec) { delete(c.Patience, id) })
 		}
 	}

@@ -17,7 +17,8 @@ package scenariogen
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -65,6 +66,10 @@ func AllFamilies() []Family {
 		FamDifferential, FamDealTimelock, FamDealCertified, FamTraffic,
 	}
 }
+
+// SinglePayment reports whether the family runs one core.Protocol on one
+// payment: the timeout variants, htlc and the weak-liveness protocols.
+func (f Family) SinglePayment() bool { return len(new(materialiser).engines(Spec{Family: f})) == 1 }
 
 // ParseFamily resolves a family by name.
 func ParseFamily(name string) (Family, bool) {
@@ -205,6 +210,51 @@ type Spec struct {
 	Traffic *TrafficSpec `json:"traffic,omitempty"`
 }
 
+// NewSpec returns the spec of core.NewScenario(n, seed) run by the family:
+// its payment of 1000 with a commission of 10 per hop, its timing and its
+// synchronous network.
+func NewSpec(family Family, n int, seed int64) Spec {
+	t := core.DefaultTiming()
+	return Spec{
+		Seed: seed, Family: family, N: n, Base: 1000, Commission: 10,
+		Timing: TimingSpec{Delta: t.MaxMsgDelay, Processing: t.MaxProcessing, Rho: float64(t.Clock.MaxRho), Offset: t.Clock.MaxOffset},
+		Net:    NetworkSpec{Kind: NetSynchronous, Min: sim.Millisecond},
+	}
+}
+
+// ParseFaults reads a fault list (adversary.ParseAssignment's syntax, judged
+// against the longest chain) into a spec's Faults; Validate judges the names
+// against the spec's chain and family.
+func ParseFaults(list string) (map[string]string, error) {
+	a, err := adversary.ParseAssignment(list, core.NewTopology(core.MaxChain))
+	return faultsOf(a), err
+}
+
+// faultsOf is an assignment as a spec's Faults.
+func faultsOf(a adversary.Assignment) map[string]string {
+	faults := make(map[string]string, len(a))
+	for id, b := range a {
+		faults[id] = string(b)
+	}
+	return faults
+}
+
+// FieldError is Validate's refusal of a spec: Field is the JSON name of the
+// field at fault ("n", "net.gst", "faults", ...).
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return "scenariogen: " + e.Err.Error() }
+
+func (e *FieldError) Unwrap() error { return e.Err }
+
+// refuse is the *FieldError naming field, built only when a spec fails.
+func refuse(field, format string, args ...any) error {
+	return &FieldError{Field: field, Err: fmt.Errorf(format, args...)}
+}
+
 // Size bounds of a spec. A replay file is an input boundary: without them a
 // hand-edited file chooses the run's memory and time freely, and values near
 // the int64 range overflow the timing arithmetic. All are far beyond
@@ -224,10 +274,10 @@ type span struct {
 }
 
 // Validate checks that the spec is structurally sound, every size is within
-// its bound and all names resolve.
+// its bound and all names resolve. It fails with a *FieldError.
 func (sp Spec) Validate() error {
 	if _, ok := ParseFamily(string(sp.Family)); !ok {
-		return fmt.Errorf("scenariogen: unknown family %q", sp.Family)
+		return refuse("family", "unknown family %q", sp.Family)
 	}
 	minN := 1
 	if sp.isDeal() {
@@ -257,54 +307,54 @@ func (sp Spec) Validate() error {
 	}
 	for _, b := range spans {
 		if b.v < b.lo || b.v > b.hi {
-			return fmt.Errorf("scenariogen: %s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
+			return refuse(b.name, "%s %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
 		}
 	}
 	// A key naming nobody would be ignored by the run, yet could still
 	// change the spec's class and with it the properties the run owes.
 	if id, ok := firstBad(sp.Faults, func(id, _ string) bool { return !sp.participant(id) }); ok {
-		return fmt.Errorf("scenariogen: fault on %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
+		return refuse("faults", "fault on %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
 	}
 	if id, ok := firstBad(sp.Patience, func(id string, _ sim.Time) bool { return !sp.participant(id) }); ok {
-		return fmt.Errorf("scenariogen: patience of %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
+		return refuse("patience", "patience of %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
 	}
 	if id, ok := firstBad(sp.Patience, func(_ string, p sim.Time) bool { return p < 0 || int64(p) > maxSpan }); ok {
-		return fmt.Errorf("scenariogen: patience of %s %d outside [0, %d]", id, sp.Patience[id], maxSpan)
+		return refuse("patience", "patience of %s %d outside [0, %d]", id, sp.Patience[id], maxSpan)
 	}
 	if sp.Timing.Rho < 0 || sp.Timing.Rho > maxRho {
-		return fmt.Errorf("scenariogen: clock drift %v outside [0, %v]", sp.Timing.Rho, maxRho)
+		return refuse("timing.rho", "clock drift %v outside [0, %v]", sp.Timing.Rho, maxRho)
 	}
 	if sp.TimeoutScale != -1 && (sp.TimeoutScale < 0 || sp.TimeoutScale > maxTimeoutScale) {
-		return fmt.Errorf("scenariogen: timeoutScale %v is neither -1 nor in [0, %v]", sp.TimeoutScale, maxTimeoutScale)
+		return refuse("timeoutScale", "timeoutScale %v is neither -1 nor in [0, %v]", sp.TimeoutScale, maxTimeoutScale)
 	}
 	switch sp.Net.Kind {
 	case NetSynchronous, NetPartial:
 	case NetAttack:
 		if _, ok := AttackByName(sp.Net.Attack, sp.Net.Holdback); !ok {
-			return fmt.Errorf("scenariogen: unknown attack %q", sp.Net.Attack)
+			return refuse("net.attack", "unknown attack %q", sp.Net.Attack)
 		}
 	default:
-		return fmt.Errorf("scenariogen: unknown network kind %q", sp.Net.Kind)
+		return refuse("net.kind", "unknown network kind %q", sp.Net.Kind)
 	}
 	if id, ok := firstBad(sp.Faults, func(_, name string) bool { _, ok := adversary.ParseBehaviour(name); return !ok }); ok {
-		return fmt.Errorf("scenariogen: unknown behaviour %q for %s", sp.Faults[id], id)
+		return refuse("faults", "unknown behaviour %q for %s", sp.Faults[id], id)
 	}
 	if _, ok := sig.BackendByName(sp.Crypto); !ok {
-		return fmt.Errorf("scenariogen: unknown crypto backend %q (have %v)", sp.Crypto, sig.BackendNames())
+		return refuse("crypto", "unknown crypto backend %q (have %v)", sp.Crypto, sig.BackendNames())
 	}
 	if sp.Family == FamTraffic {
 		ts := sp.Traffic
 		if ts == nil {
-			return fmt.Errorf("scenariogen: traffic family needs a traffic block")
+			return refuse("traffic", "traffic family needs a traffic block")
 		}
 		if ts.Rate <= 0 {
-			return fmt.Errorf("scenariogen: non-positive traffic arrival rate %v", ts.Rate)
+			return refuse("traffic.rate", "non-positive traffic arrival rate %v", ts.Rate)
 		}
 		if err := ts.plan().Validate(core.NewTopology(sp.N)); err != nil {
-			return fmt.Errorf("scenariogen: %w", err)
+			return &FieldError{Field: "traffic", Err: err}
 		}
 	} else if sp.Traffic != nil {
-		return fmt.Errorf("scenariogen: family %s does not take a traffic block", sp.Family)
+		return refuse("traffic", "family %s does not take a traffic block", sp.Family)
 	}
 	return nil
 }
@@ -793,7 +843,7 @@ func (sp Spec) Describe() string {
 		fmt.Fprintf(&b, " scale=%g", sp.TimeoutScale)
 	}
 	if len(sp.Faults) > 0 {
-		keys := sortedKeys(sp.Faults)
+		keys := slices.Sorted(maps.Keys(sp.Faults))
 		parts := make([]string, 0, len(keys))
 		for _, id := range keys {
 			parts = append(parts, id+"="+sp.Faults[id])
@@ -818,23 +868,5 @@ func (sp Spec) Describe() string {
 // MarshalIndent renders the spec as pretty JSON.
 func (sp Spec) MarshalIndent() []byte {
 	out, _ := json.MarshalIndent(sp, "", "  ")
-	return out
-}
-
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedTimeKeys(m map[string]sim.Time) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

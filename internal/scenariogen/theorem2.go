@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/adversary"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -22,7 +24,8 @@ import (
 // one Spec (theorem2Spec), judged like any generated scenario; VerifyTheorem2
 // checks that every candidate breaks under some attack — short timeouts lose
 // strong liveness, long ones termination — and ControlUnderSynchrony that
-// none breaks under synchrony.
+// none breaks under synchrony. AuditTheorem1, last, is Theorem 1's own audit
+// over fault assignments.
 
 // Horizon caps the run length the oracle uses to interpret "eventually" in
 // an envelope-violating run: a protocol that only terminates because the
@@ -131,12 +134,8 @@ func candidateName(scale float64) string {
 // beyond the candidate's largest window. The empty attack is the synchronous
 // control.
 func theorem2Spec(n int, seed int64, scale float64, attack string) Spec {
-	t := core.DefaultTiming()
-	sp := Spec{
-		Seed: seed, Family: FamTimelock, N: n, Base: 1000, Commission: 10, TimeoutScale: scale,
-		Timing: TimingSpec{Delta: t.MaxMsgDelay, Processing: t.MaxProcessing, Rho: float64(t.Clock.MaxRho), Offset: t.Clock.MaxOffset},
-		Net:    NetworkSpec{Kind: NetSynchronous, Min: sim.Millisecond},
-	}
+	sp := NewSpec(FamTimelock, n, seed)
+	sp.TimeoutScale = scale
 	if attack != "" {
 		sp.Net = NetworkSpec{Kind: NetAttack, Attack: attack, Holdback: sp.attackHoldback(), Fast: sp.Timing.Delta}
 	}
@@ -216,4 +215,29 @@ func ControlUnderSynchrony(n int, seeds []int64) []string {
 		}
 	}
 	return failed
+}
+
+// AuditTheorem1 is Theorem 1's safety audit: it judges the time-bounded
+// protocol on a chain of n escrows under each assignment and seeds 1..seeds,
+// muted on one standing pair of worlds, and adds each run's Definition-1
+// verdicts to sum. It returns an error for each run outside the theorem's
+// model and each the kernel could not make.
+func AuditTheorem1(sum *check.Summary, n int, assignments []adversary.Assignment, seeds int) (errs []error) {
+	var ws worlds
+	for _, a := range assignments {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			sp := NewSpec(FamTimelock, n, seed)
+			sp.Faults = faultsOf(a)
+			out, p := kernel(sp, &ws, false)
+			switch {
+			case out.Class != ClassConforming:
+				errs = append(errs, fmt.Errorf("%s: outside Theorem 1's model", sp.Describe()))
+			case p.report == nil:
+				errs = append(errs, fmt.Errorf("%s: %s", sp.Describe(), out.Violations[0].Detail))
+			default:
+				sum.Add(*p.report)
+			}
+		}
+	}
+	return errs
 }
