@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/netsim"
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -295,5 +296,38 @@ func TestLockIDs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a run's eight locks allocate %.0f times, want 0", allocs)
+	}
+}
+
+// TestIDBlockCutsStableStrings: every string an IDBlock cuts reads what it
+// was cut from after thousands more (a block is never written over), and a
+// campaign's worth of payment IDs costs a handful of blocks.
+func TestIDBlockCutsStableStrings(t *testing.T) {
+	var k IDBlock
+	var ids []string
+	var buf [48]byte
+	for seed := int64(0); seed < 5000; seed++ {
+		ids = append(ids, k.Cut(AppendPaymentID(buf[:0], int(seed%7)+1, seed)))
+	}
+	long := k.Cut(make([]byte, 5000)) // longer than any block
+	for seed, id := range ids {
+		if want := PaymentID(seed%7+1, int64(seed)); id != want {
+			t.Fatalf("ID %d reads %q, want %q", seed, id, want)
+		}
+	}
+	if len(long) != 5000 {
+		t.Fatalf("a 5000-byte string was cut to %d bytes", len(long))
+	}
+	if race.Enabled {
+		return // the detector allocates
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		var k IDBlock
+		for seed := int64(0); seed < 1000; seed++ {
+			k.Cut(AppendPaymentID(buf[:0], 3, 300_000+seed))
+		}
+	})
+	if allocs > 10 { // 64 B doubling to 4 KiB, then 4 KiB blocks: 7 + 3
+		t.Fatalf("1000 payment IDs took %v allocations, want at most 10", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -35,8 +36,35 @@ func NewScenario(n int, seed int64) Scenario {
 // run under seed, "pay-n<n>-s<seed>".
 func PaymentID(n int, seed int64) string {
 	var buf [48]byte
-	b := strconv.AppendInt(append(buf[:0], "pay-n"...), int64(n), 10)
-	return string(strconv.AppendInt(append(b, "-s"...), seed, 10))
+	return string(AppendPaymentID(buf[:0], n, seed))
+}
+
+// AppendPaymentID appends PaymentID(n, seed) to dst, for a caller that cuts
+// the IDs of many scenarios from one IDBlock.
+func AppendPaymentID(dst []byte, n int, seed int64) []byte {
+	b := strconv.AppendInt(append(dst, "pay-n"...), int64(n), 10)
+	return strconv.AppendInt(append(b, "-s"...), seed, 10)
+}
+
+// IDBlock makes strings by copying them back to back into blocks it
+// allocates, which double from 64 bytes up to 4 KiB: a caller that names run
+// after run allocates once per block, not once per name, and one that names
+// a single run pays for a small block. A string it returns stays valid, as a
+// block is appended to only within its capacity and a full one is left to
+// the strings cut from it. The zero IDBlock is empty; it must not be copied
+// once used.
+type IDBlock struct{ b strings.Builder }
+
+// Cut returns p as a string.
+func (k *IDBlock) Cut(p []byte) string {
+	if k.b.Cap()-k.b.Len() < len(p) {
+		size := min(max(2*k.b.Cap(), 64), 4096)
+		k.b = strings.Builder{}
+		k.b.Grow(max(size, len(p)))
+	}
+	start := k.b.Len()
+	k.b.Write(p)
+	return k.b.String()[start:]
 }
 
 // WithNetwork returns a copy of the scenario using the given delay model.

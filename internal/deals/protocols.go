@@ -78,7 +78,9 @@ type arcState struct {
 	// from and to address the arc's parties in the run.
 	from, to sim.PID
 	lockID   string // "<from>-><to>:<type>"
-	settled  bool
+	// locked: the chain made the arc's lock; settled: it paid the lock out.
+	// An arc never locked has nothing to settle, and the ledger would refuse.
+	locked, settled bool
 
 	escrow   msgEscrow     // the owner's instruction to the chain
 	escrowed msgEscrowed   // the chain's announcement to every party
@@ -121,6 +123,7 @@ func (a *assetChain) onEscrow(from sim.PID, arc *arcState) {
 	if _, err := a.led.Escrow(r.eng.Now(), arc.lockID, arc.from, arc.to, arc.Asset.Amount, ledger.Condition{}); err != nil {
 		return
 	}
+	arc.locked = true
 	if r.tr.Recording() {
 		r.tr.AddValue(r.eng.Now(), trace.KindLock, a.id, arc.From, arc.lockID, arc.Asset.Amount)
 	}
@@ -189,7 +192,7 @@ func (a *assetChain) onCertified(m *msgCertified) {
 //xchain:hotpath
 func (a *assetChain) release(arc *arcState) {
 	r := a.run
-	if arc.settled {
+	if !arc.locked || arc.settled {
 		return
 	}
 	if err := a.led.Release(r.eng.Now(), arc.lockID, nil, 0); err != nil {
@@ -207,7 +210,7 @@ func (a *assetChain) release(arc *arcState) {
 //xchain:hotpath
 func (a *assetChain) refund(arc *arcState) {
 	r := a.run
-	if arc.settled {
+	if !arc.locked || arc.settled {
 		return
 	}
 	if err := a.led.Refund(r.eng.Now(), arc.lockID, r.eng.Now()); err != nil {
@@ -446,9 +449,11 @@ type dealRun struct {
 	// byLock orders the arcs by chain, then lock ID, as a run reports them.
 	byLock []int
 	// names is what rename rendered in nameBuf, kept while the next run
-	// renders the same bytes; id is the piece that is the deal's ID.
+	// renders the same bytes and cut from nameBlock when it does not; id is
+	// the piece that is the deal's ID.
 	names, id string
 	nameBuf   []byte
+	nameBlock core.IDBlock
 
 	outcome Outcome
 	forever []Arc
@@ -484,7 +489,7 @@ func (r *dealRun) rename(types []string, arcs []Arc) {
 		buf = strconv.AppendInt(append(buf, "deal-"...), r.cfg.Seed, 10)
 	}
 	if r.nameBuf = buf; string(buf) != r.names {
-		r.names = string(buf)
+		r.names = r.nameBlock.Cut(buf)
 	}
 	names := r.names
 	for i, t := range types {

@@ -36,6 +36,20 @@ var (
 	ErrDuplicateAccount  = errors.New("ledger: duplicate account")
 )
 
+// settledError is the refusal to release or refund a lock that is no longer
+// pending. It is ErrLockSettled to errors.Is, and renders the lock's ID only
+// when read: the protocols discard it.
+type settledError struct {
+	lock  lockName
+	state LockState
+}
+
+func (e *settledError) Error() string {
+	return ErrLockSettled.Error() + ": " + e.lock.id() + " is " + string(e.state)
+}
+
+func (e *settledError) Unwrap() error { return ErrLockSettled }
+
 // LockState describes the lifecycle of an escrow lock.
 type LockState string
 
@@ -683,7 +697,7 @@ func (l *Ledger) ReleaseLock(at sim.Time, h Handle, preimage []byte, localNow si
 //xchain:hotpath
 func (l *Ledger) release(at sim.Time, lk *lockRec, preimage []byte, localNow sim.Time) error {
 	if lk.state != statePending {
-		return fmt.Errorf("%w: %s is %s", ErrLockSettled, lk.id(), lockStates[lk.state])
+		return &settledError{lk.name(), lockStates[lk.state]}
 	}
 	if len(lk.cond.HashLock) > 0 && !checkPreimage(lk.cond.HashLock, preimage) {
 		return ErrBadPreimage
@@ -724,7 +738,7 @@ func (l *Ledger) RefundLock(at sim.Time, h Handle, localNow sim.Time) error {
 //xchain:hotpath
 func (l *Ledger) refund(at sim.Time, lk *lockRec, localNow sim.Time) error {
 	if lk.state != statePending {
-		return fmt.Errorf("%w: %s is %s", ErrLockSettled, lk.id(), lockStates[lk.state])
+		return &settledError{lk.name(), lockStates[lk.state]}
 	}
 	if lk.cond.Expiry != 0 && localNow < lk.cond.Expiry {
 		return ErrNotExpired

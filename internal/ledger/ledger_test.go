@@ -68,7 +68,7 @@ func TestLockReleaseRefund(t *testing.T) {
 	if err := l.Release(4, "L1", nil, 0); !errors.Is(err, ErrLockSettled) {
 		t.Fatalf("double release error = %v", err)
 	}
-	if err := l.Refund(5, "L1", 0); !errors.Is(err, ErrLockSettled) {
+	if err := l.Refund(5, "L1", 0); !errors.Is(err, ErrLockSettled) || err.Error() != "ledger: escrow lock already settled: L1 is released" {
 		t.Fatalf("refund after release error = %v", err)
 	}
 	if err := l.Audit(); err != nil {

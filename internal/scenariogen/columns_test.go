@@ -199,7 +199,8 @@ func (r *row) observe(t *testing.T, ws *worlds, record bool) seen {
 	if h := r.handBuilt(t); h != nil {
 		s.p = h.run(t, ws.world(0), record, nil)
 	} else {
-		s.out, s.p = kernel(r.sp, ws, record)
+		s.out = new(Outcome)
+		s.p = kernel(r.sp, ws, record, s.out)
 	}
 	after := sig.GlobalStats()
 	s.sig = sig.Stats{
@@ -484,7 +485,7 @@ func buildPopulation(t *testing.T) *populationT {
 				d := sp.clone()
 				for id, behaviour := range faults {
 					if d.participant(id) { // a trusted manager has no notaries
-						d.Faults = setFault(d.Faults, id, behaviour)
+						d.Faults = withFault(d.Faults, id, behaviour)
 					}
 				}
 				b.spec(fmt.Sprintf("%s with %v", name, faults), d, colsWorld)

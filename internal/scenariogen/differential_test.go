@@ -36,13 +36,23 @@ func differentialSpec(seed int64) Spec {
 	for k := rng.Intn(3); k > 0; k-- {
 		if rng.Intn(2) == 0 {
 			id := core.CustomerID(rng.Intn(sp.N + 1))
-			sp.Faults = setFault(sp.Faults, id, differentialCustomer[rng.Intn(len(differentialCustomer))])
+			sp.Faults = withFault(sp.Faults, id, differentialCustomer[rng.Intn(len(differentialCustomer))])
 		} else {
 			id := core.EscrowID(rng.Intn(sp.N))
-			sp.Faults = setFault(sp.Faults, id, differentialEscrow[rng.Intn(len(differentialEscrow))])
+			sp.Faults = withFault(sp.Faults, id, differentialEscrow[rng.Intn(len(differentialEscrow))])
 		}
 	}
 	return sp
+}
+
+// withFault returns the faults m with id's behaviour set to b, made if m is
+// nil.
+func withFault(m map[string]string, id string, b adversary.Behaviour) map[string]string {
+	if m == nil {
+		m = map[string]string{}
+	}
+	m[id] = string(b)
+	return m
 }
 
 // TestEngineDifferential100Scenarios is the other-engine column, the
@@ -169,7 +179,8 @@ func TestSameRunBites(t *testing.T) {
 		}
 	}
 	for _, fam := range []Family{FamTimelock, FamDealTimelock} {
-		out, p := kernel(baseSpec(fam), &worlds{}, false)
+		out := new(Outcome)
+		p := kernel(baseSpec(fam), &worlds{}, false, out)
 		if !out.OK() {
 			t.Fatalf("%s: %v", fam, out.Violations)
 		}

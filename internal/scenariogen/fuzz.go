@@ -2,7 +2,9 @@ package scenariogen
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -111,24 +113,50 @@ func (s *Stats) String() string {
 }
 
 // window is how far past the earliest unfinished seed a campaign's workers
-// may run. Finished outcomes wait in a ring of this size until every earlier
+// may run. Finished seeds wait in a ring of this size until every earlier
 // seed is done, then fold into Stats in seed order, so a campaign's memory
 // does not grow with its seed count.
 const window = 256
 
-// skipped marks a ring slot whose seed generated a filtered-out family.
-var skipped = &Outcome{}
-
 // Fuzz runs a campaign: Generate each seed, run its oracle, aggregate. The
 // aggregation is deterministic in (Options) regardless of Workers. Each
 // worker draws its specs from one standing generator, reseeded per seed, and
-// judges them on one standing pair of worlds — a world is reset, not
-// rebuilt, between scenarios — and a scenario that panics costs the campaign
-// that seed, not the run.
+// judges them on one standing pair of worlds into one standing Outcome — a
+// world is reset, not rebuilt, between scenarios, and the outcome is written
+// over — and a scenario that panics costs the campaign that seed, not the
+// run. What the worker keeps lives as long as the Fuzz call.
 func Fuzz(opts Options) *Stats { return fuzz(opts, judge) }
 
-// fuzz is Fuzz judging each spec with run.
-func fuzz(opts Options, run func(Spec, *worlds) *Outcome) *Stats {
+// tally is what the fold needs of one seed; the ring holds it from the
+// seed's end until every earlier seed has folded. kept is a copy of the
+// seed's outcome, made only while Stats may still keep it.
+type tally struct {
+	family                         Family
+	expected                       uint16 // bit k: core.AllProperties()[k] failed where permitted
+	done                           bool
+	ran                            bool // false: the seed's family is filtered out
+	conforming, theorem2, violated bool
+
+	kept *Outcome
+}
+
+// tallyOf is the tally of a judged seed's outcome.
+func tallyOf(o *Outcome) tally {
+	t := tally{
+		family: o.Spec.Family, done: true, ran: true,
+		conforming: o.Class == ClassConforming, theorem2: o.Theorem2, violated: !o.OK(),
+	}
+	for k, p := range core.AllProperties() {
+		if slices.Contains(o.ExpectedFailures, p) {
+			t.expected |= 1 << k
+		}
+	}
+	return t
+}
+
+// fuzz is Fuzz judging each spec with run, which fills the Outcome it is
+// handed.
+func fuzz(opts Options, run func(Spec, *worlds, *Outcome)) *Stats {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 1
 	}
@@ -139,9 +167,10 @@ func fuzz(opts Options, run func(Spec, *worlds) *Outcome) *Stats {
 	st := &Stats{ByFamily: map[Family]int{}, ExpectedCounts: map[core.Property]int{}}
 	var (
 		mu     sync.Mutex
-		moved  = sync.NewCond(&mu) // folded advanced
-		ring   [window]*Outcome    // seed i's outcome at i%window until folded
-		folded int64               // seeds [0, folded) are in st
+		moved  = sync.NewCond(&mu)    // folded advanced
+		ring   [window]tally          // seed i's tally at i%window until folded
+		folded int64                  // seeds [0, folded) are in st
+		first  = int64(math.MaxInt64) // the earliest seed whose Theorem-2 outcome was copied
 		wg     sync.WaitGroup
 		next   atomic.Int64 // the next unclaimed seed index
 	)
@@ -149,27 +178,43 @@ func fuzz(opts Options, run func(Spec, *worlds) *Outcome) *Stats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ws worlds
-			rng := sim.NewRand(0)
+			var (
+				ws  worlds
+				gen = generator{rng: sim.NewRand(0)}
+				out Outcome
+			)
 			for i := next.Add(1) - 1; i < int64(opts.Seeds); i = next.Add(1) - 1 {
 				mu.Lock()
 				for i >= folded+window {
 					moved.Wait()
 				}
 				mu.Unlock()
-				out := skipped
-				sp := generate(rng, opts.StartSeed+i)
-				if opts.Crypto != "" {
-					sp.Crypto = opts.Crypto
-				}
-				if len(allowed) == 0 || allowed[sp.Family] {
-					out = runGuarded(sp, &ws, run)
+				t := tally{done: true}
+				seed := opts.StartSeed + i
+				// The family is the first draw: a filtered-out seed is
+				// counted without the rest of its spec.
+				if sh := gen.shape(seed); len(allowed) == 0 || allowed[sh.family] {
+					sp := gen.spec(seed, sh)
+					if opts.Crypto != "" {
+						sp.Crypto = opts.Crypto
+					}
+					runGuarded(sp, &ws, &out, run)
+					t = tallyOf(&out)
 				}
 				mu.Lock()
-				ring[i%window] = out
-				for o := ring[folded%window]; o != nil; o = ring[folded%window] {
-					st.add(o)
-					ring[folded%window] = nil
+				// Stats keeps the earliest Theorem-2 outcome and the first
+				// maxFailures violating ones: an outcome is copied unless an
+				// earlier one is sure to take its place.
+				if t.theorem2 && st.FirstTheorem2 == nil && i < first {
+					t.kept, first = out.clone(), i
+				}
+				if t.violated && len(st.Violations) < maxFailures && t.kept == nil {
+					t.kept = out.clone()
+				}
+				ring[i%window] = t
+				for r := &ring[folded%window]; r.done; r = &ring[folded%window] {
+					st.fold(r)
+					*r = tally{}
 					folded++
 				}
 				mu.Unlock()
@@ -181,49 +226,52 @@ func fuzz(opts Options, run func(Spec, *worlds) *Outcome) *Stats {
 	return st
 }
 
-// add folds the next seed's outcome into the campaign's aggregates.
-func (s *Stats) add(o *Outcome) {
-	if o == skipped {
+// fold adds the next seed's tally to the campaign's aggregates.
+func (s *Stats) fold(t *tally) {
+	if !t.ran {
 		s.Skipped++
 		return
 	}
 	s.Runs++
-	s.ByFamily[o.Spec.Family]++
-	if o.Class == ClassConforming {
+	s.ByFamily[t.family]++
+	if t.conforming {
 		s.Conforming++
 	} else {
 		s.Violating++
 	}
-	for _, p := range o.ExpectedFailures {
-		s.ExpectedCounts[p]++
-	}
-	if o.Theorem2 {
-		s.Theorem2Count++
-		if s.FirstTheorem2 == nil {
-			s.FirstTheorem2 = o
+	for k, p := range core.AllProperties() {
+		if t.expected&(1<<k) != 0 {
+			s.ExpectedCounts[p]++
 		}
 	}
-	if !o.OK() {
+	if t.theorem2 {
+		s.Theorem2Count++
+		if s.FirstTheorem2 == nil {
+			s.FirstTheorem2 = t.kept
+		}
+	}
+	if t.violated {
 		s.ViolationCount++
 		if len(s.Violations) < maxFailures {
-			s.Violations = append(s.Violations, o)
+			s.Violations = append(s.Violations, t.kept)
 		}
 	}
 }
 
-// runGuarded is run(sp, ws) with a panic turned into a finding: the outcome
-// of a scenario that panics is a KindEngine violation naming the seed and the
-// panic value, and the worlds it ran on — whose state is unknown — are
-// dropped, so the next scenario builds new ones.
-func runGuarded(sp Spec, ws *worlds, run func(Spec, *worlds) *Outcome) (out *Outcome) {
+// runGuarded is run(sp, ws, out) with a panic turned into a finding: the
+// outcome of a scenario that panics is a KindEngine violation naming the
+// seed and the panic value, and the worlds it ran on — whose state is
+// unknown — are dropped, so the next scenario builds new ones.
+func runGuarded(sp Spec, ws *worlds, out *Outcome, run func(Spec, *worlds, *Outcome)) {
 	defer func() {
 		if r := recover(); r != nil {
 			*ws = worlds{}
-			out = &Outcome{Spec: sp, Class: sp.Class(), Violations: []Violation{{
+			out.reset(sp)
+			out.Violations = append(out.Violations, Violation{
 				Kind:   KindEngine,
 				Detail: fmt.Sprintf("seed %d panicked: %v", sp.Seed, r),
-			}}}
+			})
 		}
 	}()
-	return run(sp, ws)
+	run(sp, ws, out)
 }

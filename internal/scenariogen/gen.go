@@ -19,19 +19,41 @@ import (
 // raw partial synchrony, impatient weak-liveness runs), where the safety
 // oracle still applies but liveness and termination failures are the
 // expected, Theorem-2-shaped outcome.
-func Generate(seed int64) Spec { return generate(sim.NewRand(seed), seed) }
+func Generate(seed int64) Spec {
+	g := generator{rng: sim.NewRand(seed)}
+	return g.spec(seed, g.shape(seed))
+}
 
-// generate is Generate drawing from a generator its caller keeps: reseeding
-// the lazily materialised register is O(1), building one is 5 KB, so a Fuzz
-// worker reseeds one generator per seed instead of allocating one. The spec
-// depends on the seed alone, never on what rng drew before
+// generator is Generate drawing into storage its caller keeps: reseeding the
+// lazily materialised register is O(1), building one is 5 KB, so a Fuzz
+// worker reseeds one generator per seed instead of allocating one; and the
+// fault and patience maps of the spec it drew last are emptied and refilled
+// for the next. A spec it returns is therefore valid until its next shape
+// call. A spec without faults (patience) keeps a nil map, so the spec
+// depends on the seed alone, never on what the generator drew before
 // (TestFuzzStandingWorldEquivalence).
-func generate(rng *rand.Rand, seed int64) Spec {
-	rng.Seed(seed)
-	shape := pickShape(rng)
+type generator struct {
+	rng      *rand.Rand
+	faults   map[string]string
+	patience map[string]sim.Time
+}
+
+// shape reseeds the generator and draws the seed's family and class: the
+// first draw of Generate, which a campaign filtering families out stops
+// after.
+func (g *generator) shape(seed int64) shape {
+	g.rng.Seed(seed)
+	clear(g.faults)
+	clear(g.patience)
+	return pickShape(g.rng)
+}
+
+// spec draws the rest of the seed's spec, of the shape sh that shape drew.
+func (g *generator) spec(seed int64, sh shape) Spec {
+	rng := g.rng
 	sp := Spec{
 		Seed:       seed,
-		Family:     shape.family,
+		Family:     sh.family,
 		N:          1 + rng.Intn(5),
 		Base:       1 + rng.Int63n(100_000),
 		Commission: rng.Int63n(50),
@@ -53,17 +75,17 @@ func generate(rng *rand.Rand, seed int64) Spec {
 
 	switch {
 	case sp.Family == FamTraffic:
-		genTraffic(rng, &sp, shape.violating)
+		genTraffic(rng, &sp, sh.violating)
 		return sp
 	case sp.isDeal():
-		genDealFaults(rng, &sp)
+		g.genDealFaults(&sp)
 		if sp.Family == FamDealCertified {
 			sp.PatienceFloor = sp.sufficientDealPatience() + sim.Time(rng.Int63n(int64(sim.Second)))
 		}
 	case sp.Family == FamDifferential:
-		genFaults(rng, &sp, differentialCustomer, differentialEscrow)
+		g.genFaults(&sp, differentialCustomer, differentialEscrow)
 	default:
-		genFaults(rng, &sp, adversary.CustomerBehaviours(), adversary.EscrowBehaviours())
+		g.genFaults(&sp, adversary.CustomerBehaviours(), adversary.EscrowBehaviours())
 	}
 	if sp.isWeaklive() {
 		if sp.Family == FamCommittee {
@@ -71,12 +93,12 @@ func generate(rng *rand.Rand, seed int64) Spec {
 			// A committee of four stays trusted with one silent notary; the
 			// singleton tolerates none.
 			if rng.Intn(3) == 0 && sp.CommitteeSize == 4 {
-				sp.Faults = setFault(sp.Faults, core.NotaryID(0), adversary.Silent)
+				g.setFault(&sp, core.NotaryID(0), adversary.Silent)
 			}
 		}
-		genPatience(rng, &sp, shape.violating)
+		g.genPatience(&sp, sh.violating)
 	}
-	if shape.violating {
+	if sh.violating {
 		genViolation(rng, &sp)
 	}
 	return sp
@@ -174,23 +196,24 @@ func genTraffic(rng *rand.Rand, sp *Spec, violating bool) {
 
 // genFaults places up to two faults on chain participants, drawn from the
 // given per-role behaviour sets.
-func genFaults(rng *rand.Rand, sp *Spec, cust, esc []adversary.Behaviour) {
+func (g *generator) genFaults(sp *Spec, cust, esc []adversary.Behaviour) {
+	rng := g.rng
 	for k := rng.Intn(3); k > 0; k-- {
 		if rng.Intn(2) == 0 {
 			id := core.CustomerID(rng.Intn(sp.N + 1))
-			sp.Faults = setFault(sp.Faults, id, cust[rng.Intn(len(cust))])
+			g.setFault(sp, id, cust[rng.Intn(len(cust))])
 		} else {
 			id := core.EscrowID(rng.Intn(sp.N))
-			sp.Faults = setFault(sp.Faults, id, esc[rng.Intn(len(esc))])
+			g.setFault(sp, id, esc[rng.Intn(len(esc))])
 		}
 	}
 }
 
 // genDealFaults marks a random subset of deal parties non-compliant.
-func genDealFaults(rng *rand.Rand, sp *Spec) {
+func (g *generator) genDealFaults(sp *Spec) {
 	for i := 0; i < sp.N; i++ {
-		if rng.Intn(4) == 0 {
-			sp.Faults = setFault(sp.Faults, dealPartyID(i), adversary.Silent)
+		if g.rng.Intn(4) == 0 {
+			g.setFault(sp, dealPartyID(i), adversary.Silent)
 		}
 	}
 }
@@ -199,14 +222,17 @@ func genDealFaults(rng *rand.Rand, sp *Spec) {
 // runs get patience beyond SufficientPatience (so the commit always beats
 // every abort); violating ones may get short patiences, which under slow
 // schedules produce the aborts Definition 2 permits.
-func genPatience(rng *rand.Rand, sp *Spec, violating bool) {
+func (g *generator) genPatience(sp *Spec, violating bool) {
 	suff := sp.SufficientPatience()
 	sp.PatienceFloor = suff
-	sp.Patience = map[string]sim.Time{}
+	if g.patience == nil {
+		g.patience = map[string]sim.Time{}
+	}
+	sp.Patience = g.patience
 	for i := 0; i <= sp.N; i++ {
-		p := suff + sim.Time(rng.Int63n(int64(sim.Second)))
+		p := suff + sim.Time(g.rng.Int63n(int64(sim.Second)))
 		if violating {
-			p = sim.Time(50+rng.Intn(500)) * sim.Millisecond
+			p = sim.Time(50+g.rng.Intn(500)) * sim.Millisecond
 		}
 		sp.Patience[core.CustomerID(i)] = p
 	}
@@ -235,10 +261,12 @@ func genViolation(rng *rand.Rand, sp *Spec) {
 	}
 }
 
-func setFault(m map[string]string, id string, b adversary.Behaviour) map[string]string {
-	if m == nil {
-		m = map[string]string{}
+// setFault assigns id the behaviour b in the spec's faults, the generator's
+// map.
+func (g *generator) setFault(sp *Spec, id string, b adversary.Behaviour) {
+	if g.faults == nil {
+		g.faults = map[string]string{}
 	}
-	m[id] = string(b)
-	return m
+	sp.Faults = g.faults
+	sp.Faults[id] = string(b)
 }

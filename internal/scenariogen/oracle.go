@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -144,9 +145,20 @@ func ledgerDigest(book *ledger.Book) uint64 {
 func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 
 // guarantee is the Guarantee of the protocol a payment-family spec runs, as
-// that protocol states it.
+// that protocol states it (TestGuaranteeMatchesEngines holds the two
+// together), and the zero Guarantee for the other families.
 func (sp Spec) guarantee() core.Guarantee {
-	return new(materialiser).engines(sp)[0].Guarantee() // every payment family runs at least one
+	switch {
+	case sp.isTimelockFamily():
+		return core.Guarantee{Theorem: core.Theorem1}
+	case sp.Family == FamHTLC:
+		return core.Guarantee{Theorem: core.Baseline}
+	case sp.Family == FamWeaklive:
+		return core.Guarantee{Theorem: core.Theorem3}
+	case sp.Family == FamCommittee:
+		return core.Guarantee{Theorem: core.Theorem3, Notaries: sp.committeeSize()}
+	}
+	return core.Guarantee{}
 }
 
 // checkOptions returns the property-evaluation options for a run of the
@@ -225,10 +237,12 @@ func (o *Outcome) observe(p primary) {
 
 // kernel is the one run every driver makes — Fuzz, Shrink, Replay.Verify,
 // Trace and the package tests' equivalence columns: it materialises the spec
-// on ws, runs it, recording or muted, judges it, and returns the Outcome
-// beside the primary run. What ws ran before never reaches either.
-func kernel(sp Spec, ws *worlds, record bool) (*Outcome, primary) {
-	out := &Outcome{Spec: sp, Class: sp.Class()}
+// on ws, runs it, recording or muted, judges it into out, and returns the
+// primary run. What ws or out held before never reaches either; out's slices
+// are written over, so a caller that judges spec after spec keeps one
+// Outcome (a Fuzz worker does, and copies only what Stats keeps).
+func kernel(sp Spec, ws *worlds, record bool, out *Outcome) primary {
+	out.reset(sp)
 	var p primary
 	switch {
 	case sp.isDeal():
@@ -238,20 +252,47 @@ func kernel(sp Spec, ws *worlds, record bool) (*Outcome, primary) {
 	default:
 		p.res, p.report = runPayment(sp, out, ws, record)
 	}
-	return out, p
+	return p
+}
+
+// reset makes o the outcome of sp before it ran, keeping o's slices.
+func (o *Outcome) reset(sp Spec) {
+	*o = Outcome{Spec: sp, Class: sp.Class(), Violations: o.Violations[:0], ExpectedFailures: o.ExpectedFailures[:0]}
+}
+
+// clone returns a copy of o that shares no storage with it, nor with the
+// generator that drew its spec.
+func (o *Outcome) clone() *Outcome {
+	c := *o
+	c.Spec = o.Spec.clone()
+	c.Violations = own(o.Violations)
+	c.ExpectedFailures = own(o.ExpectedFailures)
+	return &c
+}
+
+// own is a copy of s, nil if s is empty.
+func own[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // judge is the kernel as the drivers that keep only the verdict run it:
 // muted, no oracle reads a trace.
-func judge(sp Spec, ws *worlds) *Outcome {
-	out, _ := kernel(sp, ws, false)
+func judge(sp Spec, ws *worlds, out *Outcome) { kernel(sp, ws, false, out) }
+
+// verdict is judge into an Outcome of the caller's own.
+func verdict(sp Spec, ws *worlds) *Outcome {
+	out := new(Outcome)
+	judge(sp, ws, out)
 	return out
 }
 
 // Run executes the spec and evaluates its oracle. Scenario errors are
 // reported as violations (the generator never produces invalid specs, and a
 // replay file that stopped validating is itself a regression).
-func Run(sp Spec) *Outcome { return judge(sp, &worlds{}) }
+func Run(sp Spec) *Outcome { return verdict(sp, &worlds{}) }
 
 // Trace runs the spec once more on worlds of its own, recording, and returns
 // the trace of its primary protocol (the process engine of a differential
@@ -271,7 +312,8 @@ func Trace(sp Spec) (tr *trace.Trace, err error) {
 	if sp.Family == FamTraffic {
 		return nil, fmt.Errorf("scenariogen: a traffic population has no single trace")
 	}
-	out, p := kernel(sp, &worlds{}, true)
+	var out Outcome
+	p := kernel(sp, &worlds{}, true, &out)
 	switch {
 	case p.res != nil:
 		return p.res.Trace, nil
@@ -490,30 +532,27 @@ func runPayment(sp Spec, out *Outcome, ws *worlds, record bool) (*core.RunResult
 // become violations, the rest are recorded as expected. The horizon rule
 // upgrades slow envelope-violating runs to termination failures.
 func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep *check.Report, duration sim.Time) {
-	failed := map[core.Property]string{}
-	for _, p := range rep.Failures() {
-		failed[p] = rep.Verdict(p).Detail
-	}
-	if out.Class == ClassViolating && duration > Horizon {
-		if _, already := failed[core.PropTermination]; !already {
-			failed[core.PropTermination] = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, Horizon)
-		}
-	}
 	facts := check.Facts{
 		InEnvelope:     out.Class == ClassConforming,
 		ManagerTrusted: sp.managerTrusted(g),
 		PatienceFinite: sp.allPatienceFinite(),
 	}
+	beyondHorizon := out.Class == ClassViolating && duration > Horizon
 	for _, p := range core.AllProperties() {
-		detail, ok := failed[p]
-		if !ok {
+		v, _ := rep.Lookup(p)
+		failed := !v.OK()
+		if !failed && !(p == core.PropTermination && beyondHorizon) {
 			continue
 		}
-		if check.Owed(g, p, facts) {
-			out.Violations = append(out.Violations, Violation{Kind: KindProperty, Property: p, Detail: detail})
-		} else {
+		if !check.Owed(g, p, facts) {
 			out.ExpectedFailures = append(out.ExpectedFailures, p)
+			continue
 		}
+		detail := v.Detail
+		if !failed {
+			detail = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, Horizon)
+		}
+		out.Violations = append(out.Violations, Violation{Kind: KindProperty, Property: p, Detail: detail})
 	}
 	// Outside the envelope everything Theorem 1 still owes is a violation, so
 	// an expected failure there is one of Theorem 2's defeatable properties.

@@ -81,8 +81,8 @@ func (r Replay) Verify() error {
 		return fmt.Errorf("scenariogen: replay version %d, want %d", r.Version, replayVersion)
 	}
 	ws := &worlds{}
-	a := judge(r.Spec, ws)
-	b := judge(r.Spec, ws)
+	a := verdict(r.Spec, ws)
+	b := verdict(r.Spec, ws)
 	if d := sameRun(a, b); d.field != "" {
 		return fmt.Errorf("scenariogen: replay is not deterministic: %s", d)
 	}

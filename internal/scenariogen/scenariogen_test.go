@@ -413,10 +413,13 @@ func TestFuzzReorderWindow(t *testing.T) {
 		sp := Generate(seed)
 		sp.Crypto = opts.Crypto
 		if sp.Family == FamTraffic {
-			ref.add(skipped)
+			ref.fold(&tally{done: true})
 			continue
 		}
-		ref.add(Run(sp))
+		o := Run(sp)
+		tl := tallyOf(o)
+		tl.kept = o
+		ref.fold(&tl)
 	}
 	if ref.ViolationCount == 0 || ref.FirstTheorem2 == nil {
 		t.Fatalf("want seed 47205's violation and a Theorem-2 counterexample:\n%s", ref)
@@ -435,15 +438,15 @@ func TestFuzzReorderWindow(t *testing.T) {
 // every seed once and keeps the first violations and the first Theorem-2
 // outcome in seed order.
 func TestFuzzFoldsInSeedOrder(t *testing.T) {
-	slow := func(sp Spec, _ *worlds) *Outcome {
+	slow := func(sp Spec, _ *worlds, o *Outcome) {
 		if sp.Seed%window == 0 {
 			time.Sleep(20 * time.Millisecond)
 		}
-		o := &Outcome{Spec: sp, Theorem2: sp.Seed%50 == 0}
+		o.reset(sp)
+		o.Theorem2 = sp.Seed%50 == 0
 		if sp.Seed%40 == 0 {
-			o.Violations = []Violation{{Kind: KindEngine}}
+			o.Violations = append(o.Violations, Violation{Kind: KindEngine})
 		}
-		return o
 	}
 	for _, workers := range []int{1, 4} {
 		st := fuzz(Options{Seeds: 3 * window, Workers: workers}, slow)

@@ -65,7 +65,7 @@ func Shrink(sp Spec, keep Keep, maxTries int) ShrinkResult {
 		maxTries = 400
 	}
 	ws := &worlds{}
-	res := ShrinkResult{Spec: sp, Outcome: judge(sp, ws)}
+	res := ShrinkResult{Spec: sp, Outcome: verdict(sp, ws)}
 	if !keep(res.Outcome) {
 		return res
 	}
@@ -79,7 +79,7 @@ func Shrink(sp Spec, keep Keep, maxTries int) ShrinkResult {
 				continue
 			}
 			res.Tried++
-			out := judge(cand, ws)
+			out := verdict(cand, ws)
 			if keep(out) {
 				res.Spec, res.Outcome = cand, out
 				res.Accepted++
@@ -287,26 +287,15 @@ func (c *Spec) setN(n int) {
 	}
 }
 
-// clone deep-copies the spec's maps so candidate mutations never alias.
+// clone deep-copies the spec's maps and traffic block so candidate mutations
+// never alias.
 func (sp Spec) clone() Spec {
 	c := sp
-	if sp.Faults != nil {
-		c.Faults = make(map[string]string, len(sp.Faults))
-		for k, v := range sp.Faults {
-			c.Faults[k] = v
-		}
-	}
-	if sp.Patience != nil {
-		c.Patience = make(map[string]sim.Time, len(sp.Patience))
-		for k, v := range sp.Patience {
-			c.Patience[k] = v
-		}
-	}
+	c.Faults = maps.Clone(sp.Faults)
+	c.Patience = maps.Clone(sp.Patience)
 	if sp.Traffic != nil {
 		t := *sp.Traffic
-		if sp.Traffic.FaultBehaviours != nil {
-			t.FaultBehaviours = append([]string(nil), sp.Traffic.FaultBehaviours...)
-		}
+		t.FaultBehaviours = slices.Clone(sp.Traffic.FaultBehaviours)
 		c.Traffic = &t
 	}
 	return c

@@ -454,13 +454,14 @@ const campaignKeySeed = "scenariogen"
 // protocols, or a deals.Config — in storage it keeps from spec to spec: the
 // per-hop amounts, the fault maps, the delay model (handed out by pointer),
 // one engine of each kind, the timeout windows and the ring deal are written
-// over in place. What it returns is therefore valid until it next
-// materialises the same thing, which suits a fuzz worker: it judges a spec
-// before it draws the next. The Spec methods below are the same code on a
+// over in place, and payment IDs are cut from a block. What it returns is
+// therefore valid until it next materialises the same thing, which suits a
+// fuzz worker: it judges a spec before it draws the next. The Spec methods below are the same code on a
 // materialiser of their own, so what they return is their caller's.
 type materialiser struct {
 	amounts []int64
 	faults  map[string]core.FaultSpec
+	ids     core.IDBlock // the payment IDs
 
 	synchronous netsim.Synchronous
 	partial     netsim.PartialSynchrony
@@ -514,9 +515,10 @@ func (m *materialiser) scenario(sp Spec) (core.Scenario, error) {
 	// backend and network is, built in place.
 	topo := core.NewTopology(sp.N)
 	m.amounts = core.AppendAmounts(m.amounts[:0], topo, sp.Base, sp.Commission)
+	var id [48]byte
 	s := core.Scenario{
 		Topology: topo,
-		Spec:     core.PaymentSpec{PaymentID: core.PaymentID(sp.N, sp.Seed), Amounts: m.amounts},
+		Spec:     core.PaymentSpec{PaymentID: m.ids.Cut(core.AppendPaymentID(id[:0], sp.N, sp.Seed)), Amounts: m.amounts},
 		Timing:   sp.Timing.Timing(),
 		Network:  m.network(sp),
 		Seed:     sp.Seed,
@@ -603,8 +605,21 @@ func (m *materialiser) protocols(sp Spec) ([]core.Protocol, error) {
 	return protos, nil
 }
 
+// dealPartyIDs are the IDs of the parties a deal spec may have.
+var dealPartyIDs = func() (ids [core.MaxChain]string) {
+	for i := range ids {
+		ids[i] = "p" + strconv.Itoa(i)
+	}
+	return ids
+}()
+
 // dealPartyID returns the canonical ID of deal party i.
-func dealPartyID(i int) string { return fmt.Sprintf("p%d", i) }
+func dealPartyID(i int) string {
+	if i < len(dealPartyIDs) {
+		return dealPartyIDs[i]
+	}
+	return "p" + strconv.Itoa(i)
+}
 
 // Deal materialises the ring deal of a deal-family spec: N parties p0..p_{N-1},
 // arc i transferring Base + i*Commission of asset_i from p_i to p_{(i+1)%N}.

@@ -134,3 +134,26 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestGuaranteeMatchesEngines: the family -> Guarantee mapping the oracle and
+// Class read is what the engines a spec materialises state, for every family
+// and committee size, and the zero Guarantee where there is no engine.
+func TestGuaranteeMatchesEngines(t *testing.T) {
+	for _, f := range AllFamilies() {
+		for _, size := range []int{0, 1, 4, 7} {
+			sp := Spec{Family: f, CommitteeSize: size}
+			var want core.Guarantee
+			if engines := new(materialiser).engines(sp); engines != nil {
+				want = engines[0].Guarantee()
+				for _, e := range engines[1:] {
+					if e.Guarantee() != want {
+						t.Fatalf("%s: engines state %v and %v", f, want, e.Guarantee())
+					}
+				}
+			}
+			if got := sp.guarantee(); got != want {
+				t.Errorf("%s committee %d: guarantee %+v, its engines state %+v", f, size, got, want)
+			}
+		}
+	}
+}

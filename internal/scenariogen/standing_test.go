@@ -1,6 +1,8 @@
 package scenariogen
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -44,9 +46,9 @@ func standingSeeds() int {
 // it under the race detector at GOMAXPROCS=4: a world belongs to one worker.
 func TestFuzzStandingWorldEquivalence(t *testing.T) {
 	seeds := standingSeeds()
-	rng := sim.NewRand(0)
+	gen := generator{rng: sim.NewRand(0)}
 	for _, seed := range rand.New(rand.NewSource(21)).Perm(seeds) {
-		if got, want := generate(rng, int64(seed)), Generate(int64(seed)); !reflect.DeepEqual(got, want) {
+		if got, want := gen.spec(int64(seed), gen.shape(int64(seed))), Generate(int64(seed)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: the standing generator drew\n%s\nGenerate\n%s", seed, got.MarshalIndent(), want.MarshalIndent())
 		}
 	}
@@ -80,20 +82,23 @@ func TestFuzzStandingWorldEquivalence(t *testing.T) {
 
 // fuzzAllocBudget and fuzzBytesBudget are what one scenario of the hmac
 // campaign may allocate, generation, oracle and aggregation included: what
-// was measured when the deal run and the Spec's materialisation moved onto
-// the worker's standing storage — 6.7 allocations and 978 bytes, 7.2 and
-// 1 050 under the race detector — plus a tenth. (31.3 and 2.5 KB before,
-// with the transaction manager on the world; 44 and 3.4 KB before that, the
-// Figure-2 automata compiled once; 124 and 8.8 KB muted on a standing
-// generator under one campaign key seed; 228 and 21 KB before that.) What is
-// left is the Outcome, the generated spec's fault and patience maps, and the
-// payment's and its locks' ID strings. A change that brings back a
-// per-scenario engine, trace, network, book, keyring, generator, process
-// slice, automaton, committee, deal run, amounts slice, fault map, delay
-// model or protocol object fails here, on any machine.
+// was measured when a worker came to keep its Outcome, its spec's fault and
+// patience maps and its payment IDs — 0.65 allocations and 162 bytes, 5.1 and
+// 345 under the race detector — plus a tenth. (5.4 and 899 before; 6.7 and
+// 978 with the deal run and the Spec's materialisation on the worker's
+// standing storage; 31.3 and 2.5 KB before, with the transaction manager on
+// the world; 44 and 3.4 KB before that, the Figure-2 automata compiled once;
+// 124 and 8.8 KB muted on a standing generator under one campaign key seed;
+// 228 and 21 KB before that.) What is left is inside the runs and verdicts:
+// the checkers' failure details, the hmac signers a keyring binds, netsim's
+// delivery records, the ledgers' growth on longer chains, and a copy of each
+// outcome Stats keeps. A change that brings back a per-scenario
+// Outcome, spec map, payment ID, engine, trace, network, book, keyring,
+// generator, process slice, automaton, committee, deal run, amounts slice,
+// fault map, delay model or protocol object fails here, on any machine.
 const (
-	fuzzAllocBudget = 7.4
-	fuzzBytesBudget = 1_080
+	fuzzAllocBudget = 0.72
+	fuzzBytesBudget = 180
 )
 
 // TestFuzzScenarioAllocs pins what the fuzz path costs by two numbers no
@@ -112,21 +117,79 @@ func TestFuzzScenarioAllocs(t *testing.T) {
 	}
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(st.Runs)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(st.Runs)
-	t.Logf("one of %d scenarios: %.1f allocations, %.0f bytes", st.Runs, allocs, bytes)
+	t.Logf("one of %d scenarios: %.2f allocations, %.0f bytes", st.Runs, allocs, bytes)
 	if !race.Enabled && (allocs > fuzzAllocBudget || bytes > fuzzBytesBudget) { // the detector allocates
-		t.Fatalf("a fuzzed scenario allocates %.1f times and %.0f bytes, budget %v and %v", allocs, bytes, fuzzAllocBudget, fuzzBytesBudget)
+		t.Fatalf("a fuzzed scenario allocates %.2f times and %.0f bytes, budget %v and %v", allocs, bytes, fuzzAllocBudget, fuzzBytesBudget)
+	}
+}
+
+// TestFuzzCopiesWhatStatsKeeps: a worker judges every seed into one Outcome
+// and draws every spec's fault and patience maps into one pair, so what Stats
+// keeps must be a copy. In a campaign that judges more than workers × window
+// seeds after each outcome it keeps, on one worker and on four,
+// FirstTheorem2 and every entry of Violations read (JSON-byte-equal) what Run
+// gives for the seed. The run hook makes the violations: it marks six seeds
+// of the clean window violated, five with faults and one with patience.
+func TestFuzzCopiesWhatStatsKeeps(t *testing.T) {
+	const start, spacing = 300_000, 300
+	marked := map[int64]bool{}
+	var last int64
+	for k := int64(0); k < 6; k++ {
+		for seed := start + k*spacing; ; seed++ {
+			sp := Generate(seed)
+			if sp.Family != FamTraffic && (k < 5 && len(sp.Faults) > 0 || k == 5 && len(sp.Patience) > 0) {
+				marked[seed], last = true, seed
+				break
+			}
+		}
+	}
+	mark := func(sp Spec, o *Outcome) {
+		if marked[sp.Seed] {
+			o.Violations = append(o.Violations, Violation{Kind: KindEngine, Detail: fmt.Sprintf("seed %d marked", sp.Seed)})
+		}
+	}
+	opts := Options{StartSeed: start, Seeds: int(last-start) + 4*window + 1, Families: nonTraffic(), Crypto: "hmac"}
+	ran := func(seed int64) []byte {
+		sp := Generate(seed)
+		sp.Crypto = opts.Crypto
+		o := Run(sp)
+		mark(sp, o)
+		js, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+	for _, workers := range []int{1, 4} {
+		opts.Workers = workers
+		st := fuzz(opts, func(sp Spec, ws *worlds, o *Outcome) {
+			judge(sp, ws, o)
+			mark(sp, o)
+		})
+		if len(st.Violations) != len(marked) || st.FirstTheorem2 == nil || st.FirstTheorem2.Spec.Seed > last {
+			t.Fatalf("%d workers kept %d violations (want %d) and Theorem-2 outcome %v", workers, len(st.Violations), len(marked), st.FirstTheorem2 != nil)
+		}
+		for _, o := range append([]*Outcome{st.FirstTheorem2}, st.Violations...) {
+			got, err := json.Marshal(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ran(o.Spec.Seed); !bytes.Equal(got, want) {
+				t.Fatalf("%d workers: Stats kept seed %d as\n%s\nRun gives\n%s", workers, o.Spec.Seed, got, want)
+			}
+		}
 	}
 }
 
 // TestFuzzRecoversPanickingScenario: a scenario that panics becomes a finding
 // that names its seed, its worlds are dropped, and the worker carries on.
 func TestFuzzRecoversPanickingScenario(t *testing.T) {
-	ws := &worlds{}
+	ws, out := &worlds{}, &Outcome{}
 	sp := baseSpec(FamTimelock)
-	if out := runGuarded(sp, ws, judge); !out.OK() || ws.w[0] == nil {
+	if runGuarded(sp, ws, out, judge); !out.OK() || ws.w[0] == nil {
 		t.Fatalf("healthy scenario: violations %v, primary world built: %v", out.Violations, ws.w[0] != nil)
 	}
-	out := runGuarded(sp, ws, func(Spec, *worlds) *Outcome { panic("ledger exploded") })
+	runGuarded(sp, ws, out, func(Spec, *worlds, *Outcome) { panic("ledger exploded") })
 	if len(out.Violations) != 1 || out.Violations[0].Kind != KindEngine {
 		t.Fatalf("panic reported as %v, want one %s violation", out.Violations, KindEngine)
 	}
@@ -139,7 +202,7 @@ func TestFuzzRecoversPanickingScenario(t *testing.T) {
 	if ws.w[0] != nil || ws.w[1] != nil {
 		t.Fatal("worlds of unknown state were kept after a panic")
 	}
-	if out := runGuarded(sp, ws, judge); !out.OK() {
+	if runGuarded(sp, ws, out, judge); !out.OK() {
 		t.Fatalf("scenario after a panic: %v", out.Violations)
 	}
 }

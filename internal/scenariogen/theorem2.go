@@ -111,7 +111,7 @@ func (sp Spec) attackHoldback() sim.Time {
 	if sp.TimeoutScale < 0 {
 		return HoldbackFor(0)
 	}
-	a0 := timelock.DeriveParams(core.NewTopology(sp.N), sp.Timing.Timing(), true).A[0]
+	a0 := timelock.FirstWindow(core.NewTopology(sp.N), sp.Timing.Timing(), true)
 	return HoldbackFor(sim.Time(float64(a0) * cmp.Or(sp.TimeoutScale, 1)))
 }
 
@@ -158,13 +158,16 @@ type Finding struct {
 // n escrows under each seed, and returns one finding per pair in candidate
 // order.
 func judgeCandidates(n int, seeds []int64, attacks []string) []Finding {
-	ws := &worlds{}
-	var findings []Finding
+	var (
+		ws       worlds
+		out      Outcome
+		findings []Finding
+	)
 	for _, scale := range theorem2Scales {
 		for _, attack := range attacks {
 			f := Finding{Candidate: candidateName(scale), Attack: attack}
 			for _, seed := range seeds {
-				out := judge(theorem2Spec(n, seed, scale, attack), ws)
+				judge(theorem2Spec(n, seed, scale, attack), &ws, &out)
 				f.Violated = append(f.Violated, out.ExpectedFailures...)
 				for _, v := range out.Violations {
 					f.Violated = append(f.Violated, cmp.Or(v.Property, core.PropConsistency))
@@ -223,12 +226,15 @@ func ControlUnderSynchrony(n int, seeds []int64) []string {
 // verdicts to sum. It returns an error for each run outside the theorem's
 // model and each the kernel could not make.
 func AuditTheorem1(sum *check.Summary, n int, assignments []adversary.Assignment, seeds int) (errs []error) {
-	var ws worlds
+	var (
+		ws  worlds
+		out Outcome
+	)
 	for _, a := range assignments {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			sp := NewSpec(FamTimelock, n, seed)
 			sp.Faults = faultsOf(a)
-			out, p := kernel(sp, &ws, false)
+			p := kernel(sp, &ws, false, &out)
 			switch {
 			case out.Class != ClassConforming:
 				errs = append(errs, fmt.Errorf("%s: outside Theorem 1's model", sp.Describe()))

@@ -94,26 +94,15 @@ func (p *Params) Derive(topo core.Topology, t core.Timing, driftAware bool) {
 		D:          slices.Grow(p.D[:0], n)[:n],
 		DriftAware: driftAware,
 	}
-	scaleUp := func(d sim.Time) sim.Time {
-		if !driftAware {
-			return d
-		}
-		return t.Clock.LocalForRealUpper(d) + 1
-	}
-	slowReal := func(local sim.Time) sim.Time {
-		if !driftAware {
-			return local
-		}
-		return t.Clock.RealForLocalUpper(local)
-	}
-	p.A[n-1] = scaleUp(2*t.MaxMsgDelay + 2*t.MaxProcessing)
+	p.A[n-1] = lastWindow(t, driftAware)
 	for i := n - 2; i >= 0; i-- {
-		p.A[i] = scaleUp(hopSlack(t) + slowReal(p.A[i+1]))
+		p.A[i] = upstreamWindow(t, driftAware, p.A[i+1])
 	}
+	margin := scaleUp(t, driftAware, 2*t.MaxProcessing)
 	for i := 0; i < n; i++ {
-		p.D[i] = p.A[i] + scaleUp(2*t.MaxProcessing) + 2*t.MaxProcessing
+		p.D[i] = p.A[i] + margin + 2*t.MaxProcessing
 	}
-	p.Epsilon = scaleUp(2*t.MaxProcessing) + 1*t.MaxProcessing
+	p.Epsilon = margin + 1*t.MaxProcessing
 	// Termination bound: G reaches Alice, money reaches e0, the whole
 	// downstream round trip (covered by a_0 measured from e0's promise, which
 	// is issued within one more hop), then the refund/forward leg back to the
@@ -126,6 +115,39 @@ func (p *Params) Derive(topo core.Topology, t core.Timing, driftAware bool) {
 		2*(t.MaxMsgDelay+t.MaxProcessing) + // response propagates to customers
 		hopSlack(t) // final releases along the chain
 	p.Bound = bound
+}
+
+// FirstWindow returns a_0, DeriveParams(topo, t, driftAware).A[0] (the
+// largest window), without building the windows.
+func FirstWindow(topo core.Topology, t core.Timing, driftAware bool) sim.Time {
+	a := lastWindow(t, driftAware)
+	for i := topo.N - 2; i >= 0; i-- {
+		a = upstreamWindow(t, driftAware, a)
+	}
+	return a
+}
+
+// lastWindow is a_{n-1}, Bob's escrow's window.
+func lastWindow(t core.Timing, driftAware bool) sim.Time {
+	return scaleUp(t, driftAware, 2*t.MaxMsgDelay+2*t.MaxProcessing)
+}
+
+// upstreamWindow is a_i given a_{i+1}, the window of the escrow downstream.
+func upstreamWindow(t core.Timing, driftAware bool, next sim.Time) sim.Time {
+	slowReal := next
+	if driftAware {
+		slowReal = t.Clock.RealForLocalUpper(next)
+	}
+	return scaleUp(t, driftAware, hopSlack(t)+slowReal)
+}
+
+// scaleUp is the local window that lasts at least the real duration d on the
+// fastest conforming clock: d itself without drift awareness.
+func scaleUp(t core.Timing, driftAware bool, d sim.Time) sim.Time {
+	if !driftAware {
+		return d
+	}
+	return t.Clock.LocalForRealUpper(d) + 1
 }
 
 // Scale multiplies every window and the termination bound by scale (> 0),

@@ -44,6 +44,23 @@ func TestDeriveParamsDriftAwareWider(t *testing.T) {
 	}
 }
 
+// TestFirstWindowIsDerivedA0: FirstWindow is the a_0 the derivation gives,
+// with and without drift awareness, on drifting and drift-free clocks.
+func TestFirstWindowIsDerivedA0(t *testing.T) {
+	drifting := core.DefaultTiming()
+	drifting.Clock.MaxRho = 0.001
+	for _, timing := range []core.Timing{core.DefaultTiming(), drifting} {
+		for n := 1; n <= 10; n++ {
+			topo := core.NewTopology(n)
+			for _, drift := range []bool{true, false} {
+				if got, want := FirstWindow(topo, timing, drift), DeriveParams(topo, timing, drift).A[0]; got != want {
+					t.Fatalf("n=%d drift-aware=%v rho=%v: FirstWindow %v, derived a_0 %v", n, drift, timing.Clock.MaxRho, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHappyPathAllPaid(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		for seed := int64(0); seed < 3; seed++ {
