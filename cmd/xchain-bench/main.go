@@ -33,7 +33,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick    = fs.Bool("quick", false, "use the quick (test-sized) configuration")
 		runs     = fs.Int("runs", 0, "override the number of seeds per experiment cell")
 		maxChain = fs.Int("maxchain", 0, fmt.Sprintf("override the largest chain length swept (at most %d)", core.MaxChain))
-		workers  = fs.Int("workers", 0, "override the worker-pool size (default GOMAXPROCS)")
 		only     = fs.String("run", "", "comma-separated experiment IDs to run (default: all)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -57,9 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxChain != 0 {
 		cfg.MaxChain = *maxChain
-	}
-	if *workers != 0 {
-		cfg.Workers = *workers
 	}
 	if err := cfg.Validate(); err != nil {
 		return fail("-%v", err) // Validate names the field as its flag does

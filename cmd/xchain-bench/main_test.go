@@ -37,11 +37,14 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown flag accepted (exit %d)", code)
 	}
-	// Negative counts and chains beyond core.MaxChain are refused, naming
-	// the flag, before anything runs: -maxchain 100000 used to start sweeping.
+	// Negative counts, more seeds than bench allows and chains beyond
+	// core.MaxChain are refused, naming the flag, before anything runs:
+	// -maxchain 100000 used to start sweeping, and -runs 2000000000 died out
+	// of memory allocating its seed list.
 	for _, args := range [][]string{
 		{"-runs", "-1"},
-		{"-workers", "-2"},
+		{"-runs", "100001"},
+		{"-runs", "2000000000"},
 		{"-maxchain", "-1"},
 		{"-maxchain", "65"},
 		{"-maxchain", "100000"},

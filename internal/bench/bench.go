@@ -8,13 +8,15 @@
 // wraps them as Go benchmarks, and README's "Experiments" section lists what
 // each one reproduces. The package reads no clock: a table is a function of
 // its Config, and testdata/quick.txt pins every table at Quick().
+//
+// A single-payment table runs its cells in order, each a loop over its seeds
+// on a core.World the table keeps (RunIn). Only the traffic tables, E9 and
+// E11, use more than one core: they run their seeds in parallel.
 package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -25,11 +27,10 @@ type Config struct {
 	Runs int
 	// MaxChain is the largest chain length n swept.
 	MaxChain int
-	// Workers bounds the number of scenario runs executed concurrently
-	// (independent runs only; each run stays single-threaded and
-	// deterministic). Zero means GOMAXPROCS.
-	Workers int
 }
+
+// maxRuns bounds Config.Runs (5 000 times Full's): a cell allocates its seeds.
+const maxRuns = 100_000
 
 // Quick returns a configuration sized for tests and for a fast interactive
 // pass (seconds).
@@ -40,26 +41,16 @@ func Quick() Config { return Config{Runs: 3, MaxChain: 5} }
 func Full() Config { return Config{Runs: 20, MaxChain: 8} }
 
 // Validate checks the configuration, naming the field at fault as
-// xchain-bench's flag does: no count is negative, and no chain is longer than
+// xchain-bench's flag does: Runs is 0 to maxRuns, and no chain is longer than
 // core.MaxChain. A zero is each field's default.
 func (c Config) Validate() error {
 	switch {
-	case c.Runs < 0:
-		return fmt.Errorf("runs: need a non-negative count, got %d", c.Runs)
-	case c.Workers < 0:
-		return fmt.Errorf("workers: need a non-negative count, got %d", c.Workers)
+	case c.Runs < 0 || c.Runs > maxRuns:
+		return fmt.Errorf("runs: need 0 to %d seeds, got %d", maxRuns, c.Runs)
 	case c.MaxChain < 0 || c.MaxChain > core.MaxChain:
 		return fmt.Errorf("maxchain: need 0 to %d escrows, got %d", core.MaxChain, c.MaxChain)
 	}
 	return nil
-}
-
-// workers resolves the worker count.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // seeds returns the seed list used for one experiment cell.
@@ -169,54 +160,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// forEach runs job(idx) for every idx in [0, n) across a bounded worker
-// pool and returns the results in index order, whichever worker finished
-// first.
-func forEach[R any](cfg Config, n int, job func(idx int) R) []R {
-	results := make([]R, n)
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for range max(1, min(cfg.workers(), n)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				results[idx] = job(idx)
-			}
-		}()
-	}
-	for idx := range n {
-		idxCh <- idx
-	}
-	close(idxCh)
-	wg.Wait()
-	return results
-}
-
-// runJob is one scenario execution request used by the parallel sweep
-// helper.
-type runJob struct {
-	protocol core.Protocol
-	scenario core.Scenario
-}
-
-// runParallel executes the jobs on forEach's pool and hands each result,
-// with its job index, to collect. The collect callback runs in the calling
-// goroutine, so collectors need no locking; result order is by job index.
-func runParallel(cfg Config, jobs []runJob, collect func(idx int, res *core.RunResult, err error)) {
-	type item struct {
-		res *core.RunResult
-		err error
-	}
-	items := forEach(cfg, len(jobs), func(idx int) item {
-		res, err := jobs[idx].protocol.Run(jobs[idx].scenario)
-		return item{res, err}
-	})
-	for idx, it := range items {
-		collect(idx, it.res, it.err)
-	}
 }
 
 // fmtF renders a float with sensible precision for the tables.

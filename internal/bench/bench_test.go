@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -34,12 +35,6 @@ func TestConfigs(t *testing.T) {
 	}
 	if got := (Config{}).seeds(); len(got) != 1 {
 		t.Errorf("zero-run config should still produce one seed, got %v", got)
-	}
-	if (Config{Workers: 2}).workers() != 2 {
-		t.Error("explicit worker count ignored")
-	}
-	if (Config{}).workers() < 1 {
-		t.Error("default worker count must be positive")
 	}
 }
 
@@ -135,12 +130,16 @@ func TestRunE4ReproducesTheorem2(t *testing.T) {
 // E4's findings, durations included, and each experiment's rows and notes.
 // Regenerate with XCHAIN_REGEN_GOLDEN=1 after a deliberate change.
 func TestQuickGolden(t *testing.T) {
-	var b strings.Builder
-	for _, e := range All() {
-		b.WriteString(e.Run(Quick()).String())
-		b.WriteByte('\n')
+	tables := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var b strings.Builder
+		for _, e := range All() {
+			b.WriteString(e.Run(Quick()).String())
+			b.WriteByte('\n')
+		}
+		return b.String()
 	}
-	got := b.String()
+	got := tables(runtime.GOMAXPROCS(0))
 	const golden = "testdata/quick.txt"
 	if os.Getenv("XCHAIN_REGEN_GOLDEN") == "1" {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -153,6 +152,11 @@ func TestQuickGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("the quick tables drifted from %s:\n%s", golden, got)
+	}
+	// E9 and E11 spread their seeds over GOMAXPROCS goroutines, which must
+	// never reach a table byte.
+	if got := tables(1); got != string(want) {
+		t.Fatalf("at GOMAXPROCS=1 the quick tables drifted from %s:\n%s", golden, got)
 	}
 }
 

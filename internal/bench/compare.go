@@ -29,31 +29,29 @@ func RunE6(cfg Config) *Table {
 	}
 	n := 3
 	seeds := cfg.seeds()
+	w := core.NewWorld()
 
 	// Payments.
 	paymentProtocols := []core.Protocol{timelock.New(), weaklive.New()}
 	for _, p := range paymentProtocols {
 		var paid, proof stats.Counter
 		msgs, dur := stats.New(), stats.New()
-		var jobs []runJob
 		for _, seed := range seeds {
 			s := core.NewScenario(n, seed).Muted()
 			for _, id := range s.Topology.Customers() {
 				s = s.SetPatience(id, 30*sim.Second)
 			}
-			jobs = append(jobs, runJob{protocol: p, scenario: s})
-		}
-		runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+			res, err := p.RunIn(w, s)
 			if err != nil {
 				t.AddNote("%s: %v", p.Name(), err)
-				return
+				continue
 			}
 			paid.Observe(res.BobPaid)
 			alice := res.Outcome(res.Scenario.Topology.Alice())
 			proof.Observe(alice.HoldsChi || alice.HoldsCommitCert)
 			msgs.AddInt(int64(res.NetStats.Sent))
 			dur.Add(res.Duration.Millis())
-		})
+		}
 		t.AddRow(p.Name(), "payment", paid.String(), proof.String(), "n/a",
 			fmtF(msgs.Mean()), fmt.Sprintf("%.1fms", dur.Mean()))
 	}
@@ -63,18 +61,15 @@ func RunE6(cfg Config) *Table {
 	topo := core.NewTopology(n)
 	spec := core.NewPaymentSpec("e6", topo, 1000, 10)
 	deal := deals.PaymentAsDeal(topo, spec)
-	dealProtocols := []struct {
-		name string
-		run  func(cfg deals.Config) (*deals.Result, error)
-	}{
-		{deals.TimelockCommit{}.Name(), deals.TimelockCommit{}.Run},
-		{deals.CertifiedCommit{}.Name(), deals.CertifiedCommit{}.Run},
-	}
+	dealProtocols := []interface {
+		Name() string
+		RunIn(w *core.World, cfg deals.Config) (*deals.Result, error)
+	}{deals.TimelockCommit{}, deals.CertifiedCommit{}}
 	for _, dp := range dealProtocols {
 		var done stats.Counter
 		msgs, dur := stats.New(), stats.New()
 		for _, seed := range seeds {
-			res, err := dp.run(deals.Config{
+			res, err := dp.RunIn(w, deals.Config{
 				Deal:          deal,
 				Timing:        core.DefaultTiming(),
 				Seed:          seed,
@@ -82,14 +77,14 @@ func RunE6(cfg Config) *Table {
 				MuteTrace:     true,
 			})
 			if err != nil {
-				t.AddNote("%s: %v", dp.name, err)
+				t.AddNote("%s: %v", dp.Name(), err)
 				continue
 			}
 			done.Observe(res.Outcome.AllTransferred())
 			msgs.AddInt(int64(res.Stats.Sent))
 			dur.Add(res.Duration.Millis())
 		}
-		t.AddRow(dp.name, "deal", done.String(), "no (no chi in the deal model)", yesNo(deal.WellFormed()),
+		t.AddRow(dp.Name(), "deal", done.String(), "no (no chi in the deal model)", yesNo(deal.WellFormed()),
 			fmtF(msgs.Mean()), fmt.Sprintf("%.1fms", dur.Mean()))
 	}
 	t.AddNote("paper claim (Section 5): a cross-chain payment is not a special kind of cross-chain deal nor vice versa")
@@ -118,18 +113,16 @@ func RunE7(cfg Config) *Table {
 		{"connector crashes", adversary.Assignment{core.CustomerID(2): adversary.Crash}},
 	}
 	protocols := []core.Protocol{htlc.New(), timelock.New()}
+	w := core.NewWorld()
 	for _, p := range protocols {
 		for _, sc := range scenarios {
 			var paid, losses, proof stats.Counter
 			msgs, dur := stats.New(), stats.New()
-			var jobs []runJob
 			for _, seed := range cfg.seeds() {
-				jobs = append(jobs, runJob{protocol: p, scenario: sc.faults.Apply(core.NewScenario(n, seed)).Muted()})
-			}
-			runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+				res, err := p.RunIn(w, sc.faults.Apply(core.NewScenario(n, seed)).Muted())
 				if err != nil {
 					t.AddNote("%s/%s: %v", p.Name(), sc.name, err)
-					return
+					continue
 				}
 				paid.Observe(res.BobPaid)
 				lost := false
@@ -143,7 +136,7 @@ func RunE7(cfg Config) *Table {
 				proof.Observe(alice.HoldsChi)
 				msgs.AddInt(int64(res.NetStats.Sent))
 				dur.Add(res.Duration.Millis())
-			})
+			}
 			t.AddRow(p.Name(), sc.name, paid.String(), losses.String(), proof.String(),
 				fmtF(msgs.Mean()), fmt.Sprintf("%.1fms", dur.Mean()))
 		}
@@ -164,34 +157,27 @@ func RunE8(cfg Config) *Table {
 	if maxChain < 2 {
 		maxChain = 4
 	}
-	protocols := []func() core.Protocol{
-		func() core.Protocol { return timelock.New() },
-		func() core.Protocol { return weaklive.New() },
-		func() core.Protocol { return weaklive.NewCommittee(4) },
-		func() core.Protocol { return htlc.New() },
-	}
-	for _, build := range protocols {
-		name := build().Name()
+	protocols := []core.Protocol{timelock.New(), weaklive.New(), weaklive.NewCommittee(4), htlc.New()}
+	w := core.NewWorld()
+	for _, p := range protocols {
+		name := p.Name()
 		for n := 1; n <= maxChain; n++ {
 			msgs, ops, dur, events := stats.New(), stats.New(), stats.New(), stats.New()
-			var jobs []runJob
 			for _, seed := range cfg.seeds() {
 				s := core.NewScenario(n, seed).Muted()
 				for _, id := range s.Topology.Customers() {
 					s = s.SetPatience(id, 60*sim.Second)
 				}
-				jobs = append(jobs, runJob{protocol: build(), scenario: s})
-			}
-			runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+				res, err := p.RunIn(w, s)
 				if err != nil {
 					t.AddNote("%s n=%d: %v", name, n, err)
-					return
+					continue
 				}
 				msgs.AddInt(int64(res.NetStats.Sent))
 				ops.AddInt(int64(res.Book.TotalOps()))
 				dur.Add(res.Duration.Millis())
 				events.AddInt(int64(res.EventsFired))
-			})
+			}
 			t.AddRow(name, fmt.Sprint(n), fmtF(msgs.Mean()), fmtF(ops.Mean()),
 				fmt.Sprintf("%.1fms", dur.Mean()), fmtF(events.Mean()))
 		}
@@ -220,19 +206,17 @@ func RunA1(cfg Config) *Table {
 	if runs < 20 {
 		runs = 20
 	}
+	w := core.NewWorld()
 	for _, p := range []*timelock.Protocol{timelock.New(), timelock.NewNaive()} {
 		var paid stats.Counter
 		safety, termination := 0, 0
-		var jobs []runJob
 		for seed := int64(1); seed <= int64(runs); seed++ {
 			s := core.NewScenario(n, seed).WithTiming(timing).WithNetwork(worstNet).Muted()
 			s = s.SetFault(core.CustomerID(n), core.FaultSpec{DelayActions: 2 * timing.MaxProcessing})
-			jobs = append(jobs, runJob{protocol: p, scenario: s})
-		}
-		runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+			res, err := p.RunIn(w, s)
 			if err != nil {
 				t.AddNote("%s: %v", p.Name(), err)
-				return
+				continue
 			}
 			paid.Observe(res.BobPaid)
 			rep := check.Evaluate(res, check.Def1Eventual())
@@ -242,7 +226,7 @@ func RunA1(cfg Config) *Table {
 			if v := rep.Verdict(core.PropTermination); !v.OK() {
 				termination++
 			}
-		})
+		}
 		t.AddRow(p.Name(), fmt.Sprint(paid.Trials), paid.String(), fmt.Sprint(safety), fmt.Sprint(termination))
 	}
 	t.AddNote("Bob is configured with a legal-but-slow signing delay so the certificate reaches each escrow near the end of its window; drift then decides whether the windows still nest in real time")
@@ -260,13 +244,14 @@ func RunA2(cfg Config) *Table {
 	gstNet := func() netsim.DelayModel {
 		return netsim.PartialSynchrony{GST: 200 * sim.Millisecond, Delta: core.DefaultTiming().MaxMsgDelay, MaxPreGST: 200 * sim.Millisecond}
 	}
+	w := core.NewWorld()
 	for _, size := range []int{1, 4, 7} {
+		p := weaklive.NewCommittee(size)
 		maxFaulty := (size - 1) / 3
 		for faulty := 0; faulty <= maxFaulty+1 && faulty < size; faulty++ {
 			var decided, paid stats.Counter
 			ccViol := 0
 			msgs := stats.New()
-			var jobs []runJob
 			for _, seed := range cfg.seeds() {
 				s := core.NewScenario(2, seed).WithNetwork(gstNet()).Muted()
 				for _, id := range s.Topology.Customers() {
@@ -275,12 +260,10 @@ func RunA2(cfg Config) *Table {
 				for j := 0; j < faulty; j++ {
 					s = s.SetFault(core.NotaryID(j), core.FaultSpec{Silent: true})
 				}
-				jobs = append(jobs, runJob{protocol: weaklive.NewCommittee(size), scenario: s})
-			}
-			runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+				res, err := p.RunIn(w, s)
 				if err != nil {
 					t.AddNote("size=%d faulty=%d: %v", size, faulty, err)
-					return
+					continue
 				}
 				decided.Observe(res.CommitIssued || res.AbortIssued)
 				paid.Observe(res.BobPaid)
@@ -288,7 +271,7 @@ func RunA2(cfg Config) *Table {
 					ccViol++
 				}
 				msgs.AddInt(int64(res.NetStats.Sent))
-			})
+			}
 			t.AddRow(fmt.Sprint(size), fmt.Sprint(faulty), decided.String(), paid.String(),
 				fmt.Sprint(ccViol), fmtF(msgs.Mean()))
 		}
@@ -312,28 +295,27 @@ func RunA3(cfg Config) *Table {
 		50 * sim.Millisecond, 200 * sim.Millisecond, 500 * sim.Millisecond,
 		2 * sim.Second, 10 * sim.Second,
 	}
+	p := weaklive.New()
+	w := core.NewWorld()
 	for _, patience := range patienceLevels {
 		var paid, aborted stats.Counter
 		safety := 0
-		var jobs []runJob
 		for _, seed := range cfg.seeds() {
 			s := core.NewScenario(3, seed).WithNetwork(net()).Muted()
 			for _, id := range s.Topology.Customers() {
 				s = s.SetPatience(id, patience)
 			}
-			jobs = append(jobs, runJob{protocol: weaklive.New(), scenario: s})
-		}
-		runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+			res, err := p.RunIn(w, s)
 			if err != nil {
 				t.AddNote("patience=%v: %v", patience, err)
-				return
+				continue
 			}
 			paid.Observe(res.BobPaid)
 			aborted.Observe(res.AbortIssued)
 			if rep := check.Evaluate(res, check.Def2(patience)); !rep.SafetyOK() {
 				safety++
 			}
-		})
+		}
 		t.AddRow(patience.String(), paid.String(), aborted.String(), fmt.Sprint(safety))
 	}
 	t.AddNote("expected shape: the paper's weak liveness — Bob is paid exactly when the customers wait long enough (patience comfortably above GST plus a few message delays); impatient customers abort instead, and safety holds at every patience level")

@@ -29,12 +29,14 @@ func RunE1(cfg Config) *Table {
 	if maxChain < 1 {
 		maxChain = 4
 	}
+	// One world per engine: the two results are compared after both ran.
+	worlds := []*core.World{core.NewWorld(), core.NewWorld()}
 	agree := true
 	for n := 1; n <= maxChain; n++ {
 		s := core.NewScenario(n, 1)
 		var perEngine []*core.RunResult
-		for _, p := range []core.Protocol{timelock.New(), timelock.NewANTA()} {
-			res, err := p.Run(s)
+		for i, p := range []core.Protocol{timelock.New(), timelock.NewANTA()} {
+			res, err := p.RunIn(worlds[i], s)
 			if err != nil {
 				t.AddNote("n=%d %s: %v", n, p.Name(), err)
 				continue
@@ -106,20 +108,18 @@ func RunE3(cfg Config) *Table {
 		maxChain = 4
 	}
 	p := timelock.New()
+	w := core.NewWorld()
 	for n := 1; n <= maxChain; n++ {
 		bound := p.ParamsFor(core.NewScenario(n, 1)).Bound
 		sample := stats.New()
-		var jobs []runJob
 		for _, seed := range cfg.seeds() {
-			jobs = append(jobs, runJob{protocol: p, scenario: core.NewScenario(n, seed).Muted()})
-		}
-		runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+			res, err := p.RunIn(w, core.NewScenario(n, seed).Muted())
 			if err != nil {
 				t.AddNote("n=%d: %v", n, err)
-				return
+				continue
 			}
 			sample.Add(res.Duration.Millis())
-		})
+		}
 		ratio := 0.0
 		if bound > 0 {
 			ratio = sample.Max() / bound.Millis()
@@ -197,18 +197,20 @@ func RunE5(cfg Config) *Table {
 		}},
 	}
 	managers := []struct {
-		name  string
-		build func() core.Protocol
+		name     string
+		protocol core.Protocol
 	}{
-		{"trusted", func() core.Protocol { return weaklive.New() }},
-		{"committee-4", func() core.Protocol { return weaklive.NewCommittee(4) }},
+		{"trusted", weaklive.New()},
+		{"committee-4", weaklive.NewCommittee(4)},
 	}
+	w := core.NewWorld()
 	for _, mgr := range managers {
 		for _, tc := range cases {
 			if mgr.name == "trusted" && strings.Contains(tc.name, "notar") {
 				continue // notary faults only exist for the committee manager
 			}
-			var jobs []runJob
+			var paid stats.Counter
+			safetyViol, termViol, wlViol := 0, 0, 0
 			for _, seed := range cfg.seeds() {
 				s := core.NewScenario(n, seed).WithNetwork(psNet()).Muted()
 				for _, id := range s.Topology.Customers() {
@@ -218,14 +220,10 @@ func RunE5(cfg Config) *Table {
 				if tc.extra != nil {
 					s = tc.extra(s)
 				}
-				jobs = append(jobs, runJob{protocol: mgr.build(), scenario: s})
-			}
-			var paid stats.Counter
-			safetyViol, termViol, wlViol := 0, 0, 0
-			runParallel(cfg, jobs, func(idx int, res *core.RunResult, err error) {
+				res, err := mgr.protocol.RunIn(w, s)
 				if err != nil {
 					t.AddNote("%s/%s: %v", mgr.name, tc.name, err)
-					return
+					continue
 				}
 				paid.Observe(res.BobPaid)
 				rep := check.Evaluate(res, check.Def2(patience))
@@ -238,7 +236,7 @@ func RunE5(cfg Config) *Table {
 				if !rep.Verdict(core.PropWeakLiveness).OK() {
 					wlViol++
 				}
-			})
+			}
 			t.AddRow(mgr.name, tc.name, fmt.Sprint(paid.Trials), paid.String(),
 				fmt.Sprint(safetyViol), fmt.Sprint(termViol), fmt.Sprint(wlViol))
 		}

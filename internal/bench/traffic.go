@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -35,15 +37,27 @@ type seedRun struct {
 	err error
 }
 
-// runSeeds runs w on an n-escrow chain once per configured seed on the
-// bench pool, each run single-threaded, and returns the runs in seed order:
-// the cells' stats.Sample means depend on the order of addition.
+// runSeeds runs w on an n-escrow chain once per configured seed, at most
+// GOMAXPROCS seeds at a time and each run single-threaded, and returns the
+// runs in seed order: the cells' stats.Sample means depend on the order of
+// addition. A cell has at most 800 payments, too few pipeline chunks for one
+// RunWith to use the cores itself.
 func runSeeds(cfg Config, n int, w traffic.Workload) []seedRun {
 	seeds := cfg.seeds()
-	return forEach(cfg, len(seeds), func(i int) seedRun {
-		res, err := traffic.RunWith(core.NewScenario(n, 0).WithSeed(seeds[i]), w, traffic.Config{Workers: 1})
-		return seedRun{res, err}
-	})
+	runs := make([]seedRun, len(seeds))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			res, err := traffic.RunWith(core.NewScenario(n, 0).WithSeed(seed), w, traffic.Config{Workers: 1})
+			runs[i] = seedRun{res, err}
+		}()
+	}
+	wg.Wait()
+	return runs
 }
 
 // RunE9 is the traffic experiment: many concurrent payments multiplexed

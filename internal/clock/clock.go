@@ -36,9 +36,6 @@ func New(eng *sim.Engine, rho Drift, offset sim.Time) *Clock {
 	return &Clock{eng: eng, rho: rho, offset: offset, origin: eng.Now()}
 }
 
-// Rho returns the clock's drift rate.
-func (c *Clock) Rho() Drift { return c.rho }
-
 // Now returns the clock's current local reading.
 func (c *Clock) Now() sim.Time {
 	return c.AtReal(c.eng.Now())

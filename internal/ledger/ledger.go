@@ -885,16 +885,6 @@ func (l *Ledger) Audit() error {
 	return nil
 }
 
-// Snapshot captures balances (available only) for later comparison, e.g. by
-// the customer-security checkers ("got her money back").
-func (l *Ledger) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(l.accounts))
-	for _, a := range l.accounts {
-		out[l.owner(a.pid)] = a.balance
-	}
-	return out
-}
-
 // String summarises the ledger.
 func (l *Ledger) String() string {
 	return fmt.Sprintf("ledger(%s: %d accounts, %d locks, minted=%d)", l.name, len(l.accounts), l.held, l.minted)

@@ -621,12 +621,10 @@ func dealPartyID(i int) string {
 	return "p" + strconv.Itoa(i)
 }
 
-// Deal materialises the ring deal of a deal-family spec: N parties p0..p_{N-1},
-// arc i transferring Base + i*Commission of asset_i from p_i to p_{(i+1)%N}.
-// A ring is strongly connected, hence well-formed in the sense of Herlihy et
-// al., so their protocols' guarantees are owed on it.
-func (sp Spec) Deal() *deals.Deal { return new(materialiser).ring(sp) }
-
+// ring materialises the ring deal of a deal-family spec: N parties
+// p0..p_{N-1}, arc i transferring Base + i*Commission of asset_i from p_i to
+// p_{(i+1)%N}. A ring is strongly connected, hence well-formed in the sense of
+// Herlihy et al., so their protocols' guarantees are owed on it.
 func (m *materialiser) ring(sp Spec) *deals.Deal {
 	d := m.rings[sp.N]
 	if d == nil {
