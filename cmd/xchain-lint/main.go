@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(stderr, "xchain-lint: unknown analyzer %q (see -list)\n", name)
+				fmt.Fprintf(stderr, "xchain-lint: -only: unknown analyzer %q (see -list)\n", name)
 				return 2
 			}
 			analyzers = append(analyzers, a)

@@ -25,8 +25,8 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 	if code := run([]string{"-only", "nosuch", "./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-	if !strings.Contains(stderr.String(), "unknown analyzer") {
-		t.Errorf("stderr missing explanation: %s", stderr.String())
+	if !strings.HasPrefix(stderr.String(), `xchain-lint: -only: unknown analyzer "nosuch"`) {
+		t.Errorf("stderr does not name the flag and the analyzer: %s", stderr.String())
 	}
 }
 

@@ -273,12 +273,11 @@ func cryptoGate(stdout, stderr io.Writer, o options) int {
 		return 0
 	}
 	st := sig.GlobalStats()
-	fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
+	fmt.Fprintf(stdout, "crypto: %s=%d %s=%d %s=%d %s=%d %s=%d (verify miss rate %.3f)\n",
 		sig.MetricKeygenCacheHits, st.KeygenHits,
 		sig.MetricKeygenCacheMisses, st.KeygenMisses,
 		sig.MetricVerifyMemoHits, st.MemoHits,
 		sig.MetricVerifyMemoMisses, st.MemoMisses,
-		sig.MetricVerifyMemoEvictions, st.MemoEvictions,
 		sig.MetricRendered, st.Rendered,
 		st.VerifyMissRate())
 	if o.maxMiss > 0 && st.VerifyMissRate() > o.maxMiss {

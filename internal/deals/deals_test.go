@@ -324,7 +324,8 @@ func TestCertifiedDecisionBindsCommitBit(t *testing.T) {
 	}
 	chain := &r.chains[0]
 	settled := func() bool { return r.arcs[0].settled || r.arcs[1].settled }
-	abortCert := sig.NewReceipt(r.kr, r.id, certifierID, "abort", 0)
+	abortCert := sig.Receipt{PaymentID: r.id, Issuer: certifierID, Subject: "abort"}
+	abortCert.Sign(r.kr, certifierKey)
 	chain.onCertified(&msgCertified{Commit: true, Cert: abortCert})
 	if chain.led.Name() != "coin" || settled() {
 		t.Fatal("flipped-bit replay of an abort certificate settled arcs")
@@ -333,7 +334,8 @@ func TestCertifiedDecisionBindsCommitBit(t *testing.T) {
 	if settled() {
 		t.Fatal("unsigned decision settled arcs")
 	}
-	commitCert := sig.NewReceipt(r.kr, r.id, certifierID, "commit", 0)
+	commitCert := sig.Receipt{PaymentID: r.id, Issuer: certifierID, Subject: "commit"}
+	commitCert.Sign(r.kr, certifierKey)
 	tampered := commitCert
 	tampered.Subject = "abort"
 	chain.onCertified(&msgCertified{Commit: false, Cert: tampered})

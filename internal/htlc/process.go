@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ledger"
 	"repro/internal/netsim"
-	"repro/internal/sig"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -43,7 +42,7 @@ func (r *runState) reset(p *Protocol, w *core.World) {
 	// scenario so runs are reproducible.
 	r.preimage = append(append(r.preimage[:0], "preimage-"...), s.Spec.PaymentID...)
 	r.preimage = strconv.AppendInt(append(r.preimage, '-'), s.Seed, 10)
-	r.hashLock = sig.HashPreimage(r.preimage)
+	r.hashLock = ledger.HashPreimage(r.preimage)
 
 	topo := s.Topology
 	r.escrows = slices.Grow(r.escrows[:0], topo.N)[:topo.N]
@@ -386,7 +385,7 @@ func (c *customerProc) onLockCreated(from core.PID, m *MsgLockCreated) {
 	if from != c.upPID || c.incomingLock {
 		return
 	}
-	if !sig.CheckPreimage(m.HashLock, c.run.preimage) {
+	if !ledger.CheckPreimage(m.HashLock, c.run.preimage) {
 		// A hashlock Bob cannot open is worthless; an honest connector would
 		// refuse to extend the chain for it. (Only reachable with a Byzantine
 		// upstream party inventing its own hashlock.)

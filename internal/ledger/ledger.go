@@ -11,6 +11,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -73,6 +74,18 @@ type Condition struct {
 	// Expiry, if non-zero, is the local time after which the payer may
 	// reclaim the funds and before which release must happen.
 	Expiry sim.Time
+}
+
+// HashPreimage hashes a preimage for use as a HashLock. The hash is a value,
+// so a caller that keeps it puts nothing on the heap.
+func HashPreimage(preimage []byte) [32]byte {
+	return sha256.Sum256(preimage)
+}
+
+// CheckPreimage reports whether preimage hashes to lock.
+func CheckPreimage(lock, preimage []byte) bool {
+	h := sha256.Sum256(preimage)
+	return bytes.Equal(lock, h[:])
 }
 
 // Lock is value held in escrow between two customers of this ledger, as a
@@ -699,7 +712,7 @@ func (l *Ledger) release(at sim.Time, lk *lockRec, preimage []byte, localNow sim
 	if lk.state != statePending {
 		return &settledError{lk.name(), lockStates[lk.state]}
 	}
-	if len(lk.cond.HashLock) > 0 && !checkPreimage(lk.cond.HashLock, preimage) {
+	if len(lk.cond.HashLock) > 0 && !CheckPreimage(lk.cond.HashLock, preimage) {
 		return ErrBadPreimage
 	}
 	if lk.cond.Expiry != 0 && localNow >= lk.cond.Expiry {
@@ -888,20 +901,6 @@ func (l *Ledger) Audit() error {
 // String summarises the ledger.
 func (l *Ledger) String() string {
 	return fmt.Sprintf("ledger(%s: %d accounts, %d locks, minted=%d)", l.name, len(l.accounts), l.held, l.minted)
-}
-
-func checkPreimage(lock, preimage []byte) bool {
-	// The hash function must match internal/sig.HashPreimage (sha256).
-	h := sha256.Sum256(preimage)
-	if len(lock) != len(h) {
-		return false
-	}
-	for i := range h {
-		if lock[i] != h[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Book is a collection of ledgers, one per escrow, plus helpers to observe a

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -118,10 +117,24 @@ func TestLockErrors(t *testing.T) {
 	}
 }
 
+func TestHashPreimage(t *testing.T) {
+	pre := []byte("open sesame")
+	lock := HashPreimage(pre)
+	if !CheckPreimage(lock[:], pre) {
+		t.Fatal("correct preimage rejected")
+	}
+	if CheckPreimage(lock[:], []byte("wrong")) {
+		t.Fatal("wrong preimage accepted")
+	}
+	if CheckPreimage([]byte("short"), pre) {
+		t.Fatal("malformed lock accepted")
+	}
+}
+
 func TestHashlockAndExpiryConditions(t *testing.T) {
 	l := newFunded(t)
 	preimage := []byte("secret")
-	lock := sig.HashPreimage(preimage)
+	lock := HashPreimage(preimage)
 	cond := Condition{HashLock: lock[:], Expiry: 100 * sim.Millisecond}
 	if _, err := l.CreateLock(1, "H", "alice", "bob", 100, cond); err != nil {
 		t.Fatal(err)

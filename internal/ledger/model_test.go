@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -112,7 +111,7 @@ func (m *mapLedger) Release(at sim.Time, id string, preimage []byte, localNow si
 	if lk.State != LockPending {
 		return fmt.Errorf("%w: %s is %s", ErrLockSettled, id, lk.State)
 	}
-	if len(lk.Cond.HashLock) > 0 && !checkPreimage(lk.Cond.HashLock, preimage) {
+	if len(lk.Cond.HashLock) > 0 && !CheckPreimage(lk.Cond.HashLock, preimage) {
 		return ErrBadPreimage
 	}
 	if lk.Cond.Expiry != 0 && localNow >= lk.Cond.Expiry {
@@ -264,7 +263,7 @@ var (
 	// label and key; "b#1" is a prefix of "b#12".
 	modelLockIDs   = []string{"a#0", "a#1", "a#2", "b#0", "b#1", "b#12"}
 	modelPreimages = [][]byte{[]byte("yes"), []byte("no")}
-	modelHashSum   = sig.HashPreimage(modelPreimages[0])
+	modelHashSum   = HashPreimage(modelPreimages[0])
 	modelHashLock  = modelHashSum[:]
 )
 

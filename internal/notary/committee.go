@@ -85,10 +85,10 @@ func CommitteeIn(w *core.World, size int) *Committee {
 	c.commitVotes.rewind()
 	c.viewChanges.rewind()
 	c.ids, c.pids = c.ids[:0], c.pids[:0]
-	for j, seed := 0, s.DerivedKeySeed(); j < size; j++ {
+	for j := range size {
 		c.ids = append(c.ids, core.NotaryID(j))
 		c.pids = append(c.pids, w.Join(c.ids[j]))
-		c.addKey(seed, c.pids[j], c.ids[j])
+		c.addKey(c.pids[j], c.ids[j])
 	}
 	c.procs = slices.Grow(c.procs[:0], size)[:size]
 	for j := range c.procs {

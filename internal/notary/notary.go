@@ -112,10 +112,10 @@ type run struct {
 func (r *run) paymentID() string { return r.scn.Spec.PaymentID }
 
 // addKey derives the key of manager or notary id, which is no participant of
-// the chain, from the run's key seed, under its PID.
-func (r *run) addKey(seed string, pid core.PID, id string) {
+// the chain, under its PID and the keyring's key seed: the run's.
+func (r *run) addKey(pid core.PID, id string) {
 	if !r.kr.Holds(pid, id) {
-		r.kr.Hold(pid, seed, id)
+		r.kr.Hold(pid, id)
 	}
 }
 

@@ -462,7 +462,9 @@ func TestSameDecisionCertNotReverified(t *testing.T) {
 	}
 	// A certificate for the other decision is verified: a forged one is
 	// dropped, a valid one recorded as the inconsistency it is.
-	other := &MsgDecision{Cert: sig.NewCommitteeDecisionCert(kr, h.s.Spec.PaymentID, sig.DecisionAbort, core.ManagerID, h.w.Eng.Now(), c.IDs()[:3], c.Quorum())}
+	other := &MsgDecision{Cert: sig.DecisionCert{PaymentID: h.s.Spec.PaymentID, Decision: sig.DecisionAbort, Manager: core.ManagerID,
+		IssuedAt: h.w.Eng.Now(), Signers: slices.Clone(c.IDs()[:3]), Quorum: c.Quorum()}}
+	other.Cert.Sign(kr, c.PIDs()[:3])
 	forged := &MsgDecision{Cert: other.Cert}
 	forged.Cert.Sigs = slices.Clone(other.Cert.Sigs)
 	forged.Cert.Sigs[0] = forged.Cert.Sigs[1]

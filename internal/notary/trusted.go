@@ -48,7 +48,7 @@ func TrustedIn(w *core.World) *Trusted {
 	t.fault = w.FaultOf(t.pids[0])
 	t.prepared = t.prepared[:0]
 	t.decided, t.crashed = false, false
-	t.addKey(s.DerivedKeySeed(), t.pids[0], core.ManagerID)
+	t.addKey(t.pids[0], core.ManagerID)
 	t.w.Net.Attach(t.pids[0], t)
 	t.scheduleCrash(core.ManagerID, t.fault, trustedCrash, t)
 	return t

@@ -204,12 +204,11 @@ func (r *row) observe(t *testing.T, ws *worlds, record bool) seen {
 	}
 	after := sig.GlobalStats()
 	s.sig = sig.Stats{
-		KeygenHits:    after.KeygenHits - before.KeygenHits,
-		KeygenMisses:  after.KeygenMisses - before.KeygenMisses,
-		MemoHits:      after.MemoHits - before.MemoHits,
-		MemoMisses:    after.MemoMisses - before.MemoMisses,
-		MemoEvictions: after.MemoEvictions - before.MemoEvictions,
-		Rendered:      after.Rendered - before.Rendered,
+		KeygenHits:   after.KeygenHits - before.KeygenHits,
+		KeygenMisses: after.KeygenMisses - before.KeygenMisses,
+		MemoHits:     after.MemoHits - before.MemoHits,
+		MemoMisses:   after.MemoMisses - before.MemoMisses,
+		Rendered:     after.Rendered - before.Rendered,
 	}
 	if s.out != nil {
 		js, err := json.Marshal(s.out)

@@ -20,8 +20,9 @@ type Options struct {
 	// Seeds is how many consecutive seeds to run, starting at StartSeed.
 	Seeds     int
 	StartSeed int64
-	// Workers bounds the goroutines running scenarios (0 = NumCPU). Results
-	// are aggregated in seed order, so the worker count never changes them.
+	// Workers bounds the goroutines running scenarios (0 = NumCPU), which
+	// never outnumber the seeds. Results are aggregated in seed order, so the
+	// worker count never changes them.
 	Workers int
 	// Families, if non-empty, restricts the campaign to these families;
 	// seeds generating other families are counted as skipped.
@@ -54,11 +55,15 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// workers is how many goroutines a campaign starts: Workers, or one per CPU,
+// but no more than it has seeds or than its window lets run at once — a
+// worker past either bound would only wait.
 func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+	n := o.Workers
+	if n <= 0 {
+		n = runtime.NumCPU()
 	}
-	return runtime.NumCPU()
+	return min(n, max(o.Seeds, 1), window)
 }
 
 // maxFailures is how many violating outcomes a campaign keeps; counting

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -387,6 +388,28 @@ func TestFuzzAggregationDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.ByFamily, b.ByFamily) || !reflect.DeepEqual(a.ExpectedCounts, b.ExpectedCounts) {
 		t.Fatalf("worker count changed campaign tallies:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestFuzzWorkersCapped: a campaign starts no more workers than it has
+// seeds, nor more than its window lets run at once, whatever Workers asks
+// for; Fuzz itself runs a seed count below 1 as one seed.
+func TestFuzzWorkersCapped(t *testing.T) {
+	cpus := runtime.NumCPU()
+	for _, c := range []struct{ workers, seeds, want int }{
+		{1, 20000, 1},
+		{4, 20000, 4},
+		{100_000_000, 1, 1},
+		{100_000_000, 20000, window},
+		{100_000_000, 0, 1},
+		{7, 3, 3},
+		{window + 1, window + 1, window},
+		{0, 1, 1},
+		{0, 20000, min(cpus, window)},
+	} {
+		if got := (Options{Workers: c.workers, Seeds: c.seeds}).workers(); got != c.want {
+			t.Errorf("Workers %d over %d seeds starts %d workers, want %d", c.workers, c.seeds, got, c.want)
+		}
 	}
 }
 

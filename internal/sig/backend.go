@@ -70,19 +70,21 @@ const (
 	BackendHMAC = "hmac"
 )
 
-// ed25519Backend is the original scheme, unchanged: deterministic key
-// generation from a hash-chain reader, standard sign/verify.
+// ed25519Backend is the original scheme: deterministic keys, standard
+// sign/verify.
 type ed25519Backend struct{}
 
 func (ed25519Backend) Name() string { return BackendEd25519 }
 
+// GenerateKey derives the key from the 32-byte ed25519 seed
+// sha256(sha256("xchainpay-keys:" + seed + "/" + id)). Every signature,
+// golden and recorded trace rests on these keys, so the formula is fixed
+// (TestKeyDerivationPinned).
 func (ed25519Backend) GenerateKey(seed, id string) Key {
-	pub, priv, err := ed25519.GenerateKey(newDeterministicReader(seed + "/" + id))
-	if err != nil {
-		// ed25519.GenerateKey only fails if the reader fails, and ours cannot.
-		panic("sig: key generation failed: " + err.Error())
-	}
-	return Key{priv: priv, pub: pub}
+	h := sha256.Sum256([]byte("xchainpay-keys:" + seed + "/" + id))
+	h = sha256.Sum256(h[:])
+	priv := ed25519.NewKeyFromSeed(h[:])
+	return Key{priv: priv, pub: priv.Public().(ed25519.PublicKey)}
 }
 
 func (ed25519Backend) bind(k Key) signer { return ed25519Signer(k) }
@@ -155,8 +157,6 @@ func BackendNames() []string { return []string{BackendEd25519, BackendHMAC} }
 type Options struct {
 	// Backend names the signature backend; "" means ed25519.
 	Backend string
-	// DisableKeyCache bypasses the process-wide key cache (tests).
-	DisableKeyCache bool
 	// MemoCapacity's sign switches the issuance record: negative turns it
 	// off, so that every verification pays the backend; 0 or positive keeps
 	// it on. A positive value bounds nothing: every live signature is its
@@ -207,12 +207,11 @@ var keyCacheEpoch atomic.Uint64
 
 // Process-wide cache counters (atomic: keyrings run on many goroutines).
 var (
-	globalKeygenHits    atomic.Uint64
-	globalKeygenMisses  atomic.Uint64
-	globalMemoHits      atomic.Uint64
-	globalMemoMisses    atomic.Uint64
-	globalMemoEvictions atomic.Uint64
-	globalRendered      atomic.Uint64
+	globalKeygenHits   atomic.Uint64
+	globalKeygenMisses atomic.Uint64
+	globalMemoHits     atomic.Uint64
+	globalMemoMisses   atomic.Uint64
+	globalRendered     atomic.Uint64
 )
 
 // cachedKey returns the key for (backend, seed, id), consulting and filling
@@ -240,13 +239,6 @@ func cachedKey(b Backend, seed, id string) (Key, bool) {
 	return k, false
 }
 
-// KeyCacheLen reports the number of resident cached keys (tests, metrics).
-func KeyCacheLen() int {
-	keyCache.RLock()
-	defer keyCache.RUnlock()
-	return len(keyCache.m)
-}
-
 // ResetKeyCache empties the process-wide key cache (tests).
 func ResetKeyCache() {
 	keyCache.Lock()
@@ -268,9 +260,6 @@ type Stats struct {
 	// keyring's recorded terms / paid to the backend.
 	MemoHits   uint64
 	MemoMisses uint64
-	// MemoEvictions counts replacing Adds, each of which stops the terms
-	// recorded before it answering verifications.
-	MemoEvictions uint64
 	// Rendered counts signatures whose bytes the backend produced, because
 	// something read them: Bytes, String, or a verification that missed.
 	Rendered uint64
@@ -291,12 +280,11 @@ func (s Stats) VerifyMissRate() float64 {
 // GlobalStats aggregates cache counters across every keyring in the process.
 func GlobalStats() Stats {
 	return Stats{
-		KeygenHits:    globalKeygenHits.Load(),
-		KeygenMisses:  globalKeygenMisses.Load(),
-		MemoHits:      globalMemoHits.Load(),
-		MemoMisses:    globalMemoMisses.Load(),
-		MemoEvictions: globalMemoEvictions.Load(),
-		Rendered:      globalRendered.Load(),
+		KeygenHits:   globalKeygenHits.Load(),
+		KeygenMisses: globalKeygenMisses.Load(),
+		MemoHits:     globalMemoHits.Load(),
+		MemoMisses:   globalMemoMisses.Load(),
+		Rendered:     globalRendered.Load(),
 	}
 }
 
@@ -306,6 +294,5 @@ func ResetGlobalStats() {
 	globalKeygenMisses.Store(0)
 	globalMemoHits.Store(0)
 	globalMemoMisses.Store(0)
-	globalMemoEvictions.Store(0)
 	globalRendered.Store(0)
 }

@@ -3,9 +3,9 @@ package sig
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,10 +20,11 @@ import (
 func TestBackendContract(t *testing.T) {
 	for _, name := range BackendNames() {
 		t.Run(name, func(t *testing.T) {
-			opts := Options{Backend: name, DisableKeyCache: true}
+			ResetKeyCache() // the keyrings derive their keys
+			opts := Options{Backend: name}
 			kr := NewKeyringWith(opts, "seed", []string{"a", "b"})
-			if kr.Backend() != name {
-				t.Fatalf("Backend() = %q, want %q", kr.Backend(), name)
+			if kr.backend.Name() != name {
+				t.Fatalf("backend %q, want %q", kr.backend.Name(), name)
 			}
 			msg := []byte("payload")
 			s := kr.Sign("a", msg)
@@ -55,6 +56,27 @@ func TestBackendContract(t *testing.T) {
 	}
 }
 
+// TestKeyDerivationPinned pins the public keys a few (backend, seed, id)
+// triples derive: every signature, golden and recorded trace rests on them,
+// so a change to either derivation must fail here first.
+func TestKeyDerivationPinned(t *testing.T) {
+	for _, c := range []struct{ backend, seed, id, pub string }{
+		{BackendEd25519, "seed", "alice", "5491c49fd8bf8ce56ef84faeeb4b5f62a968db67ad178dfb444498d51c005235"},
+		{BackendEd25519, "seed-42", "c0", "9798e4aa605e83028a9ae6c8532268c1998694855764434ed9769ca150503b5e"},
+		{BackendEd25519, "", "e0", "7af9fd518fd82684f0586d92ecdc3e9e846004858bbaa76a6430af8f1b4f7230"},
+		{BackendEd25519, "test", "notary3", "185f12730a7051e6a9969d2fb37f9abb840999f807c48811d837b4cd9f41dca1"},
+		{BackendHMAC, "seed", "alice", "ed0e6345a32f33242e0c3f2305260173735d62ab9c956de09528887f16343e7b"},
+		{BackendHMAC, "seed-42", "c0", "94b7a4019486c9ebc69490809d4f0cc1dea9a3bf1f40d8053679ce05135cb938"},
+		{BackendHMAC, "", "e0", "64916378242a0c48b9b81ded9d9fe259c6706a8490b97dde849274c9a9d91edd"},
+		{BackendHMAC, "test", "notary3", "7cc59993b1156af412076605f24d647252785daf6efb86c4604fb4ac6e8b1b7b"},
+	} {
+		b, _ := BackendByName(c.backend)
+		if got := hex.EncodeToString(b.GenerateKey(c.seed, c.id).pub); got != c.pub {
+			t.Errorf("%s key of (%q, %q) = %s, want %s", c.backend, c.seed, c.id, got, c.pub)
+		}
+	}
+}
+
 func TestBackendByName(t *testing.T) {
 	if b, ok := BackendByName(""); !ok || b.Name() != BackendEd25519 {
 		t.Fatal("empty name should resolve to the ed25519 default")
@@ -72,8 +94,8 @@ func TestBackendByName(t *testing.T) {
 // single-backend object; mixing would mask configuration bugs).
 func TestBackendsDoNotCrossVerify(t *testing.T) {
 	msg := []byte("payload")
-	ed := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true}, "seed", []string{"a"})
-	mac := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true}, "seed", []string{"a"})
+	ed := NewKeyringWith(Options{Backend: BackendEd25519}, "seed", []string{"a"})
+	mac := NewKeyringWith(Options{Backend: BackendHMAC}, "seed", []string{"a"})
 	if mac.Verify("a", msg, ed.Sign("a", msg)) {
 		t.Fatal("ed25519 signature verified under hmac")
 	}
@@ -82,15 +104,29 @@ func TestBackendsDoNotCrossVerify(t *testing.T) {
 	}
 }
 
+// keyCacheLen is the number of keys resident in the process-wide cache.
+func keyCacheLen() int {
+	keyCache.RLock()
+	defer keyCache.RUnlock()
+	return len(keyCache.m)
+}
+
+// directSign is what id's key under (backend, seed) signs over msg, derived
+// without the key cache.
+func directSign(backend, seed, id string, msg []byte) []byte {
+	b, _ := BackendByName(backend)
+	return bytes.Clone(b.bind(b.GenerateKey(seed, id)).sign(msg))
+}
+
 // The process-wide key cache must serve the same keys as direct generation,
 // and hit after the first derivation.
 func TestKeyCacheEquivalenceAndHits(t *testing.T) {
 	ResetKeyCache()
 	msg := []byte("payload")
 	for _, name := range BackendNames() {
+		direct := directSign(name, "cache-seed", "x", msg)
 		cached := NewKeyringWith(Options{Backend: name}, "cache-seed", []string{"x", "y"})
-		direct := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "cache-seed", []string{"x", "y"})
-		if !bytes.Equal(cached.Sign("x", msg).Bytes(), direct.Sign("x", msg).Bytes()) {
+		if !bytes.Equal(cached.Sign("x", msg).Bytes(), direct) {
 			t.Fatalf("%s: cached and direct keys differ", name)
 		}
 		if st := cached.Stats(); st.KeygenMisses != 2 || st.KeygenHits != 0 {
@@ -100,15 +136,15 @@ func TestKeyCacheEquivalenceAndHits(t *testing.T) {
 		if st := again.Stats(); st.KeygenHits != 2 || st.KeygenMisses != 0 {
 			t.Fatalf("%s: second keyring stats = %+v, want 2 hits", name, st)
 		}
-		if !bytes.Equal(again.Sign("x", msg).Bytes(), direct.Sign("x", msg).Bytes()) {
+		if !bytes.Equal(again.Sign("x", msg).Bytes(), direct) {
 			t.Fatalf("%s: cache served a wrong key", name)
 		}
 	}
-	if KeyCacheLen() != 4 {
-		t.Fatalf("KeyCacheLen() = %d, want 4 (2 ids x 2 backends)", KeyCacheLen())
+	if n := keyCacheLen(); n != 4 {
+		t.Fatalf("%d cached keys, want 4 (2 ids x 2 backends)", n)
 	}
 	ResetKeyCache()
-	if KeyCacheLen() != 0 {
+	if keyCacheLen() != 0 {
 		t.Fatal("ResetKeyCache left entries behind")
 	}
 }
@@ -119,7 +155,7 @@ func TestKeyCacheConcurrency(t *testing.T) {
 	ResetKeyCache()
 	msg := []byte("concurrent payload")
 	for _, name := range BackendNames() {
-		want := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "race-seed", []string{"p0", "p1", "p2"}).Sign("p1", msg).Bytes()
+		want := directSign(name, "race-seed", "p1", msg)
 		const goroutines = 16
 		got := make([][]byte, goroutines)
 		var wg sync.WaitGroup
@@ -158,7 +194,7 @@ func cacheFiller(t *testing.T, n int) int {
 	peak := 0
 	for i := 0; i < n; i++ {
 		cachedKey(b, "bounded-seed", strconv.Itoa(i))
-		if l := KeyCacheLen(); l > peak {
+		if l := keyCacheLen(); l > peak {
 			peak = l
 		}
 	}
@@ -170,7 +206,7 @@ func cacheFiller(t *testing.T, n int) int {
 // keyring made, still reach the backend — the latter to a true answer when
 // that keyring holds the same key. A miss renders a signature once.
 func TestVerifyMemoization(t *testing.T) {
-	opts := Options{Backend: BackendEd25519, DisableKeyCache: true}
+	opts := Options{Backend: BackendEd25519}
 	kr := NewKeyringWith(opts, "memo-seed", []string{"a"})
 	msg := []byte("artefact")
 	s := kr.Sign("a", msg)
@@ -213,7 +249,8 @@ func TestVerifyMemoization(t *testing.T) {
 func TestMemoDefaultPerBackend(t *testing.T) {
 	for _, name := range BackendNames() {
 		for _, capacity := range []int{0, 16, -1} {
-			kr := NewKeyringWith(Options{Backend: name, DisableKeyCache: true, MemoCapacity: capacity}, "memo-seed", []string{"a"})
+			ResetKeyCache() // the keyring derives its key
+			kr := NewKeyringWith(Options{Backend: name, MemoCapacity: capacity}, "memo-seed", []string{"a"})
 			msg := []byte("artefact")
 			s := kr.Sign("a", msg)
 			for i := 0; i < 2; i++ {
@@ -233,11 +270,12 @@ func TestMemoDefaultPerBackend(t *testing.T) {
 }
 
 // TestVerifyMemoDisabledAndEviction: without a record every verification
-// reaches the backend; with one, nothing evicts a term but a replacing Add —
-// a keyring nobody resets answers every signature it ever made, however
-// small its MemoCapacity, across chunks of its arenas.
+// reaches the backend; with one, nothing evicts a term but a Reset — a
+// keyring nobody resets answers every signature it ever made, however small
+// its MemoCapacity, across chunks of its arenas, and also after holding a key
+// again, which the keyring's one seed derives unchanged.
 func TestVerifyMemoDisabledAndEviction(t *testing.T) {
-	off := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true, MemoCapacity: -1}, "memo-seed", []string{"a"})
+	off := NewKeyringWith(Options{Backend: BackendEd25519, MemoCapacity: -1}, "memo-seed", []string{"a"})
 	msg := []byte("artefact")
 	s := off.Sign("a", msg)
 	off.Verify("a", msg, s)
@@ -246,7 +284,7 @@ func TestVerifyMemoDisabledAndEviction(t *testing.T) {
 		t.Fatalf("disabled record stats = %+v", st)
 	}
 
-	kr := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true, MemoCapacity: 2}, "memo-seed", []string{"a", "b"})
+	kr := NewKeyringWith(Options{Backend: BackendHMAC, MemoCapacity: 2}, "memo-seed", []string{"a", "b"})
 	n := 3*termChunk + 1
 	sigs := make([]Signature, n)
 	for i := range sigs {
@@ -257,40 +295,15 @@ func TestVerifyMemoDisabledAndEviction(t *testing.T) {
 			t.Fatalf("signature %d of %d rejected", i, n)
 		}
 	}
-	if st := kr.Stats(); st.MemoHits != uint64(n) || st.MemoMisses != 0 || st.MemoEvictions != 0 {
-		t.Fatalf("stats %+v, want %d hits and no eviction", st, n)
+	if st := kr.Stats(); st.MemoHits != uint64(n) || st.MemoMisses != 0 {
+		t.Fatalf("stats %+v, want %d hits and no miss", st, n)
 	}
-	kr.Add("memo-seed", "b")
+	kr.Hold(0, "a")
 	if !kr.Verify("a", []byte("0"), sigs[0]) {
-		t.Fatal("a signature rejected after b's key was replaced by the same one")
+		t.Fatal("a signature rejected after its key was held again")
 	}
-	if st := kr.Stats(); st.MemoEvictions != 1 || st.MemoMisses != 1 {
-		t.Fatalf("stats %+v after a replacing Add, want one eviction and the next verification a miss", st)
-	}
-}
-
-// White-box: Participants() caches its sorted slice and Add invalidates it.
-func TestParticipantsCached(t *testing.T) {
-	kr := NewKeyringWith(Options{Backend: BackendHMAC, DisableKeyCache: true}, "parts-seed", []string{"c", "a", "b"})
-	p1 := kr.Participants()
-	p2 := kr.Participants()
-	if &p1[0] != &p2[0] {
-		t.Fatal("Participants() re-allocated on a clean cache")
-	}
-	if p1[0] != "a" || p1[1] != "b" || p1[2] != "c" {
-		t.Fatalf("Participants() not sorted: %v", p1)
-	}
-	kr.Add("parts-seed", "aa")
-	p3 := kr.Participants()
-	if len(p3) != 4 || p3[1] != "aa" {
-		t.Fatalf("Participants() after Add = %v", p3)
-	}
-	if kr.parts == nil {
-		t.Fatal("cache not rebuilt")
-	}
-	kr.Add("parts-seed", "zz")
-	if kr.parts != nil {
-		t.Fatal("Add did not invalidate the cached participant slice")
+	if st := kr.Stats(); st.MemoHits != uint64(n)+1 || st.MemoMisses != 0 {
+		t.Fatalf("stats %+v after holding a key again, want the verification answered from the record", st)
 	}
 }
 
@@ -376,21 +389,6 @@ func TestGlobalStats(t *testing.T) {
 	}
 }
 
-// Replacing a participant's key moves the generation on: what the old key
-// signed may not answer for the new one.
-func TestAddReplacementInvalidatesMemo(t *testing.T) {
-	kr := NewKeyringWith(Options{Backend: BackendEd25519, DisableKeyCache: true}, "seed-a", []string{"p"})
-	msg := []byte("payload")
-	s := kr.Sign("p", msg)
-	if !kr.Verify("p", msg, s) {
-		t.Fatal("valid signature rejected")
-	}
-	kr.Add("seed-b", "p") // replace p's key
-	if kr.Verify("p", msg, s) {
-		t.Fatal("signature under the replaced key still verified (stale record)")
-	}
-}
-
 // A run that never verifies anything is not a cache regression.
 func TestVerifyMissRateNoVerifications(t *testing.T) {
 	if rate := (Stats{}).VerifyMissRate(); rate != 0 {
@@ -456,7 +454,7 @@ func TestRenderedMatchesEager(t *testing.T) {
 	for _, name := range BackendNames() {
 		krs := []*Keyring{
 			NewKeyringWith(Options{Backend: name}, "eager-a", ids),
-			NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "eager-b", ids),
+			NewKeyringWith(Options{Backend: name}, "eager-b", ids),
 		}
 		type signed struct {
 			s     Signature
@@ -533,6 +531,17 @@ func TestSignatureArenaRollover(t *testing.T) {
 	check("after a Reset and everything signed again")
 }
 
+// heldIDs lists the IDs whose keys kr holds, in PID order.
+func heldIDs(kr *Keyring) string {
+	var ids []string
+	for _, e := range kr.keys {
+		if e.held {
+			ids = append(ids, e.id)
+		}
+	}
+	return strings.Join(ids, ",")
+}
+
 // TestResetKeepsDroppedSigners: a participant that drops out of a shorter
 // chain keeps its bound signer for the next longer one — and only for a
 // keyring of the same seed in the same key-cache epoch. While dropped it is
@@ -563,10 +572,10 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		if !bound() {
 			t.Fatalf("%s: Reset to a shorter chain dropped c2's signer", backend)
 		}
-		if kr.Has("c2") || kr.Sign("c2", msg) != (Signature{}) || kr.Verify("c2", msg, Raw(sigC2)) {
+		if kr.index("c2") >= 0 || kr.Sign("c2", msg) != (Signature{}) || kr.Verify("c2", msg, Raw(sigC2)) {
 			t.Fatalf("%s: a dropped participant still signs or verifies", backend)
 		}
-		if got := strings.Join(kr.Participants(), ","); got != "c0,c1,e0" {
+		if got := heldIDs(kr); got != "c0,c1,e0" {
 			t.Fatalf("%s: participants %s after Reset to the shorter chain", backend, got)
 		}
 
@@ -587,14 +596,6 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		want := NewKeyringWith(opts, "seed-b", long).Sign("c2", msg).Bytes()
 		if got := kr.Sign("c2", msg).Bytes(); !bytes.Equal(got, want) || bytes.Equal(got, sigC2) {
 			t.Fatalf("%s: c2 signs under the wrong seed after Reset(seed-b)", backend)
-		}
-
-		// A key brought in under another seed while its signer lies dormant.
-		kr.Reset("seed-b", short)
-		kr.Add("seed-c", "c2")
-		want = NewKeyringWith(opts, "seed-c", long).Sign("c2", msg).Bytes()
-		if got := kr.Sign("c2", msg).Bytes(); !bytes.Equal(got, want) {
-			t.Fatalf("%s: c2 added under seed-c signs with the signer kept from seed-b", backend)
 		}
 
 		// A key-cache flush: a new keyring would derive again, so must this.
@@ -639,11 +640,12 @@ func TestKeyringResetEquivalence(t *testing.T) {
 		}
 		msg := []byte("m")
 		for i, st := range steps {
-			// use drives a keyring the way a run does: a late Add (the
-			// notary's key), a signature, two record hits and a rendering.
+			// use drives a keyring the way a run does: a late Hold (the
+			// notary's key, after the chain's), a signature, two record hits
+			// and a rendering.
 			use := func(kr *Keyring) ([]byte, Stats) {
-				if st.extra != "" && !kr.Has(st.extra) {
-					kr.Add(st.seed, st.extra)
+				if pid := sim.PID(len(st.parts)); st.extra != "" && !kr.Holds(pid, st.extra) {
+					kr.Hold(pid, st.extra)
 				}
 				s := kr.Sign("c1", msg)
 				kr.Verify("c1", msg, s)
@@ -665,10 +667,8 @@ func TestKeyringResetEquivalence(t *testing.T) {
 				ResetKeyCache()
 			}
 			reused.Reset(st.seed, st.parts)
-			wantParts := append([]string(nil), st.parts...)
-			sort.Strings(wantParts)
-			if got := reused.Participants(); strings.Join(got, ",") != strings.Join(wantParts, ",") {
-				t.Fatalf("%s step %d: after Reset the keyring holds %v, want exactly %v", backend, i, got, wantParts)
+			if got, want := heldIDs(reused), strings.Join(st.parts, ","); got != want {
+				t.Fatalf("%s step %d: after Reset the keyring holds %s, want exactly %s", backend, i, got, want)
 			}
 			gotSig, gotStats := use(reused)
 			g2 := GlobalStats()
@@ -688,11 +688,10 @@ func TestKeyringResetEquivalence(t *testing.T) {
 
 func statsDelta(a, b Stats) Stats {
 	return Stats{
-		KeygenHits:    b.KeygenHits - a.KeygenHits,
-		KeygenMisses:  b.KeygenMisses - a.KeygenMisses,
-		MemoHits:      b.MemoHits - a.MemoHits,
-		MemoMisses:    b.MemoMisses - a.MemoMisses,
-		MemoEvictions: b.MemoEvictions - a.MemoEvictions,
-		Rendered:      b.Rendered - a.Rendered,
+		KeygenHits:   b.KeygenHits - a.KeygenHits,
+		KeygenMisses: b.KeygenMisses - a.KeygenMisses,
+		MemoHits:     b.MemoHits - a.MemoHits,
+		MemoMisses:   b.MemoMisses - a.MemoMisses,
+		Rendered:     b.Rendered - a.Rendered,
 	}
 }

@@ -80,7 +80,7 @@ const resetEvery = 32
 // cost of a verification the record cannot answer.
 func BenchmarkSigVerify(b *testing.B) {
 	benchEachBackend(b, func(b *testing.B, name string) {
-		kr := NewKeyringWith(Options{Backend: name, DisableKeyCache: true, MemoCapacity: -1}, "bench-seed", []string{"p"})
+		kr := NewKeyringWith(Options{Backend: name, MemoCapacity: -1}, "bench-seed", []string{"p"})
 		payload := []byte("benchmark payload of a realistic artefact size, ~64B...")
 		s := kr.Sign("p", payload)
 		b.ReportAllocs()
@@ -97,7 +97,7 @@ func BenchmarkSigVerify(b *testing.B) {
 // backend operation, on every backend.
 func BenchmarkVerifyMemoized(b *testing.B) {
 	benchEachBackend(b, func(b *testing.B, name string) {
-		kr := NewKeyringWith(Options{Backend: name, DisableKeyCache: true}, "bench-seed", []string{"p"})
+		kr := NewKeyringWith(Options{Backend: name}, "bench-seed", []string{"p"})
 		payload := []byte("benchmark payload of a realistic artefact size, ~64B...")
 		s := kr.Sign("p", payload)
 		b.ReportAllocs()

@@ -15,8 +15,6 @@ const (
 	// from the verification memo the record replaced.
 	MetricVerifyMemoHits   = "xchain_sig_verify_memo_hits_total"
 	MetricVerifyMemoMisses = "xchain_sig_verify_memo_misses_total"
-	// MetricVerifyMemoEvictions counts replacing key Adds.
-	MetricVerifyMemoEvictions = "xchain_sig_verify_memo_evictions_total"
 	// MetricRendered counts signatures whose bytes a backend produced.
 	MetricRendered = "xchain_sig_rendered_total"
 )
@@ -41,8 +39,6 @@ func RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(globalMemoHits.Load()) })
 	r.CounterFunc(MetricVerifyMemoMisses, "Signature verifications paid to the signature backend.",
 		func() float64 { return float64(globalMemoMisses.Load()) })
-	r.CounterFunc(MetricVerifyMemoEvictions, "Keys replaced in a keyring, retiring the terms signed before.",
-		func() float64 { return float64(globalMemoEvictions.Load()) })
 	r.CounterFunc(MetricRendered, "Signatures whose bytes a backend produced because something read them.",
 		func() float64 { return float64(globalRendered.Load()) })
 }

@@ -32,12 +32,11 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	got := b.String()
 	for name, want := range map[string]uint64{
-		MetricKeygenCacheHits:     st.KeygenHits,
-		MetricKeygenCacheMisses:   st.KeygenMisses,
-		MetricVerifyMemoHits:      st.MemoHits,
-		MetricVerifyMemoMisses:    st.MemoMisses,
-		MetricVerifyMemoEvictions: st.MemoEvictions,
-		MetricRendered:            st.Rendered,
+		MetricKeygenCacheHits:   st.KeygenHits,
+		MetricKeygenCacheMisses: st.KeygenMisses,
+		MetricVerifyMemoHits:    st.MemoHits,
+		MetricVerifyMemoMisses:  st.MemoMisses,
+		MetricRendered:          st.Rendered,
 	} {
 		line := name + " " + strconv.FormatUint(want, 10) + "\n"
 		if !strings.Contains(got, line) {

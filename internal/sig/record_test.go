@@ -93,7 +93,7 @@ func (a art) receipt(sig Signature) Receipt {
 
 // sign signs a on kr through its type's Sign, by its signer's PID.
 func (a art) sign(kr *Keyring) Signature {
-	by := sim.PID(kr.index(a.signer()))
+	by := pid(kr, a.signer())
 	switch a.c.kind {
 	case kindChi:
 		x := a.chi(Signature{})
@@ -288,6 +288,32 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 		}
 		return want
 	}
+	// reset resets both keyrings to parts under seed; every handle signed
+	// before is stale then: it renders nil and verifies nowhere.
+	reset := func(parts []string) {
+		for _, kr := range all {
+			kr.Reset(seed, parts)
+		}
+		for _, x := range typed {
+			if b := renderedTyped(x); b != nil {
+				fail("%v renders %x after a Reset, want a stale handle's nil", x.a, b)
+			}
+			if verifyTyped(x.a, x.sigs) {
+				fail("%v verifies after a Reset", x.a)
+			}
+		}
+		for _, x := range pool {
+			if !x.own {
+				continue
+			}
+			if b := rendered(x); b != nil {
+				fail("%v renders %x after a Reset, want a stale handle's nil", x, b)
+			}
+			if verify(x) {
+				fail("%v verifies after a Reset", x)
+			}
+		}
+	}
 	pickTyped := func(arg byte) (typedTriple, bool) {
 		if len(typed) == 0 {
 			return typedTriple{}, false
@@ -309,7 +335,7 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 		switch op {
 		case 0, 11: // sign; 11 then verifies a tampered copy of the bytes
 			x := triple{signer: id, payload: payload, own: true}
-			if ref.Has(id) {
+			if ref.index(id) >= 0 {
 				x.eager = eagerSign(ref, id, payload)
 			}
 			for j, kr := range all {
@@ -365,10 +391,14 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 			x := triple{signer: id, payload: payload, sigs: [2]Signature{s, s}}
 			pool = append(pool, x)
 			verify(x)
-		case 7: // Add, replacing the key when id holds one
-			for _, kr := range all {
-				kr.Add(progSeeds[int(arg/3)%len(progSeeds)], id)
+		case 7: // Reset to the other seed over every participant, permuted:
+			// each one's key changes, and so may its PID
+			seed = progSeeds[(slices.Index(progSeeds, seed)+1)%len(progSeeds)]
+			parts := slices.Clone(progIDs)
+			for j, k := len(parts)-1, int(arg); j > 0; j, k = j-1, k/(j+1) {
+				parts[j], parts[k%(j+1)] = parts[k%(j+1)], parts[j]
 			}
+			reset(parts)
 		case 8, 9: // Reset to the same seed, or to the other
 			if op == 9 {
 				seed = progSeeds[(slices.Index(progSeeds, seed)+1)%len(progSeeds)]
@@ -379,30 +409,7 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 					parts = append(parts, p)
 				}
 			}
-			for _, kr := range all {
-				kr.Reset(seed, parts)
-			}
-			// Every handle signed before is stale now: it renders nil and
-			// verifies nowhere.
-			for _, x := range typed {
-				if b := renderedTyped(x); b != nil {
-					fail("%v renders %x after a Reset, want a stale handle's nil", x.a, b)
-				}
-				if verifyTyped(x.a, x.sigs) {
-					fail("%v verifies after a Reset", x.a)
-				}
-			}
-			for _, x := range pool {
-				if !x.own {
-					continue
-				}
-				if b := rendered(x); b != nil {
-					fail("%v renders %x after a Reset, want a stale handle's nil", x, b)
-				}
-				if verify(x) {
-					fail("%v verifies after a Reset", x)
-				}
-			}
+			reset(parts)
 		case 10: // render now, which must change no answer
 			if x, ok := pick(arg); ok {
 				before := verify(x)
@@ -420,7 +427,7 @@ func driveKeyrings(t *testing.T, backend string, program []byte) (hits, misses u
 				fail("%v records content %v", a, got)
 			}
 			x := typedTriple{a: a}
-			if ref.Has(a.signer()) {
+			if ref.index(a.signer()) >= 0 {
 				x.eager = eagerSign(ref, a.signer(), a.c.render(nil))
 			}
 			for j, kr := range all {
@@ -516,15 +523,16 @@ func FuzzKeyringOps(f *testing.F) {
 		4, 0, // a wrong signer
 		5, 6, // 6 bytes of it
 		6, 1, // b signs on another keyring, under s1
-		7, 3, // Add a under s1, replacing its key
-		1, 0, // a's triple from before the Add
-		10, 0, // render it now
+		7, 3, // Reset to s1 over (c, b, a): every key changes
+		1, 0, // a's triple from before the Reset, stale
+		10, 0, // render it now: nil
+		3, 1, // a tampered copy of a's s0 signature, under a's s1 key
+		6, 1, // b signs on the other keyring again, under the key b now holds
 		0, 1, // sign b
-		8, 4, // Reset to {a, c} under s0: everything signed is stale
-		1, 5, // b's triple, b dropped
-		1, 4, // a's bytes from before the Add, as Raw, under its s0 key again
-		9, 5, // Reset to s1, {b, c}
-		1, 5, // b's triple, under the other seed
+		8, 4, // Reset to {a, c} under s1: everything signed is stale
+		1, 3, // the other keyring's first b signature, b dropped
+		9, 5, // Reset to s0, {b, c}
+		1, 3, // it again, under b's s0 key
 		11, 2, // c signs, and a tampered copy
 		10, 1, // render one now
 	})
@@ -543,9 +551,9 @@ func FuzzKeyringOps(f *testing.F) {
 		14, 3, // the decision certificate with a byte moved into its manager
 		15, 3, // render the decision certificate late, and verify it as Raw
 		16, 2, // the guarantee's signature under another artefact
-		7, 0, // Add a, replacing its key
-		13, 0, // the chi signed under a's old key
-		8, 0, // Reset to {a}: every typed signature is stale
+		7, 0, // Reset to s1 over (b, c, a): every key changes
+		13, 0, // the chi signed under a's s0 key, stale
+		8, 0, // Reset to {a} under s1
 		12, 5, // a signs chi again
 		13, 5, // and it verifies
 	})

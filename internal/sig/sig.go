@@ -1,14 +1,15 @@
 // Package sig provides the authentication layer of the classic Byzantine
 // model with authentication assumed by the paper.
 //
-// It offers deterministic keyrings (one key per participant) over pluggable
-// signature backends (see backend.go: real ed25519 by default, or derived-key
-// HMAC-SHA256 for runs where crypto must stay off the hot path), typed signed
-// artefacts — the payment certificate chi signed by Bob, the escrow promises
-// G(d) and P(a), and the commit/abort certificates issued by the transaction
-// manager of the weak-liveness protocol — and verification helpers. Byzantine
-// participants may refuse to sign or replay artefacts, but cannot forge
-// signatures of correct participants.
+// It offers deterministic keyrings (one key per participant, each derived
+// under the keyring's one key seed) over pluggable signature backends (see
+// backend.go: real ed25519 by default, or derived-key HMAC-SHA256 for runs
+// where crypto must stay off the hot path), typed signed artefacts — the
+// payment certificate chi signed by Bob, the escrow promises G(d) and P(a),
+// and the commit/abort certificates issued by the transaction manager of the
+// weak-liveness protocol — each signed in place by its signer's PID, and
+// verification helpers. Byzantine participants may refuse to sign or replay
+// artefacts, but cannot forge signatures of correct participants.
 //
 // Two mechanisms keep the model's assumed crypto cheap at traffic scale: a
 // process-wide key cache (key derivation is a pure function of
@@ -29,11 +30,8 @@ package sig
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"slices"
-	"sort"
 	"strconv"
 	"unsafe"
 
@@ -69,7 +67,7 @@ func Raw(b []byte) Signature { return Signature{t: &term{rendered: bytes.Clone(b
 // its keyring's last Reset — renders nil. The result must not be modified.
 func (s Signature) Bytes() []byte {
 	t := s.t
-	if t == nil || t.kr != nil && s.gen < t.kr.since {
+	if t == nil || t.kr != nil && s.gen != t.kr.gen {
 		return nil
 	}
 	if t.rendered == nil && t.kr != nil {
@@ -91,32 +89,6 @@ func (s Signature) String() string {
 		return "sig(" + hex.EncodeToString(b) + ")"
 	}
 	return "sig(" + hex.EncodeToString(b[:8]) + "…)"
-}
-
-// deterministicReader produces a reproducible byte stream for key generation
-// so that every run with the same seed uses the same keys.
-type deterministicReader struct {
-	state [32]byte
-	buf   []byte
-}
-
-func newDeterministicReader(seed string) *deterministicReader {
-	return &deterministicReader{state: sha256.Sum256([]byte("xchainpay-keys:" + seed))}
-}
-
-func (r *deterministicReader) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		if len(r.buf) == 0 {
-			next := sha256.Sum256(r.state[:])
-			r.state = next
-			r.buf = append(r.buf, next[:]...)
-		}
-		c := copy(p[n:], r.buf)
-		r.buf = r.buf[c:]
-		n += c
-	}
-	return n, nil
 }
 
 // Chunk sizes of a keyring's arenas, each several payments' worth.
@@ -149,47 +121,39 @@ func (a *arena[T]) take(n, size int) []T {
 
 func (a *arena[T]) rewind() { a.used = 0 }
 
-// Keyring maps participant IDs to key pairs under one signature backend.
+// Keyring maps participant IDs to key pairs under one signature backend and
+// one key seed.
 //
 // A keyring is confined to its protocol run's goroutine (like the run's
-// sim.Engine): Sign, Verify, Add and Reset mutate the terms, the key map, the
+// sim.Engine): Sign, Verify, Hold and Reset mutate the terms, the key map, the
 // bound signers, the arena and the rendering scratch without locking, and so
 // do the Bytes and String of a Signature it signed, which render into its
-// arena. The process-wide key cache behind Add is concurrency-safe, so any
+// arena. The process-wide key cache behind Hold is concurrency-safe, so any
 // number of runs may build keyrings for the same (seed, id) concurrently.
 //
 // Lifetime rule: a Signature from Sign is valid until the keyring's next
 // Reset, which hands its term and its storage out again; afterwards it is
 // stale. Nothing else invalidates it.
 type Keyring struct {
-	backend  Backend
-	useCache bool
-	// seed, mixed and epoch say where keys came from: the seed the keyring
-	// was built under, whether Add has since brought in a key of another
-	// seed, and the key-cache epoch the keys were fetched in. Reset keeps
-	// keys only for the same seed, unmixed, in the same epoch.
+	backend Backend
+	// seed and epoch say where keys came from: the seed every key is derived
+	// under, and the key-cache epoch they were fetched in. Reset keeps keys
+	// only for the same seed in the same epoch.
 	seed  string
-	mixed bool
 	epoch uint64
 	// keys holds each participant's key and, bound on first use, its
 	// signer, indexed by the participant's PID: SignAs finds both by index.
 	// Reset keeps a dropped-out participant's entry, not held, for its signer
 	// (bound to the key the same seed derives again); only a later Reset or
-	// Add that names it holds it again. held counts those held.
+	// Hold that names it holds it again.
 	keys []keyEntry
-	held int
 	// arena holds the raw payloads signed and the signatures rendered, terms
 	// the terms Sign records.
 	arena arena[byte]
 	terms arena[term]
-	// parts caches the sorted participant list; nil means dirty
-	// (recomputed on demand, invalidated by Add).
-	parts []string
-	// gen is the keyring's generation, moved on by Reset and by a replacing
-	// Add: only a term of the current generation answers a verification.
-	// since is the generation of the last Reset: a handle from before it is
-	// stale.
-	gen, since uint64
+	// gen is the keyring's generation, moved on by Reset: a handle from an
+	// earlier one is stale.
+	gen uint64
 	// record is false when every verification must pay the backend.
 	record bool
 	stats  Stats
@@ -205,21 +169,14 @@ type keyEntry struct {
 	held bool
 }
 
-// NewKeyring creates deterministic ed25519 keys for the given participants
-// with default options (process-wide key cache on, verification of recorded
-// terms answered without the backend). participants[i] is held under PID i;
-// the keys themselves depend only on (seed, id).
-func NewKeyring(seed string, participants []string) *Keyring {
-	return NewKeyringWith(Options{}, seed, participants)
-}
-
-// NewKeyringWith creates a keyring under the options' backend.
+// NewKeyringWith creates a keyring under the options' backend holding the
+// participants' keys under seed, participants[i] under PID i; the keys
+// themselves depend only on (backend, seed, id).
 func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
-		backend:  opts.backend(),
-		useCache: !opts.DisableKeyCache,
-		keys:     make([]keyEntry, 0, len(participants)),
-		record:   opts.MemoCapacity >= 0,
+		backend: opts.backend(),
+		keys:    make([]keyEntry, 0, len(participants)),
+		record:  opts.MemoCapacity >= 0,
 	}
 	kr.derive(seed, participants)
 	return kr
@@ -228,9 +185,9 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 // derive fills an empty keyring with the participants' keys under seed,
 // participants[i] under PID i.
 func (kr *Keyring) derive(seed string, participants []string) {
-	kr.seed, kr.mixed, kr.epoch = seed, false, keyCacheEpoch.Load()
+	kr.seed, kr.epoch = seed, keyCacheEpoch.Load()
 	for i, id := range participants {
-		kr.Hold(sim.PID(i), seed, id)
+		kr.Hold(sim.PID(i), id)
 	}
 }
 
@@ -246,37 +203,31 @@ func (kr *Keyring) derive(seed string, participants []string) {
 func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.stats = Stats{}
 	kr.gen++
-	kr.since = kr.gen
 	kr.arena.rewind()
 	kr.terms.rewind()
-	if !kr.useCache || kr.mixed || seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
+	if seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
 		kr.keys = kr.keys[:0]
-		kr.held, kr.parts = 0, nil
 		kr.derive(seed, participants)
 		return
 	}
-	// Every entry a Reset keeps is under this seed, so an entry for a
-	// participant's name has its key and bound signer, wherever it stands: it
-	// is moved to the participant's PID, and a held one is kept as is.
+	// Every entry is under this seed, so an entry for a participant's name
+	// has its key and bound signer, wherever it stands: it is moved to the
+	// participant's PID, and a held one is kept as is.
 	kept := 0
 	for i, id := range participants {
 		kr.place(i, id)
 		if kr.keys[i].held {
 			kept++
 		} else {
-			kr.Hold(sim.PID(i), seed, id)
+			kr.Hold(sim.PID(i), id)
 		}
 	}
 	kr.stats.KeygenHits += uint64(kept)
 	globalKeygenHits.Add(uint64(kept))
 	for i := len(participants); i < len(kr.keys); i++ {
-		if kr.keys[i].held {
-			kr.keys[i].held = false
-			kr.held--
-		}
+		kr.keys[i].held = false
 	}
-	kr.parts = nil
 }
 
 // place brings the entry named id to PID i — the one some entry has, or a
@@ -297,19 +248,6 @@ func (kr *Keyring) place(i int, id string) {
 		kr.keys = append(kr.keys, kr.keys[i])
 	}
 	kr.keys[i] = keyEntry{id: id}
-}
-
-// Backend returns the name of the keyring's signature backend.
-func (kr *Keyring) Backend() string { return kr.backend.Name() }
-
-// Add creates (or replaces) the key pair for one participant: under the PID
-// of the entry that has its name, or else under the next PID.
-func (kr *Keyring) Add(seed, id string) {
-	pid := sim.PID(len(kr.keys))
-	if i := kr.entry(id); i >= 0 {
-		pid = sim.PID(i) // held, or a dropped-out entry with its signer bound
-	}
-	kr.Hold(pid, seed, id)
 }
 
 // entry returns the PID of the entry named id, held or not, or -1: place
@@ -333,67 +271,25 @@ func (kr *Keyring) index(id string) int {
 	return -1
 }
 
-// Hold creates (or replaces) the key pair for participant id under pid,
-// moving id's entry there if it stands elsewhere. Replacing a held key moves
-// the generation on: what the old key signed must not answer for the new one
-// without the backend.
-func (kr *Keyring) Hold(pid sim.PID, seed, id string) {
+// Hold derives participant id's key under the keyring's seed and holds it
+// under pid, moving id's entry there if it stands elsewhere. The seed derives
+// the same key every time, so an entry that has its signer bound keeps it, and
+// what a key already held signed still answers.
+func (kr *Keyring) Hold(pid sim.PID, id string) {
 	kr.place(int(pid), id)
-	e := kr.keys[pid]
-	replaced := e.held
-	if replaced {
-		kr.gen++
-		kr.stats.MemoEvictions++
-		globalMemoEvictions.Add(1)
-	}
-	if seed != kr.seed {
-		kr.mixed = true
-	}
-	if replaced || seed != kr.seed {
-		// Whatever signer id has is bound to another key than the new one.
-		e.s = nil
-	}
-	if kr.useCache {
-		k, hit := cachedKey(kr.backend, seed, id)
-		if hit {
-			kr.stats.KeygenHits++
-		} else {
-			kr.stats.KeygenMisses++
-		}
-		e.key = k
+	k, hit := cachedKey(kr.backend, kr.seed, id)
+	if hit {
+		kr.stats.KeygenHits++
 	} else {
 		kr.stats.KeygenMisses++
-		e.key = kr.backend.GenerateKey(seed, id)
 	}
-	if !replaced {
-		kr.held++
-	}
-	e.held = true
-	kr.keys[pid] = e
-	kr.parts = nil
+	e := &kr.keys[pid]
+	e.key, e.held = k, true
 }
 
 // Holds reports whether the keyring holds id's key under pid.
 func (kr *Keyring) Holds(pid sim.PID, id string) bool {
 	return uint(pid) < uint(len(kr.keys)) && kr.keys[pid].held && kr.keys[pid].id == id
-}
-
-// Has reports whether the keyring holds a key for id.
-func (kr *Keyring) Has(id string) bool { return kr.index(id) >= 0 }
-
-// Participants returns the sorted IDs with keys. The sorted slice is cached
-// and invalidated by Add and Reset; callers must not modify it.
-func (kr *Keyring) Participants() []string {
-	if kr.parts == nil {
-		kr.parts = make([]string, 0, kr.held)
-		for _, e := range kr.keys {
-			if e.held {
-				kr.parts = append(kr.parts, e.id)
-			}
-		}
-		sort.Strings(kr.parts)
-	}
-	return kr.parts
 }
 
 // signer returns the bound signer of the key the keyring holds under pid,
@@ -610,13 +506,6 @@ func (c *PaymentCert) content() content {
 	return content{kind: kindChi, f: [3]string{c.PaymentID, c.Issuer, c.Payer}, t: [3]sim.Time{c.IssuedAt}}
 }
 
-// NewPaymentCert builds and signs chi with issuer's key.
-func NewPaymentCert(kr *Keyring, paymentID, issuer, payer string, at sim.Time) PaymentCert {
-	c := PaymentCert{PaymentID: paymentID, Issuer: issuer, Payer: payer, IssuedAt: at}
-	c.Sign(kr, sim.PID(kr.index(issuer)))
-	return c
-}
-
 // Sign signs chi as it stands with the key under by, its issuer's PID, into
 // Sig.
 //
@@ -656,13 +545,6 @@ type Guarantee struct {
 
 func (g *Guarantee) content() content {
 	return content{kind: kindGuarantee, f: [3]string{g.PaymentID, g.Escrow, g.Customer}, t: [3]sim.Time{g.D, g.IssuedAt}}
-}
-
-// NewGuarantee builds and signs G(d).
-func NewGuarantee(kr *Keyring, paymentID, escrow, customer string, d, at sim.Time) Guarantee {
-	g := Guarantee{PaymentID: paymentID, Escrow: escrow, Customer: customer, D: d, IssuedAt: at}
-	g.Sign(kr, sim.PID(kr.index(escrow)))
-	return g
 }
 
 // Sign signs G(d) as it stands with the key under by, its escrow's PID, into
@@ -715,13 +597,6 @@ type Promise struct {
 
 func (p *Promise) content() content {
 	return content{kind: kindPromise, f: [3]string{p.PaymentID, p.Escrow, p.Customer}, t: [3]sim.Time{p.A, p.Epsilon, p.IssuedAt}}
-}
-
-// NewPromise builds and signs P(a).
-func NewPromise(kr *Keyring, paymentID, escrow, customer string, a, epsilon, at sim.Time) Promise {
-	p := Promise{PaymentID: paymentID, Escrow: escrow, Customer: customer, A: a, Epsilon: epsilon, IssuedAt: at}
-	p.Sign(kr, sim.PID(kr.index(escrow)))
-	return p
 }
 
 // Sign signs P(a) as it stands with the key under by, its escrow's PID, into
@@ -787,19 +662,6 @@ type DecisionCert struct {
 
 func (c *DecisionCert) content() content {
 	return content{kind: kindDecision, f: [3]string{c.PaymentID, c.Decision.String(), c.Manager}, t: [3]sim.Time{c.IssuedAt}}
-}
-
-// NewCommitteeDecisionCert creates a certificate carrying one signature per
-// signer; quorum is the validity threshold (e.g. 2f+1 of 3f+1 notaries, or 1
-// for a single manager that signs alone).
-func NewCommitteeDecisionCert(kr *Keyring, paymentID string, d Decision, committee string, at sim.Time, signers []string, quorum int) DecisionCert {
-	c := DecisionCert{PaymentID: paymentID, Decision: d, Manager: committee, IssuedAt: at, Quorum: quorum, Signers: slices.Clone(signers)}
-	by := make([]sim.PID, len(signers))
-	for i, s := range signers {
-		by[i] = sim.PID(kr.index(s))
-	}
-	c.Sign(kr, by)
-	return c
 }
 
 // Sign signs the certificate as it stands on behalf of every entry of
@@ -869,13 +731,6 @@ func (r *Receipt) content() content {
 	return content{kind: kindReceipt, f: [3]string{r.PaymentID, r.Issuer, r.Subject}, t: [3]sim.Time{r.IssuedAt}}
 }
 
-// NewReceipt builds and signs a receipt.
-func NewReceipt(kr *Keyring, paymentID, issuer, subject string, at sim.Time) Receipt {
-	r := Receipt{PaymentID: paymentID, Issuer: issuer, Subject: subject, IssuedAt: at}
-	r.Sign(kr, sim.PID(kr.index(issuer)))
-	return r
-}
-
 // Sign signs the receipt as it stands with the key under by, its issuer's
 // PID, into Sig.
 //
@@ -896,18 +751,4 @@ func (r *Receipt) Verify(kr *Keyring) bool {
 // Describe implements a human-readable label.
 func (r Receipt) Describe() string {
 	return "receipt(" + r.PaymentID + ":" + r.Subject + " by " + r.Issuer + ")"
-}
-
-// HashLock helpers used by the HTLC baseline.
-
-// HashPreimage hashes a preimage for use as a hashlock. The hash is a value,
-// so a caller that keeps it puts nothing on the heap.
-func HashPreimage(preimage []byte) [32]byte {
-	return sha256.Sum256(preimage)
-}
-
-// CheckPreimage reports whether preimage hashes to lock.
-func CheckPreimage(lock, preimage []byte) bool {
-	h := sha256.Sum256(preimage)
-	return bytes.Equal(lock, h[:])
 }

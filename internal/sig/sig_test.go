@@ -10,18 +10,21 @@ import (
 	"repro/internal/sim"
 )
 
-func testKeyring() *Keyring {
-	return NewKeyring("test", []string{"alice", "bob", "escrow0", "manager", "notary0", "notary1", "notary2", "notary3"})
-}
+var testIDs = []string{"alice", "bob", "escrow0", "manager", "notary0", "notary1", "notary2", "notary3"}
+
+func testKeyring() *Keyring { return NewKeyringWith(Options{}, "test", testIDs) }
+
+// pid is the PID under which kr holds id's key.
+func pid(kr *Keyring, id string) sim.PID { return sim.PID(kr.index(id)) }
 
 func TestKeyringDeterminism(t *testing.T) {
-	a := NewKeyring("seed", []string{"x", "y"})
-	b := NewKeyring("seed", []string{"y", "x"})
+	a := NewKeyringWith(Options{}, "seed", []string{"x", "y"})
+	b := NewKeyringWith(Options{}, "seed", []string{"y", "x"})
 	msg := []byte("hello")
 	if !bytes.Equal(a.Sign("x", msg).Bytes(), b.Sign("x", msg).Bytes()) {
 		t.Fatal("same seed and id produced different keys")
 	}
-	c := NewKeyring("other", []string{"x"})
+	c := NewKeyringWith(Options{}, "other", []string{"x"})
 	if bytes.Equal(a.Sign("x", msg).Bytes(), c.Sign("x", msg).Bytes()) {
 		t.Fatal("different seeds produced identical keys")
 	}
@@ -46,11 +49,8 @@ func TestSignVerify(t *testing.T) {
 	if kr.Sign("stranger", msg) != (Signature{}) {
 		t.Fatal("signing for an unknown id returned a signature")
 	}
-	if !kr.Has("alice") || kr.Has("stranger") {
-		t.Fatal("Has() wrong")
-	}
-	if len(kr.Participants()) != 8 {
-		t.Fatal("participant list wrong")
+	if !kr.Holds(0, "alice") || kr.Holds(1, "alice") || kr.Holds(0, "stranger") {
+		t.Fatal("Holds() wrong")
 	}
 	if sig.String() == "" || (Signature{}).String() == "" {
 		t.Fatal("signature rendering empty")
@@ -83,7 +83,8 @@ func TestSignatureString(t *testing.T) {
 
 func TestPaymentCert(t *testing.T) {
 	kr := testKeyring()
-	chi := NewPaymentCert(kr, "pay1", "bob", "alice", 5*sim.Millisecond)
+	chi := PaymentCert{PaymentID: "pay1", Issuer: "bob", Payer: "alice", IssuedAt: 5 * sim.Millisecond}
+	chi.Sign(kr, pid(kr, "bob"))
 	if !chi.Verify(kr, "bob") {
 		t.Fatal("genuine chi rejected")
 	}
@@ -95,7 +96,8 @@ func TestPaymentCert(t *testing.T) {
 	if forged.Verify(kr, "bob") {
 		t.Fatal("tampered chi accepted")
 	}
-	impostor := NewPaymentCert(kr, "pay1", "alice", "alice", 5)
+	impostor := PaymentCert{PaymentID: "pay1", Issuer: "alice", Payer: "alice", IssuedAt: 5}
+	impostor.Sign(kr, pid(kr, "alice"))
 	if impostor.Verify(kr, "bob") {
 		t.Fatal("chi issued by the wrong party accepted")
 	}
@@ -106,7 +108,8 @@ func TestPaymentCert(t *testing.T) {
 
 func TestGuaranteeAndPromise(t *testing.T) {
 	kr := testKeyring()
-	g := NewGuarantee(kr, "pay1", "escrow0", "alice", 100*sim.Millisecond, 1)
+	g := Guarantee{PaymentID: "pay1", Escrow: "escrow0", Customer: "alice", D: 100 * sim.Millisecond, IssuedAt: 1}
+	g.Sign(kr, pid(kr, "escrow0"))
 	if !g.Verify(kr) {
 		t.Fatal("genuine guarantee rejected")
 	}
@@ -115,7 +118,8 @@ func TestGuaranteeAndPromise(t *testing.T) {
 	if g2.Verify(kr) {
 		t.Fatal("tampered guarantee accepted")
 	}
-	p := NewPromise(kr, "pay1", "escrow0", "bob", 80*sim.Millisecond, 2*sim.Millisecond, 1)
+	p := Promise{PaymentID: "pay1", Escrow: "escrow0", Customer: "bob", A: 80 * sim.Millisecond, Epsilon: 2 * sim.Millisecond, IssuedAt: 1}
+	p.Sign(kr, pid(kr, "escrow0"))
 	if !p.Verify(kr) {
 		t.Fatal("genuine promise rejected")
 	}
@@ -131,7 +135,17 @@ func TestGuaranteeAndPromise(t *testing.T) {
 
 func TestDecisionCert(t *testing.T) {
 	kr := testKeyring()
-	single := NewCommitteeDecisionCert(kr, "pay1", DecisionCommit, "manager", 3, []string{"manager"}, 1)
+	// cert signs a certificate on behalf of every signer, as a manager does.
+	cert := func(d Decision, at sim.Time, signers []string, quorum int) DecisionCert {
+		c := DecisionCert{PaymentID: "pay1", Decision: d, Manager: "manager", IssuedAt: at, Signers: signers, Quorum: quorum}
+		by := make([]sim.PID, len(signers))
+		for i, s := range signers {
+			by[i] = pid(kr, s)
+		}
+		c.Sign(kr, by)
+		return c
+	}
+	single := cert(DecisionCommit, 3, []string{"manager"}, 1)
 	if !single.Verify(kr) {
 		t.Fatal("single-manager certificate rejected")
 	}
@@ -142,17 +156,17 @@ func TestDecisionCert(t *testing.T) {
 	}
 
 	signers := []string{"notary0", "notary1", "notary2"}
-	committee := NewCommitteeDecisionCert(kr, "pay1", DecisionAbort, "manager", 4, signers, 3)
+	committee := cert(DecisionAbort, 4, signers, 3)
 	if !committee.Verify(kr) {
 		t.Fatal("committee certificate rejected")
 	}
 	// Below quorum it must not verify.
-	short := NewCommitteeDecisionCert(kr, "pay1", DecisionAbort, "manager", 4, signers[:2], 3)
+	short := cert(DecisionAbort, 4, signers[:2], 3)
 	if short.Verify(kr) {
 		t.Fatal("certificate with too few signatures accepted")
 	}
 	// Duplicate signers must not inflate the count.
-	dup := NewCommitteeDecisionCert(kr, "pay1", DecisionAbort, "manager", 4, []string{"notary0", "notary0", "notary0"}, 3)
+	dup := cert(DecisionAbort, 4, []string{"notary0", "notary0", "notary0"}, 3)
 	if dup.Verify(kr) {
 		t.Fatal("duplicate signers satisfied the quorum")
 	}
@@ -163,7 +177,8 @@ func TestDecisionCert(t *testing.T) {
 
 func TestReceipt(t *testing.T) {
 	kr := testKeyring()
-	r := NewReceipt(kr, "pay1", "bob", "funds-received", 9)
+	r := Receipt{PaymentID: "pay1", Issuer: "bob", Subject: "funds-received", IssuedAt: 9}
+	r.Sign(kr, pid(kr, "bob"))
 	if !r.Verify(kr) {
 		t.Fatal("genuine receipt rejected")
 	}
@@ -218,25 +233,11 @@ func TestDescribeLabelsPinned(t *testing.T) {
 	}
 }
 
-func TestHashPreimage(t *testing.T) {
-	pre := []byte("open sesame")
-	lock := HashPreimage(pre)
-	if !CheckPreimage(lock[:], pre) {
-		t.Fatal("correct preimage rejected")
-	}
-	if CheckPreimage(lock[:], []byte("wrong")) {
-		t.Fatal("wrong preimage accepted")
-	}
-	if CheckPreimage([]byte("short"), pre) {
-		t.Fatal("malformed lock accepted")
-	}
-}
-
 // Property: signatures verify exactly for the (signer, payload) pair that
 // produced them.
 func TestPropertySignatureBinding(t *testing.T) {
 	kr := testKeyring()
-	ids := kr.Participants()
+	ids := testIDs
 	f := func(payload []byte, signerIdx, verifierIdx uint8, flip bool) bool {
 		if len(payload) == 0 {
 			payload = []byte{0}

@@ -1,6 +1,7 @@
 package weaklive
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -286,7 +287,7 @@ func TestSameDecisionCertNotReverified(t *testing.T) {
 		t.Fatalf("err=%v commit=%v abort=%v, want an abort", err, res.CommitIssued, res.AbortIssued)
 	}
 	run := core.Standing[runState](w)
-	kr, ids := w.Keyring(), run.mgr.IDs()
+	kr, ids, pids := w.Keyring(), run.mgr.IDs(), run.mgr.PIDs()
 	verifies := func(deliver func()) uint64 {
 		before := kr.Stats()
 		deliver()
@@ -294,7 +295,10 @@ func TestSameDecisionCertNotReverified(t *testing.T) {
 		return after.MemoHits + after.MemoMisses - before.MemoHits - before.MemoMisses
 	}
 	cert := func(d sig.Decision) *notary.MsgDecision {
-		return &notary.MsgDecision{Cert: sig.NewCommitteeDecisionCert(kr, s.Spec.PaymentID, d, core.ManagerID, w.Eng.Now(), ids[:3], 3)}
+		m := &notary.MsgDecision{Cert: sig.DecisionCert{PaymentID: s.Spec.PaymentID, Decision: d, Manager: core.ManagerID,
+			IssuedAt: w.Eng.Now(), Signers: slices.Clone(ids[:3]), Quorum: 3}}
+		m.Cert.Sign(kr, pids[:3])
+		return m
 	}
 	// c1 paid in and, e1 being silent, never got her refund there: she holds
 	// the abort certificate and is still listening.
