@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if err := opts.Validate(); err != nil {
-		fmt.Fprintf(stderr, "-%v\n", err) // Validate names the option as its flag does
+		fmt.Fprintf(stderr, "xchain-fuzz: -%v\n", err) // Validate names the option as its flag does
 		return 2
 	}
 	if *replay != "" {
@@ -131,13 +131,13 @@ func shrinkAndSave(stdout, stderr io.Writer, o *scenariogen.Outcome, keep scenar
 	res := scenariogen.Shrink(o.Spec, keep, 0)
 	fmt.Fprintf(stdout, "  shrunk (%d reductions in %d tries): %s\n", res.Accepted, res.Tried, res.Spec.Describe())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(stderr, "cannot create %s: %v\n", dir, err)
+		fmt.Fprintf(stderr, "xchain-fuzz: cannot create %s: %v\n", dir, err)
 		return res.Spec
 	}
 	path := filepath.Join(dir, name)
 	r := scenariogen.NewReplay(res.Outcome, note)
 	if err := r.Save(path); err != nil {
-		fmt.Fprintf(stderr, "cannot save replay: %v\n", err)
+		fmt.Fprintf(stderr, "xchain-fuzz: cannot save replay: %v\n", err)
 		return res.Spec
 	}
 	fmt.Fprintf(stdout, "  replay saved: %s (re-run with -replay %s)\n", path, path)

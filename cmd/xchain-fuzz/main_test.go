@@ -110,7 +110,7 @@ func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{{"-seeds", "0"}, {"-seeds", "-5"}, {"-workers", "-1"}, {"-families", "nope"}, {"-crypto", "bogus"}} {
 		out.Reset()
 		errOut.Reset()
-		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]+":") {
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.HasPrefix(errOut.String(), "xchain-fuzz: "+args[0]+": ") {
 			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
 		}
 	}

@@ -35,6 +35,7 @@ var (
 	ErrExpired           = errors.New("ledger: timelock has expired")
 	ErrDuplicateLock     = errors.New("ledger: duplicate lock id")
 	ErrDuplicateAccount  = errors.New("ledger: duplicate account")
+	ErrHoldNotCompact    = errors.New("ledger: held locks need a compacting ledger")
 )
 
 // settledError is the refusal to release or refund a lock that is no longer
@@ -146,17 +147,13 @@ type lockName struct {
 
 // Lock ID forms: how a keyed lock's ID is rendered from its label and key.
 const (
-	formID      uint8 = iota // the label is the ID
-	formAttempt              // label#key: a traffic payment's admission attempt
-	formHop                  // label/e<key>: a payment's lock on escrow e_key
+	formID  uint8 = iota // the label is the ID
+	formHop              // label/e<key>: a payment's lock on escrow e_key
 )
 
 // id renders the lock ID.
 func (n lockName) id() string {
-	switch n.form {
-	case formAttempt:
-		return n.label + "#" + strconv.FormatUint(n.key, 10)
-	case formHop:
+	if n.form == formHop {
 		return n.label + "/e" + strconv.FormatUint(n.key, 10)
 	}
 	return n.label
@@ -176,6 +173,13 @@ func (r *lockRec) id() string { return r.name().id() }
 type Handle struct {
 	rec *lockRec
 	gen uint32
+}
+
+// holdings tallies a ledger's held locks: how many are pending, and their
+// value by payer PID.
+type holdings struct {
+	n  int
+	by []int64
 }
 
 // account is one owner's account, keyed by the owner's PID.
@@ -251,6 +255,8 @@ type Ledger struct {
 	names []string
 	own   []string
 	owned bool
+	// compact is SetCompact's.
+	compact bool
 	// accounts are in creation order (capture order after FromState): three
 	// on a payment ledger, one per party on a deal chain — few enough that a
 	// scan over their PIDs finds an owner before anything could be hashed.
@@ -262,6 +268,9 @@ type Ledger struct {
 	held int      // locks on the held list
 	head lockRec  // the held list's sentinel: head.next is the most recent lock held
 	free *lockRec // records of locks dropped by Reset or forgotten under compaction, for Escrow to reuse
+	// holding tallies the pending locks the ledger keeps no record of
+	// (Hold), made with the first.
+	holding *holdings
 	// made counts the records the ledger has made; past recordsAlone of them
 	// it makes them recordBlock at a time, what is left of the block in block.
 	made  int
@@ -270,7 +279,6 @@ type Ledger struct {
 	ops     []Op
 	opCount int
 	minted  int64
-	compact bool
 	settled int // settled locks forgotten under compaction
 
 	// byz marks, by PID, the owners currently controlled by Byzantine
@@ -304,6 +312,10 @@ func (l *Ledger) Reset(name string) {
 		l.head.next, lk.next, l.free = lk.next, l.free, lk
 	}
 	clear(l.byz)
+	if h := l.holding; h != nil {
+		clear(h.by)
+		h.n = 0
+	}
 	l.held = 0
 	l.ops = l.ops[:0]
 	l.opCount, l.minted, l.settled, l.byzEscrowed = 0, 0, 0, 0
@@ -476,23 +488,11 @@ func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int
 	return l.escrow(at, lockName{label: id}, payer, payee, amount, cond)
 }
 
-// EscrowKeyed is Escrow for the lock with ID label#key, which is rendered
-// only when the lock is read. The ID is not looked up: the caller keeps its
-// keys unique among the locks the ledger holds (the traffic timeline's are
-// a payment's ID and admission attempt), and settles the lock through the
-// returned handle.
-//
-//xchain:hotpath
-func (l *Ledger) EscrowKeyed(at sim.Time, label string, key uint64, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
-	if amount <= 0 {
-		return Handle{}, ErrBadAmount
-	}
-	return l.escrow(at, lockName{label, key, formAttempt}, payer, payee, amount, cond)
-}
-
-// EscrowHop is EscrowKeyed for the lock with ID label/e<hop>: payment label's
+// EscrowHop is Escrow for the lock with ID label/e<hop>: payment label's
 // lock on escrow e_hop of its chain, the one lock a protocol run's escrow
-// holds.
+// holds. The ID is rendered only when the lock is read, and not looked up:
+// the caller keeps its labels and hops unique among the locks the ledger
+// holds, and settles the lock through the returned handle.
 //
 //xchain:hotpath
 func (l *Ledger) EscrowHop(at sim.Time, label string, hop int, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
@@ -506,17 +506,9 @@ func (l *Ledger) EscrowHop(at sim.Time, label string, hop int, payer, payee sim.
 //
 //xchain:hotpath
 func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
-	p := l.find(payer)
-	if p < 0 {
-		return Handle{}, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
+	if err := l.reserve(payer, payee, amount); err != nil {
+		return Handle{}, err
 	}
-	if !l.HasAccount(payee) {
-		return Handle{}, fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payee), l.name)
-	}
-	if l.accounts[p].balance < amount {
-		return Handle{}, fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(payer), l.accounts[p].balance, amount)
-	}
-	l.accounts[p].balance -= amount
 	lk := l.newRec()
 	// Written field by field: the record is the ledger's, and a composite
 	// literal would be built aside and copied over it.
@@ -524,6 +516,26 @@ func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount
 	lk.payer, lk.payee = payer, payee
 	lk.createdAt, lk.cond, lk.state, lk.settledAt = at, cond, statePending, 0
 	l.hold(lk)
+	l.logLock(at, OpLock, lk, payee)
+	return Handle{rec: lk, gen: lk.gen}, nil
+}
+
+// reserve moves amount (positive) from payer's account into escrow, payable
+// to payee: the value half of a new lock, recorded (escrow) or held (Hold).
+//
+//xchain:hotpath
+func (l *Ledger) reserve(payer, payee sim.PID, amount int64) error {
+	p := l.find(payer)
+	if p < 0 {
+		return fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
+	}
+	if !l.HasAccount(payee) {
+		return fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payee), l.name)
+	}
+	if l.accounts[p].balance < amount {
+		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientFunds, l.owner(payer), l.accounts[p].balance, amount)
+	}
+	l.accounts[p].balance -= amount
 	l.m.LocksCreated.Inc()
 	l.m.Available.Add(-float64(amount))
 	l.m.Escrowed.Add(float64(amount))
@@ -531,8 +543,135 @@ func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount
 		l.byzEscrowed += amount
 		l.m.ByzantineEscrowed.Add(float64(amount))
 	}
-	l.logLock(at, OpLock, lk, payee)
-	return Handle{rec: lk, gen: lk.gen}, nil
+	return nil
+}
+
+// Hold is Escrow for a caller that keeps the lock's record itself: it moves
+// amount from payer's account into escrow, payable to payee, and keeps no
+// record of the lock — only its value by payer, which EscrowedTotal,
+// PendingCount, Audit, SetByzantine and ByzantineEscrowed count as they
+// count a recorded lock's, and LocksCreated, OpCount and the liquidity
+// gauges as they count Escrow. A held lock has no ID, handle or log entry
+// and is not among Lock, Locks, Handles or State's locks: the caller renders
+// it where it renders them, and settles it with ReleaseHold or RefundHold.
+// Only a compacting ledger, whose log names no lock, holds locks
+// (ErrHoldNotCompact). The traffic timeline holds its thousands so, in the
+// memory of its flights.
+//
+//xchain:hotpath
+func (l *Ledger) Hold(payer, payee sim.PID, amount int64) error {
+	if !l.compact {
+		return ErrHoldNotCompact
+	}
+	if amount <= 0 {
+		return ErrBadAmount
+	}
+	if err := l.reserve(payer, payee, amount); err != nil {
+		return err
+	}
+	l.addHeld(payer, amount)
+	l.countOp()
+	return nil
+}
+
+// ReleaseHold pays a lock Hold(payer, payee, amount) held out to payee, as
+// Release pays a recorded lock; RefundHold returns it to payer, as Refund
+// does. The caller names the lock by what it held: the ledger, keeping no
+// record, checks only that payer has that much held (ErrNoSuchLock
+// otherwise). Each counts among SettledForgotten, as a settled record a
+// compacting ledger forgets.
+//
+//xchain:hotpath
+func (l *Ledger) ReleaseHold(payer, payee sim.PID, amount int64) error {
+	if err := l.unhold(payer, amount); err != nil {
+		return err
+	}
+	l.m.LocksReleased.Inc()
+	l.payOut(payer, payee, amount)
+	l.countOp()
+	l.settled++
+	return nil
+}
+
+// RefundHold is ReleaseHold's refund: the held value goes back to payer.
+//
+//xchain:hotpath
+func (l *Ledger) RefundHold(payer sim.PID, amount int64) error {
+	if err := l.unhold(payer, amount); err != nil {
+		return err
+	}
+	l.m.LocksRefunded.Inc()
+	l.payOut(payer, payer, amount)
+	l.countOp()
+	l.settled++
+	return nil
+}
+
+// addHeld adds amount to payer's held value.
+//
+//xchain:hotpath
+func (l *Ledger) addHeld(payer sim.PID, amount int64) {
+	h := l.holding
+	if h == nil {
+		h = &holdings{}
+		l.holding = h
+	}
+	if int(payer) >= len(h.by) {
+		h.by = append(h.by, make([]int64, int(payer)+1-len(h.by))...)
+	}
+	h.by[payer] += amount
+	h.n++
+}
+
+// holds returns the number of pending held locks.
+func (l *Ledger) holds() int {
+	if h := l.holding; h != nil {
+		return h.n
+	}
+	return 0
+}
+
+// heldBy returns the value payer has held.
+//
+//xchain:hotpath
+func (l *Ledger) heldBy(payer sim.PID) int64 {
+	if h := l.holding; h != nil && uint(payer) < uint(len(h.by)) {
+		return h.by[payer]
+	}
+	return 0
+}
+
+// unhold takes amount off payer's held value, refusing when payer has less
+// held.
+//
+//xchain:hotpath
+func (l *Ledger) unhold(payer sim.PID, amount int64) error {
+	if amount <= 0 || l.heldBy(payer) < amount {
+		return ErrNoSuchLock
+	}
+	l.holding.by[payer] -= amount
+	l.holding.n--
+	return nil
+}
+
+// Detach turns the pending lock h addresses into a held one, as if Hold had
+// made it: the ledger forgets its record — h goes stale — and keeps its value
+// held. It is how a caller that holds its locks takes over the recorded ones
+// of a ledger FromState rebuilt; like Hold, it needs a compacting ledger.
+func (l *Ledger) Detach(h Handle) error {
+	if !l.compact {
+		return ErrHoldNotCompact
+	}
+	lk := h.held()
+	if lk == nil {
+		return ErrNoSuchLock
+	}
+	if lk.state != statePending {
+		return &settledError{lk.name(), lockStates[lk.state]}
+	}
+	l.addHeld(lk.payer, lk.amount)
+	l.forget(lk)
+	return nil
 }
 
 // CreateLock is Escrow between the participants named payer and payee.
@@ -670,9 +809,9 @@ func (l *Ledger) PendingLocks() []Lock {
 	return out
 }
 
-// PendingCount returns the number of locks still pending.
+// PendingCount returns the number of locks still pending, recorded or held.
 func (l *Ledger) PendingCount() int {
-	n := 0
+	n := l.holds()
 	for lk := l.head.next; lk != nil; lk = lk.next {
 		if lk.state == statePending {
 			n++
@@ -768,17 +907,19 @@ func (l *Ledger) refund(at sim.Time, lk *lockRec, localNow sim.Time) error {
 //xchain:hotpath
 func (l *Ledger) settle(at sim.Time, lk *lockRec, state uint8, kind OpKind, to sim.PID) {
 	lk.state, lk.settledAt = state, at
-	l.credit(to, lk.amount)
-	l.m.Escrowed.Add(-float64(lk.amount))
-	l.m.Available.Add(float64(lk.amount))
-	if l.byzantine(lk.payer) {
-		l.byzEscrowed -= lk.amount
-		l.m.ByzantineEscrowed.Add(-float64(lk.amount))
-	}
+	l.payOut(lk.payer, to, lk.amount)
 	l.logLock(at, kind, lk, to)
-	if !l.compact {
-		return
+	if l.compact {
+		l.forget(lk)
+		l.settled++
 	}
+}
+
+// forget unlinks a record from the held list — its handles go stale — and
+// keeps it for the next Escrow.
+//
+//xchain:hotpath
+func (l *Ledger) forget(lk *lockRec) {
 	l.held--
 	lk.prev.next = lk.next
 	if lk.next != nil {
@@ -786,7 +927,21 @@ func (l *Ledger) settle(at sim.Time, lk *lockRec, state uint8, kind OpKind, to s
 	}
 	lk.gen++
 	lk.prev, lk.next, l.free = nil, l.free, lk
-	l.settled++
+}
+
+// payOut credits to with amount out of escrow, from a lock payer paid: the
+// value half of a settlement, recorded (settle) or held (ReleaseHold,
+// RefundHold).
+//
+//xchain:hotpath
+func (l *Ledger) payOut(payer, to sim.PID, amount int64) {
+	l.credit(to, amount)
+	l.m.Escrowed.Add(-float64(amount))
+	l.m.Available.Add(float64(amount))
+	if l.byzantine(payer) {
+		l.byzEscrowed -= amount
+		l.m.ByzantineEscrowed.Add(-float64(amount))
+	}
 }
 
 // Ops returns the retained operation log (empty under compaction; see
@@ -821,14 +976,22 @@ func (l *Ledger) log(at sim.Time, kind OpKind, from, to string, amount int64, lo
 //xchain:hotpath
 func (l *Ledger) logLock(at sim.Time, kind OpKind, lk *lockRec, to sim.PID) {
 	if l.compact {
-		l.opCount++
-		l.m.Ops.Inc()
+		l.countOp()
 		return
 	}
 	l.log(at, kind, l.owner(lk.payer), l.owner(to), lk.amount, lk.name())
 }
 
-// EscrowedTotal returns the total value currently held in pending locks.
+// countOp counts an operation the log does not retain.
+//
+//xchain:hotpath
+func (l *Ledger) countOp() {
+	l.opCount++
+	l.m.Ops.Inc()
+}
+
+// EscrowedTotal returns the total value currently held in pending locks,
+// recorded or held.
 func (l *Ledger) EscrowedTotal() int64 {
 	var total int64
 	for lk := l.head.next; lk != nil; lk = lk.next {
@@ -836,19 +999,24 @@ func (l *Ledger) EscrowedTotal() int64 {
 			total += lk.amount
 		}
 	}
+	if h := l.holding; h != nil {
+		for _, v := range h.by {
+			total += v
+		}
+	}
 	return total
 }
 
 // SetByzantine marks (or unmarks) pid's account as controlled by a
 // Byzantine party. Marking sweeps pid's currently pending locks into the
-// Byzantine-held total (O(pending locks)); from then on every lock
+// Byzantine-held total (O(recorded pending locks)); from then on every lock
 // operation maintains it in O(1). Unmarking sweeps them back out.
 func (l *Ledger) SetByzantine(pid sim.PID, on bool) {
 	if l.byzantine(pid) == on {
 		return
 	}
 	l.growByz(pid)
-	var held int64
+	held := l.heldBy(pid)
 	for lk := l.head.next; lk != nil; lk = lk.next {
 		if lk.state == statePending && lk.payer == pid {
 			held += lk.amount
@@ -900,7 +1068,7 @@ func (l *Ledger) Audit() error {
 
 // String summarises the ledger.
 func (l *Ledger) String() string {
-	return fmt.Sprintf("ledger(%s: %d accounts, %d locks, minted=%d)", l.name, len(l.accounts), l.held, l.minted)
+	return fmt.Sprintf("ledger(%s: %d accounts, %d locks, minted=%d)", l.name, len(l.accounts), l.held+l.holds(), l.minted)
 }
 
 // Book is a collection of ledgers, one per escrow, plus helpers to observe a

@@ -439,10 +439,10 @@ func TestCompactLockChurnAllocatesNothing(t *testing.T) {
 		}
 	}
 	alice, bob := l.PID("alice"), l.PID("bob")
-	key := uint64(0)
+	hop := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		key++
-		h, err := l.EscrowKeyed(2, "churn", key, alice, bob, 1, Condition{})
+		hop++
+		h, err := l.EscrowHop(2, "churn", hop, alice, bob, 1, Condition{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,5 +516,87 @@ func TestAuditAllNamesFirstFailingLedgerByName(t *testing.T) {
 	b.Add(bad("e0"))
 	if err := b.AuditAll(); err == nil || err.Error() != "ledger e0: negative balance for c0: -1" {
 		t.Fatalf("AuditAll = %v, want e0's negative balance", err)
+	}
+}
+
+// TestHeldLocksReadAsRecorded runs one sequence of locks and settlements on
+// two compacting ledgers, recorded (EscrowHop, ReleaseLock, RefundLock) on
+// one and held (Hold, ReleaseHold, RefundHold) on the other, with a
+// Byzantine mark in between, and requires them to read alike everywhere but
+// the lock list; then Detach takes a captured ledger's recorded lock over as
+// a held one, and the refusals.
+func TestHeldLocksReadAsRecorded(t *testing.T) {
+	mk := func() *Ledger {
+		l := New("e0")
+		l.SetCompact(true)
+		if err := l.Mint(0, "alice", 1_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.CreateAccount("bob"); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	rec, held := mk(), mk()
+	alice, bob := rec.PID("alice"), rec.PID("bob")
+	var hs []Handle
+	for i, amount := range []int64{10, 20, 30, 40} {
+		h, err := rec.EscrowHop(1, "p", i, alice, bob, amount, Condition{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+		if err := held.Hold(alice, bob, amount); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			rec.SetByzantine(alice, true)
+			held.SetByzantine(alice, true)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(rec.ReleaseLock(2, hs[0], nil, 2))
+	must(held.ReleaseHold(alice, bob, 10))
+	must(rec.RefundLock(2, hs[2], 2))
+	must(held.RefundHold(alice, 30))
+	read := func(l *Ledger) []any {
+		return []any{l.Balance(alice), l.Balance(bob), l.EscrowedTotal(), l.PendingCount(), l.ByzantineEscrowed(),
+			l.Audit(), l.OpCount(), l.SettledForgotten(), l.String()}
+	}
+	if got, want := read(held), read(rec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("held ledger reads %v, recorded one %v", got, want)
+	}
+	if len(held.Locks()) != 0 || len(rec.Locks()) != 2 {
+		t.Fatalf("held ledger lists %d locks, recorded one %d", len(held.Locks()), len(rec.Locks()))
+	}
+
+	restored := FromState(rec.State())
+	for _, h := range restored.Handles() {
+		must(restored.Detach(h))
+		if err := restored.Detach(h); !errors.Is(err, ErrNoSuchLock) {
+			t.Fatalf("second Detach of one lock: %v", err)
+		}
+	}
+	must(restored.ReleaseHold(alice, bob, 20))
+	must(held.ReleaseHold(alice, bob, 20))
+	must(restored.ReleaseHold(alice, bob, 40))
+	must(held.ReleaseHold(alice, bob, 40))
+	if got, want := read(restored), read(held); !reflect.DeepEqual(got, want) {
+		t.Fatalf("detached ledger reads %v, held one %v", got, want)
+	}
+
+	if err := held.RefundHold(alice, 1); !errors.Is(err, ErrNoSuchLock) {
+		t.Fatalf("refunding more than is held: %v", err)
+	}
+	if err := held.Hold(alice, bob, 0); !errors.Is(err, ErrBadAmount) {
+		t.Fatalf("holding nothing: %v", err)
+	}
+	if err := newFunded(t).Hold(alice, bob, 1); !errors.Is(err, ErrHoldNotCompact) {
+		t.Fatalf("holding on a ledger that keeps its log: %v", err)
 	}
 }

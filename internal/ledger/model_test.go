@@ -259,9 +259,9 @@ func mapFromState(st LedgerState) *mapLedger {
 
 var (
 	modelOwners = []string{"alice", "bob", "carol", "dave", "eve"}
-	// modelLockIDs are label#key, so that the keyed twin can name each by its
-	// label and key; "b#1" is a prefix of "b#12".
-	modelLockIDs   = []string{"a#0", "a#1", "a#2", "b#0", "b#1", "b#12"}
+	// modelLockIDs are label/e<hop>, so that the keyed twin can name each by
+	// its label and hop (EscrowHop); "b/e1" is a prefix of "b/e12".
+	modelLockIDs   = []string{"a/e0", "a/e1", "a/e2", "b/e0", "b/e1", "b/e12"}
 	modelPreimages = [][]byte{[]byte("yes"), []byte("no")}
 	modelHashSum   = HashPreimage(modelPreimages[0])
 	modelHashLock  = modelHashSum[:]
@@ -306,15 +306,15 @@ func driveLedgers(t testing.TB, program []byte) {
 			_, got = l.CreateLock(at, id, a, b, amt, cond)
 			want = m.CreateLock(at, id, a, b, amt, cond)
 			if _, held := k.Lock(id); held && amt > 0 {
-				// EscrowKeyed's caller keeps its keys unique: the twin never
+				// EscrowHop's caller keeps its hops unique: the twin never
 				// asks for a lock it holds.
 				twin = ErrDuplicateLock
 				break
 			}
-			label, key, _ := strings.Cut(id, "#")
-			n, _ := strconv.ParseUint(key, 10, 64)
+			label, hop, _ := strings.Cut(id, "/e")
+			n, _ := strconv.Atoi(hop)
 			var h Handle
-			if h, twin = k.EscrowKeyed(at, label, n, k.PID(a), k.PID(b), amt, cond); twin == nil {
+			if h, twin = k.EscrowHop(at, label, n, k.PID(a), k.PID(b), amt, cond); twin == nil {
 				handles[id] = h
 			}
 		case 3:

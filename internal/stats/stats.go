@@ -206,9 +206,13 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
+// logGrowth is math.Log(HistGrowth), computed once: bucketOf divides by it
+// on every Add.
+var logGrowth = math.Log(HistGrowth)
+
 // bucketOf maps an observation >= HistMin to its bucket index.
 func bucketOf(v float64) int {
-	return int(math.Floor(math.Log(v/HistMin) / math.Log(HistGrowth)))
+	return int(math.Floor(math.Log(v/HistMin) / logGrowth))
 }
 
 // Add records one observation. Negative values are clamped to zero.
@@ -229,8 +233,8 @@ func (h *Histogram) Add(v float64) {
 		return
 	}
 	i := bucketOf(v)
-	for len(h.counts) <= i {
-		h.counts = append(h.counts, 0)
+	if i >= len(h.counts) {
+		h.counts = append(h.counts, make([]uint64, i+1-len(h.counts))...)
 	}
 	h.counts[i]++
 }

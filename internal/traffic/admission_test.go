@@ -275,7 +275,7 @@ func indexedRun(t *testing.T, s core.Scenario, w Workload, src *sliceSource, res
 	tl := newTimeline(res, w, &ps, w.Faults.compile(s), true, 0, nil, RunMetrics{}, nil)
 	lockIDs := map[int]string{}
 	tl.afterPass = func(settled *flight) {
-		lockIDs[settled.p.Index] = fmt.Sprintf("%s#%d", settled.p.ID, settled.attempts-1)
+		lockIDs[settled.index] = settled.lockID()
 		if afterPass != nil {
 			afterPass(tl)
 		}
@@ -353,10 +353,10 @@ func TestWaiterIndexInvariant(t *testing.T) {
 			for slot, f := range ws {
 				if !f.inQueue || int(f.refused) != e || int(f.slot) != slot {
 					t.Fatalf("pass %d: %s filed under e%d slot %d but records inQueue=%v e%d slot %d",
-						passes, f.p.ID, e, slot, f.inQueue, f.refused, f.slot)
+						passes, f.id(), e, slot, f.inQueue, f.refused, f.slot)
 				}
-				if have, need := tl.ledgers[e].Balance(tl.payers[e]), f.p.amountVia(e-f.p.Sender, w.Commission); have >= need {
-					t.Fatalf("pass %d: %s waits on e%d, which holds %d for its %d", passes, f.p.ID, e, have, need)
+				if have, need := tl.ledgers[e].Balance(tl.payers[e]), f.amountVia(e-int(f.sender), w.Commission); have >= need {
+					t.Fatalf("pass %d: %s waits on e%d, which holds %d for its %d", passes, f.id(), e, have, need)
 				}
 			}
 		}
@@ -392,7 +392,7 @@ func TestRefusedAdmissionAllocs(t *testing.T) {
 	if _, err := e2.Escrow(0, "drain", e2.PID(core.CustomerID(2)), e2.PID(core.CustomerID(3)), 1, ledger.Condition{}); err != nil {
 		t.Fatal(err)
 	}
-	f := &flight{p: &payment{ID: "p", Sender: 0, Receiver: 4, Base: 100}}
+	f := &flight{sender: 0, receiver: 4, base: 100}
 	ops := res.Book.TotalOps()
 	allocs := testing.AllocsPerRun(200, func() {
 		if tl.admit(f, 0, 7) {
@@ -412,47 +412,33 @@ func TestRefusedAdmissionAllocs(t *testing.T) {
 
 // TestStreamedPaymentAllocs pins what a streamed payment allocates, end to
 // end, on the repository benchmark's traffic populations (hmac, one worker).
-// Chunks, flights and the engine's event records are recycled, and flights,
-// lock and event records are made in blocks; a chunk's IDs are cut from one
-// string; a lock is settled through its handle; the protocol run renders no
-// lock ID, keeps its hashlock and timeout parameters, and the simulator its
-// list of safety failures. What is left is what the pipeline and the engine
-// amortise over a run, and byz_mix's failing verdicts' details. The
-// allocation budgets are the measured 0.14, 0.44 and 0.56 plus slack (they
-// were 1.90, 3.76 and 2.94 while every payment rendered its ID and the
-// engine made a record per event); the byte budgets are open's 590 plus 5 %
-// and the other two's 586 and 405 before that change, which they must not
-// exceed.
+// Chunks, flights and the engine's event records are recycled, and flights
+// and event records are made in blocks; a chunk's IDs are cut from one
+// string, and a chunk goes back to the producer once the timeline has read
+// it; the timeline's locks are held by the ledgers without a record and its
+// events are entries of its own heap; the protocol run renders no lock ID,
+// keeps its hashlock and timeout parameters, and the simulator its list of
+// safety failures. What is left is what the pipeline and the engine amortise
+// over a run, and byz_mix's failing verdicts' details. The budgets are the
+// measured 0.038, 0.30 and 0.50 allocations and 228, 369 and 189 bytes plus
+// slack (they were 0.14, 0.44 and 0.56 and 586, 544 and 373 while flights
+// held their chunks and the ledgers recorded every traffic lock, and 1.90,
+// 3.76 and 2.94 allocations while every payment rendered its ID and the
+// engine made a record per event).
 func TestStreamedPaymentAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		n, payments   int
-		shape         func(w *Workload)
+	budgets := map[string]struct {
 		allOK         bool // every payment succeeds: no refusal, timeout or fault
 		allocs, bytes float64
 	}{
-		{"open", 2, 6000, func(w *Workload) { w.Arrival.Rate = 20000 }, true, 0.3, 620},
-		{"bound_queue", 8, 1500, func(w *Workload) {
-			w.Arrival.Rate = 4000
-			w.RandomSubPaths = true
-			w.Liquidity = 10000
-			w.QueuePatience = sim.Second
-		}, false, 0.7, 586},
-		{"byz_mix", 8, 4000, func(w *Workload) {
-			w.Arrival.Rate = 2000
-			w.RandomSubPaths = true
-			w.Mix = []ProtocolShare{
-				{Name: "timelock", Weight: 0.4}, {Name: "htlc", Weight: 0.3},
-				{Name: "weaklive", Weight: 0.2}, {Name: "weaklive-committee", Weight: 0.1},
-			}
-			w.Faults = FaultPlan{Fraction: 0.1, From: 200 * sim.Millisecond, Stagger: 500 * sim.Millisecond, Outage: sim.Second}
-		}, false, 0.7, 405},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorkload(tc.payments)
-			tc.shape(&w)
-			s := core.NewScenario(tc.n, 11)
-			cfg := Config{Stream: true, Workers: 1, Crypto: "hmac"}
+		"open":        {true, 0.1, 260},
+		"bound_queue": {false, 0.4, 410},
+		"byz_mix":     {false, 0.6, 220},
+	}
+	for _, bp := range benchPopulations() {
+		tc := budgets[bp.name]
+		t.Run(bp.name, func(t *testing.T) {
+			s, w := bp.inputs()
+			cfg := Config{Stream: true, Workers: 1}
 			if _, err := RunWith(s, w, cfg); err != nil { // fill the key cache
 				t.Fatal(err)
 			}
@@ -463,14 +449,14 @@ func TestStreamedPaymentAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.allOK && res.Succeeded != tc.payments {
-				t.Fatalf("%d of %d payments succeeded", res.Succeeded, tc.payments)
+			if tc.allOK && res.Succeeded != bp.payments {
+				t.Fatalf("%d of %d payments succeeded", res.Succeeded, bp.payments)
 			}
-			if res.Total != tc.payments || res.Errored != 0 || res.SafetyViolations != 0 {
+			if res.Total != bp.payments || res.Errored != 0 || res.SafetyViolations != 0 {
 				t.Fatalf("result %+v", res)
 			}
-			allocs := float64(after.Mallocs-before.Mallocs) / float64(tc.payments)
-			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.payments)
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(bp.payments)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(bp.payments)
 			t.Logf("%.3f allocations and %.0f bytes per payment", allocs, bytes)
 			if race.Enabled {
 				return // the detector allocates: the budgets hold in a build without it

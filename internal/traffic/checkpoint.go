@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
@@ -328,7 +329,10 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 		byName[sn.Ledgers[i].Name] = &sn.Ledgers[i]
 	}
 	// payer[e] is c_e's balance on e_e: what admission reads on escrow e.
+	// pending[e] maps the ID of each lock e_e holds to it: an admitted
+	// flight's is there on every hop, and restore takes it over.
 	payer := make([]int64, chain)
+	pending := make([]map[string]ledger.Lock, chain)
 	for e := range payer {
 		l := byName[core.EscrowID(e)]
 		if l == nil {
@@ -339,11 +343,13 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 				payer[e] = a.Balance
 			}
 		}
+		pending[e] = map[string]ledger.Lock{}
 		for _, lk := range l.Locks {
 			// A traffic ledger compacts: it forgets a lock as it settles.
 			if lk.State != ledger.LockPending {
 				return bad("ledger %s holds lock %s %s", l.Name, lk.ID, lk.State)
 			}
+			pending[e][lk.ID] = lk
 		}
 	}
 	queued := map[int]bool{} // index -> waiting, not yet listed in Queue
@@ -361,6 +367,22 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 		if len(f.Amounts) != h {
 			return bad("flight %d: %d amounts for %d hops", f.Index, len(f.Amounts), h)
 		}
+		// A flight's event is its queue expiry, scheduled at its arrival,
+		// while it waits, and its settlement, scheduled at its admission,
+		// once admitted: a capture derives it so (timeline.eventAt).
+		at := f.PR.Start + max(f.Duration, 0)
+		if f.InQueue {
+			at = f.Arrival + max(w.QueuePatience, 0)
+		}
+		if f.Timer.At != at {
+			return bad("flight %d: its event fires at %v, not at %v", f.Index, f.Timer.At, at)
+		}
+		// A flight's ID and its locks' are rendered from its index, route and
+		// attempts (flight.id, flight.lockID).
+		id := string((&payment{Index: f.Index, Sender: f.Sender, Receiver: f.Receiver}).appendID(nil))
+		if f.ID != id || !f.InQueue && f.LockID != id+"#"+strconv.Itoa(f.Attempts-1) {
+			return bad("flight %d: named %s with lock %s", f.Index, f.ID, f.LockID)
+		}
 		if protoIndex(ps, f.Protocol) < 0 {
 			return bad("flight %d: protocol %q is not in the mix", f.Index, f.Protocol)
 		}
@@ -371,6 +393,15 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 				return bad("flight %d: hop %d carries amount %d", f.Index, k, amount)
 			}
 			fits = fits && payer[f.Sender+k] >= amount
+			if f.InQueue {
+				continue
+			}
+			e := f.Sender + k
+			lk, ok := pending[e][f.LockID]
+			if !ok || lk.Amount != amount || lk.Payer != core.CustomerID(e) || lk.Payee != core.CustomerID(e+1) {
+				return bad("flight %d: %s holds no lock %s of %d from %s to %s", f.Index, core.EscrowID(e), f.LockID, amount, core.CustomerID(e), core.CustomerID(e+1))
+			}
+			delete(pending[e], f.LockID) // a lock is one flight's
 		}
 		if f.InQueue {
 			// The timeline files a waiter under the account that refuses it; a
@@ -489,7 +520,7 @@ func errString(err error) string {
 // mutable state with the live run.
 func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sn := &RunSnapshot{NextIndex: next}
-	sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled = t.eng.Clock()
+	sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled = t.ag.now, t.ag.seq, t.ag.fired, t.ag.scheduled
 	sn.TimelineFired = t.fired
 	sn.LockedNow = t.lockedNow
 	sn.ByzConn = t.byzConn
@@ -518,6 +549,10 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sn.Agg = t.agg.state()
 
 	// Live flights, sorted by payment index so the capture is deterministic.
+	// The ledgers keep no record of the locks the timeline holds (see
+	// ledger.Hold): each admitted flight renders its own into locks, one per
+	// hop, as its ledger renders a recorded lock.
+	locks := make([][]ledger.Lock, len(t.ledgers))
 	idxs := make([]int, 0, len(t.track))
 	for i := range t.track {
 		idxs = append(idxs, i)
@@ -525,48 +560,55 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sort.Ints(idxs)
 	for _, i := range idxs {
 		f := t.track[i]
-		p := f.p
 		fs := FlightState{
-			Index:    p.Index,
-			ID:       p.ID,
-			Sender:   p.Sender,
-			Receiver: p.Receiver,
-			Amounts:  make([]int64, p.hops()),
-			Arrival:  p.Arrival,
-			Protocol: t.ps.names[p.proto],
-			Seed:     p.Seed,
-			Paid:     f.sub.paid,
-			Duration: f.sub.duration,
-			Events:   f.sub.events,
-			Err:      errString(f.sub.err()),
-			Byz:      f.sub.byz,
+			Index:    f.index,
+			ID:       f.id(),
+			Sender:   int(f.sender),
+			Receiver: int(f.receiver),
+			Amounts:  make([]int64, f.hops()),
+			Arrival:  f.arrival,
+			Protocol: t.ps.names[f.proto],
+			Seed:     paymentSeed(t.res.Seed, f.index),
+			Paid:     f.paid,
+			Duration: f.duration,
+			Events:   f.events,
+			Err:      errString(t.errs[f.index]),
+			Byz:      f.byz,
 			Attempts: int(f.attempts),
 			InQueue:  f.inQueue,
 		}
 		for k := range fs.Amounts {
-			fs.Amounts[k] = p.amountVia(k, t.w.Commission)
+			fs.Amounts[k] = f.amountVia(k, t.w.Commission)
 		}
 		t.record(f, &fs.PR)
 		if f.inQueue {
 			fs.Attempts = t.passes - f.passBase
-			sn.Queue = append(sn.Queue, p.Index) // arrival order = index order
-		} else if lk, ok := t.ledgers[p.Sender].LockOf(f.locks[0]); ok {
-			fs.LockID = lk.ID
+			sn.Queue = append(sn.Queue, f.index) // arrival order = index order
+		} else {
+			fs.LockID = f.lockID()
+			for k, amount := range fs.Amounts {
+				e := int(f.sender) + k
+				locks[e] = append(locks[e], ledger.Lock{
+					ID: fs.LockID, Payer: core.CustomerID(e), Payee: core.CustomerID(e + 1),
+					Amount: amount, CreatedAt: f.start, State: ledger.LockPending,
+				})
+			}
 		}
-		at, seq, ok := f.tm.Pending()
-		if !ok {
-			return nil, fmt.Errorf("traffic: checkpoint: live flight %s has no pending timer", f.p.ID)
-		}
-		fs.Timer = EventState{At: at, Seq: seq}
+		fs.Timer = EventState{At: t.eventAt(f), Seq: f.seq}
 		sn.Flights = append(sn.Flights, fs)
 	}
-	for _, mt := range t.markTimers {
-		if at, seq, ok := mt.tm.Pending(); ok {
-			sn.Marks = append(sn.Marks, MarkState{At: at, Seq: seq, Index: mt.index, On: mt.on})
+	for _, mk := range t.marks {
+		if mk.pending {
+			sn.Marks = append(sn.Marks, MarkState{At: mk.at, Seq: mk.seq, Index: mk.index, On: mk.on})
 		}
 	}
 	for _, name := range r.Book.Names() {
-		sn.Ledgers = append(sn.Ledgers, r.Book.MustGet(name).State())
+		st := r.Book.MustGet(name).State()
+		if e := slices.IndexFunc(t.ledgers, func(l *ledger.Ledger) bool { return l.Name() == name }); e >= 0 && len(locks[e]) > 0 {
+			st.Locks = append(st.Locks, locks[e]...)
+			sort.Slice(st.Locks, func(i, j int) bool { return st.Locks[i].ID < st.Locks[j].ID })
+		}
+		sn.Ledgers = append(sn.Ledgers, st)
 	}
 	if t.res.Payments != nil {
 		for i := 0; i < next; i++ {
@@ -653,42 +695,23 @@ func protoIndex(ps *protocols, name string) int {
 	return slices.Index(ps.names, name)
 }
 
-// toFlight rebuilds the live flight (payment, sub-outcome, admission) from
-// its capture, which validate passed. Timers and lock handles are
-// re-attached by timeline.restore.
-func (fs *FlightState) toFlight(ps *protocols) *flight {
-	f := &flight{
-		p: &payment{
-			Index:    fs.Index,
-			ID:       fs.ID,
-			Sender:   fs.Sender,
-			Receiver: fs.Receiver,
-			Base:     fs.Amounts[len(fs.Amounts)-1],
-			Arrival:  fs.Arrival,
-			Seed:     fs.Seed,
-			proto:    protoIndex(ps, fs.Protocol),
-		},
-		sub: subOutcome{
-			paid:     fs.Paid,
-			duration: fs.Duration,
-			events:   fs.Events,
-			byz:      fs.Byz,
-		},
-		start:    fs.PR.Start,
-		queued:   fs.PR.Queued,
-		attempts: int32(fs.Attempts),
-	}
-	if fs.Err != "" {
-		f.sub.fail = &subFailure{err: errors.New(fs.Err)}
-	}
-	return f
+// fill rebuilds the live flight (payment, sub-outcome, admission, pending
+// event's seq) from its capture, which validate passed, into f. Its event
+// and locks are re-attached by timeline.restore.
+func (fs *FlightState) fill(f *flight, ps *protocols) {
+	f.index, f.proto = fs.Index, int32(protoIndex(ps, fs.Protocol))
+	f.sender, f.receiver = int32(fs.Sender), int32(fs.Receiver)
+	f.base, f.arrival = fs.Amounts[len(fs.Amounts)-1], fs.Arrival
+	f.paid, f.duration, f.events, f.byz, f.errored = fs.Paid, fs.Duration, fs.Events, fs.Byz, fs.Err != ""
+	f.start, f.queued, f.attempts = fs.PR.Start, fs.PR.Queued, int32(fs.Attempts)
+	f.seq = fs.Timer.Seq
 }
 
 // restore rebuilds the timeline mid-run from a snapshot: partial counters,
-// live flights with their pending timers re-attached at their original heap
-// coordinates, every queued flight filed under the account that refuses it in
-// the restored book, the pending Byzantine marks, and finally the engine
-// clock. The book must already be restored and sn
+// live flights with their pending events re-attached at their original heap
+// coordinates and their locks held, every queued flight filed under the
+// account that refuses it in the restored book, the pending Byzantine marks,
+// and finally the agenda's clock. The book must already be restored and sn
 // validated.
 func (t *timeline) restore(sn *RunSnapshot) {
 	t.fired = sn.TimelineFired
@@ -699,15 +722,25 @@ func (t *timeline) restore(sn *RunSnapshot) {
 	sn.Partial.apply(t.res)
 
 	// held[e] finds a restored lock of escrow e by its ID: the ledgers were
-	// rebuilt from their captures, and a flight settles its locks by handle.
+	// rebuilt from their captures, recording every lock, and the timeline
+	// holds an admitted flight's (Detach).
 	var held []map[string]ledger.Handle
 	for i := range sn.Flights {
 		fs := &sn.Flights[i]
-		f := fs.toFlight(t.ps)
-		f.t = t
-		t.track[f.p.Index] = f
+		f := t.newFlight()
+		fs.fill(f, t.ps)
+		t.track[f.index] = f
+		if f.errored {
+			if t.errs == nil {
+				t.errs = map[int]error{}
+			}
+			t.errs[f.index] = errors.New(fs.Err)
+		}
+		if t.res.Payments != nil {
+			t.res.Payments[f.index] = fs.PR // its identity, which finish leaves
+		}
 		if fs.InQueue {
-			f.tm = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "expire", expireFlight, f)
+			t.ag.push(entry{fs.Timer.At, fs.Timer.Seq, f.ix, expireEvent})
 			continue
 		}
 		if held == nil {
@@ -720,30 +753,34 @@ func (t *timeline) restore(sn *RunSnapshot) {
 				}
 			}
 		}
-		t.holdHandles(f, f.p.hops())
-		for k := range f.locks {
-			f.locks[k] = held[f.p.Sender+k][fs.LockID]
+		for k := range f.hops() {
+			e := int(f.sender) + k
+			t.ledgers[e].Detach(held[e][fs.LockID]) //nolint:errcheck // validate found it pending
 		}
-		f.tm = t.eng.RestoreEventArg(fs.Timer.At, fs.Timer.Seq, "settle", settleFlight, f)
+		t.ag.push(entry{fs.Timer.At, fs.Timer.Seq, f.ix, settleEvent})
 		t.inFlight++
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
 	for _, idx := range sn.Queue {
 		f := t.track[idx]
 		f.passBase = t.passes - int(f.attempts)
-		f.refused = int32(t.refusingHop(f.p)) // validate found one in these balances
+		f.refused = int32(t.refusingHop(f)) // validate found one in these balances
 		t.enqueue(f)
 	}
-	t.markTimers = make([]markTimer, len(sn.Marks))
 	for i, mk := range sn.Marks {
-		mt := &t.markTimers[i]
-		mt.t, mt.index, mt.on = t, mk.Index, mk.On
-		mt.tm = t.eng.RestoreEventArg(mk.At, mk.Seq, "byz", fireMark, mt)
+		t.marks = append(t.marks, mark{at: mk.At, seq: mk.Seq, index: mk.Index, on: mk.On, pending: true})
+		t.ag.push(entry{mk.At, mk.Seq, int32(i), markEvent})
 	}
 	for _, sp := range sn.Settled {
 		t.res.Payments[sp.Index] = sp.PR
 	}
-	t.eng.RestoreClock(sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled)
+	// Restored events keep their seq, below the cursor: what the run
+	// schedules from here sorts after them at the same instant.
+	a := &t.ag
+	a.now, a.seq, a.fired, a.scheduled = sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled
+	for _, l := range t.ledgers {
+		t.byzHeld += l.ByzantineEscrowed()
+	}
 	t.observeByzHeld()
 }
 

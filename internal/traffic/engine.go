@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
-	"unsafe"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -127,13 +127,13 @@ func DefaultProtocols() map[string]core.Protocol {
 type subOutcome struct {
 	duration sim.Time
 	events   uint64
-	paid     bool
-	// byz reports whether the payment's sub-scenario contained any Byzantine
-	// participant (static fault, injected plan fault, or manager outage).
-	byz bool
 	// fail holds what a run rarely has: nil unless it returned an error or
 	// owes safety failures.
 	fail *subFailure
+	paid bool
+	// byz reports whether the payment's sub-scenario contained any Byzantine
+	// participant (static fault, injected plan fault, or manager outage).
+	byz bool
 }
 
 // subFailure is the rare part of a sub-outcome.
@@ -427,7 +427,7 @@ func executeTimeline(res *Result, src paymentSource, w Workload, ps *protocols, 
 }
 
 // newTimeline builds the admission timeline of one run over res.Book, its
-// aggregator fresh or restored from snap. The timeline's engine is the run's
+// aggregator fresh or restored from snap. The timeline's agenda is the run's
 // authoritative virtual clock, so it (and only it) carries the virtual-time
 // watermark gauge.
 func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, snap *RunSnapshot) *timeline {
@@ -439,7 +439,6 @@ func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, kee
 	}
 	agg.m = rm
 	tl := &timeline{
-		eng:     sim.NewEngine(res.Seed),
 		res:     res,
 		agg:     agg,
 		w:       w,
@@ -454,11 +453,10 @@ func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, kee
 		tl.payers = append(tl.payers, l.PID(core.CustomerID(i)))
 		tl.payees = append(tl.payees, l.PID(core.CustomerID(i+1)))
 	}
-	em := sim.MetricsFrom(reg)
+	tl.ag.m = sim.MetricsFrom(reg)
 	if reg != nil {
-		em.Watermark = reg.Gauge(sim.MetricVirtualTimeMs, "Virtual time of the traffic admission timeline in milliseconds.")
+		tl.ag.m.Watermark = reg.Gauge(sim.MetricVirtualTimeMs, "Virtual time of the traffic admission timeline in milliseconds.")
 	}
-	tl.eng.SetMetrics(em)
 	return tl
 }
 
@@ -473,6 +471,7 @@ func (t *timeline) execute(src paymentSource, ck *checkpointer, snap *RunSnapsho
 	if err := t.run(src, ck); err != nil {
 		return err
 	}
+	t.drain()
 	res := t.res
 	res.TimelineEvents = t.fired
 	// Refund-cascade accounting: every unit the timeline ever locked must
@@ -498,38 +497,14 @@ const chunkSize = 512
 
 // chunk is one unit of pipeline work: a run of consecutive payments and
 // their sub-outcomes. done receives once the chunk is fully simulated. Once
-// the consumer has moved past a chunk (passed) and no flight reads its
-// payments any more (live), it goes back to the producer through free, and
-// the next payments are written over it. passed and live are the
-// consumer's: the timeline runs on its goroutine.
+// the consumer has moved past a chunk — a flight copies what it reads of its
+// payment — it goes back to the producer through free, and the next
+// payments are written over it.
 type chunk struct {
-	pays   []payment
-	subs   []subOutcome
-	done   chan struct{}
-	free   chan<- *chunk
-	passed bool
-	live   int
-}
-
-// hold notes one more flight reading a payment of c.
-func (c *chunk) hold() { c.live++ }
-
-// release notes a flight done with a payment of c, and hands c back once
-// nothing reads it.
-func (c *chunk) release() {
-	c.live--
-	c.recycle()
-}
-
-// recycle hands c back to the producer if the consumer has moved past it and
-// no flight reads it. A full free queue drops it for the garbage collector.
-func (c *chunk) recycle() {
-	if c.passed && c.live == 0 {
-		select {
-		case c.free <- c:
-		default:
-		}
-	}
+	pays []payment
+	subs []subOutcome
+	done chan struct{}
+	free chan<- *chunk
 }
 
 // streamSource is the bounded three-stage pipeline every run executes. A
@@ -570,7 +545,6 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, ps *protoc
 			var c *chunk
 			select {
 			case c = <-free:
-				c.passed = false
 			default:
 				// Sized once for what is left to generate: a chunk is never
 				// regrown, and a short run's last one is no longer than its tail.
@@ -582,7 +556,6 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, ps *protoc
 					pays = append(pays, payment{})
 				}
 				g.next(&pays[n])
-				pays[n].chunk = c
 			}
 			if n == 0 {
 				break
@@ -629,14 +602,16 @@ func (s *streamSource) close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
-// next returns the next payment. It stays valid while a flight holds its
-// chunk (chunk.hold), or else until the following call: the chunk is
-// recycled once the consumer has moved past it and no flight reads it.
+// next returns the next payment, valid until the following call: the chunk
+// is recycled once the consumer has moved past it. A full free queue drops
+// it for the garbage collector.
 func (s *streamSource) next() (*payment, subOutcome, bool) {
 	for s.cur == nil || s.i == len(s.cur.pays) {
 		if s.cur != nil {
-			s.cur.passed = true
-			s.cur.recycle()
+			select {
+			case s.cur.free <- s.cur:
+			default:
+			}
 			s.cur = nil
 		}
 		c, ok := <-s.ordered
@@ -704,45 +679,87 @@ func wireLiquidityGauges(s core.Scenario, lm ledger.Metrics, l *ledger.Ledger) {
 }
 
 // flight is the per-payment runtime state the timeline tracks between
-// arrival and settlement: what it needs to settle the payment and to write
-// its record at the end (finish), the handles of its locks, and — while
-// waiting for liquidity — where it is filed among the waiters. Finished
-// flights are reused, so the timeline's memory tracks the number of
-// in-flight and queued payments, not the population size.
+// arrival and settlement: what it reads of the payment and its sub-outcome,
+// copied out of its chunk at arrival; how and when it was admitted, which is
+// what its locks are — the ledgers hold them (ledger.Hold) and the flight
+// keeps their record; its pending event; and, while waiting for liquidity,
+// where it is filed among the waiters. It holds no pointer, so the garbage
+// collector never scans a flight. Finished flights are reused, so the
+// timeline's memory tracks the number of in-flight and queued payments, not
+// the population size.
+//
+// A settlement reads the first 64 bytes alone, unless the run keeps,
+// samples or tracks records or the payment's sub-run errored; the fields are
+// in that order.
 type flight struct {
-	t   *timeline // the timeline the flight is on, for its scheduled actions
-	p   *payment  // its chunk's, which the flight holds until recycled
-	sub subOutcome
-	// locks are the handles of the payment's locks, hop by hop, once
-	// admitted: a piece of the timeline's handle slab, kept across reuse.
-	locks []ledger.Handle
-	// tm is the pending event: the queue expiry while queued, the
-	// settlement while in flight. Capture reads its heap coordinates.
-	tm sim.Timer
+	// The payment's route c_sender -> c_receiver, what c_receiver collects
+	// (each hop's amount derives from it: amountVia) and its arrival.
+	sender, receiver int32
+	base             int64
+	arrival          sim.Time
 	// start is when the payment was admitted.
 	start sim.Time
+	// The sub-outcome (see subOutcome): the events the payment's own run
+	// fired, how long it took, whether it paid, whether it was faulted and
+	// whether it returned an error (timeline.errs keeps which).
+	events             uint64
+	duration           sim.Time
+	paid, byz, errored bool
+	// queued says an admitted payment waited first; inQueue that the payment
+	// waits now.
+	queued, inQueue bool
+	// ix is the flight's index among the timeline's (flightAt): what its
+	// events name. next links a finished flight to the next one newFlight
+	// reuses (timeline.free), as its ix plus one.
+	next, ix int32
 
+	// index and proto are the payment's index and protocol (an index into the
+	// run's protocols); its ID is rendered from index and route when read.
+	index int
+	proto int32
 	// attempts is the number of admission attempts the payment had made when
-	// it was admitted (its locks' key is attempts-1). A queued flight's count
-	// runs with the timeline's pass counter instead: passes-passBase.
-	passBase int
+	// it was admitted: its locks are attempt attempts-1's. A queued flight's
+	// count runs with the timeline's pass counter instead: passes-passBase.
 	attempts int32
-
-	// While queued (inQueue): refused is the escrow whose payer account could
-	// not cover the last attempt, slot the flight's position among that
-	// account's waiters (expiry removes it in O(1)). queued says an admitted
-	// payment waited first.
-	refused int32
-	slot    int32
-	inQueue bool
-	queued  bool
+	// While queued: refused is the escrow whose payer account could not cover
+	// the last attempt, slot the flight's position among that account's
+	// waiters (expiry removes it in O(1)).
+	refused, slot int32
+	passBase      int
+	// seq is the seq of the flight's pending event: the queue expiry while
+	// queued, the settlement while in flight. An expiry whose seq it no longer
+	// is was cancelled.
+	seq uint64
 }
 
-// timeline replays arrivals, admission, queuing and settlement on a
-// discrete-event engine, feeding each payment's terminal record to the
-// aggregator (and, when retained, to res.Payments).
+// hops returns the number of escrows the payment crosses.
+func (f *flight) hops() int { return int(f.receiver - f.sender) }
+
+// amountVia returns the amount locked on escrow e_{sender+k} (see
+// payment.amountVia).
+//
+//xchain:hotpath
+func (f *flight) amountVia(k int, commission int64) int64 {
+	return hopAmount(f.base, f.hops(), k, commission)
+}
+
+// id renders the payment's ID (payment.appendID).
+func (f *flight) id() string {
+	p := payment{Index: f.index, Sender: int(f.sender), Receiver: int(f.receiver)}
+	return string(p.appendID(nil))
+}
+
+// lockID renders the ID of the payment's lock on every hop of its route:
+// "<id>#<attempt>", of the attempt that admitted it.
+func (f *flight) lockID() string {
+	return f.id() + "#" + strconv.Itoa(int(f.attempts)-1)
+}
+
+// timeline replays arrivals, admission, queuing and settlement on its
+// agenda, feeding each payment's terminal record to the aggregator (and,
+// when retained, to res.Payments).
 type timeline struct {
-	eng  *sim.Engine
+	ag   agenda
 	res  *Result
 	agg  *aggregator
 	w    Workload
@@ -775,6 +792,10 @@ type timeline struct {
 	// return to zero by the end of the run — the instant-by-instant form of
 	// the conservation audit.
 	lockedNow int64
+	// byzHeld is the value held in locks whose payer is marked Byzantine,
+	// summed over the ledgers: moved by each admission's, settlement's and
+	// mark's change to its ledgers' ByzantineEscrowed.
+	byzHeld int64
 	// byzConn counts connectors currently inside a fault window (drives the
 	// live gauge).
 	byzConn int
@@ -782,59 +803,52 @@ type timeline struct {
 	// track maps payment index -> live flight; populated only when the run
 	// can checkpoint (capture needs every queued and in-flight payment).
 	track map[int]*flight
-	// markTimers retains the pending Byzantine-mark events so capture can
-	// read their heap coordinates.
-	markTimers []markTimer
+	// errs holds, by payment index, the error of each live flight whose
+	// sub-run returned one (flight.errored): what capture writes.
+	errs map[int]error
+	// marks are the plan's Byzantine-status transitions after t=0, in the
+	// order they were scheduled; a mark event names its index.
+	marks []mark
 
-	// freeFlights are finished flights for newFlight to reuse, and flights
-	// what is left of the block new ones are cut from; slab is what is left
-	// of the storage flights' lock handles are cut from; pr is where finish
-	// writes a record the run does not keep.
-	freeFlights []*flight
-	flights     []flight
-	slab        []ledger.Handle
-	pr          PaymentResult
+	// blocks hold the flights (flightAt), made is how many there are, and
+	// free links the finished ones newFlight reuses, as the first one's ix
+	// plus one (0: none); pr is where finish writes a record the run does not
+	// keep.
+	blocks [][]flight
+	made   int32
+	free   int32
+	pr     PaymentResult
 	// afterPass, when set (tests only), runs at the end of every drain pass
 	// with the flight whose settlement started it.
 	afterPass func(settled *flight)
 }
 
-// markTimer pairs a scheduled Byzantine-status transition with its timer. It
-// is also the argument of its event's action, fireMark, so the timeline's
-// markTimers slice is sized before any pointer into it is taken.
-type markTimer struct {
-	t     *timeline
-	index int
-	on    bool
-	tm    sim.Timer
-}
-
-// fireMark is the action of a Byzantine-status transition. A package-level
-// action on its markTimer (not a closure per mark), which is also what
-// resume re-attaches to a restored event.
-func fireMark(x any) {
-	mt := x.(*markTimer)
-	mt.t.setByzantine(mt.index, mt.on)
+// mark is a scheduled Byzantine-status transition: connector c_index turns
+// Byzantine (on) or honest at its event's coordinates (at, seq), while
+// pending.
+type mark struct {
+	at      sim.Time
+	seq     uint64
+	index   int
+	on      bool
+	pending bool
 }
 
 // scheduleMarks replays the plan's Byzantine-status transitions on the
 // timeline: marks at t=0 (static faults) apply immediately; later ones
-// become ordinary engine events, so ledger tagging interleaves
-// deterministically with arrivals and settlements.
+// become ordinary events, so ledger tagging interleaves deterministically
+// with arrivals and settlements.
 func (t *timeline) scheduleMarks() {
 	if t.plan == nil {
 		return
 	}
-	marks := t.plan.marks()
-	t.markTimers = make([]markTimer, 0, len(marks)) // never grows: pointers into it stay valid
-	for _, mk := range marks {
+	for _, mk := range t.plan.marks() {
 		if mk.at <= 0 {
 			t.setByzantine(mk.index, mk.on)
 			continue
 		}
-		t.markTimers = append(t.markTimers, markTimer{t: t, index: mk.index, on: mk.on})
-		mt := &t.markTimers[len(t.markTimers)-1]
-		mt.tm = t.eng.ScheduleArgIn(mk.at, "byz", fireMark, mt)
+		at, seq := t.ag.schedule(mk.at, markEvent, int32(len(t.marks)))
+		t.marks = append(t.marks, mark{at: at, seq: seq, index: mk.index, on: mk.on, pending: true})
 	}
 }
 
@@ -845,7 +859,10 @@ func (t *timeline) setByzantine(idx int, on bool) {
 	owner := core.CustomerID(idx)
 	for _, e := range []int{idx - 1, idx} {
 		if e >= 0 && e < t.res.Chain {
-			t.ledgers[e].SetByzantine(t.ledgers[e].PID(owner), on)
+			l := t.ledgers[e]
+			byz := l.ByzantineEscrowed()
+			l.SetByzantine(l.PID(owner), on)
+			t.byzHeld += l.ByzantineEscrowed() - byz
 		}
 	}
 	if on {
@@ -857,35 +874,33 @@ func (t *timeline) setByzantine(idx int, on bool) {
 	t.observeByzHeld()
 }
 
-// observeByzHeld recomputes the value currently locked by Byzantine payers
-// across the book (O(chain)) and tracks its peak.
+// observeByzHeld tracks the peak of the value currently locked by Byzantine
+// payers across the book, in a run with a fault plan.
+//
+//xchain:hotpath
 func (t *timeline) observeByzHeld() {
 	if t.plan == nil {
 		return
 	}
-	var held int64
-	for _, l := range t.ledgers {
-		held += l.ByzantineEscrowed()
-	}
-	t.m.ByzHeld.Set(float64(held))
-	if held > t.res.PeakByzantineHeld {
-		t.res.PeakByzantineHeld = held
+	t.m.ByzHeld.Set(float64(t.byzHeld))
+	if t.byzHeld > t.res.PeakByzantineHeld {
+		t.res.PeakByzantineHeld = t.byzHeld
 	}
 }
 
-// run drives the timeline: for each payment, fire every pending event
-// strictly before its arrival, then process the arrival — exactly the event
-// order a run scheduling all arrivals up front (with the lowest sequence
-// numbers) would produce, without ever holding more than the in-flight
-// window in memory.
+// run drives the timeline through the arrivals: for each payment, fire every
+// pending event strictly before its arrival, then process the arrival —
+// exactly the event order a run scheduling all arrivals up front (with the
+// lowest sequence numbers) would produce, without ever holding more than the
+// in-flight window in memory. drain fires what is left.
 func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 	for {
 		p, sub, ok := src.next()
 		if !ok {
 			break
 		}
-		_, fired := t.eng.RunBefore(p.Arrival, 0)
-		t.fired += fired
+		t.fired += t.fire(p.Arrival - 1)
+		t.ag.now = max(t.ag.now, p.Arrival)
 		t.arrive(p, sub)
 		t.fired++ // the arrival itself counts as an event
 		if ck != nil {
@@ -894,19 +909,93 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 			}
 		}
 	}
-	_, fired := t.eng.Run(0)
-	t.fired += fired
 	return nil
+}
+
+// drain fires every event left after the last arrival: the settlements and
+// queue expiries of the payments still in flight or waiting, with no arrival
+// to interleave. On an open workload most of a run's settlements fire here.
+func (t *timeline) drain() {
+	t.fired += t.fire(sim.Never)
+}
+
+// fire fires, in (at, seq) order, every live event due by until, discarding
+// the cancelled ones it meets at the root, and returns how many fired.
+//
+//xchain:hotpath
+func (t *timeline) fire(until sim.Time) uint64 {
+	a := &t.ag
+	var fired uint64
+	for len(a.heap) > 0 {
+		e := a.heap[0]
+		if !t.live(&e) {
+			a.pop()
+			continue
+		}
+		if e.at > until {
+			break
+		}
+		a.pop()
+		a.now = e.at
+		a.fired++
+		a.m.Fired.Inc()
+		if a.m.Watermark != nil {
+			a.m.Watermark.Set(e.at.Millis())
+		}
+		switch e.kind {
+		case settleEvent:
+			t.settle(t.flightAt(e.ref))
+		case expireEvent:
+			t.expire(t.flightAt(e.ref))
+		default:
+			t.fireMark(e.ref)
+		}
+		fired++
+	}
+	return fired
+}
+
+// live reports whether e is still due. Only a queue expiry is ever
+// cancelled: its flight left the queue, and its seq moved on.
+//
+//xchain:hotpath
+func (t *timeline) live(e *entry) bool {
+	if e.kind != expireEvent {
+		return true
+	}
+	f := t.flightAt(e.ref)
+	return f.inQueue && f.seq == e.seq
+}
+
+// fireMark applies mark i.
+func (t *timeline) fireMark(i int32) {
+	mk := &t.marks[i]
+	mk.pending = false
+	t.setByzantine(mk.index, mk.on)
 }
 
 // arrive admits, queues or rejects one payment at its arrival instant.
 //
 //xchain:hotpath
 func (t *timeline) arrive(p *payment, sub subOutcome) {
-	now := t.eng.Now()
-	f := t.newFlight(p, sub)
+	now := t.ag.now
+	f := t.newFlight()
+	f.sender, f.receiver, f.base, f.arrival = int32(p.Sender), int32(p.Receiver), p.Base, p.Arrival
+	f.events, f.duration, f.paid, f.byz = sub.events, sub.duration, sub.paid, sub.byz
+	f.index, f.proto = p.Index, int32(p.proto)
+	if err := sub.err(); err != nil {
+		f.errored = true
+		if t.errs == nil {
+			t.errs = map[int]error{}
+		}
+		t.errs[p.Index] = err
+	}
 	if t.track != nil {
 		t.track[p.Index] = f
+	}
+	if pr := t.res.Payments; pr != nil {
+		// A kept record's identity is written now, from the payment itself.
+		t.identify(&pr[p.Index], p.ID, f)
 	}
 	if safety := sub.safety(); len(safety) > 0 {
 		// Aggregate safety oracle: arrivals are processed in generation
@@ -929,79 +1018,68 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		return
 	}
 	f.passBase = t.passes - 1 // the arrival was attempt 0
-	f.tm = t.eng.ScheduleArgIn(t.w.QueuePatience, "expire", expireFlight, f)
+	_, f.seq = t.ag.schedule(t.w.QueuePatience, expireEvent, f.ix)
 	t.enqueue(f)
 }
 
-// expireFlight is the queue-expiry action of a flight: the payment's
-// patience ran out before capacity freed up. A package-level action on the
-// flight (not a closure per payment), which is also what resume re-attaches
-// to a restored event.
+// expire is the queue-expiry action of a flight: the payment's patience ran
+// out before capacity freed up.
 //
 //xchain:hotpath
-func expireFlight(x any) {
-	f := x.(*flight)
-	t := f.t
+func (t *timeline) expire(f *flight) {
 	t.unfile(f)
 	t.dequeue(f)
-	t.finish(f, StatusDropped, t.eng.Now(), t.dropCause(f))
+	t.finish(f, StatusDropped, t.ag.now, t.dropCause(f))
 	t.recycle(f)
 }
 
-// Flights and lock handles are made in blocks: flightBlock flights fill an
-// 8 KiB size class beside the 8-byte header the allocator gives a block that
-// holds pointers, and slabSize handles are cut into pieces for flights whose
-// storage is too short for their route.
-const (
-	flightBlock = (8<<10 - 8) / int(unsafe.Sizeof(flight{}))
-	slabSize    = (8<<10 - 8) / int(unsafe.Sizeof(ledger.Handle{}))
-)
+// eventAt returns when f's pending event fires: its queue expiry, scheduled
+// at its arrival, while queued; its settlement, scheduled at its admission,
+// while in flight (agenda.schedule).
+func (t *timeline) eventAt(f *flight) sim.Time {
+	if f.inQueue {
+		return f.arrival + max(t.w.QueuePatience, 0)
+	}
+	return f.start + max(f.duration, 0)
+}
 
-// newFlight returns a flight for p with sub-outcome sub, recycled or new,
-// holding p's chunk.
-func (t *timeline) newFlight(p *payment, sub subOutcome) *flight {
-	var f *flight
-	if k := len(t.freeFlights); k > 0 {
-		f = t.freeFlights[k-1]
-		t.freeFlights[k-1] = nil
-		t.freeFlights = t.freeFlights[:k-1]
-	} else {
-		if len(t.flights) == cap(t.flights) {
-			t.flights = make([]flight, 0, flightBlock)
-		}
-		t.flights = t.flights[:len(t.flights)+1]
-		f = &t.flights[len(t.flights)-1]
+// flightBlock is how many flights a block holds: flights are made in blocks
+// that never move, so flight ix stays at flightAt(ix).
+const flightBlock = 256
+
+// flightAt returns flight ix.
+//
+//xchain:hotpath
+func (t *timeline) flightAt(ix int32) *flight {
+	return &t.blocks[ix/flightBlock][ix%flightBlock]
+}
+
+// newFlight returns a zeroed flight, recycled or new.
+//
+//xchain:hotpath
+func (t *timeline) newFlight() *flight {
+	if t.free > 0 {
+		f := t.flightAt(t.free - 1)
+		t.free = f.next
+		*f = flight{ix: f.ix}
+		return f
 	}
-	*f = flight{t: t, p: p, sub: sub, locks: f.locks[:0]}
-	if p.chunk != nil {
-		p.chunk.hold()
+	if t.made%flightBlock == 0 {
+		t.blocks = append(t.blocks, make([]flight, flightBlock))
 	}
+	f := t.flightAt(t.made)
+	f.ix = t.made
+	t.made++
 	return f
 }
 
 // recycle hands a finished flight, which nothing reads any more, back for
-// newFlight, and releases its payment's chunk.
+// newFlight.
 func (t *timeline) recycle(f *flight) {
-	if c := f.p.chunk; c != nil {
-		c.release()
+	if f.errored {
+		delete(t.errs, f.index)
 	}
-	f.p = nil
-	t.freeFlights = append(t.freeFlights, f)
-}
-
-// holdHandles makes f.locks n handles long, in its own storage when that is
-// long enough and in a piece cut from the slab when it is not.
-func (t *timeline) holdHandles(f *flight, n int) {
-	if cap(f.locks) >= n {
-		f.locks = f.locks[:n]
-		return
-	}
-	if cap(t.slab)-len(t.slab) < n {
-		t.slab = make([]ledger.Handle, 0, max(slabSize, n))
-	}
-	k := len(t.slab)
-	t.slab = t.slab[:k+n]
-	f.locks = t.slab[k : k+n : k+n]
+	f.next, t.free = t.free, f.ix+1
 }
 
 // dropCause attributes a queue-expiry drop: "faulted-path" when the
@@ -1010,25 +1088,25 @@ func (t *timeline) holdHandles(f *flight, n int) {
 // "capacity" otherwise. Honest-only runs therefore attribute every drop to
 // capacity.
 func (t *timeline) dropCause(f *flight) DropCause {
-	if f.sub.byz {
+	if f.byz {
 		return CauseFaultedPath
 	}
-	if t.plan != nil && t.plan.routeFaulted(f.p.Sender, f.p.Receiver, f.p.Arrival, t.eng.Now()) {
+	if t.plan != nil && t.plan.routeFaulted(int(f.sender), int(f.receiver), f.arrival, t.ag.now) {
 		return CauseFaultedPath
 	}
 	return CauseCapacity
 }
 
-// refusingHop returns the first escrow on p's route whose payer account
+// refusingHop returns the first escrow on f's route whose payer account
 // cannot cover its hop, or -1 when every hop fits. The hops of one route sit
 // on distinct escrows, so the per-hop reads are exact: admission would not
 // change a balance a later hop depends on.
 //
 //xchain:hotpath
-func (t *timeline) refusingHop(p *payment) int {
-	for k := range p.hops() {
-		e := p.Sender + k
-		if t.ledgers[e].Balance(t.payers[e]) < p.amountVia(k, t.w.Commission) {
+func (t *timeline) refusingHop(f *flight) int {
+	for k := range f.hops() {
+		e := int(f.sender) + k
+		if t.ledgers[e].Balance(t.payers[e]) < f.amountVia(k, t.w.Commission) {
 			return e
 		}
 	}
@@ -1036,37 +1114,35 @@ func (t *timeline) refusingHop(p *payment) int {
 }
 
 // admit makes admission attempt number attempt for f at now: it reads every
-// hop's payer balance and only when all fit reserves them, as locks keyed by
-// the payment's ID and the attempt (their ID, rendered only when read, is
-// "<id>#<attempt>"), and keeps their handles. A refused attempt is therefore
-// a few balance reads — no lock, no ledger operation, no allocation — and
-// leaves the refusing escrow in f.refused. attempt is 0 at arrival and, for a
-// queued payment, the number of settlements it has waited through, so an
-// admitted payment's lock ID does not depend on which of those settlements
-// actually re-tried it.
+// hop's payer balance and only when all fit reserves them, as locks the
+// ledgers hold and f records (their ID, rendered only when read, is
+// "<id>#<attempt>": lockID). A refused attempt is therefore a few balance
+// reads — no lock, no ledger operation, no allocation — and leaves the
+// refusing escrow in f.refused. attempt is 0 at arrival and, for a queued
+// payment, the number of settlements it has waited through, so an admitted
+// payment's lock ID does not depend on which of those settlements actually
+// re-tried it.
 //
 //xchain:hotpath
 func (t *timeline) admit(f *flight, now sim.Time, attempt int) bool {
-	p := f.p
-	if e := t.refusingHop(p); e >= 0 {
+	if e := t.refusingHop(f); e >= 0 {
 		f.refused = int32(e)
 		return false
 	}
-	t.holdHandles(f, p.hops())
-	for k := range f.locks {
-		e := p.Sender + k
-		amount := p.amountVia(k, t.w.Commission)
-		h, err := t.ledgers[e].EscrowKeyed(now, p.ID, uint64(attempt), t.payers[e], t.payees[e], amount, ledger.Condition{})
-		if err != nil && t.res.CascadeErr == nil {
+	f.attempts = int32(attempt + 1)
+	for k := range f.hops() {
+		e := int(f.sender) + k
+		l, amount := t.ledgers[e], f.amountVia(k, t.w.Commission)
+		byz := l.ByzantineEscrowed()
+		if err := l.Hold(t.payers[e], t.payees[e], amount); err != nil && t.res.CascadeErr == nil {
 			// Not reachable from a state this run produced: amounts are
-			// validated positive, the balance was just read and attempts
-			// never repeat. Flag the run rather than half-undo the admission.
-			t.res.CascadeErr = fmt.Errorf("traffic: reserving %s#%d on %s: %w", p.ID, attempt, t.ledgers[e].Name(), err)
+			// validated positive, the balance was just read and the ledgers
+			// compact. Flag the run rather than half-undo the admission.
+			t.res.CascadeErr = fmt.Errorf("traffic: reserving %s on %s: %w", f.lockID(), l.Name(), err)
 		}
-		f.locks[k] = h
+		t.byzHeld += l.ByzantineEscrowed() - byz
 		t.lockedNow += amount
 	}
-	f.attempts = int32(attempt + 1)
 	t.observeByzHeld()
 	return true
 }
@@ -1082,36 +1158,34 @@ func (t *timeline) start(f *flight, now sim.Time) {
 	if t.inFlight > t.res.PeakInFlight {
 		t.res.PeakInFlight = t.inFlight
 	}
-	f.tm = t.eng.ScheduleArgIn(f.sub.duration, "settle", settleFlight, f)
+	_, f.seq = t.ag.schedule(f.duration, settleEvent, f.ix)
 }
 
-// settleFlight is the settlement action of a flight: classify the outcome at
-// the virtual time the payment's own protocol run finished, release or
-// refund every hop's lock through its handle, and wake the waiters a refund
-// may have unblocked. A package-level action on the flight (not a closure per
-// payment), which is also what resume re-attaches to a restored event.
+// settle is the settlement action of a flight: classify the outcome at the
+// virtual time the payment's own protocol run finished, release or refund
+// every hop's lock, and wake the waiters a refund may have unblocked.
 //
 //xchain:hotpath
-func settleFlight(x any) {
-	f := x.(*flight)
-	t := f.t
-	end := t.eng.Now()
+func (t *timeline) settle(f *flight) {
+	end := t.ag.now
 	status := StatusProtocolFailed
 	switch {
-	case f.sub.err() != nil:
+	case f.errored:
 		status = StatusError
-	case f.sub.paid:
+	case f.paid:
 		status = StatusOK
 	}
-	p := f.p
-	for k, h := range f.locks {
-		l := t.ledgers[p.Sender+k]
+	for k := range f.hops() {
+		e := int(f.sender) + k
+		l, amount := t.ledgers[e], f.amountVia(k, t.w.Commission)
+		byz := l.ByzantineEscrowed()
 		if status == StatusOK {
-			l.ReleaseLock(end, h, nil, end) //nolint:errcheck // unconditional lock
+			l.ReleaseHold(t.payers[e], t.payees[e], amount) //nolint:errcheck // admit held it
 		} else {
-			l.RefundLock(end, h, end) //nolint:errcheck // unconditional lock
+			l.RefundHold(t.payers[e], amount) //nolint:errcheck // admit held it
 		}
-		t.lockedNow -= p.amountVia(k, t.w.Commission)
+		t.byzHeld += l.ByzantineEscrowed() - byz
+		t.lockedNow -= amount
 	}
 	if t.lockedNow < 0 && t.res.CascadeErr == nil {
 		t.res.CascadeErr = fmt.Errorf("traffic: refund cascade over-released at %v (%d units)", end, t.lockedNow)
@@ -1123,7 +1197,7 @@ func settleFlight(x any) {
 	// A release credits the payee account c_{e+1} on e_e, which no
 	// admission ever debits: only a refund can unblock a waiter.
 	if status != StatusOK {
-		t.wake(p.Sender, p.Receiver, end)
+		t.wake(int(f.sender), int(f.receiver), end)
 	}
 	t.passes++
 	if t.afterPass != nil {
@@ -1178,14 +1252,14 @@ func (t *timeline) wake(lo, hi int, now sim.Time) {
 		clear(t.waiters[e])
 		t.waiters[e] = t.waiters[e][:0]
 	}
-	slices.SortFunc(woken, func(a, b *flight) int { return a.p.Index - b.p.Index })
+	slices.SortFunc(woken, func(a, b *flight) int { return a.index - b.index })
 	for _, f := range woken {
 		if !t.admit(f, now, t.passes-f.passBase) {
 			t.file(f)
 			continue
 		}
 		t.dequeue(f)
-		f.tm.Cancel()
+		t.ag.m.Canceled.Inc() // its expiry: start moves f.seq on
 		f.queued = true
 		t.start(f, now)
 	}
@@ -1195,43 +1269,64 @@ func (t *timeline) wake(lo, hi int, now sim.Time) {
 
 // record writes f's payment record as it stands before its end: what the
 // payment is, and when and how it was admitted.
-//
-//xchain:hotpath
 func (t *timeline) record(f *flight, pr *PaymentResult) {
-	p := f.p
 	*pr = PaymentResult{}
-	pr.ID, pr.Sender, pr.Receiver = p.ID, p.Sender, p.Receiver
-	pr.Amount, pr.Volume = p.Base, p.amountVia(0, t.w.Commission)
-	pr.Hops, pr.Protocol, pr.Arrival = p.hops(), t.ps.names[p.proto], p.Arrival
-	pr.Start, pr.Queued = f.start, f.queued
-	if f.queued {
-		pr.QueueWait = f.start - p.Arrival
-	}
-	if f.sub.err() == nil {
-		// A rejected or dropped payment's sub-run ran too: the pipeline
-		// simulates every payment before the timeline admits it.
-		pr.SubEvents = f.sub.events
-	}
-	pr.Faulted = f.sub.byz
+	t.identify(pr, f.id(), f)
+	pr.Start = f.start
+	t.admission(f, pr)
 }
 
-// finish ends f with status at end — a drop attributed to cause — and hands
-// its record to the aggregator and, when per-payment retention is on, to its
-// slot in res.Payments.
+// identify writes the fields of f's record that say what the payment is,
+// id its ID: no aggregate reads them, and a run that neither keeps nor
+// samples the record never writes them.
+func (t *timeline) identify(pr *PaymentResult, id string, f *flight) {
+	pr.ID, pr.Sender, pr.Receiver = id, int(f.sender), int(f.receiver)
+	pr.Volume, pr.Hops, pr.Protocol = f.amountVia(0, t.w.Commission), f.hops(), t.ps.names[f.proto]
+}
+
+// admission writes the fields of f's record that the aggregates read and
+// that its end does not decide.
+//
+//xchain:hotpath
+func (t *timeline) admission(f *flight, pr *PaymentResult) {
+	pr.Amount, pr.Arrival, pr.Queued, pr.QueueWait = f.base, f.arrival, f.queued, 0
+	if f.queued {
+		pr.QueueWait = f.start - f.arrival
+	}
+	pr.SubEvents = 0
+	if !f.errored {
+		// A rejected or dropped payment's sub-run ran too: the pipeline
+		// simulates every payment before the timeline admits it.
+		pr.SubEvents = f.events
+	}
+	pr.Faulted = f.byz
+}
+
+// finish ends f with status at end — a drop attributed to cause — and folds
+// its record into the aggregates. The whole record is written only where it
+// is kept: its slot in res.Payments under per-payment retention (identified
+// at arrival), or the exemplar reservoir's slot when the sample draws it;
+// otherwise only what the aggregates read, into scratch.
 //
 //xchain:hotpath
 func (t *timeline) finish(f *flight, status Status, end sim.Time, cause DropCause) {
 	if t.track != nil {
-		delete(t.track, f.p.Index)
+		delete(t.track, f.index)
 	}
 	pr := &t.pr
 	if t.res.Payments != nil {
-		pr = &t.res.Payments[f.p.Index]
+		pr = &t.res.Payments[f.index]
 	}
-	t.record(f, pr)
+	pr.Start = f.start
+	t.admission(f, pr)
 	pr.Status, pr.End, pr.DropCause = status, end, cause
 	if status == StatusDropped {
-		pr.Queued, pr.QueueWait = true, end-f.p.Arrival
+		pr.Queued, pr.QueueWait = true, end-f.arrival
 	}
-	t.agg.observe(t.res, pr)
+	if slot := t.agg.observe(t.res, pr); slot != nil {
+		*slot = *pr
+		if pr == &t.pr {
+			t.identify(slot, f.id(), f)
+		}
+	}
 }

@@ -183,6 +183,11 @@ func latticeInputs() []latticeInput {
 	wake.RandomSubPaths = true
 	silent := core.FaultSpec{Silent: true}
 
+	// Drain-heavy: the benchmark's open shape, whose payments (≈240 ms each)
+	// outlast the 100 ms arrival window.
+	open := NewWorkload(2000)
+	open.Arrival.Rate = 20000
+
 	byzantine := func(r *Result) bool {
 		return r.FaultedPayments > 0 && r.PeakByzantineHeld > 0 && r.SafetyViolations == 0
 	}
@@ -219,6 +224,24 @@ func latticeInputs() []latticeInput {
 				pastFill := sn.Agg.Hist == nil || sn.Agg.ResSeen > len(sn.Agg.Reservoir)
 				return len(sn.Queue) >= 100 && readmitted > 0 && pastFill
 			}},
+		// Most settlements fire in the drain, after the last arrival; the cut
+		// ten payments short of the end snapshots nearly two thousand flights
+		// and the locks they hold.
+		{name: "open-drain", s: hmac(core.NewScenario(2, 13)), w: open, cuts: []int{1990},
+			exercises: func(r *Result) bool {
+				var last sim.Time
+				for i := range r.Payments {
+					last = max(last, r.Payments[i].Arrival)
+				}
+				drained := 0
+				for i := range r.Payments {
+					if r.Payments[i].End > last {
+						drained++
+					}
+				}
+				return drained > r.Total/2
+			},
+			captures: func(sn *RunSnapshot, _ *Result) bool { return len(sn.Flights) >= 1000 }},
 	}
 }
 

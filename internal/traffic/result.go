@@ -238,8 +238,12 @@ func newAggregator(res *Result, keep bool, exemplars int) *aggregator {
 	return a
 }
 
-// observe folds one terminal payment record into the running aggregates.
-func (a *aggregator) observe(r *Result, p *PaymentResult) {
+// observe folds one terminal payment record into the running aggregates. It
+// reads the record's status, end, drop cause and admission fields only
+// (timeline.admission), and returns the exemplar reservoir's slot when the
+// sample draws the payment — the caller writes the whole record there — and
+// nil otherwise.
+func (a *aggregator) observe(r *Result, p *PaymentResult) *PaymentResult {
 	a.m.observeStatus(p)
 	r.Total++
 	switch p.Status {
@@ -286,14 +290,18 @@ func (a *aggregator) observe(r *Result, p *PaymentResult) {
 	}
 	r.SubEventsFired += p.SubEvents
 
-	if a.resSize > 0 {
-		if len(a.reservoir) < a.resSize {
-			a.reservoir = append(a.reservoir, *p)
-		} else if j := a.resRng.Intn(a.resSeen + 1); j < a.resSize {
-			a.reservoir[j] = *p
-		}
-		a.resSeen++
+	if a.resSize == 0 {
+		return nil
 	}
+	a.resSeen++
+	if len(a.reservoir) < a.resSize {
+		a.reservoir = append(a.reservoir, PaymentResult{})
+		return &a.reservoir[len(a.reservoir)-1]
+	}
+	if j := a.resRng.Intn(a.resSeen); j < a.resSize {
+		return &a.reservoir[j]
+	}
+	return nil
 }
 
 // finalize computes the derived aggregates and audits the liquidity book.

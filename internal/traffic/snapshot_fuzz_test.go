@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -66,6 +67,20 @@ func TestResumeRejectsBadSnapshot(t *testing.T) {
 		// its protocol's index in the mix.
 		{"hop-amounts-not-derived", func(sn *RunSnapshot) { sn.Flights[0].Amounts[0]++ }},
 		{"protocol-outside-the-mix", func(sn *RunSnapshot) { sn.Flights[0].Protocol = "htlc-naive" }},
+		// An admitted flight's lock is on every hop's ledger, and its event
+		// where the timeline scheduled it.
+		{"flight-lock-not-held", func(sn *RunSnapshot) {
+			for i := range sn.Ledgers {
+				for j, lk := range sn.Ledgers[i].Locks {
+					if lk.ID == sn.Flights[0].LockID {
+						sn.Ledgers[i].Locks = slices.Delete(sn.Ledgers[i].Locks, j, j+1)
+						return
+					}
+				}
+			}
+		}},
+		{"flight-event-moved", func(sn *RunSnapshot) { sn.Flights[0].Timer.At++ }},
+		{"flight-renamed", func(sn *RunSnapshot) { sn.Flights[0].ID += "x" }},
 		{"settled-lock-held", func(sn *RunSnapshot) {
 			for i := range sn.Ledgers {
 				if len(sn.Ledgers[i].Locks) > 0 {

@@ -278,8 +278,6 @@ type payment struct {
 	Seed     int64
 	// proto indexes the run's protocol mix (Workload.mix, protocols).
 	proto int
-	// chunk is the pipeline chunk the payment stands in, nil outside one.
-	chunk *chunk
 }
 
 // hops returns the number of escrows the payment crosses.
@@ -291,7 +289,15 @@ func (p *payment) hops() int { return p.Receiver - p.Sender }
 //
 //xchain:hotpath
 func (p *payment) amountVia(k int, commission int64) int64 {
-	return p.Base + int64(p.hops()-1-k)*commission
+	return hopAmount(p.Base, p.hops(), k, commission)
+}
+
+// hopAmount is the amount locked on hop k of a route of hops hops whose
+// receiver collects base.
+//
+//xchain:hotpath
+func hopAmount(base int64, hops, k int, commission int64) int64 {
+	return base + int64(hops-1-k)*commission
 }
 
 // mix returns the workload's protocol mix, the default 100% "timelock" when
