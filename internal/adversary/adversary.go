@@ -37,19 +37,23 @@ const (
 	ImpatientAbort Behaviour = "impatient-abort" // abort as soon as allowed
 )
 
+// behaviours is every named behaviour including Honest.
+var behaviours = [...]Behaviour{
+	Honest, Crash, CrashAtStart, Silent, Withhold, RefusePayment,
+	SlowActions, Forge, Equivocation, Theft, ImpatientAbort,
+}
+
 // AllBehaviours lists every named behaviour including Honest.
 func AllBehaviours() []Behaviour {
-	return []Behaviour{
-		Honest, Crash, CrashAtStart, Silent, Withhold, RefusePayment,
-		SlowActions, Forge, Equivocation, Theft, ImpatientAbort,
-	}
+	all := behaviours
+	return all[:]
 }
 
 // ParseBehaviour resolves a behaviour by its string name and reports whether
 // the name is known. Serialised scenarios (internal/scenariogen replay files)
 // store behaviours by name and reconstruct FaultSpecs through this.
 func ParseBehaviour(name string) (Behaviour, bool) {
-	for _, b := range AllBehaviours() {
+	for _, b := range &behaviours {
 		if string(b) == name {
 			return b, true
 		}

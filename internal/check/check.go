@@ -128,12 +128,37 @@ var safetySlots = [...]int{slotES, slotCS1, slotCS2, slotCS3, slotCC, slotCV}
 // Lookup returns the verdict of one property and whether the property was
 // evaluated (CC and WL are only evaluated under Definition 2).
 func (r *Report) Lookup(p core.Property) (Verdict, bool) {
-	for i := range r.verdicts {
-		if r.verdicts[i].Property == p && p != "" {
-			return r.verdicts[i], true
-		}
+	if i := slotOf(p); i >= 0 && r.verdicts[i].Property == p {
+		return r.verdicts[i], true
 	}
 	return Verdict{}, false
+}
+
+// slotOf is the slot of property p, -1 for none.
+func slotOf(p core.Property) int {
+	switch p {
+	case core.PropConsistency:
+		return slotC
+	case core.PropTermination:
+		return slotT
+	case core.PropEscrowSecurity:
+		return slotES
+	case core.PropCS1:
+		return slotCS1
+	case core.PropCS2:
+		return slotCS2
+	case core.PropCS3:
+		return slotCS3
+	case core.PropStrongLiveness:
+		return slotL
+	case core.PropWeakLiveness:
+		return slotWL
+	case core.PropCertConsistency:
+		return slotCC
+	case core.PropConservation:
+		return slotCV
+	}
+	return -1
 }
 
 // Verdict returns the verdict of one property (the zero Verdict if it was

@@ -414,9 +414,9 @@ func TestReportHelpers(t *testing.T) {
 	}
 }
 
-// TestSlotsFollowPropertyOrder pins a report's slots — propertyOrder, and
-// the slot Evaluate writes each checker's verdict to — to
-// core.AllProperties' canonical order.
+// TestSlotsFollowPropertyOrder pins a report's slots — propertyOrder, the
+// slot Evaluate writes each checker's verdict to, and the slot Lookup reads
+// it from — to core.AllProperties' canonical order.
 func TestSlotsFollowPropertyOrder(t *testing.T) {
 	if all := core.AllProperties(); !reflect.DeepEqual(all, propertyOrder[:]) {
 		t.Fatalf("slots hold %v, want core.AllProperties() %v", propertyOrder, all)
@@ -426,5 +426,11 @@ func TestSlotsFollowPropertyOrder(t *testing.T) {
 		if v.Property != propertyOrder[i] {
 			t.Errorf("Evaluate wrote %s's verdict to %s's slot", v.Property, propertyOrder[i])
 		}
+		if got := slotOf(propertyOrder[i]); got != i {
+			t.Errorf("Lookup reads %s from slot %d, want %d", propertyOrder[i], got, i)
+		}
+	}
+	if slotOf("") >= 0 || slotOf("X") >= 0 {
+		t.Error("Lookup finds a slot for a property that has none")
 	}
 }

@@ -10,8 +10,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/clock"
 	"repro/internal/ledger"
@@ -79,6 +79,31 @@ func EscrowID(i int) string { return escrowIDs.id(i) }
 
 // NotaryID returns the canonical ID of notary j in the manager committee.
 func NotaryID(j int) string { return notaryIDs.id(j) }
+
+// SplitID reads a participant ID in one pass as a name and an index, the
+// way the canonical IDs are written: "c3" is ("c", 3), "notary12" is
+// ("notary", 12). The index is the ID's trailing run of ASCII digits, read
+// only if strconv.Itoa writes it so — no leading zero, within the int range;
+// an ID without one, or with one written otherwise, is (id, -1) (so
+// "manager", "c01" and "c" all have no index).
+func SplitID(id string) (name string, k int) {
+	j := len(id)
+	for j > 0 && '0' <= id[j-1] && id[j-1] <= '9' {
+		j--
+	}
+	digits := id[j:]
+	if digits == "" || digits[0] == '0' && len(digits) > 1 {
+		return id, -1
+	}
+	for i := 0; i < len(digits); i++ {
+		d := int(digits[i] - '0')
+		if k > (math.MaxInt-d)/10 {
+			return id, -1
+		}
+		k = 10*k + d
+	}
+	return id[:j], k
+}
 
 // PID is a participant's index in its run's participant table (see
 // sim.PID and World).
@@ -148,25 +173,16 @@ func (t Topology) Participants() []string {
 // RoleOf classifies an ID within this topology; the manager and the notaries
 // notaryK sit outside the chain. An ID that names no participant has no role.
 func (t Topology) RoleOf(id string) Role {
-	switch id {
-	case t.Alice():
-		return RoleAlice
-	case t.Bob():
-		return RoleBob
-	case ManagerID:
-		return RoleManager
-	}
-	for i := 1; i < t.N; i++ {
-		if id == CustomerID(i) {
-			return RoleConnector
+	switch name, k := SplitID(id); {
+	case k < 0:
+		if id == ManagerID {
+			return RoleManager
 		}
-	}
-	for i := 0; i < t.N; i++ {
-		if id == EscrowID(i) {
-			return RoleEscrow
-		}
-	}
-	if k, err := strconv.Atoi(strings.TrimPrefix(id, "notary")); err == nil && k >= 0 && id == NotaryID(k) {
+	case name == "c" && k <= t.N:
+		return t.customerRole(k)
+	case name == "e" && k < t.N:
+		return RoleEscrow
+	case name == "notary":
 		return RoleNotary
 	}
 	return ""

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,95 @@ func TestRoleOf(t *testing.T) {
 	}
 	if topo.RoleOf("stranger") != "" {
 		t.Error("unknown id classified")
+	}
+}
+
+// scanRoleOf is RoleOf as a scan over the topology's IDs: the reference
+// the parsing RoleOf must agree with.
+func scanRoleOf(t Topology, id string) Role {
+	switch id {
+	case t.Alice():
+		return RoleAlice
+	case t.Bob():
+		return RoleBob
+	case ManagerID:
+		return RoleManager
+	}
+	for i := 1; i < t.N; i++ {
+		if id == CustomerID(i) {
+			return RoleConnector
+		}
+	}
+	for i := 0; i < t.N; i++ {
+		if id == EscrowID(i) {
+			return RoleEscrow
+		}
+	}
+	if k, err := strconv.Atoi(strings.TrimPrefix(id, "notary")); err == nil && k >= 0 && id == NotaryID(k) {
+		return RoleNotary
+	}
+	return ""
+}
+
+// roleProbeIDs are every c, e, p and notary ID up to twice MaxChain, the
+// manager, and IDs that only look like one.
+func roleProbeIDs() []string {
+	ids := []string{
+		"", "c", "e", "p", "c01", "c-1", "c+1", "c1x", " c1", "C1", "notary", "notary00", "notary-0",
+		"p01", "manager2", "Manager", "manager ", ManagerID, "c١", "e１", "notary٠",
+		"notary9223372036854775807", "notary9223372036854775808", "c99999999999999999999",
+	}
+	for k := 0; k <= 2*MaxChain; k++ {
+		for _, prefix := range []string{"c", "e", "p", "notary"} {
+			ids = append(ids, prefix+strconv.Itoa(k))
+		}
+	}
+	return ids
+}
+
+// TestRoleOfMatchesScan: parsing an ID gives the role the scan over the
+// topology's IDs gives, for every probe ID at every chain length.
+func TestRoleOfMatchesScan(t *testing.T) {
+	for n := 1; n <= MaxChain; n++ {
+		topo := NewTopology(n)
+		for _, id := range roleProbeIDs() {
+			if got, want := topo.RoleOf(id), scanRoleOf(topo, id); got != want {
+				t.Fatalf("n=%d: RoleOf(%q) = %q, the scan gives %q", n, id, got, want)
+			}
+		}
+	}
+}
+
+// TestWorldResolvesByName: whatever the scenario's fault and patience maps
+// name — chain participants, the manager, notaries, names one past the chain,
+// names that only look like a participant's — a world's tables hold, PID by
+// PID, what the maps hold under the participant's name.
+func TestWorldResolvesByName(t *testing.T) {
+	w := NewWorld()
+	for n := 1; n <= 4; n++ {
+		s := NewScenario(n, 1)
+		s.Faults, s.Patience = map[string]FaultSpec{}, map[string]sim.Time{}
+		for k, id := range roleProbeIDs() {
+			if k%3 != 0 {
+				s.Faults[id] = FaultSpec{DelayActions: sim.Time(k + 1)}
+			}
+			if k%2 != 0 {
+				s.Patience[id] = sim.Time(k + 1)
+			}
+		}
+		if err := w.Reset(&s); err != nil {
+			t.Fatal(err)
+		}
+		w.Join(NotaryID(0))
+		for pid := PID(0); w.Name(pid) != ""; pid++ {
+			id := w.Name(pid)
+			if got, want := w.FaultOf(pid), s.FaultOf(id); got != want || w.Byzantine(pid) != want.IsByzantine() {
+				t.Errorf("n=%d: %s's fault %+v, the map holds %+v", n, id, got, want)
+			}
+			if got, want := w.PatienceOf(pid), s.PatienceOf(id); got != want {
+				t.Errorf("n=%d: %s's patience %v, the map holds %v", n, id, got, want)
+			}
+		}
 	}
 }
 

@@ -183,9 +183,7 @@ func (w *World) Reset(s *Scenario) error {
 
 	w.names = topo.appendEscrows(topo.appendCustomers(w.names))
 	w.chain = len(w.names)
-	for range w.names {
-		w.resolve()
-	}
+	w.resolveChain()
 	w.Join(ManagerID)
 
 	// Escrow e_i hosts accounts for itself and for its two customers c_i
@@ -227,15 +225,49 @@ func (w *World) Reset(s *Scenario) error {
 	return nil
 }
 
+// resolveChain lays out the chain's faults, Byzantine flags and patience,
+// PID by PID, reading each key of the scenario's maps once; a key that names
+// no chain participant is left for Join.
+func (w *World) resolveChain() {
+	n := w.chain
+	w.faults, w.byz, w.patience = slices.Grow(w.faults[:0], n)[:n], slices.Grow(w.byz[:0], n)[:n], slices.Grow(w.patience[:0], n)[:n]
+	clear(w.faults)
+	clear(w.byz)
+	clear(w.patience)
+	if len(w.scn.Faults) > 0 {
+		for id, f := range w.scn.Faults {
+			if pid := w.chainPID(id); pid != NoPID {
+				w.faults[pid], w.byz[pid] = f, f != FaultSpec{}
+			}
+		}
+	}
+	if len(w.scn.Patience) > 0 {
+		for id, p := range w.scn.Patience {
+			if pid := w.chainPID(id); pid != NoPID {
+				w.patience[pid] = p
+			}
+		}
+	}
+}
+
+// chainPID returns the PID of the chain participant named id, NoPID if id
+// names none.
+func (w *World) chainPID(id string) PID {
+	n := w.scn.Topology.N
+	switch name, k := SplitID(id); {
+	case k < 0:
+	case name == "c" && k <= n:
+		return w.CustomerPID(k)
+	case name == "e" && k < n:
+		return w.EscrowPID(k)
+	}
+	return NoPID
+}
+
 // resolve appends the next PID's fault, Byzantine flag and patience, read
 // from the scenario under its name.
-func (w *World) resolve() {
-	var f FaultSpec
-	var p sim.Time
-	if len(w.scn.Faults) > 0 || len(w.scn.Patience) > 0 {
-		id := w.names[len(w.faults)]
-		f, p = w.scn.FaultOf(id), w.scn.PatienceOf(id)
-	}
+func (w *World) resolve(id string) {
+	f, p := w.scn.FaultOf(id), w.scn.PatienceOf(id)
 	w.faults, w.byz, w.patience = append(w.faults, f), append(w.byz, f != FaultSpec{}), append(w.patience, p)
 }
 
@@ -243,7 +275,7 @@ func (w *World) resolve() {
 // a notary — to the run's participant table and returns its PID.
 func (w *World) Join(name string) PID {
 	w.names = append(w.names, name)
-	w.resolve()
+	w.resolve(name)
 	w.Net.SetParticipants(w.names)
 	return PID(len(w.names) - 1)
 }

@@ -138,17 +138,17 @@ func (h *hand) run(t *testing.T, w *core.World, record bool, tap func(netsim.Del
 func units(t *testing.T, m *materialiser, sp Spec) []*hand {
 	t.Helper()
 	if sp.isDeal() {
-		cfg, err := m.dealConfig(sp)
+		cfg, err := m.dealConfig(&sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return []*hand{{engine: string(sp.Family), deal: sp.dealProtocol(), cfg: cfg}}
 	}
-	s, err := m.scenario(sp)
+	s, err := m.scenario(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	protos, err := m.protocols(sp)
+	protos, err := m.protocols(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func (r *row) observe(t *testing.T, ws *worlds, record bool) seen {
 		s.p = h.run(t, ws.world(0), record, nil)
 	} else {
 		s.out = new(Outcome)
-		s.p = kernel(r.sp, ws, record, s.out)
+		s.p = kernel(&r.sp, ws, record, s.out)
 	}
 	after := sig.GlobalStats()
 	s.sig = sig.Stats{

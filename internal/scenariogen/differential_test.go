@@ -179,8 +179,8 @@ func TestSameRunBites(t *testing.T) {
 		}
 	}
 	for _, fam := range []Family{FamTimelock, FamDealTimelock} {
-		out := new(Outcome)
-		p := kernel(baseSpec(fam), &worlds{}, false, out)
+		out, sp := new(Outcome), baseSpec(fam)
+		p := kernel(&sp, &worlds{}, false, out)
 		if !out.OK() {
 			t.Fatalf("%s: %v", fam, out.Violations)
 		}

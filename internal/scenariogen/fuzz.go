@@ -151,8 +151,8 @@ func tallyOf(o *Outcome) tally {
 		family: o.Spec.Family, done: true, ran: true,
 		conforming: o.Class == ClassConforming, theorem2: o.Theorem2, violated: !o.OK(),
 	}
-	for k, p := range core.AllProperties() {
-		if slices.Contains(o.ExpectedFailures, p) {
+	for _, p := range o.ExpectedFailures {
+		if k := slices.Index(core.AllProperties(), p); k >= 0 {
 			t.expected |= 1 << k
 		}
 	}
@@ -271,7 +271,7 @@ func runGuarded(sp Spec, ws *worlds, out *Outcome, run func(Spec, *worlds, *Outc
 	defer func() {
 		if r := recover(); r != nil {
 			*ws = worlds{}
-			out.reset(sp)
+			out.reset(&sp)
 			out.Violations = append(out.Violations, Violation{
 				Kind:   KindEngine,
 				Detail: fmt.Sprintf("seed %d panicked: %v", sp.Seed, r),

@@ -3,6 +3,7 @@ package scenariogen
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -109,36 +110,60 @@ func fingerprint(events uint64, net netsim.Stats, book *ledger.Book) Fingerprint
 
 // ledgerDigest folds every ledger's operation log — kind, from, to, amount
 // and time of each operation, ledger by ledger in the book's order — into 64
-// bits (FNV-1a). The ledgers keep their logs muted or not, and every lock,
-// release and refund a trace would show is one of these operations.
+// bits. The ledgers keep their logs muted or not, and every lock, release and
+// refund a trace would show is one of these operations.
+//
+// The fold takes a word a step, an FNV-1a multiply and a rotation: a
+// bijection of the running value, so two logs whose words differ in one
+// place always digest apart. Each log is prefixed by its operation count and
+// each string by its length. A string shorter than eight bytes is one word,
+// its length in the top byte over its bytes; a longer one is its length (top
+// byte zero), its bytes eight at a time, and the rest, if any, as a shorter
+// string. The encoding is injective, so "ab","c" and "a","bc" fold different
+// words. The digest is compared only within one process (sameRun): nothing
+// persists it.
 func ledgerDigest(book *ledger.Book) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ v&0xff) * prime64
-			v >>= 8
-		}
-	}
-	str := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		word(uint64(len(s)))
-	}
+	h := uint64(digestBasis)
 	for _, l := range book.Ledgers() {
-		ops := l.Ops()
-		word(uint64(len(ops)))
-		for i := range ops {
-			op := &ops[i]
-			str(string(op.Kind))
-			str(op.From)
-			str(op.To)
-			word(uint64(op.Amount))
-			word(uint64(op.At))
-		}
+		h = foldLog(h, l.Ops())
 	}
 	return h
+}
+
+// digestBasis is where ledgerDigest's fold starts: FNV-1a's offset basis.
+const digestBasis = 14695981039346656037
+
+// foldLog folds one ledger's log as ledgerDigest encodes it.
+func foldLog(h uint64, ops []ledger.Op) uint64 {
+	h = foldWord(h, uint64(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		h = foldString(foldString(foldString(h, string(op.Kind)), op.From), op.To)
+		h = foldWord(foldWord(h, uint64(op.Amount)), uint64(op.At))
+	}
+	return h
+}
+
+// foldWord is one step of ledgerDigest's fold.
+func foldWord(h, v uint64) uint64 { return bits.RotateLeft64((h^v)*1099511628211, 29) }
+
+// foldString folds s as ledgerDigest encodes a string.
+func foldString(h uint64, s string) uint64 {
+	if len(s) >= 8 {
+		h = foldWord(h, uint64(len(s)))
+		for ; len(s) >= 8; s = s[8:] {
+			h = foldWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+				uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+		}
+		if len(s) == 0 {
+			return h
+		}
+	}
+	var v uint64
+	for i := len(s) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(s[i])
+	}
+	return foldWord(h, uint64(len(s))<<56|v)
 }
 
 // OK reports whether the run honoured every owed invariant.
@@ -147,7 +172,7 @@ func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 // guarantee is the Guarantee of the protocol a payment-family spec runs, as
 // that protocol states it (TestGuaranteeMatchesEngines holds the two
 // together), and the zero Guarantee for the other families.
-func (sp Spec) guarantee() core.Guarantee {
+func (sp *Spec) guarantee() core.Guarantee {
 	switch {
 	case sp.isTimelockFamily():
 		return core.Guarantee{Theorem: core.Theorem1}
@@ -165,7 +190,7 @@ func (sp Spec) guarantee() core.Guarantee {
 // spec's protocol p on its scenario s. The a-priori bound exists for a
 // conforming timeout-family spec only: it runs derived windows (TimeoutScale
 // 0/1), and the bound is the one p derived them with.
-func (sp Spec) checkOptions(class Class, p core.Protocol, s core.Scenario) check.Options {
+func (sp *Spec) checkOptions(class Class, p core.Protocol, s core.Scenario) check.Options {
 	var bound sim.Time
 	if tl, ok := p.(*timelock.Protocol); ok && class == ClassConforming {
 		bound = tl.ParamsFor(s).Bound
@@ -175,7 +200,7 @@ func (sp Spec) checkOptions(class Class, p core.Protocol, s core.Scenario) check
 
 // managerTrusted applies Theorem 3's trust assumption to the spec's fault
 // assignment.
-func (sp Spec) managerTrusted(g core.Guarantee) bool {
+func (sp *Spec) managerTrusted(g core.Guarantee) bool {
 	return check.ManagerTrusted(g, func(id string) bool {
 		_, faulty := sp.Faults[id]
 		return faulty
@@ -183,7 +208,7 @@ func (sp Spec) managerTrusted(g core.Guarantee) bool {
 }
 
 // allPatienceFinite reports whether every customer has finite patience.
-func (sp Spec) allPatienceFinite() bool {
+func (sp *Spec) allPatienceFinite() bool {
 	for i := 0; i <= sp.N; i++ {
 		if sp.Patience[core.CustomerID(i)] == 0 {
 			return false
@@ -241,7 +266,7 @@ func (o *Outcome) observe(p primary) {
 // primary run. What ws or out held before never reaches either; out's slices
 // are written over, so a caller that judges spec after spec keeps one
 // Outcome (a Fuzz worker does, and copies only what Stats keeps).
-func kernel(sp Spec, ws *worlds, record bool, out *Outcome) primary {
+func kernel(sp *Spec, ws *worlds, record bool, out *Outcome) primary {
 	out.reset(sp)
 	var p primary
 	switch {
@@ -256,8 +281,8 @@ func kernel(sp Spec, ws *worlds, record bool, out *Outcome) primary {
 }
 
 // reset makes o the outcome of sp before it ran, keeping o's slices.
-func (o *Outcome) reset(sp Spec) {
-	*o = Outcome{Spec: sp, Class: sp.Class(), Violations: o.Violations[:0], ExpectedFailures: o.ExpectedFailures[:0]}
+func (o *Outcome) reset(sp *Spec) {
+	*o = Outcome{Spec: *sp, Class: sp.class(), Violations: o.Violations[:0], ExpectedFailures: o.ExpectedFailures[:0]}
 }
 
 // clone returns a copy of o that shares no storage with it, nor with the
@@ -280,7 +305,7 @@ func own[T any](s []T) []T {
 
 // judge is the kernel as the drivers that keep only the verdict run it:
 // muted, no oracle reads a trace.
-func judge(sp Spec, ws *worlds, out *Outcome) { kernel(sp, ws, false, out) }
+func judge(sp Spec, ws *worlds, out *Outcome) { kernel(&sp, ws, false, out) }
 
 // verdict is judge into an Outcome of the caller's own.
 func verdict(sp Spec, ws *worlds) *Outcome {
@@ -313,7 +338,7 @@ func Trace(sp Spec) (tr *trace.Trace, err error) {
 		return nil, fmt.Errorf("scenariogen: a traffic population has no single trace")
 	}
 	var out Outcome
-	p := kernel(sp, &worlds{}, true, &out)
+	p := kernel(&sp, &worlds{}, true, &out)
 	switch {
 	case p.res != nil:
 		return p.res.Trace, nil
@@ -377,7 +402,7 @@ func judgeRerun(out *Outcome, again primary, err error) {
 // and the refund-cascade accounting clean, no lock left unsettled — plus the
 // engine's own determinism contract: a four-worker rerun must be
 // byte-identical to the one-worker run (scheduling never reaches a Result).
-func runTraffic(sp Spec, out *Outcome) {
+func runTraffic(sp *Spec, out *Outcome) {
 	s, err := sp.Scenario()
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
@@ -484,7 +509,7 @@ func checkCheckpoint(s core.Scenario, w traffic.Workload, want string, at int, o
 // or muted as the kernel was asked. It returns the primary run and its
 // verdicts, nil if that run could not be made; an error on the ANTA side is
 // a violation, but leaves the primary run to be returned.
-func runPayment(sp Spec, out *Outcome, ws *worlds, record bool) (*core.RunResult, *check.Report) {
+func runPayment(sp *Spec, out *Outcome, ws *worlds, record bool) (*core.RunResult, *check.Report) {
 	s, err := ws.mat.scenario(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
@@ -531,18 +556,25 @@ func runPayment(sp Spec, out *Outcome, ws *worlds, record bool) (*core.RunResult
 // judgeReport folds one property report into the outcome: owed failures
 // become violations, the rest are recorded as expected. The horizon rule
 // upgrades slow envelope-violating runs to termination failures.
-func judgeReport(sp Spec, out *Outcome, g core.Guarantee, rep *check.Report, duration sim.Time) {
-	facts := check.Facts{
-		InEnvelope:     out.Class == ClassConforming,
-		ManagerTrusted: sp.managerTrusted(g),
-		PatienceFinite: sp.allPatienceFinite(),
-	}
+func judgeReport(sp *Spec, out *Outcome, g core.Guarantee, rep *check.Report, duration sim.Time) {
+	// The facts decide only what a failure means: they are observed at the
+	// first one.
+	var facts check.Facts
+	observed := false
 	beyondHorizon := out.Class == ClassViolating && duration > Horizon
 	for _, p := range core.AllProperties() {
 		v, _ := rep.Lookup(p)
 		failed := !v.OK()
 		if !failed && !(p == core.PropTermination && beyondHorizon) {
 			continue
+		}
+		if !observed {
+			facts = check.Facts{
+				InEnvelope:     out.Class == ClassConforming,
+				ManagerTrusted: sp.managerTrusted(g),
+				PatienceFinite: sp.allPatienceFinite(),
+			}
+			observed = true
 		}
 		if !check.Owed(g, p, facts) {
 			out.ExpectedFailures = append(out.ExpectedFailures, p)
@@ -651,7 +683,7 @@ func describeSettlement(op *ledger.Op, led int) string {
 }
 
 // dealProtocol returns the RunIn of the deal protocol a deal-family spec runs.
-func (sp Spec) dealProtocol() func(*core.World, deals.Config) (*deals.Result, error) {
+func (sp *Spec) dealProtocol() func(*core.World, deals.Config) (*deals.Result, error) {
 	if sp.Family == FamDealCertified {
 		return deals.CertifiedCommit{}.RunIn
 	}
@@ -662,7 +694,7 @@ func (sp Spec) dealProtocol() func(*core.World, deals.Config) (*deals.Result, er
 // properties: safety and termination unconditionally, strong liveness when
 // every party complies under a conforming schedule, plus the ledger audit. It
 // returns the deal run, nil if the spec could not run.
-func runDeal(sp Spec, out *Outcome, ws *worlds, record bool) *deals.Result {
+func runDeal(sp *Spec, out *Outcome, ws *worlds, record bool) *deals.Result {
 	cfg, err := ws.mat.dealConfig(sp)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{Kind: KindEngine, Detail: err.Error()})
@@ -703,6 +735,6 @@ func runDeal(sp Spec, out *Outcome, ws *worlds, record bool) *deals.Result {
 // wantDeterminism samples a sixteenth of the seed space for the double-run
 // determinism oracle; committee runs are exempt (they are the costliest, and
 // internal/weaklive's own tests already pin their determinism).
-func (sp Spec) wantDeterminism() bool {
+func (sp *Spec) wantDeterminism() bool {
 	return sp.Seed%16 == 0 && sp.Family != FamCommittee
 }

@@ -465,7 +465,7 @@ func TestFuzzFoldsInSeedOrder(t *testing.T) {
 		if sp.Seed%window == 0 {
 			time.Sleep(20 * time.Millisecond)
 		}
-		o.reset(sp)
+		o.reset(&sp)
 		o.Theorem2 = sp.Seed%50 == 0
 		if sp.Seed%40 == 0 {
 			o.Violations = append(o.Violations, Violation{Kind: KindEngine})

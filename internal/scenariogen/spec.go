@@ -59,21 +59,25 @@ const (
 	FamTraffic Family = "traffic"
 )
 
+// families is every family in canonical order.
+var families = [...]Family{
+	FamTimelock, FamANTA, FamNaive, FamHTLC, FamWeaklive, FamCommittee,
+	FamDifferential, FamDealTimelock, FamDealCertified, FamTraffic,
+}
+
 // AllFamilies lists every family in canonical order.
 func AllFamilies() []Family {
-	return []Family{
-		FamTimelock, FamANTA, FamNaive, FamHTLC, FamWeaklive, FamCommittee,
-		FamDifferential, FamDealTimelock, FamDealCertified, FamTraffic,
-	}
+	all := families
+	return all[:]
 }
 
 // SinglePayment reports whether the family runs one core.Protocol on one
 // payment: the timeout variants, htlc and the weak-liveness protocols.
-func (f Family) SinglePayment() bool { return len(new(materialiser).engines(Spec{Family: f})) == 1 }
+func (f Family) SinglePayment() bool { return len(new(materialiser).engines(&Spec{Family: f})) == 1 }
 
 // ParseFamily resolves a family by name.
 func ParseFamily(name string) (Family, bool) {
-	for _, f := range AllFamilies() {
+	for _, f := range &families {
 		if string(f) == name {
 			return f, true
 		}
@@ -275,7 +279,9 @@ type span struct {
 
 // Validate checks that the spec is structurally sound, every size is within
 // its bound and all names resolve. It fails with a *FieldError.
-func (sp Spec) Validate() error {
+func (sp Spec) Validate() error { return sp.validate() }
+
+func (sp *Spec) validate() error {
 	if _, ok := ParseFamily(string(sp.Family)); !ok {
 		return refuse("family", "unknown family %q", sp.Family)
 	}
@@ -311,15 +317,34 @@ func (sp Spec) Validate() error {
 		}
 	}
 	// A key naming nobody would be ignored by the run, yet could still
-	// change the spec's class and with it the properties the run owes.
-	if id, ok := firstBad(sp.Faults, func(id, _ string) bool { return !sp.participant(id) }); ok {
-		return refuse("faults", "fault on %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
+	// change the spec's class and with it the properties the run owes. Each
+	// key is read once; the refusals keep their order.
+	var stranger, unknown firstBad
+	for id, name := range sp.Faults {
+		if !sp.participant(id) {
+			stranger.see(id)
+		}
+		if _, ok := adversary.ParseBehaviour(name); !ok {
+			unknown.see(id)
+		}
 	}
-	if id, ok := firstBad(sp.Patience, func(id string, _ sim.Time) bool { return !sp.participant(id) }); ok {
-		return refuse("patience", "patience of %s, no participant of a %s run with n=%d", id, sp.Family, sp.N)
+	if stranger.found {
+		return refuse("faults", "fault on %s, no participant of a %s run with n=%d", stranger.id, sp.Family, sp.N)
 	}
-	if id, ok := firstBad(sp.Patience, func(_ string, p sim.Time) bool { return p < 0 || int64(p) > maxSpan }); ok {
-		return refuse("patience", "patience of %s %d outside [0, %d]", id, sp.Patience[id], maxSpan)
+	var impatient, outOfRange firstBad
+	for id, p := range sp.Patience {
+		if !sp.participant(id) {
+			impatient.see(id)
+		}
+		if p < 0 || int64(p) > maxSpan {
+			outOfRange.see(id)
+		}
+	}
+	if impatient.found {
+		return refuse("patience", "patience of %s, no participant of a %s run with n=%d", impatient.id, sp.Family, sp.N)
+	}
+	if outOfRange.found {
+		return refuse("patience", "patience of %s %d outside [0, %d]", outOfRange.id, sp.Patience[outOfRange.id], maxSpan)
 	}
 	if sp.Timing.Rho < 0 || sp.Timing.Rho > maxRho {
 		return refuse("timing.rho", "clock drift %v outside [0, %v]", sp.Timing.Rho, maxRho)
@@ -336,8 +361,8 @@ func (sp Spec) Validate() error {
 	default:
 		return refuse("net.kind", "unknown network kind %q", sp.Net.Kind)
 	}
-	if id, ok := firstBad(sp.Faults, func(_, name string) bool { _, ok := adversary.ParseBehaviour(name); return !ok }); ok {
-		return refuse("faults", "unknown behaviour %q for %s", sp.Faults[id], id)
+	if unknown.found {
+		return refuse("faults", "unknown behaviour %q for %s", sp.Faults[unknown.id], unknown.id)
 	}
 	if _, ok := sig.BackendByName(sp.Crypto); !ok {
 		return refuse("crypto", "unknown crypto backend %q (have %v)", sp.Crypto, sig.BackendNames())
@@ -359,47 +384,48 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// firstBad returns the smallest key of m whose entry is bad, and whether there
-// is one: an error names the same entry whatever order the map iterates in.
-func firstBad[V any](m map[string]V, bad func(string, V) bool) (string, bool) {
-	first, found := "", false
-	for k, v := range m {
-		if bad(k, v) && (!found || k < first) {
-			first, found = k, true
-		}
+// firstBad is the smallest of the map keys it has seen: a refusal names the
+// same entry whatever order the map iterates in.
+type firstBad struct {
+	id    string
+	found bool
+}
+
+func (b *firstBad) see(id string) {
+	if !b.found || id < b.id {
+		b.id, b.found = id, true
 	}
-	return first, found
 }
 
 // participant reports whether id names a participant of the spec's runs: a
 // deal's parties p0..p_{N-1}; otherwise the chain's customers and escrows,
 // plus the transaction manager of the weak-liveness families and the
 // notaries of a committee.
-func (sp Spec) participant(id string) bool {
-	if sp.isDeal() {
-		k, err := strconv.Atoi(strings.TrimPrefix(id, "p"))
-		return err == nil && 0 <= k && k < sp.N && id == "p"+strconv.Itoa(k)
-	}
-	switch core.NewTopology(sp.N).RoleOf(id) {
-	case core.RoleAlice, core.RoleConnector, core.RoleBob, core.RoleEscrow:
-		return true
-	case core.RoleManager:
-		return sp.isWeaklive()
-	case core.RoleNotary:
-		k, _ := strconv.Atoi(strings.TrimPrefix(id, "notary"))
+func (sp *Spec) participant(id string) bool {
+	name, k := core.SplitID(id)
+	switch {
+	case k < 0:
+		return id == core.ManagerID && sp.isWeaklive()
+	case sp.isDeal():
+		return name == "p" && k < sp.N
+	case name == "c":
+		return k <= sp.N
+	case name == "e":
+		return k < sp.N
+	case name == "notary":
 		return sp.Family == FamCommittee && k < sp.committeeSize()
 	}
 	return false
 }
 
 // isDeal reports whether the spec runs a deal protocol.
-func (sp Spec) isDeal() bool {
+func (sp *Spec) isDeal() bool {
 	return sp.Family == FamDealTimelock || sp.Family == FamDealCertified
 }
 
 // isTimelockFamily reports whether the spec runs a variant of the Figure-2
 // timeout protocol (including the differential pair).
-func (sp Spec) isTimelockFamily() bool {
+func (sp *Spec) isTimelockFamily() bool {
 	switch sp.Family {
 	case FamTimelock, FamANTA, FamNaive, FamDifferential:
 		return true
@@ -408,12 +434,12 @@ func (sp Spec) isTimelockFamily() bool {
 }
 
 // isWeaklive reports whether the spec runs the Theorem-3 protocol.
-func (sp Spec) isWeaklive() bool {
+func (sp *Spec) isWeaklive() bool {
 	return sp.Family == FamWeaklive || sp.Family == FamCommittee
 }
 
 // committeeSize resolves the committee size (0 defaults like weaklive does).
-func (sp Spec) committeeSize() int {
+func (sp *Spec) committeeSize() int {
 	if sp.CommitteeSize <= 0 {
 		return 4
 	}
@@ -434,7 +460,7 @@ func (sp Spec) SufficientPatience() sim.Time {
 }
 
 // sufficientDealPatience is the certified-deal analogue.
-func (sp Spec) sufficientDealPatience() sim.Time {
+func (sp *Spec) sufficientDealPatience() sim.Time {
 	return sim.Time(100*(sp.N+5)) * sp.Timing.Delta
 }
 
@@ -483,7 +509,7 @@ type materialiser struct {
 }
 
 // network materialises the delay model.
-func (m *materialiser) network(sp Spec) netsim.DelayModel {
+func (m *materialiser) network(sp *Spec) netsim.DelayModel {
 	switch sp.Net.Kind {
 	case NetPartial:
 		m.partial = netsim.PartialSynchrony{GST: sp.Net.GST, Delta: sp.Timing.Delta, MaxPreGST: sp.Net.MaxPreGST}
@@ -502,10 +528,10 @@ func (m *materialiser) network(sp Spec) netsim.DelayModel {
 }
 
 // Scenario materialises the core scenario for a payment-family spec.
-func (sp Spec) Scenario() (core.Scenario, error) { return new(materialiser).scenario(sp) }
+func (sp Spec) Scenario() (core.Scenario, error) { return new(materialiser).scenario(&sp) }
 
-func (m *materialiser) scenario(sp Spec) (core.Scenario, error) {
-	if err := sp.Validate(); err != nil {
+func (m *materialiser) scenario(sp *Spec) (core.Scenario, error) {
+	if err := sp.validate(); err != nil {
 		return core.Scenario{}, err
 	}
 	if sp.isDeal() {
@@ -546,7 +572,7 @@ func (m *materialiser) scenario(sp Spec) (core.Scenario, error) {
 // engines returns the protocol engines the spec runs, before any timeout
 // windows are attached: one for every payment family except differential,
 // which gets the process/ANTA pair; nil for the others.
-func (m *materialiser) engines(sp Spec) []core.Protocol {
+func (m *materialiser) engines(sp *Spec) []core.Protocol {
 	switch sp.Family {
 	case FamTimelock:
 		m.process = *timelock.New()
@@ -577,9 +603,9 @@ func (m *materialiser) engines(sp Spec) []core.Protocol {
 // timeout-family protocol carries the windows it will run — derived, scaled
 // or inflated — so the run and the oracle's a-priori bound read one
 // derivation, which a differential pair shares.
-func (sp Spec) Protocols() ([]core.Protocol, error) { return new(materialiser).protocols(sp) }
+func (sp Spec) Protocols() ([]core.Protocol, error) { return new(materialiser).protocols(&sp) }
 
-func (m *materialiser) protocols(sp Spec) ([]core.Protocol, error) {
+func (m *materialiser) protocols(sp *Spec) ([]core.Protocol, error) {
 	protos := m.engines(sp)
 	if protos == nil {
 		return nil, fmt.Errorf("scenariogen: family %s has no core.Protocol", sp.Family)
@@ -625,7 +651,7 @@ func dealPartyID(i int) string {
 // p0..p_{N-1}, arc i transferring Base + i*Commission of asset_i from p_i to
 // p_{(i+1)%N}. A ring is strongly connected, hence well-formed in the sense of
 // Herlihy et al., so their protocols' guarantees are owed on it.
-func (m *materialiser) ring(sp Spec) *deals.Deal {
+func (m *materialiser) ring(sp *Spec) *deals.Deal {
 	d := m.rings[sp.N]
 	if d == nil {
 		parties := make([]string, sp.N)
@@ -650,10 +676,10 @@ func (m *materialiser) ring(sp Spec) *deals.Deal {
 }
 
 // DealConfig materialises the deal-protocol configuration of a deal spec.
-func (sp Spec) DealConfig() (deals.Config, error) { return new(materialiser).dealConfig(sp) }
+func (sp Spec) DealConfig() (deals.Config, error) { return new(materialiser).dealConfig(&sp) }
 
-func (m *materialiser) dealConfig(sp Spec) (deals.Config, error) {
-	if err := sp.Validate(); err != nil {
+func (m *materialiser) dealConfig(sp *Spec) (deals.Config, error) {
+	if err := sp.validate(); err != nil {
 		return deals.Config{}, err
 	}
 	if !sp.isDeal() {
@@ -730,7 +756,9 @@ const (
 
 // Class derives the spec's class from its content (never stored, so shrinker
 // mutations and hand-edited replays classify consistently).
-func (sp Spec) Class() Class {
+func (sp Spec) Class() Class { return sp.class() }
+
+func (sp *Spec) class() Class {
 	if sp.Family == FamTraffic && sp.Traffic != nil && sp.Traffic.plan().Enabled() {
 		// A live fault plan breaks the connectors' (or the manager's) trust
 		// assumptions: liveness damage is the expected outcome, and only the
@@ -795,7 +823,7 @@ func behaviourIn(b adversary.Behaviour, set []adversary.Behaviour) bool {
 // assumptions: at most two faulty chain participants drawn from the
 // behaviours meaningful for their role, and a transaction manager whose
 // trust assumption stands with any faulty notaries merely unresponsive.
-func (sp Spec) faultsConforming() bool {
+func (sp *Spec) faultsConforming() bool {
 	if sp.isDeal() {
 		return true // any non-compliant subset is within Herlihy et al.'s model
 	}

@@ -3,6 +3,7 @@ package scenariogen
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -34,6 +35,62 @@ func TestNewSpecIsNewScenario(t *testing.T) {
 				got.Network, want.Network, want.KeySeed = nil, nil, campaignKeySeed
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("n=%d seed=%d: scenario %+v, want %+v", n, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// scanParticipant is participant as the scan over the topology's IDs that
+// RoleOf was: the reference the parsing participant must agree with.
+func scanParticipant(sp Spec, id string) bool {
+	if sp.isDeal() {
+		k, err := strconv.Atoi(strings.TrimPrefix(id, "p"))
+		return err == nil && 0 <= k && k < sp.N && id == "p"+strconv.Itoa(k)
+	}
+	topo := core.NewTopology(sp.N)
+	switch id {
+	case topo.Alice(), topo.Bob():
+		return true
+	case core.ManagerID:
+		return sp.isWeaklive()
+	}
+	for i := 0; i < sp.N; i++ {
+		if id == core.CustomerID(i) || id == core.EscrowID(i) {
+			return true
+		}
+	}
+	if k, err := strconv.Atoi(strings.TrimPrefix(id, "notary")); err == nil && k >= 0 && id == core.NotaryID(k) {
+		return sp.Family == FamCommittee && k < sp.committeeSize()
+	}
+	return false
+}
+
+// TestParticipantMatchesScan: parsing an ID names the participants the scan
+// names, for every family, chain length and committee size, on every c, e,
+// p and notary ID up to twice MaxChain and on IDs that only look like one.
+func TestParticipantMatchesScan(t *testing.T) {
+	ids := []string{
+		"", "c", "e", "p", "c01", "c-1", "c1x", "notary", "notary00", "p01", "p-0",
+		"manager2", core.ManagerID, "c١", "p１", "notary9223372036854775808",
+	}
+	for k := 0; k <= 2*core.MaxChain; k++ {
+		for _, prefix := range []string{"c", "e", "p", "notary"} {
+			ids = append(ids, prefix+strconv.Itoa(k))
+		}
+	}
+	for _, f := range AllFamilies() {
+		sizes := []int{0}
+		if f == FamCommittee {
+			sizes = append(sizes, 1, 4, core.MaxChain)
+		}
+		for n := 1; n <= core.MaxChain; n++ {
+			for _, size := range sizes {
+				sp := Spec{Family: f, N: n, CommitteeSize: size}
+				for _, id := range ids {
+					if got, want := sp.participant(id), scanParticipant(sp, id); got != want {
+						t.Fatalf("%s n=%d committee %d: participant(%q) = %v, the scan gives %v", f, n, size, id, got, want)
+					}
 				}
 			}
 		}
@@ -143,7 +200,7 @@ func TestGuaranteeMatchesEngines(t *testing.T) {
 		for _, size := range []int{0, 1, 4, 7} {
 			sp := Spec{Family: f, CommitteeSize: size}
 			var want core.Guarantee
-			if engines := new(materialiser).engines(sp); engines != nil {
+			if engines := new(materialiser).engines(&sp); engines != nil {
 				want = engines[0].Guarantee()
 				for _, e := range engines[1:] {
 					if e.Guarantee() != want {

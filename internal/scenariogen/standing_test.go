@@ -254,7 +254,7 @@ func TestMaterialiserMatchesSpec(t *testing.T) {
 	check := func(pass string, sp Spec) {
 		t.Helper()
 		if sp.isDeal() {
-			got, err := m.dealConfig(sp)
+			got, err := m.dealConfig(&sp)
 			want, wantErr := sp.DealConfig()
 			if err != nil || wantErr != nil || !sameNetwork(got.Network, want.Network) {
 				t.Fatalf("%s: %s: errors %v and %v, networks %+v and %+v", pass, sp.Describe(), err, wantErr, got.Network, want.Network)
@@ -265,7 +265,7 @@ func TestMaterialiserMatchesSpec(t *testing.T) {
 			}
 			return
 		}
-		got, err := m.scenario(sp)
+		got, err := m.scenario(&sp)
 		want, wantErr := sp.Scenario()
 		if err != nil || wantErr != nil || !sameNetwork(got.Network, want.Network) {
 			t.Fatalf("%s: %s: errors %v and %v, networks %+v and %+v", pass, sp.Describe(), err, wantErr, got.Network, want.Network)
@@ -274,7 +274,7 @@ func TestMaterialiserMatchesSpec(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %s: the standing materialiser's scenario\n%+v\na new one's\n%+v", pass, sp.Describe(), got, want)
 		}
-		gotProtos, err := m.protocols(sp)
+		gotProtos, err := m.protocols(&sp)
 		wantProtos, wantErr := sp.Protocols()
 		if err != nil || wantErr != nil || !reflect.DeepEqual(gotProtos, wantProtos) {
 			t.Fatalf("%s: %s: errors %v and %v, protocols %+v and %+v", pass, sp.Describe(), err, wantErr, gotProtos, wantProtos)

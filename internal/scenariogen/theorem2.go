@@ -234,7 +234,7 @@ func AuditTheorem1(sum *check.Summary, n int, assignments []adversary.Assignment
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			sp := NewSpec(FamTimelock, n, seed)
 			sp.Faults = faultsOf(a)
-			p := kernel(sp, &ws, false, &out)
+			p := kernel(&sp, &ws, false, &out)
 			switch {
 			case out.Class != ClassConforming:
 				errs = append(errs, fmt.Errorf("%s: outside Theorem 1's model", sp.Describe()))

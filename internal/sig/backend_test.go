@@ -464,7 +464,7 @@ func TestRenderedMatchesEager(t *testing.T) {
 		for i := 0; i < 3*termChunk; i++ {
 			kr, id := krs[i%2], ids[i%len(ids)]
 			payload := []byte(fmt.Sprintf("artefact %d: %s", i, strings.Repeat("x", i%97)))
-			eager := bytes.Clone(kr.backend.bind(kr.keys[kr.index(id)].key).sign(payload))
+			eager := bytes.Clone(kr.backend.bind(kr.held(kr.index(id)).key).sign(payload))
 			s := kr.Sign(id, payload)
 			if i%5 == 0 && !bytes.Equal(s.Bytes(), eager) {
 				t.Fatalf("%s: signature %d read at once renders %x, the backend signed %x", name, i, s.Bytes(), eager)
@@ -534,8 +534,8 @@ func TestSignatureArenaRollover(t *testing.T) {
 // heldIDs lists the IDs whose keys kr holds, in PID order.
 func heldIDs(kr *Keyring) string {
 	var ids []string
-	for _, e := range kr.keys {
-		if e.held {
+	for pid := range kr.pids {
+		if e := kr.held(pid); e != nil {
 			ids = append(ids, e.id)
 		}
 	}
@@ -554,7 +554,7 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		opts := Options{Backend: backend}
 		kr := NewKeyringWith(opts, "seed-a", long)
 		sigC2 := bytes.Clone(kr.Sign("c2", msg).Bytes())
-		bound := func() bool { return kr.keys[kr.entry("c2")].s != nil }
+		bound := func() bool { return kr.keys[kr.byName["c2"]].s != nil }
 		signers := func() int {
 			n := 0
 			for _, e := range kr.keys {
@@ -610,6 +610,16 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		if st := kr.Stats(); st.KeygenMisses != uint64(len(long)) || st.KeygenHits != 0 {
 			t.Fatalf("%s: after ResetKeyCache the keyring counts %+v, want %d misses", backend, st, len(long))
 		}
+
+		// A late Hold of a dropped participant after a flush: its entry kept
+		// its key, but a new keyring's Hold would miss, and so must this one.
+		kr.Reset("seed-b", short)
+		ResetKeyCache()
+		before := kr.Stats()
+		kr.Hold(sim.PID(len(short)), "c2")
+		if st := kr.Stats(); st.KeygenMisses != before.KeygenMisses+1 || st.KeygenHits != before.KeygenHits {
+			t.Fatalf("%s: a Hold after ResetKeyCache counts %+v, before it %+v: want one miss", backend, st, before)
+		}
 	}
 	ResetKeyCache()
 }
@@ -634,6 +644,13 @@ func TestKeyringResetEquivalence(t *testing.T) {
 			{seed: "seed-a", parts: []string{"c0", "c1", "e0"}, extra: "manager"},
 			{seed: "seed-a", parts: []string{"c0", "c1", "c2", "e0", "e1"}},
 			{seed: "seed-a", parts: []string{"c0", "c1", "e0"}, extra: "manager"},
+			// c2 and e1 dropped out and come back: their entries, and the
+			// manager's, are held again without the key cache.
+			{seed: "seed-a", parts: []string{"c0", "c1", "c2", "e0", "e1"}, extra: "manager"},
+			{seed: "seed-a", parts: []string{"c0", "c1", "e0"}},
+			// They come back after the cache was emptied: a new keyring
+			// misses, and so must the reused one.
+			{seed: "seed-a", parts: []string{"c0", "c1", "c2", "e0", "e1"}, flush: true, extra: "manager"},
 			{seed: "seed-b", parts: []string{"c0", "c1", "e0"}},
 			{seed: "seed-b", parts: []string{"c0", "c1", "e0"}, flush: true},
 			{seed: "seed-b", parts: []string{"c0", "c1", "e0"}},

@@ -205,7 +205,7 @@ type typedTriple struct {
 // eagerSign is what the parent's Sign returned: the backend's signature under
 // id's current key, computed now.
 func eagerSign(kr *Keyring, id string, payload []byte) []byte {
-	return bytes.Clone(kr.backend.bind(kr.keys[kr.index(id)].key).sign(payload))
+	return bytes.Clone(kr.backend.bind(kr.held(kr.index(id)).key).sign(payload))
 }
 
 // numOps is how many operations a program step chooses from.

@@ -141,12 +141,17 @@ type Keyring struct {
 	// only for the same seed in the same epoch.
 	seed  string
 	epoch uint64
-	// keys holds each participant's key and, bound on first use, its
-	// signer, indexed by the participant's PID: SignAs finds both by index.
-	// Reset keeps a dropped-out participant's entry, not held, for its signer
-	// (bound to the key the same seed derives again); only a later Reset or
-	// Hold that names it holds it again.
-	keys []keyEntry
+	// keys holds one entry per name the keyring has held a key for under
+	// its seed: the key and, bound on first use, its signer. An entry never
+	// moves while the seed stays, so a participant that drops out at a Reset
+	// keeps its signer (bound to the key the same seed derives again) until
+	// a later Reset or Hold names it again. byName finds a name's entry.
+	keys   []keyEntry
+	byName map[string]int32
+	// pids maps a PID to the entry it holds, -1 for none: SignAs finds a
+	// participant's key and signer by index. An entry is held under one PID
+	// at most, its keyEntry.pid.
+	pids []int32
 	// arena holds the raw payloads signed and the signatures rendered, terms
 	// the terms Sign records.
 	arena arena[byte]
@@ -163,10 +168,10 @@ type Keyring struct {
 }
 
 type keyEntry struct {
-	id   string
-	key  Key
-	s    signer
-	held bool
+	id  string
+	key Key
+	s   signer
+	pid int32 // the PID holding the entry, -1 if none
 }
 
 // NewKeyringWith creates a keyring under the options' backend holding the
@@ -176,6 +181,8 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
 		backend: opts.backend(),
 		keys:    make([]keyEntry, 0, len(participants)),
+		byName:  make(map[string]int32, len(participants)),
+		pids:    make([]int32, 0, len(participants)),
 		record:  opts.MemoCapacity >= 0,
 	}
 	kr.derive(seed, participants)
@@ -194,12 +201,13 @@ func (kr *Keyring) derive(seed string, participants []string) {
 // Reset makes the keyring what NewKeyringWith(same options, seed,
 // participants) returns — exactly these participants' keys, no term that
 // answers a verification, Stats counting one key derivation per participant —
-// while keeping what a new keyring would only fetch again: keys already held
-// for the same seed count as the key-cache hits a new keyring would score
-// (unless the cache was emptied since, when a new keyring would miss and this
-// one derives again), and bound signers stay bound — those of participants
-// that drop out too, for the next longer chain under the same seed. Every
-// signature handed out before is stale afterwards.
+// while keeping what a new keyring would only fetch again: a participant whose
+// entry already has its key under the same seed is held again without the
+// key cache and counts as the cache hit a new keyring would score (unless the
+// cache was emptied since, when a new keyring would miss and this one derives
+// again), and bound signers stay bound — those of participants that drop out
+// too, for the next longer chain under the same seed. Every signature handed
+// out before is stale afterwards.
 func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.stats = Stats{}
 	kr.gen++
@@ -208,88 +216,104 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 	if seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
 		clear(kr.keys)
 		kr.keys = kr.keys[:0]
+		clear(kr.byName)
+		kr.pids = kr.pids[:0]
 		kr.derive(seed, participants)
 		return
 	}
-	// Every entry is under this seed, so an entry for a participant's name
-	// has its key and bound signer, wherever it stands: it is moved to the
-	// participant's PID, and a held one is kept as is.
-	kept := 0
+	for i := len(participants); i < len(kr.pids); i++ {
+		kr.unhold(i)
+	}
+	kr.pids = kr.pids[:min(len(kr.pids), len(participants))]
+	rehold := 0
 	for i, id := range participants {
-		kr.place(i, id)
-		if kr.keys[i].held {
-			kept++
+		if e := kr.place(i, id); e.key.pub != nil {
+			rehold++
 		} else {
 			kr.Hold(sim.PID(i), id)
 		}
 	}
-	kr.stats.KeygenHits += uint64(kept)
-	globalKeygenHits.Add(uint64(kept))
-	for i := len(participants); i < len(kr.keys); i++ {
-		kr.keys[i].held = false
+	kr.stats.KeygenHits += uint64(rehold)
+	globalKeygenHits.Add(uint64(rehold))
+}
+
+// place makes PID i hold the entry named id — the one the keyring has, or a
+// new one without a key — and returns it. The entry that PID i held before,
+// and the PID that held id's entry, hold nothing afterwards.
+func (kr *Keyring) place(i int, id string) *keyEntry {
+	for len(kr.pids) <= i {
+		kr.pids = append(kr.pids, -1)
+	}
+	if j := kr.pids[i]; j >= 0 && kr.keys[j].id == id {
+		return &kr.keys[j]
+	}
+	kr.unhold(i)
+	j, ok := kr.byName[id]
+	if !ok {
+		j = int32(len(kr.keys))
+		kr.keys = append(kr.keys, keyEntry{id: id, pid: -1})
+		kr.byName[id] = j
+	}
+	e := &kr.keys[j]
+	if e.pid >= 0 {
+		kr.pids[e.pid] = -1
+	}
+	e.pid, kr.pids[i] = int32(i), j
+	return e
+}
+
+// unhold makes PID i hold nothing.
+func (kr *Keyring) unhold(i int) {
+	if j := kr.pids[i]; j >= 0 {
+		kr.keys[j].pid, kr.pids[i] = -1, -1
 	}
 }
 
-// place brings the entry named id to PID i — the one some entry has, or a
-// new one — keeping the entry that stood there under another PID: a key and
-// its bound signer wait for their participant to come back.
-func (kr *Keyring) place(i int, id string) {
-	if i >= len(kr.keys) {
-		kr.keys = append(kr.keys, make([]keyEntry, i+1-len(kr.keys))...)
-	}
-	if kr.keys[i].id == id {
-		return
-	}
-	if j := kr.entry(id); j >= 0 {
-		kr.keys[i], kr.keys[j] = kr.keys[j], kr.keys[i]
-		return
-	}
-	if kr.keys[i].id != "" {
-		kr.keys = append(kr.keys, kr.keys[i])
-	}
-	kr.keys[i] = keyEntry{id: id}
-}
-
-// entry returns the PID of the entry named id, held or not, or -1: place
-// keeps one entry per name.
-func (kr *Keyring) entry(id string) int {
-	for i := range kr.keys {
-		if kr.keys[i].id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// index returns the PID under which the keyring holds id's key, or -1. It
-// scans the entries: the way in for the name-addressed operations, never for
-// a run's signing.
+// index returns the PID under which the keyring holds id's key, or -1: the
+// way in for the name-addressed operations, never for a run's signing.
 func (kr *Keyring) index(id string) int {
-	if i := kr.entry(id); i >= 0 && kr.keys[i].held {
-		return i
+	if j, ok := kr.byName[id]; ok {
+		return int(kr.keys[j].pid)
 	}
 	return -1
 }
 
 // Hold derives participant id's key under the keyring's seed and holds it
 // under pid, moving id's entry there if it stands elsewhere. The seed derives
-// the same key every time, so an entry that has its signer bound keeps it, and
-// what a key already held signed still answers.
+// the same key every time, so an entry that has its key keeps it — counted as
+// the cache hit a new keyring would score while the cache keeps the epoch it
+// was fetched in — with its bound signer, and what a key already held signed
+// still answers.
 func (kr *Keyring) Hold(pid sim.PID, id string) {
-	kr.place(int(pid), id)
+	e := kr.place(int(pid), id)
+	if e.key.pub != nil && kr.epoch == keyCacheEpoch.Load() {
+		kr.stats.KeygenHits++
+		globalKeygenHits.Add(1)
+		return
+	}
 	k, hit := cachedKey(kr.backend, kr.seed, id)
 	if hit {
 		kr.stats.KeygenHits++
 	} else {
 		kr.stats.KeygenMisses++
 	}
-	e := &kr.keys[pid]
-	e.key, e.held = k, true
+	e.key = k
 }
 
 // Holds reports whether the keyring holds id's key under pid.
 func (kr *Keyring) Holds(pid sim.PID, id string) bool {
-	return uint(pid) < uint(len(kr.keys)) && kr.keys[pid].held && kr.keys[pid].id == id
+	e := kr.held(int(pid))
+	return e != nil && e.id == id
+}
+
+// held returns the entry the keyring holds under pid, nil if none.
+//
+//xchain:hotpath
+func (kr *Keyring) held(pid int) *keyEntry {
+	if uint(pid) >= uint(len(kr.pids)) || kr.pids[pid] < 0 {
+		return nil
+	}
+	return &kr.keys[kr.pids[pid]]
 }
 
 // signer returns the bound signer of the key the keyring holds under pid,
@@ -297,11 +321,8 @@ func (kr *Keyring) Holds(pid sim.PID, id string) bool {
 //
 //xchain:hotpath
 func (kr *Keyring) signer(pid int) (signer, bool) {
-	if uint(pid) >= uint(len(kr.keys)) {
-		return nil, false
-	}
-	e := &kr.keys[pid]
-	if !e.held {
+	e := kr.held(pid)
+	if e == nil {
 		return nil, false
 	}
 	if e.s == nil {
@@ -342,7 +363,7 @@ func (kr *Keyring) sign(pid sim.PID, c *content) Signature {
 		return Signature{}
 	}
 	t := &kr.terms.take(1, termChunk)[0]
-	t.kr, t.signer, t.s, t.c, t.rendered = kr, kr.keys[pid].id, s, *c, nil
+	t.kr, t.signer, t.s, t.c, t.rendered = kr, kr.keys[kr.pids[pid]].id, s, *c, nil
 	return Signature{t: t, gen: kr.gen}
 }
 

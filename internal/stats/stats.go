@@ -206,13 +206,91 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// logGrowth is math.Log(HistGrowth), computed once: bucketOf divides by it
-// on every Add.
+// logGrowth is math.Log(HistGrowth), computed once: bucketByLog divides by
+// it.
 var logGrowth = math.Log(HistGrowth)
 
-// bucketOf maps an observation >= HistMin to its bucket index.
-func bucketOf(v float64) int {
+// bucketByLog is the bucket geometry's definition: the index of the bucket
+// holding an observation >= HistMin.
+func bucketByLog(v float64) int {
 	return int(math.Floor(math.Log(v/HistMin) / logGrowth))
+}
+
+// bucketOf finds bucketByLog(v) without a logarithm. The exponent of v and
+// the top subBits bits of its mantissa — the bits of v above its lowest
+// 52-subBits — name one of 2^subBits equal slices of v's octave. A slice
+// spans a ratio of at most 1+2^-subBits, less than HistGrowth, so at most one
+// bucket bound falls inside it: bucketAt holds the bucket of the slice's
+// first value, and v is in the next bucket if it reaches that bucket's lower
+// bound. Observations of 2^tableExp and more are left to bucketByLog.
+func bucketOf(v float64) int {
+	s := int(math.Float64bits(v)>>(52-subBits)) - sliceBase
+	if uint(s) >= uint(len(bucketAt)) {
+		return bucketByLog(v)
+	}
+	i := int(bucketAt[s])
+	if v >= bucketLow[i+1] {
+		i++
+	}
+	return i
+}
+
+const (
+	// subBits is how many mantissa bits cut an octave into slices.
+	subBits = 6
+	// tableExp is the octave bucketOf's tables end at: 2^40 ms, 35 years.
+	tableExp = 40
+)
+
+// The tables bucketOf reads, built by init from bucketByLog. sliceBase is the
+// first slice of HistMin's octave; bucketLow[i] is the smallest observation
+// bucketByLog puts in bucket i or above.
+var (
+	sliceBase = int(math.Float64bits(HistMin) >> 52 << subBits)
+	bucketAt  []int32
+	bucketLow []float64
+)
+
+func init() {
+	end := math.Ldexp(1, tableExp)
+	n := bucketByLog(math.Nextafter(end, 0)) + 1
+	bucketLow = make([]float64, n+1)
+	bucketLow[0] = HistMin
+	for i := 1; i <= n; i++ {
+		bucketLow[i] = lowestIn(i)
+	}
+	bucketAt = make([]int32, int(math.Float64bits(end)>>(52-subBits))-sliceBase)
+	i := 0
+	for s := range bucketAt {
+		first := max(math.Float64frombits(uint64(s+sliceBase)<<(52-subBits)), HistMin)
+		for bucketLow[i+1] <= first {
+			i++
+		}
+		bucketAt[s] = int32(i)
+	}
+}
+
+// lowestIn returns the smallest observation bucketByLog puts in bucket i or
+// above, i >= 1. Floats of one sign order as their bits do, so it brackets
+// the bound's estimate by bits and bisects.
+func lowestIn(i int) float64 {
+	in := func(b uint64) bool { return bucketByLog(math.Float64frombits(b)) >= i }
+	guess := math.Float64bits(HistMin * math.Exp(float64(i)*logGrowth))
+	lo, hi := guess, guess
+	for step := uint64(8); in(lo); step *= 2 {
+		lo -= step
+	}
+	for step := uint64(8); !in(hi); step *= 2 {
+		hi += step
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; in(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
 }
 
 // Add records one observation. Negative values are clamped to zero.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,34 @@ func TestHistogramUnderflowAndNegative(t *testing.T) {
 	}
 	if got := h.Percentile(100); got != 5 {
 		t.Fatalf("p100 = %v", got)
+	}
+}
+
+// TestBucketOfMatchesLog holds the table lookup to the logarithmic formula
+// it replaces: on every bucket bound of its tables, on each bound's
+// neighbours one float down and up, and on a million observations spread
+// log-uniformly from HistMin to well past the tables' end.
+func TestBucketOfMatchesLog(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		if got, want := bucketOf(v), bucketByLog(v); got != want {
+			t.Fatalf("bucketOf(%v) = %d, the formula gives %d", v, got, want)
+		}
+	}
+	for _, b := range bucketLow {
+		check(b)
+		if down := math.Nextafter(b, 0); down >= HistMin {
+			check(down)
+		}
+		check(math.Nextafter(b, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	span := math.Log(1e18 / HistMin)
+	for range 1_000_000 {
+		check(HistMin * math.Exp(rng.Float64()*span))
+	}
+	for _, v := range []float64{HistMin, 1, 1e3, math.Ldexp(1, tableExp), math.MaxFloat64} {
+		check(v)
 	}
 }
 
