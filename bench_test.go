@@ -47,7 +47,7 @@ func runExperiment(b *testing.B, id string) {
 func BenchmarkE1_TimeBoundedHappyPath(b *testing.B) { runExperiment(b, "E1") }
 
 // BenchmarkE2_Theorem1Properties regenerates the Theorem-1 property sweep
-// under synchrony with Byzantine single-fault assignments.
+// under synchrony with Byzantine single- and pair-fault assignments.
 func BenchmarkE2_Theorem1Properties(b *testing.B) { runExperiment(b, "E2") }
 
 // BenchmarkE3_TerminationBound regenerates the termination-time-vs-bound

@@ -1,5 +1,6 @@
 // Command xchain-bench runs the experiment suite (E1..E9, E11, A1..A3) and prints
-// the tables README's "Experiments" section describes.
+// the tables README's "Experiments" section describes. It exits 1 if a claim
+// of any table fails.
 //
 // Usage:
 //
@@ -75,12 +76,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "configuration: runs=%d maxchain=%d\n\n", cfg.Runs, cfg.MaxChain)
+	code := 0
 	for _, e := range experiments {
 		start := time.Now()
 		tab := e.Run(cfg)
 		elapsed := time.Since(start)
 		fmt.Fprint(stdout, tab.String())
 		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
+		if !tab.OK() {
+			code = 1 // the table's FAILS lines name the claims
+		}
 	}
-	return 0
+	return code
 }

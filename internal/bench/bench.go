@@ -6,8 +6,10 @@
 // ablations A1..A3. Each experiment is addressable by its ID (E1..E9, E11,
 // A1..A3); cmd/xchain-bench prints the tables, the root-level bench_test.go
 // wraps them as Go benchmarks, and README's "Experiments" section lists what
-// each one reproduces. The package reads no clock: a table is a function of
-// its Config, and testdata/quick.txt pins every table at Quick().
+// each one reproduces. Each table checks its claims, what the paper says its
+// numbers must show, against the numbers its experiment computed. The package
+// reads no clock: a table is a function of its Config, and testdata/quick.txt
+// pins every table at Quick().
 //
 // A single-payment table runs its cells in order, each a loop over its seeds
 // on a core.World the table keeps (RunIn). Only the traffic tables, E9 and
@@ -16,9 +18,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // Config scales the experiments.
@@ -55,24 +60,45 @@ func (c Config) Validate() error {
 
 // seeds returns the seed list used for one experiment cell.
 func (c Config) seeds() []int64 {
-	runs := c.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	out := make([]int64, runs)
+	out := make([]int64, max(c.Runs, 1))
 	for i := range out {
 		out[i] = int64(i + 1)
 	}
 	return out
 }
 
-// Table is one experiment's formatted result.
+// Table is one experiment's formatted result and the claims checked on it.
 type Table struct {
 	ID      string
 	Title   string
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	claims  []claim
+	runErrs int // runs that returned an error, leaving their numbers out
+}
+
+// claim is one statement of what the table shows, checked on the numbers its
+// experiment computed.
+type claim struct {
+	text  string
+	holds bool
+}
+
+// Check records a claim and whether it holds.
+func (t *Table) Check(holds bool, format string, args ...any) {
+	t.claims = append(t.claims, claim{fmt.Sprintf(format, args...), holds})
+}
+
+// RunError notes a run that returned an error, which fails every claim.
+func (t *Table) RunError(format string, args ...any) {
+	t.runErrs++
+	t.AddNote(format, args...)
+}
+
+// OK reports whether every claim of the table holds.
+func (t *Table) OK() bool {
+	return t.runErrs == 0 && !slices.ContainsFunc(t.claims, func(c claim) bool { return !c.holds })
 }
 
 // AddRow appends a row; extra or missing cells are tolerated and padded at
@@ -123,6 +149,13 @@ func (t *Table) String() string {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
+	for _, c := range t.claims {
+		verdict := "holds"
+		if !c.holds || t.runErrs > 0 {
+			verdict = "FAILS"
+		}
+		fmt.Fprintf(&b, "claim: %s %s\n", c.text, verdict)
+	}
 	return b.String()
 }
 
@@ -160,6 +193,21 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// patient gives every customer of s the patience p.
+func patient(s core.Scenario, p sim.Time) core.Scenario {
+	for _, id := range s.Topology.Customers() {
+		s = s.SetPatience(id, p)
+	}
+	return s
+}
+
+// mixed is the traffic tables' protocol mix.
+var mixed = []traffic.ProtocolShare{
+	{Name: "timelock", Weight: 0.4},
+	{Name: "weaklive", Weight: 0.3},
+	{Name: "htlc", Weight: 0.3},
 }
 
 // fmtF renders a float with sensible precision for the tables.

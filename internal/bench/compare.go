@@ -32,18 +32,16 @@ func RunE6(cfg Config) *Table {
 	w := core.NewWorld()
 
 	// Payments.
+	proved, completed := true, true
 	paymentProtocols := []core.Protocol{timelock.New(), weaklive.New()}
 	for _, p := range paymentProtocols {
 		var paid, proof stats.Counter
 		msgs, dur := stats.New(), stats.New()
 		for _, seed := range seeds {
-			s := core.NewScenario(n, seed).Muted()
-			for _, id := range s.Topology.Customers() {
-				s = s.SetPatience(id, 30*sim.Second)
-			}
+			s := patient(core.NewScenario(n, seed).Muted(), 30*sim.Second)
 			res, err := p.RunIn(w, s)
 			if err != nil {
-				t.AddNote("%s: %v", p.Name(), err)
+				t.RunError("%s: %v", p.Name(), err)
 				continue
 			}
 			paid.Observe(res.BobPaid)
@@ -52,6 +50,7 @@ func RunE6(cfg Config) *Table {
 			msgs.AddInt(int64(res.NetStats.Sent))
 			dur.Add(res.Duration.Millis())
 		}
+		proved = proved && proof.Hits == proof.Trials
 		t.AddRow(p.Name(), "payment", paid.String(), proof.String(), "n/a",
 			fmtF(msgs.Mean()), fmt.Sprintf("%.1fms", dur.Mean()))
 	}
@@ -77,18 +76,22 @@ func RunE6(cfg Config) *Table {
 				MuteTrace:     true,
 			})
 			if err != nil {
-				t.AddNote("%s: %v", dp.Name(), err)
+				t.RunError("%s: %v", dp.Name(), err)
 				continue
 			}
 			done.Observe(res.Outcome.AllTransferred())
 			msgs.AddInt(int64(res.Stats.Sent))
 			dur.Add(res.Duration.Millis())
 		}
+		completed = completed && done.Hits == done.Trials
 		t.AddRow(dp.Name(), "deal", done.String(), "no (no chi in the deal model)", yesNo(deal.WellFormed()),
 			fmtF(msgs.Mean()), fmt.Sprintf("%.1fms", dur.Mean()))
 	}
 	t.AddNote("paper claim (Section 5): a cross-chain payment is not a special kind of cross-chain deal nor vice versa")
-	t.AddNote("expected shape: the payment-as-deal digraph is a path, hence not well-formed (outside Herlihy et al.'s correctness theorems); the deal model completes the transfers but has no counterpart of Bob's certificate chi, so Alice never obtains proof of payment")
+	t.AddNote("the deal model has no counterpart of Bob's certificate chi, so Alice never obtains proof of payment from a deal")
+	t.Check(proved, "Alice obtains proof of payment in every payment run")
+	t.Check(!deal.WellFormed(), "the payment-as-deal digraph is a path, hence not well-formed (outside Herlihy et al.'s correctness theorems)")
+	t.Check(completed, "the deal protocols complete every transfer")
 	return t
 }
 
@@ -114,14 +117,16 @@ func RunE7(cfg Config) *Table {
 	}
 	protocols := []core.Protocol{htlc.New(), timelock.New()}
 	w := core.NewWorld()
-	for _, p := range protocols {
+	honestPaid, whole, chi := true, true, true
+	var withheldSettle [2]float64 // per protocol
+	for i, p := range protocols {
 		for _, sc := range scenarios {
 			var paid, losses, proof stats.Counter
 			msgs, dur := stats.New(), stats.New()
 			for _, seed := range cfg.seeds() {
 				res, err := p.RunIn(w, sc.faults.Apply(core.NewScenario(n, seed)).Muted())
 				if err != nil {
-					t.AddNote("%s/%s: %v", p.Name(), sc.name, err)
+					t.RunError("%s/%s: %v", p.Name(), sc.name, err)
 					continue
 				}
 				paid.Observe(res.BobPaid)
@@ -137,12 +142,24 @@ func RunE7(cfg Config) *Table {
 				msgs.AddInt(int64(res.NetStats.Sent))
 				dur.Add(res.Duration.Millis())
 			}
+			whole = whole && losses.Hits == 0
+			chi = chi && (i > 0 || proof.Hits == 0) // HTLC never hands Alice chi
+			switch sc.name {
+			case "all honest":
+				honestPaid = honestPaid && paid.Hits == paid.Trials
+				chi = chi && (i == 0 || proof.Hits == proof.Trials)
+			case "Bob withholds":
+				withheldSettle[i] = dur.Mean()
+			}
 			t.AddRow(p.Name(), sc.name, paid.String(), losses.String(), proof.String(),
 				fmtF(msgs.Mean()), fmt.Sprintf("%.1fms", dur.Mean()))
 		}
 	}
 	t.AddNote("paper positioning (Section 1): prior cross-chain payment protocols offer neither success guarantees nor a certificate of payment")
-	t.AddNote("expected shape: both protocols keep honest parties whole when a participant misbehaves, but only the time-bounded protocol hands Alice the certificate chi on success, and the HTLC settle time after a withholding Bob is dominated by the full (chain-length-dependent) timelock, several times the Figure-2 refund time")
+	t.Check(honestPaid, "both protocols pay Bob in every all-honest run")
+	t.Check(whole, "both protocols keep honest customers whole in every row")
+	t.Check(chi, "the time-bounded protocol hands Alice chi in every all-honest run, HTLC in none")
+	t.Check(withheldSettle[0] > withheldSettle[1], "after a withholding Bob, HTLC settles later than the time-bounded protocol refunds")
 	return t
 }
 
@@ -157,20 +174,22 @@ func RunE8(cfg Config) *Table {
 	if maxChain < 2 {
 		maxChain = 4
 	}
-	protocols := []core.Protocol{timelock.New(), weaklive.New(), weaklive.NewCommittee(4), htlc.New()}
+	// A chain protocol sends a·n+b messages on the happy path; a committee, no such number (a = 0).
+	protocols := []struct {
+		core.Protocol
+		a, b int
+	}{{timelock.New(), 6, 0}, {weaklive.New(), 5, 1}, {weaklive.NewCommittee(4), 0, 0}, {htlc.New(), 5, 0}}
 	w := core.NewWorld()
+	linear, ops4n := true, true
 	for _, p := range protocols {
 		name := p.Name()
 		for n := 1; n <= maxChain; n++ {
 			msgs, ops, dur, events := stats.New(), stats.New(), stats.New(), stats.New()
 			for _, seed := range cfg.seeds() {
-				s := core.NewScenario(n, seed).Muted()
-				for _, id := range s.Topology.Customers() {
-					s = s.SetPatience(id, 60*sim.Second)
-				}
+				s := patient(core.NewScenario(n, seed).Muted(), 60*sim.Second)
 				res, err := p.RunIn(w, s)
 				if err != nil {
-					t.AddNote("%s n=%d: %v", name, n, err)
+					t.RunError("%s n=%d: %v", name, n, err)
 					continue
 				}
 				msgs.AddInt(int64(res.NetStats.Sent))
@@ -178,11 +197,14 @@ func RunE8(cfg Config) *Table {
 				dur.Add(res.Duration.Millis())
 				events.AddInt(int64(res.EventsFired))
 			}
+			linear = linear && (p.a == 0 || msgs.Mean() == float64(p.a*n+p.b))
+			ops4n = ops4n && ops.Mean() == float64(4*n)
 			t.AddRow(name, fmt.Sprint(n), fmtF(msgs.Mean()), fmtF(ops.Mean()),
 				fmt.Sprintf("%.1fms", dur.Mean()), fmtF(events.Mean()))
 		}
 	}
-	t.AddNote("expected shape: message count linear in n for the timelock and HTLC chains; the committee manager adds a constant (committee-size-dependent) consensus overhead per payment; settle time grows linearly in n for all chain protocols")
+	t.Check(linear, "messages are 6n for timelock, 5n+1 for weaklive-trusted and 5n for htlc")
+	t.Check(ops4n, "every protocol makes 4n ledger operations")
 	return t
 }
 
@@ -202,35 +224,35 @@ func RunA1(cfg Config) *Table {
 	// Bob takes his time signing — legal behaviour that pushes the
 	// certificate to the edge of every window.
 	worstNet := netsim.Synchronous{Min: timing.MaxMsgDelay, Max: timing.MaxMsgDelay}
-	runs := cfg.Runs * 5
-	if runs < 20 {
-		runs = 20
-	}
+	runs := max(5*cfg.Runs, 20)
 	w := core.NewWorld()
-	for _, p := range []*timelock.Protocol{timelock.New(), timelock.NewNaive()} {
-		var paid stats.Counter
-		safety, termination := 0, 0
+	var paid [2]stats.Counter // drift-aware, naive
+	var safety, termination [2]int
+	for i, p := range []*timelock.Protocol{timelock.New(), timelock.NewNaive()} {
 		for seed := int64(1); seed <= int64(runs); seed++ {
 			s := core.NewScenario(n, seed).WithTiming(timing).WithNetwork(worstNet).Muted()
 			s = s.SetFault(core.CustomerID(n), core.FaultSpec{DelayActions: 2 * timing.MaxProcessing})
 			res, err := p.RunIn(w, s)
 			if err != nil {
-				t.AddNote("%s: %v", p.Name(), err)
+				t.RunError("%s: %v", p.Name(), err)
 				continue
 			}
-			paid.Observe(res.BobPaid)
+			paid[i].Observe(res.BobPaid)
 			rep := check.Evaluate(res, check.Def1Eventual())
 			if !rep.SafetyOK() {
-				safety++
+				safety[i]++
 			}
 			if v := rep.Verdict(core.PropTermination); !v.OK() {
-				termination++
+				termination[i]++
 			}
 		}
-		t.AddRow(p.Name(), fmt.Sprint(paid.Trials), paid.String(), fmt.Sprint(safety), fmt.Sprint(termination))
+		t.AddRow(p.Name(), fmt.Sprint(paid[i].Trials), paid[i].String(), fmt.Sprint(safety[i]), fmt.Sprint(termination[i]))
 	}
 	t.AddNote("Bob is configured with a legal-but-slow signing delay so the certificate reaches each escrow near the end of its window; drift then decides whether the windows still nest in real time")
-	t.AddNote("expected shape: the drift-aware derivation keeps every guarantee and pays Bob in (almost) every run; the naive derivation loses roughly half the payments to spurious refunds, and in the runs where an upstream window closes while a downstream escrow has already paid out, an honest connector is left waiting forever for money that will never come (a termination violation, and a wealth loss the moment she walks away) — the reason the paper fine-tunes the universal protocol for clock drift")
+	t.AddNote("where an upstream window closes while a downstream escrow has already paid out, an honest connector waits forever for money that never comes — the reason the paper fine-tunes the universal protocol for clock drift")
+	t.Check(safety[0] == 0 && termination[0] == 0, "the drift-aware derivation keeps every guarantee")
+	t.Check(paid[1].Hits < paid[0].Hits, "the naive derivation pays Bob in fewer runs (spurious refunds)")
+	t.Check(termination[1] > 0, "the naive derivation strands an honest connector (a termination violation)")
 	return t
 }
 
@@ -245,6 +267,8 @@ func RunA2(cfg Config) *Table {
 		return netsim.PartialSynchrony{GST: 200 * sim.Millisecond, Delta: core.DefaultTiming().MaxMsgDelay, MaxPreGST: 200 * sim.Millisecond}
 	}
 	w := core.NewWorld()
+	decides, stalls, consistent, growing := true, true, true, true
+	prevMsgs := 0.0 // at no silent notary, for the previous size
 	for _, size := range []int{1, 4, 7} {
 		p := weaklive.NewCommittee(size)
 		maxFaulty := (size - 1) / 3
@@ -253,16 +277,13 @@ func RunA2(cfg Config) *Table {
 			ccViol := 0
 			msgs := stats.New()
 			for _, seed := range cfg.seeds() {
-				s := core.NewScenario(2, seed).WithNetwork(gstNet()).Muted()
-				for _, id := range s.Topology.Customers() {
-					s = s.SetPatience(id, 2*sim.Second)
-				}
+				s := patient(core.NewScenario(2, seed).WithNetwork(gstNet()).Muted(), 2*sim.Second)
 				for j := 0; j < faulty; j++ {
 					s = s.SetFault(core.NotaryID(j), core.FaultSpec{Silent: true})
 				}
 				res, err := p.RunIn(w, s)
 				if err != nil {
-					t.AddNote("size=%d faulty=%d: %v", size, faulty, err)
+					t.RunError("size=%d faulty=%d: %v", size, faulty, err)
 					continue
 				}
 				decided.Observe(res.CommitIssued || res.AbortIssued)
@@ -272,11 +293,23 @@ func RunA2(cfg Config) *Table {
 				}
 				msgs.AddInt(int64(res.NetStats.Sent))
 			}
+			if faulty <= maxFaulty {
+				decides = decides && decided.Hits == decided.Trials && paid.Hits == paid.Trials
+			} else {
+				stalls = stalls && decided.Hits == 0
+			}
+			if faulty == 0 {
+				growing, prevMsgs = growing && msgs.Mean() > prevMsgs, msgs.Mean()
+			}
+			consistent = consistent && ccViol == 0
 			t.AddRow(fmt.Sprint(size), fmt.Sprint(faulty), decided.String(), paid.String(),
 				fmt.Sprint(ccViol), fmtF(msgs.Mean()))
 		}
 	}
-	t.AddNote("expected shape: with at most floor((size-1)/3) silent notaries the committee always decides and Bob is paid; one notary beyond the threshold stalls the decision (liveness lost) yet certificate consistency never breaks; message cost grows quadratically with committee size")
+	t.Check(decides, "with at most floor((size-1)/3) silent notaries the committee decides and Bob is paid in every run")
+	t.Check(stalls, "one silent notary beyond that threshold stalls every decision (liveness lost)")
+	t.Check(consistent, "certificate consistency never breaks")
+	t.Check(growing, "message cost grows with committee size")
 	return t
 }
 
@@ -297,17 +330,16 @@ func RunA3(cfg Config) *Table {
 	}
 	p := weaklive.New()
 	w := core.NewWorld()
+	safe, decided, monotone := true, true, true
+	var lastPaid stats.Counter
 	for _, patience := range patienceLevels {
 		var paid, aborted stats.Counter
 		safety := 0
 		for _, seed := range cfg.seeds() {
-			s := core.NewScenario(3, seed).WithNetwork(net()).Muted()
-			for _, id := range s.Topology.Customers() {
-				s = s.SetPatience(id, patience)
-			}
+			s := patient(core.NewScenario(3, seed).WithNetwork(net()).Muted(), patience)
 			res, err := p.RunIn(w, s)
 			if err != nil {
-				t.AddNote("patience=%v: %v", patience, err)
+				t.RunError("patience=%v: %v", patience, err)
 				continue
 			}
 			paid.Observe(res.BobPaid)
@@ -316,8 +348,14 @@ func RunA3(cfg Config) *Table {
 				safety++
 			}
 		}
+		safe = safe && safety == 0
+		decided = decided && paid.Hits+aborted.Hits == paid.Trials
+		monotone, lastPaid = monotone && paid.Rate() >= lastPaid.Rate(), paid
 		t.AddRow(patience.String(), paid.String(), aborted.String(), fmt.Sprint(safety))
 	}
-	t.AddNote("expected shape: the paper's weak liveness — Bob is paid exactly when the customers wait long enough (patience comfortably above GST plus a few message delays); impatient customers abort instead, and safety holds at every patience level")
+	t.AddNote("the paper's weak liveness: Bob is paid when the customers wait long enough (patience comfortably above GST plus a few message delays)")
+	t.Check(safe, "zero safety violations at every patience level")
+	t.Check(decided, "every run either pays Bob or aborts")
+	t.Check(monotone && lastPaid.Hits == lastPaid.Trials, "Bob's paid share never falls as patience grows, and the most patient customers pay him in every run")
 	return t
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/traffic"
 )
 
-// trafficCell is one workload regime of experiment E9.
+// trafficCell is one workload regime of experiment E9 or E11.
 type trafficCell struct {
 	name  string
 	build func(n int, payments int) traffic.Workload
@@ -21,14 +21,7 @@ type trafficCell struct {
 // number of runs, clamped so quick runs stay quick and full runs stay
 // meaningful.
 func trafficPayments(cfg Config) int {
-	p := 40 * cfg.Runs
-	if p < 80 {
-		p = 80
-	}
-	if p > 800 {
-		p = 800
-	}
-	return p
+	return min(max(40*cfg.Runs, 80), 800)
 }
 
 // seedRun is one seed's traffic run of an E9 or E11 cell.
@@ -53,6 +46,11 @@ func runSeeds(cfg Config, n int, w traffic.Workload) []seedRun {
 		go func() {
 			defer func() { <-slots; wg.Done() }()
 			res, err := traffic.RunWith(core.NewScenario(n, 0).WithSeed(seed), w, traffic.Config{Workers: 1})
+			if err == nil && res.AuditErr != nil {
+				err = fmt.Errorf("AUDIT FAILED: %w", res.AuditErr)
+			} else if err == nil && res.CascadeErr != nil {
+				err = fmt.Errorf("CASCADE FAILED: %w", res.CascadeErr)
+			}
 			runs[i] = seedRun{res, err}
 		}()
 	}
@@ -71,16 +69,8 @@ func RunE9(cfg Config) *Table {
 		Title:   "concurrent multi-payment traffic on a shared escrow chain",
 		Columns: []string{"workload", "n", "payments", "success", "rejected", "dropped", "settled/s", "p50 ms", "p95 ms", "peak in-flight"},
 	}
-	maxChain := cfg.MaxChain
-	if maxChain < 3 {
-		maxChain = 3
-	}
+	maxChain := max(cfg.MaxChain, 3)
 	payments := trafficPayments(cfg)
-	mixed := []traffic.ProtocolShare{
-		{Name: "timelock", Weight: 0.4},
-		{Name: "weaklive", Weight: 0.3},
-		{Name: "htlc", Weight: 0.3},
-	}
 	cells := []trafficCell{
 		{name: "open/ample", build: func(n, p int) traffic.Workload {
 			w := traffic.NewWorkload(p)
@@ -102,6 +92,7 @@ func RunE9(cfg Config) *Table {
 	if maxChain > 3 {
 		chains = append(chains, maxChain)
 	}
+	settlesAll, rejects := true, true
 	for _, cell := range cells {
 		for _, n := range chains {
 			w := cell.build(n, payments)
@@ -109,11 +100,7 @@ func RunE9(cfg Config) *Table {
 			settled, p50, p95, peak := stats.New(), stats.New(), stats.New(), stats.New()
 			for _, o := range runSeeds(cfg, n, w) {
 				if o.err != nil {
-					t.AddNote("%s n=%d: %v", cell.name, n, o.err)
-					continue
-				}
-				if o.res.AuditErr != nil {
-					t.AddNote("%s n=%d: AUDIT FAILED: %v", cell.name, n, o.res.AuditErr)
+					t.RunError("%s n=%d: %v", cell.name, n, o.err)
 					continue
 				}
 				total := float64(o.res.Total)
@@ -125,6 +112,12 @@ func RunE9(cfg Config) *Table {
 				p95.Add(o.res.LatencyP95Ms)
 				peak.AddInt(int64(o.res.PeakInFlight))
 			}
+			switch cell.name {
+			case "open/ample":
+				settlesAll = settlesAll && success.Mean() == 1
+			case "burst/starved":
+				rejects = rejects && rejected.Mean() > 0
+			}
 			t.AddRow(cell.name, fmt.Sprint(n), fmt.Sprint(payments),
 				fmtPct(success.Mean()), fmtPct(rejected.Mean()), fmtPct(dropped.Mean()),
 				fmtF(settled.Mean()), fmtF(p50.Mean()), fmtF(p95.Mean()), fmtF(peak.Mean()))
@@ -134,5 +127,7 @@ func RunE9(cfg Config) *Table {
 	t.AddNote("burst/starved: bursts of 25 against liquidity for ~5 concurrent payments; excess is rejected at admission")
 	t.AddNote("burst/queued: same starvation with 20s admission-queue patience; refunded capacity recycles into queued payments, while released capacity moves downstream for good (one-directional channels), so successes stay liquidity-bound")
 	t.AddNote("every cell audits all traffic ledgers (conservation of value) and runs the same workload bit-identically for any worker count")
+	t.Check(settlesAll, "open/ample settles every payment")
+	t.Check(rejects, "burst/starved rejects payments at admission")
 	return t
 }

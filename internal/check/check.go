@@ -570,16 +570,3 @@ func (s *Summary) ViolatedProperties() []core.Property {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// String renders the summary as a fixed-width table.
-func (s *Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %10s %10s %10s\n", "prop", "applicable", "violations", "runs")
-	for _, p := range core.AllProperties() {
-		if s.Applicable[p] == 0 && s.Violations[p] == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-4s %10d %10d %10d\n", p, s.Applicable[p], s.Violations[p], s.Total)
-	}
-	return b.String()
-}
