@@ -801,6 +801,47 @@ func TestServeRedoesForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServeRedoesV1Checkpoint plants, under a run's ID, the snapshot the
+// version-1 format wrote of that run's request. This build refuses it by its
+// version, so recovery must redo the run from payment 0, to the summary an
+// uninterrupted run gives.
+func TestServeRedoesV1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"escrows": 2, "payments": 8, "rate": 500, "stream": true, "crypto": "hmac"}`
+	req, err := traffic.DecodeRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, wl, cfg, err := prepare(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := traffic.RunWith(scn, wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "..", "internal", "checkpoint", "testdata", "traffic-run-v1-small.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run-0001.ckpt"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run-0001.req.json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newServerWith(serverOptions{stateDir: dir, ckptEvery: 4, maxRuns: 2})
+	if err := srv.recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if v := waitDone(t, ts, "run-0001"); v["status"] != "done" || v["summary"] != ref.String() {
+		t.Fatalf("run over a version-1 checkpoint ended %v (%v):\n%v\n-- want --\n%s", v["status"], v["error"], v["summary"], ref)
+	}
+}
+
 // TestServeSummaryIsTheCLIs posts the requests of xchain-traffic's
 // testdata/request-summaries.json, each beside the summary the CLI prints for
 // it as arguments (its TestSummaryIsServes), and answers the same summary

@@ -241,6 +241,19 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
+// A snapshot the version-1 format wrote, under the very flags it was taken
+// with, is refused by its version: exit 1, nothing run.
+func TestRunResumeRefusesV1(t *testing.T) {
+	v1 := filepath.Join("..", "..", "internal", "checkpoint", "testdata", "traffic-run-v1-small.ckpt")
+	var out, errOut strings.Builder
+	if code := run([]string{"-resume", v1, "-n", "2", "-payments", "8", "-rate", "500", "-stream", "-crypto", "hmac"}, &out, &errOut); code != 1 {
+		t.Fatalf("resume from a version-1 file exited %d, want 1:\n%s%s", code, out.String(), errOut.String())
+	}
+	if out.Len() != 0 || !strings.Contains(errOut.String(), "unsupported format version") {
+		t.Errorf("stdout %q, stderr %q: want nothing run and the version named", out.String(), errOut.String())
+	}
+}
+
 // -crypto-stats prints the canonical sig metric names, so logs and /metrics
 // scrapes agree on what the counters are called.
 func TestRunCryptoStatsNames(t *testing.T) {

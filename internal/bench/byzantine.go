@@ -21,11 +21,12 @@ func RunE11(cfg Config) *Table {
 		Title:   "Byzantine traffic: measured attack damage vs attacker fraction",
 		Columns: []string{"load", "attacker", "byz-conn", "success", "faulted", "drop-fault", "drop-cap", "settled/s", "p95 ms", "peak-held", "safety"},
 	}
-	// Enough connectors that the swept fractions compile to distinct
-	// Byzantine cohorts (8+ connectors: 0.05 -> 1, 0.1 -> 1, 0.25 -> 2).
+	// The swept fractions compile to distinct Byzantine cohorts: of the 8
+	// connectors of a 9-escrow chain, 1, 2 and 4 (a longer chain's fractions
+	// round to larger cohorts, still distinct).
 	n := max(cfg.MaxChain, 9)
 	payments := trafficPayments(cfg)
-	fractions := []float64{0, 0.05, 0.1, 0.25}
+	fractions := []float64{0, 0.125, 0.25, 0.5}
 	loads := []trafficCell{
 		{name: "open", build: func(n, p int) traffic.Workload {
 			w := traffic.NewWorkload(p)
@@ -42,8 +43,9 @@ func RunE11(cfg Config) *Table {
 	}
 	safetyTotal := 0
 	baseline := map[string]float64{}
-	quiet, cohorts, damaged := true, true, false
+	quiet, cohorts, growing, damaged := true, true, true, false
 	for _, load := range loads {
+		lastConn := -1
 		for _, frac := range fractions {
 			w := load.build(n, payments)
 			if frac > 0 {
@@ -71,6 +73,8 @@ func RunE11(cfg Config) *Table {
 				byzConn = o.res.ByzantineConnectors
 				safety += o.res.SafetyViolations
 			}
+			growing = growing && byzConn > lastConn
+			lastConn = byzConn
 			safetyTotal += safety
 			if frac == 0 {
 				baseline[load.name] = success.Mean()
@@ -97,6 +101,7 @@ func RunE11(cfg Config) *Table {
 	t.Check(safetyTotal == 0, "zero owed safety failures in every cell (Theorems 1 and 3 in aggregate)")
 	t.Check(quiet, "the honest baselines show no Byzantine activity (nothing faulted, nothing held)")
 	t.Check(cohorts, "every attacked cell has a Byzantine connector")
+	t.Check(growing, "byz-conn strictly grows along the attacker sweep at each load (distinct cohorts)")
 	t.Check(damaged, "at 25%% attackers open-load payments cross Byzantine connectors and success falls below the honest baseline")
 	return t
 }

@@ -13,7 +13,7 @@ import (
 const (
 	goldenKind = "test-payload"
 	goldenHash = "cafe0123"
-	goldenPath = "testdata/envelope-v1.golden"
+	goldenPath = "testdata/envelope-v2.golden"
 )
 
 var goldenPayload = []byte(`{"answer":42,"greeting":"hello"}`)
@@ -114,6 +114,7 @@ func TestRejects(t *testing.T) {
 		{"not-json", []byte("definitely not a checkpoint"), goldenKind, ErrBadFormat},
 		{"wrong-format-marker", corrupt(t, func(o map[string]any) { o["format"] = "other" }), goldenKind, ErrBadFormat},
 		{"wrong-version", corrupt(t, func(o map[string]any) { o["version"] = Version + 1 }), goldenKind, ErrBadVersion},
+		{"older-version", corrupt(t, func(o map[string]any) { o["version"] = Version - 1 }), goldenKind, ErrBadVersion},
 		{"wrong-kind", golden, "other-kind", ErrBadKind},
 		{"payload-tampered", corrupt(t, func(o map[string]any) { o["payload"] = map[string]any{"answer": 43} }), goldenKind, ErrBadChecksum},
 		{"hash-tampered", corrupt(t, func(o map[string]any) { o["configHash"] = "beef" }), goldenKind, ErrBadChecksum},

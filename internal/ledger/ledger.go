@@ -90,7 +90,7 @@ func CheckPreimage(lock, preimage []byte) bool {
 }
 
 // Lock is value held in escrow between two customers of this ledger, as a
-// read renders it (Lock, Locks, LockOf, State): the ledger keeps the
+// read renders it (Lock, Locks, LockOf): the ledger keeps the
 // participants as PIDs and a keyed lock's ID as its label and key.
 type Lock struct {
 	ID        string
@@ -263,8 +263,8 @@ type Ledger struct {
 	accounts []account
 	// The held list is the only index of the locks: the ID-addressed
 	// operations scan it (a deal's ledger holds a few), and the protocols'
-	// locks and the traffic timeline's thousands are settled through
-	// Handles.
+	// locks are settled through their Handles. The traffic timeline's
+	// thousands are held (Hold) and have no record.
 	held int      // locks on the held list
 	head lockRec  // the held list's sentinel: head.next is the most recent lock held
 	free *lockRec // records of locks dropped by Reset or forgotten under compaction, for Escrow to reuse
@@ -551,10 +551,10 @@ func (l *Ledger) reserve(payer, payee sim.PID, amount int64) error {
 // record of the lock — only its value by payer, which EscrowedTotal,
 // PendingCount, Audit, SetByzantine and ByzantineEscrowed count as they
 // count a recorded lock's, and LocksCreated, OpCount and the liquidity
-// gauges as they count Escrow. A held lock has no ID, handle or log entry
-// and is not among Lock, Locks, Handles or State's locks: the caller renders
-// it where it renders them, and settles it with ReleaseHold or RefundHold.
-// Only a compacting ledger, whose log names no lock, holds locks
+// gauges as they count Escrow; State captures the tallies. A held lock has no
+// ID, handle or log entry and is not among Lock or Locks: the caller keeps
+// its record, and settles it with ReleaseHold or RefundHold. Only a
+// compacting ledger, whose log names no lock, holds locks
 // (ErrHoldNotCompact). The traffic timeline holds its thousands so, in the
 // memory of its flights.
 //
@@ -651,26 +651,6 @@ func (l *Ledger) unhold(payer sim.PID, amount int64) error {
 	}
 	l.holding.by[payer] -= amount
 	l.holding.n--
-	return nil
-}
-
-// Detach turns the pending lock h addresses into a held one, as if Hold had
-// made it: the ledger forgets its record — h goes stale — and keeps its value
-// held. It is how a caller that holds its locks takes over the recorded ones
-// of a ledger FromState rebuilt; like Hold, it needs a compacting ledger.
-func (l *Ledger) Detach(h Handle) error {
-	if !l.compact {
-		return ErrHoldNotCompact
-	}
-	lk := h.held()
-	if lk == nil {
-		return ErrNoSuchLock
-	}
-	if lk.state != statePending {
-		return &settledError{lk.name(), lockStates[lk.state]}
-	}
-	l.addHeld(lk.payer, lk.amount)
-	l.forget(lk)
 	return nil
 }
 
@@ -775,17 +755,6 @@ func (l *Ledger) LockOf(h Handle) (Lock, bool) {
 		return l.render(lk), true
 	}
 	return Lock{}, false
-}
-
-// Handles returns a handle on every lock the ledger holds, the most recent
-// first: how a caller that settles by handle finds the locks of a ledger
-// FromState rebuilt.
-func (l *Ledger) Handles() []Handle {
-	out := make([]Handle, 0, l.held)
-	for lk := l.head.next; lk != nil; lk = lk.next {
-		out = append(out, Handle{rec: lk, gen: lk.gen})
-	}
-	return out
 }
 
 // Locks returns all locks sorted by id.

@@ -213,24 +213,18 @@ func (m *mapLedger) Audit() error {
 	return nil
 }
 
+// State captures what a ledger's capture holds: the model holds no lock
+// (Hold), so it captures no held value.
 func (m *mapLedger) State() LedgerState {
 	st := LedgerState{
 		Name:             m.name,
 		Accounts:         make([]AccountState, 0, len(m.accounts)),
 		OpCount:          m.opCount,
 		Minted:           m.minted,
-		Compact:          m.compact,
 		SettledForgotten: m.settled,
-		ByzEscrowed:      m.byzEscrowed,
 	}
 	for _, owner := range m.Accounts() {
 		st.Accounts = append(st.Accounts, AccountState{Owner: owner, Balance: m.accounts[owner]})
-	}
-	for _, lk := range m.Locks() {
-		st.Locks = append(st.Locks, *lk)
-	}
-	if len(m.ops) > 0 {
-		st.Ops = append([]Op(nil), m.ops...)
 	}
 	for owner := range m.byzOwners {
 		st.ByzantineOwners = append(st.ByzantineOwners, owner)
@@ -239,21 +233,17 @@ func (m *mapLedger) State() LedgerState {
 	return st
 }
 
+// mapFromState rebuilds the model from a capture, compacting as FromState
+// does.
 func mapFromState(st LedgerState) *mapLedger {
 	m := newMapLedger(st.Name)
 	for _, a := range st.Accounts {
 		m.accounts[a.Owner] = a.Balance
 	}
-	for i := range st.Locks {
-		lk := st.Locks[i]
-		m.locks[lk.ID] = &lk
-	}
-	m.ops = append([]Op(nil), st.Ops...)
-	m.opCount, m.minted, m.compact, m.settled = st.OpCount, st.Minted, st.Compact, st.SettledForgotten
+	m.opCount, m.minted, m.compact, m.settled = st.OpCount, st.Minted, true, st.SettledForgotten
 	for _, owner := range st.ByzantineOwners {
 		m.byzOwners[owner] = true
 	}
-	m.byzEscrowed = st.ByzEscrowed
 	return m
 }
 
@@ -343,14 +333,11 @@ func driveLedgers(t testing.TB, program []byte) {
 			k.Reset(name)
 			m = newMapLedger(name)
 		case 8:
+			// A capture holds no recorded lock: only a ledger without one
+			// rebuilds from it.
 			what = "State/FromState"
-			l, m, k = FromState(l.State()), mapFromState(m.State()), FromState(k.State())
-			// The rebuilt twin's locks are found the way a resumed traffic run
-			// finds its flights' locks.
-			clear(handles)
-			for _, h := range k.Handles() {
-				lk, _ := k.LockOf(h)
-				handles[lk.ID] = h
+			if len(l.Locks()) == 0 {
+				l, m, k = FromState(l.State()), mapFromState(m.State()), FromState(k.State())
 			}
 		case 9:
 			what = "Lock " + id
@@ -523,9 +510,9 @@ func FuzzLedgerOps(f *testing.F) {
 		5, 0, 0, 0, 0, // SetCompact on
 		3, 0, 4, 0, 0, // Release a#0
 		6, 0, 0, 0, 0, // SetByzantine alice
-		2, 0, 1, 5, 0, // CreateLock a#0 again
+		4, 0, 4, 0, 1, // Refund a#1: no lock is left
 		8, 0, 0, 0, 0, // State/FromState
-		4, 0, 4, 0, 1, // Refund a#1
+		2, 0, 1, 5, 0, // CreateLock a#0 again, on the rebuilt ledger
 		7, 0, 0, 0, 0, // Reset
 	})
 	f.Add([]byte{
@@ -541,8 +528,8 @@ func FuzzLedgerOps(f *testing.F) {
 		4, 0, 4, 0, 4, // Refund b#1: forgotten
 		4, 0, 4, 0, 4, // Refund b#1 again: no such lock
 		2, 0, 1, 10, 4, // CreateLock b#1 anew
-		8, 0, 0, 0, 0, // State/FromState
-		3, 0, 4, 0, 4, // Release b#1 through the rebuilt twin's handle
+		8, 0, 0, 0, 0, // State/FromState: b#1 and the released b#12 are listed, nothing rebuilds
+		3, 0, 4, 0, 4, // Release b#1
 	})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		driveLedgers(t, program)

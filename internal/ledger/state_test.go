@@ -3,13 +3,12 @@ package ledger
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
-// buildBusyLedger produces a compacted ledger mid-flight: minted accounts,
-// settled history, pending locks (one Byzantine-held), marks.
+// buildBusyLedger produces a traffic ledger mid-flight: minted accounts,
+// settled history, held locks (one payer's Byzantine-held) and marks.
 func buildBusyLedger(t *testing.T) *Ledger {
 	t.Helper()
 	l := New("e0")
@@ -23,69 +22,61 @@ func buildBusyLedger(t *testing.T) *Ledger {
 	must(l.Mint(0, "alice", 1000))
 	must(l.Mint(0, "bob", 500))
 	must(l.Mint(0, "mallory", 700))
-	_, err := l.CreateLock(10, "lk-settled", "alice", "bob", 100, Condition{})
-	must(err)
-	must(l.Release(20, "lk-settled", nil, 20))
-	_, err = l.CreateLock(30, "lk-refunded", "bob", "alice", 50, Condition{})
-	must(err)
-	must(l.Refund(40, "lk-refunded", 40))
-	_, err = l.CreateLock(50, "lk-pending", "alice", "bob", 200, Condition{Expiry: 500})
-	must(err)
-	_, err = l.CreateLock(55, "lk-evil", "mallory", "bob", 300, Condition{})
-	must(err)
-	l.SetByzantine(l.PID("mallory"), true)
+	alice, bob, mallory := l.PID("alice"), l.PID("bob"), l.PID("mallory")
+	must(l.Hold(alice, bob, 100))
+	must(l.ReleaseHold(alice, bob, 100))
+	must(l.Hold(bob, alice, 50))
+	must(l.RefundHold(bob, 50))
+	must(l.Hold(alice, bob, 200))
+	must(l.Hold(alice, bob, 20))
+	must(l.Hold(mallory, bob, 300))
+	l.SetByzantine(mallory, true)
 	return l
 }
 
 // TestLedgerStateRoundTrip captures a busy ledger, rebuilds it, and checks
 // the rebuilt ledger is operationally identical: same audit totals, same
-// behaviour on the still-pending locks, same Byzantine accounting.
+// behaviour on the still-held locks, same Byzantine accounting.
 func TestLedgerStateRoundTrip(t *testing.T) {
-	drive := func(l *Ledger) {
-		// Continue the run identically on original and restored ledgers.
-		if err := l.Release(100, "lk-pending", nil, 100); err != nil {
-			t.Fatalf("release pending: %v", err)
+	read := func(l *Ledger) []any {
+		out := []any{l.Name(), l.Compact(), l.Minted(), l.EscrowedTotal(), l.PendingCount(), l.ByzantineEscrowed(),
+			l.OpCount(), l.SettledForgotten(), l.Audit(), l.String()}
+		for _, owner := range []string{"alice", "bob", "mallory"} {
+			out = append(out, l.Balance(l.PID(owner)))
 		}
-		l.SetByzantine(l.PID("mallory"), false)
-		if err := l.Refund(600, "lk-evil", 600); err != nil {
+		return out
+	}
+	drive := func(l *Ledger) {
+		alice, bob, mallory := l.PID("alice"), l.PID("bob"), l.PID("mallory")
+		// Continue the run identically on original and restored ledgers.
+		if err := l.ReleaseHold(alice, bob, 200); err != nil {
+			t.Fatalf("release held: %v", err)
+		}
+		l.SetByzantine(mallory, false)
+		if err := l.RefundHold(mallory, 300); err != nil {
 			t.Fatalf("refund evil: %v", err)
 		}
-		if err := l.Audit(); err != nil {
-			t.Fatal(err)
+		if err := l.RefundHold(alice, 21); err == nil {
+			t.Fatal("refunded more than alice holds")
 		}
 	}
 
 	orig := buildBusyLedger(t)
 	restored := FromState(orig.State())
-
-	if restored.Name() != "e0" || !restored.Compact() {
-		t.Fatalf("identity lost: name=%q compact=%v", restored.Name(), restored.Compact())
+	if got, want := read(restored), read(orig); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored ledger reads %v, the captured one %v", got, want)
 	}
-	if restored.ByzantineEscrowed() != orig.ByzantineEscrowed() {
-		t.Fatalf("byz escrowed %d, want %d", restored.ByzantineEscrowed(), orig.ByzantineEscrowed())
-	}
-	if restored.OpCount() != orig.OpCount() || restored.SettledForgotten() != orig.SettledForgotten() {
-		t.Fatalf("history counters diverge: ops %d/%d settled %d/%d",
-			restored.OpCount(), orig.OpCount(), restored.SettledForgotten(), orig.SettledForgotten())
-	}
-
 	drive(orig)
 	drive(restored)
-
-	for _, owner := range []string{"alice", "bob", "mallory"} {
-		if restored.Balance(restored.PID(owner)) != orig.Balance(orig.PID(owner)) {
-			t.Fatalf("%s balance %d, want %d", owner, restored.Balance(restored.PID(owner)), orig.Balance(orig.PID(owner)))
-		}
-	}
-	if restored.Minted() != orig.Minted() || restored.EscrowedTotal() != orig.EscrowedTotal() {
-		t.Fatalf("totals diverge after drive: minted %d/%d escrowed %d/%d",
-			restored.Minted(), orig.Minted(), restored.EscrowedTotal(), orig.EscrowedTotal())
+	if got, want := read(restored), read(orig); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the same steps the restored ledger reads %v, the captured one %v", got, want)
 	}
 }
 
 // TestLedgerStateDeterministicSerialisation pins that two captures of the
 // same ledger serialise byte-identically (the checksum of a checkpoint
-// depends on it) and that captured locks are value copies.
+// depends on it), that a capture is a copy, and that it survives a JSON
+// round trip.
 func TestLedgerStateDeterministicSerialisation(t *testing.T) {
 	l := buildBusyLedger(t)
 	a, err := json.Marshal(l.State())
@@ -101,35 +92,18 @@ func TestLedgerStateDeterministicSerialisation(t *testing.T) {
 	}
 
 	st := l.State()
-	if err := l.Release(100, "lk-pending", nil, 100); err != nil {
+	if err := l.ReleaseHold(l.PID("alice"), l.PID("bob"), 200); err != nil {
 		t.Fatal(err)
+	}
+	want := []HeldState{{"alice", 220}, {"mallory", 300}}
+	if !reflect.DeepEqual(st.Held, want) || st.HeldLocks != 3 {
+		t.Fatalf("capture holds %+v in %d locks after a later release, want %+v in 3", st.Held, st.HeldLocks, want)
 	}
 	var rt LedgerState
 	if err := json.Unmarshal(a, &rt); err != nil {
 		t.Fatal(err)
 	}
-	for i, lk := range st.Locks {
-		if lk.ID == "lk-pending" && lk.State != LockPending {
-			t.Fatal("capture aliased live lock state")
-		}
-		if rt.Locks[i].ID != lk.ID || rt.Locks[i].State != lk.State {
-			t.Fatalf("JSON round trip lost lock %d: %+v vs %+v", i, rt.Locks[i], lk)
-		}
-	}
-}
-
-// TestLedgerStateRetainsOps covers the non-compacted path: the retained op
-// log survives the round trip.
-func TestLedgerStateRetainsOps(t *testing.T) {
-	l := New("e1")
-	if err := l.Mint(0, "alice", 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.CreateLock(sim.Millisecond, "L", "alice", "alice", 5, Condition{}); err != nil {
-		t.Fatal(err)
-	}
-	r := FromState(l.State())
-	if len(r.Ops()) != 2 || r.Ops()[1].Kind != OpLock {
-		t.Fatalf("ops lost in round trip: %+v", r.Ops())
+	if !reflect.DeepEqual(rt, st) {
+		t.Fatalf("JSON round trip reads %+v, want %+v", rt, st)
 	}
 }

@@ -28,9 +28,9 @@ import (
 // The same functions may not hand the engine a capturing function literal:
 // `eng.ScheduleArgIn(d, name, func(any) { ... p ... }, nil)` allocates one
 // closure per scheduled action, which a package-level action with the
-// process as its argument avoids. The same goes for ScheduleArgAt,
-// RestoreEventArg, and a local clock's ScheduleArgAtLocal and
-// ScheduleArgAfterLocal, which wrap the engine. A literal that captures
+// process as its argument avoids. The same goes for ScheduleArgAt and a
+// local clock's ScheduleArgAtLocal and ScheduleArgAfterLocal, which wrap the
+// engine. A literal that captures
 // nothing is a static function value and stays allowed.
 //
 // Nor may they index a map keyed by a string, reading or writing: that is an
@@ -39,7 +39,7 @@ import (
 // covers are rendering and stay allowed.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation, trace appends and indexes into string-keyed maps, and forbid capturing closures passed to Engine.ScheduleArgIn/ScheduleArgAt/RestoreEventArg and Clock.ScheduleArgAtLocal/ScheduleArgAfterLocal",
+	Doc:  "in //xchain:hotpath functions, require Recording() guards around eager formatting, string concatenation, trace appends and indexes into string-keyed maps, and forbid capturing closures passed to Engine.ScheduleArgIn/ScheduleArgAt and Clock.ScheduleArgAtLocal/ScheduleArgAfterLocal",
 	Run:  runHotalloc,
 }
 
@@ -70,7 +70,6 @@ var traceAppendMethods = map[string]bool{
 var closureScheduleMethods = map[string]string{
 	"ScheduleArgIn":         "Engine",
 	"ScheduleArgAt":         "Engine",
-	"RestoreEventArg":       "Engine",
 	"ScheduleArgAtLocal":    "Clock",
 	"ScheduleArgAfterLocal": "Clock",
 }

@@ -1,8 +1,8 @@
 // Package hotalloc is a golden-diagnostic fixture for the hotalloc
 // analyzer. The local Trace and Engine types mirror the real trace.Trace and
-// sim.Engine surfaces (Recording, Add; ScheduleArgIn, ScheduleArgAt,
-// RestoreEventArg) that the analyzer keys on by name, and Clock mirrors
-// clock.Clock's local-time wrappers of them.
+// sim.Engine surfaces (Recording, Add; ScheduleArgIn, ScheduleArgAt) that
+// the analyzer keys on by name, and Clock mirrors clock.Clock's local-time
+// wrappers of them.
 package hotalloc
 
 import "fmt"
@@ -14,10 +14,6 @@ func (e *Engine) ScheduleArgIn(d int64, name string, fn func(any), arg any) {
 }
 
 func (e *Engine) ScheduleArgAt(at int64, name string, fn func(any), arg any) {
-	e.queue = append(e.queue, func() { fn(arg) })
-}
-
-func (e *Engine) RestoreEventArg(at int64, seq uint64, name string, fn func(any), arg any) {
 	e.queue = append(e.queue, func() { fn(arg) })
 }
 
@@ -45,7 +41,6 @@ var ticks int
 func (p *proc) closurePerAction(d int64, amount int) {
 	p.eng.ScheduleArgIn(d, "send", func(any) { p.sent += amount }, nil) // want `capturing closure passed to ScheduleArgIn in hot path closurePerAction allocates per event; pass a package-level action and bind its state in arg`
 	p.eng.ScheduleArgAt(d, "send", func(any) { p.sent++ }, nil)         // want `capturing closure passed to ScheduleArgAt in hot path closurePerAction allocates per event`
-	p.eng.RestoreEventArg(d, 1, "send", func(any) { p.sent++ }, nil)    // want `capturing closure passed to RestoreEventArg in hot path closurePerAction allocates per event`
 }
 
 // Bad: a local clock's wrappers cost the same closure (this is how the ANTA

@@ -147,9 +147,6 @@ func (g *Gauge) Value() float64 {
 // allocation-free and lock-free.
 const histBuckets = 1400
 
-// logHistGrowth caches log(stats.HistGrowth) for the bucket-index formula.
-var logHistGrowth = math.Log(stats.HistGrowth)
-
 // Histogram is a concurrency-safe streaming log-bucketed histogram reusing
 // the bucket geometry of stats.Histogram: bucket i covers
 // [HistMin·g^i, HistMin·g^(i+1)) with g = stats.HistGrowth, so quantile
@@ -195,11 +192,7 @@ func (h *Histogram) Observe(v float64) {
 		h.underflow.Add(1)
 		return
 	}
-	i := int(math.Floor(math.Log(v/stats.HistMin) / logHistGrowth))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.counts[i].Add(1)
+	h.counts[min(stats.Bucket(v), histBuckets-1)].Add(1)
 }
 
 // Count returns the number of observations (0 for the nil handle).

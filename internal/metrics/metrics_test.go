@@ -137,8 +137,38 @@ func TestHotPathAllocFree(t *testing.T) {
 
 // Histogram quantiles agree with stats.Histogram percentiles: the two share
 // bucket geometry, so on the same observations the estimates must coincide
-// for in-range ranks.
+// for in-range ranks, and each bucket bound — the least observation the
+// geometry's formula puts in its bucket — and the floats one ulp either side
+// of it land in the same bucket of both.
 func TestHistogramQuantileMatchesStats(t *testing.T) {
+	formula := func(v float64) int { return int(math.Floor(math.Log(v/stats.HistMin) / math.Log(stats.HistGrowth))) }
+	bucketOf := func(v float64) (metrics, ref int) {
+		h := &Histogram{}
+		h.Observe(v)
+		for metrics = range h.counts {
+			if h.counts[metrics].Load() != 0 {
+				break
+			}
+		}
+		r := stats.NewHistogram()
+		r.Add(v)
+		return metrics, len(r.State().Counts) - 1
+	}
+	for i := 1; i < histBuckets; i++ {
+		b := stats.HistMin * math.Pow(stats.HistGrowth, float64(i))
+		for formula(b) >= i {
+			b = math.Nextafter(b, 0)
+		}
+		for formula(b) < i {
+			b = math.Nextafter(b, math.Inf(1))
+		}
+		for _, v := range []float64{math.Nextafter(b, 0), b, math.Nextafter(b, math.Inf(1))} {
+			if got, want := bucketOf(v); got != want {
+				t.Fatalf("%v (bound of bucket %d, or a neighbour) lands in bucket %d, stats.Histogram's %d", v, i, got, want)
+			}
+		}
+	}
+
 	h := &Histogram{}
 	ref := stats.NewHistogram()
 	for i := 1; i <= 10000; i++ {

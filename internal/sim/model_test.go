@@ -7,17 +7,16 @@ import (
 	"testing"
 )
 
-// The engine differential: a program of schedule, cancel, run and
-// capture/restore steps drives a real Engine and a naive model — a list kept
-// sorted by (at, seq) — and both must fire the same (at, seq, action)
-// sequence, keep the same clock and counters, and agree on what is pending.
+// The engine differential: a program of schedule, cancel and run steps
+// drives a real Engine and a naive model — a list kept sorted by (at, seq) —
+// and both must fire the same (at, action) sequence, keep the same clock and
+// counters, and agree on what is pending.
 
-// firing is one fired event: when, under which sequence number, and which
-// action (the event's ID, in scheduling order).
+// firing is one fired event: when, and which action (the event's ID, in
+// scheduling order).
 type firing struct {
-	at  Time
-	seq uint64
-	id  int
+	at Time
+	id int
 }
 
 // fuzzEvent is the argument of one engine event. Its action logs the firing
@@ -28,21 +27,18 @@ type fuzzEvent struct {
 	spawn int
 }
 
-// engineHarness drives the real engine. timers[id] and seqs[id] are event
-// id's handle and the seq it was scheduled or restored under; spare is the
-// engine the next capture restores onto (nil: a new one).
+// engineHarness drives the real engine. timers[id] is event id's handle.
 type engineHarness struct {
-	eng, spare *Engine
-	events     []*fuzzEvent
-	timers     []Timer
-	seqs       []uint64
-	log        []firing
+	eng    *Engine
+	events []*fuzzEvent
+	timers []Timer
+	log    []firing
 }
 
 func fireFuzzEvent(x any) {
 	ev := x.(*fuzzEvent)
 	h := ev.h
-	h.log = append(h.log, firing{h.eng.Now(), h.seqs[ev.id], ev.id})
+	h.log = append(h.log, firing{h.eng.Now(), ev.id})
 	if ev.spawn > 0 {
 		h.add(h.eng.ScheduleArgIn(Time(ev.spawn), "child", fireFuzzEvent, h.next(ev.spawn-1)))
 	}
@@ -57,27 +53,7 @@ func (h *engineHarness) next(spawn int) *fuzzEvent {
 
 // add records the handle of the event next just built.
 func (h *engineHarness) add(tm Timer) {
-	_, seq, _ := tm.Pending()
 	h.timers = append(h.timers, tm)
-	h.seqs = append(h.seqs, seq)
-}
-
-// restore captures every pending event and the clock, rebuilds them on the
-// spare engine (reset, so its free list holds the records of the run it
-// last carried) and continues there.
-func (h *engineHarness) restore() {
-	dst := h.spare
-	if dst == nil {
-		dst = NewEngine(1)
-	}
-	dst.Reset(1)
-	for id := len(h.timers) - 1; id >= 0; id-- { // restore order must not matter
-		if at, seq, ok := h.timers[id].Pending(); ok {
-			h.timers[id] = dst.RestoreEventArg(at, seq, "restored", fireFuzzEvent, h.events[id])
-		}
-	}
-	dst.RestoreClock(h.eng.Clock())
-	h.eng, h.spare = dst, h.eng
 }
 
 // modelEvent is a pending event of the model.
@@ -125,7 +101,7 @@ func (m *engineModel) step(until Time) bool {
 	m.pending = m.pending[1:]
 	m.now = ev.at
 	m.fired++
-	m.log = append(m.log, firing{ev.at, ev.seq, ev.id})
+	m.log = append(m.log, firing{ev.at, ev.id})
 	if ev.spawn > 0 {
 		m.scheduleAt(m.now+Time(ev.spawn), ev.spawn-1)
 	}
@@ -160,7 +136,7 @@ func driveEngine(t *testing.T, program []byte) {
 	h := &engineHarness{eng: NewEngine(1)}
 	m := &engineModel{}
 	for i := 0; i+3 <= len(program); i += 3 {
-		op, a, b := program[i]%7, program[i+1], program[i+2]
+		op, a, b := program[i]%6, program[i+1], program[i+2]
 		spawn := int(b % 4)
 		limit := uint64(b % 4)
 		var gotNow, wantNow Time
@@ -198,17 +174,9 @@ func driveEngine(t *testing.T, program []byte) {
 			gotNow, gotN = h.eng.Run(limit)
 			wantNow, wantN = m.runUntil(Never, limit)
 			ran = true
-		case 6:
-			h.restore()
 		}
 		if ran && (gotNow != wantNow || gotN != wantN) {
 			t.Fatalf("step %d (op %d): run returned (%v, %d), model (%v, %d)", i/3, op, gotNow, gotN, wantNow, wantN)
-		}
-		// The model's event id was scheduled under seq id+1.
-		for id, seq := range h.seqs {
-			if seq != uint64(id+1) {
-				t.Fatalf("step %d (op %d): event %d scheduled under seq %d, model %d", i/3, op, id, seq, id+1)
-			}
 		}
 		if !slices.Equal(h.log, m.log) {
 			t.Fatalf("step %d (op %d): fired %v, model %v", i/3, op, h.log, m.log)
@@ -224,8 +192,8 @@ func driveEngine(t *testing.T, program []byte) {
 
 // FuzzEngineOps drives programs through the engine and the model: any
 // program, the same firings step for step. Its seed corpus — three programs
-// written for the tie-break, the recycled canceled record and restore, and
-// random ones — runs with the tests.
+// written for the tie-break, the recycled canceled record and a spawning
+// chain cut short, and random ones — runs with the tests.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -236,7 +204,6 @@ func FuzzEngineOps(f *testing.F) {
 		2, 1, 0, // cancel the second
 		5, 0, 1, // Run(1): fires the one at now
 		1, 7, 0, // in 5
-		6, 0, 0, // capture and restore onto a new engine
 		5, 0, 0, // Run(0): the ties fire in seq order
 	})
 	f.Add([]byte{
@@ -254,9 +221,7 @@ func FuzzEngineOps(f *testing.F) {
 		1, 3, 3, // in 1, spawning a chain of three children
 		0, 5, 0, 0, 5, 0, 0, 5, 0, // three ties at now+1
 		3, 3, 2, // RunBefore(now+3, 2)
-		6, 0, 0, // restore
 		2, 2, 0, // cancel one of the ties
-		6, 0, 0, // restore again, onto the first engine, reset
 		4, 15, 0, // RunUntil(Never)
 	})
 	rng := rand.New(rand.NewSource(7))

@@ -237,12 +237,23 @@ func (e *Engine) recycle(ev *event) {
 // moves, so Timers keep pointing at it.
 const eventBlock = 16
 
-// insert queues fn(arg) at heap coordinates (at, seq) in a record taken from
-// the free list, else cut from a block, so in steady state it allocates
-// nothing.
+// ScheduleArgAt registers fn(arg) to run at absolute virtual time at.
+// Scheduling in the past is clamped to "now": the event fires before time
+// advances further. fn is meant to be a package-level function with all
+// per-event state pre-bound in arg, so the hot path allocates nothing: arg
+// is typically a pointer into a caller-managed pool, and boxing a pointer
+// into an interface does not allocate. The engine keeps no name: name is
+// accepted and ignored. The event's record is taken from the free list, else
+// cut from a block, so in steady state scheduling allocates nothing.
 //
 //xchain:hotpath
-func (e *Engine) insert(at Time, seq uint64, fn func(any), arg any) Timer {
+func (e *Engine) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
+	if at < e.now {
+		at = e.now
+	}
+	e.seq++
+	e.scheduled++
+	e.m.Scheduled.Inc()
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -255,30 +266,11 @@ func (e *Engine) insert(at Time, seq uint64, fn func(any), arg any) Timer {
 		e.block = e.block[:len(e.block)+1]
 		ev = &e.block[len(e.block)-1]
 	}
-	ev.at, ev.seq, ev.canceled = at, seq, false
+	ev.at, ev.seq, ev.canceled = at, e.seq, false
 	ev.fn, ev.arg = fn, arg
 	e.push(ev)
 	e.live++
 	return Timer{eng: e, ev: ev, gen: ev.gen}
-}
-
-// ScheduleArgAt registers fn(arg) to run at absolute virtual time at.
-// Scheduling in the past is clamped to "now": the event fires before time
-// advances further. fn is meant to be a package-level function with all
-// per-event state pre-bound in arg, so the hot path allocates nothing: arg
-// is typically a pointer into a caller-managed pool, and boxing a pointer
-// into an interface does not allocate. The engine keeps no name: name is
-// accepted and ignored.
-//
-//xchain:hotpath
-func (e *Engine) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.scheduled++
-	e.m.Scheduled.Inc()
-	return e.insert(at, e.seq, fn, arg)
 }
 
 // ScheduleArgIn registers fn(arg) to run after delay d from the current
@@ -355,9 +347,9 @@ func (e *Engine) RunUntil(until Time, maxEvents uint64) (Time, uint64) {
 // RunBefore processes every event with firing time strictly earlier than t,
 // subject to the same termination conditions as Run, then advances virtual
 // time to t. It lets a driver inject externally-sourced work at time t ahead
-// of any already-scheduled event at the same instant — the streaming traffic
-// timeline uses it to interleave arrivals with settlements exactly as if all
-// arrivals had been scheduled before the run started.
+// of any already-scheduled event at the same instant, exactly as if that
+// work had been scheduled before the run started (the traffic admission
+// model's reference run interleaves arrivals with settlements so).
 func (e *Engine) RunBefore(t Time, maxEvents uint64) (Time, uint64) {
 	var fired uint64
 	for {

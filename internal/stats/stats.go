@@ -216,14 +216,16 @@ func bucketByLog(v float64) int {
 	return int(math.Floor(math.Log(v/HistMin) / logGrowth))
 }
 
-// bucketOf finds bucketByLog(v) without a logarithm. The exponent of v and
+// Bucket returns the index of the bucket holding observation v >= HistMin,
+// the bucket geometry every log-bucketed histogram of the repository shares:
+// bucketByLog(v), found without a logarithm. The exponent of v and
 // the top subBits bits of its mantissa — the bits of v above its lowest
 // 52-subBits — name one of 2^subBits equal slices of v's octave. A slice
 // spans a ratio of at most 1+2^-subBits, less than HistGrowth, so at most one
 // bucket bound falls inside it: bucketAt holds the bucket of the slice's
 // first value, and v is in the next bucket if it reaches that bucket's lower
 // bound. Observations of 2^tableExp and more are left to bucketByLog.
-func bucketOf(v float64) int {
+func Bucket(v float64) int {
 	s := int(math.Float64bits(v)>>(52-subBits)) - sliceBase
 	if uint(s) >= uint(len(bucketAt)) {
 		return bucketByLog(v)
@@ -238,11 +240,11 @@ func bucketOf(v float64) int {
 const (
 	// subBits is how many mantissa bits cut an octave into slices.
 	subBits = 6
-	// tableExp is the octave bucketOf's tables end at: 2^40 ms, 35 years.
+	// tableExp is the octave Bucket's tables end at: 2^40 ms, 35 years.
 	tableExp = 40
 )
 
-// The tables bucketOf reads, built by init from bucketByLog. sliceBase is the
+// The tables Bucket reads, built by init from bucketByLog. sliceBase is the
 // first slice of HistMin's octave; bucketLow[i] is the smallest observation
 // bucketByLog puts in bucket i or above.
 var (
@@ -310,7 +312,7 @@ func (h *Histogram) Add(v float64) {
 		h.underflow++
 		return
 	}
-	i := bucketOf(v)
+	i := Bucket(v)
 	if i >= len(h.counts) {
 		h.counts = append(h.counts, make([]uint64, i+1-len(h.counts))...)
 	}

@@ -224,8 +224,8 @@ func TestHistogramUnderflowAndNegative(t *testing.T) {
 func TestBucketOfMatchesLog(t *testing.T) {
 	check := func(v float64) {
 		t.Helper()
-		if got, want := bucketOf(v), bucketByLog(v); got != want {
-			t.Fatalf("bucketOf(%v) = %d, the formula gives %d", v, got, want)
+		if got, want := Bucket(v), bucketByLog(v); got != want {
+			t.Fatalf("Bucket(%v) = %d, the formula gives %d", v, got, want)
 		}
 	}
 	for _, b := range bucketLow {

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
@@ -21,14 +19,16 @@ import (
 // Checkpoint/resume for long traffic runs.
 //
 // A RunSnapshot captures the complete state of the admission timeline at an
-// arrival boundary: the position in the payment population, the engine's
-// virtual clock and pending events, every live flight (queued and in-flight
-// payments with their timers), the ledger book, the aggregator (exact
-// counters, latency histogram or sample, exemplar reservoir) and the
-// Byzantine mark schedule. Everything else — the payment stream itself, the
-// fault plan, every RNG side-stream — is a pure function of
-// (Scenario.Seed, Workload) and is re-derived on resume, so the snapshot
-// stays proportional to the live state, not the run length.
+// arrival boundary, each fact once: the position in the payment population,
+// the agenda's clock, every live flight (queued and in-flight payments with
+// their pending events' seqs), the ledger book (balances and held tallies:
+// the admitted flights are the records of the locks), the aggregator (exact
+// counters, latency histogram or sample, exemplar reservoir) and the pending
+// Byzantine marks. Everything else — the payment stream itself, the fault
+// plan, every RNG side-stream, what a flight derives (its ID, hop amounts,
+// event instant, kept record) — is a pure function of (Scenario.Seed,
+// Workload) and the captured state, and is re-derived on resume, so the
+// snapshot stays proportional to the live state, not the run length.
 //
 // The determinism contract does the heavy lifting: because an uninterrupted
 // run is a pure function of its inputs, a resumed run that restores the
@@ -160,28 +160,20 @@ func (fp runFingerprint) canonical() (hash string, doc []byte, err error) {
 	return hex.EncodeToString(sum[:]), doc, nil
 }
 
-// EventState pins a pending engine event's heap coordinates so resume can
-// rebuild it exactly where it was (see sim.Engine.RestoreEventArg).
-type EventState struct {
-	At  sim.Time `json:"at"`
-	Seq uint64   `json:"seq"`
-}
-
 // FlightState is one live payment — queued or in flight — flattened for
 // serialisation: the generated payment, its precomputed protocol
-// sub-outcome, its record as it stands (status and end still unset) and the
-// pending timer (expiry for queued flights, settlement for admitted ones).
-// The per-hop amounts and the lock ID are rendered here, at the edge: a
-// flight keeps its base amount and its locks' handles.
+// sub-outcome, how it was admitted and the seq of its pending event (expiry
+// for queued flights, settlement for admitted ones). Everything else of the
+// flight derives from these: its ID from its index and route, each hop's
+// amount from its base, its event's instant from its arrival or admission,
+// and its kept record from all of them.
 type FlightState struct {
 	Index    int      `json:"index"`
-	ID       string   `json:"id"`
 	Sender   int      `json:"sender"`
 	Receiver int      `json:"receiver"`
-	Amounts  []int64  `json:"amounts"`
+	Base     int64    `json:"base"`
 	Arrival  sim.Time `json:"arrival"`
 	Protocol string   `json:"protocol"`
-	Seed     int64    `json:"seed"`
 
 	Paid     bool     `json:"paid,omitempty"`
 	Duration sim.Time `json:"duration"`
@@ -189,14 +181,13 @@ type FlightState struct {
 	Err      string   `json:"err,omitempty"`
 	Byz      bool     `json:"byz,omitempty"`
 
-	PR PaymentResult `json:"pr"`
+	Start  sim.Time `json:"start,omitempty"`
+	Queued bool     `json:"queued,omitempty"`
 	// Attempts is the number of admission attempts made so far: frozen once
-	// admitted (LockID ends in Attempts-1), one more per settlement sat
-	// through while queued.
-	Attempts int        `json:"attempts"`
-	LockID   string     `json:"lockId,omitempty"`
-	InQueue  bool       `json:"inQueue,omitempty"`
-	Timer    EventState `json:"timer"`
+	// admitted, one more per settlement sat through while queued.
+	Attempts int    `json:"attempts"`
+	InQueue  bool   `json:"inQueue,omitempty"`
+	Seq      uint64 `json:"seq"`
 }
 
 // MarkState is one pending Byzantine-status transition of the fault plan.
@@ -269,8 +260,7 @@ type RunSnapshot struct {
 	EngineScheduled uint64   `json:"engineScheduled"`
 	TimelineFired   uint64   `json:"timelineFired"`
 
-	LockedNow int64 `json:"lockedNow"`
-	ByzConn   int   `json:"byzConn"`
+	ByzConn int `json:"byzConn"`
 
 	Partial PartialResult `json:"partial"`
 	Agg     AggState      `json:"agg"`
@@ -310,9 +300,9 @@ func LoadSnapshot(path string) (*RunSnapshot, error) {
 // validate checks, before anything is restored, that sn is a state this run
 // (chain escrows, workload w resolved to ps, this retention) could have
 // captured, so that restoring it and running on cannot index out of range,
-// miss a ledger, reserve a non-positive amount, settle a hop other than it
-// locked or leave a queued payment filed under no account. Every failure
-// wraps ErrBadSnapshot.
+// miss a ledger, reserve a non-positive amount, settle a hop its ledger does
+// not hold, strand a held value no flight settles, or leave a queued payment
+// filed under no account. Every failure wraps ErrBadSnapshot.
 func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool, exemplars int) error {
 	payments := w.Payments
 	bad := func(format string, args ...any) error {
@@ -329,10 +319,11 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 		byName[sn.Ledgers[i].Name] = &sn.Ledgers[i]
 	}
 	// payer[e] is c_e's balance on e_e: what admission reads on escrow e.
-	// pending[e] maps the ID of each lock e_e holds to it: an admitted
-	// flight's is there on every hop, and restore takes it over.
-	payer := make([]int64, chain)
-	pending := make([]map[string]ledger.Lock, chain)
+	// held[e] and locks[e] are the value c_e has held there and the number
+	// of locks holding it, which the admitted flights' hops on e must add up
+	// to, so that each settles and nothing stays held; every lock on e_e is
+	// c_e's, so nobody else holds anything there.
+	payer, held, locks := make([]int64, chain), make([]int64, chain), make([]int, chain)
 	for e := range payer {
 		l := byName[core.EscrowID(e)]
 		if l == nil {
@@ -343,14 +334,13 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 				payer[e] = a.Balance
 			}
 		}
-		pending[e] = map[string]ledger.Lock{}
-		for _, lk := range l.Locks {
-			// A traffic ledger compacts: it forgets a lock as it settles.
-			if lk.State != ledger.LockPending {
-				return bad("ledger %s holds lock %s %s", l.Name, lk.ID, lk.State)
+		for _, h := range l.Held {
+			if h.Payer != core.CustomerID(e) {
+				return bad("ledger %s: %s holds %d", l.Name, h.Payer, h.Value)
 			}
-			pending[e][lk.ID] = lk
+			held[e] += h.Value
 		}
+		locks[e] = l.HeldLocks
 	}
 	queued := map[int]bool{} // index -> waiting, not yet listed in Queue
 	last := -1
@@ -363,45 +353,22 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 		if f.Sender < 0 || f.Sender >= f.Receiver || f.Receiver > chain {
 			return bad("flight %d: route c%d -> c%d outside the chain", f.Index, f.Sender, f.Receiver)
 		}
-		h := f.Receiver - f.Sender
-		if len(f.Amounts) != h {
-			return bad("flight %d: %d amounts for %d hops", f.Index, len(f.Amounts), h)
-		}
-		// A flight's event is its queue expiry, scheduled at its arrival,
-		// while it waits, and its settlement, scheduled at its admission,
-		// once admitted: a capture derives it so (timeline.eventAt).
-		at := f.PR.Start + max(f.Duration, 0)
-		if f.InQueue {
-			at = f.Arrival + max(w.QueuePatience, 0)
-		}
-		if f.Timer.At != at {
-			return bad("flight %d: its event fires at %v, not at %v", f.Index, f.Timer.At, at)
-		}
-		// A flight's ID and its locks' are rendered from its index, route and
-		// attempts (flight.id, flight.lockID).
-		id := string((&payment{Index: f.Index, Sender: f.Sender, Receiver: f.Receiver}).appendID(nil))
-		if f.ID != id || !f.InQueue && f.LockID != id+"#"+strconv.Itoa(f.Attempts-1) {
-			return bad("flight %d: named %s with lock %s", f.Index, f.ID, f.LockID)
-		}
 		if protoIndex(ps, f.Protocol) < 0 {
 			return bad("flight %d: protocol %q is not in the mix", f.Index, f.Protocol)
 		}
+		h := f.Receiver - f.Sender
 		fits := true
-		for k, amount := range f.Amounts {
-			// The run derives every hop's amount from the last one.
-			if amount < 1 || amount != f.Amounts[h-1]+int64(h-1-k)*w.Commission {
+		for k := range h {
+			// The run derives every hop's amount from the base.
+			e, amount := f.Sender+k, hopAmount(f.Base, h, k, w.Commission)
+			if amount < 1 {
 				return bad("flight %d: hop %d carries amount %d", f.Index, k, amount)
 			}
-			fits = fits && payer[f.Sender+k] >= amount
-			if f.InQueue {
-				continue
+			fits = fits && payer[e] >= amount
+			if !f.InQueue {
+				held[e] -= amount
+				locks[e]--
 			}
-			e := f.Sender + k
-			lk, ok := pending[e][f.LockID]
-			if !ok || lk.Amount != amount || lk.Payer != core.CustomerID(e) || lk.Payee != core.CustomerID(e+1) {
-				return bad("flight %d: %s holds no lock %s of %d from %s to %s", f.Index, core.EscrowID(e), f.LockID, amount, core.CustomerID(e), core.CustomerID(e+1))
-			}
-			delete(pending[e], f.LockID) // a lock is one flight's
 		}
 		if f.InQueue {
 			// The timeline files a waiter under the account that refuses it; a
@@ -411,6 +378,11 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 				return bad("flight %d waits in the queue though every hop of its route can cover it", f.Index)
 			}
 			queued[f.Index] = true
+		}
+	}
+	for e := range held {
+		if held[e] != 0 || locks[e] != 0 {
+			return bad("ledger %s holds %d more in %d more locks than its admitted flights", core.EscrowID(e), held[e], locks[e])
 		}
 	}
 	last = -1
@@ -522,7 +494,6 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sn := &RunSnapshot{NextIndex: next}
 	sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled = t.ag.now, t.ag.seq, t.ag.fired, t.ag.scheduled
 	sn.TimelineFired = t.fired
-	sn.LockedNow = t.lockedNow
 	sn.ByzConn = t.byzConn
 
 	r := t.res
@@ -549,53 +520,40 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sn.Agg = t.agg.state()
 
 	// Live flights, sorted by payment index so the capture is deterministic.
-	// The ledgers keep no record of the locks the timeline holds (see
-	// ledger.Hold): each admitted flight renders its own into locks, one per
-	// hop, as its ledger renders a recorded lock.
-	locks := make([][]ledger.Lock, len(t.ledgers))
-	idxs := make([]int, 0, len(t.track))
-	for i := range t.track {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		f := t.track[i]
-		fs := FlightState{
+	// The ledgers' captures hold the value the admitted ones hold.
+	for ix := range t.made {
+		f := t.flightAt(ix)
+		if f.finished {
+			continue
+		}
+		attempts := int(f.attempts)
+		if f.inQueue {
+			attempts = t.passes - f.passBase
+		}
+		sn.Flights = append(sn.Flights, FlightState{
 			Index:    f.index,
-			ID:       f.id(),
 			Sender:   int(f.sender),
 			Receiver: int(f.receiver),
-			Amounts:  make([]int64, f.hops()),
+			Base:     f.base,
 			Arrival:  f.arrival,
 			Protocol: t.ps.names[f.proto],
-			Seed:     paymentSeed(t.res.Seed, f.index),
 			Paid:     f.paid,
 			Duration: f.duration,
 			Events:   f.events,
 			Err:      errString(t.errs[f.index]),
 			Byz:      f.byz,
-			Attempts: int(f.attempts),
+			Start:    f.start,
+			Queued:   f.queued,
+			Attempts: attempts,
 			InQueue:  f.inQueue,
+			Seq:      f.seq,
+		})
+	}
+	slices.SortFunc(sn.Flights, func(a, b FlightState) int { return a.Index - b.Index })
+	for _, fs := range sn.Flights {
+		if fs.InQueue {
+			sn.Queue = append(sn.Queue, fs.Index) // arrival order = index order
 		}
-		for k := range fs.Amounts {
-			fs.Amounts[k] = f.amountVia(k, t.w.Commission)
-		}
-		t.record(f, &fs.PR)
-		if f.inQueue {
-			fs.Attempts = t.passes - f.passBase
-			sn.Queue = append(sn.Queue, f.index) // arrival order = index order
-		} else {
-			fs.LockID = f.lockID()
-			for k, amount := range fs.Amounts {
-				e := int(f.sender) + k
-				locks[e] = append(locks[e], ledger.Lock{
-					ID: fs.LockID, Payer: core.CustomerID(e), Payee: core.CustomerID(e + 1),
-					Amount: amount, CreatedAt: f.start, State: ledger.LockPending,
-				})
-			}
-		}
-		fs.Timer = EventState{At: t.eventAt(f), Seq: f.seq}
-		sn.Flights = append(sn.Flights, fs)
 	}
 	for _, mk := range t.marks {
 		if mk.pending {
@@ -603,12 +561,7 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 		}
 	}
 	for _, name := range r.Book.Names() {
-		st := r.Book.MustGet(name).State()
-		if e := slices.IndexFunc(t.ledgers, func(l *ledger.Ledger) bool { return l.Name() == name }); e >= 0 && len(locks[e]) > 0 {
-			st.Locks = append(st.Locks, locks[e]...)
-			sort.Slice(st.Locks, func(i, j int) bool { return st.Locks[i].ID < st.Locks[j].ID })
-		}
-		sn.Ledgers = append(sn.Ledgers, st)
+		sn.Ledgers = append(sn.Ledgers, r.Book.MustGet(name).State())
 	}
 	if t.res.Payments != nil {
 		for i := 0; i < next; i++ {
@@ -696,77 +649,56 @@ func protoIndex(ps *protocols, name string) int {
 }
 
 // fill rebuilds the live flight (payment, sub-outcome, admission, pending
-// event's seq) from its capture, which validate passed, into f. Its event
-// and locks are re-attached by timeline.restore.
+// event's seq) from its capture, which validate passed, into f. Its event is
+// re-attached, and a queued flight filed, by timeline.restore.
 func (fs *FlightState) fill(f *flight, ps *protocols) {
 	f.index, f.proto = fs.Index, int32(protoIndex(ps, fs.Protocol))
 	f.sender, f.receiver = int32(fs.Sender), int32(fs.Receiver)
-	f.base, f.arrival = fs.Amounts[len(fs.Amounts)-1], fs.Arrival
+	f.base, f.arrival = fs.Base, fs.Arrival
 	f.paid, f.duration, f.events, f.byz, f.errored = fs.Paid, fs.Duration, fs.Events, fs.Byz, fs.Err != ""
-	f.start, f.queued, f.attempts = fs.PR.Start, fs.PR.Queued, int32(fs.Attempts)
-	f.seq = fs.Timer.Seq
+	f.start, f.queued, f.attempts = fs.Start, fs.Queued, int32(fs.Attempts)
+	f.seq = fs.Seq
 }
 
 // restore rebuilds the timeline mid-run from a snapshot: partial counters,
 // live flights with their pending events re-attached at their original heap
-// coordinates and their locks held, every queued flight filed under the
-// account that refuses it in the restored book, the pending Byzantine marks,
-// and finally the agenda's clock. The book must already be restored and sn
-// validated.
+// coordinates, every queued flight filed under the account that refuses it in
+// the restored book — whose ledgers hold the admitted flights' locks — the
+// pending Byzantine marks, and finally the agenda's clock. The book must
+// already be restored and sn validated.
 func (t *timeline) restore(sn *RunSnapshot) {
 	t.fired = sn.TimelineFired
-	t.lockedNow = sn.LockedNow
 	t.byzConn = sn.ByzConn
 	t.m.ByzConnectors.Set(float64(t.byzConn))
 
 	sn.Partial.apply(t.res)
 
-	// held[e] finds a restored lock of escrow e by its ID: the ledgers were
-	// rebuilt from their captures, recording every lock, and the timeline
-	// holds an admitted flight's (Detach).
-	var held []map[string]ledger.Handle
+	// Flights come in index order, so the queued ones are filed in queue
+	// (arrival) order.
 	for i := range sn.Flights {
 		fs := &sn.Flights[i]
 		f := t.newFlight()
 		fs.fill(f, t.ps)
-		t.track[f.index] = f
 		if f.errored {
 			if t.errs == nil {
 				t.errs = map[int]error{}
 			}
 			t.errs[f.index] = errors.New(fs.Err)
 		}
-		if t.res.Payments != nil {
-			t.res.Payments[f.index] = fs.PR // its identity, which finish leaves
+		if pr := t.res.Payments; pr != nil {
+			t.identify(&pr[f.index], f.id(), f) // what arrive wrote and finish leaves
 		}
 		if fs.InQueue {
-			t.ag.push(entry{fs.Timer.At, fs.Timer.Seq, f.ix, expireEvent})
+			f.passBase = t.passes - int(f.attempts)
+			f.refused = int32(t.refusingHop(f)) // validate found one in these balances
+			t.enqueue(f)
+			t.ag.push(entry{t.eventAt(f), f.seq, f.ix, expireEvent})
 			continue
 		}
-		if held == nil {
-			held = make([]map[string]ledger.Handle, len(t.ledgers))
-			for e, l := range t.ledgers {
-				held[e] = map[string]ledger.Handle{}
-				for _, h := range l.Handles() {
-					lk, _ := l.LockOf(h)
-					held[e][lk.ID] = h
-				}
-			}
-		}
-		for k := range f.hops() {
-			e := int(f.sender) + k
-			t.ledgers[e].Detach(held[e][fs.LockID]) //nolint:errcheck // validate found it pending
-		}
-		t.ag.push(entry{fs.Timer.At, fs.Timer.Seq, f.ix, settleEvent})
+		t.ag.push(entry{t.eventAt(f), f.seq, f.ix, settleEvent})
 		t.inFlight++
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
-	for _, idx := range sn.Queue {
-		f := t.track[idx]
-		f.passBase = t.passes - int(f.attempts)
-		f.refused = int32(t.refusingHop(f)) // validate found one in these balances
-		t.enqueue(f)
-	}
 	for i, mk := range sn.Marks {
 		t.marks = append(t.marks, mark{at: mk.At, seq: mk.Seq, index: mk.Index, on: mk.On, pending: true})
 		t.ag.push(entry{mk.At, mk.Seq, int32(i), markEvent})
@@ -779,6 +711,7 @@ func (t *timeline) restore(sn *RunSnapshot) {
 	a := &t.ag
 	a.now, a.seq, a.fired, a.scheduled = sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled
 	for _, l := range t.ledgers {
+		t.lockedNow += l.EscrowedTotal()
 		t.byzHeld += l.ByzantineEscrowed()
 	}
 	t.observeByzHeld()

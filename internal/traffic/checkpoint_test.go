@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -246,7 +247,21 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 // traffic payload format (the envelope format is pinned separately in
 // internal/checkpoint). Regenerate with XCHAIN_REGEN_GOLDEN=1 after a
 // deliberate format change, and bump checkpoint.Version when doing so.
-const goldenTrafficSnapshot = "../checkpoint/testdata/traffic-run-v1.ckpt"
+const goldenTrafficSnapshot = "../checkpoint/testdata/traffic-run-v2.ckpt"
+
+// v1TrafficSnapshot is a snapshot the version-1 format wrote, of
+// `xchain-traffic -n 2 -payments 8 -rate 500 -stream -crypto hmac
+// -checkpoint f -checkpoint-every 4`: it rendered each admitted flight's locks
+// into its ledgers as well.
+const v1TrafficSnapshot = "../checkpoint/testdata/traffic-run-v1-small.ckpt"
+
+// TestLoadSnapshotRefusesV1: a version-1 file is refused by its version,
+// before its payload is read.
+func TestLoadSnapshotRefusesV1(t *testing.T) {
+	if sn, err := LoadSnapshot(v1TrafficSnapshot); !errors.Is(err, checkpoint.ErrBadVersion) {
+		t.Fatalf("LoadSnapshot of a version-1 file = (%v, %v), want checkpoint.ErrBadVersion", sn, err)
+	}
+}
 
 func goldenTrafficRun() (core.Scenario, Workload, Config) {
 	s := core.NewScenario(3, 11)

@@ -102,8 +102,7 @@ func (c Config) workers() int {
 func (c Config) keep() bool { return !c.Stream || c.KeepPayments }
 
 // checkpointing reports whether any checkpoint/resume/interrupt knob is in
-// use; only such runs fingerprint their configuration and track live flights
-// for capture.
+// use; only such runs fingerprint their configuration.
 func (c Config) checkpointing() bool {
 	return c.CheckpointEvery > 0 || c.CheckpointPath != "" || c.Resume != nil ||
 		c.InterruptAt > 0 || c.Control != nil
@@ -419,11 +418,7 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 // executeTimeline drives the admission timeline over the payment source and
 // finalises every aggregate of res.
 func executeTimeline(res *Result, src paymentSource, w Workload, ps *protocols, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, ck *checkpointer, snap *RunSnapshot) error {
-	tl := newTimeline(res, w, ps, plan, keep, exemplars, reg, rm, snap)
-	if ck != nil || snap != nil {
-		tl.track = make(map[int]*flight)
-	}
-	return tl.execute(src, ck, snap)
+	return newTimeline(res, w, ps, plan, keep, exemplars, reg, rm, snap).execute(src, ck, snap)
 }
 
 // newTimeline builds the admission timeline of one run over res.Book, its
@@ -688,9 +683,9 @@ func wireLiquidityGauges(s core.Scenario, lm ledger.Metrics, l *ledger.Ledger) {
 // timeline's memory tracks the number of in-flight and queued payments, not
 // the population size.
 //
-// A settlement reads the first 64 bytes alone, unless the run keeps,
-// samples or tracks records or the payment's sub-run errored; the fields are
-// in that order.
+// A settlement reads the first 64 bytes alone, unless the run keeps or
+// samples records or the payment's sub-run errored; the fields are in that
+// order.
 type flight struct {
 	// The payment's route c_sender -> c_receiver, what c_receiver collects
 	// (each hop's amount derives from it: amountVia) and its arrival.
@@ -706,8 +701,9 @@ type flight struct {
 	duration           sim.Time
 	paid, byz, errored bool
 	// queued says an admitted payment waited first; inQueue that the payment
-	// waits now.
-	queued, inQueue bool
+	// waits now; finished that the flight is free for newFlight (recycle),
+	// which capture skips.
+	queued, inQueue, finished bool
 	// ix is the flight's index among the timeline's (flightAt): what its
 	// events name. next links a finished flight to the next one newFlight
 	// reuses (timeline.free), as its ix plus one.
@@ -800,9 +796,6 @@ type timeline struct {
 	// live gauge).
 	byzConn int
 
-	// track maps payment index -> live flight; populated only when the run
-	// can checkpoint (capture needs every queued and in-flight payment).
-	track map[int]*flight
 	// errs holds, by payment index, the error of each live flight whose
 	// sub-run returned one (flight.errored): what capture writes.
 	errs map[int]error
@@ -990,9 +983,6 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		}
 		t.errs[p.Index] = err
 	}
-	if t.track != nil {
-		t.track[p.Index] = f
-	}
 	if pr := t.res.Payments; pr != nil {
 		// A kept record's identity is written now, from the payment itself.
 		t.identify(&pr[p.Index], p.ID, f)
@@ -1079,7 +1069,7 @@ func (t *timeline) recycle(f *flight) {
 	if f.errored {
 		delete(t.errs, f.index)
 	}
-	f.next, t.free = t.free, f.ix+1
+	f.finished, f.next, t.free = true, t.free, f.ix+1
 }
 
 // dropCause attributes a queue-expiry drop: "faulted-path" when the
@@ -1267,15 +1257,6 @@ func (t *timeline) wake(lo, hi int, now sim.Time) {
 	t.woken = woken[:0]
 }
 
-// record writes f's payment record as it stands before its end: what the
-// payment is, and when and how it was admitted.
-func (t *timeline) record(f *flight, pr *PaymentResult) {
-	*pr = PaymentResult{}
-	t.identify(pr, f.id(), f)
-	pr.Start = f.start
-	t.admission(f, pr)
-}
-
 // identify writes the fields of f's record that say what the payment is,
 // id its ID: no aggregate reads them, and a run that neither keeps nor
 // samples the record never writes them.
@@ -1310,9 +1291,6 @@ func (t *timeline) admission(f *flight, pr *PaymentResult) {
 //
 //xchain:hotpath
 func (t *timeline) finish(f *flight, status Status, end sim.Time, cause DropCause) {
-	if t.track != nil {
-		delete(t.track, f.index)
-	}
 	pr := &t.pr
 	if t.res.Payments != nil {
 		pr = &t.res.Payments[f.index]

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -40,11 +39,20 @@ func reenvelope(dir, configHash string, payload []byte) (*RunSnapshot, error) {
 // waiter filed under no account.
 func TestResumeRejectsBadSnapshot(t *testing.T) {
 	s, w, cfg := goldenTrafficRun()
+	// firstHop is the capture of the ledger under flight 0's first hop.
+	firstHop := func(sn *RunSnapshot) *ledger.LedgerState {
+		for i := range sn.Ledgers {
+			if sn.Ledgers[i].Name == core.EscrowID(sn.Flights[0].Sender) {
+				return &sn.Ledgers[i]
+			}
+		}
+		t.Fatal("no ledger under flight 0's first hop")
+		return nil
+	}
 	for _, row := range []struct {
 		name string
 		edit func(sn *RunSnapshot)
 	}{
-		{"amounts-dropped", func(sn *RunSnapshot) { sn.Flights[0].Amounts = nil }},
 		{"sender-outside-chain", func(sn *RunSnapshot) { sn.Flights[0].Sender = 40 }},
 		{"ledger-renamed", func(sn *RunSnapshot) { sn.Ledgers[0].Name = "zz" }},
 		{"ledger-missing", func(sn *RunSnapshot) { sn.Ledgers = sn.Ledgers[1:] }},
@@ -62,32 +70,22 @@ func TestResumeRejectsBadSnapshot(t *testing.T) {
 		{"queued-flight-admissible", func(sn *RunSnapshot) {
 			sn.Flights[0].InQueue, sn.Queue = true, []int{sn.Flights[0].Index}
 		}},
-		{"hop-amount-not-positive", func(sn *RunSnapshot) { sn.Flights[0].Amounts[0] = 0 }},
-		// A flight keeps its last hop's amount and derives the others, and
-		// its protocol's index in the mix.
-		{"hop-amounts-not-derived", func(sn *RunSnapshot) { sn.Flights[0].Amounts[0]++ }},
+		// A flight derives every hop's amount from its base.
+		{"hop-amount-not-positive", func(sn *RunSnapshot) { sn.Flights[0].Base = 0 }},
 		{"protocol-outside-the-mix", func(sn *RunSnapshot) { sn.Flights[0].Protocol = "htlc-naive" }},
-		// An admitted flight's lock is on every hop's ledger, and its event
-		// where the timeline scheduled it.
-		{"flight-lock-not-held", func(sn *RunSnapshot) {
-			for i := range sn.Ledgers {
-				for j, lk := range sn.Ledgers[i].Locks {
-					if lk.ID == sn.Flights[0].LockID {
-						sn.Ledgers[i].Locks = slices.Delete(sn.Ledgers[i].Locks, j, j+1)
-						return
-					}
-				}
-			}
-		}},
-		{"flight-event-moved", func(sn *RunSnapshot) { sn.Flights[0].Timer.At++ }},
-		{"flight-renamed", func(sn *RunSnapshot) { sn.Flights[0].ID += "x" }},
+		// The admitted flights' hops on each escrow are what its ledger holds,
+		// value and locks, all paid by its payer: one short, one more, or one
+		// of another owner's would strand value or fail a settlement.
+		{"flight-lock-not-held", func(sn *RunSnapshot) { firstHop(sn).Held[0].Value-- }},
 		{"settled-lock-held", func(sn *RunSnapshot) {
-			for i := range sn.Ledgers {
-				if len(sn.Ledgers[i].Locks) > 0 {
-					sn.Ledgers[i].Locks[0].State = ledger.LockReleased
-					return
-				}
-			}
+			l := firstHop(sn)
+			l.Held[0].Value += 7
+			l.HeldLocks++
+		}},
+		{"held-count-off-by-one", func(sn *RunSnapshot) { firstHop(sn).HeldLocks-- }},
+		{"held-by-non-payer", func(sn *RunSnapshot) {
+			l := firstHop(sn)
+			l.Held = append(l.Held, ledger.HeldState{Payer: core.CustomerID(sn.Flights[0].Sender + 1), Value: 1})
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -176,11 +174,16 @@ var snapshotEdits = []func(sn *RunSnapshot, i int, v int64){
 	flightEdit(func(f *FlightState, v int64) { f.Index = int(v) }),
 	flightEdit(func(f *FlightState, v int64) { f.Sender = int(v) }),
 	flightEdit(func(f *FlightState, v int64) { f.Receiver = int(v) }),
-	flightEdit(func(f *FlightState, v int64) { f.Amounts = f.Amounts[:int(uint64(v)%uint64(len(f.Amounts)+1))] }),
-	flightEdit(func(f *FlightState, v int64) { f.Amounts = append(f.Amounts, v) }),
+	flightEdit(func(f *FlightState, v int64) { f.Base = v }),
+	func(sn *RunSnapshot, i int, v int64) {
+		if n := len(sn.Ledgers); n > 0 {
+			l := &sn.Ledgers[i%n]
+			l.Held = append(l.Held, ledger.HeldState{Payer: core.CustomerID(i % (n + 1)), Value: v})
+		}
+	},
 	flightEdit(func(f *FlightState, v int64) { f.InQueue = !f.InQueue }),
-	flightEdit(func(f *FlightState, v int64) { f.Timer.At, f.Duration = sim.Time(v), sim.Time(-v) }),
-	flightEdit(func(f *FlightState, v int64) { f.LockID, f.Attempts = "", int(v) }),
+	flightEdit(func(f *FlightState, v int64) { f.Start, f.Duration = sim.Time(v), sim.Time(-v) }),
+	flightEdit(func(f *FlightState, v int64) { f.Attempts, f.Seq = int(v), uint64(v) }),
 	// The payer balance under the first hop of a queued flight: raised far
 	// enough, nothing refuses the flight any more.
 	func(sn *RunSnapshot, i int, v int64) {
@@ -199,6 +202,11 @@ var snapshotEdits = []func(sn *RunSnapshot, i int, v int64){
 					}
 				}
 			}
+		}
+	},
+	func(sn *RunSnapshot, i int, v int64) {
+		if n := len(sn.Ledgers); n > 0 {
+			sn.Ledgers[i%n].HeldLocks = int(v)
 		}
 	},
 }
@@ -227,8 +235,8 @@ type fuzzSeed struct {
 // record kept), the same run's aggregate-only snapshot (histogram and
 // exemplar reservoir) or a liquidity-bound run's snapshot taken with flights
 // waiting in the queue: bytes spliced in at an offset, then, if the payload
-// still decodes, one field edit from snapshotEdits. (The payloads are ~200 KB
-// of JSON; fuzzing them directly spends the whole budget minimising.)
+// still decodes, one field edit from snapshotEdits. (The payloads are tens of
+// KB of JSON; fuzzing them directly spends the whole budget minimising.)
 func FuzzResumeSnapshot(f *testing.F) {
 	s, w, cfg := goldenTrafficRun()
 	golden, err := checkpoint.Load(goldenTrafficSnapshot, SnapshotKind)
@@ -263,7 +271,7 @@ func FuzzResumeSnapshot(f *testing.F) {
 	f.Add(uint8(0), uint32(0), []byte(nil), uint8(0), uint16(0), int64(0))
 	f.Add(uint8(1), uint32(0), []byte(nil), uint8(0), uint16(0), int64(0))
 	f.Add(uint8(2), uint32(0), []byte(nil), uint8(0), uint16(0), int64(0))
-	f.Add(uint8(0), uint32(0), []byte(nil), uint8(16), uint16(0), int64(0))     // Flights[0].Amounts = nil
+	f.Add(uint8(0), uint32(0), []byte(nil), uint8(16), uint16(0), int64(0))     // Flights[0].Base = 0
 	f.Add(uint8(0), uint32(0), []byte(nil), uint8(14), uint16(0), int64(40))    // Flights[0].Sender = 40
 	f.Add(uint8(0), uint32(0), []byte(nil), uint8(10), uint16(0), int64(99))    // Ledgers[0].Name = "e99"
 	f.Add(uint8(2), uint32(0), []byte(nil), uint8(21), uint16(0), int64(1<<40)) // a waiter's first hop flush
