@@ -1,7 +1,7 @@
 // Command xchain-lint statically enforces the repository's determinism and
 // hot-path contracts: it runs the internal/lint analyzer suite (wallclock,
-// maprange, globalrand, hotalloc, hotcopy, nilsafe) over the given packages
-// and exits non-zero on any finding. CI gates every change on a clean
+// maprange, globalrand, hotalloc, hotcopy, hotshared, nilsafe) over the given
+// packages and exits non-zero on any finding. CI gates every change on a clean
 // `xchain-lint ./...` sweep.
 //
 // Usage:

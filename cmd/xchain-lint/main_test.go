@@ -13,7 +13,7 @@ func TestListDescribesSuite(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, want 0; stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"wallclock", "maprange", "globalrand", "hotalloc", "hotcopy", "nilsafe"} {
+	for _, name := range []string{"wallclock", "maprange", "globalrand", "hotalloc", "hotcopy", "hotshared", "nilsafe"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout.String())
 		}

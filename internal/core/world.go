@@ -86,6 +86,14 @@ type World struct {
 	krCrypto string
 	krReady  bool
 
+	// reg is the registry the world's instrumentation was resolved for, and
+	// engM, netM and ledM the world's own shards of its counters: resolved
+	// when a reset names another registry, kept across runs under the same.
+	reg  *metrics.Registry
+	engM sim.Metrics
+	netM netsim.Metrics
+	ledM ledger.Metrics
+
 	// violation and detection are the run's consistency record (property C),
 	// written by Report and copied into the result by Collect.
 	violation, detection Incident
@@ -149,11 +157,15 @@ func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace 
 	w.krReady = false
 	w.violation, w.detection = Incident{}, Incident{}
 
+	if reg != w.reg {
+		w.reg = reg
+		w.engM, w.netM, w.ledM = sim.MetricsFrom(reg), netsim.MetricsFrom(reg), ledger.MetricsFrom(reg, "protocol")
+	}
 	w.Eng.Reset(seed)
-	w.Eng.SetMetrics(sim.MetricsFrom(reg))
+	w.Eng.SetMetrics(w.engM)
 	w.Trace.Reset(muteTrace)
 	w.Net.Reset(network)
-	w.Net.SetMetrics(netsim.MetricsFrom(reg))
+	w.Net.SetMetrics(w.netM)
 	w.Book.Reset()
 	w.inUse = 0
 }
@@ -188,10 +200,9 @@ func (w *World) Reset(s *Scenario) error {
 
 	// Escrow e_i hosts accounts for itself and for its two customers c_i
 	// and c_{i+1}; the customers receive their initial endowment.
-	ledgerMetrics := ledger.MetricsFrom(s.Metrics, "protocol")
 	for i := 0; i < topo.N; i++ {
 		led := w.AddLedger(EscrowID(i))
-		led.SetMetrics(ledgerMetrics)
+		led.SetMetrics(w.ledM)
 		led.SetParticipants(w.names)
 		if err := led.OpenAccount(w.EscrowPID(i)); err != nil {
 			return err

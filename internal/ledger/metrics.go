@@ -27,10 +27,13 @@ const (
 )
 
 // Metrics holds a ledger's instrumentation hooks. The zero value is muted:
-// nil handles make every update an inlined no-op. Counters are normally
-// shared by every ledger of a book (they are atomic); the liquidity gauges
-// must be per-ledger and are only attached where a single goroutine owns the
-// ledger (the traffic book), so their read-modify-write stays ordered.
+// nil handles make every update an inlined no-op. The counters are a shard
+// of the registry's per MetricsFrom call, shared by the ledgers one
+// goroutine owns (a world's, across its runs; the traffic book's): ledgers
+// on many cores never write a shared cache line, and the registry's sums stay
+// exact. The liquidity gauges must be per-ledger and are only attached where
+// a single goroutine owns the ledger (the traffic book), so their
+// read-modify-write stays ordered.
 type Metrics struct {
 	LocksCreated  *metrics.Counter
 	LocksReleased *metrics.Counter
@@ -48,8 +51,8 @@ type Metrics struct {
 	ByzantineEscrowed *metrics.Gauge
 }
 
-// MetricsFrom returns the shared lock/op counters registered on r, labelled
-// with the given book ("traffic" for the long-running traffic ledgers,
+// MetricsFrom returns a new shard of each lock/op counter registered on r
+// (once per goroutine, not per run), labelled with the given book ("traffic" for the long-running traffic ledgers,
 // "protocol" for per-payment sub-run ledgers). Liquidity gauges are not
 // populated here; callers owning a single-goroutine ledger attach them via
 // the Available/Escrowed fields. A nil registry yields the zero (muted)
@@ -59,10 +62,10 @@ func MetricsFrom(r *metrics.Registry, book string) Metrics {
 		return Metrics{}
 	}
 	return Metrics{
-		LocksCreated:  r.Counter(MetricLocksCreated, "Escrow locks created.", "book", book),
-		LocksReleased: r.Counter(MetricLocksReleased, "Escrow locks released to the payee.", "book", book),
-		LocksRefunded: r.Counter(MetricLocksRefunded, "Escrow locks refunded to the payer.", "book", book),
-		Ops:           r.Counter(MetricOps, "Ledger operations logged.", "book", book),
+		LocksCreated:  r.Counter(MetricLocksCreated, "Escrow locks created.", "book", book).Shard(),
+		LocksReleased: r.Counter(MetricLocksReleased, "Escrow locks released to the payee.", "book", book).Shard(),
+		LocksRefunded: r.Counter(MetricLocksRefunded, "Escrow locks refunded to the payer.", "book", book).Shard(),
+		Ops:           r.Counter(MetricOps, "Ledger operations logged.", "book", book).Shard(),
 	}
 }
 

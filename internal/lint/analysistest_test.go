@@ -146,6 +146,7 @@ func TestGlobalrandFixture(t *testing.T) { runTestdata(t, "repro/internal/netsim
 func TestMaprangeFixture(t *testing.T)   { runTestdata(t, "maprange") }
 func TestHotallocFixture(t *testing.T)   { runTestdata(t, "hotalloc") }
 func TestHotcopyFixture(t *testing.T)    { runTestdata(t, "hotcopy") }
+func TestHotsharedFixture(t *testing.T)  { runTestdata(t, "hotshared") }
 func TestNilsafeFixture(t *testing.T)    { runTestdata(t, "nilsafe") }
 
 // TestAllowlistFixture proves the deterministic-set gate: the same time and

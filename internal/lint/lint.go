@@ -14,19 +14,21 @@
 //
 //   - Hot-path frugality. The muted kernel, network, ledger and metrics
 //     paths are allocation-free by construction (PR 2, PR 6); the hotalloc,
-//     hotcopy and nilsafe analyzers pin the source-level idioms those
-//     guarantees rest on (trace formatting guarded by Recording(), scheduled
-//     actions that are package-level functions rather than closures, wide
-//     structs read through pointers rather than copied, nil-receiver no-op
-//     handles).
+//     hotcopy, hotshared and nilsafe analyzers pin the source-level idioms
+//     those guarantees rest on (trace formatting guarded by Recording(),
+//     scheduled actions that are package-level functions rather than
+//     closures, wide structs read through pointers rather than copied,
+//     counters added to in a cell of the writer's own rather than in one the
+//     whole process shares, nil-receiver no-op handles).
 //
 // # Annotation grammar
 //
 // Three comment directives drive the suite:
 //
 //	//xchain:hotpath          on a function's doc comment: the function is a
-//	                          muted hot path; hotalloc checks its body and
-//	                          hotcopy its signature and method calls.
+//	                          muted hot path; hotalloc and hotshared check
+//	                          its body, hotcopy its signature and method
+//	                          calls.
 //	//xchain:nilsafe          on a type's doc comment: every exported
 //	                          pointer-receiver method must begin with a
 //	                          nil-receiver guard (or delegate to one that
@@ -104,7 +106,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Wallclock, Maprange, Globalrand, Hotalloc, Hotcopy, Nilsafe}
+	return []*Analyzer{Wallclock, Maprange, Globalrand, Hotalloc, Hotcopy, Hotshared, Nilsafe}
 }
 
 // deterministicPkgs lists the packages whose runs must be pure functions of

@@ -20,8 +20,9 @@
 // are atomic adds, gauges are atomic float stores/CAS loops, so worker pools
 // and a scraping HTTP handler can share one registry without locks on the
 // hot path. Registry lookups (Counter/Gauge/Histogram) take a read lock and
-// are intended for setup code, not per-event code: fetch handles once, then
-// increment.
+// render the label set, and Counter.Shard takes a lock: all are for setup
+// code, not per-event code. Fetch handles once — a goroutine that counts per
+// event takes its own shard of each counter — then increment.
 package metrics
 
 import (
@@ -63,9 +64,63 @@ func (k Kind) String() string {
 // Counter is a monotonically increasing counter. The nil *Counter is a
 // valid muted handle: Inc and Add on it are no-ops.
 //
+// A registry's counter may be split into shards (Shard): each shard is a
+// handle of its own, with its cell on a cache line of its own, and Value —
+// of the counter or of any of its shards — sums them all. A goroutine that
+// bumps a counter per event takes a shard once and bumps that, so workers on
+// many cores never write one line between them, and every read stays exact.
+//
 //xchain:nilsafe
 type Counter struct {
 	v atomic.Uint64
+	// set holds the counter's shards, the registry's own first; nil for a
+	// counter no registry made, which Shard does not split.
+	set *shardSet
+	_   [cacheLine - 16]byte
+}
+
+// cacheLine is the size of a CPU cache line on the reference platform.
+const cacheLine = 64
+
+// maxShards bounds the shards of one counter: past it, Shard hands out the
+// existing ones again in turn, so a process that builds a world per run
+// under one long-lived registry keeps a bounded number of cells.
+const maxShards = 64
+
+// shardSet is the shards of one registry counter.
+type shardSet struct {
+	mu   sync.Mutex
+	all  []*Counter
+	next int
+}
+
+// newCounter returns a registry's counter, ready to be sharded.
+func newCounter() *Counter {
+	c := &Counter{set: &shardSet{}}
+	c.set.all = append(c.set.all, c)
+	return c
+}
+
+// Shard returns a handle on a cell of c's own that adds to c: Value sums it
+// with the rest. Setup code takes one per goroutine (a world, a worker) and
+// keeps it; the nil handle's shard is nil.
+func (c *Counter) Shard() *Counter {
+	if c == nil {
+		return nil
+	}
+	set := c.set
+	if set == nil {
+		return c
+	}
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	if len(set.all) < maxShards {
+		sh := &Counter{set: set}
+		set.all = append(set.all, sh)
+		return sh
+	}
+	set.next++
+	return set.all[set.next%maxShards]
 }
 
 // Inc adds one.
@@ -86,12 +141,22 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 for the nil handle).
+// Value returns the current count, summed over the counter's shards (0 for
+// the nil handle).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	if c.set == nil {
+		return c.v.Load()
+	}
+	c.set.mu.Lock()
+	defer c.set.mu.Unlock()
+	var n uint64
+	for _, sh := range c.set.all {
+		n += sh.v.Load()
+	}
+	return n
 }
 
 // Gauge is a float64 value that can go up and down (queue depth, liquidity,
@@ -176,11 +241,16 @@ func addFloat(bits *atomic.Uint64, d float64) {
 	}
 }
 
-// Observe records one observation. Negative values are clamped to zero.
+// Observe records one observation. As in stats.Histogram.Add, negative
+// values are clamped to zero, +Inf saturates into the last bucket, and NaN
+// is refused, leaving the count, the sum and the quantiles as they were.
 //
 //xchain:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
+		return
+	}
+	if math.IsNaN(v) {
 		return
 	}
 	if v < 0 {
@@ -363,7 +433,7 @@ func (r *Registry) getSample(name, help string, kind Kind, labelPairs []string) 
 		s = &sample{labels: key}
 		switch kind {
 		case KindCounter:
-			s.c = &Counter{}
+			s.c = newCounter()
 		case KindGauge:
 			s.g = &Gauge{}
 		case KindSummary:

@@ -210,6 +210,68 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// Non-finite and extreme observations neither panic nor poison either
+// histogram: +Inf saturates into the last bucket (the one holding
+// math.MaxFloat64), -Inf is clamped to zero, NaN is refused and leaves count,
+// sum and quantiles as they were, and the largest and smallest positive
+// floats land in a bucket like any other observation.
+func TestHistogramNonFiniteObservations(t *testing.T) {
+	const prior = 10.0
+	for _, tc := range []struct {
+		name    string
+		v       float64
+		counted bool
+		sum     float64 // prior plus what the observation adds
+	}{
+		{"+Inf", math.Inf(1), true, math.Inf(1)},
+		{"-Inf", math.Inf(-1), true, prior},
+		{"NaN", math.NaN(), false, prior},
+		{"MaxFloat64", math.MaxFloat64, true, math.MaxFloat64},
+		{"smallest subnormal", math.SmallestNonzeroFloat64, true, prior + math.SmallestNonzeroFloat64},
+	} {
+		want := uint64(1)
+		if tc.counted {
+			want = 2
+		}
+
+		ref := stats.NewHistogram()
+		ref.Add(prior)
+		ref.Add(tc.v)
+		if uint64(ref.N()) != want || ref.Sum() != tc.sum {
+			t.Errorf("stats %s: n=%d sum=%v, want n=%d sum=%v", tc.name, ref.N(), ref.Sum(), want, tc.sum)
+		}
+		for _, p := range []float64{0, 50, 99} {
+			if q := ref.Percentile(p); math.IsNaN(q) {
+				t.Errorf("stats %s: p%v is NaN", tc.name, p)
+			}
+		}
+
+		h := &Histogram{}
+		h.Observe(prior)
+		h.Observe(tc.v)
+		if h.Count() != want || h.Sum() != tc.sum {
+			t.Errorf("metrics %s: count=%d sum=%v, want count=%d sum=%v", tc.name, h.Count(), h.Sum(), want, tc.sum)
+		}
+		for _, q := range []float64{0, 0.5, 1} {
+			if v := h.Quantile(q); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Errorf("metrics %s: q%v = %v, want a finite non-negative estimate", tc.name, q, v)
+			}
+		}
+	}
+
+	// +Inf shares the last bucket with math.MaxFloat64 in both.
+	if got, want := stats.Bucket(math.Inf(1)), stats.Bucket(math.MaxFloat64); got != want {
+		t.Errorf("stats.Bucket(+Inf) = %d, want %d (math.MaxFloat64's)", got, want)
+	}
+	for _, v := range []float64{math.MaxFloat64, math.Inf(1)} {
+		h := &Histogram{}
+		h.Observe(v)
+		if h.counts[histBuckets-1].Load() != 1 {
+			t.Errorf("metrics: %v is not in the last bucket", v)
+		}
+	}
+}
+
 // Golden test for the Prometheus text exposition format: a registry with a
 // counter family (labelled and unlabelled samples), a gauge, a func-backed
 // counter and a histogram renders byte-identically.

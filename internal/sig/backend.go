@@ -202,32 +202,56 @@ var keyCache = struct {
 // keyCacheEpoch counts the times the cache was emptied. A keyring that kept
 // its keys across a Reset may count them as cache hits only while the epoch
 // it fetched them in is still current: after a clear, a new keyring would
-// miss, and so must a reused one.
-var keyCacheEpoch atomic.Uint64
+// miss, and so must a reused one. Every keyring's Reset reads it, so it has
+// its cache line to itself: nothing written per payment shares it.
+var keyCacheEpoch struct {
+	_ [cacheLine]byte
+	atomic.Uint64
+	_ [cacheLine - 8]byte
+}
 
-// Process-wide cache counters (atomic: keyrings run on many goroutines).
+// cacheLine is the size of a CPU cache line on the reference platform.
+const cacheLine = 64
+
+// stripe is one share of the process-wide cache counters. A keyring adds to
+// the stripe it was given at construction, never to a counter every keyring
+// adds to: workers verifying on many cores would otherwise write one cache
+// line between them at every verification. A stripe spans two cache lines,
+// so the line next to it, which the hardware may fetch with it, is its own
+// too. GlobalStats sums the stripes, so what it reports is exact.
+type stripe struct {
+	keygenHits, keygenMisses atomic.Uint64
+	memoHits, memoMisses     atomic.Uint64
+	rendered                 atomic.Uint64
+	_                        [2*cacheLine - 5*8]byte
+}
+
+// stripes are dealt to keyrings in turn (nextStripe): keyrings built at the
+// same time — a run's workers, each building its world — get different
+// ones. More keyrings than stripes share them, which costs speed, never
+// exactness.
 var (
-	globalKeygenHits   atomic.Uint64
-	globalKeygenMisses atomic.Uint64
-	globalMemoHits     atomic.Uint64
-	globalMemoMisses   atomic.Uint64
-	globalRendered     atomic.Uint64
+	stripes    [64]stripe
+	nextStripe atomic.Uint32
 )
 
+// takeStripe returns the stripe a new keyring adds to.
+func takeStripe() *stripe {
+	return &stripes[nextStripe.Add(1)%uint32(len(stripes))]
+}
+
 // cachedKey returns the key for (backend, seed, id), consulting and filling
-// the process-wide cache. Concurrent misses may both derive the key; the
-// derivation is deterministic, so whichever insert wins stores the same
-// bytes.
+// the process-wide cache, and whether the cache held it. Concurrent misses
+// may both derive the key; the derivation is deterministic, so whichever
+// insert wins stores the same bytes.
 func cachedKey(b Backend, seed, id string) (Key, bool) {
 	ck := keyCacheKey{backend: b.Name(), seed: seed, id: id}
 	keyCache.RLock()
 	k, ok := keyCache.m[ck]
 	keyCache.RUnlock()
 	if ok {
-		globalKeygenHits.Add(1)
 		return k, true
 	}
-	globalKeygenMisses.Add(1)
 	k = b.GenerateKey(seed, id)
 	keyCache.Lock()
 	if len(keyCache.m) >= keyCacheLimit {
@@ -277,22 +301,29 @@ func (s Stats) VerifyMissRate() float64 {
 	return float64(s.MemoMisses) / float64(total)
 }
 
-// GlobalStats aggregates cache counters across every keyring in the process.
+// GlobalStats aggregates cache counters across every keyring in the process:
+// the sum of the stripes, exact once the keyrings it counts have returned.
 func GlobalStats() Stats {
-	return Stats{
-		KeygenHits:   globalKeygenHits.Load(),
-		KeygenMisses: globalKeygenMisses.Load(),
-		MemoHits:     globalMemoHits.Load(),
-		MemoMisses:   globalMemoMisses.Load(),
-		Rendered:     globalRendered.Load(),
+	var s Stats
+	for i := range stripes {
+		st := &stripes[i]
+		s.KeygenHits += st.keygenHits.Load()
+		s.KeygenMisses += st.keygenMisses.Load()
+		s.MemoHits += st.memoHits.Load()
+		s.MemoMisses += st.memoMisses.Load()
+		s.Rendered += st.rendered.Load()
 	}
+	return s
 }
 
 // ResetGlobalStats zeroes the process-wide counters (benchmarks, CI gates).
 func ResetGlobalStats() {
-	globalKeygenHits.Store(0)
-	globalKeygenMisses.Store(0)
-	globalMemoHits.Store(0)
-	globalMemoMisses.Store(0)
-	globalRendered.Store(0)
+	for i := range stripes {
+		st := &stripes[i]
+		st.keygenHits.Store(0)
+		st.keygenMisses.Store(0)
+		st.memoHits.Store(0)
+		st.memoMisses.Store(0)
+		st.rendered.Store(0)
+	}
 }

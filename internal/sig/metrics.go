@@ -20,8 +20,8 @@ const (
 )
 
 // RegisterMetrics exposes the process-wide crypto cache counters on r as
-// func-backed counters: scrapes read the same atomics GlobalStats reports,
-// with no extra bookkeeping on the signing or verification hot paths. Nil
+// func-backed counters: scrapes sum the same stripes GlobalStats does, with
+// no extra bookkeeping on the signing or verification hot paths. Nil
 // registries are a no-op.
 //
 // The counters are process-wide (one key cache, many keyrings), so on a
@@ -32,13 +32,13 @@ func RegisterMetrics(r *metrics.Registry) {
 		return
 	}
 	r.CounterFunc(MetricKeygenCacheHits, "Key derivations served from the process-wide key cache.",
-		func() float64 { return float64(globalKeygenHits.Load()) })
+		func() float64 { return float64(GlobalStats().KeygenHits) })
 	r.CounterFunc(MetricKeygenCacheMisses, "Key derivations missing the process-wide key cache.",
-		func() float64 { return float64(globalKeygenMisses.Load()) })
+		func() float64 { return float64(GlobalStats().KeygenMisses) })
 	r.CounterFunc(MetricVerifyMemoHits, "Signature verifications answered from keyrings' recorded terms.",
-		func() float64 { return float64(globalMemoHits.Load()) })
+		func() float64 { return float64(GlobalStats().MemoHits) })
 	r.CounterFunc(MetricVerifyMemoMisses, "Signature verifications paid to the signature backend.",
-		func() float64 { return float64(globalMemoMisses.Load()) })
+		func() float64 { return float64(GlobalStats().MemoMisses) })
 	r.CounterFunc(MetricRendered, "Signatures whose bytes a backend produced because something read them.",
-		func() float64 { return float64(globalRendered.Load()) })
+		func() float64 { return float64(GlobalStats().Rendered) })
 }

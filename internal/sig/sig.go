@@ -76,7 +76,7 @@ func (s Signature) Bytes() []byte {
 		t.rendered = t.kr.arena.take(len(b), arenaChunk)
 		copy(t.rendered, b)
 		t.kr.stats.Rendered++
-		globalRendered.Add(1)
+		t.kr.stripe.rendered.Add(1)
 	}
 	return t.rendered
 }
@@ -162,6 +162,9 @@ type Keyring struct {
 	// record is false when every verification must pay the backend.
 	record bool
 	stats  Stats
+	// stripe is the keyring's share of the process-wide counters: every
+	// count stats takes is added there too.
+	stripe *stripe
 	// buf is the scratch render builds canonical encodings in, for the
 	// backend or a raw Verify; each is consumed before the next is built.
 	buf []byte
@@ -184,6 +187,7 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 		byName:  make(map[string]int32, len(participants)),
 		pids:    make([]int32, 0, len(participants)),
 		record:  opts.MemoCapacity >= 0,
+		stripe:  takeStripe(),
 	}
 	kr.derive(seed, participants)
 	return kr
@@ -234,7 +238,7 @@ func (kr *Keyring) Reset(seed string, participants []string) {
 		}
 	}
 	kr.stats.KeygenHits += uint64(rehold)
-	globalKeygenHits.Add(uint64(rehold))
+	kr.stripe.keygenHits.Add(uint64(rehold))
 }
 
 // place makes PID i hold the entry named id — the one the keyring has, or a
@@ -288,14 +292,16 @@ func (kr *Keyring) Hold(pid sim.PID, id string) {
 	e := kr.place(int(pid), id)
 	if e.key.pub != nil && kr.epoch == keyCacheEpoch.Load() {
 		kr.stats.KeygenHits++
-		globalKeygenHits.Add(1)
+		kr.stripe.keygenHits.Add(1)
 		return
 	}
 	k, hit := cachedKey(kr.backend, kr.seed, id)
 	if hit {
 		kr.stats.KeygenHits++
+		kr.stripe.keygenHits.Add(1)
 	} else {
 		kr.stats.KeygenMisses++
+		kr.stripe.keygenMisses.Add(1)
 	}
 	e.key = k
 }
@@ -420,7 +426,7 @@ func (kr *Keyring) verify(signer string, c *content, sig Signature) bool {
 //xchain:hotpath
 func (kr *Keyring) hit() {
 	kr.stats.MemoHits++
-	globalMemoHits.Add(1)
+	kr.stripe.memoHits.Add(1)
 }
 
 // miss answers a verification the record did not: the backend checks sig's
@@ -444,7 +450,7 @@ func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature
 		payload = kr.buf
 	}
 	kr.stats.MemoMisses++
-	globalMemoMisses.Add(1)
+	kr.stripe.memoMisses.Add(1)
 	return s.verify(payload, b)
 }
 

@@ -19,12 +19,15 @@ const (
 // muted configuration: every field is a nil handle and every update is an
 // inlined no-op, preserving the kernel's zero-allocation guarantee.
 //
-// Counters may be shared between many engines (a traffic run instruments
-// both its admission timeline and every payment's own protocol engine with
-// the same process-wide counters; handles are atomic). Watermark should be
-// attached to exactly one engine per registry — the one whose virtual time
-// is authoritative for the run — since concurrent engines disagree about
-// "now".
+// The counters are shards of the registry's (metrics.Counter.Shard): each
+// MetricsFrom call takes a shard of its own, which the caller keeps for one
+// goroutine's engines — a world takes one per registry and keeps it across
+// its runs, and a traffic run's admission timeline takes one — so engines on
+// many cores never write one cache line between them, and the registry's
+// counters, which sum the shards, stay exact at every read. Watermark should
+// be attached to exactly one engine per registry — the one whose virtual
+// time is authoritative for the run — since concurrent engines disagree
+// about "now".
 type Metrics struct {
 	Scheduled *metrics.Counter
 	Fired     *metrics.Counter
@@ -32,17 +35,18 @@ type Metrics struct {
 	Watermark *metrics.Gauge
 }
 
-// MetricsFrom returns the kernel counter hooks registered on r (watermark
-// excluded; the caller attaches it to the authoritative engine). A nil
-// registry yields the zero (muted) Metrics.
+// MetricsFrom returns a new shard of each kernel counter registered on r
+// (watermark excluded; the caller attaches it to the authoritative engine).
+// It renders label sets and takes locks: call it once per goroutine, not per
+// run. A nil registry yields the zero (muted) Metrics.
 func MetricsFrom(r *metrics.Registry) Metrics {
 	if r == nil {
 		return Metrics{}
 	}
 	return Metrics{
-		Scheduled: r.Counter(MetricEventsScheduled, "Simulation events scheduled."),
-		Fired:     r.Counter(MetricEventsFired, "Simulation events fired."),
-		Canceled:  r.Counter(MetricEventsCanceled, "Simulation timers canceled."),
+		Scheduled: r.Counter(MetricEventsScheduled, "Simulation events scheduled.").Shard(),
+		Fired:     r.Counter(MetricEventsFired, "Simulation events fired.").Shard(),
+		Canceled:  r.Counter(MetricEventsCanceled, "Simulation timers canceled.").Shard(),
 	}
 }
 

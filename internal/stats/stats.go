@@ -216,19 +216,22 @@ func bucketByLog(v float64) int {
 	return int(math.Floor(math.Log(v/HistMin) / logGrowth))
 }
 
-// Bucket returns the index of the bucket holding observation v >= HistMin,
-// the bucket geometry every log-bucketed histogram of the repository shares:
-// bucketByLog(v), found without a logarithm. The exponent of v and
-// the top subBits bits of its mantissa — the bits of v above its lowest
-// 52-subBits — name one of 2^subBits equal slices of v's octave. A slice
-// spans a ratio of at most 1+2^-subBits, less than HistGrowth, so at most one
-// bucket bound falls inside it: bucketAt holds the bucket of the slice's
-// first value, and v is in the next bucket if it reaches that bucket's lower
-// bound. Observations of 2^tableExp and more are left to bucketByLog.
+// Bucket returns the index of the bucket holding observation v >= HistMin
+// (not NaN), the bucket geometry every log-bucketed histogram of the
+// repository shares: bucketByLog(v), found without a logarithm. The exponent
+// of v and the top subBits bits of its mantissa — the bits of v above its
+// lowest 52-subBits — name one of 2^subBits equal slices of v's octave. A
+// slice spans a ratio of at most 1+2^-subBits, less than HistGrowth, so at
+// most one bucket bound falls inside it: bucketAt holds the bucket of the
+// slice's first value, and v is in the next bucket if it reaches that
+// bucket's lower bound. Observations of 2^tableExp and more are left to
+// bucketByLog, up to topObservation: past it v/HistMin overflows and the
+// formula has no integer floor, so every larger observation, math.MaxFloat64
+// and +Inf included, saturates into topObservation's bucket, the last.
 func Bucket(v float64) int {
 	s := int(math.Float64bits(v)>>(52-subBits)) - sliceBase
 	if uint(s) >= uint(len(bucketAt)) {
-		return bucketByLog(v)
+		return bucketByLog(min(v, topObservation))
 	}
 	i := int(bucketAt[s])
 	if v >= bucketLow[i+1] {
@@ -238,6 +241,9 @@ func Bucket(v float64) int {
 }
 
 const (
+	// topObservation is the largest observation whose quotient by HistMin is
+	// finite: the last that bucketByLog's formula places.
+	topObservation = math.MaxFloat64 * HistMin
 	// subBits is how many mantissa bits cut an octave into slices.
 	subBits = 6
 	// tableExp is the octave Bucket's tables end at: 2^40 ms, 35 years.
@@ -295,8 +301,15 @@ func lowestIn(i int) float64 {
 	return math.Float64frombits(hi)
 }
 
-// Add records one observation. Negative values are clamped to zero.
+// Add records one observation. Negative values, -Inf included, are clamped
+// to zero; +Inf lands in the last bucket (Bucket) and makes Sum, Mean and Max
+// +Inf, which is what was observed. NaN is refused: it is no observation,
+// has no bucket, and would make the sum NaN for good, so it leaves the count,
+// the sum and the percentiles as they were.
 func (h *Histogram) Add(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}

@@ -240,8 +240,15 @@ func TestBucketOfMatchesLog(t *testing.T) {
 	for range 1_000_000 {
 		check(HistMin * math.Exp(rng.Float64()*span))
 	}
-	for _, v := range []float64{HistMin, 1, 1e3, math.Ldexp(1, tableExp), math.MaxFloat64} {
+	for _, v := range []float64{HistMin, 1, 1e3, math.Ldexp(1, tableExp), topObservation} {
 		check(v)
+	}
+	// Past topObservation the formula overflows; the observations there,
+	// +Inf included, saturate into topObservation's bucket.
+	for _, v := range []float64{math.Nextafter(topObservation, math.Inf(1)), math.MaxFloat64, math.Inf(1)} {
+		if got, want := Bucket(v), bucketByLog(topObservation); got != want {
+			t.Fatalf("Bucket(%v) = %d, want the last bucket %d", v, got, want)
+		}
 	}
 }
 

@@ -392,23 +392,25 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	if cfg.keep() {
 		res.Payments = make([]PaymentResult, w.Payments)
 	}
-	if resume != nil {
-		res.Book = restoreBook(s, resume)
-	} else {
-		var demand map[string]map[string]int64
-		if w.Liquidity <= 0 {
-			// Auto-sizing needs the whole population's worst-case demand; a
-			// dedicated generator pass computes it in O(topology) memory.
-			demand = w.demand(s)
-		}
-		res.Book = newLiquidityBook(s, w, demand)
-	}
 	// Workers beyond the number of chunks would idle; the cap also keeps a
-	// caller-chosen count from sizing the pipeline's channels.
+	// caller-chosen count from sizing the pipeline's channels. Only the
+	// timeline needs the book, so the pipeline starts first: its workers
+	// simulate the first chunks while the book is built.
 	src := newStreamSource(s, w, plan, &ps, min(cfg.workers(), w.Payments/chunkSize+1), rm, skip)
 	// An interrupted run leaves the pipeline mid-stream; closing it releases
 	// the producer and worker goroutines.
 	defer src.close()
+	if resume != nil {
+		res.Book = restoreBook(s, resume)
+	} else {
+		var demand []int64
+		if w.Liquidity <= 0 {
+			// Auto-sizing needs the whole population's worst-case demand; a
+			// generator pass of its own computes it in O(topology) memory.
+			demand = w.demand(s)
+		}
+		res.Book = newLiquidityBook(s, w, demand)
+	}
 	if err := executeTimeline(res, src, w, &ps, plan, cfg.keep(), exemplars, s.Metrics, rm, ck, resume); err != nil {
 		return nil, err
 	}
@@ -575,15 +577,17 @@ func newStreamSource(s core.Scenario, w Workload, plan *compiledPlan, ps *protoc
 	for i := 0; i < workers; i++ {
 		go func() {
 			var sm *simulator // built on the first chunk: short runs use few
+			// The worker's own shards of the counters it bumps.
+			simulated, chunks := rm.Simulated.Shard(), rm.ChunksSimulated.Shard()
 			for c := range work {
 				if sm == nil {
 					sm = newSimulator(w.Commission)
 				}
 				for j := range c.pays {
 					c.subs[j] = sm.simulateOne(&s, plan, &c.pays[j], ps)
-					rm.Simulated.Inc()
+					simulated.Inc()
 				}
-				rm.ChunksSimulated.Inc()
+				chunks.Inc()
 				c.done <- struct{}{}
 			}
 		}()
@@ -625,24 +629,26 @@ func (s *streamSource) next() (*payment, subOutcome, bool) {
 // newLiquidityBook builds the traffic-level escrow book: one ledger per
 // escrow of the chain, with both adjacent customers holding accounts. With
 // Workload.Liquidity set, each account is endowed with exactly that much;
-// otherwise endowments come from the supplied worst-case demand map, so
-// liquidity never binds. Traffic ledgers run compacted: settled locks and
-// op-log entries are dropped as they settle, keeping ledger memory
-// proportional to pending locks rather than to the payment count.
-func newLiquidityBook(s core.Scenario, w Workload, demand map[string]map[string]int64) *ledger.Book {
+// otherwise c_e is endowed on e_e with demand[e], the worst-case demand of
+// the locks it pays there (Workload.demand), so liquidity never binds, and
+// c_{e+1}, which only collects on e_e, with nothing. Traffic ledgers run
+// compacted: settled locks and op-log entries are dropped as they settle,
+// keeping ledger memory proportional to pending locks rather than to the
+// payment count.
+func newLiquidityBook(s core.Scenario, w Workload, demand []int64) *ledger.Book {
 	book := ledger.NewBook()
 	lm := ledger.MetricsFrom(s.Metrics, "traffic")
 	for i := 0; i < s.Topology.N; i++ {
 		l := ledger.New(core.EscrowID(i))
 		l.SetCompact(true)
 		wireLiquidityGauges(s, lm, l)
-		for _, owner := range []string{core.CustomerID(i), core.CustomerID(i + 1)} {
-			endow := w.Liquidity
-			if w.Liquidity <= 0 {
-				endow = demand[l.Name()][owner]
-			}
-			if endow > 0 {
-				l.Mint(0, owner, endow) //nolint:errcheck // amount > 0 by construction
+		endow := [2]int64{w.Liquidity, w.Liquidity}
+		if w.Liquidity <= 0 {
+			endow = [2]int64{demand[i], 0}
+		}
+		for j, owner := range [2]string{core.CustomerID(i), core.CustomerID(i + 1)} {
+			if endow[j] > 0 {
+				l.Mint(0, owner, endow[j]) //nolint:errcheck // amount > 0 by construction
 			} else {
 				l.CreateAccount(owner) //nolint:errcheck // fresh ledger, no duplicates
 			}

@@ -65,7 +65,7 @@ func simulatedRun(s core.Scenario, w Workload, plan *compiledPlan, registry map[
 		panic(err)
 	}
 	src := &sliceSource{pays: population(s, w), ps: ps}
-	demand := map[string]map[string]int64{}
+	demand := make([]int64, s.Topology.N)
 	sm := newSimulator(w.Commission)
 	for _, p := range src.pays {
 		addDemand(demand, p, w.Commission)

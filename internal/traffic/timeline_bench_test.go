@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -61,7 +63,7 @@ func BenchmarkTimeline(b *testing.B) {
 		s, w := bp.inputs()
 		plan := w.Faults.compile(s)
 		src, _ := simulatedRun(s, w, plan, DefaultProtocols())
-		var demand map[string]map[string]int64
+		var demand []int64
 		if w.Liquidity <= 0 {
 			demand = w.demand(s)
 		}
@@ -106,5 +108,38 @@ func BenchmarkTimeline(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(drained), "ns/event")
 			b.ReportMetric(float64(drained)/float64(b.N), "events/run")
 		})
+	}
+}
+
+// BenchmarkRunWith times whole streamed runs of the open population —
+// generation, the worker pool and the timeline, as the benchmark's
+// open_hmac workloads run them — with one simulating worker and with
+// GOMAXPROCS of them, each muted and under a live registry (a new one per
+// run), in ns per payment. The two worker counts give the parallel speed-up
+// and the two registry columns what observing a run costs:
+//
+//	go test -run '^$' -bench BenchmarkRunWith -count 5 ./internal/traffic
+func BenchmarkRunWith(b *testing.B) {
+	bp := benchPopulations()[0]
+	s, w := bp.inputs()
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, live := range []bool{false, true} {
+			name := fmt.Sprintf("workers=%d/registry=nil", workers)
+			if live {
+				name = fmt.Sprintf("workers=%d/registry=live", workers)
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					cfg := Config{Workers: workers, Stream: true}
+					if live {
+						cfg.Metrics = metrics.NewRegistry()
+					}
+					if _, err := RunWith(s, w, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bp.payments), "ns/payment")
+			})
+		}
 	}
 }

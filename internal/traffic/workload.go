@@ -512,13 +512,15 @@ func cutIDs(pays []payment) {
 	}
 }
 
-// demand computes each escrow account's worst-case liquidity demand across
-// the whole population by replaying the generator without retaining
-// payments: O(topology) memory regardless of the payment count. Used to
-// auto-size endowments when Workload.Liquidity is unset.
-func (w Workload) demand(s core.Scenario) map[string]map[string]int64 {
+// demand computes each escrow's worst-case liquidity demand across the
+// whole population by replaying the generator without retaining payments:
+// O(topology) memory regardless of the payment count. Hop k of a payment is
+// always paid by customer c_{Sender+k} on escrow e_{Sender+k}, so one sum
+// per escrow, demand[e], is what c_e must hold on e_e. Used to auto-size
+// endowments when Workload.Liquidity is unset.
+func (w Workload) demand(s core.Scenario) []int64 {
 	g := w.newGenerator(s)
-	out := map[string]map[string]int64{}
+	out := make([]int64, s.Topology.N)
 	var p payment
 	for g.next(&p) {
 		addDemand(out, &p, w.Commission)
@@ -527,13 +529,9 @@ func (w Workload) demand(s core.Scenario) map[string]map[string]int64 {
 }
 
 // addDemand accumulates one payment's per-hop reservations.
-func addDemand(demand map[string]map[string]int64, p *payment, commission int64) {
+func addDemand(demand []int64, p *payment, commission int64) {
 	for k := 0; k < p.hops(); k++ {
-		e := core.EscrowID(p.Sender + k)
-		if demand[e] == nil {
-			demand[e] = map[string]int64{}
-		}
-		demand[e][core.CustomerID(p.Sender+k)] += p.amountVia(k, commission)
+		demand[p.Sender+k] += p.amountVia(k, commission)
 	}
 }
 
