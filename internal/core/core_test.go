@@ -421,3 +421,22 @@ func TestIDBlockCutsStableStrings(t *testing.T) {
 		t.Fatalf("1000 payment IDs took %v allocations, want at most 10", allocs)
 	}
 }
+
+// BenchmarkWorldReset times what a traffic worker does on its standing world
+// before an open payment runs: Reset to an n=2 hmac sub-scenario under the
+// payment's own seed, whose clock drifts and offsets are its first draws,
+// and the keyring under the population's one key seed.
+func BenchmarkWorldReset(b *testing.B) {
+	w := NewWorld()
+	s := NewScenario(2, 1).WithCrypto("hmac")
+	s.KeySeed = "traffic-keys"
+	s.MuteTrace = true
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Seed = int64(i)
+		if err := w.Reset(&s); err != nil {
+			b.Fatal(err)
+		}
+		w.Keyring()
+	}
+}

@@ -6,23 +6,22 @@ import (
 
 // Globalrand forbids nondeterministic randomness in deterministic packages.
 //
-// All randomness must flow from a seeded *rand.Rand (the engine's RNG or a
+// All randomness must flow from a seeded *sim.Rand (the engine's RNG or a
 // splitmix64 side stream as in traffic.FaultPlan): the process-global
 // math/rand source is seeded per-process, and crypto/rand is entropy by
-// definition, so either one makes a run irreproducible. Constructing seeded
-// generators (rand.New, rand.NewSource, rand.NewZipf) is exactly the
-// sanctioned pattern and stays allowed.
+// definition, so either one makes a run irreproducible. A seeded generator
+// comes from sim.NewRand, which draws math/rand's stream without paying its
+// 607-word seeding, so rand.New and rand.NewSource are refused outside
+// internal/sim too.
 var Globalrand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "forbid package-global math/rand and any crypto/rand in deterministic packages; randomness must come from a seeded *rand.Rand",
+	Doc:  "forbid package-global math/rand and any crypto/rand in deterministic packages; randomness must come from a seeded *sim.Rand",
 	Run:  runGlobalrand,
 }
 
 // globalrandConstructors are the math/rand names that build seeded
 // generators rather than drawing from the global source.
 var globalrandConstructors = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
 	"NewZipf":    true,
 	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true, // math/rand/v2
@@ -60,8 +59,16 @@ func runGlobalrand(pass *Pass) error {
 			if globalrandConstructors[name] {
 				return true
 			}
+			if name == "New" || name == "NewSource" {
+				if pass.Pkg.ImportPath != "repro/internal/sim" {
+					pass.Reportf(sel.Pos(),
+						"rand.%s builds a generator in deterministic package %s; seed one with sim.NewRand instead",
+						name, pass.Pkg.ImportPath)
+				}
+				return true
+			}
 			pass.Reportf(sel.Pos(),
-				"rand.%s draws from the process-global source in deterministic package %s; draw from a seeded *rand.Rand instead",
+				"rand.%s draws from the process-global source in deterministic package %s; draw from a seeded *sim.Rand instead",
 				name, pass.Pkg.ImportPath)
 			return true
 		})

@@ -37,6 +37,14 @@ var orderPublishingMethods = map[string]bool{
 	"Post":          true,
 }
 
+// drawReceivers maps the generator types whose every method call consumes
+// stream state to the name a finding gives them.
+var drawReceivers = map[string]string{
+	"math/rand.Rand":          "rand.Rand",
+	"math/rand/v2.Rand":       "rand.Rand",
+	"repro/internal/sim.Rand": "sim.Rand",
+}
+
 // builderWriteMethods are the ordered-output methods of strings.Builder and
 // bytes.Buffer.
 var builderWriteMethods = map[string]bool{
@@ -120,8 +128,8 @@ func orderSensitive(pass *Pass, rng *ast.RangeStmt, encl ast.Node) string {
 				}
 				// RNG draws: each call consumes stream state in iteration
 				// order.
-				if recv := methodRecvType(info, n); namedTypePath(recv) == "math/rand.Rand" || namedTypePath(recv) == "math/rand/v2.Rand" {
-					reason = fmt.Sprintf("draws from a *rand.Rand (%s)", sel.Sel.Name)
+				if name := drawReceivers[namedTypePath(methodRecvType(info, n))]; name != "" {
+					reason = fmt.Sprintf("draws from a *%s (%s)", name, sel.Sel.Name)
 					return false
 				}
 				// Ordered writes into an outer strings.Builder/bytes.Buffer.

@@ -24,9 +24,11 @@ func entropy(b []byte) {
 	_, _ = crand.Read(b)
 }
 
-// Seeded construction is exactly the sanctioned pattern.
+// A seeded generator comes from sim.NewRand: building a math/rand one is
+// refused outside internal/sim (see the sim fixture's rand.go).
 func seeded(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed) // want `rand.NewSource builds a generator in deterministic package repro/internal/netsim; seed one with sim.NewRand instead`
+	rng := rand.New(src)        // want `rand.New builds a generator in deterministic package repro/internal/netsim`
 	return rng.Intn(6)
 }
 

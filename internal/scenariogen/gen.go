@@ -1,8 +1,6 @@
 package scenariogen
 
 import (
-	"math/rand"
-
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -33,7 +31,7 @@ func Generate(seed int64) Spec {
 // depends on the seed alone, never on what the generator drew before
 // (TestFuzzStandingWorldEquivalence).
 type generator struct {
-	rng      *rand.Rand
+	rng      *sim.Rand
 	faults   map[string]string
 	patience map[string]sim.Time
 }
@@ -113,7 +111,7 @@ type shape struct {
 // pickShape draws the scenario family and class. Weights lean toward the
 // conforming Theorem-1/3 classes (whose oracle is strict) while keeping
 // every family and the envelope-violating classes in steady rotation.
-func pickShape(rng *rand.Rand) shape {
+func pickShape(rng *sim.Rand) shape {
 	type weighted struct {
 		shape
 		w int
@@ -157,7 +155,7 @@ func pickShape(rng *rand.Rand) shape {
 // backend: verdicts are backend-independent (the crypto-differential
 // regressions pin that), and a whole population per seed makes the cheap
 // backend the only sane campaign default.
-func genTraffic(rng *rand.Rand, sp *Spec, violating bool) {
+func genTraffic(rng *sim.Rand, sp *Spec, violating bool) {
 	sp.N = 3 + rng.Intn(6)
 	sp.Base = 1 + rng.Int63n(500)
 	sp.Crypto = "hmac"
@@ -241,7 +239,7 @@ func (g *generator) genPatience(sp *Spec, violating bool) {
 // genViolation rewrites the spec's schedule to break the synchrony envelope:
 // a targeted holdback attack against (possibly rescaled) timeout windows for
 // the timelock family, raw partial synchrony for everyone.
-func genViolation(rng *rand.Rand, sp *Spec) {
+func genViolation(rng *sim.Rand, sp *Spec) {
 	if sp.isTimelockFamily() && rng.Intn(3) < 2 {
 		scales := []float64{1, 2, 8, -1}
 		sp.TimeoutScale = scales[rng.Intn(len(scales))]

@@ -14,10 +14,7 @@
 // steady state.
 package sim
 
-import (
-	"math/rand"
-	"strconv"
-)
+import "strconv"
 
 // Time is virtual time in microseconds since the start of the run.
 //
@@ -111,7 +108,7 @@ type Engine struct {
 	free []*event // recycled records ready for reuse
 	live int      // pending events that are not canceled
 	seq  uint64
-	rng  *rand.Rand
+	rng  *Rand
 
 	// block is what is left of the block new records are cut from.
 	block []event
@@ -151,7 +148,7 @@ func (e *Engine) Reset(seed int64) {
 func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+func (e *Engine) Rand() *Rand { return e.rng }
 
 // EventsScheduled returns the total number of events scheduled so far.
 func (e *Engine) EventsScheduled() uint64 { return e.scheduled }

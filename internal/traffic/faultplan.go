@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/adversary"
@@ -152,7 +151,7 @@ func (fp FaultPlan) compile(s core.Scenario) *compiledPlan {
 		}
 	}
 	if conn := s.Topology.N - 1; fp.Fraction > 0 && conn > 0 {
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(s.Seed)^faultPlanSalt) >> 1)))
+		rng := sim.NewRand(int64(splitmix64(uint64(s.Seed)^faultPlanSalt) >> 1))
 		count := int(math.Round(fp.Fraction * float64(conn)))
 		if count < 1 {
 			count = 1

@@ -141,6 +141,24 @@ func (q Request) Build() (core.Scenario, Workload, Config, error) {
 			return fail("mix", err)
 		}
 	}
+	// The engine reads each of these at or below 0 as its default, and the
+	// fault plan's two as "no plan": a request that spells one out below 0
+	// (or as NaN) did not mean that either.
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"liquidity", float64(q.Liquidity)},
+		{"queue_patience_ms", q.QueuePatienceMs},
+		{"max_queue", float64(q.MaxQueue)},
+		{"fault_fraction", q.FaultFraction},
+		{"manager_outage_ms", q.ManagerOutageMs},
+		{"workers", float64(q.Workers)},
+	} {
+		if !(f.v >= 0) {
+			return fail(f.key, fmt.Errorf("%v is not >= 0", f.v))
+		}
+	}
 	if !(q.FaultFraction > 0 || q.ManagerOutageMs > 0) {
 		// No fault plan: its other keys are inert.
 		q.FaultFraction, q.FaultBehaviours, q.FaultFromMs, q.FaultStaggerMs, q.FaultOutageMs, q.ManagerOutageMs = 0, nil, 0, 0, 0, 0

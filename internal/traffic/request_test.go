@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -64,6 +65,17 @@ func TestRequestBuild(t *testing.T) {
 		{`{"escrows": 1, "fault_fraction": 0.5}`, "fault_fraction"},
 		{`{"fault_fraction": 0.5, "fault_behaviours": ["silent", "bogus"]}`, "fault_behaviours"},
 		{`{"manager_outage_ms": 5, "fault_stagger_ms": -1}`, "fault_stagger_ms"},
+		// Negative values the engine would read as its defaults, or as
+		// "no fault plan".
+		{`{"fault_fraction": -1}`, "fault_fraction"},
+		{`{"fault_fraction": -0.5, "manager_outage_ms": 5}`, "fault_fraction"},
+		{`{"manager_outage_ms": -1}`, "manager_outage_ms"},
+		{`{"fault_fraction": 0.5, "manager_outage_ms": -1}`, "manager_outage_ms"},
+		{`{"workers": -1}`, "workers"},
+		{`{"liquidity": -1}`, "liquidity"},
+		{`{"max_queue": -1}`, "max_queue"},
+		{`{"queue_patience_ms": -1}`, "queue_patience_ms"},
+		{`{"queue_patience_ms": -0.0001}`, "queue_patience_ms"},
 	} {
 		q, err := DecodeRequest(strings.NewReader(tc.body))
 		if err != nil {
@@ -73,6 +85,12 @@ func TestRequestBuild(t *testing.T) {
 		if re := (*RequestError)(nil); !errors.As(err, &re) || re.Key != tc.key || !strings.HasPrefix(err.Error(), tc.key+": ") {
 			t.Errorf("%s: error %v, want one naming %q", tc.body, err, tc.key)
 		}
+	}
+	// A flag can spell NaN, which no comparison with 0 admits.
+	nan := DefaultRequest()
+	nan.FaultFraction = math.NaN()
+	if _, _, _, err := nan.Build(); err == nil || !strings.HasPrefix(err.Error(), "fault_fraction: ") {
+		t.Errorf("NaN fault fraction: error %v, want one naming fault_fraction", err)
 	}
 	q, err := DecodeRequest(strings.NewReader(`{"mix": "", "arrival": "", "amount_dist": "", "burst_size": 0,
 		"subpaths": true, "hotspot": 1, "hotspot_frac": 0.5}`))

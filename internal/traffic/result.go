@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -219,7 +218,7 @@ type aggregator struct {
 	reservoir []PaymentResult
 	resSize   int
 	resSeen   int
-	resRng    *rand.Rand
+	resRng    *sim.Rand
 }
 
 // newAggregator builds the aggregator for res. exemplars > 0 enables the
@@ -233,7 +232,7 @@ func newAggregator(res *Result, keep bool, exemplars int) *aggregator {
 		// The reservoir RNG is seeded from the scenario seed alone and
 		// consumed in settlement order, which is deterministic in
 		// (Scenario.Seed, Workload) — so the sample is too.
-		a.resRng = rand.New(rand.NewSource(int64(splitmix64(uint64(res.Seed)^0xE8E47A17) >> 1)))
+		a.resRng = sim.NewRand(int64(splitmix64(uint64(res.Seed)^0xE8E47A17) >> 1))
 	}
 	return a
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -328,7 +327,7 @@ func paymentSeed(scenarioSeed int64, idx int) int64 {
 }
 
 // generator draws the workload's payment population one payment at a time.
-// All draws come from one rand.Rand seeded from Scenario.Seed and consumed in
+// All draws come from one sim.Rand seeded from Scenario.Seed and consumed in
 // a fixed order per payment, so the population is the same however it is
 // traversed: chunk by chunk (the pipeline), skipping a prefix (resume), or
 // routes and amounts only (the demand pre-pass).
@@ -336,7 +335,7 @@ type generator struct {
 	w           Workload // defaults resolved
 	mix         []ProtocolShare
 	totalWeight float64
-	rng         *rand.Rand
+	rng         *sim.Rand
 	n           int   // topology size
 	seed        int64 // scenario seed
 	now         sim.Time
@@ -367,7 +366,7 @@ func (w Workload) newGenerator(s core.Scenario) *generator {
 		w:           w,
 		mix:         mix,
 		totalWeight: totalWeight,
-		rng:         rand.New(rand.NewSource(int64(splitmix64(uint64(s.Seed)) >> 1))),
+		rng:         sim.NewRand(int64(splitmix64(uint64(s.Seed)) >> 1)),
 		n:           s.Topology.N,
 		seed:        s.Seed,
 	}
