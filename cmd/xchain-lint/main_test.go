@@ -57,7 +57,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 func TestFindingsExitOne(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the time package from source; skipped in -short")
+		t.Skip("shells out to go list; skipped in -short")
 	}
 	dir := writeModule(t, map[string]string{
 		"internal/sim/sim.go": `package sim
@@ -102,7 +102,7 @@ func Step(n int) int { return n + 1 }
 
 func TestOnlySubsetSkipsOtherAnalyzers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the time package from source; skipped in -short")
+		t.Skip("shells out to go list; skipped in -short")
 	}
 	dir := writeModule(t, map[string]string{
 		"internal/sim/sim.go": `package sim

@@ -11,7 +11,7 @@ import (
 )
 
 // fuzzMaxPayments caps the runs the fuzz target lets execute: a larger
-// accepted request passed the same prepare gate, and running it would spend
+// accepted request passed the same Build gate, and running it would spend
 // the fuzzing budget on one input.
 const fuzzMaxPayments = 400
 
@@ -40,7 +40,7 @@ func FuzzStartRun(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if req, err := traffic.DecodeRequest(bytes.NewReader(body)); err == nil && req.Payments > fuzzMaxPayments {
-			_, _, _, _ = prepare(req) // still must not panic
+			_, _, _, _ = req.Build() // still must not panic
 			return
 		}
 		srv := newServerWith(serverOptions{maxRuns: 1})

@@ -23,33 +23,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// Size bounds of one request. A run that keeps every per-payment record
-// holds one PaymentResult (~250 B) per payment until it finishes, so its
-// ceiling is what a server running maxRuns of them can afford to hold; an
-// aggregate-only run ("stream") needs constant memory and is bounded by
-// patience instead (~25 µs of one core per hmac payment). The chain is
-// bounded by q.Build itself (core.MaxChain), for the CLI as for the server.
-const (
-	maxKeepPayments   = 1_000_000
-	maxStreamPayments = 100_000_000
-)
-
-// prepare is the one gate a request passes before it may run, fresh from a
-// POST or re-read from the state dir: this deployment's size bounds, then
-// q.Build. Nothing is allocated in proportion to the request until it has
-// passed.
-func prepare(q traffic.Request) (core.Scenario, traffic.Workload, traffic.Config, error) {
-	limit := maxKeepPayments
-	if q.Stream {
-		limit = maxStreamPayments
-	}
-	if q.Payments > limit {
-		return core.Scenario{}, traffic.Workload{}, traffic.Config{}, fmt.Errorf("payments %d above %d (stream=%v; an aggregate-only run may have up to %d)",
-			q.Payments, limit, q.Stream, maxStreamPayments)
-	}
-	return q.Build()
-}
-
 // run is one traffic run owned by the server.
 type run struct {
 	ID      string
@@ -275,7 +248,7 @@ func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 	// Validate before accepting: a rejected request should 400 now, before
 	// it is registered or persisted, not fail (or exhaust memory)
 	// asynchronously.
-	scn, wl, cfg, err := prepare(req)
+	scn, wl, cfg, err := req.Build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -484,7 +457,7 @@ func summarize(res *traffic.Result) *runSummary {
 // resumed from its checkpoint (or restarted from scratch when none was
 // written, or it no longer fits the request — determinism makes the redo
 // byte-identical). A request that no
-// longer passes prepare (written by a build with looser bounds, or edited)
+// longer passes Build (written by a build with looser bounds, or edited)
 // is retired as failed, never executed. Completed runs only advance the ID
 // counter so new runs never collide with retired ones.
 func (s *server) recover() error {
@@ -522,7 +495,7 @@ func (s *server) recover() error {
 		if err != nil {
 			return fmt.Errorf("recover %s: corrupt request: %v", id, err)
 		}
-		scn, wl, cfg, err := prepare(req)
+		scn, wl, cfg, err := req.Build()
 		s.mu.Lock()
 		ru := s.register(id, req)
 		s.mu.Unlock()

@@ -254,15 +254,24 @@ func TestServeValidation(t *testing.T) {
 		{"zero amount", `{"amount": 0}`},
 		{"zero payments", `{"payments": 0}`},
 		{"zero escrows", `{"escrows": 0}`},
+		// Negatives the engine used to read as its defaults; the payment
+		// bounds are TestServeRejectsOversizedRun's.
+		{"negative burst size", `{"burst_size": -1, "arrival": "burst"}`},
+		{"negative burst gap", `{"burst_gap_ms": -1000, "arrival": "burst"}`},
+		{"negative spread", `{"spread": -1, "amount_dist": "uniform"}`},
+		{"negative fault start", `{"fault_from_ms": -1000}`},
+		{"negative fault stagger", `{"fault_stagger_ms": -1000}`},
+		{"negative fault outage", `{"fault_outage_ms": -1000}`},
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := io.ReadAll(resp.Body)
+		var v map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&v)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: POST = %d, want 400 (%s)", tc.name, resp.StatusCode, raw)
+		if resp.StatusCode != http.StatusBadRequest || err != nil || v["error"] == "" {
+			t.Errorf("%s: POST = %d %v (decode: %v), want 400 with a JSON error", tc.name, resp.StatusCode, v, err)
 		}
 	}
 	if code := get(t, ts, "/runs/run-9999", nil); code != http.StatusNotFound {
@@ -331,7 +340,7 @@ func TestServeBurstDefaultsAreTheCLIs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, wl, _, err := prepare(req)
+		_, wl, _, err := req.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.body, err)
 		}
@@ -534,7 +543,7 @@ func TestServeCheckpointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scn, wl, cfg, err := prepare(req)
+	scn, wl, cfg, err := req.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +596,7 @@ func TestServeSurvivesUnwritableStateDir(t *testing.T) {
 
 	req := traffic.DefaultRequest()
 	req.Escrows, req.Payments, req.Rate, req.Crypto = 2, 450, 2000, "hmac"
-	scn, wl, cfg, err := prepare(req)
+	scn, wl, cfg, err := req.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,8 +638,8 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 
 	for _, body := range []string{
 		`{"escrows":2,"payments":1099511627776,"crypto":"hmac"}`,
-		fmt.Sprintf(`{"payments":%d}`, maxKeepPayments+1),
-		fmt.Sprintf(`{"payments":%d,"stream":true}`, maxStreamPayments+1),
+		fmt.Sprintf(`{"payments":%d}`, traffic.MaxKeepPayments+1),
+		fmt.Sprintf(`{"payments":%d,"stream":true}`, traffic.MaxStreamPayments+1),
 		`{"payments":-5}`,
 		fmt.Sprintf(`{"escrows":%d,"payments":10}`, core.MaxChain+1),
 		`{"escrows":-1,"payments":10}`,
@@ -663,8 +672,8 @@ func TestServeRejectsOversizedRun(t *testing.T) {
 	// The larger ceiling is for aggregate-only runs (checked without running
 	// a million payments).
 	big := traffic.DefaultRequest()
-	big.Payments, big.Stream = maxKeepPayments+1, true
-	if _, _, _, err := prepare(big); err != nil {
+	big.Payments, big.Stream = traffic.MaxKeepPayments+1, true
+	if _, _, _, err := big.Build(); err != nil {
 		t.Errorf("aggregate-only request over the keep-mode ceiling rejected: %v", err)
 	}
 
@@ -714,7 +723,7 @@ func TestServeRecoversFromMalformedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scn, wl, cfg, err := prepare(req)
+	scn, wl, cfg, err := req.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +780,7 @@ func TestServeRedoesForeignCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scn, wl, cfg, err := prepare(req)
+		scn, wl, cfg, err := req.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -812,7 +821,7 @@ func TestServeRedoesV1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scn, wl, cfg, err := prepare(req)
+	scn, wl, cfg, err := req.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

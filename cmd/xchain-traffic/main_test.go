@@ -134,10 +134,22 @@ func TestRunBadFlags(t *testing.T) {
 		{"-progress", "-1s"},
 		{"-max-verify-miss", "-1"},
 		{"-checkpoint-every", "-3", "-checkpoint", "f"},
+		// Payment counts beyond the bounds xchain-serve shares: the first
+		// used to die out of memory sizing the run.
+		{"-payments", "1099511627776"},
+		{"-payments", "1000001"},
+		// Negatives the engine used to read as its defaults (or as no
+		// fault window) and run.
+		{"-burst", "-1", "-arrival", "burst", "-n", "4", "-payments", "50"},
+		{"-burst-gap", "-1s", "-arrival", "burst", "-n", "4", "-payments", "50"},
+		{"-spread", "-1", "-amount-dist", "uniform", "-n", "4", "-payments", "50"},
+		{"-fault-from", "-1s", "-n", "4", "-payments", "50"},
+		{"-fault-stagger", "-1s", "-n", "4", "-payments", "50"},
+		{"-fault-outage", "-1s", "-n", "4", "-payments", "50"},
 	} {
 		out.Reset()
 		errOut.Reset()
-		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]) {
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), args[0]+": ") {
 			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
 		}
 	}

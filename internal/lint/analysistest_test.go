@@ -7,45 +7,36 @@ package lint
 // backtick-quoted `// want` regexp on its line — and vice versa.
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// The fixtures and in-memory sources share one file set and one source
-// importer, so the standard library packages they import are type-checked
-// once per test binary, not once per test.
-var (
-	testFset = token.NewFileSet()
-	testStd  = importer.ForCompiler(testFset, "source", nil)
-)
+// testLoader checks every fixture and in-memory source, through the loader
+// Load uses. It lists the standard packages they import, so each is read
+// from export data once per test binary; a fixture importing another needs
+// it added here.
+var testLoader = sync.OnceValues(func() (*loader, error) {
+	ld, _, err := newLoader(".", "crypto/rand", "fmt", "math/rand", "sort", "strings", "sync/atomic", "time")
+	return ld, err
+})
 
-// checkPackage type-checks parsed files as importPath and returns the
-// package the analyzers run on.
-func checkPackage(t *testing.T, importPath, dir string, files []*ast.File) *Package {
+// checkPackage type-checks the named files of dir as importPath and returns
+// the package the analyzers run on.
+func checkPackage(t *testing.T, importPath, dir string, names ...string) *Package {
 	t.Helper()
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: testStd}
-	tpkg, err := conf.Check(importPath, testFset, files, info)
+	ld, err := testLoader()
 	if err != nil {
-		t.Fatalf("type-checking %s: %v", importPath, err)
+		t.Fatal(err)
 	}
-	return &Package{
-		ImportPath: importPath, Name: tpkg.Name(), Dir: dir, Target: true,
-		Fset: testFset, Files: files, Types: tpkg, Info: info,
+	pkg, err := ld.check(importPath, dir, names)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return pkg
 }
 
 // loadTestdataPkg parses and type-checks one fixture package.
@@ -56,21 +47,16 @@ func loadTestdataPkg(t *testing.T, importPath string) *Package {
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
 	}
-	var files []*ast.File
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
 		}
-		f, err := parser.ParseFile(testFset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		t.Fatalf("no Go files under %s", dir)
 	}
-	return checkPackage(t, importPath, dir, files)
+	return checkPackage(t, importPath, dir, names...)
 }
 
 // wantRe extracts the backtick-quoted regexp from a `// want` comment.

@@ -45,12 +45,11 @@
 //
 // The types below mirror the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf) so the suite can migrate to the upstream
-// multichecker wholesale if that dependency ever becomes available. This
-// build environment has no module proxy access, so the driver, the package
-// loader (load.go) and the golden-diagnostic test harness are implemented on
-// the standard library alone: `go list -json -deps` enumerates packages,
-// go/parser + go/types type-check them, and stdlib imports resolve through
-// go/importer's source importer.
+// multichecker wholesale if that dependency ever becomes available. Until
+// then the driver, the package loader (load.go) and the golden-diagnostic
+// test harness use the standard library alone: `go list -deps -export`
+// enumerates packages, go/parser + go/types check module code and fixtures
+// through one function, and stdlib imports read the compiler's export data.
 package lint
 
 import (

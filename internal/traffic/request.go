@@ -107,6 +107,16 @@ func micros(ms float64) sim.Time {
 	return sim.Time(math.Round(min(max(ms*float64(sim.Millisecond), -limit), limit)))
 }
 
+// Size bounds of one request. A run that keeps every per-payment record
+// holds one PaymentResult (~250 B) per payment until it finishes, so its
+// ceiling is what a server running several of them can afford to hold; an
+// aggregate-only run (Stream) needs constant memory and is bounded by
+// patience instead (~25 µs of one core per hmac payment).
+const (
+	MaxKeepPayments   = 1_000_000
+	MaxStreamPayments = 100_000_000
+)
+
 // Build translates the request into the engine's inputs, or fails with a
 // *RequestError naming the key at fault. An empty arrival or amount kind,
 // and a burst size or gap of 0, stand for the engine's defaults.
@@ -114,13 +124,20 @@ func (q Request) Build() (core.Scenario, Workload, Config, error) {
 	fail := func(key string, err error) (core.Scenario, Workload, Config, error) {
 		return core.Scenario{}, Workload{}, Config{}, &RequestError{Key: key, Err: err}
 	}
+	limit := MaxKeepPayments
+	if q.Stream {
+		limit = MaxStreamPayments
+	}
+	// The chain and the payment count are checked before anything is
+	// built: a scenario's tables grow with the one, a run's with the other.
 	// The engine reads a zero rate or amount as "unset"; a request that
 	// spells one out did not mean the engine's default.
 	switch {
 	case q.Escrows < 1 || q.Escrows > core.MaxChain:
-		// Checked before anything is built: a scenario's tables grow with
-		// the chain.
 		return fail("escrows", fmt.Errorf("need 1 to %d escrows, got %d", core.MaxChain, q.Escrows))
+	case q.Payments > limit:
+		return fail("payments", fmt.Errorf("%d above %d (stream=%v; an aggregate-only run may have up to %d)",
+			q.Payments, limit, q.Stream, MaxStreamPayments))
 	case !(q.Rate > 0):
 		return fail("rate", fmt.Errorf("%v is not positive", q.Rate))
 	case q.Amount <= 0:
@@ -141,17 +158,26 @@ func (q Request) Build() (core.Scenario, Workload, Config, error) {
 			return fail("mix", err)
 		}
 	}
-	// The engine reads each of these at or below 0 as its default, and the
-	// fault plan's two as "no plan": a request that spells one out below 0
-	// (or as NaN) did not mean that either.
+	// The engine reads each of these at or below 0 as its default (or, for
+	// a fault window, as none), and the fault plan's fraction and manager
+	// outage as "no plan": a request that spells one out below 0 (or as NaN)
+	// did not mean that either. Checked before a request without a plan
+	// drops the plan's keys, so those are refused whether or not they would
+	// be read.
 	for _, f := range []struct {
 		key string
 		v   float64
 	}{
+		{"burst_size", float64(q.BurstSize)},
+		{"burst_gap_ms", q.BurstGapMs},
+		{"spread", float64(q.Spread)},
 		{"liquidity", float64(q.Liquidity)},
 		{"queue_patience_ms", q.QueuePatienceMs},
 		{"max_queue", float64(q.MaxQueue)},
 		{"fault_fraction", q.FaultFraction},
+		{"fault_from_ms", q.FaultFromMs},
+		{"fault_stagger_ms", q.FaultStaggerMs},
+		{"fault_outage_ms", q.FaultOutageMs},
 		{"manager_outage_ms", q.ManagerOutageMs},
 		{"workers", float64(q.Workers)},
 	} {
@@ -177,7 +203,7 @@ func (q Request) Build() (core.Scenario, Workload, Config, error) {
 		{"payments", func() {}},
 		{"arrival", func() { w.Arrival.Kind = cmp.Or(ArrivalKind(q.Arrival), w.Arrival.Kind) }},
 		{"rate", func() { w.Arrival.Rate = q.Rate }},
-		{"burst_size", func() { w.Arrival.BurstSize = max(q.BurstSize, 0) }},
+		{"burst_size", func() { w.Arrival.BurstSize = q.BurstSize }},
 		{"burst_gap_ms", func() { w.Arrival.BurstGap = micros(q.BurstGapMs) }},
 		{"amount", func() { w.Amounts.Base = q.Amount }},
 		{"amount_dist", func() { w.Amounts.Kind = cmp.Or(AmountKind(q.AmountDist), w.Amounts.Kind) }},

@@ -76,6 +76,18 @@ func TestRequestBuild(t *testing.T) {
 		{`{"max_queue": -1}`, "max_queue"},
 		{`{"queue_patience_ms": -1}`, "queue_patience_ms"},
 		{`{"queue_patience_ms": -0.0001}`, "queue_patience_ms"},
+		{`{"burst_size": -1, "arrival": "burst"}`, "burst_size"},
+		{`{"burst_gap_ms": -1, "arrival": "burst"}`, "burst_gap_ms"},
+		{`{"spread": -1, "amount_dist": "uniform"}`, "spread"},
+		// A fault window below 0 is refused with or without a fault plan.
+		{`{"fault_from_ms": -1}`, "fault_from_ms"},
+		{`{"fault_stagger_ms": -1}`, "fault_stagger_ms"},
+		{`{"fault_outage_ms": -1}`, "fault_outage_ms"},
+		{`{"fault_fraction": 0.5, "fault_outage_ms": -1}`, "fault_outage_ms"},
+		// Size bounds, checked before anything is sized by the request.
+		{`{"payments": 1099511627776}`, "payments"},
+		{`{"payments": 1000001}`, "payments"},
+		{`{"payments": 100000001, "stream": true}`, "payments"},
 	} {
 		q, err := DecodeRequest(strings.NewReader(tc.body))
 		if err != nil {
