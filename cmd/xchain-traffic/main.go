@@ -195,7 +195,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	s, w, cfg, err := q.Build()
 	var re *traffic.RequestError // Build's only error
 	if errors.As(err, &re) {
-		fmt.Fprintf(stderr, "xchain-traffic: -%s: %v\n", flagFor(fs, q, re.Key), re.Err)
+		name, msg := flagFor(fs, q, re.Key), re.Err.Error()
+		// Build refuses a negative _ms value in milliseconds; a duration
+		// flag's refusal names the value as a duration, as it was typed.
+		if ms, ok := fs.Lookup(name).Value.(*msFlag); ok && *ms < 0 {
+			msg = strings.Replace(msg, fmt.Sprint(float64(*ms)), ms.String(), 1)
+		}
+		fmt.Fprintf(stderr, "xchain-traffic: -%s: %s\n", name, msg)
 		return 2
 	}
 	if o.cpuProfile != "" || o.memProfile != "" {

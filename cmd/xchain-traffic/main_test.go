@@ -153,6 +153,23 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("%v should be rejected before the run (exit %d, stdout %q, stderr %q)", args, code, out.String(), errOut.String())
 		}
 	}
+	// A refused duration is named as it was typed, not in the request's
+	// milliseconds.
+	for _, c := range []struct{ flag, typed string }{
+		{"-burst-gap", "-1s"},
+		{"-queue", "-2s"},
+		{"-fault-from", "-1.5s"},
+		{"-fault-stagger", "-250ms"},
+		{"-fault-outage", "-1m0s"},
+		{"-manager-outage", "-1ms"},
+	} {
+		out.Reset()
+		errOut.Reset()
+		want := "xchain-traffic: " + c.flag + ": " + c.typed + " is not >= 0\n"
+		if code := run([]string{c.flag, c.typed, "-arrival", "burst", "-n", "4", "-payments", "50"}, &out, &errOut); code != 2 || errOut.String() != want {
+			t.Errorf("%s %s: exit %d, stderr %q, want %q", c.flag, c.typed, code, errOut.String(), want)
+		}
+	}
 	if code := run([]string{"-arrival", "brust"}, &out, &errOut); code != 2 {
 		t.Errorf("misspelled arrival kind should be rejected, not coerced (exit %d)", code)
 	}

@@ -425,18 +425,43 @@ func TestIDBlockCutsStableStrings(t *testing.T) {
 // BenchmarkWorldReset times what a traffic worker does on its standing world
 // before an open payment runs: Reset to an n=2 hmac sub-scenario under the
 // payment's own seed, whose clock drifts and offsets are its first draws,
-// and the keyring under the population's one key seed.
+// and the keyring under the population's one key seed. The hit restores the
+// world's stamp; the miss is the fuzz kernel's path, a chain-length switch
+// under another key seed every time, which sets up and stamps anew.
 func BenchmarkWorldReset(b *testing.B) {
-	w := NewWorld()
-	s := NewScenario(2, 1).WithCrypto("hmac")
-	s.KeySeed = "traffic-keys"
-	s.MuteTrace = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Seed = int64(i)
-		if err := w.Reset(&s); err != nil {
-			b.Fatal(err)
+	b.Run("hit", func(b *testing.B) {
+		w := NewWorld()
+		s := NewScenario(2, 1).WithCrypto("hmac")
+		s.KeySeed = "traffic-keys"
+		s.MuteTrace = true
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Seed = int64(i)
+			if err := w.Reset(&s); err != nil {
+				b.Fatal(err)
+			}
+			w.Keyring()
 		}
-		w.Keyring()
-	}
+	})
+	b.Run("miss", func(b *testing.B) {
+		w := NewWorld()
+		var shapes [2]Scenario
+		for n := range shapes {
+			shapes[n] = NewScenario(n+2, 1).WithCrypto("hmac")
+			shapes[n].MuteTrace = true
+		}
+		var seeds [64]string
+		for k := range seeds {
+			seeds[k] = fmt.Sprintf("scenario-keys-%d", k)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := &shapes[i%2]
+			s.Seed, s.KeySeed = int64(i), seeds[i%len(seeds)]
+			if err := w.Reset(s); err != nil {
+				b.Fatal(err)
+			}
+			w.Keyring()
+		}
+	})
 }

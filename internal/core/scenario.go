@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"strconv"
 	"strings"
 
@@ -92,9 +93,7 @@ func (s Scenario) WithTiming(t Timing) Scenario {
 // according to f. The original scenario's fault map is not modified.
 func (s Scenario) SetFault(id string, f FaultSpec) Scenario {
 	faults := make(map[string]FaultSpec, len(s.Faults)+1)
-	for k, v := range s.Faults {
-		faults[k] = v
-	}
+	maps.Copy(faults, s.Faults)
 	faults[id] = f
 	s.Faults = faults
 	return s
@@ -104,9 +103,7 @@ func (s Scenario) SetFault(id string, f FaultSpec) Scenario {
 // most p (local time) at each waiting point of the weak-liveness protocol.
 func (s Scenario) SetPatience(id string, p sim.Time) Scenario {
 	pat := make(map[string]sim.Time, len(s.Patience)+1)
-	for k, v := range s.Patience {
-		pat[k] = v
-	}
+	maps.Copy(pat, s.Patience)
 	pat[id] = p
 	s.Patience = pat
 	return s

@@ -24,12 +24,19 @@ const DefaultMaxEvents = 2_000_000
 //
 // A world is a standing object. Reset(s) puts it in exactly the state a
 // newly built world has for scenario s — the same RNG stream, the same
-// clock draws in the same order, empty ledgers' logs, zeroed counters — so a
-// run on a reused world is indistinguishable from a run on a new one, and a
-// worker that simulates a million payments builds one world, not a million.
-// Reuse is an execution strategy: nothing a run computes may depend on what
-// its world ran before (internal/scenariogen's reused-world column,
-// TestWorldReuseEquivalence).
+// clock draws in the same order, ledgers holding only the endowments,
+// zeroed counters — so a run on a reused world is indistinguishable from a
+// run on a new one, and a worker that simulates a million payments builds
+// one world, not a million. Reuse is an execution strategy: nothing a run
+// computes may depend on what its world ran before (internal/scenariogen's
+// reused-world column, TestWorldReuseEquivalence). What the chain's setup
+// leaves — the participant table up to the manager, each escrow ledger's
+// accounts, balances and mint log (ledger.Mark), the customers' wealth — a
+// world keeps as its stamp, keyed by the chain length and the initial
+// balance: a Reset with the stamp's key restores it (ledger.Restore), any
+// other sets up and stamps anew, and ResetSubstrate, AddLedger and a change
+// of metrics registry invalidate it. Faults, patience and clocks are
+// resolved and drawn on every Reset.
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Scenario, Trace and Book it points to (RunResult.Scenario
@@ -70,7 +77,8 @@ type World struct {
 	// then e_0..e_{N-1} — the chain, the first chain entries, whose clocks
 	// draw from the RNG in that order — then the manager, then the notaries
 	// Join adds. faults, byz and patience are the scenario's Faults and
-	// Patience resolved per PID, once, by Reset and Join.
+	// Patience resolved per PID, once, by Reset and Join; clean says they
+	// hold nothing but zeros.
 	names    []string
 	chain    int
 	faults   []FaultSpec
@@ -79,6 +87,10 @@ type World struct {
 	clocks   []clock.Clock
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
+	clean  bool
+	// stampN and stampIB are the stamp's key, stampN 0 for no stamp.
+	stampN  int
+	stampIB int64
 
 	// kr is the world's one keyring (see KeyringFor); krReady marks it as
 	// already holding the current scenario's keys.
@@ -110,14 +122,8 @@ type World struct {
 
 // NewWorld returns an empty world; Reset makes it usable.
 func NewWorld() *World {
-	eng := sim.NewEngine(0)
-	tr := trace.New()
-	return &World{
-		Eng:   eng,
-		Trace: tr,
-		Net:   netsim.New(eng, nil, tr),
-		Book:  ledger.NewBook(),
-	}
+	eng, tr := sim.NewEngine(0), trace.New()
+	return &World{Eng: eng, Trace: tr, Net: netsim.New(eng, nil, tr), Book: ledger.NewBook()}
 }
 
 // Standing returns w's one value of type T, zeroed when first asked for: the
@@ -139,35 +145,36 @@ func Standing[T any](w *World) *T {
 
 // ResetSubstrate restores the part of a world that no topology shapes — the
 // engine at the start of seed's RNG stream, an empty recording or muted
-// trace, a network without nodes, an empty book, no keys, no consistency
-// record — and invalidates everything handed out since the previous reset.
-// Reset builds a payment chain on top of it; a protocol whose parties have
-// another shape (internal/deals) calls it directly and brings its own
-// ledgers and keys with AddLedger and KeyringFor.
+// trace, a network without nodes, an empty book and participant table, no
+// keys, no consistency record — and invalidates everything handed out since
+// the previous reset. A protocol whose parties are no payment chain
+// (internal/deals) calls it and brings its own ledgers and keys.
 func (w *World) ResetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
 	w.scn = Scenario{}
-	w.resetSubstrate(seed, network, muteTrace, reg)
+	w.resetSubstrate(seed, network, muteTrace, reg, false)
 }
 
 // resetSubstrate is ResetSubstrate but for the scenario, which Reset copies in
-// before it: Reset's argument may be the world's own copy (RunResult.Scenario).
-func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
-	w.names, w.chain, w.clocks, w.wealth = w.names[:0], 0, w.clocks[:0], w.wealth[:0]
-	w.faults, w.byz, w.patience = w.faults[:0], w.byz[:0], w.patience[:0]
-	w.krReady = false
+// before it (Reset's argument may be the world's own copy), and for the
+// participant table and the book, which it keeps if stamped and the registry
+// stays. It reports whether it kept them.
+func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry, stamped bool) bool {
+	w.clocks, w.krReady = w.clocks[:0], false
 	w.violation, w.detection = Incident{}, Incident{}
-
 	if reg != w.reg {
-		w.reg = reg
+		w.reg, stamped = reg, false
 		w.engM, w.netM, w.ledM = sim.MetricsFrom(reg), netsim.MetricsFrom(reg), ledger.MetricsFrom(reg, "protocol")
+	}
+	if !stamped {
+		w.names, w.chain, w.wealth, w.inUse, w.stampN = w.names[:0], 0, w.wealth[:0], 0, 0
+		w.Book.Reset()
 	}
 	w.Eng.Reset(seed)
 	w.Eng.SetMetrics(w.engM)
 	w.Trace.Reset(muteTrace)
 	w.Net.Reset(network)
 	w.Net.SetMetrics(w.netM)
-	w.Book.Reset()
-	w.inUse = 0
+	return stamped
 }
 
 // AddLedger returns an empty ledger of that name, registered in the book:
@@ -177,50 +184,33 @@ func (w *World) AddLedger(name string) *ledger.Ledger {
 		w.ledgers = append(w.ledgers, ledger.New(name))
 	}
 	led := w.ledgers[w.inUse]
-	w.inUse++
+	w.inUse, w.stampN = w.inUse+1, 0
 	led.Reset(name)
 	return w.Book.Add(led)
 }
 
 // Reset validates the scenario and restores the state a new world has for
-// it, invalidating everything handed out since the previous Reset. The world
-// keeps a copy of *s, and nothing of s itself.
+// it (see World: the stamp), invalidating everything handed out since the
+// previous Reset. The world keeps a copy of *s, and nothing of s itself.
 func (w *World) Reset(s *Scenario) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
 	w.scn = *s
-	w.resetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics)
-	topo := s.Topology
-
-	w.names = topo.appendEscrows(topo.appendCustomers(w.names))
-	w.chain = len(w.names)
-	w.resolveChain()
-	w.Join(ManagerID)
-
-	// Escrow e_i hosts accounts for itself and for its two customers c_i
-	// and c_{i+1}; the customers receive their initial endowment.
-	for i := 0; i < topo.N; i++ {
-		led := w.AddLedger(EscrowID(i))
-		led.SetMetrics(w.ledM)
-		led.SetParticipants(w.names)
-		if err := led.OpenAccount(w.EscrowPID(i)); err != nil {
-			return err
+	if w.resetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics, w.stampN == s.Topology.N && w.stampIB == s.InitialBalance) {
+		w.names = w.names[:w.chain+1]
+		w.Net.SetParticipants(w.names)
+		for _, led := range w.Book.Ledgers() {
+			led.Restore()
 		}
-		for _, cust := range [2]PID{w.CustomerPID(i), w.CustomerPID(i + 1)} {
-			if err := led.OpenAccount(cust); err != nil {
-				return err
-			}
-			if err := led.Deposit(0, cust, s.InitialBalance); err != nil {
-				return err
-			}
-		}
+	} else if err := w.setUp(); err != nil {
+		return err
 	}
+	w.resolveChain()
 
 	rng := w.Eng.Rand()
 	for range w.chain {
-		rho := clock.Drift(0)
-		var offset sim.Time
+		rho, offset := clock.Drift(0), sim.Time(0)
 		if s.Timing.Clock.MaxRho > 0 {
 			rho = clock.Drift((2*rng.Float64() - 1) * float64(s.Timing.Clock.MaxRho))
 		}
@@ -229,43 +219,73 @@ func (w *World) Reset(s *Scenario) error {
 		}
 		w.clocks = append(w.clocks, *clock.New(w.Eng, rho, offset))
 	}
-
-	for i := 0; i <= topo.N; i++ {
-		w.wealth = append(w.wealth, w.customerWealth(i))
-	}
 	return nil
 }
 
-// resolveChain lays out the chain's faults, Byzantine flags and patience,
-// PID by PID, reading each key of the scenario's maps once; a key that names
-// no chain participant is left for Join.
+// setUp lays out the participant table — c_0..c_N, e_0..e_{N-1}, the
+// manager — and the escrows' ledgers: e_i hosts accounts for itself and for
+// its two customers c_i and c_{i+1}, who receive their initial endowment. It
+// records the customers' wealth and stamps it all.
+func (w *World) setUp() error {
+	topo := w.scn.Topology
+	w.names = append(topo.appendEscrows(topo.appendCustomers(w.names)), ManagerID)
+	w.chain = len(w.names) - 1
+	w.Net.SetParticipants(w.names)
+	for i := 0; i < topo.N; i++ {
+		led := w.AddLedger(EscrowID(i))
+		led.SetMetrics(w.ledM)
+		led.SetParticipants(w.names)
+		if err := led.OpenAccount(w.EscrowPID(i)); err != nil {
+			return err
+		}
+		for _, cust := range [2]PID{w.CustomerPID(i), w.CustomerPID(i + 1)} {
+			if err := led.Deposit(0, cust, w.scn.InitialBalance); err != nil { // opens the account
+				return err
+			}
+		}
+		led.Mark()
+	}
+	for i := 0; i <= topo.N; i++ {
+		w.wealth = append(w.wealth, w.customerWealth(i))
+	}
+	w.stampN, w.stampIB = topo.N, w.scn.InitialBalance
+	return nil
+}
+
+// resolveChain lays out the faults, Byzantine flags and patience of the chain
+// and the manager, PID by PID, reading each key of the scenario's maps once;
+// a key that names none of them is left for Join. Without a key to read,
+// after a run that had none either, the zeros are kept.
 func (w *World) resolveChain() {
-	n := w.chain
+	n, none := w.chain+1, len(w.scn.Faults) == 0 && len(w.scn.Patience) == 0
+	if none && w.clean && len(w.faults) >= n {
+		w.faults, w.byz, w.patience = w.faults[:n], w.byz[:n], w.patience[:n]
+		return
+	}
 	w.faults, w.byz, w.patience = slices.Grow(w.faults[:0], n)[:n], slices.Grow(w.byz[:0], n)[:n], slices.Grow(w.patience[:0], n)[:n]
 	clear(w.faults)
 	clear(w.byz)
 	clear(w.patience)
-	if len(w.scn.Faults) > 0 {
-		for id, f := range w.scn.Faults {
-			if pid := w.chainPID(id); pid != NoPID {
-				w.faults[pid], w.byz[pid] = f, f != FaultSpec{}
-			}
+	w.clean = none
+	for id, f := range w.scn.Faults {
+		if pid := w.chainPID(id); pid != NoPID {
+			w.faults[pid], w.byz[pid] = f, f != FaultSpec{}
 		}
 	}
-	if len(w.scn.Patience) > 0 {
-		for id, p := range w.scn.Patience {
-			if pid := w.chainPID(id); pid != NoPID {
-				w.patience[pid] = p
-			}
+	for id, p := range w.scn.Patience {
+		if pid := w.chainPID(id); pid != NoPID {
+			w.patience[pid] = p
 		}
 	}
 }
 
-// chainPID returns the PID of the chain participant named id, NoPID if id
-// names none.
+// chainPID returns the PID of the chain participant or the manager named
+// id, NoPID if id names none.
 func (w *World) chainPID(id string) PID {
 	n := w.scn.Topology.N
 	switch name, k := SplitID(id); {
+	case id == ManagerID:
+		return w.ManagerPID()
 	case k < 0:
 	case name == "c" && k <= n:
 		return w.CustomerPID(k)
@@ -275,18 +295,13 @@ func (w *World) chainPID(id string) PID {
 	return NoPID
 }
 
-// resolve appends the next PID's fault, Byzantine flag and patience, read
-// from the scenario under its name.
-func (w *World) resolve(id string) {
-	f, p := w.scn.FaultOf(id), w.scn.PatienceOf(id)
-	w.faults, w.byz, w.patience = append(w.faults, f), append(w.byz, f != FaultSpec{}), append(w.patience, p)
-}
-
-// Join adds a participant outside the chain — the manager (Reset adds it),
-// a notary — to the run's participant table and returns its PID.
+// Join adds a participant outside the chain and its manager — a notary — to
+// the run's participant table, with its fault, Byzantine flag and patience
+// read from the scenario under its name, and returns its PID.
 func (w *World) Join(name string) PID {
+	f := w.scn.FaultOf(name)
 	w.names = append(w.names, name)
-	w.resolve(name)
+	w.faults, w.byz, w.patience = append(w.faults, f), append(w.byz, f != FaultSpec{}), append(w.patience, w.scn.PatienceOf(name))
 	w.Net.SetParticipants(w.names)
 	return PID(len(w.names) - 1)
 }
@@ -477,12 +492,10 @@ func (w *World) ScheduleCrashes(run Crasher) {
 		w.crashes = make([]crashArg, w.chain)
 	}
 	for k := range w.chain {
-		f := w.faults[k]
-		if !f.Crash {
-			continue
+		if f := w.faults[k]; f.Crash {
+			w.crashes[k] = crashArg{w: w, k: k}
+			w.Eng.ScheduleArgAt(f.CrashAt, "crash", fireCrash, &w.crashes[k])
 		}
-		w.crashes[k] = crashArg{w: w, k: k}
-		w.Eng.ScheduleArgAt(f.CrashAt, "crash", fireCrash, &w.crashes[k])
 	}
 }
 
@@ -501,11 +514,10 @@ type crashArg struct {
 
 func fireCrash(x any) {
 	c := x.(*crashArg)
-	w, k := c.w, c.k
-	if customers := w.scn.Topology.N + 1; k < customers {
-		w.crasher.Crash(w.names[k], true, k)
+	if customers := c.w.scn.Topology.N + 1; c.k < customers {
+		c.w.crasher.Crash(c.w.names[c.k], true, c.k)
 	} else {
-		w.crasher.Crash(w.names[k], false, k-customers)
+		c.w.crasher.Crash(c.w.names[c.k], false, c.k-customers)
 	}
 }
 
@@ -521,15 +533,11 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 	res := &w.res
 	res.Customers = slices.Grow(res.Customers[:0], n+1)[:n+1]
 	res.Escrows = slices.Grow(res.Escrows[:0], n)[:n]
-	res.Protocol = protocol
-	res.Scenario = &w.scn
-	res.byz = w.byz
+	res.Protocol, res.Scenario, res.byz = protocol, &w.scn, w.byz
 	res.Trace, res.Book = w.Trace, w.Book
 	res.CommitIssued, res.AbortIssued = false, false
 	res.Violation, res.Detection = w.violation, w.detection
-	res.NetStats = w.Net.Stats()
-	res.EventsFired = fired
-	res.Err = nil
+	res.NetStats, res.EventsFired, res.Err = w.Net.Stats(), fired, nil
 	allTerm := true
 	var lastTerm sim.Time
 	var out *CustomerOutcome

@@ -168,7 +168,7 @@ func (r *lockRec) id() string { return r.name().id() }
 // Handle addresses a lock on the ledger that holds it. The Escrow family
 // returns one, and ReleaseLock and RefundLock settle the lock through it
 // without looking up its ID. A handle goes stale when its lock leaves the
-// ledger, that is when compaction forgets it or Reset drops it; a stale handle
+// ledger (compaction forgets it, Reset or Restore drops it); a stale handle
 // settles nothing. The zero Handle addresses no lock.
 type Handle struct {
 	rec *lockRec
@@ -250,11 +250,9 @@ type Ledger struct {
 	name string
 	// names is the participant table the owners' PIDs index (see
 	// SetParticipants); a name is only rendered, never compared, by the
-	// PID-keyed operations. own is the table's storage when the ledger keeps
-	// its own (PID's additions), and owned says names is in it.
+	// PID-keyed operations. own is the storage of the table PID extends.
 	names []string
 	own   []string
-	owned bool
 	// compact is SetCompact's.
 	compact bool
 	// accounts are in creation order (capture order after FromState): three
@@ -291,36 +289,55 @@ type Ledger struct {
 	// m holds optional instrumentation hooks (see SetMetrics); the zero
 	// value is muted and every update is an inlined nil no-op.
 	m Metrics
+	// setup is the state Mark recorded: the participant table, the accounts
+	// and balances, the operations logged and kept, and the minted total.
+	setup setup
+}
+
+type setup struct {
+	names         []string
+	accounts      []account
+	ops, retained int
+	minted        int64
 }
 
 // New creates an empty ledger named name (normally the escrow's ID).
-func New(name string) *Ledger {
-	return &Ledger{name: name}
+func New(name string) *Ledger { return &Ledger{name: name} }
+
+// Reset returns the ledger to the state New(name) builds, which is also what
+// Restore returns to until the next Mark — no accounts or locks, an empty
+// participant table and log, zeroed totals, compaction off, muted metrics —
+// keeping its storage.
+func (l *Ledger) Reset(name string) {
+	l.name, l.compact, l.m = name, false, Metrics{}
+	l.setup = setup{names: l.own[:0], accounts: l.setup.accounts[:0]}
+	l.Restore()
 }
 
-// Reset returns the ledger to the state New(name) builds — no accounts, no
-// locks, an empty participant table and log, zeroed totals, compaction off,
-// muted metrics — keeping its accounts', lock records' and log's storage.
-// Log entries handed out before the Reset must no longer be used, and every
-// Handle goes stale.
-func (l *Ledger) Reset(name string) {
-	l.name = name
-	l.names, l.owned = l.own[:0], true
-	l.accounts = l.accounts[:0]
-	for lk := l.head.next; lk != nil; lk = l.head.next {
-		lk.gen++
-		l.head.next, lk.next, l.free = lk.next, l.free, lk
+// Mark records the ledger's state as the one Restore returns to: a run's
+// setup — accounts opened, deposits made, no lock held — which a standing
+// world makes once and restores per run.
+func (l *Ledger) Mark() {
+	l.setup = setup{l.names, append(l.setup.accounts[:0], l.accounts...), l.opCount, len(l.ops), l.minted}
+}
+
+// Restore returns the ledger to the state Mark recorded, keeping its storage,
+// compaction and metrics; the restored operations count in the metrics again.
+// Every lock is dropped and every Handle goes stale, and log entries handed
+// out before must no longer be used.
+func (l *Ledger) Restore() {
+	st := &l.setup
+	l.names = st.names
+	l.accounts = append(l.accounts[:0], st.accounts...)
+	for l.head.next != nil {
+		l.forget(l.head.next)
 	}
 	clear(l.byz)
-	if h := l.holding; h != nil {
-		clear(h.by)
-		h.n = 0
-	}
-	l.held = 0
-	l.ops = l.ops[:0]
-	l.opCount, l.minted, l.settled, l.byzEscrowed = 0, 0, 0, 0
-	l.compact = false
-	l.m = Metrics{}
+	l.holding = nil
+	l.ops = l.ops[:st.retained]
+	l.opCount, l.minted, l.settled, l.byzEscrowed = st.ops, st.minted, 0, 0
+	l.m.Ops.Add(uint64(st.ops))
+	l.m.Available.Add(float64(st.minted))
 }
 
 // Name returns the ledger's name.
@@ -335,10 +352,6 @@ func (l *Ledger) Name() string { return l.name }
 // neither of which compaction touches. Long-running traffic ledgers enable
 // this; single-payment protocol runs keep the full history for the
 // property checkers and traces.
-//
-// A compacting ledger recycles a forgotten lock's record for a later
-// Escrow; the forgotten lock's Handle goes stale first, so it never
-// addresses the record's next lock.
 func (l *Ledger) SetCompact(on bool) { l.compact = on }
 
 // Compact reports whether compaction is enabled.
@@ -352,9 +365,7 @@ func (l *Ledger) SettledForgotten() int { return l.settled }
 // names[i]. The ledger reads names without copying it and never writes to it
 // (PID's additions go to a copy); the caller must not change what a PID
 // names while the ledger holds its account.
-func (l *Ledger) SetParticipants(names []string) {
-	l.names, l.owned = names, false
-}
+func (l *Ledger) SetParticipants(names []string) { l.names = names }
 
 // PID returns name's PID, adding name to the participant table if the table
 // does not hold it yet. It scans the table: the way in for the name-addressed
@@ -365,11 +376,8 @@ func (l *Ledger) PID(name string) sim.PID {
 			return sim.PID(i)
 		}
 	}
-	if !l.owned {
-		l.names, l.owned = append(l.own[:0], l.names...), true
-	}
-	l.names = append(l.names, name)
-	l.own = l.names
+	l.own = append(append(l.own[:0], l.names...), name)
+	l.names = l.own
 	return sim.PID(len(l.names) - 1)
 }
 
@@ -496,13 +504,10 @@ func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int
 //
 //xchain:hotpath
 func (l *Ledger) EscrowHop(at sim.Time, label string, hop int, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
-	if amount <= 0 {
-		return Handle{}, ErrBadAmount
-	}
 	return l.escrow(at, lockName{label, uint64(hop), formHop}, payer, payee, amount, cond)
 }
 
-// escrow is the Escrow family's common tail: amount and ID passed.
+// escrow is the Escrow family's common tail: the ID passed.
 //
 //xchain:hotpath
 func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
@@ -520,11 +525,14 @@ func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount
 	return Handle{rec: lk, gen: lk.gen}, nil
 }
 
-// reserve moves amount (positive) from payer's account into escrow, payable
-// to payee: the value half of a new lock, recorded (escrow) or held (Hold).
+// reserve moves amount from payer's account into escrow, payable to payee:
+// the value half of a new lock, recorded (escrow) or held (Hold).
 //
 //xchain:hotpath
 func (l *Ledger) reserve(payer, payee sim.PID, amount int64) error {
+	if amount <= 0 {
+		return ErrBadAmount
+	}
 	p := l.find(payer)
 	if p < 0 {
 		return fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
@@ -562,9 +570,6 @@ func (l *Ledger) reserve(payer, payee sim.PID, amount int64) error {
 func (l *Ledger) Hold(payer, payee sim.PID, amount int64) error {
 	if !l.compact {
 		return ErrHoldNotCompact
-	}
-	if amount <= 0 {
-		return ErrBadAmount
 	}
 	if err := l.reserve(payer, payee, amount); err != nil {
 		return err
@@ -656,8 +661,7 @@ func (l *Ledger) unhold(payer sim.PID, amount int64) error {
 
 // CreateLock is Escrow between the participants named payer and payee.
 func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, cond Condition) (Handle, error) {
-	p := l.PID(payer)
-	return l.Escrow(at, id, p, l.PID(payee), amount, cond)
+	return l.Escrow(at, id, l.PID(payer), l.PID(payee), amount, cond)
 }
 
 // Record blocks: a ledger makes its first recordsAlone records one by one (a
@@ -795,22 +799,20 @@ func (l *Ledger) PendingCount() int {
 //
 //xchain:hotpath
 func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.Time) error {
-	lk := l.lookup(id)
-	if lk == nil {
-		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
+	if lk := l.lookup(id); lk != nil {
+		return l.release(at, lk, preimage, localNow)
 	}
-	return l.release(at, lk, preimage, localNow)
+	return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 }
 
 // ReleaseLock is Release of the lock h addresses; a stale h is ErrNoSuchLock.
 //
 //xchain:hotpath
 func (l *Ledger) ReleaseLock(at sim.Time, h Handle, preimage []byte, localNow sim.Time) error {
-	lk := h.held()
-	if lk == nil {
-		return ErrNoSuchLock
+	if lk := h.held(); lk != nil {
+		return l.release(at, lk, preimage, localNow)
 	}
-	return l.release(at, lk, preimage, localNow)
+	return ErrNoSuchLock
 }
 
 // release is Release's and ReleaseLock's common tail: the lock is found.
@@ -836,22 +838,20 @@ func (l *Ledger) release(at sim.Time, lk *lockRec, preimage []byte, localNow sim
 //
 //xchain:hotpath
 func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
-	lk := l.lookup(id)
-	if lk == nil {
-		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
+	if lk := l.lookup(id); lk != nil {
+		return l.refund(at, lk, localNow)
 	}
-	return l.refund(at, lk, localNow)
+	return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 }
 
 // RefundLock is Refund of the lock h addresses; a stale h is ErrNoSuchLock.
 //
 //xchain:hotpath
 func (l *Ledger) RefundLock(at sim.Time, h Handle, localNow sim.Time) error {
-	lk := h.held()
-	if lk == nil {
-		return ErrNoSuchLock
+	if lk := h.held(); lk != nil {
+		return l.refund(at, lk, localNow)
 	}
-	return l.refund(at, lk, localNow)
+	return ErrNoSuchLock
 }
 
 // refund is Refund's and RefundLock's common tail: the lock is found.

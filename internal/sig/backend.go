@@ -177,15 +177,15 @@ func (o Options) backend() Backend {
 
 // Process-wide key cache. Key derivation is a pure function of
 // (backend, seed, id), so every keyring in the process can share one cache.
-// What it serves is a new keyring under a key seed the process has seen: a
-// Run on a world of its own (the experiment tables, the CLIs, the tests), or
-// each worker's first payment of a traffic run or fuzz campaign, all of whose
-// scenarios share one key seed — such a keyring pays one map lookup per
-// participant instead of one ed25519.GenerateKey. A standing world's keyring
-// does not come here again: Keyring.Reset keeps its keys while the seed
-// stays. Bounded: reaching keyCacheLimit entries clears the map (cheap, and
-// correctness never depends on residency); only runs that derive a key seed
-// per scenario ("seed-<n>") ever fill it.
+// A keyring comes here when it first reads a key it has not read under its
+// seed — to render a signature or to answer a verification its record does
+// not — and pays one map lookup instead of one ed25519.GenerateKey if any
+// keyring read that key before. A run that renders nothing and misses no
+// verification never comes here. A standing world's keyring comes at most
+// once per key: Keyring.Reset keeps its keys while the seed stays. Bounded:
+// reaching keyCacheLimit entries clears the map (cheap, and correctness
+// never depends on residency); only runs that derive a key seed per
+// scenario ("seed-<n>") ever fill it.
 type keyCacheKey struct {
 	backend string
 	seed    string
@@ -276,8 +276,10 @@ func ResetKeyCache() {
 // run's CI gate watches: each worker's keyring is reset per payment, and the
 // counters add up over all of them).
 type Stats struct {
-	// KeygenHits/KeygenMisses count key derivations served from / missing
-	// the process-wide key cache.
+	// KeygenHits/KeygenMisses count keys read, once per key per keyring
+	// generation, at its first read — a rendering or a verification that
+	// missed the record — as served from / missing the process-wide key
+	// cache. A run that renders nothing and misses nothing counts neither.
 	KeygenHits   uint64
 	KeygenMisses uint64
 	// MemoHits/MemoMisses count signature verifications answered from the

@@ -129,15 +129,17 @@ func TestKeyCacheEquivalenceAndHits(t *testing.T) {
 		if !bytes.Equal(cached.Sign("x", msg).Bytes(), direct) {
 			t.Fatalf("%s: cached and direct keys differ", name)
 		}
+		cached.Sign("y", msg).Bytes() // reads y's key too
 		if st := cached.Stats(); st.KeygenMisses != 2 || st.KeygenHits != 0 {
 			t.Fatalf("%s: first keyring stats = %+v, want 2 misses", name, st)
 		}
 		again := NewKeyringWith(Options{Backend: name}, "cache-seed", []string{"x", "y"})
-		if st := again.Stats(); st.KeygenHits != 2 || st.KeygenMisses != 0 {
-			t.Fatalf("%s: second keyring stats = %+v, want 2 hits", name, st)
-		}
+		again.Sign("y", msg).Bytes()
 		if !bytes.Equal(again.Sign("x", msg).Bytes(), direct) {
 			t.Fatalf("%s: cache served a wrong key", name)
+		}
+		if st := again.Stats(); st.KeygenHits != 2 || st.KeygenMisses != 0 {
+			t.Fatalf("%s: second keyring stats = %+v, want 2 hits", name, st)
 		}
 	}
 	if n := keyCacheLen(); n != 4 {
@@ -607,16 +609,21 @@ func TestResetKeepsDroppedSigners(t *testing.T) {
 		if n := signers(); n != 0 {
 			t.Fatalf("%s: %d signers survived ResetKeyCache", backend, n)
 		}
+		for _, id := range long {
+			kr.Sign(id, msg).Bytes() // reads every key
+		}
 		if st := kr.Stats(); st.KeygenMisses != uint64(len(long)) || st.KeygenHits != 0 {
 			t.Fatalf("%s: after ResetKeyCache the keyring counts %+v, want %d misses", backend, st, len(long))
 		}
 
 		// A late Hold of a dropped participant after a flush: its entry kept
-		// its key, but a new keyring's Hold would miss, and so must this one.
+		// its key, but a new keyring reading it would miss, and so must this
+		// one.
 		kr.Reset("seed-b", short)
 		ResetKeyCache()
 		before := kr.Stats()
 		kr.Hold(sim.PID(len(short)), "c2")
+		kr.Sign("c2", msg).Bytes()
 		if st := kr.Stats(); st.KeygenMisses != before.KeygenMisses+1 || st.KeygenHits != before.KeygenHits {
 			t.Fatalf("%s: a Hold after ResetKeyCache counts %+v, before it %+v: want one miss", backend, st, before)
 		}

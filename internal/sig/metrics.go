@@ -6,7 +6,8 @@ import "repro/internal/metrics"
 // -crypto-stats gate prints the same names, so logs and scrapes always talk
 // about the same counters.
 const (
-	// MetricKeygenCacheHits / Misses count key derivations served from /
+	// MetricKeygenCacheHits / Misses count keys read at their first read
+	// (a rendering, a verification the record missed), served from /
 	// missing the process-wide key cache.
 	MetricKeygenCacheHits   = "xchain_sig_keygen_cache_hits_total"
 	MetricKeygenCacheMisses = "xchain_sig_keygen_cache_misses_total"

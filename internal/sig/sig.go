@@ -11,21 +11,22 @@
 // verification helpers. Byzantine participants may refuse to sign or replay
 // artefacts, but cannot forge signatures of correct participants.
 //
-// Two mechanisms keep the model's assumed crypto cheap at traffic scale: a
-// process-wide key cache (key derivation is a pure function of
-// (backend, seed, id), so per-payment keyrings stop paying keygen per
-// participant) and signatures kept as the records of the ideal signature
-// functionality F_SIG (Canetti, CSFW 2004). Sign records a term — this
-// signer signed this message — and hands out a handle on it; the bit string
-// is rendered by the backend only when something reads it. A typed
-// artefact's term holds its kind and fields, and their canonical encoding is
-// rendered only for the backend. Verifying a term the keyring recorded since
-// its last Reset is a comparison of signer and fields, and only anything
-// else — a forgery, a tampered artefact, another keyring's signature — is
-// rendered and paid to the backend. Every backend signs
-// deterministically and accepts every signature it produces, so a late
-// rendering is the bytes Sign would have produced and the comparison answers
-// what the backend would: neither mechanism can move a verdict.
+// Two mechanisms keep the model's assumed crypto cheap at traffic scale: keys
+// derived only when first read, through a process-wide key cache (key
+// derivation is a pure function of (backend, seed, id)), and signatures kept
+// as the records of the ideal signature functionality F_SIG (Canetti, CSFW
+// 2004). Sign records a term — this signer signed this message — and hands
+// out a handle on it; the bit string is rendered by the backend only when
+// something reads it. A typed artefact's term holds its kind and fields, and
+// their canonical encoding is rendered only for the backend. Verifying a term
+// the keyring recorded since its last Reset is a comparison of signer and
+// fields, and only anything else — a forgery, a tampered artefact, another
+// keyring's signature — is rendered and paid to the backend, and only then
+// is a key derived: a run that renders nothing and misses no verification
+// reads no key. Every backend signs deterministically and accepts every
+// signature it produces, so a late rendering is the bytes Sign would have
+// produced and the comparison answers what the backend would: neither
+// mechanism can move a verdict.
 package sig
 
 import (
@@ -46,12 +47,12 @@ type Signature struct {
 	gen uint64 // the generation of t's keyring when Sign recorded t
 }
 
-// term is what Sign records: kr signed c for signer with s. rendered is nil
-// until read; a Raw term has nothing else.
+// term is what Sign records: kr signed c for signer, whose entry is
+// kr.keys[key]. rendered is nil until read; a Raw term has nothing else.
 type term struct {
 	kr       *Keyring
 	signer   string
-	s        signer
+	key      int32
 	c        content
 	rendered []byte
 }
@@ -71,8 +72,9 @@ func (s Signature) Bytes() []byte {
 		return nil
 	}
 	if t.rendered == nil && t.kr != nil {
+		s := t.kr.read(t.key).s
 		t.kr.buf = t.c.render(t.kr.buf[:0])
-		b := t.s.sign(t.kr.buf)
+		b := s.sign(t.kr.buf)
 		t.rendered = t.kr.arena.take(len(b), arenaChunk)
 		copy(t.rendered, b)
 		t.kr.stats.Rendered++
@@ -128,29 +130,34 @@ func (a *arena[T]) rewind() { a.used = 0 }
 // sim.Engine): Sign, Verify, Hold and Reset mutate the terms, the key map, the
 // bound signers, the arena and the rendering scratch without locking, and so
 // do the Bytes and String of a Signature it signed, which render into its
-// arena. The process-wide key cache behind Hold is concurrency-safe, so any
-// number of runs may build keyrings for the same (seed, id) concurrently.
+// arena. The process-wide key cache a key is read through is
+// concurrency-safe, so any number of runs may read keys of the same
+// (seed, id) concurrently.
+//
+// A keyring holds names; a key is derived, through the process-wide key
+// cache, only when a signature is rendered or a verification misses the
+// record: a run that does neither derives no key.
 //
 // Lifetime rule: a Signature from Sign is valid until the keyring's next
 // Reset, which hands its term and its storage out again; afterwards it is
 // stale. Nothing else invalidates it.
 type Keyring struct {
 	backend Backend
-	// seed and epoch say where keys came from: the seed every key is derived
-	// under, and the key-cache epoch they were fetched in. Reset keeps keys
+	// seed is what every key is derived under, and epoch the key-cache
+	// epoch of the Reset that last emptied the entries: Reset keeps them
 	// only for the same seed in the same epoch.
 	seed  string
 	epoch uint64
-	// keys holds one entry per name the keyring has held a key for under
-	// its seed: the key and, bound on first use, its signer. An entry never
-	// moves while the seed stays, so a participant that drops out at a Reset
-	// keeps its signer (bound to the key the same seed derives again) until
-	// a later Reset or Hold names it again. byName finds a name's entry.
+	// keys holds one entry per name the keyring has held under its seed:
+	// the key and its signer once read. An entry never moves while the seed
+	// stays, so a participant that drops out at a Reset keeps its signer
+	// (bound to the key the same seed derives again) until a later Reset or
+	// Hold names it again. byName finds a name's entry.
 	keys   []keyEntry
 	byName map[string]int32
 	// pids maps a PID to the entry it holds, -1 for none: SignAs finds a
-	// participant's key and signer by index. An entry is held under one PID
-	// at most, its keyEntry.pid.
+	// participant's entry by index. An entry is held under one PID at most,
+	// its keyEntry.pid.
 	pids []int32
 	// arena holds the raw payloads signed and the signatures rendered, terms
 	// the terms Sign records.
@@ -174,12 +181,12 @@ type keyEntry struct {
 	id  string
 	key Key
 	s   signer
-	pid int32 // the PID holding the entry, -1 if none
+	pid int32  // the PID holding the entry, -1 if none
+	gen uint64 // the generation the key was last read in
 }
 
 // NewKeyringWith creates a keyring under the options' backend holding the
-// participants' keys under seed, participants[i] under PID i; the keys
-// themselves depend only on (backend, seed, id).
+// participants under seed, participants[i] under PID i.
 func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 	kr := &Keyring{
 		backend: opts.backend(),
@@ -189,67 +196,46 @@ func NewKeyringWith(opts Options, seed string, participants []string) *Keyring {
 		record:  opts.MemoCapacity >= 0,
 		stripe:  takeStripe(),
 	}
-	kr.derive(seed, participants)
+	kr.Reset(seed, participants)
 	return kr
 }
 
-// derive fills an empty keyring with the participants' keys under seed,
-// participants[i] under PID i.
-func (kr *Keyring) derive(seed string, participants []string) {
-	kr.seed, kr.epoch = seed, keyCacheEpoch.Load()
-	for i, id := range participants {
-		kr.Hold(sim.PID(i), id)
-	}
-}
-
 // Reset makes the keyring what NewKeyringWith(same options, seed,
-// participants) returns — exactly these participants' keys, no term that
-// answers a verification, Stats counting one key derivation per participant —
-// while keeping what a new keyring would only fetch again: a participant whose
-// entry already has its key under the same seed is held again without the
-// key cache and counts as the cache hit a new keyring would score (unless the
-// cache was emptied since, when a new keyring would miss and this one derives
-// again), and bound signers stay bound — those of participants that drop out
-// too, for the next longer chain under the same seed. Every signature handed
-// out before is stale afterwards.
+// participants) returns — exactly these participants, no term that answers a
+// verification, zeroed Stats — while keeping, under the same seed and
+// key-cache epoch, the keys and bound signers it read, those of participants
+// that drop out too, for the next longer chain (see read for how they
+// count). Every signature handed out before is stale afterwards.
 func (kr *Keyring) Reset(seed string, participants []string) {
 	kr.stats = Stats{}
 	kr.gen++
 	kr.arena.rewind()
 	kr.terms.rewind()
-	if seed != kr.seed || kr.epoch != keyCacheEpoch.Load() {
+	if epoch := keyCacheEpoch.Load(); seed != kr.seed || kr.epoch != epoch {
 		clear(kr.keys)
 		kr.keys = kr.keys[:0]
 		clear(kr.byName)
 		kr.pids = kr.pids[:0]
-		kr.derive(seed, participants)
-		return
+		kr.seed, kr.epoch = seed, epoch
 	}
 	for i := len(participants); i < len(kr.pids); i++ {
 		kr.unhold(i)
 	}
 	kr.pids = kr.pids[:min(len(kr.pids), len(participants))]
-	rehold := 0
 	for i, id := range participants {
-		if e := kr.place(i, id); e.key.pub != nil {
-			rehold++
-		} else {
-			kr.Hold(sim.PID(i), id)
-		}
+		kr.place(i, id)
 	}
-	kr.stats.KeygenHits += uint64(rehold)
-	kr.stripe.keygenHits.Add(uint64(rehold))
 }
 
 // place makes PID i hold the entry named id — the one the keyring has, or a
-// new one without a key — and returns it. The entry that PID i held before,
-// and the PID that held id's entry, hold nothing afterwards.
-func (kr *Keyring) place(i int, id string) *keyEntry {
+// new one without a key. The entry that PID i held before, and the PID that
+// held id's entry, hold nothing afterwards.
+func (kr *Keyring) place(i int, id string) {
 	for len(kr.pids) <= i {
 		kr.pids = append(kr.pids, -1)
 	}
 	if j := kr.pids[i]; j >= 0 && kr.keys[j].id == id {
-		return &kr.keys[j]
+		return
 	}
 	kr.unhold(i)
 	j, ok := kr.byName[id]
@@ -263,7 +249,6 @@ func (kr *Keyring) place(i int, id string) *keyEntry {
 		kr.pids[e.pid] = -1
 	}
 	e.pid, kr.pids[i] = int32(i), j
-	return e
 }
 
 // unhold makes PID i hold nothing.
@@ -273,8 +258,8 @@ func (kr *Keyring) unhold(i int) {
 	}
 }
 
-// index returns the PID under which the keyring holds id's key, or -1: the
-// way in for the name-addressed operations, never for a run's signing.
+// index returns the PID under which the keyring holds id, or -1: the way in
+// for the name-addressed operations, never for a run's signing.
 func (kr *Keyring) index(id string) int {
 	if j, ok := kr.byName[id]; ok {
 		return int(kr.keys[j].pid)
@@ -282,69 +267,60 @@ func (kr *Keyring) index(id string) int {
 	return -1
 }
 
-// Hold derives participant id's key under the keyring's seed and holds it
-// under pid, moving id's entry there if it stands elsewhere. The seed derives
-// the same key every time, so an entry that has its key keeps it — counted as
-// the cache hit a new keyring would score while the cache keeps the epoch it
-// was fetched in — with its bound signer, and what a key already held signed
-// still answers.
-func (kr *Keyring) Hold(pid sim.PID, id string) {
-	e := kr.place(int(pid), id)
-	if e.key.pub != nil && kr.epoch == keyCacheEpoch.Load() {
-		kr.stats.KeygenHits++
-		kr.stripe.keygenHits.Add(1)
-		return
-	}
-	k, hit := cachedKey(kr.backend, kr.seed, id)
-	if hit {
-		kr.stats.KeygenHits++
-		kr.stripe.keygenHits.Add(1)
-	} else {
-		kr.stats.KeygenMisses++
-		kr.stripe.keygenMisses.Add(1)
-	}
-	e.key = k
-}
+// Hold holds participant id under pid, moving id's entry there if it stands
+// elsewhere, with its key and signer if it has them; it derives no key.
+func (kr *Keyring) Hold(pid sim.PID, id string) { kr.place(int(pid), id) }
 
-// Holds reports whether the keyring holds id's key under pid.
+// Holds reports whether the keyring holds id under pid.
 func (kr *Keyring) Holds(pid sim.PID, id string) bool {
-	e := kr.held(int(pid))
-	return e != nil && e.id == id
+	j := kr.entry(int(pid))
+	return j >= 0 && kr.keys[j].id == id
 }
 
-// held returns the entry the keyring holds under pid, nil if none.
+// entry returns the index of the entry the keyring holds under pid, -1 if
+// none.
 //
 //xchain:hotpath
-func (kr *Keyring) held(pid int) *keyEntry {
-	if uint(pid) >= uint(len(kr.pids)) || kr.pids[pid] < 0 {
-		return nil
+func (kr *Keyring) entry(pid int) int32 {
+	if uint(pid) >= uint(len(kr.pids)) {
+		return -1
 	}
-	return &kr.keys[kr.pids[pid]]
+	return kr.pids[pid]
 }
 
-// signer returns the bound signer of the key the keyring holds under pid,
-// binding it on first use.
-//
-//xchain:hotpath
-func (kr *Keyring) signer(pid int) (signer, bool) {
-	e := kr.held(pid)
-	if e == nil {
-		return nil, false
+// read returns entry j with its key read and its signer bound. Its first
+// read in a generation counts: the entry's own key, as the cache hit a new
+// keyring would score if the cache kept the entries' epoch, else the cache's.
+func (kr *Keyring) read(j int32) *keyEntry {
+	e := &kr.keys[j]
+	if e.gen != kr.gen {
+		e.gen = kr.gen
+		hit := e.key.pub != nil && kr.epoch == keyCacheEpoch.Load()
+		if !hit {
+			e.key, hit = cachedKey(kr.backend, kr.seed, e.id)
+		}
+		if hit {
+			kr.stats.KeygenHits++
+			kr.stripe.keygenHits.Add(1)
+		} else {
+			kr.stats.KeygenMisses++
+			kr.stripe.keygenMisses.Add(1)
+		}
 	}
 	if e.s == nil {
 		e.s = kr.backend.bind(e.key)
 	}
-	return e.s, true
+	return e
 }
 
 // SignAs records that the participant under pid signed payload and returns
-// the handle on that term; no backend runs until something reads its bytes.
-// Signing for a PID without a key returns the zero Signature (which never
-// verifies).
+// the handle on that term; no key is read and no backend runs until
+// something reads its bytes. Signing for a PID the keyring does not hold
+// returns the zero Signature (which never verifies).
 //
 //xchain:hotpath
 func (kr *Keyring) SignAs(pid sim.PID, payload []byte) Signature {
-	sig := kr.sign(pid, &content{})
+	sig := signing{kr, pid}.sign(kindRaw, "", "", "", 0, 0, 0)
 	if sig.t != nil {
 		// The term holds its copy of the payload, in the arena it is
 		// recorded with.
@@ -360,16 +336,26 @@ func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	return kr.SignAs(sim.PID(kr.index(id)), payload)
 }
 
-// sign records that the participant under pid signed c.
+// signing is a signature being recorded for the participant under pid; its
+// sign writes an artefact's fields straight into the term.
+type signing struct {
+	kr  *Keyring
+	pid sim.PID
+}
+
+// sign records that the participant under s.pid signed the content of kind k
+// with strings f0..f2 and times t0..t2.
 //
 //xchain:hotpath
-func (kr *Keyring) sign(pid sim.PID, c *content) Signature {
-	s, ok := kr.signer(int(pid))
-	if !ok {
+func (s signing) sign(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) Signature {
+	kr := s.kr
+	j := kr.entry(int(s.pid))
+	if j < 0 {
 		return Signature{}
 	}
 	t := &kr.terms.take(1, termChunk)[0]
-	t.kr, t.signer, t.s, t.c, t.rendered = kr, kr.keys[kr.pids[pid]].id, s, *c, nil
+	t.kr, t.signer, t.key, t.rendered = kr, kr.keys[j].id, j, nil
+	t.c.kind, t.c.f, t.c.t = k, [3]string{f0, f1, f2}, [3]sim.Time{t0, t1, t2}
 	return Signature{t: t, gen: kr.gen}
 }
 
@@ -379,7 +365,7 @@ func (kr *Keyring) sign(pid sim.PID, c *content) Signature {
 //
 //xchain:hotpath
 func (kr *Keyring) recorded(signer string, sig Signature) *term {
-	if t := sig.t; kr.record && t != nil && t.kr == kr && sig.gen == kr.gen && t.signer == signer {
+	if t := sig.t; kr.record && t != nil && t.kr == kr && sig.gen == kr.gen && same(t.signer, signer) {
 		return t
 	}
 	return nil
@@ -393,14 +379,12 @@ func (kr *Keyring) recorded(signer string, sig Signature) *term {
 // Anything else is rendered and paid to the backend (a miss).
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	if t := kr.recorded(signer, sig); t != nil {
-		var same bool
-		if t.c.kind == kindRaw {
-			same = t.c.f[0] == string(payload)
-		} else {
+		equal := t.c.kind == kindRaw && t.c.f[0] == string(payload)
+		if t.c.kind != kindRaw {
 			kr.buf = t.c.render(kr.buf[:0])
-			same = bytes.Equal(kr.buf, payload)
+			equal = bytes.Equal(kr.buf, payload)
 		}
-		if same {
+		if equal {
 			kr.hit()
 			return true
 		}
@@ -408,17 +392,35 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	return kr.miss(signer, payload, nil, sig)
 }
 
-// verify checks that signer signed the typed artefact c in sig: for a term
-// recorded on kr, a comparison of signer, generation and fields; else the
-// backend's answer over c's canonical encoding.
+// checking is a verification that signer made sig; its verify compares an
+// artefact's fields with the term's, building nothing on a record hit.
+type checking struct {
+	kr     *Keyring
+	signer string
+	sig    Signature
+}
+
+// verify checks that c.signer signed the content of kind k with strings
+// f0..f2 and times t0..t2 in c.sig: for a term recorded on the keyring, a
+// comparison of signer, generation and fields; else the backend's answer
+// over the content's canonical encoding.
 //
 //xchain:hotpath
-func (kr *Keyring) verify(signer string, c *content, sig Signature) bool {
-	if t := kr.recorded(signer, sig); t != nil && t.c == *c {
-		kr.hit()
+func (c checking) verify(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) bool {
+	if t := c.kr.recorded(c.signer, c.sig); t != nil && t.c.kind == k && same(t.c.f[0], f0) && same(t.c.f[1], f1) && same(t.c.f[2], f2) && t.c.t == [3]sim.Time{t0, t1, t2} {
+		c.kr.hit()
 		return true
 	}
-	return kr.miss(signer, nil, c, sig)
+	cc := content{k, [3]string{f0, f1, f2}, [3]sim.Time{t0, t1, t2}}
+	return c.kr.miss(c.signer, nil, &cc, c.sig)
+}
+
+// same reports whether a == b, without reading the bytes of strings that
+// share them: what a message carries mostly is what its sender signed.
+//
+//xchain:hotpath
+func same(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
 }
 
 // hit counts a verification answered from the record.
@@ -433,17 +435,15 @@ func (kr *Keyring) hit() {
 // bytes under signer's key, over payload or, for a typed artefact, over c's
 // canonical encoding.
 func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature) bool {
-	if sig.t == nil {
-		return false
-	}
-	s, ok := kr.signer(kr.index(signer))
-	if !ok {
+	j := kr.entry(kr.index(signer))
+	if sig.t == nil || j < 0 {
 		return false
 	}
 	b := sig.Bytes()
 	if len(b) == 0 {
 		return false
 	}
+	e := kr.read(j)
 	if c != nil {
 		// After the bytes, which may have been rendered in the same scratch.
 		kr.buf = c.render(kr.buf[:0])
@@ -451,7 +451,7 @@ func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature
 	}
 	kr.stats.MemoMisses++
 	kr.stripe.memoMisses.Add(1)
-	return s.verify(payload, b)
+	return e.s.verify(payload, b)
 }
 
 // Stats returns this keyring's cache counters (see Stats; GlobalStats
@@ -516,8 +516,8 @@ func appendField(b []byte, f string) []byte {
 }
 
 // An artefact is signed and verified in place, in the message that carries
-// it: its Sign records its content as the term, and its Verify compares its
-// content with the term's.
+// it: its Sign records its fields as the term's content, and its Verify
+// compares its fields with the term's.
 
 // PaymentCert is the certificate chi: a statement signed by Bob that Alice's
 // obligation to pay him has been met (Definition 1).
@@ -529,8 +529,9 @@ type PaymentCert struct {
 	Sig       Signature
 }
 
-func (c *PaymentCert) content() content {
-	return content{kind: kindChi, f: [3]string{c.PaymentID, c.Issuer, c.Payer}, t: [3]sim.Time{c.IssuedAt}}
+// fields is chi's content: its kind, strings and times.
+func (c *PaymentCert) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
+	return kindChi, c.PaymentID, c.Issuer, c.Payer, c.IssuedAt, 0, 0
 }
 
 // Sign signs chi as it stands with the key under by, its issuer's PID, into
@@ -538,8 +539,7 @@ func (c *PaymentCert) content() content {
 //
 //xchain:hotpath
 func (c *PaymentCert) Sign(kr *Keyring, by sim.PID) {
-	cc := c.content()
-	c.Sig = kr.sign(by, &cc)
+	c.Sig = signing{kr, by}.sign(c.fields())
 }
 
 // Verify checks chi's signature against the expected issuer.
@@ -549,8 +549,7 @@ func (c *PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 	if c.Issuer != expectedIssuer {
 		return false
 	}
-	cc := c.content()
-	return kr.verify(c.Issuer, &cc, c.Sig)
+	return checking{kr, c.Issuer, c.Sig}.verify(c.fields())
 }
 
 // Describe implements a human-readable label.
@@ -570,8 +569,9 @@ type Guarantee struct {
 	Sig       Signature
 }
 
-func (g *Guarantee) content() content {
-	return content{kind: kindGuarantee, f: [3]string{g.PaymentID, g.Escrow, g.Customer}, t: [3]sim.Time{g.D, g.IssuedAt}}
+// fields is G(d)'s content: its kind, strings and times.
+func (g *Guarantee) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
+	return kindGuarantee, g.PaymentID, g.Escrow, g.Customer, g.D, g.IssuedAt, 0
 }
 
 // Sign signs G(d) as it stands with the key under by, its escrow's PID, into
@@ -579,16 +579,14 @@ func (g *Guarantee) content() content {
 //
 //xchain:hotpath
 func (g *Guarantee) Sign(kr *Keyring, by sim.PID) {
-	c := g.content()
-	g.Sig = kr.sign(by, &c)
+	g.Sig = signing{kr, by}.sign(g.fields())
 }
 
 // Verify checks the guarantee's signature against its stated escrow.
 //
 //xchain:hotpath
 func (g *Guarantee) Verify(kr *Keyring) bool {
-	c := g.content()
-	return kr.verify(g.Escrow, &c, g.Sig)
+	return checking{kr, g.Escrow, g.Sig}.verify(g.fields())
 }
 
 // Describe implements a human-readable label.
@@ -622,8 +620,9 @@ type Promise struct {
 	Sig       Signature
 }
 
-func (p *Promise) content() content {
-	return content{kind: kindPromise, f: [3]string{p.PaymentID, p.Escrow, p.Customer}, t: [3]sim.Time{p.A, p.Epsilon, p.IssuedAt}}
+// fields is P(a)'s content: its kind, strings and times.
+func (p *Promise) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
+	return kindPromise, p.PaymentID, p.Escrow, p.Customer, p.A, p.Epsilon, p.IssuedAt
 }
 
 // Sign signs P(a) as it stands with the key under by, its escrow's PID, into
@@ -631,16 +630,14 @@ func (p *Promise) content() content {
 //
 //xchain:hotpath
 func (p *Promise) Sign(kr *Keyring, by sim.PID) {
-	c := p.content()
-	p.Sig = kr.sign(by, &c)
+	p.Sig = signing{kr, by}.sign(p.fields())
 }
 
 // Verify checks the promise's signature against its stated escrow.
 //
 //xchain:hotpath
 func (p *Promise) Verify(kr *Keyring) bool {
-	c := p.content()
-	return kr.verify(p.Escrow, &c, p.Sig)
+	return checking{kr, p.Escrow, p.Sig}.verify(p.fields())
 }
 
 // Describe implements a human-readable label.
@@ -687,8 +684,9 @@ type DecisionCert struct {
 	Quorum int
 }
 
-func (c *DecisionCert) content() content {
-	return content{kind: kindDecision, f: [3]string{c.PaymentID, c.Decision.String(), c.Manager}, t: [3]sim.Time{c.IssuedAt}}
+// fields is the certificate's content: its kind, strings and times.
+func (c *DecisionCert) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
+	return kindDecision, c.PaymentID, c.Decision.String(), c.Manager, c.IssuedAt, 0, 0
 }
 
 // Sign signs the certificate as it stands on behalf of every entry of
@@ -698,10 +696,9 @@ func (c *DecisionCert) content() content {
 //
 //xchain:hotpath
 func (c *DecisionCert) Sign(kr *Keyring, by []sim.PID) {
-	cc := c.content()
 	c.Sigs = c.Sigs[:0]
 	for _, pid := range by {
-		c.Sigs = append(c.Sigs, kr.sign(pid, &cc))
+		c.Sigs = append(c.Sigs, signing{kr, pid}.sign(c.fields()))
 	}
 }
 
@@ -713,7 +710,6 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 	if len(c.Signers) != len(c.Sigs) || c.Quorum <= 0 {
 		return false
 	}
-	cc := c.content()
 	valid := 0
 	// verified[j] records whether entry j's signature verified; a signer
 	// counts once, so a later entry under an already-verified name is
@@ -729,7 +725,7 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 				break
 			}
 		}
-		ok := !dup && kr.verify(s, &cc, c.Sigs[i])
+		ok := !dup && checking{kr, s, c.Sigs[i]}.verify(c.fields())
 		verified = append(verified, ok)
 		if ok {
 			valid++
@@ -754,8 +750,9 @@ type Receipt struct {
 	Sig       Signature
 }
 
-func (r *Receipt) content() content {
-	return content{kind: kindReceipt, f: [3]string{r.PaymentID, r.Issuer, r.Subject}, t: [3]sim.Time{r.IssuedAt}}
+// fields is the receipt's content: its kind, strings and times.
+func (r *Receipt) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
+	return kindReceipt, r.PaymentID, r.Issuer, r.Subject, r.IssuedAt, 0, 0
 }
 
 // Sign signs the receipt as it stands with the key under by, its issuer's
@@ -763,16 +760,14 @@ func (r *Receipt) content() content {
 //
 //xchain:hotpath
 func (r *Receipt) Sign(kr *Keyring, by sim.PID) {
-	c := r.content()
-	r.Sig = kr.sign(by, &c)
+	r.Sig = signing{kr, by}.sign(r.fields())
 }
 
 // Verify checks the receipt's signature.
 //
 //xchain:hotpath
 func (r *Receipt) Verify(kr *Keyring) bool {
-	c := r.content()
-	return kr.verify(r.Issuer, &c, r.Sig)
+	return checking{kr, r.Issuer, r.Sig}.verify(r.fields())
 }
 
 // Describe implements a human-readable label.
