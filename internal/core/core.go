@@ -653,24 +653,29 @@ func AllProperties() []Property {
 	}
 }
 
-// propertyLines are the properties' one-line descriptions.
-var propertyLines = map[Property]string{
-	PropConsistency:     "Consistency: every participant can abide by the protocol",
-	PropTermination:     "Termination: honest customers terminate (within the bound, if time-bounded)",
-	PropEscrowSecurity:  "Escrow security: honest escrows do not lose money",
-	PropCS1:             "Customer security 1: Alice got her money back or holds the certificate",
-	PropCS2:             "Customer security 2: Bob received the money or did not issue the certificate",
-	PropCS3:             "Customer security 3: honest connectors got their money back",
-	PropStrongLiveness:  "Strong liveness: if all abide, Bob is eventually paid",
-	PropWeakLiveness:    "Weak liveness: if all abide and wait long enough, Bob is paid",
-	PropCertConsistency: "Certificate consistency: commit and abort certificates never both issued",
-	PropConservation:    "Conservation: every ledger conserves value",
-}
-
 // Describe returns a one-line description of the property.
 func (p Property) Describe() string {
-	if d, ok := propertyLines[p]; ok {
-		return d
+	switch p {
+	case PropConsistency:
+		return "Consistency: every participant can abide by the protocol"
+	case PropTermination:
+		return "Termination: honest customers terminate (within the bound, if time-bounded)"
+	case PropEscrowSecurity:
+		return "Escrow security: honest escrows do not lose money"
+	case PropCS1:
+		return "Customer security 1: Alice got her money back or holds the certificate"
+	case PropCS2:
+		return "Customer security 2: Bob received the money or did not issue the certificate"
+	case PropCS3:
+		return "Customer security 3: honest connectors got their money back"
+	case PropStrongLiveness:
+		return "Strong liveness: if all abide, Bob is eventually paid"
+	case PropWeakLiveness:
+		return "Weak liveness: if all abide and wait long enough, Bob is paid"
+	case PropCertConsistency:
+		return "Certificate consistency: commit and abort certificates never both issued"
+	case PropConservation:
+		return "Conservation: every ledger conserves value"
 	}
 	return string(p)
 }

@@ -426,8 +426,9 @@ func TestIDBlockCutsStableStrings(t *testing.T) {
 // before an open payment runs: Reset to an n=2 hmac sub-scenario under the
 // payment's own seed, whose clock drifts and offsets are its first draws,
 // and the keyring under the population's one key seed. The hit restores the
-// world's stamp; the miss is the fuzz kernel's path, a chain-length switch
-// under another key seed every time, which sets up and stamps anew.
+// world's stamp; the miss, a chain-length switch under another key seed
+// every time, sets up and stamps anew, as the fuzz kernel does for nearly
+// every scenario and a RandomSubPaths traffic worker for most payments.
 func BenchmarkWorldReset(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		w := NewWorld()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"strconv"
 	"strings"
 
@@ -93,7 +92,9 @@ func (s Scenario) WithTiming(t Timing) Scenario {
 // according to f. The original scenario's fault map is not modified.
 func (s Scenario) SetFault(id string, f FaultSpec) Scenario {
 	faults := make(map[string]FaultSpec, len(s.Faults)+1)
-	maps.Copy(faults, s.Faults)
+	for k, v := range s.Faults {
+		faults[k] = v
+	}
 	faults[id] = f
 	s.Faults = faults
 	return s
@@ -103,7 +104,9 @@ func (s Scenario) SetFault(id string, f FaultSpec) Scenario {
 // most p (local time) at each waiting point of the weak-liveness protocol.
 func (s Scenario) SetPatience(id string, p sim.Time) Scenario {
 	pat := make(map[string]sim.Time, len(s.Patience)+1)
-	maps.Copy(pat, s.Patience)
+	for k, v := range s.Patience {
+		pat[k] = v
+	}
 	pat[id] = p
 	s.Patience = pat
 	return s

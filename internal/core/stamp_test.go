@@ -44,11 +44,12 @@ type stampRun struct {
 }
 
 // TestStampedWorldMatchesFresh runs one standing world through chain-length
-// switches (n=2, 5, 2), a deal, another initial balance, non-empty fault and
-// patience maps, n=1 and a key-cache flush, and expects every run to show
-// what the same run shows on a new world: the stamp restores exactly the
-// state setup builds, the keys' first reads count as a new keyring's do, and
-// the restored mints count in a live registry as they did when logged.
+// switches (n=2, 5, 2, 5), a deal, another initial balance, non-empty fault
+// and patience maps, n=1, a key-cache flush and two registries taken in
+// turn, and expects every run to show what the same run shows on a new
+// world: the stamp restores exactly the state setup builds, the keys' first
+// reads count as a new keyring's do, and the restored mints count in the
+// run's registry as they did when logged.
 func TestStampedWorldMatchesFresh(t *testing.T) {
 	scn := func(n int, seed int64) core.Scenario {
 		s := core.NewScenario(n, seed).WithCrypto(sig.BackendHMAC)
@@ -63,8 +64,10 @@ func TestStampedWorldMatchesFresh(t *testing.T) {
 		{name: "n=2", p: timelock.New(), s: scn(2, 1)},
 		{name: "n=5", p: timelock.New(), s: scn(5, 2)},
 		{name: "n=2 again", p: timelock.New(), s: scn(2, 3)},
+		{name: "n=5 again", p: timelock.New(), s: scn(5, 13)},
 		{name: "a deal", deal: true},
 		{name: "n=2 after the deal", p: timelock.New(), s: scn(2, 6)},
+		{name: "n=5 after the deal", p: weaklive.New(), s: scn(5, 14)},
 		{name: "another initial balance", p: timelock.New(), s: richer},
 		{name: "faults and patience", p: timelock.New(), s: forged},
 		{name: "a faulted manager and patience", p: weaklive.New(), s: scn(2, 7).SetFault(core.ManagerID, adversary.Spec(adversary.Equivocation, timing)).SetPatience("c0", 200*sim.Millisecond)},
@@ -74,9 +77,10 @@ func TestStampedWorldMatchesFresh(t *testing.T) {
 		{name: "forged after a flush", p: timelock.New(), s: forged.WithSeed(11), flush: true},
 		{name: "n=2 after the flush", p: timelock.New(), s: scn(2, 12)},
 	}
-	standing, standingReg, freshReg := core.NewWorld(), metrics.NewRegistry(), metrics.NewRegistry()
+	standing, freshReg := core.NewWorld(), metrics.NewRegistry()
+	standingRegs := [2]*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
 	var hits, misses uint64
-	for _, st := range steps {
+	for i, st := range steps {
 		// Both runs meet the key cache in the same state: emptied, or
 		// already holding every key the step reads.
 		if st.flush {
@@ -88,7 +92,7 @@ func TestStampedWorldMatchesFresh(t *testing.T) {
 		if st.flush {
 			sig.ResetKeyCache()
 		}
-		got := runStep(t, standing, st, standingReg)
+		got := runStep(t, standing, st, standingRegs[i/2%2])
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the standing world shows\n%+v\na new one\n%+v", st.name, got, want)
 		}

@@ -24,19 +24,21 @@ const DefaultMaxEvents = 2_000_000
 //
 // A world is a standing object. Reset(s) puts it in exactly the state a
 // newly built world has for scenario s — the same RNG stream, the same
-// clock draws in the same order, ledgers holding only the endowments,
-// zeroed counters — so a run on a reused world is indistinguishable from a
-// run on a new one, and a worker that simulates a million payments builds
-// one world, not a million. Reuse is an execution strategy: nothing a run
-// computes may depend on what its world ran before (internal/scenariogen's
-// reused-world column, TestWorldReuseEquivalence). What the chain's setup
-// leaves — the participant table up to the manager, each escrow ledger's
-// accounts, balances and mint log (ledger.Mark), the customers' wealth — a
-// world keeps as its stamp, keyed by the chain length and the initial
-// balance: a Reset with the stamp's key restores it (ledger.Restore), any
-// other sets up and stamps anew, and ResetSubstrate, AddLedger and a change
-// of metrics registry invalidate it. Faults, patience and clocks are
-// resolved and drawn on every Reset.
+// clock draws in the same order, empty ledgers' logs, zeroed counters — so a
+// run on a reused world is indistinguishable from a run on a new one, and a
+// worker that simulates a million payments builds one world, not a million.
+// Reuse is an execution strategy: nothing a run computes may depend on what
+// its world ran before (internal/scenariogen's reused-world column,
+// TestWorldReuseEquivalence).
+//
+// What setting up a chain leaves — the participant table up to the manager,
+// each escrow ledger's accounts, balances and mint log (ledger.Mark), the
+// customers' wealth — a world keeps as its one stamp, keyed by the chain
+// length and the initial balance it was set up for. A Reset with the same
+// length and balance restores it (ledger.Restore); any other length or
+// balance, ResetSubstrate, AddLedger and another metrics registry replace or
+// drop it, and the next Reset sets up and stamps anew. Faults, patience and
+// clocks are resolved and drawn on every Reset.
 //
 // Lifetime rule: the *RunResult a protocol's RunIn returns is the world's
 // own, and so are the Scenario, Trace and Book it points to (RunResult.Scenario
@@ -77,8 +79,7 @@ type World struct {
 	// then e_0..e_{N-1} — the chain, the first chain entries, whose clocks
 	// draw from the RNG in that order — then the manager, then the notaries
 	// Join adds. faults, byz and patience are the scenario's Faults and
-	// Patience resolved per PID, once, by Reset and Join; clean says they
-	// hold nothing but zeros.
+	// Patience resolved per PID, once, by Reset and Join.
 	names    []string
 	chain    int
 	faults   []FaultSpec
@@ -87,8 +88,8 @@ type World struct {
 	clocks   []clock.Clock
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
-	clean  bool
-	// stampN and stampIB are the stamp's key, stampN 0 for no stamp.
+	// stampN and stampIB are the stamp's key (see World), stampN 0 for no
+	// stamp.
 	stampN  int
 	stampIB int64
 
@@ -122,8 +123,14 @@ type World struct {
 
 // NewWorld returns an empty world; Reset makes it usable.
 func NewWorld() *World {
-	eng, tr := sim.NewEngine(0), trace.New()
-	return &World{Eng: eng, Trace: tr, Net: netsim.New(eng, nil, tr), Book: ledger.NewBook()}
+	eng := sim.NewEngine(0)
+	tr := trace.New()
+	return &World{
+		Eng:   eng,
+		Trace: tr,
+		Net:   netsim.New(eng, nil, tr),
+		Book:  ledger.NewBook(),
+	}
 }
 
 // Standing returns w's one value of type T, zeroed when first asked for: the
@@ -147,34 +154,41 @@ func Standing[T any](w *World) *T {
 // engine at the start of seed's RNG stream, an empty recording or muted
 // trace, a network without nodes, an empty book and participant table, no
 // keys, no consistency record — and invalidates everything handed out since
-// the previous reset. A protocol whose parties are no payment chain
-// (internal/deals) calls it and brings its own ledgers and keys.
+// the previous reset. Reset builds a payment chain on top of it; a protocol
+// whose parties have another shape (internal/deals) calls it directly and
+// brings its own ledgers and keys with AddLedger and KeyringFor.
 func (w *World) ResetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
 	w.scn = Scenario{}
-	w.resetSubstrate(seed, network, muteTrace, reg, false)
+	w.resetSubstrate(seed, network, muteTrace, reg)
+	w.unstamp()
 }
 
 // resetSubstrate is ResetSubstrate but for the scenario, which Reset copies in
-// before it (Reset's argument may be the world's own copy), and for the
-// participant table and the book, which it keeps if stamped and the registry
-// stays. It reports whether it kept them.
-func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry, stamped bool) bool {
+// before it (Reset's argument may be the world's own copy, RunResult.Scenario),
+// and for the participant table, the ledgers and the book, which Reset keeps
+// when it restores the stamp.
+func (w *World) resetSubstrate(seed int64, network netsim.DelayModel, muteTrace bool, reg *metrics.Registry) {
 	w.clocks, w.krReady = w.clocks[:0], false
 	w.violation, w.detection = Incident{}, Incident{}
+
 	if reg != w.reg {
-		w.reg, stamped = reg, false
+		w.reg, w.stampN = reg, 0 // the stamped ledgers count in the old registry
 		w.engM, w.netM, w.ledM = sim.MetricsFrom(reg), netsim.MetricsFrom(reg), ledger.MetricsFrom(reg, "protocol")
-	}
-	if !stamped {
-		w.names, w.chain, w.wealth, w.inUse, w.stampN = w.names[:0], 0, w.wealth[:0], 0, 0
-		w.Book.Reset()
 	}
 	w.Eng.Reset(seed)
 	w.Eng.SetMetrics(w.engM)
 	w.Trace.Reset(muteTrace)
 	w.Net.Reset(network)
 	w.Net.SetMetrics(w.netM)
-	return stamped
+}
+
+// unstamp empties the participant table, the book and the ledger pool and
+// drops the stamp.
+func (w *World) unstamp() {
+	w.names, w.chain, w.wealth = w.names[:0], 0, w.wealth[:0]
+	w.faults, w.byz, w.patience = w.faults[:0], w.byz[:0], w.patience[:0]
+	w.Book.Reset()
+	w.inUse, w.stampN = 0, 0
 }
 
 // AddLedger returns an empty ledger of that name, registered in the book:
@@ -184,7 +198,8 @@ func (w *World) AddLedger(name string) *ledger.Ledger {
 		w.ledgers = append(w.ledgers, ledger.New(name))
 	}
 	led := w.ledgers[w.inUse]
-	w.inUse, w.stampN = w.inUse+1, 0
+	w.inUse++
+	w.stampN = 0
 	led.Reset(name)
 	return w.Book.Add(led)
 }
@@ -197,20 +212,25 @@ func (w *World) Reset(s *Scenario) error {
 		return err
 	}
 	w.scn = *s
-	if w.resetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics, w.stampN == s.Topology.N && w.stampIB == s.InitialBalance) {
+	w.resetSubstrate(s.Seed, s.Network, s.MuteTrace, s.Metrics)
+	if w.stampN == s.Topology.N && w.stampIB == s.InitialBalance {
 		w.names = w.names[:w.chain+1]
 		w.Net.SetParticipants(w.names)
-		for _, led := range w.Book.Ledgers() {
+		for _, led := range w.ledgers[:w.inUse] {
 			led.Restore()
 		}
-	} else if err := w.setUp(); err != nil {
-		return err
+	} else {
+		w.unstamp()
+		if err := w.setUp(); err != nil {
+			return err
+		}
 	}
 	w.resolveChain()
 
 	rng := w.Eng.Rand()
 	for range w.chain {
-		rho, offset := clock.Drift(0), sim.Time(0)
+		rho := clock.Drift(0)
+		var offset sim.Time
 		if s.Timing.Clock.MaxRho > 0 {
 			rho = clock.Drift((2*rng.Float64() - 1) * float64(s.Timing.Clock.MaxRho))
 		}
@@ -222,10 +242,11 @@ func (w *World) Reset(s *Scenario) error {
 	return nil
 }
 
-// setUp lays out the participant table — c_0..c_N, e_0..e_{N-1}, the
-// manager — and the escrows' ledgers: e_i hosts accounts for itself and for
-// its two customers c_i and c_{i+1}, who receive their initial endowment. It
-// records the customers' wealth and stamps it all.
+// setUp lays out the scenario's chain on an unstamped world — the
+// participant table c_0..c_N, e_0..e_{N-1}, the manager, and the escrows'
+// ledgers: e_i hosts accounts for itself and for its two customers c_i and
+// c_{i+1}, who receive their initial endowment — records the customers'
+// wealth and stamps it all.
 func (w *World) setUp() error {
 	topo := w.scn.Topology
 	w.names = append(topo.appendEscrows(topo.appendCustomers(w.names)), ManagerID)
@@ -239,7 +260,10 @@ func (w *World) setUp() error {
 			return err
 		}
 		for _, cust := range [2]PID{w.CustomerPID(i), w.CustomerPID(i + 1)} {
-			if err := led.Deposit(0, cust, w.scn.InitialBalance); err != nil { // opens the account
+			if err := led.OpenAccount(cust); err != nil {
+				return err
+			}
+			if err := led.Deposit(0, cust, w.scn.InitialBalance); err != nil {
 				return err
 			}
 		}
@@ -254,27 +278,25 @@ func (w *World) setUp() error {
 
 // resolveChain lays out the faults, Byzantine flags and patience of the chain
 // and the manager, PID by PID, reading each key of the scenario's maps once;
-// a key that names none of them is left for Join. Without a key to read,
-// after a run that had none either, the zeros are kept.
+// a key that names none of them is left for Join.
 func (w *World) resolveChain() {
-	n, none := w.chain+1, len(w.scn.Faults) == 0 && len(w.scn.Patience) == 0
-	if none && w.clean && len(w.faults) >= n {
-		w.faults, w.byz, w.patience = w.faults[:n], w.byz[:n], w.patience[:n]
-		return
-	}
+	n := w.chain + 1
 	w.faults, w.byz, w.patience = slices.Grow(w.faults[:0], n)[:n], slices.Grow(w.byz[:0], n)[:n], slices.Grow(w.patience[:0], n)[:n]
 	clear(w.faults)
 	clear(w.byz)
 	clear(w.patience)
-	w.clean = none
-	for id, f := range w.scn.Faults {
-		if pid := w.chainPID(id); pid != NoPID {
-			w.faults[pid], w.byz[pid] = f, f != FaultSpec{}
+	if len(w.scn.Faults) > 0 {
+		for id, f := range w.scn.Faults {
+			if pid := w.chainPID(id); pid != NoPID {
+				w.faults[pid], w.byz[pid] = f, f != FaultSpec{}
+			}
 		}
 	}
-	for id, p := range w.scn.Patience {
-		if pid := w.chainPID(id); pid != NoPID {
-			w.patience[pid] = p
+	if len(w.scn.Patience) > 0 {
+		for id, p := range w.scn.Patience {
+			if pid := w.chainPID(id); pid != NoPID {
+				w.patience[pid] = p
+			}
 		}
 	}
 }
@@ -295,13 +317,18 @@ func (w *World) chainPID(id string) PID {
 	return NoPID
 }
 
+// resolve appends the next PID's fault, Byzantine flag and patience, read
+// from the scenario under its name.
+func (w *World) resolve(id string) {
+	f, p := w.scn.FaultOf(id), w.scn.PatienceOf(id)
+	w.faults, w.byz, w.patience = append(w.faults, f), append(w.byz, f != FaultSpec{}), append(w.patience, p)
+}
+
 // Join adds a participant outside the chain and its manager — a notary — to
-// the run's participant table, with its fault, Byzantine flag and patience
-// read from the scenario under its name, and returns its PID.
+// the run's participant table and returns its PID.
 func (w *World) Join(name string) PID {
-	f := w.scn.FaultOf(name)
 	w.names = append(w.names, name)
-	w.faults, w.byz, w.patience = append(w.faults, f), append(w.byz, f != FaultSpec{}), append(w.patience, w.scn.PatienceOf(name))
+	w.resolve(name)
 	w.Net.SetParticipants(w.names)
 	return PID(len(w.names) - 1)
 }
@@ -492,10 +519,12 @@ func (w *World) ScheduleCrashes(run Crasher) {
 		w.crashes = make([]crashArg, w.chain)
 	}
 	for k := range w.chain {
-		if f := w.faults[k]; f.Crash {
-			w.crashes[k] = crashArg{w: w, k: k}
-			w.Eng.ScheduleArgAt(f.CrashAt, "crash", fireCrash, &w.crashes[k])
+		f := w.faults[k]
+		if !f.Crash {
+			continue
 		}
+		w.crashes[k] = crashArg{w: w, k: k}
+		w.Eng.ScheduleArgAt(f.CrashAt, "crash", fireCrash, &w.crashes[k])
 	}
 }
 
@@ -514,10 +543,11 @@ type crashArg struct {
 
 func fireCrash(x any) {
 	c := x.(*crashArg)
-	if customers := c.w.scn.Topology.N + 1; c.k < customers {
-		c.w.crasher.Crash(c.w.names[c.k], true, c.k)
+	w, k := c.w, c.k
+	if customers := w.scn.Topology.N + 1; k < customers {
+		w.crasher.Crash(w.names[k], true, k)
 	} else {
-		c.w.crasher.Crash(c.w.names[c.k], false, c.k-customers)
+		w.crasher.Crash(w.names[k], false, k-customers)
 	}
 }
 
@@ -533,11 +563,15 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 	res := &w.res
 	res.Customers = slices.Grow(res.Customers[:0], n+1)[:n+1]
 	res.Escrows = slices.Grow(res.Escrows[:0], n)[:n]
-	res.Protocol, res.Scenario, res.byz = protocol, &w.scn, w.byz
+	res.Protocol = protocol
+	res.Scenario = &w.scn
+	res.byz = w.byz
 	res.Trace, res.Book = w.Trace, w.Book
 	res.CommitIssued, res.AbortIssued = false, false
 	res.Violation, res.Detection = w.violation, w.detection
-	res.NetStats, res.EventsFired, res.Err = w.Net.Stats(), fired, nil
+	res.NetStats = w.Net.Stats()
+	res.EventsFired = fired
+	res.Err = nil
 	allTerm := true
 	var lastTerm sim.Time
 	var out *CustomerOutcome

@@ -168,8 +168,8 @@ func (r *lockRec) id() string { return r.name().id() }
 // Handle addresses a lock on the ledger that holds it. The Escrow family
 // returns one, and ReleaseLock and RefundLock settle the lock through it
 // without looking up its ID. A handle goes stale when its lock leaves the
-// ledger (compaction forgets it, Reset or Restore drops it); a stale handle
-// settles nothing. The zero Handle addresses no lock.
+// ledger, that is when compaction forgets it or Reset or Restore drops it; a
+// stale handle settles nothing. The zero Handle addresses no lock.
 type Handle struct {
 	rec *lockRec
 	gen uint32
@@ -289,11 +289,13 @@ type Ledger struct {
 	// m holds optional instrumentation hooks (see SetMetrics); the zero
 	// value is muted and every update is an inlined nil no-op.
 	m Metrics
-	// setup is the state Mark recorded: the participant table, the accounts
-	// and balances, the operations logged and kept, and the minted total.
+	// setup is the state Mark recorded and Restore returns to.
 	setup setup
 }
 
+// setup is a ledger's state between runs: its participant table, its
+// accounts with their balances, the operations it logged (ops) and keeps in
+// its log (retained), and the minted total; no lock is held.
 type setup struct {
 	names         []string
 	accounts      []account
@@ -302,12 +304,16 @@ type setup struct {
 }
 
 // New creates an empty ledger named name (normally the escrow's ID).
-func New(name string) *Ledger { return &Ledger{name: name} }
+func New(name string) *Ledger {
+	return &Ledger{name: name}
+}
 
-// Reset returns the ledger to the state New(name) builds, which is also what
-// Restore returns to until the next Mark — no accounts or locks, an empty
-// participant table and log, zeroed totals, compaction off, muted metrics —
-// keeping its storage.
+// Reset returns the ledger to the state New(name) builds — no accounts, no
+// locks, an empty participant table and log, zeroed totals, compaction off,
+// muted metrics — keeping its accounts', lock records' and log's storage,
+// and makes it the state Restore returns to until the next Mark. Log entries
+// handed out before the Reset must no longer be used, and every Handle goes
+// stale.
 func (l *Ledger) Reset(name string) {
 	l.name, l.compact, l.m = name, false, Metrics{}
 	l.setup = setup{names: l.own[:0], accounts: l.setup.accounts[:0]}
@@ -316,25 +322,30 @@ func (l *Ledger) Reset(name string) {
 
 // Mark records the ledger's state as the one Restore returns to: a run's
 // setup — accounts opened, deposits made, no lock held — which a standing
-// world makes once and restores per run.
+// world makes once and restores for every run.
 func (l *Ledger) Mark() {
 	l.setup = setup{l.names, append(l.setup.accounts[:0], l.accounts...), l.opCount, len(l.ops), l.minted}
 }
 
-// Restore returns the ledger to the state Mark recorded, keeping its storage,
-// compaction and metrics; the restored operations count in the metrics again.
-// Every lock is dropped and every Handle goes stale, and log entries handed
-// out before must no longer be used.
+// Restore returns the ledger to the state Mark recorded, keeping its
+// storage, compaction and metrics; the restored operations and minted value
+// count in the metrics again, as they did when logged. Log entries handed out
+// before the Restore must no longer be used, and every Handle goes stale.
 func (l *Ledger) Restore() {
 	st := &l.setup
 	l.names = st.names
 	l.accounts = append(l.accounts[:0], st.accounts...)
-	for l.head.next != nil {
-		l.forget(l.head.next)
+	for lk := l.head.next; lk != nil; lk = l.head.next {
+		lk.gen++
+		l.head.next, lk.next, l.free = lk.next, l.free, lk
 	}
 	clear(l.byz)
-	l.holding = nil
-	l.ops = l.ops[:st.retained]
+	if h := l.holding; h != nil {
+		clear(h.by)
+		h.n = 0
+	}
+	l.held = 0
+	l.ops = l.ops[:st.retained] // the log only grew past what Mark saw
 	l.opCount, l.minted, l.settled, l.byzEscrowed = st.ops, st.minted, 0, 0
 	l.m.Ops.Add(uint64(st.ops))
 	l.m.Available.Add(float64(st.minted))
@@ -352,6 +363,10 @@ func (l *Ledger) Name() string { return l.name }
 // neither of which compaction touches. Long-running traffic ledgers enable
 // this; single-payment protocol runs keep the full history for the
 // property checkers and traces.
+//
+// A compacting ledger recycles a forgotten lock's record for a later
+// Escrow; the forgotten lock's Handle goes stale first, so it never
+// addresses the record's next lock.
 func (l *Ledger) SetCompact(on bool) { l.compact = on }
 
 // Compact reports whether compaction is enabled.
@@ -365,7 +380,9 @@ func (l *Ledger) SettledForgotten() int { return l.settled }
 // names[i]. The ledger reads names without copying it and never writes to it
 // (PID's additions go to a copy); the caller must not change what a PID
 // names while the ledger holds its account.
-func (l *Ledger) SetParticipants(names []string) { l.names = names }
+func (l *Ledger) SetParticipants(names []string) {
+	l.names = names
+}
 
 // PID returns name's PID, adding name to the participant table if the table
 // does not hold it yet. It scans the table: the way in for the name-addressed
@@ -504,10 +521,13 @@ func (l *Ledger) Escrow(at sim.Time, id string, payer, payee sim.PID, amount int
 //
 //xchain:hotpath
 func (l *Ledger) EscrowHop(at sim.Time, label string, hop int, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
+	if amount <= 0 {
+		return Handle{}, ErrBadAmount
+	}
 	return l.escrow(at, lockName{label, uint64(hop), formHop}, payer, payee, amount, cond)
 }
 
-// escrow is the Escrow family's common tail: the ID passed.
+// escrow is the Escrow family's common tail: amount and ID passed.
 //
 //xchain:hotpath
 func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount int64, cond Condition) (Handle, error) {
@@ -525,14 +545,11 @@ func (l *Ledger) escrow(at sim.Time, name lockName, payer, payee sim.PID, amount
 	return Handle{rec: lk, gen: lk.gen}, nil
 }
 
-// reserve moves amount from payer's account into escrow, payable to payee:
-// the value half of a new lock, recorded (escrow) or held (Hold).
+// reserve moves amount (positive) from payer's account into escrow, payable
+// to payee: the value half of a new lock, recorded (escrow) or held (Hold).
 //
 //xchain:hotpath
 func (l *Ledger) reserve(payer, payee sim.PID, amount int64) error {
-	if amount <= 0 {
-		return ErrBadAmount
-	}
 	p := l.find(payer)
 	if p < 0 {
 		return fmt.Errorf("%w: %s on %s", ErrNoAccount, l.owner(payer), l.name)
@@ -570,6 +587,9 @@ func (l *Ledger) reserve(payer, payee sim.PID, amount int64) error {
 func (l *Ledger) Hold(payer, payee sim.PID, amount int64) error {
 	if !l.compact {
 		return ErrHoldNotCompact
+	}
+	if amount <= 0 {
+		return ErrBadAmount
 	}
 	if err := l.reserve(payer, payee, amount); err != nil {
 		return err
@@ -661,7 +681,8 @@ func (l *Ledger) unhold(payer sim.PID, amount int64) error {
 
 // CreateLock is Escrow between the participants named payer and payee.
 func (l *Ledger) CreateLock(at sim.Time, id, payer, payee string, amount int64, cond Condition) (Handle, error) {
-	return l.Escrow(at, id, l.PID(payer), l.PID(payee), amount, cond)
+	p := l.PID(payer)
+	return l.Escrow(at, id, p, l.PID(payee), amount, cond)
 }
 
 // Record blocks: a ledger makes its first recordsAlone records one by one (a
@@ -799,20 +820,22 @@ func (l *Ledger) PendingCount() int {
 //
 //xchain:hotpath
 func (l *Ledger) Release(at sim.Time, id string, preimage []byte, localNow sim.Time) error {
-	if lk := l.lookup(id); lk != nil {
-		return l.release(at, lk, preimage, localNow)
+	lk := l.lookup(id)
+	if lk == nil {
+		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 	}
-	return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
+	return l.release(at, lk, preimage, localNow)
 }
 
 // ReleaseLock is Release of the lock h addresses; a stale h is ErrNoSuchLock.
 //
 //xchain:hotpath
 func (l *Ledger) ReleaseLock(at sim.Time, h Handle, preimage []byte, localNow sim.Time) error {
-	if lk := h.held(); lk != nil {
-		return l.release(at, lk, preimage, localNow)
+	lk := h.held()
+	if lk == nil {
+		return ErrNoSuchLock
 	}
-	return ErrNoSuchLock
+	return l.release(at, lk, preimage, localNow)
 }
 
 // release is Release's and ReleaseLock's common tail: the lock is found.
@@ -838,20 +861,22 @@ func (l *Ledger) release(at sim.Time, lk *lockRec, preimage []byte, localNow sim
 //
 //xchain:hotpath
 func (l *Ledger) Refund(at sim.Time, id string, localNow sim.Time) error {
-	if lk := l.lookup(id); lk != nil {
-		return l.refund(at, lk, localNow)
+	lk := l.lookup(id)
+	if lk == nil {
+		return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
 	}
-	return fmt.Errorf("%w: %s", ErrNoSuchLock, id)
+	return l.refund(at, lk, localNow)
 }
 
 // RefundLock is Refund of the lock h addresses; a stale h is ErrNoSuchLock.
 //
 //xchain:hotpath
 func (l *Ledger) RefundLock(at sim.Time, h Handle, localNow sim.Time) error {
-	if lk := h.held(); lk != nil {
-		return l.refund(at, lk, localNow)
+	lk := h.held()
+	if lk == nil {
+		return ErrNoSuchLock
 	}
-	return ErrNoSuchLock
+	return l.refund(at, lk, localNow)
 }
 
 // refund is Refund's and RefundLock's common tail: the lock is found.

@@ -504,6 +504,55 @@ func TestResetReusesPendingLocks(t *testing.T) {
 	}
 }
 
+// TestRestoreReturnsToMark: a ledger restored to its mark reads as a new
+// ledger set up the same way — accounts, balances, log, totals, audit, no
+// lock — whatever ran on it since, and a handle from before the Restore
+// settles nothing; after a Reset, Restore returns to the empty ledger.
+func TestRestoreReturnsToMark(t *testing.T) {
+	setUp := func(l *Ledger, amount int64) {
+		l.Reset("e0")
+		for _, acct := range []string{"alice", "bob"} {
+			if err := l.Mint(0, acct, amount); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	view := func(l *Ledger) string {
+		alice, bob := l.PID("alice"), l.PID("bob")
+		return fmt.Sprintf("%s %v %d %d %v %d %d %d %v", l.Name(), l.Accounts(), l.Balance(alice), l.Balance(bob),
+			l.Ops(), l.OpCount(), l.Minted(), l.PendingCount(), l.Audit())
+	}
+	fresh := New("")
+	setUp(fresh, 100)
+	want := view(fresh)
+	l := New("")
+	setUp(l, 100)
+	l.Mark()
+	var prev Handle
+	for round := 0; round < 3; round++ {
+		l.Restore()
+		if got := view(l); got != want {
+			t.Fatalf("round %d: restored ledger reads\n%s\nnew one\n%s", round, got, want)
+		}
+		if err := l.ReleaseLock(3, prev, nil, 3); !errors.Is(err, ErrNoSuchLock) {
+			t.Fatalf("round %d: a handle from before the Restore settled: %v", round, err)
+		}
+		h, err := l.CreateLock(1, "L", "alice", "bob", 10, Condition{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Mint(2, "carol", 5); err != nil {
+			t.Fatal(err)
+		}
+		prev = h
+	}
+	l.Reset("e0")
+	l.Restore()
+	if got, want := view(l), view(New("e0")); got != want {
+		t.Fatalf("Restore after Reset reads\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestAuditAllNamesFirstFailingLedgerByName: registration order does not
 // decide which failing ledger AuditAll reports; the name does.
 func TestAuditAllNamesFirstFailingLedgerByName(t *testing.T) {

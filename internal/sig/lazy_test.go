@@ -23,18 +23,6 @@ func (kr *Keyring) held(pid int) *keyEntry {
 	return &e
 }
 
-// The artefacts' contents as a term records them, for the tests that render
-// or compare them.
-func (c *PaymentCert) content() content  { return newContent(c.fields()) }
-func (g *Guarantee) content() content    { return newContent(g.fields()) }
-func (p *Promise) content() content      { return newContent(p.fields()) }
-func (c *DecisionCert) content() content { return newContent(c.fields()) }
-func (r *Receipt) content() content      { return newContent(r.fields()) }
-
-func newContent(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) content {
-	return content{k, [3]string{f0, f1, f2}, [3]sim.Time{t0, t1, t2}}
-}
-
 // keyed lists the names whose keys kr has read.
 func keyed(kr *Keyring) []string {
 	var ids []string

@@ -320,7 +320,7 @@ func (kr *Keyring) read(j int32) *keyEntry {
 //
 //xchain:hotpath
 func (kr *Keyring) SignAs(pid sim.PID, payload []byte) Signature {
-	sig := signing{kr, pid}.sign(kindRaw, "", "", "", 0, 0, 0)
+	sig := kr.sign(pid, &content{})
 	if sig.t != nil {
 		// The term holds its copy of the payload, in the arena it is
 		// recorded with.
@@ -336,26 +336,16 @@ func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	return kr.SignAs(sim.PID(kr.index(id)), payload)
 }
 
-// signing is a signature being recorded for the participant under pid; its
-// sign writes an artefact's fields straight into the term.
-type signing struct {
-	kr  *Keyring
-	pid sim.PID
-}
-
-// sign records that the participant under s.pid signed the content of kind k
-// with strings f0..f2 and times t0..t2.
+// sign records that the participant under pid signed c.
 //
 //xchain:hotpath
-func (s signing) sign(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) Signature {
-	kr := s.kr
-	j := kr.entry(int(s.pid))
+func (kr *Keyring) sign(pid sim.PID, c *content) Signature {
+	j := kr.entry(int(pid))
 	if j < 0 {
 		return Signature{}
 	}
 	t := &kr.terms.take(1, termChunk)[0]
-	t.kr, t.signer, t.key, t.rendered = kr, kr.keys[j].id, j, nil
-	t.c.kind, t.c.f, t.c.t = k, [3]string{f0, f1, f2}, [3]sim.Time{t0, t1, t2}
+	t.kr, t.signer, t.key, t.c, t.rendered = kr, kr.keys[j].id, j, *c, nil
 	return Signature{t: t, gen: kr.gen}
 }
 
@@ -365,7 +355,7 @@ func (s signing) sign(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) Signature 
 //
 //xchain:hotpath
 func (kr *Keyring) recorded(signer string, sig Signature) *term {
-	if t := sig.t; kr.record && t != nil && t.kr == kr && sig.gen == kr.gen && same(t.signer, signer) {
+	if t := sig.t; kr.record && t != nil && t.kr == kr && sig.gen == kr.gen && t.signer == signer {
 		return t
 	}
 	return nil
@@ -379,12 +369,14 @@ func (kr *Keyring) recorded(signer string, sig Signature) *term {
 // Anything else is rendered and paid to the backend (a miss).
 func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	if t := kr.recorded(signer, sig); t != nil {
-		equal := t.c.kind == kindRaw && t.c.f[0] == string(payload)
-		if t.c.kind != kindRaw {
+		var same bool
+		if t.c.kind == kindRaw {
+			same = t.c.f[0] == string(payload)
+		} else {
 			kr.buf = t.c.render(kr.buf[:0])
-			equal = bytes.Equal(kr.buf, payload)
+			same = bytes.Equal(kr.buf, payload)
 		}
-		if equal {
+		if same {
 			kr.hit()
 			return true
 		}
@@ -392,35 +384,17 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 	return kr.miss(signer, payload, nil, sig)
 }
 
-// checking is a verification that signer made sig; its verify compares an
-// artefact's fields with the term's, building nothing on a record hit.
-type checking struct {
-	kr     *Keyring
-	signer string
-	sig    Signature
-}
-
-// verify checks that c.signer signed the content of kind k with strings
-// f0..f2 and times t0..t2 in c.sig: for a term recorded on the keyring, a
-// comparison of signer, generation and fields; else the backend's answer
-// over the content's canonical encoding.
+// verify checks that signer signed the typed artefact c in sig: for a term
+// recorded on kr, a comparison of signer, generation and fields; else the
+// backend's answer over c's canonical encoding.
 //
 //xchain:hotpath
-func (c checking) verify(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) bool {
-	if t := c.kr.recorded(c.signer, c.sig); t != nil && t.c.kind == k && same(t.c.f[0], f0) && same(t.c.f[1], f1) && same(t.c.f[2], f2) && t.c.t == [3]sim.Time{t0, t1, t2} {
-		c.kr.hit()
+func (kr *Keyring) verify(signer string, c *content, sig Signature) bool {
+	if t := kr.recorded(signer, sig); t != nil && t.c == *c {
+		kr.hit()
 		return true
 	}
-	cc := content{k, [3]string{f0, f1, f2}, [3]sim.Time{t0, t1, t2}}
-	return c.kr.miss(c.signer, nil, &cc, c.sig)
-}
-
-// same reports whether a == b, without reading the bytes of strings that
-// share them: what a message carries mostly is what its sender signed.
-//
-//xchain:hotpath
-func same(a, b string) bool {
-	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
+	return kr.miss(signer, nil, c, sig)
 }
 
 // hit counts a verification answered from the record.
@@ -435,8 +409,11 @@ func (kr *Keyring) hit() {
 // bytes under signer's key, over payload or, for a typed artefact, over c's
 // canonical encoding.
 func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature) bool {
+	if sig.t == nil {
+		return false
+	}
 	j := kr.entry(kr.index(signer))
-	if sig.t == nil || j < 0 {
+	if j < 0 {
 		return false
 	}
 	b := sig.Bytes()
@@ -516,8 +493,8 @@ func appendField(b []byte, f string) []byte {
 }
 
 // An artefact is signed and verified in place, in the message that carries
-// it: its Sign records its fields as the term's content, and its Verify
-// compares its fields with the term's.
+// it: its Sign records its content as the term, and its Verify compares its
+// content with the term's.
 
 // PaymentCert is the certificate chi: a statement signed by Bob that Alice's
 // obligation to pay him has been met (Definition 1).
@@ -529,9 +506,8 @@ type PaymentCert struct {
 	Sig       Signature
 }
 
-// fields is chi's content: its kind, strings and times.
-func (c *PaymentCert) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
-	return kindChi, c.PaymentID, c.Issuer, c.Payer, c.IssuedAt, 0, 0
+func (c *PaymentCert) content() content {
+	return content{kind: kindChi, f: [3]string{c.PaymentID, c.Issuer, c.Payer}, t: [3]sim.Time{c.IssuedAt}}
 }
 
 // Sign signs chi as it stands with the key under by, its issuer's PID, into
@@ -539,7 +515,8 @@ func (c *PaymentCert) fields() (kind, string, string, string, sim.Time, sim.Time
 //
 //xchain:hotpath
 func (c *PaymentCert) Sign(kr *Keyring, by sim.PID) {
-	c.Sig = signing{kr, by}.sign(c.fields())
+	cc := c.content()
+	c.Sig = kr.sign(by, &cc)
 }
 
 // Verify checks chi's signature against the expected issuer.
@@ -549,7 +526,8 @@ func (c *PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 	if c.Issuer != expectedIssuer {
 		return false
 	}
-	return checking{kr, c.Issuer, c.Sig}.verify(c.fields())
+	cc := c.content()
+	return kr.verify(c.Issuer, &cc, c.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -569,9 +547,8 @@ type Guarantee struct {
 	Sig       Signature
 }
 
-// fields is G(d)'s content: its kind, strings and times.
-func (g *Guarantee) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
-	return kindGuarantee, g.PaymentID, g.Escrow, g.Customer, g.D, g.IssuedAt, 0
+func (g *Guarantee) content() content {
+	return content{kind: kindGuarantee, f: [3]string{g.PaymentID, g.Escrow, g.Customer}, t: [3]sim.Time{g.D, g.IssuedAt}}
 }
 
 // Sign signs G(d) as it stands with the key under by, its escrow's PID, into
@@ -579,14 +556,16 @@ func (g *Guarantee) fields() (kind, string, string, string, sim.Time, sim.Time, 
 //
 //xchain:hotpath
 func (g *Guarantee) Sign(kr *Keyring, by sim.PID) {
-	g.Sig = signing{kr, by}.sign(g.fields())
+	c := g.content()
+	g.Sig = kr.sign(by, &c)
 }
 
 // Verify checks the guarantee's signature against its stated escrow.
 //
 //xchain:hotpath
 func (g *Guarantee) Verify(kr *Keyring) bool {
-	return checking{kr, g.Escrow, g.Sig}.verify(g.fields())
+	c := g.content()
+	return kr.verify(g.Escrow, &c, g.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -620,9 +599,8 @@ type Promise struct {
 	Sig       Signature
 }
 
-// fields is P(a)'s content: its kind, strings and times.
-func (p *Promise) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
-	return kindPromise, p.PaymentID, p.Escrow, p.Customer, p.A, p.Epsilon, p.IssuedAt
+func (p *Promise) content() content {
+	return content{kind: kindPromise, f: [3]string{p.PaymentID, p.Escrow, p.Customer}, t: [3]sim.Time{p.A, p.Epsilon, p.IssuedAt}}
 }
 
 // Sign signs P(a) as it stands with the key under by, its escrow's PID, into
@@ -630,14 +608,16 @@ func (p *Promise) fields() (kind, string, string, string, sim.Time, sim.Time, si
 //
 //xchain:hotpath
 func (p *Promise) Sign(kr *Keyring, by sim.PID) {
-	p.Sig = signing{kr, by}.sign(p.fields())
+	c := p.content()
+	p.Sig = kr.sign(by, &c)
 }
 
 // Verify checks the promise's signature against its stated escrow.
 //
 //xchain:hotpath
 func (p *Promise) Verify(kr *Keyring) bool {
-	return checking{kr, p.Escrow, p.Sig}.verify(p.fields())
+	c := p.content()
+	return kr.verify(p.Escrow, &c, p.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -684,9 +664,8 @@ type DecisionCert struct {
 	Quorum int
 }
 
-// fields is the certificate's content: its kind, strings and times.
-func (c *DecisionCert) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
-	return kindDecision, c.PaymentID, c.Decision.String(), c.Manager, c.IssuedAt, 0, 0
+func (c *DecisionCert) content() content {
+	return content{kind: kindDecision, f: [3]string{c.PaymentID, c.Decision.String(), c.Manager}, t: [3]sim.Time{c.IssuedAt}}
 }
 
 // Sign signs the certificate as it stands on behalf of every entry of
@@ -696,9 +675,10 @@ func (c *DecisionCert) fields() (kind, string, string, string, sim.Time, sim.Tim
 //
 //xchain:hotpath
 func (c *DecisionCert) Sign(kr *Keyring, by []sim.PID) {
+	cc := c.content()
 	c.Sigs = c.Sigs[:0]
 	for _, pid := range by {
-		c.Sigs = append(c.Sigs, signing{kr, pid}.sign(c.fields()))
+		c.Sigs = append(c.Sigs, kr.sign(pid, &cc))
 	}
 }
 
@@ -710,6 +690,7 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 	if len(c.Signers) != len(c.Sigs) || c.Quorum <= 0 {
 		return false
 	}
+	cc := c.content()
 	valid := 0
 	// verified[j] records whether entry j's signature verified; a signer
 	// counts once, so a later entry under an already-verified name is
@@ -725,7 +706,7 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 				break
 			}
 		}
-		ok := !dup && checking{kr, s, c.Sigs[i]}.verify(c.fields())
+		ok := !dup && kr.verify(s, &cc, c.Sigs[i])
 		verified = append(verified, ok)
 		if ok {
 			valid++
@@ -750,9 +731,8 @@ type Receipt struct {
 	Sig       Signature
 }
 
-// fields is the receipt's content: its kind, strings and times.
-func (r *Receipt) fields() (kind, string, string, string, sim.Time, sim.Time, sim.Time) {
-	return kindReceipt, r.PaymentID, r.Issuer, r.Subject, r.IssuedAt, 0, 0
+func (r *Receipt) content() content {
+	return content{kind: kindReceipt, f: [3]string{r.PaymentID, r.Issuer, r.Subject}, t: [3]sim.Time{r.IssuedAt}}
 }
 
 // Sign signs the receipt as it stands with the key under by, its issuer's
@@ -760,14 +740,16 @@ func (r *Receipt) fields() (kind, string, string, string, sim.Time, sim.Time, si
 //
 //xchain:hotpath
 func (r *Receipt) Sign(kr *Keyring, by sim.PID) {
-	r.Sig = signing{kr, by}.sign(r.fields())
+	c := r.content()
+	r.Sig = kr.sign(by, &c)
 }
 
 // Verify checks the receipt's signature.
 //
 //xchain:hotpath
 func (r *Receipt) Verify(kr *Keyring) bool {
-	return checking{kr, r.Issuer, r.Sig}.verify(r.fields())
+	c := r.content()
+	return kr.verify(r.Issuer, &c, r.Sig)
 }
 
 // Describe implements a human-readable label.
