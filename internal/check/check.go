@@ -6,7 +6,9 @@
 // must abide by the protocol for the guarantee to be owed). A Report carries
 // one Verdict per property; the experiment harness aggregates reports across
 // sweeps, and the theorem experiments assert "all applicable verdicts hold"
-// (Theorems 1 and 3) or "some verdict fails" (Theorem 2).
+// (Theorems 1 and 3) or "some verdict fails" (Theorem 2). Judging a run reads
+// only what the verdicts need, in one pass, and a failure's text is rendered
+// only when Verdict.Detail reads it.
 package check
 
 import (
@@ -49,6 +51,12 @@ func Def2(patience sim.Time) Options {
 }
 
 // Verdict is the evaluation of one property on one run.
+//
+// A failing verdict keeps what explains it — which explanation, and the
+// names, amounts, times or error it cites — and renders no text until Detail
+// is read: the traffic engine judges every payment and reads almost none. The
+// operands are held by value, so a kept report renders the same text after
+// the world its run stood on has been reset.
 type Verdict struct {
 	Property core.Property
 	// Applicable reports whether the property's precondition held in the
@@ -57,18 +65,80 @@ type Verdict struct {
 	// Holds reports whether the property's guarantee held. A non-applicable
 	// property trivially holds.
 	Holds bool
-	// Detail explains a failure (or a notable pass).
-	Detail string
+	// why picks the text Detail renders, citing who, what, n, m and err.
+	why       why
+	who, what string
+	n, m      int64
+	err       error
+}
+
+// why is a failure's explanation; zero is none.
+type why uint8
+
+const (
+	whyEngineError why = iota + 1
+	whyViolation
+	whyDetection
+	whyNeverTerminated
+	whyBeyondBound
+	whyEscrowLost
+	whyEscrowAudit
+	whyAliceLost
+	whyBobNoCert
+	whyBobUnpaid
+	whyConnectorLost
+	whyNotPaid
+	whyNotPaidPatient
+	whyBothCerts
+	whyAudit
+)
+
+// Detail explains a failure; it is empty for a verdict that holds.
+func (v Verdict) Detail() string {
+	switch v.why {
+	case whyEngineError:
+		return fmt.Sprintf("engine error: %v", v.err)
+	case whyViolation:
+		return fmt.Sprintf("honest %s hit %s", v.who, v.what)
+	case whyDetection:
+		return fmt.Sprintf("honest %s rejected honest input: %s", v.who, v.what)
+	case whyNeverTerminated:
+		return fmt.Sprintf("%s never terminated", v.who)
+	case whyBeyondBound:
+		return fmt.Sprintf("%s took %v from its first obligation, beyond the bound %v", v.who, sim.Time(v.n), sim.Time(v.m))
+	case whyEscrowLost:
+		return fmt.Sprintf("%s lost %d", v.who, v.n)
+	case whyEscrowAudit:
+		return fmt.Sprintf("%s audit: %v", v.who, v.err)
+	case whyAliceLost:
+		return fmt.Sprintf("Alice lost %d without proof of payment", v.n)
+	case whyBobNoCert:
+		return "Bob terminated with neither the money nor the abort certificate"
+	case whyBobUnpaid:
+		return "Bob issued chi but never received the money"
+	case whyConnectorLost:
+		return fmt.Sprintf("connector %s lost %d", v.who, v.n)
+	case whyNotPaid:
+		return "all parties abided but Bob was not paid"
+	case whyNotPaidPatient:
+		return "all parties abided and waited, but Bob was not paid"
+	case whyBothCerts:
+		return "both commit and abort certificates were issued"
+	case whyAudit:
+		return v.err.Error()
+	}
+	return ""
 }
 
 // OK reports whether the verdict is satisfied (holds or not applicable).
-func (v Verdict) OK() bool { return !v.Applicable || v.Holds }
+func (v Verdict) OK() bool { return !v.failed() }
 
-// fail falsifies v, with a detail formatted from format and args: built only
-// for a property that fails.
-func (v *Verdict) fail(format string, args ...any) {
-	v.Holds = false
-	v.Detail = fmt.Sprintf(format, args...)
+// failed reports whether the verdict is not satisfied, reading it in place.
+func (v *Verdict) failed() bool { return v.Applicable && !v.Holds }
+
+// fail falsifies v with explanation w, citing who and n.
+func (v *Verdict) fail(w why, who string, n int64) {
+	v.Holds, v.why, v.who, v.n = false, w, who, n
 }
 
 // String renders the verdict compactly.
@@ -80,8 +150,8 @@ func (v Verdict) String() string {
 	case !v.Holds:
 		status = "FAIL"
 	}
-	if v.Detail != "" {
-		return fmt.Sprintf("%-4s %-3s %s", status, v.Property, v.Detail)
+	if d := v.Detail(); d != "" {
+		return fmt.Sprintf("%-4s %-3s %s", status, v.Property, d)
 	}
 	return fmt.Sprintf("%-4s %-3s", status, v.Property)
 }
@@ -161,6 +231,13 @@ func slotOf(p core.Property) int {
 	return -1
 }
 
+// Failed reports whether property p was evaluated, applies and does not
+// hold: !Verdict(p).OK(), without copying the verdict out.
+func (r *Report) Failed(p core.Property) bool {
+	i := slotOf(p)
+	return i >= 0 && r.verdicts[i].Property == p && r.verdicts[i].failed()
+}
+
 // Verdict returns the verdict of one property (the zero Verdict if it was
 // not evaluated).
 func (r *Report) Verdict(p core.Property) Verdict {
@@ -171,7 +248,7 @@ func (r *Report) Verdict(p core.Property) Verdict {
 // AllOK reports whether every property holds or is inapplicable.
 func (r *Report) AllOK() bool {
 	for i := range r.verdicts {
-		if !r.verdicts[i].OK() {
+		if r.verdicts[i].failed() {
 			return false
 		}
 	}
@@ -181,8 +258,8 @@ func (r *Report) AllOK() bool {
 // SafetyOK reports whether the safety properties (ES, CS1-3, CC, CV) hold.
 // These must hold regardless of which participants are Byzantine.
 func (r *Report) SafetyOK() bool {
-	for _, i := range safetySlots {
-		if !r.verdicts[i].OK() {
+	for _, i := range &safetySlots {
+		if r.verdicts[i].failed() {
 			return false
 		}
 	}
@@ -201,8 +278,8 @@ func (r *Report) SafetyFailures() []core.Property {
 // AppendSafetyFailures appends SafetyFailures to dst, so that a caller that
 // judges run after run can keep one slice.
 func (r *Report) AppendSafetyFailures(dst []core.Property) []core.Property {
-	for _, i := range safetySlots {
-		if !r.verdicts[i].OK() {
+	for _, i := range &safetySlots {
+		if r.verdicts[i].failed() {
 			dst = append(dst, propertyOrder[i])
 		}
 	}
@@ -214,7 +291,7 @@ func (r *Report) AppendSafetyFailures(dst []core.Property) []core.Property {
 func (r *Report) Failures() []core.Property {
 	var out []core.Property
 	for i := range r.verdicts {
-		if !r.verdicts[i].OK() {
+		if r.verdicts[i].failed() {
 			out = append(out, r.verdicts[i].Property)
 		}
 	}
@@ -233,280 +310,143 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Evaluate computes all property verdicts for a run result. A verdict's
-// Detail is only built for a property that fails, so evaluating a run whose
-// properties hold formats nothing.
+// Evaluate computes all property verdicts for a run result (see
+// Report.Evaluate).
 func Evaluate(res *core.RunResult, opts Options) (r Report) {
-	r.Protocol, r.Options = res.Protocol, opts
-	v := &r.verdicts
-	v[slotC] = checkConsistency(res)
-	v[slotT] = checkTermination(res, opts)
-	v[slotES] = checkEscrowSecurity(res)
-	v[slotCS1] = checkCS1(res, opts)
-	v[slotCS2] = checkCS2(res, opts)
-	v[slotCS3] = checkCS3(res)
-	v[slotL] = checkStrongLiveness(res)
-	if opts.Definition2 {
-		v[slotWL] = checkWeakLiveness(res, opts)
-		v[slotCC] = checkCertConsistency(res)
-	}
-	v[slotCV] = checkConservation(res)
+	r.Evaluate(res, opts)
 	return r
 }
 
-// escrowsHonest reports whether the escrows of customer c_i all abide by the
-// protocol in the scenario.
+// Evaluate overwrites r with the verdicts on a run result, writing each slot
+// in place, so that a caller that judges run after run keeps one report. It
+// makes one pass over the customers, working out each one's honesty — her
+// own and her escrows' — once, and renders no text (see Verdict). C is the
+// operational reading of consistency: a run error or an entry in the run's
+// consistency record (core.World.Report) falsifies it. T, CS1-3 are owed to
+// a customer who abides with her escrows, ES to an escrow that abides, L and
+// WL only if every participant abides (WL also if no customer's patience is
+// finite and below PatiencePrecondition), and CV is every ledger of the
+// book conserving value. A property failing at several participants fails
+// at the first in chain order.
 //
 //xchain:hotpath
-func escrowsHonest(res *core.RunResult, i int) bool {
-	if i > 0 && res.EscrowByzantine(i-1) {
-		return false
+func (r *Report) Evaluate(res *core.RunResult, opts Options) {
+	r.Protocol, r.Options = res.Protocol, opts
+	v := &r.verdicts
+	*v = [numSlots]Verdict{}
+	for i, p := range &propertyOrder {
+		if opts.Definition2 || i != slotWL && i != slotCC {
+			v[i].Property, v[i].Holds = p, true
+		}
 	}
-	if i < res.Scenario.Topology.N && res.EscrowByzantine(i) {
-		return false
-	}
-	return true
-}
+	v[slotC].Applicable, v[slotCC].Applicable, v[slotCV].Applicable = true, opts.Definition2, res.Book != nil
 
-// checkConsistency is the operational reading of property C: the engine could
-// execute every honest participant's role without getting stuck on an
-// impossible instruction. A run error or an entry in the run's consistency
-// record (core.World.Report) falsifies it.
-//
-//xchain:hotpath
-func checkConsistency(res *core.RunResult) Verdict {
-	v := Verdict{Property: core.PropConsistency, Applicable: true, Holds: true}
-	if res.Err != nil {
-		v.fail("engine error: %v", res.Err)
-		return v
-	}
 	// A violation is the actor's own inconsistency and takes precedence; a
 	// detection means the engine produced an instruction that an honest
 	// receiver could not accept from an honest sender.
-	if in := res.Violation; in.Actor != "" {
-		v.fail("honest %s hit %s", in.Actor, in.Label)
-	} else if in := res.Detection; in.Actor != "" {
-		v.fail("honest %s rejected honest input: %s", in.Actor, in.Label)
+	switch c := &v[slotC]; {
+	case res.Err != nil:
+		c.fail(whyEngineError, "", 0)
+		c.err = res.Err
+	case res.Violation.Actor != "":
+		c.fail(whyViolation, res.Violation.Actor, 0)
+		c.what = res.Violation.Label
+	case res.Detection.Actor != "":
+		c.fail(whyDetection, res.Detection.Actor, 0)
+		c.what = res.Detection.Label
 	}
-	return v
-}
 
-// checkTermination is property T: each customer that abides by the protocol
-// and either makes a payment or issues a certificate terminates (within the
-// bound, if one is configured), provided her escrows abide by the protocol.
-//
-//xchain:hotpath
-func checkTermination(res *core.RunResult, opts Options) Verdict {
-	v := Verdict{Property: core.PropTermination, Holds: true}
-	topo := res.Scenario.Topology
-	for i := 0; i <= topo.N; i++ {
-		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
-			continue
-		}
-		out := &res.Customers[i]
-		// The obligation only covers customers who made a payment or issued a
-		// certificate (Alice/connectors who paid in; Bob if he signed chi).
-		if out.PaidOut == 0 && !out.IssuedChi && !out.HoldsCommitCert && !out.HoldsAbortCert {
-			continue
-		}
-		v.Applicable = true
-		if !out.Terminated {
-			v.fail("%s never terminated", out.ID)
-			return v
-		}
-		// The a-priori bound is measured from the customer's first protocol
-		// obligation: Byzantine peers may legally delay when her
-		// participation begins, but not how long it takes once begun.
-		elapsed := out.TerminatedAt - out.StartedAt
-		if out.StartedAt == 0 || elapsed < 0 {
-			elapsed = out.TerminatedAt
-		}
-		if opts.TimeBound > 0 && elapsed > opts.TimeBound {
-			v.fail("%s took %v from its first obligation, beyond the bound %v", out.ID, elapsed, opts.TimeBound)
-			return v
-		}
-	}
-	return v
-}
-
-// checkEscrowSecurity is property ES: each escrow that abides by the
-// protocol does not lose money.
-//
-//xchain:hotpath
-func checkEscrowSecurity(res *core.RunResult) Verdict {
-	v := Verdict{Property: core.PropEscrowSecurity, Holds: true}
-	for i := 0; i < res.Scenario.Topology.N; i++ {
-		if res.EscrowByzantine(i) {
-			continue
-		}
-		v.Applicable = true
-		out := &res.Escrows[i]
-		if out.BalanceDelta < 0 {
-			v.fail("%s lost %d", out.ID, -out.BalanceDelta)
-			return v
-		}
-		if out.AuditErr != nil {
-			v.fail("%s audit: %v", out.ID, out.AuditErr)
-			return v
-		}
-	}
-	return v
-}
-
-// checkCS1 is customer security for Alice: upon termination, if Alice and
-// her escrow abide by the protocol, Alice has either got her money back or
-// received the certificate chi (Definition 1) / the commit certificate
-// (Definition 2).
-//
-//xchain:hotpath
-func checkCS1(res *core.RunResult, opts Options) Verdict {
-	v := Verdict{Property: core.PropCS1, Holds: true}
-	if res.CustomerByzantine(0) || !escrowsHonest(res, 0) {
-		return v
-	}
-	out := &res.Customers[0]
-	if !out.Terminated {
-		return v // CS1 is an "upon termination" guarantee
-	}
-	v.Applicable = true
-	gotMoneyBack := out.NetWealthChange() >= 0
-	proof := out.HoldsChi
-	if opts.Definition2 {
-		proof = out.HoldsCommitCert
-	}
-	if !gotMoneyBack && !proof {
-		v.fail("Alice lost %d without proof of payment", -out.NetWealthChange())
-	}
-	return v
-}
-
-// checkCS2 is customer security for Bob: upon termination, if Bob and his
-// escrow abide by the protocol, Bob has either received the money or not
-// issued the certificate chi (Definition 1) / received the money or the
-// abort certificate (Definition 2).
-//
-//xchain:hotpath
-func checkCS2(res *core.RunResult, opts Options) Verdict {
-	v := Verdict{Property: core.PropCS2, Holds: true}
+	allHonest := res.AllHonest()
+	patient := opts.Definition2 && allHonest
 	n := res.Scenario.Topology.N
-	if res.CustomerByzantine(n) || !escrowsHonest(res, n) {
-		return v
-	}
-	out := &res.Customers[n]
-	if !out.Terminated && !out.IssuedChi {
-		return v
-	}
-	v.Applicable = true
-	received := out.Received > 0 || out.NetWealthChange() > 0
-	if opts.Definition2 {
-		if !received && !out.HoldsAbortCert && out.Terminated {
-			v.Holds = false
-			v.Detail = "Bob terminated with neither the money nor the abort certificate"
+	upByz := false // whether escrow e_{i-1} deviates
+	for i := 0; i <= n; i++ {
+		if patient {
+			if p := res.Scenario.PatienceOf(core.CustomerID(i)); p != 0 && p < opts.PatiencePrecondition {
+				patient = false
+			}
 		}
-		return v
-	}
-	if !received && out.IssuedChi {
-		v.Holds = false
-		v.Detail = "Bob issued chi but never received the money"
-	}
-	return v
-}
-
-// checkCS3 is customer security for connectors: upon termination, each
-// connector that abides by the protocol has got her money back (i.e. her
-// wealth did not decrease; a positive commission is acceptable), provided
-// her escrows abide by the protocol.
-//
-//xchain:hotpath
-func checkCS3(res *core.RunResult) Verdict {
-	v := Verdict{Property: core.PropCS3, Holds: true}
-	topo := res.Scenario.Topology
-	for i := 1; i < topo.N; i++ {
-		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
+		downByz := i < n && res.EscrowByzantine(i)
+		if es := &v[slotES]; i < n && !downByz && es.Holds {
+			es.Applicable = true
+			if e := &res.Escrows[i]; e.BalanceDelta < 0 {
+				es.fail(whyEscrowLost, e.ID, -e.BalanceDelta)
+			} else if e.AuditErr != nil {
+				es.fail(whyEscrowAudit, e.ID, 0)
+				es.err = e.AuditErr
+			}
+		}
+		honest := !upByz && !downByz && !res.CustomerByzantine(i)
+		upByz = downByz
+		if !honest {
 			continue
 		}
 		out := &res.Customers[i]
-		if !out.Terminated {
-			continue
+		// T only covers customers who made a payment or issued a certificate
+		// (Alice/connectors who paid in; Bob if he signed chi).
+		if t := &v[slotT]; t.Holds && (out.PaidOut != 0 || out.IssuedChi || out.HoldsCommitCert || out.HoldsAbortCert) {
+			t.Applicable = true
+			// The a-priori bound is measured from the customer's first
+			// protocol obligation: Byzantine peers may legally delay when her
+			// participation begins, but not how long it takes once begun.
+			elapsed := out.TerminatedAt - out.StartedAt
+			if out.StartedAt == 0 || elapsed < 0 {
+				elapsed = out.TerminatedAt
+			}
+			if !out.Terminated {
+				t.fail(whyNeverTerminated, out.ID, 0)
+			} else if opts.TimeBound > 0 && elapsed > opts.TimeBound {
+				t.fail(whyBeyondBound, out.ID, int64(elapsed))
+				t.m = int64(opts.TimeBound)
+			}
 		}
-		v.Applicable = true
-		if out.NetWealthChange() < 0 {
-			v.fail("connector %s lost %d", out.ID, -out.NetWealthChange())
-			return v
+		net := out.WealthAfter - out.WealthBefore // NetWealthChange, read in place
+		if i == 0 && out.Terminated {
+			cs1 := &v[slotCS1]
+			cs1.Applicable = true
+			proof := out.HoldsChi
+			if opts.Definition2 {
+				proof = out.HoldsCommitCert
+			}
+			if net < 0 && !proof {
+				cs1.fail(whyAliceLost, "", -net)
+			}
+		}
+		if i == n && (out.Terminated || out.IssuedChi) {
+			cs2 := &v[slotCS2]
+			cs2.Applicable = true
+			received := out.Received > 0 || net > 0
+			if opts.Definition2 && !received && !out.HoldsAbortCert && out.Terminated {
+				cs2.fail(whyBobNoCert, "", 0)
+			} else if !opts.Definition2 && !received && out.IssuedChi {
+				cs2.fail(whyBobUnpaid, "", 0)
+			}
+		}
+		if cs3 := &v[slotCS3]; 0 < i && i < n && out.Terminated && cs3.Holds {
+			cs3.Applicable = true
+			if net < 0 {
+				cs3.fail(whyConnectorLost, out.ID, -net)
+			}
 		}
 	}
-	return v
-}
 
-// checkStrongLiveness is property L of Definition 1: if all parties abide by
-// the protocol, Bob is paid eventually.
-//
-//xchain:hotpath
-func checkStrongLiveness(res *core.RunResult) Verdict {
-	v := Verdict{Property: core.PropStrongLiveness, Holds: true}
-	if !res.AllHonest() {
-		return v
-	}
-	v.Applicable = true
-	if !res.BobPaid {
-		v.Holds = false
-		v.Detail = "all parties abided but Bob was not paid"
-	}
-	return v
-}
-
-// checkWeakLiveness is property L of Definition 2: if all parties abide by
-// the protocol and the customers wait sufficiently long before and after
-// sending money, Bob is eventually paid.
-//
-//xchain:hotpath
-func checkWeakLiveness(res *core.RunResult, opts Options) Verdict {
-	v := Verdict{Property: core.PropWeakLiveness, Holds: true}
-	if !res.AllHonest() {
-		return v
-	}
-	for i := 0; i <= res.Scenario.Topology.N; i++ {
-		p := res.Scenario.PatienceOf(core.CustomerID(i))
-		if p != 0 && p < opts.PatiencePrecondition {
-			return v // some customer was not patient enough: nothing owed
+	if allHonest {
+		v[slotL].Applicable = true
+		v[slotWL].Applicable = patient
+		if !res.BobPaid {
+			v[slotL].fail(whyNotPaid, "", 0)
+			if patient {
+				v[slotWL].fail(whyNotPaidPatient, "", 0)
+			}
 		}
 	}
-	v.Applicable = true
-	if !res.BobPaid {
-		v.Holds = false
-		v.Detail = "all parties abided and waited, but Bob was not paid"
+	if opts.Definition2 && res.CommitIssued && res.AbortIssued {
+		v[slotCC].fail(whyBothCerts, "", 0)
 	}
-	return v
-}
-
-// checkCertConsistency is property CC of Definition 2: an abort and a commit
-// certificate can never both be issued.
-//
-//xchain:hotpath
-func checkCertConsistency(res *core.RunResult) Verdict {
-	v := Verdict{Property: core.PropCertConsistency, Applicable: true, Holds: true}
-	if res.CommitIssued && res.AbortIssued {
-		v.Holds = false
-		v.Detail = "both commit and abort certificates were issued"
+	if err := res.Audit(); err != nil {
+		v[slotCV].fail(whyAudit, "", 0)
+		v[slotCV].err = err
 	}
-	return v
-}
-
-// checkConservation is the engineering invariant that every ledger conserves
-// value (money is neither created nor destroyed, only moved or locked).
-//
-//xchain:hotpath
-func checkConservation(res *core.RunResult) Verdict {
-	v := Verdict{Property: core.PropConservation, Applicable: true, Holds: true}
-	if res.Book == nil {
-		v.Applicable = false
-		return v
-	}
-	if err := res.Book.AuditAll(); err != nil {
-		v.Holds = false
-		v.Detail = err.Error()
-	}
-	return v
 }
 
 // Summary aggregates reports across many runs of a sweep: for every property
@@ -543,7 +483,7 @@ func (s *Summary) Add(r Report) {
 		if !v.OK() {
 			s.Violations[p]++
 			if _, seen := s.FailureExamples[p]; !seen {
-				s.FailureExamples[p] = v.Detail
+				s.FailureExamples[p] = v.Detail()
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package check
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -116,8 +118,8 @@ func TestConsistencyDetectionEvents(t *testing.T) {
 	if v.OK() {
 		t.Fatal("an honest participant's rejection of honest input passed C")
 	}
-	if want := "honest e1 rejected honest input: invalid-certificate"; v.Detail != want {
-		t.Fatalf("detail %q, want %q", v.Detail, want)
+	if want := "honest e1 rejected honest input: invalid-certificate"; v.Detail() != want {
+		t.Fatalf("detail %q, want %q", v.Detail(), want)
 	}
 	// A violation is the actor's own inconsistency: a Byzantine peer never
 	// excuses it.
@@ -125,8 +127,8 @@ func TestConsistencyDetectionEvents(t *testing.T) {
 	if v.OK() {
 		t.Fatal("an honest participant's own violation passed C because its peer was Byzantine")
 	}
-	if want := "honest e1 hit double-release"; v.Detail != want {
-		t.Fatalf("detail %q, want %q", v.Detail, want)
+	if want := "honest e1 hit double-release"; v.Detail() != want {
+		t.Fatalf("detail %q, want %q", v.Detail(), want)
 	}
 	// Detections by Byzantine actors are ignored like their violations.
 	if v := reported(t, "e1", trace.Event{Kind: trace.KindDetection, Actor: "e1", Peer: "c1", Label: "wrong-amount"}); !v.OK() {
@@ -161,7 +163,7 @@ func TestPreconditionsWhenNoCustomerAbides(t *testing.T) {
 			t.Errorf("%s applicable although no customer abides", p)
 		}
 		if !v.OK() {
-			t.Errorf("%s violated although no customer abides: %s", p, v.Detail)
+			t.Errorf("%s violated although no customer abides: %s", p, v.Detail())
 		}
 	}
 	// Escrow security and conservation remain owed to the honest escrows.
@@ -429,5 +431,454 @@ func TestSlotsFollowPropertyOrder(t *testing.T) {
 	}
 	if slotOf("") >= 0 || slotOf("X") >= 0 {
 		t.Error("Lookup finds a slot for a property that has none")
+	}
+}
+
+// The reference: the per-property checkers Evaluate's one pass replaced, each
+// its own loop over the customers with its own reading of honesty, and each
+// failure's text formatted on the spot. Evaluate must write what they return
+// to every slot (MatchReference).
+
+// refVerdict is a verdict as the reference returns it, with its text.
+type refVerdict struct {
+	Property   core.Property
+	Applicable bool
+	Holds      bool
+	Detail     string
+}
+
+func (v *refVerdict) fail(format string, args ...any) {
+	v.Holds = false
+	v.Detail = fmt.Sprintf(format, args...)
+}
+
+// referenceEvaluate is Evaluate as the reference computes it.
+func referenceEvaluate(res *core.RunResult, opts Options) (v [numSlots]refVerdict) {
+	v[slotC] = checkConsistency(res)
+	v[slotT] = checkTermination(res, opts)
+	v[slotES] = checkEscrowSecurity(res)
+	v[slotCS1] = checkCS1(res, opts)
+	v[slotCS2] = checkCS2(res, opts)
+	v[slotCS3] = checkCS3(res)
+	v[slotL] = checkStrongLiveness(res)
+	if opts.Definition2 {
+		v[slotWL] = checkWeakLiveness(res, opts)
+		v[slotCC] = checkCertConsistency(res)
+	}
+	v[slotCV] = checkConservation(res)
+	return v
+}
+
+// MatchReference evaluates res under opts both ways and returns the first
+// slot where Evaluate's verdict differs from the reference's — in property,
+// applicability, holding or text — as an error, nil if none does.
+func MatchReference(res *core.RunResult, opts Options) error {
+	want := referenceEvaluate(res, opts)
+	got := Evaluate(res, opts)
+	for i, w := range want {
+		g := got.verdicts[i]
+		if gv := (refVerdict{g.Property, g.Applicable, g.Holds, g.Detail()}); gv != w {
+			return fmt.Errorf("slot %d: Evaluate wrote %+v, the reference %+v", i, gv, w)
+		}
+	}
+	return nil
+}
+
+// escrowsHonest reports whether the escrows of customer c_i all abide by the
+// protocol in the scenario.
+func escrowsHonest(res *core.RunResult, i int) bool {
+	if i > 0 && res.EscrowByzantine(i-1) {
+		return false
+	}
+	if i < res.Scenario.Topology.N && res.EscrowByzantine(i) {
+		return false
+	}
+	return true
+}
+
+// checkConsistency is the operational reading of property C: the engine could
+// execute every honest participant's role without getting stuck on an
+// impossible instruction. A run error or an entry in the run's consistency
+// record (core.World.Report) falsifies it.
+func checkConsistency(res *core.RunResult) refVerdict {
+	v := refVerdict{Property: core.PropConsistency, Applicable: true, Holds: true}
+	if res.Err != nil {
+		v.fail("engine error: %v", res.Err)
+		return v
+	}
+	// A violation is the actor's own inconsistency and takes precedence; a
+	// detection means the engine produced an instruction that an honest
+	// receiver could not accept from an honest sender.
+	if in := res.Violation; in.Actor != "" {
+		v.fail("honest %s hit %s", in.Actor, in.Label)
+	} else if in := res.Detection; in.Actor != "" {
+		v.fail("honest %s rejected honest input: %s", in.Actor, in.Label)
+	}
+	return v
+}
+
+// checkTermination is property T: each customer that abides by the protocol
+// and either makes a payment or issues a certificate terminates (within the
+// bound, if one is configured), provided her escrows abide by the protocol.
+func checkTermination(res *core.RunResult, opts Options) refVerdict {
+	v := refVerdict{Property: core.PropTermination, Holds: true}
+	topo := res.Scenario.Topology
+	for i := 0; i <= topo.N; i++ {
+		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
+			continue
+		}
+		out := &res.Customers[i]
+		// The obligation only covers customers who made a payment or issued a
+		// certificate (Alice/connectors who paid in; Bob if he signed chi).
+		if out.PaidOut == 0 && !out.IssuedChi && !out.HoldsCommitCert && !out.HoldsAbortCert {
+			continue
+		}
+		v.Applicable = true
+		if !out.Terminated {
+			v.fail("%s never terminated", out.ID)
+			return v
+		}
+		// The a-priori bound is measured from the customer's first protocol
+		// obligation: Byzantine peers may legally delay when her
+		// participation begins, but not how long it takes once begun.
+		elapsed := out.TerminatedAt - out.StartedAt
+		if out.StartedAt == 0 || elapsed < 0 {
+			elapsed = out.TerminatedAt
+		}
+		if opts.TimeBound > 0 && elapsed > opts.TimeBound {
+			v.fail("%s took %v from its first obligation, beyond the bound %v", out.ID, elapsed, opts.TimeBound)
+			return v
+		}
+	}
+	return v
+}
+
+// checkEscrowSecurity is property ES: each escrow that abides by the
+// protocol does not lose money.
+func checkEscrowSecurity(res *core.RunResult) refVerdict {
+	v := refVerdict{Property: core.PropEscrowSecurity, Holds: true}
+	for i := 0; i < res.Scenario.Topology.N; i++ {
+		if res.EscrowByzantine(i) {
+			continue
+		}
+		v.Applicable = true
+		out := &res.Escrows[i]
+		if out.BalanceDelta < 0 {
+			v.fail("%s lost %d", out.ID, -out.BalanceDelta)
+			return v
+		}
+		if out.AuditErr != nil {
+			v.fail("%s audit: %v", out.ID, out.AuditErr)
+			return v
+		}
+	}
+	return v
+}
+
+// checkCS1 is customer security for Alice: upon termination, if Alice and
+// her escrow abide by the protocol, Alice has either got her money back or
+// received the certificate chi (Definition 1) / the commit certificate
+// (Definition 2).
+func checkCS1(res *core.RunResult, opts Options) refVerdict {
+	v := refVerdict{Property: core.PropCS1, Holds: true}
+	if res.CustomerByzantine(0) || !escrowsHonest(res, 0) {
+		return v
+	}
+	out := &res.Customers[0]
+	if !out.Terminated {
+		return v // CS1 is an "upon termination" guarantee
+	}
+	v.Applicable = true
+	gotMoneyBack := out.NetWealthChange() >= 0
+	proof := out.HoldsChi
+	if opts.Definition2 {
+		proof = out.HoldsCommitCert
+	}
+	if !gotMoneyBack && !proof {
+		v.fail("Alice lost %d without proof of payment", -out.NetWealthChange())
+	}
+	return v
+}
+
+// checkCS2 is customer security for Bob: upon termination, if Bob and his
+// escrow abide by the protocol, Bob has either received the money or not
+// issued the certificate chi (Definition 1) / received the money or the
+// abort certificate (Definition 2).
+func checkCS2(res *core.RunResult, opts Options) refVerdict {
+	v := refVerdict{Property: core.PropCS2, Holds: true}
+	n := res.Scenario.Topology.N
+	if res.CustomerByzantine(n) || !escrowsHonest(res, n) {
+		return v
+	}
+	out := &res.Customers[n]
+	if !out.Terminated && !out.IssuedChi {
+		return v
+	}
+	v.Applicable = true
+	received := out.Received > 0 || out.NetWealthChange() > 0
+	if opts.Definition2 {
+		if !received && !out.HoldsAbortCert && out.Terminated {
+			v.Holds = false
+			v.Detail = "Bob terminated with neither the money nor the abort certificate"
+		}
+		return v
+	}
+	if !received && out.IssuedChi {
+		v.Holds = false
+		v.Detail = "Bob issued chi but never received the money"
+	}
+	return v
+}
+
+// checkCS3 is customer security for connectors: upon termination, each
+// connector that abides by the protocol has got her money back (i.e. her
+// wealth did not decrease; a positive commission is acceptable), provided
+// her escrows abide by the protocol.
+func checkCS3(res *core.RunResult) refVerdict {
+	v := refVerdict{Property: core.PropCS3, Holds: true}
+	topo := res.Scenario.Topology
+	for i := 1; i < topo.N; i++ {
+		if res.CustomerByzantine(i) || !escrowsHonest(res, i) {
+			continue
+		}
+		out := &res.Customers[i]
+		if !out.Terminated {
+			continue
+		}
+		v.Applicable = true
+		if out.NetWealthChange() < 0 {
+			v.fail("connector %s lost %d", out.ID, -out.NetWealthChange())
+			return v
+		}
+	}
+	return v
+}
+
+// checkStrongLiveness is property L of Definition 1: if all parties abide by
+// the protocol, Bob is paid eventually.
+func checkStrongLiveness(res *core.RunResult) refVerdict {
+	v := refVerdict{Property: core.PropStrongLiveness, Holds: true}
+	if !res.AllHonest() {
+		return v
+	}
+	v.Applicable = true
+	if !res.BobPaid {
+		v.Holds = false
+		v.Detail = "all parties abided but Bob was not paid"
+	}
+	return v
+}
+
+// checkWeakLiveness is property L of Definition 2: if all parties abide by
+// the protocol and the customers wait sufficiently long before and after
+// sending money, Bob is eventually paid.
+func checkWeakLiveness(res *core.RunResult, opts Options) refVerdict {
+	v := refVerdict{Property: core.PropWeakLiveness, Holds: true}
+	if !res.AllHonest() {
+		return v
+	}
+	for i := 0; i <= res.Scenario.Topology.N; i++ {
+		p := res.Scenario.PatienceOf(core.CustomerID(i))
+		if p != 0 && p < opts.PatiencePrecondition {
+			return v // some customer was not patient enough: nothing owed
+		}
+	}
+	v.Applicable = true
+	if !res.BobPaid {
+		v.Holds = false
+		v.Detail = "all parties abided and waited, but Bob was not paid"
+	}
+	return v
+}
+
+// checkCertConsistency is property CC of Definition 2: an abort and a commit
+// certificate can never both be issued.
+func checkCertConsistency(res *core.RunResult) refVerdict {
+	v := refVerdict{Property: core.PropCertConsistency, Applicable: true, Holds: true}
+	if res.CommitIssued && res.AbortIssued {
+		v.Holds = false
+		v.Detail = "both commit and abort certificates were issued"
+	}
+	return v
+}
+
+// checkConservation is the engineering invariant that every ledger conserves
+// value (money is neither created nor destroyed, only moved or locked).
+func checkConservation(res *core.RunResult) refVerdict {
+	v := refVerdict{Property: core.PropConservation, Applicable: true, Holds: true}
+	if res.Book == nil {
+		v.Applicable = false
+		return v
+	}
+	if err := res.Book.AuditAll(); err != nil {
+		v.Holds = false
+		v.Detail = err.Error()
+	}
+	return v
+}
+
+// fabricateRandom builds a result by hand from seed: a chain of 1 to 12
+// escrows whose participants each deviate with probability 1/4, with
+// customer outcomes, certificates, escrow accounts, incidents and patience
+// drawn at random, a book that is absent, clean or fails its audit, and the
+// options of either Definition with or without bounds.
+func fabricateRandom(seed uint64) (*core.RunResult, Options) {
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	coin := func() bool { return rng.IntN(2) == 0 }
+	half := func() sim.Time { return sim.Time(rng.IntN(4)) * sim.Second / 2 }
+	s := core.NewScenario(1+rng.IntN(12), 1)
+	ids := append(s.Topology.Customers(), append(s.Topology.Escrows(), core.ManagerID)...)
+	for _, id := range ids {
+		if rng.IntN(4) == 0 {
+			s = s.SetFault(id, core.FaultSpec{Silent: true})
+		}
+	}
+	for _, id := range s.Topology.Customers() {
+		if rng.IntN(4) == 0 {
+			s = s.SetPatience(id, half())
+		}
+	}
+	res := &core.RunResult{Protocol: "fabricated", Scenario: &s}
+	for _, id := range s.Topology.Customers() {
+		res.Customers = append(res.Customers, core.CustomerOutcome{
+			ID: id, Terminated: coin(), StartedAt: half(), TerminatedAt: half(),
+			WealthBefore: 100, WealthAfter: 100 + int64(rng.IntN(5)-2)*10,
+			PaidOut: int64(rng.IntN(2)) * 10, Received: int64(rng.IntN(2)) * 10,
+			HoldsChi: coin(), IssuedChi: coin(), HoldsCommitCert: coin(), HoldsAbortCert: coin(),
+		})
+	}
+	for _, id := range s.Topology.Escrows() {
+		e := core.EscrowOutcome{ID: id, BalanceDelta: int64(rng.IntN(3) - 1)}
+		if rng.IntN(4) == 0 {
+			e.AuditErr = errors.New("ledger " + id + ": conservation violated")
+		}
+		res.Escrows = append(res.Escrows, e)
+	}
+	res.BobPaid, res.CommitIssued, res.AbortIssued = coin(), coin(), coin()
+	switch rng.IntN(8) {
+	case 0:
+		res.Err = errors.New("boom")
+	case 1:
+		res.Violation = core.Incident{Actor: ids[rng.IntN(len(ids))], Label: "double-release"}
+	case 2:
+		res.Detection = core.Incident{Actor: ids[rng.IntN(len(ids))], Label: "invalid-certificate"}
+	}
+	switch rng.IntN(3) {
+	case 0:
+		res.Book = ledger.NewBook()
+		res.Book.Add(ledger.FromState(ledger.LedgerState{Name: "e0", Minted: 7,
+			Accounts: []ledger.AccountState{{Owner: "c0", Balance: 5}}}))
+	case 1:
+		res.Book = ledger.NewBook()
+	}
+	opts := Options{TimeBound: half(), Definition2: coin(), PatiencePrecondition: half()}
+	return res, opts
+}
+
+// FuzzEvaluateMatchesReference checks Evaluate's one pass against the
+// per-property reference on fabricated results: every slot's property,
+// applicability, holding and text.
+func FuzzEvaluateMatchesReference(f *testing.F) {
+	for seed := range uint64(512) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		res, opts := fabricateRandom(seed)
+		if err := MatchReference(res, opts); err != nil {
+			t.Fatalf("seed %d, n=%d, %+v: %v", seed, res.Scenario.Topology.N, opts, err)
+		}
+	})
+}
+
+// TestFailingVerdictsAllocateNothing judges a failed n=8 result — Alice lost
+// money without chi, c2 never terminated, connector c3 lost money, Bob went
+// unpaid although everyone abided — into a kept report: the judging
+// allocates nothing, and each failure's text, rendered when read, is the
+// one the checkers have always written. So does a faulted run's.
+func TestFailingVerdictsAllocateNothing(t *testing.T) {
+	res := fabricate(8)
+	setOutcome(res, "c0", func(o *core.CustomerOutcome) { o.PaidOut, o.WealthBefore, o.WealthAfter = 10, 100, 90 })
+	setOutcome(res, "c2", func(o *core.CustomerOutcome) { o.PaidOut, o.Terminated = 10, false })
+	setOutcome(res, "c3", func(o *core.CustomerOutcome) { o.WealthBefore, o.WealthAfter = 100, 95 })
+	res.BobPaid = false
+	opts := Def1TimeBounded(time(1))
+	var rep Report
+	if allocs := testing.AllocsPerRun(100, func() { rep.Evaluate(res, opts) }); allocs != 0 {
+		t.Fatalf("judging a failed n=8 result allocates %.1f times", allocs)
+	}
+	pinned := map[core.Property]string{
+		core.PropTermination:    "c2 never terminated",
+		core.PropCS1:            "Alice lost 10 without proof of payment",
+		core.PropCS3:            "connector c3 lost 5",
+		core.PropStrongLiveness: "all parties abided but Bob was not paid",
+	}
+	if got := rep.Failures(); len(got) != len(pinned) {
+		t.Fatalf("failures %v, want those of %v", got, pinned)
+	}
+	for p, want := range pinned {
+		if got := rep.Verdict(p).Detail(); got != want {
+			t.Errorf("%s detail %q, want %q", p, got, want)
+		}
+	}
+	if err := MatchReference(res, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	// Collecting and judging a faulted n=8 run on a world, with a silent c4,
+	// allocates nothing either.
+	s := core.NewScenario(8, 1).Muted().SetFault("c4", core.FaultSpec{Silent: true})
+	w := core.NewWorld()
+	if err := w.Reset(&s); err != nil {
+		t.Fatal(err)
+	}
+	outcome := func(i int, out *core.CustomerOutcome) { out.PaidOut, out.Terminated = 10, i < 3 }
+	if allocs := testing.AllocsPerRun(100, func() { rep.Evaluate(w.Collect("faulted", 0, outcome), opts) }); allocs != 0 {
+		t.Fatalf("judging a faulted n=8 run allocates %.1f times", allocs)
+	}
+	if d := rep.Verdict(core.PropTermination).Detail(); d != "c3 never terminated" {
+		t.Fatalf("faulted run's T detail %q", d)
+	}
+}
+
+// TestKeptReportRendersAfterReset keeps the report of a run on a world,
+// resets the world for another run and judges that: the kept report's text
+// is unchanged, for it holds what it cites by value.
+func TestKeptReportRendersAfterReset(t *testing.T) {
+	w := core.NewWorld()
+	s := core.NewScenario(3, 1).Muted()
+	if err := w.Reset(&s); err != nil {
+		t.Fatal(err)
+	}
+	w.Report(trace.Event{Kind: trace.KindViolation, Actor: "e1", Label: "double-release"}, nil)
+	res := w.Collect("first", 0, func(i int, out *core.CustomerOutcome) {
+		if i == 1 {
+			out.PaidOut, out.Terminated, out.StartedAt, out.TerminatedAt = 10, true, time(1), time(4)
+		}
+	})
+	kept := Evaluate(res, Def1TimeBounded(time(1)))
+	if err := MatchReference(res, kept.Options); err != nil {
+		t.Fatal(err)
+	}
+	want := "report(first)\n" +
+		"  FAIL C   honest e1 hit double-release\n" +
+		"  FAIL T   c1 took 3000.000ms from its first obligation, beyond the bound 1000.000ms\n" +
+		"  PASS ES \n  N/A  CS1\n  N/A  CS2\n  PASS CS3\n" +
+		"  FAIL L   all parties abided but Bob was not paid\n" +
+		"  PASS CV \n"
+	if got := kept.String(); got != want {
+		t.Fatalf("kept report renders\n%s\nwant\n%s", got, want)
+	}
+
+	other := core.NewScenario(5, 1).Muted().SetFault("c2", core.FaultSpec{Silent: true})
+	if err := w.Reset(&other); err != nil {
+		t.Fatal(err)
+	}
+	w.Report(trace.Event{Kind: trace.KindDetection, Actor: "e3", Label: "wrong-amount"}, nil)
+	res = w.Collect("second", 0, func(i int, out *core.CustomerOutcome) { out.PaidOut = 1 })
+	if rep := Evaluate(res, Def1Eventual()); rep.Verdict(core.PropTermination).Detail() != "c0 never terminated" {
+		t.Fatalf("second run judged\n%s", &rep)
+	}
+	if got := kept.String(); got != want {
+		t.Fatalf("after the world's reset the kept report renders\n%s\nwant\n%s", got, want)
 	}
 }

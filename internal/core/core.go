@@ -526,9 +526,26 @@ type RunResult struct {
 	// violation).
 	Err error
 
-	// byz is the run's Byzantine flag per PID, the world's; nil in a result
-	// built by hand, whose scenario answers instead.
-	byz []bool
+	// byz is the run's Byzantine flag per PID, the world's, and allHonest
+	// the world's AllHonest; byz is nil in a result built by hand, whose
+	// scenario answers instead.
+	byz       []bool
+	allHonest bool
+	// audit is the book's audit when audited: Collect makes it from the
+	// escrows' own audits if the book holds their ledgers and no other.
+	audit   error
+	audited bool
+}
+
+// Audit returns the book's conservation audit, Book.AuditAll's answer: the
+// one Collect made from the escrows' audits at the end of the run, if the
+// book holds just their ledgers, else audited now. A result without a book
+// audits clean.
+func (r *RunResult) Audit() error {
+	if r.audited || r.Book == nil {
+		return r.audit
+	}
+	return r.Book.AuditAll()
 }
 
 // CustomerByzantine reports whether customer c_i deviates from the protocol.
@@ -578,6 +595,9 @@ func (r *RunResult) HonestCustomers() []string {
 // AllHonest reports whether every participant (customers, escrows, manager,
 // notaries) abides by the protocol in this scenario.
 func (r *RunResult) AllHonest() bool {
+	if r.byz != nil {
+		return r.allHonest
+	}
 	for _, f := range r.Scenario.Faults {
 		if f.IsByzantine() {
 			return false

@@ -250,6 +250,41 @@ func TestRunResultHelpers(t *testing.T) {
 	}
 }
 
+// TestCollectedAuditAndHonesty: a collected result answers AllHonest and
+// Audit as one built by hand does — AllHonest from every fault of the
+// scenario, a notary's that no chain PID holds included, and Audit as
+// Book.AuditAll, from the escrows' own audits while the book holds just
+// their ledgers and anew once it holds another.
+func TestCollectedAuditAndHonesty(t *testing.T) {
+	w := NewWorld()
+	collect := func(s Scenario) *RunResult {
+		t.Helper()
+		if err := w.Reset(&s); err != nil {
+			t.Fatal(err)
+		}
+		return w.Collect("collected", 0, func(int, *CustomerOutcome) {})
+	}
+	for _, s := range []Scenario{
+		NewScenario(2, 1).Muted(),
+		NewScenario(2, 1).Muted().SetFault("e1", FaultSpec{Silent: true}),
+		NewScenario(2, 1).Muted().SetFault(NotaryID(1), FaultSpec{Silent: true}),
+	} {
+		res := collect(s)
+		if want := (&RunResult{Scenario: &s}).AllHonest(); res.AllHonest() != want {
+			t.Errorf("faults %v: collected AllHonest %v, want %v", s.Faults, res.AllHonest(), want)
+		}
+		if err := res.Audit(); err != nil {
+			t.Errorf("faults %v: clean book audits %v", s.Faults, err)
+		}
+	}
+	w.Book.Add(ledger.FromState(ledger.LedgerState{Name: "a-side", Minted: 7,
+		Accounts: []ledger.AccountState{{Owner: "c0", Balance: 5}}}))
+	res := collect(NewScenario(2, 1).Muted())
+	if got, want := res.Audit(), w.Book.AuditAll(); got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("a book holding another ledger audits %v, Book.AuditAll %v", got, want)
+	}
+}
+
 func TestProperties(t *testing.T) {
 	all := AllProperties()
 	if len(all) != 10 {

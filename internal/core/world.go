@@ -79,13 +79,15 @@ type World struct {
 	// then e_0..e_{N-1} — the chain, the first chain entries, whose clocks
 	// draw from the RNG in that order — then the manager, then the notaries
 	// Join adds. faults, byz and patience are the scenario's Faults and
-	// Patience resolved per PID, once, by Reset and Join.
-	names    []string
-	chain    int
-	faults   []FaultSpec
-	byz      []bool
-	patience []sim.Time
-	clocks   []clock.Clock
+	// Patience resolved per PID, once, by Reset and Join; allHonest is
+	// whether no fault, of whomever, is Byzantine.
+	names     []string
+	chain     int
+	faults    []FaultSpec
+	byz       []bool
+	allHonest bool
+	patience  []sim.Time
+	clocks    []clock.Clock
 	// wealth[i] is customer c_i's total balance right after Reset.
 	wealth []int64
 	// stampN and stampIB are the stamp's key (see World), stampN 0 for no
@@ -285,10 +287,12 @@ func (w *World) resolveChain() {
 	clear(w.faults)
 	clear(w.byz)
 	clear(w.patience)
+	w.allHonest = true
 	if len(w.scn.Faults) > 0 {
 		for id, f := range w.scn.Faults {
+			w.allHonest = w.allHonest && !f.IsByzantine()
 			if pid := w.chainPID(id); pid != NoPID {
-				w.faults[pid], w.byz[pid] = f, f != FaultSpec{}
+				w.faults[pid], w.byz[pid] = f, f.IsByzantine()
 			}
 		}
 	}
@@ -565,7 +569,7 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 	res.Escrows = slices.Grow(res.Escrows[:0], n)[:n]
 	res.Protocol = protocol
 	res.Scenario = &w.scn
-	res.byz = w.byz
+	res.byz, res.allHonest = w.byz, w.allHonest
 	res.Trace, res.Book = w.Trace, w.Book
 	res.CommitIssued, res.AbortIssued = false, false
 	res.Violation, res.Detection = w.violation, w.detection
@@ -577,12 +581,9 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 	var out *CustomerOutcome
 	for i := 0; i <= n; i++ {
 		out = &res.Customers[i]
-		*out = CustomerOutcome{
-			ID:           CustomerID(i),
-			Role:         w.scn.Topology.customerRole(i),
-			WealthBefore: w.wealth[i],
-			WealthAfter:  w.customerWealth(i),
-		}
+		*out = CustomerOutcome{}
+		out.ID, out.Role = CustomerID(i), w.scn.Topology.customerRole(i)
+		out.WealthBefore, out.WealthAfter = w.wealth[i], w.customerWealth(i)
 		customer(i, out)
 		if out.Terminated && out.TerminatedAt > lastTerm {
 			lastTerm = out.TerminatedAt
@@ -592,15 +593,22 @@ func (w *World) Collect(protocol string, fired uint64, customer func(i int, out 
 		}
 	}
 	// out is Bob's outcome now, the last the loop built.
-	res.BobPaid = out.Received > 0 || out.NetWealthChange() > 0
+	res.BobPaid = out.Received > 0 || out.WealthAfter > out.WealthBefore
+	// Each escrow's ledger is audited once, and the book's audit, if it
+	// holds just these ledgers, is the first failure by name among them.
+	books := w.Book.Ledgers()
+	res.audit, res.audited = nil, len(books) == n
+	first := ""
 	for i := 0; i < n; i++ {
 		led := w.ledgers[i]
-		res.Escrows[i] = EscrowOutcome{
-			ID:           EscrowID(i),
-			BalanceDelta: led.Balance(w.EscrowPID(i)),
-			PendingLocks: led.PendingCount(),
-			AuditErr:     led.Audit(),
+		e := &res.Escrows[i]
+		e.ID = EscrowID(i)
+		e.BalanceDelta = led.Balance(w.EscrowPID(i))
+		e.PendingLocks, e.AuditErr = led.PendingCount(), led.Audit()
+		if e.AuditErr != nil && (res.audit == nil || led.Name() < first) {
+			res.audit, first = e.AuditErr, led.Name()
 		}
+		res.audited = res.audited && books[i] == led
 	}
 	res.AllTerminated = allTerm
 	if lastTerm > 0 {

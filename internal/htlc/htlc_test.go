@@ -54,7 +54,7 @@ func TestNoProofOfPaymentForAlice(t *testing.T) {
 	// Liveness and escrow security still hold on the happy path.
 	for _, p := range []core.Property{core.PropStrongLiveness, core.PropEscrowSecurity, core.PropConservation} {
 		if !rep.Verdict(p).OK() {
-			t.Errorf("%s violated on the happy path: %s", p, rep.Verdict(p).Detail)
+			t.Errorf("%s violated on the happy path: %s", p, rep.Verdict(p).Detail())
 		}
 	}
 }

@@ -535,7 +535,7 @@ func runPayment(sp *Spec, out *Outcome, ws *worlds, record bool) (*core.RunResul
 			return results[0], &ws.reports[0]
 		}
 		results[i] = res
-		ws.reports[i] = check.Evaluate(res, opts)
+		ws.reports[i].Evaluate(res, opts)
 	}
 	first := results[0]
 	out.observe(primary{res: first})
@@ -563,8 +563,7 @@ func judgeReport(sp *Spec, out *Outcome, g core.Guarantee, rep *check.Report, du
 	observed := false
 	beyondHorizon := out.Class == ClassViolating && duration > Horizon
 	for _, p := range core.AllProperties() {
-		v, _ := rep.Lookup(p)
-		failed := !v.OK()
+		failed := rep.Failed(p)
 		if !failed && !(p == core.PropTermination && beyondHorizon) {
 			continue
 		}
@@ -580,7 +579,7 @@ func judgeReport(sp *Spec, out *Outcome, g core.Guarantee, rep *check.Report, du
 			out.ExpectedFailures = append(out.ExpectedFailures, p)
 			continue
 		}
-		detail := v.Detail
+		detail := rep.Verdict(p).Detail()
 		if !failed {
 			detail = fmt.Sprintf("run lasted %v, beyond the %v horizon", duration, Horizon)
 		}
@@ -605,7 +604,7 @@ func judgeDifferential(out *Outcome, reports *[2]check.Report, procLogs, antaLog
 				Kind:     KindDifferential,
 				Property: p,
 				Detail: fmt.Sprintf("process(applicable=%v holds=%v %s) vs anta(applicable=%v holds=%v %s)",
-					vp.Applicable, vp.Holds, vp.Detail, va.Applicable, va.Holds, va.Detail),
+					vp.Applicable, vp.Holds, vp.Detail(), va.Applicable, va.Holds, va.Detail()),
 			})
 		}
 	}

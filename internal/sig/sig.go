@@ -17,13 +17,15 @@
 // as the records of the ideal signature functionality F_SIG (Canetti, CSFW
 // 2004). Sign records a term — this signer signed this message — and hands
 // out a handle on it; the bit string is rendered by the backend only when
-// something reads it. A typed artefact's term holds its kind and fields, and
-// their canonical encoding is rendered only for the backend. Verifying a term
-// the keyring recorded since its last Reset is a comparison of signer and
-// fields, and only anything else — a forgery, a tampered artefact, another
-// keyring's signature — is rendered and paid to the backend, and only then
-// is a key derived: a run that renders nothing and misses no verification
-// reads no key. Every backend signs deterministically and accepts every
+// something reads it. A typed artefact's Sign writes its kind and fields
+// into the term, and their canonical encoding is rendered only for the
+// backend. Verifying a term the keyring recorded since its last Reset is a
+// comparison of signer, then kind, then fields, each where it stands, with
+// nothing built or copied; only anything else — a forgery, a tampered or
+// re-kinded artefact, another keyring's signature — builds the artefact's
+// content, is rendered and paid to the backend, and only then is a key
+// derived: a run that renders nothing and misses no verification reads no
+// key. Every backend signs deterministically and accepts every
 // signature it produces, so a late rendering is the bytes Sign would have
 // produced and the comparison answers what the backend would: neither
 // mechanism can move a verdict.
@@ -320,13 +322,13 @@ func (kr *Keyring) read(j int32) *keyEntry {
 //
 //xchain:hotpath
 func (kr *Keyring) SignAs(pid sim.PID, payload []byte) Signature {
-	sig := kr.sign(pid, &content{})
+	sig := kr.sign(pid)
 	if sig.t != nil {
 		// The term holds its copy of the payload, in the arena it is
 		// recorded with.
 		b := kr.arena.take(len(payload), arenaChunk)
 		copy(b, payload)
-		sig.t.c.f[0] = unsafe.String(unsafe.SliceData(b), len(b))
+		sig.t.set(kindRaw, unsafe.String(unsafe.SliceData(b), len(b)), "", "", 0, 0, 0)
 	}
 	return sig
 }
@@ -336,17 +338,36 @@ func (kr *Keyring) Sign(id string, payload []byte) Signature {
 	return kr.SignAs(sim.PID(kr.index(id)), payload)
 }
 
-// sign records that the participant under pid signed c.
+// sign records that the participant under pid signed something, which the
+// caller writes into the term (term.set): the zero Signature, with no term,
+// for a PID the keyring does not hold.
 //
 //xchain:hotpath
-func (kr *Keyring) sign(pid sim.PID, c *content) Signature {
+func (kr *Keyring) sign(pid sim.PID) Signature {
 	j := kr.entry(int(pid))
 	if j < 0 {
 		return Signature{}
 	}
 	t := &kr.terms.take(1, termChunk)[0]
-	t.kr, t.signer, t.key, t.c, t.rendered = kr, kr.keys[j].id, j, *c, nil
+	t.kr, t.signer, t.key, t.rendered = kr, kr.keys[j].id, j, nil
 	return Signature{t: t, gen: kr.gen}
+}
+
+// set writes into t, if there is one, what it records as signed: kind k with
+// fields f0, f1, f2 and times t0, t1, t2, in place.
+func (t *term) set(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) {
+	if t != nil {
+		t.c.kind = k
+		t.c.f[0], t.c.f[1], t.c.f[2] = f0, f1, f2
+		t.c.t[0], t.c.t[1], t.c.t[2] = t0, t1, t2
+	}
+}
+
+// is reports whether t, if there is one, records kind k with fields f0, f1,
+// f2 and times t0, t1, t2: kind first, then each field, compared in place.
+func (t *term) is(k kind, f0, f1, f2 string, t0, t1, t2 sim.Time) bool {
+	return t != nil && t.c.kind == k && t.c.f[0] == f0 && t.c.f[1] == f1 && t.c.f[2] == f2 &&
+		t.c.t[0] == t0 && t.c.t[1] == t1 && t.c.t[2] == t2
 }
 
 // recorded returns the term of sig if it answers a verification of signer
@@ -377,38 +398,25 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 			same = bytes.Equal(kr.buf, payload)
 		}
 		if same {
-			kr.hit()
-			return true
+			return kr.hit()
 		}
 	}
-	return kr.miss(signer, payload, nil, sig)
+	return kr.miss(signer, payload, content{}, sig)
 }
 
-// verify checks that signer signed the typed artefact c in sig: for a term
-// recorded on kr, a comparison of signer, generation and fields; else the
-// backend's answer over c's canonical encoding.
+// hit counts a verification answered from the record, true.
 //
 //xchain:hotpath
-func (kr *Keyring) verify(signer string, c *content, sig Signature) bool {
-	if t := kr.recorded(signer, sig); t != nil && t.c == *c {
-		kr.hit()
-		return true
-	}
-	return kr.miss(signer, nil, c, sig)
-}
-
-// hit counts a verification answered from the record.
-//
-//xchain:hotpath
-func (kr *Keyring) hit() {
+func (kr *Keyring) hit() bool {
 	kr.stats.MemoHits++
 	kr.stripe.memoHits.Add(1)
+	return true
 }
 
 // miss answers a verification the record did not: the backend checks sig's
 // bytes under signer's key, over payload or, for a typed artefact, over c's
 // canonical encoding.
-func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature) bool {
+func (kr *Keyring) miss(signer string, payload []byte, c content, sig Signature) bool {
 	if sig.t == nil {
 		return false
 	}
@@ -421,7 +429,7 @@ func (kr *Keyring) miss(signer string, payload []byte, c *content, sig Signature
 		return false
 	}
 	e := kr.read(j)
-	if c != nil {
+	if c.kind != kindRaw {
 		// After the bytes, which may have been rendered in the same scratch.
 		kr.buf = c.render(kr.buf[:0])
 		payload = kr.buf
@@ -493,8 +501,10 @@ func appendField(b []byte, f string) []byte {
 }
 
 // An artefact is signed and verified in place, in the message that carries
-// it: its Sign records its content as the term, and its Verify compares its
-// content with the term's.
+// it: its Sign writes its kind and fields into the term, and its Verify
+// compares them with the term's, kind first, where they stand. Only a
+// verification the record does not answer builds its content, for the
+// backend.
 
 // PaymentCert is the certificate chi: a statement signed by Bob that Alice's
 // obligation to pay him has been met (Definition 1).
@@ -515,8 +525,8 @@ func (c *PaymentCert) content() content {
 //
 //xchain:hotpath
 func (c *PaymentCert) Sign(kr *Keyring, by sim.PID) {
-	cc := c.content()
-	c.Sig = kr.sign(by, &cc)
+	c.Sig = kr.sign(by)
+	c.Sig.t.set(kindChi, c.PaymentID, c.Issuer, c.Payer, c.IssuedAt, 0, 0)
 }
 
 // Verify checks chi's signature against the expected issuer.
@@ -526,8 +536,10 @@ func (c *PaymentCert) Verify(kr *Keyring, expectedIssuer string) bool {
 	if c.Issuer != expectedIssuer {
 		return false
 	}
-	cc := c.content()
-	return kr.verify(c.Issuer, &cc, c.Sig)
+	if kr.recorded(c.Issuer, c.Sig).is(kindChi, c.PaymentID, c.Issuer, c.Payer, c.IssuedAt, 0, 0) {
+		return kr.hit()
+	}
+	return kr.miss(c.Issuer, nil, c.content(), c.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -556,16 +568,18 @@ func (g *Guarantee) content() content {
 //
 //xchain:hotpath
 func (g *Guarantee) Sign(kr *Keyring, by sim.PID) {
-	c := g.content()
-	g.Sig = kr.sign(by, &c)
+	g.Sig = kr.sign(by)
+	g.Sig.t.set(kindGuarantee, g.PaymentID, g.Escrow, g.Customer, g.D, g.IssuedAt, 0)
 }
 
 // Verify checks the guarantee's signature against its stated escrow.
 //
 //xchain:hotpath
 func (g *Guarantee) Verify(kr *Keyring) bool {
-	c := g.content()
-	return kr.verify(g.Escrow, &c, g.Sig)
+	if kr.recorded(g.Escrow, g.Sig).is(kindGuarantee, g.PaymentID, g.Escrow, g.Customer, g.D, g.IssuedAt, 0) {
+		return kr.hit()
+	}
+	return kr.miss(g.Escrow, nil, g.content(), g.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -608,16 +622,18 @@ func (p *Promise) content() content {
 //
 //xchain:hotpath
 func (p *Promise) Sign(kr *Keyring, by sim.PID) {
-	c := p.content()
-	p.Sig = kr.sign(by, &c)
+	p.Sig = kr.sign(by)
+	p.Sig.t.set(kindPromise, p.PaymentID, p.Escrow, p.Customer, p.A, p.Epsilon, p.IssuedAt)
 }
 
 // Verify checks the promise's signature against its stated escrow.
 //
 //xchain:hotpath
 func (p *Promise) Verify(kr *Keyring) bool {
-	c := p.content()
-	return kr.verify(p.Escrow, &c, p.Sig)
+	if kr.recorded(p.Escrow, p.Sig).is(kindPromise, p.PaymentID, p.Escrow, p.Customer, p.A, p.Epsilon, p.IssuedAt) {
+		return kr.hit()
+	}
+	return kr.miss(p.Escrow, nil, p.content(), p.Sig)
 }
 
 // Describe implements a human-readable label.
@@ -675,10 +691,12 @@ func (c *DecisionCert) content() content {
 //
 //xchain:hotpath
 func (c *DecisionCert) Sign(kr *Keyring, by []sim.PID) {
-	cc := c.content()
+	d := c.Decision.String()
 	c.Sigs = c.Sigs[:0]
 	for _, pid := range by {
-		c.Sigs = append(c.Sigs, kr.sign(pid, &cc))
+		s := kr.sign(pid)
+		s.t.set(kindDecision, c.PaymentID, d, c.Manager, c.IssuedAt, 0, 0)
+		c.Sigs = append(c.Sigs, s)
 	}
 }
 
@@ -690,7 +708,7 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 	if len(c.Signers) != len(c.Sigs) || c.Quorum <= 0 {
 		return false
 	}
-	cc := c.content()
+	d := c.Decision.String()
 	valid := 0
 	// verified[j] records whether entry j's signature verified; a signer
 	// counts once, so a later entry under an already-verified name is
@@ -706,13 +724,24 @@ func (c *DecisionCert) Verify(kr *Keyring) bool {
 				break
 			}
 		}
-		ok := !dup && kr.verify(s, &cc, c.Sigs[i])
+		ok := !dup && c.verifyOne(kr, d, s, c.Sigs[i])
 		verified = append(verified, ok)
 		if ok {
 			valid++
 		}
 	}
 	return valid >= c.Quorum
+}
+
+// verifyOne checks that signer signed the certificate, whose decision reads
+// d, in sig.
+//
+//xchain:hotpath
+func (c *DecisionCert) verifyOne(kr *Keyring, d, signer string, sig Signature) bool {
+	if kr.recorded(signer, sig).is(kindDecision, c.PaymentID, d, c.Manager, c.IssuedAt, 0, 0) {
+		return kr.hit()
+	}
+	return kr.miss(signer, nil, c.content(), sig)
 }
 
 // Describe implements a human-readable label.
@@ -740,16 +769,18 @@ func (r *Receipt) content() content {
 //
 //xchain:hotpath
 func (r *Receipt) Sign(kr *Keyring, by sim.PID) {
-	c := r.content()
-	r.Sig = kr.sign(by, &c)
+	r.Sig = kr.sign(by)
+	r.Sig.t.set(kindReceipt, r.PaymentID, r.Issuer, r.Subject, r.IssuedAt, 0, 0)
 }
 
 // Verify checks the receipt's signature.
 //
 //xchain:hotpath
 func (r *Receipt) Verify(kr *Keyring) bool {
-	c := r.content()
-	return kr.verify(r.Issuer, &c, r.Sig)
+	if kr.recorded(r.Issuer, r.Sig).is(kindReceipt, r.PaymentID, r.Issuer, r.Subject, r.IssuedAt, 0, 0) {
+		return kr.hit()
+	}
+	return kr.miss(r.Issuer, nil, r.content(), r.Sig)
 }
 
 // Describe implements a human-readable label.

@@ -257,3 +257,103 @@ func TestPropertySignatureBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTamperedOrRekindedNeverHits changes each field of every typed artefact
+// in turn, and moves signatures between kinds whose strings and times are
+// equal (chi onto a receipt, G(d) onto P(a)): each verification fails, is
+// paid to the backend as exactly one miss, and none is answered from the
+// record, while the artefacts as signed verify as hits.
+func TestTamperedOrRekindedNeverHits(t *testing.T) {
+	for _, backend := range []string{"ed25519", "hmac"} {
+		kr := NewKeyringWith(Options{Backend: backend}, "tamper-seed", []string{"c0", "e0", "c1", "manager"})
+		chi := PaymentCert{PaymentID: "pay", Issuer: "c1", Payer: "c0", IssuedAt: 7}
+		chi.Sign(kr, 2)
+		g := Guarantee{PaymentID: "pay", Escrow: "e0", Customer: "c0", D: 5, IssuedAt: 3}
+		g.Sign(kr, 1)
+		p := Promise{PaymentID: "pay", Escrow: "e0", Customer: "c1", A: 5, Epsilon: 2, IssuedAt: 11}
+		p.Sign(kr, 1)
+		d := DecisionCert{PaymentID: "pay", Decision: DecisionCommit, Manager: "manager", IssuedAt: 4, Signers: []string{"manager"}, Quorum: 1}
+		d.Sign(kr, []sim.PID{3})
+		r := Receipt{PaymentID: "pay", Issuer: "c1", Subject: "funds-received", IssuedAt: 9}
+		r.Sign(kr, 2)
+
+		// verify runs one verification and checks what it counted.
+		verify := func(name string, want bool, v func() bool) {
+			t.Helper()
+			before := kr.Stats()
+			if got := v(); got != want {
+				t.Errorf("%s %s: Verify = %v, want %v", backend, name, got, want)
+			}
+			hits, misses := kr.Stats().MemoHits-before.MemoHits, kr.Stats().MemoMisses-before.MemoMisses
+			if want && (hits != 1 || misses != 0) || !want && (hits != 0 || misses != 1) {
+				t.Errorf("%s %s: %d hits and %d misses", backend, name, hits, misses)
+			}
+		}
+		verify("chi", true, func() bool { return chi.Verify(kr, "c1") })
+		verify("G(d)", true, func() bool { return g.Verify(kr) })
+		verify("P(a)", true, func() bool { return p.Verify(kr) })
+		verify("decision", true, func() bool { return d.Verify(kr) })
+		verify("receipt", true, func() bool { return r.Verify(kr) })
+
+		for i, tamper := range []func(*PaymentCert){
+			func(x *PaymentCert) { x.PaymentID = "pax" },
+			func(x *PaymentCert) { x.Issuer = "c0" },
+			func(x *PaymentCert) { x.Payer = "e0" },
+			func(x *PaymentCert) { x.IssuedAt++ },
+		} {
+			x := chi
+			tamper(&x)
+			verify(fmt.Sprintf("chi field %d", i), false, func() bool { return x.Verify(kr, x.Issuer) })
+		}
+		for i, tamper := range []func(*Guarantee){
+			func(x *Guarantee) { x.PaymentID = "pax" },
+			func(x *Guarantee) { x.Escrow = "c1" },
+			func(x *Guarantee) { x.Customer = "c1" },
+			func(x *Guarantee) { x.D++ },
+			func(x *Guarantee) { x.IssuedAt++ },
+		} {
+			x := g
+			tamper(&x)
+			verify(fmt.Sprintf("G(d) field %d", i), false, func() bool { return x.Verify(kr) })
+		}
+		for i, tamper := range []func(*Promise){
+			func(x *Promise) { x.PaymentID = "pax" },
+			func(x *Promise) { x.Escrow = "c0" },
+			func(x *Promise) { x.Customer = "c0" },
+			func(x *Promise) { x.A++ },
+			func(x *Promise) { x.Epsilon++ },
+			func(x *Promise) { x.IssuedAt++ },
+		} {
+			x := p
+			tamper(&x)
+			verify(fmt.Sprintf("P(a) field %d", i), false, func() bool { return x.Verify(kr) })
+		}
+		for i, tamper := range []func(*DecisionCert){
+			func(x *DecisionCert) { x.PaymentID = "pax" },
+			func(x *DecisionCert) { x.Decision = DecisionAbort },
+			func(x *DecisionCert) { x.Manager = "c0" },
+			func(x *DecisionCert) { x.IssuedAt++ },
+		} {
+			x := d
+			tamper(&x)
+			verify(fmt.Sprintf("decision field %d", i), false, func() bool { return x.Verify(kr) })
+		}
+		for i, tamper := range []func(*Receipt){
+			func(x *Receipt) { x.PaymentID = "pax" },
+			func(x *Receipt) { x.Issuer = "c0" },
+			func(x *Receipt) { x.Subject = "funds-refunded" },
+			func(x *Receipt) { x.IssuedAt++ },
+		} {
+			x := r
+			tamper(&x)
+			verify(fmt.Sprintf("receipt field %d", i), false, func() bool { return x.Verify(kr) })
+		}
+
+		rekinded := Receipt{PaymentID: chi.PaymentID, Issuer: chi.Issuer, Subject: chi.Payer, IssuedAt: chi.IssuedAt, Sig: chi.Sig}
+		verify("chi's signature on a receipt", false, func() bool { return rekinded.Verify(kr) })
+		asChi := PaymentCert{PaymentID: r.PaymentID, Issuer: r.Issuer, Payer: r.Subject, IssuedAt: r.IssuedAt, Sig: r.Sig}
+		verify("a receipt's signature on chi", false, func() bool { return asChi.Verify(kr, asChi.Issuer) })
+		asPromise := Promise{PaymentID: g.PaymentID, Escrow: g.Escrow, Customer: g.Customer, A: g.D, Epsilon: g.IssuedAt, Sig: g.Sig}
+		verify("G(d)'s signature on P(a)", false, func() bool { return asPromise.Verify(kr) })
+	}
+}

@@ -189,8 +189,8 @@ func resolveProtocols(w Workload, registry map[string]core.Protocol) (protocols,
 // simulator is one simulating worker's standing state: the world its
 // payments run on, the scenario each payment's sub-run is written into
 // (subScenario) with the hop amounts and the fault and patience maps it
-// points at, and the list its safety failures are judged from. Like the
-// world, it is confined to its worker.
+// points at, and the report and the list its safety failures are judged
+// from. Like the world, it is confined to its worker.
 type simulator struct {
 	w          *core.World
 	commission int64 // the workload's: a hop's amount is derived from it
@@ -198,6 +198,7 @@ type simulator struct {
 	amounts    []int64
 	faults     map[string]core.FaultSpec
 	patience   map[string]sim.Time
+	rep        check.Report
 	failed     []core.Property
 }
 
@@ -240,9 +241,10 @@ func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *pay
 	// manager-based protocols, conservation) wherever check.Owed says the
 	// covering theorem owes it. A faulted sub-run is outside the envelope;
 	// patience plays no part, as none of these is conditional on it.
-	rep := check.Evaluate(r, check.OptionsFor(g, 0, 0))
+	rep := &sm.rep
+	rep.Evaluate(r, check.OptionsFor(g, 0, 0))
 	failed := sm.failed[:0]
-	if !rep.Verdict(core.PropConsistency).OK() {
+	if rep.Failed(core.PropConsistency) {
 		failed = append(failed, core.PropConsistency)
 	}
 	failed = rep.AppendSafetyFailures(failed)
@@ -259,7 +261,7 @@ func (sm *simulator) simulateOne(base *core.Scenario, plan *compiledPlan, p *pay
 			out.fail = &subFailure{}
 		}
 		out.fail.safety = append(out.fail.safety,
-			fmt.Sprintf("%s %s (%s): %s", p.ID, prop, ps.names[p.proto], rep.Verdict(prop).Detail))
+			fmt.Sprintf("%s %s (%s): %s", p.ID, prop, ps.names[p.proto], rep.Verdict(prop).Detail()))
 	}
 	return out
 }

@@ -171,7 +171,7 @@ func TestImpatienceUnderPartialSynchronyIsSafe(t *testing.T) {
 			t.Errorf("%s: safety violated:\n%s", p.Name(), rep)
 		}
 		if v := rep.Verdict(core.PropTermination); !v.OK() {
-			t.Errorf("%s: termination violated: %s", p.Name(), v.Detail)
+			t.Errorf("%s: termination violated: %s", p.Name(), v.Detail())
 		}
 	}
 }
@@ -215,10 +215,10 @@ func TestCommitteeWithTooManyFaultsStillSafe(t *testing.T) {
 	}
 	rep := check.Evaluate(res, check.Def2(0))
 	if v := rep.Verdict(core.PropCertConsistency); !v.OK() {
-		t.Errorf("CC violated: %s", v.Detail)
+		t.Errorf("CC violated: %s", v.Detail())
 	}
 	if v := rep.Verdict(core.PropEscrowSecurity); !v.OK() {
-		t.Errorf("ES violated: %s", v.Detail)
+		t.Errorf("ES violated: %s", v.Detail())
 	}
 }
 

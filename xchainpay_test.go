@@ -59,7 +59,7 @@ func TestFacadeProtocols(t *testing.T) {
 		rep := check.Evaluate(res, check.Def1Eventual())
 		for _, prop := range []core.Property{core.PropEscrowSecurity, core.PropConservation} {
 			if !rep.Verdict(prop).OK() {
-				t.Errorf("%s: %s violated: %s", p.Name(), prop, rep.Verdict(prop).Detail)
+				t.Errorf("%s: %s violated: %s", p.Name(), prop, rep.Verdict(prop).Detail())
 			}
 		}
 	}
