@@ -358,7 +358,7 @@ func (a *Automaton) enter(i int) {
 			})
 		}
 	case Output:
-		a.pending = append(a.pending, a.clk.ScheduleArgAfterLocal(a.compute, "emit", emit, a))
+		a.pending = append(a.pending, a.clk.ScheduleArgAfterLocal(a.compute, emit, a))
 	case Input:
 		// Try buffered messages first (in arrival order), then arm timeouts.
 		if !a.tryBuffered() {
@@ -396,7 +396,7 @@ func (a *Automaton) armTimeouts(st *State) {
 //
 //xchain:hotpath
 func (a *Automaton) arm(w *wakeup, deadline sim.Time) {
-	a.pending = append(a.pending, a.clk.ScheduleArgAtLocal(deadline, "timeout", wake, w))
+	a.pending = append(a.pending, a.clk.ScheduleArgAtLocal(deadline, wake, w))
 }
 
 // wake fires a timeout transition's wake-up (not canceled, so the automaton

@@ -74,14 +74,14 @@ func (c *Clock) RealUntilLocal(target sim.Time) sim.Time {
 // local time target (sim.Engine.ScheduleArgIn: a package-level action with
 // its argument pre-bound, so nothing is allocated per event). The returned
 // timer may be canceled.
-func (c *Clock) ScheduleArgAtLocal(target sim.Time, name string, fn func(any), arg any) sim.Timer {
-	return c.eng.ScheduleArgIn(c.RealUntilLocal(target), name, fn, arg)
+func (c *Clock) ScheduleArgAtLocal(target sim.Time, fn func(any), arg any) sim.Timer {
+	return c.eng.ScheduleArgIn(c.RealUntilLocal(target), "", fn, arg)
 }
 
 // ScheduleArgAfterLocal schedules fn(arg) to run after local duration d has
 // elapsed on this clock.
-func (c *Clock) ScheduleArgAfterLocal(d sim.Time, name string, fn func(any), arg any) sim.Timer {
-	return c.eng.ScheduleArgIn(c.RealFor(d), name, fn, arg)
+func (c *Clock) ScheduleArgAfterLocal(d sim.Time, fn func(any), arg any) sim.Timer {
+	return c.eng.ScheduleArgIn(c.RealFor(d), "", fn, arg)
 }
 
 // String describes the clock's drift and offset.

@@ -46,7 +46,7 @@ func TestScheduleAfterLocalReachesTarget(t *testing.T) {
 		eng := sim.NewEngine(1)
 		c := New(eng, rho, 0)
 		var reading sim.Time
-		c.ScheduleArgAfterLocal(100*sim.Millisecond, "wake", func(any) { reading = c.Now() }, nil)
+		c.ScheduleArgAfterLocal(100*sim.Millisecond, func(any) { reading = c.Now() }, nil)
 		eng.Run(0)
 		if reading < 100*sim.Millisecond {
 			t.Errorf("rho=%v: woke at local %v, before the requested 100ms", rho, reading)
@@ -63,8 +63,8 @@ func TestScheduleArgVariants(t *testing.T) {
 		var fired [2]sim.Time
 		stamp := func(x any) { *x.(*sim.Time) = eng.Now() }
 		after, until := c.RealFor(100*sim.Millisecond), c.RealUntilLocal(50*sim.Millisecond)
-		c.ScheduleArgAfterLocal(100*sim.Millisecond, "after", stamp, &fired[0])
-		c.ScheduleArgAtLocal(50*sim.Millisecond, "at", stamp, &fired[1])
+		c.ScheduleArgAfterLocal(100*sim.Millisecond, stamp, &fired[0])
+		c.ScheduleArgAtLocal(50*sim.Millisecond, stamp, &fired[1])
 		eng.Run(0)
 		if fired[0] != after || fired[1] != until {
 			t.Errorf("rho=%v: fired at %v, want [%v %v]", rho, fired, after, until)
@@ -76,7 +76,7 @@ func TestScheduleAtLocalInPastFiresImmediately(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := New(eng, 0, 10*sim.Millisecond)
 	fired := false
-	c.ScheduleArgAtLocal(5*sim.Millisecond, "past", func(any) { fired = true }, nil)
+	c.ScheduleArgAtLocal(5*sim.Millisecond, func(any) { fired = true }, nil)
 	eng.Run(0)
 	if !fired {
 		t.Fatal("past local target never fired")

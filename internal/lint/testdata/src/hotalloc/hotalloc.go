@@ -19,12 +19,12 @@ func (e *Engine) ScheduleArgAt(at int64, name string, fn func(any), arg any) {
 
 type Clock struct{ eng *Engine }
 
-func (c *Clock) ScheduleArgAtLocal(target int64, name string, fn func(any), arg any) {
-	c.eng.ScheduleArgAt(target, name, fn, arg)
+func (c *Clock) ScheduleArgAtLocal(target int64, fn func(any), arg any) {
+	c.eng.ScheduleArgAt(target, "", fn, arg)
 }
 
-func (c *Clock) ScheduleArgAfterLocal(d int64, name string, fn func(any), arg any) {
-	c.eng.ScheduleArgIn(d, name, fn, arg)
+func (c *Clock) ScheduleArgAfterLocal(d int64, fn func(any), arg any) {
+	c.eng.ScheduleArgIn(d, "", fn, arg)
 }
 
 type proc struct {
@@ -48,21 +48,21 @@ func (p *proc) closurePerAction(d int64, amount int) {
 //
 //xchain:hotpath
 func (p *proc) closurePerLocalTimer(d int64) {
-	p.clk.ScheduleArgAfterLocal(d, "emit", func(any) { p.sent++ }, nil) // want `capturing closure passed to ScheduleArgAfterLocal in hot path closurePerLocalTimer allocates per event`
-	p.clk.ScheduleArgAtLocal(d, "timeout", func(any) { p.sent++ }, nil) // want `capturing closure passed to ScheduleArgAtLocal in hot path closurePerLocalTimer allocates per event`
-	p.clk.ScheduleArgAfterLocal(d, "emit", procSend, p)
+	p.clk.ScheduleArgAfterLocal(d, func(any) { p.sent++ }, nil) // want `capturing closure passed to ScheduleArgAfterLocal in hot path closurePerLocalTimer allocates per event`
+	p.clk.ScheduleArgAtLocal(d, func(any) { p.sent++ }, nil)    // want `capturing closure passed to ScheduleArgAtLocal in hot path closurePerLocalTimer allocates per event`
+	p.clk.ScheduleArgAfterLocal(d, procSend, p)
 }
 
 // A method of the same name on another type is not the clock's.
 type planner struct{ todo []func(any) }
 
-func (pl *planner) ScheduleArgAtLocal(target int64, name string, fn func(any), arg any) {
+func (pl *planner) ScheduleArgAtLocal(target int64, fn func(any), arg any) {
 	pl.todo = append(pl.todo, fn)
 }
 
 //xchain:hotpath
 func (p *proc) otherReceiver(pl *planner, d int64) {
-	pl.ScheduleArgAtLocal(d, "plan", func(any) { p.sent++ }, nil)
+	pl.ScheduleArgAtLocal(d, func(any) { p.sent++ }, nil)
 }
 
 // Good: the process is the argument of a package-level action, and a

@@ -53,4 +53,4 @@ func MetricsFrom(r *metrics.Registry) Metrics {
 // SetMetrics attaches instrumentation hooks to the engine. Observation
 // only: hooks never change what a run computes (the nil-registry
 // differential test in internal/traffic enforces this).
-func (e *Engine) SetMetrics(m Metrics) { e.m = m }
+func (e *Engine) SetMetrics(m Metrics) { e.q.SetMetrics(m) }

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// The engine differential: a program of schedule, cancel and run steps
-// drives a real Engine and a naive model — a list kept sorted by (at, seq) —
-// and both must fire the same (at, action) sequence, keep the same clock and
-// counters, and agree on what is pending.
+// The engine differential: a program of schedule, cancel, run and reset
+// steps drives a real Engine and a naive model — a list kept sorted by (at,
+// seq) — and both must fire the same (at, action) sequence, keep the same
+// clock and counters, and agree on what is pending. The model shares no code
+// with Queue, the heap the engine and the traffic timeline both run on.
 
 // firing is one fired event: when, and which action (the event's ID, in
 // scheduling order).
@@ -65,10 +66,12 @@ type modelEvent struct {
 }
 
 // engineModel is the reference: a list of pending events sorted by (at,
-// seq), fired from the front.
+// seq), fired from the front. ids counts the events ever scheduled, across
+// resets: an event's ID is its handle's index.
 type engineModel struct {
 	now                   Time
 	seq, fired, scheduled uint64
+	ids                   int
 	pending               []modelEvent
 	log                   []firing
 }
@@ -76,7 +79,8 @@ type engineModel struct {
 func (m *engineModel) scheduleAt(at Time, spawn int) {
 	m.seq++
 	m.scheduled++
-	m.pending = append(m.pending, modelEvent{at: max(at, m.now), seq: m.seq, id: int(m.seq) - 1, spawn: spawn})
+	m.pending = append(m.pending, modelEvent{at: max(at, m.now), seq: m.seq, id: m.ids, spawn: spawn})
+	m.ids++
 	slices.SortFunc(m.pending, func(a, b modelEvent) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
 	})
@@ -113,7 +117,7 @@ func (m *engineModel) runUntil(until Time, maxEvents uint64) (Time, uint64) {
 	for (maxEvents == 0 || n < maxEvents) && m.step(until) {
 		n++
 	}
-	if until != Never && m.now < until {
+	if until != Never && m.nextAt() > until && m.now < until {
 		m.now = until
 	}
 	return m.now, n
@@ -130,13 +134,21 @@ func (m *engineModel) runBefore(t Time, maxEvents uint64) (Time, uint64) {
 	return m.now, n
 }
 
+// reset empties the model as Engine.Reset does the engine: no pending
+// event, the clock and counters at zero. Handles from before stay valid
+// IDs, naming events that are gone.
+func (m *engineModel) reset() {
+	m.now, m.seq, m.fired, m.scheduled = 0, 0, 0, 0
+	m.pending = m.pending[:0]
+}
+
 // driveEngine runs program, three bytes a step (op, a, b), on the engine
 // and the model and fails at the first step they disagree.
 func driveEngine(t *testing.T, program []byte) {
 	h := &engineHarness{eng: NewEngine(1)}
 	m := &engineModel{}
 	for i := 0; i+3 <= len(program); i += 3 {
-		op, a, b := program[i]%6, program[i+1], program[i+2]
+		op, a, b := program[i]%7, program[i+1], program[i+2]
 		spawn := int(b % 4)
 		limit := uint64(b % 4)
 		var gotNow, wantNow Time
@@ -174,6 +186,13 @@ func driveEngine(t *testing.T, program []byte) {
 			gotNow, gotN = h.eng.Run(limit)
 			wantNow, wantN = m.runUntil(Never, limit)
 			ran = true
+		case 6: // Reset: every pending event goes, every handle is stale
+			seed := int64(a)<<8 | int64(b)
+			h.eng.Reset(seed)
+			m.reset()
+			if got, want := h.eng.Rand().Int63(), NewRand(seed).Int63(); got != want {
+				t.Fatalf("step %d: Reset(%d) left the RNG drawing %d, want %d", i/3, seed, got, want)
+			}
 		}
 		if ran && (gotNow != wantNow || gotN != wantN) {
 			t.Fatalf("step %d (op %d): run returned (%v, %d), model (%v, %d)", i/3, op, gotNow, gotN, wantNow, wantN)
@@ -191,9 +210,10 @@ func driveEngine(t *testing.T, program []byte) {
 }
 
 // FuzzEngineOps drives programs through the engine and the model: any
-// program, the same firings step for step. Its seed corpus — three programs
-// written for the tie-break, the recycled canceled record and a spawning
-// chain cut short, and random ones — runs with the tests.
+// program, the same firings step for step. Its seed corpus — programs
+// written for the tie-break, the freed canceled slot, a spawning chain cut
+// short, a capped RunUntil and stale handles across a Reset, and random
+// ones — runs with the tests.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -211,8 +231,8 @@ func FuzzEngineOps(f *testing.F) {
 		0, 6, 0, // at now+2
 		2, 0, 0, // cancel the first
 		4, 1, 0, // RunUntil(now+1): nothing fires, but the canceled root
-		// is discarded and its record recycled
-		0, 6, 0, // a new event takes the canceled record
+		// is discarded and its slot freed
+		0, 6, 0, // a new event takes the canceled slot
 		0, 6, 0,
 		2, 0, 0, // cancel the first again: stale, a no-op
 		5, 0, 0, // Run: three events fire
@@ -223,6 +243,29 @@ func FuzzEngineOps(f *testing.F) {
 		3, 3, 2, // RunBefore(now+3, 2)
 		2, 2, 0, // cancel one of the ties
 		4, 15, 0, // RunUntil(Never)
+	})
+	f.Add([]byte{
+		0, 9, 0, // at 5
+		0, 10, 0, // at 6
+		4, 10, 1, // RunUntil(10, 1): fires the one at 5; the clock stays
+		// at 5, since the one at 6 is still due by 10
+		5, 0, 0, // Run(0): fires the one at 6, the clock never backwards
+	})
+	f.Add([]byte{
+		0, 9, 0, // at 5
+		0, 10, 2, // at 6, spawning two children
+		0, 12, 0, // at 8
+		2, 2, 0, // cancel the one at 8
+		5, 0, 1, // Run(1): fires the one at 5
+		6, 0, 3, // Reset(3): the rest are gone, the handles stale
+		0, 6, 0, // at 2, in a freed slot
+		0, 7, 0, // at 3
+		2, 1, 0, // cancel the pre-Reset one at 6: a no-op
+		2, 2, 0, // and the canceled one: a no-op too
+		2, 0, 0, // and the fired one
+		6, 1, 0, // Reset(256) with the new ones pending
+		1, 3, 1, // in 1, spawning a child
+		5, 0, 0, // Run: the two fire, nothing from before a Reset
 	})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 64; i++ {

@@ -7,11 +7,12 @@
 // and Theorem-2 search in internal/scenariogen reason about executions.
 //
 // The kernel is written for the muted hot path: every experiment sweep and
-// traffic run schedules and fires millions of events, so the event queue is
-// a hand-rolled min-heap over a free list of event records. An event is a
-// package-level action with a pre-bound argument (ScheduleArgAt), so
-// scheduling reuses a pooled record and performs no heap allocation in
-// steady state.
+// traffic run schedules and fires millions of events, so the event queue
+// (Queue, which the traffic admission timeline runs on too) is a hand-rolled
+// min-heap of pointer-free (at, seq, ref, kind) entries. An engine event is a
+// package-level action with a pre-bound argument (ScheduleArgAt), kept in a
+// slot its entry's ref indexes, so scheduling reuses a freed slot and
+// performs no heap allocation in steady state.
 package sim
 
 import "strconv"
@@ -57,27 +58,27 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Millis converts t to floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// event is a scheduled action record: when it fires (at, seq), whether it
-// still may (gen, canceled), and what it does (fn(arg)). Records are owned by
-// the engine and recycled through a free list once fired or discarded, so
-// external code never holds one directly; Timer is the caller-facing handle.
-type event struct {
-	at       Time
-	seq      uint64 // tie-breaker for deterministic ordering
-	gen      uint64 // incremented on recycle; stale Timers no longer match
-	canceled bool
+// slot is a scheduled event's action: what it does (fn(arg)) and whether it
+// still may (gen, canceled). Slot i acts for the queue entry whose Ref is i;
+// the engine frees it once its event fired or was discarded, linking it into
+// the free list through next, so external code never holds one directly:
+// Timer is the caller-facing handle.
+type slot struct {
 	fn       func(any)
 	arg      any
+	gen      uint64 // incremented on release; stale Timers no longer match
+	next     int32  // while free: the next free slot plus one (0: none)
+	canceled bool
 }
 
 // Timer is a cancelable handle to a scheduled event. The zero value is an
 // inert timer: Cancel and Canceled are no-ops on it. A Timer whose event has
 // already fired (or was discarded) is stale, and canceling it is a no-op —
-// the underlying record may already describe a different, later event.
+// its slot may already act for a different, later event.
 type Timer struct {
-	eng *Engine
-	ev  *event
-	gen uint64
+	eng  *Engine
+	slot int32
+	gen  uint64
 }
 
 // Cancel prevents a pending event from firing. Canceling an event that has
@@ -85,10 +86,13 @@ type Timer struct {
 //
 //xchain:hotpath
 func (t Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled {
-		t.ev.canceled = true
+	if t.eng == nil {
+		return
+	}
+	if s := &t.eng.slots[t.slot]; s.gen == t.gen && !s.canceled {
+		s.canceled = true
 		t.eng.live--
-		t.eng.m.Canceled.Inc()
+		t.eng.q.CountCanceled()
 	}
 }
 
@@ -96,30 +100,22 @@ func (t Timer) Cancel() {
 // returns false for the zero Timer and for stale timers whose event already
 // fired or was discarded.
 func (t Timer) Canceled() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.canceled
+	if t.eng == nil {
+		return false
+	}
+	s := &t.eng.slots[t.slot]
+	return s.gen == t.gen && s.canceled
 }
 
 // Engine is a single-run simulation engine. It is not safe for concurrent
 // use: a run is strictly sequential, which is what makes it reproducible.
 // Parallelism in this repository happens across independent runs.
 type Engine struct {
-	now  Time
-	heap []*event // min-heap ordered by (at, seq)
-	free []*event // recycled records ready for reuse
-	live int      // pending events that are not canceled
-	seq  uint64
-	rng  *Rand
-
-	// block is what is left of the block new records are cut from.
-	block []event
-
-	// Stats
-	fired     uint64
-	scheduled uint64
-
-	// m holds optional instrumentation hooks (see SetMetrics); the zero
-	// value is muted and every update below is an inlined nil no-op.
-	m Metrics
+	q     Queue  // the pending events, an entry's Ref its slot
+	slots []slot // the events' actions
+	free  int32  // the first free slot plus one (0: none)
+	live  int    // pending events that are not canceled
+	rng   *Rand
 }
 
 // NewEngine returns an engine with virtual time 0 and a deterministic RNG
@@ -130,109 +126,59 @@ func NewEngine(seed int64) *Engine {
 
 // Reset returns the engine to the state NewEngine(seed) builds — virtual
 // time 0, no pending events, zeroed counters, the RNG at the start of
-// seed's stream — in O(pending events), keeping the heap's and the free
-// list's capacity and the metrics hooks. Timers handed out before the Reset
+// seed's stream — in O(pending events), keeping the queue's and the slot
+// table's capacity and the metrics hooks. Timers handed out before the Reset
 // are stale: their events are gone and Cancel on them is a no-op.
 func (e *Engine) Reset(seed int64) {
-	for i, ev := range e.heap {
-		e.recycle(ev)
-		e.heap[i] = nil
+	for _, en := range e.q.heap {
+		e.release(en.Ref)
 	}
-	e.heap = e.heap[:0]
-	e.now, e.live, e.seq = 0, 0, 0
-	e.fired, e.scheduled = 0, 0
+	e.q.Reset()
+	e.live = 0
 	e.rng.Seed(seed)
 }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine) Now() Time { return e.q.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // EventsScheduled returns the total number of events scheduled so far.
-func (e *Engine) EventsScheduled() uint64 { return e.scheduled }
+func (e *Engine) EventsScheduled() uint64 { return e.q.scheduled }
 
 // EventsFired returns the total number of events that have fired so far.
-func (e *Engine) EventsFired() uint64 { return e.fired }
+func (e *Engine) EventsFired() uint64 { return e.q.fired }
 
 // Pending returns the number of events currently waiting in the queue
 // (including canceled events that have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.q.heap) }
 
 // Live returns the number of pending events that have not been canceled.
 func (e *Engine) Live() int { return e.live }
 
-// less orders the heap by (at, seq): virtual time first, scheduling order as
-// the deterministic tie-breaker.
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push inserts ev into the heap (sift-up).
+// release invalidates every Timer on slot i and frees it.
 //
 //xchain:hotpath
-func (e *Engine) push(ev *event) {
-	e.heap = append(e.heap, ev)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(e.heap[i], e.heap[parent]) {
-			break
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		i = parent
+func (e *Engine) release(i int32) {
+	s := &e.slots[i]
+	s.gen++
+	s.fn, s.arg = nil, nil
+	s.next = e.free
+	e.free = i + 1
+}
+
+// newSlot adds a slot to the table and returns its index: the free list is
+// empty. The table doubles when full, and the queue's heap with it: every
+// entry in the heap holds a slot, so the heap never grows on its own.
+func (e *Engine) newSlot() int32 {
+	if n := len(e.slots); n == cap(e.slots) {
+		e.slots = append(make([]slot, 0, max(2*n, 16)), e.slots...)
+		e.q.heap = append(make([]Entry, 0, cap(e.slots)), e.q.heap...)
 	}
+	e.slots = append(e.slots, slot{})
+	return int32(len(e.slots) - 1)
 }
-
-// popRoot removes and returns the heap's minimum (sift-down).
-//
-//xchain:hotpath
-func (e *Engine) popRoot() *event {
-	root := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap[n] = nil
-	e.heap = e.heap[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && less(e.heap[right], e.heap[left]) {
-			smallest = right
-		}
-		if !less(e.heap[smallest], e.heap[i]) {
-			break
-		}
-		e.heap[i], e.heap[smallest] = e.heap[smallest], e.heap[i]
-		i = smallest
-	}
-	return root
-}
-
-// recycle invalidates all Timers pointing at ev and returns the record to
-// the free list.
-//
-//xchain:hotpath
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.arg = nil
-	e.free = append(e.free, ev)
-}
-
-// eventBlock is how many records a block holds: 16 of 56 bytes fill an
-// 896-byte size class. A world's engine rarely holds more than a few dozen
-// events, so a block stays small; the traffic timeline's, which warms up to
-// thousands, makes a block per 16 rather than a record each. A record never
-// moves, so Timers keep pointing at it.
-const eventBlock = 16
 
 // ScheduleArgAt registers fn(arg) to run at absolute virtual time at.
 // Scheduling in the past is clamped to "now": the event fires before time
@@ -240,74 +186,59 @@ const eventBlock = 16
 // per-event state pre-bound in arg, so the hot path allocates nothing: arg
 // is typically a pointer into a caller-managed pool, and boxing a pointer
 // into an interface does not allocate. The engine keeps no name: name is
-// accepted and ignored. The event's record is taken from the free list, else
-// cut from a block, so in steady state scheduling allocates nothing.
+// ignored, and stays in the signature because the benchmark harness
+// (benchmark/probes.go) passes one. The event's slot is taken from the free
+// list, else added to the table, so in steady state scheduling allocates
+// nothing.
 //
 //xchain:hotpath
 func (e *Engine) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.scheduled++
-	e.m.Scheduled.Inc()
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	i := e.free - 1
+	if i < 0 {
+		i = e.newSlot()
 	} else {
-		if len(e.block) == cap(e.block) {
-			e.block = make([]event, 0, eventBlock)
-		}
-		e.block = e.block[:len(e.block)+1]
-		ev = &e.block[len(e.block)-1]
+		e.free = e.slots[i].next
 	}
-	ev.at, ev.seq, ev.canceled = at, e.seq, false
-	ev.fn, ev.arg = fn, arg
-	e.push(ev)
+	s := &e.slots[i]
+	s.fn, s.arg, s.canceled = fn, arg, false
+	e.q.Push(e.q.stamp(at, i, 0)) // q.Schedule, without the call
 	e.live++
-	return Timer{eng: e, ev: ev, gen: ev.gen}
+	return Timer{eng: e, slot: i, gen: s.gen}
 }
 
 // ScheduleArgIn registers fn(arg) to run after delay d from the current
-// time; name is ignored, as for ScheduleArgAt.
+// time, a negative d counting as none; name is ignored, as for
+// ScheduleArgAt.
 //
 //xchain:hotpath
 func (e *Engine) ScheduleArgIn(d Time, name string, fn func(any), arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.ScheduleArgAt(e.now+d, name, fn, arg)
+	return e.ScheduleArgAt(e.q.now+d, name, fn, arg)
 }
 
-// step fires the earliest pending event. It returns false when no event is
-// due by until.
+// step fires the earliest pending event, discarding the canceled ones that
+// surface before it. It returns false when no event is due by until.
 //
 //xchain:hotpath
 func (e *Engine) step(until Time) bool {
-	for len(e.heap) > 0 {
-		next := e.heap[0]
-		if next.canceled {
-			e.recycle(e.popRoot())
+	for len(e.q.heap) > 0 {
+		next := e.q.heap[0]
+		s := &e.slots[next.Ref]
+		if s.canceled {
+			e.q.Discard()
+			e.release(next.Ref)
 			continue
 		}
-		if next.at > until {
+		if next.At > until {
 			return false
 		}
-		e.popRoot()
-		e.now = next.at
-		e.fired++
+		e.q.Fire()
 		e.live--
-		e.m.Fired.Inc()
-		if e.m.Watermark != nil {
-			e.m.Watermark.Set(next.at.Millis())
-		}
-		// Copy the callback out and recycle before invoking: the callback may
-		// itself schedule (reusing this record) or cancel its own stale Timer,
-		// both of which are safe once the generation has been bumped.
-		fn, arg := next.fn, next.arg
-		e.recycle(next)
+		// Copy the action out and release its slot before invoking: the
+		// action may itself schedule (reusing this slot) or cancel its own
+		// stale Timer, both of which are safe once the generation has been
+		// bumped.
+		fn, arg := s.fn, s.arg
+		e.release(next.Ref)
 		fn(arg)
 		return true
 	}
@@ -322,23 +253,20 @@ func (e *Engine) Run(maxEvents uint64) (Time, uint64) {
 }
 
 // RunUntil processes events with firing time <= until, subject to the same
-// termination conditions as Run. Virtual time is advanced to until if the
-// queue drains earlier and until is not Never.
+// termination conditions as Run. Virtual time is advanced to until if no
+// live event due by until remains and until is not Never.
 func (e *Engine) RunUntil(until Time, maxEvents uint64) (Time, uint64) {
 	var fired uint64
-	for {
-		if maxEvents > 0 && fired >= maxEvents {
-			break
-		}
-		if !e.step(until) {
-			break
-		}
+	for (maxEvents == 0 || fired < maxEvents) && e.step(until) {
 		fired++
 	}
-	if until != Never && e.now < until {
-		e.now = until
+	// Advance to until only once no event due by it remains (maxEvents may
+	// have stopped the loop short); otherwise the clock would later run
+	// backwards when the leftover events fire.
+	if until != Never && e.q.now < until && e.NextEventTime() > until {
+		e.q.AdvanceTo(until)
 	}
-	return e.now, fired
+	return e.q.now, fired
 }
 
 // RunBefore processes every event with firing time strictly earlier than t,
@@ -348,23 +276,11 @@ func (e *Engine) RunUntil(until Time, maxEvents uint64) (Time, uint64) {
 // work had been scheduled before the run started (the traffic admission
 // model's reference run interleaves arrivals with settlements so).
 func (e *Engine) RunBefore(t Time, maxEvents uint64) (Time, uint64) {
-	var fired uint64
-	for {
-		if maxEvents > 0 && fired >= maxEvents {
-			break
-		}
-		if !e.step(t - 1) {
-			break
-		}
-		fired++
+	_, fired := e.RunUntil(t-1, maxEvents)
+	if e.NextEventTime() >= t {
+		e.q.AdvanceTo(t)
 	}
-	// Advance to t only once no earlier event remains (maxEvents may have
-	// stopped the loop short); otherwise the clock would later run
-	// backwards when the leftover events fire.
-	if e.NextEventTime() >= t && e.now < t {
-		e.now = t
-	}
-	return e.now, fired
+	return e.q.now, fired
 }
 
 // Drained reports whether no live (non-canceled) events remain. The engine
@@ -374,15 +290,17 @@ func (e *Engine) Drained() bool { return e.live == 0 }
 // NextEventTime returns the firing time of the earliest live pending event,
 // or Never if none remain. Canceled events reaching the heap root are
 // discarded eagerly, so cancel-heavy workloads do not accumulate dead
-// records at the front of the queue.
+// entries at the front of the queue.
 //
 //xchain:hotpath
 func (e *Engine) NextEventTime() Time {
-	for len(e.heap) > 0 && e.heap[0].canceled {
-		e.recycle(e.popRoot())
+	for len(e.q.heap) > 0 {
+		next := e.q.heap[0]
+		if !e.slots[next.Ref].canceled {
+			return next.At
+		}
+		e.q.Discard()
+		e.release(next.Ref)
 	}
-	if len(e.heap) == 0 {
-		return Never
-	}
-	return e.heap[0].at
+	return Never
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -114,6 +115,29 @@ func TestRunUntilAdvancesToHorizon(t *testing.T) {
 	}
 }
 
+// TestRunUntilCappedKeepsClockMonotone checks that a maxEvents cap never
+// advances time past events still due by until: the clock must not later
+// run backwards when they fire.
+func TestRunUntilCappedKeepsClockMonotone(t *testing.T) {
+	eng := NewEngine(1)
+	var fired []Time
+	for _, at := range []Time{5, 6} {
+		eng.ScheduleArgAt(at, "ev", func(any) { fired = append(fired, eng.Now()) }, nil)
+	}
+	if now, n := eng.RunUntil(10, 1); n != 1 || now != 5 {
+		t.Fatalf("capped RunUntil(10, 1) fired %d, now %v; want 1 at 5", n, now)
+	}
+	if now, n := eng.Run(0); n != 1 || now != 6 {
+		t.Fatalf("Run fired %d, now %v; want 1 at 6", n, now)
+	}
+	if fired[0] != 5 || fired[1] != 6 {
+		t.Fatalf("events fired at %v, want [5 6]", fired)
+	}
+	if now, _ := eng.RunUntil(10, 1); now != 10 {
+		t.Fatalf("RunUntil(10, 1) on a drained engine ends at %v, want 10", now)
+	}
+}
+
 func TestMaxEventsCap(t *testing.T) {
 	eng := NewEngine(1)
 	var schedule func(any)
@@ -174,15 +198,15 @@ func TestPropertyVirtualTimeMonotone(t *testing.T) {
 }
 
 func TestStaleTimerCancelIsNoOp(t *testing.T) {
-	// Event records are pooled: after an event fires, its record may be
-	// reused by a later ScheduleArgAt. A Timer held across the firing must not
-	// be able to cancel the record's new occupant.
+	// Event slots are pooled: after an event fires, its slot may be reused
+	// by a later ScheduleArgAt. A Timer held across the firing must not be
+	// able to cancel the slot's new occupant.
 	eng := NewEngine(1)
 	first := eng.ScheduleArgAt(10, "first", func(any) {}, nil)
 	eng.Run(0)
 	fired := false
 	eng.ScheduleArgAt(20, "second", func(any) { fired = true }, nil)
-	first.Cancel() // stale: the record now belongs to "second"
+	first.Cancel() // stale: the slot now belongs to "second"
 	if first.Canceled() {
 		t.Fatal("stale timer reports Canceled")
 	}
@@ -410,7 +434,7 @@ func TestResetRestoresNewEngine(t *testing.T) {
 }
 
 // TestStaleTimerAfterReset holds Timers across a Reset: their events are
-// gone, and their records are reused by the next run's events, which a stale
+// gone, and their slots are reused by the next run's events, which a stale
 // Cancel must not touch.
 func TestStaleTimerAfterReset(t *testing.T) {
 	eng := NewEngine(1)
@@ -423,7 +447,7 @@ func TestStaleTimerAfterReset(t *testing.T) {
 	eng.Reset(2)
 
 	fired := 0
-	for i := 0; i < 8; i++ { // reuses the eight recycled records
+	for i := 0; i < 8; i++ { // reuses the eight freed slots
 		eng.ScheduleArgAt(Time(1+i), "new", func(any) { fired++ }, nil)
 	}
 	for _, tm := range stale {
@@ -441,15 +465,23 @@ func TestStaleTimerAfterReset(t *testing.T) {
 	}
 }
 
-// TestEventRecordSize pins the event record to its time, order and action:
-// 56 bytes on a 64-bit platform, so a block of eventBlock records fills the
-// 896-byte allocation size class.
-func TestEventRecordSize(t *testing.T) {
+// TestQueueEntryPointerFree pins the queue entry to its time, order and
+// reference: 24 bytes on a 64-bit platform, none of its fields a pointer or
+// anything holding one, so the garbage collector never scans the heap.
+func TestQueueEntryPointerFree(t *testing.T) {
+	typ := reflect.TypeFor[Entry]()
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Func,
+			reflect.Interface, reflect.String, reflect.Chan, reflect.Array, reflect.Struct:
+			t.Errorf("Entry.%s is a %s: an entry must hold no pointer", f.Name, f.Type.Kind())
+		}
+	}
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the size is pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(event{}); got != 56 {
-		t.Fatalf("event record is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Fatalf("queue entry is %d bytes, want 24", got)
 	}
 }
 

@@ -412,11 +412,11 @@ func TestRefusedAdmissionAllocs(t *testing.T) {
 
 // TestStreamedPaymentAllocs pins what a streamed payment allocates, end to
 // end, on the repository benchmark's traffic populations (hmac, one worker).
-// Chunks, flights and the engine's event records are recycled, and flights
-// and event records are made in blocks; a chunk's IDs are cut from one
-// string, and a chunk goes back to the producer once the timeline has read
-// it; the timeline's locks are held by the ledgers without a record and its
-// events are entries of its own heap; the protocol run renders no lock ID,
+// Chunks, flights and the engines' event slots are recycled, and flights
+// are made in blocks; a chunk's IDs are cut from one string, and a chunk
+// goes back to the producer once the timeline has read it; the timeline's
+// locks are held by the ledgers without a record and its events are
+// pointer-free entries of its sim.Queue; the protocol run renders no lock ID,
 // keeps its hashlock and timeout parameters, and the simulator its list of
 // safety failures. What is left is what the pipeline and the engine amortise
 // over a run, and byz_mix's failing verdicts' details. The budgets are the

@@ -20,15 +20,16 @@ import (
 //
 // A RunSnapshot captures the complete state of the admission timeline at an
 // arrival boundary, each fact once: the position in the payment population,
-// the agenda's clock, every live flight (queued and in-flight payments with
-// their pending events' seqs), the ledger book (balances and held tallies:
-// the admitted flights are the records of the locks), the aggregator (exact
-// counters, latency histogram or sample, exemplar reservoir) and the pending
-// Byzantine marks. Everything else — the payment stream itself, the fault
-// plan, every RNG side-stream, what a flight derives (its ID, hop amounts,
-// event instant, kept record) — is a pure function of (Scenario.Seed,
-// Workload) and the captured state, and is re-derived on resume, so the
-// snapshot stays proportional to the live state, not the run length.
+// the event queue's clock, every live flight (queued and in-flight payments
+// with their pending events' seqs), the ledger book (balances and held
+// tallies: the admitted flights are the records of the locks), the
+// aggregator (exact counters, latency histogram or sample, exemplar
+// reservoir) and the pending Byzantine marks. Everything else — the payment
+// stream itself, the fault plan, every RNG side-stream, what a flight
+// derives (its ID, hop amounts, event instant, kept record) — is a pure
+// function of (Scenario.Seed, Workload) and the captured state, and is
+// re-derived on resume, so the snapshot stays proportional to the live
+// state, not the run length.
 //
 // The determinism contract does the heavy lifting: because an uninterrupted
 // run is a pure function of its inputs, a resumed run that restores the
@@ -492,7 +493,7 @@ func errString(err error) string {
 // mutable state with the live run.
 func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sn := &RunSnapshot{NextIndex: next}
-	sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled = t.ag.now, t.ag.seq, t.ag.fired, t.ag.scheduled
+	sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled = t.q.Clock()
 	sn.TimelineFired = t.fired
 	sn.ByzConn = t.byzConn
 
@@ -664,7 +665,7 @@ func (fs *FlightState) fill(f *flight, ps *protocols) {
 // live flights with their pending events re-attached at their original heap
 // coordinates, every queued flight filed under the account that refuses it in
 // the restored book — whose ledgers hold the admitted flights' locks — the
-// pending Byzantine marks, and finally the agenda's clock. The book must
+// pending Byzantine marks, and finally the event queue's clock. The book must
 // already be restored and sn validated.
 func (t *timeline) restore(sn *RunSnapshot) {
 	t.fired = sn.TimelineFired
@@ -692,24 +693,23 @@ func (t *timeline) restore(sn *RunSnapshot) {
 			f.passBase = t.passes - int(f.attempts)
 			f.refused = int32(t.refusingHop(f)) // validate found one in these balances
 			t.enqueue(f)
-			t.ag.push(entry{t.eventAt(f), f.seq, f.ix, expireEvent})
+			t.q.Push(sim.Entry{At: t.eventAt(f), Seq: f.seq, Ref: f.ix, Kind: expireEvent})
 			continue
 		}
-		t.ag.push(entry{t.eventAt(f), f.seq, f.ix, settleEvent})
+		t.q.Push(sim.Entry{At: t.eventAt(f), Seq: f.seq, Ref: f.ix, Kind: settleEvent})
 		t.inFlight++
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
 	for i, mk := range sn.Marks {
 		t.marks = append(t.marks, mark{at: mk.At, seq: mk.Seq, index: mk.Index, on: mk.On, pending: true})
-		t.ag.push(entry{mk.At, mk.Seq, int32(i), markEvent})
+		t.q.Push(sim.Entry{At: mk.At, Seq: mk.Seq, Ref: int32(i), Kind: markEvent})
 	}
 	for _, sp := range sn.Settled {
 		t.res.Payments[sp.Index] = sp.PR
 	}
 	// Restored events keep their seq, below the cursor: what the run
 	// schedules from here sorts after them at the same instant.
-	a := &t.ag
-	a.now, a.seq, a.fired, a.scheduled = sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled
+	t.q.SetClock(sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled)
 	for _, l := range t.ledgers {
 		t.lockedNow += l.EscrowedTotal()
 		t.byzHeld += l.ByzantineEscrowed()

@@ -426,7 +426,7 @@ func executeTimeline(res *Result, src paymentSource, w Workload, ps *protocols, 
 }
 
 // newTimeline builds the admission timeline of one run over res.Book, its
-// aggregator fresh or restored from snap. The timeline's agenda is the run's
+// aggregator fresh or restored from snap. The timeline's queue is the run's
 // authoritative virtual clock, so it (and only it) carries the virtual-time
 // watermark gauge.
 func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, snap *RunSnapshot) *timeline {
@@ -452,10 +452,11 @@ func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, kee
 		tl.payers = append(tl.payers, l.PID(core.CustomerID(i)))
 		tl.payees = append(tl.payees, l.PID(core.CustomerID(i+1)))
 	}
-	tl.ag.m = sim.MetricsFrom(reg)
+	m := sim.MetricsFrom(reg)
 	if reg != nil {
-		tl.ag.m.Watermark = reg.Gauge(sim.MetricVirtualTimeMs, "Virtual time of the traffic admission timeline in milliseconds.")
+		m.Watermark = reg.Gauge(sim.MetricVirtualTimeMs, "Virtual time of the traffic admission timeline in milliseconds.")
 	}
+	tl.q.SetMetrics(m)
 	return tl
 }
 
@@ -760,10 +761,14 @@ func (f *flight) lockID() string {
 }
 
 // timeline replays arrivals, admission, queuing and settlement on its
-// agenda, feeding each payment's terminal record to the aggregator (and,
-// when retained, to res.Payments).
+// event queue, feeding each payment's terminal record to the aggregator
+// (and, when retained, to res.Payments). An entry of q is a flight's
+// settlement or queue expiry, or a Byzantine-status mark, naming its flight
+// (flightAt) or mark (marks) by ref: neither an entry nor a flight holds a
+// pointer, so the garbage collector never scans the thousands a run has in
+// flight.
 type timeline struct {
-	ag   agenda
+	q    sim.Queue
 	res  *Result
 	agg  *aggregator
 	w    Workload
@@ -848,8 +853,8 @@ func (t *timeline) scheduleMarks() {
 			t.setByzantine(mk.index, mk.on)
 			continue
 		}
-		at, seq := t.ag.schedule(mk.at, markEvent, int32(len(t.marks)))
-		t.marks = append(t.marks, mark{at: at, seq: seq, index: mk.index, on: mk.on, pending: true})
+		e := t.q.Schedule(mk.at, int32(len(t.marks)), markEvent)
+		t.marks = append(t.marks, mark{at: e.At, seq: e.Seq, index: mk.index, on: mk.on, pending: true})
 	}
 }
 
@@ -901,7 +906,7 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 			break
 		}
 		t.fired += t.fire(p.Arrival - 1)
-		t.ag.now = max(t.ag.now, p.Arrival)
+		t.q.AdvanceTo(p.Arrival)
 		t.arrive(p, sub)
 		t.fired++ // the arrival itself counts as an event
 		if ck != nil {
@@ -925,47 +930,51 @@ func (t *timeline) drain() {
 //
 //xchain:hotpath
 func (t *timeline) fire(until sim.Time) uint64 {
-	a := &t.ag
 	var fired uint64
-	for len(a.heap) > 0 {
-		e := a.heap[0]
-		if !t.live(&e) {
-			a.pop()
-			continue
-		}
-		if e.at > until {
+	for {
+		e, ok := t.q.Peek()
+		if !ok {
 			break
 		}
-		a.pop()
-		a.now = e.at
-		a.fired++
-		a.m.Fired.Inc()
-		if a.m.Watermark != nil {
-			a.m.Watermark.Set(e.at.Millis())
+		if !t.live(&e) {
+			t.q.Discard()
+			continue
 		}
-		switch e.kind {
+		if e.At > until {
+			break
+		}
+		t.q.Fire()
+		switch e.Kind {
 		case settleEvent:
-			t.settle(t.flightAt(e.ref))
+			t.settle(t.flightAt(e.Ref))
 		case expireEvent:
-			t.expire(t.flightAt(e.ref))
+			t.expire(t.flightAt(e.Ref))
 		default:
-			t.fireMark(e.ref)
+			t.fireMark(e.Ref)
 		}
 		fired++
 	}
 	return fired
 }
 
+// Event kinds of the timeline's queue entries: a flight's settlement or
+// queue expiry, or a mark.
+const (
+	settleEvent uint8 = iota
+	expireEvent
+	markEvent
+)
+
 // live reports whether e is still due. Only a queue expiry is ever
 // cancelled: its flight left the queue, and its seq moved on.
 //
 //xchain:hotpath
-func (t *timeline) live(e *entry) bool {
-	if e.kind != expireEvent {
+func (t *timeline) live(e *sim.Entry) bool {
+	if e.Kind != expireEvent {
 		return true
 	}
-	f := t.flightAt(e.ref)
-	return f.inQueue && f.seq == e.seq
+	f := t.flightAt(e.Ref)
+	return f.inQueue && f.seq == e.Seq
 }
 
 // fireMark applies mark i.
@@ -979,7 +988,7 @@ func (t *timeline) fireMark(i int32) {
 //
 //xchain:hotpath
 func (t *timeline) arrive(p *payment, sub subOutcome) {
-	now := t.ag.now
+	now := t.q.Now()
 	f := t.newFlight()
 	f.sender, f.receiver, f.base, f.arrival = int32(p.Sender), int32(p.Receiver), p.Base, p.Arrival
 	f.events, f.duration, f.paid, f.byz = sub.events, sub.duration, sub.paid, sub.byz
@@ -1016,7 +1025,7 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 		return
 	}
 	f.passBase = t.passes - 1 // the arrival was attempt 0
-	_, f.seq = t.ag.schedule(t.w.QueuePatience, expireEvent, f.ix)
+	f.seq = t.q.Schedule(now+t.w.QueuePatience, f.ix, expireEvent).Seq
 	t.enqueue(f)
 }
 
@@ -1027,13 +1036,13 @@ func (t *timeline) arrive(p *payment, sub subOutcome) {
 func (t *timeline) expire(f *flight) {
 	t.unfile(f)
 	t.dequeue(f)
-	t.finish(f, StatusDropped, t.ag.now, t.dropCause(f))
+	t.finish(f, StatusDropped, t.q.Now(), t.dropCause(f))
 	t.recycle(f)
 }
 
 // eventAt returns when f's pending event fires: its queue expiry, scheduled
 // at its arrival, while queued; its settlement, scheduled at its admission,
-// while in flight (agenda.schedule).
+// while in flight (sim.Queue.Schedule).
 func (t *timeline) eventAt(f *flight) sim.Time {
 	if f.inQueue {
 		return f.arrival + max(t.w.QueuePatience, 0)
@@ -1089,7 +1098,7 @@ func (t *timeline) dropCause(f *flight) DropCause {
 	if f.byz {
 		return CauseFaultedPath
 	}
-	if t.plan != nil && t.plan.routeFaulted(int(f.sender), int(f.receiver), f.arrival, t.ag.now) {
+	if t.plan != nil && t.plan.routeFaulted(int(f.sender), int(f.receiver), f.arrival, t.q.Now()) {
 		return CauseFaultedPath
 	}
 	return CauseCapacity
@@ -1156,7 +1165,7 @@ func (t *timeline) start(f *flight, now sim.Time) {
 	if t.inFlight > t.res.PeakInFlight {
 		t.res.PeakInFlight = t.inFlight
 	}
-	_, f.seq = t.ag.schedule(f.duration, settleEvent, f.ix)
+	f.seq = t.q.Schedule(t.q.Now()+f.duration, f.ix, settleEvent).Seq
 }
 
 // settle is the settlement action of a flight: classify the outcome at the
@@ -1165,7 +1174,7 @@ func (t *timeline) start(f *flight, now sim.Time) {
 //
 //xchain:hotpath
 func (t *timeline) settle(f *flight) {
-	end := t.ag.now
+	end := t.q.Now()
 	status := StatusProtocolFailed
 	switch {
 	case f.errored:
@@ -1257,7 +1266,7 @@ func (t *timeline) wake(lo, hi int, now sim.Time) {
 			continue
 		}
 		t.dequeue(f)
-		t.ag.m.Canceled.Inc() // its expiry: start moves f.seq on
+		t.q.CountCanceled() // its expiry: start moves f.seq on
 		f.queued = true
 		t.start(f, now)
 	}
