@@ -31,7 +31,7 @@ const Format = "xchain-checkpoint"
 
 // Version is the current envelope format version. Bump it on any
 // incompatible payload or envelope change; Load rejects other versions.
-const Version = 2
+const Version = 3
 
 // Typed rejection errors. Load wraps each with file context; match with
 // errors.Is.

@@ -13,7 +13,7 @@ import (
 const (
 	goldenKind = "test-payload"
 	goldenHash = "cafe0123"
-	goldenPath = "testdata/envelope-v2.golden"
+	goldenPath = "testdata/envelope-v3.golden"
 )
 
 var goldenPayload = []byte(`{"answer":42,"greeting":"hello"}`)

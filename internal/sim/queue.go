@@ -2,8 +2,8 @@ package sim
 
 // Queue is the one event queue of the repository: a min-heap of pending
 // events ordered by (at, seq), and the virtual clock a run reads and a
-// checkpoint captures — now, the seq cursor, and how many events were fired
-// and scheduled — with the kernel counters and the watermark (SetMetrics).
+// checkpoint captures — now, the seq cursor (the count of events scheduled)
+// and how many fired — with the kernel counters and the watermark (SetMetrics).
 // An Engine runs on one, its callbacks in a slot table an entry's Ref
 // indexes; the traffic admission timeline runs on one, an entry naming its
 // flight or mark by Ref and what befalls it by Kind.
@@ -13,10 +13,10 @@ package sim
 // until it surfaces: the queue's user, which alone knows what Ref and Kind
 // stand for, tells it from a live one (Peek) and drops it (Discard).
 type Queue struct {
-	now                   Time
-	seq, fired, scheduled uint64
-	heap                  []Entry // min-heap by (at, seq)
-	m                     Metrics
+	now        Time
+	seq, fired uint64
+	heap       []Entry // min-heap by (at, seq)
+	m          Metrics
 }
 
 // Entry is one pending event: when it fires (At, Seq) and what it does —
@@ -41,15 +41,15 @@ func (a Entry) before(b Entry) bool {
 func (q *Queue) Now() Time { return q.now }
 
 // Clock returns the queue's clock: what a checkpoint captures.
-func (q *Queue) Clock() (now Time, seq, fired, scheduled uint64) {
-	return q.now, q.seq, q.fired, q.scheduled
+func (q *Queue) Clock() (now Time, seq, fired uint64) {
+	return q.now, q.seq, q.fired
 }
 
 // SetClock sets the queue's clock, restoring a captured one. Entries
 // restored with Push keep their seq, below the cursor: what is scheduled
 // from here sorts after them at the same instant.
-func (q *Queue) SetClock(now Time, seq, fired, scheduled uint64) {
-	q.now, q.seq, q.fired, q.scheduled = now, seq, fired, scheduled
+func (q *Queue) SetClock(now Time, seq, fired uint64) {
+	q.now, q.seq, q.fired = now, seq, fired
 }
 
 // SetMetrics attaches instrumentation hooks to the queue (see Metrics).
@@ -70,7 +70,7 @@ func (q *Queue) AdvanceTo(t Time) {
 // and the metrics hooks.
 func (q *Queue) Reset() {
 	q.heap = q.heap[:0]
-	q.now, q.seq, q.fired, q.scheduled = 0, 0, 0, 0
+	q.now, q.seq, q.fired = 0, 0, 0
 }
 
 // Schedule queues an event of kind on ref at virtual time at — clamped to
@@ -88,10 +88,9 @@ func (q *Queue) Schedule(at Time, ref int32, kind uint8) Entry {
 }
 
 // stamp returns the entry of a new event of kind on ref at at, clamped to
-// now, with the next seq, and counts it scheduled.
+// now, with the next seq: the seq cursor counts it scheduled.
 func (q *Queue) stamp(at Time, ref int32, kind uint8) Entry {
 	q.seq++
-	q.scheduled++
 	q.m.Scheduled.Inc()
 	return Entry{max(at, q.now), q.seq, ref, kind}
 }

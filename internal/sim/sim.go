@@ -145,7 +145,7 @@ func (e *Engine) Now() Time { return e.q.now }
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // EventsScheduled returns the total number of events scheduled so far.
-func (e *Engine) EventsScheduled() uint64 { return e.q.scheduled }
+func (e *Engine) EventsScheduled() uint64 { return e.q.seq }
 
 // EventsFired returns the total number of events that have fired so far.
 func (e *Engine) EventsFired() uint64 { return e.q.fired }

@@ -47,8 +47,8 @@ var ErrInterrupted = errors.New("traffic: run interrupted before completion")
 
 // ErrBadSnapshot is returned (wrapped) by RunWith when Config.Resume holds a
 // snapshot that carries this run's fingerprint but could not have been
-// written by it: a route outside the chain, a queue entry that is no queued
-// flight, a ledger the chain does not have. Nothing has been restored when
+// written by it: a route outside the chain, an event due before the clock, a
+// ledger the chain does not have. Nothing has been restored when
 // it is returned, so redoing the run from payment 0 is always safe.
 var ErrBadSnapshot = errors.New("traffic: malformed snapshot")
 
@@ -110,8 +110,10 @@ func (e *ConfigMismatchError) EmbeddedConfig() string {
 // Result is a function of. Two runs with equal fingerprints compute
 // byte-identical Results, so a snapshot may only be resumed under a
 // configuration with the same fingerprint. Execution-strategy knobs
-// (Workers, Metrics, checkpoint cadence) are deliberately excluded:
-// they never change the Result.
+// (Workers, Metrics, checkpoint cadence) are deliberately excluded: they
+// never change the Result. Of the retention knobs only what they resolve to
+// counts: whether the records are kept (Config.keep), and the exemplar
+// count of a run that drops them.
 type runFingerprint struct {
 	Escrows        int                       `json:"escrows"`
 	Seed           int64                     `json:"seed"`
@@ -124,14 +126,14 @@ type runFingerprint struct {
 	KeySeed        string                    `json:"keySeed,omitempty"`
 	MaxEvents      uint64                    `json:"maxEvents,omitempty"`
 	Workload       Workload                  `json:"workload"`
-	Stream         bool                      `json:"stream,omitempty"`
-	KeepPayments   bool                      `json:"keepPayments,omitempty"`
+	Keep           bool                      `json:"keep"`
 	Exemplars      int                       `json:"exemplars,omitempty"`
 }
 
-// fingerprintOf builds the fingerprint of a run. Call it after Config
-// overrides (Crypto, Metrics) have been folded into the scenario.
-func fingerprintOf(s core.Scenario, w Workload, cfg Config) runFingerprint {
+// fingerprintOf builds the fingerprint of a run whose retention resolved to
+// keep and exemplars. Call it after Config overrides (Crypto, Metrics) have
+// been folded into the scenario.
+func fingerprintOf(s core.Scenario, w Workload, keep bool, exemplars int) runFingerprint {
 	return runFingerprint{
 		Escrows:        s.Topology.N,
 		Seed:           s.Seed,
@@ -144,9 +146,8 @@ func fingerprintOf(s core.Scenario, w Workload, cfg Config) runFingerprint {
 		KeySeed:        s.KeySeed,
 		MaxEvents:      s.MaxEvents,
 		Workload:       w,
-		Stream:         cfg.Stream,
-		KeepPayments:   cfg.KeepPayments,
-		Exemplars:      cfg.Exemplars,
+		Keep:           keep,
+		Exemplars:      exemplars,
 	}
 }
 
@@ -201,19 +202,17 @@ type MarkState struct {
 
 // AggState captures the aggregator: exact scalar accumulators, the latency
 // histogram of a run that drops its records (one that keeps them takes its
-// percentiles from them) and the exemplar reservoir with its observation
-// count (the reservoir RNG is re-derived by replaying its draw sequence,
-// which depends only on ResSeen).
+// percentiles from them) and the exemplar reservoir. The latencies summed
+// are Partial.Succeeded's, and the reservoir has seen Partial.Total payments
+// (its RNG is re-derived by replaying that many draws).
 type AggState struct {
 	LatSum       float64  `json:"latSum"`
 	LatMax       float64  `json:"latMax"`
-	LatCount     int      `json:"latCount"`
 	QueueWaitSum float64  `json:"queueWaitSum"`
 	LastArrival  sim.Time `json:"lastArrival"`
 
 	Hist      *stats.HistogramState `json:"hist,omitempty"`
 	Reservoir []PaymentResult       `json:"reservoir,omitempty"`
-	ResSeen   int                   `json:"resSeen,omitempty"`
 }
 
 // PartialResult carries the Result counters accumulated so far.
@@ -248,29 +247,30 @@ type SettledPayment struct {
 // boundary: payments [0, NextIndex) have been admitted (though some may
 // still be queued or in flight), payment NextIndex has not been fetched.
 type RunSnapshot struct {
-	// ConfigHash fingerprints the producing configuration; Config embeds the
-	// canonical fingerprint document itself so a mismatch is diagnosable.
-	ConfigHash string          `json:"configHash"`
+	// ConfigHash fingerprints the producing configuration: the envelope
+	// carries it, and LoadSnapshot fills it in. Config embeds the canonical
+	// fingerprint document itself so a mismatch is diagnosable.
+	ConfigHash string          `json:"-"`
 	Config     json.RawMessage `json:"config"`
 	// NextIndex is the index of the first payment the resumed run admits.
 	NextIndex int `json:"nextIndex"`
 
-	EngineNow       sim.Time `json:"engineNow"`
-	EngineSeq       uint64   `json:"engineSeq"`
-	EngineFired     uint64   `json:"engineFired"`
-	EngineScheduled uint64   `json:"engineScheduled"`
-	TimelineFired   uint64   `json:"timelineFired"`
+	// The event queue's clock: its time, its seq cursor (the events the
+	// timeline scheduled) and the events it fired. The timeline's own event
+	// count adds the arrivals, NextIndex.
+	EngineNow   sim.Time `json:"engineNow"`
+	EngineSeq   uint64   `json:"engineSeq"`
+	EngineFired uint64   `json:"engineFired"`
 
 	ByzConn int `json:"byzConn"`
 
 	Partial PartialResult `json:"partial"`
 	Agg     AggState      `json:"agg"`
 
+	// Flights in index order: the queued ones (InQueue) are the queue, in
+	// arrival order.
 	Flights []FlightState `json:"flights,omitempty"`
-	// Queue lists the payment indices currently waiting for liquidity, in
-	// queue (= arrival) order.
-	Queue []int       `json:"queue,omitempty"`
-	Marks []MarkState `json:"marks,omitempty"`
+	Marks   []MarkState   `json:"marks,omitempty"`
 
 	Ledgers []ledger.LedgerState `json:"ledgers"`
 
@@ -288,12 +288,9 @@ func LoadSnapshot(path string) (*RunSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sn RunSnapshot
+	sn := RunSnapshot{ConfigHash: env.ConfigHash}
 	if err := json.Unmarshal(env.Payload, &sn); err != nil {
 		return nil, fmt.Errorf("traffic: snapshot %s: decode: %w", path, err)
-	}
-	if sn.ConfigHash != env.ConfigHash {
-		return nil, fmt.Errorf("traffic: snapshot %s: envelope and payload disagree on the config hash", path)
 	}
 	return &sn, nil
 }
@@ -302,8 +299,10 @@ func LoadSnapshot(path string) (*RunSnapshot, error) {
 // (chain escrows, workload w resolved to ps, this retention) could have
 // captured, so that restoring it and running on cannot index out of range,
 // miss a ledger, reserve a non-positive amount, settle a hop its ledger does
-// not hold, strand a held value no flight settles, or leave a queued payment
-// filed under no account. Every failure wraps ErrBadSnapshot.
+// not hold, strand a held value no flight settles, leave a queued payment
+// filed under no account, lose a payment the snapshot lists nowhere, fire an
+// event before the clock or take percentiles from a histogram that missed
+// some latencies. Every failure wraps ErrBadSnapshot.
 func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool, exemplars int) error {
 	payments := w.Payments
 	bad := func(format string, args ...any) error {
@@ -343,7 +342,7 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 		}
 		locks[e] = l.HeldLocks
 	}
-	queued := map[int]bool{} // index -> waiting, not yet listed in Queue
+	now := sn.EngineNow
 	last := -1
 	for i := range sn.Flights {
 		f := &sn.Flights[i]
@@ -378,7 +377,11 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 			if fits {
 				return bad("flight %d waits in the queue though every hop of its route can cover it", f.Index)
 			}
-			queued[f.Index] = true
+		} else if f.Start < f.Arrival || f.Start > now {
+			return bad("flight %d: admitted at %v, outside its arrival %v to the clock's %v", f.Index, f.Start, f.Arrival, now)
+		}
+		if due := f.due(w.QueuePatience); due < now {
+			return bad("flight %d: its event is due at %v, before the clock's %v", f.Index, due, now)
 		}
 	}
 	for e := range held {
@@ -386,16 +389,10 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 			return bad("ledger %s holds %d more in %d more locks than its admitted flights", core.EscrowID(e), held[e], locks[e])
 		}
 	}
-	last = -1
-	for _, idx := range sn.Queue {
-		if !queued[idx] || idx <= last {
-			return bad("queue lists payment %d, which is not a queued flight, is listed twice or is out of arrival order", idx)
+	for _, mk := range sn.Marks {
+		if mk.Index < 0 || mk.Index > chain || mk.At < now {
+			return bad("mark of c%d due at %v: outside the chain or before the clock's %v", mk.Index, mk.At, now)
 		}
-		delete(queued, idx)
-		last = idx
-	}
-	if len(queued) != 0 {
-		return bad("%d queued flights are missing from the queue order", len(queued))
 	}
 	if !keep && len(sn.Settled) != 0 {
 		return bad("holds %d per-payment records, the run keeps none", len(sn.Settled))
@@ -405,20 +402,29 @@ func (sn *RunSnapshot) validate(chain int, w Workload, ps *protocols, keep bool,
 			return bad("settled record index %d not below %d", sp.Index, sn.NextIndex)
 		}
 	}
-	agg := &sn.Agg
-	if agg.LatCount < 0 || agg.ResSeen < 0 || agg.ResSeen > sn.NextIndex {
-		return bad("aggregator counts %d latencies and %d reservoir draws at payment %d", agg.LatCount, agg.ResSeen, sn.NextIndex)
+	p, agg := &sn.Partial, &sn.Agg
+	if p.Total < 0 || p.Total > sn.NextIndex || p.Succeeded < 0 || p.Succeeded > p.Total {
+		return bad("%d of %d payments settled, %d of them paid, at payment %d", p.Total, sn.NextIndex, p.Succeeded, sn.NextIndex)
 	}
-	if !keep && exemplars > 0 && len(agg.Reservoir) != min(agg.ResSeen, exemplars) {
-		return bad("reservoir holds %d of %d exemplars after %d draws", len(agg.Reservoir), exemplars, agg.ResSeen)
+	// Every payment that arrived has settled or is listed, in flight or
+	// queued: one listed nowhere would never settle.
+	if p.Total+len(sn.Flights) != sn.NextIndex {
+		return bad("%d payments settled and %d listed, of %d arrived", p.Total, len(sn.Flights), sn.NextIndex)
 	}
-	if h := agg.Hist; h != nil {
+	if !keep && exemplars > 0 && len(agg.Reservoir) != min(p.Total, exemplars) {
+		return bad("reservoir holds %d of %d exemplars after %d draws", len(agg.Reservoir), exemplars, p.Total)
+	}
+	// A run that drops its records takes its percentiles from the histogram,
+	// which holds every latency summed; one that keeps them holds none.
+	if h := agg.Hist; keep != (h == nil) {
+		return bad("latency histogram present is %t, records kept is %t", h != nil, keep)
+	} else if h != nil {
 		total := h.Underflow
 		for _, c := range h.Counts {
 			total += c
 		}
-		if keep || total != h.N || h.N != uint64(agg.LatCount) {
-			return bad("latency histogram of %d observations in buckets summing to %d, for %d latencies", h.N, total, agg.LatCount)
+		if total != h.N || h.N != uint64(p.Succeeded) {
+			return bad("latency histogram of %d observations in buckets summing to %d, for %d latencies", h.N, total, p.Succeeded)
 		}
 	}
 	return nil
@@ -465,7 +471,6 @@ func (c *checkpointer) save(t *timeline, next int, final bool) error {
 	if err != nil {
 		return err
 	}
-	sn.ConfigHash = c.hash
 	sn.Config = c.config
 	payload, err := json.Marshal(sn)
 	if err != nil {
@@ -493,8 +498,7 @@ func errString(err error) string {
 // mutable state with the live run.
 func (t *timeline) capture(next int) (*RunSnapshot, error) {
 	sn := &RunSnapshot{NextIndex: next}
-	sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled = t.q.Clock()
-	sn.TimelineFired = t.fired
+	sn.EngineNow, sn.EngineSeq, sn.EngineFired = t.q.Clock()
 	sn.ByzConn = t.byzConn
 
 	r := t.res
@@ -551,11 +555,6 @@ func (t *timeline) capture(next int) (*RunSnapshot, error) {
 		})
 	}
 	slices.SortFunc(sn.Flights, func(a, b FlightState) int { return a.Index - b.Index })
-	for _, fs := range sn.Flights {
-		if fs.InQueue {
-			sn.Queue = append(sn.Queue, fs.Index) // arrival order = index order
-		}
-	}
 	for _, mk := range t.marks {
 		if mk.pending {
 			sn.Marks = append(sn.Marks, MarkState{At: mk.at, Seq: mk.seq, Index: mk.index, On: mk.on})
@@ -579,10 +578,8 @@ func (a *aggregator) state() AggState {
 	st := AggState{
 		LatSum:       a.latSum,
 		LatMax:       a.latMax,
-		LatCount:     a.latCount,
 		QueueWaitSum: a.queueWaitSum,
 		LastArrival:  a.lastArrival,
-		ResSeen:      a.resSeen,
 	}
 	if a.latHist != nil {
 		h := a.latHist.State()
@@ -594,24 +591,24 @@ func (a *aggregator) state() AggState {
 	return st
 }
 
-// restoredAggregator rebuilds the aggregator from a capture. The exemplar
+// restoredAggregator rebuilds the aggregator from sn's capture. The exemplar
 // reservoir RNG is recovered by replaying its draw sequence: algorithm R
 // draws exactly once per observation past the reservoir size, so the number
-// of past draws — and each draw's bound — is a pure function of ResSeen.
-func restoredAggregator(res *Result, keep bool, exemplars int, st *AggState) *aggregator {
+// of past draws — and each draw's bound — is a pure function of the
+// payments settled, Partial.Total.
+func restoredAggregator(res *Result, keep bool, exemplars int, sn *RunSnapshot) *aggregator {
 	a := newAggregator(res, keep, exemplars)
+	st := &sn.Agg
 	a.latSum = st.LatSum
 	a.latMax = st.LatMax
-	a.latCount = st.LatCount
 	a.queueWaitSum = st.QueueWaitSum
 	a.lastArrival = st.LastArrival
-	if a.latHist != nil && st.Hist != nil {
+	if a.latHist != nil { // validate found the histogram
 		a.latHist.Restore(*st.Hist)
 	}
 	if a.resSize > 0 {
 		a.reservoir = append(a.reservoir, st.Reservoir...)
-		a.resSeen = st.ResSeen
-		for i := a.resSize; i < a.resSeen; i++ {
+		for i := a.resSize; i < sn.Partial.Total; i++ {
 			a.resRng.Intn(i + 1)
 		}
 	}
@@ -649,6 +646,16 @@ func protoIndex(ps *protocols, name string) int {
 	return slices.Index(ps.names, name)
 }
 
+// due returns when the flight's pending event fires: its queue expiry,
+// scheduled at its arrival, while queued; its settlement, scheduled at its
+// admission, while in flight (sim.Queue.Schedule).
+func (fs *FlightState) due(patience sim.Time) sim.Time {
+	if fs.InQueue {
+		return fs.Arrival + max(patience, 0)
+	}
+	return fs.Start + max(fs.Duration, 0)
+}
+
 // fill rebuilds the live flight (payment, sub-outcome, admission, pending
 // event's seq) from its capture, which validate passed, into f. Its event is
 // re-attached, and a queued flight filed, by timeline.restore.
@@ -668,7 +675,6 @@ func (fs *FlightState) fill(f *flight, ps *protocols) {
 // pending Byzantine marks, and finally the event queue's clock. The book must
 // already be restored and sn validated.
 func (t *timeline) restore(sn *RunSnapshot) {
-	t.fired = sn.TimelineFired
 	t.byzConn = sn.ByzConn
 	t.m.ByzConnectors.Set(float64(t.byzConn))
 
@@ -693,10 +699,10 @@ func (t *timeline) restore(sn *RunSnapshot) {
 			f.passBase = t.passes - int(f.attempts)
 			f.refused = int32(t.refusingHop(f)) // validate found one in these balances
 			t.enqueue(f)
-			t.q.Push(sim.Entry{At: t.eventAt(f), Seq: f.seq, Ref: f.ix, Kind: expireEvent})
+			t.q.Push(sim.Entry{At: fs.due(t.w.QueuePatience), Seq: f.seq, Ref: f.ix, Kind: expireEvent})
 			continue
 		}
-		t.q.Push(sim.Entry{At: t.eventAt(f), Seq: f.seq, Ref: f.ix, Kind: settleEvent})
+		t.q.Push(sim.Entry{At: fs.due(t.w.QueuePatience), Seq: f.seq, Ref: f.ix, Kind: settleEvent})
 		t.inFlight++
 	}
 	t.m.InFlight.Set(float64(t.inFlight))
@@ -709,7 +715,7 @@ func (t *timeline) restore(sn *RunSnapshot) {
 	}
 	// Restored events keep their seq, below the cursor: what the run
 	// schedules from here sorts after them at the same instant.
-	t.q.SetClock(sn.EngineNow, sn.EngineSeq, sn.EngineFired, sn.EngineScheduled)
+	t.q.SetClock(sn.EngineNow, sn.EngineSeq, sn.EngineFired)
 	for _, l := range t.ledgers {
 		t.lockedNow += l.EscrowedTotal()
 		t.byzHeld += l.ByzantineEscrowed()

@@ -238,28 +238,76 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	})
 	t.Run("different-mode", func(t *testing.T) {
 		cfg2 := cfg
-		cfg2.Stream = false
+		cfg2.KeepPayments = false // drops the records the snapshot kept
 		check(t, s, w, cfg2)
 	})
+}
+
+// TestCheckpointRetentionFingerprint: a snapshot names the retention its
+// Result depends on — records kept, or dropped with so many exemplars — not
+// the knobs that resolved to it. A run keeping its records resumes under any
+// configuration that keeps them too, byte-identically; a run dropping them
+// is refused under one that keeps them.
+func TestCheckpointRetentionFingerprint(t *testing.T) {
+	s := core.NewScenario(3, 7)
+	s.Crypto = "hmac"
+	w := NewWorkload(200)
+	ref, err := RunWith(s, w, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupt := func(cfg Config) *RunSnapshot {
+		t.Helper()
+		cfg.InterruptAt, cfg.CheckpointPath = 100, filepath.Join(t.TempDir(), "run.ckpt")
+		if _, err := RunWith(s, w, cfg); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("interrupted run returned %v", err)
+		}
+		sn, err := LoadSnapshot(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn
+	}
+	for _, kept := range []Config{
+		{Workers: 1, Stream: true, KeepPayments: true},
+		{Workers: 1, Exemplars: 8}, // no exemplars where the records are kept
+	} {
+		got, err := RunWith(s, w, Config{Resume: interrupt(kept)})
+		if err != nil {
+			t.Fatalf("snapshot of %+v refused under Config{}: %v", kept, err)
+		}
+		assertSameRun(t, ref, got)
+	}
+	dropped := interrupt(Config{Workers: 1, Stream: true, Exemplars: 8})
+	var mm *ConfigMismatchError
+	if _, err := RunWith(s, w, Config{Resume: dropped}); !errors.As(err, &mm) {
+		t.Fatalf("drop-mode snapshot resumed under Config{} returned %v, want *ConfigMismatchError", err)
+	}
 }
 
 // goldenTrafficSnapshot is the committed mid-run snapshot pinning the
 // traffic payload format (the envelope format is pinned separately in
 // internal/checkpoint). Regenerate with XCHAIN_REGEN_GOLDEN=1 after a
 // deliberate format change, and bump checkpoint.Version when doing so.
-const goldenTrafficSnapshot = "../checkpoint/testdata/traffic-run-v2.ckpt"
+const goldenTrafficSnapshot = "../checkpoint/testdata/traffic-run-v3.ckpt"
 
-// v1TrafficSnapshot is a snapshot the version-1 format wrote, of
-// `xchain-traffic -n 2 -payments 8 -rate 500 -stream -crypto hmac
-// -checkpoint f -checkpoint-every 4`: it rendered each admitted flight's locks
-// into its ledgers as well.
-const v1TrafficSnapshot = "../checkpoint/testdata/traffic-run-v1-small.ckpt"
+// Snapshots older formats wrote. Version 1's, of `xchain-traffic -n 2
+// -payments 8 -rate 500 -stream -crypto hmac -checkpoint f -checkpoint-every
+// 4`, rendered each admitted flight's locks into its ledgers as well; version
+// 2's, of the golden run, stored the queue order, the timeline's and the
+// aggregator's counts and the config hash a second time.
+const (
+	v1TrafficSnapshot = "../checkpoint/testdata/traffic-run-v1-small.ckpt"
+	v2TrafficSnapshot = "../checkpoint/testdata/traffic-run-v2.ckpt"
+)
 
-// TestLoadSnapshotRefusesV1: a version-1 file is refused by its version,
-// before its payload is read.
+// TestLoadSnapshotRefusesV1: a version-1 or version-2 file is refused by its
+// version, before its payload is read.
 func TestLoadSnapshotRefusesV1(t *testing.T) {
-	if sn, err := LoadSnapshot(v1TrafficSnapshot); !errors.Is(err, checkpoint.ErrBadVersion) {
-		t.Fatalf("LoadSnapshot of a version-1 file = (%v, %v), want checkpoint.ErrBadVersion", sn, err)
+	for _, path := range []string{v1TrafficSnapshot, v2TrafficSnapshot} {
+		if sn, err := LoadSnapshot(path); !errors.Is(err, checkpoint.ErrBadVersion) {
+			t.Fatalf("LoadSnapshot(%s) = (%v, %v), want checkpoint.ErrBadVersion", path, sn, err)
+		}
 	}
 }
 

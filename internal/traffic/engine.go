@@ -362,7 +362,7 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 	resume := cfg.Resume
 	skip := 0
 	if cfg.checkpointing() {
-		hash, doc, err := fingerprintOf(s, w, cfg).canonical()
+		hash, doc, err := fingerprintOf(s, w, cfg.keep(), exemplars).canonical()
 		if err != nil {
 			return nil, err
 		}
@@ -432,7 +432,7 @@ func executeTimeline(res *Result, src paymentSource, w Workload, ps *protocols, 
 func newTimeline(res *Result, w Workload, ps *protocols, plan *compiledPlan, keep bool, exemplars int, reg *metrics.Registry, rm RunMetrics, snap *RunSnapshot) *timeline {
 	var agg *aggregator
 	if snap != nil {
-		agg = restoredAggregator(res, keep, exemplars, &snap.Agg)
+		agg = restoredAggregator(res, keep, exemplars, snap)
 	} else {
 		agg = newAggregator(res, keep, exemplars)
 	}
@@ -473,7 +473,9 @@ func (t *timeline) execute(src paymentSource, ck *checkpointer, snap *RunSnapsho
 	}
 	t.drain()
 	res := t.res
-	res.TimelineEvents = t.fired
+	// The timeline's own events: what its queue fired, and every arrival.
+	_, _, fired := t.q.Clock()
+	res.TimelineEvents = fired + uint64(t.w.Payments)
 	// Refund-cascade accounting: every unit the timeline ever locked must
 	// have been released or refunded exactly once by the end of the run.
 	if res.CascadeErr == nil && t.lockedNow != 0 {
@@ -793,7 +795,6 @@ type timeline struct {
 	passes   int
 	qlen     int
 	inFlight int
-	fired    uint64
 
 	// lockedNow is the refund-cascade accounting counter: units currently
 	// held in traffic-level locks, incremented at admission and decremented
@@ -905,10 +906,9 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 		if !ok {
 			break
 		}
-		t.fired += t.fire(p.Arrival - 1)
+		t.fire(p.Arrival - 1)
 		t.q.AdvanceTo(p.Arrival)
 		t.arrive(p, sub)
-		t.fired++ // the arrival itself counts as an event
 		if ck != nil {
 			if err := ck.boundary(t, p.Index+1); err != nil {
 				return err
@@ -922,15 +922,14 @@ func (t *timeline) run(src paymentSource, ck *checkpointer) error {
 // queue expiries of the payments still in flight or waiting, with no arrival
 // to interleave. On an open workload most of a run's settlements fire here.
 func (t *timeline) drain() {
-	t.fired += t.fire(sim.Never)
+	t.fire(sim.Never)
 }
 
 // fire fires, in (at, seq) order, every live event due by until, discarding
-// the cancelled ones it meets at the root, and returns how many fired.
+// the cancelled ones it meets at the root.
 //
 //xchain:hotpath
-func (t *timeline) fire(until sim.Time) uint64 {
-	var fired uint64
+func (t *timeline) fire(until sim.Time) {
 	for {
 		e, ok := t.q.Peek()
 		if !ok {
@@ -952,9 +951,7 @@ func (t *timeline) fire(until sim.Time) uint64 {
 		default:
 			t.fireMark(e.Ref)
 		}
-		fired++
 	}
-	return fired
 }
 
 // Event kinds of the timeline's queue entries: a flight's settlement or
@@ -1038,16 +1035,6 @@ func (t *timeline) expire(f *flight) {
 	t.dequeue(f)
 	t.finish(f, StatusDropped, t.q.Now(), t.dropCause(f))
 	t.recycle(f)
-}
-
-// eventAt returns when f's pending event fires: its queue expiry, scheduled
-// at its arrival, while queued; its settlement, scheduled at its admission,
-// while in flight (sim.Queue.Schedule).
-func (t *timeline) eventAt(f *flight) sim.Time {
-	if f.inQueue {
-		return f.arrival + max(t.w.QueuePatience, 0)
-	}
-	return f.start + max(f.duration, 0)
 }
 
 // flightBlock is how many flights a block holds: flights are made in blocks

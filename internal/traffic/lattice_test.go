@@ -203,7 +203,7 @@ func latticeInputs() []latticeInput {
 		// Payments wait in the queue at the cut, and some of them expire.
 		{name: "starved-queue", s: hmac(core.NewScenario(4, 7).SetFault(core.CustomerID(2), core.FaultSpec{Silent: true})),
 			w: starved, cuts: []int{57}, exercises: queued,
-			captures: func(sn *RunSnapshot, _ *Result) bool { return len(sn.Queue) > 0 }},
+			captures: func(sn *RunSnapshot, _ *Result) bool { return len(waiting(sn)) > 0 }},
 		{name: "subpaths-bounded", s: hmac(core.NewScenario(4, 7)), w: sub, cuts: []int{150},
 			exercises: func(r *Result) bool { return r.QueuedCount > 0 }},
 		// A hundred payments wait at each cut, filed under the accounts that
@@ -216,13 +216,13 @@ func latticeInputs() []latticeInput {
 			exercises: func(r *Result) bool { return r.Failed > 0 && r.Dropped > 0 && admittedFromQueue(r) > 20 },
 			captures: func(sn *RunSnapshot, ref *Result) bool {
 				readmitted := 0
-				for _, idx := range sn.Queue {
+				for _, idx := range waiting(sn) {
 					if st := ref.Payments[idx].Status; st == StatusOK || st == StatusProtocolFailed {
 						readmitted++
 					}
 				}
-				pastFill := sn.Agg.Hist == nil || sn.Agg.ResSeen > len(sn.Agg.Reservoir)
-				return len(sn.Queue) >= 100 && readmitted > 0 && pastFill
+				pastFill := sn.Agg.Hist == nil || sn.Partial.Total > len(sn.Agg.Reservoir)
+				return len(waiting(sn)) >= 100 && readmitted > 0 && pastFill
 			}},
 		// Most settlements fire in the drain, after the last arrival; the cut
 		// ten payments short of the end snapshots nearly two thousand flights
@@ -243,6 +243,17 @@ func latticeInputs() []latticeInput {
 			},
 			captures: func(sn *RunSnapshot, _ *Result) bool { return len(sn.Flights) >= 1000 }},
 	}
+}
+
+// waiting returns the indices of sn's queued flights, in queue order.
+func waiting(sn *RunSnapshot) []int {
+	var idx []int
+	for _, f := range sn.Flights {
+		if f.InQueue {
+			idx = append(idx, f.Index)
+		}
+	}
+	return idx
 }
 
 func latticeKnobs() []latticeKnob {

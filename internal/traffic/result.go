@@ -204,20 +204,19 @@ type aggregator struct {
 	// still comes from the exact fields below.
 	m RunMetrics
 	// latHist summarises the latencies when the records are not kept. Mean
-	// and max are tracked exactly either way.
-	latHist  *stats.Histogram
-	latSum   float64
-	latMax   float64
-	latCount int
+	// (over Result.Succeeded) and max are tracked exactly either way.
+	latHist *stats.Histogram
+	latSum  float64
+	latMax  float64
 
 	queueWaitSum float64
 
 	lastArrival sim.Time
 
-	// Deterministic reservoir sample (algorithm R) of terminal payments.
+	// Deterministic reservoir sample (algorithm R) of terminal payments:
+	// Result.Total counts the payments it has seen.
 	reservoir []PaymentResult
 	resSize   int
-	resSeen   int
 	resRng    *sim.Rand
 }
 
@@ -251,7 +250,6 @@ func (a *aggregator) observe(r *Result, p *PaymentResult) *PaymentResult {
 		r.VolumeMoved += p.Amount
 		lat := p.Latency().Millis()
 		a.latSum += lat
-		a.latCount++
 		if lat > a.latMax {
 			a.latMax = lat
 		}
@@ -292,12 +290,11 @@ func (a *aggregator) observe(r *Result, p *PaymentResult) *PaymentResult {
 	if a.resSize == 0 {
 		return nil
 	}
-	a.resSeen++
 	if len(a.reservoir) < a.resSize {
 		a.reservoir = append(a.reservoir, PaymentResult{})
 		return &a.reservoir[len(a.reservoir)-1]
 	}
-	if j := a.resRng.Intn(a.resSeen); j < a.resSize {
+	if j := a.resRng.Intn(r.Total); j < a.resSize {
 		return &a.reservoir[j]
 	}
 	return nil
@@ -318,8 +315,8 @@ func (a *aggregator) finalize(r *Result) {
 	if r.Makespan > 0 {
 		r.Throughput = float64(r.Succeeded) / r.Makespan.Seconds()
 	}
-	if a.latCount > 0 {
-		r.LatencyMeanMs = a.latSum / float64(a.latCount)
+	if r.Succeeded > 0 {
+		r.LatencyMeanMs = a.latSum / float64(r.Succeeded)
 	}
 	r.LatencyMaxMs = a.latMax
 	if a.keep {

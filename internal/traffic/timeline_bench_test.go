@@ -99,11 +99,12 @@ func BenchmarkTimeline(b *testing.B) {
 				if err := tl.run(src, nil); err != nil {
 					b.Fatal(err)
 				}
-				fired := tl.fired
+				_, _, before := tl.q.Clock()
 				b.StartTimer()
 				tl.drain()
 				b.StopTimer()
-				drained += tl.fired - fired
+				_, _, after := tl.q.Clock()
+				drained += after - before
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(drained), "ns/event")
 			b.ReportMetric(float64(drained)/float64(b.N), "events/run")
